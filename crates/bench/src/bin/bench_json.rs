@@ -127,24 +127,6 @@ fn main() {
             row.replay_batches_per_sec
         );
     }
-    for row in &snap.adaptive_gate {
-        eprintln!(
-            "  adaptive_gate {} (1/{}, patterns={}): adaptive {:.3} ms vs patch {:.3} / rebuild {:.3} / optimal {:.3} ms; {} warmup, {:.1}% agreement, reach {}p/{}r, pattern {}p/{}r",
-            row.dataset,
-            row.scale,
-            row.serve_patterns,
-            row.adaptive_ms,
-            row.always_patch_ms,
-            row.always_rebuild_ms,
-            row.offline_optimal_ms,
-            row.reach_warmup,
-            row.reach_agreement_pct,
-            row.reach_patched,
-            row.reach_rebuilt,
-            row.pattern_patched,
-            row.pattern_rebuilt
-        );
-    }
     for row in &snap.parallel_maintenance {
         eprintln!(
             "  parallel_maintenance {} {} @ {} thread(s): {:.3} ms ({:.2}x)",

@@ -87,19 +87,11 @@
 //!   (`replay_batches_per_sec`) — `recover_from_log` rebuilding the store
 //!   from the log, differentially spot-checked against the live store.
 //!
-//! Since PR 8 (`BENCH_8.json`, **schema v7** — a superset of v6) two
-//! sections track the self-tuning publication gate and the parallel
-//! maintenance paths:
+//! Since PR 8 (`BENCH_8.json`, **schema v7** — a superset of v6) a section
+//! tracks the parallel maintenance paths (v7 and v8 files also carry an
+//! `adaptive_gate` section pricing a measuring gate mode that has since
+//! been removed; **schema v9** is v8 without it):
 //!
-//! * `adaptive_gate` — the same cone-local streams driven through three
-//!   stores differing only in [`qpgc_serve::GateMode`]: `AlwaysPatch` and
-//!   `AlwaysRebuild` give the per-batch cost of both paths (the offline
-//!   optimum is their per-batch minimum), and the `Adaptive` store's
-//!   recorded [`qpgc_serve::GateDecision`]s are scored against that
-//!   optimum. Per row: total publication under all three modes, the
-//!   offline-optimal total, warmup batch count, post-warmup agreement
-//!   percentage, and the per-side patch/rebuild routing counts — no
-//!   hand-set threshold anywhere.
 //! * `parallel_maintenance` — wall-clock of the two rebuild kernels the
 //!   publication path routes to, at 1, 2, and 4 threads: `refine`
 //!   (worklist-partitioned bisimulation refinement over a labeled Table 2
@@ -153,7 +145,7 @@ use qpgc_pattern::pattern::Pattern;
 use qpgc_reach::compress::{compress_r, compress_r_csr};
 use qpgc_reach::two_hop::{CoverageEstimate, TwoHopConfig, TwoHopIndex};
 use qpgc_serve::{
-    bulk_reachable, ApplyPath, ApplyReport, CompressedStore, GateMode, ShardedStore,
+    bulk_reachable, ApplyPath, CompressedStore, GateMode, ReachStore as _, ShardedStore,
     SnapshotFormat, StoreConfig,
 };
 
@@ -522,168 +514,6 @@ fn robustness_row(name: &str, scale: usize, batches: usize) -> RobustnessRow {
     }
 }
 
-/// Scores the self-tuning gate on one dataset emulation: the same
-/// cone-local stream through three stores differing only in
-/// [`GateMode`], with the `Adaptive` store's recorded decisions judged
-/// against the per-batch offline optimum (schema v7).
-#[derive(Clone, Debug)]
-pub struct AdaptiveGateRow {
-    /// Dataset emulation the stream ran over.
-    pub dataset: String,
-    /// Scale divisor of the emulation.
-    pub scale: usize,
-    /// Whether the stores also maintained and served the pattern
-    /// compression (labeled Table 2 emulations).
-    pub serve_patterns: bool,
-    /// Number of update batches in the stream.
-    pub batches: usize,
-    /// Total publication wall-clock under [`GateMode::Adaptive`].
-    pub adaptive_ms: f64,
-    /// Total publication wall-clock under [`GateMode::AlwaysPatch`].
-    pub always_patch_ms: f64,
-    /// Total publication wall-clock under [`GateMode::AlwaysRebuild`].
-    pub always_rebuild_ms: f64,
-    /// Sum over batches of the cheaper forced path — what a clairvoyant
-    /// gate would have paid.
-    pub offline_optimal_ms: f64,
-    /// Reach-side decisions flagged warmup (cost model not yet populated
-    /// on both paths; the controller routes to whichever path it still
-    /// needs a sample from).
-    pub reach_warmup: usize,
-    /// Percentage of post-warmup reach-side decisions matching the
-    /// per-batch offline optimum (100 when no batch was judged).
-    pub reach_agreement_pct: f64,
-    /// Reach-side batches the controller routed to the patch path.
-    pub reach_patched: usize,
-    /// Reach-side batches the controller routed to a rebuild.
-    pub reach_rebuilt: usize,
-    /// Pattern-side batches routed to the row-patch path (0 without
-    /// pattern serving).
-    pub pattern_patched: usize,
-    /// Pattern-side batches routed to a view rebuild (0 without pattern
-    /// serving).
-    pub pattern_rebuilt: usize,
-}
-
-/// Drives one cone-local stream through `AlwaysPatch`, `AlwaysRebuild`,
-/// and `Adaptive` stores and scores the controller. The adaptive store's
-/// final snapshot is differentially checked against the always-rebuild
-/// one before the row is returned.
-fn adaptive_gate_row(
-    name: &str,
-    ds_scale: usize,
-    two_hop: bool,
-    serve_patterns: bool,
-    batches: usize,
-) -> AdaptiveGateRow {
-    let g = dataset(name, ds_scale, 0)
-        .or_else(|| pattern_dataset(name, ds_scale, 0))
-        .expect("known dataset");
-    let batch_size = (g.edge_count() / 1000).max(1);
-    let mut stream: Vec<UpdateBatch> = Vec::with_capacity(batches);
-    {
-        let mut evolving = g.clone();
-        for i in 0..batches {
-            let batch = local_batch(&evolving, batch_size, 8, 0xADA7 + i as u64);
-            batch.apply_to(&mut evolving);
-            stream.push(batch);
-        }
-    }
-    let config = |gate: GateMode| {
-        let mut builder = StoreConfig::builder().patterns(serve_patterns).gate(gate);
-        if two_hop {
-            builder = builder.two_hop(TwoHopConfig {
-                coverage: CoverageEstimate::Adaptive { seed: 7 },
-                parallel: false,
-            });
-        }
-        builder.build()
-    };
-
-    // Both forced paths, per batch — their minimum is the offline optimum.
-    let patch_store = CompressedStore::new(g.clone(), config(GateMode::AlwaysPatch));
-    let patch_ms: Vec<f64> = stream
-        .iter()
-        .map(|b| patch_store.apply(b).publish_ms)
-        .collect();
-    let rebuild_store = CompressedStore::new(g.clone(), config(GateMode::AlwaysRebuild));
-    let rebuild_ms: Vec<f64> = stream
-        .iter()
-        .map(|b| rebuild_store.apply(b).publish_ms)
-        .collect();
-
-    let adaptive_store = CompressedStore::new(g.clone(), config(GateMode::Adaptive));
-    let reports: Vec<ApplyReport> = stream.iter().map(|b| adaptive_store.apply(b)).collect();
-
-    // Differential: the adaptive store must answer like the rebuild store
-    // whatever it routed where.
-    let adaptive_snap = adaptive_store.load();
-    let rebuild_snap = rebuild_store.load();
-    assert_eq!(adaptive_snap.class_count(), rebuild_snap.class_count());
-    for (u, w) in random_pairs(&g, 2_000, 17) {
-        assert_eq!(
-            adaptive_snap.reachable(u, w),
-            rebuild_snap.reachable(u, w),
-            "{name}: adaptive and rebuild snapshots disagree on ({u}, {w})"
-        );
-    }
-
-    let mut reach_warmup = 0usize;
-    let mut judged = 0usize;
-    let mut agreed = 0usize;
-    let (mut reach_patched, mut reach_rebuilt) = (0usize, 0usize);
-    let (mut pattern_patched, mut pattern_rebuilt) = (0usize, 0usize);
-    for (i, report) in reports.iter().enumerate() {
-        if let Some(d) = report.reach_gate {
-            if d.patch {
-                reach_patched += 1;
-            } else {
-                reach_rebuilt += 1;
-            }
-            if d.warmup {
-                reach_warmup += 1;
-            } else {
-                judged += 1;
-                if d.patch == (patch_ms[i] <= rebuild_ms[i]) {
-                    agreed += 1;
-                }
-            }
-        }
-        if let Some(d) = report.pattern_gate {
-            if d.patch {
-                pattern_patched += 1;
-            } else {
-                pattern_rebuilt += 1;
-            }
-        }
-    }
-
-    AdaptiveGateRow {
-        dataset: name.to_string(),
-        scale: ds_scale,
-        serve_patterns,
-        batches,
-        adaptive_ms: reports.iter().map(|r| r.publish_ms).sum(),
-        always_patch_ms: patch_ms.iter().sum(),
-        always_rebuild_ms: rebuild_ms.iter().sum(),
-        offline_optimal_ms: patch_ms
-            .iter()
-            .zip(&rebuild_ms)
-            .map(|(p, r)| p.min(*r))
-            .sum(),
-        reach_warmup,
-        reach_agreement_pct: if judged == 0 {
-            100.0
-        } else {
-            100.0 * agreed as f64 / judged as f64
-        },
-        reach_patched,
-        reach_rebuilt,
-        pattern_patched,
-        pattern_rebuilt,
-    }
-}
-
 /// Wall-clock of one parallel maintenance kernel at one thread count
 /// (schema v7).
 #[derive(Clone, Debug)]
@@ -1008,8 +838,6 @@ pub struct PerfSnapshot {
     pub store_sharding: StoreShardingSection,
     /// Fault-tolerance pricing rows (schema v6).
     pub robustness: Vec<RobustnessRow>,
-    /// Self-tuning gate scoring rows (schema v7).
-    pub adaptive_gate: Vec<AdaptiveGateRow>,
     /// Parallel maintenance kernel rows (schema v7).
     pub parallel_maintenance: Vec<ParallelMaintenanceRow>,
     /// Succinct-vs-plain backend rows, one per Table-1 dataset (schema v8).
@@ -1333,14 +1161,6 @@ pub fn perf_snapshot(scale: usize) -> PerfSnapshot {
         snapshot_incremental_row("Internet", scale.max(8), true, true, pattern_gate, 6),
     ];
 
-    // Self-tuning gate: controller routing vs the offline optimum computed
-    // from both forced paths, plus per-side routing counts (schema v7).
-    let adaptive_gate = vec![
-        adaptive_gate_row("citHepTh", scale.max(10), true, false, 8),
-        adaptive_gate_row("wikiTalk", scale.max(25), true, false, 8),
-        adaptive_gate_row("California", scale.max(2), true, true, 8),
-    ];
-
     // Parallel maintenance: the rebuild kernels at 1/2/4 threads, results
     // bit-identical to sequential by construction (schema v7).
     let parallel_maintenance = parallel_maintenance_rows(scale);
@@ -1383,7 +1203,6 @@ pub fn perf_snapshot(scale: usize) -> PerfSnapshot {
         snapshot_incremental,
         store_sharding,
         robustness,
-        adaptive_gate,
         parallel_maintenance,
         succinct_snapshot,
         succinct_boot,
@@ -1397,7 +1216,7 @@ impl PerfSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str("  \"schema\": \"qpgc-perf-snapshot-v8\",\n");
+        out.push_str("  \"schema\": \"qpgc-perf-snapshot-v9\",\n");
         out.push_str(&format!("  \"scale\": {},\n", self.scale));
         out.push_str(&format!("  \"dataset\": \"{}\",\n", self.dataset));
         out.push_str(&format!("  \"nodes\": {},\n", self.nodes));
@@ -1536,32 +1355,6 @@ impl PerfSnapshot {
                 row.overhead_pct,
                 row.logged_ms,
                 row.replay_batches_per_sec,
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"adaptive_gate\": [\n");
-        for (i, row) in self.adaptive_gate.iter().enumerate() {
-            let comma = if i + 1 == self.adaptive_gate.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"dataset\": \"{}\", \"scale\": {}, \"serve_patterns\": {}, \"batches\": {}, \"adaptive_ms\": {:.3}, \"always_patch_ms\": {:.3}, \"always_rebuild_ms\": {:.3}, \"offline_optimal_ms\": {:.3}, \"reach_warmup\": {}, \"reach_agreement_pct\": {:.1}, \"reach_patched\": {}, \"reach_rebuilt\": {}, \"pattern_patched\": {}, \"pattern_rebuilt\": {}}}{comma}\n",
-                row.dataset,
-                row.scale,
-                row.serve_patterns,
-                row.batches,
-                row.adaptive_ms,
-                row.always_patch_ms,
-                row.always_rebuild_ms,
-                row.offline_optimal_ms,
-                row.reach_warmup,
-                row.reach_agreement_pct,
-                row.reach_patched,
-                row.reach_rebuilt,
-                row.pattern_patched,
-                row.pattern_rebuilt,
             ));
         }
         out.push_str("  ],\n");
@@ -1708,7 +1501,7 @@ mod tests {
     fn phase_parser_tolerates_unknown_sections() {
         let json = concat!(
             "{\n",
-            "  \"schema\": \"qpgc-perf-snapshot-v9\",\n",
+            "  \"schema\": \"qpgc-perf-snapshot-v99\",\n",
             "  \"experimental_totally_unknown\": 7,\n",
             "  \"future_section\": [\n",
             "    {\"dataset\": \"x\", \"serve_patterns\": true, \"pattern_patched_batches\": 6}\n",
@@ -1757,7 +1550,6 @@ mod tests {
             snapshot_incremental: Vec::new(),
             store_sharding: StoreShardingSection::default(),
             robustness: Vec::new(),
-            adaptive_gate: Vec::new(),
             parallel_maintenance: Vec::new(),
             succinct_snapshot: Vec::new(),
             succinct_boot: Vec::new(),
@@ -1798,7 +1590,7 @@ mod tests {
         assert_eq!(snap.heap_scale, 400);
         let json = snap.to_json();
         for key in [
-            "\"schema\": \"qpgc-perf-snapshot-v8\"",
+            "\"schema\": \"qpgc-perf-snapshot-v9\"",
             "\"phases_ms\"",
             "\"bisim_csr\"",
             "\"bisim_speedup\"",
@@ -1817,8 +1609,6 @@ mod tests {
             "\"robustness\"",
             "\"overhead_pct\"",
             "\"replay_batches_per_sec\"",
-            "\"adaptive_gate\"",
-            "\"reach_agreement_pct\"",
             "\"parallel_maintenance\"",
             "\"task\": \"refine\"",
             "\"task\": \"relabel\"",
@@ -2051,61 +1841,6 @@ mod tests {
                     "{}: guard overhead {:.2}% exceeds the 3% target",
                     row.dataset,
                     row.overhead_pct
-                );
-            }
-        }
-
-        // Self-tuning gate: every row ran the full stream through all
-        // three modes, routing counts partition the decided batches, and
-        // pattern routing only appears on pattern-serving rows.
-        assert_eq!(snap.adaptive_gate.len(), 3);
-        let gate_names: Vec<&str> = snap
-            .adaptive_gate
-            .iter()
-            .map(|r| r.dataset.as_str())
-            .collect();
-        assert_eq!(gate_names, ["citHepTh", "wikiTalk", "California"]);
-        for row in &snap.adaptive_gate {
-            assert!(row.batches > 0);
-            assert!(row.adaptive_ms > 0.0);
-            assert!(row.always_patch_ms > 0.0 && row.always_rebuild_ms > 0.0);
-            assert!(
-                row.offline_optimal_ms <= row.always_patch_ms.min(row.always_rebuild_ms) + 1e-9,
-                "{}: offline optimum above a forced path",
-                row.dataset
-            );
-            assert!(
-                (0.0..=100.0).contains(&row.reach_agreement_pct),
-                "{}: agreement out of range",
-                row.dataset
-            );
-            assert!(
-                row.reach_warmup <= row.reach_patched + row.reach_rebuilt,
-                "{}: more warmup decisions than decisions",
-                row.dataset
-            );
-            if !row.serve_patterns {
-                assert_eq!(
-                    row.pattern_patched + row.pattern_rebuilt,
-                    0,
-                    "{}: pattern routing without pattern serving",
-                    row.dataset
-                );
-            }
-        }
-        if std::env::var("QPGC_TIMING_TESTS").is_ok() {
-            // Convergence claim, wall-clock dependent: after warmup the
-            // controller must agree with the offline optimum on most
-            // batches — no hand-set threshold anywhere in the loop. On the
-            // pattern-serving web emulation the per-side routing must come
-            // out the documented way: bisimulation churn is tiny (patch),
-            // reachability churn is heavy (rebuild wins at real scale).
-            for row in &snap.adaptive_gate {
-                assert!(
-                    row.reach_agreement_pct >= 50.0,
-                    "{}: adaptive gate agreed with the offline optimum on only {:.1}% of judged batches",
-                    row.dataset,
-                    row.reach_agreement_pct
                 );
             }
         }

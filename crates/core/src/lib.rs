@@ -26,9 +26,8 @@
 //!   identity and `P` expands hypernodes in the match relation.
 //!
 //! Both schemes support **incremental maintenance** (Section 5) through
-//! [`maintenance::MaintainedReachability`] and
-//! [`maintenance::MaintainedPattern`]: apply edge insertions/deletions to
-//! the original graph and the compressed form follows, without
+//! [`maintenance::MaintainedGraph`]: apply edge insertions/deletions to
+//! the original graph and the compressed forms follow, without
 //! recompression and without touching the unaffected part of `G`.
 //!
 //! ## Quick start
@@ -79,7 +78,7 @@ pub use qpgc_reach as reach_engine;
 
 /// Convenient glob import for examples and applications.
 pub mod prelude {
-    pub use crate::maintenance::{MaintainedPattern, MaintainedReachability};
+    pub use crate::maintenance::MaintainedGraph;
     pub use crate::queries::ReachQuery;
     pub use crate::scheme::{PatternScheme, QueryPreservingCompression, ReachabilityScheme};
     pub use qpgc_graph::{GraphStats, LabeledGraph, NodeId, Update, UpdateBatch};

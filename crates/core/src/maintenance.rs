@@ -1,47 +1,55 @@
 //! Incremental maintenance façade (Section 5).
 //!
-//! [`MaintainedReachability`] and [`MaintainedPattern`] own the data graph
-//! together with its compression and keep the two in sync under edge
-//! updates: `R(G ⊕ ΔG) = Gr ⊕ ΔGr`, computed by `incRCM` / `incPCM` without
-//! recompression.
+//! [`MaintainedGraph`] owns the data graph `G` — **once** — together with
+//! its incrementally maintained reachability compression and, optionally,
+//! its pattern compression, and keeps all of them in sync under edge
+//! updates: `R(G ⊕ ΔG) = Gr ⊕ ΔGr`, computed by `incRCM` / `incPCM`
+//! without recompression. A batch is normalised once and applied to the
+//! graph once; both maintainers then see the same
+//! `(post-batch G, normalised ΔG)`.
 
 use qpgc_graph::update::PartitionDelta;
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_pattern::compress::PatternCompression;
-use qpgc_pattern::incremental::{IncPatternStats, IncrementalPattern, StablePatternQuotient};
+use qpgc_graph::{IncStats, LabeledGraph, UpdateBatch};
+use qpgc_pattern::incremental::IncrementalPattern;
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
-use qpgc_reach::compress::ReachCompression;
-use qpgc_reach::equivalence::ReachPartition;
-use qpgc_reach::incremental::{IncStats, IncrementalReach, StableQuotient};
+use qpgc_reach::incremental::IncrementalReach;
 
-use crate::queries::ReachQuery;
-
-/// A data graph plus its incrementally-maintained reachability-preserving
-/// compression.
+/// What one maintenance step did to each maintained compression: its
+/// statistics and the structured delta of retired and created classes.
 #[derive(Clone, Debug)]
-pub struct MaintainedReachability {
+pub struct Maintained {
+    /// The reachability side (`incRCM`).
+    pub reach: (IncStats, PartitionDelta),
+    /// The pattern side (`incPCM`), when maintained.
+    pub pattern: Option<(IncStats, PartitionDelta)>,
+}
+
+/// A data graph plus its incrementally maintained compressions: always the
+/// reachability-preserving one, and the pattern-preserving one on request.
+#[derive(Clone, Debug)]
+pub struct MaintainedGraph {
     graph: LabeledGraph,
-    inc: IncrementalReach,
+    reach: IncrementalReach,
+    pattern: Option<IncrementalPattern>,
     threads: usize,
 }
 
-impl MaintainedReachability {
+impl MaintainedGraph {
     /// Compresses `g` and takes ownership of it for future maintenance.
-    pub fn new(g: LabeledGraph) -> Self {
-        Self::new_with_threads(g, 1)
-    }
-
-    /// [`MaintainedReachability::new`] with an explicit worker count for
-    /// the compression kernels (`0` = available parallelism), remembered
-    /// for every later recompute — including the from-scratch recompression
-    /// on the failure-recovery path. Parallel and sequential kernels
-    /// produce bit-identical partitions, so stable-id determinism (and with
-    /// it every differential guarantee) is unaffected by the knob.
-    pub fn new_with_threads(g: LabeledGraph, threads: usize) -> Self {
-        let inc = IncrementalReach::new_with_threads(&g, threads);
-        MaintainedReachability {
+    /// `patterns` also maintains the bisimulation quotient. `threads` is
+    /// the worker count of the compression kernels (`0` = available
+    /// parallelism), remembered for every later recompute — including the
+    /// from-scratch recompression on the failure-recovery path. Parallel
+    /// and sequential kernels produce bit-identical partitions, so
+    /// stable-id determinism (and with it every differential guarantee) is
+    /// unaffected by the knob.
+    pub fn new(g: LabeledGraph, patterns: bool, threads: usize) -> Self {
+        let reach = IncrementalReach::new_with_threads(&g, threads);
+        let pattern = patterns.then(|| IncrementalPattern::new_with_threads(&g, threads));
+        MaintainedGraph {
             graph: g,
-            inc,
+            reach,
+            pattern,
             threads,
         }
     }
@@ -51,66 +59,74 @@ impl MaintainedReachability {
         &self.graph
     }
 
-    /// Number of hypernodes in the maintained compression.
-    pub fn class_count(&self) -> usize {
-        self.inc.class_count()
+    /// The maintained reachability compression (class counts, queries,
+    /// dense and stable-id exports).
+    pub fn reach(&self) -> &IncrementalReach {
+        &self.reach
     }
 
-    /// Applies `ΔG`, updating both the graph and its compression.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> IncStats {
-        self.inc.apply(&mut self.graph, batch)
+    /// The maintained pattern compression, when enabled.
+    pub fn pattern(&self) -> Option<&IncrementalPattern> {
+        self.pattern.as_ref()
     }
 
-    /// [`MaintainedReachability::apply`] that also exports the structured
-    /// [`PartitionDelta`] — the input of delta-patched snapshot
-    /// construction in serving layers.
-    pub fn apply_with_delta(&mut self, batch: &UpdateBatch) -> (IncStats, PartitionDelta) {
-        self.inc.apply_with_delta(&mut self.graph, batch)
+    /// `batch` normalized against the current graph — every remaining
+    /// update really changes the edge set. This is what
+    /// [`MaintainedGraph::apply_normalized`] consumes and what
+    /// [`MaintainedGraph::recover_from_failed`] inverts.
+    pub fn normalize(&self, batch: &UpdateBatch) -> UpdateBatch {
+        batch.normalized(&self.graph)
     }
 
-    /// Answers a reachability query through the compressed form.
-    pub fn answer(&self, query: &ReachQuery) -> bool {
-        self.inc.query(query.from, query.to)
+    /// Applies `ΔG`, updating the graph and every maintained compression.
+    pub fn apply(&mut self, batch: &UpdateBatch) -> Maintained {
+        let norm = self.normalize(batch);
+        self.apply_normalized(&norm)
     }
 
-    /// Materializes the current compression (a transitively reduced `Gr`
-    /// plus node ↔ hypernode indexes).
-    pub fn compression(&self) -> ReachCompression {
-        self.inc.to_compression()
+    /// [`MaintainedGraph::apply`] for a batch already normalized by
+    /// [`MaintainedGraph::normalize`] against the current graph: mutates
+    /// the graph once, then hands both maintainers the same post-batch
+    /// graph and normalized batch.
+    pub fn apply_normalized(&mut self, norm: &UpdateBatch) -> Maintained {
+        norm.apply_to(&mut self.graph);
+        let reach = self.reach.apply_normalized(&self.graph, norm);
+        let pattern = self
+            .pattern
+            .as_mut()
+            .map(|p| p.apply_normalized(&self.graph, norm));
+        Maintained { reach, pattern }
     }
 
-    /// Exports the current partition (node → hypernode index, member lists,
-    /// cyclic flags) with dense class ids, *without* materializing `Gr`.
-    /// This is the snapshot-export hook for serving layers that build their
-    /// own read-optimized quotient representation — pair it with
-    /// [`MaintainedReachability::graph`] to materialize class edges.
-    pub fn partition(&self) -> ReachPartition {
-        self.inc.partition()
-    }
-
-    /// Exports the current state under **stable** class ids (node → class
-    /// index, cyclic/liveness flags, unreduced inter-class edges). Stable
-    /// ids survive across updates for untouched classes, which is what lets
-    /// snapshot layers patch their per-class structures from a
-    /// [`PartitionDelta`] instead of rebuilding them; see
-    /// [`StableQuotient`].
-    pub fn stable_quotient(&self) -> StableQuotient {
-        self.inc.stable_quotient()
+    /// Answers a pattern query by evaluating it on the maintained compressed
+    /// graph and expanding hypernodes (the paper's Fig. 12(h) strategy:
+    /// `incPCM` + `Match` on `Gr`).
+    ///
+    /// # Panics
+    ///
+    /// When the pattern compression is not maintained.
+    pub fn match_pattern(&self, query: &Pattern) -> Option<MatchRelation> {
+        let compression = self
+            .pattern
+            .as_ref()
+            .expect("pattern maintenance not enabled; pass `patterns = true`")
+            .to_compression();
+        let on_gr = qpgc_pattern::bounded::bounded_match(&compression.graph, query)?;
+        Some(compression.post_process(&on_gr))
     }
 
     /// Restores the maintained state after a *failed* (panicked or aborted)
     /// application of the normalized batch `norm` — the panic-isolation
     /// half of a fault-tolerant store.
     ///
-    /// The incremental algorithm mutates the data graph at one point
-    /// (`norm.apply_to`, all-or-mostly-nothing) before touching the
-    /// partition state, but a panic can in principle interrupt anywhere, so
-    /// recovery checks each normalized update individually: a normalized
-    /// update by construction *changes* the edge set, so the edge's current
-    /// presence tells exactly whether that update took effect, and only
-    /// effective updates are inverted. The partition state is then rebuilt
-    /// by recompressing the restored graph — a from-scratch cost paid only
-    /// on the failure path.
+    /// The graph is mutated at one point (`norm.apply_to`,
+    /// all-or-mostly-nothing) before any partition state is touched, but a
+    /// panic can in principle interrupt anywhere, so recovery checks each
+    /// normalized update individually: a normalized update by construction
+    /// *changes* the edge set, so the edge's current presence tells exactly
+    /// whether that update took effect, and only effective updates are
+    /// inverted. The partition states are then rebuilt by recompressing the
+    /// restored graph — a from-scratch cost paid only on the failure path.
     ///
     /// Recompression assigns **fresh stable ids**; callers that patched
     /// derived structures keyed by the old ids (served snapshots) must
@@ -118,7 +134,11 @@ impl MaintainedReachability {
     /// instead of patching.
     pub fn recover_from_failed(&mut self, norm: &UpdateBatch) {
         undo_effective(&mut self.graph, norm);
-        self.inc = IncrementalReach::new_with_threads(&self.graph, self.threads);
+        *self = MaintainedGraph::new(
+            std::mem::take(&mut self.graph),
+            self.pattern.is_some(),
+            self.threads,
+        );
     }
 }
 
@@ -139,107 +159,10 @@ fn undo_effective(g: &mut LabeledGraph, norm: &UpdateBatch) {
     }
 }
 
-/// A data graph plus its incrementally-maintained pattern-preserving
-/// compression.
-#[derive(Clone, Debug)]
-pub struct MaintainedPattern {
-    graph: LabeledGraph,
-    inc: IncrementalPattern,
-    threads: usize,
-}
-
-impl MaintainedPattern {
-    /// Compresses `g` and takes ownership of it for future maintenance.
-    pub fn new(g: LabeledGraph) -> Self {
-        Self::new_with_threads(g, 1)
-    }
-
-    /// [`MaintainedPattern::new`] with an explicit worker count for the
-    /// refinement kernel (`0` = available parallelism) — the bisimulation
-    /// mirror of [`MaintainedReachability::new_with_threads`], with the
-    /// same bit-identical-partition guarantee.
-    pub fn new_with_threads(g: LabeledGraph, threads: usize) -> Self {
-        let inc = IncrementalPattern::new_with_threads(&g, threads);
-        MaintainedPattern {
-            graph: g,
-            inc,
-            threads,
-        }
-    }
-
-    /// The current data graph `G`.
-    pub fn graph(&self) -> &LabeledGraph {
-        &self.graph
-    }
-
-    /// Number of hypernodes in the maintained compression.
-    pub fn class_count(&self) -> usize {
-        self.inc.class_count()
-    }
-
-    /// Applies `ΔG`, updating both the graph and its compression.
-    pub fn apply(&mut self, batch: &UpdateBatch) -> IncPatternStats {
-        self.inc.apply(&mut self.graph, batch)
-    }
-
-    /// [`MaintainedPattern::apply`] that also exports the structured
-    /// [`PartitionDelta`] of the bisimulation partition.
-    pub fn apply_with_delta(&mut self, batch: &UpdateBatch) -> (IncPatternStats, PartitionDelta) {
-        self.inc.apply_with_delta(&mut self.graph, batch)
-    }
-
-    /// The hypernode of `Gr` that currently contains `v`.
-    pub fn class_of(&self, v: NodeId) -> u32 {
-        self.inc.class_of(v)
-    }
-
-    /// Answers a pattern query by evaluating it on the maintained compressed
-    /// graph and expanding hypernodes (the paper's Fig. 12(h) strategy:
-    /// `incPCM` + `Match` on `Gr`).
-    pub fn answer(&self, query: &Pattern) -> Option<MatchRelation> {
-        let compression = self.inc.to_compression();
-        let on_gr = qpgc_pattern::bounded::bounded_match(&compression.graph, query)?;
-        Some(compression.post_process(&on_gr))
-    }
-
-    /// Materializes the current compression.
-    pub fn compression(&self) -> PatternCompression {
-        self.inc.to_compression()
-    }
-
-    /// Exports the current state under **stable** class ids (node → class
-    /// index, labels, liveness, member lists, maintained quotient edges).
-    /// Stable ids survive across updates for untouched classes, which is
-    /// what lets snapshot layers patch a served
-    /// [`PatternView`](qpgc_pattern::view::PatternView) from a
-    /// [`PartitionDelta`] instead of re-materializing the compression; see
-    /// [`StablePatternQuotient`].
-    pub fn stable_quotient(&self) -> StablePatternQuotient {
-        self.inc.stable_quotient()
-    }
-
-    /// [`MaintainedPattern::stable_quotient`] with member lists left empty —
-    /// what snapshot layers feed to `PatternView::apply_delta`, which takes
-    /// churned members from the [`PartitionDelta`] and carries the rest over
-    /// from the previous view, so the full per-class member clone would be
-    /// pure waste on the patch path.
-    pub fn stable_quotient_without_members(&self) -> StablePatternQuotient {
-        self.inc.stable_quotient_without_members()
-    }
-
-    /// Restores the maintained state after a failed application of the
-    /// normalized batch `norm` — the bisimulation-side mirror of
-    /// [`MaintainedReachability::recover_from_failed`], with the same
-    /// fresh-stable-ids caveat.
-    pub fn recover_from_failed(&mut self, norm: &UpdateBatch) {
-        undo_effective(&mut self.graph, norm);
-        self.inc = IncrementalPattern::new_with_threads(&self.graph, self.threads);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpgc_graph::NodeId;
     use qpgc_pattern::bounded::bounded_match;
 
     fn sample() -> LabeledGraph {
@@ -258,47 +181,50 @@ mod tests {
     #[test]
     fn maintained_reachability_tracks_updates() {
         let g = sample();
-        let mut m = MaintainedReachability::new(g);
-        assert_eq!(m.class_count(), 3);
-        assert!(m.answer(&ReachQuery::new(NodeId(0), NodeId(3))));
+        let mut m = MaintainedGraph::new(g, false, 1);
+        assert_eq!(m.reach().class_count(), 3);
+        assert!(m.reach().query(NodeId(0), NodeId(3)));
 
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
         m.apply(&batch);
-        assert!(!m.answer(&ReachQuery::new(NodeId(1), NodeId(3))));
-        assert!(m.answer(&ReachQuery::new(NodeId(2), NodeId(3))));
+        assert!(!m.reach().query(NodeId(1), NodeId(3)));
+        assert!(m.reach().query(NodeId(2), NodeId(3)));
         // The maintained compression agrees with recompressing from scratch.
         let scratch = qpgc_reach::compress::compress_r(m.graph());
         assert_eq!(
-            m.compression().partition.canonical(),
+            m.reach().to_compression().partition.canonical(),
             scratch.partition.canonical()
         );
         // The snapshot-export partition is the materialized one.
-        assert_eq!(m.partition().class_of, m.compression().partition.class_of);
+        assert_eq!(
+            m.reach().partition().class_of,
+            m.reach().to_compression().partition.class_of
+        );
     }
 
     #[test]
     fn maintained_pattern_tracks_updates() {
         let g = sample();
-        let mut m = MaintainedPattern::new(g);
+        let mut m = MaintainedGraph::new(g, true, 1);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");
         let c = q.add_node("C");
         q.add_edge(a, b, 1);
         q.add_edge(b, c, 1);
-        assert!(m.answer(&q).is_some());
+        assert!(m.match_pattern(&q).is_some());
 
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
         batch.delete(NodeId(2), NodeId(3));
         m.apply(&batch);
-        assert!(m.answer(&q).is_none());
+        assert!(m.match_pattern(&q).is_none());
         assert!(bounded_match(m.graph(), &q).is_none());
 
         let scratch = qpgc_pattern::compress::compress_b(m.graph());
         assert_eq!(
-            m.compression().partition.canonical(),
+            m.pattern().unwrap().to_compression().partition.canonical(),
             scratch.partition.canonical()
         );
     }
@@ -306,7 +232,7 @@ mod tests {
     #[test]
     fn maintained_pattern_answers_match_direct_evaluation() {
         let g = sample();
-        let mut m = MaintainedPattern::new(g);
+        let mut m = MaintainedGraph::new(g, true, 1);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(3), NodeId(0));
         m.apply(&batch);
@@ -315,8 +241,33 @@ mod tests {
         let a = q.add_node("A");
         let c = q.add_node("C");
         q.add_edge(c, a, 1);
-        let via_compression = m.answer(&q).unwrap();
+        let via_compression = m.match_pattern(&q).unwrap();
         let direct = bounded_match(m.graph(), &q).unwrap();
         assert_eq!(via_compression.canonical(), direct.canonical());
+    }
+
+    /// Rollback undoes the one shared graph and recompresses both sides.
+    #[test]
+    fn recovery_restores_the_pre_batch_state_on_both_sides() {
+        let g = sample();
+        let mut m = MaintainedGraph::new(g.clone(), true, 1);
+        let mut batch = UpdateBatch::new();
+        batch.delete(NodeId(1), NodeId(3));
+        batch.insert(NodeId(3), NodeId(0));
+        let norm = m.normalize(&batch);
+        m.apply_normalized(&norm);
+        m.recover_from_failed(&norm);
+        assert_eq!(
+            m.graph().edges().collect::<Vec<_>>(),
+            g.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            m.reach().to_compression().partition.canonical(),
+            qpgc_reach::compress::compress_r(&g).partition.canonical()
+        );
+        assert_eq!(
+            m.pattern().unwrap().to_compression().partition.canonical(),
+            qpgc_pattern::compress::compress_b(&g).partition.canonical()
+        );
     }
 }

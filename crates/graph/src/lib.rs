@@ -22,6 +22,10 @@
 //! * [`partition`] — deterministic hash partitioning of the node space
 //!   across store shards, with boundary-edge extraction (the substrate of
 //!   the sharded serving router in `qpgc_serve`).
+//! * [`quotient`] — the equivalence-independent skeleton of incremental
+//!   quotient maintenance ([`IncrementalQuotient`] over an [`Equivalence`]):
+//!   stable-id class table, cone walks, hybrid-graph recomputation, and
+//!   the [`PartitionDelta`] it emits — shared by `incRCM` and `incPCM`.
 //! * [`rank`] — topological ranks `r(v)` (Lemma 7) and bisimulation ranks
 //!   `rb(v)` with the well-founded / non-well-founded split (Lemma 9).
 //! * [`reach_sets`] — chunked bit-set ancestor/descendant computation over a
@@ -60,6 +64,7 @@ pub mod graph;
 pub mod ids;
 pub mod io;
 pub mod partition;
+pub mod quotient;
 pub mod rank;
 pub mod reach_sets;
 pub mod scc;
@@ -76,6 +81,7 @@ pub use error::GraphError;
 pub use graph::LabeledGraph;
 pub use ids::{Label, NodeId};
 pub use partition::NodePartition;
+pub use quotient::{Classes, Equivalence, IncStats, IncrementalQuotient};
 pub use scc::Condensation;
 pub use stats::GraphStats;
 pub use succinct::{CompressedCsr, EliasFano};

@@ -23,8 +23,10 @@ use crate::Finding;
 pub const RULE: &str = "deterministic-iteration";
 
 /// The incremental-maintenance modules whose iteration order feeds stable
-/// class ids (the `localized_recompute` paths on both sides).
+/// class ids: the shared skeleton (class table, cone walks, hybrid-graph
+/// recomputation) and the two maintainers instantiating it.
 const SCOPE_SUFFIXES: &[&str] = &[
+    "graph/src/quotient.rs",
     "reachability/src/incremental.rs",
     "pattern/src/incremental.rs",
 ];

@@ -32,15 +32,17 @@
 //! members — never on `|G|` (the problem is unbounded, Theorem 8, so a
 //! dependence on `|Gr|` is unavoidable in general).
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::update::{ClassBirth, PartitionDelta};
+use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
+use qpgc_graph::update::{PartitionDelta, Update};
 use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::bisim::{bisimulation_partition_threads, BisimPartition};
 use crate::compress::PatternCompression;
+
+pub use qpgc_graph::quotient::IncStats;
 
 /// The maintained pattern compression exported under **stable** class ids —
 /// the bisimulation-side mirror of
@@ -92,36 +94,55 @@ impl StablePatternQuotient {
     }
 }
 
-/// Statistics of one incremental maintenance step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncPatternStats {
-    /// Updates that survived normalization.
-    pub effective_updates: usize,
-    /// Number of affected (exploded) classes.
-    pub affected_classes: usize,
-    /// Number of original nodes inside affected classes.
-    pub affected_nodes: usize,
-    /// Number of classes created or rewritten (a proxy for `|ΔGr|`).
-    pub changed_classes: usize,
+/// Bisimilarity (same label, and every child of one node is matched by a
+/// bisimilar child of the other) as the relation an
+/// [`IncrementalQuotient`] maintains.
+#[derive(Clone, Copy, Debug)]
+pub struct BisimEquivalence;
+
+impl Equivalence for BisimEquivalence {
+    /// The label every member of the class carries.
+    type Class = Label;
+
+    /// Intra-class edges are hypernode self loops that bounded simulation
+    /// must see, so `(c, c)` is an ordinary quotient edge.
+    const SELF_EDGES: bool = true;
+
+    /// Bisimilarity depends on a node's label and descendants only.
+    const ANCESTOR_SENSITIVE: bool = false;
+
+    fn cyclic(_: Label) -> bool {
+        false
+    }
+
+    fn class_label(class: Label) -> Label {
+        class
+    }
+
+    fn node_label(g: &LabeledGraph, v: NodeId) -> Label {
+        g.label(v)
+    }
+
+    fn partition(g: &LabeledGraph, threads: usize) -> Classes<Label> {
+        let p = bisimulation_partition_threads(g, threads);
+        Classes {
+            class_of: p.class_of,
+            members: p.members,
+            payload: p.labels,
+        }
+    }
 }
 
-/// Incrementally maintained pattern-preserving compression.
+/// Incrementally maintained pattern-preserving compression: the shared
+/// [`IncrementalQuotient`] skeleton instantiated with [`BisimEquivalence`],
+/// plus what only this side has — the label interner, the member-list
+/// exports, and the `IncBsim` one-by-one baseline.
 #[derive(Clone, Debug)]
 pub struct IncrementalPattern {
-    class_of: Vec<u32>,
-    members: Vec<Vec<NodeId>>,
-    labels: Vec<Label>,
-    active: Vec<bool>,
-    free_ids: Vec<u32>,
-    /// Directed counts of original edges between classes; self entries
-    /// `(c, c)` count intra-class edges (they become hypernode self loops).
-    q_edges: HashMap<(u32, u32), u32>,
+    q: IncrementalQuotient<BisimEquivalence>,
     /// Label names of the original graph, kept so the materialized
     /// compressed graph can resolve pattern queries written by name.
     interner: LabelInterner,
-    /// Worker count handed to the refinement kernel (`0` = available
-    /// parallelism). Refinement output is bit-identical at every value.
-    threads: usize,
 }
 
 impl IncrementalPattern {
@@ -136,313 +157,72 @@ impl IncrementalPattern {
     /// [`bisimulation_partition_threads`]), so the differential guarantees
     /// are unchanged.
     pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
-        let partition = bisimulation_partition_threads(g, threads);
-        let mut q_edges: HashMap<(u32, u32), u32> = HashMap::new();
-        for (u, v) in g.edges() {
-            let cu = partition.class_of(u);
-            let cv = partition.class_of(v);
-            *q_edges.entry((cu, cv)).or_insert(0) += 1;
-        }
-        let classes = partition.class_count();
         IncrementalPattern {
-            class_of: partition.class_of,
-            members: partition.members,
-            labels: partition.labels,
-            active: vec![true; classes],
-            free_ids: Vec::new(),
-            q_edges,
+            q: IncrementalQuotient::new(g, threads),
             interner: g.interner().clone(),
-            threads,
         }
     }
 
     /// Number of active classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.q.class_count()
     }
 
     /// The class id of node `v`.
     pub fn class_of(&self, v: NodeId) -> u32 {
-        self.class_of[v.index()]
+        self.q.class_of(v)
     }
 
     /// Applies the update batch: mutates `g` to `G ⊕ ΔG` and maintains the
     /// compressed state so that it equals `R(G ⊕ ΔG)`.
-    pub fn apply(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> IncPatternStats {
+    pub fn apply(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> IncStats {
         self.apply_with_delta(g, batch).0
     }
 
     /// [`IncrementalPattern::apply`] that also exports the structured
     /// [`PartitionDelta`] — retired stable class ids, created classes with
     /// member lists and origin provenance, and the id-space size. Bisimilar
-    /// classes carry no cyclic flag, so [`ClassBirth::cyclic`] is always
-    /// `false` here.
+    /// classes carry no cyclic flag, so
+    /// [`ClassBirth::cyclic`](qpgc_graph::update::ClassBirth::cyclic) is
+    /// always `false` here.
     pub fn apply_with_delta(
         &mut self,
         g: &mut LabeledGraph,
         batch: &UpdateBatch,
-    ) -> (IncPatternStats, PartitionDelta) {
-        let mut stats = IncPatternStats::default();
+    ) -> (IncStats, PartitionDelta) {
         let norm = batch.normalized(g);
-        if norm.is_empty() {
-            let delta = PartitionDelta {
-                id_space: self.members.len(),
-                ..PartitionDelta::default()
-            };
-            return (stats, delta);
-        }
-        stats.effective_updates = norm.len();
-
-        // Affected classes: ancestor cones of the update sources' classes.
-        let sources: HashSet<u32> = norm
-            .updates()
-            .iter()
-            .map(|u| self.class_of(u.edge().0))
-            .collect();
-        let affected = self.ancestor_cone(&sources);
-        stats.affected_classes = affected.len();
-        // qpgc-lint: allow(deterministic-iteration) -- a commutative sum
-        // over set members: any iteration order yields the same total.
-        stats.affected_nodes = affected
-            .iter()
-            .map(|&c| self.members[c as usize].len())
-            .sum();
-
         norm.apply_to(g);
+        self.apply_normalized(g, &norm)
+    }
 
-        let delta = self.localized_recompute(g, &affected);
-        stats.changed_classes = delta.added.len();
-        (stats, delta)
+    /// The maintenance step alone, for callers that own the data graph and
+    /// normalise once for several maintainers: `norm` must be a batch
+    /// normalized against the pre-batch graph
+    /// ([`UpdateBatch::normalized`]) and `g` must **already be**
+    /// `G ⊕ norm`. Only the maintained state is touched. Every normalized
+    /// update is effective — bisimulation has no redundant-insertion rule —
+    /// and the affected classes are the ancestor cones of the update
+    /// sources' classes.
+    pub fn apply_normalized(
+        &mut self,
+        g: &LabeledGraph,
+        norm: &UpdateBatch,
+    ) -> (IncStats, PartitionDelta) {
+        let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
+        self.q.apply_effective(g, &edges)
     }
 
     /// Applies a batch one update at a time, re-running the incremental
     /// algorithm per unit update. This is the `IncBsim` baseline of
     /// Fig. 12(g): the single-update incremental bisimulation invoked
     /// repeatedly.
-    pub fn apply_one_by_one(
-        &mut self,
-        g: &mut LabeledGraph,
-        batch: &UpdateBatch,
-    ) -> IncPatternStats {
-        let mut total = IncPatternStats::default();
+    pub fn apply_one_by_one(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> IncStats {
+        let mut total = IncStats::default();
         for u in batch.updates() {
             let single = UpdateBatch::from_updates(vec![*u]);
-            let s = self.apply(g, &single);
-            total.effective_updates += s.effective_updates;
-            total.affected_classes += s.affected_classes;
-            total.affected_nodes += s.affected_nodes;
-            total.changed_classes += s.changed_classes;
+            total = total + self.apply(g, &single);
         }
         total
-    }
-
-    /// Classes that can reach any of `sources` over the class-level edges
-    /// (including the sources themselves).
-    fn ancestor_cone(&self, sources: &HashSet<u32>) -> HashSet<u32> {
-        let mut radj: HashMap<u32, Vec<u32>> = HashMap::new();
-        // qpgc-lint: allow(deterministic-iteration) -- the reverse
-        // adjacency only drives the BFS below, whose result is the
-        // `visited` *set*: the fixpoint is identical under any edge visit
-        // order, and localized_recompute sorts the cone before any id is
-        // handed out.
-        for &(a, b) in self.q_edges.keys() {
-            if a != b {
-                radj.entry(b).or_default().push(a);
-            }
-        }
-        let mut visited: HashSet<u32> = sources.clone();
-        // qpgc-lint: allow(deterministic-iteration) -- seed order only
-        // permutes the BFS schedule; the visited-set fixpoint it computes
-        // is order-insensitive.
-        let mut queue: VecDeque<u32> = sources.iter().copied().collect();
-        while let Some(c) = queue.pop_front() {
-            if let Some(parents) = radj.get(&c) {
-                for &p in parents {
-                    if visited.insert(p) {
-                        queue.push_back(p);
-                    }
-                }
-            }
-        }
-        visited
-    }
-
-    fn localized_recompute(&mut self, g: &LabeledGraph, affected: &HashSet<u32>) -> PartitionDelta {
-        #[derive(Clone, Copy)]
-        enum Unit {
-            Atom(u32),
-            Member(NodeId),
-        }
-
-        // ---- Build the hybrid graph. -------------------------------------
-        let mut hybrid = LabeledGraph::new();
-        let mut units: Vec<Unit> = Vec::new();
-        let mut atom_of_class: HashMap<u32, NodeId> = HashMap::new();
-        let mut hybrid_of_node: HashMap<NodeId, NodeId> = HashMap::new();
-
-        for c in 0..self.members.len() as u32 {
-            if !self.active[c as usize] || affected.contains(&c) {
-                continue;
-            }
-            let h = hybrid.add_node(self.labels[c as usize]);
-            units.push(Unit::Atom(c));
-            atom_of_class.insert(c, h);
-        }
-        // Sorted iteration keeps hybrid node ids — and through them the
-        // recycled stable ids — independent of hash-set iteration order
-        // (same rationale as `IncrementalReach::localized_recompute`).
-        let mut affected_sorted: Vec<u32> = affected.iter().copied().collect();
-        affected_sorted.sort_unstable();
-        let mut exploded: Vec<NodeId> = Vec::new();
-        for &c in &affected_sorted {
-            for &v in &self.members[c as usize] {
-                let h = hybrid.add_node(g.label(v));
-                units.push(Unit::Member(v));
-                hybrid_of_node.insert(v, h);
-                exploded.push(v);
-            }
-        }
-
-        // Class-level edges between unaffected classes (self loops
-        // included), iterated in sorted order: the hybrid adjacency feeds
-        // the bisimulation recomputation that hands out stable ids, so its
-        // construction must not depend on hash iteration order.
-        let mut atom_edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        atom_edges.sort_unstable();
-        for &(a, b) in &atom_edges {
-            if let (Some(&ha), Some(&hb)) = (atom_of_class.get(&a), atom_of_class.get(&b)) {
-                hybrid.add_edge(ha, hb);
-            }
-        }
-        // Out-edges of affected members from the (updated) data graph.
-        // Bisimilarity only looks downward, and no unaffected class has an
-        // edge into an affected one, so in-edges need no special handling.
-        for &v in &exploded {
-            let hv = hybrid_of_node[&v];
-            for &w in g.out_neighbors(v) {
-                let hw = match hybrid_of_node.get(&w) {
-                    Some(&h) => h,
-                    None => atom_of_class[&self.class_of(w)],
-                };
-                hybrid.add_edge(hv, hw);
-            }
-        }
-
-        // ---- Recompute the bisimulation on the hybrid graph. -------------
-        let part = bisimulation_partition_threads(&hybrid, self.threads);
-        let mut groups: Vec<Vec<Unit>> = vec![Vec::new(); part.class_count()];
-        for (i, &unit) in units.iter().enumerate() {
-            groups[part.class_of(NodeId::new(i)) as usize].push(unit);
-        }
-
-        // ---- Patch the maintained state. ----------------------------------
-        let mut retired: HashSet<u32> = affected.clone();
-        for group in &groups {
-            if group.len() == 1 {
-                if let Unit::Atom(_) = group[0] {
-                    continue;
-                }
-            }
-            for unit in group {
-                if let Unit::Atom(c) = unit {
-                    retired.insert(*c);
-                }
-            }
-        }
-
-        // Pass A: collect member sets of changed groups before retiring ids,
-        // recording origin provenance for the delta export.
-        let mut pending: Vec<(Vec<NodeId>, Label, Vec<u32>)> = Vec::new();
-        for (gi, group) in groups.iter().enumerate() {
-            if group.len() == 1 {
-                if let Unit::Atom(_) = group[0] {
-                    continue;
-                }
-            }
-            let mut member_nodes: Vec<NodeId> = Vec::new();
-            let mut origins: Vec<u32> = Vec::new();
-            for unit in group {
-                match unit {
-                    Unit::Member(v) => {
-                        origins.push(self.class_of[v.index()]);
-                        member_nodes.push(*v);
-                    }
-                    Unit::Atom(c) => {
-                        origins.push(*c);
-                        let old = std::mem::take(&mut self.members[*c as usize]);
-                        member_nodes.extend(old);
-                    }
-                }
-            }
-            member_nodes.sort_unstable();
-            origins.sort_unstable();
-            origins.dedup();
-            pending.push((member_nodes, part.labels[gi], origins));
-        }
-
-        // Pass B: retire changed classes and their class-level edges, in
-        // sorted id order so the free-id stack is deterministic.
-        self.q_edges
-            .retain(|&(a, b), _| !retired.contains(&a) && !retired.contains(&b));
-        let mut removed: Vec<u32> = retired.into_iter().collect();
-        removed.sort_unstable();
-        for &c in &removed {
-            self.active[c as usize] = false;
-            self.members[c as usize].clear();
-            self.free_ids.push(c);
-        }
-
-        // Pass C: create the new classes.
-        let mut new_ids: Vec<u32> = Vec::new();
-        let mut births: Vec<ClassBirth> = Vec::new();
-        for (member_nodes, label, origins) in pending {
-            let id = match self.free_ids.pop() {
-                Some(id) => id,
-                None => {
-                    self.members.push(Vec::new());
-                    self.labels.push(label);
-                    self.active.push(false);
-                    (self.members.len() - 1) as u32
-                }
-            };
-            for &v in &member_nodes {
-                self.class_of[v.index()] = id;
-            }
-            births.push(ClassBirth {
-                id,
-                members: member_nodes.clone(),
-                cyclic: false,
-                origins,
-            });
-            self.members[id as usize] = member_nodes;
-            self.labels[id as usize] = label;
-            self.active[id as usize] = true;
-            new_ids.push(id);
-        }
-
-        // Rebuild class-level edge counters incident to the new classes.
-        let new_set: HashSet<u32> = new_ids.iter().copied().collect();
-        for &id in &new_ids {
-            let members = self.members[id as usize].clone();
-            for v in members {
-                for &w in g.out_neighbors(v) {
-                    let cw = self.class_of(w);
-                    *self.q_edges.entry((id, cw)).or_insert(0) += 1;
-                }
-                for &z in g.in_neighbors(v) {
-                    let cz = self.class_of(z);
-                    if cz != id && !new_set.contains(&cz) {
-                        *self.q_edges.entry((cz, id)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-
-        PartitionDelta {
-            removed,
-            added: births,
-            id_space: self.members.len(),
-        }
     }
 
     /// Exports the current state under **stable** class ids (node → class
@@ -454,10 +234,11 @@ impl IncrementalPattern {
     /// [`StablePatternQuotient`].
     pub fn stable_quotient(&self) -> StablePatternQuotient {
         let mut spq = self.stable_quotient_without_members();
-        spq.class_of = self.class_of.clone();
+        spq.class_of = self.q.class_index().to_vec();
         spq.interner = self.interner.clone();
         spq.members = self
-            .members
+            .q
+            .members()
             .iter()
             .map(|m| Arc::from(m.as_slice()))
             .collect();
@@ -477,14 +258,12 @@ impl IncrementalPattern {
     ///
     /// [`PatternView::apply_delta`]: crate::view::PatternView::apply_delta
     pub fn stable_quotient_without_members(&self) -> StablePatternQuotient {
-        let mut edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        edges.sort_unstable();
         StablePatternQuotient {
             class_of: Vec::new(),
-            labels: self.labels.clone(),
-            active: self.active.clone(),
-            members: vec![Arc::from(&[][..]); self.members.len()],
-            edges,
+            labels: self.q.payload().to_vec(),
+            active: self.q.active().to_vec(),
+            members: vec![Arc::from(&[][..]); self.q.id_space()],
+            edges: self.q.sorted_edges(),
             interner: LabelInterner::new(),
         }
     }
@@ -492,23 +271,10 @@ impl IncrementalPattern {
     /// Materializes the current state as a [`PatternCompression`] with a
     /// freshly built quotient graph.
     pub fn to_compression(&self) -> PatternCompression {
-        let mut dense: HashMap<u32, u32> = HashMap::new();
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let mut labels: Vec<Label> = Vec::new();
-        for c in 0..self.members.len() as u32 {
-            if self.active[c as usize] {
-                dense.insert(c, members.len() as u32);
-                members.push(self.members[c as usize].clone());
-                labels.push(self.labels[c as usize]);
-            }
-        }
-        let mut class_of = vec![0u32; self.class_of.len()];
-        for (v, &c) in self.class_of.iter().enumerate() {
-            class_of[v] = dense[&c];
-        }
+        let (dense, classes) = self.q.dense();
 
-        let mut quotient = LabeledGraph::with_capacity(members.len());
-        for &l in &labels {
+        let mut quotient = LabeledGraph::with_capacity(classes.members.len());
+        for &l in &classes.payload {
             match self.interner.name(l) {
                 Some(name) => {
                     quotient.add_node_with_label(name);
@@ -518,20 +284,16 @@ impl IncrementalPattern {
                 }
             }
         }
-        // Sorted so the materialized quotient's adjacency lists are
-        // reproducible across runs, not hash-order artifacts.
-        let mut q_edges_sorted: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        q_edges_sorted.sort_unstable();
-        for &(a, b) in &q_edges_sorted {
+        for &(a, b) in &self.q.sorted_edges() {
             quotient.add_edge(NodeId(dense[&a]), NodeId(dense[&b]));
         }
 
         PatternCompression {
             graph: quotient,
             partition: BisimPartition {
-                class_of,
-                members,
-                labels,
+                class_of: classes.class_of,
+                members: classes.members,
+                labels: classes.payload,
             },
         }
     }
@@ -674,13 +436,40 @@ mod tests {
         );
     }
 
+    /// `hybrid_nodes` is filled on this side too: atoms of the unaffected
+    /// classes plus the exploded ancestor cone of the update sources.
+    #[test]
+    fn hybrid_nodes_counts_atoms_plus_exploded_members() {
+        // Classes {A}, {B1,B2}, {C1,C2}, {D}.
+        let mut g = graph(
+            &["A", "B", "B", "C", "C", "D"],
+            &[(0, 1), (0, 2), (1, 3), (2, 4)],
+        );
+        let mut inc = IncrementalPattern::new(&g);
+        let classes_before = inc.class_count();
+        assert_eq!(classes_before, 4);
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(5));
+        let stats = inc.apply(&mut g, &batch);
+        // Affected: the ancestor cone of [B1] = {B1,B2}, {A}.
+        assert_eq!(stats.affected_classes, 2);
+        assert_eq!(stats.affected_nodes, 3);
+        assert_eq!(stats.redundant_dropped, 0);
+        // {C1,C2} and {D} stay atoms.
+        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!(
+            stats.hybrid_nodes,
+            stats.affected_nodes + classes_before - stats.affected_classes
+        );
+    }
+
     #[test]
     fn noop_batch() {
         let g = graph(&["A", "B"], &[(0, 1)]);
         let mut g2 = g.clone();
         let mut inc = IncrementalPattern::new(&g2);
         let stats = inc.apply(&mut g2, &UpdateBatch::new());
-        assert_eq!(stats, IncPatternStats::default());
+        assert_eq!(stats, IncStats::default());
         assert_eq!(inc.class_count(), 2);
     }
 
@@ -700,7 +489,7 @@ mod tests {
                 g.add_edge(NodeId(u), NodeId(v));
             }
             let mut inc = IncrementalPattern::new(&g);
-            let before_class_of = inc.class_of.clone();
+            let before_class_of = inc.q.class_index().to_vec();
             let mut batch = UpdateBatch::new();
             for _ in 0..rng.gen_range(1..5) {
                 let u = NodeId(rng.gen_range(0..n) as u32);
@@ -713,7 +502,7 @@ mod tests {
             }
             let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
             assert_eq!(stats.changed_classes, delta.added.len());
-            assert_eq!(delta.id_space, inc.members.len());
+            assert_eq!(delta.id_space, inc.q.id_space());
             // Replaying the births on the pre-batch index reproduces the
             // post-batch node → class map.
             let mut replayed = before_class_of;
@@ -726,7 +515,11 @@ mod tests {
                     assert!(delta.removed.contains(o), "case {case}: origin {o}");
                 }
             }
-            assert_eq!(replayed, inc.class_of, "case {case}: class map diverged");
+            assert_eq!(
+                replayed,
+                inc.q.class_index(),
+                "case {case}: class map diverged"
+            );
         }
     }
 

@@ -82,7 +82,7 @@ pub use bisim::{
 pub use bounded::bounded_match;
 pub use compress::{compress_b, compress_b_csr, PatternCompression};
 pub use inc_match::IncrementalMatch;
-pub use incremental::{IncPatternStats, IncrementalPattern, StablePatternQuotient};
+pub use incremental::{IncStats, IncrementalPattern, StablePatternQuotient};
 pub use pattern::{EdgeBound, MatchRelation, Pattern};
 pub use simulation::{simulation_match, simulation_match_csr};
 pub use view::PatternView;

@@ -41,14 +41,17 @@
 //! `O(|AFF| · |Gr|)` bound (the problem itself is unbounded — Theorem 6 —
 //! so no algorithm can depend on `|ΔG| + |ΔGr|` alone).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
+use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::transitive::transitive_reduction;
-use qpgc_graph::update::{ClassBirth, PartitionDelta};
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::update::PartitionDelta;
+use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::compress::ReachCompression;
 use crate::equivalence::{reachability_partition_threads, ReachPartition};
+
+pub use qpgc_graph::quotient::IncStats;
 
 /// The maintained compression state exported with **stable** class ids —
 /// the ids [`IncrementalReach`] keeps across updates (recycling retired
@@ -86,44 +89,53 @@ impl StableQuotient {
     }
 }
 
-/// Statistics of one incremental maintenance step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IncStats {
-    /// Number of updates after normalization and redundancy reduction.
-    pub effective_updates: usize,
-    /// Number of updates dropped as redundant.
-    pub redundant_dropped: usize,
-    /// Number of affected equivalence classes (exploded into members).
-    pub affected_classes: usize,
-    /// Number of original nodes inside affected classes.
-    pub affected_nodes: usize,
-    /// Number of nodes of the hybrid graph used for the localized
-    /// recomputation.
-    pub hybrid_nodes: usize,
-    /// Number of classes created or rewritten by this step (a proxy for
-    /// `|ΔGr|`).
-    pub changed_classes: usize,
+/// Reachability equivalence (`u ~ v` iff `u` and `v` have the same proper
+/// ancestors and the same proper descendants) as the relation an
+/// [`IncrementalQuotient`] maintains.
+#[derive(Clone, Copy, Debug)]
+pub struct ReachEquivalence;
+
+impl Equivalence for ReachEquivalence {
+    /// The cyclic flag: whether the class is a cyclic SCC.
+    type Class = bool;
+
+    /// `Gr` is a DAG over classes; self-reachability lives in the flag.
+    const SELF_EDGES: bool = false;
+
+    /// The relation compares ancestor sets as well as descendant sets.
+    const ANCESTOR_SENSITIVE: bool = true;
+
+    fn cyclic(class: bool) -> bool {
+        class
+    }
+
+    // Reachability is label-blind: every node presents the same label.
+    fn class_label(_: bool) -> Label {
+        Label(0)
+    }
+
+    fn node_label(_: &LabeledGraph, _: NodeId) -> Label {
+        Label(0)
+    }
+
+    fn partition(g: &LabeledGraph, threads: usize) -> Classes<bool> {
+        let p = reachability_partition_threads(g, threads);
+        Classes {
+            class_of: p.class_of,
+            members: p.members,
+            payload: p.cyclic,
+        }
+    }
 }
 
-/// Incrementally maintained reachability-preserving compression.
+/// Incrementally maintained reachability-preserving compression: the
+/// shared [`IncrementalQuotient`] skeleton instantiated with
+/// [`ReachEquivalence`], plus what only this side has — the
+/// redundant-insertion reduction, class-level reachability queries, and
+/// the transitively reduced export.
 #[derive(Clone, Debug)]
 pub struct IncrementalReach {
-    /// `class_of[v]` — class id of node `v`. Ids are stable across updates
-    /// for unaffected classes; freed ids are recycled.
-    class_of: Vec<u32>,
-    /// Members per class id (meaningful only for active ids).
-    members: Vec<Vec<NodeId>>,
-    /// Cyclic flag per class id.
-    cyclic: Vec<bool>,
-    /// Whether a class id is in use.
-    active: Vec<bool>,
-    /// Recycled class ids.
-    free_ids: Vec<u32>,
-    /// Directed counts of original edges between *distinct* classes.
-    q_edges: HashMap<(u32, u32), u32>,
-    /// Worker count handed to the partition kernel (`0` = available
-    /// parallelism). Partition output is bit-identical at every value.
-    threads: usize,
+    q: IncrementalQuotient<ReachEquivalence>,
 }
 
 impl IncrementalReach {
@@ -139,45 +151,25 @@ impl IncrementalReach {
     /// thread count — see
     /// [`reachability_partition_threads`](crate::equivalence::reachability_partition_threads).
     pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
-        let partition = reachability_partition_threads(g, threads);
-        Self::from_partition(g, partition, threads)
-    }
-
-    fn from_partition(g: &LabeledGraph, partition: ReachPartition, threads: usize) -> Self {
-        let classes = partition.class_count();
-        let mut q_edges: HashMap<(u32, u32), u32> = HashMap::new();
-        for (u, v) in g.edges() {
-            let cu = partition.class_of(u);
-            let cv = partition.class_of(v);
-            if cu != cv {
-                *q_edges.entry((cu, cv)).or_insert(0) += 1;
-            }
-        }
         IncrementalReach {
-            class_of: partition.class_of,
-            members: partition.members,
-            cyclic: partition.cyclic,
-            active: vec![true; classes],
-            free_ids: Vec::new(),
-            q_edges,
-            threads,
+            q: IncrementalQuotient::new(g, threads),
         }
     }
 
     /// Number of active equivalence classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        self.q.class_count()
     }
 
     /// Number of compressed inter-class edges currently tracked (before
     /// transitive reduction).
     pub fn quotient_edge_count(&self) -> usize {
-        self.q_edges.len()
+        self.q.quotient_edge_count()
     }
 
     /// The class id of node `v`.
     pub fn class_of(&self, v: NodeId) -> u32 {
-        self.class_of[v.index()]
+        self.q.class_of(v)
     }
 
     /// Answers the reachability query `QR(v, w)` using only the compressed
@@ -189,25 +181,13 @@ impl IncrementalReach {
         let cv = self.class_of(v);
         let cw = self.class_of(w);
         if cv == cw {
-            return self.cyclic[cv as usize];
+            return self.q.payload()[cv as usize];
         }
         self.class_reaches(cv, cw)
     }
 
-    fn class_adjacency(&self) -> HashMap<u32, Vec<u32>> {
-        let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-        // qpgc-lint: allow(deterministic-iteration) -- the adjacency feeds
-        // only `class_reaches`, whose BFS returns a bool: neighbor-list
-        // order cannot leak into ids or any materialized artifact, and
-        // sorting here would tax the per-query hot path.
-        for &(a, b) in self.q_edges.keys() {
-            adj.entry(a).or_default().push(b);
-        }
-        adj
-    }
-
     fn class_reaches(&self, from: u32, to: u32) -> bool {
-        let adj = self.class_adjacency();
+        let adj = self.q.adjacency(true);
         let mut visited = HashSet::new();
         let mut queue = VecDeque::new();
         visited.insert(from);
@@ -227,40 +207,6 @@ impl IncrementalReach {
         false
     }
 
-    /// Multi-source BFS over class-level edges; `forward` follows edges,
-    /// otherwise reverse edges. Returns every class reached *including* the
-    /// sources.
-    fn class_cone(&self, sources: &HashSet<u32>, forward: bool) -> HashSet<u32> {
-        let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-        // qpgc-lint: allow(deterministic-iteration) -- the adjacency only
-        // drives the multi-source BFS below, whose result is the
-        // `visited` *set*: a set fixpoint is identical under any edge
-        // visit order, and every consumer of the cone sorts before order
-        // matters (`affected_sorted` in localized_recompute).
-        for &(a, b) in self.q_edges.keys() {
-            if forward {
-                adj.entry(a).or_default().push(b);
-            } else {
-                adj.entry(b).or_default().push(a);
-            }
-        }
-        let mut visited: HashSet<u32> = sources.clone();
-        // qpgc-lint: allow(deterministic-iteration) -- seed order only
-        // permutes the BFS schedule; the visited-set fixpoint it computes
-        // is order-insensitive.
-        let mut queue: VecDeque<u32> = sources.iter().copied().collect();
-        while let Some(c) = queue.pop_front() {
-            if let Some(next) = adj.get(&c) {
-                for &d in next {
-                    if visited.insert(d) {
-                        queue.push_back(d);
-                    }
-                }
-            }
-        }
-        visited
-    }
-
     /// Applies the update batch: mutates `g` to `G ⊕ ΔG` and maintains the
     /// compressed state so that it equals `R(G ⊕ ΔG)`.
     pub fn apply(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> IncStats {
@@ -278,20 +224,28 @@ impl IncrementalReach {
         g: &mut LabeledGraph,
         batch: &UpdateBatch,
     ) -> (IncStats, PartitionDelta) {
-        let mut stats = IncStats::default();
         let norm = batch.normalized(g);
-        if norm.is_empty() {
-            let delta = PartitionDelta {
-                id_space: self.members.len(),
-                ..PartitionDelta::default()
-            };
-            return (stats, delta);
-        }
+        norm.apply_to(g);
+        self.apply_normalized(g, &norm)
+    }
 
+    /// The maintenance step alone, for callers that own the data graph and
+    /// normalise once for several maintainers: `norm` must be a batch
+    /// normalized against the pre-batch graph
+    /// ([`UpdateBatch::normalized`]) and `g` must **already be**
+    /// `G ⊕ norm`. Only the maintained state is touched.
+    pub fn apply_normalized(
+        &mut self,
+        g: &LabeledGraph,
+        norm: &UpdateBatch,
+    ) -> (IncStats, PartitionDelta) {
         // Step 1: redundant-insertion reduction (safe when the batch inserts
         // only, because insertions never invalidate the implying paths).
+        // Redundant updates still changed the edge set, just not the
+        // reachability relation — they are dropped from maintenance only.
         let insertions_only = norm.updates().iter().all(|u| u.is_insert());
-        let mut effective: Vec<(NodeId, NodeId, bool)> = Vec::new();
+        let mut redundant_dropped = 0;
+        let mut effective: Vec<(NodeId, NodeId)> = Vec::new();
         for u in norm.updates() {
             let (a, b) = u.edge();
             // Redundant iff `a` already reaches `b` via a *non-empty* path:
@@ -299,287 +253,23 @@ impl IncrementalReach {
             // unchanged by the insertion. Note the self-loop case: inserting
             // `(a, a)` is only redundant if `a` already lies on a cycle.
             let already_proper_reach = if a == b {
-                self.cyclic[self.class_of(a) as usize]
+                self.q.payload()[self.class_of(a) as usize]
             } else {
                 self.query(a, b)
             };
             if insertions_only && u.is_insert() && already_proper_reach {
-                stats.redundant_dropped += 1;
+                redundant_dropped += 1;
                 continue;
             }
-            effective.push((a, b, u.is_insert()));
-        }
-        stats.effective_updates = effective.len();
-
-        // All normalized updates are applied to the graph, including the
-        // redundant ones (they still change the edge set, just not the
-        // reachability relation).
-        norm.apply_to(g);
-
-        if effective.is_empty() {
-            let delta = PartitionDelta {
-                id_space: self.members.len(),
-                ..PartitionDelta::default()
-            };
-            return (stats, delta);
+            effective.push((a, b));
         }
 
-        // Step 2: affected classes = up-cone of the sources ∪ down-cone of
-        // the targets, over the class-level edges of the *old* compression.
-        let mut up_sources: HashSet<u32> = HashSet::new();
-        let mut down_sources: HashSet<u32> = HashSet::new();
-        for &(a, b, _) in &effective {
-            up_sources.insert(self.class_of(a));
-            down_sources.insert(self.class_of(b));
-        }
-        let mut affected: HashSet<u32> = self.class_cone(&up_sources, false);
-        affected.extend(self.class_cone(&down_sources, true));
-        stats.affected_classes = affected.len();
-        // qpgc-lint: allow(deterministic-iteration) -- a commutative sum
-        // over set members: any iteration order yields the same total.
-        stats.affected_nodes = affected
-            .iter()
-            .map(|&c| self.members[c as usize].len())
-            .sum();
-
-        // Step 3: localized recomputation on the hybrid graph.
-        let delta = self.localized_recompute(g, &affected);
-        stats.changed_classes = delta.added.len();
-        stats.hybrid_nodes = self.class_count(); // informative only
-
+        // Steps 2–4: affected classes = up-cone of the sources ∪ down-cone
+        // of the targets over the *old* compression, then the localized
+        // recomputation on the hybrid graph.
+        let (mut stats, delta) = self.q.apply_effective(g, &effective);
+        stats.redundant_dropped = redundant_dropped;
         (stats, delta)
-    }
-
-    /// Rebuilds the equivalence inside the affected region and patches the
-    /// state. Returns the structured delta of retired and created classes.
-    fn localized_recompute(&mut self, g: &LabeledGraph, affected: &HashSet<u32>) -> PartitionDelta {
-        // ---- Build the hybrid graph. -------------------------------------
-        #[derive(Clone, Copy)]
-        enum Unit {
-            Atom(u32),
-            Member(NodeId),
-        }
-        let mut hybrid = LabeledGraph::new();
-        let mut units: Vec<Unit> = Vec::new();
-        let mut atom_of_class: HashMap<u32, NodeId> = HashMap::new();
-        let mut hybrid_of_node: HashMap<NodeId, NodeId> = HashMap::new();
-
-        for c in 0..self.members.len() as u32 {
-            if !self.active[c as usize] || affected.contains(&c) {
-                continue;
-            }
-            let h = hybrid.add_node_with_label("atom");
-            units.push(Unit::Atom(c));
-            atom_of_class.insert(c, h);
-            if self.cyclic[c as usize] {
-                // A cyclic class reaches itself via non-empty paths; the self
-                // loop keeps that visible to the equivalence computation.
-                hybrid.add_edge(h, h);
-            }
-        }
-        // Iterate affected classes in sorted order: hybrid node ids (and
-        // through them the ids handed out for the rebuilt classes) must not
-        // depend on hash-set iteration order, so that identical update
-        // streams always produce identical stable ids — the property the
-        // serving layer's snapshot differential relies on.
-        let mut affected_sorted: Vec<u32> = affected.iter().copied().collect();
-        affected_sorted.sort_unstable();
-        let mut exploded: Vec<NodeId> = Vec::new();
-        for &c in &affected_sorted {
-            for &v in &self.members[c as usize] {
-                let h = hybrid.add_node_with_label("node");
-                units.push(Unit::Member(v));
-                hybrid_of_node.insert(v, h);
-                exploded.push(v);
-            }
-        }
-
-        // Edges between unaffected classes come from the maintained
-        // class-level edge counters, iterated in sorted order: the hybrid
-        // graph's adjacency feeds the equivalence recomputation that hands
-        // out stable ids, so nothing about its construction may depend on
-        // hash iteration order.
-        let mut atom_edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        atom_edges.sort_unstable();
-        for &(a, b) in &atom_edges {
-            if let (Some(&ha), Some(&hb)) = (atom_of_class.get(&a), atom_of_class.get(&b)) {
-                hybrid.add_edge(ha, hb);
-            }
-        }
-        // Edges incident to affected members come from the (already updated)
-        // data graph adjacency of exactly those members.
-        for &v in &exploded {
-            let hv = hybrid_of_node[&v];
-            for &w in g.out_neighbors(v) {
-                let hw = match hybrid_of_node.get(&w) {
-                    Some(&h) => h,
-                    None => atom_of_class[&self.class_of(w)],
-                };
-                hybrid.add_edge(hv, hw);
-            }
-            for &z in g.in_neighbors(v) {
-                if !hybrid_of_node.contains_key(&z) {
-                    let hz = atom_of_class[&self.class_of(z)];
-                    hybrid.add_edge(hz, hv);
-                }
-            }
-        }
-
-        // ---- Recompute the equivalence on the hybrid graph. --------------
-        let part = reachability_partition_threads(&hybrid, self.threads);
-
-        // Group hybrid units by their new class.
-        let mut groups: Vec<Vec<Unit>> = vec![Vec::new(); part.class_count()];
-        for (i, &unit) in units.iter().enumerate() {
-            groups[part.class_of(NodeId::new(i)) as usize].push(unit);
-        }
-
-        // ---- Patch the maintained state. ----------------------------------
-        // Classes whose composition changes: all affected classes, plus any
-        // unaffected atom that merges with something else.
-        let mut retired: HashSet<u32> = affected.clone();
-        for group in &groups {
-            if group.len() == 1 {
-                if let Unit::Atom(_) = group[0] {
-                    continue; // unchanged class keeps its identity
-                }
-            }
-            for unit in group {
-                if let Unit::Atom(c) = unit {
-                    retired.insert(*c);
-                }
-            }
-        }
-
-        // Pass A: collect the member sets of every changed group *before*
-        // any class id is retired or recycled (absorbed atoms hand over
-        // their member lists wholesale here). Origins record which retired
-        // classes each group's members came from, for the delta export.
-        let mut pending: Vec<(Vec<NodeId>, bool, Vec<u32>)> = Vec::new();
-        for (gi, group) in groups.iter().enumerate() {
-            if group.len() == 1 {
-                if let Unit::Atom(_) = group[0] {
-                    continue;
-                }
-            }
-            let mut member_nodes: Vec<NodeId> = Vec::new();
-            let mut origins: Vec<u32> = Vec::new();
-            for unit in group {
-                match unit {
-                    Unit::Member(v) => {
-                        origins.push(self.class_of[v.index()]);
-                        member_nodes.push(*v);
-                    }
-                    Unit::Atom(c) => {
-                        // The atom's previous members move wholesale.
-                        origins.push(*c);
-                        let old = std::mem::take(&mut self.members[*c as usize]);
-                        member_nodes.extend(old);
-                    }
-                }
-            }
-            member_nodes.sort_unstable();
-            origins.sort_unstable();
-            origins.dedup();
-            pending.push((member_nodes, part.cyclic[gi], origins));
-        }
-
-        // Pass B: retire changed classes and drop the class-level edges
-        // touching them; they are rebuilt below from the adjacency of the
-        // new classes' members. Retiring in sorted id order keeps the
-        // free-id stack — and hence the ids recycled by Pass C — fully
-        // deterministic.
-        self.q_edges
-            .retain(|&(a, b), _| !retired.contains(&a) && !retired.contains(&b));
-        let mut removed: Vec<u32> = retired.into_iter().collect();
-        removed.sort_unstable();
-        for &c in &removed {
-            self.active[c as usize] = false;
-            self.members[c as usize].clear();
-            self.free_ids.push(c);
-        }
-
-        // Pass C: create the new classes (recycling retired ids).
-        let mut new_ids: Vec<u32> = Vec::new();
-        let mut births: Vec<ClassBirth> = Vec::new();
-        for (member_nodes, is_cyclic, origins) in pending {
-            let id = match self.free_ids.pop() {
-                Some(id) => id,
-                None => {
-                    self.members.push(Vec::new());
-                    self.cyclic.push(false);
-                    self.active.push(false);
-                    (self.members.len() - 1) as u32
-                }
-            };
-            for &v in &member_nodes {
-                self.class_of[v.index()] = id;
-            }
-            births.push(ClassBirth {
-                id,
-                members: member_nodes.clone(),
-                cyclic: is_cyclic,
-                origins,
-            });
-            self.members[id as usize] = member_nodes;
-            self.cyclic[id as usize] = is_cyclic;
-            self.active[id as usize] = true;
-            new_ids.push(id);
-        }
-
-        // Rebuild class-level edge counters incident to the new classes.
-        let new_set: HashSet<u32> = new_ids.iter().copied().collect();
-        for &id in &new_ids {
-            // Iterate over a snapshot because `class_of` is already final.
-            let members = self.members[id as usize].clone();
-            for v in members {
-                for &w in g.out_neighbors(v) {
-                    let cw = self.class_of(w);
-                    if cw != id {
-                        *self.q_edges.entry((id, cw)).or_insert(0) += 1;
-                    }
-                }
-                for &z in g.in_neighbors(v) {
-                    let cz = self.class_of(z);
-                    if cz != id && !new_set.contains(&cz) {
-                        *self.q_edges.entry((cz, id)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-
-        PartitionDelta {
-            removed,
-            added: births,
-            id_space: self.members.len(),
-        }
-    }
-
-    /// Dense renumbering of the active class ids (ascending id order) plus
-    /// the partition expressed in those dense ids.
-    fn dense_partition(&self) -> (HashMap<u32, u32>, ReachPartition) {
-        let mut dense: HashMap<u32, u32> = HashMap::new();
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let mut cyclic: Vec<bool> = Vec::new();
-        for c in 0..self.members.len() as u32 {
-            if self.active[c as usize] {
-                dense.insert(c, members.len() as u32);
-                members.push(self.members[c as usize].clone());
-                cyclic.push(self.cyclic[c as usize]);
-            }
-        }
-        let mut class_of = vec![0u32; self.class_of.len()];
-        for (v, &c) in self.class_of.iter().enumerate() {
-            class_of[v] = dense[&c];
-        }
-        (
-            dense,
-            ReachPartition {
-                class_of,
-                members,
-                cyclic,
-            },
-        )
     }
 
     /// The current partition with densely renumbered class ids (class `i` is
@@ -589,7 +279,12 @@ impl IncrementalReach {
     /// representation (e.g. a CSR snapshot with class edges collected in
     /// parallel) start from this.
     pub fn partition(&self) -> ReachPartition {
-        self.dense_partition().1
+        let (_, dense) = self.q.dense();
+        ReachPartition {
+            class_of: dense.class_of,
+            members: dense.members,
+            cyclic: dense.payload,
+        }
     }
 
     /// The current state under **stable** class ids: the node → class index,
@@ -598,13 +293,11 @@ impl IncrementalReach {
     /// delta-patch, via [`IncrementalReach::apply_with_delta`]) its quotient
     /// representation with rows that survive across versions.
     pub fn stable_quotient(&self) -> StableQuotient {
-        let mut edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        edges.sort_unstable();
         StableQuotient {
-            class_of: self.class_of.clone(),
-            cyclic: self.cyclic.clone(),
-            active: self.active.clone(),
-            edges,
+            class_of: self.q.class_index().to_vec(),
+            cyclic: self.q.payload().to_vec(),
+            active: self.q.active().to_vec(),
+            edges: self.q.sorted_edges(),
         }
     }
 
@@ -612,25 +305,21 @@ impl IncrementalReach {
     /// freshly built (transitively reduced) compressed graph. Class `i` of
     /// the result corresponds to the `i`-th active class in id order.
     pub fn to_compression(&self) -> ReachCompression {
-        let (dense, partition) = self.dense_partition();
-        let members = &partition.members;
+        let (dense, classes) = self.q.dense();
+        let n = classes.members.len();
 
         // Quotient graph + transitive reduction.
-        let mut quotient = LabeledGraph::with_capacity(members.len());
-        for _ in 0..members.len() {
+        let mut quotient = LabeledGraph::with_capacity(n);
+        for _ in 0..n {
             quotient.add_node_with_label("σ");
         }
-        // Sorted so the materialized quotient's adjacency lists are
-        // reproducible across runs, not hash-order artifacts.
-        let mut q_edges_sorted: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        q_edges_sorted.sort_unstable();
-        for &(a, b) in &q_edges_sorted {
+        for &(a, b) in &self.q.sorted_edges() {
             quotient.add_edge(NodeId(dense[&a]), NodeId(dense[&b]));
         }
         let kept = transitive_reduction(&quotient)
             .expect("the quotient of the reachability equivalence relation is a DAG");
-        let mut reduced = LabeledGraph::with_capacity(members.len());
-        for _ in 0..members.len() {
+        let mut reduced = LabeledGraph::with_capacity(n);
+        for _ in 0..n {
             reduced.add_node_with_label("σ");
         }
         for (a, b) in kept {
@@ -639,7 +328,11 @@ impl IncrementalReach {
 
         ReachCompression {
             graph: reduced,
-            partition,
+            partition: ReachPartition {
+                class_of: classes.class_of,
+                members: classes.members,
+                cyclic: classes.payload,
+            },
         }
     }
 }
@@ -747,6 +440,29 @@ mod tests {
         assert_eq!(
             inc.to_compression().partition.canonical(),
             compress_r(&g2).partition.canonical()
+        );
+    }
+
+    /// `hybrid_nodes` is the real size of the hybrid graph: one atom per
+    /// unaffected live class plus every member of an affected class.
+    #[test]
+    fn hybrid_nodes_counts_atoms_plus_exploded_members() {
+        // Diamond plus an isolated node: classes {0}, {1,2}, {3}, {4}.
+        let mut g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let mut inc = IncrementalReach::new(&g);
+        let classes_before = inc.class_count();
+        assert_eq!(classes_before, 4);
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(4));
+        let stats = inc.apply(&mut g, &batch);
+        // Affected: ancestors of [1] = {0}, {1,2}; descendants of [4] = {4}.
+        assert_eq!(stats.affected_classes, 3);
+        assert_eq!(stats.affected_nodes, 4);
+        // Only {3} stays an atom.
+        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!(
+            stats.hybrid_nodes,
+            stats.affected_nodes + classes_before - stats.affected_classes
         );
     }
 

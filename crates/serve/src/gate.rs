@@ -1,67 +1,12 @@
-//! The self-tuning publication gate.
+//! The publication gate: patch the previous snapshot, or rebuild.
 //!
-//! PR 4 introduced a static `damage_threshold`: a batch whose
-//! [`PartitionDelta`] churned more than a fixed fraction of the live
-//! classes was routed to a from-scratch snapshot build instead of a patch.
-//! BENCH_5 showed the right fraction is wildly workload-dependent — the
-//! web emulations churn 20–95 % of the reachability quotient but <1 % of
-//! the bisimulation quotient — so a single number can't route both sides
-//! well, and no number survives a workload shift.
-//!
-//! [`GateController`] replaces the knob with **measurement**. The store
-//! already times every publication; the controller folds those timings
-//! into two EWMAs per side (reach, bisim):
-//!
-//! * *patch cost per unit of patch work* — where one unit is a churned
-//!   class **or** a dirtied 2-hop landmark, so cost transfers across
-//!   batches of different sizes *and* different landmark damage;
-//! * *rebuild cost* — a from-scratch build touches everything, so its
-//!   cost is roughly batch-independent.
-//!
-//! ## The saturating dirty-landmark model
-//!
-//! BENCH_8 exposed a failure of the original linear-in-churn model: on the
-//! full-scale wikiTalk emulation, patch cost is dominated by the scoped
-//! 2-hop re-label, whose work scales with the **dirty landmark count** —
-//! and that count saturates at the index's live landmark total while churn
-//! keeps growing. A per-churn EWMA trained on light batches (where dirty ≈
-//! `r ·` churn) extrapolated heavy batches ~9× too high, routed them all
-//! to rebuilds, and — rebuilding — never collected a fresh patch sample to
-//! self-correct. The controller now also learns `r`, the EWMA of dirty
-//! landmarks per churned class, and predicts patch cost as
-//!
-//! ```text
-//! patch_ms = per_unit · (churned + min(r · churned, live_landmarks))
-//! ```
-//!
-//! — the `min` is the saturation the linear model missed. When no landmark
-//! count applies (the bisim side, or stores without a 2-hop index) the
-//! cap is absent and the model degrades to the original linear one.
-//!
-//! ## Probe patches
-//!
-//! The second half of the wikiTalk pathology is starvation: a controller
-//! routing every batch to rebuilds collects only rebuild samples, so a
-//! wrong (or merely stale) patch model is never contradicted. In
-//! `Adaptive` mode, after [`PROBE_AFTER`] consecutive rebuild routings the
-//! controller deterministically flips every [`PROBE_EVERY`]-th decision to
-//! a **probe patch** ([`GateDecision::probe`]): the patch executes, its
-//! true cost folds into the EWMAs, and a model that was over-predicting
-//! converges back within a handful of probes — at the bounded price of one
-//! possibly-suboptimal publication per probe period.
-//!
-//! Warmup is deterministic: with no patch sample yet the controller
-//! patches (buying the missing sample on the cheap-churn batches that
-//! dominate real streams), then with no rebuild sample it rebuilds once,
-//! and from there on it predicts. Observations are fed in **every** mode —
-//! a store running `Fixed` still warms the controller, so flipping to
-//! `Adaptive` later starts informed.
-//!
-//! [`GateMode`] keeps every earlier semantics available: `Fixed(t)`
-//! reproduces the static threshold exactly (at-most boundary semantics
-//! included), and `AlwaysPatch` / `AlwaysRebuild` replace the
-//! `f64::INFINITY` / `0.0` magic values the tests and benchmarks used to
-//! force a path.
+//! A batch whose [`PartitionDelta`] churned at most a fixed fraction of the
+//! live classes is published by patching the previous snapshot; more than
+//! that and the snapshot is rebuilt from scratch. [`GateMode`] is that
+//! rule plus the two forced modes tests and benchmarks use to pin a path,
+//! and [`GateMode::decide`] is the whole gate: a pure function of the mode
+//! and two counts, so routing — and with it every published structure —
+//! is identical across runs, thread counts and shards.
 //!
 //! [`PartitionDelta`]: qpgc_graph::update::PartitionDelta
 
@@ -70,12 +15,8 @@
 /// are routed independently under the same mode.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum GateMode {
-    /// Route each batch to whichever path the [`GateController`] predicts
-    /// cheaper from observed publication timings. No hand-set threshold;
-    /// see the module docs for the warmup sequence.
-    Adaptive,
-    /// The PR 4 static gate: churn at most this fraction of the live
-    /// classes patches (equality included), strictly more rebuilds.
+    /// The static gate: churn at most this fraction of the live classes
+    /// patches (equality included), strictly more rebuilds.
     /// `Fixed(0.0)` disables patching; `Fixed(f64::INFINITY)` forces it —
     /// but prefer the explicit variants below for those.
     Fixed(f64),
@@ -86,7 +27,7 @@ pub enum GateMode {
 }
 
 impl Default for GateMode {
-    /// The PR 4 production default.
+    /// The production default.
     fn default() -> Self {
         GateMode::Fixed(0.25)
     }
@@ -96,453 +37,67 @@ impl GateMode {
     /// The damage fraction bounding the 2-hop index sub-gate (the
     /// dirty-landmark fraction above which a snapshot patch still rebuilds
     /// its secondary index; see `Snapshot::apply_delta`). `Fixed` uses its
-    /// own threshold; the forced modes force the index the same way; and
-    /// `Adaptive` keeps the long-standing default fraction — the
-    /// controller's cost model prices whole publications, not the index
-    /// alone, so the sub-gate stays a structural bound.
+    /// own threshold; the forced modes force the index the same way.
     pub(crate) fn index_patch_bound(self) -> f64 {
         match self {
-            GateMode::Adaptive => 0.25,
             GateMode::Fixed(t) => t,
             GateMode::AlwaysPatch => f64::INFINITY,
             GateMode::AlwaysRebuild => 0.0,
         }
     }
-}
 
-/// The two independently-routed publication sides.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GateSide {
-    /// The reachability quotient (snapshot CSR + node index + 2-hop).
-    Reach,
-    /// The bisimulation quotient (the served `PatternView`).
-    Bisim,
+    /// Routes one non-empty delta that churned `churned` stable classes
+    /// out of `live`. Pure: equal arguments always produce the same
+    /// decision.
+    pub fn decide(self, churned: usize, live: usize) -> GateDecision {
+        let patch = match self {
+            GateMode::AlwaysPatch => true,
+            GateMode::AlwaysRebuild => false,
+            // The at-most boundary: churn ≤ threshold patches.
+            GateMode::Fixed(threshold) => churned as f64 / live.max(1) as f64 <= threshold,
+        };
+        GateDecision {
+            churned,
+            live,
+            patch,
+        }
+    }
 }
 
 /// One routing decision, recorded per side in
-/// [`ApplyReport`](crate::ApplyReport) so callers can audit the
-/// controller.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// [`ApplyReport`](crate::ApplyReport) so callers can audit the gate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GateDecision {
     /// Stable classes churned by the batch on this side.
     pub churned: usize,
     /// Live classes on this side at decision time.
     pub live: usize,
-    /// Predicted patch cost in milliseconds (`None` until the controller
-    /// has a patch sample, and always `None` in the non-`Adaptive` modes).
-    pub predicted_patch_ms: Option<f64>,
-    /// Predicted rebuild cost in milliseconds (`None` until the controller
-    /// has a rebuild sample, and always `None` in the non-`Adaptive`
-    /// modes).
-    pub predicted_rebuild_ms: Option<f64>,
     /// `true` → the delta-patch path was chosen; `false` → from-scratch.
     pub patch: bool,
-    /// `true` while an `Adaptive` decision was forced by a missing cost
-    /// sample rather than predicted from both EWMAs.
-    pub warmup: bool,
-    /// `true` when an `Adaptive` controller whose model preferred a
-    /// rebuild patched anyway to refresh its stale patch-cost samples (see
-    /// the module docs on probe patches).
-    pub probe: bool,
-}
-
-/// Exponential smoothing factor of the cost EWMAs: heavy enough that the
-/// controller tracks workload shifts within a few batches, light enough
-/// that one outlier publication doesn't flip the routing.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Consecutive `Adaptive` rebuild routings before probe patches kick in
-/// (see the module docs): short rebuild runs are usually genuine, so the
-/// probe machinery stays out of their way.
-pub const PROBE_AFTER: u32 = 4;
-
-/// Once past [`PROBE_AFTER`], every this-many-th further rebuild routing
-/// becomes a probe patch instead, bounding the cost of self-correction to
-/// one possibly-suboptimal publication per period.
-pub const PROBE_EVERY: u32 = 8;
-
-/// Per-side observed-cost state.
-#[derive(Clone, Copy, Debug, Default)]
-struct SideCosts {
-    /// EWMA of patch milliseconds per unit of patch work (churned classes
-    /// plus dirtied landmarks).
-    patch_ms_per_unit: Option<f64>,
-    /// EWMA of dirtied landmarks per churned class (`r` in the module
-    /// docs' saturating model).
-    dirty_per_churn: Option<f64>,
-    /// EWMA of from-scratch build milliseconds.
-    rebuild_ms: Option<f64>,
-    /// Consecutive rebuild routings taken, for the probe-patch schedule
-    /// (reset by any patch).
-    rebuild_streak: u32,
-}
-
-impl SideCosts {
-    fn fold(slot: &mut Option<f64>, sample: f64) {
-        *slot = Some(match *slot {
-            None => sample,
-            Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-        });
-    }
-}
-
-/// The measuring cost controller behind [`GateMode::Adaptive`] — one per
-/// store, shared across every shard writer of a sharded store (wrapped in
-/// a poison-recovered mutex there, like the rest of the router state).
-#[derive(Clone, Debug, Default)]
-pub struct GateController {
-    reach: SideCosts,
-    bisim: SideCosts,
-}
-
-impl GateController {
-    /// A controller with no samples.
-    pub fn new() -> Self {
-        GateController::default()
-    }
-
-    fn side(&self, side: GateSide) -> &SideCosts {
-        match side {
-            GateSide::Reach => &self.reach,
-            GateSide::Bisim => &self.bisim,
-        }
-    }
-
-    fn side_mut(&mut self, side: GateSide) -> &mut SideCosts {
-        match side {
-            GateSide::Reach => &mut self.reach,
-            GateSide::Bisim => &mut self.bisim,
-        }
-    }
-
-    /// Predicted patch work of a delta churning `churned` classes:
-    /// churned rows plus the saturating dirty-landmark estimate
-    /// (`min(r · churned, landmarks)`; uncapped when no landmark count
-    /// applies).
-    fn predicted_work(costs: &SideCosts, churned: usize, landmarks: Option<usize>) -> f64 {
-        let r = costs.dirty_per_churn.unwrap_or(0.0);
-        let predicted_dirty = match landmarks {
-            Some(l) => (r * churned as f64).min(l as f64),
-            None => r * churned as f64,
-        };
-        churned as f64 + predicted_dirty
-    }
-
-    /// Routes one non-empty delta: `churned` stable classes out of `live`
-    /// on `side`, under `mode`. `landmarks` is the live landmark count of
-    /// the side's secondary index, when it has one — the saturation cap of
-    /// the dirty-landmark cost model (see the module docs). Deterministic —
-    /// equal controller state and arguments always produce the same
-    /// decision.
-    pub fn decide(
-        &self,
-        side: GateSide,
-        mode: GateMode,
-        churned: usize,
-        live: usize,
-        landmarks: Option<usize>,
-    ) -> GateDecision {
-        let mut decision = GateDecision {
-            churned,
-            live,
-            predicted_patch_ms: None,
-            predicted_rebuild_ms: None,
-            patch: false,
-            warmup: false,
-            probe: false,
-        };
-        match mode {
-            GateMode::AlwaysPatch => decision.patch = true,
-            GateMode::AlwaysRebuild => decision.patch = false,
-            GateMode::Fixed(threshold) => {
-                // The PR 4 at-most boundary: churn ≤ threshold patches.
-                let churn = churned as f64 / live.max(1) as f64;
-                decision.patch = churn <= threshold;
-            }
-            GateMode::Adaptive => {
-                let costs = self.side(side);
-                match (costs.patch_ms_per_unit, costs.rebuild_ms) {
-                    // No patch sample: patch to buy one (patching is the
-                    // cheap guess on the low-churn batches that dominate).
-                    (None, _) => {
-                        decision.patch = true;
-                        decision.warmup = true;
-                    }
-                    // No rebuild sample: rebuild once to price it.
-                    (Some(per), None) => {
-                        decision.predicted_patch_ms =
-                            Some(per * Self::predicted_work(costs, churned, landmarks));
-                        decision.patch = false;
-                        decision.warmup = true;
-                    }
-                    (Some(per), Some(rebuild)) => {
-                        let patch_ms = per * Self::predicted_work(costs, churned, landmarks);
-                        decision.predicted_patch_ms = Some(patch_ms);
-                        decision.predicted_rebuild_ms = Some(rebuild);
-                        decision.patch = patch_ms <= rebuild;
-                        // Stale-sample probe: a long rebuild run starves
-                        // the patch EWMAs; periodically patch anyway so
-                        // fresh samples keep the model honest.
-                        if !decision.patch
-                            && costs.rebuild_streak >= PROBE_AFTER
-                            && (costs.rebuild_streak - PROBE_AFTER).is_multiple_of(PROBE_EVERY)
-                        {
-                            decision.patch = true;
-                            decision.probe = true;
-                        }
-                    }
-                }
-            }
-        }
-        decision
-    }
-
-    /// Feeds one observed publication back: the path actually taken
-    /// (`patched`), the churn it served, the landmarks it actually dirtied
-    /// (`0` when the side has no secondary index), and its wall-clock.
-    /// Called in every mode so a `Fixed` store still warms the controller.
-    /// Patch observations with zero churn carry no per-class information
-    /// and are dropped.
-    pub fn observe(
-        &mut self,
-        side: GateSide,
-        patched: bool,
-        churned: usize,
-        dirty: usize,
-        ms: f64,
-    ) {
-        let costs = self.side_mut(side);
-        if patched {
-            costs.rebuild_streak = 0;
-            if churned > 0 {
-                SideCosts::fold(&mut costs.patch_ms_per_unit, ms / (churned + dirty) as f64);
-                SideCosts::fold(&mut costs.dirty_per_churn, dirty as f64 / churned as f64);
-            }
-        } else {
-            costs.rebuild_streak = costs.rebuild_streak.saturating_add(1);
-            SideCosts::fold(&mut costs.rebuild_ms, ms);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Replays a synthetic cost stream through the controller in
-    /// `Adaptive` mode and returns its decisions. Costs are fed back
-    /// according to the *controller's own* routing, like the store does.
-    fn drive(
-        ctl: &mut GateController,
-        side: GateSide,
-        stream: &[(usize, usize, f64, f64)], // (churned, live, patch_ms_per_churn, rebuild_ms)
-    ) -> Vec<GateDecision> {
-        stream
-            .iter()
-            .map(|&(churned, live, per, rebuild)| {
-                let d = ctl.decide(side, GateMode::Adaptive, churned, live, None);
-                let ms = if d.patch {
-                    per * churned as f64
-                } else {
-                    rebuild
-                };
-                ctl.observe(side, d.patch, churned, 0, ms);
-                d
-            })
-            .collect()
-    }
-
-    /// After the two warmup decisions the controller must match the
-    /// offline-optimal choice (true cost comparison) on a stationary
-    /// synthetic stream — with no hand-set threshold anywhere.
-    #[test]
-    fn adaptive_matches_offline_optimal_after_warmup() {
-        // Patch costs 0.5 ms per churned class, rebuild a flat 40 ms: the
-        // offline-optimal rule is "patch iff churned ≤ 80". Mix light and
-        // heavy batches around that break-even point.
-        let stream: Vec<(usize, usize, f64, f64)> = [5, 200, 30, 150, 79, 81, 10, 400, 60, 100]
-            .iter()
-            .map(|&churned| (churned, 1000, 0.5, 40.0))
-            .collect();
-        let mut ctl = GateController::new();
-        let decisions = drive(&mut ctl, GateSide::Reach, &stream);
-        assert!(decisions[0].warmup && decisions[0].patch, "first: patch");
-        assert!(
-            decisions[1].warmup && !decisions[1].patch,
-            "second: rebuild"
-        );
-        for (i, d) in decisions.iter().enumerate().skip(2) {
-            let optimal_patch = 0.5 * stream[i].0 as f64 <= 40.0;
-            assert!(!d.warmup, "batch {i} still in warmup");
-            assert_eq!(
-                d.patch, optimal_patch,
-                "batch {i} (churned {}): controller disagrees with offline optimum",
-                stream[i].0
-            );
-        }
-    }
-
-    /// The two sides keep independent cost state: a reach-heavy stream
-    /// must not steer the bisim side.
-    #[test]
-    fn sides_are_independent() {
-        let mut ctl = GateController::new();
-        // Make reach patching look terrible (100 ms/class vs 1 ms rebuild).
-        drive(
-            &mut ctl,
-            GateSide::Reach,
-            &[(10, 100, 100.0, 1.0), (10, 100, 100.0, 1.0)],
-        );
-        let reach = ctl.decide(GateSide::Reach, GateMode::Adaptive, 10, 100, None);
-        assert!(!reach.patch, "reach should rebuild");
-        // Bisim has no samples at all: warmup patch.
-        let bisim = ctl.decide(GateSide::Bisim, GateMode::Adaptive, 10, 100, None);
-        assert!(bisim.patch && bisim.warmup);
-    }
-
-    /// `Fixed` must reproduce the PR 4 boundary behavior exactly —
-    /// at-most semantics: equality patches, strictly above rebuilds — and
-    /// never consult the cost state.
+    /// `Fixed` has at-most semantics: equality patches, strictly above
+    /// rebuilds.
     #[test]
     fn fixed_mode_reproduces_the_static_boundary() {
-        let mut ctl = GateController::new();
-        // Poison the cost state towards "always rebuild".
-        ctl.observe(GateSide::Reach, true, 10, 0, 1e9);
-        ctl.observe(GateSide::Reach, false, 0, 0, 1e-9);
-        let at = ctl.decide(GateSide::Reach, GateMode::Fixed(0.25), 25, 100, None);
+        let at = GateMode::Fixed(0.25).decide(25, 100);
         assert!(at.patch, "churn == threshold must patch");
-        let above = ctl.decide(GateSide::Reach, GateMode::Fixed(0.25), 26, 100, None);
+        let above = GateMode::Fixed(0.25).decide(26, 100);
         assert!(!above.patch, "churn > threshold must rebuild");
-        let zero = ctl.decide(GateSide::Reach, GateMode::Fixed(0.0), 1, 100, None);
+        let zero = GateMode::Fixed(0.0).decide(1, 100);
         assert!(!zero.patch, "Fixed(0.0) disables patching");
-        let inf = ctl.decide(
-            GateSide::Reach,
-            GateMode::Fixed(f64::INFINITY),
-            100,
-            100,
-            None,
-        );
+        let inf = GateMode::Fixed(f64::INFINITY).decide(100, 100);
         assert!(inf.patch, "Fixed(inf) forces patching");
+        assert_eq!((at.churned, at.live), (25, 100));
     }
 
     #[test]
     fn forced_modes_ignore_everything() {
-        let mut ctl = GateController::new();
-        ctl.observe(GateSide::Bisim, true, 10, 0, 1e9);
-        assert!(
-            ctl.decide(GateSide::Bisim, GateMode::AlwaysPatch, 1000, 1, None)
-                .patch
-        );
-        assert!(
-            !ctl.decide(GateSide::Bisim, GateMode::AlwaysRebuild, 0, 1000, None)
-                .patch
-        );
-    }
-
-    /// A workload shift (patching suddenly slow) must re-route within a
-    /// few batches — the EWMA, not a frozen average.
-    #[test]
-    fn adapts_to_workload_shift() {
-        let mut ctl = GateController::new();
-        // Phase 1: patching cheap — converge to patching.
-        drive(&mut ctl, GateSide::Reach, &[(10, 100, 0.1, 50.0); 6]);
-        assert!(
-            ctl.decide(GateSide::Reach, GateMode::Adaptive, 10, 100, None)
-                .patch
-        );
-        // Phase 2: patch cost jumps 100×. The controller keeps choosing
-        // patch at first (its prediction lags), so feed the *observed*
-        // slow patches straight in, as the store would.
-        for _ in 0..8 {
-            let d = ctl.decide(GateSide::Reach, GateMode::Adaptive, 10, 100, None);
-            let ms = if d.patch { 10.0 * 10.0 } else { 50.0 };
-            ctl.observe(GateSide::Reach, d.patch, 10, 0, ms);
-        }
-        assert!(
-            !ctl.decide(GateSide::Reach, GateMode::Adaptive, 10, 100, None)
-                .patch,
-            "controller failed to re-route after the shift"
-        );
-    }
-
-    #[test]
-    fn zero_churn_patch_observations_are_dropped() {
-        let mut ctl = GateController::new();
-        ctl.observe(GateSide::Reach, true, 0, 0, 123.0);
-        let d = ctl.decide(GateSide::Reach, GateMode::Adaptive, 5, 100, None);
-        assert!(d.warmup, "zero-churn sample must not end warmup");
-    }
-
-    /// The BENCH_8 wikiTalk pathology in miniature: patch cost is
-    /// dominated by dirtied 2-hop landmarks, whose count saturates at the
-    /// live landmark total while churn keeps growing. A linear-in-churn
-    /// model trained on light batches (dirty ≈ 10 × churn) extrapolates a
-    /// heavy batch ~9× over its true cost and wrongly rebuilds; the
-    /// saturating model caps predicted dirty work at the landmark count
-    /// and patches.
-    #[test]
-    fn saturating_model_fixes_the_wikitalk_over_prediction() {
-        let mut ctl = GateController::new();
-        // Light batches: 5 churned classes, 50 dirty landmarks, 5.5 ms →
-        // per_unit = 0.1 ms, r = 10 dirty landmarks per churned class.
-        for _ in 0..4 {
-            ctl.observe(GateSide::Reach, true, 5, 50, 5.5);
-        }
-        // One priced rebuild at 200 ms.
-        ctl.observe(GateSide::Reach, false, 1000, 0, 200.0);
-        // Heavy batch: 1000 churned classes against a 100-landmark index.
-        // True patch work is 1000 + min(10 · 1000, 100) = 1100 units →
-        // predicted 110 ms, under the 200 ms rebuild. The old linear
-        // model predicted 0.1 · (1000 + 10 000) = 1100 ms and rebuilt.
-        let d = ctl.decide(GateSide::Reach, GateMode::Adaptive, 1000, 2000, Some(100));
-        let predicted = d.predicted_patch_ms.expect("model is warm");
-        assert!(
-            (predicted - 110.0).abs() < 1.0,
-            "saturating prediction should be ~110 ms, got {predicted}"
-        );
-        assert!(d.patch, "saturated prediction must route to patch");
-        // The uncapped prediction (no landmark count) still rebuilds —
-        // the cap is what flips the decision.
-        let uncapped = ctl.decide(GateSide::Reach, GateMode::Adaptive, 1000, 2000, None);
-        assert!(
-            !uncapped.patch,
-            "without the landmark cap the linear model must over-predict"
-        );
-    }
-
-    /// An Adaptive controller stuck on rebuilds collects no patch samples
-    /// and can never discover its patch model is stale. Probe patches
-    /// must break the starvation: after a run of rebuild routings the
-    /// controller periodically patches anyway, folds the true (cheap)
-    /// cost back in, and eventually routes patches on the model alone.
-    #[test]
-    fn probe_patches_self_correct_a_stale_model() {
-        let mut ctl = GateController::new();
-        // Poison the patch model: one sample at 100 ms/unit.
-        ctl.observe(GateSide::Reach, true, 10, 0, 1000.0);
-        // Price rebuilds at 50 ms. True patch cost is 0.1 ms/unit, so the
-        // optimal route for churn 10 is patch (1 ms ≪ 50 ms) — but the
-        // poisoned model predicts 1000 ms and keeps rebuilding.
-        ctl.observe(GateSide::Reach, false, 10, 0, 50.0);
-        let mut probes = 0;
-        let mut corrected = false;
-        for _ in 0..100 {
-            let d = ctl.decide(GateSide::Reach, GateMode::Adaptive, 10, 100, None);
-            if d.patch && !d.probe {
-                corrected = true;
-                break;
-            }
-            if d.probe {
-                probes += 1;
-            }
-            // Feed the true costs back, as the store would.
-            let ms = if d.patch { 0.1 * 10.0 } else { 50.0 };
-            ctl.observe(GateSide::Reach, d.patch, 10, 0, ms);
-        }
-        assert!(probes >= 1, "controller never probed");
-        assert!(
-            corrected,
-            "probe samples failed to correct the stale patch model"
-        );
+        assert!(GateMode::AlwaysPatch.decide(1000, 1).patch);
+        assert!(!GateMode::AlwaysRebuild.decide(0, 1000).patch);
     }
 }

@@ -35,15 +35,15 @@
 //!   `Arc` (the read lock is held only for the pointer copy — never during
 //!   query evaluation), and then answer any number of queries lock-free on
 //!   the immutable snapshot. A single writer applies [`UpdateBatch`]es
-//!   through the incremental-maintenance façades and publishes a fresh
+//!   through the incremental-maintenance façade and publishes a fresh
 //!   snapshot atomically; readers holding the old `Arc` keep a consistent
 //!   pre-batch view until they re-`load`.
 //! * [`bulk_reachable`] — shards a query batch across `std::thread::scope`
 //!   workers, all reading the same shared cut (generic over [`ReachCut`],
 //!   so it serves both backends).
 //! * Snapshot *publication* is **incremental on both query classes**: when
-//!   the self-tuning [`GateController`] (under [`StoreConfig::gate`])
-//!   routes a batch to the patch path, the writer derives the next
+//!   the gate ([`GateMode::decide`] under [`StoreConfig::gate`]) routes a
+//!   batch to the patch path, the writer derives the next
 //!   snapshot from the previous one via each side's `PartitionDelta` —
 //!   quotient CSR rows are patched in place (`CsrGraph::patch`, untouched
 //!   spans copied wholesale), transitive reduction is re-decided only for
@@ -52,13 +52,13 @@
 //!   ([`TwoHopIndex::patch`]), and the pattern view re-derives only the
 //!   quotient rows the bisimulation delta can have changed
 //!   (`PatternView::apply_delta`). The two sides are gated independently
-//!   (the controller keeps separate cost models per side): heavy
+//!   (each against its own live class count): heavy
 //!   bisimulation churn rebuilds only the pattern view, heavy reachability
 //!   churn only the reachability structures, and a side whose partition a
 //!   batch leaves untouched is `Arc`-shared with the previous snapshot
 //!   outright. [`ApplyReport::path`] records both routes and
 //!   [`ApplyReport::reach_gate`] / [`ApplyReport::pattern_gate`] the
-//!   controller's decisions. The optional 2-hop build can still run its
+//!   gate's decisions. The optional 2-hop build can still run its
 //!   per-landmark forward/backward passes on two threads
 //!   (`TwoHopConfig::parallel`); [`parallel::class_edges`] remains for
 //!   materializing quotient edges from scratch when no maintained counters
@@ -99,7 +99,7 @@ pub use api::{ReachCut, ReachStore};
 pub use boundary::BoundarySummary;
 pub use bulk::bulk_reachable;
 pub use error::{LogError, StoreError};
-pub use gate::{GateController, GateDecision, GateMode, GateSide};
+pub use gate::{GateDecision, GateMode};
 pub use persist::{load_snapshot, save_snapshot};
 pub use sharded::{ShardedSnapshot, ShardedStore};
 pub use snapshot::{QuotientCsr, Snapshot, SnapshotFormat};

@@ -448,8 +448,8 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Snapshot, LogError> {
 mod tests {
     use super::*;
     use crate::store::StoreConfig;
-    use qpgc::maintenance::MaintainedReachability;
     use qpgc_graph::LabeledGraph;
+    use qpgc_reach::incremental::IncrementalReach;
 
     fn sample_snapshot() -> Snapshot {
         let mut g = LabeledGraph::new();
@@ -468,8 +468,8 @@ mod tests {
             let v = ((s >> 33) % 40) as u32;
             g.add_edge(NodeId(u), NodeId(v));
         }
-        let m = MaintainedReachability::new(g);
-        Snapshot::build(7, &m.stable_quotient(), None, &StoreConfig::default())
+        let sq = IncrementalReach::new(&g).stable_quotient();
+        Snapshot::build(7, &sq, None, &StoreConfig::default())
     }
 
     #[test]

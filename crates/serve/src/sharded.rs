@@ -68,12 +68,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use qpgc::sharding::slice_batch;
 use qpgc_fault::fail_point;
 use qpgc_graph::partition::split_graph;
-use qpgc_graph::{LabeledGraph, NodeId, NodePartition, UpdateBatch};
-use qpgc_reach::incremental::IncStats;
+use qpgc_graph::{IncStats, LabeledGraph, NodeId, NodePartition, UpdateBatch};
 
 use crate::boundary::BoundarySummary;
 use crate::error::{panic_cause, StoreError};
-use crate::gate::GateController;
 use crate::snapshot::Snapshot;
 use crate::store::{
     lock_recover, read_recover, write_recover, ApplyPath, ApplyReport, CompressedStore, ShardApply,
@@ -155,7 +153,7 @@ struct Router {
 /// A hash-partitioned, multi-writer serving store.
 ///
 /// Construction splits the data graph once; from then on every
-/// [`ShardedStore::apply`] runs the per-shard incremental maintenances
+/// [`ShardedStore::try_apply`] runs the per-shard incremental maintenances
 /// concurrently and publishes one atomic [`ShardedSnapshot`] cut. With
 /// [`StoreConfig::shards`] `== 1` the router degenerates to a single
 /// shard with an empty boundary graph and must answer bit-identically to
@@ -189,20 +187,10 @@ impl ShardedStore {
             shards: 1,
             ..config
         };
-        // One cost controller shared by every shard writer: all shards see
-        // the same workload shape, so pooling their patch/rebuild cost
-        // samples warms the adaptive gate N× faster than per-shard state
-        // would, and keeps routing consistent across the cut. Poison-safe
-        // like the rest of the router state (`lock_recover` inside the
-        // controller's users).
-        let gate = Arc::new(Mutex::new(GateController::new()));
         let shards: Vec<CompressedStore> = std::thread::scope(|s| {
             let handles: Vec<_> = subgraphs
                 .into_iter()
-                .map(|sub| {
-                    let gate = Arc::clone(&gate);
-                    s.spawn(move || CompressedStore::new_with_gate(sub, shard_config, gate))
-                })
+                .map(|sub| s.spawn(move || CompressedStore::new(sub, shard_config)))
                 .collect();
             handles
                 .into_iter()
@@ -300,28 +288,17 @@ impl ShardedStore {
     /// [`ShardedSnapshot`]. Concurrent callers are serialized on the
     /// router; readers only ever see complete cuts.
     ///
+    /// Batch semantics are atomic across shards: the batch either fully
+    /// applies on every shard and publishes one cut, or no shard publishes
+    /// anything — old cut still served, watermark and cross-edge set
+    /// untouched, the next clean batch free to proceed. See the module
+    /// docs for the stage-then-commit protocol and failure semantics.
+    ///
     /// The returned [`ApplyReport`] aggregates the per-shard reports (see
     /// its docs for the exact semantics) and carries the breakdown in
     /// [`ApplyReport::shards`]; its `publish_ms` spans the slowest shard
     /// publication **plus** the watermark bump, so it is end-to-end
     /// comparable with the single-store number.
-    /// # Panics
-    ///
-    /// On any [`StoreError`] — this is the legacy infallible surface;
-    /// fallible callers use [`ShardedStore::try_apply`].
-    pub fn apply(&self, batch: &UpdateBatch) -> ApplyReport {
-        match self.try_apply(batch) {
-            Ok(report) => report,
-            Err(e) => panic!("apply failed: {e}"),
-        }
-    }
-
-    /// [`ShardedStore::apply`] with atomic batch semantics across shards:
-    /// the batch either fully applies on every shard and publishes one
-    /// cut, or no shard publishes anything — old cut still served,
-    /// watermark and cross-edge set untouched, the next clean batch free
-    /// to proceed. See the module docs for the stage-then-commit protocol
-    /// and failure semantics.
     pub fn try_apply(&self, batch: &UpdateBatch) -> Result<ApplyReport, StoreError> {
         let mut router = lock_recover(&self.router);
         batch.validate(self.node_count)?;
@@ -510,7 +487,7 @@ impl ShardedStore {
             version: next,
             reach: reports
                 .iter()
-                .fold(IncStats::default(), |acc, r| sum_stats(acc, r.reach)),
+                .fold(IncStats::default(), |acc, r| acc + r.reach),
             pattern: None,
             path,
             publish_ms: slowest + bump_ms,
@@ -580,18 +557,6 @@ fn path_rank(p: &ApplyPath) -> (u8, f64) {
         ApplyPath::Republished => (0, 0.0),
         ApplyPath::Patched { churn, .. } => (1, churn),
         ApplyPath::Rebuilt { churn, .. } => (2, churn),
-    }
-}
-
-/// Field-wise sum of two maintenance-statistics records.
-fn sum_stats(a: IncStats, b: IncStats) -> IncStats {
-    IncStats {
-        effective_updates: a.effective_updates + b.effective_updates,
-        redundant_dropped: a.redundant_dropped + b.redundant_dropped,
-        affected_classes: a.affected_classes + b.affected_classes,
-        affected_nodes: a.affected_nodes + b.affected_nodes,
-        hybrid_nodes: a.hybrid_nodes + b.hybrid_nodes,
-        changed_classes: a.changed_classes + b.changed_classes,
     }
 }
 

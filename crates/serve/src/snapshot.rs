@@ -252,11 +252,8 @@ impl Snapshot {
     /// (see the module docs). `sq` is the post-batch stable-id state; the
     /// patched structures are debug-asserted against it.
     ///
-    /// Returns the snapshot, whether the 2-hop index was patched (`false`
-    /// when it was rebuilt in full, or absent), and the dirty-landmark
-    /// count the 2-hop sub-gate measured (`0` when no index is configured)
-    /// — the store feeds the latter to the gate controller's saturating
-    /// cost model.
+    /// Returns the snapshot and whether the 2-hop index was patched
+    /// (`false` when it was rebuilt in full, or absent).
     pub(crate) fn apply_delta(
         prev: &Snapshot,
         version: u64,
@@ -264,7 +261,7 @@ impl Snapshot {
         delta: &PartitionDelta,
         pattern: Option<Arc<PatternView>>,
         config: &StoreConfig,
-    ) -> (Snapshot, bool, usize) {
+    ) -> (Snapshot, bool) {
         // Delta-patching operates on plain CSR rows; a succinct
         // predecessor (an `Auto` store whose last publication rebuilt) is
         // inflated once up front.
@@ -388,7 +385,6 @@ impl Snapshot {
         // 2-hop: re-label only landmarks whose cones intersect the changed
         // classes; fall back to a full (compacting) rebuild past the gate
         // mode's index-patch bound or once tombstones outnumber live ranks.
-        let mut dirty_landmarks = 0usize;
         let (two_hop, two_hop_patched) = match (&config.two_hop, prev.two_hop.as_deref()) {
             (Some(cfg), Some(idx)) => {
                 let old_dag = DagReach::from_dag_graph(&*prev_gr)
@@ -415,7 +411,7 @@ impl Snapshot {
                         old_hit || d_new[xi].count_ones() > 0 || a_new[xi].count_ones() > 0
                     })
                     .collect();
-                dirty_landmarks = dirty.len() + added_ids.len();
+                let dirty_landmarks = dirty.len() + added_ids.len();
                 let live = idx.live_rank_count().max(1);
                 let damage = dirty_landmarks as f64 / live as f64;
                 let tombstones = idx.retired_rank_count() + delta.removed.len();
@@ -459,7 +455,6 @@ impl Snapshot {
                 pattern,
             },
             two_hop_patched,
-            dirty_landmarks,
         )
     }
 
@@ -627,8 +622,10 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::gate::GateMode;
-    use qpgc::maintenance::{MaintainedPattern, MaintainedReachability};
+    use qpgc::maintenance::MaintainedGraph;
     use qpgc_graph::{LabeledGraph, UpdateBatch};
+    use qpgc_pattern::incremental::IncrementalPattern;
+    use qpgc_reach::incremental::IncrementalReach;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -648,8 +645,7 @@ mod tests {
     }
 
     fn build(g: &LabeledGraph, config: &StoreConfig) -> Snapshot {
-        let m = MaintainedReachability::new(g.clone());
-        Snapshot::build(0, &m.stable_quotient(), None, config)
+        Snapshot::build(0, &IncrementalReach::new(g).stable_quotient(), None, config)
     }
 
     #[test]
@@ -693,7 +689,7 @@ mod tests {
         // even on the empty graph, where the view still carries its CSR
         // offset arrays.
         let view = Arc::new(PatternView::build(
-            &MaintainedPattern::new(LabeledGraph::new()).stable_quotient(),
+            &IncrementalPattern::new(&LabeledGraph::new()).stable_quotient(),
         ));
         let with_pattern = Snapshot::republish(&snap, 0, Some(view));
         assert!(with_pattern.heap_bytes() > snap.heap_bytes());
@@ -712,7 +708,7 @@ mod tests {
         g.add_edge(a, c);
         let plain = build(&g, &StoreConfig::default());
         let view = Arc::new(PatternView::build(
-            &MaintainedPattern::new(g).stable_quotient(),
+            &IncrementalPattern::new(&g).stable_quotient(),
         ));
         let view_bytes = view.heap_bytes();
         assert!(view_bytes > 0);
@@ -751,8 +747,8 @@ mod tests {
             .build();
         for case in 0..25 {
             let mut g = random_graph(&mut rng, 20);
-            let mut m = MaintainedReachability::new(g.clone());
-            let mut snap = Snapshot::build(0, &m.stable_quotient(), None, &config);
+            let mut m = MaintainedGraph::new(g.clone(), false, 1);
+            let mut snap = Snapshot::build(0, &m.reach().stable_quotient(), None, &config);
             for step in 0..4 {
                 let n = g.node_count();
                 let mut batch = UpdateBatch::new();
@@ -765,10 +761,10 @@ mod tests {
                         batch.delete(u, v);
                     }
                 }
-                let (_, delta) = m.apply_with_delta(&batch);
+                let (_, delta) = m.apply(&batch).reach;
                 batch.apply_to(&mut g);
-                let sq = m.stable_quotient();
-                let (patched, _, _) =
+                let sq = m.reach().stable_quotient();
+                let (patched, _) =
                     Snapshot::apply_delta(&snap, step + 1, &sq, &delta, None, &config);
                 let rebuilt = Snapshot::build(step + 1, &sq, None, &config);
                 assert_eq!(

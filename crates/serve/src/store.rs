@@ -18,17 +18,16 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use qpgc::maintenance::{MaintainedPattern, MaintainedReachability};
+use qpgc::maintenance::{Maintained, MaintainedGraph};
 use qpgc_fault::fail_point;
 use qpgc_graph::update::PartitionDelta;
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_pattern::incremental::IncPatternStats;
+use qpgc_graph::{IncStats, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_pattern::incremental::IncrementalPattern;
 use qpgc_pattern::view::PatternView;
-use qpgc_reach::incremental::IncStats;
 use qpgc_reach::two_hop::TwoHopConfig;
 
 use crate::error::{panic_cause, StoreError};
-use crate::gate::{GateController, GateDecision, GateMode, GateSide};
+use crate::gate::{GateDecision, GateMode};
 use crate::snapshot::{Snapshot, SnapshotFormat};
 use crate::wal::UpdateLog;
 
@@ -61,7 +60,7 @@ pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// ```
 /// use qpgc_serve::{GateMode, StoreConfig};
 /// let config = StoreConfig::builder()
-///     .gate(GateMode::Adaptive)
+///     .gate(GateMode::Fixed(0.1))
 ///     .two_hop(Default::default())
 ///     .shards(4)
 ///     .build();
@@ -77,21 +76,18 @@ pub struct StoreConfig {
     /// label intersections instead of BFS). `None` skips the index.
     pub two_hop: Option<TwoHopConfig>,
     /// Also maintain and serve the pattern-preserving compression. Off by
-    /// default: it duplicates the data graph into a second maintenance
-    /// façade and adds incremental bisimulation maintenance to every batch.
+    /// default: it adds incremental bisimulation maintenance (over the same
+    /// data graph the reachability side maintains) to every batch.
     /// Publication of the pattern side is delta-aware (see
     /// [`StoreConfig::gate`]): a batch that leaves the
     /// bisimulation partition untouched shares the previous snapshot's
     /// [`PatternView`] pointer-wise instead of re-materializing it.
     pub serve_patterns: bool,
     /// How delta-patched snapshot publication is routed against
-    /// from-scratch builds, per side — see [`GateMode`]. `Fixed(t)`
-    /// reproduces the pre-controller `damage_threshold` exactly (at-most
-    /// boundary semantics: churn of the batch's [`PartitionDelta`] at most
-    /// `t` of the live classes patches, strictly more rebuilds);
-    /// `Adaptive` routes each batch to whichever path the store's
-    /// [`GateController`] predicts cheaper from observed publication
-    /// timings. When patterns are served, the pattern side is routed
+    /// from-scratch builds, per side — see [`GateMode`]. `Fixed(t)` has
+    /// at-most boundary semantics: churn of the batch's [`PartitionDelta`]
+    /// at most `t` of the live classes patches, strictly more rebuilds.
+    /// When patterns are served, the pattern side is routed
     /// independently, with its churn measured against the live
     /// bisimulation classes: heavy pattern churn rebuilds only the
     /// [`PatternView`] without forcing a reachability rebuild, and vice
@@ -169,16 +165,6 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Static damage threshold — sugar for `gate(GateMode::Fixed(t))`,
-    /// kept so pre-controller call sites and their at-most boundary
-    /// semantics read unchanged. Use [`GateMode::AlwaysPatch`] /
-    /// [`GateMode::AlwaysRebuild`] instead of the old `f64::INFINITY` /
-    /// `0.0` magic values when the intent is to force a path.
-    pub fn damage_threshold(mut self, threshold: f64) -> Self {
-        self.config.gate = GateMode::Fixed(threshold);
-        self
-    }
-
     /// Number of hash-partitioned shards for a
     /// [`ShardedStore`](crate::sharded::ShardedStore) (`0` is clamped to
     /// `1`).
@@ -200,7 +186,7 @@ impl StoreConfigBuilder {
     }
 }
 
-/// How one [`CompressedStore::apply`] call published its snapshot.
+/// How one [`CompressedStore::try_apply`] call published its snapshot.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ApplyPath {
     /// The batch changed no equivalence class on any served side; the
@@ -303,7 +289,7 @@ pub struct ApplyReport {
     /// shards on a sharded store).
     pub reach: IncStats,
     /// Maintenance statistics of the pattern side, when served.
-    pub pattern: Option<IncPatternStats>,
+    pub pattern: Option<IncStats>,
     /// Which construction path published the snapshot (the most expensive
     /// per-shard path, on a sharded store).
     pub path: ApplyPath,
@@ -337,8 +323,8 @@ impl ApplyReport {
 }
 
 struct Writer {
-    reach: MaintainedReachability,
-    pattern: Option<MaintainedPattern>,
+    /// The one data graph and both maintained compressions over it.
+    maintained: MaintainedGraph,
     version: u64,
     /// Set when a failed application was rolled back by recompressing: the
     /// recompression assigned fresh stable class ids, so the previous
@@ -360,13 +346,13 @@ pub(crate) struct StagedApply {
     snapshot: Arc<Snapshot>,
     version: u64,
     reach: IncStats,
-    pattern: Option<IncPatternStats>,
+    pattern: Option<IncStats>,
     path: ApplyPath,
     build_ms: f64,
     reach_gate: Option<GateDecision>,
     pattern_gate: Option<GateDecision>,
     /// The batch normalized against the pre-batch graph — what
-    /// [`MaintainedReachability::recover_from_failed`] needs to invert the
+    /// [`MaintainedGraph::recover_from_failed`] needs to invert the
     /// application exactly on the discard path.
     norm: UpdateBatch,
 }
@@ -392,11 +378,12 @@ impl StagedApply {
 /// * [`CompressedStore::load`] clones the current `Arc<Snapshot>` under a
 ///   read lock held only for the pointer copy; all query evaluation then
 ///   runs on the immutable snapshot with no synchronization at all.
-/// * [`CompressedStore::apply`] (serialized by the writer mutex) routes the
-///   batch through [`MaintainedReachability`] / [`MaintainedPattern`]
-///   (`incRCM` / `incPCM` — no recompression), builds a fresh snapshot,
-///   and publishes it by swapping the `Arc`. Readers holding the previous
-///   snapshot keep an internally consistent pre-batch view.
+/// * [`CompressedStore::try_apply`] (serialized by the writer mutex) routes
+///   the batch through the writer's [`MaintainedGraph`] (`incRCM` /
+///   `incPCM` over one shared data graph — no recompression), builds a
+///   fresh snapshot, and publishes it by swapping the `Arc`. Readers
+///   holding the previous snapshot keep an internally consistent
+///   pre-batch view.
 ///
 /// Snapshot construction cost is the price of publication, not of queries;
 /// it is parallelized where embarrassingly possible (class-edge
@@ -405,52 +392,30 @@ pub struct CompressedStore {
     config: StoreConfig,
     writer: Mutex<Writer>,
     current: RwLock<Arc<Snapshot>>,
-    /// The measuring cost controller routing patch-vs-rebuild (observed in
-    /// every [`GateMode`], consulted under `Adaptive`). Shared across all
-    /// shard writers of a sharded store; poison-recovered like the rest of
-    /// the writer state.
-    gate: Arc<Mutex<GateController>>,
 }
 
 impl CompressedStore {
     /// Compresses `g`, builds the version-0 snapshot, and takes ownership of
     /// the graph for future maintenance.
     pub fn new(g: LabeledGraph, config: StoreConfig) -> Self {
-        Self::new_with_gate(g, config, Arc::new(Mutex::new(GateController::new())))
-    }
-
-    /// [`CompressedStore::new`] against a caller-owned [`GateController`] —
-    /// how the sharded router gives all its shard writers one shared
-    /// controller, so every shard's observations train the same cost
-    /// model.
-    pub(crate) fn new_with_gate(
-        g: LabeledGraph,
-        config: StoreConfig,
-        gate: Arc<Mutex<GateController>>,
-    ) -> Self {
-        let pattern = config
-            .serve_patterns
-            .then(|| MaintainedPattern::new_with_threads(g.clone(), config.threads));
-        let reach = MaintainedReachability::new_with_threads(g, config.threads);
+        let maintained = MaintainedGraph::new(g, config.serve_patterns, config.threads);
         let snapshot = Snapshot::build(
             0,
-            &reach.stable_quotient(),
-            pattern
-                .as_ref()
+            &maintained.reach().stable_quotient(),
+            maintained
+                .pattern()
                 .map(|p| Arc::new(PatternView::build(&p.stable_quotient()))),
             &config,
         );
         CompressedStore {
             config,
             writer: Mutex::new(Writer {
-                reach,
-                pattern,
+                maintained,
                 version: 0,
                 rebuild_next: false,
                 log: None,
             }),
             current: RwLock::new(Arc::new(snapshot)),
-            gate,
         }
     }
 
@@ -575,42 +540,30 @@ impl CompressedStore {
     /// Applies `ΔG`: updates the data graph and both maintained
     /// compressions through the incremental algorithms, then atomically
     /// publishes a fresh snapshot. Concurrent callers are serialized;
-    /// readers are never blocked (except for the pointer swap itself).
+    /// readers are never blocked (except for the pointer swap itself). The
+    /// batch either fully applies and publishes, or the store is left
+    /// exactly as before — watermark untouched, old snapshot still served,
+    /// the next clean batch free to proceed. (The panicking
+    /// [`ReachStore::apply`](crate::ReachStore::apply) wraps this for
+    /// callers that know their batches are valid.)
     ///
-    /// Publication is **delta-aware on both sides**, routed per side by the
-    /// [`GateController`] under [`StoreConfig::gate`]. Reachability: when
+    /// Publication is **delta-aware on both sides**, routed per side by
+    /// [`GateMode::decide`] under [`StoreConfig::gate`]. Reachability: when
     /// the gate routes the batch's [`PartitionDelta`] to the patch path the
     /// new snapshot is derived from the previous one
     /// ([`Snapshot::apply_delta`] — patched CSR rows, patched node index,
     /// scoped 2-hop re-labeling); otherwise it rebuilds from scratch, and
     /// no-op deltas republish. Pattern (when served): the bisimulation
-    /// delta is routed by the same controller's independent bisim-side
-    /// state — an empty delta shares the previous [`PatternView`]
+    /// delta is routed by the same rule against the live bisimulation
+    /// classes — an empty delta shares the previous [`PatternView`]
     /// pointer-wise, a patch-routed delta row-patches it
     /// ([`PatternView::apply_delta`]), and a rebuild-routed one rebuilds
     /// only the view, independently of what the reachability side did.
     /// [`ApplyReport::path`] records both routes;
     /// [`ApplyReport::reach_gate`] / [`ApplyReport::pattern_gate`] record
-    /// the decisions with their predicted costs.
+    /// the decisions.
     ///
     /// [`PartitionDelta`]: qpgc_graph::update::PartitionDelta
-    ///
-    /// # Panics
-    ///
-    /// On any [`StoreError`] — this is the legacy infallible surface for
-    /// callers that know their batches are valid and inject no faults;
-    /// fallible callers use [`CompressedStore::try_apply`].
-    pub fn apply(&self, batch: &UpdateBatch) -> ApplyReport {
-        match self.try_apply(batch) {
-            Ok(report) => report,
-            Err(e) => panic!("apply failed: {e}"),
-        }
-    }
-
-    /// [`CompressedStore::apply`] with atomic batch semantics: the batch
-    /// either fully applies and publishes, or the store is left exactly as
-    /// before — watermark untouched, old snapshot still served, the next
-    /// clean batch free to proceed.
     ///
     /// The pipeline is stage-then-commit. Validation
     /// ([`UpdateBatch::validate`], plus [`UpdateBatch::validate_labels`]
@@ -679,60 +632,40 @@ impl CompressedStore {
     }
 
     fn stage_locked(&self, w: &mut Writer, batch: &UpdateBatch) -> Result<StagedApply, StoreError> {
-        batch.validate(w.reach.graph().node_count())?;
+        batch.validate(w.maintained.graph().node_count())?;
         if self.config.serve_patterns {
-            batch.validate_labels(w.reach.graph())?;
+            batch.validate_labels(w.maintained.graph())?;
         }
-        // Normalized against the pre-batch graph: the exact inverse the
-        // rollback path needs if anything past this point faults.
-        let norm = batch.normalized(w.reach.graph());
+        // Normalized once, against the pre-batch graph: what both
+        // maintainers consume, and the exact inverse the rollback path
+        // needs if anything past this point faults.
+        let norm = w.maintained.normalize(batch);
         let next = w.version + 1;
         let force_rebuild = w.rebuild_next;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fail_point!("store/maintain");
-            let (reach_stats, delta) = w.reach.apply_with_delta(batch);
-            let pattern_result = w.pattern.as_mut().map(|p| p.apply_with_delta(batch));
+            let Maintained {
+                reach: (reach_stats, delta),
+                pattern: pattern_result,
+            } = w.maintained.apply_normalized(&norm);
             let pattern_stats = pattern_result.as_ref().map(|&(stats, _)| stats);
             fail_point!("store/stage");
             let build_start = std::time::Instant::now();
             let prev = self.load();
-            // Pattern side first, under its own clock: its derivation cost
-            // is what trains the controller's bisim-side EWMAs, so it must
-            // not be conflated with the reachability build below.
-            let pattern_start = std::time::Instant::now();
             let (pattern_view, pattern_churn, pattern_patched, pattern_gate) =
-                match (&w.pattern, &pattern_result) {
+                match (w.maintained.pattern(), &pattern_result) {
                     (Some(p), Some((_, pdelta))) => {
                         self.derive_pattern_view(&prev, p, pdelta, force_rebuild)
                     }
                     _ => (None, None, false, None),
                 };
-            if pattern_churn.is_some() {
-                // A view was actually built or patched (the shared-pointer
-                // path reports no churn and costs nothing): feed the
-                // observed cost back, whatever the mode.
-                let pattern_ms = pattern_start.elapsed().as_secs_f64() * 1e3;
-                let churned = pattern_result
-                    .as_ref()
-                    .map(|(_, pdelta)| pdelta.churned())
-                    .unwrap_or(0);
-                lock_recover(&self.gate).observe(
-                    GateSide::Bisim,
-                    pattern_patched,
-                    churned,
-                    0,
-                    pattern_ms,
-                );
-            }
-            // Reachability side under its own clock, for the same reason.
-            let reach_start = std::time::Instant::now();
-            let mut reach_dirty = 0usize;
+            let reach = w.maintained.reach();
             let (snapshot, path, reach_gate) = if force_rebuild {
                 // The previous snapshot's stable ids predate a rollback
                 // recompression — not a valid patch baseline, whatever the
                 // delta says (and no gate decision to record: there was no
                 // choice).
-                let sq = w.reach.stable_quotient();
+                let sq = reach.stable_quotient();
                 let churn = delta.churned() as f64 / sq.class_count().max(1) as f64;
                 (
                     Snapshot::build(next, &sq, pattern_view, &self.config),
@@ -765,17 +698,11 @@ impl CompressedStore {
                 };
                 (snapshot, path, None)
             } else {
-                let sq = w.reach.stable_quotient();
+                let sq = reach.stable_quotient();
                 let live = sq.class_count();
                 let churned = delta.churned();
                 let churn = churned as f64 / live.max(1) as f64;
-                let decision = lock_recover(&self.gate).decide(
-                    GateSide::Reach,
-                    self.config.gate,
-                    churned,
-                    live,
-                    prev.two_hop().map(|idx| idx.live_rank_count()),
-                );
+                let decision = self.config.gate.decide(churned, live);
                 if !decision.patch {
                     (
                         Snapshot::build(next, &sq, pattern_view, &self.config),
@@ -787,9 +714,8 @@ impl CompressedStore {
                         Some(decision),
                     )
                 } else {
-                    let (snapshot, two_hop_patched, dirty) =
+                    let (snapshot, two_hop_patched) =
                         Snapshot::apply_delta(&prev, next, &sq, &delta, pattern_view, &self.config);
-                    reach_dirty = dirty;
                     (
                         snapshot,
                         ApplyPath::Patched {
@@ -802,19 +728,6 @@ impl CompressedStore {
                     )
                 }
             };
-            if force_rebuild || !delta.is_empty() {
-                // A snapshot was actually built or patched (republication
-                // costs nothing): feed the observed reach-side cost back.
-                let reach_ms = reach_start.elapsed().as_secs_f64() * 1e3;
-                let patched = matches!(path, ApplyPath::Patched { .. });
-                lock_recover(&self.gate).observe(
-                    GateSide::Reach,
-                    patched,
-                    delta.churned(),
-                    reach_dirty,
-                    reach_ms,
-                );
-            }
             fail_point!("store/publish");
             let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
             (
@@ -868,23 +781,21 @@ impl CompressedStore {
     }
 
     /// Rolls the writer back to the pre-batch graph (inverting the
-    /// normalized batch, recompressing) and marks the next publication as
-    /// a forced rebuild. Bytes a torn log append may have left beyond the
-    /// log's committed watermark stay on the file crash-faithfully: replay
-    /// tolerates them and the next append truncates them.
+    /// normalized batch once, recompressing every maintained side) and
+    /// marks the next publication as a forced rebuild. Bytes a torn log
+    /// append may have left beyond the log's committed watermark stay on
+    /// the file crash-faithfully: replay tolerates them and the next append
+    /// truncates them.
     fn recover_writer(&self, w: &mut Writer, norm: &UpdateBatch) {
-        w.reach.recover_from_failed(norm);
-        if let Some(p) = w.pattern.as_mut() {
-            p.recover_from_failed(norm);
-        }
+        w.maintained.recover_from_failed(norm);
         w.rebuild_next = true;
     }
 
     /// Derives the pattern view the next snapshot will carry: shared
     /// pointer-wise when the batch's bisimulation [`PartitionDelta`] is
     /// empty, row-patched from the previous snapshot's view when the
-    /// [`GateController`] routes its churn to the patch path (under the
-    /// [`StoreConfig::gate`] mode), rebuilt from the maintainer's stable-id
+    /// [`StoreConfig::gate`] mode routes its churn to the patch path,
+    /// rebuilt from the maintainer's stable-id
     /// export otherwise. Returns the view, the churn (`None` for the shared
     /// path), whether the patch path was taken, and the gate's decision
     /// (`None` when no choice existed). With `force_rebuild` (the previous
@@ -895,7 +806,7 @@ impl CompressedStore {
     fn derive_pattern_view(
         &self,
         prev: &Snapshot,
-        p: &MaintainedPattern,
+        p: &IncrementalPattern,
         pdelta: &PartitionDelta,
         force_rebuild: bool,
     ) -> (
@@ -919,13 +830,7 @@ impl CompressedStore {
                 let churned = pdelta.churned();
                 let live = view.class_count() + pdelta.added.len() - pdelta.removed.len();
                 let churn = churned as f64 / live.max(1) as f64;
-                let decision = lock_recover(&self.gate).decide(
-                    GateSide::Bisim,
-                    self.config.gate,
-                    churned,
-                    live,
-                    None,
-                );
+                let decision = self.config.gate.decide(churned, live);
                 if decision.patch {
                     let spq = p.stable_quotient_without_members();
                     (
@@ -960,6 +865,7 @@ impl CompressedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::ReachStore as _;
     use qpgc_graph::traversal::bfs_reachable;
     use qpgc_pattern::bounded::bounded_match;
     use qpgc_pattern::pattern::Pattern;

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, StoreConfig};
+use qpgc_serve::{CompressedStore, ReachStore as _, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

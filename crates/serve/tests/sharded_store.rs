@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{ShardedStore, StoreConfig};
+use qpgc_serve::{ReachStore as _, ShardedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

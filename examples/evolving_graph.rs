@@ -23,11 +23,11 @@ fn main() {
     );
 
     section("reachability compression, maintained over 6 update batches");
-    let mut maintained = MaintainedReachability::new(g0.clone());
+    let mut maintained = MaintainedGraph::new(g0.clone(), false, 1);
     println!(
         "initial hypernodes: {} (ratio {:.1}%)",
-        maintained.class_count(),
-        100.0 * maintained.compression().ratio(&g0)
+        maintained.reach().class_count(),
+        100.0 * maintained.reach().to_compression().ratio(&g0)
     );
 
     for step in 0..6u64 {
@@ -40,15 +40,15 @@ fn main() {
         };
 
         let t = Instant::now();
-        let stats = maintained.apply(&batch);
+        let (stats, _) = maintained.apply(&batch).reach;
         let inc_time = t.elapsed();
 
         let t = Instant::now();
         let scratch = compress_r(maintained.graph());
         let batch_time = t.elapsed();
 
-        let identical =
-            scratch.partition.canonical() == maintained.compression().partition.canonical();
+        let identical = scratch.partition.canonical()
+            == maintained.reach().to_compression().partition.canonical();
         println!(
             "step {step}: {:4} updates | affected {:4} classes | incRCM {:>9.3?} vs compressR {:>9.3?} | identical = {identical}",
             batch.len(),
@@ -62,14 +62,15 @@ fn main() {
         );
     }
 
-    section("pattern compression, maintained over the same kind of churn");
-    let mut maintained = MaintainedPattern::new(g0.clone());
+    section("both compressions over one graph, under the same kind of churn");
+    let mut maintained = MaintainedGraph::new(g0.clone(), true, 1);
+    let hypernodes = |m: &MaintainedGraph| m.pattern().expect("patterns on").class_count();
     let mut query = Pattern::new();
     let a = query.add_node("L1");
     let b = query.add_node("L2");
     query.add_edge(a, b, 2);
 
-    println!("initial hypernodes: {}", maintained.class_count());
+    println!("initial pattern hypernodes: {}", hypernodes(&maintained));
     for step in 0..4u64 {
         let size = maintained.graph().edge_count() / 200;
         let batch = if step % 2 == 0 {
@@ -78,9 +79,9 @@ fn main() {
             delete_batch(maintained.graph(), size, 400 + step)
         };
         let t = Instant::now();
-        let stats = maintained.apply(&batch);
+        let (stats, _) = maintained.apply(&batch).pattern.expect("patterns on");
         let inc_time = t.elapsed();
-        let answer = maintained.answer(&query);
+        let answer = maintained.match_pattern(&query);
         let direct = qpgc::pattern_engine::bounded::bounded_match(maintained.graph(), &query);
         let agree = match (&answer, &direct) {
             (None, None) => true,
@@ -88,11 +89,11 @@ fn main() {
             _ => false,
         };
         println!(
-            "step {step}: {:4} updates | affected {:4} classes | incPCM {:>9.3?} | hypernodes {} | query answers agree = {agree}",
+            "step {step}: {:4} updates | affected {:4} classes | incRCM+incPCM {:>9.3?} | hypernodes {} | query answers agree = {agree}",
             batch.len(),
             stats.affected_classes,
             inc_time,
-            maintained.class_count(),
+            hypernodes(&maintained),
         );
         assert!(agree);
     }

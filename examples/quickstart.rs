@@ -84,18 +84,24 @@ fn main() {
     // 4. Incremental maintenance (Section 5).                            //
     // ----------------------------------------------------------------- //
     section("incremental maintenance");
-    let mut maintained = MaintainedReachability::new(g);
-    println!("hypernodes before update: {}", maintained.class_count());
+    let mut maintained = MaintainedGraph::new(g, false, 1);
+    println!(
+        "hypernodes before update: {}",
+        maintained.reach().class_count()
+    );
     let mut batch = UpdateBatch::new();
     batch.delete(shop1, item).insert(carol, shop1);
-    let stats = maintained.apply(&batch);
+    let (stats, _) = maintained.apply(&batch).reach;
     println!(
         "applied {} effective updates; affected {} hypernodes, rewrote {}",
         stats.effective_updates, stats.affected_classes, stats.changed_classes
     );
-    println!("hypernodes after update:  {}", maintained.class_count());
+    println!(
+        "hypernodes after update:  {}",
+        maintained.reach().class_count()
+    );
     println!(
         "QR(carol, item) after update = {}",
-        maintained.answer(&ReachQuery::new(carol, item))
+        maintained.reach().query(carol, item)
     );
 }

@@ -121,19 +121,20 @@ fn main() {
     section("incremental maintenance after new recommendations");
     let fa1 = NodeId(4);
     let c_last = customers[customers.len() - 1];
-    let mut maintained = MaintainedPattern::new(g);
-    let before = maintained.class_count();
+    let mut maintained = MaintainedGraph::new(g, true, 1);
+    let hypernodes = |m: &MaintainedGraph| m.pattern().expect("patterns on").class_count();
+    let before = hypernodes(&maintained);
     let mut batch = UpdateBatch::new();
     batch.insert(fa1, c_last); // FA1 now also recommends the last customer
-    let stats = maintained.apply(&batch);
+    let (stats, _) = maintained.apply(&batch).pattern.expect("patterns on");
     println!(
         "hypernodes: {before} -> {} (affected {} classes, rewrote {})",
-        maintained.class_count(),
+        hypernodes(&maintained),
         stats.affected_classes,
         stats.changed_classes
     );
     println!(
         "owner's pattern still matches: {}",
-        maintained.answer(&qp).is_some()
+        maintained.match_pattern(&qp).is_some()
     );
 }

@@ -78,8 +78,7 @@ fn labeled_dataset_pattern_pipeline() {
 fn maintained_compressions_survive_realistic_churn() {
     let g = dataset("P2P", 10, 3).expect("dataset");
 
-    let mut reach = MaintainedReachability::new(g.clone());
-    let mut pattern = MaintainedPattern::new(g.clone());
+    let mut maintained = MaintainedGraph::new(g.clone(), true, 1);
     let mut reference = g;
 
     for step in 0..3u64 {
@@ -88,20 +87,24 @@ fn maintained_compressions_survive_realistic_churn() {
         } else {
             mixed_batch(&reference, 60, step)
         };
-        reach.apply(&batch);
-        pattern.apply(&batch);
+        maintained.apply(&batch);
         batch.normalized(&reference).apply_to(&mut reference);
 
         // Both maintained compressions equal their batch counterparts.
         assert_eq!(
-            reach.compression().partition.canonical(),
+            maintained.reach().to_compression().partition.canonical(),
             qpgc_reach::compress::compress_r(&reference)
                 .partition
                 .canonical(),
             "step {step}: reachability drifted"
         );
         assert_eq!(
-            pattern.compression().partition.canonical(),
+            maintained
+                .pattern()
+                .expect("patterns on")
+                .to_compression()
+                .partition
+                .canonical(),
             qpgc_pattern::compress::compress_b(&reference)
                 .partition
                 .canonical(),
@@ -115,7 +118,7 @@ fn maintained_compressions_survive_realistic_churn() {
         let u = NodeId(rng.gen_range(0..reference.node_count()) as u32);
         let v = NodeId(rng.gen_range(0..reference.node_count()) as u32);
         assert_eq!(
-            reach.answer(&ReachQuery::new(u, v)),
+            maintained.reach().query(u, v),
             bfs_reachable(&reference, u, v)
         );
     }

@@ -31,13 +31,15 @@ use std::path::{Path, PathBuf};
 
 use qpgc_fault::FaultPlan;
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::{LabeledGraph, UpdateBatch};
+use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
+use qpgc_pattern::bounded::bounded_match;
+use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_serve::{
     CompressedStore, ReachCut as _, ReachStore, ShardedStore, StoreConfig, UpdateLog,
 };
 use qpgc_tests::differential::{random_batch, random_graph};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Sites a single-writer `CompressedStore` apply traverses (log sites
 /// included — every store in this suite writes through a log).
@@ -185,6 +187,108 @@ fn single_store_survives_a_fault_at_every_site() {
     assert_eq!(recovered.watermark(), committed);
     assert_bfs_exact(&recovered, &g, "single: recovered store");
     let _ = std::fs::remove_file(&path);
+}
+
+/// A small pattern workload over the `A`/`B`/`C` alphabet: bounded,
+/// unbounded-ish, and a single-node pattern.
+fn pattern_queries() -> Vec<Pattern> {
+    let mut bounded = Pattern::new();
+    let a = bounded.add_node("A");
+    let b = bounded.add_node("B");
+    bounded.add_edge(a, b, 1);
+    let mut chain = Pattern::new();
+    let a = chain.add_node("A");
+    let b = chain.add_node("B");
+    let c = chain.add_node("C");
+    chain.add_edge(a, b, 2);
+    chain.add_edge(b, c, 3);
+    let mut single = Pattern::new();
+    single.add_node("C");
+    vec![bounded, chain, single]
+}
+
+/// Reachability BFS-exact and every pattern answer equal to bounded
+/// simulation evaluated directly on `g`.
+fn assert_both_sides_exact(store: &CompressedStore, g: &LabeledGraph, ctx: &str) {
+    assert_bfs_exact(store, g, ctx);
+    let snap = store.load();
+    for (qi, q) in pattern_queries().iter().enumerate() {
+        assert_same_answer(
+            &bounded_match(g, q),
+            &snap.match_pattern(q),
+            &format!("{ctx}: pattern {qi}"),
+        );
+    }
+}
+
+/// Rollback of a pattern-serving store: the writer undoes **one** shared
+/// graph and recompresses **two** partitions. After a fault at each of the
+/// writer's own staging sites the watermark is unchanged and both query
+/// classes are exact on the pre-batch graph; the next clean batch applies
+/// and both are exact on the post-batch graph.
+#[test]
+fn pattern_serving_store_survives_a_fault_at_every_staging_site() {
+    let mut rng = StdRng::seed_from_u64(0xFA03);
+    let n = 22u32;
+    let mut g = LabeledGraph::new();
+    for _ in 0..n {
+        g.add_node_with_label(["A", "B", "C"][rng.gen_range(0..3usize)]);
+    }
+    for _ in 0..3 * n {
+        g.add_edge(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+    }
+    let store = CompressedStore::new(
+        g.clone(),
+        StoreConfig::builder().patterns(true).threads(1).build(),
+    );
+    assert_both_sides_exact(&store, &g, "patterns: initial cut");
+    for _ in 0..2 {
+        let batch = random_batch(&mut rng, g.node_count(), 4, 0.6, false);
+        store.apply(&batch);
+        batch.apply_to(&mut g);
+    }
+    for site in ["store/maintain", "store/stage", "store/publish"] {
+        let wm = store.watermark();
+        let batch = random_batch(&mut rng, g.node_count(), 5, 0.5, false);
+        let err = {
+            let _armed = qpgc_fault::install(FaultPlan::new().fail_at(site, 1));
+            store.try_apply(&batch)
+        }
+        .expect_err(&format!("patterns: fault at `{site}` must surface as Err"));
+        assert!(
+            err.to_string().contains(site),
+            "patterns: error after `{site}` names the failpoint: {err}"
+        );
+        assert_eq!(
+            store.watermark(),
+            wm,
+            "patterns: watermark untouched after fault at `{site}`"
+        );
+        assert_both_sides_exact(
+            &store,
+            &g,
+            &format!("patterns: cut served after fault at `{site}`"),
+        );
+        let clean = random_batch(&mut rng, g.node_count(), 4, 0.6, false);
+        let report = store
+            .try_apply(&clean)
+            .unwrap_or_else(|e| panic!("patterns: clean batch after `{site}` failed: {e}"));
+        clean.apply_to(&mut g);
+        assert_eq!(
+            report.version,
+            wm + 1,
+            "patterns: clean batch after `{site}`"
+        );
+        assert!(
+            report.pattern.is_some(),
+            "patterns: the pattern side was maintained after `{site}`"
+        );
+        assert_both_sides_exact(
+            &store,
+            &g,
+            &format!("patterns: cut after clean batch at `{site}`"),
+        );
+    }
 }
 
 #[test]

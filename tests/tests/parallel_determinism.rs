@@ -22,7 +22,7 @@
 //! so the parallel from-scratch partition paths get exercised too).
 
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, GateMode, StoreConfig};
+use qpgc_serve::{CompressedStore, GateMode, ReachStore as _, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -125,24 +125,20 @@ fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: b
             }
             match (snap.two_hop(), base.two_hop()) {
                 (Some(idx), Some(bidx)) => {
-                    // Structural 2-hop equality holds only when every
-                    // store provably took the same patch/rebuild route
-                    // (a patched index keeps tombstones a rebuild
-                    // compacts away). Adaptive routing depends on
-                    // measured wall-clock, so there only the answers are
-                    // pinned.
-                    if gate != GateMode::Adaptive {
-                        assert_eq!(
-                            idx.landmark_order(),
-                            bidx.landmark_order(),
-                            "{tag}: 2-hop landmark order diverged"
-                        );
-                        assert_eq!(
-                            idx.label_entries(),
-                            bidx.label_entries(),
-                            "{tag}: 2-hop entry count diverged"
-                        );
-                    }
+                    // Routing is a pure function of the delta, so every
+                    // store took the same patch/rebuild route and the
+                    // indexes coincide structurally (a patched index keeps
+                    // tombstones a rebuild compacts away).
+                    assert_eq!(
+                        idx.landmark_order(),
+                        bidx.landmark_order(),
+                        "{tag}: 2-hop landmark order diverged"
+                    );
+                    assert_eq!(
+                        idx.label_entries(),
+                        bidx.label_entries(),
+                        "{tag}: 2-hop entry count diverged"
+                    );
                     // The index is keyed by quotient class ids, and the
                     // class index was just asserted equal — so probing
                     // both indexes at the same class pair is well-typed.
@@ -186,16 +182,12 @@ fn pattern_streams_are_thread_count_invariant() {
     }
 }
 
-/// Everything on at once — patterns, 2-hop, adaptive gate. The adaptive
-/// controller's decisions depend on *measured wall-clock*, which is not
-/// deterministic across runs — but whichever path it routes each batch
-/// to, the published structures must still be identical across thread
-/// counts, because patch and rebuild converge to the same stable-id
-/// structures. (The per-store controllers may route differently; the
-/// assertion is about structure, not route.)
+/// Everything on at once — patterns and the 2-hop index under the
+/// default fixed gate, so row-patched and rebuilt pattern views meet
+/// patched and rebuilt 2-hop indexes in the same stream.
 #[test]
-fn adaptive_streams_are_thread_count_invariant() {
+fn combined_streams_are_thread_count_invariant() {
     for i in 0..10 {
-        run_thread_differential(9300 + i, GateMode::Adaptive, true, true);
+        run_thread_differential(9300 + i, GateMode::default(), true, true);
     }
 }

@@ -53,27 +53,30 @@ fn pattern_scheme_constructs_and_answers() {
 #[test]
 fn maintained_reachability_constructs_and_applies() {
     let (g, n) = tiny_graph();
-    let mut maintained = MaintainedReachability::new(g);
-    assert!(!maintained.answer(&ReachQuery::new(n[4], n[0])));
+    let mut maintained = MaintainedGraph::new(g, false, 1);
+    assert!(!maintained.reach().query(n[4], n[0]));
     let mut batch = UpdateBatch::new();
     batch.insert(n[4], n[0]);
     maintained.apply(&batch);
-    assert!(maintained.answer(&ReachQuery::new(n[4], n[0])));
+    assert!(maintained.reach().query(n[4], n[0]));
 }
 
 #[test]
 fn maintained_pattern_constructs_and_applies() {
     let (g, n) = tiny_graph();
-    let mut maintained = MaintainedPattern::new(g);
+    let mut maintained = MaintainedGraph::new(g, true, 1);
     let mut p = Pattern::new();
     let a = p.add_node("A");
     let c = p.add_node("C");
     p.add_edge(a, c, 3);
-    assert!(maintained.answer(&p).is_some());
+    assert!(maintained.match_pattern(&p).is_some());
     let mut batch = UpdateBatch::new();
     batch.delete(n[3], n[4]);
     maintained.apply(&batch);
-    assert!(maintained.answer(&p).is_none(), "C became unreachable");
+    assert!(
+        maintained.match_pattern(&p).is_none(),
+        "C became unreachable"
+    );
 }
 
 /// Structural fingerprint of a graph: labels plus sorted edge list.

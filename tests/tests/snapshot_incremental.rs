@@ -30,7 +30,7 @@ use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
-use qpgc_serve::{ApplyPath, CompressedStore, StoreConfig};
+use qpgc_serve::{ApplyPath, CompressedStore, GateMode, ReachStore as _, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -103,7 +103,7 @@ fn run_stream(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = random_graph(&mut rng, 22, dag);
     let config = |threshold: f64| {
-        let mut builder = StoreConfig::builder().damage_threshold(threshold);
+        let mut builder = StoreConfig::builder().gate(GateMode::Fixed(threshold));
         if two_hop {
             builder = builder.two_hop(Default::default());
         }
@@ -291,7 +291,7 @@ fn run_pattern_stream(seed: u64, insert_bias: f64, damage_threshold: f64) -> usi
     let config = |threshold: f64| {
         StoreConfig::builder()
             .patterns(true)
-            .damage_threshold(threshold)
+            .gate(GateMode::Fixed(threshold))
             .build()
     };
     let delta_store = CompressedStore::new(g.clone(), config(damage_threshold));
@@ -388,16 +388,14 @@ fn damage_threshold_boundary_at_equality_patches() {
         let batch = random_batch(&mut rng, g.node_count(), 3, 0.5, false);
         let probe = CompressedStore::new(
             g.clone(),
-            StoreConfig::builder()
-                .damage_threshold(f64::INFINITY)
-                .build(),
+            StoreConfig::builder().gate(GateMode::AlwaysPatch).build(),
         );
         let ApplyPath::Patched { churn, .. } = probe.apply(&batch).path else {
             continue; // quiet batch; nothing to pin
         };
         let at_equality = CompressedStore::new(
             g.clone(),
-            StoreConfig::builder().damage_threshold(churn).build(),
+            StoreConfig::builder().gate(GateMode::Fixed(churn)).build(),
         );
         assert!(
             matches!(at_equality.apply(&batch).path, ApplyPath::Patched { .. }),
@@ -406,7 +404,7 @@ fn damage_threshold_boundary_at_equality_patches() {
         let just_below = CompressedStore::new(
             g,
             StoreConfig::builder()
-                .damage_threshold(churn * 0.999)
+                .gate(GateMode::Fixed(churn * 0.999))
                 .build(),
         );
         assert!(
@@ -429,7 +427,7 @@ fn long_patch_chains_stay_consistent() {
         g.clone(),
         StoreConfig::builder()
             .two_hop(Default::default())
-            .damage_threshold(f64::INFINITY)
+            .gate(GateMode::AlwaysPatch)
             .build(),
     );
     for step in 0..12 {

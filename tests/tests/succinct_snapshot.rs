@@ -24,7 +24,7 @@ use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
-use qpgc_serve::{CompressedStore, SnapshotFormat, StoreConfig};
+use qpgc_serve::{CompressedStore, ReachStore as _, SnapshotFormat, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
