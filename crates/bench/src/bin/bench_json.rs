@@ -1,10 +1,13 @@
 //! Writes a machine-readable perf snapshot (see `qpgc_bench::perf`).
 //!
 //! ```text
-//! cargo run --release -p qpgc_bench --bin bench_json -- --out BENCH_9.json
-//! cargo run --release -p qpgc_bench --bin bench_json -- --compare BENCH_8.json
+//! cargo run --release -p qpgc_bench --bin bench_json -- --out BENCH_<n>.json
+//! cargo run --release -p qpgc_bench --bin bench_json -- --compare BENCH_9.json
 //! QPGC_SCALE=500 cargo run --release -p qpgc_bench --bin bench_json
 //! ```
+//!
+//! Without `--out` the snapshot goes to `target/bench_snapshot.json`, which
+//! git ignores: a bare run never overwrites a committed `BENCH_<n>.json`.
 //!
 //! Unlike `reproduce`, the default scale here is **1** (full citHepTh-scale,
 //! ≈28k nodes) because the snapshot exists to track the perf trajectory at a
@@ -16,7 +19,7 @@
 use qpgc_bench::perf::{compare_report, perf_snapshot};
 
 fn main() {
-    let mut out_path = String::from("BENCH_9.json");
+    let mut out_path = String::from("target/bench_snapshot.json");
     let mut compare_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -168,6 +171,11 @@ fn main() {
         eprint!("{}", compare_report(&prev, &snap));
     }
 
+    // The default path's directory is missing when the build went to another
+    // target directory; the run is too long to lose to that.
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
     std::fs::write(&out_path, snap.to_json()).unwrap_or_else(|e| {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);

@@ -119,11 +119,13 @@
 //! Produce a snapshot with:
 //!
 //! ```text
-//! cargo run --release -p qpgc_bench --bin bench_json -- --out BENCH_9.json
+//! cargo run --release -p qpgc_bench --bin bench_json -- --out BENCH_<n>.json
 //! QPGC_SCALE=500 cargo run --release -p qpgc_bench --bin bench_json   # CI smoke
-//! cargo run --release -p qpgc_bench --bin bench_json -- --compare BENCH_8.json
+//! cargo run --release -p qpgc_bench --bin bench_json -- --compare BENCH_9.json
 //! ```
 //!
+//! Without `--out` the snapshot is written to `target/bench_snapshot.json`
+//! (ignored by git), never over a committed baseline.
 //! `--compare` prints a per-phase regression table against a previously
 //! committed snapshot (the ROADMAP's compare-against-previous convention).
 //!

@@ -24,13 +24,28 @@
 //!
 //! Stable class ids must be a pure function of the update stream — the
 //! serving layer's snapshot differentials and the benchmark's
-//! `compression_ratio` / `snapshot_bytes_per_node` checks depend on it. So
-//! nothing here that feeds an id may observe hash iteration order:
-//! affected classes, quotient-edge keys and retirements are all sorted
-//! before use, and the free-id stack is LIFO (`qpgc_lint`'s
-//! `deterministic-iteration` rule audits this file).
+//! `compression_ratio` / `snapshot_bytes_per_node` checks depend on it. The
+//! maintained state is therefore hash-free: the class-level edges live in
+//! per-id **rows** (`out_rows[c]` — `(target, count)` pairs, `in_rows[c]` —
+//! sources), every row sorted ascending by class id, and every scratch
+//! table of a maintenance step (cone marks, atom and hybrid-node lookups,
+//! retirements, births) is a vector indexed by class or node id. Whatever
+//! feeds an id — the affected classes, the hybrid graph's node order and
+//! edge set, retirements, the LIFO free-id stack — is read off those
+//! vectors in ascending id order, so there is no iteration order to leak
+//! (`qpgc_lint`'s `deterministic-iteration` rule audits this file and
+//! finds nothing to allow).
+//!
+//! ## Cost
+//!
+//! Rows are the only representation of the class-level edges: the cone
+//! walks, class-level reachability probes, the hybrid graph's atom edges
+//! and the stable exports all read them in place. A step updates them in
+//! `O(deg)` per retired or born class — a retired class is unlinked from
+//! its neighbours' rows, a born class's rows are rebuilt from its members'
+//! adjacency — so bookkeeping is paid for the affected region, not for
+//! `|Er|`.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt::Debug;
 
 use crate::graph::LabeledGraph;
@@ -147,6 +162,10 @@ impl Unit {
     }
 }
 
+/// Marks a class that is exploded into its members (or not live) in the
+/// per-step class → hybrid-atom table.
+const NO_ATOM: u32 = u32::MAX;
+
 /// An incrementally maintained quotient of a data graph by the relation
 /// `E`, under stable class ids: ids survive across updates for classes a
 /// step leaves untouched, and retired ids are recycled.
@@ -162,9 +181,21 @@ pub struct IncrementalQuotient<E: Equivalence> {
     active: Vec<bool>,
     /// Recycled class ids (LIFO).
     free_ids: Vec<u32>,
-    /// Directed counts of original edges between classes; `(c, c)` entries
-    /// exist only under [`Equivalence::SELF_EDGES`].
-    q_edges: HashMap<(u32, u32), u32>,
+    /// Number of active ids.
+    live: usize,
+    /// `out_rows[c]` — the classes `c` has an edge to, as `(target, number
+    /// of original edges behind the class edge)`, ascending by target;
+    /// empty for inactive ids. `(c, c)` entries exist only under
+    /// [`Equivalence::SELF_EDGES`].
+    out_rows: Vec<Vec<(u32, u32)>>,
+    /// `in_rows[c]` — the sources of the class edges into `c`, ascending:
+    /// the mirror of `out_rows`.
+    in_rows: Vec<Vec<u32>>,
+    /// Scratch of [`IncrementalQuotient::recompute`]: the hybrid node of
+    /// each exploded member. Meaningful only during a step, and only for
+    /// members of that step's affected classes; kept across steps so a
+    /// step allocates nothing of size `|V|`.
+    hybrid_of_node: Vec<u32>,
     /// Worker count handed to the partition kernel (`0` = available
     /// parallelism). Kernel output is bit-identical at every value.
     threads: usize,
@@ -172,31 +203,31 @@ pub struct IncrementalQuotient<E: Equivalence> {
 
 impl<E: Equivalence> IncrementalQuotient<E> {
     /// Partitions `g` from scratch (the batch step that is then
-    /// maintained) and counts its class-level edges.
+    /// maintained) and builds the class-level rows from its edges.
     pub fn new(g: &LabeledGraph, threads: usize) -> Self {
         let partition = E::partition(g, threads);
-        let mut q_edges: HashMap<(u32, u32), u32> = HashMap::new();
-        for (u, v) in g.edges() {
-            let cu = partition.class_of[u.index()];
-            let cv = partition.class_of[v.index()];
-            if E::SELF_EDGES || cu != cv {
-                *q_edges.entry((cu, cv)).or_insert(0) += 1;
-            }
-        }
-        IncrementalQuotient {
-            active: vec![true; partition.members.len()],
+        let classes = partition.members.len();
+        let mut q = IncrementalQuotient {
+            hybrid_of_node: vec![0; partition.class_of.len()],
             class_of: partition.class_of,
             members: partition.members,
             payload: partition.payload,
+            active: vec![true; classes],
             free_ids: Vec::new(),
-            q_edges,
+            live: classes,
+            out_rows: vec![Vec::new(); classes],
+            in_rows: vec![Vec::new(); classes],
             threads,
-        }
+        };
+        let all: Vec<u32> = (0..classes as u32).collect();
+        q.link(g, &all);
+        q
     }
 
     /// Number of active equivalence classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        debug_assert_eq!(self.live, self.active.iter().filter(|&&a| a).count());
+        self.live
     }
 
     /// Size of the stable id space (`max id + 1`, holes included).
@@ -206,7 +237,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
 
     /// Number of distinct class-level edges currently tracked.
     pub fn quotient_edge_count(&self) -> usize {
-        self.q_edges.len()
+        self.out_rows.iter().map(Vec::len).sum()
     }
 
     /// The stable class id of node `v`.
@@ -234,57 +265,49 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         &self.active
     }
 
+    /// The class-level edges leaving class `c`, as `(target, number of
+    /// original edges)`, ascending by target.
+    pub fn out_row(&self, c: u32) -> &[(u32, u32)] {
+        &self.out_rows[c as usize]
+    }
+
     /// The distinct class-level edges, sorted by `(source, target)` stable
-    /// id — sorted so that nothing materialized from them is a hash-order
-    /// artifact.
+    /// id: the out-rows, concatenated in id order.
     pub fn sorted_edges(&self) -> Vec<(u32, u32)> {
-        let mut edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
-        edges.sort_unstable();
+        let mut edges = Vec::with_capacity(self.quotient_edge_count());
+        for (a, row) in self.out_rows.iter().enumerate() {
+            edges.extend(row.iter().map(|&(b, _)| (a as u32, b)));
+        }
         edges
     }
 
-    /// Class-level adjacency lists over the tracked edges (`forward`
-    /// follows edges, otherwise they are reversed). Neighbor-list order is
-    /// hash order: use it only for traversals whose result is a set or a
-    /// bool.
-    pub fn adjacency(&self, forward: bool) -> HashMap<u32, Vec<u32>> {
-        let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-        // qpgc-lint: allow(deterministic-iteration) -- the adjacency only
-        // drives BFS traversals (`cone` below, `class_reaches` on the
-        // reachability side) whose results are a visited *set* or a bool:
-        // both are identical under any edge visit order, every consumer of
-        // a cone sorts before order matters (`affected_sorted` in
-        // `recompute`), and sorting here would tax the per-query path.
-        for &(a, b) in self.q_edges.keys() {
-            if forward {
-                adj.entry(a).or_default().push(b);
-            } else {
-                adj.entry(b).or_default().push(a);
+    /// Multi-source walk over the rows (`forward` follows class edges,
+    /// otherwise they are reversed): sets `reached[c]` for every class
+    /// reached *including* the sources, and leaves the rest of `reached`
+    /// as it was.
+    fn cone(&self, sources: impl Iterator<Item = u32>, forward: bool, reached: &mut [bool]) {
+        let mut visited = vec![false; self.id_space()];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut visit = |c: u32, stack: &mut Vec<u32>| {
+            if !std::mem::replace(&mut visited[c as usize], true) {
+                stack.push(c);
             }
+        };
+        for c in sources {
+            visit(c, &mut stack);
         }
-        adj
-    }
-
-    /// Multi-source BFS over class-level edges; `forward` follows edges,
-    /// otherwise reverse edges. Returns every class reached *including*
-    /// the sources.
-    fn cone(&self, sources: &HashSet<u32>, forward: bool) -> HashSet<u32> {
-        let adj = self.adjacency(forward);
-        let mut visited: HashSet<u32> = sources.clone();
-        // qpgc-lint: allow(deterministic-iteration) -- seed order only
-        // permutes the BFS schedule; the visited-set fixpoint it computes
-        // is order-insensitive.
-        let mut queue: VecDeque<u32> = sources.iter().copied().collect();
-        while let Some(c) = queue.pop_front() {
-            if let Some(next) = adj.get(&c) {
-                for &d in next {
-                    if visited.insert(d) {
-                        queue.push_back(d);
-                    }
+        while let Some(c) = stack.pop() {
+            reached[c as usize] = true;
+            if forward {
+                for &(d, _) in &self.out_rows[c as usize] {
+                    visit(d, &mut stack);
+                }
+            } else {
+                for &d in &self.in_rows[c as usize] {
+                    visit(d, &mut stack);
                 }
             }
         }
-        visited
     }
 
     /// Maintains the quotient across the effective edge updates `updates`,
@@ -306,105 +329,110 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             };
             return (IncStats::default(), delta);
         }
-        let up_sources: HashSet<u32> = updates.iter().map(|&(a, _)| self.class_of(a)).collect();
-        let mut affected = self.cone(&up_sources, false);
+        let mut is_affected = vec![false; self.id_space()];
+        let sources = updates.iter().map(|&(a, _)| self.class_of(a));
+        self.cone(sources, false, &mut is_affected);
         if E::ANCESTOR_SENSITIVE {
-            let down_sources: HashSet<u32> =
-                updates.iter().map(|&(_, b)| self.class_of(b)).collect();
-            affected.extend(self.cone(&down_sources, true));
+            let targets = updates.iter().map(|&(_, b)| self.class_of(b));
+            self.cone(targets, true, &mut is_affected);
         }
+        let affected = marked(&is_affected);
         let mut stats = IncStats {
             effective_updates: updates.len(),
             affected_classes: affected.len(),
-            // qpgc-lint: allow(deterministic-iteration) -- a commutative
-            // sum over set members: any iteration order yields the same
-            // total.
             affected_nodes: affected
                 .iter()
                 .map(|&c| self.members[c as usize].len())
                 .sum(),
             ..IncStats::default()
         };
-        let (hybrid_nodes, delta) = self.recompute(g, &affected);
+        let (hybrid_nodes, delta) = self.recompute(g, &affected, is_affected);
         stats.hybrid_nodes = hybrid_nodes;
         stats.changed_classes = delta.added.len();
         (stats, delta)
     }
 
-    /// Rebuilds the relation inside the affected region and patches the
+    /// Rebuilds the relation inside the affected region (`affected`,
+    /// ascending, with `is_affected` its membership table) and patches the
     /// state. Returns the hybrid graph's node count and the structured
     /// delta of retired and created classes.
-    fn recompute(&mut self, g: &LabeledGraph, affected: &HashSet<u32>) -> (usize, PartitionDelta) {
+    fn recompute(
+        &mut self,
+        g: &LabeledGraph,
+        affected: &[u32],
+        is_affected: Vec<bool>,
+    ) -> (usize, PartitionDelta) {
         // ---- Build the hybrid graph. -------------------------------------
+        // Hybrid node ids (and through them the ids handed out for the
+        // rebuilt classes) follow class id order: one atom per unaffected
+        // live class, then the members of the affected classes.
         let mut hybrid = LabeledGraph::new();
         let mut units: Vec<Unit> = Vec::new();
-        let mut atom_of_class: HashMap<u32, NodeId> = HashMap::new();
-        let mut hybrid_of_node: HashMap<NodeId, NodeId> = HashMap::new();
-
-        for c in 0..self.members.len() as u32 {
-            if !self.active[c as usize] || affected.contains(&c) {
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut atom_of_class = vec![NO_ATOM; self.id_space()];
+        for c in 0..self.id_space() {
+            if !self.active[c] || is_affected[c] {
                 continue;
             }
-            let h = hybrid.add_node(E::class_label(self.payload[c as usize]));
-            units.push(Unit::Atom(c));
-            atom_of_class.insert(c, h);
-            if E::cyclic(self.payload[c as usize]) {
+            let h = hybrid.add_node(E::class_label(self.payload[c]));
+            units.push(Unit::Atom(c as u32));
+            atom_of_class[c] = h.0;
+            if E::cyclic(self.payload[c]) {
                 // A cyclic class reaches itself via non-empty paths; the self
                 // loop keeps that visible to the equivalence computation.
-                hybrid.add_edge(h, h);
+                edges.push((h, h));
             }
         }
-        // Iterate affected classes in sorted order: hybrid node ids (and
-        // through them the ids handed out for the rebuilt classes) must not
-        // depend on hash-set iteration order, so that identical update
-        // streams always produce identical stable ids — the property the
-        // serving layer's snapshot differential relies on.
-        let mut affected_sorted: Vec<u32> = affected.iter().copied().collect();
-        affected_sorted.sort_unstable();
-        let mut exploded: Vec<NodeId> = Vec::new();
-        for &c in &affected_sorted {
+        for &c in affected {
             for &v in &self.members[c as usize] {
                 let h = hybrid.add_node(E::node_label(g, v));
                 units.push(Unit::Member(v));
-                hybrid_of_node.insert(v, h);
-                exploded.push(v);
+                self.hybrid_of_node[v.index()] = h.0;
             }
         }
 
-        // Edges between unaffected classes come from the maintained
-        // class-level edge counters (self entries included, where the
-        // relation keeps them), iterated in sorted order: the hybrid
-        // graph's adjacency feeds the equivalence recomputation that hands
-        // out stable ids, so nothing about its construction may depend on
-        // hash iteration order.
-        for &(a, b) in &self.sorted_edges() {
-            if let (Some(&ha), Some(&hb)) = (atom_of_class.get(&a), atom_of_class.get(&b)) {
-                hybrid.add_edge(ha, hb);
+        // Edges between unaffected classes are their rows (self entries
+        // included, where the relation keeps them).
+        for (a, row) in self.out_rows.iter().enumerate() {
+            let ha = atom_of_class[a];
+            if ha == NO_ATOM {
+                continue;
+            }
+            for &(b, _) in row {
+                let hb = atom_of_class[b as usize];
+                if hb != NO_ATOM {
+                    edges.push((NodeId(ha), NodeId(hb)));
+                }
             }
         }
         // Edges incident to affected members come from the (already updated)
         // data graph adjacency of exactly those members.
-        for &v in &exploded {
-            let hv = hybrid_of_node[&v];
-            for &w in g.out_neighbors(v) {
-                let hw = match hybrid_of_node.get(&w) {
-                    Some(&h) => h,
-                    None => atom_of_class[&self.class_of(w)],
-                };
-                hybrid.add_edge(hv, hw);
-            }
-            // A relation that only looks downward has no unaffected class
-            // with an edge into an affected one (the affected set is closed
-            // under ancestors), so its in-edges need no handling.
-            if E::ANCESTOR_SENSITIVE {
-                for &z in g.in_neighbors(v) {
-                    if !hybrid_of_node.contains_key(&z) {
-                        let hz = atom_of_class[&self.class_of(z)];
-                        hybrid.add_edge(hz, hv);
+        for &c in affected {
+            for &v in &self.members[c as usize] {
+                let hv = NodeId(self.hybrid_of_node[v.index()]);
+                for &w in g.out_neighbors(v) {
+                    let hw = match atom_of_class[self.class_of(w) as usize] {
+                        NO_ATOM => self.hybrid_of_node[w.index()],
+                        atom => atom,
+                    };
+                    edges.push((hv, NodeId(hw)));
+                }
+                // A relation that only looks downward has no unaffected class
+                // with an edge into an affected one (the affected set is closed
+                // under ancestors), so its in-edges need no handling.
+                if E::ANCESTOR_SENSITIVE {
+                    for &z in g.in_neighbors(v) {
+                        let hz = atom_of_class[self.class_of(z) as usize];
+                        if hz != NO_ATOM {
+                            edges.push((NodeId(hz), hv));
+                        }
                     }
                 }
             }
         }
+        // Several member edges can land on one atom pair: the bulk insert
+        // sorts and deduplicates once.
+        hybrid.extend_edges(edges);
 
         // ---- Recompute the equivalence on the hybrid graph. --------------
         let part = E::partition(&hybrid, self.threads);
@@ -420,11 +448,11 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // ---- Patch the maintained state. ----------------------------------
         // Classes whose composition changes: all affected classes, plus any
         // unaffected atom that merges with something else.
-        let mut retired: HashSet<u32> = affected.clone();
+        let mut is_retired = is_affected;
         for group in groups.iter().filter(|group| !unchanged(group)) {
             for unit in group {
                 if let Unit::Atom(c) = unit {
-                    retired.insert(*c);
+                    is_retired[*c as usize] = true;
                 }
             }
         }
@@ -460,20 +488,19 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             pending.push((member_nodes, part.payload[gi], origins));
         }
 
-        // Pass B: retire changed classes and drop the class-level edges
-        // touching them; they are rebuilt below from the adjacency of the
-        // new classes' members. Retiring in sorted id order keeps the
-        // free-id stack — and hence the ids recycled by Pass C — fully
-        // deterministic.
-        self.q_edges
-            .retain(|&(a, b), _| !retired.contains(&a) && !retired.contains(&b));
-        let mut removed: Vec<u32> = retired.into_iter().collect();
-        removed.sort_unstable();
+        // Pass B: retire changed classes and unlink them from the rows of
+        // the classes that stay; their edges are rebuilt below from the
+        // adjacency of the new classes' members. Retiring in ascending id
+        // order keeps the free-id stack — and hence the ids recycled by
+        // Pass C — fully deterministic.
+        let removed = marked(&is_retired);
         for &c in &removed {
+            self.unlink(c, &is_retired);
             self.active[c as usize] = false;
             self.members[c as usize].clear();
             self.free_ids.push(c);
         }
+        self.live -= removed.len();
 
         // Pass C: create the new classes (recycling retired ids).
         let mut new_ids: Vec<u32> = Vec::new();
@@ -485,6 +512,8 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     self.members.push(Vec::new());
                     self.payload.push(class);
                     self.active.push(false);
+                    self.out_rows.push(Vec::new());
+                    self.in_rows.push(Vec::new());
                     (self.members.len() - 1) as u32
                 }
             };
@@ -502,27 +531,8 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             self.active[id as usize] = true;
             new_ids.push(id);
         }
-
-        // Rebuild class-level edge counters incident to the new classes.
-        let new_set: HashSet<u32> = new_ids.iter().copied().collect();
-        for &id in &new_ids {
-            // Iterate over a snapshot because `class_of` is already final.
-            let members = self.members[id as usize].clone();
-            for v in members {
-                for &w in g.out_neighbors(v) {
-                    let cw = self.class_of(w);
-                    if E::SELF_EDGES || cw != id {
-                        *self.q_edges.entry((id, cw)).or_insert(0) += 1;
-                    }
-                }
-                for &z in g.in_neighbors(v) {
-                    let cz = self.class_of(z);
-                    if cz != id && !new_set.contains(&cz) {
-                        *self.q_edges.entry((cz, id)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
+        self.live += new_ids.len();
+        self.link(g, &new_ids);
 
         let delta = PartitionDelta {
             removed,
@@ -532,24 +542,217 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         (units.len(), delta)
     }
 
-    /// Dense renumbering of the active class ids (ascending id order): the
-    /// stable → dense id map plus the partition expressed in dense ids
-    /// (class `i` is the `i`-th active class in id order).
-    pub fn dense(&self) -> (HashMap<u32, u32>, Classes<E::Class>) {
-        let mut dense: HashMap<u32, u32> = HashMap::new();
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let mut payload: Vec<E::Class> = Vec::new();
-        for c in 0..self.members.len() as u32 {
-            if self.active[c as usize] {
-                dense.insert(c, members.len() as u32);
-                members.push(self.members[c as usize].clone());
-                payload.push(self.payload[c as usize]);
+    /// Empties the rows of the retiring class `c` and removes `c` from the
+    /// rows of every neighbour that is not retiring with it.
+    fn unlink(&mut self, c: u32, is_retired: &[bool]) {
+        for (t, _) in std::mem::take(&mut self.out_rows[c as usize]) {
+            if !is_retired[t as usize] {
+                let row = &mut self.in_rows[t as usize];
+                let at = row.binary_search(&c).expect("in-rows mirror out-rows");
+                row.remove(at);
             }
         }
-        let mut class_of = vec![0u32; self.class_of.len()];
-        for (v, &c) in self.class_of.iter().enumerate() {
-            class_of[v] = dense[&c];
+        for s in std::mem::take(&mut self.in_rows[c as usize]) {
+            if !is_retired[s as usize] {
+                let row = &mut self.out_rows[s as usize];
+                let at = row
+                    .binary_search_by_key(&c, |&(t, _)| t)
+                    .expect("out-rows mirror in-rows");
+                row.remove(at);
+            }
         }
+    }
+
+    /// Builds every class-level edge incident to the classes `born`, whose
+    /// rows are empty and which no other row mentions, from the adjacency
+    /// of their members (`class_of` is already final). One sorted pass:
+    /// the edges arrive ordered by `(source, target)`, so a born class's
+    /// rows are filled by appending and only the rows of its surviving
+    /// neighbours take sorted insertions.
+    fn link(&mut self, g: &LabeledGraph, born: &[u32]) {
+        let mut is_born = vec![false; self.id_space()];
+        for &id in born {
+            is_born[id as usize] = true;
+        }
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for &id in born {
+            for &v in &self.members[id as usize] {
+                for &w in g.out_neighbors(v) {
+                    let cw = self.class_of(w);
+                    if E::SELF_EDGES || cw != id {
+                        pairs.push((id, cw));
+                    }
+                }
+                // Edges from another born class are that class's out-edges.
+                for &z in g.in_neighbors(v) {
+                    let cz = self.class_of(z);
+                    if !is_born[cz as usize] {
+                        pairs.push((cz, id));
+                    }
+                }
+            }
+        }
+        pairs.sort_unstable();
+        for run in pairs.chunk_by(|x, y| x == y) {
+            let (a, b) = run[0];
+            let entry = (b, run.len() as u32);
+            let out = &mut self.out_rows[a as usize];
+            if is_born[a as usize] {
+                out.push(entry);
+            } else {
+                let at = out.partition_point(|&(t, _)| t < b);
+                out.insert(at, entry);
+            }
+            let inn = &mut self.in_rows[b as usize];
+            if is_born[b as usize] {
+                inn.push(a);
+            } else {
+                let at = inn.partition_point(|&s| s < a);
+                inn.insert(at, a);
+            }
+        }
+    }
+
+    /// Checks the maintained state against `g` (which must be the graph the
+    /// last step was applied to): every row is strictly ascending with
+    /// non-zero counts, in-rows mirror out-rows, inactive ids have empty
+    /// rows and appear in none, `free_ids` and the active ids partition the
+    /// id space, the live counter equals a scan, `members` inverts
+    /// `class_of`, and the `(target, count)` entries equal a recount of
+    /// `g`'s edges through `class_of` — except that a class edge `(a, b)`
+    /// may be counted short, or be missing, where `implied(a, b)` holds:
+    /// the caller's statement that it withheld edges between those classes
+    /// from [`IncrementalQuotient::apply_effective`] because the relation
+    /// does not depend on them (pass `|_, _| false` if it withholds none).
+    /// `Err` names the first violation.
+    pub fn check_invariants(
+        &self,
+        g: &LabeledGraph,
+        implied: impl Fn(u32, u32) -> bool,
+    ) -> Result<(), String> {
+        let n = self.id_space();
+        let tables = [
+            self.payload.len(),
+            self.active.len(),
+            self.out_rows.len(),
+            self.in_rows.len(),
+        ];
+        if tables.iter().any(|&len| len != n) {
+            return Err(format!(
+                "per-id tables {tables:?} disagree with id space {n}"
+            ));
+        }
+
+        let mut seen = self.active.clone();
+        for &c in &self.free_ids {
+            if std::mem::replace(&mut seen[c as usize], true) {
+                return Err(format!("free id {c} is active or listed twice"));
+            }
+        }
+        if let Some(c) = seen.iter().position(|&s| !s) {
+            return Err(format!("id {c} is neither active nor free"));
+        }
+        let scan = self.active.iter().filter(|&&a| a).count();
+        if self.live != scan {
+            return Err(format!("live counter {} but {scan} active ids", self.live));
+        }
+
+        if self.class_of.len() != g.node_count() {
+            return Err("class_of does not cover the graph's nodes".to_string());
+        }
+        for (c, members) in self.members.iter().enumerate() {
+            if !self.active[c] && !members.is_empty() {
+                return Err(format!("inactive id {c} has members"));
+            }
+            if !members.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("members of class {c} are not strictly ascending"));
+            }
+            if members.iter().any(|v| self.class_of[v.index()] != c as u32) {
+                return Err(format!("class {c} lists a member class_of maps elsewhere"));
+            }
+        }
+        let listed: usize = self.members.iter().map(Vec::len).sum();
+        if listed != self.class_of.len() {
+            return Err(format!(
+                "{listed} members listed for {} nodes",
+                self.class_of.len()
+            ));
+        }
+
+        let mut mirror: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for (a, row) in self.out_rows.iter().enumerate() {
+            if !row.windows(2).all(|w| w[0].0 < w[1].0) {
+                return Err(format!("out-row of class {a} is not strictly ascending"));
+            }
+            for &(b, count) in row {
+                if count == 0 || !self.active.get(b as usize).is_some_and(|&live| live) {
+                    return Err(format!(
+                        "class edge ({a},{b}) ×{count} is empty or dangling"
+                    ));
+                }
+                mirror[b as usize].push(a as u32);
+            }
+        }
+        if let Some(c) = (0..n).find(|&c| mirror[c] != self.in_rows[c]) {
+            return Err(format!(
+                "in-row of class {c} is {:?}, the out-rows give {:?}",
+                self.in_rows[c], mirror[c]
+            ));
+        }
+
+        let mut recount: Vec<(u32, u32)> = g
+            .edges()
+            .map(|(u, v)| (self.class_of(u), self.class_of(v)))
+            .filter(|&(a, b)| E::SELF_EDGES || a != b)
+            .collect();
+        recount.sort_unstable();
+        let mut expected: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        for run in recount.chunk_by(|x, y| x == y) {
+            let (a, b) = run[0];
+            expected[a as usize].push((b, run.len() as u32));
+        }
+        for (a, expected) in expected.iter().enumerate() {
+            let a = a as u32;
+            let untracked =
+                |t: u32| format!("class edge ({a},{t}) has no edge of the graph behind it");
+            let mut row = self.out_rows[a as usize].iter().peekable();
+            for &(b, edges) in expected {
+                let counted = match row.peek() {
+                    Some(&&(t, _)) if t < b => return Err(untracked(t)),
+                    Some(&&(t, count)) if t == b => {
+                        row.next();
+                        count
+                    }
+                    _ => 0,
+                };
+                if counted > edges || (counted < edges && !implied(a, b)) {
+                    return Err(format!(
+                        "class edge ({a},{b}) is counted {counted} times, \
+                         the graph has {edges} such edges"
+                    ));
+                }
+            }
+            if let Some(&(t, _)) = row.next() {
+                return Err(untracked(t));
+            }
+        }
+        Ok(())
+    }
+
+    /// Dense renumbering of the active class ids (ascending id order): the
+    /// stable → dense id table (meaningless at inactive ids) plus the
+    /// partition expressed in dense ids (class `i` is the `i`-th active
+    /// class in id order).
+    pub fn dense(&self) -> (Vec<u32>, Classes<E::Class>) {
+        let mut dense = vec![0u32; self.id_space()];
+        let mut members: Vec<Vec<NodeId>> = Vec::new();
+        let mut payload: Vec<E::Class> = Vec::new();
+        for c in marked(&self.active) {
+            dense[c as usize] = members.len() as u32;
+            members.push(self.members[c as usize].clone());
+            payload.push(self.payload[c as usize]);
+        }
+        let class_of = self.class_of.iter().map(|&c| dense[c as usize]).collect();
         (
             dense,
             Classes {
@@ -559,4 +762,11 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             },
         )
     }
+}
+
+/// The ids marked in a per-id table, ascending.
+fn marked(table: &[bool]) -> Vec<u32> {
+    (0..table.len() as u32)
+        .filter(|&c| table[c as usize])
+        .collect()
 }

@@ -80,6 +80,9 @@ pub struct StablePatternQuotient {
     /// vocabulary. Fresh (empty) in the light export — patch consumers
     /// keep their own interner.
     pub interner: LabelInterner,
+    /// Number of `true` entries of `active`, carried so consumers need not
+    /// scan for it.
+    pub live_classes: usize,
 }
 
 impl StablePatternQuotient {
@@ -90,7 +93,11 @@ impl StablePatternQuotient {
 
     /// Number of live classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        debug_assert_eq!(
+            self.live_classes,
+            self.active.iter().filter(|&&a| a).count()
+        );
+        self.live_classes
     }
 }
 
@@ -173,6 +180,12 @@ impl IncrementalPattern {
         self.q.class_of(v)
     }
 
+    /// Checks the maintained state against `g`, the graph the last batch was
+    /// applied to; see [`IncrementalQuotient::check_invariants`].
+    pub fn check_invariants(&self, g: &LabeledGraph) -> Result<(), String> {
+        self.q.check_invariants(g, |_, _| false)
+    }
+
     /// Applies the update batch: mutates `g` to `G ⊕ ΔG` and maintains the
     /// compressed state so that it equals `R(G ⊕ ΔG)`.
     pub fn apply(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> IncStats {
@@ -209,7 +222,9 @@ impl IncrementalPattern {
         norm: &UpdateBatch,
     ) -> (IncStats, PartitionDelta) {
         let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
-        self.q.apply_effective(g, &edges)
+        let step = self.q.apply_effective(g, &edges);
+        debug_assert_eq!(self.check_invariants(g), Ok(()));
+        step
     }
 
     /// Applies a batch one update at a time, re-running the incremental
@@ -265,6 +280,7 @@ impl IncrementalPattern {
             members: vec![Arc::from(&[][..]); self.q.id_space()],
             edges: self.q.sorted_edges(),
             interner: LabelInterner::new(),
+            live_classes: self.q.class_count(),
         }
     }
 
@@ -284,8 +300,8 @@ impl IncrementalPattern {
                 }
             }
         }
-        for &(a, b) in &self.q.sorted_edges() {
-            quotient.add_edge(NodeId(dense[&a]), NodeId(dense[&b]));
+        for (a, b) in self.q.sorted_edges() {
+            quotient.add_edge(NodeId(dense[a as usize]), NodeId(dense[b as usize]));
         }
 
         PatternCompression {

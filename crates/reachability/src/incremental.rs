@@ -36,12 +36,22 @@
 //! 4. **Patch the state** — splice the new classes into the node → class
 //!    index and rebuild the inter-class edge counters incident to them.
 //!
-//! The cost is `O((|AFF| + |Gr|)²/w + edges incident to affected members)`,
-//! independent of `|G|`, matching the spirit of the paper's
-//! `O(|AFF| · |Gr|)` bound (the problem itself is unbounded — Theorem 6 —
-//! so no algorithm can depend on `|ΔG| + |ΔGr|` alone).
-
-use std::collections::{HashSet, VecDeque};
+//! ## Cost
+//!
+//! A step pays for the affected region, not for `|ΔG| × |Er|`. The
+//! compressed edges are kept as sorted per-class rows
+//! ([`IncrementalQuotient`]) that every part of the step reads in place:
+//! the redundancy rule of step 1 is one early-exit walk over the rows per
+//! insertion, and runs only when its answer can be used (an insertion-only
+//! batch); step 2 is two walks bounded by the cones they return; step 4
+//! unlinks each retired class from, and links each born class into, its
+//! neighbours' rows in time proportional to their degrees. What remains
+//! proportional to `|Gr|` is step 3 — one atom per unaffected class and the
+//! equivalence kernel on the hybrid graph,
+//! `O((|AFF members| + |Gr|)²/w + edges incident to affected members)` —
+//! independent of `|G|` and in the spirit of the paper's `O(|AFF| · |Gr|)`
+//! bound (the problem itself is unbounded — Theorem 6 — so no algorithm can
+//! depend on `|ΔG| + |ΔGr|` alone).
 
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::transitive::transitive_reduction;
@@ -75,6 +85,9 @@ pub struct StableQuotient {
     /// Distinct inter-class edges of the (unreduced) quotient, sorted by
     /// `(source, target)` stable id.
     pub edges: Vec<(u32, u32)>,
+    /// Number of `true` entries of `active`, carried so consumers need not
+    /// scan for it.
+    pub live_classes: usize,
 }
 
 impl StableQuotient {
@@ -85,7 +98,11 @@ impl StableQuotient {
 
     /// Number of live classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
-        self.active.iter().filter(|&&a| a).count()
+        debug_assert_eq!(
+            self.live_classes,
+            self.active.iter().filter(|&&a| a).count()
+        );
+        self.live_classes
     }
 }
 
@@ -172,8 +189,17 @@ impl IncrementalReach {
         self.q.class_of(v)
     }
 
+    /// Checks the maintained state against `g`, the graph the last batch was
+    /// applied to; see [`IncrementalQuotient::check_invariants`]. The
+    /// class-level edges may lag `g` by insertions dropped as redundant,
+    /// i.e. by edges between classes the tracked edges already connect.
+    pub fn check_invariants(&self, g: &LabeledGraph) -> Result<(), String> {
+        self.q
+            .check_invariants(g, |from, to| self.class_reaches(from, to))
+    }
+
     /// Answers the reachability query `QR(v, w)` using only the compressed
-    /// state (BFS over the class-level edges).
+    /// state (a walk over the class-level rows).
     pub fn query(&self, v: NodeId, w: NodeId) -> bool {
         if v == w {
             return true;
@@ -186,21 +212,19 @@ impl IncrementalReach {
         self.class_reaches(cv, cw)
     }
 
+    /// Whether class `from` reaches class `to` by a non-empty path of
+    /// class-level edges; stops at the first row that mentions `to`.
     fn class_reaches(&self, from: u32, to: u32) -> bool {
-        let adj = self.q.adjacency(true);
-        let mut visited = HashSet::new();
-        let mut queue = VecDeque::new();
-        visited.insert(from);
-        queue.push_back(from);
-        while let Some(c) = queue.pop_front() {
-            if let Some(next) = adj.get(&c) {
-                for &d in next {
-                    if d == to {
-                        return true;
-                    }
-                    if visited.insert(d) {
-                        queue.push_back(d);
-                    }
+        let mut visited = vec![false; self.q.id_space()];
+        let mut stack = vec![from];
+        visited[from as usize] = true;
+        while let Some(c) = stack.pop() {
+            for &(d, _) in self.q.out_row(c) {
+                if d == to {
+                    return true;
+                }
+                if !std::mem::replace(&mut visited[d as usize], true) {
+                    stack.push(d);
                 }
             }
         }
@@ -243,6 +267,8 @@ impl IncrementalReach {
         // only, because insertions never invalidate the implying paths).
         // Redundant updates still changed the edge set, just not the
         // reachability relation — they are dropped from maintenance only.
+        // The rule is evaluated only then: in a batch that also deletes,
+        // its answer could not be used.
         let insertions_only = norm.updates().iter().all(|u| u.is_insert());
         let mut redundant_dropped = 0;
         let mut effective: Vec<(NodeId, NodeId)> = Vec::new();
@@ -252,12 +278,13 @@ impl IncrementalReach {
             // then the proper-reachability relation (and hence Re and Gr) is
             // unchanged by the insertion. Note the self-loop case: inserting
             // `(a, a)` is only redundant if `a` already lies on a cycle.
-            let already_proper_reach = if a == b {
-                self.q.payload()[self.class_of(a) as usize]
-            } else {
-                self.query(a, b)
-            };
-            if insertions_only && u.is_insert() && already_proper_reach {
+            let already_proper_reach = insertions_only
+                && if a == b {
+                    self.q.payload()[self.class_of(a) as usize]
+                } else {
+                    self.query(a, b)
+                };
+            if already_proper_reach {
                 redundant_dropped += 1;
                 continue;
             }
@@ -269,6 +296,7 @@ impl IncrementalReach {
         // recomputation on the hybrid graph.
         let (mut stats, delta) = self.q.apply_effective(g, &effective);
         stats.redundant_dropped = redundant_dropped;
+        debug_assert_eq!(self.check_invariants(g), Ok(()));
         (stats, delta)
     }
 
@@ -298,6 +326,7 @@ impl IncrementalReach {
             cyclic: self.q.payload().to_vec(),
             active: self.q.active().to_vec(),
             edges: self.q.sorted_edges(),
+            live_classes: self.q.class_count(),
         }
     }
 
@@ -313,8 +342,8 @@ impl IncrementalReach {
         for _ in 0..n {
             quotient.add_node_with_label("σ");
         }
-        for &(a, b) in &self.q.sorted_edges() {
-            quotient.add_edge(NodeId(dense[&a]), NodeId(dense[&b]));
+        for (a, b) in self.q.sorted_edges() {
+            quotient.add_edge(NodeId(dense[a as usize]), NodeId(dense[b as usize]));
         }
         let kept = transitive_reduction(&quotient)
             .expect("the quotient of the reachability equivalence relation is a DAG");

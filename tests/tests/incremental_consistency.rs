@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use qpgc::prelude::*;
+use qpgc_generators::updates::local_batch;
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_pattern::compress::compress_b;
 use qpgc_pattern::inc_match::IncrementalMatch;
@@ -61,6 +62,7 @@ proptest! {
         let mut reference = g;
         for batch in &batches {
             maintained.apply(batch);
+            prop_assert_eq!(maintained.reach().check_invariants(maintained.graph()), Ok(()));
             batch.normalized(&reference).apply_to(&mut reference);
             let scratch = compress_r(&reference);
             prop_assert_eq!(
@@ -86,6 +88,8 @@ proptest! {
         let mut reference = g;
         for batch in &batches {
             maintained.apply(batch);
+            let pattern = maintained.pattern().expect("patterns on");
+            prop_assert_eq!(pattern.check_invariants(maintained.graph()), Ok(()));
             batch.normalized(&reference).apply_to(&mut reference);
             let scratch = compress_b(&reference);
             prop_assert_eq!(
@@ -141,6 +145,17 @@ fn assert_same_pattern_export(a: &StablePatternQuotient, b: &StablePatternQuotie
     assert_eq!(a.edges, b.edges, "{ctx}: pattern quotient edges");
 }
 
+/// A missing edge `(u, w)` that an existing two-edge path `u → v → w`
+/// implies, when there is one: inserting it is redundant for reachability.
+fn two_step_shortcut(g: &LabeledGraph) -> Option<(NodeId, NodeId)> {
+    g.nodes().find_map(|u| {
+        g.out_neighbors(u)
+            .iter()
+            .flat_map(|&v| g.out_neighbors(v).iter().map(move |&w| (u, w)))
+            .find(|&(u, w)| u != w && !g.has_edge(u, w))
+    })
+}
+
 /// One batch of the mixed stream, by step kind: insert-only with a
 /// deliberately implied edge (the redundant-insertion path), delete-heavy,
 /// empty, all-no-op, and free-for-all.
@@ -153,13 +168,7 @@ fn mixed_stream_batch(rng: &mut StdRng, g: &LabeledGraph, step: usize) -> Update
         0 => {
             // An edge implied by an existing non-empty path, when there is
             // one, plus random insertions.
-            let implied = g.nodes().find_map(|u| {
-                g.out_neighbors(u)
-                    .iter()
-                    .flat_map(|&v| g.out_neighbors(v).iter().map(move |&w| (u, w)))
-                    .find(|&(u, w)| u != w && !g.has_edge(u, w))
-            });
-            if let Some((u, w)) = implied {
+            if let Some((u, w)) = two_step_shortcut(g) {
                 batch.insert(u, w);
             }
             for _ in 0..rng.gen_range(0..3) {
@@ -257,6 +266,8 @@ fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
                 "{ctx}: pattern step diverged"
             );
             redundant_seen += alone_reach.0.redundant_dropped;
+            assert_eq!(reach.check_invariants(&reach_g), Ok(()), "{ctx}");
+            assert_eq!(pattern.check_invariants(&pattern_g), Ok(()), "{ctx}");
 
             assert_same_reach_export(
                 &facade.reach().stable_quotient(),
@@ -301,4 +312,204 @@ fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
         "no stream hit the redundant-insertion path"
     );
     assert!(empty_seen > 0, "no stream normalised to an empty batch");
+}
+
+// ---------------------------------------------------------------------------
+// Stable ids are a function of the update stream, not of the representation
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the little-endian bytes of 64-bit words; every sequence is
+/// closed by its length.
+struct Fnv(u64);
+
+impl Fnv {
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn sequence(&mut self, words: impl IntoIterator<Item = u64>) {
+        let mut len = 0u64;
+        for w in words {
+            self.word(w);
+            len += 1;
+        }
+        self.word(len);
+    }
+}
+
+/// Hash of a stable export: `class_of`, `active`, the per-class payload
+/// (zeroed at inactive ids, where it is stale by contract) and `edges`.
+fn export_hash(
+    class_of: &[u32],
+    active: &[bool],
+    payload: impl Iterator<Item = u64>,
+    edges: &[(u32, u32)],
+) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.sequence(class_of.iter().map(|&c| u64::from(c)));
+    h.sequence(active.iter().map(|&a| u64::from(a)));
+    h.sequence(payload);
+    h.sequence(
+        edges
+            .iter()
+            .map(|&(a, b)| (u64::from(a) << 32) | u64::from(b)),
+    );
+    h.0
+}
+
+/// `export_hash` of `IncrementalReach::stable_quotient()` after each of 32
+/// `local_batch(g, 20, 8, 0x601D ^ i)` batches on `dataset("wikiTalk",
+/// 1500, 0)`, captured at commit b71989a — when the class-level edges were
+/// a hash map of pairs.
+const GOLDEN_REACH: [u64; 32] = [
+    0x1679_ce22_66a4_696a,
+    0xc1f1_cf35_738c_65d0,
+    0xb162_46a1_3a6e_6559,
+    0xfe35_3229_dec3_509f,
+    0xc76e_9dd8_b631_0921,
+    0xc18f_1656_16d9_0b05,
+    0x9907_5867_8a7b_8c27,
+    0xc422_bcba_9ab6_fced,
+    0x2aee_19a4_1581_6ea5,
+    0xc2ed_2fbf_fc43_d4f7,
+    0xd675_7f5b_c8a1_bb0e,
+    0xa9d9_39b3_14b6_f3f7,
+    0x84d3_d5f6_8756_72f1,
+    0x03be_aafb_7bf5_f5c9,
+    0xce24_32bf_8160_08b8,
+    0x14d9_45ac_0f4c_937f,
+    0x988d_99c7_9468_ffd4,
+    0x6bbd_6a37_c35e_e38f,
+    0xc599_b277_1134_62ab,
+    0x2824_1dac_b9e2_17d1,
+    0x248b_4bd6_21fd_ab7a,
+    0x3e00_4a3d_e88a_b75d,
+    0xa664_c76b_573a_8de1,
+    0xe43c_cf13_a737_89e6,
+    0x11c3_a198_0f61_200a,
+    0xf233_bb30_3972_b8e4,
+    0xfe49_3773_c80e_fdeb,
+    0x1f6a_9155_2ee0_17e1,
+    0xfecb_ccca_b221_87a9,
+    0x8b2e_5546_8797_38cf,
+    0xa0e7_03e3_9efd_e25e,
+    0x0a69_67f3_8fad_3ea5,
+];
+
+/// The same for `IncrementalPattern` on `pattern_dataset("Citation", 400,
+/// 0)` with batch seeds `0xB151 ^ i`, captured at the same commit.
+const GOLDEN_BISIM: [u64; 32] = [
+    0x98cb_7344_9b1f_df03,
+    0x48bc_7d12_02b7_a63b,
+    0xe57f_93a8_df70_eba9,
+    0x4f86_2ec7_901e_b6de,
+    0xd60a_e1fd_b507_2120,
+    0x397a_b1fa_da85_79cb,
+    0x54c4_c9e7_8b8c_d01f,
+    0xb491_087c_86c7_f432,
+    0x90a1_2da4_742c_28c8,
+    0x969b_cef7_3786_c6bf,
+    0x07b8_4b7b_702e_ff13,
+    0x894a_d1bc_be20_15fa,
+    0x2d5d_5a45_6b9b_e5ca,
+    0x0d66_fe55_a031_9662,
+    0xc12e_cfff_3920_3641,
+    0xadca_f081_2319_39c4,
+    0xc845_8f7d_e2aa_3eb3,
+    0xc0b5_e76a_a85b_9347,
+    0xc118_7b19_0e7f_72e9,
+    0xcdc0_8321_d06b_9485,
+    0x0d46_7cca_45df_c6b5,
+    0xe68b_56e1_0517_8a64,
+    0xcb3d_7f4c_84c2_0ab5,
+    0xbc47_ac09_d874_2ef2,
+    0xbc95_a0d0_62b3_1560,
+    0x24a8_be1d_5381_90b8,
+    0x87a1_beb3_9f85_963d,
+    0x50bd_adc5_e060_59dd,
+    0x826c_852e_6180_34c3,
+    0x18db_1a3d_00e9_b7a8,
+    0x98bb_73ed_65ea_4650,
+    0x6cf9_67e9_5c73_a38f,
+];
+
+/// The stable ids both maintainers hand out — node → class index, liveness,
+/// payload and exported edges, after every batch — are exactly those of the
+/// commit that introduced this test: the representation of the class-level
+/// edges is free to change, the ids are not (served snapshots, their
+/// byte sizes and the benchmark's exact metrics are functions of them).
+#[test]
+fn stable_ids_match_the_golden_streams() {
+    let mut g = qpgc_generators::dataset("wikiTalk", 1500, 0).expect("a Table 1 name");
+    let mut inc = IncrementalReach::new(&g);
+    for (i, &golden) in GOLDEN_REACH.iter().enumerate() {
+        let batch = local_batch(&g, 20, 8, 0x601D ^ i as u64);
+        inc.apply_with_delta(&mut g, &batch);
+        let sq = inc.stable_quotient();
+        let cyclic = sq.cyclic.iter().zip(&sq.active);
+        let hash = export_hash(
+            &sq.class_of,
+            &sq.active,
+            cyclic.map(|(&c, &a)| u64::from(c && a)),
+            &sq.edges,
+        );
+        assert_eq!(hash, golden, "reach: stable export after batch {i}");
+    }
+
+    let mut g = qpgc_generators::pattern_dataset("Citation", 400, 0).expect("a Table 2 name");
+    let mut inc = IncrementalPattern::new(&g);
+    for (i, &golden) in GOLDEN_BISIM.iter().enumerate() {
+        let batch = local_batch(&g, 20, 8, 0xB151 ^ i as u64);
+        inc.apply_with_delta(&mut g, &batch);
+        let spq = inc.stable_quotient();
+        let labels = spq.labels.iter().zip(&spq.active);
+        let hash = export_hash(
+            &spq.class_of,
+            &spq.active,
+            labels.map(|(&l, &a)| if a { u64::from(l.0) + 1 } else { 0 }),
+            &spq.edges,
+        );
+        assert_eq!(hash, golden, "bisim: stable export after batch {i}");
+    }
+}
+
+/// The redundant-insertion rule, on the only kind of stream that reaches
+/// it: every batch inserts only. Insertions implied by an existing
+/// non-empty path are dropped from maintenance, and the maintained state
+/// still equals `compress_r(G ⊕ ΔG)` and answers like BFS on `G`.
+#[test]
+fn insertion_only_stream_drops_redundant_insertions_and_stays_exact() {
+    let mut g = qpgc_generators::dataset("wikiTalk", 8000, 0).expect("a Table 1 name");
+    let n = g.node_count() as u32;
+    let mut rng = StdRng::seed_from_u64(0x1A5E47);
+    let mut inc = IncrementalReach::new(&g);
+    let mut redundant_dropped = 0;
+    for step in 0..12 {
+        let mut batch = UpdateBatch::new();
+        for _ in 0..6 {
+            batch.insert(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+        }
+        if let Some((u, w)) = two_step_shortcut(&g) {
+            batch.insert(u, w);
+        }
+        let (stats, _) = inc.apply_with_delta(&mut g, &batch);
+        redundant_dropped += stats.redundant_dropped;
+        assert_eq!(inc.check_invariants(&g), Ok(()), "step {step}");
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_r(&g).partition.canonical(),
+            "step {step}: partition vs compress_r"
+        );
+        for _ in 0..400 {
+            let (u, w) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            assert_eq!(
+                inc.query(u, w),
+                bfs_reachable(&g, u, w),
+                "step {step}: ({u},{w})"
+            );
+        }
+    }
+    assert!(redundant_dropped > 0, "no insertion was found redundant");
 }
