@@ -92,14 +92,13 @@
 //! `adaptive_gate` section pricing a measuring gate mode that has since
 //! been removed; **schema v9** is v8 without it):
 //!
-//! * `parallel_maintenance` — wall-clock of the two rebuild kernels the
-//!   publication path routes to, at 1, 2, and 4 threads: `refine`
-//!   (worklist-partitioned bisimulation refinement over a labeled Table 2
-//!   emulation) and `relabel` (frozen-base scoped 2-hop re-labeling with
-//!   every landmark dirty over the citHepTh quotient). Both are
-//!   bit-identical to sequential by construction; the speedup column is
-//!   the point, and its assertion is `QPGC_TIMING_TESTS`-gated like every
-//!   other wall-clock claim.
+//! * `parallel_maintenance` — wall-clock of the parallel rebuild kernel,
+//!   at 1, 2, and 4 threads: `refine` (worklist-partitioned bisimulation
+//!   refinement over a labeled Table 2 emulation). It is bit-identical to
+//!   sequential by construction; the speedup column is the point, and its
+//!   assertion is `QPGC_TIMING_TESTS`-gated like every other wall-clock
+//!   claim. (`BENCH_8`/`BENCH_9` also carry three `relabel` rows, timing a
+//!   2-hop patch path that has since been deleted.)
 //!
 //! Since PR 9 (`BENCH_9.json`, **schema v8** — a superset of v7) two
 //! sections track the succinct snapshot backend:
@@ -210,7 +209,8 @@ pub struct SnapshotIncRow {
     pub batches: usize,
     /// Updates per batch (0.1 % of the edges).
     pub batch_size: usize,
-    /// Whether the stores carried a 2-hop index (scoped re-labeling path).
+    /// Whether the stores carried a 2-hop index (rebuilt on every
+    /// publication that changes `Gr`, on either path).
     pub two_hop: bool,
     /// Whether the stores also maintained and served the pattern
     /// preserving compression (schema v4).
@@ -524,9 +524,7 @@ pub struct ParallelMaintenanceRow {
     pub dataset: String,
     /// Scale divisor of the emulation.
     pub scale: usize,
-    /// `"refine"` (worklist-partitioned bisimulation refinement) or
-    /// `"relabel"` (frozen-base scoped 2-hop re-labeling, every landmark
-    /// dirty).
+    /// `"refine"` (worklist-partitioned bisimulation refinement).
     pub task: String,
     /// Worker threads.
     pub threads: usize,
@@ -536,7 +534,7 @@ pub struct ParallelMaintenanceRow {
     pub speedup: f64,
 }
 
-/// Times both parallel maintenance kernels at 1, 2, and 4 threads. The
+/// Times the parallel refinement kernel at 1, 2, and 4 threads. The
 /// outputs are bit-identical to sequential at every thread count (the
 /// determinism suites pin that); these rows record what the parallelism
 /// buys in wall-clock.
@@ -561,34 +559,6 @@ fn parallel_maintenance_rows(scale: usize) -> Vec<ParallelMaintenanceRow> {
             dataset: "California".into(),
             scale: refine_scale,
             task: "refine".into(),
-            threads,
-            elapsed_ms: best,
-            speedup: base / best.max(1e-9),
-        });
-    }
-
-    // Scoped 2-hop re-labeling over the citHepTh quotient with every
-    // landmark dirty — the heaviest patch the production path can route.
-    let relabel_scale = scale.max(10);
-    let g = dataset("citHepTh", relabel_scale, 0).expect("known dataset");
-    let gr = compress_r(&g).graph;
-    let idx = TwoHopIndex::build(&gr);
-    let dirty: Vec<u32> = (0..gr.node_count() as u32).collect();
-    let mut base = 0.0;
-    for threads in [1usize, 2, 4] {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = Instant::now();
-            std::hint::black_box(idx.patch_with(&gr, &[], &dirty, &[], threads));
-            best = best.min(ms(t));
-        }
-        if threads == 1 {
-            base = best;
-        }
-        rows.push(ParallelMaintenanceRow {
-            dataset: "citHepTh".into(),
-            scale: relabel_scale,
-            task: "relabel".into(),
             threads,
             elapsed_ms: best,
             speedup: base / best.max(1e-9),
@@ -858,8 +828,9 @@ pub struct PerfSnapshot {
 /// **publication** wall-clocks ([`qpgc_serve::ApplyReport::publish_ms`] —
 /// the incremental maintenance of the compressions costs the same on both
 /// sides and is excluded). `delta_gate` is the delta store's publication
-/// gate: the reachability rows force patching ([`GateMode::AlwaysPatch`],
-/// the explicit spelling of the old `f64::INFINITY` convention), while the
+/// gate: the reachability rows force patching ([`GateMode::AlwaysPatch`]
+/// — CSR rows and node index patched, the 2-hop index rebuilt over the
+/// patched CSR), while the
 /// `serve_patterns` rows run the production default so the per-side gate
 /// is what is measured — on the labeled web emulations cone-local batches
 /// churn the *reachability* quotient heavily (correctly routed to
@@ -897,10 +868,7 @@ fn snapshot_incremental_row(
     let config = |gate: GateMode| {
         let mut builder = StoreConfig::builder().patterns(serve_patterns).gate(gate);
         if two_hop {
-            builder = builder.two_hop(TwoHopConfig {
-                coverage: CoverageEstimate::Adaptive { seed: 7 },
-                parallel: false,
-            });
+            builder = builder.two_hop(TwoHopConfig::default());
         }
         builder.build()
     };
@@ -1134,8 +1102,8 @@ pub fn perf_snapshot(scale: usize) -> PerfSnapshot {
     // emulations have quotient-spanning reachability cones, churn every
     // class, and are correctly routed to full rebuilds by the damage
     // gate). The reachability rows carry the 2-hop index with patching
-    // forced, so the comparison covers the scoped re-labeling as well as
-    // the CSR/transitive-reduction patching; the `serve_patterns` rows
+    // forced: both sides rebuild the index, so the difference is the
+    // CSR/transitive-reduction patching; the `serve_patterns` rows
     // (schema v4, labeled Table 2 emulations) run the production damage
     // gate and compare pattern-side publication — re-materializing the
     // pattern quotient every batch vs. Arc-sharing/row-patching the
@@ -1613,7 +1581,6 @@ mod tests {
             "\"replay_batches_per_sec\"",
             "\"parallel_maintenance\"",
             "\"task\": \"refine\"",
-            "\"task\": \"relabel\"",
             "\"succinct_snapshot\"",
             "\"heap_ratio\"",
             "\"bits_per_edge\"",
@@ -1847,26 +1814,20 @@ mod tests {
             }
         }
 
-        // Parallel maintenance: both kernels at 1/2/4 threads, the
-        // one-thread baseline rows present and positive.
-        assert_eq!(snap.parallel_maintenance.len(), 6);
-        for task in ["refine", "relabel"] {
-            let rows: Vec<_> = snap
-                .parallel_maintenance
-                .iter()
-                .filter(|r| r.task == task)
-                .collect();
-            let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
-            assert_eq!(threads, [1, 2, 4], "{task}: thread ladder");
-            assert!(rows.iter().all(|r| r.elapsed_ms >= 0.0));
-            assert!((rows[0].speedup - 1.0).abs() < 1e-9, "{task}: baseline");
-            if std::env::var("QPGC_TIMING_TESTS").is_ok() && cores > 1 {
-                let best = rows[1..].iter().map(|r| r.speedup).fold(0.0, f64::max);
-                assert!(
-                    best > 1.0,
-                    "{task}: no thread count beat sequential (best speedup {best:.2})"
-                );
-            }
+        // Parallel maintenance: the refinement kernel at 1/2/4 threads,
+        // the one-thread baseline row present and positive.
+        let rows = &snap.parallel_maintenance;
+        assert!(rows.iter().all(|r| r.task == "refine"));
+        let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, [1, 2, 4], "refine: thread ladder");
+        assert!(rows.iter().all(|r| r.elapsed_ms >= 0.0));
+        assert!((rows[0].speedup - 1.0).abs() < 1e-9, "refine: baseline");
+        if std::env::var("QPGC_TIMING_TESTS").is_ok() && cores > 1 {
+            let best = rows[1..].iter().map(|r| r.speedup).fold(0.0, f64::max);
+            assert!(
+                best > 1.0,
+                "refine: no thread count beat sequential (best speedup {best:.2})"
+            );
         }
 
         // Succinct backend: one row per Table-1 dataset, sizes positive,

@@ -27,6 +27,11 @@
 //! Because the compressed graph is "just a graph", the very same index can
 //! be built over `Gr` — this is the paper's claim that existing indexing
 //! techniques apply to compressed graphs unchanged.
+//!
+//! The index is built, never maintained: a changed graph gets a fresh
+//! [`TwoHopIndex::build_with`], so nothing ever inserts into a finished
+//! label list. The lists are grown one `Vec` per node during the build and
+//! served concatenated, CSR-style (`LabelLists`).
 
 use std::collections::VecDeque;
 
@@ -50,20 +55,6 @@ pub enum CoverageEstimate {
         /// Number of condensation columns to sweep (clamped to `|Vscc|`).
         samples: usize,
         /// Seed of the deterministic column sampler.
-        seed: u64,
-    },
-    /// Sampled sweep with an **adaptive** sample size: starting from a small
-    /// sample, the sample is doubled (with a fresh column draw each round)
-    /// until the top-`16` landmark order produced by two consecutive rounds
-    /// agrees, at which point the last round's scores are used; if the
-    /// sample would reach `|Vscc|` first, the sweep falls back to
-    /// [`CoverageEstimate::Exact`]. This removes the caller-chosen sample
-    /// knob of [`CoverageEstimate::Sampled`]: the head of the order is what
-    /// drives pruning quality, so "the head stopped moving" is the natural
-    /// convergence criterion.
-    Adaptive {
-        /// Seed of the deterministic column sampler (each round derives its
-        /// own stream from it).
         seed: u64,
     },
 }
@@ -90,32 +81,48 @@ impl Default for TwoHopConfig {
     }
 }
 
-/// Tombstone in the rank → node map for landmarks retired by
-/// [`TwoHopIndex::patch`].
-pub const RETIRED_LANDMARK: NodeId = NodeId(u32::MAX);
-
 /// A 2-hop reachability labelling of a graph.
 #[derive(Clone, Debug)]
 pub struct TwoHopIndex {
-    /// `out_labels[v]`: ranks of landmarks reachable *from* `v` (ascending).
-    out_labels: Vec<Vec<u32>>,
-    /// `in_labels[v]`: ranks of landmarks that reach `v` (ascending).
-    in_labels: Vec<Vec<u32>>,
+    /// Per node `v`: ranks of landmarks reachable *from* `v` (ascending).
+    out_labels: LabelLists,
+    /// Per node `v`: ranks of landmarks that reach `v` (ascending).
+    in_labels: LabelLists,
     /// `landmark_of_rank[r]`: the node processed as the `r`-th landmark.
     landmark_of_rank: Vec<NodeId>,
 }
 
-/// The prefix of an ascending list holding entries strictly below `bound`.
-fn prefix_below(list: &[u32], bound: u32) -> &[u32] {
-    &list[..list.partition_point(|&x| x < bound)]
+/// One direction's finished label lists, concatenated in node order (the
+/// CSR layout): node `v`'s list is `entries[offsets[v]..offsets[v + 1]]`.
+/// The build grows one `Vec` per node; a served index holds two
+/// allocations per direction instead: about half the bytes, one pointer
+/// chase fewer per lookup, and none of a concurrent writer's small
+/// allocations in between the lists a reader walks.
+#[derive(Clone, Debug, PartialEq)]
+struct LabelLists {
+    offsets: Vec<u32>,
+    entries: Vec<u32>,
 }
 
-/// Inserts `rank` into an ascending list at its sorted position (the rank
-/// must not be present — patch passes strip it first).
-fn sorted_insert(list: &mut Vec<u32>, rank: u32) {
-    let pos = list.partition_point(|&x| x < rank);
-    debug_assert!(list.get(pos) != Some(&rank));
-    list.insert(pos, rank);
+impl LabelLists {
+    fn from_lists(lists: &[Vec<u32>]) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut entries = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for list in lists {
+            entries.extend_from_slice(list);
+            offsets.push(u32::try_from(entries.len()).expect("label entries fit in u32"));
+        }
+        LabelLists { offsets, entries }
+    }
+
+    fn of(&self, v: NodeId) -> &[u32] {
+        &self.entries[self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        (self.offsets.capacity() + self.entries.capacity()) * std::mem::size_of::<u32>()
+    }
 }
 
 /// `true` iff the two ascending `u32` slices share an element.
@@ -194,61 +201,6 @@ fn pruned_pass<G: GraphView>(
     touched.clear();
 }
 
-/// [`pruned_pass`] for [`TwoHopIndex::patch`] re-runs, against a **frozen**
-/// label base. Three differences from the full-build pass: the pruning
-/// intersection only considers label entries with rank **below** the
-/// current one (retained entries of higher-rank clean landmarks must not
-/// influence an earlier pass — during a full build no such entries exist
-/// yet); pruning reads `base` — the post-strip labels holding only
-/// clean-landmark entries — never the insertions of other re-run passes,
-/// so every scheduled pass is a pure function of `(g, base)` and passes can
-/// execute concurrently in any order; and the pass *collects* the nodes to
-/// label into `inserts` instead of writing them — the caller commits the
-/// collected ranks at their sorted positions in schedule order.
-#[allow(clippy::too_many_arguments)]
-fn frozen_pass<G: GraphView>(
-    g: &G,
-    landmark: NodeId,
-    rank: u32,
-    forward: bool,
-    base: &[Vec<u32>],
-    landmark_opposite: &[u32],
-    scratch: &mut Scratch,
-    inserts: &mut Vec<u32>,
-) {
-    let Scratch { visited, touched } = scratch;
-    let mut queue = VecDeque::new();
-    queue.push_back(landmark);
-    visited[landmark.index()] = true;
-    touched.push(landmark.index());
-    while let Some(u) = queue.pop_front() {
-        if u != landmark
-            && sorted_intersects(landmark_opposite, prefix_below(&base[u.index()], rank))
-        {
-            continue;
-        }
-        if u != landmark {
-            inserts.push(u.0);
-        }
-        let neighbors = if forward {
-            g.out_neighbors(u)
-        } else {
-            g.in_neighbors(u)
-        };
-        for &w in neighbors {
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                touched.push(w.index());
-                queue.push_back(w);
-            }
-        }
-    }
-    for &t in touched.iter() {
-        visited[t] = false;
-    }
-    touched.clear();
-}
-
 impl TwoHopIndex {
     /// Builds the index over `g` with landmarks processed in descending
     /// coverage order: a landmark `v` can cover at most
@@ -270,31 +222,23 @@ impl TwoHopIndex {
         let n = g.node_count();
         let order = landmark_order(g, config.coverage);
 
-        let mut index = TwoHopIndex {
-            out_labels: vec![Vec::new(); n],
-            in_labels: vec![Vec::new(); n],
-            landmark_of_rank: order.clone(),
-        };
+        let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
 
         if config.parallel && n > 0 {
-            index.in_labels = parallel_passes(g, &order, &mut index.out_labels);
+            in_labels = parallel_passes(g, &order, &mut out_labels);
         } else {
             let mut scratch_fwd = Scratch::new(n);
             let mut scratch_bwd = Scratch::new(n);
             for (rank, &landmark) in order.iter().enumerate() {
                 let rank = rank as u32;
-                let TwoHopIndex {
-                    out_labels,
-                    in_labels,
-                    ..
-                } = &mut index;
                 // Forward: landmark reaches u  ⇒  rank ∈ in_labels[u].
                 pruned_pass(
                     g,
                     landmark,
                     rank,
                     true,
-                    in_labels,
+                    &mut in_labels,
                     &out_labels[landmark.index()],
                     &mut scratch_fwd,
                 );
@@ -304,25 +248,28 @@ impl TwoHopIndex {
                     landmark,
                     rank,
                     false,
-                    out_labels,
+                    &mut out_labels,
                     &in_labels[landmark.index()],
                     &mut scratch_bwd,
                 );
 
                 // The landmark trivially covers itself in both directions.
-                index.out_labels[landmark.index()].push(rank);
-                index.in_labels[landmark.index()].push(rank);
+                out_labels[landmark.index()].push(rank);
+                in_labels[landmark.index()].push(rank);
             }
         }
 
         // Ranks are pushed in ascending processing order, so every list is
         // already sorted — the invariant the mid-build pruning relies on.
-        debug_assert!(index
-            .out_labels
+        debug_assert!(out_labels
             .iter()
-            .chain(index.in_labels.iter())
+            .chain(in_labels.iter())
             .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        index
+        TwoHopIndex {
+            out_labels: LabelLists::from_lists(&out_labels),
+            in_labels: LabelLists::from_lists(&in_labels),
+            landmark_of_rank: order,
+        }
     }
 
     /// The pre-rank-fix construction: label lists hold raw node ids pushed
@@ -336,11 +283,8 @@ impl TwoHopIndex {
         let n = g.node_count();
         let order = landmark_order(g, CoverageEstimate::Exact);
 
-        let mut index = TwoHopIndex {
-            out_labels: vec![Vec::new(); n],
-            in_labels: vec![Vec::new(); n],
-            landmark_of_rank: order.clone(),
-        };
+        let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
 
         let mut visited = vec![false; n];
         let mut touched: Vec<usize> = Vec::new();
@@ -353,15 +297,12 @@ impl TwoHopIndex {
                 // The buggy pruning test: a merge intersection over lists
                 // that are NOT sorted mid-build.
                 if u != landmark
-                    && sorted_intersects(
-                        &index.out_labels[landmark.index()],
-                        &index.in_labels[u.index()],
-                    )
+                    && sorted_intersects(&out_labels[landmark.index()], &in_labels[u.index()])
                 {
                     continue;
                 }
                 if u != landmark {
-                    index.in_labels[u.index()].push(landmark.0);
+                    in_labels[u.index()].push(landmark.0);
                 }
                 for &w in g.out_neighbors(u) {
                     if !visited[w.index()] {
@@ -382,15 +323,12 @@ impl TwoHopIndex {
             touched.push(landmark.index());
             while let Some(u) = queue.pop_front() {
                 if u != landmark
-                    && sorted_intersects(
-                        &index.out_labels[u.index()],
-                        &index.in_labels[landmark.index()],
-                    )
+                    && sorted_intersects(&out_labels[u.index()], &in_labels[landmark.index()])
                 {
                     continue;
                 }
                 if u != landmark {
-                    index.out_labels[u.index()].push(landmark.0);
+                    out_labels[u.index()].push(landmark.0);
                 }
                 for &w in g.in_neighbors(u) {
                     if !visited[w.index()] {
@@ -405,307 +343,23 @@ impl TwoHopIndex {
             }
             touched.clear();
 
-            index.out_labels[landmark.index()].push(landmark.0);
-            index.in_labels[landmark.index()].push(landmark.0);
-            index.out_labels[landmark.index()].sort_unstable();
-            index.in_labels[landmark.index()].sort_unstable();
+            out_labels[landmark.index()].push(landmark.0);
+            in_labels[landmark.index()].push(landmark.0);
+            out_labels[landmark.index()].sort_unstable();
+            in_labels[landmark.index()].sort_unstable();
         }
 
         // The late sort that made *queries* work despite the broken
         // mid-build pruning.
         for v in 0..n {
-            index.out_labels[v].sort_unstable();
-            index.in_labels[v].sort_unstable();
+            out_labels[v].sort_unstable();
+            in_labels[v].sort_unstable();
         }
-        index
-    }
-
-    /// Scoped re-labeling: derives the index of a *patched* graph from the
-    /// index of its predecessor, re-running the pruned passes only for the
-    /// landmarks whose reachability cones touch the change.
-    ///
-    /// The caller partitions the node ids into four groups:
-    ///
-    /// * **dead** — rows retired by the patch (isolated in `new_graph`).
-    ///   Their ranks are tombstoned and every label entry carrying them is
-    ///   stripped.
-    /// * **born** — rows created by the patch (possibly recycling dead ids).
-    ///   They are appended to the landmark order with fresh ranks and their
-    ///   label lists start empty.
-    /// * **dirty** — surviving rows whose forward or backward cone (in the
-    ///   old or the new graph, themselves included) intersects a dead or
-    ///   born row. Their old entries are stripped and their passes re-run.
-    /// * everyone else (**clean**) keeps their labels untouched.
-    ///
-    /// ## Why the mixed label set stays a valid 2-hop cover
-    ///
-    /// The contract (guaranteed by the serving layer, emulated by the
-    /// differential tests): a clean landmark's cones are identical in both
-    /// graphs and avoid every dead/born row, and reachability between
-    /// surviving rows is the same in both graphs. Under that contract the
-    /// standard pruned-landmark-labelling induction goes through for the
-    /// mixed label set: for any pair `(a, b)` reachable in the new graph,
-    /// take the minimum-rank landmark `h` on any new `a → b` path. If `h`
-    /// is clean, its retained pass either labelled both endpoints, or it
-    /// pruned at some `x` on the path because an earlier landmark `q`
-    /// covered the pair — but then `q` lies inside `h`'s (unchanged) cone,
-    /// so `a → q → b` also holds in the new graph, contradicting `h`'s
-    /// minimality. If `h` is dirty or born, its pass re-ran on the new
-    /// graph directly, and the same argument applies to its prune points.
-    /// The one extra care: re-run passes prune against *rank-prefix-bounded*
-    /// intersections (entries `< h` only) over the **frozen post-strip
-    /// base** — the retained clean-landmark entries, never the insertions
-    /// of other re-run passes. A failed prune only *adds* labels, so the
-    /// result is still a valid (if slightly larger) cover, and freezing the
-    /// base makes every scheduled pass a pure function of the new graph —
-    /// which is what lets [`TwoHopIndex::patch_with`] run the per-landmark
-    /// passes concurrently while the collected inserts commit at their
-    /// sorted positions in rank order, bit-identical at every thread count.
-    /// Labels of `patch` and of a from-scratch rebuild may differ (both are
-    /// valid covers); queries agree.
-    ///
-    /// Ranks of dead landmarks remain as tombstones ([`TwoHopIndex::landmark`]
-    /// returns `NodeId(u32::MAX)` for them), so repeated patching grows the
-    /// rank space; [`TwoHopIndex::retired_rank_count`] lets callers decide
-    /// when a compacting full rebuild is worth it.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a dead or dirty id has no live rank in this index, or
-    /// when a born id still has one (the groups must describe a consistent
-    /// lifecycle step).
-    pub fn patch<G: GraphView + Sync>(
-        &self,
-        new_graph: &G,
-        dead: &[u32],
-        dirty: &[u32],
-        born: &[u32],
-    ) -> TwoHopIndex {
-        self.patch_with(new_graph, dead, dirty, born, 1)
-    }
-
-    /// [`TwoHopIndex::patch`] with an explicit worker count for the re-run
-    /// passes. `threads == 0` means "use the machine's available
-    /// parallelism"; any value is clamped to the schedule length. Every
-    /// scheduled pass prunes against the frozen post-strip base (see the
-    /// cover argument above), so the passes are independent and run
-    /// concurrently under `std::thread::scope`; their collected inserts
-    /// commit at sorted positions in schedule (rank) order on one thread,
-    /// making the patched index **bit-identical** at every thread count.
-    pub fn patch_with<G: GraphView + Sync>(
-        &self,
-        new_graph: &G,
-        dead: &[u32],
-        dirty: &[u32],
-        born: &[u32],
-        threads: usize,
-    ) -> TwoHopIndex {
-        let n_new = new_graph.node_count();
-        assert!(
-            n_new >= self.out_labels.len(),
-            "patched graph shrank below the indexed id space"
-        );
-
-        let mut out_labels = self.out_labels.clone();
-        let mut in_labels = self.in_labels.clone();
-        out_labels.resize_with(n_new, Vec::new);
-        in_labels.resize_with(n_new, Vec::new);
-        let mut landmark_of_rank = self.landmark_of_rank.clone();
-
-        // rank_of: inverse of the live part of the rank → node map.
-        let mut rank_of = vec![u32::MAX; n_new];
-        for (r, lm) in landmark_of_rank.iter().enumerate() {
-            if *lm != RETIRED_LANDMARK {
-                rank_of[lm.index()] = r as u32;
-            }
+        TwoHopIndex {
+            out_labels: LabelLists::from_lists(&out_labels),
+            in_labels: LabelLists::from_lists(&in_labels),
+            landmark_of_rank: order,
         }
-
-        // Ranks whose entries must be stripped: dead (gone for good) and
-        // dirty (about to be recomputed). Dead first, so an id retired and
-        // recycled by the same step (`dead` ∩ `born`) hands its old rank
-        // back before the born check below.
-        let mut strip = vec![false; landmark_of_rank.len()];
-        for &d in dead {
-            let r = rank_of[d as usize];
-            assert!(r != u32::MAX, "dead id {d} has no live rank");
-            strip[r as usize] = true;
-            landmark_of_rank[r as usize] = RETIRED_LANDMARK;
-            rank_of[d as usize] = u32::MAX;
-        }
-        // Born ids normally get fresh ranks. An id can however be *reborn
-        // with a live rank*: a full (compacting) index rebuild over the
-        // patched quotient hands every row — retired holes included — a
-        // rank, and a later step may recycle such a hole. Its old labels
-        // describe an isolated row (nobody's cone contained it), so
-        // re-running it at its existing rank like a dirty landmark is
-        // sound; only ids with no live rank are appended.
-        let mut fresh_born: Vec<u32> = Vec::new();
-        let mut dirty_ranks: Vec<u32> = Vec::with_capacity(dirty.len());
-        for &b in born {
-            match rank_of[b as usize] {
-                u32::MAX => fresh_born.push(b),
-                r => {
-                    strip[r as usize] = true;
-                    dirty_ranks.push(r);
-                }
-            }
-        }
-        for &d in dirty {
-            let r = rank_of[d as usize];
-            assert!(r != u32::MAX, "dirty id {d} has no live rank");
-            strip[r as usize] = true;
-            dirty_ranks.push(r);
-        }
-        dirty_ranks.sort_unstable();
-
-        // Rows reset wholesale: dead rows (unreferenced from now on) and
-        // born rows (recycled ids may carry a previous life's labels).
-        let mut reset = vec![false; n_new];
-        for &d in dead {
-            reset[d as usize] = true;
-        }
-        for &b in born {
-            reset[b as usize] = true;
-        }
-        for labels in [&mut out_labels, &mut in_labels] {
-            for (v, list) in labels.iter_mut().enumerate() {
-                if reset[v] {
-                    list.clear();
-                } else if !list.is_empty() {
-                    list.retain(|&r| !strip[r as usize]);
-                }
-            }
-        }
-
-        // Re-run schedule: surviving dirty landmarks at their old ranks
-        // (ascending), then born landmarks at fresh appended ranks.
-        let mut schedule: Vec<(u32, NodeId)> = dirty_ranks
-            .iter()
-            .map(|&r| (r, landmark_of_rank[r as usize]))
-            .collect();
-        let mut born_sorted: Vec<u32> = fresh_born;
-        born_sorted.sort_unstable();
-        for &b in &born_sorted {
-            let rank = landmark_of_rank.len() as u32;
-            landmark_of_rank.push(NodeId(b));
-            schedule.push((rank, NodeId(b)));
-        }
-
-        // The post-strip labels are the frozen base: both passes of every
-        // scheduled landmark prune against it and only it, so each schedule
-        // entry is an independent unit of work. Run the passes (possibly
-        // across workers), then commit the collected inserts in schedule
-        // order — the committed lists are identical no matter how the
-        // passes were distributed.
-        let workers = {
-            let requested = if threads == 0 {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1)
-            } else {
-                threads
-            };
-            requested.clamp(1, schedule.len().max(1))
-        };
-        let run_entry = |&(rank, landmark): &(u32, NodeId),
-                         scratch_fwd: &mut Scratch,
-                         scratch_bwd: &mut Scratch| {
-            // Forward: landmark reaches u  ⇒  rank ∈ in_labels[u].
-            let mut fwd = Vec::new();
-            let opposite = prefix_below(&out_labels[landmark.index()], rank);
-            frozen_pass(
-                new_graph,
-                landmark,
-                rank,
-                true,
-                &in_labels,
-                opposite,
-                scratch_fwd,
-                &mut fwd,
-            );
-            // Backward: u reaches landmark  ⇒  rank ∈ out_labels[u].
-            let mut bwd = Vec::new();
-            let opposite = prefix_below(&in_labels[landmark.index()], rank);
-            frozen_pass(
-                new_graph,
-                landmark,
-                rank,
-                false,
-                &out_labels,
-                opposite,
-                scratch_bwd,
-                &mut bwd,
-            );
-            (fwd, bwd)
-        };
-        let results: Vec<(Vec<u32>, Vec<u32>)> = if workers <= 1 || schedule.len() <= 1 {
-            let mut scratch_fwd = Scratch::new(n_new);
-            let mut scratch_bwd = Scratch::new(n_new);
-            schedule
-                .iter()
-                .map(|entry| run_entry(entry, &mut scratch_fwd, &mut scratch_bwd))
-                .collect()
-        } else {
-            let chunk = schedule.len().div_ceil(workers);
-            let per_chunk: Vec<Vec<(Vec<u32>, Vec<u32>)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = schedule
-                    .chunks(chunk)
-                    .map(|entries| {
-                        let run_entry = &run_entry;
-                        s.spawn(move || {
-                            let mut scratch_fwd = Scratch::new(n_new);
-                            let mut scratch_bwd = Scratch::new(n_new);
-                            entries
-                                .iter()
-                                .map(|entry| run_entry(entry, &mut scratch_fwd, &mut scratch_bwd))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("relabel worker panicked"))
-                    .collect()
-            });
-            per_chunk.into_iter().flatten().collect()
-        };
-        for (&(rank, landmark), (fwd, bwd)) in schedule.iter().zip(results) {
-            for u in fwd {
-                sorted_insert(&mut in_labels[u as usize], rank);
-            }
-            for u in bwd {
-                sorted_insert(&mut out_labels[u as usize], rank);
-            }
-            sorted_insert(&mut out_labels[landmark.index()], rank);
-            sorted_insert(&mut in_labels[landmark.index()], rank);
-        }
-
-        let index = TwoHopIndex {
-            out_labels,
-            in_labels,
-            landmark_of_rank,
-        };
-        debug_assert!(index
-            .out_labels
-            .iter()
-            .chain(index.in_labels.iter())
-            .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        index
-    }
-
-    /// Number of rank slots tombstoned by past [`TwoHopIndex::patch`] calls.
-    /// When this rivals [`TwoHopIndex::live_rank_count`], a compacting full
-    /// rebuild reclaims the slack.
-    pub fn retired_rank_count(&self) -> usize {
-        self.landmark_of_rank
-            .iter()
-            .filter(|&&lm| lm == RETIRED_LANDMARK)
-            .count()
-    }
-
-    /// Number of live landmarks (rank slots not tombstoned).
-    pub fn live_rank_count(&self) -> usize {
-        self.landmark_of_rank.len() - self.retired_rank_count()
     }
 
     /// `true` iff the labels prove that `u` reaches `w` (possibly trivially,
@@ -718,12 +372,11 @@ impl TwoHopIndex {
     }
 
     fn covered(&self, u: NodeId, w: NodeId) -> bool {
-        sorted_intersects(&self.out_labels[u.index()], &self.in_labels[w.index()])
+        sorted_intersects(self.out_labels.of(u), self.in_labels.of(w))
     }
 
     /// The node processed as the `rank`-th landmark (the debugging map from
-    /// label values back to nodes). Ranks retired by [`TwoHopIndex::patch`]
-    /// return [`RETIRED_LANDMARK`].
+    /// label values back to nodes).
     pub fn landmark(&self, rank: u32) -> NodeId {
         self.landmark_of_rank[rank as usize]
     }
@@ -735,29 +388,17 @@ impl TwoHopIndex {
 
     /// Total number of label entries (a proxy for index size).
     pub fn label_entries(&self) -> usize {
-        self.out_labels.iter().map(Vec::len).sum::<usize>()
-            + self.in_labels.iter().map(Vec::len).sum::<usize>()
+        self.out_labels.entries.len() + self.in_labels.entries.len()
     }
 
     /// Approximate heap footprint of the index in bytes — the quantity
-    /// plotted in Fig. 12(d). Counts the label entries, the two outer
-    /// `Vec<Vec<u32>>` spines (whose inner `Vec` headers live inside the
-    /// outer allocation), and the rank → node map, following the
+    /// plotted in Fig. 12(d). Counts the label entries, the per-node
+    /// offsets of both directions, and the rank → node map, following the
     /// capacity-based convention of `LabeledGraph::heap_bytes` /
-    /// `CsrGraph::heap_bytes`. An earlier revision charged the inner-header
-    /// cost per *populated* list instead of per spine slot, understating the
-    /// footprint whenever the spines were longer than their filled prefix.
+    /// `CsrGraph::heap_bytes`.
     pub fn heap_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<u32>();
-        let per_vec = std::mem::size_of::<Vec<u32>>();
-        let entries: usize = self
-            .out_labels
-            .iter()
-            .chain(self.in_labels.iter())
-            .map(|v| v.capacity() * per_entry)
-            .sum();
-        entries
-            + (self.out_labels.capacity() + self.in_labels.capacity()) * per_vec
+        self.out_labels.heap_bytes()
+            + self.in_labels.heap_bytes()
             + self.landmark_of_rank.capacity() * std::mem::size_of::<NodeId>()
     }
 }
@@ -838,61 +479,16 @@ fn parallel_passes<G: GraphView + Sync>(
 fn landmark_order<G: GraphView>(g: &G, estimate: CoverageEstimate) -> Vec<NodeId> {
     let cond = Condensation::of(g);
     let dag = DagReach::from_condensation(&cond);
-    let scores = match estimate {
-        CoverageEstimate::Adaptive { seed } => adaptive_scores(g, &cond, &dag, seed),
-        other => coverage_scores(g, &cond, &dag, other),
-    };
-    order_by_scores(g, &scores)
-}
-
-/// Sorts all nodes by descending score, breaking ties by total degree then
-/// ascending node id (the sort is stable).
-fn order_by_scores<G: GraphView>(g: &G, scores: &[u64]) -> Vec<NodeId> {
+    let scores = coverage_scores(g, &cond, &dag, estimate);
     let mut order: Vec<NodeId> = g.nodes().collect();
     order
         .sort_by_key(|&v| std::cmp::Reverse((scores[v.index()], g.out_degree(v) + g.in_degree(v))));
     order
 }
 
-/// The adaptive sample-growth loop behind [`CoverageEstimate::Adaptive`]:
-/// double the sample until the top-16 of the induced landmark order agrees
-/// across two consecutive rounds, falling back to the exact sweep when the
-/// sample would stop being a proper subset of the columns.
-fn adaptive_scores<G: GraphView>(
-    g: &G,
-    cond: &Condensation,
-    dag: &DagReach,
-    seed: u64,
-) -> Vec<u64> {
-    const TOP_K: usize = 16;
-    let nc = cond.component_count();
-    let mut samples = 32usize;
-    let mut prev_top: Option<Vec<NodeId>> = None;
-    let mut round = 0u64;
-    loop {
-        if samples >= nc {
-            return coverage_scores(g, cond, dag, CoverageEstimate::Exact);
-        }
-        let estimate = CoverageEstimate::Sampled {
-            samples,
-            seed: seed.wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-        };
-        let scores = coverage_scores(g, cond, dag, estimate);
-        let order = order_by_scores(g, &scores);
-        let top: Vec<NodeId> = order.iter().take(TOP_K.min(order.len())).copied().collect();
-        if prev_top.as_ref() == Some(&top) {
-            return scores;
-        }
-        prev_top = Some(top);
-        samples *= 2;
-        round += 1;
-    }
-}
-
 /// `(|anc(v)| + 1) · (|desc(v)| + 1)` for every node — exactly, or scaled up
 /// from a sampled column sweep — computed through the SCC condensation so
-/// memory stays bounded on large graphs. `Adaptive` must be resolved by the
-/// caller ([`adaptive_scores`]) before reaching here.
+/// memory stays bounded on large graphs.
 fn coverage_scores<G: GraphView>(
     g: &G,
     cond: &Condensation,
@@ -1082,237 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_coverage_stays_exact_on_queries() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let cfg = TwoHopConfig {
-            coverage: CoverageEstimate::Adaptive { seed: 4 },
-            parallel: false,
-        };
-        for _ in 0..15 {
-            let g = random_graph(&mut rng);
-            let idx = TwoHopIndex::build_with(&g, &cfg);
-            for u in g.nodes() {
-                for w in g.nodes() {
-                    assert_eq!(
-                        idx.query(u, w),
-                        bfs_reachable(&g, u, w),
-                        "adaptive index differs for ({u}, {w})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn adaptive_matches_exact_on_small_graphs() {
-        // Below the initial sample size the adaptive loop must collapse to
-        // the exact sweep, so the orders (and hence the labels) coincide.
-        let g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
-        let adaptive = TwoHopIndex::build_with(
-            &g,
-            &TwoHopConfig {
-                coverage: CoverageEstimate::Adaptive { seed: 1 },
-                parallel: false,
-            },
-        );
-        let exact = TwoHopIndex::build(&g);
-        assert_eq!(adaptive.landmark_order(), exact.landmark_order());
-        assert_eq!(adaptive.label_entries(), exact.label_entries());
-    }
-
-    /// A randomized class-lifecycle step for patch tests: `g2` is `g1` with
-    /// some rows retired (isolated), some born (appended or recycled), and
-    /// some edges rewired among rows adjacent to the change.
-    struct LifecycleCase {
-        g1: LabeledGraph,
-        g2: LabeledGraph,
-        dead: Vec<u32>,
-        dirty: Vec<u32>,
-        born: Vec<u32>,
-        still_dead: Vec<u32>,
-    }
-
-    /// Emulates the serving layer's class lifecycle on plain DAGs. The
-    /// dirty set is derived exactly as the contract requires — any
-    /// surviving row whose cone (in either graph) touches a changed row.
-    fn random_lifecycle(rng: &mut StdRng) -> LifecycleCase {
-        // Random DAG (edges point id-upward).
-        let n1 = rng.gen_range(4..18usize);
-        let mut edges1: Vec<(u32, u32)> = Vec::new();
-        for u in 0..n1 as u32 {
-            for v in (u + 1)..n1 as u32 {
-                if rng.gen_bool(0.25) {
-                    edges1.push((u, v));
-                }
-            }
-        }
-        let g1 = graph(n1, &edges1);
-
-        // Retire some rows, append some, rewire a few edges.
-        let dead: Vec<u32> = (0..n1 as u32).filter(|_| rng.gen_bool(0.2)).collect();
-        let born_new = rng.gen_range(0..3usize);
-        let n2 = n1 + born_new;
-        let mut born: Vec<u32> = (n1 as u32..n2 as u32).collect();
-        // Recycle about half of the dead ids.
-        let mut still_dead: Vec<u32> = Vec::new();
-        for &d in &dead {
-            if rng.gen_bool(0.5) {
-                born.push(d);
-            } else {
-                still_dead.push(d);
-            }
-        }
-        let is_dead = |v: u32| still_dead.contains(&v);
-        let mut edges2: Vec<(u32, u32)> = edges1
-            .iter()
-            .copied()
-            .filter(|&(u, v)| {
-                !dead.contains(&u) && !dead.contains(&v) // born-recycled rows restart empty
-            })
-            .collect();
-        let mut rewired: Vec<u32> = Vec::new();
-        for _ in 0..rng.gen_range(0..6) {
-            let u = rng.gen_range(0..n2 as u32);
-            let v = rng.gen_range(0..n2 as u32);
-            let (u, v) = (u.min(v), u.max(v));
-            if u == v || is_dead(u) || is_dead(v) {
-                continue;
-            }
-            if let Some(pos) = edges2.iter().position(|&e| e == (u, v)) {
-                edges2.swap_remove(pos);
-            } else {
-                edges2.push((u, v));
-            }
-            rewired.push(u);
-            rewired.push(v);
-        }
-        let g2 = graph(n2, &edges2);
-
-        // Changed rows: every dead/born id plus rewired endpoints.
-        let mut changed: Vec<u32> = dead.iter().chain(born.iter()).copied().collect();
-        changed.extend(rewired);
-        changed.sort_unstable();
-        changed.dedup();
-
-        // Dirty: surviving rows whose cone touches a changed row in
-        // either graph (brute force via BFS closures).
-        let cone_touches = |g: &LabeledGraph, x: u32| -> bool {
-            use qpgc_graph::traversal::{ancestors, descendants};
-            if changed.contains(&x) {
-                return true;
-            }
-            if x as usize >= g.node_count() {
-                return false;
-            }
-            descendants(g, NodeId(x))
-                .into_iter()
-                .chain(ancestors(g, NodeId(x)))
-                .any(|y| changed.contains(&y.0))
-        };
-        let dirty: Vec<u32> = (0..n2 as u32)
-            .filter(|&x| !dead.contains(&x) && !born.contains(&x))
-            .filter(|&x| cone_touches(&g1, x) || cone_touches(&g2, x))
-            .collect();
-
-        LifecycleCase {
-            g1,
-            g2,
-            dead,
-            dirty,
-            born,
-            still_dead,
-        }
-    }
-
-    /// The patched index must answer like BFS on `g2` for all pairs.
-    #[test]
-    fn patched_index_is_query_equivalent_to_rebuild() {
-        let mut rng = StdRng::seed_from_u64(97);
-        for case in 0..60 {
-            let c = random_lifecycle(&mut rng);
-            let n2 = c.g2.node_count();
-            let idx1 = TwoHopIndex::build(&c.g1);
-            let patched = idx1.patch(&c.g2, &c.dead, &c.dirty, &c.born);
-            assert_eq!(
-                patched.retired_rank_count(),
-                c.dead.len(),
-                "case {case}: tombstone count"
-            );
-            assert_eq!(
-                patched.live_rank_count(),
-                n2 - c.still_dead.len(),
-                "case {case}: live rank count"
-            );
-            for u in c.g2.nodes() {
-                for w in c.g2.nodes() {
-                    assert_eq!(
-                        patched.query(u, w),
-                        bfs_reachable(&c.g2, u, w),
-                        "case {case}: patched answer differs for ({u}, {w})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Concurrent re-labeling must produce the exact same label lists as
-    /// the sequential path — not just query-equivalent ones. The frozen
-    /// base plus rank-order commit makes this hold by construction; this
-    /// pins it over seeded lifecycle streams at 1/2/4 workers.
-    #[test]
-    fn parallel_patch_is_bit_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(4242);
-        for case in 0..40 {
-            let c = random_lifecycle(&mut rng);
-            let idx1 = TwoHopIndex::build(&c.g1);
-            let sequential = idx1.patch_with(&c.g2, &c.dead, &c.dirty, &c.born, 1);
-            for threads in [2, 4] {
-                let parallel = idx1.patch_with(&c.g2, &c.dead, &c.dirty, &c.born, threads);
-                assert_eq!(
-                    sequential.out_labels, parallel.out_labels,
-                    "case {case}, threads {threads}: out labels"
-                );
-                assert_eq!(
-                    sequential.in_labels, parallel.in_labels,
-                    "case {case}, threads {threads}: in labels"
-                );
-                assert_eq!(
-                    sequential.landmark_of_rank, parallel.landmark_of_rank,
-                    "case {case}, threads {threads}: rank map"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn patch_with_no_changes_is_identity() {
-        let g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)]);
-        let idx = TwoHopIndex::build(&g);
-        let patched = idx.patch(&g, &[], &[], &[]);
-        assert_eq!(patched.out_labels, idx.out_labels);
-        assert_eq!(patched.in_labels, idx.in_labels);
-        assert_eq!(patched.landmark_of_rank, idx.landmark_of_rank);
-        assert_eq!(patched.retired_rank_count(), 0);
-    }
-
-    #[test]
-    fn repeated_patches_accumulate_tombstones() {
-        // Chain 0 -> 1 -> 2; retire 2, then retire 1: two tombstones, and
-        // queries keep tracking the shrinking graph.
-        let g0 = graph(3, &[(0, 1), (1, 2)]);
-        let g1 = graph(3, &[(0, 1)]);
-        let g2 = graph(3, &[]);
-        let idx0 = TwoHopIndex::build(&g0);
-        let idx1 = idx0.patch(&g1, &[2], &[0, 1], &[]);
-        assert!(idx1.query(NodeId(0), NodeId(1)));
-        assert!(!idx1.query(NodeId(1), NodeId(2)));
-        let idx2 = idx1.patch(&g2, &[1], &[0], &[]);
-        assert!(!idx2.query(NodeId(0), NodeId(1)));
-        assert_eq!(idx2.retired_rank_count(), 2);
-        assert_eq!(idx2.live_rank_count(), 1);
-    }
-
-    #[test]
     fn rank_labels_never_exceed_legacy_node_id_labels() {
         let mut rng = StdRng::seed_from_u64(31);
         let mut strictly_smaller_somewhere = false;
@@ -1358,15 +723,10 @@ mod tests {
         let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
         let idx = TwoHopIndex::build(&g);
         assert!(idx.label_entries() > 0);
-        // The outer spines alone account for 2 · n inner-Vec headers plus
-        // the rank map; entries come on top.
-        let spine_floor =
-            2 * 4 * std::mem::size_of::<Vec<u32>>() + 4 * std::mem::size_of::<NodeId>();
-        assert!(
-            idx.heap_bytes() >= spine_floor + idx.label_entries() * std::mem::size_of::<u32>(),
-            "heap_bytes {} below spine floor {spine_floor} + entries",
-            idx.heap_bytes()
-        );
+        // Two offset arrays of n + 1, the entries, and the rank map — all
+        // `u32`-sized, all allocated at their final length.
+        let words = 2 * (4 + 1) + idx.label_entries() + 4;
+        assert_eq!(idx.heap_bytes(), words * std::mem::size_of::<u32>());
     }
 
     #[test]

@@ -34,18 +34,6 @@ impl Default for GateMode {
 }
 
 impl GateMode {
-    /// The damage fraction bounding the 2-hop index sub-gate (the
-    /// dirty-landmark fraction above which a snapshot patch still rebuilds
-    /// its secondary index; see `Snapshot::apply_delta`). `Fixed` uses its
-    /// own threshold; the forced modes force the index the same way.
-    pub(crate) fn index_patch_bound(self) -> f64 {
-        match self {
-            GateMode::Fixed(t) => t,
-            GateMode::AlwaysPatch => f64::INFINITY,
-            GateMode::AlwaysRebuild => 0.0,
-        }
-    }
-
     /// Routes one non-empty delta that churned `churned` stable classes
     /// out of `live`. Pure: equal arguments always produce the same
     /// decision.

@@ -47,18 +47,18 @@
 //!   snapshot from the previous one via each side's `PartitionDelta` —
 //!   quotient CSR rows are patched in place (`CsrGraph::patch`, untouched
 //!   spans copied wholesale), transitive reduction is re-decided only for
-//!   rows the delta can have changed, the 2-hop index re-labels only
-//!   landmarks whose reachability cones touch the changed classes
-//!   ([`TwoHopIndex::patch`]), and the pattern view re-derives only the
-//!   quotient rows the bisimulation delta can have changed
-//!   (`PatternView::apply_delta`). The two sides are gated independently
-//!   (each against its own live class count): heavy
+//!   rows the delta can have changed, and the pattern view re-derives
+//!   only the quotient rows the bisimulation delta can have changed
+//!   (`PatternView::apply_delta`). The 2-hop index is the exception: it
+//!   is built, not maintained — every publication that changes `Gr` runs
+//!   `TwoHopIndex::build_with` over the new CSR. The two sides are gated
+//!   independently (each against its own live class count): heavy
 //!   bisimulation churn rebuilds only the pattern view, heavy reachability
 //!   churn only the reachability structures, and a side whose partition a
 //!   batch leaves untouched is `Arc`-shared with the previous snapshot
 //!   outright. [`ApplyReport::path`] records both routes and
 //!   [`ApplyReport::reach_gate`] / [`ApplyReport::pattern_gate`] the
-//!   gate's decisions. The optional 2-hop build can still run its
+//!   gate's decisions. The optional 2-hop build can run its
 //!   per-landmark forward/backward passes on two threads
 //!   (`TwoHopConfig::parallel`); [`parallel::class_edges`] remains for
 //!   materializing quotient edges from scratch when no maintained counters

@@ -8,11 +8,10 @@
 //! flags, 2-hop landmark ranks) by the maintainer's *stable* class ids
 //! ([`StableQuotient`]), not by densely renumbered ones. A class id absent
 //! from a batch's [`PartitionDelta`] names the same node set before and
-//! after the batch, so its CSR row, its cyclic flag, and its landmark
-//! labels can be carried into the next snapshot verbatim. Retired ids stay
-//! behind as isolated rows (never referenced by the node → class index), so
-//! `Gr`'s `node_count` is the id-space size while
-//! [`Snapshot::class_count`] counts live classes.
+//! after the batch, so its CSR row and its cyclic flag can be carried into
+//! the next snapshot verbatim. Retired ids stay behind as isolated rows
+//! (never referenced by the node → class index), so `Gr`'s `node_count` is
+//! the id-space size while [`Snapshot::class_count`] counts live classes.
 //!
 //! ## What `apply_delta` recomputes — and what it doesn't
 //!
@@ -25,10 +24,9 @@
 //!   previous kept/redundant decision carries over and the row is copied.
 //!   The scoped re-decision sweeps only the affected *columns* via
 //!   [`DagReach::descendants_for_columns`] instead of every column.
-//! * **2-hop index** — re-labels only landmarks whose forward/backward
-//!   cones (old or new) intersect the changed classes
-//!   ([`TwoHopIndex::patch`]); past a damage threshold (or once tombstoned
-//!   ranks outnumber live ones) it falls back to a compacting full build.
+//! * **2-hop index** — not carried over: it is built over the patched CSR
+//!   by the same [`TwoHopIndex::build_with`] call a from-scratch snapshot
+//!   makes, so a patched snapshot's index is a pure function of its CSR.
 //!
 //! The pattern side follows the same discipline, one level up: the store
 //! derives the next [`PatternView`] from the previous snapshot's via
@@ -240,7 +238,15 @@ impl Snapshot {
             version,
             gr,
             class_of: Arc::new(sq.class_of.clone()),
-            cyclic: Arc::new(sq.cyclic.clone()),
+            // The maintainer leaves a retired id's flag stale; clear it, as
+            // `apply_delta` does, so both paths publish the same flags.
+            cyclic: Arc::new(
+                sq.cyclic
+                    .iter()
+                    .zip(&sq.active)
+                    .map(|(&cyclic, &live)| cyclic && live)
+                    .collect(),
+            ),
             live_classes: sq.class_count(),
             two_hop,
             pattern,
@@ -251,9 +257,6 @@ impl Snapshot {
     /// [`PartitionDelta`], recomputing only what the delta can have changed
     /// (see the module docs). `sq` is the post-batch stable-id state; the
     /// patched structures are debug-asserted against it.
-    ///
-    /// Returns the snapshot and whether the 2-hop index was patched
-    /// (`false` when it was rebuilt in full, or absent).
     pub(crate) fn apply_delta(
         prev: &Snapshot,
         version: u64,
@@ -261,7 +264,7 @@ impl Snapshot {
         delta: &PartitionDelta,
         pattern: Option<Arc<PatternView>>,
         config: &StoreConfig,
-    ) -> (Snapshot, bool) {
+    ) -> Snapshot {
         // Delta-patching operates on plain CSR rows; a succinct
         // predecessor (an `Auto` store whose last publication rebuilt) is
         // inflated once up front.
@@ -382,57 +385,10 @@ impl Snapshot {
         let appended: Vec<Label> = vec![sigma; id_space - old_space];
         let gr = prev_gr.patch_with(diff.added(), diff.removed(), &appended);
 
-        // 2-hop: re-label only landmarks whose cones intersect the changed
-        // classes; fall back to a full (compacting) rebuild past the gate
-        // mode's index-patch bound or once tombstones outnumber live ranks.
-        let (two_hop, two_hop_patched) = match (&config.two_hop, prev.two_hop.as_deref()) {
-            (Some(cfg), Some(idx)) => {
-                let old_dag = DagReach::from_dag_graph(&*prev_gr)
-                    .expect("a published quotient snapshot is a DAG");
-                let d_old = old_dag.descendants_for_columns(&delta.removed);
-                let a_old = old_dag.ancestors_for_columns(&delta.removed);
-                let d_new = dag.descendants_for_columns(&added_ids);
-                let a_new = dag.ancestors_for_columns(&added_ids);
-                let mut is_changed = vec![false; id_space];
-                for &r in &delta.removed {
-                    is_changed[r as usize] = true;
-                }
-                for &a in &added_ids {
-                    is_changed[a as usize] = true;
-                }
-                let dirty: Vec<u32> = (0..id_space as u32)
-                    .filter(|&x| {
-                        let xi = x as usize;
-                        if is_changed[xi] {
-                            return false; // handled as dead/born
-                        }
-                        let old_hit = xi < old_space
-                            && (d_old[xi].count_ones() > 0 || a_old[xi].count_ones() > 0);
-                        old_hit || d_new[xi].count_ones() > 0 || a_new[xi].count_ones() > 0
-                    })
-                    .collect();
-                let dirty_landmarks = dirty.len() + added_ids.len();
-                let live = idx.live_rank_count().max(1);
-                let damage = dirty_landmarks as f64 / live as f64;
-                let tombstones = idx.retired_rank_count() + delta.removed.len();
-                if damage > config.gate.index_patch_bound() || tombstones > live {
-                    (Some(Arc::new(TwoHopIndex::build_with(&gr, cfg))), false)
-                } else {
-                    (
-                        Some(Arc::new(idx.patch_with(
-                            &gr,
-                            &delta.removed,
-                            &dirty,
-                            &added_ids,
-                            config.threads,
-                        ))),
-                        true,
-                    )
-                }
-            }
-            (Some(cfg), None) => (Some(Arc::new(TwoHopIndex::build_with(&gr, cfg))), false),
-            _ => (None, false),
-        };
+        let two_hop = config
+            .two_hop
+            .as_ref()
+            .map(|cfg| Arc::new(TwoHopIndex::build_with(&gr, cfg)));
 
         let live_classes = prev.live_classes - delta.removed.len() + delta.added.len();
         debug_assert_eq!(live_classes, sq.class_count(), "live-class count drifted");
@@ -444,18 +400,15 @@ impl Snapshot {
         } else {
             QuotientCsr::Plain(Arc::new(gr))
         };
-        (
-            Snapshot {
-                version,
-                gr,
-                class_of: Arc::new(class_of),
-                cyclic: Arc::new(cyclic),
-                live_classes,
-                two_hop,
-                pattern,
-            },
-            two_hop_patched,
-        )
+        Snapshot {
+            version,
+            gr,
+            class_of: Arc::new(class_of),
+            cyclic: Arc::new(cyclic),
+            live_classes,
+            two_hop,
+            pattern,
+        }
     }
 
     /// A re-publication of the same reachability state under a new version
@@ -603,6 +556,83 @@ impl Snapshot {
             .answer(query)
     }
 
+    /// Checks the structural invariants every published snapshot holds:
+    /// `Gr` is acyclic and transitively reduced; the node index names only
+    /// live rows, exactly [`Snapshot::class_count`] of them; every other
+    /// (retired) row is isolated with its cyclic flag cleared; and, when
+    /// an index is served, its landmark order is a permutation of the id
+    /// space and it answers like BFS over `Gr` on a seeded sample of row
+    /// pairs. For tests and diagnostics — it sweeps full descendant sets
+    /// and is not on the serving path.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let gr = self.gr.to_plain_arc();
+        let n = gr.node_count();
+        let dag = DagReach::from_dag_graph(&*gr).map_err(|e| format!("Gr is not a DAG: {e}"))?;
+        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK).len();
+        if kept != gr.edge_count() {
+            return Err(format!(
+                "Gr keeps {} edges, its transitive reduction {kept}",
+                gr.edge_count()
+            ));
+        }
+        if self.cyclic.len() != n {
+            return Err(format!("{} cyclic flags for {n} rows", self.cyclic.len()));
+        }
+
+        let mut live = vec![false; n];
+        for (v, &c) in self.class_of.iter().enumerate() {
+            *live
+                .get_mut(c as usize)
+                .ok_or_else(|| format!("node {v} maps to class {c} outside the id space {n}"))? =
+                true;
+        }
+        let live_rows = live.iter().filter(|&&l| l).count();
+        if live_rows != self.live_classes {
+            return Err(format!(
+                "node index names {live_rows} rows, class_count says {}",
+                self.live_classes
+            ));
+        }
+        for r in (0..n).filter(|&r| !live[r]) {
+            let row = NodeId(r as u32);
+            if gr.out_degree(row) + gr.in_degree(row) > 0 || self.cyclic[r] {
+                return Err(format!("retired row {r} is not an isolated acyclic row"));
+            }
+        }
+
+        let Some(idx) = self.two_hop() else {
+            return Ok(());
+        };
+        let order = idx.landmark_order();
+        let mut ranked = vec![false; n];
+        for lm in order {
+            match ranked.get_mut(lm.index()) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(format!("landmark {lm} is ranked twice or is no row")),
+            }
+        }
+        if order.len() != n {
+            return Err(format!("{} landmark ranks for {n} rows", order.len()));
+        }
+        // A multiplicative hash walks the n² row pairs, seeded by the
+        // version so reruns probe the same ones.
+        let (rows, pairs) = (n as u64, (n * n) as u64);
+        for i in 0..pairs.min(256) {
+            let k = self
+                .version
+                .wrapping_add(i)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                % pairs;
+            let (u, w) = (NodeId((k / rows) as u32), NodeId((k % rows) as u32));
+            if idx.query(u, w) != bfs_reachable(&*gr, u, w) {
+                return Err(format!(
+                    "2-hop index disagrees with BFS over Gr on ({u}, {w})"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Approximate heap footprint of the snapshot in bytes: CSR quotient +
     /// node index + cyclic flags + optional 2-hop index + optional pattern
     /// view. Every structure follows the same capacity-based convention
@@ -695,6 +725,59 @@ mod tests {
         assert!(with_pattern.heap_bytes() > snap.heap_bytes());
     }
 
+    /// The checker must be able to say no: each broken part is named.
+    #[test]
+    fn check_invariants_rejects_broken_snapshots() {
+        let quotient = |edges: &[(u32, u32)]| {
+            let mut interner = LabelInterner::new();
+            let sigma = interner.intern("σ");
+            let edges: Vec<_> = edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
+            QuotientCsr::Plain(Arc::new(CsrGraph::from_edges(
+                vec![sigma; 3],
+                interner,
+                edges,
+            )))
+        };
+        let chain = [(0, 1), (1, 2)];
+        let ok = Snapshot::from_loaded_parts(0, quotient(&chain), vec![0, 1, 2], vec![false; 3], 3);
+        assert_eq!(ok.check_invariants(), Ok(()));
+        let broken = [
+            // A transitive edge kept.
+            Snapshot::from_loaded_parts(
+                0,
+                quotient(&[(0, 1), (0, 2), (1, 2)]),
+                vec![0, 1, 2],
+                vec![false; 3],
+                3,
+            ),
+            // A cycle.
+            Snapshot::from_loaded_parts(
+                0,
+                quotient(&[(0, 1), (1, 0)]),
+                vec![0, 1, 2],
+                vec![false; 3],
+                3,
+            ),
+            // Row 2 retired but still wired in.
+            Snapshot::from_loaded_parts(0, quotient(&chain), vec![0, 1, 1], vec![false; 3], 2),
+            // Live-class count out of step with the node index.
+            Snapshot::from_loaded_parts(0, quotient(&chain), vec![0, 1, 2], vec![false; 3], 2),
+            // An index built over a different quotient.
+            Snapshot {
+                two_hop: Some(Arc::new(TwoHopIndex::build(
+                    quotient(&[(2, 0)]).as_plain().unwrap(),
+                ))),
+                ..ok.clone()
+            },
+        ];
+        for (i, snap) in broken.iter().enumerate() {
+            assert!(
+                snap.check_invariants().is_err(),
+                "broken snapshot {i} passed"
+            );
+        }
+    }
+
     /// A pattern-serving snapshot of a real graph reports strictly more
     /// bytes than the same snapshot without the pattern side, and the
     /// difference is exactly the view's own footprint.
@@ -734,15 +817,13 @@ mod tests {
 
     /// The structural heart of the delta path: a patched snapshot's quotient
     /// CSR must be bit-identical to the one a full rebuild produces from the
-    /// same maintained state (same stable ids ⇒ same rows), and the patched
-    /// 2-hop must answer identically.
+    /// same maintained state (same stable ids ⇒ same rows), and so must the
+    /// 2-hop index built over it.
     #[test]
     fn apply_delta_equals_full_rebuild_structurally() {
         let mut rng = StdRng::seed_from_u64(31);
         let config = StoreConfig::builder()
             .two_hop(Default::default())
-            // Exercise the scoped 2-hop re-labeling even when most of the
-            // tiny graph is dirty.
             .gate(GateMode::AlwaysPatch)
             .build();
         for case in 0..25 {
@@ -764,8 +845,7 @@ mod tests {
                 let (_, delta) = m.apply(&batch).reach;
                 batch.apply_to(&mut g);
                 let sq = m.reach().stable_quotient();
-                let (patched, _) =
-                    Snapshot::apply_delta(&snap, step + 1, &sq, &delta, None, &config);
+                let patched = Snapshot::apply_delta(&snap, step + 1, &sq, &delta, None, &config);
                 let rebuilt = Snapshot::build(step + 1, &sq, None, &config);
                 assert_eq!(
                     patched.compressed_graph().edges().collect::<Vec<_>>(),
@@ -773,6 +853,15 @@ mod tests {
                     "case {case} step {step}: patched TR diverged from scratch TR"
                 );
                 assert_eq!(patched.class_count(), rebuilt.class_count());
+                let (p_idx, r_idx) = (patched.two_hop().unwrap(), rebuilt.two_hop().unwrap());
+                assert_eq!(
+                    p_idx.landmark_order(),
+                    r_idx.landmark_order(),
+                    "case {case} step {step}: landmark order"
+                );
+                assert_eq!(p_idx.label_entries(), r_idx.label_entries());
+                assert_eq!(p_idx.heap_bytes(), r_idx.heap_bytes());
+                assert_eq!(patched.check_invariants(), Ok(()));
                 for u in g.nodes() {
                     for w in g.nodes() {
                         let expected = bfs_reachable(&g, u, w);

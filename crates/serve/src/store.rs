@@ -69,8 +69,8 @@ pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
     /// Worker threads for store-level bulk evaluation
-    /// ([`CompressedStore::bulk_reachable`]); `0` means
-    /// `available_parallelism`.
+    /// ([`CompressedStore::bulk_reachable`]) and for the maintainers'
+    /// partition-refinement sweeps; `0` means `available_parallelism`.
     pub threads: usize,
     /// Build a 2-hop index over `Gr` in every snapshot (queries become
     /// label intersections instead of BFS). `None` skips the index.
@@ -140,7 +140,7 @@ pub struct StoreConfigBuilder {
 }
 
 impl StoreConfigBuilder {
-    /// Worker threads for store-level bulk evaluation (`0` means
+    /// Worker threads for bulk evaluation and maintenance (`0` means
     /// `available_parallelism`).
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -193,16 +193,19 @@ pub enum ApplyPath {
     /// previous snapshot was republished under the new version with every
     /// structure — pattern view included — `Arc`-shared.
     Republished,
-    /// The previous snapshot was delta-patched. `two_hop_patched` tells
-    /// whether the 2-hop index was scoped-re-labeled too (`false`: rebuilt
-    /// in full past its own damage gate, or absent). A reachability-quiet
-    /// batch whose bisimulation delta was row-patched reports this path
-    /// with `churn == 0.0` (the reachability structures were carried over
+    /// The previous snapshot was delta-patched (node index, cyclic flags
+    /// and quotient CSR rows; a configured 2-hop index is always rebuilt
+    /// over the patched CSR). A reachability-quiet batch whose
+    /// bisimulation delta was row-patched reports this path with
+    /// `churn == 0.0` (the reachability structures were carried over
     /// verbatim) and the pattern fields say what happened on that side.
     Patched {
         /// Fraction of live reachability classes churned by the batch.
         churn: f64,
-        /// Whether the 2-hop index took the scoped re-labeling path.
+        /// Always `false`: the 2-hop index has one construction
+        /// (`TwoHopIndex::build_with`) and is never patched. The field
+        /// stays only because `qpgc_benchmark/src/adapter.rs` destructures
+        /// it and the product may not edit the benchmark.
         two_hop_patched: bool,
         /// Pattern-side churn (churned classes / live bisimulation
         /// classes) when patterns are served and the batch changed the
@@ -552,7 +555,7 @@ impl CompressedStore {
     /// the gate routes the batch's [`PartitionDelta`] to the patch path the
     /// new snapshot is derived from the previous one
     /// ([`Snapshot::apply_delta`] — patched CSR rows, patched node index,
-    /// scoped 2-hop re-labeling); otherwise it rebuilds from scratch, and
+    /// 2-hop index rebuilt over them); otherwise it rebuilds from scratch, and
     /// no-op deltas republish. Pattern (when served): the bisimulation
     /// delta is routed by the same rule against the live bisimulation
     /// classes — an empty delta shares the previous [`PatternView`]
@@ -714,13 +717,11 @@ impl CompressedStore {
                         Some(decision),
                     )
                 } else {
-                    let (snapshot, two_hop_patched) =
-                        Snapshot::apply_delta(&prev, next, &sq, &delta, pattern_view, &self.config);
                     (
-                        snapshot,
+                        Snapshot::apply_delta(&prev, next, &sq, &delta, pattern_view, &self.config),
                         ApplyPath::Patched {
                             churn,
-                            two_hop_patched,
+                            two_hop_patched: false,
                             pattern_churn,
                             pattern_patched,
                         },

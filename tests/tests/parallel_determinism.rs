@@ -1,12 +1,12 @@
 //! Determinism under parallelism, pinned at the store level.
 //!
 //! The parallel maintenance paths — worklist-partitioned bisimulation
-//! refinement, frozen-base 2-hop re-labeling, and the chunked
-//! reachability-signature sweeps — all promise **bit-identical** results
-//! to their sequential forms at any thread count. The kernel crates pin
-//! the raw structures (`qpgc_pattern::bisim`, `qpgc_reach::two_hop`);
-//! this suite drives the same seeded update streams through whole
-//! [`CompressedStore`]s configured at 1, 2, and 4 threads and asserts the
+//! refinement and the chunked reachability-signature sweeps — promise
+//! **bit-identical** results to their sequential forms at any thread
+//! count. The kernel crate pins the raw structures
+//! (`qpgc_pattern::bisim`); this suite drives the same seeded update
+//! streams through whole [`CompressedStore`]s configured at 1, 2, and 4
+//! threads and asserts the
 //! *published snapshots* coincide at every version:
 //!
 //! * the quotient CSR edge-for-edge and the stable class index node for
@@ -16,9 +16,9 @@
 //! * the 2-hop index's landmark order, entry count, and every pairwise
 //!   answer when the index is enabled.
 //!
-//! Streams run under [`GateMode::AlwaysPatch`] (every batch exercises the
-//! delta path, where the parallel re-labeling lives) and under the
-//! default [`GateMode::Fixed`] boundary (batches mix patch and rebuild,
+//! Streams run under [`GateMode::AlwaysPatch`] (every batch patches the
+//! CSR and rebuilds the index over it) and under the default
+//! [`GateMode::Fixed`] boundary (batches mix patch and rebuild,
 //! so the parallel from-scratch partition paths get exercised too).
 
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
@@ -91,10 +91,12 @@ fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: b
         batch.apply_to(&mut g);
 
         let base = stores[0].load();
+        assert_eq!(base.check_invariants(), Ok(()), "seed {seed} step {step}");
         for (si, store) in stores.iter().enumerate().skip(1) {
             let snap = store.load();
             let tag = format!("seed {seed} step {step} store {si}");
             assert_eq!(snap.version(), base.version(), "{tag}: version");
+            assert_eq!(snap.check_invariants(), Ok(()), "{tag}");
             assert_eq!(
                 snap.compressed_graph().edges().collect::<Vec<_>>(),
                 base.compressed_graph().edges().collect::<Vec<_>>(),
@@ -125,10 +127,8 @@ fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: b
             }
             match (snap.two_hop(), base.two_hop()) {
                 (Some(idx), Some(bidx)) => {
-                    // Routing is a pure function of the delta, so every
-                    // store took the same patch/rebuild route and the
-                    // indexes coincide structurally (a patched index keeps
-                    // tombstones a rebuild compacts away).
+                    // The index is a pure function of the quotient CSR,
+                    // just asserted equal.
                     assert_eq!(
                         idx.landmark_order(),
                         bidx.landmark_order(),
@@ -162,9 +162,9 @@ fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: b
     }
 }
 
-/// Always-patch streams with the 2-hop index: every batch runs the scoped
-/// re-labeling, which at `threads > 1` runs its per-landmark passes
-/// concurrently against the frozen label base.
+/// Always-patch streams with the 2-hop index: the patched CSR, and the
+/// index rebuilt over it on every batch, are the same at every thread
+/// count.
 #[test]
 fn always_patch_two_hop_streams_are_thread_count_invariant() {
     for i in 0..10 {
@@ -184,7 +184,7 @@ fn pattern_streams_are_thread_count_invariant() {
 
 /// Everything on at once — patterns and the 2-hop index under the
 /// default fixed gate, so row-patched and rebuilt pattern views meet
-/// patched and rebuilt 2-hop indexes in the same stream.
+/// patched and rebuilt quotient CSRs in the same stream.
 #[test]
 fn combined_streams_are_thread_count_invariant() {
     for i in 0..10 {

@@ -7,7 +7,9 @@
 //!
 //! * the patched quotient CSR is bit-identical to the rebuilt one (both
 //!   stores replay the same maintained state, so stable class ids line up
-//!   and the transitive reductions must coincide edge for edge);
+//!   and the transitive reductions must coincide edge for edge), and so is
+//!   the 2-hop index built over it (landmark order, entry count, heap);
+//! * [`Snapshot::check_invariants`] holds;
 //! * every reachability answer matches a BFS oracle on the updated data
 //!   graph (which also proves the two stores agree with each other), with
 //!   and without the 2-hop index.
@@ -30,7 +32,7 @@ use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
-use qpgc_serve::{ApplyPath, CompressedStore, GateMode, ReachStore as _, StoreConfig};
+use qpgc_serve::{ApplyPath, CompressedStore, GateMode, ReachStore as _, Snapshot, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,6 +92,29 @@ fn random_batch(
     batch
 }
 
+/// The 2-hop index is a pure function of the quotient CSR it is built
+/// over, so a patched snapshot's must equal the from-scratch one's. (The
+/// index's own heap only: `Snapshot::heap_bytes` also counts `Vec`
+/// capacities that legitimately differ between a resized and a cloned
+/// `cyclic`.)
+fn assert_same_index(patched: &Snapshot, rebuilt: &Snapshot, context: &str) {
+    let (Some(p), Some(r)) = (patched.two_hop(), rebuilt.two_hop()) else {
+        assert!(patched.two_hop().is_none() && rebuilt.two_hop().is_none());
+        return;
+    };
+    assert_eq!(
+        p.landmark_order(),
+        r.landmark_order(),
+        "{context}: landmark order"
+    );
+    assert_eq!(
+        p.label_entries(),
+        r.label_entries(),
+        "{context}: label entries"
+    );
+    assert_eq!(p.heap_bytes(), r.heap_bytes(), "{context}: index heap");
+}
+
 /// Runs one stream through a delta-patching store and a rebuild-everything
 /// store, asserting structural and answer equivalence at every version.
 /// Returns the apply paths the delta store took.
@@ -132,6 +157,10 @@ fn run_stream(
             "seed {seed} step {step}: patched quotient diverged from rebuilt"
         );
         assert_eq!(patched.class_count(), rebuilt.class_count());
+        let ctx = format!("seed {seed} step {step}");
+        assert_same_index(&patched, &rebuilt, &ctx);
+        assert_eq!(patched.check_invariants(), Ok(()), "{ctx}");
+        assert_eq!(rebuilt.check_invariants(), Ok(()), "{ctx}");
 
         // Answers: every pair against the BFS oracle on the updated graph.
         for u in g.nodes() {
@@ -154,7 +183,7 @@ fn run_stream(
 }
 
 /// 60 streams (2 shapes × 3 update mixes × 10 seeds) with the 2-hop index
-/// on and patching forced — the scoped re-labeling path.
+/// on and patching forced — the index is rebuilt over every patched CSR.
 #[test]
 fn delta_streams_with_two_hop_match_full_rebuilds() {
     let mut patched = 0usize;
@@ -310,6 +339,9 @@ fn run_pattern_stream(seed: u64, insert_bias: f64, damage_threshold: f64) -> usi
 
         let patched = delta_store.load();
         let rebuilt = full_store.load();
+        let ctx = format!("seed {seed} step {step}");
+        assert_eq!(patched.check_invariants(), Ok(()), "{ctx}");
+        assert_eq!(rebuilt.check_invariants(), Ok(()), "{ctx}");
         let pv_d = patched.pattern_view().expect("pattern serving enabled");
         let pv_f = rebuilt.pattern_view().expect("pattern serving enabled");
         // Structural: both stores evolved the same stable bisimulation
@@ -417,25 +449,29 @@ fn damage_threshold_boundary_at_equality_patches() {
 }
 
 /// Long stream: 12 consecutive patched publications on one store, so
-/// tombstoned ranks and recycled class ids accumulate across many
-/// generations (the compaction fallback is allowed to trigger).
+/// retired and recycled class ids accumulate across many generations; the
+/// index must stay the one a from-scratch store builds at every step.
 #[test]
 fn long_patch_chains_stay_consistent() {
     let mut rng = StdRng::seed_from_u64(71);
     let mut g = random_graph(&mut rng, 18, false);
-    let store = CompressedStore::new(
-        g.clone(),
+    let config = |gate: GateMode| {
         StoreConfig::builder()
             .two_hop(Default::default())
-            .gate(GateMode::AlwaysPatch)
-            .build(),
-    );
+            .gate(gate)
+            .build()
+    };
+    let store = CompressedStore::new(g.clone(), config(GateMode::AlwaysPatch));
+    let full_store = CompressedStore::new(g.clone(), config(GateMode::AlwaysRebuild));
     for step in 0..12 {
         let count = rng.gen_range(1..4);
         let batch = random_batch(&mut rng, g.node_count(), count, 0.5, false);
         store.apply(&batch);
+        full_store.apply(&batch);
         batch.apply_to(&mut g);
         let snap = store.load();
+        assert_same_index(&snap, &full_store.load(), &format!("step {step}"));
+        assert_eq!(snap.check_invariants(), Ok(()), "step {step}");
         for u in g.nodes() {
             for w in g.nodes() {
                 assert_eq!(

@@ -154,6 +154,9 @@ fn run_format_differential(seed: u64, format: SnapshotFormat) {
     for step in 0..5 {
         let snap_plain = plain.load();
         let snap_fancy = fancy.load();
+        let ctx = format!("seed {seed} step {step}");
+        assert_eq!(snap_plain.check_invariants(), Ok(()), "{ctx}");
+        assert_eq!(snap_fancy.check_invariants(), Ok(()), "{ctx}");
         if format == SnapshotFormat::Succinct {
             assert!(
                 snap_fancy.quotient().is_succinct(),
@@ -222,6 +225,7 @@ fn auto_packs_rebuilds_and_keeps_patches_plain() {
         rebuilds.load().quotient().is_succinct(),
         "Auto must pack gate-routed rebuilds"
     );
+    assert_eq!(rebuilds.load().check_invariants(), Ok(()));
     // AlwaysPatch: non-empty deltas stay on the patch path → plain again.
     let patches = CompressedStore::new(
         g.clone(),
@@ -235,6 +239,7 @@ fn auto_packs_rebuilds_and_keeps_patches_plain() {
     for _ in 0..6 {
         let batch = random_batch(&mut rng2, g.node_count(), 3);
         let report = patches.apply(&batch);
+        assert_eq!(patches.load().check_invariants(), Ok(()));
         if matches!(report.path, qpgc_serve::ApplyPath::Patched { .. }) {
             assert!(
                 !patches.load().quotient().is_succinct(),
@@ -285,6 +290,9 @@ fn boot_from_snapshot_matches_recompress() {
         let b = booted.load();
         let r = replayed.load();
         let l = live.load();
+        for (snap, name) in [(&b, "booted"), (&r, "replayed"), (&l, "live")] {
+            assert_eq!(snap.check_invariants(), Ok(()), "seed {seed}: {name}");
+        }
         for u in g.nodes() {
             for w in g.nodes() {
                 let expected = bfs_reachable(&g, u, w);
@@ -323,6 +331,7 @@ fn boot_tail_spectrum() {
         let booted = CompressedStore::boot_from_snapshot(path, &log_path, config).unwrap();
         assert_eq!(booted.version(), live.version());
         let b = booted.load();
+        assert_eq!(b.check_invariants(), Ok(()));
         for u in g.nodes() {
             for w in g.nodes() {
                 assert_eq!(b.reachable(u, w), bfs_reachable(&g, u, w), "({u},{w})");
