@@ -1,20 +1,20 @@
-//! # qpgc-bench
+//! # qpgc_bench
 //!
 //! The reproduction harness for the paper's evaluation (Section 6): one
-//! experiment function per table and figure, shared by the `reproduce`
-//! binary (which prints paper-style tables) and the Criterion
-//! micro-benchmarks.
+//! experiment function per table and figure, printed as paper-style tables
+//! by the `reproduce` binary.
 //!
-//! Every experiment runs on the *emulated* datasets of `qpgc-generators`
+//! Every experiment runs on the *emulated* datasets of `qpgc_generators`
 //! (scaled-down stand-ins for the SNAP/CAIDA/ArnetMiner downloads the paper
-//! used — see DESIGN.md §2), so absolute numbers differ from the paper; the
-//! quantities compared in EXPERIMENTS.md are the relative ones the paper
-//! reports (compression ratios, query-time reductions, crossover points).
+//! used — see [`qpgc_generators::datasets`]), so absolute numbers differ
+//! from the paper; the quantities to compare are the relative ones the
+//! paper reports (compression ratios, query-time reductions, crossover
+//! points).
 //!
 //! Run everything with:
 //!
 //! ```text
-//! cargo run --release -p qpgc-bench --bin reproduce -- all
+//! cargo run --release -p qpgc_bench --bin reproduce -- all
 //! ```
 //!
 //! or a single experiment, e.g. `… -- table1` or `… -- fig12e`. The
@@ -26,7 +26,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod perf;
 
 pub use harness::{scale_from_env, ExperimentResult, Row};
-pub use perf::{perf_snapshot, PerfSnapshot};

@@ -4,9 +4,12 @@
 //! pattern compression on five labeled graphs (Table 2). The originals are
 //! SNAP / CAIDA / ArnetMiner downloads; this module regenerates stand-ins
 //! with the same topology class, the same label alphabet size and the same
-//! edge density, scaled down by `scale` (default 20× smaller) so the full
-//! benchmark suite runs in minutes on a laptop. See DESIGN.md §2 for the
-//! substitution rationale.
+//! edge density, scaled down by `scale` so the full reproduction run
+//! finishes in minutes on a laptop. Absolute sizes and times therefore
+//! differ from the paper's; what the emulations are built to carry over are
+//! the relative quantities it reports (compression ratios, query-time
+//! reductions, crossover points), which follow the topology class and the
+//! label alphabet rather than the node count.
 
 use qpgc_graph::LabeledGraph;
 
@@ -152,8 +155,8 @@ pub const REACHABILITY_DATASETS: &[DatasetSpec] = &[
 ];
 
 /// The six datasets the paper's Fig. 12(d) plots 2-hop index memory for —
-/// one list shared by the experiment, its tests, and the perf snapshot so
-/// they cannot drift apart.
+/// one list shared by the experiment and its tests so they cannot drift
+/// apart.
 pub const FIG12D_DATASETS: &[&str] = &[
     "P2P",
     "wikiVote",

@@ -10,8 +10,8 @@
 //! deterministic emulator per dataset that matches the topology *class*
 //! (power-law social network, bow-tie web graph, near-DAG citation network,
 //! sparse P2P overlay), the label alphabet size and the edge density of the
-//! original, scaled down by a configurable factor. DESIGN.md §2 documents
-//! why this preserves the shape of the paper's results.
+//! original, scaled down by a configurable factor. The [`datasets`] module
+//! docs say why this preserves the shape of the paper's results.
 //!
 //! All generators are deterministic given their seed.
 

@@ -16,7 +16,6 @@
 
 use crate::graph::LabeledGraph;
 use crate::ids::NodeId;
-use crate::view::GraphView;
 
 /// A deterministic hash partition of the node id space into `N` shards.
 ///
@@ -58,12 +57,6 @@ impl NodePartition {
     pub fn is_boundary(&self, u: NodeId, v: NodeId) -> bool {
         self.shard_of(u) != self.shard_of(v)
     }
-}
-
-/// The boundary edges of `g` under `part`: every edge whose endpoints live
-/// in different shards, in `g`'s edge iteration order.
-pub fn boundary_edges<G: GraphView>(g: &G, part: &NodePartition) -> Vec<(NodeId, NodeId)> {
-    g.edges().filter(|&(u, v)| part.is_boundary(u, v)).collect()
 }
 
 /// Splits `g` into per-shard subgraphs plus the boundary edge list.
@@ -159,7 +152,6 @@ mod tests {
         assert_eq!(shards.len(), 3);
         let intra: usize = shards.iter().map(|s| s.edge_count()).sum();
         assert_eq!(intra + boundary.len(), g.edge_count());
-        assert_eq!(boundary, boundary_edges(&g, &p));
         for (s, sub) in shards.iter().enumerate() {
             // Full node set, same labels, only owned intra edges.
             assert_eq!(sub.node_count(), g.node_count());

@@ -13,8 +13,7 @@ use crate::Finding;
 /// Directory names the walker never descends into, shared by every rule:
 /// vendored dependency stubs, build output, proptest failure persistence,
 /// and the linter's own (deliberately violating) fixture corpus. Hidden
-/// directories (`.git`, `.github`, ...) are skipped as well — the CI
-/// workflow is read explicitly by the bench-schema rule, not walked.
+/// directories (`.git`, `.github`, ...) are skipped as well.
 pub const EXCLUDED_DIRS: &[&str] = &["vendor", "target", "proptest-regressions", "fixtures"];
 
 /// True iff the walker must skip a directory with this (file) name.
@@ -332,7 +331,6 @@ pub const RULE_IDS: &[&str] = &[
     rules::determinism::RULE,
     rules::failpoints::RULE,
     rules::timing::RULE,
-    rules::bench_schema::RULE,
     rules::hygiene::RULE,
 ];
 
@@ -349,13 +347,6 @@ pub fn run_root(root: &Path) -> Vec<Finding> {
             files.push(SourceFile::parse(&rel, &text));
         }
     }
-    let ci = {
-        let path = root.join(".github/workflows/ci.yml");
-        std::fs::read_to_string(&path)
-            .ok()
-            .map(|text| (".github/workflows/ci.yml".to_string(), text))
-    };
-
     let mut raw: Vec<Finding> = Vec::new();
     for f in &files {
         raw.extend(rules::lock_hygiene::check(f));
@@ -364,10 +355,6 @@ pub fn run_root(root: &Path) -> Vec<Finding> {
         raw.extend(rules::hygiene::check(f));
     }
     raw.extend(rules::failpoints::check(&files));
-    raw.extend(rules::bench_schema::check(
-        ci.as_ref().map(|(rel, text)| (rel.as_str(), text.as_str())),
-        &files,
-    ));
 
     apply_pragmas(&files, raw)
 }

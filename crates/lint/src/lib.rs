@@ -7,8 +7,7 @@
 //! determinism (a `HashSet` iteration-order leak caused a real divergence,
 //! fixed in PR 4), lock poison-recovery (PR 7), the failpoint-site registry
 //! shared between `crates/serve`/`crates/fault` and the fault-injection
-//! suite, `QPGC_TIMING_TESTS`-gating of wall-clock assertions, and the CI
-//! smoke-grep keys that must track what `bench_json` emits.
+//! suite, and `QPGC_TIMING_TESTS`-gating of wall-clock assertions.
 //!
 //! `qpgc_lint` turns those conventions into a compiler-adjacent static
 //! pass: a hand-rolled comment/string/char/raw-string-aware Rust lexer
@@ -28,7 +27,6 @@
 //! | `deterministic-iteration` | no unsorted `HashMap`/`HashSet` iteration in the incremental-maintenance modules |
 //! | `failpoint-registry` | `fail_point!` sites and the fault-injection arm list agree bidirectionally |
 //! | `timing-gate` | wall-clock assertions sit in functions that check `QPGC_TIMING_TESTS` |
-//! | `bench-schema` | CI smoke greps and `bench_json`'s top-level sections agree bidirectionally |
 //! | `hygiene` | crate roots forbid unsafe; `dbg!`/`todo!`/`unimplemented!`/`println!` stay out of library code |
 //!
 //! Every pragma must carry a `-- justification`; pragmas that suppress

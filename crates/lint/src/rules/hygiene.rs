@@ -4,9 +4,8 @@
 //!    "no unsafe" stays a compiler-enforced property of the whole
 //!    workspace rather than a habit.
 //! 2. `dbg!` / `todo!` / `unimplemented!` never ship, and `println!` (raw
-//!    stdout) stays out of library code — binaries, benches, tests, and
-//!    examples are the only places that own stdout. The bench harness's
-//!    progress chatter goes through `eprintln!`, which is allowed.
+//!    stdout) stays out of library code — binaries, tests, and examples
+//!    are the only places that own stdout (`eprintln!` is allowed).
 
 use crate::engine::{is_ident, is_punct, SourceFile};
 use crate::lexer::Kind;
@@ -15,7 +14,7 @@ use crate::Finding;
 /// Rule id.
 pub const RULE: &str = "hygiene";
 
-/// Macros banned outside binaries, benches, tests, and examples.
+/// Macros banned outside binaries, tests, and examples.
 const BANNED: &[&str] = &["dbg", "todo", "unimplemented", "println"];
 
 /// Checks crate-root attributes and banned-macro usage.
@@ -48,8 +47,8 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
             &file.rel,
             tokens[i].line,
             &format!(
-                "`{}!` in library code: binaries, benches, tests, and examples are \
-                 the only allowed contexts (use eprintln!/a Result for the rest)",
+                "`{}!` in library code: binaries, tests, and examples are the \
+                 only allowed contexts (use eprintln!/a Result for the rest)",
                 tokens[i].text
             ),
         ));
@@ -70,12 +69,11 @@ fn has_forbid_unsafe(file: &SourceFile) -> bool {
     })
 }
 
-/// Banned macros are fine in binary targets, benches, test code (both
+/// Banned macros are fine in binary targets, test code (both
 /// `tests/` trees and `#[cfg(test)]` modules), and examples.
 fn allowed_context(file: &SourceFile, token_idx: usize) -> bool {
     let p = format!("/{}", file.rel);
     p.contains("/bin/")
-        || p.contains("/benches/")
         || p.contains("/tests/")
         || p.contains("/examples/")
         || p.ends_with("/main.rs")

@@ -1,8 +1,7 @@
-//! The six enforced invariants, one module per rule. Each per-file rule
-//! exposes `check(&SourceFile) -> Vec<Finding>`; the cross-file rules
-//! (failpoint registry, bench schema) take the whole file set.
+//! The five enforced invariants, one module per rule. Each per-file rule
+//! exposes `check(&SourceFile) -> Vec<Finding>`; the cross-file rule
+//! (failpoint registry) takes the whole file set.
 
-pub mod bench_schema;
 pub mod determinism;
 pub mod failpoints;
 pub mod hygiene;

@@ -110,30 +110,6 @@ fn failpoint_registry_accepts_matched_sites() {
 }
 
 #[test]
-fn bench_schema_flags_both_directions() {
-    let findings = run_root(&fixture_root("bench/bad"));
-    assert_eq!(
-        pins(&findings),
-        [
-            ("bench-schema", ".github/workflows/ci.yml", 7),
-            ("bench-schema", "crates/bench/src/perf.rs", 6),
-        ]
-    );
-    assert!(findings[0].message.contains("ghost_key"), "dead grep");
-    assert!(
-        findings[1].message.contains("unsmoked"),
-        "ungrepped section"
-    );
-}
-
-#[test]
-fn bench_schema_accepts_matched_keys_and_ignores_placeholders() {
-    // The ok fixture emits a `  "scale": {}` format! placeholder on purpose:
-    // it must not be read as an (ungrepped) section.
-    assert_eq!(pins(&run_root(&fixture_root("bench/ok"))), []);
-}
-
-#[test]
 fn hygiene_flags_missing_forbid_and_banned_macros() {
     let findings = run_root(&fixture_root("hygiene/bad"));
     assert_eq!(

@@ -436,8 +436,7 @@ fn densify(node_labels: &[Label], block: &[u32]) -> BisimPartition {
 
 /// The pre-CSR implementation (per-round `HashMap<(u32, Vec<u32>), u32>`
 /// signature table, rank-seeded), retained as the differential-testing
-/// oracle and the perf baseline the `BENCH_2.json` harness measures the CSR
-/// path against.
+/// oracle (`BENCH_2.json` recorded the CSR path's speed-up over it).
 pub fn bisimulation_partition_baseline(g: &LabeledGraph) -> BisimPartition {
     let cond = Condensation::of(g);
     let ranks = bisim_ranks(g, &cond);

@@ -9,7 +9,7 @@
 //!
 //! As with the reachability case, the paper's `bSplit`/`bMerge`/`PT`
 //! procedures are realized as an *affected-region localized recomputation*
-//! (DESIGN.md §2):
+//! (the skeleton shared with `incRCM` is [`qpgc_graph::quotient`]):
 //!
 //! 1. **Affected classes.** Bisimilarity of a node depends only on its
 //!    label and the behaviour of its descendants, so an edge update

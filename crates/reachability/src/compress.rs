@@ -92,35 +92,25 @@ impl ReachCompression {
 
 /// Runs `compressR` on `g` with the default signature chunk width.
 pub fn compress_r(g: &LabeledGraph) -> ReachCompression {
-    compress_r_with_chunk(g, qpgc_graph::reach_sets::DEFAULT_CHUNK)
+    compress_r_view(g)
 }
 
 /// Runs `compressR` over a frozen CSR snapshot.
 pub fn compress_r_csr(g: &CsrGraph) -> ReachCompression {
-    compress_r_with_chunk(g, qpgc_graph::reach_sets::DEFAULT_CHUNK)
+    compress_r_view(g)
 }
 
-/// [`compress_r`] with an explicit chunk width. Generic over [`GraphView`]:
-/// accepts the mutable graph or a CSR snapshot.
-pub fn compress_r_with_chunk<G: GraphView>(g: &G, chunk: usize) -> ReachCompression {
-    let partition = reachability_partition_with_chunk(g, chunk);
-    let graph = build_quotient_graph(g, &partition, true);
-    ReachCompression { graph, partition }
-}
-
-/// Variant of `compressR` that skips the transitive-reduction of the
-/// quotient edges (keeps every class-to-class edge). Exposed for the
-/// ablation benchmark that measures how much the reduction contributes to
-/// the compression ratio.
-pub fn compress_r_without_reduction(g: &LabeledGraph) -> ReachCompression {
+/// The body of [`compress_r`] and [`compress_r_csr`], generic over
+/// [`GraphView`].
+fn compress_r_view<G: GraphView>(g: &G) -> ReachCompression {
     let partition = reachability_partition_with_chunk(g, qpgc_graph::reach_sets::DEFAULT_CHUNK);
-    let graph = build_quotient_graph(g, &partition, false);
+    let graph = build_quotient_graph(g, &partition);
     ReachCompression { graph, partition }
 }
 
-/// Builds the quotient graph of `partition` over `g`. With `reduce` set the
-/// edge set is transitively reduced (the paper's Fig. 5 lines 6–8);
-/// intra-class edges never appear (a class trivially "reaches itself").
+/// Builds the quotient graph of `partition` over `g`. The edge set is
+/// transitively reduced (the paper's Fig. 5 lines 6–8); intra-class edges
+/// never appear (a class trivially "reaches itself").
 ///
 /// The class edge list is collected once, sorted and deduplicated, reduced
 /// directly on a [`DagReach`] built from that list, and bulk-inserted into
@@ -129,7 +119,6 @@ pub fn compress_r_without_reduction(g: &LabeledGraph) -> ReachCompression {
 pub(crate) fn build_quotient_graph<G: GraphView>(
     g: &G,
     partition: &ReachPartition,
-    reduce: bool,
 ) -> LabeledGraph {
     let classes = partition.class_count();
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.edge_count());
@@ -145,18 +134,11 @@ pub(crate) fn build_quotient_graph<G: GraphView>(
     edges.sort_unstable();
     edges.dedup();
 
-    let kept: Vec<(NodeId, NodeId)> = if reduce {
-        // The quotient of the reachability equivalence relation is a DAG, so
-        // the transitive reduction is unique.
-        let dag = DagReach::from_edges(classes, edges)
-            .expect("the quotient of the reachability equivalence relation is a DAG");
-        transitive_reduction_dag(&dag, qpgc_graph::reach_sets::DEFAULT_CHUNK)
-    } else {
-        edges
-            .into_iter()
-            .map(|(a, b)| (NodeId(a), NodeId(b)))
-            .collect()
-    };
+    // The quotient of the reachability equivalence relation is a DAG, so
+    // the transitive reduction is unique.
+    let dag = DagReach::from_edges(classes, edges)
+        .expect("the quotient of the reachability equivalence relation is a DAG");
+    let kept = transitive_reduction_dag(&dag, qpgc_graph::reach_sets::DEFAULT_CHUNK);
 
     let mut quotient = LabeledGraph::with_capacity(classes);
     for _ in 0..classes {
@@ -260,14 +242,12 @@ mod tests {
     fn transitive_reduction_removes_redundant_edges() {
         // 0 -> 1 -> 2 plus shortcut 0 -> 2, all singleton classes.
         let g = graph(3, &[(0, 1), (1, 2), (0, 2)]);
-        let with = compress_r(&g);
-        let without = compress_r_without_reduction(&g);
-        assert_eq!(with.graph.edge_count(), 2);
-        assert_eq!(without.graph.edge_count(), 3);
-        // Both preserve queries.
+        let c = compress_r(&g);
+        assert_eq!(c.graph.edge_count(), 2);
+        // Dropping the shortcut preserves every query.
         for v in g.nodes() {
             for w in g.nodes() {
-                assert_eq!(with.query(v, w), without.query(v, w));
+                assert_eq!(c.query(v, w), bfs_reachable(&g, v, w));
             }
         }
     }

@@ -13,7 +13,7 @@
 //! topological ranks, and splitting / merging hypernodes. The `Split` /
 //! `Merge` procedures are only sketched in the paper; this implementation
 //! realizes the same plan as an *affected-region localized recomputation*
-//! (see DESIGN.md §2):
+//! (the skeleton shared with `incPCM` is [`qpgc_graph::quotient`]):
 //!
 //! 1. **Reduce `ΔG`** — normalize the batch against `G` and drop insertions
 //!    that are already implied by the current reachability relation (the

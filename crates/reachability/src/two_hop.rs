@@ -21,7 +21,8 @@
 //! pruning rule kept almost nothing out. Queries stayed correct (failed
 //! pruning only *adds* labels) but the index bloated. The legacy
 //! construction is kept as [`TwoHopIndex::build_with_node_id_labels`] so the
-//! size win of the rank fix stays measurable (`BENCH_3.json`, bench tests).
+//! size win of the rank fix stays measurable (the `fig12d` experiment tests;
+//! `BENCH_3.json` recorded it when the fix landed).
 //! [`TwoHopIndex::landmark`] maps a rank back to its node for debugging.
 //!
 //! Because the compressed graph is "just a graph", the very same index can
@@ -277,8 +278,7 @@ impl TwoHopIndex {
     /// so the mid-build pruning intersection runs on unsorted lists and
     /// silently misses most covered pairs. Queries are still exact (failed
     /// pruning only adds labels); the index is just needlessly large. Kept
-    /// so tests and `BENCH_3.json` can quantify the rank fix — do not use
-    /// for anything else.
+    /// so tests can quantify the rank fix — do not use for anything else.
     pub fn build_with_node_id_labels<G: GraphView + Sync>(g: &G) -> Self {
         let n = g.node_count();
         let order = landmark_order(g, CoverageEstimate::Exact);

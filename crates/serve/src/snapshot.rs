@@ -126,14 +126,6 @@ impl QuotientCsr {
         }
     }
 
-    /// The succinct CSR, when that backend is live.
-    pub fn as_succinct(&self) -> Option<&CompressedCsr> {
-        match self {
-            QuotientCsr::Plain(_) => None,
-            QuotientCsr::Succinct(g) => Some(g),
-        }
-    }
-
     /// The plain form: an `Arc` bump when already plain, a full decode
     /// when succinct (the price a patched publication pays for following a
     /// packed one — see [`SnapshotFormat::Auto`]).

@@ -4,6 +4,7 @@
 //! bisimulation, reachability equivalence, simulation — must produce results
 //! identical to the retained seed implementations.
 
+use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use qpgc_generators::pattern_gen::{random_pattern, PatternGenConfig};
 use qpgc_generators::synthetic::{random_graph, SyntheticConfig};
 use qpgc_graph::{LabeledGraph, NodeId};
@@ -83,6 +84,18 @@ fn csr_roundtrips_labeled_graph() {
         assert!(
             csr.heap_bytes() <= g.heap_bytes(),
             "graph {i}: csr {} > labeled {}",
+            csr.heap_bytes(),
+            g.heap_bytes()
+        );
+    }
+    // On every Table-1 emulation the snapshot is strictly smaller.
+    for spec in REACHABILITY_DATASETS {
+        let g = spec.generate(400, 0);
+        let csr = g.freeze();
+        assert!(
+            csr.heap_bytes() < g.heap_bytes(),
+            "{}: csr {} >= labeled {}",
+            spec.name,
             csr.heap_bytes(),
             g.heap_bytes()
         );

@@ -145,6 +145,10 @@ fn run_stream(
         batch.apply_to(&mut g);
         paths.push(report.path);
         assert_eq!(report.version, full_report.version);
+        assert!(
+            !report.path.pattern_patched(),
+            "seed {seed} step {step}: pattern patch without pattern serving"
+        );
 
         let patched = delta_store.load();
         let rebuilt = full_store.load();
