@@ -128,10 +128,9 @@ impl MaintainedGraph {
     /// inverted. The partition states are then rebuilt by recompressing the
     /// restored graph — a from-scratch cost paid only on the failure path.
     ///
-    /// Recompression assigns **fresh stable ids**; callers that patched
-    /// derived structures keyed by the old ids (served snapshots) must
-    /// rebuild those structures from scratch on the next publication
-    /// instead of patching.
+    /// Recompression assigns **fresh stable ids**: a structure keyed by the
+    /// old ids still describes the restored graph, but its ids must not be
+    /// mixed with ids exported after the recovery.
     pub fn recover_from_failed(&mut self, norm: &UpdateBatch) {
         undo_effective(&mut self.graph, norm);
         *self = MaintainedGraph::new(

@@ -86,9 +86,7 @@ pub fn delete_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
 /// (scale-free graphs concentrate the giant cones in a few hub SCCs), so
 /// this is also what ordinary localized growth looks like — in contrast
 /// to [`mixed_batch`]'s uniformly random endpoints, which hit a giant-cone
-/// hub every few draws, churn most of the quotient, and are therefore
-/// correctly routed to full snapshot rebuilds by the serving layer's
-/// damage threshold.
+/// hub every few draws and churn most of the quotient.
 ///
 /// Cone sizes are measured on the SCC condensation with the chunked
 /// reach-set sweep (`O(|Vscc|²/w)` — affordable at bench scales; this is a

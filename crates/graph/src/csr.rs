@@ -75,102 +75,6 @@ pub(crate) fn csr_from_grouped(
     (out_offsets, out_targets, in_offsets, in_targets)
 }
 
-/// Rewrites one adjacency direction under a sorted, deduplicated row diff.
-///
-/// `adds` / `dels` are `(row, target)` pairs sorted ascending; rows not
-/// mentioned by either list are copied span-wise (one `extend_from_slice`
-/// per maximal untouched run, offsets shifted by the running edge-count
-/// delta). Touched rows are rebuilt by a three-way sorted merge of the old
-/// row, its additions, and its removals. In debug builds every removal must
-/// hit an existing target and every addition must be new.
-fn patch_direction(
-    old_offsets: &[u32],
-    old_targets: &[NodeId],
-    n_new: usize,
-    adds: &[(u32, u32)],
-    dels: &[(u32, u32)],
-) -> (Vec<u32>, Vec<NodeId>) {
-    let n_old = old_offsets.len() - 1;
-    let m_new = old_targets.len() + adds.len() - dels.len();
-    let mut offsets: Vec<u32> = Vec::with_capacity(n_new + 1);
-    let mut targets: Vec<NodeId> = Vec::with_capacity(m_new);
-    offsets.push(0);
-
-    let mut ai = 0usize;
-    let mut di = 0usize;
-    let mut row = 0usize;
-    while row < n_new {
-        let next_touched = match (adds.get(ai), dels.get(di)) {
-            (Some(&(ra, _)), Some(&(rd, _))) => ra.min(rd) as usize,
-            (Some(&(ra, _)), None) => ra as usize,
-            (None, Some(&(rd, _))) => rd as usize,
-            (None, None) => n_new,
-        };
-        if row < next_touched {
-            // Untouched run [row, next_touched): one flat copy, shifted offsets.
-            let hi = next_touched.min(n_new);
-            let span_lo = old_offsets[row.min(n_old)] as usize;
-            let span_hi = old_offsets[hi.min(n_old)] as usize;
-            let shift = targets.len() as i64 - span_lo as i64;
-            targets.extend_from_slice(&old_targets[span_lo..span_hi]);
-            for r in row..hi {
-                let end = old_offsets[(r + 1).min(n_old)] as i64;
-                offsets.push((end + shift) as u32);
-            }
-            row = hi;
-            continue;
-        }
-        // Touched row: merge old row minus removals with additions.
-        let old_row: &[NodeId] = if row < n_old {
-            &old_targets[old_offsets[row] as usize..old_offsets[row + 1] as usize]
-        } else {
-            &[]
-        };
-        let a_lo = ai;
-        while ai < adds.len() && adds[ai].0 as usize == row {
-            ai += 1;
-        }
-        let d_lo = di;
-        while di < dels.len() && dels[di].0 as usize == row {
-            di += 1;
-        }
-        let row_adds = &adds[a_lo..ai];
-        let row_dels = &dels[d_lo..di];
-        let mut oi = 0usize;
-        let mut aj = 0usize;
-        let mut dj = 0usize;
-        while oi < old_row.len() || aj < row_adds.len() {
-            let next_old = old_row.get(oi).map(|t| t.0);
-            let next_add = row_adds.get(aj).map(|&(_, t)| t);
-            match (next_old, next_add) {
-                (Some(o), a) if a.is_none() || o < a.unwrap() => {
-                    oi += 1;
-                    if dj < row_dels.len() && row_dels[dj].1 == o {
-                        dj += 1; // removed
-                    } else {
-                        targets.push(NodeId(o));
-                    }
-                }
-                (o, Some(a)) => {
-                    debug_assert!(o != Some(a), "added edge already present: ({row}, {a})");
-                    aj += 1;
-                    targets.push(NodeId(a));
-                }
-                _ => unreachable!(),
-            }
-        }
-        debug_assert_eq!(
-            dj,
-            row_dels.len(),
-            "removed edge missing from row {row}: {row_dels:?}"
-        );
-        offsets.push(targets.len() as u32);
-        row += 1;
-    }
-    debug_assert_eq!(targets.len(), m_new);
-    (offsets, targets)
-}
-
 impl CsrGraph {
     /// Builds a CSR snapshot of `g`. Equivalent to
     /// [`LabeledGraph::freeze`](crate::graph::LabeledGraph::freeze).
@@ -273,104 +177,6 @@ impl CsrGraph {
             in_targets,
             interner,
         }
-    }
-
-    /// Builds a new snapshot equal to `self` with `added` edges inserted and
-    /// `removed` edges deleted, rewriting **only the rows whose adjacency
-    /// changed**: maximal runs of untouched rows are copied as single
-    /// contiguous spans (one `memcpy` per run, offsets shifted by a running
-    /// delta), so the cost is `O(touched-row degree + n)` plus the flat span
-    /// copies — never a per-row merge over the whole graph. This is the
-    /// substrate of delta-patched snapshot construction in the serving
-    /// layer: the quotient CSR of version `k+1` is born from version `k`
-    /// plus the row diff induced by a [`PartitionDelta`].
-    ///
-    /// Semantics are exact-diff: every `added` edge must be absent from
-    /// `self` and every `removed` edge present (checked in debug builds;
-    /// duplicates within each list are tolerated). Edges may reference the
-    /// appended rows.
-    ///
-    /// [`PartitionDelta`]: crate::update::PartitionDelta
-    pub fn patch(&self, added: &[(NodeId, NodeId)], removed: &[(NodeId, NodeId)]) -> CsrGraph {
-        self.patch_with(added, removed, &[])
-    }
-
-    /// [`CsrGraph::patch`] that also appends `appended_labels.len()` fresh
-    /// (initially isolated) nodes after the existing rows — the growth path
-    /// for quotient snapshots whose class id space expanded.
-    pub fn patch_with(
-        &self,
-        added: &[(NodeId, NodeId)],
-        removed: &[(NodeId, NodeId)],
-        appended_labels: &[Label],
-    ) -> CsrGraph {
-        let n_new = self.node_count() + appended_labels.len();
-        let mut fwd_add: Vec<(u32, u32)> = added.iter().map(|&(u, v)| (u.0, v.0)).collect();
-        let mut fwd_del: Vec<(u32, u32)> = removed.iter().map(|&(u, v)| (u.0, v.0)).collect();
-        let mut bwd_add: Vec<(u32, u32)> = added.iter().map(|&(u, v)| (v.0, u.0)).collect();
-        let mut bwd_del: Vec<(u32, u32)> = removed.iter().map(|&(u, v)| (v.0, u.0)).collect();
-        for list in [&mut fwd_add, &mut fwd_del, &mut bwd_add, &mut bwd_del] {
-            list.sort_unstable();
-            list.dedup();
-            for &(u, v) in list.iter() {
-                assert!(
-                    (u as usize) < n_new && (v as usize) < n_new,
-                    "edge ({u}, {v}) out of bounds"
-                );
-            }
-        }
-
-        let (out_offsets, out_targets) = patch_direction(
-            &self.out_offsets,
-            &self.out_targets,
-            n_new,
-            &fwd_add,
-            &fwd_del,
-        );
-        let (in_offsets, in_targets) = patch_direction(
-            &self.in_offsets,
-            &self.in_targets,
-            n_new,
-            &bwd_add,
-            &bwd_del,
-        );
-
-        let mut labels = Vec::with_capacity(n_new);
-        labels.extend_from_slice(&self.labels);
-        labels.extend_from_slice(appended_labels);
-
-        CsrGraph {
-            labels,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
-            interner: self.interner.clone(),
-        }
-    }
-
-    /// [`CsrGraph::patch_with`] that additionally rewrites the labels of
-    /// existing rows. Needed by quotient snapshots whose row ids are
-    /// *recycled* (a retired class id reborn as a different class carries a
-    /// different label): [`CsrGraph::patch_with`] alone carries every
-    /// existing row's label over verbatim. `relabels` is applied in order,
-    /// so a later entry for the same row wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a relabelled row is out of bounds.
-    pub fn patch_relabeled(
-        &self,
-        added: &[(NodeId, NodeId)],
-        removed: &[(NodeId, NodeId)],
-        appended_labels: &[Label],
-        relabels: &[(NodeId, Label)],
-    ) -> CsrGraph {
-        let mut out = self.patch_with(added, removed, appended_labels);
-        for &(v, l) in relabels {
-            out.labels[v.index()] = l;
-        }
-        out
     }
 
     /// Thaws the snapshot back into a mutable [`LabeledGraph`] (same nodes,
@@ -607,126 +413,6 @@ mod tests {
         assert!(csr.out_neighbors(a).is_empty());
         assert!(csr.in_neighbors(a).is_empty());
         assert!(csr.heap_bytes() > 0);
-    }
-
-    #[test]
-    fn patch_rewrites_only_changed_rows() {
-        let (g, n) = sample(); // a->b, a->c, b->c, c->a
-        let csr = CsrGraph::from_graph(&g);
-        let patched = csr.patch(&[(n[1], n[0])], &[(n[0], n[2])]);
-        assert_eq!(patched.node_count(), 3);
-        assert_eq!(patched.edge_count(), 4);
-        assert!(patched.has_edge(n[1], n[0]));
-        assert!(!patched.has_edge(n[0], n[2]));
-        assert!(patched.has_edge(n[0], n[1])); // untouched part of row 0 intact
-        assert_eq!(patched.in_neighbors(n[0]), &[n[1], n[2]]);
-        assert_eq!(patched.label_name(n[1]), Some("B"));
-    }
-
-    #[test]
-    fn patch_with_appends_isolated_nodes() {
-        let (g, n) = sample();
-        let csr = CsrGraph::from_graph(&g);
-        let l = csr.label(n[0]);
-        let patched = csr.patch_with(&[(NodeId(4), n[0])], &[], &[l, l]);
-        assert_eq!(patched.node_count(), 5);
-        assert_eq!(patched.edge_count(), 5);
-        assert!(patched.out_neighbors(NodeId(3)).is_empty());
-        assert_eq!(patched.out_neighbors(NodeId(4)), &[n[0]]);
-        assert_eq!(patched.in_neighbors(n[0]), &[n[2], NodeId(4)]);
-    }
-
-    #[test]
-    fn patch_relabeled_rewrites_row_labels() {
-        let (g, n) = sample(); // labels A, B, C
-        let csr = CsrGraph::from_graph(&g);
-        let a = csr.label(n[0]);
-        let c = csr.label(n[2]);
-        let patched = csr.patch_relabeled(&[], &[(n[0], n[2])], &[c], &[(n[1], a), (n[1], c)]);
-        assert_eq!(patched.node_count(), 4);
-        // Later relabel entry for the same row wins.
-        assert_eq!(patched.label(n[1]), c);
-        assert_eq!(patched.label_name(n[1]), Some("C"));
-        // Untouched rows keep their labels; appended row got the given one.
-        assert_eq!(patched.label_name(n[0]), Some("A"));
-        assert_eq!(patched.label_name(NodeId(3)), Some("C"));
-        assert!(!patched.has_edge(n[0], n[2]));
-    }
-
-    #[test]
-    fn patch_empty_diff_is_identity() {
-        let (g, _) = sample();
-        let csr = CsrGraph::from_graph(&g);
-        let patched = csr.patch(&[], &[]);
-        assert_eq!(
-            patched.edges().collect::<Vec<_>>(),
-            csr.edges().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn patch_matches_from_edges_on_random_diffs() {
-        // Differential: patching must equal rebuilding from the new edge set.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for case in 0..40 {
-            let n = 2 + (next() % 24) as usize;
-            let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-            for _ in 0..(next() % (3 * n as u64)) {
-                edges.push((
-                    NodeId((next() % n as u64) as u32),
-                    NodeId((next() % n as u64) as u32),
-                ));
-            }
-            edges.sort_unstable();
-            edges.dedup();
-            let mut interner = LabelInterner::new();
-            let l = interner.intern("X");
-            let csr = CsrGraph::from_edges(vec![l; n], interner.clone(), edges.clone());
-
-            // Random exact diff: remove some present edges, add some absent.
-            let mut removed: Vec<(NodeId, NodeId)> = Vec::new();
-            let mut kept: Vec<(NodeId, NodeId)> = Vec::new();
-            for &e in &edges {
-                if next() % 3 == 0 {
-                    removed.push(e);
-                } else {
-                    kept.push(e);
-                }
-            }
-            let mut added: Vec<(NodeId, NodeId)> = Vec::new();
-            for _ in 0..(next() % 10) {
-                let e = (
-                    NodeId((next() % n as u64) as u32),
-                    NodeId((next() % n as u64) as u32),
-                );
-                if !edges.contains(&e) && !added.contains(&e) {
-                    added.push(e);
-                }
-            }
-            let mut expected = kept;
-            expected.extend_from_slice(&added);
-            expected.sort_unstable();
-            let rebuilt = CsrGraph::from_edges(vec![l; n], interner, expected.clone());
-            let patched = csr.patch(&added, &removed);
-            assert_eq!(
-                patched.edges().collect::<Vec<_>>(),
-                rebuilt.edges().collect::<Vec<_>>(),
-                "case {case} forward diverged"
-            );
-            for v in patched.nodes() {
-                assert_eq!(
-                    patched.in_neighbors(v),
-                    rebuilt.in_neighbors(v),
-                    "case {case} reverse row {v} diverged"
-                );
-            }
-        }
     }
 
     #[test]

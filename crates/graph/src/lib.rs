@@ -85,5 +85,5 @@ pub use quotient::{Classes, Equivalence, IncStats, IncrementalQuotient};
 pub use scc::Condensation;
 pub use stats::GraphStats;
 pub use succinct::{CompressedCsr, EliasFano};
-pub use update::{BatchError, ClassBirth, EdgeDelta, PartitionDelta, Update, UpdateBatch};
+pub use update::{BatchError, ClassBirth, PartitionDelta, Update, UpdateBatch};
 pub use view::GraphView;

@@ -459,33 +459,24 @@ impl<E: Equivalence> IncrementalQuotient<E> {
 
         // Pass A: collect the member sets of every changed group *before*
         // any class id is retired or recycled (absorbed atoms hand over
-        // their member lists wholesale here). Origins record which retired
-        // classes each group's members came from, for the delta export.
-        let mut pending: Vec<(Vec<NodeId>, E::Class, Vec<u32>)> = Vec::new();
+        // their member lists wholesale here).
+        let mut pending: Vec<(Vec<NodeId>, E::Class)> = Vec::new();
         for (gi, group) in groups.iter().enumerate() {
             if unchanged(group) {
                 continue;
             }
             let mut member_nodes: Vec<NodeId> = Vec::new();
-            let mut origins: Vec<u32> = Vec::new();
             for unit in group {
                 match unit {
-                    Unit::Member(v) => {
-                        origins.push(self.class_of[v.index()]);
-                        member_nodes.push(*v);
-                    }
+                    Unit::Member(v) => member_nodes.push(*v),
+                    // The atom's previous members move wholesale.
                     Unit::Atom(c) => {
-                        // The atom's previous members move wholesale.
-                        origins.push(*c);
-                        let old = std::mem::take(&mut self.members[*c as usize]);
-                        member_nodes.extend(old);
+                        member_nodes.extend(std::mem::take(&mut self.members[*c as usize]))
                     }
                 }
             }
             member_nodes.sort_unstable();
-            origins.sort_unstable();
-            origins.dedup();
-            pending.push((member_nodes, part.payload[gi], origins));
+            pending.push((member_nodes, part.payload[gi]));
         }
 
         // Pass B: retire changed classes and unlink them from the rows of
@@ -505,7 +496,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // Pass C: create the new classes (recycling retired ids).
         let mut new_ids: Vec<u32> = Vec::new();
         let mut births: Vec<ClassBirth> = Vec::new();
-        for (member_nodes, class, origins) in pending {
+        for (member_nodes, class) in pending {
             let id = match self.free_ids.pop() {
                 Some(id) => id,
                 None => {
@@ -524,7 +515,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 id,
                 members: member_nodes.clone(),
                 cyclic: E::cyclic(class),
-                origins,
             });
             self.members[id as usize] = member_nodes;
             self.payload[id as usize] = class;

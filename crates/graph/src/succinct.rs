@@ -20,9 +20,8 @@
 //! slice-returning [`crate::GraphView`] contract (`out_neighbors(&self) ->
 //! &[NodeId]`) cannot be met by a lazy decoder without caching, so
 //! consumers dispatch over an explicit plain/succinct backend enum (see
-//! `qpgc_serve`); anything that needs reverse edges, labels-by-slice or
-//! in-place patching decodes back to a [`CsrGraph`] with
-//! [`CompressedCsr::to_csr`] first.
+//! `qpgc_serve`); anything that needs reverse edges or labels-by-slice
+//! decodes back to a [`CsrGraph`] with [`CompressedCsr::to_csr`] first.
 
 use crate::codec::{unzigzag, zeta_len, zigzag, BitReader, BitWriter};
 use crate::csr::CsrGraph;
@@ -447,7 +446,7 @@ impl CompressedCsr {
     /// Decodes back to a plain [`CsrGraph`] — labels, interner, and edge
     /// set all round-trip exactly, so `to_csr(from_csr(g)) == g` up to
     /// capacity. The escape hatch for consumers that need reverse
-    /// adjacency, slices, or [`CsrGraph::patch`].
+    /// adjacency or slices.
     pub fn to_csr(&self) -> CsrGraph {
         let labels = match &self.labels {
             LabelStore::Uniform(l) => vec![*l; self.n],

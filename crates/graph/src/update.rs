@@ -260,62 +260,6 @@ impl FromIterator<Update> for UpdateBatch {
     }
 }
 
-/// An exact edge diff between two graph states: the row-level currency of
-/// [`CsrGraph::patch`](crate::csr::CsrGraph::patch).
-///
-/// Both lists are sorted by `(source, target)` and deduplicated, and they
-/// are disjoint; `added` edges are expected absent from the base graph and
-/// `removed` edges present (the patch checks this in debug builds). Built
-/// from an [`UpdateBatch`] with [`UpdateBatch::edge_delta`], or assembled
-/// directly by snapshot-diff code that already knows the exact row changes.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EdgeDelta {
-    added: Vec<(NodeId, NodeId)>,
-    removed: Vec<(NodeId, NodeId)>,
-}
-
-impl EdgeDelta {
-    /// Creates a delta from raw lists (sorted, deduplicated; edges appearing
-    /// in both lists cancel out).
-    pub fn new(mut added: Vec<(NodeId, NodeId)>, mut removed: Vec<(NodeId, NodeId)>) -> Self {
-        added.sort_unstable();
-        added.dedup();
-        removed.sort_unstable();
-        removed.dedup();
-        let in_removed: std::collections::HashSet<(NodeId, NodeId)> =
-            removed.iter().copied().collect();
-        let in_added: std::collections::HashSet<(NodeId, NodeId)> = added.iter().copied().collect();
-        added.retain(|e| !in_removed.contains(e));
-        removed.retain(|e| !in_added.contains(e));
-        EdgeDelta { added, removed }
-    }
-
-    /// Edges to insert, sorted by `(source, target)`.
-    pub fn added(&self) -> &[(NodeId, NodeId)] {
-        &self.added
-    }
-
-    /// Edges to delete, sorted by `(source, target)`.
-    pub fn removed(&self) -> &[(NodeId, NodeId)] {
-        &self.removed
-    }
-
-    /// `true` when the delta changes nothing.
-    pub fn is_empty(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-impl UpdateBatch {
-    /// The exact edge diff this batch induces on `g` — the normalized batch
-    /// ([`UpdateBatch::normalized`]) split into added/removed lists, ready
-    /// for [`CsrGraph::patch`](crate::csr::CsrGraph::patch).
-    pub fn edge_delta(&self, g: &LabeledGraph) -> EdgeDelta {
-        let (ins, del) = self.normalized(g).split();
-        EdgeDelta::new(ins, del)
-    }
-}
-
 /// One equivalence class born in an incremental maintenance step.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClassBirth {
@@ -328,21 +272,16 @@ pub struct ClassBirth {
     /// meaningful for reachability partitions; pattern (bisimulation)
     /// partitions leave it `false`.
     pub cyclic: bool,
-    /// The retired class ids the members came from, ascending and
-    /// deduplicated — the provenance that classifies the step as a split
-    /// (one origin feeding several births) or a merge (several origins
-    /// feeding one birth).
-    pub origins: Vec<u32>,
 }
 
 /// The structured difference between two partition states (`ΔP`): which
 /// classes died and which were born in one incremental maintenance step.
 ///
 /// Exported by the incremental algorithms (`incRCM`, `incPCM`) alongside
-/// their scalar statistics, and consumed by snapshot layers that patch
-/// derived structures (quotient CSR, node → class index, landmark labels)
-/// instead of rebuilding them. Class ids are the maintainer's *stable* ids:
-/// ids absent from both lists kept their membership bit-for-bit.
+/// their scalar statistics; serving layers read it to tell a batch that
+/// left the partition untouched (the served structure is shared) from one
+/// that needs a new publication. Class ids are the maintainer's *stable*
+/// ids: ids absent from both lists kept their membership bit-for-bit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartitionDelta {
     /// Class ids retired by the step, ascending.
@@ -363,31 +302,6 @@ impl PartitionDelta {
     /// Classes churned (died + born) by the step.
     pub fn churned(&self) -> usize {
         self.removed.len() + self.added.len()
-    }
-
-    /// Number of retired classes whose members were scattered across more
-    /// than one birth (splits).
-    pub fn split_count(&self) -> usize {
-        let mut seen: HashMap<u32, usize> = HashMap::new();
-        for birth in &self.added {
-            for &o in &birth.origins {
-                *seen.entry(o).or_insert(0) += 1;
-            }
-        }
-        seen.values().filter(|&&n| n > 1).count()
-    }
-
-    /// Number of births that absorbed members from more than one retired
-    /// class (merges).
-    pub fn merge_count(&self) -> usize {
-        self.added.iter().filter(|b| b.origins.len() > 1).count()
-    }
-
-    /// The added class ids, ascending.
-    pub fn added_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.added.iter().map(|b| b.id).collect();
-        ids.sort_unstable();
-        ids
     }
 }
 
@@ -477,58 +391,23 @@ mod tests {
     }
 
     #[test]
-    fn edge_delta_from_batch_is_exact() {
-        let (g, n) = sample_graph(); // edges 0->1, 1->2
-        let mut b = UpdateBatch::new();
-        b.insert(n[0], n[1]); // already present → dropped
-        b.insert(n[2], n[3]);
-        b.delete(n[1], n[2]);
-        b.delete(n[3], n[0]); // absent → dropped
-        let d = b.edge_delta(&g);
-        assert_eq!(d.added(), &[(n[2], n[3])]);
-        assert_eq!(d.removed(), &[(n[1], n[2])]);
-        assert!(!d.is_empty());
-        assert!(UpdateBatch::new().edge_delta(&g).is_empty());
-    }
-
-    #[test]
-    fn edge_delta_cancels_overlap() {
-        let e = (NodeId(0), NodeId(1));
-        let d = EdgeDelta::new(vec![e, e], vec![e]);
-        assert!(d.is_empty());
-    }
-
-    #[test]
-    fn partition_delta_classifies_splits_and_merges() {
+    fn partition_delta_counts_churn() {
+        let birth = |id, members: &[u32], cyclic| ClassBirth {
+            id,
+            members: members.iter().map(|&v| NodeId(v)).collect(),
+            cyclic,
+        };
         let delta = PartitionDelta {
             removed: vec![2, 5, 7],
             added: vec![
-                ClassBirth {
-                    id: 2,
-                    members: vec![NodeId(0)],
-                    cyclic: false,
-                    origins: vec![2],
-                },
-                ClassBirth {
-                    id: 8,
-                    members: vec![NodeId(1), NodeId(3)],
-                    cyclic: true,
-                    origins: vec![2, 5],
-                },
-                ClassBirth {
-                    id: 5,
-                    members: vec![NodeId(4)],
-                    cyclic: false,
-                    origins: vec![7],
-                },
+                birth(2, &[0], false),
+                birth(8, &[1, 3], true),
+                birth(5, &[4], false),
             ],
             id_space: 9,
         };
         assert!(!delta.is_empty());
         assert_eq!(delta.churned(), 6);
-        assert_eq!(delta.split_count(), 1); // origin 2 feeds two births
-        assert_eq!(delta.merge_count(), 1); // birth 8 absorbs two origins
-        assert_eq!(delta.added_ids(), vec![2, 5, 8]);
         assert!(PartitionDelta::default().is_empty());
     }
 

@@ -20,7 +20,7 @@ use crate::pattern::{resolve_labels, EdgeBound, MatchRelation, Pattern};
 ///
 /// Generic over [`GraphView`]: runs identically on the mutable
 /// [`LabeledGraph`](qpgc_graph::LabeledGraph) and on CSR snapshots such as
-/// the serving layer's patched pattern quotients.
+/// the serving layer's pattern quotients.
 ///
 /// Returns `None` if the pattern does not match (`Qp ⋬ G`), otherwise the
 /// maximum match relation `SM`.

@@ -49,17 +49,12 @@ pub use qpgc_graph::quotient::IncStats;
 /// `qpgc_reach::incremental::StableQuotient`.
 ///
 /// Stable ids survive across updates for classes a batch's
-/// [`PartitionDelta`] does not touch, which is what lets snapshot layers
-/// *patch* their served pattern structure (see
-/// [`PatternView`](crate::view::PatternView)) instead of re-materializing
-/// [`PatternCompression`] every batch. Retired ids are inactive holes;
-/// derived structures keep an isolated row for them.
+/// [`PartitionDelta`] does not touch. Retired ids are inactive holes;
+/// derived structures (see [`PatternView`](crate::view::PatternView)) keep
+/// an isolated row for them.
 #[derive(Clone, Debug)]
 pub struct StablePatternQuotient {
     /// `class_of[v]` — stable class id of node `v` (always an active id).
-    /// Empty in the light export
-    /// ([`IncrementalPattern::stable_quotient_without_members`]), whose
-    /// consumers patch the node index from the delta's births instead.
     pub class_of: Vec<u32>,
     /// Class label per stable id (stale for inactive ids).
     pub labels: Vec<Label>,
@@ -77,8 +72,7 @@ pub struct StablePatternQuotient {
     pub edges: Vec<(u32, u32)>,
     /// Label names of the original graph, so views built from this export
     /// can resolve pattern queries written against the original label
-    /// vocabulary. Fresh (empty) in the light export — patch consumers
-    /// keep their own interner.
+    /// vocabulary.
     pub interner: LabelInterner,
     /// Number of `true` entries of `active`, carried so consumers need not
     /// scan for it.
@@ -242,44 +236,21 @@ impl IncrementalPattern {
 
     /// Exports the current state under **stable** class ids (node → class
     /// index, labels, liveness, member lists, and the distinct class-level
-    /// edges from the maintained counters — no graph rescan). Stable ids
-    /// survive across updates for untouched classes, which is what lets
-    /// snapshot layers patch a served [`PatternView`](crate::view::PatternView)
-    /// from a [`PartitionDelta`] instead of rebuilding it; see
+    /// edges from the maintained counters — no graph rescan); see
     /// [`StablePatternQuotient`].
     pub fn stable_quotient(&self) -> StablePatternQuotient {
-        let mut spq = self.stable_quotient_without_members();
-        spq.class_of = self.q.class_index().to_vec();
-        spq.interner = self.interner.clone();
-        spq.members = self
-            .q
-            .members()
-            .iter()
-            .map(|m| Arc::from(m.as_slice()))
-            .collect();
-        spq
-    }
-
-    /// The **light** export for *patch* consumers: `members` are empty
-    /// rows, `class_of` is empty, and the interner is fresh.
-    /// `PatternView::apply_delta` carries untouched member rows over from
-    /// its predecessor, takes churned ones from the [`PartitionDelta`]'s
-    /// births, patches the node index from the births too, and resolves the
-    /// retired-row sentinel through its own interner — so the only pieces
-    /// it reads from the export are the per-class structures (`labels`,
-    /// `active`, `edges`). Cloning the `O(|V|)` node index and every member
-    /// list here would scale the patch path with graph size instead of
-    /// churn.
-    ///
-    /// [`PatternView::apply_delta`]: crate::view::PatternView::apply_delta
-    pub fn stable_quotient_without_members(&self) -> StablePatternQuotient {
         StablePatternQuotient {
-            class_of: Vec::new(),
+            class_of: self.q.class_index().to_vec(),
             labels: self.q.payload().to_vec(),
             active: self.q.active().to_vec(),
-            members: vec![Arc::from(&[][..]); self.q.id_space()],
+            members: self
+                .q
+                .members()
+                .iter()
+                .map(|m| Arc::from(m.as_slice()))
+                .collect(),
             edges: self.q.sorted_edges(),
-            interner: LabelInterner::new(),
+            interner: self.interner.clone(),
             live_classes: self.q.class_count(),
         }
     }
@@ -526,9 +497,6 @@ mod tests {
                 assert!(!birth.cyclic);
                 for &v in &birth.members {
                     replayed[v.index()] = birth.id;
-                }
-                for o in &birth.origins {
-                    assert!(delta.removed.contains(o), "case {case}: origin {o}");
                 }
             }
             assert_eq!(

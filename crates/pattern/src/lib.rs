@@ -24,10 +24,9 @@
 //!   compression under batch updates, plus the `IncBsim` baseline.
 //! * [`inc_match`] — `IncBMatch`: incremental maintenance of a pattern
 //!   query's match relation under updates (the baseline of Fig. 12(h)).
-//! * [`view`] — [`PatternView`](view::PatternView): the snapshot-facing,
-//!   *patchable* form of the compression (stable-id CSR quotient derived
-//!   from its predecessor via a `PartitionDelta` instead of re-materialized
-//!   per batch), consumed by serving layers.
+//! * [`view`] — [`PatternView`](view::PatternView): the snapshot-facing
+//!   form of the compression (stable-id CSR quotient built from the
+//!   maintainer's export), consumed by serving layers.
 //!
 //! ## Example
 //!

@@ -1,40 +1,24 @@
-//! [`PatternView`] — the snapshot-facing, **patchable** form of the pattern
-//! preserving compression.
+//! [`PatternView`] — the snapshot-facing form of the pattern preserving
+//! compression.
 //!
 //! [`PatternCompression`](crate::compress::PatternCompression) is the batch
-//! artefact: dense class ids, a freshly built mutable quotient graph,
-//! re-materialized in full every time it is asked for. A `PatternView` is
-//! what a serving layer keeps warm across versions instead:
+//! artefact: dense class ids and a freshly built mutable quotient graph. A
+//! `PatternView` is what a serving layer publishes instead:
 //!
 //! * the quotient lives in CSR form with rows indexed by the maintainer's
-//!   **stable** class ids ([`StablePatternQuotient`]), so a class untouched
-//!   by a batch keeps its row verbatim;
-//! * [`PatternView::apply_delta`] derives the next view from the previous
-//!   one and a [`PartitionDelta`]: only the rows of retired/born classes —
-//!   plus live rows with a class-level edge into one of them — are
-//!   re-derived, and the CSR is rewritten through the same row-diff
-//!   machinery ([`CsrGraph::patch_relabeled`]) that patches the
-//!   reachability quotient, with untouched row spans copied wholesale;
+//!   **stable** class ids ([`StablePatternQuotient`]), and member rows are
+//!   adopted from the export by reference bump;
+//! * it has one construction, [`PatternView::build`]; a serving layer
+//!   shares the previous view when a batch's
+//!   [`PartitionDelta`](qpgc_graph::update::PartitionDelta) is empty and
+//!   builds a new one otherwise;
 //! * retired ids persist as isolated rows carrying a reserved
 //!   [`RETIRED_CLASS_LABEL`] that no pattern query can name, so candidate
 //!   selection never sees ghost classes.
-//!
-//! ## Why the touched-row set is sufficient
-//!
-//! A class-level edge `(c, d)` exists iff some member of `c` has a data
-//! edge into a member of `d`. The incremental maintainer retires every
-//! class whose member set changes, and every data-graph edge update has its
-//! source inside a retired class (the affected region is an ancestor cone
-//! of the update sources). Hence an edge between two *surviving* classes
-//! can neither appear nor disappear: the only rows whose adjacency can
-//! change are the retired/born rows themselves and surviving rows with an
-//! old edge into a retired class or a new edge into a born class — exactly
-//! the set `apply_delta` re-derives. Everything else is span-copied.
 
 use std::sync::Arc;
 
-use qpgc_graph::update::{EdgeDelta, PartitionDelta};
-use qpgc_graph::{CsrGraph, Label, NodeId};
+use qpgc_graph::{CsrGraph, NodeId};
 
 use crate::bounded::bounded_match;
 use crate::incremental::StablePatternQuotient;
@@ -45,12 +29,11 @@ use crate::pattern::{MatchRelation, Pattern};
 /// rows never enter a pattern's candidate sets.
 pub const RETIRED_CLASS_LABEL: &str = "\u{0}retired-class\u{0}";
 
-/// A read-optimized, patchable snapshot of the pattern preserving
-/// compression, indexed by stable class ids.
+/// A read-optimized snapshot of the pattern preserving compression,
+/// indexed by stable class ids.
 ///
 /// Never mutated after construction — a serving layer shares it behind an
-/// `Arc` and derives successors with [`PatternView::apply_delta`] (or
-/// rebuilds with [`PatternView::build`] past its damage gate).
+/// `Arc`.
 #[derive(Clone, Debug)]
 pub struct PatternView {
     /// CSR quotient `Gr`. Rows are stable class ids; retired ids persist as
@@ -58,9 +41,8 @@ pub struct PatternView {
     graph: CsrGraph,
     /// `class_of[v]` — stable class id of original node `v`.
     class_of: Vec<u32>,
-    /// Member nodes per stable id (empty for retired ids). Rows are shared
-    /// (`Arc`) between consecutive views: a patch clones the spine and
-    /// replaces only churned entries.
+    /// Member nodes per stable id (empty for retired ids), shared (`Arc`)
+    /// with the export the view was built from.
     members: Vec<Arc<[NodeId]>>,
     /// Liveness per stable id.
     active: Vec<bool>,
@@ -94,163 +76,6 @@ impl PatternView {
             members: spq.members.clone(),
             active: spq.active.clone(),
             live_classes: spq.class_count(),
-        }
-    }
-
-    /// Derives the next view from `self` and the batch's
-    /// [`PartitionDelta`], re-deriving only the rows the delta can have
-    /// changed (see the module docs for the sufficiency argument). `spq` is
-    /// the post-batch stable-id export; the patched node index is
-    /// debug-asserted against it when present. Only the per-class pieces
-    /// (`labels`, `active`, `edges`) are consumed: untouched member rows
-    /// carry over from `self`, churned ones come from the delta's births,
-    /// and the node index is patched from the births too, so callers on
-    /// the patch path pass the cheaper light export
-    /// ([`IncrementalPattern::stable_quotient_without_members`]).
-    ///
-    /// [`IncrementalPattern::stable_quotient_without_members`]:
-    ///     crate::incremental::IncrementalPattern::stable_quotient_without_members
-    pub fn apply_delta(&self, delta: &PartitionDelta, spq: &StablePatternQuotient) -> PatternView {
-        let id_space = delta.id_space;
-        let old_space = self.graph.node_count();
-        debug_assert!(id_space >= old_space, "stable id space never shrinks");
-        debug_assert_eq!(id_space, spq.id_space());
-        let added_ids = delta.added_ids();
-
-        // Node → class index, member rows, liveness: patched from the
-        // births. Member rows of untouched classes are Arc-shared.
-        let mut class_of = self.class_of.clone();
-        let mut members = self.members.clone();
-        members.resize(id_space, Arc::from(&[][..]));
-        let mut active = self.active.clone();
-        active.resize(id_space, false);
-        let mut live_classes = self.live_classes;
-        for &r in &delta.removed {
-            active[r as usize] = false;
-            members[r as usize] = Arc::from(&[][..]);
-            live_classes -= 1;
-        }
-        for birth in &delta.added {
-            for &v in &birth.members {
-                class_of[v.index()] = birth.id;
-            }
-            active[birth.id as usize] = true;
-            members[birth.id as usize] = Arc::from(birth.members.as_slice());
-            live_classes += 1;
-        }
-        debug_assert!(
-            spq.class_of.is_empty() || class_of == spq.class_of,
-            "delta-patched node index drifted"
-        );
-        debug_assert_eq!(live_classes, spq.class_count(), "live-class count drifted");
-
-        // Post-batch class adjacency, indexed by source (`spq.edges` is
-        // sorted by `(source, target)` — a counting pass gives row offsets).
-        let mut new_off = vec![0u32; id_space + 1];
-        for &(a, _) in &spq.edges {
-            new_off[a as usize + 1] += 1;
-        }
-        for i in 0..id_space {
-            new_off[i + 1] += new_off[i];
-        }
-        let new_row = |a: u32| {
-            let (lo, hi) = (
-                new_off[a as usize] as usize,
-                new_off[a as usize + 1] as usize,
-            );
-            &spq.edges[lo..hi]
-        };
-
-        // Rows whose adjacency can have changed: the churned classes, live
-        // rows with an old edge into a retired class, and live rows with a
-        // new edge into a born class.
-        let mut touched = vec![false; id_space];
-        for &r in &delta.removed {
-            touched[r as usize] = true;
-            for &p in self.graph.in_neighbors(NodeId(r)) {
-                touched[p.index()] = true;
-            }
-        }
-        let mut is_added = vec![false; id_space];
-        for &a in &added_ids {
-            touched[a as usize] = true;
-            is_added[a as usize] = true;
-        }
-        for &(a, b) in &spq.edges {
-            if is_added[b as usize] {
-                touched[a as usize] = true;
-            }
-        }
-
-        // Per-row diff: the post-batch row vs. the previous view's row.
-        // Both sides are sorted ascending; two-pointer sweep.
-        let mut added_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut removed_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for a in 0..id_space as u32 {
-            if !touched[a as usize] {
-                continue;
-            }
-            let new_kept = new_row(a);
-            let old_kept: &[NodeId] = if (a as usize) < old_space {
-                self.graph.out_neighbors(NodeId(a))
-            } else {
-                &[]
-            };
-            let mut i = 0usize;
-            let mut j = 0usize;
-            while i < old_kept.len() || j < new_kept.len() {
-                match (
-                    old_kept.get(i).map(|t| t.0),
-                    new_kept.get(j).map(|&(_, b)| b),
-                ) {
-                    (Some(o), Some(n)) if o == n => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(o), n) if n.is_none() || o < n.unwrap() => {
-                        removed_edges.push((NodeId(a), NodeId(o)));
-                        i += 1;
-                    }
-                    (_, Some(n)) => {
-                        added_edges.push((NodeId(a), NodeId(n)));
-                        j += 1;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-        let diff = EdgeDelta::new(added_edges, removed_edges);
-
-        // Labels: retired rows drop to the sentinel, recycled rows take the
-        // label of the class reborn at their id (later relabels win, so a
-        // same-delta retire-then-rebirth ends at the birth's label), and
-        // appended rows are fresh births.
-        let retired = self
-            .graph
-            .interner()
-            .get(RETIRED_CLASS_LABEL)
-            .expect("pattern views intern the retired-class sentinel at build time");
-        let mut relabels: Vec<(NodeId, Label)> = delta
-            .removed
-            .iter()
-            .map(|&r| (NodeId(r), retired))
-            .collect();
-        for birth in &delta.added {
-            if (birth.id as usize) < old_space {
-                relabels.push((NodeId(birth.id), spq.labels[birth.id as usize]));
-            }
-        }
-        let appended: Vec<Label> = (old_space..id_space).map(|c| spq.labels[c]).collect();
-        let graph = self
-            .graph
-            .patch_relabeled(diff.added(), diff.removed(), &appended, &relabels);
-
-        PatternView {
-            graph,
-            class_of,
-            members,
-            active,
-            live_classes,
         }
     }
 
@@ -345,46 +170,19 @@ mod tests {
         g
     }
 
-    fn assert_views_identical(patched: &PatternView, rebuilt: &PatternView, ctx: &str) {
-        assert_eq!(
-            patched.graph().edges().collect::<Vec<_>>(),
-            rebuilt.graph().edges().collect::<Vec<_>>(),
-            "{ctx}: patched quotient edges diverged"
-        );
-        assert_eq!(
-            patched.graph().labels(),
-            rebuilt.graph().labels(),
-            "{ctx}: patched row labels diverged"
-        );
-        assert_eq!(patched.class_of, rebuilt.class_of, "{ctx}: node index");
-        assert_eq!(patched.active, rebuilt.active, "{ctx}: liveness");
-        assert_eq!(patched.class_count(), rebuilt.class_count(), "{ctx}: |Vr|");
-        for c in 0..patched.members.len() {
-            assert_eq!(
-                patched.members[c], rebuilt.members[c],
-                "{ctx}: members of class {c}"
-            );
-        }
-    }
-
-    /// The structural heart of pattern-side patching: a patched view must be
-    /// bit-identical to the one built from scratch off the same maintained
-    /// state, and its query answers must match direct evaluation on the
-    /// updated data graph.
+    /// A view built from the maintainer's export — at version 0 and after
+    /// every maintained batch, when retired ids have left isolated rows
+    /// behind — has the batch compression's class count and answers like
+    /// direct evaluation on the data graph.
     #[test]
-    fn apply_delta_equals_full_rebuild_and_oracle() {
-        let mut rng = StdRng::seed_from_u64(41);
+    fn view_matches_batch_compression_answers() {
+        let mut rng = StdRng::seed_from_u64(43);
         let mut queries: Vec<Pattern> = Vec::new();
         {
             let mut p = Pattern::new();
             let a = p.add_node("A");
             let b = p.add_node("B");
-            p.add_edge(a, b, 1);
-            queries.push(p);
-            let mut p = Pattern::new();
-            let a = p.add_node("A");
-            let c = p.add_node("C");
-            p.add_edge(a, c, 2);
+            p.add_edge(a, b, 2);
             queries.push(p);
             let mut p = Pattern::new();
             let b = p.add_node("B");
@@ -400,8 +198,17 @@ mod tests {
         for case in 0..25 {
             let mut g = random_labeled_graph(&mut rng, 16);
             let mut inc = IncrementalPattern::new(&g);
-            let mut view = PatternView::build(&inc.stable_quotient());
-            for step in 0..4 {
+            for step in 0..5 {
+                let view = PatternView::build(&inc.stable_quotient());
+                let pc = compress_b(&g);
+                assert_eq!(view.class_count(), pc.class_count());
+                for (qi, q) in queries.iter().enumerate() {
+                    let ctx = format!("case {case} step {step} query {qi}");
+                    let via_pc = bounded_match(&pc.graph, q).map(|m| pc.post_process(&m));
+                    let via_view = view.answer(q);
+                    crate::pattern::assert_same_answer(&via_pc, &via_view, &ctx);
+                    crate::pattern::assert_same_answer(&bounded_match(&g, q), &via_view, &ctx);
+                }
                 let n = g.node_count();
                 let mut batch = UpdateBatch::new();
                 for _ in 0..rng.gen_range(1..4) {
@@ -413,57 +220,8 @@ mod tests {
                         batch.delete(u, v);
                     }
                 }
-                let (_, delta) = inc.apply_with_delta(&mut g, &batch);
-                let spq = inc.stable_quotient();
-                let patched = view.apply_delta(&delta, &spq);
-                let rebuilt = PatternView::build(&spq);
-                assert_views_identical(&patched, &rebuilt, &format!("case {case} step {step}"));
-                for (qi, q) in queries.iter().enumerate() {
-                    crate::pattern::assert_same_answer(
-                        &bounded_match(&g, q),
-                        &patched.answer(q),
-                        &format!("case {case} step {step} query {qi}"),
-                    );
-                }
-                view = patched;
+                inc.apply(&mut g, &batch);
             }
-        }
-    }
-
-    #[test]
-    fn empty_delta_patch_is_identity() {
-        let mut g = LabeledGraph::new();
-        let a = g.add_node_with_label("A");
-        let b = g.add_node_with_label("B");
-        g.add_edge(a, b);
-        let mut inc = IncrementalPattern::new(&g);
-        let view = PatternView::build(&inc.stable_quotient());
-        let (_, delta) = inc.apply_with_delta(&mut g, &UpdateBatch::new());
-        assert!(delta.is_empty());
-        let spq = inc.stable_quotient();
-        let patched = view.apply_delta(&delta, &spq);
-        assert_views_identical(&patched, &view, "noop");
-    }
-
-    #[test]
-    fn view_matches_batch_compression_answers() {
-        let mut rng = StdRng::seed_from_u64(43);
-        for _ in 0..10 {
-            let g = random_labeled_graph(&mut rng, 14);
-            let inc = IncrementalPattern::new(&g);
-            let view = PatternView::build(&inc.stable_quotient());
-            let pc = compress_b(&g);
-            assert_eq!(view.class_count(), pc.class_count());
-            let mut p = Pattern::new();
-            let a = p.add_node("A");
-            let b = p.add_node("B");
-            p.add_edge(a, b, 2);
-            let via_pc = bounded_match(&pc.graph, &p).map(|m| pc.post_process(&m));
-            crate::pattern::assert_same_answer(
-                &via_pc,
-                &view.answer(&p),
-                "view vs batch compression",
-            );
         }
     }
 

@@ -68,12 +68,9 @@ pub use qpgc_graph::quotient::IncStats;
 /// ones) rather than the densely renumbered ids of
 /// [`IncrementalReach::partition`].
 ///
-/// Stable ids are what makes snapshot *patching* possible: a class id
-/// absent from a [`PartitionDelta`] names the same node set before and
-/// after the batch, so derived per-class structures (quotient CSR rows,
-/// landmark labels) indexed by stable id can be carried over verbatim.
-/// Retired ids are simply inactive holes; derived structures keep an empty
-/// row for them.
+/// A class id absent from a [`PartitionDelta`] names the same node set
+/// before and after the batch. Retired ids are simply inactive holes;
+/// derived structures keep an empty row for them.
 #[derive(Clone, Debug)]
 pub struct StableQuotient {
     /// `class_of[v]` — stable class id of node `v` (always an active id).
@@ -239,10 +236,9 @@ impl IncrementalReach {
 
     /// [`IncrementalReach::apply`] that also exports the structured
     /// [`PartitionDelta`]: which stable class ids the step retired, which
-    /// classes it created (with members, cyclic flags, and origin
-    /// provenance), and the resulting id-space size. Consumers that maintain
-    /// per-class derived state (e.g. the serving layer's delta-patched
-    /// snapshots) apply the delta instead of re-reading the whole partition.
+    /// classes it created (with members and cyclic flags), and the
+    /// resulting id-space size. An empty delta tells a serving layer that
+    /// the structure it published for the previous version still holds.
     pub fn apply_with_delta(
         &mut self,
         g: &mut LabeledGraph,
@@ -317,9 +313,8 @@ impl IncrementalReach {
 
     /// The current state under **stable** class ids: the node → class index,
     /// cyclic and liveness flags per id, and the distinct unreduced
-    /// inter-class edges — everything a snapshot layer needs to build (or
-    /// delta-patch, via [`IncrementalReach::apply_with_delta`]) its quotient
-    /// representation with rows that survive across versions.
+    /// inter-class edges — everything a snapshot layer needs to build its
+    /// quotient representation.
     pub fn stable_quotient(&self) -> StableQuotient {
         StableQuotient {
             class_of: self.q.class_index().to_vec(),
@@ -595,8 +590,7 @@ mod tests {
     }
 
     /// Replays a delta on top of a pre-batch `StableQuotient` and checks it
-    /// reproduces the post-batch one (the contract the serving layer's
-    /// snapshot patching relies on).
+    /// reproduces the post-batch one.
     fn assert_delta_replays(
         before: &StableQuotient,
         delta: &PartitionDelta,
@@ -617,10 +611,6 @@ mod tests {
             }
             cyclic[birth.id as usize] = birth.cyclic;
             active[birth.id as usize] = true;
-            // Origins reference classes retired by the same delta.
-            for o in &birth.origins {
-                assert!(delta.removed.contains(o), "origin {o} not retired");
-            }
         }
         assert_eq!(class_of, after.class_of);
         assert_eq!(active, after.active);

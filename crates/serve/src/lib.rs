@@ -28,7 +28,7 @@
 //!   the CSR form of `Gr` (rows indexed by the maintainer's *stable* class
 //!   ids), the node → hypernode index, the cyclic flags, an optional
 //!   [`TwoHopIndex`] over `Gr`, and (optionally) an `Arc`-shared
-//!   [`PatternView`] — the patchable, stable-id CSR form of the pattern
+//!   [`PatternView`] — the stable-id CSR form of the pattern
 //!   compression. Everything a query needs, nothing a writer can touch.
 //! * [`CompressedStore`] — owns the current `Arc<Snapshot>` behind a
 //!   pointer-swap. Readers call [`CompressedStore::load`], which clones the
@@ -41,25 +41,15 @@
 //! * [`bulk_reachable`] — shards a query batch across `std::thread::scope`
 //!   workers, all reading the same shared cut (generic over [`ReachCut`],
 //!   so it serves both backends).
-//! * Snapshot *publication* is **incremental on both query classes**: when
-//!   the gate ([`GateMode::decide`] under [`StoreConfig::gate`]) routes a
-//!   batch to the patch path, the writer derives the next
-//!   snapshot from the previous one via each side's `PartitionDelta` —
-//!   quotient CSR rows are patched in place (`CsrGraph::patch`, untouched
-//!   spans copied wholesale), transitive reduction is re-decided only for
-//!   rows the delta can have changed, and the pattern view re-derives
-//!   only the quotient rows the bisimulation delta can have changed
-//!   (`PatternView::apply_delta`). The 2-hop index is the exception: it
-//!   is built, not maintained — every publication that changes `Gr` runs
-//!   `TwoHopIndex::build_with` over the new CSR. The two sides are gated
-//!   independently (each against its own live class count): heavy
-//!   bisimulation churn rebuilds only the pattern view, heavy reachability
-//!   churn only the reachability structures, and a side whose partition a
-//!   batch leaves untouched is `Arc`-shared with the previous snapshot
-//!   outright. [`ApplyReport::path`] records both routes and
-//!   [`ApplyReport::reach_gate`] / [`ApplyReport::pattern_gate`] the
-//!   gate's decisions. The optional 2-hop build can run its
-//!   per-landmark forward/backward passes on two threads
+//! * Snapshot *publication* has one construction per query class: a batch
+//!   whose `PartitionDelta` is empty on a side republishes that side's
+//!   structures `Arc`-shared with the previous snapshot, every other batch
+//!   builds them from the maintainer's stable-id export
+//!   (`Snapshot::build`: transitive reduction, CSR, and — when configured
+//!   — `TwoHopIndex::build_with` over it; `PatternView::build` for the
+//!   pattern side). The two sides decide independently, and
+//!   [`ApplyReport::path`] records what happened. The optional 2-hop build
+//!   can run its per-landmark forward/backward passes on two threads
 //!   (`TwoHopConfig::parallel`); [`parallel::class_edges`] remains for
 //!   materializing quotient edges from scratch when no maintained counters
 //!   exist.
@@ -87,7 +77,6 @@ pub mod api;
 pub mod boundary;
 pub mod bulk;
 pub mod error;
-pub mod gate;
 pub mod parallel;
 pub mod persist;
 pub mod sharded;
@@ -99,7 +88,6 @@ pub use api::{ReachCut, ReachStore};
 pub use boundary::BoundarySummary;
 pub use bulk::bulk_reachable;
 pub use error::{LogError, StoreError};
-pub use gate::{GateDecision, GateMode};
 pub use persist::{load_snapshot, save_snapshot};
 pub use sharded::{ShardedSnapshot, ShardedStore};
 pub use snapshot::{QuotientCsr, Snapshot, SnapshotFormat};

@@ -4,9 +4,10 @@
 //! [`UpdateLog`](crate::wal::UpdateLog) already makes the *history*
 //! durable, but recovering from it replays every committed batch through
 //! the full maintenance pipeline. Persisting the current snapshot turns
-//! recovery into **snapshot + log-tail replay**: load the file (no
-//! recompression of the served state), replay only the batches past the
-//! snapshot's version, serve. See
+//! recovery into **snapshot + log-tail replay**: the file names the
+//! version to boot at, the log's edges are replayed up to it and
+//! compressed once, and only the batches past the snapshot's version go
+//! through maintenance. See
 //! [`CompressedStore::boot_from_snapshot`](crate::CompressedStore::boot_from_snapshot).
 //!
 //! ## File layout
@@ -29,8 +30,9 @@
 //! adjacency stream, the Elias–Fano offset words, the hub exception
 //! tables, the label store, the interner, and the snapshot-level node →
 //! class index and cyclic flags — everything [`Snapshot`] needs to serve
-//! reachability, minus the optional 2-hop index (a booted store answers
-//! by lazy BFS over the succinct quotient, which is BFS-exact).
+//! reachability, minus the optional 2-hop index (a loaded snapshot answers
+//! by lazy BFS over the succinct quotient, which is BFS-exact; a booted
+//! *store* serves the snapshot it rebuilt, index included).
 //!
 //! ## Fail-closed reading
 //!

@@ -8,8 +8,8 @@
 //! shards ([`StoreConfig::shards`]). Each shard owns a full
 //! [`CompressedStore`] over its subgraph — the full node set with only
 //! intra-shard edges, so shard snapshots speak global node ids — and
-//! maintains it with the same incremental machinery (`incRCM`, delta
-//! patching, optional 2-hop) as the single-store path. Edges crossing
+//! maintains it with the same incremental machinery (`incRCM`, optional
+//! 2-hop) as the single-store path. Edges crossing
 //! shards belong to no shard; they live in the router's cross-edge set and
 //! surface as the [`BoundarySummary`] of every published cut.
 //!
@@ -466,23 +466,20 @@ impl ShardedStore {
                 path: r.path,
                 reach: r.reach,
                 publish_ms: r.publish_ms,
-                reach_gate: r.reach_gate,
             })
             .collect();
         let slowest = reports.iter().map(|r| r.publish_ms).fold(0.0f64, f64::max);
         // Aggregate path: the most expensive path any shard took, carrying
-        // the maximum churn observed on that path — and that shard's gate
-        // decision (per-shard decisions live in `shards`).
-        let dominant = reports
+        // the maximum churn observed on that path.
+        let path = reports
             .iter()
+            .map(|r| r.path)
             .max_by(|a, b| {
-                path_rank(&a.path)
-                    .partial_cmp(&path_rank(&b.path))
+                path_rank(a)
+                    .partial_cmp(&path_rank(b))
                     .expect("churn is never NaN")
             })
             .expect("at least one shard");
-        let path = dominant.path;
-        let reach_gate = dominant.reach_gate;
         Ok(ApplyReport {
             version: next,
             reach: reports
@@ -491,8 +488,6 @@ impl ShardedStore {
             pattern: None,
             path,
             publish_ms: slowest + bump_ms,
-            reach_gate,
-            pattern_gate: None,
             shards,
         })
     }
@@ -550,12 +545,13 @@ impl crate::api::ReachStore for ShardedStore {
     }
 }
 
-/// Expense order of an [`ApplyPath`]: `Rebuilt` over `Patched` over
-/// `Republished`, ties broken by churn.
+/// Expense order of an [`ApplyPath`]: `Rebuilt` over `Republished`, ties
+/// broken by churn.
 fn path_rank(p: &ApplyPath) -> (u8, f64) {
     match *p {
         ApplyPath::Republished => (0, 0.0),
-        ApplyPath::Patched { churn, .. } => (1, churn),
+        // Never constructed (see the variant's doc).
+        ApplyPath::Patched { .. } => (1, 0.0),
         ApplyPath::Rebuilt { churn, .. } => (2, churn),
     }
 }

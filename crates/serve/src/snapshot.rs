@@ -1,40 +1,25 @@
-//! The immutable, versioned view served to readers — born either from
-//! scratch ([`Snapshot::build`]) or by **delta-patching** its predecessor
-//! ([`Snapshot::apply_delta`]).
+//! The immutable, versioned view served to readers, built by
+//! [`Snapshot::build`] from the maintainer's stable-id export.
 //!
 //! ## Stable class ids
 //!
 //! Snapshots index every per-class structure (quotient CSR rows, cyclic
 //! flags, 2-hop landmark ranks) by the maintainer's *stable* class ids
-//! ([`StableQuotient`]), not by densely renumbered ones. A class id absent
-//! from a batch's [`PartitionDelta`] names the same node set before and
-//! after the batch, so its CSR row and its cyclic flag can be carried into
-//! the next snapshot verbatim. Retired ids stay behind as isolated rows
-//! (never referenced by the node → class index), so `Gr`'s `node_count` is
-//! the id-space size while [`Snapshot::class_count`] counts live classes.
+//! ([`StableQuotient`]), not by densely renumbered ones. Retired ids stay
+//! behind as isolated rows (never referenced by the node → class index), so
+//! `Gr`'s `node_count` is the id-space size while [`Snapshot::class_count`]
+//! counts live classes.
 //!
-//! ## What `apply_delta` recomputes — and what it doesn't
+//! ## One construction
 //!
-//! * **Node index / cyclic flags** — patched from the delta's births.
-//! * **Quotient CSR** — only rows whose transitive-reduction decision can
-//!   change are re-derived: rows of added/removed classes and live rows
-//!   with an edge into an added class. For every other edge `(a, b)` the
-//!   alternative-path structure below `a`'s children is untouched (their
-//!   descendant sets cannot change without the delta touching them), so the
-//!   previous kept/redundant decision carries over and the row is copied.
-//!   The scoped re-decision sweeps only the affected *columns* via
-//!   [`DagReach::descendants_for_columns`] instead of every column.
-//! * **2-hop index** — not carried over: it is built over the patched CSR
-//!   by the same [`TwoHopIndex::build_with`] call a from-scratch snapshot
-//!   makes, so a patched snapshot's index is a pure function of its CSR.
-//!
-//! The pattern side follows the same discipline, one level up: the store
-//! derives the next [`PatternView`] from the previous snapshot's via
-//! [`PatternView::apply_delta`] (row-patched under the same damage gate,
-//! measured against the live bisimulation classes), shares it pointer-wise
-//! when the batch leaves the bisimulation partition untouched, and passes
-//! the resulting `Arc` into whichever reachability-side constructor runs —
-//! the two sides patch, rebuild, or republish independently.
+//! A batch whose `PartitionDelta` is empty left the reachability partition
+//! — and with it every structure here — unchanged, so the store
+//! republishes the previous snapshot under the new version
+//! ([`Snapshot::republish`], a handful of `Arc` bumps). Every other batch
+//! builds: transitive reduction of the exported quotient, CSR, and (when
+//! configured) [`TwoHopIndex::build_with`] over it. The pattern side
+//! follows the same rule one level up: the store hands in either the
+//! previous snapshot's [`PatternView`] `Arc` or a freshly built one.
 
 use qpgc_graph::ids::LabelInterner;
 use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
@@ -42,8 +27,7 @@ use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal::bfs_reachable;
 use std::sync::Arc;
 
-use qpgc_graph::update::{EdgeDelta, PartitionDelta};
-use qpgc_graph::{CompressedCsr, CsrGraph, Label, NodeId};
+use qpgc_graph::{CompressedCsr, CsrGraph, NodeId};
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
 use qpgc_pattern::view::PatternView;
 use qpgc_reach::incremental::StableQuotient;
@@ -55,34 +39,26 @@ use crate::store::StoreConfig;
 ///
 /// The succinct backend ([`CompressedCsr`]) gap/ζ-codes each adjacency row
 /// and typically halves (or better) the quotient's heap on the power-law
-/// Table-1 shapes, at the price of lazy per-row decode on reads — and it is
-/// immutable, so a patched publication must first inflate it back to plain
-/// form. `Auto` resolves that tension by packing only on the publication
-/// paths that rebuild the CSR from scratch anyway (the initial build and
-/// gate-routed rebuilds); hot, delta-patched snapshots stay plain so
-/// [`CsrGraph::patch`] keeps operating on its native form.
+/// Table-1 shapes, at the price of lazy per-row decode on reads and a
+/// packing pass on every publication that builds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SnapshotFormat {
-    /// Always serve plain `u32` CSR arrays (the historical behavior).
+    /// Serve plain `u32` CSR arrays.
     #[default]
     Plain,
-    /// Always serve the succinct form — even delta-patched publications
-    /// re-pack after patching. Maximum compression, slowest writes.
+    /// Serve the gap/ζ-coded succinct form.
     Succinct,
-    /// Pack on from-scratch builds (where the CSR is materialized fresh
-    /// anyway); keep delta-patched publications plain.
-    Auto,
 }
 
-/// The snapshot's quotient CSR, in whichever backend the publication path
-/// chose — plain `u32` arrays or the gap/ζ-coded succinct form. Readers
-/// that only need reachability go through [`QuotientCsr::bfs_reachable`]
-/// and never care which; writers that must patch call
-/// [`QuotientCsr::to_plain_arc`] to get (or lazily re-inflate) the plain
-/// form.
+/// The snapshot's quotient CSR, in whichever backend the store was
+/// configured with — plain `u32` arrays or the gap/ζ-coded succinct form.
+/// Readers that only need reachability go through
+/// [`QuotientCsr::bfs_reachable`] and never care which; callers that need
+/// slices call [`QuotientCsr::to_plain_arc`] to get (or re-inflate) the
+/// plain form.
 #[derive(Clone, Debug)]
 pub enum QuotientCsr {
-    /// Plain CSR arrays; supports in-place row patching and slice reads.
+    /// Plain CSR arrays; supports slice reads.
     Plain(Arc<CsrGraph>),
     /// Gap/ζ-coded rows with Elias–Fano offsets; immutable, lazy decode.
     Succinct(Arc<CompressedCsr>),
@@ -127,8 +103,7 @@ impl QuotientCsr {
     }
 
     /// The plain form: an `Arc` bump when already plain, a full decode
-    /// when succinct (the price a patched publication pays for following a
-    /// packed one — see [`SnapshotFormat::Auto`]).
+    /// when succinct.
     pub fn to_plain_arc(&self) -> Arc<CsrGraph> {
         match self {
             QuotientCsr::Plain(g) => Arc::clone(g),
@@ -197,8 +172,8 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds a snapshot from scratch out of the stable-id state exported by
-    /// the maintenance façades: the unreduced quotient edge list is
+    /// Builds a snapshot out of the stable-id state exported by the
+    /// maintenance façades: the unreduced quotient edge list is
     /// transitively reduced over a [`DagReach`] and frozen into CSR, and the
     /// optional 2-hop index is built over that CSR quotient.
     pub(crate) fn build(
@@ -218,11 +193,9 @@ impl Snapshot {
             .two_hop
             .as_ref()
             .map(|cfg| Arc::new(TwoHopIndex::build_with(&gr, cfg)));
-        // A from-scratch build is exactly where `Auto` packs: the CSR was
-        // materialized fresh, so nothing downstream needs its plain form.
         let gr = match config.snapshot_format {
             SnapshotFormat::Plain => QuotientCsr::Plain(Arc::new(gr)),
-            SnapshotFormat::Succinct | SnapshotFormat::Auto => {
+            SnapshotFormat::Succinct => {
                 QuotientCsr::Succinct(Arc::new(CompressedCsr::from_csr(&gr)))
             }
         };
@@ -230,8 +203,8 @@ impl Snapshot {
             version,
             gr,
             class_of: Arc::new(sq.class_of.clone()),
-            // The maintainer leaves a retired id's flag stale; clear it, as
-            // `apply_delta` does, so both paths publish the same flags.
+            // The maintainer leaves a retired id's flag stale; clear it
+            // (`check_invariants` requires retired rows to be acyclic).
             cyclic: Arc::new(
                 sq.cyclic
                     .iter()
@@ -240,164 +213,6 @@ impl Snapshot {
                     .collect(),
             ),
             live_classes: sq.class_count(),
-            two_hop,
-            pattern,
-        }
-    }
-
-    /// Derives the next snapshot from `prev` and the batch's
-    /// [`PartitionDelta`], recomputing only what the delta can have changed
-    /// (see the module docs). `sq` is the post-batch stable-id state; the
-    /// patched structures are debug-asserted against it.
-    pub(crate) fn apply_delta(
-        prev: &Snapshot,
-        version: u64,
-        sq: &StableQuotient,
-        delta: &PartitionDelta,
-        pattern: Option<Arc<PatternView>>,
-        config: &StoreConfig,
-    ) -> Snapshot {
-        // Delta-patching operates on plain CSR rows; a succinct
-        // predecessor (an `Auto` store whose last publication rebuilt) is
-        // inflated once up front.
-        let prev_gr = prev.gr.to_plain_arc();
-        let id_space = delta.id_space;
-        let old_space = prev_gr.node_count();
-        debug_assert!(id_space >= old_space, "stable id space never shrinks");
-        let added_ids = delta.added_ids();
-
-        // Node → class index and cyclic flags, patched from the births.
-        let mut class_of = (*prev.class_of).clone();
-        let mut cyclic = (*prev.cyclic).clone();
-        cyclic.resize(id_space, false);
-        for &r in &delta.removed {
-            cyclic[r as usize] = false;
-        }
-        for birth in &delta.added {
-            for &v in &birth.members {
-                class_of[v.index()] = birth.id;
-            }
-            cyclic[birth.id as usize] = birth.cyclic;
-        }
-        debug_assert_eq!(class_of, sq.class_of, "delta-patched node index drifted");
-
-        let mut is_added = vec![false; id_space];
-        for &a in &added_ids {
-            is_added[a as usize] = true;
-        }
-
-        // Unreduced quotient DAG of the new state (linear in |Er| — the
-        // expensive parts below are scoped to the affected region).
-        let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
-            .expect("the quotient of the reachability equivalence relation is a DAG");
-
-        // Rows whose transitive-reduction decision must be re-derived: rows
-        // of changed classes and live rows with an edge into an added class.
-        // Every other row's children and their descendant sets are
-        // untouched, so its previous kept set carries over unchanged.
-        let mut touched = vec![false; id_space];
-        for &r in &delta.removed {
-            touched[r as usize] = true;
-        }
-        for &a in &added_ids {
-            touched[a as usize] = true;
-        }
-        for a in 0..id_space as u32 {
-            if !touched[a as usize] && dag.out(a).iter().any(|&w| is_added[w as usize]) {
-                touched[a as usize] = true;
-            }
-        }
-
-        // Scoped transitive reduction: sweep descendant sets only for the
-        // columns that are targets of re-decided edges.
-        let mut cols: Vec<u32> = (0..id_space as u32)
-            .filter(|&a| touched[a as usize])
-            .flat_map(|a| dag.out(a).iter().copied())
-            .collect();
-        cols.sort_unstable();
-        cols.dedup();
-        let desc = dag.descendants_for_columns(&cols);
-        let mut pos = vec![u32::MAX; id_space];
-        for (j, &c) in cols.iter().enumerate() {
-            pos[c as usize] = j as u32;
-        }
-
-        // Per-row diff: new kept row vs. the previous snapshot's row.
-        let mut added_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut removed_edges: Vec<(NodeId, NodeId)> = Vec::new();
-        for a in 0..id_space as u32 {
-            if !touched[a as usize] {
-                continue;
-            }
-            let row = dag.out(a);
-            let new_kept: Vec<u32> = row
-                .iter()
-                .copied()
-                .filter(|&b| {
-                    let bp = pos[b as usize] as usize;
-                    !row.iter().any(|&w| w != b && desc[w as usize].contains(bp))
-                })
-                .collect();
-            let old_kept: &[NodeId] = if (a as usize) < old_space {
-                prev_gr.out_neighbors(NodeId(a))
-            } else {
-                &[]
-            };
-            // Both sides are sorted ascending; two-pointer diff.
-            let mut i = 0usize;
-            let mut j = 0usize;
-            while i < old_kept.len() || j < new_kept.len() {
-                match (old_kept.get(i).map(|t| t.0), new_kept.get(j).copied()) {
-                    (Some(o), Some(n)) if o == n => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(o), n) if n.is_none() || o < n.unwrap() => {
-                        removed_edges.push((NodeId(a), NodeId(o)));
-                        i += 1;
-                    }
-                    (_, Some(n)) => {
-                        added_edges.push((NodeId(a), NodeId(n)));
-                        j += 1;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-
-        // Patch the CSR quotient (untouched rows are span-copied). The
-        // per-row diff above is exact and sorted by construction;
-        // `EdgeDelta` re-asserts that shape (sort + dedup + cancellation)
-        // so the patch input carries the row-diff contract explicitly.
-        let diff = EdgeDelta::new(added_edges, removed_edges);
-        let sigma = prev_gr
-            .interner()
-            .get("σ")
-            .expect("quotient snapshots intern σ at build time");
-        let appended: Vec<Label> = vec![sigma; id_space - old_space];
-        let gr = prev_gr.patch_with(diff.added(), diff.removed(), &appended);
-
-        let two_hop = config
-            .two_hop
-            .as_ref()
-            .map(|cfg| Arc::new(TwoHopIndex::build_with(&gr, cfg)));
-
-        let live_classes = prev.live_classes - delta.removed.len() + delta.added.len();
-        debug_assert_eq!(live_classes, sq.class_count(), "live-class count drifted");
-
-        // Only a *forced* `Succinct` store re-packs after a patch; `Auto`
-        // keeps patched snapshots plain so the next patch is cheap.
-        let gr = if config.snapshot_format == SnapshotFormat::Succinct {
-            QuotientCsr::Succinct(Arc::new(CompressedCsr::from_csr(&gr)))
-        } else {
-            QuotientCsr::Plain(Arc::new(gr))
-        };
-        Snapshot {
-            version,
-            gr,
-            class_of: Arc::new(class_of),
-            cyclic: Arc::new(cyclic),
-            live_classes,
             two_hop,
             pattern,
         }
@@ -643,9 +458,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::GateMode;
-    use qpgc::maintenance::MaintainedGraph;
-    use qpgc_graph::{LabeledGraph, UpdateBatch};
+    use qpgc_graph::LabeledGraph;
     use qpgc_pattern::incremental::IncrementalPattern;
     use qpgc_reach::incremental::IncrementalReach;
     use rand::rngs::StdRng;
@@ -804,68 +617,6 @@ mod tests {
             assert_eq!(snap.class_count(), rc.graph.node_count());
             assert_eq!(snap.compressed_graph().node_count(), rc.graph.node_count());
             assert_eq!(snap.compressed_graph().edge_count(), rc.graph.edge_count());
-        }
-    }
-
-    /// The structural heart of the delta path: a patched snapshot's quotient
-    /// CSR must be bit-identical to the one a full rebuild produces from the
-    /// same maintained state (same stable ids ⇒ same rows), and so must the
-    /// 2-hop index built over it.
-    #[test]
-    fn apply_delta_equals_full_rebuild_structurally() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let config = StoreConfig::builder()
-            .two_hop(Default::default())
-            .gate(GateMode::AlwaysPatch)
-            .build();
-        for case in 0..25 {
-            let mut g = random_graph(&mut rng, 20);
-            let mut m = MaintainedGraph::new(g.clone(), false, 1);
-            let mut snap = Snapshot::build(0, &m.reach().stable_quotient(), None, &config);
-            for step in 0..4 {
-                let n = g.node_count();
-                let mut batch = UpdateBatch::new();
-                for _ in 0..rng.gen_range(1..4) {
-                    let u = NodeId(rng.gen_range(0..n) as u32);
-                    let v = NodeId(rng.gen_range(0..n) as u32);
-                    if rng.gen_bool(0.5) {
-                        batch.insert(u, v);
-                    } else {
-                        batch.delete(u, v);
-                    }
-                }
-                let (_, delta) = m.apply(&batch).reach;
-                batch.apply_to(&mut g);
-                let sq = m.reach().stable_quotient();
-                let patched = Snapshot::apply_delta(&snap, step + 1, &sq, &delta, None, &config);
-                let rebuilt = Snapshot::build(step + 1, &sq, None, &config);
-                assert_eq!(
-                    patched.compressed_graph().edges().collect::<Vec<_>>(),
-                    rebuilt.compressed_graph().edges().collect::<Vec<_>>(),
-                    "case {case} step {step}: patched TR diverged from scratch TR"
-                );
-                assert_eq!(patched.class_count(), rebuilt.class_count());
-                let (p_idx, r_idx) = (patched.two_hop().unwrap(), rebuilt.two_hop().unwrap());
-                assert_eq!(
-                    p_idx.landmark_order(),
-                    r_idx.landmark_order(),
-                    "case {case} step {step}: landmark order"
-                );
-                assert_eq!(p_idx.label_entries(), r_idx.label_entries());
-                assert_eq!(p_idx.heap_bytes(), r_idx.heap_bytes());
-                assert_eq!(patched.check_invariants(), Ok(()));
-                for u in g.nodes() {
-                    for w in g.nodes() {
-                        let expected = bfs_reachable(&g, u, w);
-                        assert_eq!(
-                            patched.reachable(u, w),
-                            expected,
-                            "case {case} step {step}: patched answer ({u},{w})"
-                        );
-                    }
-                }
-                snap = patched;
-            }
         }
     }
 }

@@ -10,9 +10,10 @@
 //! writer back to the pre-batch graph (inverting the normalized batch and
 //! recompressing) and returns a [`StoreError`] with the old snapshot still
 //! served and the watermark untouched. The recompression assigns fresh
-//! stable class ids, so the writer marks itself `rebuild_next` and the
-//! next successful publication builds from scratch instead of patching a
-//! snapshot whose ids no longer match.
+//! stable class ids; that is harmless, because no publication reads its
+//! predecessor's ids — a republished or `Arc`-shared structure is
+//! self-contained and describes the same (restored) graph, and everything
+//! else is built from the maintainer's current export.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -20,14 +21,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, Rw
 
 use qpgc::maintenance::{Maintained, MaintainedGraph};
 use qpgc_fault::fail_point;
-use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{IncStats, LabeledGraph, NodeId, UpdateBatch};
-use qpgc_pattern::incremental::IncrementalPattern;
 use qpgc_pattern::view::PatternView;
 use qpgc_reach::two_hop::TwoHopConfig;
 
 use crate::error::{panic_cause, StoreError};
-use crate::gate::{GateDecision, GateMode};
 use crate::snapshot::{Snapshot, SnapshotFormat};
 use crate::wal::UpdateLog;
 
@@ -54,13 +52,12 @@ pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// Configuration of a serving store ([`CompressedStore`] or
 /// [`ShardedStore`](crate::sharded::ShardedStore)).
 ///
-/// Construct it with [`StoreConfig::builder`] — the supported constructor
-/// from PR 6 on — or take [`StoreConfig::default`]:
+/// Construct it with [`StoreConfig::builder`] or take
+/// [`StoreConfig::default`]:
 ///
 /// ```
-/// use qpgc_serve::{GateMode, StoreConfig};
+/// use qpgc_serve::StoreConfig;
 /// let config = StoreConfig::builder()
-///     .gate(GateMode::Fixed(0.1))
 ///     .two_hop(Default::default())
 ///     .shards(4)
 ///     .build();
@@ -77,24 +74,11 @@ pub struct StoreConfig {
     pub two_hop: Option<TwoHopConfig>,
     /// Also maintain and serve the pattern-preserving compression. Off by
     /// default: it adds incremental bisimulation maintenance (over the same
-    /// data graph the reachability side maintains) to every batch.
-    /// Publication of the pattern side is delta-aware (see
-    /// [`StoreConfig::gate`]): a batch that leaves the
-    /// bisimulation partition untouched shares the previous snapshot's
-    /// [`PatternView`] pointer-wise instead of re-materializing it.
+    /// data graph the reachability side maintains) to every batch. A batch
+    /// that leaves the bisimulation partition untouched shares the previous
+    /// snapshot's [`PatternView`] pointer-wise instead of building a new
+    /// one.
     pub serve_patterns: bool,
-    /// How delta-patched snapshot publication is routed against
-    /// from-scratch builds, per side — see [`GateMode`]. `Fixed(t)` has
-    /// at-most boundary semantics: churn of the batch's [`PartitionDelta`]
-    /// at most `t` of the live classes patches, strictly more rebuilds.
-    /// When patterns are served, the pattern side is routed
-    /// independently, with its churn measured against the live
-    /// bisimulation classes: heavy pattern churn rebuilds only the
-    /// [`PatternView`] without forcing a reachability rebuild, and vice
-    /// versa. Default: `Fixed(0.25)`.
-    ///
-    /// [`PartitionDelta`]: qpgc_graph::update::PartitionDelta
-    pub gate: GateMode,
     /// Number of hash-partitioned shards a
     /// [`ShardedStore`](crate::sharded::ShardedStore) splits the node space
     /// across (per-shard writers then apply their slice of each batch
@@ -102,8 +86,7 @@ pub struct StoreConfig {
     /// router; [`CompressedStore`] ignores the field entirely.
     pub shards: usize,
     /// Which backend publications serve their quotient CSR in — plain
-    /// `u32` arrays, the gap/ζ-coded succinct form, or `Auto` (pack only
-    /// on from-scratch builds, keep patched snapshots plain). See
+    /// `u32` arrays or the gap/ζ-coded succinct form. See
     /// [`SnapshotFormat`]. Default: `Plain`.
     pub snapshot_format: SnapshotFormat,
 }
@@ -114,7 +97,6 @@ impl Default for StoreConfig {
             threads: 0,
             two_hop: None,
             serve_patterns: false,
-            gate: GateMode::default(),
             shards: 1,
             snapshot_format: SnapshotFormat::default(),
         }
@@ -159,12 +141,6 @@ impl StoreConfigBuilder {
         self
     }
 
-    /// Publication gate mode (see [`GateMode`] and [`StoreConfig::gate`]).
-    pub fn gate(mut self, mode: GateMode) -> Self {
-        self.config.gate = mode;
-        self
-    }
-
     /// Number of hash-partitioned shards for a
     /// [`ShardedStore`](crate::sharded::ShardedStore) (`0` is clamped to
     /// `1`).
@@ -193,64 +169,30 @@ pub enum ApplyPath {
     /// previous snapshot was republished under the new version with every
     /// structure — pattern view included — `Arc`-shared.
     Republished,
-    /// The previous snapshot was delta-patched (node index, cyclic flags
-    /// and quotient CSR rows; a configured 2-hop index is always rebuilt
-    /// over the patched CSR). A reachability-quiet batch whose
-    /// bisimulation delta was row-patched reports this path with
-    /// `churn == 0.0` (the reachability structures were carried over
-    /// verbatim) and the pattern fields say what happened on that side.
+    /// Never constructed: a served structure has one construction
+    /// ([`ApplyPath::Rebuilt`]) and is never patched. The variant and its
+    /// field stay only because `qpgc_benchmark/src/adapter.rs` destructures
+    /// them and the product may not edit the benchmark; both go the day the
+    /// benchmark drops `serve.store.{patched,two_hop_patched}`.
     Patched {
-        /// Fraction of live reachability classes churned by the batch.
-        churn: f64,
-        /// Always `false`: the 2-hop index has one construction
-        /// (`TwoHopIndex::build_with`) and is never patched. The field
-        /// stays only because `qpgc_benchmark/src/adapter.rs` destructures
-        /// it and the product may not edit the benchmark.
+        /// Always `false`.
         two_hop_patched: bool,
-        /// Pattern-side churn (churned classes / live bisimulation
-        /// classes) when patterns are served and the batch changed the
-        /// bisimulation partition; `None` when the pattern view was shared
-        /// untouched or patterns are not served.
-        pattern_churn: Option<f64>,
-        /// Whether the pattern view was row-patched from its predecessor
-        /// (`false`: shared pointer-wise, rebuilt past the damage gate, or
-        /// not served).
-        pattern_patched: bool,
     },
-    /// Something was rebuilt from scratch: the reachability side when the
-    /// gate routed it there, or — on a
-    /// reachability-quiet batch, reported with `churn == 0.0` — only the
-    /// pattern view, past the same gate on the bisimulation side. The two
-    /// sides are gated independently (a rebuild on one never forces the
-    /// other); the pattern fields mirror [`ApplyPath::Patched`]'s.
+    /// Something was built from the maintainer's stable-id export: the
+    /// reachability structures when the batch changed the reachability
+    /// partition, or — on a reachability-quiet batch, reported with
+    /// `churn == 0.0` and the reachability structures `Arc`-shared — only
+    /// the pattern view.
     Rebuilt {
         /// Fraction of live reachability classes churned by the batch.
         churn: f64,
-        /// Pattern-side churn when patterns are served and the batch
-        /// changed the bisimulation partition; `None` when the pattern
-        /// view was shared untouched or patterns are not served.
+        /// Pattern-side churn (churned classes / live bisimulation
+        /// classes) when patterns are served and the batch changed the
+        /// bisimulation partition, i.e. a new view was built; `None` when
+        /// the pattern view was shared untouched or patterns are not
+        /// served.
         pattern_churn: Option<f64>,
-        /// Whether the pattern view was row-patched from its predecessor.
-        pattern_patched: bool,
     },
-}
-
-impl ApplyPath {
-    /// Whether this publication row-patched the pattern view from its
-    /// predecessor (on either the patched or the rebuilt reachability
-    /// path). `false` when the view was shared pointer-wise, rebuilt past
-    /// the damage gate, or patterns are not served.
-    pub fn pattern_patched(&self) -> bool {
-        match *self {
-            ApplyPath::Republished => false,
-            ApplyPath::Patched {
-                pattern_patched, ..
-            }
-            | ApplyPath::Rebuilt {
-                pattern_patched, ..
-            } => pattern_patched,
-        }
-    }
 }
 
 /// How one shard of a sharded application fared: the per-shard slice of a
@@ -265,9 +207,6 @@ pub struct ShardApply {
     pub reach: IncStats,
     /// Wall-clock of that shard's snapshot publication alone.
     pub publish_ms: f64,
-    /// The reachability-side gate decision of this shard (`None` on a
-    /// republish — the gate is only consulted for non-empty deltas).
-    pub reach_gate: Option<GateDecision>,
 }
 
 /// What one `apply` call did — on a [`CompressedStore`] or, shard by shard,
@@ -277,8 +216,8 @@ pub struct ShardApply {
 /// both backends, so single-store accessors keep working unchanged: on a
 /// sharded application `reach` sums the per-shard maintenance statistics,
 /// `path` is the most expensive path any shard took (`Rebuilt` over
-/// `Patched` over `Republished`, carrying the maximum churn observed on
-/// that path), and `publish_ms` spans the full publication — the slowest
+/// `Republished`, carrying the maximum churn observed), and `publish_ms`
+/// spans the full publication — the slowest
 /// concurrent shard publication *plus* the router's watermark bump
 /// (boundary-graph rebuild and cut swap), so it is end-to-end comparable
 /// with the single-store number. The per-shard breakdown rides along in
@@ -296,25 +235,15 @@ pub struct ApplyReport {
     /// Which construction path published the snapshot (the most expensive
     /// per-shard path, on a sharded store).
     pub path: ApplyPath,
-    /// Wall-clock of snapshot *publication* alone (building the new
-    /// snapshot — by whichever path — and swapping it in), excluding the
-    /// incremental maintenance of the compressions, which costs the same
-    /// regardless of the publication path. On a sharded store this covers
-    /// the slowest shard's publication **and** the watermark bump that
-    /// makes the new cut visible. This is the number the
-    /// `snapshot_incremental` benchmark compares across paths.
+    /// Wall-clock of snapshot *publication* alone (building or
+    /// republishing the new snapshot and swapping it in), excluding the
+    /// incremental maintenance of the compressions. On a sharded store
+    /// this covers the slowest shard's publication **and** the watermark
+    /// bump that makes the new cut visible.
     pub publish_ms: f64,
     /// Per-shard application reports, in shard order; empty when the
     /// report came from a single [`CompressedStore`].
     pub shards: Vec<ShardApply>,
-    /// The reachability-side gate decision (`None` on a republish; on a
-    /// sharded store, the decision of the shard whose path the aggregate
-    /// `path` reports).
-    pub reach_gate: Option<GateDecision>,
-    /// The pattern-side gate decision (`None` when patterns are not
-    /// served, the bisimulation delta was empty, or — sharded — always,
-    /// pattern serving being single-store only).
-    pub pattern_gate: Option<GateDecision>,
 }
 
 impl ApplyReport {
@@ -329,11 +258,6 @@ struct Writer {
     /// The one data graph and both maintained compressions over it.
     maintained: MaintainedGraph,
     version: u64,
-    /// Set when a failed application was rolled back by recompressing: the
-    /// recompression assigned fresh stable class ids, so the previous
-    /// snapshot is no longer a valid patch baseline and the next
-    /// publication must build from scratch (cleared on commit).
-    rebuild_next: bool,
     /// Optional write-behind redo log: appended once a batch has fully
     /// staged, just before commit.
     log: Option<UpdateLog>,
@@ -352,8 +276,6 @@ pub(crate) struct StagedApply {
     pattern: Option<IncStats>,
     path: ApplyPath,
     build_ms: f64,
-    reach_gate: Option<GateDecision>,
-    pattern_gate: Option<GateDecision>,
     /// The batch normalized against the pre-batch graph — what
     /// [`MaintainedGraph::recover_from_failed`] needs to invert the
     /// application exactly on the discard path.
@@ -415,7 +337,6 @@ impl CompressedStore {
             writer: Mutex::new(Writer {
                 maintained,
                 version: 0,
-                rebuild_next: false,
                 log: None,
             }),
             current: RwLock::new(Arc::new(snapshot)),
@@ -466,49 +387,56 @@ impl CompressedStore {
         crate::persist::save_snapshot(&self.load(), path).map_err(StoreError::Log)
     }
 
-    /// Recovers a store from a persisted snapshot plus the update log:
-    /// the file (validated fail-closed — see [`crate::persist`]) is
-    /// served immediately at its recorded version `k`, the log's base
-    /// graph advances to version `k` by replaying only the batch *edges*
-    /// (no per-batch maintenance or publication), one compression run
-    /// rebuilds the writer's maintained state, and the log batches past
-    /// `k` replay through the normal apply pipeline. The loaded
-    /// snapshot's stable ids predate the writer's fresh ones, so the
-    /// first post-boot publication builds from scratch — until then the
-    /// loaded snapshot answers by BFS over the succinct quotient, which
-    /// is BFS-exact.
+    /// Recovers a store from a persisted snapshot plus the update log.
+    /// The file (validated fail-closed — see [`crate::persist`]) names the
+    /// version `k` to boot at: the log's base graph advances to version
+    /// `k` by replaying only the batch *edges* (no per-batch maintenance or
+    /// publication), one [`CompressedStore::new`] compresses that graph and
+    /// builds the complete version-`k` snapshot — 2-hop index and pattern
+    /// view included, whatever `config` asks for — and the log batches past
+    /// `k` replay through the normal apply pipeline. The loaded snapshot
+    /// itself is validation input only (it carries neither index nor view);
+    /// what is served is the snapshot `new` built, stamped with version
+    /// `k`.
     ///
     /// Fails when the snapshot file or the log is unreadable or corrupt,
-    /// or when the snapshot's version lies beyond the log's committed
-    /// batch count (the file cannot belong to this log).
+    /// when the snapshot's version lies beyond the log's committed batch
+    /// count, or when its node or class count disagrees with the state
+    /// rebuilt from the log (either way the file cannot belong to this
+    /// log).
     pub fn boot_from_snapshot<P: AsRef<Path>, Q: AsRef<Path>>(
         snapshot_path: P,
         log_path: Q,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
+        let mismatch =
+            |detail: String| StoreError::Log(crate::error::LogError::Corrupt { offset: 0, detail });
         let loaded = crate::persist::load_snapshot(snapshot_path).map_err(StoreError::Log)?;
         let k = loaded.version();
         let contents = UpdateLog::read(log_path)?;
         if k > contents.batches.len() as u64 {
-            return Err(StoreError::Log(crate::error::LogError::Corrupt {
-                offset: 0,
-                detail: format!(
-                    "snapshot version {k} beyond the log's {} committed batches",
-                    contents.batches.len()
-                ),
-            }));
+            return Err(mismatch(format!(
+                "snapshot version {k} beyond the log's {} committed batches",
+                contents.batches.len()
+            )));
         }
         let mut g = contents.graph;
         for batch in &contents.batches[..k as usize] {
             batch.apply_to(&mut g);
         }
         let store = Self::new(g, config);
-        {
-            let mut w = lock_recover(&store.writer);
-            w.version = k;
-            w.rebuild_next = true;
-            *write_recover(&store.current) = Arc::new(loaded);
+        let built = store.load();
+        let shape = |s: &Snapshot| (s.node_count(), s.class_count());
+        if shape(&loaded) != shape(&built) {
+            return Err(mismatch(format!(
+                "snapshot has (nodes, classes) = {:?}, the log at version {k} has {:?}",
+                shape(&loaded),
+                shape(&built)
+            )));
         }
+        lock_recover(&store.writer).version = k;
+        *write_recover(&store.current) =
+            Arc::new(Snapshot::republish(&built, k, built.pattern_arc()));
         for batch in &contents.batches[k as usize..] {
             store.try_apply(batch)?;
         }
@@ -550,21 +478,13 @@ impl CompressedStore {
     /// [`ReachStore::apply`](crate::ReachStore::apply) wraps this for
     /// callers that know their batches are valid.)
     ///
-    /// Publication is **delta-aware on both sides**, routed per side by
-    /// [`GateMode::decide`] under [`StoreConfig::gate`]. Reachability: when
-    /// the gate routes the batch's [`PartitionDelta`] to the patch path the
-    /// new snapshot is derived from the previous one
-    /// ([`Snapshot::apply_delta`] — patched CSR rows, patched node index,
-    /// 2-hop index rebuilt over them); otherwise it rebuilds from scratch, and
-    /// no-op deltas republish. Pattern (when served): the bisimulation
-    /// delta is routed by the same rule against the live bisimulation
-    /// classes — an empty delta shares the previous [`PatternView`]
-    /// pointer-wise, a patch-routed delta row-patches it
-    /// ([`PatternView::apply_delta`]), and a rebuild-routed one rebuilds
-    /// only the view, independently of what the reachability side did.
-    /// [`ApplyReport::path`] records both routes;
-    /// [`ApplyReport::reach_gate`] / [`ApplyReport::pattern_gate`] record
-    /// the decisions.
+    /// Publication has one construction per side. A batch whose
+    /// reachability [`PartitionDelta`] is empty republishes the previous
+    /// snapshot's reachability structures (`Arc`-shared); any other batch
+    /// runs [`Snapshot::build`] over the maintainer's stable-id export.
+    /// Pattern (when served), independently: an empty bisimulation delta
+    /// shares the previous [`PatternView`] pointer-wise, any other runs
+    /// [`PatternView::build`]. [`ApplyReport::path`] records what happened.
     ///
     /// [`PartitionDelta`]: qpgc_graph::update::PartitionDelta
     ///
@@ -573,10 +493,8 @@ impl CompressedStore {
     /// when patterns are served) rejects malformed batches before any
     /// state is touched. Maintenance and snapshot construction then run
     /// under `catch_unwind`; a panic rolls the writer back to the
-    /// pre-batch graph (inverting the normalized batch, recompressing, and
-    /// forcing the next publication to build from scratch — the
-    /// recompression's fresh stable ids invalidate the patch baseline) and
-    /// surfaces as [`StoreError::WriterFailed`]. When the store carries an
+    /// pre-batch graph (inverting the normalized batch and recompressing)
+    /// and surfaces as [`StoreError::WriterFailed`]. When the store carries an
     /// [`UpdateLog`], the batch is appended write-behind after staging;
     /// only then does the commit swap the snapshot and bump the version.
     ///
@@ -592,14 +510,18 @@ impl CompressedStore {
                     .expect("presence checked above")
                     .append(batch)
             }));
+            // On failure the writer rolls back; bytes a torn append may
+            // have left beyond the log's committed watermark stay on the
+            // file crash-faithfully: replay tolerates them and the next
+            // append truncates them.
             match append {
                 Ok(Ok(())) => {}
                 Ok(Err(e)) => {
-                    self.recover_writer(&mut w, &staged.norm);
+                    w.maintained.recover_from_failed(&staged.norm);
                     return Err(StoreError::Log(e));
                 }
                 Err(payload) => {
-                    self.recover_writer(&mut w, &staged.norm);
+                    w.maintained.recover_from_failed(&staged.norm);
                     return Err(StoreError::WriterFailed {
                         cause: panic_cause(payload),
                     });
@@ -631,7 +553,7 @@ impl CompressedStore {
     /// sibling shard (or the boundary rebuild) fails.
     pub(crate) fn discard_staged(&self, staged: StagedApply) {
         let mut w = lock_recover(&self.writer);
-        self.recover_writer(&mut w, &staged.norm);
+        w.maintained.recover_from_failed(&staged.norm);
     }
 
     fn stage_locked(&self, w: &mut Writer, batch: &UpdateBatch) -> Result<StagedApply, StoreError> {
@@ -644,7 +566,6 @@ impl CompressedStore {
         // needs if anything past this point faults.
         let norm = w.maintained.normalize(batch);
         let next = w.version + 1;
-        let force_rebuild = w.rebuild_next;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fail_point!("store/maintain");
             let Maintained {
@@ -655,108 +576,52 @@ impl CompressedStore {
             fail_point!("store/stage");
             let build_start = std::time::Instant::now();
             let prev = self.load();
-            let (pattern_view, pattern_churn, pattern_patched, pattern_gate) =
-                match (w.maintained.pattern(), &pattern_result) {
-                    (Some(p), Some((_, pdelta))) => {
-                        self.derive_pattern_view(&prev, p, pdelta, force_rebuild)
-                    }
-                    _ => (None, None, false, None),
+            let (pattern_view, pattern_churn) = match (w.maintained.pattern(), &pattern_result) {
+                // Quiet on the bisimulation side: share the served view.
+                (Some(_), Some((_, pdelta))) if pdelta.is_empty() => (prev.pattern_arc(), None),
+                (Some(p), Some((_, pdelta))) => {
+                    let spq = p.stable_quotient();
+                    let churn = pdelta.churned() as f64 / spq.class_count().max(1) as f64;
+                    (Some(Arc::new(PatternView::build(&spq))), Some(churn))
+                }
+                _ => (None, None),
+            };
+            let (snapshot, path) = if delta.is_empty() {
+                let path = match pattern_churn {
+                    None => ApplyPath::Republished,
+                    Some(_) => ApplyPath::Rebuilt {
+                        churn: 0.0,
+                        pattern_churn,
+                    },
                 };
-            let reach = w.maintained.reach();
-            let (snapshot, path, reach_gate) = if force_rebuild {
-                // The previous snapshot's stable ids predate a rollback
-                // recompression — not a valid patch baseline, whatever the
-                // delta says (and no gate decision to record: there was no
-                // choice).
-                let sq = reach.stable_quotient();
+                (Snapshot::republish(&prev, next, pattern_view), path)
+            } else {
+                let sq = w.maintained.reach().stable_quotient();
                 let churn = delta.churned() as f64 / sq.class_count().max(1) as f64;
                 (
                     Snapshot::build(next, &sq, pattern_view, &self.config),
                     ApplyPath::Rebuilt {
                         churn,
                         pattern_churn,
-                        pattern_patched,
                     },
-                    None,
                 )
-            } else if delta.is_empty() {
-                let snapshot = Snapshot::republish(&prev, next, pattern_view);
-                // Name the path after what actually happened to the pattern
-                // view: row-patched → Patched, rebuilt past the gate → Rebuilt
-                // (both with reachability churn 0.0 — that side was carried
-                // over verbatim), untouched → Republished.
-                let path = match pattern_churn {
-                    None => ApplyPath::Republished,
-                    Some(_) if pattern_patched => ApplyPath::Patched {
-                        churn: 0.0,
-                        two_hop_patched: false,
-                        pattern_churn,
-                        pattern_patched,
-                    },
-                    Some(_) => ApplyPath::Rebuilt {
-                        churn: 0.0,
-                        pattern_churn,
-                        pattern_patched,
-                    },
-                };
-                (snapshot, path, None)
-            } else {
-                let sq = reach.stable_quotient();
-                let live = sq.class_count();
-                let churned = delta.churned();
-                let churn = churned as f64 / live.max(1) as f64;
-                let decision = self.config.gate.decide(churned, live);
-                if !decision.patch {
-                    (
-                        Snapshot::build(next, &sq, pattern_view, &self.config),
-                        ApplyPath::Rebuilt {
-                            churn,
-                            pattern_churn,
-                            pattern_patched,
-                        },
-                        Some(decision),
-                    )
-                } else {
-                    (
-                        Snapshot::apply_delta(&prev, next, &sq, &delta, pattern_view, &self.config),
-                        ApplyPath::Patched {
-                            churn,
-                            two_hop_patched: false,
-                            pattern_churn,
-                            pattern_patched,
-                        },
-                        Some(decision),
-                    )
-                }
             };
             fail_point!("store/publish");
             let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-            (
-                reach_stats,
-                pattern_stats,
-                snapshot,
-                path,
-                build_ms,
-                reach_gate,
-                pattern_gate,
-            )
+            (reach_stats, pattern_stats, snapshot, path, build_ms)
         }));
         match outcome {
-            Ok((reach, pattern, snapshot, path, build_ms, reach_gate, pattern_gate)) => {
-                Ok(StagedApply {
-                    snapshot: Arc::new(snapshot),
-                    version: next,
-                    reach,
-                    pattern,
-                    path,
-                    build_ms,
-                    reach_gate,
-                    pattern_gate,
-                    norm,
-                })
-            }
+            Ok((reach, pattern, snapshot, path, build_ms)) => Ok(StagedApply {
+                snapshot: Arc::new(snapshot),
+                version: next,
+                reach,
+                pattern,
+                path,
+                build_ms,
+                norm,
+            }),
             Err(payload) => {
-                self.recover_writer(w, &norm);
+                w.maintained.recover_from_failed(&norm);
                 Err(StoreError::WriterFailed {
                     cause: panic_cause(payload),
                 })
@@ -768,97 +633,13 @@ impl CompressedStore {
         let swap_start = std::time::Instant::now();
         *write_recover(&self.current) = staged.snapshot;
         w.version = staged.version;
-        w.rebuild_next = false;
         ApplyReport {
             version: staged.version,
             reach: staged.reach,
             pattern: staged.pattern,
             path: staged.path,
             publish_ms: staged.build_ms + swap_start.elapsed().as_secs_f64() * 1e3,
-            reach_gate: staged.reach_gate,
-            pattern_gate: staged.pattern_gate,
             shards: Vec::new(),
-        }
-    }
-
-    /// Rolls the writer back to the pre-batch graph (inverting the
-    /// normalized batch once, recompressing every maintained side) and
-    /// marks the next publication as a forced rebuild. Bytes a torn log
-    /// append may have left beyond the log's committed watermark stay on
-    /// the file crash-faithfully: replay tolerates them and the next append
-    /// truncates them.
-    fn recover_writer(&self, w: &mut Writer, norm: &UpdateBatch) {
-        w.maintained.recover_from_failed(norm);
-        w.rebuild_next = true;
-    }
-
-    /// Derives the pattern view the next snapshot will carry: shared
-    /// pointer-wise when the batch's bisimulation [`PartitionDelta`] is
-    /// empty, row-patched from the previous snapshot's view when the
-    /// [`StoreConfig::gate`] mode routes its churn to the patch path,
-    /// rebuilt from the maintainer's stable-id
-    /// export otherwise. Returns the view, the churn (`None` for the shared
-    /// path), whether the patch path was taken, and the gate's decision
-    /// (`None` when no choice existed). With `force_rebuild` (the previous
-    /// snapshot's stable ids predate a rollback recompression) sharing and
-    /// patching are both off the table.
-    ///
-    /// [`PartitionDelta`]: qpgc_graph::update::PartitionDelta
-    fn derive_pattern_view(
-        &self,
-        prev: &Snapshot,
-        p: &IncrementalPattern,
-        pdelta: &PartitionDelta,
-        force_rebuild: bool,
-    ) -> (
-        Option<Arc<PatternView>>,
-        Option<f64>,
-        bool,
-        Option<GateDecision>,
-    ) {
-        if !force_rebuild && pdelta.is_empty() {
-            if let Some(view) = prev.pattern_arc() {
-                return (Some(view), None, false, None);
-            }
-        }
-        match prev.pattern_view() {
-            Some(view) if !force_rebuild => {
-                // Post-batch live-class count derived from the previous
-                // view, so the gate decision costs no maintainer export —
-                // and the patch path then takes the member-less export
-                // (churned members travel in the delta's births, untouched
-                // rows carry over from the previous view).
-                let churned = pdelta.churned();
-                let live = view.class_count() + pdelta.added.len() - pdelta.removed.len();
-                let churn = churned as f64 / live.max(1) as f64;
-                let decision = self.config.gate.decide(churned, live);
-                if decision.patch {
-                    let spq = p.stable_quotient_without_members();
-                    (
-                        Some(Arc::new(view.apply_delta(pdelta, &spq))),
-                        Some(churn),
-                        true,
-                        Some(decision),
-                    )
-                } else {
-                    (
-                        Some(Arc::new(PatternView::build(&p.stable_quotient()))),
-                        Some(churn),
-                        false,
-                        Some(decision),
-                    )
-                }
-            }
-            _ => {
-                let spq = p.stable_quotient();
-                let churn = pdelta.churned() as f64 / spq.class_count().max(1) as f64;
-                (
-                    Some(Arc::new(PatternView::build(&spq))),
-                    Some(churn),
-                    false,
-                    None,
-                )
-            }
         }
     }
 }
@@ -941,17 +722,10 @@ mod tests {
 
     /// A batch that is quiet on both sides republishes with the pattern
     /// view `Arc`-shared (same allocation, no clone); a batch that churns
-    /// the bisimulation partition below the gate row-patches it and reports
-    /// the pattern fields in [`ApplyPath::Patched`].
+    /// the bisimulation partition builds a new view and reports its churn.
     #[test]
     fn quiet_batches_share_the_pattern_view_pointerwise() {
-        let store = CompressedStore::new(
-            sample(),
-            StoreConfig::builder()
-                .patterns(true)
-                .gate(GateMode::AlwaysPatch)
-                .build(),
-        );
+        let store = CompressedStore::new(sample(), StoreConfig::builder().patterns(true).build());
         let before = store.load();
 
         // Inserting an existing edge normalizes away on both sides.
@@ -966,20 +740,15 @@ mod tests {
             after.pattern_view().unwrap()
         ));
 
-        // A real bisimulation change below the (infinite) gate patches.
+        // A real bisimulation change builds a new view.
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
         let report = store.apply(&batch);
         match report.path {
-            ApplyPath::Patched {
-                pattern_churn,
-                pattern_patched,
-                ..
-            } => {
+            ApplyPath::Rebuilt { pattern_churn, .. } => {
                 assert!(pattern_churn.is_some(), "pattern delta was not empty");
-                assert!(pattern_patched, "below the gate the view must patch");
             }
-            other => panic!("expected a patched publication, got {other:?}"),
+            other => panic!("expected a built publication, got {other:?}"),
         }
         assert!(!std::ptr::eq(
             after.pattern_view().unwrap(),

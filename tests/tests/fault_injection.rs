@@ -12,7 +12,9 @@
 //!
 //! * **Fault-then-continue** — arm one site, apply a batch, and assert the
 //!   `Err` contract: watermark untouched, the served cut still BFS-exact
-//!   at the pre-batch graph, and the next clean batch applying normally.
+//!   at the pre-batch graph, a no-op batch republishing that cut exactly
+//!   (the rollback recompressed, so the writer's stable ids are no longer
+//!   the served snapshot's), and the next clean batch applying normally.
 //!   After the whole gauntlet the write-behind log must replay to exactly
 //!   the committed history (orphaned bytes from log-site faults are
 //!   truncated by the next clean append).
@@ -35,7 +37,7 @@ use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_serve::{
-    CompressedStore, ReachCut as _, ReachStore, ShardedStore, StoreConfig, UpdateLog,
+    ApplyPath, CompressedStore, ReachCut as _, ReachStore, ShardedStore, StoreConfig, UpdateLog,
 };
 use qpgc_tests::differential::{random_batch, random_graph};
 use rand::rngs::StdRng;
@@ -91,9 +93,17 @@ fn assert_bfs_exact<S: ReachStore>(store: &S, g: &LabeledGraph, ctx: &str) {
     }
 }
 
+/// A batch that changes nothing: it re-inserts an edge `g` already has.
+fn noop_batch(g: &LabeledGraph) -> UpdateBatch {
+    let (u, w) = g.edges().next().expect("gauntlet graphs have edges");
+    let mut batch = UpdateBatch::new();
+    batch.insert(u, w);
+    batch
+}
+
 /// Drives one backend through the fault gauntlet: for every site, a
-/// faulted batch (must reject atomically) followed by a clean batch (must
-/// apply normally). Mutates `g` alongside the committed history and
+/// faulted batch (must reject atomically) followed by a no-op batch (must
+/// republish the same answers) and a clean batch (must apply normally). Mutates `g` alongside the committed history and
 /// returns the number of committed batches.
 fn run_fault_gauntlet<S: ReachStore>(
     store: &S,
@@ -131,15 +141,25 @@ fn run_fault_gauntlet<S: ReachStore>(
             g,
             &format!("{ctx}: cut served after fault at `{site}`"),
         );
-        // The store must have fully recovered: the next clean batch
-        // applies and publishes exactly one version.
+        // The store must have fully recovered: a no-op batch republishes
+        // the served cut, and the next clean batch applies; each publishes
+        // exactly one version.
+        let report = store
+            .try_apply(&noop_batch(g))
+            .unwrap_or_else(|e| panic!("{ctx}: no-op batch after `{site}` failed: {e}"));
+        assert_eq!(report.version, wm + 1, "{ctx}: no-op batch after `{site}`");
+        assert_bfs_exact(
+            store,
+            g,
+            &format!("{ctx}: cut republished after fault at `{site}`"),
+        );
         let clean = random_batch(rng, g.node_count(), 3, 0.6, false);
         let report = store
             .try_apply(&clean)
             .unwrap_or_else(|e| panic!("{ctx}: clean batch after `{site}` failed: {e}"));
         clean.apply_to(g);
-        committed += 1;
-        assert_eq!(report.version, wm + 1, "{ctx}: clean batch after `{site}`");
+        committed += 2;
+        assert_eq!(report.version, wm + 2, "{ctx}: clean batch after `{site}`");
         assert_bfs_exact(
             store,
             g,
@@ -224,8 +244,9 @@ fn assert_both_sides_exact(store: &CompressedStore, g: &LabeledGraph, ctx: &str)
 /// Rollback of a pattern-serving store: the writer undoes **one** shared
 /// graph and recompresses **two** partitions. After a fault at each of the
 /// writer's own staging sites the watermark is unchanged and both query
-/// classes are exact on the pre-batch graph; the next clean batch applies
-/// and both are exact on the post-batch graph.
+/// classes are exact on the pre-batch graph; a no-op batch republishes
+/// them exactly; the next clean batch applies and both are exact on the
+/// post-batch graph.
 #[test]
 fn pattern_serving_store_survives_a_fault_at_every_staging_site() {
     let mut rng = StdRng::seed_from_u64(0xFA03);
@@ -269,6 +290,15 @@ fn pattern_serving_store_survives_a_fault_at_every_staging_site() {
             &g,
             &format!("patterns: cut served after fault at `{site}`"),
         );
+        let report = store
+            .try_apply(&noop_batch(&g))
+            .unwrap_or_else(|e| panic!("patterns: no-op batch after `{site}` failed: {e}"));
+        assert_eq!(report.path, ApplyPath::Republished, "patterns: `{site}`");
+        assert_both_sides_exact(
+            &store,
+            &g,
+            &format!("patterns: cut republished after fault at `{site}`"),
+        );
         let clean = random_batch(&mut rng, g.node_count(), 4, 0.6, false);
         let report = store
             .try_apply(&clean)
@@ -276,7 +306,7 @@ fn pattern_serving_store_survives_a_fault_at_every_staging_site() {
         clean.apply_to(&mut g);
         assert_eq!(
             report.version,
-            wm + 1,
+            wm + 2,
             "patterns: clean batch after `{site}`"
         );
         assert!(

@@ -15,14 +15,9 @@
 //!   serving patterns,
 //! * the 2-hop index's landmark order, entry count, and every pairwise
 //!   answer when the index is enabled.
-//!
-//! Streams run under [`GateMode::AlwaysPatch`] (every batch patches the
-//! CSR and rebuilds the index over it) and under the default
-//! [`GateMode::Fixed`] boundary (batches mix patch and rebuild,
-//! so the parallel from-scratch partition paths get exercised too).
 
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, GateMode, ReachStore as _, StoreConfig};
+use qpgc_serve::{CompressedStore, ReachStore as _, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,11 +60,11 @@ fn random_batch(rng: &mut StdRng, n: usize, count: usize) -> UpdateBatch {
 /// Drives one seeded stream through three stores differing only in
 /// `threads` and asserts every published snapshot is identical across
 /// them.
-fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: bool) {
+fn run_thread_differential(seed: u64, patterns: bool, two_hop: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = random_labeled_graph(&mut rng, 20);
     let config = |threads: usize| {
-        let mut builder = StoreConfig::builder().gate(gate).threads(threads);
+        let mut builder = StoreConfig::builder().threads(threads);
         if patterns {
             builder = builder.patterns(true);
         }
@@ -162,32 +157,29 @@ fn run_thread_differential(seed: u64, gate: GateMode, patterns: bool, two_hop: b
     }
 }
 
-/// Always-patch streams with the 2-hop index: the patched CSR, and the
-/// index rebuilt over it on every batch, are the same at every thread
-/// count.
+/// Streams with the 2-hop index: the quotient CSR, and the index built
+/// over it on every batch, are the same at every thread count.
 #[test]
-fn always_patch_two_hop_streams_are_thread_count_invariant() {
+fn two_hop_streams_are_thread_count_invariant() {
     for i in 0..10 {
-        run_thread_differential(9100 + i, GateMode::AlwaysPatch, false, true);
+        run_thread_differential(9100 + i, false, true);
     }
 }
 
-/// Pattern-serving streams under the default fixed gate: batches mix
-/// row-patched and rebuilt views, so both the parallel refinement inside
-/// the maintainers and the from-scratch partition path are covered.
+/// Pattern-serving streams: the parallel refinement inside both
+/// maintainers, and the views built from their exports.
 #[test]
 fn pattern_streams_are_thread_count_invariant() {
     for i in 0..10 {
-        run_thread_differential(9200 + i, GateMode::default(), true, false);
+        run_thread_differential(9200 + i, true, false);
     }
 }
 
-/// Everything on at once — patterns and the 2-hop index under the
-/// default fixed gate, so row-patched and rebuilt pattern views meet
-/// patched and rebuilt quotient CSRs in the same stream.
+/// Everything on at once — patterns and the 2-hop index in the same
+/// stream.
 #[test]
 fn combined_streams_are_thread_count_invariant() {
     for i in 0..10 {
-        run_thread_differential(9300 + i, GateMode::default(), true, true);
+        run_thread_differential(9300 + i, true, true);
     }
 }

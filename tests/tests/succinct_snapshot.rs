@@ -7,10 +7,9 @@
 //!    seeded random graphs and on every Table-1 emulation (which exercise
 //!    the hub exception list — power-law rows past `HUB_DEGREE` stay raw).
 //! 2. **Queries** — a store publishing succinct snapshots
-//!    ([`SnapshotFormat::Succinct`] / `Auto`) must answer reachability and
-//!    pattern queries identically to a plain-format store driven by the
-//!    same seeded update stream, through every gate routing (patches,
-//!    rebuilds) and with/without the 2-hop index.
+//!    ([`SnapshotFormat::Succinct`]) must answer reachability and pattern
+//!    queries identically to a plain-format store driven by the same
+//!    seeded update stream.
 //! 3. **Persistence** — a snapshot file must load back answer-identical,
 //!    fail closed on truncation or corruption, and
 //!    [`CompressedStore::boot_from_snapshot`] (snapshot + log-tail replay)
@@ -23,6 +22,7 @@
 use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_serve::{CompressedStore, ReachStore as _, SnapshotFormat, StoreConfig};
 use rand::rngs::StdRng;
@@ -135,10 +135,10 @@ fn sample_patterns() -> Vec<Pattern> {
 }
 
 /// Drives the same seeded stream through a plain-format store and a
-/// `format`-publishing store (both with the 2-hop index and pattern
+/// succinct-publishing store (both with the 2-hop index and pattern
 /// serving) and asserts every reachability answer matches a BFS oracle on
 /// the updated graph and every pattern answer matches the plain store's.
-fn run_format_differential(seed: u64, format: SnapshotFormat) {
+fn run_format_differential(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = random_graph(&mut rng, 24);
     let config = |format: SnapshotFormat| {
@@ -149,7 +149,7 @@ fn run_format_differential(seed: u64, format: SnapshotFormat) {
             .build()
     };
     let plain = CompressedStore::new(g.clone(), config(SnapshotFormat::Plain));
-    let fancy = CompressedStore::new(g.clone(), config(format));
+    let fancy = CompressedStore::new(g.clone(), config(SnapshotFormat::Succinct));
     let queries = sample_patterns();
     for step in 0..5 {
         let snap_plain = plain.load();
@@ -157,19 +157,17 @@ fn run_format_differential(seed: u64, format: SnapshotFormat) {
         let ctx = format!("seed {seed} step {step}");
         assert_eq!(snap_plain.check_invariants(), Ok(()), "{ctx}");
         assert_eq!(snap_fancy.check_invariants(), Ok(()), "{ctx}");
-        if format == SnapshotFormat::Succinct {
-            assert!(
-                snap_fancy.quotient().is_succinct(),
-                "seed {seed} step {step}: forced Succinct must always pack"
-            );
-        }
+        assert!(
+            snap_fancy.quotient().is_succinct(),
+            "seed {seed} step {step}: Succinct must always pack"
+        );
         for u in g.nodes() {
             for w in g.nodes() {
                 let expected = bfs_reachable(&g, u, w);
                 assert_eq!(
                     snap_fancy.reachable(u, w),
                     expected,
-                    "seed {seed} step {step}: {format:?} answer ({u},{w})"
+                    "seed {seed} step {step}: succinct answer ({u},{w})"
                 );
                 assert_eq!(snap_plain.reachable(u, w), expected);
             }
@@ -191,64 +189,9 @@ fn run_format_differential(seed: u64, format: SnapshotFormat) {
 
 #[test]
 fn succinct_store_answers_match_plain_store() {
-    for seed in 0..8 {
-        run_format_differential(seed, SnapshotFormat::Succinct);
+    for seed in (0..8).chain(100..108) {
+        run_format_differential(seed);
     }
-}
-
-#[test]
-fn auto_store_answers_match_plain_store() {
-    for seed in 100..108 {
-        run_format_differential(seed, SnapshotFormat::Auto);
-    }
-}
-
-#[test]
-fn auto_packs_rebuilds_and_keeps_patches_plain() {
-    let mut rng = StdRng::seed_from_u64(0xA070);
-    let g = random_graph(&mut rng, 30);
-    // AlwaysRebuild: every publication is a from-scratch build → packed.
-    let rebuilds = CompressedStore::new(
-        g.clone(),
-        StoreConfig::builder()
-            .gate(qpgc_serve::GateMode::AlwaysRebuild)
-            .snapshot_format(SnapshotFormat::Auto)
-            .build(),
-    );
-    assert!(
-        rebuilds.load().quotient().is_succinct(),
-        "Auto must pack the initial build"
-    );
-    let batch = random_batch(&mut rng, g.node_count(), 3);
-    rebuilds.apply(&batch);
-    assert!(
-        rebuilds.load().quotient().is_succinct(),
-        "Auto must pack gate-routed rebuilds"
-    );
-    assert_eq!(rebuilds.load().check_invariants(), Ok(()));
-    // AlwaysPatch: non-empty deltas stay on the patch path → plain again.
-    let patches = CompressedStore::new(
-        g.clone(),
-        StoreConfig::builder()
-            .gate(qpgc_serve::GateMode::AlwaysPatch)
-            .snapshot_format(SnapshotFormat::Auto)
-            .build(),
-    );
-    let mut rng2 = StdRng::seed_from_u64(0xA071);
-    let mut patched_plain = 0;
-    for _ in 0..6 {
-        let batch = random_batch(&mut rng2, g.node_count(), 3);
-        let report = patches.apply(&batch);
-        assert_eq!(patches.load().check_invariants(), Ok(()));
-        if matches!(report.path, qpgc_serve::ApplyPath::Patched { .. }) {
-            assert!(
-                !patches.load().quotient().is_succinct(),
-                "Auto must keep patched snapshots plain"
-            );
-            patched_plain += 1;
-        }
-    }
-    assert!(patched_plain > 0, "stream never exercised the patch path");
 }
 
 /// Snapshot + log-tail recovery answers exactly like full-history replay
@@ -264,7 +207,7 @@ fn boot_from_snapshot_matches_recompress() {
         let log_path = dir.join(format!("stream_{seed}.log"));
         let snap_path = dir.join(format!("stream_{seed}.snap"));
         let config = StoreConfig::builder()
-            .snapshot_format(SnapshotFormat::Auto)
+            .snapshot_format(SnapshotFormat::Succinct)
             .build();
         let live = CompressedStore::new_with_log(g.clone(), config, &log_path).unwrap();
         // Apply a prefix, persist the snapshot mid-stream, apply a tail.
@@ -308,7 +251,10 @@ fn boot_from_snapshot_matches_recompress() {
 
 /// A snapshot persisted at the *latest* version boots with an empty log
 /// tail; one persisted before any batch replays the whole log. Both ends
-/// of the tail spectrum must work.
+/// of the tail spectrum must work, and at both the booted cut must carry
+/// everything its config asks for: the file holds neither a 2-hop index
+/// nor a pattern view, so a store that served the loaded snapshot itself
+/// would lose them until its first non-quiet batch.
 #[test]
 fn boot_tail_spectrum() {
     let dir = std::env::temp_dir().join("qpgc_succinct_tail");
@@ -327,14 +273,31 @@ fn boot_tail_spectrum() {
         batch.apply_to(&mut g);
     }
     live.save_snapshot(&late).unwrap(); // latest version: empty tail
+    let everything = StoreConfig::builder()
+        .patterns(true)
+        .two_hop(Default::default())
+        .build();
     for path in [&early, &late] {
-        let booted = CompressedStore::boot_from_snapshot(path, &log_path, config).unwrap();
-        assert_eq!(booted.version(), live.version());
-        let b = booted.load();
-        assert_eq!(b.check_invariants(), Ok(()));
-        for u in g.nodes() {
-            for w in g.nodes() {
-                assert_eq!(b.reachable(u, w), bfs_reachable(&g, u, w), "({u},{w})");
+        for boot_config in [config, everything] {
+            let booted = CompressedStore::boot_from_snapshot(path, &log_path, boot_config).unwrap();
+            assert_eq!(booted.version(), live.version());
+            let b = booted.load();
+            assert_eq!(b.check_invariants(), Ok(()));
+            for u in g.nodes() {
+                for w in g.nodes() {
+                    assert_eq!(b.reachable(u, w), bfs_reachable(&g, u, w), "({u},{w})");
+                }
+            }
+            assert_eq!(b.two_hop().is_some(), boot_config.two_hop.is_some());
+            assert_eq!(b.pattern_view().is_some(), boot_config.serve_patterns);
+            if boot_config.serve_patterns {
+                for (qi, q) in sample_patterns().iter().enumerate() {
+                    assert_same_answer(
+                        &bounded_match(&g, q),
+                        &b.match_pattern(q),
+                        &format!("booted cut, query {qi}"),
+                    );
+                }
             }
         }
     }
@@ -344,7 +307,8 @@ fn boot_tail_spectrum() {
 }
 
 /// Boot must fail closed on a truncated or bit-flipped snapshot file, and
-/// on a snapshot whose version lies beyond the log (wrong file pairing).
+/// on a wrong file pairing: a snapshot whose version lies beyond the log,
+/// or one of the right version saved from a different graph.
 #[test]
 fn boot_fails_closed_on_damaged_snapshots() {
     let dir = std::env::temp_dir().join("qpgc_succinct_damage");
@@ -386,7 +350,22 @@ fn boot_fails_closed_on_damaged_snapshots() {
         CompressedStore::boot_from_snapshot(&snap_path, &short_log, config).is_err(),
         "snapshot version beyond the log must fail boot"
     );
-    for p in [&log_path, &snap_path, &short_log] {
+    // A same-version snapshot of a different graph (three more nodes).
+    let mut other = g.clone();
+    for _ in 0..3 {
+        other.add_node_with_label("A");
+    }
+    let other_log = dir.join("other.log");
+    let other_snap = dir.join("other.snap");
+    let foreign = CompressedStore::new_with_log(other, config, &other_log).unwrap();
+    foreign.apply(&batch);
+    foreign.save_snapshot(&other_snap).unwrap();
+    assert_eq!(foreign.version(), live.version());
+    assert!(
+        CompressedStore::boot_from_snapshot(&other_snap, &log_path, config).is_err(),
+        "a snapshot of another graph must fail boot"
+    );
+    for p in [&log_path, &snap_path, &short_log, &other_log, &other_snap] {
         std::fs::remove_file(p).ok();
     }
 }
