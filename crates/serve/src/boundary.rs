@@ -1,43 +1,78 @@
-//! The boundary graph: how cross-shard reachability composes.
+//! The boundary summary: how cross-shard reachability composes.
 //!
 //! A sharded store keeps **intra-shard** edges inside per-shard
-//! [`CompressedStore`]s and parks **cross-shard** edges here. Any global
-//! path decomposes at its cross edges into intra-shard segments, so the
-//! router answers `QR(u, w)` by composing three exact pieces:
+//! [`CompressedStore`]s and parks **cross-shard** edges on the router. Any
+//! global path decomposes at its cross edges into intra-shard segments,
+//! and every such segment is already answered by the `Gr` its shard has
+//! just published — so the summary does not probe the shards pair by
+//! pair, it runs one reachability algorithm over their quotients *as
+//! they are*, stitched together at the boundary nodes.
 //!
-//! 1. a shard-local prefix from `u` to some boundary node of `u`'s shard
-//!    (answered by that shard's snapshot — 2-hop or quotient BFS),
-//! 2. a walk through the boundary graph (precomputed transitive closure),
-//! 3. a shard-local suffix from a boundary node of `w`'s shard to `w`.
+//! ## The composite graph
 //!
-//! The boundary graph's vertices are the *nodes* incident to at least one
-//! live cross edge (not their equivalence classes: two reach-equivalent
-//! nodes of a shard subgraph share ancestors and descendants but need not
-//! reach each other, so collapsing them would invent paths). Its edges are
-//! the cross edges themselves plus, per shard, a **summary edge** `x → y`
-//! whenever `x` reaches `y` inside that shard — delegated to the shard
-//! snapshot, so the summary inherits the compression's exactness.
+//! Per cut, `BoundarySummary::build` lays out one graph with
 //!
-//! At every watermark bump the summary is **patched, not rebuilt**: the
-//! dominant cost is the `O(B²)` shard-local summary-edge probes, and a
-//! shard whose publication republished (its reachability partition was
-//! untouched by the batch) answers every probe exactly as its predecessor
-//! did — so [`BoundarySummary::patch`] carries those answers over from the
-//! previous cut's summary and probes only pairs involving a boundary node
-//! the cross-edge delta introduced. Shards that patched or rebuilt are
-//! re-probed in full. The per-vertex closure is recomputed every bump (a
-//! handful of BFS walks over the small boundary graph); the whole
-//! structure stays small because only boundary *endpoints* materialize,
-//! never interior nodes.
+//! * a **node vertex** `X_x` per boundary node `x` (an endpoint of a live
+//!   cross edge),
+//! * a **class vertex** `C_{s,c}` per row `c` of shard `s`'s quotient,
+//!   read "every member of `c` has been reached", and
+//! * a **member vertex** `M_{s,c}` per row, read "standing on some member
+//!   of `c`",
+//!
+//! and the edges `M_c → C_d` for each edge `c → d` of the shard's
+//! transitively reduced `Gr` plus `M_c → C_c` iff `c` is cyclic (what one
+//! member reaches by a non-empty shard-local path), `C_c → C_d` for the
+//! same `Gr` edges, `C_c → X_y` for each boundary node `y` of class `c`,
+//! `X_x → M_{class(x)}`, and `X_x → X_y` for each cross edge. That is
+//! linear in `B + Σ|Gr_s| + |cross|`, where the boundary has `B` nodes.
+//!
+//! Node vertices *and* class vertices, because neither alone is both
+//! exact and small. Two reach-equivalent nodes of a shard share ancestors
+//! and descendants but — in an acyclic class — do not reach each other,
+//! so merging boundary nodes into their class would invent the path
+//! `x ⇝ sibling`; and a summary over node vertices only needs an edge per
+//! shard-locally reachable *pair*, a transitive closure of most of the
+//! graph. Splitting the roles keeps both: `X_x` leaves its class through
+//! `M`, which steps to *other* classes (or to its own only when the class
+//! is cyclic), so an acyclic class is never entered from one of its own
+//! members, only from a proper ancestor — exactly the shard-local truth —
+//! while the shard's interior costs `|Gr_s|`, not `B²`.
+//!
+//! One [`Condensation`] of the composite and one children-first sweep
+//! over its Tarjan ids give every component the bit-row of boundary
+//! vertices it reaches; global cycles that only cross edges close are
+//! ordinary components. The rows the read side needs — `X_x`'s, "what `x`
+//! reaches by a non-empty path", and `M_c`'s, the same for any
+//! non-boundary member of `c` — are interned by content, as are the
+//! backward rows a Kahn pass over each shard's `Gr` produces ("boundary
+//! nodes of this shard that reach the members of `c`"). A query is then
+//! one AND over two rows: see `BoundarySummary::bridges`.
+//!
+//! There is one construction, run at every watermark bump from the
+//! shards' current snapshots; nothing is carried over between cuts.
 //!
 //! [`CompressedStore`]: crate::CompressedStore
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use qpgc_graph::{FixedBitSet, NodeId};
+use qpgc_graph::ids::LabelInterner;
+use qpgc_graph::{Condensation, CsrGraph, NodeId, NodePartition};
 
 use crate::snapshot::Snapshot;
+
+/// `vertex_of` entry of a node that is no boundary node.
+const INTERIOR: u32 = u32::MAX;
+
+/// The two interned rows of one quotient row of one shard.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ClassRows {
+    /// Boundary vertices any member reaches by a non-empty path.
+    from: u32,
+    /// Boundary vertices of the same shard that reach the members
+    /// shard-locally (a member itself only when the class is cyclic).
+    into: u32,
+}
 
 /// The reachability summary over one consistent cut's cross edges.
 ///
@@ -47,269 +82,359 @@ use crate::snapshot::Snapshot;
 /// and shard snapshots of one watermark.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BoundarySummary {
-    /// Vertex `i` is boundary node `nodes[i].0` owned by shard
-    /// `nodes[i].1`, in first-appearance order over the sorted cross-edge
-    /// set (deterministic across runs).
-    nodes: Vec<(NodeId, usize)>,
-    /// Vertex indices per owning shard.
-    by_shard: Vec<Vec<usize>>,
-    /// Per shard, every ordered same-shard boundary pair `(x, y)` with
-    /// `x ⇝ y` shard-locally, in probe-enumeration order — keyed by node
-    /// ids (vertex indices are renumbered every bump) so the next
-    /// [`BoundarySummary::patch`] can carry unchanged shards' answers over
-    /// without re-probing.
-    summary: Vec<Vec<(NodeId, NodeId)>>,
-    /// `closure[i]` — every vertex reachable from vertex `i` through cross
-    /// and summary edges, self included.
-    closure: Vec<FixedBitSet>,
+    /// Boundary vertex of every node ([`INTERIOR`] for the rest), numbered
+    /// in ascending node-id order; empty when there is no cross edge.
+    vertex_of: Vec<u32>,
+    /// Row of each boundary vertex: the boundary vertices it reaches by a
+    /// non-empty path.
+    vertex_row: Vec<u32>,
+    /// Per shard, per quotient row (stable class id).
+    class_rows: Vec<Vec<ClassRows>>,
+    /// The interned bit-rows, `words` blocks each, bit `i` = vertex `i`.
+    rows: Vec<u64>,
+    words: usize,
+}
+
+/// Content-interning of bit-rows into one flat table.
+struct RowTable {
+    words: usize,
+    rows: Vec<u64>,
+    ids: HashMap<Box<[u64]>, u32>,
+}
+
+impl RowTable {
+    fn intern(&mut self, row: &[u64]) -> u32 {
+        if let Some(&id) = self.ids.get(row) {
+            return id;
+        }
+        let id = (self.rows.len() / self.words) as u32;
+        self.rows.extend_from_slice(row);
+        self.ids.insert(row.into(), id);
+        id
+    }
+}
+
+fn set_bit(row: &mut [u64], bit: u32) {
+    row[bit as usize / 64] |= 1 << (bit % 64);
+}
+
+fn union_into(row: &mut [u64], other: &[u64]) {
+    for (a, b) in row.iter_mut().zip(other) {
+        *a |= *b;
+    }
 }
 
 impl BoundarySummary {
-    /// Interns the cross-edge endpoints in first-appearance order over
-    /// `cross` (sorted upstream, so deterministic) and materializes the
-    /// cross edges as adjacency — the shared front half of
-    /// [`BoundarySummary::build`] and [`BoundarySummary::patch`].
-    #[allow(clippy::type_complexity)]
-    fn intern_cross(
-        shard_count: usize,
-        cross: impl Iterator<Item = (NodeId, NodeId)>,
-        shard_of: impl Fn(NodeId) -> usize,
-    ) -> (Vec<(NodeId, usize)>, Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let mut nodes: Vec<(NodeId, usize)> = Vec::new();
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
-        let mut by_shard = vec![Vec::new(); shard_count];
-        let mut intern = |v: NodeId, nodes: &mut Vec<(NodeId, usize)>| -> usize {
-            *index.entry(v).or_insert_with(|| {
-                let shard = shard_of(v);
-                nodes.push((v, shard));
-                by_shard[shard].push(nodes.len() - 1);
-                nodes.len() - 1
-            })
-        };
-        let mut adjacency: Vec<Vec<usize>> = Vec::new();
-        for (u, v) in cross {
-            let iu = intern(u, &mut nodes);
-            let iv = intern(v, &mut nodes);
-            adjacency.resize(nodes.len(), Vec::new());
-            adjacency[iu].push(iv);
-        }
-        (nodes, by_shard, adjacency)
-    }
-
-    /// All ordered same-shard pairs of `verts`, in the canonical probe
-    /// enumeration order both `build` and `patch` use — identical
-    /// enumeration is what makes a patched summary structurally equal to a
-    /// built one.
-    fn shard_pairs(verts: &[usize]) -> Vec<(usize, usize)> {
-        verts
-            .iter()
-            .flat_map(|&i| verts.iter().filter(move |&&j| j != i).map(move |&j| (i, j)))
-            .collect()
-    }
-
-    /// Per-vertex closure by BFS — the boundary graph may be cyclic (cross
-    /// edges can close global cycles the shard quotients never see), which
-    /// a visited set handles for free.
-    fn closure_of(adjacency: &[Vec<usize>], n: usize) -> Vec<FixedBitSet> {
-        (0..n)
-            .map(|start| {
-                let mut seen = FixedBitSet::with_capacity(n);
-                seen.insert(start);
-                let mut stack = vec![start];
-                while let Some(i) = stack.pop() {
-                    for &j in &adjacency[i] {
-                        if !seen.contains(j) {
-                            seen.insert(j);
-                            stack.push(j);
-                        }
-                    }
-                }
-                seen
-            })
-            .collect()
-    }
-
-    /// Builds the summary for one cut from scratch: `cross` is the live
-    /// cross-edge set (sorted, deduplicated), `snaps` the per-shard
-    /// snapshots of the same watermark. Intra-shard summary edges are
-    /// decided by [`Snapshot::reachable`] on representative pairs, so they
-    /// are exact for the shard subgraph.
-    /// Summary-edge probes go through [`crate::bulk_reachable`] — one
-    /// batch per shard, sharded across `threads` workers (`0` =
-    /// `available_parallelism`) — so summary construction shares the
-    /// parallel bulk-evaluation path with store-level queries.
+    /// Builds the summary of one cut: `cross` is the live cross-edge set
+    /// (any order, duplicates tolerated), `snaps` the per-shard snapshots
+    /// of the same watermark. See the module docs for the construction.
     pub(crate) fn build(
         snaps: &[Arc<Snapshot>],
         cross: impl Iterator<Item = (NodeId, NodeId)>,
-        shard_of: impl Fn(NodeId) -> usize,
-        threads: usize,
+        part: &NodePartition,
     ) -> BoundarySummary {
-        let (nodes, by_shard, mut adjacency) = Self::intern_cross(snaps.len(), cross, shard_of);
-        let mut summary = vec![Vec::new(); snaps.len()];
-        for (shard, verts) in by_shard.iter().enumerate() {
-            let pairs = Self::shard_pairs(verts);
-            let queries: Vec<(NodeId, NodeId)> = pairs
-                .iter()
-                .map(|&(i, j)| (nodes[i].0, nodes[j].0))
-                .collect();
-            let answers = crate::bulk::bulk_reachable(&*snaps[shard], &queries, threads);
-            for (&(i, j), yes) in pairs.iter().zip(answers) {
-                if yes {
-                    adjacency[i].push(j);
-                    summary[shard].push((nodes[i].0, nodes[j].0));
+        let cross: Vec<(NodeId, NodeId)> = cross.collect();
+        if cross.is_empty() {
+            return BoundarySummary::default();
+        }
+        let mut vertex_of = vec![INTERIOR; snaps[0].node_count()];
+        for &(u, v) in &cross {
+            vertex_of[u.index()] = 0;
+            vertex_of[v.index()] = 0;
+        }
+        let mut nodes: Vec<NodeId> = Vec::new();
+        for (v, slot) in vertex_of.iter_mut().enumerate() {
+            if *slot != INTERIOR {
+                *slot = nodes.len() as u32;
+                nodes.push(NodeId(v as u32));
+            }
+        }
+        let vertices = nodes.len() as u32;
+
+        // Composite layout: X_0..X_B, then per shard its C block and its M
+        // block, each as long as the shard's stable-id space.
+        let mut base = Vec::with_capacity(snaps.len());
+        let mut total = vertices;
+        for snap in snaps {
+            base.push(total);
+            total += 2 * snap.quotient().node_count() as u32;
+        }
+        let class_vertex = |s: usize, c: u32| NodeId(base[s] + c);
+        let member_vertex =
+            |s: usize, c: u32| NodeId(base[s] + snaps[s].quotient().node_count() as u32 + c);
+
+        let mut edges: Vec<(NodeId, NodeId)> = cross
+            .iter()
+            .map(|&(u, v)| (NodeId(vertex_of[u.index()]), NodeId(vertex_of[v.index()])))
+            .collect();
+        for (x, &node) in nodes.iter().enumerate() {
+            let s = part.shard_of(node);
+            let c = snaps[s]
+                .class_of(node)
+                .expect("boundary nodes are nodes of the store");
+            let x = NodeId(x as u32);
+            edges.push((x, member_vertex(s, c)));
+            edges.push((class_vertex(s, c), x));
+        }
+        for (s, snap) in snaps.iter().enumerate() {
+            // An `Arc` bump on the plain backend, one decode on the succinct.
+            let gr = snap.quotient().to_plain_arc();
+            for (c, &cyclic) in (0u32..).zip(snap.cyclic_slice()) {
+                for &d in gr.out_neighbors(NodeId(c)) {
+                    edges.push((member_vertex(s, c), class_vertex(s, d.0)));
+                    edges.push((class_vertex(s, c), class_vertex(s, d.0)));
+                }
+                if cyclic {
+                    edges.push((member_vertex(s, c), class_vertex(s, c)));
                 }
             }
         }
-        let closure = Self::closure_of(&adjacency, nodes.len());
-        BoundarySummary {
-            nodes,
-            by_shard,
-            summary,
-            closure,
-        }
-    }
+        let mut interner = LabelInterner::new();
+        let label = interner.intern("σ");
+        let composite = CsrGraph::from_edges(vec![label; total as usize], interner, edges);
 
-    /// [`BoundarySummary::build`], with the `O(B²)` summary-edge probes of
-    /// unchanged shards answered from `prev` instead of re-probed.
-    ///
-    /// `shard_changed[s]` is whether shard `s`'s publication took any path
-    /// other than republish. A republished shard's snapshot answers every
-    /// shard-local reachability query exactly as the previous cut's did
-    /// (the batch left its reachability partition untouched), so for such
-    /// shards every probe pair whose endpoints were both boundary nodes in
-    /// `prev` keeps its previous answer — positive iff recorded in
-    /// `prev.summary` — and only pairs involving a boundary node the
-    /// cross-edge delta introduced are probed. Changed shards are
-    /// re-probed in full. Probe enumeration order is shared with `build`,
-    /// so the result is structurally equal to what `build` would produce
-    /// over the same inputs — the differential test pins that down.
-    pub(crate) fn patch(
-        prev: &BoundarySummary,
-        snaps: &[Arc<Snapshot>],
-        cross: impl Iterator<Item = (NodeId, NodeId)>,
-        shard_of: impl Fn(NodeId) -> usize,
-        shard_changed: &[bool],
-        threads: usize,
-    ) -> BoundarySummary {
-        let (nodes, by_shard, mut adjacency) = Self::intern_cross(snaps.len(), cross, shard_of);
-        let mut summary = vec![Vec::new(); snaps.len()];
-        for (shard, verts) in by_shard.iter().enumerate() {
-            let pairs = Self::shard_pairs(verts);
-            let answers: Vec<bool> = if shard_changed[shard] {
-                let queries: Vec<(NodeId, NodeId)> = pairs
-                    .iter()
-                    .map(|&(i, j)| (nodes[i].0, nodes[j].0))
-                    .collect();
-                crate::bulk::bulk_reachable(&*snaps[shard], &queries, threads)
-            } else {
-                let carried: HashSet<NodeId> = prev.by_shard[shard]
-                    .iter()
-                    .map(|&i| prev.nodes[i].0)
-                    .collect();
-                let positive: HashSet<(NodeId, NodeId)> =
-                    prev.summary[shard].iter().copied().collect();
-                let mut answers = vec![false; pairs.len()];
-                let mut probe_at: Vec<usize> = Vec::new();
-                let mut probes: Vec<(NodeId, NodeId)> = Vec::new();
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    let (x, y) = (nodes[i].0, nodes[j].0);
-                    if carried.contains(&x) && carried.contains(&y) {
-                        answers[k] = positive.contains(&(x, y));
-                    } else {
-                        probe_at.push(k);
-                        probes.push((x, y));
+        // Children first: Tarjan numbers a component after everything it
+        // reaches, so `closed[k]` — the boundary vertices in or below
+        // component `k` — only reads finished rows.
+        let scc = Condensation::of(&composite);
+        let words = (vertices as usize).div_ceil(64);
+        let mut closed = vec![0u64; scc.component_count() * words];
+        for k in 0..scc.component_count() {
+            let (below, rest) = closed.split_at_mut(k * words);
+            let row = &mut rest[..words];
+            for &m in scc.members(k as u32) {
+                if m.0 < vertices {
+                    set_bit(row, m.0);
+                }
+            }
+            for &j in scc.scc_out(k as u32) {
+                union_into(row, &below[j as usize * words..][..words]);
+            }
+        }
+        let closed_of = |v: NodeId| &closed[scc.component_of(v) as usize * words..][..words];
+
+        let mut table = RowTable {
+            words,
+            rows: Vec::new(),
+            ids: HashMap::new(),
+        };
+        let mut scratch = vec![0u64; words];
+        // A vertex alone in its component lies on no cycle: it reaches
+        // everything below it but not itself.
+        let vertex_row: Vec<u32> = (0..vertices)
+            .map(|x| {
+                scratch.copy_from_slice(closed_of(NodeId(x)));
+                if scc.members(scc.component_of(NodeId(x))).len() == 1 {
+                    scratch[x as usize / 64] &= !(1 << (x % 64));
+                }
+                table.intern(&scratch)
+            })
+            .collect();
+
+        let class_rows: Vec<Vec<ClassRows>> = snaps
+            .iter()
+            .enumerate()
+            .map(|(s, snap)| {
+                // Kahn over the shard's `Gr` as the composite holds it: the
+                // out-row of `C_c` lists `c`'s boundary members (below
+                // `vertices`) and then its `Gr` successors.
+                let classes = snap.quotient().node_count();
+                let class_at = |t: NodeId| (t.0 - base[s]) as usize;
+                let successors = |c: usize| {
+                    let out = composite.out_neighbors(class_vertex(s, c as u32));
+                    out.split_at(out.partition_point(|t| t.0 < vertices))
+                };
+                let mut pending = vec![0u32; classes];
+                for c in 0..classes {
+                    for &d in successors(c).1 {
+                        pending[class_at(d)] += 1;
                     }
                 }
-                let probed = crate::bulk::bulk_reachable(&*snaps[shard], &probes, threads);
-                for (k, yes) in probe_at.into_iter().zip(probed) {
-                    answers[k] = yes;
+                let mut ready: Vec<usize> = (0..classes).filter(|&c| pending[c] == 0).collect();
+                let mut into = vec![0u64; classes * words];
+                while let Some(c) = ready.pop() {
+                    let (members, below) = successors(c);
+                    scratch.copy_from_slice(&into[c * words..][..words]);
+                    for &x in members {
+                        set_bit(&mut scratch, x.0);
+                    }
+                    if snap.cyclic_slice()[c] {
+                        into[c * words..][..words].copy_from_slice(&scratch);
+                    }
+                    for &d in below {
+                        let d = class_at(d);
+                        union_into(&mut into[d * words..][..words], &scratch);
+                        pending[d] -= 1;
+                        if pending[d] == 0 {
+                            ready.push(d);
+                        }
+                    }
                 }
-                answers
-            };
-            for (&(i, j), yes) in pairs.iter().zip(answers) {
-                if yes {
-                    adjacency[i].push(j);
-                    summary[shard].push((nodes[i].0, nodes[j].0));
-                }
-            }
-        }
-        let closure = Self::closure_of(&adjacency, nodes.len());
+                (0..classes)
+                    .map(|c| ClassRows {
+                        from: table.intern(closed_of(member_vertex(s, c as u32))),
+                        into: table.intern(&into[c * words..][..words]),
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut rows = table.rows;
+        rows.shrink_to_fit();
         BoundarySummary {
-            nodes,
-            by_shard,
-            summary,
-            closure,
+            vertex_of,
+            vertex_row,
+            class_rows,
+            rows,
+            words,
         }
     }
 
     /// Number of boundary vertices (distinct cross-edge endpoints).
     pub fn vertex_count(&self) -> usize {
-        self.nodes.len()
+        self.vertex_row.len()
     }
 
-    /// Whether a path `u ⇝ w` exists that crosses at least one shard
-    /// boundary: some boundary node of shard `su` is shard-locally
-    /// reachable from `u`, reaches — through the boundary closure — some
-    /// boundary node of shard `sw`, which shard-locally reaches `w`.
-    /// `su`/`sw` are the shards owning `u`/`w`; purely intra-shard paths
-    /// are the caller's (cheaper) first check.
+    fn row(&self, id: u32) -> &[u64] {
+        &self.rows[id as usize * self.words..][..self.words]
+    }
+
+    /// Whether a path `u ⇝ w` exists that passes through a boundary node
+    /// after leaving `u`: `u` reaches — by a non-empty path anywhere in the
+    /// graph — either `w` itself or a boundary node of `w`'s shard that
+    /// shard-locally reaches `w`. `from` and `to` are the shard and stable
+    /// class of `u` and of `w`; paths that touch no boundary node are
+    /// purely shard-local and the caller's first check.
     pub(crate) fn bridges(
         &self,
-        snaps: &[Arc<Snapshot>],
         u: NodeId,
-        su: usize,
+        from: (usize, u32),
         w: NodeId,
-        sw: usize,
+        to: (usize, u32),
     ) -> bool {
-        if self.nodes.is_empty() {
+        if self.vertex_row.is_empty() {
             return false;
         }
-        // Entry probes: can `u` shard-locally reach each boundary node of
-        // its shard? Batched through the bulk path (sequential at one
-        // thread — bridges sits on the per-query hot path).
-        let entry_queries: Vec<(NodeId, NodeId)> = self.by_shard[su]
-            .iter()
-            .map(|&i| (u, self.nodes[i].0))
-            .collect();
-        let entry = crate::bulk::bulk_reachable(&*snaps[su], &entry_queries, 1);
-        let mut reached = FixedBitSet::with_capacity(self.nodes.len());
-        for (&i, yes) in self.by_shard[su].iter().zip(entry) {
-            if yes {
-                reached.union_with(&self.closure[i]);
-            }
+        let reached = self.row(match self.vertex_of[u.index()] {
+            INTERIOR => self.class_rows[from.0][from.1 as usize].from,
+            x => self.vertex_row[x as usize],
+        });
+        let y = self.vertex_of[w.index()];
+        if y != INTERIOR && reached[y as usize / 64] & (1 << (y % 64)) != 0 {
+            return true;
         }
-        // Exit probes, restricted to boundary nodes the closure walk
-        // actually reached.
-        let candidates: Vec<usize> = self.by_shard[sw]
-            .iter()
-            .copied()
-            .filter(|&j| reached.contains(j))
-            .collect();
-        let exit_queries: Vec<(NodeId, NodeId)> =
-            candidates.iter().map(|&j| (self.nodes[j].0, w)).collect();
-        crate::bulk::bulk_reachable(&*snaps[sw], &exit_queries, 1)
-            .into_iter()
-            .any(|yes| yes)
+        let into = self.row(self.class_rows[to.0][to.1 as usize].into);
+        reached.iter().zip(into).any(|(a, b)| a & b != 0)
     }
 
     /// Heap footprint, for capacity accounting next to
     /// [`Snapshot::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<(NodeId, usize)>()
+        (self.vertex_of.capacity() + self.vertex_row.capacity()) * std::mem::size_of::<u32>()
             + self
-                .by_shard
+                .class_rows
                 .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<usize>())
+                .map(|v| v.capacity() * std::mem::size_of::<ClassRows>())
                 .sum::<usize>()
-            + self
-                .summary
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<(NodeId, NodeId)>())
-                .sum::<usize>()
-            + self
-                .closure
-                .iter()
-                .map(FixedBitSet::heap_bytes)
-                .sum::<usize>()
+            + self.rows.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use qpgc_graph::traversal::bfs_reachable;
+    use qpgc_graph::{LabeledGraph, NodeId, NodePartition};
+
+    use crate::sharded::{ShardedSnapshot, ShardedStore};
+    use crate::store::StoreConfig;
+
+    /// The first `count` node ids the two-way partition gives to `shard`.
+    fn owned(shard: usize, count: usize) -> Vec<NodeId> {
+        let part = NodePartition::new(2);
+        (0..)
+            .map(NodeId)
+            .filter(|&v| part.shard_of(v) == shard)
+            .take(count)
+            .collect()
+    }
+
+    /// Publishes `edges` on a two-shard store and checks every pair of the
+    /// cut against BFS on the data graph before handing the cut back.
+    fn two_shard_cut(edges: &[(NodeId, NodeId)]) -> std::sync::Arc<ShardedSnapshot> {
+        let n = edges.iter().map(|&(u, v)| u.0.max(v.0)).max().unwrap() + 1;
+        let mut g = LabeledGraph::new();
+        for _ in 0..n {
+            g.add_node_with_label("X");
+        }
+        for &(u, v) in edges {
+            g.add_edge(u, v);
+        }
+        let cut = ShardedStore::new(g.clone(), StoreConfig::builder().shards(2).build())
+            .unwrap()
+            .load();
+        for u in g.nodes() {
+            for w in g.nodes() {
+                assert_eq!(cut.reachable(u, w), bfs_reachable(&g, u, w), "({u},{w})");
+            }
+        }
+        cut
+    }
+
+    /// `a` and `b` share a shard-local class (same parent, no children)
+    /// and both sit on the boundary: whoever reaches one must not be
+    /// handed the other.
+    #[test]
+    fn acyclic_boundary_siblings_do_not_reach_each_other() {
+        let (home, away) = (owned(0, 3), owned(1, 2));
+        let (p, a, b) = (home[0], home[1], home[2]);
+        let (y, z) = (away[0], away[1]);
+        let cut = two_shard_cut(&[(p, a), (p, b), (a, z), (b, z), (y, a)]);
+        let local = &cut.shard_snapshots()[0];
+        assert_eq!(local.class_of(a), local.class_of(b));
+        assert!(!cut.reachable(a, b) && !cut.reachable(b, a));
+        assert!(cut.reachable(y, a) && cut.reachable(y, z) && !cut.reachable(y, b));
+    }
+
+    /// Both shard quotients are chains; only the two cross edges close the
+    /// cycle `a → a2 ⇒ b → b2 ⇒ a`.
+    #[test]
+    fn a_cycle_closed_only_by_cross_edges_is_one_component() {
+        let (home, away) = (owned(0, 3), owned(1, 3));
+        let (t, a, a2) = (home[0], home[1], home[2]);
+        let (b, b2, h) = (away[0], away[1], away[2]);
+        let cut = two_shard_cut(&[(t, a), (a, a2), (a2, b), (b, b2), (b2, a), (b2, h)]);
+        for &u in &[a, a2, b, b2] {
+            for &w in &[a, a2, b, b2, h] {
+                assert!(cut.reachable(u, w), "({u},{w})");
+            }
+            assert!(cut.reachable(t, u) && !cut.reachable(u, t));
+        }
+    }
+
+    /// `u` and `w` share a shard that holds no path between them; the only
+    /// one detours through the other shard.
+    #[test]
+    fn a_path_may_leave_a_shard_and_come_back() {
+        let (home, away) = (owned(0, 4), owned(1, 2));
+        let (u, u2, w2, w) = (home[0], home[1], home[2], home[3]);
+        let (x, x2) = (away[0], away[1]);
+        let cut = two_shard_cut(&[(u, u2), (u2, x), (x, x2), (x2, w2), (w2, w)]);
+        assert!(!cut.shard_snapshots()[0].reachable(u, w));
+        assert!(cut.reachable(u, w) && !cut.reachable(w, u));
+    }
+
+    /// A cyclic class reaches its own members: entering it at boundary
+    /// node `a` reaches the interior member `c` and the boundary member
+    /// `b`, and leaves through `b`.
+    #[test]
+    fn a_boundary_node_inside_a_cyclic_class_reaches_its_classmates() {
+        let (home, away) = (owned(0, 3), owned(1, 2));
+        let (a, b, c) = (home[0], home[1], home[2]);
+        let (z, y) = (away[0], away[1]);
+        let cut = two_shard_cut(&[(a, b), (b, c), (c, a), (z, a), (b, y)]);
+        let local = &cut.shard_snapshots()[0];
+        assert_eq!(local.class_of(a), local.class_of(c));
+        assert!(cut.reachable(z, c) && cut.reachable(z, b) && cut.reachable(z, y));
+        assert!(cut.reachable(c, y) && !cut.reachable(y, z));
     }
 }

@@ -16,11 +16,14 @@
 //! * [`ShardedStore`] — the multi-writer router; a deterministic hash
 //!   partition ([`qpgc_graph::NodePartition`]) splits the node space
 //!   across [`StoreConfig::shards`] inner stores whose writers apply
-//!   their slice of every batch concurrently, cross-shard edges live in a
-//!   boundary graph ([`boundary::BoundarySummary`]), and its cut is a
-//!   [`ShardedSnapshot`] — one watermark, every shard snapshot at exactly
-//!   that version, and the boundary summary built over them, swapped in
-//!   atomically so readers never see a torn cut.
+//!   their slice of every batch concurrently, cross-shard edges stay on
+//!   the router, and its cut is a [`ShardedSnapshot`] — one watermark,
+//!   every shard snapshot at exactly that version, and the
+//!   [`boundary::BoundarySummary`] built over them, swapped in atomically
+//!   so readers never see a torn cut. The summary is the shards' own
+//!   `Gr`s run as one graph: a node vertex per boundary node, class
+//!   vertices per quotient row, one condensation per watermark bump, and
+//!   a cross-shard query is one AND of two interned bit-rows.
 //!
 //! The pieces underneath:
 //!

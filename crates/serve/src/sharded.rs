@@ -19,25 +19,31 @@
 //! maintenances and successor-snapshot constructions running concurrently
 //! — but no shard *publishes* anything at this point: each returns a
 //! staged application while its served snapshot stays pre-batch. The
-//! router then applies the cross-shard slice to a **staged copy** of the
-//! boundary edge set and builds the boundary summary plus the successor
-//! [`ShardedSnapshot`] from the staged shard snapshots, still without
-//! publishing. Only when every shard and the boundary rebuild have
+//! router then builds the successor [`ShardedSnapshot`] — one
+//! `BoundarySummary::build` over the staged shard snapshots and the
+//! live cross edges as the batch's cross slice will leave them (inserts
+//! added, deletes skipped; the router's own set is only read) — still
+//! without publishing. Only when every shard and the summary have
 //! succeeded does the commit happen: each shard swaps its snapshot in,
-//! the router adopts the staged cross-edge set, and one fresh cut is
-//! swapped in atomically at the bumped watermark. Every shard receives
-//! its (possibly empty) slice of every batch, so shard versions always
-//! equal the router watermark and a cut is internally consistent by
-//! construction.
+//! the cross slice is applied to the router's edge set in place, and one
+//! fresh cut is swapped in atomically at the bumped watermark. Every
+//! shard receives its (possibly empty) slice of every batch, so shard
+//! versions always equal the router watermark and a cut is internally
+//! consistent by construction.
+//!
+//! A query on a cut is the owning shard's local answer, or — for paths
+//! that touch a boundary node — one AND of two bit-rows of the summary
+//! (see [`crate::boundary`]); no shard is probed twice and nothing is
+//! allocated.
 //!
 //! ## Failure semantics
 //!
 //! Every stage runs under `catch_unwind`. If any shard writer panics (or
 //! an injected failpoint fires), the router discards every cleanly staged
-//! sibling — each inverts its normalized slice and recompresses — leaves
-//! its own cross-edge set untouched, and returns
-//! [`StoreError::ShardFailed`] naming the failing shard; a fault in the
-//! router itself (slicing, boundary rebuild, cut assembly) reports
+//! sibling — each inverts its normalized slice and recompresses — and
+//! returns [`StoreError::ShardFailed`] naming the failing shard (its own
+//! cross-edge set was never touched); a fault in the
+//! router itself (slicing, boundary summary, cut assembly) reports
 //! [`StoreError::ROUTER`] as the shard index. Either way the old cut is
 //! still served, the watermark is unchanged, and the next clean batch
 //! proceeds normally.
@@ -110,19 +116,24 @@ impl ShardedSnapshot {
     }
 
     /// Answers `QR(u, w)` on the full graph: the owning shard's local
-    /// answer when `u` and `w` share a shard, composed with a boundary
-    /// walk otherwise (and even same-shard queries fall through to the
-    /// boundary — a path may leave the shard and come back).
+    /// answer when `u` and `w` share a shard, the boundary summary's
+    /// otherwise (and same-shard queries fall through to it too — a path
+    /// may leave the shard and come back). Node ids outside the store
+    /// reach only themselves, as on [`Snapshot::reachable`].
     pub fn reachable(&self, u: NodeId, w: NodeId) -> bool {
         if u == w {
             return true;
         }
         let su = self.part.shard_of(u);
         let sw = self.part.shard_of(w);
+        let (Some(cu), Some(cw)) = (self.shards[su].class_of(u), self.shards[sw].class_of(w))
+        else {
+            return false;
+        };
         if su == sw && self.shards[su].reachable(u, w) {
             return true;
         }
-        self.boundary.bridges(&self.shards, u, su, w, sw)
+        self.boundary.bridges(u, (su, cu), w, (sw, cw))
     }
 
     /// Total heap footprint: shard snapshots plus the boundary summary.
@@ -142,11 +153,11 @@ impl crate::api::ReachCut for ShardedSnapshot {
 }
 
 struct Router {
-    /// Live cross-shard edges, sorted for deterministic summary builds.
+    /// Live cross-shard edges.
     cross: BTreeSet<(NodeId, NodeId)>,
     watermark: u64,
     /// Optional write-behind redo log: appended once every shard and the
-    /// boundary rebuild have staged, just before the commit.
+    /// boundary summary have staged, just before the commit.
     log: Option<UpdateLog>,
 }
 
@@ -198,7 +209,8 @@ impl ShardedStore {
                 .collect()
         });
         let cross: BTreeSet<(NodeId, NodeId)> = boundary.into_iter().collect();
-        let cut = Self::cut(&part, &shards, &cross, 0, config.threads);
+        let snaps = shards.iter().map(CompressedStore::load).collect();
+        let cut = Self::cut(&part, snaps, cross.iter().copied(), 0);
         Ok(ShardedStore {
             config,
             part,
@@ -216,7 +228,7 @@ impl ShardedStore {
     /// [`ShardedStore::new`] with a crash-consistent [`UpdateLog`] at
     /// `path`: one router-level log (a base record of the full graph, one
     /// record per committed batch), appended write-behind after every
-    /// shard and the boundary rebuild have staged.
+    /// shard and the boundary summary have staged.
     /// [`ShardedStore::recover_from_log`] reconstructs an
     /// answer-identical store from the file after a crash.
     pub fn new_with_log<P: AsRef<Path>>(
@@ -283,8 +295,8 @@ impl ShardedStore {
 
     /// Applies `ΔG`: slices the batch by the node partition, runs every
     /// shard's incremental maintenance and snapshot publication on its own
-    /// scoped thread, folds the cross-shard slice into the boundary edge
-    /// set, and bumps the watermark by swapping in one fresh
+    /// scoped thread, builds the boundary summary over the cross edges the
+    /// batch leaves live, and bumps the watermark by swapping in one fresh
     /// [`ShardedSnapshot`]. Concurrent callers are serialized on the
     /// router; readers only ever see complete cuts.
     ///
@@ -368,49 +380,27 @@ impl ShardedStore {
             return Err(StoreError::ShardFailed { shard, cause });
         }
 
-        // Stage the router's own successor state: cross-edge set, boundary
-        // summary, and the cut — all from staged (unpublished) snapshots.
-        let mut staged_cross = router.cross.clone();
-        for u in sliced.cross.updates() {
-            let (a, b) = u.edge();
-            if u.is_insert() {
-                staged_cross.insert((a, b));
-            } else {
-                staged_cross.remove(&(a, b));
-            }
-        }
-        let next = router.watermark + 1;
+        // Stage the router's own successor state — the boundary summary
+        // and the cut, from staged (unpublished) snapshots and the live
+        // cross edges as the batch's cross slice will leave them. The
+        // router's own set is untouched until the commit, so a failure
+        // from here on has nothing to roll back on the router.
         let bump_start = std::time::Instant::now();
+        let (inserted, mut deleted) = sliced.cross.split();
+        deleted.sort_unstable();
+        let next = router.watermark + 1;
         let snaps: Vec<Arc<Snapshot>> = staged.iter().map(|(_, s)| s.snapshot().clone()).collect();
-        debug_assert!(
-            snaps.iter().all(|s| s.version() == next),
-            "every shard receives every batch, so shard versions track the watermark"
-        );
-        // Shards whose stage republished kept their reachability answers —
-        // the boundary patch carries their summary edges over from the
-        // previous cut instead of re-probing the O(B²) pairs.
-        let shard_changed: Vec<bool> = staged
-            .iter()
-            .map(|(_, s)| !matches!(s.path(), ApplyPath::Republished))
-            .collect();
-        let prev_cut = self.load();
         let cut = match catch_unwind(AssertUnwindSafe(|| {
             fail_point!("sharded/boundary");
-            let boundary = BoundarySummary::patch(
-                &prev_cut.boundary,
-                &snaps,
-                staged_cross.iter().copied(),
-                |v| self.part.shard_of(v),
-                &shard_changed,
-                self.config.threads,
-            );
+            let cross = router
+                .cross
+                .iter()
+                .filter(|e| deleted.binary_search(e).is_err())
+                .chain(&inserted)
+                .copied();
+            let cut = Self::cut(&self.part, snaps, cross, next);
             fail_point!("sharded/commit");
-            ShardedSnapshot {
-                watermark: next,
-                part: self.part,
-                shards: snaps.clone(),
-                boundary,
-            }
+            cut
         })) {
             Ok(cut) => cut,
             Err(payload) => {
@@ -446,14 +436,17 @@ impl ShardedStore {
             }
         }
 
-        // Commit: every shard swaps its snapshot, the router adopts the
-        // staged cross-edge set, and the cut goes live — nothing on this
-        // path can fault.
+        // Commit: every shard swaps its snapshot, the router applies the
+        // cross slice to its edge set, and the cut goes live — nothing on
+        // this path can fault.
         let reports: Vec<ApplyReport> = staged
             .into_iter()
             .map(|(i, s)| self.shards[i].commit_staged(s))
             .collect();
-        router.cross = staged_cross;
+        for e in &deleted {
+            router.cross.remove(e);
+        }
+        router.cross.extend(inserted);
         router.watermark = next;
         *write_recover(&self.current) = Arc::new(cut);
         let bump_ms = bump_start.elapsed().as_secs_f64() * 1e3;
@@ -500,27 +493,23 @@ impl ShardedStore {
         }
     }
 
-    /// Builds the cut of watermark `watermark` from the shards' current
-    /// snapshots and the live cross-edge set.
+    /// Assembles the cut of watermark `watermark` from the shard snapshots
+    /// of that version and the cross edges live at it.
     fn cut(
         part: &NodePartition,
-        shards: &[CompressedStore],
-        cross: &BTreeSet<(NodeId, NodeId)>,
+        snaps: Vec<Arc<Snapshot>>,
+        cross: impl Iterator<Item = (NodeId, NodeId)>,
         watermark: u64,
-        threads: usize,
     ) -> ShardedSnapshot {
-        let snaps: Vec<Arc<Snapshot>> = shards.iter().map(CompressedStore::load).collect();
         debug_assert!(
             snaps.iter().all(|s| s.version() == watermark),
             "every shard receives every batch, so shard versions track the watermark"
         );
-        let boundary =
-            BoundarySummary::build(&snaps, cross.iter().copied(), |v| part.shard_of(v), threads);
         ShardedSnapshot {
             watermark,
             part: *part,
+            boundary: BoundarySummary::build(&snaps, cross, part),
             shards: snaps,
-            boundary,
         }
     }
 }
@@ -683,19 +672,36 @@ mod tests {
         assert!(report.publish_ms >= slowest);
     }
 
-    /// Satellite differential for the boundary patch: the summary the
-    /// router publishes by carrying unchanged shards' answers over must be
-    /// structurally identical to a from-scratch rebuild on the same cut —
-    /// across streams mixing cross-only churn (every shard republishes,
-    /// maximal carry-over), single-shard churn (siblings carry over), and
-    /// global churn (everyone re-probes).
     #[test]
-    fn patched_boundary_summary_equals_full_rebuild() {
+    fn out_of_range_nodes_reach_only_themselves() {
+        for shards in [1usize, 2] {
+            let g = chain_with_fanout();
+            let n = g.node_count() as u32;
+            let store =
+                ShardedStore::new(g, StoreConfig::builder().shards(shards).build()).unwrap();
+            let cut = store.load();
+            assert_eq!(cut.boundary().vertex_count() > 0, shards > 1);
+            for ghost in [NodeId(n), NodeId(u32::MAX)] {
+                assert!(cut.reachable(ghost, ghost));
+                for v in (0..n).map(NodeId) {
+                    assert!(!cut.reachable(ghost, v), "shards={shards}: ({ghost},{v})");
+                    assert!(!cut.reachable(v, ghost), "shards={shards}: ({v},{ghost})");
+                }
+            }
+        }
+    }
+
+    /// The oracle for the boundary summary: every published cut answers
+    /// all pairs like BFS on the data graph, across streams mixing
+    /// cross-only churn (every shard republishes, only the summary moves),
+    /// single-shard churn and global churn.
+    #[test]
+    fn cuts_are_bfs_exact_at_every_version_of_mixed_churn() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(88);
         let n = 32u32;
-        for shards in [2usize, 4] {
+        for shards in [2usize, 3, 4] {
             let mut g = LabeledGraph::new();
             for _ in 0..n {
                 g.add_node_with_label("X");
@@ -709,10 +715,6 @@ mod tests {
             for step in 0..12 {
                 let mut batch = UpdateBatch::new();
                 match step % 3 {
-                    // Cross-only churn: every shard slice is empty, every
-                    // shard republishes, and the patch answers carried
-                    // pairs from the previous summary (probing only pairs
-                    // that involve a brand-new boundary endpoint).
                     0 => {
                         for _ in 0..4 {
                             let u = NodeId(rng.gen_range(0..n));
@@ -722,8 +724,6 @@ mod tests {
                             }
                         }
                     }
-                    // Single-shard churn: one shard stages a real delta,
-                    // its siblings republish and carry over.
                     1 => {
                         let target = rng.gen_range(0..shards);
                         let mut placed = 0;
@@ -736,34 +736,20 @@ mod tests {
                             }
                         }
                     }
-                    // Global churn: chain-edge deletes land in whatever
-                    // shard the hash chose, plus random inserts.
+                    // Chain-edge deletes land in whatever shard (or on the
+                    // boundary) the hash chose, plus a random insert.
                     _ => {
                         let i = rng.gen_range(0..n - 1);
                         batch.delete(NodeId(i), NodeId(i + 1));
                         let u = NodeId(rng.gen_range(0..n));
                         let w = NodeId(rng.gen_range(0..n));
-                        if u != w {
+                        if u != w && (u, w) != (NodeId(i), NodeId(i + 1)) {
                             batch.insert(u, w);
                         }
                     }
                 }
                 store.apply(&batch);
                 batch.apply_to(&mut g);
-
-                let cut = store.load();
-                let cross: Vec<(NodeId, NodeId)> =
-                    lock_recover(&store.router).cross.iter().copied().collect();
-                let rebuilt = BoundarySummary::build(
-                    &cut.shards,
-                    cross.into_iter(),
-                    |v| cut.part.shard_of(v),
-                    1,
-                );
-                assert_eq!(
-                    cut.boundary, rebuilt,
-                    "patched summary diverged from rebuild: shards={shards} step={step}"
-                );
                 all_pairs_match_bfs(&store, &g);
             }
         }

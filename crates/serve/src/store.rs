@@ -219,7 +219,7 @@ pub struct ShardApply {
 /// `Republished`, carrying the maximum churn observed), and `publish_ms`
 /// spans the full publication — the slowest
 /// concurrent shard publication *plus* the router's watermark bump
-/// (boundary-graph rebuild and cut swap), so it is end-to-end comparable
+/// (boundary-summary build and cut swap), so it is end-to-end comparable
 /// with the single-store number. The per-shard breakdown rides along in
 /// [`ApplyReport::shards`] (empty on single-store applies).
 #[derive(Clone, Debug)]
@@ -286,13 +286,6 @@ impl StagedApply {
     /// The staged successor snapshot (not yet served).
     pub(crate) fn snapshot(&self) -> &Arc<Snapshot> {
         &self.snapshot
-    }
-
-    /// The publication path the stage took — the sharded router reads this
-    /// to decide which shards' boundary summary-edges can be carried over
-    /// (a republished shard's local answers are unchanged by construction).
-    pub(crate) fn path(&self) -> ApplyPath {
-        self.path
     }
 }
 

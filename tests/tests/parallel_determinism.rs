@@ -15,9 +15,12 @@
 //!   serving patterns,
 //! * the 2-hop index's landmark order, entry count, and every pairwise
 //!   answer when the index is enabled.
+//!
+//! The sharded router gets the same treatment one level up: identical
+//! streams publish cuts of identical heap size and identical answers.
 
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, ReachStore as _, StoreConfig};
+use qpgc_serve::{CompressedStore, ReachStore as _, ShardedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -181,5 +184,52 @@ fn pattern_streams_are_thread_count_invariant() {
 fn combined_streams_are_thread_count_invariant() {
     for i in 0..10 {
         run_thread_differential(9300 + i, true, true);
+    }
+}
+
+/// The sharded router: the boundary summary numbers its vertices and
+/// interns its rows as a pure function of the cut, so two stores fed the
+/// same stream — at one thread or at two — publish cuts of equal
+/// `heap_bytes()` and equal answers at every version.
+#[test]
+fn sharded_streams_are_deterministic_at_any_thread_count() {
+    for seed in 9400..9410 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = random_labeled_graph(&mut rng, 20);
+        let stores: Vec<ShardedStore> = [1usize, 1, 2, 2]
+            .iter()
+            .map(|&threads| {
+                let config = StoreConfig::builder()
+                    .shards(2)
+                    .threads(threads)
+                    .two_hop(Default::default())
+                    .build();
+                ShardedStore::new(g.clone(), config).unwrap()
+            })
+            .collect();
+        for step in 0..4 {
+            let count = rng.gen_range(1..5);
+            let batch = random_batch(&mut rng, g.node_count(), count);
+            for store in &stores {
+                store.apply(&batch);
+            }
+            batch.apply_to(&mut g);
+            let base = stores[0].load();
+            for (si, store) in stores.iter().enumerate().skip(1) {
+                let cut = store.load();
+                let tag = format!("seed {seed} step {step} store {si}");
+                assert_eq!(cut.watermark(), base.watermark(), "{tag}: watermark");
+                assert_eq!(cut.heap_bytes(), base.heap_bytes(), "{tag}: heap bytes");
+                for u in g.nodes() {
+                    for w in g.nodes() {
+                        assert_eq!(
+                            cut.reachable(u, w),
+                            base.reachable(u, w),
+                            "{tag}: ({u},{w})"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,29 +7,40 @@
 //! backends bit-identical to each other — and that bulk answers equal
 //! single-query answers at one watermark. Streams cover `N ∈ {1, 2, 4}`
 //! shards, insert-heavy, delete-heavy, and mixed batches, cyclic and
-//! DAG-shaped graphs, with and without a 2-hop index on the shard
-//! snapshots (120 cross-backend streams in total), plus targeted
-//! boundary-edge churn: batches built *only* from cross-shard edges, so
-//! the shard subgraphs stay untouched while the boundary graph does all
-//! the work.
+//! DAG-shaped graphs, and three shard-snapshot backends — plain BFS,
+//! plain with a 2-hop index, succinct rows (the boundary summary reads the
+//! shards' quotient *rows*, so the backend matters to it) — 270
+//! cross-backend streams in total, plus targeted boundary-edge churn:
+//! batches built *only* from cross-shard edges, so the shard subgraphs
+//! stay untouched while the boundary summary does all the work.
 //!
 //! [`ShardedStore`]: qpgc_serve::ShardedStore
 //! [`CompressedStore`]: qpgc_serve::CompressedStore
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, NodePartition, UpdateBatch};
-use qpgc_serve::{CompressedStore, ReachStore, ShardedStore, StoreConfig};
+use qpgc_serve::{CompressedStore, ReachStore, ShardedStore, SnapshotFormat, StoreConfig};
 use qpgc_tests::differential::Stream;
 
-fn sharded_config(shards: usize, two_hop: bool) -> StoreConfig {
-    let mut builder = StoreConfig::builder().shards(shards);
-    if two_hop {
-        builder = builder.two_hop(Default::default());
-    }
-    builder.build()
+/// What the shard snapshots serve their quotient from.
+#[derive(Clone, Copy)]
+enum Backend {
+    PlainBfs,
+    PlainTwoHop,
+    Succinct,
 }
 
-/// 120 seeded streams: shard counts × topology × insert bias × 2-hop,
+fn sharded_config(shards: usize, backend: Backend) -> StoreConfig {
+    let builder = StoreConfig::builder().shards(shards);
+    match backend {
+        Backend::PlainBfs => builder,
+        Backend::PlainTwoHop => builder.two_hop(Default::default()),
+        Backend::Succinct => builder.snapshot_format(SnapshotFormat::Succinct),
+    }
+    .build()
+}
+
+/// 270 seeded streams: shard counts × topology × insert bias × backend,
 /// each replayed against a single store and the BFS oracle at every
 /// version.
 #[test]
@@ -38,13 +49,16 @@ fn sharded_matches_single_store_and_bfs_everywhere() {
     for shards in [1usize, 2, 4] {
         for dag in [false, true] {
             for insert_bias in [0.8, 0.5, 0.2] {
-                for two_hop in [false, true] {
+                for (b, backend) in [Backend::PlainBfs, Backend::PlainTwoHop, Backend::Succinct]
+                    .into_iter()
+                    .enumerate()
+                {
                     for case in 0..5u64 {
                         let stream = Stream {
                             seed: 0x5AD * (case + 1)
                                 + shards as u64 * 1009
                                 + dag as u64 * 31
-                                + two_hop as u64 * 7
+                                + b as u64 * 7
                                 + (insert_bias * 10.0) as u64,
                             dag,
                             insert_bias,
@@ -52,8 +66,8 @@ fn sharded_matches_single_store_and_bfs_everywhere() {
                             max_nodes: 22,
                         };
                         stream.drive_pair(
-                            |g| CompressedStore::new(g, sharded_config(1, two_hop)),
-                            |g| ShardedStore::new(g, sharded_config(shards, two_hop)).unwrap(),
+                            |g| CompressedStore::new(g, sharded_config(1, backend)),
+                            |g| ShardedStore::new(g, sharded_config(shards, backend)).unwrap(),
                         );
                         streams += 1;
                     }
@@ -61,7 +75,7 @@ fn sharded_matches_single_store_and_bfs_everywhere() {
             }
         }
     }
-    assert!(streams >= 100, "only {streams} streams exercised");
+    assert_eq!(streams, 270);
 }
 
 /// Boundary-edge churn: batches made exclusively of cross-shard edges.
