@@ -92,7 +92,7 @@ pub fn delete_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
 /// reach-set sweep (`O(|Vscc|²/w)` — affordable at bench scales; this is a
 /// generator, not a hot path).
 pub fn local_batch(g: &LabeledGraph, count: usize, cone_cap: u64, seed: u64) -> UpdateBatch {
-    use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
+    use qpgc_graph::reach_sets::DEFAULT_CHUNK;
     use qpgc_graph::scc::Condensation;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -101,23 +101,13 @@ pub fn local_batch(g: &LabeledGraph, count: usize, cone_cap: u64, seed: u64) -> 
         return batch;
     }
     let cond = Condensation::of(g);
-    let dag = DagReach::from_condensation(&cond);
-    let nc = cond.component_count();
-    let mut desc = vec![0u64; nc];
-    let mut anc = vec![0u64; nc];
-    for cols in dag.chunks(DEFAULT_CHUNK) {
-        let d = dag.descendants_chunk(cols.clone());
-        let a = dag.ancestors_chunk(cols.clone());
-        for c in 0..nc {
-            desc[c] += d[c].count_ones() as u64;
-            anc[c] += a[c].count_ones() as u64;
-        }
-    }
+    // Cones are measured in SCCs, not nodes: unit weights.
+    let cones = cond.dag().reach_counts(DEFAULT_CHUNK, |_| 1);
     let low_anc: Vec<NodeId> = g
         .nodes()
-        .filter(|&v| anc[cond.component_of(v) as usize] <= cone_cap)
+        .filter(|&v| cones.ancestors[cond.component_of(v) as usize] <= cone_cap)
         .collect();
-    let low_desc_ok = |w: NodeId| desc[cond.component_of(w) as usize] <= cone_cap;
+    let low_desc_ok = |w: NodeId| cones.descendants[cond.component_of(w) as usize] <= cone_cap;
     let low_desc: Vec<NodeId> = g.nodes().filter(|&w| low_desc_ok(w)).collect();
     if low_anc.is_empty() || low_desc.is_empty() {
         return batch;
@@ -243,7 +233,6 @@ mod tests {
 
     #[test]
     fn local_batch_bounds_endpoint_cones() {
-        use qpgc_graph::reach_sets::DagReach;
         use qpgc_graph::scc::Condensation;
         let g = data();
         let cap = 8u64;
@@ -251,17 +240,16 @@ mod tests {
         assert!(!b.is_empty());
         // Recompute the SCC cone sizes the generator bounds against.
         let cond = Condensation::of(&g);
-        let dag = DagReach::from_condensation(&cond);
-        let desc_sets = dag.full_descendants();
-        let anc_sets = dag.full_ancestors();
+        let desc_sets = cond.dag().full_descendants();
+        let anc_sets = cond.dag().full_ancestors();
         for u in b.updates() {
             let (a, w) = u.edge();
             assert!(
-                anc_sets[cond.component_of(a) as usize].count_ones() as u64 <= cap,
+                anc_sets.count_ones(cond.component_of(a) as usize) as u64 <= cap,
                 "update source {a} has a large ancestor cone"
             );
             assert!(
-                desc_sets[cond.component_of(w) as usize].count_ones() as u64 <= cap,
+                desc_sets.count_ones(cond.component_of(w) as usize) as u64 <= cap,
                 "update target {w} has a large descendant cone"
             );
             if !u.is_insert() {
@@ -273,6 +261,62 @@ mod tests {
         let mut tiny = LabeledGraph::new();
         tiny.add_node_with_label("X");
         assert!(local_batch(&tiny, 5, 8, 0).is_empty());
+    }
+
+    /// The benchmark (`qpgc_benchmark/src/inputs.rs`) replays streams drawn
+    /// from [`local_batch`] and prints these fingerprints with every run; a
+    /// change to the closure machinery under the generator must leave them
+    /// — and with them every exact benchmark metric — as they are.
+    #[test]
+    fn benchmark_graphs_and_streams_match_their_golden_fingerprints() {
+        // FNV-1a over words, as in the benchmark's `inputs::fingerprint`.
+        fn fingerprint(words: impl IntoIterator<Item = u64>) -> u64 {
+            words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+                (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let wiki = |divisor| crate::dataset("wikiTalk", divisor, 0).unwrap();
+        let golden = [
+            (
+                wiki(800),
+                50,
+                0xd62b_26a2_84ad_2379u64,
+                0x81d7_c8c7_843c_3759u64,
+            ),
+            (
+                crate::dataset("citHepTh", 24, 0).unwrap(),
+                12,
+                0x13ab_6bff_b927_426b,
+                0xe96a_37fa_c9f7_370f,
+            ),
+            (wiki(3000), 10, 0x38aa_f6e1_77ba_296c, 0x05a2_e3bf_655c_d49e),
+            (
+                crate::pattern_dataset("Citation", 200, 0).unwrap(),
+                10,
+                0x2c93_2d6e_3d4b_da0b,
+                0x2496_8077_c127_0b3e,
+            ),
+        ];
+        for (mut g, batch_size, graph_golden, stream_golden) in golden {
+            let edge = |(u, w): (NodeId, NodeId)| (u64::from(u.0) << 32) | u64::from(w.0);
+            assert_eq!(fingerprint(g.edges().map(edge)), graph_golden);
+            let mut words = Vec::new();
+            for i in 0..105u64 {
+                let batch = local_batch(&g, batch_size, 8, 0x5eed_0000_0000_0b0a ^ i);
+                batch.apply_to(&mut g);
+                words.extend(
+                    batch
+                        .updates()
+                        .iter()
+                        .map(|u| (u64::from(u.is_insert()) << 63) ^ edge(u.edge())),
+                );
+            }
+            assert_eq!(
+                fingerprint(words),
+                stream_golden,
+                "{batch_size}-update stream"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A small fixed-capacity bit set.
+//! A small fixed-capacity bit set, and a matrix of bit rows.
 //!
 //! The reachability equivalence relation of Section 3 is computed by
 //! comparing ancestor and descendant *sets*; representing those sets as
@@ -8,6 +8,7 @@
 //! external crate so that the whole workspace builds from the approved
 //! offline dependency list.
 
+use std::cell::RefCell;
 use std::fmt;
 
 /// A fixed-capacity set of `usize` values in `0..len`, stored as packed
@@ -117,11 +118,7 @@ impl FixedBitSet {
 
     /// Iterates over the elements of the set in increasing order.
     pub fn ones(&self) -> Ones<'_> {
-        Ones {
-            set: self,
-            block_idx: 0,
-            current: self.blocks.first().copied().unwrap_or(0),
-        }
+        Ones::over(&self.blocks)
     }
 
     /// Raw access to the packed words (used for hashing partitions cheaply).
@@ -142,11 +139,22 @@ impl fmt::Debug for FixedBitSet {
     }
 }
 
-/// Iterator over the set bits of a [`FixedBitSet`].
+/// Iterator over the set bits of a [`FixedBitSet`] or of one
+/// [`BitMatrix`] row.
 pub struct Ones<'a> {
-    set: &'a FixedBitSet,
+    blocks: &'a [u64],
     block_idx: usize,
     current: u64,
+}
+
+impl<'a> Ones<'a> {
+    fn over(blocks: &'a [u64]) -> Self {
+        Ones {
+            blocks,
+            block_idx: 0,
+            current: blocks.first().copied().unwrap_or(0),
+        }
+    }
 }
 
 impl Iterator for Ones<'_> {
@@ -160,17 +168,210 @@ impl Iterator for Ones<'_> {
                 return Some(self.block_idx * BITS + tz);
             }
             self.block_idx += 1;
-            if self.block_idx >= self.set.blocks.len() {
+            if self.block_idx >= self.blocks.len() {
                 return None;
             }
-            self.current = self.set.blocks[self.block_idx];
+            self.current = self.blocks[self.block_idx];
         }
+    }
+}
+
+/// `rows` bit rows of `width` bits each, packed into **one** allocation
+/// (`words_per_row` 64-bit words per row, rows back to back).
+///
+/// This is what a chunked closure sweep
+/// ([`DagReach::descendants_chunk`](crate::reach_sets::DagReach::descendants_chunk))
+/// returns: one row per DAG node, one bit per column of the chunk. Against
+/// one heap [`FixedBitSet`] per node it is a single (lazily zeroed)
+/// allocation per sweep, rows are plain `&[u64]` slices that consumers
+/// hash and compare in place, and a row union is a linear pass over two
+/// ranges of the same buffer.
+///
+/// A dropped matrix leaves its buffer to the next one built on the same
+/// thread (a few buffers of at most 8 MiB each). A
+/// maintenance step builds and drops two or three matrices of a megabyte
+/// each, and the allocator serves every such request with a fresh `mmap`
+/// and returns it with a `munmap`: page faults for the writer and, worse,
+/// a TLB shootdown on every core that runs a reader (`mixed_wikitalk`'s
+/// reader ran 35 % slower for the length of each sweep, CHANGES.md
+/// ISSUE 21).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BitMatrix {
+    rows: usize,
+    width: usize,
+    words_per_row: usize,
+    data: Vec<u64>,
+}
+
+/// Largest buffer (in words: 8 MiB) a dropped [`BitMatrix`] hands on; a
+/// larger sweep amortizes its own allocation.
+const SPARE_WORDS_MAX: usize = 1 << 20;
+
+/// How many dropped buffers a thread keeps (a kernel call holds two
+/// matrices at once, a publication one).
+const SPARES_KEPT: usize = 4;
+
+thread_local! {
+    static SPARE: RefCell<Vec<Vec<u64>>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Drop for BitMatrix {
+    fn drop(&mut self) {
+        let data = std::mem::take(&mut self.data);
+        if data.capacity() <= SPARE_WORDS_MAX {
+            // Absent during thread teardown: then the buffer is just freed.
+            let _ = SPARE.try_with(|spare| {
+                let mut spare = spare.borrow_mut();
+                if spare.len() < SPARES_KEPT {
+                    spare.push(data);
+                }
+            });
+        }
+    }
+}
+
+impl BitMatrix {
+    /// An all-zero matrix of `rows` rows of `width` bits.
+    pub fn new(rows: usize, width: usize) -> Self {
+        let words_per_row = width.div_ceil(BITS);
+        let mut data = SPARE
+            .try_with(|spare| spare.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        data.clear();
+        data.resize(rows * words_per_row, 0);
+        BitMatrix {
+            rows,
+            width,
+            words_per_row,
+            data,
+        }
+    }
+
+    /// Number of rows.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The packed words of row `r` (bits at and past the row width are
+    /// always zero, so equal rows are equal slices).
+    #[inline]
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.data[r * self.words_per_row..(r + 1) * self.words_per_row]
+    }
+
+    /// Sets bit `bit` of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is not below the row width or `r >= self.rows()`.
+    #[inline]
+    pub fn insert(&mut self, r: usize, bit: usize) {
+        assert!(bit < self.width, "bit {bit} out of bounds ({})", self.width);
+        self.data[r * self.words_per_row + bit / BITS] |= 1u64 << (bit % BITS);
+    }
+
+    /// Tests bit `bit` of row `r`. Out-of-range bits are reported as absent.
+    #[inline]
+    pub fn contains(&self, r: usize, bit: usize) -> bool {
+        bit < self.width && self.row(r)[bit / BITS] & (1u64 << (bit % BITS)) != 0
+    }
+
+    /// In-place row union: `row dst ← row dst ∪ row src`.
+    pub fn union_rows(&mut self, dst: usize, src: usize) {
+        let w = self.words_per_row;
+        let (into, from) = match dst.cmp(&src) {
+            std::cmp::Ordering::Equal => return,
+            std::cmp::Ordering::Less => {
+                let (lo, hi) = self.data.split_at_mut(src * w);
+                (&mut lo[dst * w..(dst + 1) * w], &hi[..w])
+            }
+            std::cmp::Ordering::Greater => {
+                let (lo, hi) = self.data.split_at_mut(dst * w);
+                (&mut hi[..w], &lo[src * w..(src + 1) * w])
+            }
+        };
+        for (a, b) in into.iter_mut().zip(from) {
+            *a |= *b;
+        }
+    }
+
+    /// Number of set bits of row `r`.
+    pub fn count_ones(&self, r: usize) -> usize {
+        self.row(r).iter().map(|b| b.count_ones() as usize).sum()
+    }
+
+    /// Iterates over the set bits of row `r` in increasing order.
+    pub fn ones(&self, r: usize) -> Ones<'_> {
+        Ones::over(self.row(r))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every operation of [`BitMatrix`] against one [`FixedBitSet`] per row,
+    /// at widths around the word boundary.
+    #[test]
+    fn bit_matrix_matches_a_fixed_bit_set_per_row() {
+        for width in [0usize, 1, 63, 64, 65] {
+            let rows = 5;
+            let mut m = BitMatrix::new(rows, width);
+            let mut oracle = vec![FixedBitSet::with_capacity(width); rows];
+            assert_eq!(m.rows(), rows);
+            // A deterministic scatter of bits, then unions in both
+            // directions (and a self union, which must change nothing).
+            let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ width as u64;
+            for _ in 0..3 * width {
+                state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+                let (r, bit) = ((state >> 33) as usize % rows, (state >> 7) as usize % width);
+                m.insert(r, bit);
+                oracle[r].insert(bit);
+            }
+            for (dst, src) in [(0, 3), (4, 1), (2, 2), (1, 0)] {
+                m.union_rows(dst, src);
+                let from = oracle[src].clone();
+                oracle[dst].union_with(&from);
+            }
+            for (r, set) in oracle.iter().enumerate() {
+                assert_eq!(m.row(r), set.as_blocks(), "width {width} row {r}");
+                assert_eq!(m.count_ones(r), set.count_ones());
+                assert_eq!(
+                    m.ones(r).collect::<Vec<_>>(),
+                    set.ones().collect::<Vec<_>>()
+                );
+                for bit in 0..width + 2 {
+                    assert_eq!(m.contains(r, bit), set.contains(bit));
+                }
+            }
+        }
+    }
+
+    /// A matrix built on a dropped one's buffer starts all zero, whatever
+    /// its shape.
+    #[test]
+    fn bit_matrix_on_a_reused_buffer_is_zeroed() {
+        let mut full = BitMatrix::new(6, 130);
+        for r in 0..6 {
+            for bit in 0..130 {
+                full.insert(r, bit);
+            }
+        }
+        drop(full);
+        for (rows, width) in [(6, 130), (3, 64), (9, 200)] {
+            let m = BitMatrix::new(rows, width);
+            assert!((0..rows).all(|r| m.count_ones(r) == 0), "{rows}×{width}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bit_matrix_insert_out_of_bounds_panics() {
+        BitMatrix::new(2, 64).insert(1, 64);
+    }
 
     #[test]
     fn insert_contains_remove() {

@@ -125,9 +125,11 @@ impl CsrGraph {
     }
 
     /// Builds a CSR graph over `labels.len()` nodes directly from an edge
-    /// list, sorting and deduplicating in `O(m log m)` — the bulk-load path
-    /// that avoids the per-insert duplicate scan of
-    /// [`LabeledGraph::add_edge`](crate::graph::LabeledGraph::add_edge).
+    /// list — the bulk-load path that avoids the per-insert duplicate scan
+    /// of [`LabeledGraph::add_edge`](crate::graph::LabeledGraph::add_edge).
+    /// Edges are bucketed by source in one counting pass and each (short)
+    /// row is sorted and deduplicated where it lies, so the load is
+    /// `O(n + m)` plus the row sorts, with no global `O(m log m)` sort.
     ///
     /// # Panics
     ///
@@ -138,35 +140,59 @@ impl CsrGraph {
         edges: impl IntoIterator<Item = (NodeId, NodeId)>,
     ) -> Self {
         let n = labels.len();
-        let mut list: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let list: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
+        let mut out_offsets = vec![0u32; n + 1];
         for &(u, v) in &list {
             assert!(u.index() < n, "source {u} out of bounds");
             assert!(v.index() < n, "target {v} out of bounds");
-        }
-        list.sort_unstable();
-        list.dedup();
-        let m = list.len();
-
-        let mut out_offsets = vec![0u32; n + 1];
-        let mut in_offsets = vec![0u32; n + 1];
-        for &(u, v) in &list {
             out_offsets[u.index() + 1] += 1;
-            in_offsets[v.index() + 1] += 1;
         }
         for i in 0..n {
             out_offsets[i + 1] += out_offsets[i];
+        }
+        let mut cursor: Vec<u32> = out_offsets[..n].to_vec();
+        let mut out_targets = vec![NodeId(0); list.len()];
+        for &(u, v) in &list {
+            let c = &mut cursor[u.index()];
+            out_targets[*c as usize] = v;
+            *c += 1;
+        }
+
+        // Sort every row and squeeze its duplicates out, closing the gaps
+        // as the rows move down (`kept` trails the read position).
+        let mut in_offsets = vec![0u32; n + 1];
+        let mut kept = 0usize;
+        let mut row_start = 0usize;
+        for u in 0..n {
+            let row_end = out_offsets[u + 1] as usize;
+            out_targets[row_start..row_end].sort_unstable();
+            out_offsets[u] = kept as u32;
+            for i in row_start..row_end {
+                let v = out_targets[i];
+                if i == row_start || out_targets[i - 1] != v {
+                    out_targets[kept] = v;
+                    kept += 1;
+                    in_offsets[v.index() + 1] += 1;
+                }
+            }
+            row_start = row_end;
+        }
+        out_offsets[n] = kept as u32;
+        out_targets.truncate(kept);
+
+        // Sources arrive in ascending order, so a counting pass scatters
+        // the reverse direction with each in-list already sorted.
+        for i in 0..n {
             in_offsets[i + 1] += in_offsets[i];
         }
-        // The list is sorted by (source, target): the forward targets are
-        // just the second column, and a counting pass scatters the reverse
-        // direction with each in-list already sorted by source.
-        let out_targets: Vec<NodeId> = list.iter().map(|&(_, v)| v).collect();
         let mut cursor: Vec<u32> = in_offsets[..n].to_vec();
-        let mut in_targets = vec![NodeId(0); m];
-        for &(u, v) in &list {
-            let c = &mut cursor[v.index()];
-            in_targets[*c as usize] = u;
-            *c += 1;
+        let mut in_targets = vec![NodeId(0); kept];
+        for u in 0..n {
+            for &v in &out_targets[out_offsets[u] as usize..out_offsets[u + 1] as usize] {
+                let c = &mut cursor[v.index()];
+                in_targets[*c as usize] = NodeId::new(u);
+                *c += 1;
+            }
         }
 
         CsrGraph {

@@ -75,7 +75,7 @@ pub mod traversal;
 pub mod update;
 pub mod view;
 
-pub use bitset::FixedBitSet;
+pub use bitset::{BitMatrix, FixedBitSet};
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::LabeledGraph;

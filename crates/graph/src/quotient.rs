@@ -45,11 +45,25 @@
 //! its neighbours' rows, a born class's rows are rebuilt from its members'
 //! adjacency — so bookkeeping is paid for the affected region, not for
 //! `|Er|`.
+//!
+//! The recomputation is not: the hybrid graph has a node for **every** live
+//! class (an atom, or its exploded members), so a step costs one pass over
+//! all rows to collect it, one counting-sort bulk load
+//! ([`CsrGraph::from_edges`]) to freeze it, and one run of
+//! [`Equivalence::partition`] on `|Vr| + |AFF members|` nodes — for
+//! reachability equivalence a closure, `O(|Vr|²/w)`, however small the
+//! batch. The hybrid graph is built once, directly in the form the kernel
+//! sweeps (no mutable adjacency in between, no second freeze), and the
+//! kernel's member lists are read as they are when the state is patched.
+//! Bounding the hybrid graph by the affected region instead needs an
+//! argument for which unaffected classes an exploded member can still
+//! merge with; that is open.
 
 use std::fmt::Debug;
 
+use crate::csr::CsrGraph;
 use crate::graph::LabeledGraph;
-use crate::ids::{Label, NodeId};
+use crate::ids::{Label, LabelInterner, NodeId};
 use crate::update::{ClassBirth, PartitionDelta};
 
 /// A partition of a graph's nodes as an equivalence kernel returns it:
@@ -106,8 +120,11 @@ pub trait Equivalence {
 
     /// The batch kernel: the relation's partition of `g`, computed with
     /// `threads` workers (`0` = available parallelism). Must be
-    /// bit-identical at every thread count.
-    fn partition(g: &LabeledGraph, threads: usize) -> Classes<Self::Class>;
+    /// bit-identical at every thread count. It takes the frozen form
+    /// because every kernel is a read-only whole-graph sweep: the quotient
+    /// freezes the data graph once and builds each hybrid graph as a CSR
+    /// directly.
+    fn partition(g: &CsrGraph, threads: usize) -> Classes<Self::Class>;
 }
 
 /// Statistics of one incremental maintenance step (either relation).
@@ -205,7 +222,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// Partitions `g` from scratch (the batch step that is then
     /// maintained) and builds the class-level rows from its edges.
     pub fn new(g: &LabeledGraph, threads: usize) -> Self {
-        let partition = E::partition(g, threads);
+        let partition = E::partition(&g.freeze(), threads);
         let classes = partition.members.len();
         let mut q = IncrementalQuotient {
             hybrid_of_node: vec![0; partition.class_of.len()],
@@ -366,7 +383,9 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // Hybrid node ids (and through them the ids handed out for the
         // rebuilt classes) follow class id order: one atom per unaffected
         // live class, then the members of the affected classes.
-        let mut hybrid = LabeledGraph::new();
+        // It is collected as a label column and an edge list and frozen
+        // straight into the CSR the kernel sweeps.
+        let mut labels: Vec<Label> = Vec::new();
         let mut units: Vec<Unit> = Vec::new();
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
         let mut atom_of_class = vec![NO_ATOM; self.id_space()];
@@ -374,7 +393,8 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             if !self.active[c] || is_affected[c] {
                 continue;
             }
-            let h = hybrid.add_node(E::class_label(self.payload[c]));
+            let h = NodeId::new(units.len());
+            labels.push(E::class_label(self.payload[c]));
             units.push(Unit::Atom(c as u32));
             atom_of_class[c] = h.0;
             if E::cyclic(self.payload[c]) {
@@ -385,9 +405,9 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         }
         for &c in affected {
             for &v in &self.members[c as usize] {
-                let h = hybrid.add_node(E::node_label(g, v));
+                self.hybrid_of_node[v.index()] = units.len() as u32;
+                labels.push(E::node_label(g, v));
                 units.push(Unit::Member(v));
-                self.hybrid_of_node[v.index()] = h.0;
             }
         }
 
@@ -430,29 +450,26 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 }
             }
         }
-        // Several member edges can land on one atom pair: the bulk insert
+        // Several member edges can land on one atom pair: the bulk load
         // sorts and deduplicates once.
-        hybrid.extend_edges(edges);
+        let hybrid = CsrGraph::from_edges(labels, LabelInterner::new(), edges);
 
         // ---- Recompute the equivalence on the hybrid graph. --------------
         let part = E::partition(&hybrid, self.threads);
 
-        // Group hybrid units by their new class.
-        let mut groups: Vec<Vec<Unit>> = vec![Vec::new(); part.members.len()];
-        for (i, &unit) in units.iter().enumerate() {
-            groups[part.class_of[i] as usize].push(unit);
-        }
-        // A lone atom is an unchanged class: it keeps its identity.
-        let unchanged = |group: &[Unit]| group.len() == 1 && group[0].is_atom();
+        // A new class is the units behind its hybrid nodes; a lone atom is
+        // an unchanged class and keeps its identity.
+        let unit = |h: &NodeId| units[h.index()];
+        let unchanged = |group: &[NodeId]| group.len() == 1 && unit(&group[0]).is_atom();
 
         // ---- Patch the maintained state. ----------------------------------
         // Classes whose composition changes: all affected classes, plus any
         // unaffected atom that merges with something else.
         let mut is_retired = is_affected;
-        for group in groups.iter().filter(|group| !unchanged(group)) {
-            for unit in group {
-                if let Unit::Atom(c) = unit {
-                    is_retired[*c as usize] = true;
+        for group in part.members.iter().filter(|group| !unchanged(group)) {
+            for h in group {
+                if let Unit::Atom(c) = unit(h) {
+                    is_retired[c as usize] = true;
                 }
             }
         }
@@ -461,22 +478,22 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // any class id is retired or recycled (absorbed atoms hand over
         // their member lists wholesale here).
         let mut pending: Vec<(Vec<NodeId>, E::Class)> = Vec::new();
-        for (gi, group) in groups.iter().enumerate() {
+        for (group, &class) in part.members.iter().zip(&part.payload) {
             if unchanged(group) {
                 continue;
             }
             let mut member_nodes: Vec<NodeId> = Vec::new();
-            for unit in group {
-                match unit {
-                    Unit::Member(v) => member_nodes.push(*v),
+            for h in group {
+                match unit(h) {
+                    Unit::Member(v) => member_nodes.push(v),
                     // The atom's previous members move wholesale.
                     Unit::Atom(c) => {
-                        member_nodes.extend(std::mem::take(&mut self.members[*c as usize]))
+                        member_nodes.extend(std::mem::take(&mut self.members[c as usize]))
                     }
                 }
             }
             member_nodes.sort_unstable();
-            pending.push((member_nodes, part.payload[gi]));
+            pending.push((member_nodes, class));
         }
 
         // Pass B: retire changed classes and unlink them from the rows of

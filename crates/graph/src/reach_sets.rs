@@ -3,14 +3,15 @@
 //! The reachability equivalence relation of Section 3 groups nodes with
 //! identical *proper* (non-empty-path) ancestor and descendant sets. Those
 //! sets are computed here over a DAG — in practice the SCC condensation of
-//! the data graph — as packed bit sets, in column *chunks* so that memory
+//! the data graph — as packed bit rows, in column *chunks* so that memory
 //! stays bounded (`O(n · chunk / 8)` bytes) no matter how large the DAG is.
 //! The same machinery drives the transitive reduction used by `compressR`
-//! and the AHO baseline.
+//! and the AHO baseline, and the exact reachability counts
+//! ([`ReachCounts`]) that order the 2-hop landmarks.
 
 use std::ops::Range;
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::{BitMatrix, FixedBitSet};
 use crate::csr::csr_from_grouped;
 use crate::error::{GraphError, Result};
 use crate::scc::Condensation;
@@ -55,27 +56,27 @@ impl DagReach {
         Ok(dag)
     }
 
-    /// Builds a `DagReach` over the condensation DAG of a graph. Component
-    /// `i` of the condensation becomes node `i`.
-    pub fn from_condensation(cond: &Condensation) -> Self {
-        let n = cond.component_count();
-        let mut list: Vec<(u32, u32)> = Vec::with_capacity(cond.edge_count());
-        for cu in 0..n as u32 {
-            for &cw in cond.scc_out(cu) {
-                list.push((cu, cw));
-            }
-        }
-        list.sort_unstable();
-        let (out_offsets, out_targets, in_offsets, in_targets) = csr_from_grouped(n, &list);
-        // Tarjan ids are a reverse topological order; sources have the
-        // highest ids.
-        let topo: Vec<u32> = (0..n as u32).rev().collect();
+    /// Adopts the CSR arrays of a condensation DAG whose node ids are a
+    /// *reverse* topological order (Tarjan's numbering: every edge goes from
+    /// a higher id to a lower one) — [`Condensation::of`] builds its DAG
+    /// through this, so a sweep over a condensation re-collects and
+    /// re-sorts nothing ([`Condensation::dag`]). Rows keep the order the
+    /// caller grouped them in; no sweep depends on ascending targets.
+    pub(crate) fn from_reverse_topological_csr(
+        (out_offsets, out_targets, in_offsets, in_targets): (
+            Vec<u32>,
+            Vec<u32>,
+            Vec<u32>,
+            Vec<u32>,
+        ),
+    ) -> Self {
+        let n = out_offsets.len() - 1;
         DagReach {
             out_offsets,
             out_targets,
             in_offsets,
             in_targets,
-            topo,
+            topo: (0..n as u32).rev().collect(),
         }
     }
 
@@ -98,7 +99,13 @@ impl DagReach {
         self.out_offsets.len() - 1
     }
 
-    /// Out-neighbours of `v` (sorted ascending).
+    /// Number of (distinct) edges of the DAG.
+    pub fn edge_count(&self) -> usize {
+        self.out_targets.len()
+    }
+
+    /// Out-neighbours of `v` (ascending when built from an edge list; in
+    /// discovery order for a condensation's DAG).
     pub fn out(&self, v: u32) -> &[u32] {
         let i = v as usize;
         &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
@@ -126,103 +133,62 @@ impl DagReach {
 
     /// Computes, for every node `v`, the set of *column* nodes
     /// (`cols.start ..cols.end`) that are proper descendants of `v`
-    /// (reachable via a non-empty path). Bit `j` of the result for `v`
+    /// (reachable via a non-empty path). Bit `j` of row `v` of the result
     /// corresponds to node `cols.start + j`.
-    pub fn descendants_chunk(&self, cols: Range<usize>) -> Vec<FixedBitSet> {
-        self.closure_chunk(cols, Direction::Forward)
+    pub fn descendants_chunk(&self, cols: Range<usize>) -> BitMatrix {
+        // Children first: reverse topological order.
+        self.closure_chunk(cols, self.topo.iter().rev(), Self::out)
     }
 
     /// Computes, for every node `v`, the set of column nodes that are proper
     /// ancestors of `v`.
-    pub fn ancestors_chunk(&self, cols: Range<usize>) -> Vec<FixedBitSet> {
-        self.closure_chunk(cols, Direction::Backward)
-    }
-
-    /// Like [`DagReach::descendants_chunk`] but over an arbitrary set of
-    /// column nodes: bit `j` of the result for `v` corresponds to
-    /// `columns[j]`. This is the substrate of sampling estimators (e.g. the
-    /// 2-hop landmark-coverage estimator), which sweep a small random subset
-    /// of columns instead of every one.
-    pub fn descendants_for_columns(&self, columns: &[u32]) -> Vec<FixedBitSet> {
-        self.closure_columns(columns, Direction::Forward)
-    }
-
-    /// Like [`DagReach::ancestors_chunk`] but over an arbitrary set of
-    /// column nodes (see [`DagReach::descendants_for_columns`]).
-    pub fn ancestors_for_columns(&self, columns: &[u32]) -> Vec<FixedBitSet> {
-        self.closure_columns(columns, Direction::Backward)
+    pub fn ancestors_chunk(&self, cols: Range<usize>) -> BitMatrix {
+        // Parents first: topological order.
+        self.closure_chunk(cols, self.topo.iter(), Self::inn)
     }
 
     /// Full proper-descendant sets (one chunk covering every column). Only
     /// suitable for small DAGs; the chunked API should be preferred.
-    pub fn full_descendants(&self) -> Vec<FixedBitSet> {
+    pub fn full_descendants(&self) -> BitMatrix {
         self.descendants_chunk(0..self.node_count())
     }
 
     /// Full proper-ancestor sets.
-    pub fn full_ancestors(&self) -> Vec<FixedBitSet> {
+    pub fn full_ancestors(&self) -> BitMatrix {
         self.ancestors_chunk(0..self.node_count())
     }
 
-    fn closure_chunk(&self, cols: Range<usize>, dir: Direction) -> Vec<FixedBitSet> {
-        let n = self.node_count();
-        let width = cols.len();
-        let mut sets = vec![FixedBitSet::with_capacity(width); n];
-        // Forward closure: process nodes children-first (reverse topological
-        // order); backward closure: parents-first (topological order).
-        let order: Box<dyn Iterator<Item = u32> + '_> = match dir {
-            Direction::Forward => Box::new(self.topo.iter().rev().copied()),
-            Direction::Backward => Box::new(self.topo.iter().copied()),
-        };
-        for v in order {
-            // Split borrows: take v's set out, fold neighbours in, put back.
-            let mut acc = std::mem::replace(&mut sets[v as usize], FixedBitSet::with_capacity(0));
-            let neighbors = match dir {
-                Direction::Forward => self.out(v),
-                Direction::Backward => self.inn(v),
-            };
-            for &w in neighbors {
-                acc.union_with(&sets[w as usize]);
-                let wi = w as usize;
-                if wi >= cols.start && wi < cols.end {
-                    acc.insert(wi - cols.start);
+    /// One closure sweep: visits the nodes in `order` (every neighbour of a
+    /// node before the node itself) and folds each neighbour's row, plus the
+    /// neighbour's own column bit, into the node's row.
+    fn closure_chunk<'a>(
+        &'a self,
+        cols: Range<usize>,
+        order: impl Iterator<Item = &'a u32>,
+        neighbors: impl Fn(&'a Self, u32) -> &'a [u32],
+    ) -> BitMatrix {
+        let mut sets = BitMatrix::new(self.node_count(), cols.len());
+        for &v in order {
+            for &w in neighbors(self, v) {
+                sets.union_rows(v as usize, w as usize);
+                if cols.contains(&(w as usize)) {
+                    sets.insert(v as usize, w as usize - cols.start);
                 }
             }
-            sets[v as usize] = acc;
         }
         sets
     }
 
-    fn closure_columns(&self, columns: &[u32], dir: Direction) -> Vec<FixedBitSet> {
-        let n = self.node_count();
-        let width = columns.len();
-        // Column membership lookup: `pos[c]` is the bit index of node `c`,
-        // or `u32::MAX` when `c` is not a column.
-        let mut pos = vec![u32::MAX; n];
-        for (j, &c) in columns.iter().enumerate() {
-            pos[c as usize] = j as u32;
+    /// Exact proper-descendant and proper-ancestor counts of every node,
+    /// from one chunked descendants sweep of its own; node `c` counts as
+    /// `weight(c)` original nodes (a condensation passes its member counts,
+    /// a plain DAG `|_| 1`).
+    pub fn reach_counts(&self, chunk: usize, weight: impl Fn(u32) -> u64) -> ReachCounts {
+        let mut counts = ReachCounts::new(self.node_count());
+        for cols in self.chunks(chunk) {
+            counts.absorb(&cols, &self.descendants_chunk(cols.clone()), &weight);
         }
-        let mut sets = vec![FixedBitSet::with_capacity(width); n];
-        let order: Box<dyn Iterator<Item = u32> + '_> = match dir {
-            Direction::Forward => Box::new(self.topo.iter().rev().copied()),
-            Direction::Backward => Box::new(self.topo.iter().copied()),
-        };
-        for v in order {
-            let mut acc = std::mem::replace(&mut sets[v as usize], FixedBitSet::with_capacity(0));
-            let neighbors = match dir {
-                Direction::Forward => self.out(v),
-                Direction::Backward => self.inn(v),
-            };
-            for &w in neighbors {
-                acc.union_with(&sets[w as usize]);
-                let p = pos[w as usize];
-                if p != u32::MAX {
-                    acc.insert(p as usize);
-                }
-            }
-            sets[v as usize] = acc;
-        }
-        sets
+        counts
     }
 
     /// Answers "does `u` reach `v` via a non-empty path" by a bounded DFS on
@@ -243,10 +209,48 @@ impl DagReach {
     }
 }
 
-#[derive(Clone, Copy)]
-enum Direction {
-    Forward,
-    Backward,
+/// How many nodes each DAG node reaches and is reached by (proper, i.e.
+/// non-empty paths) — the `|desc|` and `|anc|` behind the 2-hop landmark
+/// coverage score and the update generators' cone caps.
+///
+/// Both vectors come out of **descendant** rows alone: a node's descendant
+/// weight is the weight of its row's set bits, and column `c`'s set bits —
+/// the rows that reach `c` — are `c`'s ancestors. A sweep that already
+/// computes descendant rows for another reason (the transitive reduction)
+/// therefore feeds [`ReachCounts::absorb`] chunk by chunk and pays for no
+/// closure of its own.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReachCounts {
+    /// `descendants[v]` — total weight of the proper descendants of `v`.
+    pub descendants: Vec<u64>,
+    /// `ancestors[v]` — total weight of the proper ancestors of `v`.
+    pub ancestors: Vec<u64>,
+}
+
+impl ReachCounts {
+    /// All-zero counts for a DAG of `n` nodes.
+    pub fn new(n: usize) -> Self {
+        ReachCounts {
+            descendants: vec![0; n],
+            ancestors: vec![0; n],
+        }
+    }
+
+    /// Adds what the descendant rows `desc` of the column chunk `cols` say:
+    /// after every chunk of a sweep has been absorbed once the counts are
+    /// exact, whatever the chunk width.
+    pub fn absorb(&mut self, cols: &Range<usize>, desc: &BitMatrix, weight: impl Fn(u32) -> u64) {
+        for v in 0..desc.rows() {
+            let own = weight(v as u32);
+            let mut below = 0u64;
+            for j in desc.ones(v) {
+                let c = cols.start + j;
+                below += weight(c as u32);
+                self.ancestors[c] += own;
+            }
+            self.descendants[v] += below;
+        }
+    }
 }
 
 /// Kahn topological sort over the CSR arrays; fails with
@@ -281,9 +285,8 @@ fn kahn_topological_order(dag: &DagReach) -> Result<Vec<u32>> {
 pub fn node_closures<G: GraphView>(g: &G) -> (Vec<FixedBitSet>, Vec<FixedBitSet>) {
     let n = g.node_count();
     let cond = Condensation::of(g);
-    let dag = DagReach::from_condensation(&cond);
-    let scc_desc = dag.full_descendants();
-    let scc_anc = dag.full_ancestors();
+    let scc_desc = cond.dag().full_descendants();
+    let scc_anc = cond.dag().full_ancestors();
 
     let mut desc = vec![FixedBitSet::with_capacity(n); n];
     let mut anc = vec![FixedBitSet::with_capacity(n); n];
@@ -292,12 +295,12 @@ pub fn node_closures<G: GraphView>(g: &G) -> (Vec<FixedBitSet>, Vec<FixedBitSet>
         let cyclic = cond.is_cyclic(c, g);
         // Descendants: members of every SCC-descendant, plus own SCC members
         // when the SCC is cyclic.
-        for cd in scc_desc[c as usize].ones() {
+        for cd in scc_desc.ones(c as usize) {
             for &w in cond.members(cd as u32) {
                 desc[v.index()].insert(w.index());
             }
         }
-        for ca in scc_anc[c as usize].ones() {
+        for ca in scc_anc.ones(c as usize) {
             for &w in cond.members(ca as u32) {
                 anc[v.index()].insert(w.index());
             }
@@ -327,12 +330,12 @@ mod tests {
     fn full_descendants_diamond() {
         let d = diamond_dag();
         let desc = d.full_descendants();
-        assert_eq!(desc[0].ones().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(desc[1].ones().collect::<Vec<_>>(), vec![3]);
-        assert_eq!(desc[3].ones().count(), 0);
+        assert_eq!(desc.ones(0).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(desc.ones(1).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(desc.count_ones(3), 0);
         let anc = d.full_ancestors();
-        assert_eq!(anc[3].ones().collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(anc[0].ones().count(), 0);
+        assert_eq!(anc.ones(3).collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(anc.count_ones(0), 0);
     }
 
     #[test]
@@ -344,35 +347,10 @@ mod tests {
             for v in 0..4usize {
                 for j in 0..chunk.len() {
                     assert_eq!(
-                        part[v].contains(j),
-                        full[v].contains(chunk.start + j),
+                        part.contains(v, j),
+                        full.contains(v, chunk.start + j),
                         "mismatch v={v} col={}",
                         chunk.start + j
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn column_subset_matches_full_closure() {
-        let d = diamond_dag();
-        let full_desc = d.full_descendants();
-        let full_anc = d.full_ancestors();
-        for columns in [vec![0u32, 3], vec![1], vec![2, 3], vec![]] {
-            let part_d = d.descendants_for_columns(&columns);
-            let part_a = d.ancestors_for_columns(&columns);
-            for v in 0..4usize {
-                for (j, &c) in columns.iter().enumerate() {
-                    assert_eq!(
-                        part_d[v].contains(j),
-                        full_desc[v].contains(c as usize),
-                        "desc mismatch v={v} col={c}"
-                    );
-                    assert_eq!(
-                        part_a[v].contains(j),
-                        full_anc[v].contains(c as usize),
-                        "anc mismatch v={v} col={c}"
                     );
                 }
             }
@@ -397,7 +375,7 @@ mod tests {
         g.add_edge(n[1], n[2]);
         g.add_edge(n[2], n[3]);
         let cond = Condensation::of(&g);
-        let dag = DagReach::from_condensation(&cond);
+        let dag = cond.dag();
         assert_eq!(dag.node_count(), 3);
         let c01 = cond.component_of(n[0]);
         let c3 = cond.component_of(n[3]);
@@ -468,6 +446,6 @@ mod tests {
     fn empty_dag() {
         let d = DagReach::from_edges(0, vec![]).unwrap();
         assert_eq!(d.node_count(), 0);
-        assert!(d.full_descendants().is_empty());
+        assert_eq!(d.full_descendants().rows(), 0);
     }
 }

@@ -10,6 +10,7 @@
 use crate::csr::csr_from_grouped;
 use crate::graph::LabeledGraph;
 use crate::ids::NodeId;
+use crate::reach_sets::DagReach;
 use crate::view::GraphView;
 
 /// The result of an SCC decomposition: a mapping from nodes to component
@@ -18,6 +19,8 @@ use crate::view::GraphView;
 /// Members and condensation adjacency are stored in compressed sparse row
 /// form (one contiguous array plus offsets per direction) — no per-component
 /// `Vec` allocations, and the slices the accessors return are contiguous.
+/// The adjacency *is* a [`DagReach`] ([`Condensation::dag`]), so closure
+/// sweeps over the condensation run on the arrays built here.
 #[derive(Clone, Debug)]
 pub struct Condensation {
     /// `component[v]` is the SCC id of node `v`. Component ids are dense,
@@ -29,13 +32,9 @@ pub struct Condensation {
     member_offsets: Vec<u32>,
     /// Members of every component, grouped by component id.
     member_list: Vec<NodeId>,
-    /// CSR out-adjacency of the condensation DAG (no duplicate edges, no
-    /// self loops).
-    out_offsets: Vec<u32>,
-    out_targets: Vec<u32>,
-    /// CSR in-adjacency of the condensation DAG.
-    in_offsets: Vec<u32>,
-    in_targets: Vec<u32>,
+    /// The condensation DAG in both directions (no duplicate edges, no
+    /// self loops), ready for reachability-set sweeps.
+    dag: DagReach,
 }
 
 impl Condensation {
@@ -143,18 +142,22 @@ impl Condensation {
             }
         }
         // `cross` is grouped by ascending source and deduplicated, exactly
-        // what the shared CSR builder expects.
-        let (out_offsets, out_targets, in_offsets, in_targets) = csr_from_grouped(c, &cross);
+        // what the shared CSR builder expects; Tarjan ids are a reverse
+        // topological order (sources have the highest ids).
+        let dag = DagReach::from_reverse_topological_csr(csr_from_grouped(c, &cross));
 
         Condensation {
             component,
             member_offsets,
             member_list,
-            out_offsets,
-            out_targets,
-            in_offsets,
-            in_targets,
+            dag,
         }
+    }
+
+    /// The condensation DAG prepared for closure sweeps: component `i` is
+    /// node `i`.
+    pub fn dag(&self) -> &DagReach {
+        &self.dag
     }
 
     /// Number of strongly connected components.
@@ -164,7 +167,7 @@ impl Condensation {
 
     /// Number of edges of the condensation DAG.
     pub fn edge_count(&self) -> usize {
-        self.out_targets.len()
+        self.dag.edge_count()
     }
 
     /// The paper's `|Gscc|` size measure: components plus condensation edges.
@@ -186,14 +189,12 @@ impl Condensation {
 
     /// Out-neighbours of component `c` in the condensation DAG.
     pub fn scc_out(&self, c: u32) -> &[u32] {
-        let i = c as usize;
-        &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
+        self.dag.out(c)
     }
 
     /// In-neighbours of component `c` in the condensation DAG.
     pub fn scc_in(&self, c: u32) -> &[u32] {
-        let i = c as usize;
-        &self.in_targets[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
+        self.dag.inn(c)
     }
 
     /// `true` when component `c` contains a cycle (more than one member, or

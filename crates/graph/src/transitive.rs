@@ -6,11 +6,11 @@
 //! is unique (Aho, Garey & Ullman 1972). The same routine, applied to the
 //! SCC condensation, is the core of the paper's `AHO` baseline.
 
-use crate::bitset::FixedBitSet;
+use crate::bitset::BitMatrix;
 use crate::error::Result;
 use crate::graph::LabeledGraph;
 use crate::ids::NodeId;
-use crate::reach_sets::{DagReach, DEFAULT_CHUNK};
+use crate::reach_sets::{DagReach, ReachCounts, DEFAULT_CHUNK};
 use crate::view::GraphView;
 
 /// Computes the unique transitive reduction of a DAG, returned as the list
@@ -32,18 +32,32 @@ pub fn transitive_reduction_with_chunk<G: GraphView>(
     chunk: usize,
 ) -> Result<Vec<(NodeId, NodeId)>> {
     let dag = DagReach::from_dag_graph(g)?;
-    Ok(transitive_reduction_dag(&dag, chunk))
+    Ok(transitive_reduction_dag(&dag, chunk, None))
 }
 
 /// Transitive reduction directly on an already-built [`DagReach`] — the
 /// entry point `compressR` uses to reduce its quotient edge list without
 /// materializing an intermediate `LabeledGraph` first.
-pub fn transitive_reduction_dag(dag: &DagReach, chunk: usize) -> Vec<(NodeId, NodeId)> {
+///
+/// The reduction sweeps every descendant row of the DAG once; a caller
+/// that also wants the exact reachability counts (the 2-hop landmark order
+/// of a snapshot publication) passes `counts` — all zero, one entry per
+/// node — and gets them filled from the same rows instead of paying for a
+/// closure of its own. They are the counts of the DAG, which its reduction
+/// shares: reduction removes no path.
+pub fn transitive_reduction_dag(
+    dag: &DagReach,
+    chunk: usize,
+    mut counts: Option<&mut ReachCounts>,
+) -> Vec<(NodeId, NodeId)> {
     let n = dag.node_count();
     let mut keep: Vec<(NodeId, NodeId)> = Vec::new();
 
     for cols in dag.chunks(chunk) {
         let desc = dag.descendants_chunk(cols.clone());
+        if let Some(counts) = counts.as_deref_mut() {
+            counts.absorb(&cols, &desc, |_| 1);
+        }
         for u in 0..n as u32 {
             for &v in dag.out(u) {
                 let vi = v as usize;
@@ -54,7 +68,7 @@ pub fn transitive_reduction_dag(dag: &DagReach, chunk: usize) -> Vec<(NodeId, No
                 let redundant = dag
                     .out(u)
                     .iter()
-                    .any(|&w| w != v && desc[w as usize].contains(vi - cols.start));
+                    .any(|&w| w != v && desc.contains(w as usize, vi - cols.start));
                 if !redundant {
                     keep.push((NodeId(u), NodeId(v)));
                 }
@@ -76,11 +90,11 @@ pub fn transitive_reduction_graph<G: GraphView>(g: &G) -> Result<LabeledGraph> {
     Ok(out)
 }
 
-/// Full transitive closure of a DAG as per-node descendant bit sets
+/// Full transitive closure of a DAG as per-node descendant bit rows
 /// (proper descendants, i.e. via non-empty paths). Convenience wrapper used
 /// by tests and by the 2-hop index verification; quadratic memory, so only
 /// for modest graphs.
-pub fn transitive_closure<G: GraphView>(g: &G) -> Result<Vec<FixedBitSet>> {
+pub fn transitive_closure<G: GraphView>(g: &G) -> Result<BitMatrix> {
     let dag = DagReach::from_dag_graph(g)?;
     Ok(dag.full_descendants())
 }
@@ -172,6 +186,43 @@ mod tests {
         assert_eq!(full, tiny);
     }
 
+    /// The counts a reduction takes from its own sweep are the BFS cone
+    /// sizes, at every chunk width, and taking them changes no kept edge.
+    #[test]
+    fn counts_from_the_reduction_sweep_match_bfs_cones() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as u32
+        };
+        for case in 0..40 {
+            let n = 2 + case % 23;
+            // Edges point id-upward: a random DAG, shortcuts included.
+            let edges: Vec<(u32, u32)> = (0..3 * n)
+                .map(|_| (draw(n), draw(n)))
+                .filter(|&(u, v)| u < v)
+                .collect();
+            let g = graph_from_edges(n, &edges);
+            let dag = DagReach::from_dag_graph(&g).unwrap();
+            let plain = transitive_reduction_dag(&dag, DEFAULT_CHUNK, None);
+            for chunk in [1, 64, 4096] {
+                let mut counts = ReachCounts::new(n);
+                let mut kept = transitive_reduction_dag(&dag, chunk, Some(&mut counts));
+                kept.sort_unstable();
+                assert_eq!(kept, plain, "case {case} chunk {chunk}");
+                for v in g.nodes() {
+                    let below = traversal::descendants(&g, v).len() as u64;
+                    let above = traversal::ancestors(&g, v).len() as u64;
+                    assert_eq!(counts.descendants[v.index()], below, "case {case} desc {v}");
+                    assert_eq!(counts.ancestors[v.index()], above, "case {case} anc {v}");
+                }
+                assert_eq!(counts, dag.reach_counts(chunk, |_| 1));
+            }
+        }
+    }
+
     #[test]
     fn cyclic_graph_is_rejected() {
         let g = graph_from_edges(2, &[(0, 1), (1, 0)]);
@@ -186,7 +237,7 @@ mod tests {
         for u in g.nodes() {
             for v in g.nodes() {
                 let expected = u != v && traversal::reachable(&g, u, v);
-                assert_eq!(tc[u.index()].contains(v.index()), expected);
+                assert_eq!(tc.contains(u.index(), v.index()), expected);
             }
         }
     }

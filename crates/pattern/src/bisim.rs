@@ -120,14 +120,6 @@ pub fn bisimulation_partition(g: &LabeledGraph) -> BisimPartition {
     bisimulation_partition_csr(&g.freeze())
 }
 
-/// [`bisimulation_partition`] with an explicit worker count for the
-/// fingerprint-refresh phase. The output is **bit-identical** to the
-/// sequential path at every thread count — see
-/// [`bisimulation_partition_csr_threads`].
-pub fn bisimulation_partition_threads(g: &LabeledGraph, threads: usize) -> BisimPartition {
-    bisimulation_partition_csr_threads(&g.freeze(), threads)
-}
-
 /// Computes the maximum bisimulation partition over a frozen CSR snapshot
 /// with the allocation-free worklist refinement (see the module docs).
 pub fn bisimulation_partition_csr(g: &CsrGraph) -> BisimPartition {

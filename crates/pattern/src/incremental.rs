@@ -37,9 +37,9 @@ use std::sync::Arc;
 use qpgc_graph::ids::LabelInterner;
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::update::{PartitionDelta, Update};
-use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
-use crate::bisim::{bisimulation_partition_threads, BisimPartition};
+use crate::bisim::{bisimulation_partition_csr_threads, BisimPartition};
 use crate::compress::PatternCompression;
 
 pub use qpgc_graph::quotient::IncStats;
@@ -124,8 +124,8 @@ impl Equivalence for BisimEquivalence {
         g.label(v)
     }
 
-    fn partition(g: &LabeledGraph, threads: usize) -> Classes<Label> {
-        let p = bisimulation_partition_threads(g, threads);
+    fn partition(g: &CsrGraph, threads: usize) -> Classes<Label> {
+        let p = bisimulation_partition_csr_threads(g, threads);
         Classes {
             class_of: p.class_of,
             members: p.members,
@@ -155,7 +155,7 @@ impl IncrementalPattern {
     /// [`IncrementalPattern::new`] with an explicit worker count for the
     /// refinement kernel, remembered for later recomputes. Stable-id
     /// assignment is bit-identical at every thread count (see
-    /// [`bisimulation_partition_threads`]), so the differential guarantees
+    /// [`bisimulation_partition_csr_threads`]), so the differential guarantees
     /// are unchanged.
     pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
         IncrementalPattern {

@@ -76,7 +76,7 @@ pub mod view;
 
 pub use bisim::{
     bisimulation_partition, bisimulation_partition_csr, bisimulation_partition_csr_threads,
-    bisimulation_partition_threads, BisimPartition,
+    BisimPartition,
 };
 pub use bounded::bounded_match;
 pub use compress::{compress_b, compress_b_csr, PatternCompression};

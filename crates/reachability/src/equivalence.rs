@@ -17,10 +17,24 @@
 //!    ancestors;
 //! 3. group SCCs with identical `(descendant, ancestor)` signatures.
 //!
-//! Step 3 compares bit sets over SCC ids. To keep memory bounded on large
+//! Step 3 compares bit rows over SCC ids. To keep memory bounded on large
 //! graphs the signature comparison is chunked: the partition is refined one
 //! block of `chunk` columns at a time, which yields exactly the same final
 //! partition as comparing full signatures.
+//!
+//! ## Cost
+//!
+//! One call builds one representation and sweeps it once per direction:
+//! the condensation's CSR *is* the [`DagReach`](qpgc_graph::reach_sets::DagReach)
+//! the sweeps run on, each sweep of a chunk fills one flat
+//! [`BitMatrix`] (`|Vscc| · chunk / 8` bytes, one allocation), and the
+//! refinement reads the rows where they lie — a word hash picks a bucket,
+//! an exact slice comparison against the bucket's representatives decides
+//! (a colliding hash costs a comparison, never a wrong merge), and block
+//! ids are handed out in first-seen SCC order with no hash-map iteration.
+//! What stays quadratic is the closure itself: two sweeps of
+//! `O(|Escc| · |Vscc| / w)` word operations and a refinement that hashes
+//! `O(|Vscc|² / w)` words, whatever the size of the batch that asked.
 //!
 //! ## Structural facts used elsewhere
 //!
@@ -34,46 +48,90 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
+use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{CsrGraph, FixedBitSet, GraphView, LabeledGraph, NodeId};
+use qpgc_graph::{BitMatrix, CsrGraph, GraphView, LabeledGraph, NodeId};
+
+/// A block one [`refine_chunk`] step opened by comparing rows: its id, and
+/// the key it was opened for — the key's hash, the block the
+/// representative SCC came from, and the representative, whose rows spell
+/// out the rest.
+struct Block {
+    id: u32,
+    hash: u64,
+    parent: u32,
+    representative: u32,
+}
+
+/// The word hash that picks a refinement key's bucket (an FxHash-style
+/// multiply–rotate fold). Only a bucket choice: equality is always decided
+/// on the rows themselves.
+fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    desc.iter()
+        .chain(anc)
+        .fold(u64::from(parent).wrapping_mul(K), |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(K)
+        })
+}
 
 /// One refinement step of the chunked signature comparison: splits the
 /// current SCC blocks (`group`) by the `(block, descendants, ancestors)`
-/// signature restricted to this chunk's columns. Purely sequential and
-/// deterministic — the parallelism lives in producing `desc`/`anc`, never
-/// here.
+/// signature restricted to this chunk's columns, comparing the rows of
+/// `desc` / `anc` in place. New block ids follow first-seen SCC order.
+/// Purely sequential and deterministic — the parallelism lives in
+/// producing `desc`/`anc`, never here.
+///
+/// A cyclic SCC reaches (and is reached by) its own members via non-empty
+/// paths, so its signature holds its own column — which no other SCC's can
+/// (that SCC would lie on a cycle through it, i.e. inside it). It is a
+/// block of its own by construction and gets a fresh id without its rows
+/// being looked at; an acyclic SCC's signature must *not* hold its own
+/// column, which is exactly how the condensation's rows already read.
 fn refine_chunk(
-    cols: &Range<usize>,
-    desc: &[FixedBitSet],
-    anc: &[FixedBitSet],
+    desc: &BitMatrix,
+    anc: &BitMatrix,
     cyclic_scc: &[bool],
-    group: &mut Vec<u32>,
+    group: &mut [u32],
+    hash: &impl Fn(u32, &[u64], &[u64]) -> u64,
 ) {
     let c = group.len();
-    let mut key_to_group: HashMap<(u32, Vec<u64>, Vec<u64>), u32> = HashMap::new();
     let mut next = 0u32;
-    let mut new_group = vec![0u32; c];
+    let mut blocks: Vec<Block> = Vec::new();
+    // Open addressing with linear probing over `blocks`: a slot holds an
+    // index into it + 1, `0` marks the slot free. At most `c` blocks in at
+    // least `2c` slots, so a probe always ends.
+    let mask = (2 * c).next_power_of_two() - 1;
+    let mut slots = vec![0u32; mask + 1];
     for scc in 0..c {
-        let mut d = desc[scc].clone();
-        let mut a = anc[scc].clone();
-        // A cyclic SCC reaches (and is reached by) its own members via
-        // non-empty paths: include the self column when it falls in this
-        // chunk. (Acyclic SCCs must *not* include it — that is exactly
-        // what distinguishes a cyclic singleton from an acyclic one.)
-        if cyclic_scc[scc] && scc >= cols.start && scc < cols.end {
-            d.insert(scc - cols.start);
-            a.insert(scc - cols.start);
-        }
-        let key = (group[scc], d.as_blocks().to_vec(), a.as_blocks().to_vec());
-        let id = *key_to_group.entry(key).or_insert_with(|| {
-            let id = next;
+        if cyclic_scc[scc] {
+            group[scc] = next;
             next += 1;
-            id
-        });
-        new_group[scc] = id;
+            continue;
+        }
+        let (parent, d, a) = (group[scc], desc.row(scc), anc.row(scc));
+        let h = hash(parent, d, a);
+        let mut at = (h >> 32) as usize & mask;
+        group[scc] = loop {
+            let Some(i) = slots[at].checked_sub(1) else {
+                slots[at] = blocks.len() as u32 + 1;
+                blocks.push(Block {
+                    id: next,
+                    hash: h,
+                    parent,
+                    representative: scc as u32,
+                });
+                next += 1;
+                break next - 1;
+            };
+            let b = &blocks[i as usize];
+            let rep = b.representative as usize;
+            if b.hash == h && b.parent == parent && desc.row(rep) == d && anc.row(rep) == a {
+                break b.id;
+            }
+            at = (at + 1) & mask;
+        };
     }
-    *group = new_group;
 }
 
 /// The partition of `V` induced by the reachability equivalence relation.
@@ -140,9 +198,9 @@ pub fn reachability_partition_csr(g: &CsrGraph) -> ReachPartition {
 /// (descendants and ancestors — independent of each other and of the
 /// running refinement) execute on two scoped threads, the same
 /// forward/backward split the 2-hop builder uses. Both sweeps produce
-/// exactly the sequential bit sets and the refinement itself is unchanged,
+/// exactly the sequential bit rows and the refinement itself is unchanged,
 /// so the partition is **bit-identical** at every thread count.
-pub fn reachability_partition_threads(g: &LabeledGraph, threads: usize) -> ReachPartition {
+pub fn reachability_partition_threads<G: GraphView>(g: &G, threads: usize) -> ReachPartition {
     reachability_partition_with_chunk_threads(g, DEFAULT_CHUNK, threads)
 }
 
@@ -160,8 +218,19 @@ pub fn reachability_partition_with_chunk_threads<G: GraphView>(
     chunk: usize,
     threads: usize,
 ) -> ReachPartition {
+    partition_hashing_with(g, chunk, threads, key_hash)
+}
+
+/// The kernel behind every entry point, with the refinement's bucket hash
+/// as a parameter so a test can degrade it.
+fn partition_hashing_with<G: GraphView>(
+    g: &G,
+    chunk: usize,
+    threads: usize,
+    hash: impl Fn(u32, &[u64], &[u64]) -> u64,
+) -> ReachPartition {
     let cond = Condensation::of(g);
-    let dag = DagReach::from_condensation(&cond);
+    let dag = cond.dag();
     let c = cond.component_count();
 
     let cyclic_scc: Vec<bool> = cond.cyclic_flags(g);
@@ -170,14 +239,6 @@ pub fn reachability_partition_with_chunk_threads<G: GraphView>(
     // block id; after all chunks the blocks are exactly the groups of SCCs
     // with identical (descendant, ancestor) signatures.
     let mut group: Vec<u32> = vec![0; c];
-    // Cyclic SCCs include themselves in their own closure; fold that into
-    // the initial grouping so the chunk sweep only has to compare
-    // condensation-level closures.
-    for (i, &cyc) in cyclic_scc.iter().enumerate() {
-        if cyc {
-            group[i] = 1;
-        }
-    }
 
     // The chunk sweeps are independent of each other and of the running
     // refinement, so with `threads > 1` up to `threads` chunks sweep
@@ -185,25 +246,19 @@ pub fn reachability_partition_with_chunk_threads<G: GraphView>(
     // its chunk); a lone chunk in a window falls back to the PR 8
     // forward/backward split so two workers still apply. The refinement
     // below always consumes the sweeps in chunk order, and every sweep
-    // produces exactly the sequential bit sets, so the partition is
+    // produces exactly the sequential bit rows, so the partition is
     // bit-identical at every thread count.
+    let both = |cols: &Range<usize>| {
+        (
+            dag.descendants_chunk(cols.clone()),
+            dag.ancestors_chunk(cols.clone()),
+        )
+    };
     let all_chunks = dag.chunks(chunk);
     for window in all_chunks.chunks(threads.max(1)) {
-        let sweeps: Vec<(Vec<FixedBitSet>, Vec<FixedBitSet>)> = if window.len() > 1 {
-            let dag = &dag;
+        let sweeps: Vec<(BitMatrix, BitMatrix)> = if window.len() > 1 {
             std::thread::scope(|s| {
-                let handles: Vec<_> = window
-                    .iter()
-                    .map(|cols| {
-                        let cols = cols.clone();
-                        s.spawn(move || {
-                            (
-                                dag.descendants_chunk(cols.clone()),
-                                dag.ancestors_chunk(cols),
-                            )
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = window.iter().map(|cols| s.spawn(|| both(cols))).collect();
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("chunk sweep panicked"))
@@ -224,39 +279,29 @@ pub fn reachability_partition_with_chunk_threads<G: GraphView>(
                 })
                 .collect()
         } else {
-            window
-                .iter()
-                .map(|cols| {
-                    (
-                        dag.descendants_chunk(cols.clone()),
-                        dag.ancestors_chunk(cols.clone()),
-                    )
-                })
-                .collect()
+            window.iter().map(both).collect()
         };
-        for (cols, (desc, anc)) in window.iter().zip(sweeps) {
-            refine_chunk(cols, &desc, &anc, &cyclic_scc, &mut group);
+        for (desc, anc) in &sweeps {
+            refine_chunk(desc, anc, &cyclic_scc, &mut group, &hash);
         }
     }
 
-    // Renumber groups densely in first-seen order and expand to node level.
-    let mut remap: HashMap<u32, u32> = HashMap::new();
+    // Renumber groups densely in first-seen node order and expand to node
+    // level (block ids never reach `c`, so a table replaces a map).
+    let mut class_of_group = vec![u32::MAX; c];
     let mut class_of = vec![0u32; g.node_count()];
     let mut members: Vec<Vec<NodeId>> = Vec::new();
     let mut cyclic: Vec<bool> = Vec::new();
     for v in g.nodes() {
         let scc = cond.component_of(v) as usize;
-        let gid = group[scc];
-        let class = *remap.entry(gid).or_insert_with(|| {
+        let class = &mut class_of_group[group[scc] as usize];
+        if *class == u32::MAX {
+            *class = members.len() as u32;
             members.push(Vec::new());
-            cyclic.push(false);
-            (members.len() - 1) as u32
-        });
-        class_of[v.index()] = class;
-        members[class as usize].push(v);
-        if cyclic_scc[scc] {
-            cyclic[class as usize] = true;
+            cyclic.push(cyclic_scc[scc]);
         }
+        class_of[v.index()] = *class;
+        members[*class as usize].push(v);
     }
 
     ReachPartition {
@@ -301,6 +346,73 @@ pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A random digraph seeded with what the refinement has special cases
+    /// for: self loops, 2-cycles, twins (a copy of a node's neighbourhood,
+    /// i.e. a duplicated signature) and isolated nodes.
+    fn arb_seeded_graph() -> impl Strategy<Value = LabeledGraph> {
+        (2usize..=20).prop_flat_map(|n| {
+            (
+                prop::collection::vec((0..n, 0..n), 0..(2 * n)),
+                prop::collection::vec(0..n, 0..4),
+                prop::collection::vec((0..n, 0..n), 0..3),
+                prop::collection::vec(0..n, 0..4),
+                0usize..4,
+            )
+                .prop_map(move |(edges, loops, two_cycles, twins, isolated)| {
+                    let mut g = graph(n, &[]);
+                    let node = |i: usize| NodeId(i as u32);
+                    for (u, v) in edges {
+                        g.add_edge(node(u), node(v));
+                    }
+                    for v in loops {
+                        g.add_edge(node(v), node(v));
+                    }
+                    for (u, v) in two_cycles {
+                        g.add_edge(node(u), node(v));
+                        g.add_edge(node(v), node(u));
+                    }
+                    for t in twins {
+                        let twin = g.add_node_with_label("X");
+                        for w in g.out_neighbors(node(t)).to_vec() {
+                            g.add_edge(twin, w);
+                        }
+                        for z in g.in_neighbors(node(t)).to_vec() {
+                            g.add_edge(z, twin);
+                        }
+                    }
+                    for _ in 0..isolated {
+                        g.add_node_with_label("X");
+                    }
+                    g
+                })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The kernel is the reference partition — same class ids, same
+        /// members, same cyclic flags — at every chunk width and thread
+        /// count, and stays so when every row lands in one bucket (so that
+        /// only the exact row comparison tells keys apart).
+        #[test]
+        fn kernel_matches_reference_at_every_chunk_thread_and_hash(g in arb_seeded_graph()) {
+            let expect = reference_partition(&g);
+            for chunk in [1, 7, 64, 4096] {
+                for threads in [1, 2] {
+                    let hashed = reachability_partition_with_chunk_threads(&g, chunk, threads);
+                    let one_bucket = partition_hashing_with(&g, chunk, threads, |_, _, _| 0);
+                    for got in [hashed, one_bucket] {
+                        prop_assert_eq!(&got.class_of, &expect.class_of, "chunk {} threads {}", chunk, threads);
+                        prop_assert_eq!(&got.members, &expect.members);
+                        prop_assert_eq!(&got.cyclic, &expect.cyclic);
+                    }
+                }
+            }
+        }
+    }
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();

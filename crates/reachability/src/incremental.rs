@@ -38,25 +38,33 @@
 //!
 //! ## Cost
 //!
-//! A step pays for the affected region, not for `|ΔG| × |Er|`. The
-//! compressed edges are kept as sorted per-class rows
+//! A step pays for the affected region, not for `|ΔG| × |Er|`, everywhere
+//! but in step 3. The compressed edges are kept as sorted per-class rows
 //! ([`IncrementalQuotient`]) that every part of the step reads in place:
 //! the redundancy rule of step 1 is one early-exit walk over the rows per
 //! insertion, and runs only when its answer can be used (an insertion-only
 //! batch); step 2 is two walks bounded by the cones they return; step 4
 //! unlinks each retired class from, and links each born class into, its
-//! neighbours' rows in time proportional to their degrees. What remains
-//! proportional to `|Gr|` is step 3 — one atom per unaffected class and the
-//! equivalence kernel on the hybrid graph,
-//! `O((|AFF members| + |Gr|)²/w + edges incident to affected members)` —
-//! independent of `|G|` and in the spirit of the paper's `O(|AFF| · |Gr|)`
-//! bound (the problem itself is unbounded — Theorem 6 — so no algorithm can
-//! depend on `|ΔG| + |ΔGr|` alone).
+//! neighbours' rows in time proportional to their degrees.
+//!
+//! Step 3 is proportional to `|Gr|`: the hybrid graph has one atom per
+//! unaffected class, and the kernel
+//! ([`reachability_partition_threads`](crate::equivalence::reachability_partition_threads))
+//! condenses it, sweeps a descendant and an ancestor closure over the
+//! condensation and refines on the rows —
+//! `O((|AFF members| + |Vr|)²/w + edges incident to affected members)`
+//! whatever `|ΔG|` is. It pays that once: the hybrid graph is frozen into
+//! one CSR, the condensation's arrays are the ones swept, each sweep fills
+//! one flat bit matrix, and nothing is copied to be compared. The bound is
+//! independent of `|G|` and in the spirit of the paper's
+//! `O(|AFF| · |Gr|)` (the problem itself is unbounded — Theorem 6 — so no
+//! algorithm can depend on `|ΔG| + |ΔGr|` alone); making the hybrid graph
+//! itself `|AFF|`-sized is ROADMAP item 1 and open.
 
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::transitive::transitive_reduction;
 use qpgc_graph::update::PartitionDelta;
-use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::compress::ReachCompression;
 use crate::equivalence::{reachability_partition_threads, ReachPartition};
@@ -132,7 +140,7 @@ impl Equivalence for ReachEquivalence {
         Label(0)
     }
 
-    fn partition(g: &LabeledGraph, threads: usize) -> Classes<bool> {
+    fn partition(g: &CsrGraph, threads: usize) -> Classes<bool> {
         let p = reachability_partition_threads(g, threads);
         Classes {
             class_of: p.class_of,

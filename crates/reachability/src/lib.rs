@@ -63,4 +63,4 @@ pub use equivalence::{
     ReachPartition,
 };
 pub use incremental::{IncStats, IncrementalReach};
-pub use two_hop::{CoverageEstimate, TwoHopConfig, TwoHopIndex};
+pub use two_hop::{TwoHopConfig, TwoHopIndex};

@@ -30,41 +30,30 @@
 //! techniques apply to compressed graphs unchanged.
 //!
 //! The index is built, never maintained: a changed graph gets a fresh
-//! [`TwoHopIndex::build_with`], so nothing ever inserts into a finished
-//! label list. The lists are grown one `Vec` per node during the build and
-//! served concatenated, CSR-style (`LabelLists`).
+//! build, so nothing ever inserts into a finished label list. The lists
+//! are grown one `Vec` per node during the build and served concatenated,
+//! CSR-style (`LabelLists`).
+//!
+//! ## One landmark order, from exact counts
+//!
+//! Landmarks are processed in descending `(|anc| + 1) · (|desc| + 1)`
+//! order ([`landmark_order`]); the counts are exact, and a caller that has
+//! them already does not pay for them again. [`TwoHopIndex::build_with`]
+//! sweeps the condensation of its graph itself
+//! ([`DagReach::reach_counts`](qpgc_graph::reach_sets::DagReach::reach_counts));
+//! a snapshot publication takes them from the descendant rows its
+//! transitive reduction sweeps anyway and hands the resulting order to
+//! [`TwoHopIndex::build_in_order`] — the same order, so the same labels.
 
 use std::collections::VecDeque;
 
-use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
+use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
 use qpgc_graph::{GraphView, NodeId};
 
-/// Landmark-coverage estimation strategy used to order landmarks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CoverageEstimate {
-    /// Exact `(|anc| + 1) · (|desc| + 1)` scores via chunked reach-set
-    /// sweeps over the condensation. Cost grows with `|Vscc|²/w`; fine up to
-    /// bench scales, expensive toward millions of nodes.
-    Exact,
-    /// Sampled sweep: only `samples` condensation columns are swept (one
-    /// forward, one backward pass reusing [`DagReach::from_condensation`]),
-    /// and per-node ancestor/descendant weights are Horvitz–Thompson scaled
-    /// by `|Vscc| / samples`. Ordering quality degrades gracefully; query
-    /// *correctness* never depends on the ordering, only index size does.
-    Sampled {
-        /// Number of condensation columns to sweep (clamped to `|Vscc|`).
-        samples: usize,
-        /// Seed of the deterministic column sampler.
-        seed: u64,
-    },
-}
-
-/// Build-time options for [`TwoHopIndex::build_with`].
-#[derive(Clone, Copy, Debug)]
+/// Build-time options of a [`TwoHopIndex`].
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TwoHopConfig {
-    /// How landmark coverage scores are computed.
-    pub coverage: CoverageEstimate,
     /// Run the forward and backward pruned BFS of each landmark on two
     /// threads (one long-lived worker for the forward direction, the caller
     /// for the backward one, exchanging per-landmark label snapshots over
@@ -73,17 +62,8 @@ pub struct TwoHopConfig {
     pub parallel: bool,
 }
 
-impl Default for TwoHopConfig {
-    fn default() -> Self {
-        TwoHopConfig {
-            coverage: CoverageEstimate::Exact,
-            parallel: false,
-        }
-    }
-}
-
 /// A 2-hop reachability labelling of a graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TwoHopIndex {
     /// Per node `v`: ranks of landmarks reachable *from* `v` (ascending).
     out_labels: LabelLists,
@@ -139,10 +119,12 @@ fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
     false
 }
 
-/// Reusable per-pass BFS state (`visited` is all-`false` between passes).
+/// Reusable per-pass BFS state (`visited` is all-`false` and `queue` empty
+/// between passes).
 struct Scratch {
     visited: Vec<bool>,
     touched: Vec<usize>,
+    queue: VecDeque<NodeId>,
 }
 
 impl Scratch {
@@ -150,6 +132,7 @@ impl Scratch {
         Scratch {
             visited: vec![false; n],
             touched: Vec::new(),
+            queue: VecDeque::new(),
         }
     }
 }
@@ -168,8 +151,11 @@ fn pruned_pass<G: GraphView>(
     landmark_opposite: &[u32],
     scratch: &mut Scratch,
 ) {
-    let Scratch { visited, touched } = scratch;
-    let mut queue = VecDeque::new();
+    let Scratch {
+        visited,
+        touched,
+        queue,
+    } = scratch;
     queue.push_back(landmark);
     visited[landmark.index()] = true;
     touched.push(landmark.index());
@@ -217,11 +203,36 @@ impl TwoHopIndex {
         Self::build_with(g, &TwoHopConfig::default())
     }
 
-    /// [`TwoHopIndex::build`] with explicit coverage-estimation and
-    /// parallelism options.
+    /// [`TwoHopIndex::build`] with explicit options. Counts ancestors and
+    /// descendants with one closure sweep over the condensation of `g` (a
+    /// member of a cyclic SCC counts the SCC's members on both sides) and
+    /// builds in the resulting [`landmark_order`].
     pub fn build_with<G: GraphView + Sync>(g: &G, config: &TwoHopConfig) -> Self {
+        Self::build_in_order(g, swept_landmark_order(g), config)
+    }
+
+    /// Builds the index with the landmarks processed in `order` — for a
+    /// caller that already holds the reachability counts
+    /// [`landmark_order`] wants. Queries are exact under any order; the
+    /// order decides only how much the pruning saves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of `g`'s nodes.
+    pub fn build_in_order<G: GraphView + Sync>(
+        g: &G,
+        order: Vec<NodeId>,
+        config: &TwoHopConfig,
+    ) -> Self {
         let n = g.node_count();
-        let order = landmark_order(g, config.coverage);
+        let mut ranked = vec![false; n];
+        for lm in &order {
+            assert!(
+                !std::mem::replace(&mut ranked[lm.index()], true),
+                "landmark {lm} is ranked twice"
+            );
+        }
+        assert_eq!(order.len(), n, "every node is a landmark");
 
         let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -281,7 +292,7 @@ impl TwoHopIndex {
     /// so tests can quantify the rank fix — do not use for anything else.
     pub fn build_with_node_id_labels<G: GraphView + Sync>(g: &G) -> Self {
         let n = g.node_count();
-        let order = landmark_order(g, CoverageEstimate::Exact);
+        let order = swept_landmark_order(g);
 
         let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -474,92 +485,35 @@ fn parallel_passes<G: GraphView + Sync>(
     })
 }
 
-/// Landmarks in descending estimated-coverage order (ties broken by total
-/// degree, then ascending node id — the sort is stable).
-fn landmark_order<G: GraphView>(g: &G, estimate: CoverageEstimate) -> Vec<NodeId> {
+/// [`landmark_order`] of an arbitrary graph, from a closure sweep of its
+/// own over the condensation.
+fn swept_landmark_order<G: GraphView>(g: &G) -> Vec<NodeId> {
     let cond = Condensation::of(g);
-    let dag = DagReach::from_condensation(&cond);
-    let scores = coverage_scores(g, &cond, &dag, estimate);
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order
-        .sort_by_key(|&v| std::cmp::Reverse((scores[v.index()], g.out_degree(v) + g.in_degree(v))));
-    order
-}
-
-/// `(|anc(v)| + 1) · (|desc(v)| + 1)` for every node — exactly, or scaled up
-/// from a sampled column sweep — computed through the SCC condensation so
-/// memory stays bounded on large graphs.
-fn coverage_scores<G: GraphView>(
-    g: &G,
-    cond: &Condensation,
-    dag: &DagReach,
-    estimate: CoverageEstimate,
-) -> Vec<u64> {
-    let nc = cond.component_count();
     let weight = |c: u32| cond.members(c).len() as u64;
-
-    let mut desc = vec![0u64; nc];
-    let mut anc = vec![0u64; nc];
-    match estimate {
-        CoverageEstimate::Sampled { samples, seed } if samples > 0 && samples < nc => {
-            // Sweep only the sampled columns and Horvitz–Thompson scale the
-            // hit weights: every column is included with probability
-            // `samples / nc`, so dividing by it makes the estimate unbiased.
-            let cols = sample_columns(nc, samples, seed);
-            let d = dag.descendants_for_columns(&cols);
-            let a = dag.ancestors_for_columns(&cols);
-            for c in 0..nc {
-                let dw: u64 = d[c].ones().map(|j| weight(cols[j])).sum();
-                let aw: u64 = a[c].ones().map(|j| weight(cols[j])).sum();
-                desc[c] = dw * nc as u64 / samples as u64;
-                anc[c] = aw * nc as u64 / samples as u64;
-            }
-        }
-        _ => {
-            for cols in dag.chunks(DEFAULT_CHUNK) {
-                let w = |j: usize| weight((cols.start + j) as u32);
-                let d = dag.descendants_chunk(cols.clone());
-                let a = dag.ancestors_chunk(cols.clone());
-                for c in 0..nc {
-                    desc[c] += d[c].ones().map(w).sum::<u64>();
-                    anc[c] += a[c].ones().map(w).sum::<u64>();
-                }
-            }
-        }
-    }
-
-    g.nodes()
-        .map(|v| {
-            let c = cond.component_of(v);
-            // Members of a cyclic SCC are their own ancestors and descendants.
-            let own = if cond.is_cyclic(c, g) {
-                cond.members(c).len() as u64
-            } else {
-                0
-            };
-            (anc[c as usize] + own + 1) * (desc[c as usize] + own + 1)
-        })
-        .collect()
+    let counts = cond.dag().reach_counts(DEFAULT_CHUNK, weight);
+    landmark_order(g, |v| {
+        let c = cond.component_of(v);
+        // Members of a cyclic SCC are their own ancestors and descendants.
+        let own = if cond.is_cyclic(c, g) { weight(c) } else { 0 };
+        (
+            counts.ancestors[c as usize] + own,
+            counts.descendants[c as usize] + own,
+        )
+    })
 }
 
-/// `k` distinct column ids out of `0..nc`, chosen by a seeded partial
-/// Fisher–Yates shuffle (xorshift64* stream), returned sorted.
-fn sample_columns(nc: usize, k: usize, seed: u64) -> Vec<u32> {
-    let mut ids: Vec<u32> = (0..nc as u32).collect();
-    let mut state = seed.wrapping_mul(2) | 1; // never zero
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
-    for i in 0..k {
-        let j = i + (next() as usize % (nc - i));
-        ids.swap(i, j);
-    }
-    ids.truncate(k);
-    ids.sort_unstable();
-    ids
+/// The landmark order of a 2-hop build: descending coverage
+/// `(|anc(v)| + 1) · (|desc(v)| + 1)` — the most pairs a landmark can
+/// cover — with `counts(v)` the exact `(|anc(v)|, |desc(v)|)` (non-empty
+/// paths, so a node on a cycle counts itself). Ties go to the higher total
+/// degree in `g`, then to the lower node id (the sort is stable).
+pub fn landmark_order<G: GraphView>(g: &G, counts: impl Fn(NodeId) -> (u64, u64)) -> Vec<NodeId> {
+    let mut order: Vec<NodeId> = g.nodes().collect();
+    order.sort_by_cached_key(|&v| {
+        let (anc, desc) = counts(v);
+        std::cmp::Reverse(((anc + 1) * (desc + 1), g.out_degree(v) + g.in_degree(v)))
+    });
+    order
 }
 
 #[cfg(test)]
@@ -638,42 +592,12 @@ mod tests {
     #[test]
     fn parallel_build_is_identical_to_sequential() {
         let mut rng = StdRng::seed_from_u64(11);
-        let par = TwoHopConfig {
-            parallel: true,
-            ..TwoHopConfig::default()
-        };
+        let par = TwoHopConfig { parallel: true };
         for _ in 0..15 {
             let g = random_graph(&mut rng);
             let seq_idx = TwoHopIndex::build(&g);
             let par_idx = TwoHopIndex::build_with(&g, &par);
-            assert_eq!(seq_idx.out_labels, par_idx.out_labels);
-            assert_eq!(seq_idx.in_labels, par_idx.in_labels);
-            assert_eq!(seq_idx.landmark_of_rank, par_idx.landmark_of_rank);
-        }
-    }
-
-    #[test]
-    fn sampled_coverage_stays_exact_on_queries() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let cfg = TwoHopConfig {
-            coverage: CoverageEstimate::Sampled {
-                samples: 4,
-                seed: 99,
-            },
-            parallel: false,
-        };
-        for _ in 0..15 {
-            let g = random_graph(&mut rng);
-            let idx = TwoHopIndex::build_with(&g, &cfg);
-            for u in g.nodes() {
-                for w in g.nodes() {
-                    assert_eq!(
-                        idx.query(u, w),
-                        bfs_reachable(&g, u, w),
-                        "sampled index differs for ({u}, {w})"
-                    );
-                }
-            }
+            assert_eq!(seq_idx, par_idx);
         }
     }
 

@@ -49,7 +49,8 @@
 //!   structures `Arc`-shared with the previous snapshot, every other batch
 //!   builds them from the maintainer's stable-id export
 //!   (`Snapshot::build`: transitive reduction, CSR, and — when configured
-//!   — `TwoHopIndex::build_with` over it; `PatternView::build` for the
+//!   — the 2-hop index over it, its landmarks ordered by counts taken from
+//!   the reduction's own closure sweep; `PatternView::build` for the
 //!   pattern side). The two sides decide independently, and
 //!   [`ApplyReport::path`] records what happened. The optional 2-hop build
 //!   can run its per-landmark forward/backward passes on two threads

@@ -471,7 +471,7 @@ mod tests {
             g.add_edge(NodeId(u), NodeId(v));
         }
         let sq = IncrementalReach::new(&g).stable_quotient();
-        Snapshot::build(7, &sq, None, &StoreConfig::default())
+        Snapshot::build(7, sq, None, &StoreConfig::default())
     }
 
     #[test]

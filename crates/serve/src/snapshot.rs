@@ -17,12 +17,14 @@
 //! republishes the previous snapshot under the new version
 //! ([`Snapshot::republish`], a handful of `Arc` bumps). Every other batch
 //! builds: transitive reduction of the exported quotient, CSR, and (when
-//! configured) [`TwoHopIndex::build_with`] over it. The pattern side
+//! configured) the 2-hop index over it, its landmarks ordered by the
+//! reachability counts the reduction's own closure sweep yields — a
+//! publication pays for one closure. The pattern side
 //! follows the same rule one level up: the store hands in either the
 //! previous snapshot's [`PatternView`] `Arc` or a freshly built one.
 
 use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
+use qpgc_graph::reach_sets::{DagReach, ReachCounts, DEFAULT_CHUNK};
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal::bfs_reachable;
 use std::sync::Arc;
@@ -31,7 +33,7 @@ use qpgc_graph::{CompressedCsr, CsrGraph, NodeId};
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
 use qpgc_pattern::view::PatternView;
 use qpgc_reach::incremental::StableQuotient;
-use qpgc_reach::two_hop::TwoHopIndex;
+use qpgc_reach::two_hop::{landmark_order, TwoHopIndex};
 
 use crate::store::StoreConfig;
 
@@ -173,26 +175,35 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Builds a snapshot out of the stable-id state exported by the
-    /// maintenance façades: the unreduced quotient edge list is
-    /// transitively reduced over a [`DagReach`] and frozen into CSR, and the
-    /// optional 2-hop index is built over that CSR quotient.
+    /// maintenance façades (consumed: the node index moves into the
+    /// snapshot): the unreduced quotient edge list is transitively reduced
+    /// over a [`DagReach`] and frozen into CSR, and the optional 2-hop index
+    /// is built over that CSR quotient. The index orders its landmarks by
+    /// the reachability counts of `Gr`, which the reduction's descendant
+    /// sweep yields on the side (reduction removes no path, and `Gr` is a
+    /// DAG, so they are the counts [`TwoHopIndex::build_with`] would sweep
+    /// for again); without an index nothing is counted.
     pub(crate) fn build(
         version: u64,
-        sq: &StableQuotient,
+        sq: StableQuotient,
         pattern: Option<Arc<PatternView>>,
         config: &StoreConfig,
     ) -> Snapshot {
         let id_space = sq.id_space();
+        let live_classes = sq.class_count();
         let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
             .expect("the quotient of the reachability equivalence relation is a DAG");
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK);
+        let mut counts = config.two_hop.as_ref().map(|_| ReachCounts::new(id_space));
+        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, counts.as_mut());
         let mut interner = LabelInterner::new();
         let sigma = interner.intern("σ");
         let gr = CsrGraph::from_edges(vec![sigma; id_space], interner, kept);
-        let two_hop = config
-            .two_hop
-            .as_ref()
-            .map(|cfg| Arc::new(TwoHopIndex::build_with(&gr, cfg)));
+        let two_hop = config.two_hop.as_ref().zip(counts).map(|(cfg, counts)| {
+            let order = landmark_order(&gr, |v| {
+                (counts.ancestors[v.index()], counts.descendants[v.index()])
+            });
+            Arc::new(TwoHopIndex::build_in_order(&gr, order, cfg))
+        });
         let gr = match config.snapshot_format {
             SnapshotFormat::Plain => QuotientCsr::Plain(Arc::new(gr)),
             SnapshotFormat::Succinct => {
@@ -202,7 +213,7 @@ impl Snapshot {
         Snapshot {
             version,
             gr,
-            class_of: Arc::new(sq.class_of.clone()),
+            class_of: Arc::new(sq.class_of),
             // The maintainer leaves a retired id's flag stale; clear it
             // (`check_invariants` requires retired rows to be acyclic).
             cyclic: Arc::new(
@@ -212,7 +223,7 @@ impl Snapshot {
                     .map(|(&cyclic, &live)| cyclic && live)
                     .collect(),
             ),
-            live_classes: sq.class_count(),
+            live_classes,
             two_hop,
             pattern,
         }
@@ -375,7 +386,7 @@ impl Snapshot {
         let gr = self.gr.to_plain_arc();
         let n = gr.node_count();
         let dag = DagReach::from_dag_graph(&*gr).map_err(|e| format!("Gr is not a DAG: {e}"))?;
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK).len();
+        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, None).len();
         if kept != gr.edge_count() {
             return Err(format!(
                 "Gr keeps {} edges, its transitive reduction {kept}",
@@ -480,7 +491,7 @@ mod tests {
     }
 
     fn build(g: &LabeledGraph, config: &StoreConfig) -> Snapshot {
-        Snapshot::build(0, &IncrementalReach::new(g).stable_quotient(), None, config)
+        Snapshot::build(0, IncrementalReach::new(g).stable_quotient(), None, config)
     }
 
     #[test]

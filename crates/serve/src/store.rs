@@ -319,7 +319,7 @@ impl CompressedStore {
         let maintained = MaintainedGraph::new(g, config.serve_patterns, config.threads);
         let snapshot = Snapshot::build(
             0,
-            &maintained.reach().stable_quotient(),
+            maintained.reach().stable_quotient(),
             maintained
                 .pattern()
                 .map(|p| Arc::new(PatternView::build(&p.stable_quotient()))),
@@ -592,7 +592,7 @@ impl CompressedStore {
                 let sq = w.maintained.reach().stable_quotient();
                 let churn = delta.churned() as f64 / sq.class_count().max(1) as f64;
                 (
-                    Snapshot::build(next, &sq, pattern_view, &self.config),
+                    Snapshot::build(next, sq, pattern_view, &self.config),
                     ApplyPath::Rebuilt {
                         churn,
                         pattern_churn,

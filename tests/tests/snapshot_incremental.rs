@@ -6,6 +6,10 @@
 //! * [`Snapshot::check_invariants`] holds (acyclic, transitively reduced
 //!   quotient; retired rows isolated; a served 2-hop index agrees with BFS
 //!   over `Gr`);
+//! * a served 2-hop index equals `TwoHopIndex::build_with` over the served
+//!   `Gr` — publication orders its landmarks by counts taken from the
+//!   transitive reduction's sweep of the *unreduced* quotient, and that
+//!   must be the order (and so the labels) of the standalone build;
 //! * the live class count equals the batch compression's (`compress_r` /
 //!   `compress_b` on the updated data graph);
 //! * every reachability answer matches a BFS oracle on the updated data
@@ -27,6 +31,7 @@ use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::compress::compress_b;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_reach::compress::compress_r;
+use qpgc_reach::two_hop::TwoHopIndex;
 use qpgc_serve::{ApplyPath, CompressedStore, ReachStore as _, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -92,6 +97,10 @@ fn assert_cut_exact(store: &CompressedStore, g: &LabeledGraph, two_hop: bool, ct
     let snap = store.load();
     assert_eq!(snap.check_invariants(), Ok(()), "{ctx}");
     assert_eq!(snap.two_hop().is_some(), two_hop, "{ctx}: index presence");
+    if let Some(served) = snap.two_hop() {
+        let standalone = TwoHopIndex::build_with(snap.compressed_graph(), &Default::default());
+        assert!(*served == standalone, "{ctx}: served index differs");
+    }
     assert_eq!(
         snap.class_count(),
         compress_r(g).class_count(),
