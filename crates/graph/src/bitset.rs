@@ -187,6 +187,11 @@ impl Iterator for Ones<'_> {
 /// hash and compare in place, and a row union is a linear pass over two
 /// ranges of the same buffer.
 ///
+/// The rows are also scratch a consumer may spend: the closure-driven 2-hop
+/// labelling strikes covered pairs out of a descendant and an ancestor
+/// matrix in place ([`BitMatrix::remove`], [`BitMatrix::difference_rows`],
+/// [`BitMatrix::clear_row`]) instead of copying half a megabyte first.
+///
 /// A dropped matrix leaves its buffer to the next one built on the same
 /// thread (a few buffers of at most 8 MiB each). A
 /// maintenance step builds and drops two or three matrices of a megabyte
@@ -207,8 +212,11 @@ pub struct BitMatrix {
 /// larger sweep amortizes its own allocation.
 const SPARE_WORDS_MAX: usize = 1 << 20;
 
-/// How many dropped buffers a thread keeps (a kernel call holds two
-/// matrices at once, a publication one).
+/// How many dropped buffers a thread keeps. A kernel call holds two
+/// matrices at once, and so does a publication that labels from the
+/// closure (descendant and ancestor rows of one ≤ 4096-column chunk, at
+/// most 2 MiB each: inside [`SPARE_WORDS_MAX`]). The two run one after
+/// the other on a thread, so four spares still suffice.
 const SPARES_KEPT: usize = 4;
 
 thread_local! {
@@ -255,6 +263,12 @@ impl BitMatrix {
         self.rows
     }
 
+    /// Number of bits per row.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// The packed words of row `r` (bits at and past the row width are
     /// always zero, so equal rows are equal slices).
     #[inline]
@@ -273,29 +287,65 @@ impl BitMatrix {
         self.data[r * self.words_per_row + bit / BITS] |= 1u64 << (bit % BITS);
     }
 
+    /// Clears bit `bit` of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is not below the row width or `r >= self.rows()`.
+    #[inline]
+    pub fn remove(&mut self, r: usize, bit: usize) {
+        assert!(bit < self.width, "bit {bit} out of bounds ({})", self.width);
+        self.data[r * self.words_per_row + bit / BITS] &= !(1u64 << (bit % BITS));
+    }
+
     /// Tests bit `bit` of row `r`. Out-of-range bits are reported as absent.
     #[inline]
     pub fn contains(&self, r: usize, bit: usize) -> bool {
         bit < self.width && self.row(r)[bit / BITS] & (1u64 << (bit % BITS)) != 0
     }
 
-    /// In-place row union: `row dst ← row dst ∪ row src`.
-    pub fn union_rows(&mut self, dst: usize, src: usize) {
+    /// Rows `dst` (mutable) and `src` of one buffer; `None` when they are
+    /// the same row.
+    fn row_pair(&mut self, dst: usize, src: usize) -> Option<(&mut [u64], &[u64])> {
         let w = self.words_per_row;
-        let (into, from) = match dst.cmp(&src) {
-            std::cmp::Ordering::Equal => return,
+        match dst.cmp(&src) {
+            std::cmp::Ordering::Equal => None,
             std::cmp::Ordering::Less => {
                 let (lo, hi) = self.data.split_at_mut(src * w);
-                (&mut lo[dst * w..(dst + 1) * w], &hi[..w])
+                Some((&mut lo[dst * w..(dst + 1) * w], &hi[..w]))
             }
             std::cmp::Ordering::Greater => {
                 let (lo, hi) = self.data.split_at_mut(dst * w);
-                (&mut hi[..w], &lo[src * w..(src + 1) * w])
+                Some((&mut hi[..w], &lo[src * w..(src + 1) * w]))
             }
-        };
-        for (a, b) in into.iter_mut().zip(from) {
-            *a |= *b;
         }
+    }
+
+    /// In-place row union: `row dst ← row dst ∪ row src`.
+    pub fn union_rows(&mut self, dst: usize, src: usize) {
+        if let Some((into, from)) = self.row_pair(dst, src) {
+            for (a, b) in into.iter_mut().zip(from) {
+                *a |= *b;
+            }
+        }
+    }
+
+    /// In-place row difference: `row dst ← row dst ∖ row src` (a row minus
+    /// itself is empty).
+    pub fn difference_rows(&mut self, dst: usize, src: usize) {
+        match self.row_pair(dst, src) {
+            Some((into, from)) => {
+                for (a, b) in into.iter_mut().zip(from) {
+                    *a &= !*b;
+                }
+            }
+            None => self.clear_row(dst),
+        }
+    }
+
+    /// Clears every bit of row `r`.
+    pub fn clear_row(&mut self, r: usize) {
+        self.data[r * self.words_per_row..(r + 1) * self.words_per_row].fill(0);
     }
 
     /// Number of set bits of row `r`.
@@ -348,6 +398,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The mutators a closure-driven labelling strikes pairs with — bit
+    /// clear, row difference, row clear — against the same oracle.
+    #[test]
+    fn bit_matrix_strikes_match_a_fixed_bit_set_per_row() {
+        for width in [0usize, 1, 63, 64, 65] {
+            let rows = 5;
+            let mut m = BitMatrix::new(rows, width);
+            let mut oracle = vec![FixedBitSet::with_capacity(width); rows];
+            assert_eq!(m.width(), width);
+            let mut state = 0xd1b5_4a32_d192_ed03u64 ^ width as u64;
+            let mut draw = move || {
+                state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
+                ((state >> 33) as usize % rows, (state >> 7) as usize)
+            };
+            // Dense rows (three quarters full), then holes punched bit by
+            // bit — some of them into bits that are already clear.
+            for (r, set) in oracle.iter_mut().enumerate() {
+                for bit in (0..width).filter(|bit| (bit + r) % 4 != 0) {
+                    m.insert(r, bit);
+                    set.insert(bit);
+                }
+            }
+            for _ in 0..width {
+                let (r, bit) = draw();
+                m.remove(r, bit % width);
+                oracle[r].remove(bit % width);
+            }
+            // Differences in both directions, a self difference (empties
+            // the row) and a cleared row.
+            for (dst, src) in [(0, 3), (4, 1), (2, 2)] {
+                m.difference_rows(dst, src);
+                let minus = oracle[src].clone();
+                for bit in minus.ones() {
+                    oracle[dst].remove(bit);
+                }
+            }
+            m.clear_row(1);
+            oracle[1].clear();
+            for (r, set) in oracle.iter().enumerate() {
+                assert_eq!(m.row(r), set.as_blocks(), "width {width} row {r}");
+            }
+            assert_eq!(m.count_ones(2) + m.count_ones(1), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn bit_matrix_remove_out_of_bounds_panics() {
+        BitMatrix::new(2, 64).remove(1, 64);
     }
 
     /// A matrix built on a dropped one's buffer starts all zero, whatever

@@ -218,7 +218,10 @@ impl DagReach {
 /// the rows that reach `c` — are `c`'s ancestors. A sweep that already
 /// computes descendant rows for another reason (the transitive reduction)
 /// therefore feeds [`ReachCounts::absorb`] chunk by chunk and pays for no
-/// closure of its own.
+/// closure of its own. (A caller that holds the *whole* closure — both
+/// full matrices of a DAG that fits one chunk — needs neither this type
+/// nor the per-bit loop: the counts are [`BitMatrix::count_ones`] of its
+/// rows.)
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReachCounts {
     /// `descendants[v]` — total weight of the proper descendants of `v`.

@@ -6,11 +6,13 @@
 //! is unique (Aho, Garey & Ullman 1972). The same routine, applied to the
 //! SCC condensation, is the core of the paper's `AHO` baseline.
 
+use std::ops::Range;
+
 use crate::bitset::BitMatrix;
 use crate::error::Result;
 use crate::graph::LabeledGraph;
 use crate::ids::NodeId;
-use crate::reach_sets::{DagReach, ReachCounts, DEFAULT_CHUNK};
+use crate::reach_sets::{DagReach, DEFAULT_CHUNK};
 use crate::view::GraphView;
 
 /// Computes the unique transitive reduction of a DAG, returned as the list
@@ -32,32 +34,32 @@ pub fn transitive_reduction_with_chunk<G: GraphView>(
     chunk: usize,
 ) -> Result<Vec<(NodeId, NodeId)>> {
     let dag = DagReach::from_dag_graph(g)?;
-    Ok(transitive_reduction_dag(&dag, chunk, None))
+    Ok(transitive_reduction_dag(&dag, chunk, |_, _| {}))
 }
 
 /// Transitive reduction directly on an already-built [`DagReach`] — the
 /// entry point `compressR` uses to reduce its quotient edge list without
 /// materializing an intermediate `LabeledGraph` first.
 ///
-/// The reduction sweeps every descendant row of the DAG once; a caller
-/// that also wants the exact reachability counts (the 2-hop landmark order
-/// of a snapshot publication) passes `counts` — all zero, one entry per
-/// node — and gets them filled from the same rows instead of paying for a
-/// closure of its own. They are the counts of the DAG, which its reduction
-/// shares: reduction removes no path.
+/// The reduction sweeps every descendant row of the DAG once, and hands
+/// each column chunk's rows to `sink` when it is done with them: a caller
+/// that wants more of the closure than the kept edges — the 2-hop labels
+/// and landmark order of a snapshot publication — keeps the matrix (for
+/// `qpgc_reach`'s `TwoHopIndex::from_closure`) or folds it into
+/// [`ReachCounts::absorb`](crate::reach_sets::ReachCounts::absorb) instead
+/// of paying for a sweep of its own; everyone else passes `|_, _| {}`.
+/// It is the closure of the DAG, which its reduction shares: reduction
+/// removes no path.
 pub fn transitive_reduction_dag(
     dag: &DagReach,
     chunk: usize,
-    mut counts: Option<&mut ReachCounts>,
+    mut sink: impl FnMut(Range<usize>, BitMatrix),
 ) -> Vec<(NodeId, NodeId)> {
     let n = dag.node_count();
     let mut keep: Vec<(NodeId, NodeId)> = Vec::new();
 
     for cols in dag.chunks(chunk) {
         let desc = dag.descendants_chunk(cols.clone());
-        if let Some(counts) = counts.as_deref_mut() {
-            counts.absorb(&cols, &desc, |_| 1);
-        }
         for u in 0..n as u32 {
             for &v in dag.out(u) {
                 let vi = v as usize;
@@ -74,6 +76,7 @@ pub fn transitive_reduction_dag(
                 }
             }
         }
+        sink(cols, desc);
     }
     keep
 }
@@ -102,6 +105,7 @@ pub fn transitive_closure<G: GraphView>(g: &G) -> Result<BitMatrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reach_sets::ReachCounts;
     use crate::traversal;
 
     fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> LabeledGraph {
@@ -206,10 +210,12 @@ mod tests {
                 .collect();
             let g = graph_from_edges(n, &edges);
             let dag = DagReach::from_dag_graph(&g).unwrap();
-            let plain = transitive_reduction_dag(&dag, DEFAULT_CHUNK, None);
+            let plain = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {});
             for chunk in [1, 64, 4096] {
                 let mut counts = ReachCounts::new(n);
-                let mut kept = transitive_reduction_dag(&dag, chunk, Some(&mut counts));
+                let mut kept = transitive_reduction_dag(&dag, chunk, |cols, desc| {
+                    counts.absorb(&cols, &desc, |_| 1)
+                });
                 kept.sort_unstable();
                 assert_eq!(kept, plain, "case {case} chunk {chunk}");
                 for v in g.nodes() {
@@ -219,6 +225,14 @@ mod tests {
                     assert_eq!(counts.ancestors[v.index()], above, "case {case} anc {v}");
                 }
                 assert_eq!(counts, dag.reach_counts(chunk, |_| 1));
+            }
+            // The popcounts a closure-driven labelling orders its landmarks
+            // by are the same numbers, read off the two full matrices.
+            let (desc, anc) = (dag.full_descendants(), dag.full_ancestors());
+            let counts = dag.reach_counts(DEFAULT_CHUNK, |_| 1);
+            for v in 0..n {
+                assert_eq!(desc.count_ones(v) as u64, counts.descendants[v]);
+                assert_eq!(anc.count_ones(v) as u64, counts.ancestors[v]);
             }
         }
     }

@@ -138,7 +138,7 @@ pub(crate) fn build_quotient_graph<G: GraphView>(
     // the transitive reduction is unique.
     let dag = DagReach::from_edges(classes, edges)
         .expect("the quotient of the reachability equivalence relation is a DAG");
-    let kept = transitive_reduction_dag(&dag, qpgc_graph::reach_sets::DEFAULT_CHUNK, None);
+    let kept = transitive_reduction_dag(&dag, qpgc_graph::reach_sets::DEFAULT_CHUNK, |_, _| {});
 
     let mut quotient = LabeledGraph::with_capacity(classes);
     for _ in 0..classes {

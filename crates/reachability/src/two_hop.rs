@@ -21,8 +21,8 @@
 //! pruning rule kept almost nothing out. Queries stayed correct (failed
 //! pruning only *adds* labels) but the index bloated. The legacy
 //! construction is kept as [`TwoHopIndex::build_with_node_id_labels`] so the
-//! size win of the rank fix stays measurable (the `fig12d` experiment tests;
-//! `BENCH_3.json` recorded it when the fix landed).
+//! size win of the rank fix stays measurable (the `fig12d` experiment
+//! tests).
 //! [`TwoHopIndex::landmark`] maps a rank back to its node for debugging.
 //!
 //! Because the compressed graph is "just a graph", the very same index can
@@ -31,8 +31,7 @@
 //!
 //! The index is built, never maintained: a changed graph gets a fresh
 //! build, so nothing ever inserts into a finished label list. The lists
-//! are grown one `Vec` per node during the build and served concatenated,
-//! CSR-style (`LabelLists`).
+//! are served concatenated, CSR-style (`LabelLists`).
 //!
 //! ## One landmark order, from exact counts
 //!
@@ -41,26 +40,75 @@
 //! them already does not pay for them again. [`TwoHopIndex::build_with`]
 //! sweeps the condensation of its graph itself
 //! ([`DagReach::reach_counts`](qpgc_graph::reach_sets::DagReach::reach_counts));
-//! a snapshot publication takes them from the descendant rows its
-//! transitive reduction sweeps anyway and hands the resulting order to
-//! [`TwoHopIndex::build_in_order`] — the same order, so the same labels.
+//! a snapshot publication reads them off the closure rows its transitive
+//! reduction sweeps anyway — the same order, so the same labels.
+//!
+//! ## Two constructions of the same labels
+//!
+//! Write `min(v, u)` for the lowest landmark rank among the nodes on the
+//! paths from `v` to `u`, both ends included (`∞` when there is no path).
+//!
+//! **Lemma 1 (the labelling is canonical** — Akiba, Iwata & Yoshida,
+//! SIGMOD 2013, carried over from distances to reachability**).** Under
+//! any landmark order the pruned passes put rank `r`, of landmark `ℓ`,
+//! into `L_in(u)` iff `min(ℓ, u) = r`, and into `L_out(v)` iff
+//! `min(v, ℓ) = r`. *Proof for `L_in`, by induction on `r`.* `ℓ` is on its
+//! own paths, so `min(ℓ, u) ≤ r` whenever `ℓ` reaches `u`. If
+//! `min(ℓ, u) < r`, let `m` be the node of that rank on a path `ℓ ⇝ u`:
+//! paths `ℓ ⇝ m` and `m ⇝ u` extend to paths `ℓ ⇝ u`, so nothing lower
+//! than `m` lies on them, and by induction `rank(m) ∈ L_out(ℓ) ∩ L_in(u)`
+//! — the pass from `ℓ` is pruned at `u` if it gets there. If
+//! `min(ℓ, u) = r`, then `min(ℓ, x) = r` for every `x` on a path `ℓ ⇝ u`
+//! (paths to `x` are prefixes), and no rank `q < r` is in both `L_out(ℓ)`
+//! and `L_in(x)` (its landmark would lie on a path `ℓ ⇝ x`): the pass is
+//! pruned nowhere on its way to `u`, nor at `u`. ∎ So the labels are a
+//! function of (reachability closure, order), and anything that evaluates
+//! `min` gets them bit for bit.
+//!
+//! **Lemma 2 (a landmark strikes only its uncovered cones).**
+//! [`TwoHopIndex::from_closure`] keeps, for a DAG, the invariant that
+//! before rank `r` is processed bit `u` of row `v` of `desc` is set iff
+//! `v` properly reaches `u` and `min(v, u) ≥ r` — the pair is *uncovered* —
+//! and `anc` is the transpose. At `r = 0` that is the closure. Landmark
+//! `ℓ` of rank `r` must clear exactly the set bits `(v, u)` with `ℓ` on a
+//! path `v ⇝ u`. For such a pair, paths `v ⇝ ℓ` are prefixes of paths
+//! `v ⇝ u`, so `min(v, ℓ) ≥ r`: `v` is `ℓ` or in `above`, row `ℓ` of `anc`
+//! as it stands; likewise `u` is `ℓ` or in `below`, row `ℓ` of `desc`.
+//! Clearing the biclique `(above ∪ {ℓ}) × (below ∪ {ℓ})` therefore clears
+//! every bit that must go — an ancestor of `ℓ` outside `above` has
+//! `min(v, u) ≤ min(v, ℓ) < r` for every `u` below `ℓ`, its bits went when
+//! that lower landmark was processed — and only such bits, since `ℓ` lies
+//! between the ends of every pair of the biclique. ∎ By Lemma 1,
+//! `below ∪ {ℓ}` are then exactly the nodes that hold `r` in their `in`
+//! list and `above ∪ {ℓ}` those that hold it in their `out` list.
+//!
+//! What each costs. [`TwoHopIndex::build_in_order`]: `2n` pruned passes,
+//! one sorted-list merge per visited node (`Σ visits · merge`; `Gr` is
+//! transitively reduced, so most visits are not pruned and most merges run
+//! both lists to the end to find nothing). [`TwoHopIndex::from_closure`]:
+//! `2n` row scans plus one and-not of an `n/64`-word row per label entry
+//! (`Σ|labels| · n/64` words; bit by bit where the struck set is shorter
+//! than a row) and one counting sort of the entries — given the two
+//! `n × n`-bit matrices, which a caller holds only if it swept the closure
+//! of a DAG in one column chunk for reasons of its own (a snapshot
+//! publication of at most
+//! [`DEFAULT_CHUNK`] classes).
+//! [`TwoHopIndex::build_with`] is **deliberately not** that path, even
+//! where its graph is a small DAG: it is the independent algorithm the
+//! test suites and the benchmark's probe hold the served index against,
+//! and a differential between two runs of the same code proves nothing.
 
 use std::collections::VecDeque;
 
 use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{GraphView, NodeId};
+use qpgc_graph::{BitMatrix, GraphView, NodeId};
 
-/// Build-time options of a [`TwoHopIndex`].
+/// Build-time options of a [`TwoHopIndex`]: none. The type stays because
+/// a store is told to serve an index by being handed one
+/// (`StoreConfig::two_hop`).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TwoHopConfig {
-    /// Run the forward and backward pruned BFS of each landmark on two
-    /// threads (one long-lived worker for the forward direction, the caller
-    /// for the backward one, exchanging per-landmark label snapshots over
-    /// channels). The two passes read disjoint state, so the result is
-    /// bit-identical to the sequential build.
-    pub parallel: bool,
-}
+pub struct TwoHopConfig;
 
 /// A 2-hop reachability labelling of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -75,7 +123,7 @@ pub struct TwoHopIndex {
 
 /// One direction's finished label lists, concatenated in node order (the
 /// CSR layout): node `v`'s list is `entries[offsets[v]..offsets[v + 1]]`.
-/// The build grows one `Vec` per node; a served index holds two
+/// The BFS build grows one `Vec` per node; a served index holds two
 /// allocations per direction instead: about half the bytes, one pointer
 /// chase fewer per lookup, and none of a concurrent writer's small
 /// allocations in between the lists a reader walks.
@@ -85,7 +133,91 @@ struct LabelLists {
     entries: Vec<u32>,
 }
 
+/// One direction's labels in the order a closure-driven build emits them:
+/// rank `r` goes to the nodes `nodes[ends[r - 1]..ends[r]]`.
+#[derive(Default)]
+struct RankLog {
+    nodes: Vec<u32>,
+    ends: Vec<u32>,
+}
+
+impl RankLog {
+    /// Starts the next rank with the landmark's uncovered cone, which it
+    /// hands back as a slice.
+    fn open_rank(&mut self, cone: impl Iterator<Item = usize>) -> &[u32] {
+        let start = self.nodes.len();
+        self.nodes.extend(cone.map(|v| v as u32));
+        &self.nodes[start..]
+    }
+
+    /// Ends the rank with the landmark itself.
+    fn close_rank(&mut self, landmark: NodeId) {
+        self.nodes.push(landmark.0);
+        self.ends
+            .push(u32::try_from(self.nodes.len()).expect("label entries fit in u32"));
+    }
+}
+
 impl LabelLists {
+    /// Counting sort of a [`RankLog`] by node. The sort is stable and the
+    /// log is in ascending rank order, so every list comes out ascending.
+    fn from_rank_log(n: usize, log: &RankLog) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for &v in &log.nodes {
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut entries = vec![0u32; log.nodes.len()];
+        let mut start = 0usize;
+        for (rank, &end) in log.ends.iter().enumerate() {
+            for &v in &log.nodes[start..end as usize] {
+                let slot = &mut next[v as usize];
+                entries[*slot as usize] = rank as u32;
+                *slot += 1;
+            }
+            start = end as usize;
+        }
+        LabelLists { offsets, entries }
+    }
+
+    /// Offsets monotone from 0 to `entries.len()`, every list strictly
+    /// ascending, every rank below `n` — what [`sorted_intersects`]
+    /// silently relies on.
+    fn check_invariants(&self, n: usize, which: &str) -> Result<(), String> {
+        if self.offsets.len() != n + 1 || self.offsets[0] != 0 {
+            return Err(format!(
+                "{which} offsets: {} entries starting at {:?} for {n} nodes",
+                self.offsets.len(),
+                self.offsets.first()
+            ));
+        }
+        if let Some(v) = (0..n).find(|&v| self.offsets[v] > self.offsets[v + 1]) {
+            return Err(format!("{which} offsets decrease at node {v}"));
+        }
+        if self.offsets[n] as usize != self.entries.len() {
+            return Err(format!(
+                "{which} offsets end at {}, not at the {} entries",
+                self.offsets[n],
+                self.entries.len()
+            ));
+        }
+        for v in 0..n {
+            let list = self.of(NodeId(v as u32));
+            if !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "{which} list of node {v} is not strictly ascending"
+                ));
+            }
+            if list.last().is_some_and(|&r| r as usize >= n) {
+                return Err(format!("{which} list of node {v} holds a rank ≥ {n}"));
+            }
+        }
+        Ok(())
+    }
+
     fn from_lists(lists: &[Vec<u32>]) -> Self {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         let mut entries = Vec::with_capacity(lists.iter().map(Vec::len).sum());
@@ -199,76 +331,62 @@ impl TwoHopIndex {
     /// ancestor/descendant sets intact while flattening degrees, and Fig.
     /// 12(d) relies on the index over `Gr` not regressing past the index
     /// over `G`.
-    pub fn build<G: GraphView + Sync>(g: &G) -> Self {
-        Self::build_with(g, &TwoHopConfig::default())
+    pub fn build<G: GraphView>(g: &G) -> Self {
+        Self::build_with(g, &TwoHopConfig)
     }
 
-    /// [`TwoHopIndex::build`] with explicit options. Counts ancestors and
-    /// descendants with one closure sweep over the condensation of `g` (a
-    /// member of a cyclic SCC counts the SCC's members on both sides) and
-    /// builds in the resulting [`landmark_order`].
-    pub fn build_with<G: GraphView + Sync>(g: &G, config: &TwoHopConfig) -> Self {
-        Self::build_in_order(g, swept_landmark_order(g), config)
+    /// [`TwoHopIndex::build`] with explicit options (there are none).
+    /// Counts ancestors and descendants with one closure sweep over the
+    /// condensation of `g` (a member of a cyclic SCC counts the SCC's
+    /// members on both sides) and runs the pruned BFS passes in the
+    /// resulting [`landmark_order`] — always the BFS construction, see the
+    /// module header.
+    pub fn build_with<G: GraphView>(g: &G, _config: &TwoHopConfig) -> Self {
+        Self::build_in_order(g, swept_landmark_order(g))
     }
 
-    /// Builds the index with the landmarks processed in `order` — for a
-    /// caller that already holds the reachability counts
-    /// [`landmark_order`] wants. Queries are exact under any order; the
-    /// order decides only how much the pruning saves.
+    /// Builds the index by pruned BFS passes with the landmarks processed
+    /// in `order` — for a caller that already holds the reachability
+    /// counts [`landmark_order`] wants. Queries are exact under any order;
+    /// the order decides only how much the pruning saves.
     ///
     /// # Panics
     ///
     /// Panics if `order` is not a permutation of `g`'s nodes.
-    pub fn build_in_order<G: GraphView + Sync>(
-        g: &G,
-        order: Vec<NodeId>,
-        config: &TwoHopConfig,
-    ) -> Self {
+    pub fn build_in_order<G: GraphView>(g: &G, order: Vec<NodeId>) -> Self {
         let n = g.node_count();
-        let mut ranked = vec![false; n];
-        for lm in &order {
-            assert!(
-                !std::mem::replace(&mut ranked[lm.index()], true),
-                "landmark {lm} is ranked twice"
-            );
-        }
-        assert_eq!(order.len(), n, "every node is a landmark");
+        assert_permutation(&order, n);
 
         let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut scratch_fwd = Scratch::new(n);
+        let mut scratch_bwd = Scratch::new(n);
+        for (rank, &landmark) in order.iter().enumerate() {
+            let rank = rank as u32;
+            // Forward: landmark reaches u  ⇒  rank ∈ in_labels[u].
+            pruned_pass(
+                g,
+                landmark,
+                rank,
+                true,
+                &mut in_labels,
+                &out_labels[landmark.index()],
+                &mut scratch_fwd,
+            );
+            // Backward: u reaches landmark  ⇒  rank ∈ out_labels[u].
+            pruned_pass(
+                g,
+                landmark,
+                rank,
+                false,
+                &mut out_labels,
+                &in_labels[landmark.index()],
+                &mut scratch_bwd,
+            );
 
-        if config.parallel && n > 0 {
-            in_labels = parallel_passes(g, &order, &mut out_labels);
-        } else {
-            let mut scratch_fwd = Scratch::new(n);
-            let mut scratch_bwd = Scratch::new(n);
-            for (rank, &landmark) in order.iter().enumerate() {
-                let rank = rank as u32;
-                // Forward: landmark reaches u  ⇒  rank ∈ in_labels[u].
-                pruned_pass(
-                    g,
-                    landmark,
-                    rank,
-                    true,
-                    &mut in_labels,
-                    &out_labels[landmark.index()],
-                    &mut scratch_fwd,
-                );
-                // Backward: u reaches landmark  ⇒  rank ∈ out_labels[u].
-                pruned_pass(
-                    g,
-                    landmark,
-                    rank,
-                    false,
-                    &mut out_labels,
-                    &in_labels[landmark.index()],
-                    &mut scratch_bwd,
-                );
-
-                // The landmark trivially covers itself in both directions.
-                out_labels[landmark.index()].push(rank);
-                in_labels[landmark.index()].push(rank);
-            }
+            // The landmark trivially covers itself in both directions.
+            out_labels[landmark.index()].push(rank);
+            in_labels[landmark.index()].push(rank);
         }
 
         // Ranks are pushed in ascending processing order, so every list is
@@ -284,13 +402,62 @@ impl TwoHopIndex {
         }
     }
 
+    /// Reads the labels of a **DAG** off its reachability closure, with no
+    /// traversal: `desc` row `v` holds the proper descendants of `v`,
+    /// `anc` row `v` its proper ancestors (`n` rows of `n` bits each, one
+    /// the transpose of the other —
+    /// [`DagReach::full_descendants`](qpgc_graph::reach_sets::DagReach::full_descendants)
+    /// and `full_ancestors`, or the one chunk a transitive reduction just
+    /// swept). Equal, label for label, to [`TwoHopIndex::build_in_order`]
+    /// over any graph with that closure under the same `order` (Lemmas 1
+    /// and 2 of the module header).
+    ///
+    /// The two matrices are consumed as scratch: row `v` of `desc` / `anc`
+    /// is narrowed, landmark by landmark, to the descendants / ancestors
+    /// of `v` no landmark so far lies between. A landmark's labels are its
+    /// two rows as they stand, and it then strikes the pairs it covers out
+    /// of both matrices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of the matrices' rows or the
+    /// matrices are not both `n × n`.
+    pub fn from_closure(order: Vec<NodeId>, mut desc: BitMatrix, mut anc: BitMatrix) -> Self {
+        let n = order.len();
+        for m in [&desc, &anc] {
+            assert!(
+                m.rows() == n && m.width() == n,
+                "a closure matrix of {} rows × {} bits for {n} landmarks",
+                m.rows(),
+                m.width()
+            );
+        }
+        assert_permutation(&order, n);
+
+        let (mut in_log, mut out_log) = (RankLog::default(), RankLog::default());
+        for &landmark in &order {
+            let lm = landmark.index();
+            let below = in_log.open_rank(desc.ones(lm));
+            let above = out_log.open_rank(anc.ones(lm));
+            strike(&mut desc, lm, above, below);
+            strike(&mut anc, lm, below, above);
+            in_log.close_rank(landmark);
+            out_log.close_rank(landmark);
+        }
+        TwoHopIndex {
+            out_labels: LabelLists::from_rank_log(n, &out_log),
+            in_labels: LabelLists::from_rank_log(n, &in_log),
+            landmark_of_rank: order,
+        }
+    }
+
     /// The pre-rank-fix construction: label lists hold raw node ids pushed
     /// in landmark processing order and are only sorted *after* the build,
     /// so the mid-build pruning intersection runs on unsorted lists and
     /// silently misses most covered pairs. Queries are still exact (failed
     /// pruning only adds labels); the index is just needlessly large. Kept
     /// so tests can quantify the rank fix — do not use for anything else.
-    pub fn build_with_node_id_labels<G: GraphView + Sync>(g: &G) -> Self {
+    pub fn build_with_node_id_labels<G: GraphView>(g: &G) -> Self {
         let n = g.node_count();
         let order = swept_landmark_order(g);
 
@@ -412,77 +579,71 @@ impl TwoHopIndex {
             + self.in_labels.heap_bytes()
             + self.landmark_of_rank.capacity() * std::mem::size_of::<NodeId>()
     }
+
+    /// Checks the structure every query leans on without looking: the
+    /// landmark order is a permutation of the nodes; both directions'
+    /// offsets are monotone and end at their entries; every list is
+    /// strictly ascending (an unsorted list does not fail, it makes the
+    /// merge intersection miss) with ranks below `n`; and every node holds
+    /// its own rank in both of its lists. It does not check the answers —
+    /// compare against BFS for that.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.landmark_of_rank.len();
+        let mut rank_of = vec![u32::MAX; n];
+        for (rank, lm) in self.landmark_of_rank.iter().enumerate() {
+            match rank_of.get_mut(lm.index()) {
+                Some(slot) if *slot == u32::MAX => *slot = rank as u32,
+                _ => return Err(format!("landmark {lm} is ranked twice or is no node")),
+            }
+        }
+        self.out_labels.check_invariants(n, "out")?;
+        self.in_labels.check_invariants(n, "in")?;
+        for (v, rank) in rank_of.iter().enumerate() {
+            let v = NodeId(v as u32);
+            for (which, labels) in [("out", &self.out_labels), ("in", &self.in_labels)] {
+                if labels.of(v).binary_search(rank).is_err() {
+                    return Err(format!(
+                        "node {v} lacks its own rank {rank} in its {which} list"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// The parallel build loop: one long-lived worker thread owns the `in`
-/// labels and runs every forward pass; the calling thread keeps the `out`
-/// labels and runs every backward pass. Per landmark the two sides exchange
-/// snapshots of the landmark's own (short) label lists over channels — the
-/// only state either pass reads from the other side — so the two passes of
-/// each landmark overlap while the result stays bit-identical to the
-/// sequential build. One thread spawn total, not one per landmark.
-///
-/// Ordering argument: the worker handles landmarks strictly in rank order,
-/// so when it snapshots `in_labels[landmark]` for rank `r` it has already
-/// finished the forward pass and self-push of every rank `< r` — exactly
-/// the state the sequential backward pass would read. Symmetrically the
-/// caller finishes backward pass and self-push of rank `r - 1` before
-/// snapshotting `out_labels[landmark]` for rank `r`. Within one landmark
-/// the forward pass writes only `in` labels (never the landmark's own) and
-/// the backward pass writes only `out` labels, so they share nothing.
-fn parallel_passes<G: GraphView + Sync>(
-    g: &G,
-    order: &[NodeId],
-    out_labels: &mut [Vec<u32>],
-) -> Vec<Vec<u32>> {
-    use std::sync::mpsc;
+/// Panics unless `order` names each of the nodes `0..n` exactly once.
+fn assert_permutation(order: &[NodeId], n: usize) {
+    let mut ranked = vec![false; n];
+    for lm in order {
+        assert!(lm.index() < n, "landmark {lm} is not one of the {n} nodes");
+        assert!(
+            !std::mem::replace(&mut ranked[lm.index()], true),
+            "landmark {lm} is ranked twice"
+        );
+    }
+    assert_eq!(order.len(), n, "every node is a landmark");
+}
 
-    let n = g.node_count();
-    let (to_worker, work_rx) = mpsc::channel::<(NodeId, u32, Vec<u32>)>();
-    let (to_caller, snap_rx) = mpsc::channel::<Vec<u32>>();
-    std::thread::scope(|s| {
-        let forward_worker = s.spawn(move || {
-            let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
-            let mut scratch = Scratch::new(n);
-            while let Ok((landmark, rank, landmark_out)) = work_rx.recv() {
-                if to_caller.send(in_labels[landmark.index()].clone()).is_err() {
-                    break; // caller gone (panic unwinding); stop quietly
-                }
-                pruned_pass(
-                    g,
-                    landmark,
-                    rank,
-                    true,
-                    &mut in_labels,
-                    &landmark_out,
-                    &mut scratch,
-                );
-                in_labels[landmark.index()].push(rank);
+/// Clears the pairs landmark `lm` covers out of one closure matrix: the
+/// columns `cols ∪ {lm}` — row `lm` itself, as it stands — from every row
+/// in `rows`, and then row `lm`, whose pairs all run through `lm`. A set
+/// shorter than a row is struck bit by bit (what keeps near-trees, where
+/// most cones are a handful of nodes, ahead of the BFS passes).
+fn strike(m: &mut BitMatrix, lm: usize, rows: &[u32], cols: &[u32]) {
+    let words_per_row = m.row(lm).len();
+    for &r in rows {
+        let r = r as usize;
+        if cols.len() < words_per_row {
+            for &c in cols {
+                m.remove(r, c as usize);
             }
-            in_labels
-        });
-
-        let mut scratch = Scratch::new(n);
-        for (rank, &landmark) in order.iter().enumerate() {
-            let rank = rank as u32;
-            to_worker
-                .send((landmark, rank, out_labels[landmark.index()].clone()))
-                .expect("forward worker hung up");
-            let landmark_in = snap_rx.recv().expect("forward worker hung up");
-            pruned_pass(
-                g,
-                landmark,
-                rank,
-                false,
-                out_labels,
-                &landmark_in,
-                &mut scratch,
-            );
-            out_labels[landmark.index()].push(rank);
+        } else {
+            m.difference_rows(r, lm);
         }
-        drop(to_worker); // closes the channel; the worker drains and returns
-        forward_worker.join().expect("forward worker panicked")
-    })
+        m.remove(r, lm);
+    }
+    m.clear_row(lm);
 }
 
 /// [`landmark_order`] of an arbitrary graph, from a closure sweep of its
@@ -519,6 +680,7 @@ pub fn landmark_order<G: GraphView>(g: &G, counts: impl Fn(NodeId) -> (u64, u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpgc_graph::reach_sets::DagReach;
     use qpgc_graph::traversal::bfs_reachable;
     use qpgc_graph::LabeledGraph;
     use rand::rngs::StdRng;
@@ -589,16 +751,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let par = TwoHopConfig { parallel: true };
-        for _ in 0..15 {
-            let g = random_graph(&mut rng);
-            let seq_idx = TwoHopIndex::build(&g);
-            let par_idx = TwoHopIndex::build_with(&g, &par);
-            assert_eq!(seq_idx, par_idx);
+    /// `from_closure` against `build_in_order` on one DAG, under the
+    /// coverage order and under three random permutations.
+    fn assert_closure_build_matches_bfs(
+        n: usize,
+        edges: &[(u32, u32)],
+        rng: &mut StdRng,
+        what: &str,
+    ) {
+        let g = graph(n, edges);
+        let dag = DagReach::from_edges(n, edges.iter().copied()).expect("edges point id-upward");
+        let coverage = {
+            let (desc, anc) = (dag.full_descendants(), dag.full_ancestors());
+            landmark_order(&g, |v| {
+                (
+                    anc.count_ones(v.index()) as u64,
+                    desc.count_ones(v.index()) as u64,
+                )
+            })
+        };
+        assert_eq!(coverage, swept_landmark_order(&g), "{what}: order");
+        let mut order = coverage;
+        for round in 0..4 {
+            let from_rows = TwoHopIndex::from_closure(
+                order.clone(),
+                dag.full_descendants(),
+                dag.full_ancestors(),
+            );
+            let from_passes = TwoHopIndex::build_in_order(&g, order.clone());
+            assert_eq!(from_rows, from_passes, "{what}: round {round}");
+            assert_eq!(
+                from_rows.check_invariants(),
+                Ok(()),
+                "{what}: round {round}"
+            );
+            assert_eq!(
+                from_rows.heap_bytes(),
+                from_passes.heap_bytes(),
+                "{what}: round {round}"
+            );
+            // Fisher–Yates: the lemmas hold for any order.
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
         }
+    }
+
+    #[test]
+    fn closure_build_equals_the_bfs_build_on_dags() {
+        let mut rng = StdRng::seed_from_u64(0xC105_0BE5);
+        // Sizes around the word boundary; edges point id-upward (a DAG),
+        // `density` draws per node, half of them kept, so shortcuts abound
+        // from 4 up and most rows stay isolated (retired ids) at 0.3.
+        for n in [0usize, 1, 2, 63, 64, 65, 130] {
+            for density in [0.3f64, 1.0, 4.0, 12.0] {
+                let m = (n as f64 * density) as usize;
+                let edges: Vec<(u32, u32)> = (0..m)
+                    .map(|_| (rng.gen_range(0..n) as u32, rng.gen_range(0..n) as u32))
+                    .filter(|&(u, v)| u < v)
+                    .collect();
+                let what = format!("random n={n} density={density}");
+                assert_closure_build_matches_bfs(n, &edges, &mut rng, &what);
+            }
+        }
+        // A chain: every pair is reachable, every strike is a full biclique.
+        let chain: Vec<(u32, u32)> = (0..69).map(|i| (i, i + 1)).collect();
+        assert_closure_build_matches_bfs(70, &chain, &mut rng, "chain");
+        // Layered complete-bipartite: 4 layers of 17, every node of a layer
+        // wired to every node of the next — maximal ties in the order —
+        // and the same with every transitive shortcut added.
+        let layer_pairs = |reach: u32| -> Vec<(u32, u32)> {
+            (0..68u32)
+                .flat_map(|u| (0..68u32).map(move |v| (u, v)))
+                .filter(|&(u, v)| u / 17 < v / 17 && v / 17 - u / 17 <= reach)
+                .collect()
+        };
+        assert_closure_build_matches_bfs(68, &layer_pairs(1), &mut rng, "layered");
+        assert_closure_build_matches_bfs(68, &layer_pairs(3), &mut rng, "layered + shortcuts");
+    }
+
+    #[test]
+    #[should_panic(expected = "is not one of the 3 nodes")]
+    fn build_in_order_names_an_out_of_range_landmark() {
+        let g = graph(3, &[(0, 1)]);
+        TwoHopIndex::build_in_order(&g, vec![NodeId(0), NodeId(7), NodeId(2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "closure matrix of 2 rows")]
+    fn from_closure_rejects_matrices_of_the_wrong_shape() {
+        TwoHopIndex::from_closure(
+            vec![NodeId(0), NodeId(1), NodeId(2)],
+            BitMatrix::new(2, 3),
+            BitMatrix::new(3, 3),
+        );
+    }
+
+    /// The checker must be able to say no, and say what.
+    #[test]
+    fn check_invariants_names_each_broken_part() {
+        let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
+        let ok = TwoHopIndex::build(&g);
+        assert_eq!(ok.check_invariants(), Ok(()));
+        let broken = |damage: fn(&mut TwoHopIndex)| {
+            let mut idx = ok.clone();
+            damage(&mut idx);
+            idx.check_invariants().expect_err("damage went unnoticed")
+        };
+        // Node 2 hears from landmark 1 (rank 0) and from itself (rank 1):
+        // swap the two (the PR 3 bug's shape — an unsorted list).
+        assert_eq!(ok.in_labels.of(NodeId(2)), [0, 1]);
+        assert!(broken(|i| {
+            let at = i.in_labels.offsets[2] as usize;
+            i.in_labels.entries.swap(at, at + 1)
+        })
+        .contains("in list of node 2 is not strictly ascending"));
+        assert!(broken(|i| i.out_labels.offsets[2] = 99).contains("out offsets"));
+        assert!(broken(|i| *i.out_labels.offsets.last_mut().unwrap() -= 1).contains("out offsets"));
+        assert!(broken(|i| *i.in_labels.entries.last_mut().unwrap() = 4).contains("rank ≥ 4"));
+        assert!(broken(|i| i.landmark_of_rank[0] = i.landmark_of_rank[1]).contains("ranked twice"));
+        // Ranks 0 and 1 trade places: every list is still sorted, but two
+        // nodes now hold each other's rank instead of their own.
+        assert!(broken(|i| i.landmark_of_rank.swap(0, 1)).contains("lacks its own rank"));
     }
 
     #[test]

@@ -49,14 +49,12 @@
 //!   structures `Arc`-shared with the previous snapshot, every other batch
 //!   builds them from the maintainer's stable-id export
 //!   (`Snapshot::build`: transitive reduction, CSR, and — when configured
-//!   — the 2-hop index over it, its landmarks ordered by counts taken from
-//!   the reduction's own closure sweep; `PatternView::build` for the
-//!   pattern side). The two sides decide independently, and
-//!   [`ApplyReport::path`] records what happened. The optional 2-hop build
-//!   can run its per-landmark forward/backward passes on two threads
-//!   (`TwoHopConfig::parallel`); [`parallel::class_edges`] remains for
-//!   materializing quotient edges from scratch when no maintained counters
-//!   exist.
+//!   — the 2-hop index over it, landmark order and labels read off the
+//!   closure the reduction swept; `PatternView::build` for the pattern
+//!   side). The two sides decide independently, and
+//!   [`ApplyReport::path`] records what happened.
+//!   [`parallel::class_edges`] remains for materializing quotient edges
+//!   from scratch when no maintained counters exist.
 //!
 //! ## Consistency model
 //!

@@ -17,9 +17,13 @@
 //! republishes the previous snapshot under the new version
 //! ([`Snapshot::republish`], a handful of `Arc` bumps). Every other batch
 //! builds: transitive reduction of the exported quotient, CSR, and (when
-//! configured) the 2-hop index over it, its landmarks ordered by the
-//! reachability counts the reduction's own closure sweep yields — a
-//! publication pays for one closure. The pattern side
+//! configured) the 2-hop index over it. The reduction sweeps the
+//! descendant closure of the quotient; up to [`DEFAULT_CHUNK`] classes that
+//! is one matrix, and the index — landmark order and labels — is read off
+//! it and its transpose with no traversal
+//! ([`TwoHopIndex::from_closure`]). A larger quotient is swept in column
+//! chunks, which yield the counts that order the landmarks, and labelled
+//! by pruned BFS passes ([`TwoHopIndex::build_in_order`]). The pattern side
 //! follows the same rule one level up: the store hands in either the
 //! previous snapshot's [`PatternView`] `Arc` or a freshly built one.
 
@@ -178,11 +182,12 @@ impl Snapshot {
     /// maintenance façades (consumed: the node index moves into the
     /// snapshot): the unreduced quotient edge list is transitively reduced
     /// over a [`DagReach`] and frozen into CSR, and the optional 2-hop index
-    /// is built over that CSR quotient. The index orders its landmarks by
-    /// the reachability counts of `Gr`, which the reduction's descendant
-    /// sweep yields on the side (reduction removes no path, and `Gr` is a
-    /// DAG, so they are the counts [`TwoHopIndex::build_with`] would sweep
-    /// for again); without an index nothing is counted.
+    /// is built over that CSR quotient — from the closure the reduction
+    /// swept (reduction removes no path, and `Gr` is a DAG, so it is the
+    /// closure [`TwoHopIndex::build_with`] would sweep for again, and the
+    /// index comes out equal to that one's): the whole matrix when one
+    /// column chunk held it, its counts otherwise. Without an index the
+    /// rows are dropped as the reduction hands them out.
     pub(crate) fn build(
         version: u64,
         sq: StableQuotient,
@@ -193,16 +198,38 @@ impl Snapshot {
         let live_classes = sq.class_count();
         let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
             .expect("the quotient of the reachability equivalence relation is a DAG");
-        let mut counts = config.two_hop.as_ref().map(|_| ReachCounts::new(id_space));
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, counts.as_mut());
+        let indexed = config.two_hop.is_some();
+        let one_chunk = id_space <= DEFAULT_CHUNK;
+        let mut closure = None;
+        let mut counts = ReachCounts::new(if indexed && !one_chunk { id_space } else { 0 });
+        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |cols, desc| {
+            match (indexed, one_chunk) {
+                (false, _) => {}
+                (true, true) => closure = Some(desc),
+                (true, false) => counts.absorb(&cols, &desc, |_| 1),
+            }
+        });
         let mut interner = LabelInterner::new();
         let sigma = interner.intern("σ");
         let gr = CsrGraph::from_edges(vec![sigma; id_space], interner, kept);
-        let two_hop = config.two_hop.as_ref().zip(counts).map(|(cfg, counts)| {
-            let order = landmark_order(&gr, |v| {
-                (counts.ancestors[v.index()], counts.descendants[v.index()])
-            });
-            Arc::new(TwoHopIndex::build_in_order(&gr, order, cfg))
+        let two_hop = indexed.then(|| {
+            Arc::new(if one_chunk {
+                // An empty quotient has no chunk for the reduction to sweep.
+                let desc = closure.unwrap_or_else(|| dag.full_descendants());
+                let anc = dag.full_ancestors();
+                let order = landmark_order(&gr, |v| {
+                    (
+                        anc.count_ones(v.index()) as u64,
+                        desc.count_ones(v.index()) as u64,
+                    )
+                });
+                TwoHopIndex::from_closure(order, desc, anc)
+            } else {
+                let order = landmark_order(&gr, |v| {
+                    (counts.ancestors[v.index()], counts.descendants[v.index()])
+                });
+                TwoHopIndex::build_in_order(&gr, order)
+            })
         });
         let gr = match config.snapshot_format {
             SnapshotFormat::Plain => QuotientCsr::Plain(Arc::new(gr)),
@@ -378,15 +405,17 @@ impl Snapshot {
     /// `Gr` is acyclic and transitively reduced; the node index names only
     /// live rows, exactly [`Snapshot::class_count`] of them; every other
     /// (retired) row is isolated with its cyclic flag cleared; and, when
-    /// an index is served, its landmark order is a permutation of the id
-    /// space and it answers like BFS over `Gr` on a seeded sample of row
-    /// pairs. For tests and diagnostics — it sweeps full descendant sets
-    /// and is not on the serving path.
+    /// an index is served, it is well formed
+    /// ([`TwoHopIndex::check_invariants`]: sorted lists, own ranks, a
+    /// landmark order that is a permutation) over the id space and answers
+    /// like BFS over `Gr` on a seeded sample of row pairs. For tests and
+    /// diagnostics — it sweeps full descendant sets and is not on the
+    /// serving path.
     pub fn check_invariants(&self) -> Result<(), String> {
         let gr = self.gr.to_plain_arc();
         let n = gr.node_count();
         let dag = DagReach::from_dag_graph(&*gr).map_err(|e| format!("Gr is not a DAG: {e}"))?;
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, None).len();
+        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}).len();
         if kept != gr.edge_count() {
             return Err(format!(
                 "Gr keeps {} edges, its transitive reduction {kept}",
@@ -421,16 +450,12 @@ impl Snapshot {
         let Some(idx) = self.two_hop() else {
             return Ok(());
         };
-        let order = idx.landmark_order();
-        let mut ranked = vec![false; n];
-        for lm in order {
-            match ranked.get_mut(lm.index()) {
-                Some(seen) if !*seen => *seen = true,
-                _ => return Err(format!("landmark {lm} is ranked twice or is no row")),
-            }
-        }
-        if order.len() != n {
-            return Err(format!("{} landmark ranks for {n} rows", order.len()));
+        idx.check_invariants()?;
+        if idx.landmark_order().len() != n {
+            return Err(format!(
+                "{} landmark ranks for {n} rows",
+                idx.landmark_order().len()
+            ));
         }
         // A multiplicative hash walks the n² row pairs, seeded by the
         // version so reruns probe the same ones.
@@ -512,6 +537,34 @@ mod tests {
                     assert_eq!(fancy.reachable(u, w), expected, "indexed ({u},{w})");
                 }
             }
+        }
+    }
+
+    /// `DEFAULT_CHUNK` rows are labelled from the one matrix the reduction
+    /// swept, one row more from pruned BFS passes in the order the chunked
+    /// counts give: either way the served index is the one
+    /// `build_with(Gr)` — BFS passes, its own sweep — builds.
+    #[test]
+    fn both_sides_of_the_chunk_boundary_serve_the_bfs_built_index() {
+        let indexed = StoreConfig::builder().two_hop(Default::default()).build();
+        for n in [DEFAULT_CHUNK, DEFAULT_CHUNK + 1] {
+            // Chains of 16 nodes: every node is its own class (no two share
+            // both cones), the quotient is sparse and has `n` rows.
+            let mut g = LabeledGraph::new();
+            for _ in 0..n {
+                g.add_node_with_label("X");
+            }
+            for v in (1..n as u32).filter(|v| v % 16 != 0) {
+                g.add_edge(NodeId(v - 1), NodeId(v));
+            }
+            let snap = build(&g, &indexed);
+            assert_eq!(snap.compressed_graph().node_count(), n);
+            assert_eq!(snap.check_invariants(), Ok(()));
+            assert_eq!(
+                snap.two_hop().unwrap(),
+                &TwoHopIndex::build(snap.compressed_graph()),
+                "{n} rows"
+            );
         }
     }
 
