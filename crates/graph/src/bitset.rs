@@ -149,10 +149,17 @@ pub struct Ones<'a> {
 
 impl<'a> Ones<'a> {
     fn over(blocks: &'a [u64]) -> Self {
+        Self::starting_at(blocks, 0)
+    }
+
+    /// The set bits at or after position `start`.
+    fn starting_at(blocks: &'a [u64], start: usize) -> Self {
+        let block_idx = start / BITS;
+        let low = !0u64 << (start % BITS);
         Ones {
             blocks,
-            block_idx: 0,
-            current: blocks.first().copied().unwrap_or(0),
+            block_idx,
+            current: blocks.get(block_idx).map_or(0, |b| b & low),
         }
     }
 }
@@ -199,7 +206,8 @@ impl Iterator for Ones<'_> {
 /// and returns it with a `munmap`: page faults for the writer and, worse,
 /// a TLB shootdown on every core that runs a reader (`mixed_wikitalk`'s
 /// reader ran 35 % slower for the length of each sweep, CHANGES.md
-/// ISSUE 21).
+/// ISSUE 21). [`BitMatrix::copy_of`] draws on the same buffers; the derived
+/// `Clone` does not, and is for callers off the write path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: usize,
@@ -212,11 +220,17 @@ pub struct BitMatrix {
 /// larger sweep amortizes its own allocation.
 const SPARE_WORDS_MAX: usize = 1 << 20;
 
-/// How many dropped buffers a thread keeps. A kernel call holds two
-/// matrices at once, and so does a publication that labels from the
-/// closure (descendant and ancestor rows of one ≤ 4096-column chunk, at
-/// most 2 MiB each: inside [`SPARE_WORDS_MAX`]). The two run one after
-/// the other on a thread, so four spares still suffice.
+/// How many dropped buffers a thread keeps. Every phase of a write holds
+/// at most two transient matrices at once, and the phases run one after
+/// the other on a thread: a maintenance step's two signature matrices (the
+/// kernel's, or the regroup's small ones), then the closure refresh — which
+/// drops the maintainer's two resident matrices *before* it sweeps their
+/// successors, so the sweep is served from what it just handed back — then
+/// a publication's two scratch copies ([`BitMatrix::copy_of`]) of the
+/// resident pair (at most 2 MiB each: inside [`SPARE_WORDS_MAX`]). Two
+/// spares would carry that; four leave room for a second maintainer on the
+/// thread (the pattern side's kernel, a benchmark's shadow) without a
+/// fresh `mmap`.
 const SPARES_KEPT: usize = 4;
 
 thread_local! {
@@ -238,21 +252,41 @@ impl Drop for BitMatrix {
     }
 }
 
+/// An empty buffer for a new matrix: a dropped one's, when the thread has
+/// a spare.
+fn spare_buffer() -> Vec<u64> {
+    let mut data = SPARE
+        .try_with(|spare| spare.borrow_mut().pop())
+        .ok()
+        .flatten()
+        .unwrap_or_default();
+    data.clear();
+    data
+}
+
 impl BitMatrix {
     /// An all-zero matrix of `rows` rows of `width` bits.
     pub fn new(rows: usize, width: usize) -> Self {
         let words_per_row = width.div_ceil(BITS);
-        let mut data = SPARE
-            .try_with(|spare| spare.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        data.clear();
+        let mut data = spare_buffer();
         data.resize(rows * words_per_row, 0);
         BitMatrix {
             rows,
             width,
             words_per_row,
+            data,
+        }
+    }
+
+    /// A copy of `other` on a spare buffer — for a consumer that spends
+    /// its rows as scratch while the original stays resident.
+    pub fn copy_of(other: &BitMatrix) -> Self {
+        let mut data = spare_buffer();
+        data.extend_from_slice(&other.data);
+        BitMatrix {
+            rows: other.rows,
+            width: other.width,
+            words_per_row: other.words_per_row,
             data,
         }
     }
@@ -330,6 +364,20 @@ impl BitMatrix {
         }
     }
 
+    /// In-place union with a row of another matrix: the words of `src` —
+    /// no more of them than a row here has — are or-ed into the low bits
+    /// of row `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is longer than a row.
+    pub fn union_row_with(&mut self, dst: usize, src: &[u64]) {
+        let row = &mut self.data[dst * self.words_per_row..(dst + 1) * self.words_per_row];
+        for (a, b) in row[..src.len()].iter_mut().zip(src) {
+            *a |= *b;
+        }
+    }
+
     /// In-place row difference: `row dst ← row dst ∖ row src` (a row minus
     /// itself is empty).
     pub fn difference_rows(&mut self, dst: usize, src: usize) {
@@ -356,6 +404,12 @@ impl BitMatrix {
     /// Iterates over the set bits of row `r` in increasing order.
     pub fn ones(&self, r: usize) -> Ones<'_> {
         Ones::over(self.row(r))
+    }
+
+    /// Iterates over the set bits of row `r` at or after `start`, in
+    /// increasing order.
+    pub fn ones_from(&self, r: usize, start: usize) -> Ones<'_> {
+        Ones::starting_at(self.row(r), start)
     }
 }
 
@@ -442,6 +496,46 @@ mod tests {
                 assert_eq!(m.row(r), set.as_blocks(), "width {width} row {r}");
             }
             assert_eq!(m.count_ones(2) + m.count_ones(1), 0);
+        }
+    }
+
+    /// What a regroup against a held closure uses: a row of a narrower
+    /// matrix or-ed into the low bits of a row, a suffix of a row's set
+    /// bits, and a scratch copy that leaves the original as it was.
+    #[test]
+    fn bit_matrix_unions_foreign_rows_scans_suffixes_and_copies() {
+        for (narrow, wide) in [(1usize, 1usize), (63, 64), (64, 65), (70, 200)] {
+            let mut small = BitMatrix::new(2, narrow);
+            for bit in (0..narrow).step_by(3) {
+                small.insert(1, bit);
+            }
+            let mut m = BitMatrix::new(3, wide);
+            m.insert(2, wide - 1);
+            m.union_row_with(2, small.row(1));
+            let expect: Vec<usize> = (0..narrow)
+                .step_by(3)
+                .chain([wide - 1])
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            assert_eq!(
+                m.ones(2).collect::<Vec<_>>(),
+                expect,
+                "{narrow} into {wide}"
+            );
+            assert_eq!(m.count_ones(0) + m.count_ones(1), 0);
+            for start in [0, 1, narrow / 2, narrow, wide - 1, wide, wide + 70] {
+                let suffix: Vec<usize> = expect.iter().copied().filter(|&b| b >= start).collect();
+                assert_eq!(
+                    m.ones_from(2, start).collect::<Vec<_>>(),
+                    suffix,
+                    "from {start}"
+                );
+            }
+            let mut copy = BitMatrix::copy_of(&m);
+            assert_eq!(copy, m);
+            copy.clear_row(2);
+            assert_eq!(m.ones(2).collect::<Vec<_>>(), expect);
         }
     }
 

@@ -18,16 +18,17 @@
 //! * [`traversal`] — BFS, DFS, bidirectional BFS and bounded-depth BFS, the
 //!   reachability-query evaluation algorithms used in the paper's Exp-2.
 //! * [`scc`] — Tarjan strongly connected components and the condensation
-//!   graph `Gscc` (Section 3.2 optimization, Section 5 rank machinery).
+//!   graph `Gscc` (Section 3.2 optimization, Section 5.2 rank machinery).
 //! * [`partition`] — deterministic hash partitioning of the node space
 //!   across store shards, with boundary-edge extraction (the substrate of
 //!   the sharded serving router in `qpgc_serve`).
 //! * [`quotient`] — the equivalence-independent skeleton of incremental
 //!   quotient maintenance ([`IncrementalQuotient`] over an [`Equivalence`]):
-//!   stable-id class table, cone walks, hybrid-graph recomputation, and
-//!   the [`PartitionDelta`] it emits — shared by `incRCM` and `incPCM`.
-//! * [`rank`] — topological ranks `r(v)` (Lemma 7) and bisimulation ranks
-//!   `rb(v)` with the well-founded / non-well-founded split (Lemma 9).
+//!   stable-id class table, cone walks, the cut of the affected classes
+//!   into units, the hybrid-graph regroup, and the [`PartitionDelta`] the
+//!   splice emits — shared by `incRCM` and `incPCM`.
+//! * [`rank`] — bisimulation ranks `rb(v)` with the well-founded /
+//!   non-well-founded split (Lemma 9).
 //! * [`reach_sets`] — chunked bit-set ancestor/descendant computation over a
 //!   DAG, the workhorse behind the reachability equivalence relation.
 //! * [`transitive`] — transitive closure queries and the unique transitive
@@ -81,7 +82,7 @@ pub use error::GraphError;
 pub use graph::LabeledGraph;
 pub use ids::{Label, NodeId};
 pub use partition::NodePartition;
-pub use quotient::{Classes, Equivalence, IncStats, IncrementalQuotient};
+pub use quotient::{Classes, Cut, Equivalence, Group, IncStats, IncrementalQuotient, Regrouped};
 pub use scc::Condensation;
 pub use stats::GraphStats;
 pub use succinct::{CompressedCsr, EliasFano};

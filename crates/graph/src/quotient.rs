@@ -4,21 +4,28 @@
 //! The paper defines one framework — a query preserving compression
 //! `⟨R, F, P⟩` whose `R` quotients `G` by an equivalence relation — and
 //! instantiates it twice (reachability equivalence, bisimilarity). Its two
-//! maintainers are the same three steps: normalise `ΔG`, find the classes
-//! the batch can have disturbed by walking cones over the *old* quotient,
-//! and recompute the relation locally on a **hybrid graph** (affected
-//! classes exploded into their members, every other class kept as one
-//! atom), splicing the result back under **stable** class ids.
+//! maintainers are the same four steps: normalise `ΔG`; **locate** the
+//! classes the batch can have disturbed by walking cones over the *old*
+//! quotient; **cut** them into units — the sets of nodes that provably
+//! stay together; **regroup** the units, with the unaffected classes as
+//! they are, into the new classes; and **splice** the groups back under
+//! **stable** class ids.
 //!
 //! [`IncrementalQuotient`] is those steps, once. Everything that depends on
 //! *which* relation is maintained is an item of the [`Equivalence`] trait,
 //! and every such item is a fact about the relation (what a class carries,
 //! whether ancestors matter, how to partition a graph) — never about the
-//! caller. `qpgc_reach::incremental::IncrementalReach` and
+//! caller. The regroup every relation has is the relation's own batch
+//! kernel run on a **hybrid graph** (one atom per unaffected class plus the
+//! units — [`IncrementalQuotient::regroup_hybrid`]); a relation that can
+//! name the new classes without a node per unaffected class passes its
+//! shortcut to [`IncrementalQuotient::apply_effective`] instead.
+//! `qpgc_reach::incremental::IncrementalReach` and
 //! `qpgc_pattern::incremental::IncrementalPattern` wrap one instantiation
-//! each and add only what genuinely differs (redundant-insertion reduction
-//! and the transitively reduced export on one side; the label interner and
-//! member-list export on the other).
+//! each and add only what genuinely differs (redundant-insertion reduction,
+//! the held closure it regroups against and the transitively reduced
+//! export on one side; the label interner and member-list export on the
+//! other).
 //!
 //! ## Determinism
 //!
@@ -28,13 +35,63 @@
 //! maintained state is therefore hash-free: the class-level edges live in
 //! per-id **rows** (`out_rows[c]` — `(target, count)` pairs, `in_rows[c]` —
 //! sources), every row sorted ascending by class id, and every scratch
-//! table of a maintenance step (cone marks, atom and hybrid-node lookups,
+//! table of a maintenance step (cone marks, unit and atom lookups,
 //! retirements, births) is a vector indexed by class or node id. Whatever
-//! feeds an id — the affected classes, the hybrid graph's node order and
-//! edge set, retirements, the LIFO free-id stack — is read off those
-//! vectors in ascending id order, so there is no iteration order to leak
-//! (`qpgc_lint`'s `deterministic-iteration` rule audits this file and
-//! finds nothing to allow).
+//! feeds an id — the affected classes, the units and the order of the
+//! groups a regroup returns, retirements, the LIFO free-id stack — is read
+//! off those vectors in ascending id order, so there is no iteration order
+//! to leak (`qpgc_lint`'s `deterministic-iteration` rule audits this file
+//! and finds nothing to allow). Units are numbered by (class id, first
+//! member) and a group is spliced where the batch kernel's first-seen
+//! numbering would meet its first node — the atom of the class it absorbs,
+//! else its first unit — so a step hands out the same ids whichever regroup
+//! ran, and the same ids as when every affected member was a hybrid node of
+//! its own.
+//!
+//! ## Why the cut is sound
+//!
+//! Write `T` for the classes that reach the class of an update's source
+//! and `B` for those reached from the class of an update's target, both
+//! over the old quotient and including the end classes (`B` is empty for a
+//! relation that is not [`Equivalence::ANCESTOR_SENSITIVE`]); `A` for the
+//! members of `T ∪ B` — the affected nodes — and `U` for the rest; `G′` for
+//! the updated graph. For reachability equivalence (bisimilarity has the
+//! downward halves):
+//!
+//! **L1 (frozen cones).** `x ∈ U` ⇒ `desc′(x) = desc(x)` and
+//! `anc′(x) = anc(x)` as node sets. A path from `x` that exists on one side
+//! of the batch only has a first changed edge `(u, w)`, and `x` reaches `u`
+//! by old edges: `x ∈ T`. So an unaffected class survives, unaffected
+//! classes stay pairwise inequivalent, and whatever described the cones of
+//! an unaffected class before the batch — its atom's edges in a hybrid
+//! graph, its row in a closure — describes them after it. (Over old class
+//! ids, an affected id in such a description stands for *all* of the old
+//! class: old-equivalent nodes share their ancestors.)
+//!
+//! **L2 (no mixed SCC).** A strongly connected component of `G′` lies
+//! inside one unaffected class or inside `A`: if `x ∈ U` and `y ∈ A` reach
+//! each other then `y ∉ T` (else `x ∈ T`), so `desc′(y) = desc(y)`, they
+//! were mutually reachable before and shared an old class. Cycles are
+//! therefore found by condensing the units alone.
+//!
+//! **L3 (units — what cannot split is not exploded).** (a) A *cyclic*
+//! affected class none of whose internal edges the batch deletes is still
+//! strongly connected (paths between members of an SCC stay inside it): it
+//! is kept whole, one unit, scanned for its outside edges only. (b) Read a
+//! neighbour as its class id if that class is unaffected or kept whole —
+//! reach one of its members and you reach them all — and as the node
+//! itself otherwise. Members of one exploded class with the same out- and
+//! the same in-neighbour sets under that reading have the same cones in
+//! `G′`: one unit, and the first member's adjacency speaks for it (for
+//! bisimilarity: same label — they shared a class — and out-neighbours
+//! only). On `churn_wikitalk` two classes of 969 (cyclic) and ≈ 600
+//! (acyclic) members are affected by every batch: 1 553 affected members
+//! a batch are 164 units for 151 classes.
+//!
+//! Mapping a node to its unit, or to the atom of its unaffected class,
+//! therefore preserves the relation, which is why the hybrid regroup is
+//! exact; `qpgc_reach::closure` continues with L4 and L5, which replace the
+//! atoms by closure rows.
 //!
 //! ## Cost
 //!
@@ -43,21 +100,23 @@
 //! and the stable exports all read them in place. A step updates them in
 //! `O(deg)` per retired or born class — a retired class is unlinked from
 //! its neighbours' rows, a born class's rows are rebuilt from its members'
-//! adjacency — so bookkeeping is paid for the affected region, not for
-//! `|Er|`.
+//! adjacency — so locate, cut and splice are paid for the affected region
+//! (the adjacency of its members), not for `|Er|`.
 //!
-//! The recomputation is not: the hybrid graph has a node for **every** live
-//! class (an atom, or its exploded members), so a step costs one pass over
-//! all rows to collect it, one counting-sort bulk load
-//! ([`CsrGraph::from_edges`]) to freeze it, and one run of
-//! [`Equivalence::partition`] on `|Vr| + |AFF members|` nodes — for
-//! reachability equivalence a closure, `O(|Vr|²/w)`, however small the
-//! batch. The hybrid graph is built once, directly in the form the kernel
-//! sweeps (no mutable adjacency in between, no second freeze), and the
-//! kernel's member lists are read as they are when the state is patched.
-//! Bounding the hybrid graph by the affected region instead needs an
-//! argument for which unaffected classes an exploded member can still
-//! merge with; that is open.
+//! The regroup is what differs. On the hybrid graph it costs one pass over
+//! all rows to collect the atoms' edges, one counting-sort bulk load
+//! ([`CsrGraph::from_edges`]) and one run of [`Equivalence::partition`] on
+//! `|Vr| − |AFF| + #units` nodes — for reachability equivalence a closure,
+//! `O(|Vr|²/w)`, however small the batch. That is the path of bisimilarity
+//! (which has no closure to read) and of a reachability quotient too large
+//! to hold its closure in one column chunk. Below that size `incRCM`
+//! regroups against the closure of the old quotient instead: `Σ` over the
+//! units of their distinct unaffected neighbours `× id_space/64` words, plus
+//! one pass over a popcount table — no node for any unaffected class
+//! ([`IncStats::hybrid_nodes`] is then the unit count). What stays
+//! independent of the batch there is keeping the closure current: one
+//! descendant and one ancestor sweep of the new quotient per step, which
+//! the publication that follows no longer runs for itself.
 
 use std::fmt::Debug;
 
@@ -139,9 +198,11 @@ pub struct IncStats {
     pub affected_classes: usize,
     /// Number of original nodes inside affected classes.
     pub affected_nodes: usize,
-    /// Number of nodes of the hybrid graph the localized recomputation ran
-    /// on: one atom per unaffected live class plus every exploded member
-    /// (`0` when the step recomputed nothing).
+    /// Number of nodes of the graph the step regrouped on (`0` when it
+    /// recomputed nothing): on the hybrid path one atom per unaffected live
+    /// class plus one node per unit of the [`Cut`]; the units alone when the
+    /// relation regrouped them without the hybrid graph (`incRCM` against
+    /// its held closure). The name predates the second path.
     pub hybrid_nodes: usize,
     /// Number of classes created or rewritten by this step (a proxy for
     /// `|ΔGr|`).
@@ -165,22 +226,160 @@ impl std::ops::Add for IncStats {
     }
 }
 
-/// A node of the hybrid graph: a whole unaffected class, or one member of
-/// an exploded (affected) class.
-#[derive(Clone, Copy)]
-enum Unit {
-    Atom(u32),
-    Member(NodeId),
+/// The affected region of one maintenance step, cut into **units**: the
+/// sets of nodes the step already knows to stay together (lemma L3 of the
+/// module header). A unit is a cyclic affected class the batch deletes no
+/// internal edge of (*kept whole*), or the members of one exploded affected
+/// class that share their out- and in-neighbourhoods. Units are numbered
+/// by (class id, first member); the units of one class are contiguous.
+///
+/// The cut also carries the unit graph a regroup runs on: the edges between
+/// units, and per unit the *unaffected* classes it has an edge to and from
+/// — read off the adjacency of one member per unit (every member of a
+/// class kept whole).
+#[derive(Clone, Debug)]
+pub struct Cut {
+    /// Membership table of the affected classes, by (old) class id.
+    is_affected: Vec<bool>,
+    /// The affected classes, ascending.
+    affected: Vec<u32>,
+    /// `units_of_class[c]` — the units of class `c`, as a range of unit ids
+    /// (empty at unaffected ids).
+    units_of_class: Vec<(u32, u32)>,
+    /// The class each unit was cut from.
+    class_of_unit: Vec<u32>,
+    /// CSR offsets into `member_list`, one range per unit.
+    member_offsets: Vec<u32>,
+    /// Members of every unit, ascending within the unit.
+    member_list: Vec<NodeId>,
+    /// The edges between units, duplicates and self loops included; a unit
+    /// kept whole has a self loop.
+    edges: Vec<(u32, u32)>,
+    /// CSR offsets into `out_classes` / `in_classes`, one range per unit.
+    out_offsets: Vec<u32>,
+    in_offsets: Vec<u32>,
+    /// Per unit, ascending: the unaffected classes it has an edge to …
+    out_classes: Vec<u32>,
+    /// … and, for an [`Equivalence::ANCESTOR_SENSITIVE`] relation, from.
+    in_classes: Vec<u32>,
 }
 
-impl Unit {
-    fn is_atom(self) -> bool {
-        matches!(self, Unit::Atom(_))
+impl Cut {
+    /// Size of the (pre-step) stable id space the cut was taken over.
+    pub fn id_space(&self) -> usize {
+        self.is_affected.len()
+    }
+
+    /// Number of units.
+    pub fn unit_count(&self) -> usize {
+        self.class_of_unit.len()
+    }
+
+    /// The affected classes, ascending.
+    pub fn affected(&self) -> &[u32] {
+        &self.affected
+    }
+
+    /// Whether class `c` is affected.
+    pub fn is_affected(&self, c: u32) -> bool {
+        self.is_affected[c as usize]
+    }
+
+    /// The units class `c` was cut into (empty for an unaffected class).
+    pub fn units_of_class(&self, c: u32) -> std::ops::Range<usize> {
+        let (lo, hi) = self.units_of_class[c as usize];
+        lo as usize..hi as usize
+    }
+
+    /// The affected class unit `u` was cut from.
+    pub fn class_of_unit(&self, u: usize) -> u32 {
+        self.class_of_unit[u]
+    }
+
+    /// Members of unit `u`, ascending.
+    pub fn members(&self, u: usize) -> &[NodeId] {
+        &self.member_list[self.member_offsets[u] as usize..self.member_offsets[u + 1] as usize]
+    }
+
+    /// The edges between units (duplicates and self loops included).
+    pub fn edges(&self) -> &[(u32, u32)] {
+        &self.edges
+    }
+
+    /// The unaffected classes unit `u` has an edge to, ascending.
+    pub fn out_classes(&self, u: usize) -> &[u32] {
+        &self.out_classes[self.out_offsets[u] as usize..self.out_offsets[u + 1] as usize]
+    }
+
+    /// The unaffected classes with an edge to unit `u`, ascending (empty
+    /// unless the relation is [`Equivalence::ANCESTOR_SENSITIVE`]).
+    pub fn in_classes(&self, u: usize) -> &[u32] {
+        &self.in_classes[self.in_offsets[u] as usize..self.in_offsets[u + 1] as usize]
     }
 }
 
-/// Marks a class that is exploded into its members (or not live) in the
-/// per-step class → hybrid-atom table.
+/// One rebuilt class as a regroup returns it: the units it is made of and,
+/// at most, one unaffected class that joins them.
+#[derive(Clone, Debug)]
+pub struct Group<C> {
+    /// The units of the group, ascending.
+    pub units: Vec<u32>,
+    /// The unaffected class whose members the group absorbs (which is
+    /// thereby retired), if any.
+    pub absorbs: Option<u32>,
+    /// The relation's payload of the rebuilt class.
+    pub class: C,
+}
+
+/// What a regroup hands back to [`IncrementalQuotient::apply_effective`].
+#[derive(Clone, Debug)]
+pub struct Regrouped<C> {
+    /// Number of nodes of the graph the relation was recomputed on
+    /// ([`IncStats::hybrid_nodes`]).
+    pub nodes: usize,
+    /// The rebuilt classes **in splice order** — the order stable ids are
+    /// handed out in: groups that absorb an unaffected class first,
+    /// ascending by that class's id, then the others by first unit.
+    pub groups: Vec<Group<C>>,
+}
+
+/// The neighbourhood of one proto-unit (an exploded member, or a class kept
+/// whole) as sorted token runs in a shared buffer: `start..mid` its
+/// out-neighbours, `mid..end` its in-neighbours. `hash` folds both runs: it
+/// orders proto-units so that equal neighbourhoods end up adjacent without
+/// comparing token runs that differ — only an order to sort by, equality is
+/// decided on the runs themselves.
+struct Span {
+    first: NodeId,
+    start: usize,
+    mid: usize,
+    end: usize,
+    hash: u64,
+}
+
+/// An FxHash-style multiply–rotate fold of two token runs.
+fn fold_tokens(out: &[u32], inn: &[u32]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let fold = |h: u64, &t: &u32| (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(K);
+    let h = out.iter().fold(out.len() as u64, fold);
+    inn.iter().fold(h.rotate_left(32), fold)
+}
+
+/// Sorts `tokens[from..]` and squeezes its duplicates out.
+fn seal(tokens: &mut Vec<u32>, from: usize) {
+    tokens[from..].sort_unstable();
+    let mut kept = from;
+    for i in from..tokens.len() {
+        if i == from || tokens[i] != tokens[kept - 1] {
+            tokens[kept] = tokens[i];
+            kept += 1;
+        }
+    }
+    tokens.truncate(kept);
+}
+
+/// Marks a class that is affected (or not live) in the per-step class →
+/// hybrid-atom table.
 const NO_ATOM: u32 = u32::MAX;
 
 /// An incrementally maintained quotient of a data graph by the relation
@@ -208,11 +407,11 @@ pub struct IncrementalQuotient<E: Equivalence> {
     /// `in_rows[c]` — the sources of the class edges into `c`, ascending:
     /// the mirror of `out_rows`.
     in_rows: Vec<Vec<u32>>,
-    /// Scratch of [`IncrementalQuotient::recompute`]: the hybrid node of
-    /// each exploded member. Meaningful only during a step, and only for
-    /// members of that step's affected classes; kept across steps so a
-    /// step allocates nothing of size `|V|`.
-    hybrid_of_node: Vec<u32>,
+    /// Scratch of [`IncrementalQuotient::cut`]: the unit of each exploded
+    /// member. Meaningful only during a step, and only for members of that
+    /// step's exploded classes; kept across steps so a step allocates
+    /// nothing of size `|V|`.
+    unit_of_node: Vec<u32>,
     /// Worker count handed to the partition kernel (`0` = available
     /// parallelism). Kernel output is bit-identical at every value.
     threads: usize,
@@ -225,7 +424,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let partition = E::partition(&g.freeze(), threads);
         let classes = partition.members.len();
         let mut q = IncrementalQuotient {
-            hybrid_of_node: vec![0; partition.class_of.len()],
+            unit_of_node: vec![0; partition.class_of.len()],
             class_of: partition.class_of,
             members: partition.members,
             payload: partition.payload,
@@ -328,16 +527,26 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     }
 
     /// Maintains the quotient across the effective edge updates `updates`,
-    /// which have **already been applied** to `g`: locates the affected
-    /// classes over the class-level edges of the *old* quotient — the
-    /// ancestors of every update source's class and, when the relation is
-    /// [`Equivalence::ANCESTOR_SENSITIVE`], the descendants of every
-    /// target's class — and recomputes the relation inside that region.
+    /// which have **already been applied** to `g` (an update whose edge `g`
+    /// holds is an insertion, any other a deletion), in four steps:
+    ///
+    /// 1. *locate* the affected classes over the class-level edges of the
+    ///    **old** quotient — the ancestors of every update source's class
+    ///    and, when the relation is [`Equivalence::ANCESTOR_SENSITIVE`],
+    ///    the descendants of every target's class;
+    /// 2. *cut* them into units ([`Cut`]);
+    /// 3. *regroup*: `regroup` says which units, and which unaffected
+    ///    class if any, make up each rebuilt class —
+    ///    [`IncrementalQuotient::regroup_hybrid`] for any relation, or a
+    ///    relation's own shortcut to the same answer in the same order;
+    /// 4. *splice* the groups back under stable ids.
+    ///
     /// With no update nothing is recomputed and the delta is empty.
     pub fn apply_effective(
         &mut self,
         g: &LabeledGraph,
         updates: &[(NodeId, NodeId)],
+        regroup: impl FnOnce(&Self, &LabeledGraph, &Cut) -> Regrouped<E::Class>,
     ) -> (IncStats, PartitionDelta) {
         if updates.is_empty() {
             let delta = PartitionDelta {
@@ -363,53 +572,226 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 .sum(),
             ..IncStats::default()
         };
-        let (hybrid_nodes, delta) = self.recompute(g, &affected, is_affected);
-        stats.hybrid_nodes = hybrid_nodes;
+        let cut = self.cut(g, updates, is_affected, affected);
+        let regrouped = regroup(self, g, &cut);
+        stats.hybrid_nodes = regrouped.nodes;
+        let delta = self.splice(g, cut, regrouped.groups);
         stats.changed_classes = delta.added.len();
         (stats, delta)
     }
 
-    /// Rebuilds the relation inside the affected region (`affected`,
-    /// ascending, with `is_affected` its membership table) and patches the
-    /// state. Returns the hybrid graph's node count and the structured
-    /// delta of retired and created classes.
-    fn recompute(
+    /// Cuts the affected classes (`affected`, ascending, with `is_affected`
+    /// its membership table) into units — lemma L3 of the module header.
+    fn cut(
         &mut self,
         g: &LabeledGraph,
-        affected: &[u32],
+        updates: &[(NodeId, NodeId)],
         is_affected: Vec<bool>,
-    ) -> (usize, PartitionDelta) {
-        // ---- Build the hybrid graph. -------------------------------------
-        // Hybrid node ids (and through them the ids handed out for the
-        // rebuilt classes) follow class id order: one atom per unaffected
-        // live class, then the members of the affected classes.
-        // It is collected as a label column and an edge list and frozen
-        // straight into the CSR the kernel sweeps.
-        let mut labels: Vec<Label> = Vec::new();
-        let mut units: Vec<Unit> = Vec::new();
-        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-        let mut atom_of_class = vec![NO_ATOM; self.id_space()];
-        for c in 0..self.id_space() {
-            if !self.active[c] || is_affected[c] {
+        affected: Vec<u32>,
+    ) -> Cut {
+        let ids = self.id_space();
+        // L3(a): a cyclic class stays whole unless the batch deletes one of
+        // its internal edges.
+        let mut kept_whole = vec![false; ids];
+        for &c in &affected {
+            kept_whole[c as usize] = E::cyclic(self.payload[c as usize]);
+        }
+        for &(a, b) in updates {
+            let c = self.class_of(a);
+            if c == self.class_of(b) && !g.has_edge(a, b) {
+                kept_whole[c as usize] = false;
+            }
+        }
+
+        // A neighbour reads as its class where the class moves as one (it
+        // is unaffected, or kept whole) and as itself otherwise; node
+        // tokens lie past the class ids.
+        let class_of = &self.class_of;
+        let token = |w: &NodeId| {
+            let c = class_of[w.index()];
+            if is_affected[c as usize] && !kept_whole[c as usize] {
+                ids as u32 + w.0
+            } else {
+                c
+            }
+        };
+        let mut tokens: Vec<u32> = Vec::new();
+        let mut spans: Vec<Span> = Vec::new();
+        // The proto-units of class `affected[i]` are `spans[first_span[i]..
+        // first_span[i + 1]]`.
+        let mut first_span: Vec<usize> = Vec::with_capacity(affected.len() + 1);
+        // One proto-unit: `proto`'s out- and in-neighbourhoods, less the
+        // class `inside` the proto-unit itself is.
+        let mut scan = |proto: &[NodeId], inside: Option<u32>| {
+            let outside = |t: &u32| Some(*t) != inside;
+            let start = tokens.len();
+            for &v in proto {
+                tokens.extend(g.out_neighbors(v).iter().map(token).filter(outside));
+            }
+            seal(&mut tokens, start);
+            let mid = tokens.len();
+            if E::ANCESTOR_SENSITIVE {
+                for &v in proto {
+                    tokens.extend(g.in_neighbors(v).iter().map(token).filter(outside));
+                }
+                seal(&mut tokens, mid);
+            }
+            Span {
+                first: proto[0],
+                start,
+                mid,
+                end: tokens.len(),
+                hash: fold_tokens(&tokens[start..mid], &tokens[mid..]),
+            }
+        };
+        for &c in &affected {
+            first_span.push(spans.len());
+            let members = &self.members[c as usize];
+            if kept_whole[c as usize] {
+                // Its internal edges say only that it is cyclic.
+                spans.push(scan(members, Some(c)));
+            } else {
+                spans.extend(members.chunks(1).map(|v| scan(v, None)));
+            }
+        }
+        first_span.push(spans.len());
+
+        // L3(b): proto-units of one class with equal neighbourhoods are one
+        // unit. Taking the members in ascending order and opening a unit
+        // where a neighbourhood is first seen numbers the units by their
+        // first members.
+        let same = |i: usize, j: usize| {
+            let (a, b) = (&spans[i], &spans[j]);
+            a.hash == b.hash
+                && a.mid - a.start == b.mid - b.start
+                && tokens[a.start..a.end] == tokens[b.start..b.end]
+        };
+        let mut cut = Cut {
+            units_of_class: vec![(0, 0); ids],
+            class_of_unit: Vec::new(),
+            member_offsets: vec![0],
+            member_list: Vec::new(),
+            edges: Vec::new(),
+            out_offsets: vec![0],
+            in_offsets: vec![0],
+            out_classes: Vec::new(),
+            in_classes: Vec::new(),
+            is_affected,
+            affected,
+        };
+        // The span that speaks for each unit, and the unit of each span.
+        let mut speaker: Vec<usize> = Vec::new();
+        let mut unit_of_span = vec![0u32; spans.len()];
+        // Open addressing with linear probing over one class's units (as in
+        // the reachability kernel's refinement): a slot holds a unit id
+        // + 1, `0` marks it free; the hash picks the slot, the token runs
+        // decide.
+        let mut slots: Vec<u32> = Vec::new();
+        for (i, &c) in cut.affected.iter().enumerate() {
+            let class_spans = first_span[i]..first_span[i + 1];
+            let first_unit = speaker.len();
+            let mask = (2 * class_spans.len()).next_power_of_two() - 1;
+            slots.clear();
+            slots.resize(mask + 1, 0);
+            for j in class_spans.clone() {
+                let mut at = (spans[j].hash >> 32) as usize & mask;
+                unit_of_span[j] = loop {
+                    match slots[at].checked_sub(1) {
+                        None => {
+                            slots[at] = speaker.len() as u32 + 1;
+                            speaker.push(j);
+                            cut.class_of_unit.push(c);
+                            break speaker.len() as u32 - 1;
+                        }
+                        Some(unit) if same(speaker[unit as usize], j) => break unit,
+                        Some(_) => at = (at + 1) & mask,
+                    }
+                };
+            }
+            cut.units_of_class[c as usize] = (first_unit as u32, speaker.len() as u32);
+            if kept_whole[c as usize] {
+                let unit = first_unit as u32;
+                cut.member_list.extend(&self.members[c as usize]);
+                cut.member_offsets.push(cut.member_list.len() as u32);
+                cut.edges.push((unit, unit));
                 continue;
             }
-            let h = NodeId::new(units.len());
-            labels.push(E::class_label(self.payload[c]));
-            units.push(Unit::Atom(c as u32));
+            // The members, grouped by unit: a counting sort.
+            let base = cut.member_list.len() as u32;
+            cut.member_offsets.resize(speaker.len() + 1, base);
+            for j in class_spans.clone() {
+                cut.member_offsets[unit_of_span[j] as usize + 1] += 1;
+            }
+            for unit in first_unit..speaker.len() {
+                cut.member_offsets[unit + 1] += cut.member_offsets[unit] - base;
+            }
+            cut.member_list
+                .resize(cut.member_list.len() + class_spans.len(), NodeId(0));
+            // `slots` is spent: it serves as the fill cursors.
+            slots.clear();
+            slots.extend(&cut.member_offsets[first_unit..speaker.len()]);
+            for j in class_spans {
+                let (unit, v) = (unit_of_span[j], spans[j].first);
+                let cursor = &mut slots[unit as usize - first_unit];
+                cut.member_list[*cursor as usize] = v;
+                *cursor += 1;
+                self.unit_of_node[v.index()] = unit;
+            }
+        }
+
+        // The unit graph, from each unit's speaker.
+        for (unit, &i) in speaker.iter().enumerate() {
+            let unit = unit as u32;
+            let s = &spans[i];
+            for &t in &tokens[s.start..s.mid] {
+                if t as usize >= ids {
+                    let w = self.unit_of_node[t as usize - ids];
+                    cut.edges.push((unit, w));
+                } else if cut.is_affected[t as usize] {
+                    cut.edges.push((unit, cut.units_of_class[t as usize].0));
+                } else {
+                    cut.out_classes.push(t);
+                }
+            }
+            // An edge from another unit is that unit's out-edge.
+            for &t in &tokens[s.mid..s.end] {
+                if (t as usize) < ids && !cut.is_affected[t as usize] {
+                    cut.in_classes.push(t);
+                }
+            }
+            cut.out_offsets.push(cut.out_classes.len() as u32);
+            cut.in_offsets.push(cut.in_classes.len() as u32);
+        }
+        cut
+    }
+
+    /// The regroup every relation has: runs the batch kernel
+    /// ([`Equivalence::partition`]) on the **hybrid graph** — one atom per
+    /// unaffected live class (a cyclic atom gets a self loop), wired by the
+    /// rows, plus the unit graph of `cut`, each unit labelled like its
+    /// first member. Mapping a node to its atom or unit preserves the
+    /// relation, so the kernel's groups are the new classes; its
+    /// first-seen numbering — atoms before units, both ascending — is the
+    /// splice order, and a lone atom is an unchanged class.
+    pub fn regroup_hybrid(&self, g: &LabeledGraph, cut: &Cut) -> Regrouped<E::Class> {
+        let mut labels: Vec<Label> = Vec::new();
+        let mut class_of_atom: Vec<u32> = Vec::new();
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut atom_of_class = vec![NO_ATOM; self.id_space()];
+        for c in (0..self.id_space()).filter(|&c| self.active[c] && !cut.is_affected[c]) {
+            let h = NodeId::new(labels.len());
             atom_of_class[c] = h.0;
+            labels.push(E::class_label(self.payload[c]));
+            class_of_atom.push(c as u32);
             if E::cyclic(self.payload[c]) {
                 // A cyclic class reaches itself via non-empty paths; the self
                 // loop keeps that visible to the equivalence computation.
                 edges.push((h, h));
             }
         }
-        for &c in affected {
-            for &v in &self.members[c as usize] {
-                self.hybrid_of_node[v.index()] = units.len() as u32;
-                labels.push(E::node_label(g, v));
-                units.push(Unit::Member(v));
-            }
-        }
+        let atoms = labels.len();
+        let unit_node = |u: u32| NodeId::new(atoms + u as usize);
+        labels.extend((0..cut.unit_count()).map(|u| E::node_label(g, cut.members(u)[0])));
 
         // Edges between unaffected classes are their rows (self entries
         // included, where the relation keeps them).
@@ -425,82 +807,77 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 }
             }
         }
-        // Edges incident to affected members come from the (already updated)
-        // data graph adjacency of exactly those members.
-        for &c in affected {
-            for &v in &self.members[c as usize] {
-                let hv = NodeId(self.hybrid_of_node[v.index()]);
-                for &w in g.out_neighbors(v) {
-                    let hw = match atom_of_class[self.class_of(w) as usize] {
-                        NO_ATOM => self.hybrid_of_node[w.index()],
-                        atom => atom,
-                    };
-                    edges.push((hv, NodeId(hw)));
-                }
-                // A relation that only looks downward has no unaffected class
-                // with an edge into an affected one (the affected set is closed
-                // under ancestors), so its in-edges need no handling.
-                if E::ANCESTOR_SENSITIVE {
-                    for &z in g.in_neighbors(v) {
-                        let hz = atom_of_class[self.class_of(z) as usize];
-                        if hz != NO_ATOM {
-                            edges.push((NodeId(hz), hv));
-                        }
-                    }
-                }
-            }
+        edges.extend(cut.edges.iter().map(|&(u, w)| (unit_node(u), unit_node(w))));
+        for u in 0..cut.unit_count() {
+            let hu = unit_node(u as u32);
+            let atom = |&c: &u32| NodeId(atom_of_class[c as usize]);
+            edges.extend(cut.out_classes(u).iter().map(|c| (hu, atom(c))));
+            edges.extend(cut.in_classes(u).iter().map(|c| (atom(c), hu)));
         }
-        // Several member edges can land on one atom pair: the bulk load
-        // sorts and deduplicates once.
+        // Several edges can land on one pair: the bulk load sorts and
+        // deduplicates once.
         let hybrid = CsrGraph::from_edges(labels, LabelInterner::new(), edges);
-
-        // ---- Recompute the equivalence on the hybrid graph. --------------
         let part = E::partition(&hybrid, self.threads);
 
-        // A new class is the units behind its hybrid nodes; a lone atom is
-        // an unchanged class and keeps its identity.
-        let unit = |h: &NodeId| units[h.index()];
-        let unchanged = |group: &[NodeId]| group.len() == 1 && unit(&group[0]).is_atom();
-
-        // ---- Patch the maintained state. ----------------------------------
-        // Classes whose composition changes: all affected classes, plus any
-        // unaffected atom that merges with something else.
-        let mut is_retired = is_affected;
-        for group in part.members.iter().filter(|group| !unchanged(group)) {
-            for h in group {
-                if let Unit::Atom(c) = unit(h) {
-                    is_retired[c as usize] = true;
-                }
-            }
-        }
-
-        // Pass A: collect the member sets of every changed group *before*
-        // any class id is retired or recycled (absorbed atoms hand over
-        // their member lists wholesale here).
-        let mut pending: Vec<(Vec<NodeId>, E::Class)> = Vec::new();
-        for (group, &class) in part.members.iter().zip(&part.payload) {
-            if unchanged(group) {
+        let mut groups = Vec::new();
+        for (nodes, &class) in part.members.iter().zip(&part.payload) {
+            // Unaffected classes stay pairwise inequivalent (L1), and the
+            // atoms come first.
+            debug_assert!(nodes[1..].iter().all(|h| h.index() >= atoms));
+            let absorbs = (nodes[0].index() < atoms).then(|| class_of_atom[nodes[0].index()]);
+            if absorbs.is_some() && nodes.len() == 1 {
                 continue;
             }
-            let mut member_nodes: Vec<NodeId> = Vec::new();
-            for h in group {
-                match unit(h) {
-                    Unit::Member(v) => member_nodes.push(v),
-                    // The atom's previous members move wholesale.
-                    Unit::Atom(c) => {
-                        member_nodes.extend(std::mem::take(&mut self.members[c as usize]))
-                    }
-                }
+            groups.push(Group {
+                units: nodes[usize::from(absorbs.is_some())..]
+                    .iter()
+                    .map(|h| (h.index() - atoms) as u32)
+                    .collect(),
+                absorbs,
+                class,
+            });
+        }
+        Regrouped {
+            nodes: hybrid.node_count(),
+            groups,
+        }
+    }
+
+    /// Retires the affected and the absorbed classes and creates one class
+    /// per group, in the order given. Returns the structured delta of
+    /// retired and created classes.
+    fn splice(
+        &mut self,
+        g: &LabeledGraph,
+        cut: Cut,
+        groups: Vec<Group<E::Class>>,
+    ) -> PartitionDelta {
+        // Pass A: collect the member sets of every group *before* any class
+        // id is retired or recycled (an absorbed class hands over its
+        // member list wholesale here).
+        let mut pending: Vec<(Vec<NodeId>, E::Class)> = Vec::new();
+        for group in &groups {
+            let mut member_nodes: Vec<NodeId> = match group.absorbs {
+                Some(c) => std::mem::take(&mut self.members[c as usize]),
+                None => Vec::new(),
+            };
+            for &u in &group.units {
+                member_nodes.extend(cut.members(u as usize));
             }
             member_nodes.sort_unstable();
-            pending.push((member_nodes, class));
+            pending.push((member_nodes, group.class));
         }
 
-        // Pass B: retire changed classes and unlink them from the rows of
-        // the classes that stay; their edges are rebuilt below from the
-        // adjacency of the new classes' members. Retiring in ascending id
-        // order keeps the free-id stack — and hence the ids recycled by
-        // Pass C — fully deterministic.
+        // Pass B: retire changed classes — all affected ones, plus any
+        // unaffected class that merges with something — and unlink them
+        // from the rows of the classes that stay; their edges are rebuilt
+        // below from the adjacency of the new classes' members. Retiring in
+        // ascending id order keeps the free-id stack — and hence the ids
+        // recycled by Pass C — fully deterministic.
+        let mut is_retired = cut.is_affected;
+        for c in groups.iter().filter_map(|group| group.absorbs) {
+            is_retired[c as usize] = true;
+        }
         let removed = marked(&is_retired);
         for &c in &removed {
             self.unlink(c, &is_retired);
@@ -541,12 +918,11 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         self.live += new_ids.len();
         self.link(g, &new_ids);
 
-        let delta = PartitionDelta {
+        PartitionDelta {
             removed,
             added: births,
             id_space: self.members.len(),
-        };
-        (units.len(), delta)
+        }
     }
 
     /// Empties the rows of the retiring class `c` and removes `c` from the

@@ -1,21 +1,17 @@
-//! Rank functions over graphs (Section 5 of the paper).
+//! The bisimulation rank function (Section 5.2 of the paper).
 //!
-//! Two ranks are defined:
+//! The **bisimulation rank** `rb(v)` (following Dovier–Piazza–Policriti):
+//! `rb(v) = 0` for leaves, `rb(v) = −∞` for nodes whose SCC has no outgoing
+//! condensation edge but which still have children (i.e. nodes that can
+//! only reach cycles), and otherwise the maximum over children of
+//! `rb(c)+1` for well-founded children and `rb(c)` for non-well-founded
+//! children. Lemma 9 states bisimilar nodes have equal `rb`, which the
+//! rank-stratified bisimulation refinement relies on.
 //!
-//! * The **topological rank** `r(v)` (Section 5.1): `r(v) = 0` if `v` has no
-//!   child, nodes in the same SCC share a rank, and otherwise
-//!   `r(v) = max(r(child)) + 1`. Lemma 7 states that reachability-equivalent
-//!   nodes have equal topological rank — the incremental reachability
-//!   algorithm uses this to split classes cheaply.
-//!
-//! * The **bisimulation rank** `rb(v)` (Section 5.2, following
-//!   Dovier–Piazza–Policriti): `rb(v) = 0` for leaves, `rb(v) = −∞` for
-//!   nodes whose SCC has no outgoing condensation edge but which still have
-//!   children (i.e. nodes that can only reach cycles), and otherwise the
-//!   maximum over children of `rb(c)+1` for well-founded children and
-//!   `rb(c)` for non-well-founded children. Lemma 9 states bisimilar nodes
-//!   have equal `rb`, which both the rank-stratified bisimulation refinement
-//!   and `incPCM` rely on.
+//! (The paper's other rank, the topological rank `r(v)` of Section 5.1, is
+//! how its `incRCM` sketch locates the affected area; this implementation
+//! locates it by cone walks over the maintained class-level rows and
+//! regroups against closure rows — `quotient.rs` — and computes no `r`.)
 //!
 //! The **well-founded set** `WF` is the set of nodes that cannot reach any
 //! cycle; `NWF = V \ WF`.
@@ -41,43 +37,6 @@ impl BisimRank {
             BisimRank::Finite(k) => BisimRank::Finite(k + 1),
         }
     }
-}
-
-/// Topological ranks of all nodes, plus the condensation used to compute
-/// them.
-#[derive(Clone, Debug)]
-pub struct TopoRanks {
-    /// `rank[v]` is `r(v)`.
-    pub rank: Vec<u32>,
-    /// Largest rank present (0 for an empty graph).
-    pub max_rank: u32,
-}
-
-/// Computes the topological rank `r(v)` of every node of `g`.
-pub fn topological_ranks<G: GraphView>(g: &G, cond: &Condensation) -> TopoRanks {
-    let c = cond.component_count();
-    // Process components in topological order of the condensation *reversed*
-    // (sinks first), accumulating max(child rank) + 1.
-    let mut comp_rank = vec![0u32; c];
-    // Tarjan numbering: edges go from higher ids to lower ids, so iterating
-    // ids in increasing order visits children before parents.
-    for cu in 0..c as u32 {
-        let mut r = 0u32;
-        let mut has_child = false;
-        for &cw in cond.scc_out(cu) {
-            has_child = true;
-            r = r.max(comp_rank[cw as usize] + 1);
-        }
-        comp_rank[cu as usize] = if has_child { r } else { 0 };
-    }
-    let mut rank = vec![0u32; g.node_count()];
-    let mut max_rank = 0;
-    for v in g.nodes() {
-        let r = comp_rank[cond.component_of(v) as usize];
-        rank[v.index()] = r;
-        max_rank = max_rank.max(r);
-    }
-    TopoRanks { rank, max_rank }
 }
 
 /// Bisimulation ranks of all nodes plus the WF/NWF split.
@@ -204,9 +163,8 @@ mod tests {
     use super::*;
     use crate::graph::LabeledGraph;
 
-    fn ranks_of(g: &LabeledGraph) -> (TopoRanks, BisimRanks) {
-        let cond = Condensation::of(g);
-        (topological_ranks(g, &cond), bisim_ranks(g, &cond))
+    fn ranks_of(g: &LabeledGraph) -> BisimRanks {
+        bisim_ranks(g, &Condensation::of(g))
     }
 
     #[test]
@@ -217,9 +175,7 @@ mod tests {
         for i in 0..3 {
             g.add_edge(n[i], n[i + 1]);
         }
-        let (t, b) = ranks_of(&g);
-        assert_eq!(t.rank, vec![3, 2, 1, 0]);
-        assert_eq!(t.max_rank, 3);
+        let b = ranks_of(&g);
         assert_eq!(
             b.rank,
             vec![
@@ -234,29 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn scc_members_share_topological_rank() {
-        // cycle {0,1,2} -> 3
-        let mut g = LabeledGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node_with_label("X")).collect();
-        g.add_edge(n[0], n[1]);
-        g.add_edge(n[1], n[2]);
-        g.add_edge(n[2], n[0]);
-        g.add_edge(n[2], n[3]);
-        let (t, _) = ranks_of(&g);
-        assert_eq!(t.rank[n[0].index()], t.rank[n[1].index()]);
-        assert_eq!(t.rank[n[0].index()], t.rank[n[2].index()]);
-        assert_eq!(t.rank[n[3].index()], 0);
-        assert_eq!(t.rank[n[0].index()], 1);
-    }
-
-    #[test]
     fn pure_cycle_has_neg_infinity_rank() {
         // 0 <-> 1, both only see the cycle.
         let mut g = LabeledGraph::new();
         let n: Vec<_> = (0..2).map(|_| g.add_node_with_label("X")).collect();
         g.add_edge(n[0], n[1]);
         g.add_edge(n[1], n[0]);
-        let (_, b) = ranks_of(&g);
+        let b = ranks_of(&g);
         assert_eq!(b.rank[0], BisimRank::NegInfinity);
         assert_eq!(b.rank[1], BisimRank::NegInfinity);
         assert!(!b.well_founded[0]);
@@ -271,7 +211,7 @@ mod tests {
         g.add_edge(n[1], n[0]);
         g.add_edge(n[2], n[0]);
         g.add_edge(n[2], n[3]);
-        let (_, b) = ranks_of(&g);
+        let b = ranks_of(&g);
         // Node 2 reaches a leaf (finite rank 0, WF) and a cycle (−∞, NWF):
         // rb(2) = max(0 + 1, −∞) = 1.
         assert_eq!(b.rank[n[2].index()], BisimRank::Finite(1));
@@ -285,7 +225,7 @@ mod tests {
         let mut g = LabeledGraph::new();
         let a = g.add_node_with_label("A");
         g.add_edge(a, a);
-        let (_, b) = ranks_of(&g);
+        let b = ranks_of(&g);
         assert_eq!(b.rank[a.index()], BisimRank::NegInfinity);
         assert!(!b.well_founded[a.index()]);
     }
@@ -294,8 +234,7 @@ mod tests {
     fn isolated_node_rank_zero() {
         let mut g = LabeledGraph::new();
         let a = g.add_node_with_label("A");
-        let (t, b) = ranks_of(&g);
-        assert_eq!(t.rank[a.index()], 0);
+        let b = ranks_of(&g);
         assert_eq!(b.rank[a.index()], BisimRank::Finite(0));
         assert!(b.well_founded[a.index()]);
     }
@@ -331,15 +270,14 @@ mod tests {
     #[test]
     fn lemma7_style_sanity_on_diamond() {
         // Diamond: 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3. Nodes 1 and 2 are
-        // reachability equivalent and must have equal topological rank.
+        // bisimilar (one label) and must have equal rank.
         let mut g = LabeledGraph::new();
         let n: Vec<_> = (0..4).map(|_| g.add_node_with_label("X")).collect();
         g.add_edge(n[0], n[1]);
         g.add_edge(n[0], n[2]);
         g.add_edge(n[1], n[3]);
         g.add_edge(n[2], n[3]);
-        let (t, b) = ranks_of(&g);
-        assert_eq!(t.rank[n[1].index()], t.rank[n[2].index()]);
+        let b = ranks_of(&g);
         assert_eq!(b.rank[n[1].index()], b.rank[n[2].index()]);
     }
 }

@@ -3,9 +3,8 @@
 //! The paper uses the SCC graph in two places: as a pre-pass that shrinks
 //! the input of `compressR` without losing reachability (Section 3.2,
 //! "Optimizations", and the `RCscc` column of Table 1), and as the basis of
-//! the topological / bisimulation rank functions that drive the incremental
-//! algorithms (Section 5). We implement Tarjan's algorithm iteratively so
-//! deep graphs cannot overflow the call stack.
+//! the bisimulation rank function of Section 5.2. We implement Tarjan's
+//! algorithm iteratively so deep graphs cannot overflow the call stack.
 
 use crate::csr::csr_from_grouped;
 use crate::graph::LabeledGraph;

@@ -23,10 +23,14 @@ use crate::Finding;
 pub const RULE: &str = "deterministic-iteration";
 
 /// The incremental-maintenance modules whose iteration order feeds stable
-/// class ids: the shared skeleton (class table, cone walks, hybrid-graph
-/// recomputation) and the two maintainers instantiating it.
+/// class ids: the shared skeleton (class table, cone walks, the cut into
+/// units, the hybrid-graph regroup, the splice), the closure regroup (the
+/// order of the groups it returns is the order ids are handed out in,
+/// exactly as hybrid node order is) and the two maintainers instantiating
+/// the skeleton.
 const SCOPE_SUFFIXES: &[&str] = &[
     "graph/src/quotient.rs",
+    "reachability/src/closure.rs",
     "reachability/src/incremental.rs",
     "pattern/src/incremental.rs",
 ];

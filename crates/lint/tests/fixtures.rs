@@ -56,6 +56,12 @@ fn determinism_flags_unsorted_hash_iteration_in_scope() {
         [
             // The shared skeleton is in scope too: the rule fires there.
             ("deterministic-iteration", "crates/graph/src/quotient.rs", 9),
+            // So is the closure regroup: its group order feeds stable ids.
+            (
+                "deterministic-iteration",
+                "crates/reachability/src/closure.rs",
+                6
+            ),
             (
                 "deterministic-iteration",
                 "crates/reachability/src/incremental.rs",

@@ -17,13 +17,18 @@
 //!    ancestor cone of `[u]` in the compressed graph (Lemma 9's rank
 //!    argument is the same observation phrased through `rb`). The union of
 //!    those cones over the batch is `AFF`.
-//! 2. **Hybrid graph.** Explode the affected classes into their member
-//!    nodes; keep every unaffected class as a single *atom* labelled with
-//!    the class label, connected by the maintained class-level edges
+//! 2. **Hybrid graph.** Cut the affected classes into *units* — members
+//!    of one class with the same out-neighbours, a neighbour read as its
+//!    class where that class is unaffected (they shared a label already,
+//!    so they stay bisimilar; [`qpgc_graph::quotient`], lemma L3) — and
+//!    keep every unaffected class as a single *atom* labelled with the
+//!    class label, connected by the maintained class-level edges
 //!    (including self loops). The mapping "unaffected node ↦ its atom,
-//!    affected node ↦ itself" is a functional bisimulation from `G ⊕ ΔG`
-//!    to this hybrid graph, so running the ordinary bisimulation partition
-//!    on the hybrid graph yields exactly the new equivalence classes.
+//!    affected node ↦ its unit" is a functional bisimulation from
+//!    `G ⊕ ΔG` to this hybrid graph, so running the ordinary bisimulation
+//!    partition on the hybrid graph yields exactly the new equivalence
+//!    classes. (Bisimilarity has no closure to read the unaffected side
+//!    off, so unlike `incRCM` this is its only regroup.)
 //! 3. **Patch.** Unchanged atoms keep their identity; every other group
 //!    becomes a (re)built class, and the class-level edge counters incident
 //!    to rebuilt classes are refreshed from the adjacency of their members.
@@ -216,7 +221,9 @@ impl IncrementalPattern {
         norm: &UpdateBatch,
     ) -> (IncStats, PartitionDelta) {
         let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
-        let step = self.q.apply_effective(g, &edges);
+        let step = self
+            .q
+            .apply_effective(g, &edges, IncrementalQuotient::regroup_hybrid);
         debug_assert_eq!(self.check_invariants(g), Ok(()));
         step
     }
@@ -424,7 +431,9 @@ mod tests {
     }
 
     /// `hybrid_nodes` is filled on this side too: atoms of the unaffected
-    /// classes plus the exploded ancestor cone of the update sources.
+    /// classes plus the units of the exploded ancestor cone of the update
+    /// sources — one per member here, where the update tells the two
+    /// members of its class apart.
     #[test]
     fn hybrid_nodes_counts_atoms_plus_exploded_members() {
         // Classes {A}, {B1,B2}, {C1,C2}, {D}.
@@ -447,6 +456,32 @@ mod tests {
         assert_eq!(
             stats.hybrid_nodes,
             stats.affected_nodes + classes_before - stats.affected_classes
+        );
+    }
+
+    /// Members of an exploded class with the same out-neighbours — read as
+    /// classes where those are unaffected — are one unit of the hybrid
+    /// graph, and stay one class.
+    #[test]
+    fn twins_of_an_exploded_class_are_one_hybrid_node() {
+        // Classes {A}, {B1,B2,B3}, {C1,C2,C3}, {D}; B3 → D tells B3 apart.
+        let mut g = graph(
+            &["A", "B", "B", "B", "C", "C", "C", "D"],
+            &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)],
+        );
+        let mut inc = IncrementalPattern::new(&g);
+        assert_eq!(inc.class_count(), 4);
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(3), NodeId(7));
+        let stats = inc.apply(&mut g, &batch);
+        assert_eq!((stats.affected_classes, stats.affected_nodes), (2, 4));
+        // Atoms {C*}, {D}; units {A}, {B1,B2}, {B3}.
+        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(2)));
+        assert_ne!(inc.class_of(NodeId(1)), inc.class_of(NodeId(3)));
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_b(&g).partition.canonical()
         );
     }
 

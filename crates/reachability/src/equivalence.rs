@@ -66,7 +66,7 @@ struct Block {
 /// The word hash that picks a refinement key's bucket (an FxHash-style
 /// multiply–rotate fold). Only a bucket choice: equality is always decided
 /// on the rows themselves.
-fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
+pub(crate) fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     desc.iter()
         .chain(anc)
@@ -88,7 +88,7 @@ fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
 /// block of its own by construction and gets a fresh id without its rows
 /// being looked at; an acyclic SCC's signature must *not* hold its own
 /// column, which is exactly how the condensation's rows already read.
-fn refine_chunk(
+pub(crate) fn refine_chunk(
     desc: &BitMatrix,
     anc: &BitMatrix,
     cyclic_scc: &[bool],

@@ -24,48 +24,70 @@
 //!    `[u]` or are reachable from `[w]` (plus the endpoint classes
 //!    themselves). The union over the batch is the affected class set `AFF`,
 //!    computed by two multi-source BFS traversals over the compressed graph.
-//! 3. **Localized recomputation** — build a *hybrid graph* whose nodes are
-//!    the members of affected classes (exploded) plus one atom per
-//!    unaffected class (cyclic atoms get a self loop), and whose edges are
-//!    the compressed inter-class edges between unaffected classes plus the
-//!    real adjacency of affected members. The reachability equivalence of
-//!    the hybrid graph, computed by the very same routine as the batch
-//!    algorithm, is exactly the new equivalence restricted to the affected
-//!    region; unaffected classes that come out untouched keep their
-//!    identity.
+//! 3. **Localized recomputation** — cut the affected classes into *units*
+//!    (a cyclic class that loses no internal edge stays whole; members of
+//!    one class with the same neighbourhoods are one unit — lemmas L1–L3 in
+//!    [`qpgc_graph::quotient`]) and regroup them **against the closure of
+//!    the old compression**, which this maintainer holds
+//!    ([`QuotientClosure`]): the unit graph is condensed, each component's
+//!    descendant and ancestor signature is the union of the closure rows
+//!    of its unaffected neighbour classes and of its child (parent)
+//!    components, equal signatures are one new class, and a group joins an
+//!    unaffected class iff its two rows are that class's rows (lemmas L4
+//!    and L5 in [`crate::closure`]). An unaffected class keeps its
+//!    identity and is never a node of anything. A compression too large to
+//!    hold its closure in one column chunk ([`DEFAULT_CHUNK`] ids) falls
+//!    back to the *hybrid graph*: the units plus one atom per unaffected
+//!    class (cyclic atoms get a self loop), wired by the compressed edges,
+//!    partitioned by the very same routine as the batch algorithm.
 //! 4. **Patch the state** — splice the new classes into the node → class
-//!    index and rebuild the inter-class edge counters incident to them.
+//!    index and rebuild the inter-class edge counters incident to them;
+//!    then sweep the closure of the new compression, for the publication
+//!    that follows and for the next batch's step 3.
 //!
 //! ## Cost
 //!
-//! A step pays for the affected region, not for `|ΔG| × |Er|`, everywhere
-//! but in step 3. The compressed edges are kept as sorted per-class rows
+//! Steps 1–3 and the splice pay for the affected region, not for
+//! `|ΔG| × |Er|`. The compressed edges are kept as sorted per-class rows
 //! ([`IncrementalQuotient`]) that every part of the step reads in place:
-//! the redundancy rule of step 1 is one early-exit walk over the rows per
+//! the redundancy rule of step 1 is one bit of the held closure per
 //! insertion, and runs only when its answer can be used (an insertion-only
-//! batch); step 2 is two walks bounded by the cones they return; step 4
-//! unlinks each retired class from, and links each born class into, its
-//! neighbours' rows in time proportional to their degrees.
+//! batch); step 2 is two walks bounded by the cones they return; step 3
+//! reads the adjacency of one member per unit (all members of a class kept
+//! whole) and or-s, per unit, the closure rows of its distinct unaffected
+//! neighbours — `Σ_units |unaffected neighbours| × id_space/64` words —
+//! then condenses and refines a graph of units and passes once over the
+//! popcount table for the absorption candidates; the splice unlinks each
+//! retired class from, and links each born class into, its neighbours'
+//! rows in time proportional to their degrees. On the benchmark's streams
+//! the graph step 3 works on shrinks from `|Vr|` nodes to the units: 1 166
+//! → 40 a batch on `dense_cithepth`, 2 859 → 165 on `churn_wikitalk`.
 //!
-//! Step 3 is proportional to `|Gr|`: the hybrid graph has one atom per
-//! unaffected class, and the kernel
-//! ([`reachability_partition_threads`](crate::equivalence::reachability_partition_threads))
-//! condenses it, sweeps a descendant and an ancestor closure over the
-//! condensation and refines on the rows —
-//! `O((|AFF members| + |Vr|)²/w + edges incident to affected members)`
-//! whatever `|ΔG|` is. It pays that once: the hybrid graph is frozen into
-//! one CSR, the condensation's arrays are the ones swept, each sweep fills
-//! one flat bit matrix, and nothing is copied to be compared. The bound is
-//! independent of `|G|` and in the spirit of the paper's
-//! `O(|AFF| · |Gr|)` (the problem itself is unbounded — Theorem 6 — so no
-//! algorithm can depend on `|ΔG| + |ΔGr|` alone); making the hybrid graph
-//! itself `|AFF|`-sized is ROADMAP item 1 and open.
+//! What is still independent of `|ΔG|` is the sweep that ends step 4: one
+//! descendant and one ancestor closure of the whole new compression,
+//! `O(|Er| · id_space/64)` words each — the sweeps a publication used to
+//! run for itself, now run once and shared (so the *sum* of maintenance
+//! and publication fell, while this step's own clock holds sweeps it did
+//! not hold before). The next lever is to re-sweep only the rows a batch
+//! can have changed — the descendant rows of `T` and the ancestor rows of
+//! `B`; every other row is frozen by L1, up to the renumbering of the
+//! affected columns. The closure is resident: `2 · id_space²/8` bytes per
+//! maintainer, at most 4 MiB. Past one column chunk nothing is held, step
+//! 3 runs the kernel
+//! ([`reachability_partition_threads`]) on the hybrid graph —
+//! `O((#units + |Vr|)²/w)` whatever `|ΔG|` is — and the publication sweeps
+//! for itself in chunks. Either bound is independent of `|G|` and in the
+//! spirit of the paper's `O(|AFF| · |Gr|)` (the problem itself is
+//! unbounded — Theorem 6 — so no algorithm can depend on `|ΔG| + |ΔGr|`
+//! alone).
 
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
+use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::transitive::transitive_reduction;
 use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
+use crate::closure::QuotientClosure;
 use crate::compress::ReachCompression;
 use crate::equivalence::{reachability_partition_threads, ReachPartition};
 
@@ -153,11 +175,16 @@ impl Equivalence for ReachEquivalence {
 /// Incrementally maintained reachability-preserving compression: the
 /// shared [`IncrementalQuotient`] skeleton instantiated with
 /// [`ReachEquivalence`], plus what only this side has — the
-/// redundant-insertion reduction, class-level reachability queries, and
-/// the transitively reduced export.
+/// redundant-insertion reduction, class-level reachability queries, the
+/// transitively reduced export, and the closure of the current quotient.
 #[derive(Clone, Debug)]
 pub struct IncrementalReach {
     q: IncrementalQuotient<ReachEquivalence>,
+    /// The closure of `q`'s class-level edges, held exactly while the id
+    /// space fits one column chunk ([`DEFAULT_CHUNK`]): swept at
+    /// construction and after every step that changed a class, read by
+    /// the publication in between and by the next step's regroup.
+    closure: Option<QuotientClosure>,
 }
 
 impl IncrementalReach {
@@ -170,12 +197,33 @@ impl IncrementalReach {
     /// [`IncrementalReach::new`] with an explicit worker count for the
     /// closure sweeps, remembered for later localized recomputes. The
     /// partition (and hence stable-id assignment) is bit-identical at every
-    /// thread count — see
-    /// [`reachability_partition_threads`](crate::equivalence::reachability_partition_threads).
+    /// thread count — see [`reachability_partition_threads`].
     pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
-        IncrementalReach {
+        let mut inc = IncrementalReach {
             q: IncrementalQuotient::new(g, threads),
+            closure: None,
+        };
+        inc.refresh_closure();
+        inc
+    }
+
+    /// Sweeps the closure of the current quotient. The matrices of the
+    /// previous one are dropped first: the sweep is served from their
+    /// buffers.
+    fn refresh_closure(&mut self) {
+        self.closure = None;
+        if self.q.id_space() <= DEFAULT_CHUNK {
+            let swept = QuotientClosure::sweep(self.q.id_space(), self.q.sorted_edges());
+            self.closure = Some(swept);
         }
+    }
+
+    /// The closure of the current quotient — descendant and ancestor rows
+    /// over stable ids, the transitively reduced edges, the rows'
+    /// popcounts — when the id space fits one column chunk; a publication
+    /// builds from it instead of sweeping.
+    pub fn closure(&self) -> Option<&QuotientClosure> {
+        self.closure.as_ref()
     }
 
     /// Number of active equivalence classes (`|Vr|`).
@@ -198,13 +246,25 @@ impl IncrementalReach {
     /// applied to; see [`IncrementalQuotient::check_invariants`]. The
     /// class-level edges may lag `g` by insertions dropped as redundant,
     /// i.e. by edges between classes the tracked edges already connect.
+    /// The closure must be held iff the id space fits one column chunk,
+    /// and be the closure of the rows as they stand
+    /// ([`QuotientClosure::check`]).
     pub fn check_invariants(&self, g: &LabeledGraph) -> Result<(), String> {
+        let ids = self.q.id_space();
+        match &self.closure {
+            Some(held) => held.check(ids, self.q.sorted_edges())?,
+            None if ids <= DEFAULT_CHUNK => {
+                return Err(format!("no closure is held over {ids} ids"));
+            }
+            None => {}
+        }
         self.q
             .check_invariants(g, |from, to| self.class_reaches(from, to))
     }
 
     /// Answers the reachability query `QR(v, w)` using only the compressed
-    /// state (a walk over the class-level rows).
+    /// state (one bit of the held closure, or a walk over the class-level
+    /// rows).
     pub fn query(&self, v: NodeId, w: NodeId) -> bool {
         if v == w {
             return true;
@@ -218,8 +278,12 @@ impl IncrementalReach {
     }
 
     /// Whether class `from` reaches class `to` by a non-empty path of
-    /// class-level edges; stops at the first row that mentions `to`.
+    /// class-level edges: a bit of the held closure, or else a walk that
+    /// stops at the first row that mentions `to`.
     fn class_reaches(&self, from: u32, to: u32) -> bool {
+        if let Some(held) = &self.closure {
+            return held.reaches(from, to);
+        }
         let mut visited = vec![false; self.q.id_space()];
         let mut stack = vec![from];
         visited[from as usize] = true;
@@ -296,10 +360,20 @@ impl IncrementalReach {
         }
 
         // Steps 2–4: affected classes = up-cone of the sources ∪ down-cone
-        // of the targets over the *old* compression, then the localized
-        // recomputation on the hybrid graph.
-        let (mut stats, delta) = self.q.apply_effective(g, &effective);
+        // of the targets over the *old* compression, cut into units and
+        // regrouped against the closure of that compression — or, past one
+        // column chunk, by the kernel on the hybrid graph.
+        let held = self.closure.as_ref();
+        let (mut stats, delta) = self
+            .q
+            .apply_effective(g, &effective, |q, g, cut| match held {
+                Some(held) => held.regroup(q.active(), q.payload(), cut),
+                None => q.regroup_hybrid(g, cut),
+            });
         stats.redundant_dropped = redundant_dropped;
+        if !delta.is_empty() {
+            self.refresh_closure();
+        }
         debug_assert_eq!(self.check_invariants(g), Ok(()));
         (stats, delta)
     }
@@ -475,27 +549,299 @@ mod tests {
         );
     }
 
-    /// `hybrid_nodes` is the real size of the hybrid graph: one atom per
-    /// unaffected live class plus every member of an affected class.
+    /// `hybrid_nodes` is the size of the graph the step regrouped on: the
+    /// units alone against a held closure, one atom per unaffected live
+    /// class plus the units on the hybrid path.
     #[test]
-    fn hybrid_nodes_counts_atoms_plus_exploded_members() {
+    fn hybrid_nodes_counts_units_and_on_the_hybrid_path_atoms() {
         // Diamond plus an isolated node: classes {0}, {1,2}, {3}, {4}.
-        let mut g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let mut inc = IncrementalReach::new(&g);
-        let classes_before = inc.class_count();
-        assert_eq!(classes_before, 4);
+        let g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(1), NodeId(4));
-        let stats = inc.apply(&mut g, &batch);
-        // Affected: ancestors of [1] = {0}, {1,2}; descendants of [4] = {4}.
-        assert_eq!(stats.affected_classes, 3);
-        assert_eq!(stats.affected_nodes, 4);
-        // Only {3} stays an atom.
-        assert_eq!(stats.hybrid_nodes, 5);
+        for denied in [false, true] {
+            let mut g = g.clone();
+            let mut inc = IncrementalReach::new(&g);
+            let classes_before = inc.class_count();
+            assert_eq!(classes_before, 4);
+            if denied {
+                inc.closure = None;
+            }
+            let stats = inc.apply(&mut g, &batch);
+            // Affected: ancestors of [1] = {0}, {1,2}; descendants of [4] = {4}.
+            assert_eq!(stats.affected_classes, 3);
+            assert_eq!(stats.affected_nodes, 4);
+            // 1 and 2 no longer share their out-neighbours: four units. Only
+            // {3} stays an atom.
+            let atoms = classes_before - stats.affected_classes;
+            let expected = if denied { 4 + atoms } else { 4 };
+            assert_eq!(stats.hybrid_nodes, expected, "denied {denied}");
+            assert!(denied || stats.hybrid_nodes <= stats.affected_nodes);
+        }
+    }
+
+    fn batch_of(spec: &[(u32, u32, bool)]) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        for &(u, v, insert) in spec {
+            if insert {
+                batch.insert(NodeId(u), NodeId(v));
+            } else {
+                batch.delete(NodeId(u), NodeId(v));
+            }
+        }
+        batch
+    }
+
+    /// One step down both paths — against the held closure, and on the
+    /// hybrid graph by a maintainer denied its closure: equal statistics
+    /// (but for the regrouped graph's size), equal deltas, equal state, and
+    /// both the compression and the BFS answers of the updated graph.
+    /// Returns the closure path's statistics and delta.
+    fn step_both_paths(
+        held: &mut IncrementalReach,
+        denied: &mut IncrementalReach,
+        g: &mut LabeledGraph,
+        batch: &UpdateBatch,
+    ) -> (IncStats, PartitionDelta) {
+        assert!(held.closure.is_some());
+        let norm = batch.normalized(g);
+        norm.apply_to(g);
+        let (stats, delta) = held.apply_normalized(g, &norm);
+        // A step that changes nothing sweeps nothing: it would leave the
+        // denied maintainer without the closure its invariants ask for.
+        if !delta.is_empty() {
+            denied.closure = None;
+        }
+        let (hybrid_stats, hybrid_delta) = denied.apply_normalized(g, &norm);
+        assert_eq!(delta, hybrid_delta);
         assert_eq!(
-            stats.hybrid_nodes,
-            stats.affected_nodes + classes_before - stats.affected_classes
+            IncStats {
+                hybrid_nodes: 0,
+                ..stats
+            },
+            IncStats {
+                hybrid_nodes: 0,
+                ..hybrid_stats
+            }
         );
+        assert!(stats.hybrid_nodes <= stats.affected_nodes);
+        let (a, b) = (held.stable_quotient(), denied.stable_quotient());
+        assert_eq!(a.class_of, b.class_of);
+        assert_eq!(a.active, b.active);
+        assert_eq!(a.edges, b.edges);
+        let live = |sq: &StableQuotient| -> Vec<bool> {
+            let flags = sq.cyclic.iter().zip(&sq.active);
+            flags.map(|(&cyclic, &active)| cyclic && active).collect()
+        };
+        assert_eq!(live(&a), live(&b));
+        assert_eq!(
+            held.to_compression().partition.canonical(),
+            compress_r(g).partition.canonical()
+        );
+        for v in g.nodes() {
+            for w in g.nodes() {
+                assert_eq!(held.query(v, w), bfs_reachable(g, v, w), "query ({v},{w})");
+            }
+        }
+        (stats, delta)
+    }
+
+    /// [`step_both_paths`] from a fresh pair of maintainers over `g`.
+    fn one_step(mut g: LabeledGraph, spec: &[(u32, u32, bool)]) -> (IncStats, PartitionDelta) {
+        let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
+        step_both_paths(&mut held, &mut denied, &mut g, &batch_of(spec))
+    }
+
+    /// The two regroups are one function: on seeded streams over random
+    /// digraphs with what the cut has special cases for — cycles, self
+    /// loops, twins — they give equal deltas and equal state at every
+    /// step, under mixed, insertion-only and deletion-only batches.
+    #[test]
+    fn closure_and_hybrid_paths_agree_on_seeded_streams() {
+        let mut rng = StdRng::seed_from_u64(0xC105);
+        for case in 0..36 {
+            let n = rng.gen_range(4..18usize);
+            let mut g = graph(n, &[]);
+            let node = |i: usize| NodeId(i as u32);
+            for _ in 0..rng.gen_range(0..2 * n) {
+                g.add_edge(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let v = node(rng.gen_range(0..n));
+                g.add_edge(v, v);
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let (u, v) = (node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+                g.add_edge(u, v);
+                g.add_edge(v, u);
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                let t = node(rng.gen_range(0..n));
+                let twin = g.add_node_with_label("X");
+                for w in g.out_neighbors(t).to_vec() {
+                    g.add_edge(twin, w);
+                }
+                for z in g.in_neighbors(t).to_vec() {
+                    g.add_edge(z, twin);
+                }
+            }
+            let n = g.node_count();
+            let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
+            for step in 0..6 {
+                // Cases take turns: mixed, insertions only, deletions only.
+                let insert_share = [0.5, 1.0, 0.0][case % 3];
+                let mut batch = UpdateBatch::new();
+                for _ in 0..rng.gen_range(1..6) {
+                    if rng.gen_bool(insert_share) {
+                        batch.insert(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+                    } else if g.edge_count() > 0 {
+                        let edges: Vec<_> = g.edges().collect();
+                        let (u, v) = edges[rng.gen_range(0..edges.len())];
+                        batch.delete(u, v);
+                    }
+                }
+                let (_, delta) = step_both_paths(&mut held, &mut denied, &mut g, &batch);
+                assert_eq!(delta.id_space, held.q.id_space(), "case {case} step {step}");
+            }
+        }
+    }
+
+    /// L5: the merge partner is far away — same ancestors, same
+    /// descendants, no common neighbour — and unaffected, so it has no node
+    /// in anything the step looks at; its two closure rows find it.
+    #[test]
+    fn far_away_merge_with_an_unaffected_class() {
+        // S = {0 ↔ 1}, T = {2 ↔ 3}; 0 → 4, and 1 → 5 → 3. Inserting 4 → 2
+        // makes 4 equivalent to 5, which neither reaches the batch nor is
+        // reached from it.
+        let g = graph(6, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (1, 5), (5, 3)]);
+        let far = IncrementalReach::new(&g).class_of(NodeId(5));
+        let (stats, delta) = one_step(g, &[(4, 2, true)]);
+        assert!(delta.removed.contains(&far), "the far class is absorbed");
+        assert!(delta
+            .added
+            .iter()
+            .any(|birth| birth.members == [NodeId(4), NodeId(5)]));
+        // S whole, {4}, T whole: no unit for the partner.
+        assert_eq!((stats.affected_classes, stats.hybrid_nodes), (3, 3));
+    }
+
+    /// L5, all-or-nothing: a unit whose cones match an unaffected class's
+    /// only if a *part* of an exploded old class is read as the whole class
+    /// must not merge with it.
+    #[test]
+    fn a_part_of_an_affected_class_is_not_the_class() {
+        // 0 → {1, 2} (one class, sinks); 3 isolated. Inserting 3 → 1 splits
+        // {1, 2}; afterwards 3 reaches 1 alone while 0 — unaffected, same
+        // ancestors (none) — reaches both.
+        let g = graph(4, &[(0, 1), (0, 2)]);
+        let parent = IncrementalReach::new(&g).class_of(NodeId(0));
+        let (_, delta) = one_step(g, &[(3, 1, true)]);
+        assert!(!delta.removed.contains(&parent));
+        assert!(delta.added.iter().all(|birth| birth.members.len() == 1));
+    }
+
+    /// L5 with empty rows: nodes a deletion strands join the class of the
+    /// isolated nodes, which no update touches.
+    #[test]
+    fn stranded_nodes_join_the_isolated_class() {
+        let g = graph(4, &[(0, 1)]);
+        let isolated = IncrementalReach::new(&g).class_of(NodeId(2));
+        let (_, delta) = one_step(g, &[(0, 1, false)]);
+        assert!(delta.removed.contains(&isolated));
+        let all: Vec<NodeId> = (0..4).map(NodeId).collect();
+        assert_eq!(delta.added.len(), 1);
+        assert_eq!(delta.added[0].members, all);
+    }
+
+    /// L3(a): a cyclic class with an incident update stays one unit; one
+    /// that loses an internal edge is exploded — and regroups as one class
+    /// if the edge was a chord, splits if it was a bridge.
+    #[test]
+    fn a_cyclic_class_is_one_unit_until_it_loses_an_internal_edge() {
+        // 0 → 1 → 2 → 0 with the chord 0 → 2, and a bystander 3.
+        let ring = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 2)]);
+        let (stats, _) = one_step(ring.clone(), &[(2, 3, true)]);
+        assert_eq!((stats.affected_nodes, stats.hybrid_nodes), (4, 2));
+
+        let (stats, delta) = one_step(ring.clone(), &[(0, 2, false)]);
+        assert_eq!(stats.hybrid_nodes, 3, "exploded into its members");
+        assert_eq!(delta.added.len(), 1, "and found strongly connected again");
+        assert!(delta.added[0].cyclic);
+
+        let (stats, delta) = one_step(ring, &[(1, 2, false)]);
+        assert_eq!(stats.hybrid_nodes, 3);
+        // 0 ↔ 2 is left; 1 hangs below it.
+        assert_eq!(delta.added.len(), 2);
+    }
+
+    /// L2/L4: an insertion closes a cycle through two affected classes —
+    /// one of them a class kept whole — and the units condense into it.
+    #[test]
+    fn a_new_cycle_through_two_affected_classes() {
+        let g = graph(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (4, 2)]);
+        let (_, delta) = one_step(g, &[(3, 0, true)]);
+        let scc: Vec<NodeId> = (0..4).map(NodeId).collect();
+        assert!(delta
+            .added
+            .iter()
+            .any(|birth| birth.cyclic && birth.members == scc));
+    }
+
+    /// L3(b): members of an exploded class with equal neighbourhoods are
+    /// one unit; a near-twin, one edge apart, is its own.
+    #[test]
+    fn twins_share_a_unit_and_near_twins_do_not() {
+        // 0 → {1, 2, 3} → 4: one class of three. Inserting 3 → 5 leaves 1
+        // and 2 twins.
+        let g = graph(6, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]);
+        let (stats, delta) = one_step(g, &[(3, 5, true)]);
+        // Affected: {0}, {1,2,3}, {5} — units {0}, {1,2}, {3}, {5}.
+        assert_eq!((stats.affected_nodes, stats.hybrid_nodes), (5, 4));
+        assert!(delta
+            .added
+            .iter()
+            .any(|birth| birth.members == [NodeId(1), NodeId(2)]));
+    }
+
+    /// Splice order: a group that absorbs an unaffected class is spliced
+    /// where the kernel's first-seen numbering would see that class's atom
+    /// — before every group of units — whether its id is below or above
+    /// every affected id. (`step_both_paths` holds the two deltas equal;
+    /// here the absorbing birth must come first.)
+    #[test]
+    fn an_absorbing_group_is_spliced_first_whatever_its_class_id() {
+        // Low id: the isolated class {0, 1} has the lowest id; deleting
+        // 2 → 3 strands both ends.
+        let g = graph(4, &[(2, 3)]);
+        let isolated = IncrementalReach::new(&g).class_of(NodeId(0));
+        let (_, delta) = one_step(g, &[(2, 3, false)]);
+        assert_eq!(isolated, 0);
+        assert!(delta.added[0].members.contains(&NodeId(0)));
+
+        // High id: the isolated class {4, 5} has the highest.
+        let g = graph(6, &[(0, 1), (2, 3)]);
+        let isolated = IncrementalReach::new(&g).class_of(NodeId(4));
+        let (_, delta) = one_step(g, &[(0, 1, false)]);
+        assert!(delta.removed.iter().all(|&c| c <= isolated));
+        assert!(delta.added[0].members.contains(&NodeId(4)));
+        assert_eq!(delta.added.len(), 1);
+    }
+
+    /// The invariant check knows the closure: it rejects a stale one (the
+    /// closure of the quotient before the last step) and a missing one.
+    #[test]
+    fn check_invariants_rejects_a_stale_or_missing_closure() {
+        let mut g = graph(4, &[(0, 1), (1, 2)]);
+        let mut inc = IncrementalReach::new(&g);
+        let before = inc.closure.clone();
+        inc.apply(&mut g, &batch_of(&[(2, 3, true)]));
+        assert_eq!(inc.check_invariants(&g), Ok(()));
+        let fresh = std::mem::replace(&mut inc.closure, before);
+        assert!(inc.check_invariants(&g).is_err(), "stale closure passed");
+        inc.closure = None;
+        assert!(inc.check_invariants(&g).is_err(), "missing closure passed");
+        inc.closure = fresh;
+        assert_eq!(inc.check_invariants(&g), Ok(()));
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! * [`incremental`] — `incRCM` (Fig. 8): incremental maintenance of the
 //!   compression under batch edge updates, touching only the compressed
 //!   graph, the update batch, and the adjacency of affected nodes.
+//! * [`closure`] — the closure of the maintained quotient, swept once per
+//!   batch: what a step regroups its affected units against and what the
+//!   publication after it builds from.
 //!
 //! ## Example
 //!
@@ -52,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod aho;
+pub mod closure;
 pub mod compress;
 pub mod equivalence;
 pub mod incremental;

@@ -470,8 +470,7 @@ mod tests {
             let v = ((s >> 33) % 40) as u32;
             g.add_edge(NodeId(u), NodeId(v));
         }
-        let sq = IncrementalReach::new(&g).stable_quotient();
-        Snapshot::build(7, sq, None, &StoreConfig::default())
+        Snapshot::build(7, &IncrementalReach::new(&g), None, &StoreConfig::default())
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The immutable, versioned view served to readers, built by
-//! [`Snapshot::build`] from the maintainer's stable-id export.
+//! [`Snapshot::build`] from the maintainer's stable-id state.
 //!
 //! ## Stable class ids
 //!
 //! Snapshots index every per-class structure (quotient CSR rows, cyclic
 //! flags, 2-hop landmark ranks) by the maintainer's *stable* class ids
-//! ([`StableQuotient`]), not by densely renumbered ones. Retired ids stay
+//! ([`StableQuotient`](qpgc_reach::incremental::StableQuotient)), not by
+//! densely renumbered ones. Retired ids stay
 //! behind as isolated rows (never referenced by the node → class index), so
 //! `Gr`'s `node_count` is the id-space size while [`Snapshot::class_count`]
 //! counts live classes.
@@ -16,16 +17,19 @@
 //! — and with it every structure here — unchanged, so the store
 //! republishes the previous snapshot under the new version
 //! ([`Snapshot::republish`], a handful of `Arc` bumps). Every other batch
-//! builds: transitive reduction of the exported quotient, CSR, and (when
-//! configured) the 2-hop index over it. The reduction sweeps the
-//! descendant closure of the quotient; up to [`DEFAULT_CHUNK`] classes that
-//! is one matrix, and the index — landmark order and labels — is read off
-//! it and its transpose with no traversal
-//! ([`TwoHopIndex::from_closure`]). A larger quotient is swept in column
-//! chunks, which yield the counts that order the landmarks, and labelled
-//! by pruned BFS passes ([`TwoHopIndex::build_in_order`]). The pattern side
-//! follows the same rule one level up: the store hands in either the
-//! previous snapshot's [`PatternView`] `Arc` or a freshly built one.
+//! builds: transitive reduction of the maintainer's quotient, CSR, and
+//! (when configured) the 2-hop index over it. Up to [`DEFAULT_CHUNK`]
+//! classes a build **sweeps nothing**: the maintainer holds the closure of
+//! its quotient — it swept it at the end of the step, because the next
+//! step regroups against it — and hands over the kept edges, the popcounts
+//! that order the landmarks, and the two matrices, which the labelling
+//! strikes on scratch copies with no traversal
+//! ([`TwoHopIndex::from_closure`]). A larger quotient has no held closure:
+//! it is reduced here in column chunks, which yield the counts that order
+//! the landmarks, and labelled by pruned BFS passes
+//! ([`TwoHopIndex::build_in_order`]). The pattern side follows the same
+//! rule one level up: the store hands in either the previous snapshot's
+//! [`PatternView`] `Arc` or a freshly built one.
 
 use qpgc_graph::ids::LabelInterner;
 use qpgc_graph::reach_sets::{DagReach, ReachCounts, DEFAULT_CHUNK};
@@ -36,7 +40,7 @@ use std::sync::Arc;
 use qpgc_graph::{CompressedCsr, CsrGraph, NodeId};
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
 use qpgc_pattern::view::PatternView;
-use qpgc_reach::incremental::StableQuotient;
+use qpgc_reach::incremental::IncrementalReach;
 use qpgc_reach::two_hop::{landmark_order, TwoHopIndex};
 
 use crate::store::StoreConfig;
@@ -178,59 +182,67 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Builds a snapshot out of the stable-id state exported by the
-    /// maintenance façades (consumed: the node index moves into the
-    /// snapshot): the unreduced quotient edge list is transitively reduced
-    /// over a [`DagReach`] and frozen into CSR, and the optional 2-hop index
-    /// is built over that CSR quotient — from the closure the reduction
-    /// swept (reduction removes no path, and `Gr` is a DAG, so it is the
-    /// closure [`TwoHopIndex::build_with`] would sweep for again, and the
-    /// index comes out equal to that one's): the whole matrix when one
-    /// column chunk held it, its counts otherwise. Without an index the
-    /// rows are dropped as the reduction hands them out.
+    /// Builds a snapshot out of the maintainer's stable-id state: the
+    /// transitive reduction of its quotient frozen into CSR and, when
+    /// configured, the 2-hop index over that quotient.
+    ///
+    /// While the maintainer holds the closure of its quotient
+    /// ([`IncrementalReach::closure`], up to [`DEFAULT_CHUNK`] ids) nothing
+    /// is swept here: the CSR is loaded from the kept edges, the landmark
+    /// order comes from the rows' popcounts, and the labels are struck out
+    /// of scratch copies of the two matrices
+    /// ([`TwoHopIndex::from_closure`]). Past one chunk the unreduced edge
+    /// list is reduced over a [`DagReach`] in column chunks, whose rows
+    /// yield the counts that order the landmarks as the reduction hands
+    /// them out, and the index is built by pruned BFS passes. Either way
+    /// it is the closure [`TwoHopIndex::build_with`] would sweep for again
+    /// (reduction removes no path, and `Gr` is a DAG), and the index comes
+    /// out equal to that one's.
     pub(crate) fn build(
         version: u64,
-        sq: StableQuotient,
+        reach: &IncrementalReach,
         pattern: Option<Arc<PatternView>>,
         config: &StoreConfig,
     ) -> Snapshot {
+        let sq = reach.stable_quotient();
         let id_space = sq.id_space();
         let live_classes = sq.class_count();
-        let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
-            .expect("the quotient of the reachability equivalence relation is a DAG");
         let indexed = config.two_hop.is_some();
-        let one_chunk = id_space <= DEFAULT_CHUNK;
-        let mut closure = None;
-        let mut counts = ReachCounts::new(if indexed && !one_chunk { id_space } else { 0 });
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |cols, desc| {
-            match (indexed, one_chunk) {
-                (false, _) => {}
-                (true, true) => closure = Some(desc),
-                (true, false) => counts.absorb(&cols, &desc, |_| 1),
+        let quotient = |kept: Vec<(NodeId, NodeId)>| {
+            let mut interner = LabelInterner::new();
+            let sigma = interner.intern("σ");
+            CsrGraph::from_edges(vec![sigma; id_space], interner, kept)
+        };
+        let (gr, two_hop) = match reach.closure() {
+            Some(held) => {
+                let gr = quotient(held.kept().to_vec());
+                let two_hop = indexed.then(|| {
+                    let order = landmark_order(&gr, |v| held.counts(v));
+                    let (desc, anc) = held.matrices();
+                    TwoHopIndex::from_closure(order, desc, anc)
+                });
+                (gr, two_hop)
             }
-        });
-        let mut interner = LabelInterner::new();
-        let sigma = interner.intern("σ");
-        let gr = CsrGraph::from_edges(vec![sigma; id_space], interner, kept);
-        let two_hop = indexed.then(|| {
-            Arc::new(if one_chunk {
-                // An empty quotient has no chunk for the reduction to sweep.
-                let desc = closure.unwrap_or_else(|| dag.full_descendants());
-                let anc = dag.full_ancestors();
-                let order = landmark_order(&gr, |v| {
-                    (
-                        anc.count_ones(v.index()) as u64,
-                        desc.count_ones(v.index()) as u64,
-                    )
+            None => {
+                let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
+                    .expect("the quotient of the reachability equivalence relation is a DAG");
+                let mut counts = ReachCounts::new(if indexed { id_space } else { 0 });
+                let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |cols, desc| {
+                    if indexed {
+                        counts.absorb(&cols, &desc, |_| 1);
+                    }
                 });
-                TwoHopIndex::from_closure(order, desc, anc)
-            } else {
-                let order = landmark_order(&gr, |v| {
-                    (counts.ancestors[v.index()], counts.descendants[v.index()])
+                let gr = quotient(kept);
+                let two_hop = indexed.then(|| {
+                    let order = landmark_order(&gr, |v| {
+                        (counts.ancestors[v.index()], counts.descendants[v.index()])
+                    });
+                    TwoHopIndex::build_in_order(&gr, order)
                 });
-                TwoHopIndex::build_in_order(&gr, order)
-            })
-        });
+                (gr, two_hop)
+            }
+        };
+        let two_hop = two_hop.map(Arc::new);
         let gr = match config.snapshot_format {
             SnapshotFormat::Plain => QuotientCsr::Plain(Arc::new(gr)),
             SnapshotFormat::Succinct => {
@@ -496,7 +508,6 @@ mod tests {
     use super::*;
     use qpgc_graph::LabeledGraph;
     use qpgc_pattern::incremental::IncrementalPattern;
-    use qpgc_reach::incremental::IncrementalReach;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -516,7 +527,7 @@ mod tests {
     }
 
     fn build(g: &LabeledGraph, config: &StoreConfig) -> Snapshot {
-        Snapshot::build(0, IncrementalReach::new(g).stable_quotient(), None, config)
+        Snapshot::build(0, &IncrementalReach::new(g), None, config)
     }
 
     #[test]
@@ -564,6 +575,53 @@ mod tests {
                 snap.two_hop().unwrap(),
                 &TwoHopIndex::build(snap.compressed_graph()),
                 "{n} rows"
+            );
+        }
+    }
+
+    /// The same boundary for maintenance: at `DEFAULT_CHUNK` classes a step
+    /// regroups against the held closure, one class more and it runs the
+    /// kernel on the hybrid graph — the same batch down either path ends
+    /// at the compression of the updated graph, and the publication after
+    /// it (built from the closure, or by its own chunked sweep) holds.
+    #[test]
+    fn both_sides_of_the_chunk_boundary_maintain_the_same_compression() {
+        use qpgc_graph::UpdateBatch;
+        let indexed = StoreConfig::builder().two_hop(Default::default()).build();
+        for n in [DEFAULT_CHUNK, DEFAULT_CHUNK + 1] {
+            let mut g = LabeledGraph::new();
+            for _ in 0..n {
+                g.add_node_with_label("X");
+            }
+            for v in (1..n as u32).filter(|v| v % 16 != 0) {
+                g.add_edge(NodeId(v - 1), NodeId(v));
+            }
+            let mut inc = IncrementalReach::new(&g);
+            assert_eq!(inc.class_count(), n);
+            assert_eq!(inc.closure().is_some(), n <= DEFAULT_CHUNK);
+            // Join two chains, cut a third, close a cycle on a fourth.
+            let mut batch = UpdateBatch::new();
+            batch.insert(NodeId(15), NodeId(16));
+            batch.delete(NodeId(40), NodeId(41));
+            batch.insert(NodeId(63), NodeId(48));
+            let (stats, _) = inc.apply_with_delta(&mut g, &batch);
+            let atoms = if n <= DEFAULT_CHUNK {
+                0
+            } else {
+                n - stats.affected_classes
+            };
+            assert_eq!(stats.hybrid_nodes, stats.affected_nodes + atoms, "{n} rows");
+            assert_eq!(inc.check_invariants(&g), Ok(()));
+            assert_eq!(
+                inc.to_compression().partition.canonical(),
+                qpgc_reach::compress::compress_r(&g).partition.canonical(),
+                "{n} rows"
+            );
+            let snap = Snapshot::build(1, &inc, None, &indexed);
+            assert_eq!(snap.check_invariants(), Ok(()));
+            assert_eq!(
+                snap.two_hop().unwrap(),
+                &TwoHopIndex::build(snap.compressed_graph())
             );
         }
     }

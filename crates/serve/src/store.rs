@@ -319,7 +319,7 @@ impl CompressedStore {
         let maintained = MaintainedGraph::new(g, config.serve_patterns, config.threads);
         let snapshot = Snapshot::build(
             0,
-            maintained.reach().stable_quotient(),
+            maintained.reach(),
             maintained
                 .pattern()
                 .map(|p| Arc::new(PatternView::build(&p.stable_quotient()))),
@@ -474,7 +474,8 @@ impl CompressedStore {
     /// Publication has one construction per side. A batch whose
     /// reachability [`PartitionDelta`] is empty republishes the previous
     /// snapshot's reachability structures (`Arc`-shared); any other batch
-    /// runs [`Snapshot::build`] over the maintainer's stable-id export.
+    /// runs [`Snapshot::build`] over the maintainer's stable-id state and
+    /// the closure it holds of it.
     /// Pattern (when served), independently: an empty bisimulation delta
     /// shares the previous [`PatternView`] pointer-wise, any other runs
     /// [`PatternView::build`]. [`ApplyReport::path`] records what happened.
@@ -589,10 +590,10 @@ impl CompressedStore {
                 };
                 (Snapshot::republish(&prev, next, pattern_view), path)
             } else {
-                let sq = w.maintained.reach().stable_quotient();
-                let churn = delta.churned() as f64 / sq.class_count().max(1) as f64;
+                let reach = w.maintained.reach();
+                let churn = delta.churned() as f64 / reach.class_count().max(1) as f64;
                 (
-                    Snapshot::build(next, sq, pattern_view, &self.config),
+                    Snapshot::build(next, reach, pattern_view, &self.config),
                     ApplyPath::Rebuilt {
                         churn,
                         pattern_churn,
