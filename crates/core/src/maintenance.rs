@@ -31,26 +31,21 @@ pub struct MaintainedGraph {
     graph: LabeledGraph,
     reach: IncrementalReach,
     pattern: Option<IncrementalPattern>,
-    threads: usize,
 }
 
 impl MaintainedGraph {
     /// Compresses `g` and takes ownership of it for future maintenance.
-    /// `patterns` also maintains the bisimulation quotient. `threads` is
-    /// the worker count of the compression kernels (`0` = available
-    /// parallelism), remembered for every later recompute — including the
-    /// from-scratch recompression on the failure-recovery path. Parallel
-    /// and sequential kernels produce bit-identical partitions, so
-    /// stable-id determinism (and with it every differential guarantee) is
-    /// unaffected by the knob.
-    pub fn new(g: LabeledGraph, patterns: bool, threads: usize) -> Self {
-        let reach = IncrementalReach::new_with_threads(&g, threads);
-        let pattern = patterns.then(|| IncrementalPattern::new_with_threads(&g, threads));
+    /// `patterns` also maintains the bisimulation quotient. Compression
+    /// and every later maintenance step run on the calling thread: there
+    /// is no worker count to pass (a store's `threads` shards its bulk
+    /// reads only).
+    pub fn new(g: LabeledGraph, patterns: bool) -> Self {
+        let reach = IncrementalReach::new(&g);
+        let pattern = patterns.then(|| IncrementalPattern::new(&g));
         MaintainedGraph {
             graph: g,
             reach,
             pattern,
-            threads,
         }
     }
 
@@ -133,11 +128,7 @@ impl MaintainedGraph {
     /// mixed with ids exported after the recovery.
     pub fn recover_from_failed(&mut self, norm: &UpdateBatch) {
         undo_effective(&mut self.graph, norm);
-        *self = MaintainedGraph::new(
-            std::mem::take(&mut self.graph),
-            self.pattern.is_some(),
-            self.threads,
-        );
+        *self = MaintainedGraph::new(std::mem::take(&mut self.graph), self.pattern.is_some());
     }
 }
 
@@ -180,7 +171,7 @@ mod tests {
     #[test]
     fn maintained_reachability_tracks_updates() {
         let g = sample();
-        let mut m = MaintainedGraph::new(g, false, 1);
+        let mut m = MaintainedGraph::new(g, false);
         assert_eq!(m.reach().class_count(), 3);
         assert!(m.reach().query(NodeId(0), NodeId(3)));
 
@@ -205,7 +196,7 @@ mod tests {
     #[test]
     fn maintained_pattern_tracks_updates() {
         let g = sample();
-        let mut m = MaintainedGraph::new(g, true, 1);
+        let mut m = MaintainedGraph::new(g, true);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");
@@ -231,7 +222,7 @@ mod tests {
     #[test]
     fn maintained_pattern_answers_match_direct_evaluation() {
         let g = sample();
-        let mut m = MaintainedGraph::new(g, true, 1);
+        let mut m = MaintainedGraph::new(g, true);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(3), NodeId(0));
         m.apply(&batch);
@@ -249,7 +240,7 @@ mod tests {
     #[test]
     fn recovery_restores_the_pre_batch_state_on_both_sides() {
         let g = sample();
-        let mut m = MaintainedGraph::new(g.clone(), true, 1);
+        let mut m = MaintainedGraph::new(g.clone(), true);
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
         batch.insert(NodeId(3), NodeId(0));

@@ -177,13 +177,12 @@ pub trait Equivalence {
     /// label-blind relations).
     fn node_label(g: &LabeledGraph, v: NodeId) -> Label;
 
-    /// The batch kernel: the relation's partition of `g`, computed with
-    /// `threads` workers (`0` = available parallelism). Must be
-    /// bit-identical at every thread count. It takes the frozen form
+    /// The batch kernel: the relation's partition of `g`, a pure function
+    /// of `g` computed on the calling thread. It takes the frozen form
     /// because every kernel is a read-only whole-graph sweep: the quotient
     /// freezes the data graph once and builds each hybrid graph as a CSR
     /// directly.
-    fn partition(g: &CsrGraph, threads: usize) -> Classes<Self::Class>;
+    fn partition(g: &CsrGraph) -> Classes<Self::Class>;
 }
 
 /// Statistics of one incremental maintenance step (either relation).
@@ -412,16 +411,13 @@ pub struct IncrementalQuotient<E: Equivalence> {
     /// step's exploded classes; kept across steps so a step allocates
     /// nothing of size `|V|`.
     unit_of_node: Vec<u32>,
-    /// Worker count handed to the partition kernel (`0` = available
-    /// parallelism). Kernel output is bit-identical at every value.
-    threads: usize,
 }
 
 impl<E: Equivalence> IncrementalQuotient<E> {
     /// Partitions `g` from scratch (the batch step that is then
     /// maintained) and builds the class-level rows from its edges.
-    pub fn new(g: &LabeledGraph, threads: usize) -> Self {
-        let partition = E::partition(&g.freeze(), threads);
+    pub fn new(g: &LabeledGraph) -> Self {
+        let partition = E::partition(&g.freeze());
         let classes = partition.members.len();
         let mut q = IncrementalQuotient {
             unit_of_node: vec![0; partition.class_of.len()],
@@ -433,7 +429,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             live: classes,
             out_rows: vec![Vec::new(); classes],
             in_rows: vec![Vec::new(); classes],
-            threads,
         };
         let all: Vec<u32> = (0..classes as u32).collect();
         q.link(g, &all);
@@ -817,7 +812,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // Several edges can land on one pair: the bulk load sorts and
         // deduplicates once.
         let hybrid = CsrGraph::from_edges(labels, LabelInterner::new(), edges);
-        let part = E::partition(&hybrid, self.threads);
+        let part = E::partition(&hybrid);
 
         let mut groups = Vec::new();
         for (nodes, &class) in part.members.iter().zip(&part.payload) {

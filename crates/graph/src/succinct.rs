@@ -363,11 +363,6 @@ impl CompressedCsr {
         self.m
     }
 
-    /// The chosen ζ parameter.
-    pub fn zeta_k(&self) -> u32 {
-        self.k
-    }
-
     /// Index of `v` in the hub exception list, if it is a hub row. The
     /// bitmask settles the common non-hub case in one bit test; the binary
     /// search only runs to rank an actual hub.

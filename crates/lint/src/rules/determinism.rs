@@ -12,10 +12,17 @@
 //! The rule is scoped to the maintenance modules ([`in_scope`]) because
 //! that is where iteration order feeds stable ids; elsewhere hash iteration
 //! is routine and harmless.
+//!
+//! Scheduling order is the other way nondeterminism reaches stable ids, so
+//! the same rule keeps `std::thread::{scope, spawn}` out of the kernel
+//! crates ([`KERNEL_CRATES`]): compression and maintenance run on the
+//! calling thread, and a store's `threads` shards bulk reads only — in
+//! `qpgc_serve`, outside this scope. One loop per kernel, nothing to keep
+//! bit-identical to it.
 
 use std::collections::BTreeSet;
 
-use crate::engine::{is_ident, is_punct, SourceFile};
+use crate::engine::{is_ident, is_punct, matching_brace, SourceFile};
 use crate::lexer::{Kind, Token};
 use crate::Finding;
 
@@ -40,6 +47,15 @@ pub fn in_scope(rel: &str) -> bool {
     SCOPE_SUFFIXES.iter().any(|s| rel.ends_with(s))
 }
 
+/// The crates whose code computes partitions and stable ids: no worker
+/// threads in their sources.
+const KERNEL_CRATES: &[&str] = &[
+    "crates/graph/src/",
+    "crates/reachability/src/",
+    "crates/pattern/src/",
+    "crates/core/src/",
+];
+
 /// Iteration methods that surface hash order.
 const ITER_METHODS: &[&str] = &[
     "iter",
@@ -55,11 +71,53 @@ const ITER_METHODS: &[&str] = &[
 /// counts as funnelling through a sort.
 const SORTED_MARKS: &[&str] = &["sort", "BTreeMap", "BTreeSet", "BinaryHeap"];
 
-/// Flags unsorted hash-collection iteration in the maintenance modules.
+/// Flags worker threads in the kernel crates and unsorted hash-collection
+/// iteration in the maintenance modules.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
-    if !in_scope(&file.rel) {
+    let mut out = thread_sites(file);
+    if in_scope(&file.rel) {
+        out.extend(hash_iteration_sites(file));
+    }
+    out
+}
+
+/// `thread::scope` / `thread::spawn` — called by path or imported, alone or
+/// in a `thread::{..}` group — anywhere in a kernel crate's sources.
+fn thread_sites(file: &SourceFile) -> Vec<Finding> {
+    if !KERNEL_CRATES.iter().any(|c| file.rel.starts_with(c)) {
         return Vec::new();
     }
+    let tokens = &file.lexed.tokens;
+    let spawns = |i: usize| is_ident(tokens, i, "scope") || is_ident(tokens, i, "spawn");
+    let mut out = Vec::new();
+    for i in 0..tokens.len() {
+        let path = is_ident(tokens, i, "thread")
+            && is_punct(tokens, i + 1, ":")
+            && is_punct(tokens, i + 2, ":");
+        if !path {
+            continue;
+        }
+        let named = if is_punct(tokens, i + 3, "{") {
+            (i + 4..matching_brace(tokens, i + 3)).any(spawns)
+        } else {
+            spawns(i + 3)
+        };
+        if named {
+            out.push(Finding::new(
+                RULE,
+                &file.rel,
+                tokens[i].line,
+                "worker thread in a kernel crate: compression and maintenance run on the \
+                 calling thread, so that stable ids cannot depend on scheduling and each \
+                 kernel has one loop — shard reads in `qpgc_serve` instead",
+            ));
+        }
+    }
+    out
+}
+
+/// Unsorted hash-collection iteration (see the module docs).
+fn hash_iteration_sites(file: &SourceFile) -> Vec<Finding> {
     let tokens = &file.lexed.tokens;
     let hash_names = hash_typed_names(tokens);
     let mut out = Vec::new();

@@ -123,26 +123,9 @@ pub fn bisimulation_partition(g: &LabeledGraph) -> BisimPartition {
 /// Computes the maximum bisimulation partition over a frozen CSR snapshot
 /// with the allocation-free worklist refinement (see the module docs).
 pub fn bisimulation_partition_csr(g: &CsrGraph) -> BisimPartition {
-    bisimulation_partition_csr_threads(g, 1)
-}
-
-/// [`bisimulation_partition_csr`] with an explicit worker count.
-///
-/// `threads == 0` means "use the machine's available parallelism"; any
-/// value is clamped to the round's worklist size. Parallelism covers the
-/// signature-fingerprint refresh (Phase 1): the worklist is partitioned
-/// into contiguous chunks over the shared member arena and each
-/// `std::thread::scope` worker computes fingerprints for its chunk with
-/// private epoch-mark scratch. Fingerprints are pure functions of the
-/// current block assignment, and the per-round merge (fingerprint scatter,
-/// affected-block discovery, splitting, fresh-id assignment) replays the
-/// worklist in its original order on one thread — so stable-id assignment
-/// is **bit-identical** to the sequential path at every thread count. The
-/// differential suites pin this.
-pub fn bisimulation_partition_csr_threads(g: &CsrGraph, threads: usize) -> BisimPartition {
     let cond = Condensation::of(g);
     let ranks = bisim_ranks(g, &cond);
-    refine_worklist(g, |v| (g.label(v), ranks.rank[v.index()]), threads)
+    refine_worklist(g, |v| (g.label(v), ranks.rank[v.index()]))
 }
 
 /// SplitMix64-style finalizer used to build the set fingerprints.
@@ -156,8 +139,7 @@ fn mix64(x: u64, seed: u64) -> u64 {
 
 /// The order-independent 128-bit fingerprint of `v`'s deduplicated
 /// child-block set under the current `block` assignment. Bumps `epoch` and
-/// uses `mark` for the dedup scan; pure in `(g, block, v)`, which is what
-/// makes the parallel Phase 1 bit-identical to the sequential one.
+/// uses `mark` for the dedup scan; pure in `(g, block, v)`.
 #[inline]
 fn node_fingerprint(
     g: &CsrGraph,
@@ -186,24 +168,12 @@ fn node_fingerprint(
     ((h1 as u128) << 64) | h2 as u128
 }
 
-/// Rounds with fewer dirty nodes than this run Phase 1 sequentially even
-/// when workers are available — thread spawn/join overhead dominates below
-/// it. Has no effect on the output (only on who computes each fingerprint).
-const PARALLEL_WORK_MIN: usize = 1024;
-
 /// Worklist signature refinement from an initial block assignment given by
 /// `seed` (which must be coarser than the maximum bisimulation).
-fn refine_worklist<F>(g: &CsrGraph, seed: F, threads: usize) -> BisimPartition
+fn refine_worklist<F>(g: &CsrGraph, seed: F) -> BisimPartition
 where
     F: Fn(NodeId) -> (Label, BisimRank),
 {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
     let n = g.node_count();
     let mut block: Vec<u32> = vec![0; n];
     // Block membership lives in one shared arena: `arena` is a permutation
@@ -253,9 +223,6 @@ where
     // ids never exceed n, so one n-sized array serves every round.
     let mut mark: Vec<u64> = vec![0; n.max(1)];
     let mut epoch: u64 = 0;
-    // Per-worker epoch-mark scratch for the parallel Phase 1, allocated on
-    // the first parallel round and reused afterwards.
-    let mut worker_scratch: Vec<(Vec<u64>, u64)> = Vec::new();
 
     while !work.is_empty() {
         // Phase 1: refresh the fingerprints of dirty nodes. Nodes in
@@ -263,68 +230,16 @@ where
         // fingerprint is an order-independent 128-bit sum over the *set* of
         // child blocks (duplicates dropped via the epoch marks), so it needs
         // one O(deg) scan — no sorting, no scratch list.
-        if threads > 1 && work.len() >= PARALLEL_WORK_MIN {
-            // Partition the worklist into contiguous chunks; each worker
-            // computes fingerprints for its chunk against the (read-only)
-            // block assignment. The scatter below and the affected-block
-            // sweep replay `work` in original order, so the merged state is
-            // bit-identical to the sequential branch.
-            while worker_scratch.len() < threads {
-                worker_scratch.push((vec![0u64; n.max(1)], 0u64));
+        for &v in &work {
+            dirty[v as usize] = false;
+            let b = block[v as usize];
+            if range[b as usize].1 <= 1 {
+                continue;
             }
-            let chunk = work.len().div_ceil(threads);
-            let block_ref: &[u32] = &block;
-            let range_ref: &[(u32, u32)] = &range;
-            let computed: Vec<Vec<(u32, u128)>> = std::thread::scope(|s| {
-                let handles: Vec<_> = work
-                    .chunks(chunk)
-                    .zip(worker_scratch.iter_mut())
-                    .map(|(slice, (mark, epoch))| {
-                        s.spawn(move || {
-                            let mut out: Vec<(u32, u128)> = Vec::with_capacity(slice.len());
-                            for &v in slice {
-                                if range_ref[block_ref[v as usize] as usize].1 <= 1 {
-                                    continue;
-                                }
-                                out.push((v, node_fingerprint(g, block_ref, v, mark, epoch)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("refinement worker panicked"))
-                    .collect()
-            });
-            for part in &computed {
-                for &(v, f) in part {
-                    fp[v as usize] = f;
-                }
-            }
-            for &v in &work {
-                dirty[v as usize] = false;
-                let b = block[v as usize];
-                if range[b as usize].1 <= 1 {
-                    continue;
-                }
-                if !block_affected[b as usize] {
-                    block_affected[b as usize] = true;
-                    affected.push(b);
-                }
-            }
-        } else {
-            for &v in &work {
-                dirty[v as usize] = false;
-                let b = block[v as usize];
-                if range[b as usize].1 <= 1 {
-                    continue;
-                }
-                fp[v as usize] = node_fingerprint(g, &block, v, &mut mark, &mut epoch);
-                if !block_affected[b as usize] {
-                    block_affected[b as usize] = true;
-                    affected.push(b);
-                }
+            fp[v as usize] = node_fingerprint(g, &block, v, &mut mark, &mut epoch);
+            if !block_affected[b as usize] {
+                block_affected[b as usize] = true;
+                affected.push(b);
             }
         }
         work.clear();
@@ -710,35 +625,6 @@ mod tests {
         assert_eq!(p.class_count(), 0);
         let b = bisimulation_partition_baseline(&g);
         assert_eq!(b.class_count(), 0);
-    }
-
-    #[test]
-    fn parallel_refinement_is_bit_identical_to_sequential() {
-        // Large enough that the first rounds exceed PARALLEL_WORK_MIN, so
-        // the scoped-worker Phase 1 actually runs. Equality is on the raw
-        // id assignment, not the canonical form — stable ids must match.
-        let mut rng = StdRng::seed_from_u64(2026);
-        for _ in 0..3 {
-            let alphabet = ["A", "B", "C", "D"];
-            let n = 2048 + rng.gen_range(0..512);
-            let mut g = LabeledGraph::new();
-            for _ in 0..n {
-                g.add_node_with_label(alphabet[rng.gen_range(0..alphabet.len())]);
-            }
-            for _ in 0..n * 3 {
-                let u = rng.gen_range(0..n) as u32;
-                let v = rng.gen_range(0..n) as u32;
-                g.add_edge(NodeId(u), NodeId(v));
-            }
-            let csr = g.freeze();
-            let sequential = bisimulation_partition_csr(&csr);
-            for threads in [2, 4] {
-                let parallel = bisimulation_partition_csr_threads(&csr, threads);
-                assert_eq!(sequential.class_of, parallel.class_of, "threads={threads}");
-                assert_eq!(sequential.members, parallel.members, "threads={threads}");
-                assert_eq!(sequential.labels, parallel.labels, "threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::update::{PartitionDelta, Update};
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
-use crate::bisim::{bisimulation_partition_csr_threads, BisimPartition};
+use crate::bisim::{bisimulation_partition_csr, BisimPartition};
 use crate::compress::PatternCompression;
 
 pub use qpgc_graph::quotient::IncStats;
@@ -129,8 +129,8 @@ impl Equivalence for BisimEquivalence {
         g.label(v)
     }
 
-    fn partition(g: &CsrGraph, threads: usize) -> Classes<Label> {
-        let p = bisimulation_partition_csr_threads(g, threads);
+    fn partition(g: &CsrGraph) -> Classes<Label> {
+        let p = bisimulation_partition_csr(g);
         Classes {
             class_of: p.class_of,
             members: p.members,
@@ -154,17 +154,8 @@ pub struct IncrementalPattern {
 impl IncrementalPattern {
     /// Builds the compression of `g` from scratch.
     pub fn new(g: &LabeledGraph) -> Self {
-        Self::new_with_threads(g, 1)
-    }
-
-    /// [`IncrementalPattern::new`] with an explicit worker count for the
-    /// refinement kernel, remembered for later recomputes. Stable-id
-    /// assignment is bit-identical at every thread count (see
-    /// [`bisimulation_partition_csr_threads`]), so the differential guarantees
-    /// are unchanged.
-    pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
         IncrementalPattern {
-            q: IncrementalQuotient::new(g, threads),
+            q: IncrementalQuotient::new(g),
             interner: g.interner().clone(),
         }
     }

@@ -18,8 +18,6 @@
 //!   special case of pattern matching where every edge bound is 1.
 //! * [`bounded`] — bounded simulation `Match` (Fan et al., PVLDB 2010), the
 //!   general pattern matching algorithm of the paper.
-//! * [`ak_index`] — the A(k)-index (parameterized k-bisimulation), included
-//!   to demonstrate that it does *not* preserve pattern query answers.
 //! * [`incremental`] — `incPCM` (Fig. 10): incremental maintenance of the
 //!   compression under batch updates, plus the `IncBsim` baseline.
 //! * [`inc_match`] — `IncBMatch`: incremental maintenance of a pattern
@@ -64,7 +62,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ak_index;
 pub mod bisim;
 pub mod bounded;
 pub mod compress;
@@ -74,10 +71,7 @@ pub mod pattern;
 pub mod simulation;
 pub mod view;
 
-pub use bisim::{
-    bisimulation_partition, bisimulation_partition_csr, bisimulation_partition_csr_threads,
-    BisimPartition,
-};
+pub use bisim::{bisimulation_partition, bisimulation_partition_csr, BisimPartition};
 pub use bounded::bounded_match;
 pub use compress::{compress_b, compress_b_csr, PatternCompression};
 pub use inc_match::IncrementalMatch;

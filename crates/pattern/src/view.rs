@@ -110,11 +110,6 @@ impl PatternView {
         self.class_of.len()
     }
 
-    /// `true` when stable id `c` names a live class.
-    pub fn is_live(&self, c: u32) -> bool {
-        self.active.get(c as usize).copied().unwrap_or(false)
-    }
-
     /// The post-processing function `P`: expands a match relation computed
     /// on `Gr` into the match relation on `G` by replacing every hypernode
     /// with its members. Runs in time linear in the size of the output.

@@ -20,9 +20,9 @@
 use qpgc_graph::reach_sets::DagReach;
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal;
-use qpgc_graph::{CsrGraph, GraphView, LabeledGraph, NodeId};
+use qpgc_graph::{GraphView, LabeledGraph, NodeId};
 
-use crate::equivalence::{reachability_partition_with_chunk, ReachPartition};
+use crate::equivalence::{reachability_partition, ReachPartition};
 
 /// The output of `compressR`: the compressed graph plus the node → class
 /// index that implements the query rewriting function `F`.
@@ -90,20 +90,10 @@ impl ReachCompression {
     }
 }
 
-/// Runs `compressR` on `g` with the default signature chunk width.
-pub fn compress_r(g: &LabeledGraph) -> ReachCompression {
-    compress_r_view(g)
-}
-
-/// Runs `compressR` over a frozen CSR snapshot.
-pub fn compress_r_csr(g: &CsrGraph) -> ReachCompression {
-    compress_r_view(g)
-}
-
-/// The body of [`compress_r`] and [`compress_r_csr`], generic over
-/// [`GraphView`].
-fn compress_r_view<G: GraphView>(g: &G) -> ReachCompression {
-    let partition = reachability_partition_with_chunk(g, qpgc_graph::reach_sets::DEFAULT_CHUNK);
+/// Runs `compressR` on `g` with the default signature chunk width. Generic
+/// over [`GraphView`]: accepts the mutable graph or a CSR snapshot.
+pub fn compress_r<G: GraphView>(g: &G) -> ReachCompression {
+    let partition = reachability_partition(g);
     let graph = build_quotient_graph(g, &partition);
     ReachCompression { graph, partition }
 }

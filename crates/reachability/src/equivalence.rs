@@ -46,11 +46,10 @@
 //!   corner case of query evaluation.
 
 use std::collections::HashMap;
-use std::ops::Range;
 
 use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{BitMatrix, CsrGraph, GraphView, LabeledGraph, NodeId};
+use qpgc_graph::{BitMatrix, GraphView, NodeId};
 
 /// A block one [`refine_chunk`] step opened by comparing rows: its id, and
 /// the key it was opened for — the key's hash, the block the
@@ -79,8 +78,6 @@ pub(crate) fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
 /// current SCC blocks (`group`) by the `(block, descendants, ancestors)`
 /// signature restricted to this chunk's columns, comparing the rows of
 /// `desc` / `anc` in place. New block ids follow first-seen SCC order.
-/// Purely sequential and deterministic — the parallelism lives in
-/// producing `desc`/`anc`, never here.
 ///
 /// A cyclic SCC reaches (and is reached by) its own members via non-empty
 /// paths, so its signature holds its own column — which no other SCC's can
@@ -182,43 +179,16 @@ impl ReachPartition {
 }
 
 /// Computes the reachability equivalence partition of `g` with the default
-/// signature chunk width.
-pub fn reachability_partition(g: &LabeledGraph) -> ReachPartition {
+/// signature chunk width. Generic over [`GraphView`]: accepts the mutable
+/// graph or a CSR snapshot.
+pub fn reachability_partition<G: GraphView>(g: &G) -> ReachPartition {
     reachability_partition_with_chunk(g, DEFAULT_CHUNK)
 }
 
-/// [`reachability_partition`] over a frozen CSR snapshot — the condensation
-/// and the chunked closure sweeps all run over contiguous CSR slices.
-pub fn reachability_partition_csr(g: &CsrGraph) -> ReachPartition {
-    reachability_partition_with_chunk(g, DEFAULT_CHUNK)
-}
-
-/// [`reachability_partition`] with an explicit worker count: when
-/// `threads > 1` the two closure sweeps of every signature chunk
-/// (descendants and ancestors — independent of each other and of the
-/// running refinement) execute on two scoped threads, the same
-/// forward/backward split the 2-hop builder uses. Both sweeps produce
-/// exactly the sequential bit rows and the refinement itself is unchanged,
-/// so the partition is **bit-identical** at every thread count.
-pub fn reachability_partition_threads<G: GraphView>(g: &G, threads: usize) -> ReachPartition {
-    reachability_partition_with_chunk_threads(g, DEFAULT_CHUNK, threads)
-}
-
-/// [`reachability_partition`] with an explicit chunk width (exposed for
-/// tests and the ablation benchmarks). Generic over [`GraphView`]: accepts
-/// the mutable graph or a CSR snapshot.
+/// [`reachability_partition`] with an explicit chunk width (exposed for the
+/// chunk-boundary tests).
 pub fn reachability_partition_with_chunk<G: GraphView>(g: &G, chunk: usize) -> ReachPartition {
-    reachability_partition_with_chunk_threads(g, chunk, 1)
-}
-
-/// [`reachability_partition_with_chunk`] with the fwd/bwd sweep split of
-/// [`reachability_partition_threads`].
-pub fn reachability_partition_with_chunk_threads<G: GraphView>(
-    g: &G,
-    chunk: usize,
-    threads: usize,
-) -> ReachPartition {
-    partition_hashing_with(g, chunk, threads, key_hash)
+    partition_hashing_with(g, chunk, key_hash)
 }
 
 /// The kernel behind every entry point, with the refinement's bucket hash
@@ -226,7 +196,6 @@ pub fn reachability_partition_with_chunk_threads<G: GraphView>(
 fn partition_hashing_with<G: GraphView>(
     g: &G,
     chunk: usize,
-    threads: usize,
     hash: impl Fn(u32, &[u64], &[u64]) -> u64,
 ) -> ReachPartition {
     let cond = Condensation::of(g);
@@ -239,51 +208,10 @@ fn partition_hashing_with<G: GraphView>(
     // block id; after all chunks the blocks are exactly the groups of SCCs
     // with identical (descendant, ancestor) signatures.
     let mut group: Vec<u32> = vec![0; c];
-
-    // The chunk sweeps are independent of each other and of the running
-    // refinement, so with `threads > 1` up to `threads` chunks sweep
-    // concurrently on scoped workers (each worker runs both directions of
-    // its chunk); a lone chunk in a window falls back to the PR 8
-    // forward/backward split so two workers still apply. The refinement
-    // below always consumes the sweeps in chunk order, and every sweep
-    // produces exactly the sequential bit rows, so the partition is
-    // bit-identical at every thread count.
-    let both = |cols: &Range<usize>| {
-        (
-            dag.descendants_chunk(cols.clone()),
-            dag.ancestors_chunk(cols.clone()),
-        )
-    };
-    let all_chunks = dag.chunks(chunk);
-    for window in all_chunks.chunks(threads.max(1)) {
-        let sweeps: Vec<(BitMatrix, BitMatrix)> = if window.len() > 1 {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = window.iter().map(|cols| s.spawn(|| both(cols))).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chunk sweep panicked"))
-                    .collect()
-            })
-        } else if threads > 1 {
-            window
-                .iter()
-                .map(|cols| {
-                    std::thread::scope(|s| {
-                        let d = s.spawn(|| dag.descendants_chunk(cols.clone()));
-                        let a = s.spawn(|| dag.ancestors_chunk(cols.clone()));
-                        (
-                            d.join().expect("descendants sweep panicked"),
-                            a.join().expect("ancestors sweep panicked"),
-                        )
-                    })
-                })
-                .collect()
-        } else {
-            window.iter().map(both).collect()
-        };
-        for (desc, anc) in &sweeps {
-            refine_chunk(desc, anc, &cyclic_scc, &mut group, &hash);
-        }
+    for cols in dag.chunks(chunk) {
+        let desc = dag.descendants_chunk(cols.clone());
+        let anc = dag.ancestors_chunk(cols);
+        refine_chunk(&desc, &anc, &cyclic_scc, &mut group, &hash);
     }
 
     // Renumber groups densely in first-seen node order and expand to node
@@ -347,6 +275,7 @@ pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use qpgc_graph::LabeledGraph;
 
     /// A random digraph seeded with what the refinement has special cases
     /// for: self loops, 2-cycles, twins (a copy of a node's neighbourhood,
@@ -394,21 +323,19 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The kernel is the reference partition — same class ids, same
-        /// members, same cyclic flags — at every chunk width and thread
-        /// count, and stays so when every row lands in one bucket (so that
-        /// only the exact row comparison tells keys apart).
+        /// members, same cyclic flags — at every chunk width, and stays so
+        /// when every row lands in one bucket (so that only the exact row
+        /// comparison tells keys apart).
         #[test]
         fn kernel_matches_reference_at_every_chunk_thread_and_hash(g in arb_seeded_graph()) {
             let expect = reference_partition(&g);
             for chunk in [1, 7, 64, 4096] {
-                for threads in [1, 2] {
-                    let hashed = reachability_partition_with_chunk_threads(&g, chunk, threads);
-                    let one_bucket = partition_hashing_with(&g, chunk, threads, |_, _, _| 0);
-                    for got in [hashed, one_bucket] {
-                        prop_assert_eq!(&got.class_of, &expect.class_of, "chunk {} threads {}", chunk, threads);
-                        prop_assert_eq!(&got.members, &expect.members);
-                        prop_assert_eq!(&got.cyclic, &expect.cyclic);
-                    }
+                let hashed = reachability_partition_with_chunk(&g, chunk);
+                let one_bucket = partition_hashing_with(&g, chunk, |_, _, _| 0);
+                for got in [hashed, one_bucket] {
+                    prop_assert_eq!(&got.class_of, &expect.class_of, "chunk {}", chunk);
+                    prop_assert_eq!(&got.members, &expect.members);
+                    prop_assert_eq!(&got.cyclic, &expect.cyclic);
                 }
             }
         }
@@ -566,7 +493,7 @@ mod tests {
         ];
         let g = graph(9, &edges);
         let on_labeled = reachability_partition(&g);
-        let on_csr = reachability_partition_csr(&g.freeze());
+        let on_csr = reachability_partition(&g.freeze());
         assert_eq!(on_labeled.canonical(), on_csr.canonical());
         assert_eq!(on_labeled.cyclic.len(), on_csr.cyclic.len());
     }

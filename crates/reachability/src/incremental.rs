@@ -74,7 +74,7 @@
 //! affected columns. The closure is resident: `2 · id_space²/8` bytes per
 //! maintainer, at most 4 MiB. Past one column chunk nothing is held, step
 //! 3 runs the kernel
-//! ([`reachability_partition_threads`]) on the hybrid graph —
+//! ([`reachability_partition`]) on the hybrid graph —
 //! `O((#units + |Vr|)²/w)` whatever `|ΔG|` is — and the publication sweeps
 //! for itself in chunks. Either bound is independent of `|G|` and in the
 //! spirit of the paper's `O(|AFF| · |Gr|)` (the problem itself is
@@ -89,7 +89,7 @@ use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::closure::QuotientClosure;
 use crate::compress::ReachCompression;
-use crate::equivalence::{reachability_partition_threads, ReachPartition};
+use crate::equivalence::{reachability_partition, ReachPartition};
 
 pub use qpgc_graph::quotient::IncStats;
 
@@ -162,8 +162,8 @@ impl Equivalence for ReachEquivalence {
         Label(0)
     }
 
-    fn partition(g: &CsrGraph, threads: usize) -> Classes<bool> {
-        let p = reachability_partition_threads(g, threads);
+    fn partition(g: &CsrGraph) -> Classes<bool> {
+        let p = reachability_partition(g);
         Classes {
             class_of: p.class_of,
             members: p.members,
@@ -191,16 +191,8 @@ impl IncrementalReach {
     /// Builds the compression of `g` from scratch (the batch step that the
     /// incremental algorithm then maintains).
     pub fn new(g: &LabeledGraph) -> Self {
-        Self::new_with_threads(g, 1)
-    }
-
-    /// [`IncrementalReach::new`] with an explicit worker count for the
-    /// closure sweeps, remembered for later localized recomputes. The
-    /// partition (and hence stable-id assignment) is bit-identical at every
-    /// thread count — see [`reachability_partition_threads`].
-    pub fn new_with_threads(g: &LabeledGraph, threads: usize) -> Self {
         let mut inc = IncrementalReach {
-            q: IncrementalQuotient::new(g, threads),
+            q: IncrementalQuotient::new(g),
             closure: None,
         };
         inc.refresh_closure();

@@ -61,10 +61,7 @@ pub mod equivalence;
 pub mod incremental;
 pub mod two_hop;
 
-pub use compress::{compress_r, compress_r_csr, ReachCompression};
-pub use equivalence::{
-    reachability_partition, reachability_partition_csr, reachability_partition_threads,
-    ReachPartition,
-};
+pub use compress::{compress_r, ReachCompression};
+pub use equivalence::{reachability_partition, ReachPartition};
 pub use incremental::{IncStats, IncrementalReach};
 pub use two_hop::{TwoHopConfig, TwoHopIndex};

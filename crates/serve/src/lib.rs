@@ -43,7 +43,9 @@
 //!   pre-batch view until they re-`load`.
 //! * [`bulk_reachable`] — shards a query batch across `std::thread::scope`
 //!   workers, all reading the same shared cut (generic over [`ReachCut`],
-//!   so it serves both backends).
+//!   so it serves both backends). It is the one thing
+//!   [`StoreConfig::threads`] governs: compression, maintenance and
+//!   publication run on the writer's thread.
 //! * Snapshot *publication* has one construction per query class: a batch
 //!   whose `PartitionDelta` is empty on a side republishes that side's
 //!   structures `Arc`-shared with the previous snapshot, every other batch
@@ -53,8 +55,6 @@
 //!   closure the reduction swept; `PatternView::build` for the pattern
 //!   side). The two sides decide independently, and
 //!   [`ApplyReport::path`] records what happened.
-//!   [`parallel::class_edges`] remains for materializing quotient edges
-//!   from scratch when no maintained counters exist.
 //!
 //! ## Consistency model
 //!
@@ -79,7 +79,6 @@ pub mod api;
 pub mod boundary;
 pub mod bulk;
 pub mod error;
-pub mod parallel;
 pub mod persist;
 pub mod sharded;
 pub mod snapshot;

@@ -657,7 +657,6 @@ mod tests {
         batch.delete(NodeId(3), NodeId(4));
         let report = store.apply(&batch);
         assert_eq!(report.shards.len(), 4);
-        assert_eq!(report.shard_paths().count(), 4);
         // The aggregate path is at least as expensive as every per-shard
         // path.
         for s in &report.shards {

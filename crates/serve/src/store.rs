@@ -65,9 +65,11 @@ pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct StoreConfig {
-    /// Worker threads for store-level bulk evaluation
-    /// ([`CompressedStore::bulk_reachable`]) and for the maintainers'
-    /// partition-refinement sweeps; `0` means `available_parallelism`.
+    /// Worker threads a store-level bulk read
+    /// ([`CompressedStore::bulk_reachable`], and the sharded store's) is
+    /// spread across; `0` means `available_parallelism`. Nothing else
+    /// reads it: compression, maintenance and publication run on the
+    /// writer's thread, so no published structure can depend on it.
     pub threads: usize,
     /// Build a 2-hop index over `Gr` in every snapshot (queries become
     /// label intersections instead of BFS). `None` skips the index.
@@ -122,8 +124,8 @@ pub struct StoreConfigBuilder {
 }
 
 impl StoreConfigBuilder {
-    /// Worker threads for bulk evaluation and maintenance (`0` means
-    /// `available_parallelism`).
+    /// Worker threads for store-level bulk reads (`0` means
+    /// `available_parallelism`); see [`StoreConfig::threads`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -246,14 +248,6 @@ pub struct ApplyReport {
     pub shards: Vec<ShardApply>,
 }
 
-impl ApplyReport {
-    /// The per-shard apply paths, in shard order (empty on single-store
-    /// reports).
-    pub fn shard_paths(&self) -> impl Iterator<Item = ApplyPath> + '_ {
-        self.shards.iter().map(|s| s.path)
-    }
-}
-
 struct Writer {
     /// The one data graph and both maintained compressions over it.
     maintained: MaintainedGraph,
@@ -303,9 +297,8 @@ impl StagedApply {
 ///   holding the previous snapshot keep an internally consistent
 ///   pre-batch view.
 ///
-/// Snapshot construction cost is the price of publication, not of queries;
-/// it is parallelized where embarrassingly possible (class-edge
-/// materialization, 2-hop build passes).
+/// Snapshot construction cost is the price of publication, not of queries,
+/// and is paid on the writer's thread.
 pub struct CompressedStore {
     config: StoreConfig,
     writer: Mutex<Writer>,
@@ -316,7 +309,7 @@ impl CompressedStore {
     /// Compresses `g`, builds the version-0 snapshot, and takes ownership of
     /// the graph for future maintenance.
     pub fn new(g: LabeledGraph, config: StoreConfig) -> Self {
-        let maintained = MaintainedGraph::new(g, config.serve_patterns, config.threads);
+        let maintained = MaintainedGraph::new(g, config.serve_patterns);
         let snapshot = Snapshot::build(
             0,
             maintained.reach(),

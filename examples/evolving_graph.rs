@@ -23,7 +23,7 @@ fn main() {
     );
 
     section("reachability compression, maintained over 6 update batches");
-    let mut maintained = MaintainedGraph::new(g0.clone(), false, 1);
+    let mut maintained = MaintainedGraph::new(g0.clone(), false);
     println!(
         "initial hypernodes: {} (ratio {:.1}%)",
         maintained.reach().class_count(),
@@ -63,7 +63,7 @@ fn main() {
     }
 
     section("both compressions over one graph, under the same kind of churn");
-    let mut maintained = MaintainedGraph::new(g0.clone(), true, 1);
+    let mut maintained = MaintainedGraph::new(g0.clone(), true);
     let hypernodes = |m: &MaintainedGraph| m.pattern().expect("patterns on").class_count();
     let mut query = Pattern::new();
     let a = query.add_node("L1");

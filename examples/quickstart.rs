@@ -84,7 +84,7 @@ fn main() {
     // 4. Incremental maintenance (Section 5).                            //
     // ----------------------------------------------------------------- //
     section("incremental maintenance");
-    let mut maintained = MaintainedGraph::new(g, false, 1);
+    let mut maintained = MaintainedGraph::new(g, false);
     println!(
         "hypernodes before update: {}",
         maintained.reach().class_count()

@@ -121,7 +121,7 @@ fn main() {
     section("incremental maintenance after new recommendations");
     let fa1 = NodeId(4);
     let c_last = customers[customers.len() - 1];
-    let mut maintained = MaintainedGraph::new(g, true, 1);
+    let mut maintained = MaintainedGraph::new(g, true);
     let hypernodes = |m: &MaintainedGraph| m.pattern().expect("patterns on").class_count();
     let before = hypernodes(&maintained);
     let mut batch = UpdateBatch::new();

@@ -10,7 +10,7 @@ use qpgc_generators::synthetic::{random_graph, SyntheticConfig};
 use qpgc_graph::{LabeledGraph, NodeId};
 use qpgc_pattern::bisim::{bisimulation_partition_baseline, bisimulation_partition_csr};
 use qpgc_pattern::simulation::{reference_simulation_match, simulation_match_csr};
-use qpgc_reach::equivalence::{reachability_partition, reachability_partition_csr};
+use qpgc_reach::equivalence::reachability_partition;
 
 /// The seeded graph population: 100+ graphs sweeping size, density and
 /// label-alphabet width.
@@ -118,7 +118,7 @@ fn bisimulation_on_csr_matches_seed_implementation() {
 #[test]
 fn reachability_partition_on_csr_matches_seed_implementation() {
     for (i, g) in population().iter().enumerate() {
-        let on_csr = reachability_partition_csr(&g.freeze());
+        let on_csr = reachability_partition(&g.freeze());
         let on_labeled = reachability_partition(g);
         assert_eq!(
             on_csr.canonical(),
@@ -162,7 +162,7 @@ fn simulation_on_csr_matches_seed_implementation() {
 #[test]
 fn compressions_built_from_csr_match_seed_built() {
     use qpgc_pattern::compress::{compress_b, compress_b_csr};
-    use qpgc_reach::compress::{compress_r, compress_r_csr};
+    use qpgc_reach::compress::compress_r;
     for (i, g) in population().iter().take(40).enumerate() {
         let csr = g.freeze();
         let rb = compress_b(g);
@@ -174,7 +174,7 @@ fn compressions_built_from_csr_match_seed_built() {
         );
         assert_eq!(rb.graph.size(), rb_csr.graph.size());
         let rr = compress_r(g);
-        let rr_csr = compress_r_csr(&csr);
+        let rr_csr = compress_r(&csr);
         assert_eq!(
             rr.partition.canonical(),
             rr_csr.partition.canonical(),

@@ -78,7 +78,7 @@ fn labeled_dataset_pattern_pipeline() {
 fn maintained_compressions_survive_realistic_churn() {
     let g = dataset("P2P", 10, 3).expect("dataset");
 
-    let mut maintained = MaintainedGraph::new(g.clone(), true, 1);
+    let mut maintained = MaintainedGraph::new(g.clone(), true);
     let mut reference = g;
 
     for step in 0..3u64 {

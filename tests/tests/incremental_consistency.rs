@@ -58,7 +58,7 @@ proptest! {
     /// `compressR(G ⊕ ΔG)` and answers every reachability query correctly.
     #[test]
     fn incremental_reachability_equals_batch((g, batches) in arb_graph_and_batches(12, 3)) {
-        let mut maintained = MaintainedGraph::new(g.clone(), false, 1);
+        let mut maintained = MaintainedGraph::new(g.clone(), false);
         let mut reference = g;
         for batch in &batches {
             maintained.apply(batch);
@@ -84,7 +84,7 @@ proptest! {
     /// equals `compressB(G ⊕ ΔG)`.
     #[test]
     fn incremental_pattern_equals_batch((g, batches) in arb_graph_and_batches(12, 3)) {
-        let mut maintained = MaintainedGraph::new(g.clone(), true, 1);
+        let mut maintained = MaintainedGraph::new(g.clone(), true);
         let mut reference = g;
         for batch in &batches {
             maintained.apply(batch);
@@ -243,7 +243,7 @@ fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
             g.add_edge(NodeId(u), NodeId(w));
         }
 
-        let mut facade = MaintainedGraph::new(g.clone(), true, 1);
+        let mut facade = MaintainedGraph::new(g.clone(), true);
         let mut reach_g = g.clone();
         let mut reach = IncrementalReach::new(&reach_g);
         let mut pattern_g = g.clone();

@@ -1,13 +1,12 @@
-//! Determinism under parallelism, pinned at the store level.
+//! What `StoreConfig::threads` cannot reach, pinned at the store level.
 //!
-//! The parallel maintenance paths — worklist-partitioned bisimulation
-//! refinement and the chunked reachability-signature sweeps — promise
-//! **bit-identical** results to their sequential forms at any thread
-//! count. The kernel crate pins the raw structures
-//! (`qpgc_pattern::bisim`); this suite drives the same seeded update
-//! streams through whole [`CompressedStore`]s configured at 1, 2, and 4
-//! threads and asserts the
-//! *published snapshots* coincide at every version:
+//! The knob shards store-level bulk reads across workers and nothing else:
+//! compression, maintenance and publication run on the writer's thread, so
+//! no published structure may depend on it. This suite drives the same
+//! seeded update streams through whole [`CompressedStore`]s configured at
+//! 1, 2, and 4 threads and asserts the *published snapshots* coincide at
+//! every version — which also pins that two stores fed one stream publish
+//! the same bits (stable ids are a pure function of the stream):
 //!
 //! * the quotient CSR edge-for-edge and the stable class index node for
 //!   node,
@@ -19,8 +18,9 @@
 //! The sharded router gets the same treatment one level up: identical
 //! streams publish cuts of identical heap size and identical answers.
 
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::{LabeledGraph, NodeId};
 use qpgc_serve::{CompressedStore, ReachStore as _, ShardedStore, StoreConfig};
+use qpgc_tests::differential::random_batch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -39,25 +39,6 @@ fn random_labeled_graph(rng: &mut StdRng, n_max: usize) -> LabeledGraph {
         g.add_edge(NodeId(u), NodeId(v));
     }
     g
-}
-
-fn random_batch(rng: &mut StdRng, n: usize, count: usize) -> UpdateBatch {
-    let mut batch = UpdateBatch::new();
-    // A batch may not both insert and delete the same edge: remember the
-    // first kind drawn per edge and repeat it.
-    let mut kinds: std::collections::HashMap<(u32, u32), bool> = std::collections::HashMap::new();
-    for _ in 0..count {
-        let u = rng.gen_range(0..n) as u32;
-        let v = rng.gen_range(0..n) as u32;
-        let drawn = rng.gen_bool(0.6);
-        let is_insert = *kinds.entry((u, v)).or_insert(drawn);
-        if is_insert {
-            batch.insert(NodeId(u), NodeId(v));
-        } else {
-            batch.delete(NodeId(u), NodeId(v));
-        }
-    }
-    batch
 }
 
 /// Drives one seeded stream through three stores differing only in
@@ -82,7 +63,7 @@ fn run_thread_differential(seed: u64, patterns: bool, two_hop: bool) {
         .collect();
     for step in 0..4 {
         let count = rng.gen_range(1..5);
-        let batch = random_batch(&mut rng, g.node_count(), count);
+        let batch = random_batch(&mut rng, g.node_count(), count, 0.6, false);
         for store in &stores {
             store.apply(&batch);
         }
@@ -98,7 +79,7 @@ fn run_thread_differential(seed: u64, patterns: bool, two_hop: bool) {
             assert_eq!(
                 snap.compressed_graph().edges().collect::<Vec<_>>(),
                 base.compressed_graph().edges().collect::<Vec<_>>(),
-                "{tag}: quotient edges diverged across thread counts"
+                "{tag}: quotient edges diverged across `threads` settings"
             );
             assert_eq!(snap.class_count(), base.class_count(), "{tag}: class count");
             for v in g.nodes() {
@@ -161,7 +142,7 @@ fn run_thread_differential(seed: u64, patterns: bool, two_hop: bool) {
 }
 
 /// Streams with the 2-hop index: the quotient CSR, and the index built
-/// over it on every batch, are the same at every thread count.
+/// over it on every batch, are the same at every `threads` setting.
 #[test]
 fn two_hop_streams_are_thread_count_invariant() {
     for i in 0..10 {
@@ -169,8 +150,8 @@ fn two_hop_streams_are_thread_count_invariant() {
     }
 }
 
-/// Pattern-serving streams: the parallel refinement inside both
-/// maintainers, and the views built from their exports.
+/// Pattern-serving streams: both maintainers, and the views built from
+/// their exports.
 #[test]
 fn pattern_streams_are_thread_count_invariant() {
     for i in 0..10 {
@@ -209,7 +190,7 @@ fn sharded_streams_are_deterministic_at_any_thread_count() {
             .collect();
         for step in 0..4 {
             let count = rng.gen_range(1..5);
-            let batch = random_batch(&mut rng, g.node_count(), count);
+            let batch = random_batch(&mut rng, g.node_count(), count, 0.6, false);
             for store in &stores {
                 store.apply(&batch);
             }

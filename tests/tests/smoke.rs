@@ -53,7 +53,7 @@ fn pattern_scheme_constructs_and_answers() {
 #[test]
 fn maintained_reachability_constructs_and_applies() {
     let (g, n) = tiny_graph();
-    let mut maintained = MaintainedGraph::new(g, false, 1);
+    let mut maintained = MaintainedGraph::new(g, false);
     assert!(!maintained.reach().query(n[4], n[0]));
     let mut batch = UpdateBatch::new();
     batch.insert(n[4], n[0]);
@@ -64,7 +64,7 @@ fn maintained_reachability_constructs_and_applies() {
 #[test]
 fn maintained_pattern_constructs_and_applies() {
     let (g, n) = tiny_graph();
-    let mut maintained = MaintainedGraph::new(g, true, 1);
+    let mut maintained = MaintainedGraph::new(g, true);
     let mut p = Pattern::new();
     let a = p.add_node("A");
     let c = p.add_node("C");
