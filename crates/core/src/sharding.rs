@@ -2,11 +2,11 @@
 //! serving.
 //!
 //! A [`NodePartition`] assigns every node to one shard; an update whose
-//! edge stays within a shard belongs to that shard's writer, while an
+//! edge stays within a shard belongs to that shard's maintainer, while an
 //! update crossing shards touches no shard subgraph and is routed to the
 //! router's boundary graph instead. [`slice_batch`] performs that split
-//! once, up front, so the per-shard writers can run concurrently on
-//! disjoint slices with no coordination.
+//! once, up front, so each shard's maintainer stages its own disjoint
+//! slice without looking at any other.
 
 use qpgc_graph::{NodePartition, UpdateBatch};
 
@@ -17,7 +17,7 @@ use qpgc_graph::{NodePartition, UpdateBatch};
 pub struct SlicedBatch {
     /// `per_shard[s]` — the updates whose edges live entirely in shard `s`.
     /// Always `partition.shards()` entries; untouched shards get an empty
-    /// batch (their writers still republish, which is what keeps every
+    /// batch (they still republish, which is what keeps every
     /// shard's version aligned with the router watermark).
     pub per_shard: Vec<UpdateBatch>,
     /// Updates whose edges cross shards, in application order — boundary

@@ -18,15 +18,13 @@
 //! * **Deterministic triggers.** A [`FaultPlan`] is a list of rules keyed
 //!   by `(site, nth-hit)`: the `nth` time (1-based) the named site is
 //!   evaluated under the plan, it panics with a recognizable payload
-//!   (`"failpoint `site` (hit n)"`). Hit counters are shared by every
-//!   thread that [`adopt`]s the plan, so a rule fires exactly once no
-//!   matter how many concurrent shard writers race through the site.
-//! * **Thread-local activation.** Plans are installed per thread
-//!   ([`install`]), so parallel tests cannot arm each other's sites. Code
-//!   that fans work out to scoped threads propagates the installing
-//!   thread's plan by capturing [`handle`] before the spawn and
-//!   [`adopt`]ing it inside each worker — the sharded store's apply path
-//!   does exactly this.
+//!   (`"failpoint `site` (hit n)"`).
+//! * **Thread-local plans.** A plan is installed on one thread
+//!   ([`install`]) and counts that thread's hits only, so parallel tests
+//!   cannot arm each other's sites. No product path hands work to another
+//!   thread between a batch's first and last site — both stores stage,
+//!   shard by shard, on the writer's thread — so hit `n` of a site is the
+//!   same evaluation on every run.
 //!
 //! ## Usage
 //!
@@ -64,12 +62,13 @@ macro_rules! fail_point {
 mod imp {
     use std::cell::RefCell;
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
 
-    /// One armed failpoint plan: rules keyed by `(site, nth-hit)`.
+    /// One armed failpoint plan: rules keyed by `(site, nth-hit)`, and the
+    /// hits its sites have taken since it was installed.
     #[derive(Clone, Debug, Default)]
     pub struct FaultPlan {
         rules: Vec<(String, u64)>,
+        hits: HashMap<String, u64>,
     }
 
     impl FaultPlan {
@@ -85,46 +84,31 @@ mod imp {
             self.rules.push((site.to_string(), nth));
             self
         }
-    }
 
-    #[derive(Debug)]
-    struct Shared {
-        rules: Vec<(String, u64)>,
-        hits: Mutex<HashMap<String, u64>>,
-    }
-
-    /// A live, reference-counted fault plan. Cloning shares the hit
-    /// counters, which is what makes `(site, nth)` rules deterministic
-    /// across the scoped worker threads that [`adopt`](crate::adopt) it.
-    #[derive(Clone, Debug)]
-    pub struct FaultHandle(Arc<Shared>);
-
-    impl FaultHandle {
-        fn bump_and_check(&self, site: &str) {
-            if !self.0.rules.iter().any(|(s, _)| s == site) {
-                return;
+        /// Counts one hit of `site`; `Some(hit)` when a rule fires on it.
+        fn hit(&mut self, site: &str) -> Option<u64> {
+            if !self.rules.iter().any(|(s, _)| s == site) {
+                return None;
             }
-            let hit = {
-                let mut hits = self.0.hits.lock().unwrap_or_else(|e| e.into_inner());
-                let h = hits.entry(site.to_string()).or_insert(0);
-                *h += 1;
-                *h
-            };
-            if self.0.rules.iter().any(|(s, nth)| s == site && *nth == hit) {
-                panic!("failpoint `{site}` (hit {hit})");
-            }
+            let hit = self.hits.entry(site.to_string()).or_insert(0);
+            *hit += 1;
+            let hit = *hit;
+            self.rules
+                .iter()
+                .any(|(s, nth)| s == site && *nth == hit)
+                .then_some(hit)
         }
     }
 
     thread_local! {
-        static ACTIVE: RefCell<Option<FaultHandle>> = const { RefCell::new(None) };
+        static ACTIVE: RefCell<Option<FaultPlan>> = const { RefCell::new(None) };
     }
 
     /// Clears the calling thread's plan when dropped, restoring whatever
     /// was active before.
     #[derive(Debug)]
     pub struct InstallGuard {
-        previous: Option<FaultHandle>,
+        previous: Option<FaultPlan>,
     }
 
     impl Drop for InstallGuard {
@@ -136,35 +120,15 @@ mod imp {
     /// Installs `plan` as the calling thread's active plan for the guard's
     /// lifetime.
     pub fn install(plan: FaultPlan) -> InstallGuard {
-        let handle = FaultHandle(Arc::new(Shared {
-            rules: plan.rules,
-            hits: Mutex::new(HashMap::new()),
-        }));
-        let previous = ACTIVE.with(|a| a.borrow_mut().replace(handle));
-        InstallGuard { previous }
-    }
-
-    /// The calling thread's active plan, if any — capture it before
-    /// spawning workers and [`adopt`](crate::adopt) it inside each.
-    pub fn handle() -> Option<FaultHandle> {
-        ACTIVE.with(|a| a.borrow().clone())
-    }
-
-    /// Adopts a captured plan (hit counters shared with the installer) on
-    /// the calling thread for the guard's lifetime. `None` is a no-op
-    /// guard, so call sites need no conditionals.
-    pub fn adopt(handle: Option<FaultHandle>) -> InstallGuard {
-        let previous = match handle {
-            Some(h) => ACTIVE.with(|a| a.borrow_mut().replace(h)),
-            None => ACTIVE.with(|a| a.borrow().clone()),
-        };
+        let previous = ACTIVE.with(|a| a.borrow_mut().replace(plan));
         InstallGuard { previous }
     }
 
     /// See [`fail_point!`](crate::fail_point).
     pub fn eval(site: &str) {
-        if let Some(h) = ACTIVE.with(|a| a.borrow().clone()) {
-            h.bump_and_check(site);
+        let fired = ACTIVE.with(|a| a.borrow_mut().as_mut().and_then(|plan| plan.hit(site)));
+        if let Some(hit) = fired {
+            panic!("failpoint `{site}` (hit {hit})");
         }
     }
 }
@@ -188,10 +152,6 @@ mod imp {
         }
     }
 
-    /// A live fault plan — inert without the `failpoints` feature.
-    #[derive(Clone, Debug)]
-    pub struct FaultHandle;
-
     /// Inert guard.
     #[derive(Debug)]
     pub struct InstallGuard;
@@ -201,22 +161,12 @@ mod imp {
         InstallGuard
     }
 
-    /// Always `None` in this build.
-    pub fn handle() -> Option<FaultHandle> {
-        None
-    }
-
-    /// Inert adoption guard.
-    pub fn adopt(_handle: Option<FaultHandle>) -> InstallGuard {
-        InstallGuard
-    }
-
     /// See [`fail_point!`](crate::fail_point) — a no-op in this build.
     #[inline(always)]
     pub fn eval(_site: &str) {}
 }
 
-pub use imp::{adopt, eval, handle, install, FaultHandle, FaultPlan, InstallGuard};
+pub use imp::{eval, install, FaultPlan, InstallGuard};
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {
@@ -250,27 +200,14 @@ mod tests {
     }
 
     #[test]
-    fn plans_are_thread_local_but_counters_are_shared_on_adoption() {
-        let _g = install(FaultPlan::new().fail_at("t/shared", 2));
-        let captured = handle();
-        // A thread without the plan never fires.
+    fn plans_are_thread_local() {
+        let _g = install(FaultPlan::new().fail_at("t/local", 1));
+        // A thread without the plan never fires, and does not count
+        // against the installing thread's hits.
         std::thread::scope(|s| {
-            s.spawn(|| eval("t/shared")).join().unwrap();
+            s.spawn(|| eval("t/local")).join().unwrap();
         });
-        // Two adopting threads share the counter: exactly one panics.
-        let results: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let h = captured.clone();
-                    s.spawn(move || {
-                        let _a = adopt(h);
-                        catch_unwind(AssertUnwindSafe(|| eval("t/shared"))).is_err()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(results.iter().filter(|&&p| p).count(), 1);
+        assert!(catch_unwind(AssertUnwindSafe(|| eval("t/local"))).is_err());
     }
 
     #[test]

@@ -1,146 +1,18 @@
-//! A small fixed-capacity bit set, and a matrix of bit rows.
+//! A matrix of bit rows.
 //!
 //! The reachability equivalence relation of Section 3 is computed by
 //! comparing ancestor and descendant *sets*; representing those sets as
 //! packed `u64` words makes the union-and-compare loops branch-free and is
 //! what keeps `compressR` practical on graphs with tens of thousands of
-//! SCCs. We implement the bit set ourselves rather than pulling in an
+//! SCCs. We implement the bit rows ourselves rather than pulling in an
 //! external crate so that the whole workspace builds from the approved
 //! offline dependency list.
 
 use std::cell::RefCell;
-use std::fmt;
-
-/// A fixed-capacity set of `usize` values in `0..len`, stored as packed
-/// 64-bit words.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct FixedBitSet {
-    blocks: Vec<u64>,
-    len: usize,
-}
 
 const BITS: usize = 64;
 
-impl FixedBitSet {
-    /// Creates a set able to hold values in `0..len`, initially empty.
-    pub fn with_capacity(len: usize) -> Self {
-        FixedBitSet {
-            blocks: vec![0; len.div_ceil(BITS)],
-            len,
-        }
-    }
-
-    /// Capacity of the set (the exclusive upper bound on storable values).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the set has zero capacity.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Inserts `bit` into the set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= self.len()`.
-    #[inline]
-    pub fn insert(&mut self, bit: usize) {
-        assert!(bit < self.len, "bit {bit} out of bounds ({})", self.len);
-        self.blocks[bit / BITS] |= 1u64 << (bit % BITS);
-    }
-
-    /// Removes `bit` from the set.
-    #[inline]
-    pub fn remove(&mut self, bit: usize) {
-        assert!(bit < self.len, "bit {bit} out of bounds ({})", self.len);
-        self.blocks[bit / BITS] &= !(1u64 << (bit % BITS));
-    }
-
-    /// Tests whether `bit` is in the set. Out-of-range bits are reported as
-    /// absent.
-    #[inline]
-    pub fn contains(&self, bit: usize) -> bool {
-        if bit >= self.len {
-            return false;
-        }
-        self.blocks[bit / BITS] & (1u64 << (bit % BITS)) != 0
-    }
-
-    /// Removes all elements, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.blocks.iter_mut().for_each(|b| *b = 0);
-    }
-
-    /// Number of elements currently in the set.
-    pub fn count_ones(&self) -> usize {
-        self.blocks.iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// In-place union: `self ← self ∪ other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different capacities.
-    pub fn union_with(&mut self, other: &FixedBitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place intersection: `self ← self ∩ other`.
-    pub fn intersect_with(&mut self, other: &FixedBitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
-            *a &= *b;
-        }
-    }
-
-    /// `true` if the two sets share no element.
-    pub fn is_disjoint(&self, other: &FixedBitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & b == 0)
-    }
-
-    /// `true` if every element of `self` is also in `other`.
-    pub fn is_subset(&self, other: &FixedBitSet) -> bool {
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    /// Iterates over the elements of the set in increasing order.
-    pub fn ones(&self) -> Ones<'_> {
-        Ones::over(&self.blocks)
-    }
-
-    /// Raw access to the packed words (used for hashing partitions cheaply).
-    pub fn as_blocks(&self) -> &[u64] {
-        &self.blocks
-    }
-
-    /// Approximate heap footprint in bytes (used in the memory-cost
-    /// experiment of Fig. 12(d)).
-    pub fn heap_bytes(&self) -> usize {
-        self.blocks.capacity() * std::mem::size_of::<u64>()
-    }
-}
-
-impl fmt::Debug for FixedBitSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.ones()).finish()
-    }
-}
-
-/// Iterator over the set bits of a [`FixedBitSet`] or of one
-/// [`BitMatrix`] row.
+/// Iterator over the set bits of one [`BitMatrix`] row.
 pub struct Ones<'a> {
     blocks: &'a [u64],
     block_idx: usize,
@@ -189,7 +61,7 @@ impl Iterator for Ones<'_> {
 /// This is what a chunked closure sweep
 /// ([`DagReach::descendants_chunk`](crate::reach_sets::DagReach::descendants_chunk))
 /// returns: one row per DAG node, one bit per column of the chunk. Against
-/// one heap [`FixedBitSet`] per node it is a single (lazily zeroed)
+/// one heap bit set per node it is a single (lazily zeroed)
 /// allocation per sweep, rows are plain `&[u64]` slices that consumers
 /// hash and compare in place, and a row union is a linear pass over two
 /// ranges of the same buffer.
@@ -227,7 +99,10 @@ const SPARE_WORDS_MAX: usize = 1 << 20;
 /// drops the maintainer's two resident matrices *before* it sweeps their
 /// successors, so the sweep is served from what it just handed back — then
 /// a publication's two scratch copies ([`BitMatrix::copy_of`]) of the
-/// resident pair (at most 2 MiB each: inside [`SPARE_WORDS_MAX`]). Two
+/// resident pair (at most 2 MiB each: inside [`SPARE_WORDS_MAX`]). A
+/// sharded store runs every shard's phases one after the other on the same
+/// writer's thread, then its boundary summary's two — the closure over the
+/// composite graph's components, and one shard's class rows at a time. Two
 /// spares would carry that; four leave room for a second maintainer on the
 /// thread (the pattern side's kernel, a benchmark's shadow) without a
 /// fresh `mmap`.
@@ -417,14 +292,24 @@ impl BitMatrix {
 mod tests {
     use super::*;
 
-    /// Every operation of [`BitMatrix`] against one [`FixedBitSet`] per row,
-    /// at widths around the word boundary.
+    /// The reference a row is checked against: a fixed-width set of bits,
+    /// one `bool` each, packed the way a row is.
+    fn packed(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(BITS)];
+        for (bit, _) in bits.iter().enumerate().filter(|&(_, &set)| set) {
+            words[bit / BITS] |= 1 << (bit % BITS);
+        }
+        words
+    }
+
+    /// Every operation of [`BitMatrix`] against one fixed-width set of
+    /// `bool`s per row, at widths around the word boundary.
     #[test]
     fn bit_matrix_matches_a_fixed_bit_set_per_row() {
         for width in [0usize, 1, 63, 64, 65] {
             let rows = 5;
             let mut m = BitMatrix::new(rows, width);
-            let mut oracle = vec![FixedBitSet::with_capacity(width); rows];
+            let mut oracle = vec![vec![false; width]; rows];
             assert_eq!(m.rows(), rows);
             // A deterministic scatter of bits, then unions in both
             // directions (and a self union, which must change nothing).
@@ -433,22 +318,22 @@ mod tests {
                 state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
                 let (r, bit) = ((state >> 33) as usize % rows, (state >> 7) as usize % width);
                 m.insert(r, bit);
-                oracle[r].insert(bit);
+                oracle[r][bit] = true;
             }
             for (dst, src) in [(0, 3), (4, 1), (2, 2), (1, 0)] {
                 m.union_rows(dst, src);
                 let from = oracle[src].clone();
-                oracle[dst].union_with(&from);
+                for (to, &set) in oracle[dst].iter_mut().zip(&from) {
+                    *to |= set;
+                }
             }
             for (r, set) in oracle.iter().enumerate() {
-                assert_eq!(m.row(r), set.as_blocks(), "width {width} row {r}");
-                assert_eq!(m.count_ones(r), set.count_ones());
-                assert_eq!(
-                    m.ones(r).collect::<Vec<_>>(),
-                    set.ones().collect::<Vec<_>>()
-                );
+                let ones: Vec<usize> = (0..width).filter(|&bit| set[bit]).collect();
+                assert_eq!(m.row(r), packed(set), "width {width} row {r}");
+                assert_eq!(m.count_ones(r), ones.len());
+                assert_eq!(m.ones(r).collect::<Vec<_>>(), ones);
                 for bit in 0..width + 2 {
-                    assert_eq!(m.contains(r, bit), set.contains(bit));
+                    assert_eq!(m.contains(r, bit), set.get(bit) == Some(&true));
                 }
             }
         }
@@ -461,7 +346,7 @@ mod tests {
         for width in [0usize, 1, 63, 64, 65] {
             let rows = 5;
             let mut m = BitMatrix::new(rows, width);
-            let mut oracle = vec![FixedBitSet::with_capacity(width); rows];
+            let mut oracle = vec![vec![false; width]; rows];
             assert_eq!(m.width(), width);
             let mut state = 0xd1b5_4a32_d192_ed03u64 ^ width as u64;
             let mut draw = move || {
@@ -473,27 +358,27 @@ mod tests {
             for (r, set) in oracle.iter_mut().enumerate() {
                 for bit in (0..width).filter(|bit| (bit + r) % 4 != 0) {
                     m.insert(r, bit);
-                    set.insert(bit);
+                    set[bit] = true;
                 }
             }
             for _ in 0..width {
                 let (r, bit) = draw();
                 m.remove(r, bit % width);
-                oracle[r].remove(bit % width);
+                oracle[r][bit % width] = false;
             }
             // Differences in both directions, a self difference (empties
             // the row) and a cleared row.
             for (dst, src) in [(0, 3), (4, 1), (2, 2)] {
                 m.difference_rows(dst, src);
                 let minus = oracle[src].clone();
-                for bit in minus.ones() {
-                    oracle[dst].remove(bit);
+                for (bit, _) in minus.iter().enumerate().filter(|&(_, &set)| set) {
+                    oracle[dst][bit] = false;
                 }
             }
             m.clear_row(1);
-            oracle[1].clear();
+            oracle[1].fill(false);
             for (r, set) in oracle.iter().enumerate() {
-                assert_eq!(m.row(r), set.as_blocks(), "width {width} row {r}");
+                assert_eq!(m.row(r), packed(set), "width {width} row {r}");
             }
             assert_eq!(m.count_ones(2) + m.count_ones(1), 0);
         }
@@ -570,97 +455,41 @@ mod tests {
 
     #[test]
     fn insert_contains_remove() {
-        let mut s = FixedBitSet::with_capacity(130);
-        assert_eq!(s.len(), 130);
-        assert!(!s.is_empty());
-        s.insert(0);
-        s.insert(63);
-        s.insert(64);
-        s.insert(129);
-        assert!(s.contains(0));
-        assert!(s.contains(63));
-        assert!(s.contains(64));
-        assert!(s.contains(129));
-        assert!(!s.contains(1));
-        assert!(!s.contains(500));
-        assert_eq!(s.count_ones(), 4);
-        s.remove(64);
-        assert!(!s.contains(64));
-        assert_eq!(s.count_ones(), 3);
-        s.clear();
-        assert_eq!(s.count_ones(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn insert_out_of_bounds_panics() {
-        let mut s = FixedBitSet::with_capacity(10);
-        s.insert(10);
-    }
-
-    #[test]
-    fn union_intersect_subset() {
-        let mut a = FixedBitSet::with_capacity(100);
-        let mut b = FixedBitSet::with_capacity(100);
-        a.insert(1);
-        a.insert(70);
-        b.insert(70);
-        b.insert(99);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.ones().collect::<Vec<_>>(), vec![1, 70, 99]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.ones().collect::<Vec<_>>(), vec![70]);
-        assert!(i.is_subset(&a));
-        assert!(i.is_subset(&b));
-        assert!(!a.is_subset(&b));
-        assert!(!a.is_disjoint(&b));
-        let mut c = FixedBitSet::with_capacity(100);
-        c.insert(5);
-        assert!(c.is_disjoint(&a));
+        let mut m = BitMatrix::new(2, 130);
+        for bit in [0, 63, 64, 129] {
+            m.insert(1, bit);
+        }
+        for bit in [0, 63, 64, 129] {
+            assert!(m.contains(1, bit) && !m.contains(0, bit));
+        }
+        assert!(!m.contains(1, 1));
+        assert!(!m.contains(1, 500));
+        assert_eq!(m.count_ones(1), 4);
+        m.remove(1, 64);
+        assert!(!m.contains(1, 64));
+        assert_eq!(m.count_ones(1), 3);
+        m.clear_row(1);
+        assert_eq!(m.count_ones(1), 0);
     }
 
     #[test]
     fn ones_iterates_in_order() {
-        let mut s = FixedBitSet::with_capacity(300);
-        for i in [7usize, 64, 65, 128, 255, 299] {
-            s.insert(i);
+        let mut m = BitMatrix::new(1, 300);
+        for bit in [7usize, 64, 65, 128, 255, 299] {
+            m.insert(0, bit);
         }
-        assert_eq!(s.ones().collect::<Vec<_>>(), vec![7, 64, 65, 128, 255, 299]);
+        assert_eq!(
+            m.ones(0).collect::<Vec<_>>(),
+            vec![7, 64, 65, 128, 255, 299]
+        );
     }
 
     #[test]
     fn empty_set() {
-        let s = FixedBitSet::with_capacity(0);
-        assert!(s.is_empty());
-        assert_eq!(s.ones().count(), 0);
-        assert_eq!(s.count_ones(), 0);
-        assert!(!s.contains(0));
-    }
-
-    #[test]
-    fn equality_and_hash_are_structural() {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut a = FixedBitSet::with_capacity(128);
-        let mut b = FixedBitSet::with_capacity(128);
-        a.insert(3);
-        a.insert(100);
-        b.insert(100);
-        b.insert(3);
-        assert_eq!(a, b);
-        let hash = |s: &FixedBitSet| {
-            let mut h = DefaultHasher::new();
-            s.hash(&mut h);
-            h.finish()
-        };
-        assert_eq!(hash(&a), hash(&b));
-    }
-
-    #[test]
-    fn heap_bytes_reflects_capacity() {
-        let s = FixedBitSet::with_capacity(1024);
-        assert!(s.heap_bytes() >= 1024 / 8);
+        let m = BitMatrix::new(1, 0);
+        assert_eq!(m.ones(0).count(), 0);
+        assert_eq!(m.count_ones(0), 0);
+        assert!(!m.contains(0, 0));
+        assert_eq!(BitMatrix::new(0, 100).rows(), 0);
     }
 }

@@ -76,7 +76,7 @@ pub mod traversal;
 pub mod update;
 pub mod view;
 
-pub use bitset::{BitMatrix, FixedBitSet};
+pub use bitset::BitMatrix;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::LabeledGraph;

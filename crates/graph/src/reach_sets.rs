@@ -11,7 +11,7 @@
 
 use std::ops::Range;
 
-use crate::bitset::{BitMatrix, FixedBitSet};
+use crate::bitset::BitMatrix;
 use crate::csr::csr_from_grouped;
 use crate::error::{GraphError, Result};
 use crate::scc::Condensation;
@@ -282,17 +282,18 @@ fn kahn_topological_order(dag: &DagReach) -> Result<Vec<u32>> {
 /// Node-level proper ancestor/descendant sets of an arbitrary (possibly
 /// cyclic) graph, computed through its condensation.
 ///
-/// This is a convenience for tests and small graphs: it returns, for every
-/// node, bit sets over *node* ids (not SCC ids). `descendants[v]` contains
-/// `w` iff there is a non-empty path from `v` to `w`.
-pub fn node_closures<G: GraphView>(g: &G) -> (Vec<FixedBitSet>, Vec<FixedBitSet>) {
+/// This is a convenience for tests and small graphs: it returns one row
+/// per node, with bits over *node* ids (not SCC ids). Row `v` of the
+/// descendant matrix holds `w` iff there is a non-empty path from `v` to
+/// `w`.
+pub fn node_closures<G: GraphView>(g: &G) -> (BitMatrix, BitMatrix) {
     let n = g.node_count();
     let cond = Condensation::of(g);
     let scc_desc = cond.dag().full_descendants();
     let scc_anc = cond.dag().full_ancestors();
 
-    let mut desc = vec![FixedBitSet::with_capacity(n); n];
-    let mut anc = vec![FixedBitSet::with_capacity(n); n];
+    let mut desc = BitMatrix::new(n, n);
+    let mut anc = BitMatrix::new(n, n);
     for v in g.nodes() {
         let c = cond.component_of(v);
         let cyclic = cond.is_cyclic(c, g);
@@ -300,18 +301,18 @@ pub fn node_closures<G: GraphView>(g: &G) -> (Vec<FixedBitSet>, Vec<FixedBitSet>
         // when the SCC is cyclic.
         for cd in scc_desc.ones(c as usize) {
             for &w in cond.members(cd as u32) {
-                desc[v.index()].insert(w.index());
+                desc.insert(v.index(), w.index());
             }
         }
         for ca in scc_anc.ones(c as usize) {
             for &w in cond.members(ca as u32) {
-                anc[v.index()].insert(w.index());
+                anc.insert(v.index(), w.index());
             }
         }
         if cyclic {
             for &w in cond.members(c) {
-                desc[v.index()].insert(w.index());
-                anc[v.index()].insert(w.index());
+                desc.insert(v.index(), w.index());
+                anc.insert(v.index(), w.index());
             }
         }
     }
@@ -402,7 +403,7 @@ mod tests {
                 .into_iter()
                 .map(|x| x.index())
                 .collect();
-            let mut via_sets: Vec<usize> = desc[u.index()].ones().collect();
+            let mut via_sets: Vec<usize> = desc.ones(u.index()).collect();
             via_sets.sort();
             let mut expected = via_bfs.clone();
             expected.sort();
@@ -412,7 +413,7 @@ mod tests {
                 .into_iter()
                 .map(|x| x.index())
                 .collect();
-            let mut via_sets_a: Vec<usize> = anc[u.index()].ones().collect();
+            let mut via_sets_a: Vec<usize> = anc.ones(u.index()).collect();
             via_sets_a.sort();
             let mut expected_a = via_bfs_a.clone();
             expected_a.sort();

@@ -24,7 +24,7 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `lock-hygiene` | no bare `.lock()/.read()/.write()` + `.unwrap()/.expect(...)`; poison must be recovered |
-//! | `deterministic-iteration` | no unsorted `HashMap`/`HashSet` iteration in the incremental-maintenance modules; no `std::thread::{scope, spawn}` in the kernel crates (`graph`, `reachability`, `pattern`, `core`) |
+//! | `deterministic-iteration` | no unsorted `HashMap`/`HashSet` iteration in the incremental-maintenance modules; no `std::thread::{scope, spawn}` in the kernel crates (`graph`, `reachability`, `pattern`, `core`) or in `serve` (bulk reads spawn under a pragma) |
 //! | `failpoint-registry` | `fail_point!` sites and the fault-injection arm list agree bidirectionally |
 //! | `timing-gate` | wall-clock assertions sit in functions that check `QPGC_TIMING_TESTS` |
 //! | `hygiene` | crate roots forbid unsafe; `dbg!`/`todo!`/`unimplemented!`/`println!` stay out of library code |

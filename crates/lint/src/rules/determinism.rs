@@ -13,12 +13,14 @@
 //! that is where iteration order feeds stable ids; elsewhere hash iteration
 //! is routine and harmless.
 //!
-//! Scheduling order is the other way nondeterminism reaches stable ids, so
-//! the same rule keeps `std::thread::{scope, spawn}` out of the kernel
-//! crates ([`KERNEL_CRATES`]): compression and maintenance run on the
-//! calling thread, and a store's `threads` shards bulk reads only — in
-//! `qpgc_serve`, outside this scope. One loop per kernel, nothing to keep
-//! bit-identical to it.
+//! Scheduling order is the other way nondeterminism reaches stable ids —
+//! and which shard a failure names — so the same rule keeps
+//! `std::thread::{scope, spawn}` out of the kernel crates and the serving
+//! crate ([`THREADLESS_CRATES`]): compression, maintenance and publication
+//! run on the writer's thread, one loop per kernel and one staging loop
+//! per store, with nothing to keep bit-identical to them. A store's
+//! `threads` shards bulk reads only; `qpgc_serve`'s `bulk.rs` spawns them
+//! under a justified pragma.
 
 use std::collections::BTreeSet;
 
@@ -47,13 +49,14 @@ pub fn in_scope(rel: &str) -> bool {
     SCOPE_SUFFIXES.iter().any(|s| rel.ends_with(s))
 }
 
-/// The crates whose code computes partitions and stable ids: no worker
-/// threads in their sources.
-const KERNEL_CRATES: &[&str] = &[
+/// The crates whose code computes partitions and stable ids, and the one
+/// that stages and publishes them: no worker threads in their sources.
+const THREADLESS_CRATES: &[&str] = &[
     "crates/graph/src/",
     "crates/reachability/src/",
     "crates/pattern/src/",
     "crates/core/src/",
+    "crates/serve/src/",
 ];
 
 /// Iteration methods that surface hash order.
@@ -71,8 +74,8 @@ const ITER_METHODS: &[&str] = &[
 /// counts as funnelling through a sort.
 const SORTED_MARKS: &[&str] = &["sort", "BTreeMap", "BTreeSet", "BinaryHeap"];
 
-/// Flags worker threads in the kernel crates and unsorted hash-collection
-/// iteration in the maintenance modules.
+/// Flags worker threads in the kernel and serving crates and unsorted
+/// hash-collection iteration in the maintenance modules.
 pub fn check(file: &SourceFile) -> Vec<Finding> {
     let mut out = thread_sites(file);
     if in_scope(&file.rel) {
@@ -82,9 +85,10 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
 }
 
 /// `thread::scope` / `thread::spawn` — called by path or imported, alone or
-/// in a `thread::{..}` group — anywhere in a kernel crate's sources.
+/// in a `thread::{..}` group — anywhere in a kernel or serving crate's
+/// sources.
 fn thread_sites(file: &SourceFile) -> Vec<Finding> {
-    if !KERNEL_CRATES.iter().any(|c| file.rel.starts_with(c)) {
+    if !THREADLESS_CRATES.iter().any(|c| file.rel.starts_with(c)) {
         return Vec::new();
     }
     let tokens = &file.lexed.tokens;
@@ -107,9 +111,9 @@ fn thread_sites(file: &SourceFile) -> Vec<Finding> {
                 RULE,
                 &file.rel,
                 tokens[i].line,
-                "worker thread in a kernel crate: compression and maintenance run on the \
-                 calling thread, so that stable ids cannot depend on scheduling and each \
-                 kernel has one loop — shard reads in `qpgc_serve` instead",
+                "worker thread in a kernel or serving crate: compression, maintenance and \
+                 publication run on the writer's thread, so that stable ids and failures \
+                 cannot depend on scheduling — only bulk reads may spawn, under a pragma",
             ));
         }
     }

@@ -76,6 +76,9 @@ fn determinism_flags_unsorted_hash_iteration_in_scope() {
                 "crates/reachability/src/incremental.rs",
                 8
             ),
+            // And out of the serving crate's write path: a scoped thread
+            // per shard makes the failing shard a race.
+            ("deterministic-iteration", "crates/serve/src/sharded.rs", 4),
         ]
     );
 }

@@ -249,10 +249,7 @@ pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
     let mut members: Vec<Vec<NodeId>> = Vec::new();
     let mut cyclic: Vec<bool> = Vec::new();
     for v in g.nodes() {
-        let key = (
-            desc[v.index()].as_blocks().to_vec(),
-            anc[v.index()].as_blocks().to_vec(),
-        );
+        let key = (desc.row(v.index()).to_vec(), anc.row(v.index()).to_vec());
         let class = *key_to_class.entry(key).or_insert_with(|| {
             members.push(Vec::new());
             cyclic.push(false);
@@ -260,7 +257,7 @@ pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
         });
         class_of[v.index()] = class;
         members[class as usize].push(v);
-        if desc[v.index()].contains(v.index()) {
+        if desc.contains(v.index(), v.index()) {
             cyclic[class as usize] = true;
         }
     }

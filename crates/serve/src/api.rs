@@ -3,8 +3,9 @@
 //! [`ReachStore`] is the writer/router surface — snapshot access, a
 //! watermark, update application — and [`ReachCut`] is the immutable view
 //! a `load` hands back. [`CompressedStore`](crate::CompressedStore)
-//! (single-writer) and [`ShardedStore`](crate::sharded::ShardedStore)
-//! (hash-partitioned multi-writer) both implement the pair, which is what
+//! (one maintained graph) and [`ShardedStore`](crate::sharded::ShardedStore)
+//! (hash-partitioned, one maintained graph per shard) both implement the
+//! pair, which is what
 //! lets the differential test suite and the bench harness drive either
 //! backend through one generic code path: same seeded streams, same
 //! oracles, no per-backend forks.
@@ -62,7 +63,7 @@ impl ReachCut for Snapshot {
 /// The contract every backend upholds:
 ///
 /// * [`ReachStore::load`] returns an immutable cut; evaluation on it never
-///   blocks the writer(s) and never observes a partially applied batch.
+///   blocks the writer and never observes a partially applied batch.
 /// * [`ReachStore::watermark`] is the version of the currently published
 ///   cut — monotonically increasing, bumped exactly once per applied
 ///   batch.
@@ -75,8 +76,8 @@ pub trait ReachStore {
     /// The cut type [`ReachStore::load`] publishes.
     type Cut: ReachCut;
 
-    /// The currently published cut. Hold it as long as you like — writers
-    /// never mutate published cuts, they only swap in new ones.
+    /// The currently published cut. Hold it as long as you like — the
+    /// writer never mutates published cuts, it only swaps in new ones.
     fn load(&self) -> Arc<Self::Cut>;
 
     /// Version of the currently published cut.

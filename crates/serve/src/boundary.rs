@@ -1,7 +1,7 @@
 //! The boundary summary: how cross-shard reachability composes.
 //!
 //! A sharded store keeps **intra-shard** edges inside per-shard
-//! [`CompressedStore`]s and parks **cross-shard** edges on the router. Any
+//! maintainers and parks **cross-shard** edges on the router. Any
 //! global path decomposes at its cross edges into intra-shard segments,
 //! and every such segment is already answered by the `Gr` its shard has
 //! just published — so the summary does not probe the shards pair by
@@ -50,14 +50,12 @@
 //!
 //! There is one construction, run at every watermark bump from the
 //! shards' current snapshots; nothing is carried over between cuts.
-//!
-//! [`CompressedStore`]: crate::CompressedStore
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::{Condensation, CsrGraph, NodeId, NodePartition};
+use qpgc_graph::{BitMatrix, Condensation, CsrGraph, NodeId, NodePartition};
 
 use crate::snapshot::Snapshot;
 
@@ -111,16 +109,6 @@ impl RowTable {
         self.rows.extend_from_slice(row);
         self.ids.insert(row.into(), id);
         id
-    }
-}
-
-fn set_bit(row: &mut [u64], bit: u32) {
-    row[bit as usize / 64] |= 1 << (bit % 64);
-}
-
-fn union_into(row: &mut [u64], other: &[u64]) {
-    for (a, b) in row.iter_mut().zip(other) {
-        *a |= *b;
     }
 }
 
@@ -194,42 +182,41 @@ impl BoundarySummary {
         let composite = CsrGraph::from_edges(vec![label; total as usize], interner, edges);
 
         // Children first: Tarjan numbers a component after everything it
-        // reaches, so `closed[k]` — the boundary vertices in or below
-        // component `k` — only reads finished rows.
+        // reaches, so row `k` of `closed` — the boundary vertices in or
+        // below component `k` — only reads finished rows.
         let scc = Condensation::of(&composite);
         let words = (vertices as usize).div_ceil(64);
-        let mut closed = vec![0u64; scc.component_count() * words];
+        let mut closed = BitMatrix::new(scc.component_count(), vertices as usize);
         for k in 0..scc.component_count() {
-            let (below, rest) = closed.split_at_mut(k * words);
-            let row = &mut rest[..words];
             for &m in scc.members(k as u32) {
                 if m.0 < vertices {
-                    set_bit(row, m.0);
+                    closed.insert(k, m.index());
                 }
             }
             for &j in scc.scc_out(k as u32) {
-                union_into(row, &below[j as usize * words..][..words]);
+                closed.union_rows(k, j as usize);
             }
         }
-        let closed_of = |v: NodeId| &closed[scc.component_of(v) as usize * words..][..words];
 
         let mut table = RowTable {
             words,
             rows: Vec::new(),
             ids: HashMap::new(),
         };
-        let mut scratch = vec![0u64; words];
         // A vertex alone in its component lies on no cycle: it reaches
-        // everything below it but not itself.
+        // everything below it but not itself. Its component's row is read
+        // by nobody else once the sweep is done, so the bit is struck out
+        // of it in place.
         let vertex_row: Vec<u32> = (0..vertices)
             .map(|x| {
-                scratch.copy_from_slice(closed_of(NodeId(x)));
-                if scc.members(scc.component_of(NodeId(x))).len() == 1 {
-                    scratch[x as usize / 64] &= !(1 << (x % 64));
+                let k = scc.component_of(NodeId(x));
+                if scc.members(k).len() == 1 {
+                    closed.remove(k as usize, x as usize);
                 }
-                table.intern(&scratch)
+                table.intern(closed.row(k as usize))
             })
             .collect();
+        let closed_of = |v: NodeId| closed.row(scc.component_of(v) as usize);
 
         let class_rows: Vec<Vec<ClassRows>> = snaps
             .iter()
@@ -251,19 +238,23 @@ impl BoundarySummary {
                     }
                 }
                 let mut ready: Vec<usize> = (0..classes).filter(|&c| pending[c] == 0).collect();
-                let mut into = vec![0u64; classes * words];
+                // Row `c`: what reaches the members of `c` from above, plus
+                // `c`'s own boundary members when `c` is cyclic; a child
+                // inherits the row and the members either way.
+                let mut into = BitMatrix::new(classes, vertices as usize);
                 while let Some(c) = ready.pop() {
                     let (members, below) = successors(c);
-                    scratch.copy_from_slice(&into[c * words..][..words]);
-                    for &x in members {
-                        set_bit(&mut scratch, x.0);
-                    }
                     if snap.cyclic_slice()[c] {
-                        into[c * words..][..words].copy_from_slice(&scratch);
+                        for &x in members {
+                            into.insert(c, x.index());
+                        }
                     }
                     for &d in below {
                         let d = class_at(d);
-                        union_into(&mut into[d * words..][..words], &scratch);
+                        into.union_rows(d, c);
+                        for &x in members {
+                            into.insert(d, x.index());
+                        }
                         pending[d] -= 1;
                         if pending[d] == 0 {
                             ready.push(d);
@@ -273,7 +264,7 @@ impl BoundarySummary {
                 (0..classes)
                     .map(|c| ClassRows {
                         from: table.intern(closed_of(member_vertex(s, c as u32))),
-                        into: table.intern(&into[c * words..][..words]),
+                        into: table.intern(into.row(c)),
                     })
                     .collect()
             })

@@ -78,12 +78,15 @@ pub enum StoreError {
         /// The panic payload, stringified.
         cause: String,
     },
-    /// One shard writer of a sharded application panicked (or the boundary
-    /// rebuild did). Every shard's staged state was discarded, the
-    /// router's cross-edge set restored, and the old cut is still served.
+    /// Staging one shard of a sharded application panicked (or the
+    /// boundary rebuild did). The shard index is the first failure in
+    /// shard order: every shard staged before it was discarded, none after
+    /// it was touched, the router's cross-edge set is as it was, and the
+    /// old cut is still served.
     ShardFailed {
         /// Index of the failing shard, or `usize::MAX` when the fault hit
-        /// the router itself (slicing, boundary rebuild, cut assembly).
+        /// the router itself (slicing, boundary rebuild, cut assembly, log
+        /// append).
         shard: usize,
         /// The panic payload, stringified.
         cause: String,
@@ -96,8 +99,8 @@ pub enum StoreError {
 
 impl StoreError {
     /// The shard index of a [`StoreError::ShardFailed`] meaning "the
-    /// router, not any shard" — slicing, boundary rebuild, or cut
-    /// assembly faulted after every shard writer had staged cleanly.
+    /// router, not any shard" — slicing, boundary rebuild, cut assembly or
+    /// the log append faulted.
     pub const ROUTER: usize = usize::MAX;
 }
 

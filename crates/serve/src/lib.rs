@@ -13,11 +13,12 @@
 //!
 //! * [`CompressedStore`] — the single-writer store; its cut is a
 //!   [`Snapshot`].
-//! * [`ShardedStore`] — the multi-writer router; a deterministic hash
-//!   partition ([`qpgc_graph::NodePartition`]) splits the node space
-//!   across [`StoreConfig::shards`] inner stores whose writers apply
-//!   their slice of every batch concurrently, cross-shard edges stay on
-//!   the router, and its cut is a [`ShardedSnapshot`] — one watermark,
+//! * [`ShardedStore`] — the router; a deterministic hash partition
+//!   ([`qpgc_graph::NodePartition`]) splits the node space across
+//!   [`StoreConfig::shards`] maintained subgraphs whose slices of every
+//!   batch the one writer stages in shard order, with the single store's
+//!   stage-then-commit protocol; cross-shard edges stay on the router,
+//!   and its cut is a [`ShardedSnapshot`] — one watermark,
 //!   every shard snapshot at exactly that version, and the
 //!   [`boundary::BoundarySummary`] built over them, swapped in atomically
 //!   so readers never see a torn cut. The summary is the shards' own
@@ -63,8 +64,8 @@
 //! never a partially-applied batch, never a mix of two states. On the
 //! sharded store this extends across shards: every shard receives its
 //! (possibly empty) slice of every batch, so shard versions track the
-//! router watermark, and the cut swap happens once, after all shard
-//! writers have joined. The concurrency tests pin this down by checking
+//! router watermark, and the cut swap happens once, after every shard has
+//! staged. The concurrency tests pin this down by checking
 //! every concurrent answer against a BFS oracle on the exact graph version
 //! the cut advertises.
 //!

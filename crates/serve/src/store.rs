@@ -2,12 +2,14 @@
 //!
 //! ## Failure semantics
 //!
-//! Application is **stage-then-commit**: [`CompressedStore::try_apply`]
-//! validates the batch up front (rejections touch nothing), then runs
-//! maintenance and snapshot construction under `catch_unwind`. Only a
-//! fully staged application commits — swaps the snapshot `Arc` and bumps
-//! the version; a panic or log failure anywhere in between rolls the
-//! writer back to the pre-batch graph (inverting the normalized batch and
+//! Application is **stage-then-commit**, one protocol for both stores
+//! (the sharded router runs it once per shard, in shard order, on the
+//! same thread): `stage` validates the batch up front (rejections touch
+//! nothing), then runs maintenance and snapshot construction under
+//! `catch_unwind`. Only a fully staged application commits — appends to
+//! the write-behind log and swaps the snapshot `Arc` in at the next
+//! version; a panic or log failure anywhere in between rolls the writer
+//! back to the pre-batch graph (inverting the normalized batch and
 //! recompressing) and returns a [`StoreError`] with the old snapshot still
 //! served and the watermark untouched. The recompression assigns fresh
 //! stable class ids; that is harmless, because no publication reads its
@@ -83,9 +85,9 @@ pub struct StoreConfig {
     pub serve_patterns: bool,
     /// Number of hash-partitioned shards a
     /// [`ShardedStore`](crate::sharded::ShardedStore) splits the node space
-    /// across (per-shard writers then apply their slice of each batch
-    /// concurrently). `1` — the default — is the degenerate single-slice
-    /// router; [`CompressedStore`] ignores the field entirely.
+    /// across (the router's writer then stages each shard's slice of a
+    /// batch in shard order). `1` — the default — is the degenerate
+    /// single-slice router; [`CompressedStore`] ignores the field entirely.
     pub shards: usize,
     /// Which backend publications serve their quotient CSR in — plain
     /// `u32` arrays or the gap/ζ-coded succinct form. See
@@ -207,7 +209,7 @@ pub struct ShardApply {
     pub path: ApplyPath,
     /// Maintenance statistics of the shard's reachability side.
     pub reach: IncStats,
-    /// Wall-clock of that shard's snapshot publication alone.
+    /// Wall-clock of building that shard's successor snapshot.
     pub publish_ms: f64,
 }
 
@@ -219,11 +221,11 @@ pub struct ShardApply {
 /// sharded application `reach` sums the per-shard maintenance statistics,
 /// `path` is the most expensive path any shard took (`Rebuilt` over
 /// `Republished`, carrying the maximum churn observed), and `publish_ms`
-/// spans the full publication — the slowest
-/// concurrent shard publication *plus* the router's watermark bump
-/// (boundary-summary build and cut swap), so it is end-to-end comparable
-/// with the single-store number. The per-shard breakdown rides along in
-/// [`ApplyReport::shards`] (empty on single-store applies).
+/// spans the full publication — every shard's publication (they run one
+/// after the other on the writer's thread) *plus* the router's watermark
+/// bump (boundary-summary build and cut swap), so it is end-to-end
+/// comparable with the single-store number. The per-shard breakdown rides
+/// along in [`ApplyReport::shards`] (empty on single-store applies).
 #[derive(Clone, Debug)]
 pub struct ApplyReport {
     /// Version of the snapshot published by this batch (the router
@@ -240,7 +242,7 @@ pub struct ApplyReport {
     /// Wall-clock of snapshot *publication* alone (building or
     /// republishing the new snapshot and swapping it in), excluding the
     /// incremental maintenance of the compressions. On a sharded store
-    /// this covers the slowest shard's publication **and** the watermark
+    /// this is the sum of the shard publications **plus** the watermark
     /// bump that makes the new cut visible.
     pub publish_ms: f64,
     /// Per-shard application reports, in shard order; empty when the
@@ -251,36 +253,27 @@ pub struct ApplyReport {
 struct Writer {
     /// The one data graph and both maintained compressions over it.
     maintained: MaintainedGraph,
-    version: u64,
     /// Optional write-behind redo log: appended once a batch has fully
     /// staged, just before commit.
     log: Option<UpdateLog>,
 }
 
-/// A fully staged but uncommitted application: the batch has run through
-/// maintenance and the successor snapshot is built, but nothing is
-/// published — the served snapshot and version are still pre-batch.
-/// [`CompressedStore::commit_staged`] publishes it;
-/// [`CompressedStore::discard_staged`] rolls the writer back instead
-/// (the sharded router discards every shard when any one fails).
-pub(crate) struct StagedApply {
-    snapshot: Arc<Snapshot>,
-    version: u64,
-    reach: IncStats,
+/// A fully staged but uncommitted application of one batch to one
+/// maintainer: the batch has run through maintenance and the successor
+/// snapshot is built, but nothing is published — the served snapshot is
+/// still the predecessor. A store commits it by swapping the snapshot in;
+/// [`discard`] rolls the maintainer back instead.
+pub(crate) struct Staged {
+    pub(crate) snapshot: Arc<Snapshot>,
+    pub(crate) reach: IncStats,
     pattern: Option<IncStats>,
-    path: ApplyPath,
-    build_ms: f64,
+    pub(crate) path: ApplyPath,
+    /// Wall-clock of building the successor snapshot.
+    pub(crate) build_ms: f64,
     /// The batch normalized against the pre-batch graph — what
     /// [`MaintainedGraph::recover_from_failed`] needs to invert the
     /// application exactly on the discard path.
     norm: UpdateBatch,
-}
-
-impl StagedApply {
-    /// The staged successor snapshot (not yet served).
-    pub(crate) fn snapshot(&self) -> &Arc<Snapshot> {
-        &self.snapshot
-    }
 }
 
 /// A concurrently-served, incrementally-maintained compressed graph store.
@@ -310,19 +303,11 @@ impl CompressedStore {
     /// the graph for future maintenance.
     pub fn new(g: LabeledGraph, config: StoreConfig) -> Self {
         let maintained = MaintainedGraph::new(g, config.serve_patterns);
-        let snapshot = Snapshot::build(
-            0,
-            maintained.reach(),
-            maintained
-                .pattern()
-                .map(|p| Arc::new(PatternView::build(&p.stable_quotient()))),
-            &config,
-        );
+        let snapshot = first_snapshot(&maintained, &config);
         CompressedStore {
             config,
             writer: Mutex::new(Writer {
                 maintained,
-                version: 0,
                 log: None,
             }),
             current: RwLock::new(Arc::new(snapshot)),
@@ -420,7 +405,6 @@ impl CompressedStore {
                 shape(&built)
             )));
         }
-        lock_recover(&store.writer).version = k;
         *write_recover(&store.current) =
             Arc::new(Snapshot::republish(&built, k, built.pattern_arc()));
         for batch in &contents.batches[k as usize..] {
@@ -483,152 +467,159 @@ impl CompressedStore {
     /// pre-batch graph (inverting the normalized batch and recompressing)
     /// and surfaces as [`StoreError::WriterFailed`]. When the store carries an
     /// [`UpdateLog`], the batch is appended write-behind after staging;
-    /// only then does the commit swap the snapshot and bump the version.
+    /// only then does the commit swap in the snapshot of the next version.
+    /// The [`ShardedStore`](crate::sharded::ShardedStore) runs the same
+    /// steps, staging once per shard.
     ///
     /// [`UpdateBatch::validate`]: qpgc_graph::UpdateBatch::validate
     /// [`UpdateBatch::validate_labels`]: qpgc_graph::UpdateBatch::validate_labels
     pub fn try_apply(&self, batch: &UpdateBatch) -> Result<ApplyReport, StoreError> {
-        let mut w = lock_recover(&self.writer);
-        let staged = self.stage_locked(&mut w, batch)?;
-        if w.log.is_some() {
-            let append = catch_unwind(AssertUnwindSafe(|| {
-                w.log
-                    .as_mut()
-                    .expect("presence checked above")
-                    .append(batch)
-            }));
-            // On failure the writer rolls back; bytes a torn append may
-            // have left beyond the log's committed watermark stay on the
-            // file crash-faithfully: replay tolerates them and the next
-            // append truncates them.
-            match append {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    w.maintained.recover_from_failed(&staged.norm);
-                    return Err(StoreError::Log(e));
-                }
-                Err(payload) => {
-                    w.maintained.recover_from_failed(&staged.norm);
-                    return Err(StoreError::WriterFailed {
-                        cause: panic_cause(payload),
-                    });
-                }
-            }
-        }
-        Ok(self.commit_locked(&mut w, staged))
-    }
-
-    /// Stages `batch` without publishing — the per-shard half of the
-    /// sharded router's stage-then-commit protocol. On success nothing is
-    /// served yet (the caller decides between [`CompressedStore::
-    /// commit_staged`] and [`CompressedStore::discard_staged`]); on failure
-    /// the writer has already been rolled back.
-    pub(crate) fn stage(&self, batch: &UpdateBatch) -> Result<StagedApply, StoreError> {
-        let mut w = lock_recover(&self.writer);
-        self.stage_locked(&mut w, batch)
-    }
-
-    /// Publishes a staged application: swaps the snapshot in and bumps the
-    /// writer version. Infallible — nothing on this path can fault.
-    pub(crate) fn commit_staged(&self, staged: StagedApply) -> ApplyReport {
-        let mut w = lock_recover(&self.writer);
-        self.commit_locked(&mut w, staged)
-    }
-
-    /// Rolls the writer back instead of publishing a staged application —
-    /// the sharded router calls this on every cleanly staged shard when a
-    /// sibling shard (or the boundary rebuild) fails.
-    pub(crate) fn discard_staged(&self, staged: StagedApply) {
-        let mut w = lock_recover(&self.writer);
-        w.maintained.recover_from_failed(&staged.norm);
-    }
-
-    fn stage_locked(&self, w: &mut Writer, batch: &UpdateBatch) -> Result<StagedApply, StoreError> {
-        batch.validate(w.maintained.graph().node_count())?;
-        if self.config.serve_patterns {
-            batch.validate_labels(w.maintained.graph())?;
-        }
-        // Normalized once, against the pre-batch graph: what both
-        // maintainers consume, and the exact inverse the rollback path
-        // needs if anything past this point faults.
-        let norm = w.maintained.normalize(batch);
-        let next = w.version + 1;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fail_point!("store/maintain");
-            let Maintained {
-                reach: (reach_stats, delta),
-                pattern: pattern_result,
-            } = w.maintained.apply_normalized(&norm);
-            let pattern_stats = pattern_result.as_ref().map(|&(stats, _)| stats);
-            fail_point!("store/stage");
-            let build_start = std::time::Instant::now();
-            let prev = self.load();
-            let (pattern_view, pattern_churn) = match (w.maintained.pattern(), &pattern_result) {
-                // Quiet on the bisimulation side: share the served view.
-                (Some(_), Some((_, pdelta))) if pdelta.is_empty() => (prev.pattern_arc(), None),
-                (Some(p), Some((_, pdelta))) => {
-                    let spq = p.stable_quotient();
-                    let churn = pdelta.churned() as f64 / spq.class_count().max(1) as f64;
-                    (Some(Arc::new(PatternView::build(&spq))), Some(churn))
-                }
-                _ => (None, None),
-            };
-            let (snapshot, path) = if delta.is_empty() {
-                let path = match pattern_churn {
-                    None => ApplyPath::Republished,
-                    Some(_) => ApplyPath::Rebuilt {
-                        churn: 0.0,
-                        pattern_churn,
-                    },
-                };
-                (Snapshot::republish(&prev, next, pattern_view), path)
-            } else {
-                let reach = w.maintained.reach();
-                let churn = delta.churned() as f64 / reach.class_count().max(1) as f64;
-                (
-                    Snapshot::build(next, reach, pattern_view, &self.config),
-                    ApplyPath::Rebuilt {
-                        churn,
-                        pattern_churn,
-                    },
-                )
-            };
-            fail_point!("store/publish");
-            let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
-            (reach_stats, pattern_stats, snapshot, path, build_ms)
-        }));
-        match outcome {
-            Ok((reach, pattern, snapshot, path, build_ms)) => Ok(StagedApply {
-                snapshot: Arc::new(snapshot),
-                version: next,
-                reach,
-                pattern,
-                path,
-                build_ms,
-                norm,
-            }),
-            Err(payload) => {
-                w.maintained.recover_from_failed(&norm);
-                Err(StoreError::WriterFailed {
-                    cause: panic_cause(payload),
-                })
-            }
-        }
-    }
-
-    fn commit_locked(&self, w: &mut Writer, staged: StagedApply) -> ApplyReport {
+        let mut guard = lock_recover(&self.writer);
+        let w = &mut *guard;
+        let staged = stage(&mut w.maintained, &self.load(), batch, &self.config)?;
+        append_or_discard(
+            &mut w.log,
+            batch,
+            std::slice::from_mut(&mut w.maintained),
+            std::slice::from_ref(&staged),
+        )?;
         let swap_start = std::time::Instant::now();
+        let version = staged.snapshot.version();
         *write_recover(&self.current) = staged.snapshot;
-        w.version = staged.version;
-        ApplyReport {
-            version: staged.version,
+        Ok(ApplyReport {
+            version,
             reach: staged.reach,
             pattern: staged.pattern,
             path: staged.path,
             publish_ms: staged.build_ms + swap_start.elapsed().as_secs_f64() * 1e3,
             shards: Vec::new(),
+        })
+    }
+}
+
+/// The version-0 snapshot of a freshly compressed maintainer.
+pub(crate) fn first_snapshot(maintained: &MaintainedGraph, config: &StoreConfig) -> Snapshot {
+    let pattern = maintained
+        .pattern()
+        .map(|p| Arc::new(PatternView::build(&p.stable_quotient())));
+    Snapshot::build(0, maintained.reach(), pattern, config)
+}
+
+/// Stages `batch` on `maintained` as the successor of `prev`, the snapshot
+/// served for it — the staging step of both stores' protocol (a sharded
+/// store runs it once per shard). Validation rejects a malformed batch
+/// before anything is touched; the batch is then normalized once, and
+/// maintenance and snapshot construction run under `catch_unwind`, a panic
+/// rolling `maintained` back. On success nothing is published: the caller
+/// commits the [`Staged`] snapshot or [`discard`]s it.
+pub(crate) fn stage(
+    maintained: &mut MaintainedGraph,
+    prev: &Snapshot,
+    batch: &UpdateBatch,
+    config: &StoreConfig,
+) -> Result<Staged, StoreError> {
+    batch.validate(maintained.graph().node_count())?;
+    if config.serve_patterns {
+        batch.validate_labels(maintained.graph())?;
+    }
+    // Normalized once, against the pre-batch graph: what both
+    // maintainers consume, and the exact inverse the rollback path
+    // needs if anything past this point faults.
+    let norm = maintained.normalize(batch);
+    let next = prev.version() + 1;
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        fail_point!("store/maintain");
+        let Maintained {
+            reach: (reach_stats, delta),
+            pattern: pattern_result,
+        } = maintained.apply_normalized(&norm);
+        let pattern_stats = pattern_result.as_ref().map(|&(stats, _)| stats);
+        fail_point!("store/stage");
+        let build_start = std::time::Instant::now();
+        let (pattern_view, pattern_churn) = match (maintained.pattern(), &pattern_result) {
+            // Quiet on the bisimulation side: share the served view.
+            (Some(_), Some((_, pdelta))) if pdelta.is_empty() => (prev.pattern_arc(), None),
+            (Some(p), Some((_, pdelta))) => {
+                let spq = p.stable_quotient();
+                let churn = pdelta.churned() as f64 / spq.class_count().max(1) as f64;
+                (Some(Arc::new(PatternView::build(&spq))), Some(churn))
+            }
+            _ => (None, None),
+        };
+        let (snapshot, path) = if delta.is_empty() {
+            let path = match pattern_churn {
+                None => ApplyPath::Republished,
+                Some(_) => ApplyPath::Rebuilt {
+                    churn: 0.0,
+                    pattern_churn,
+                },
+            };
+            (Snapshot::republish(prev, next, pattern_view), path)
+        } else {
+            let reach = maintained.reach();
+            let churn = delta.churned() as f64 / reach.class_count().max(1) as f64;
+            (
+                Snapshot::build(next, reach, pattern_view, config),
+                ApplyPath::Rebuilt {
+                    churn,
+                    pattern_churn,
+                },
+            )
+        };
+        fail_point!("store/publish");
+        let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
+        (reach_stats, pattern_stats, snapshot, path, build_ms)
+    }));
+    match outcome {
+        Ok((reach, pattern, snapshot, path, build_ms)) => Ok(Staged {
+            snapshot: Arc::new(snapshot),
+            reach,
+            pattern,
+            path,
+            build_ms,
+            norm,
+        }),
+        Err(payload) => {
+            maintained.recover_from_failed(&norm);
+            Err(StoreError::WriterFailed {
+                cause: panic_cause(payload),
+            })
         }
     }
+}
+
+/// Rolls staged maintainers back instead of committing: `staged[i]` was
+/// staged on `maintainers[i]`.
+pub(crate) fn discard(maintainers: &mut [MaintainedGraph], staged: &[Staged]) {
+    for (maintained, s) in maintainers.iter_mut().zip(staged) {
+        maintained.recover_from_failed(&s.norm);
+    }
+}
+
+/// The write-behind step of both stores' protocol, run once every
+/// maintainer has staged: appends `batch` to `log` when the store keeps
+/// one, and [`discard`]s every staged maintainer if the append fails or
+/// panics. Bytes a torn append may have left beyond the log's committed
+/// watermark stay on the file crash-faithfully: replay tolerates them and
+/// the next append truncates them.
+pub(crate) fn append_or_discard(
+    log: &mut Option<UpdateLog>,
+    batch: &UpdateBatch,
+    maintainers: &mut [MaintainedGraph],
+    staged: &[Staged],
+) -> Result<(), StoreError> {
+    let Some(log) = log.as_mut() else {
+        return Ok(());
+    };
+    let err = match catch_unwind(AssertUnwindSafe(|| log.append(batch))) {
+        Ok(Ok(())) => return Ok(()),
+        Ok(Err(e)) => StoreError::Log(e),
+        Err(payload) => StoreError::WriterFailed {
+            cause: panic_cause(payload),
+        },
+    };
+    discard(maintainers, staged);
+    Err(err)
 }
 
 #[cfg(test)]

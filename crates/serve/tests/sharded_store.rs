@@ -1,12 +1,11 @@
 //! Concurrency test for [`ShardedStore`]: reader threads issue
-//! reachability queries while the router applies batches across its
-//! concurrent shard writers. Every recorded answer must match a BFS
-//! oracle on the *exact* graph version the answering cut's watermark
-//! advertises — i.e. a reader never observes a torn cut where some shards
-//! have applied a batch and others (or the boundary graph) have not.
-//! Because most random edges cross shards under the hash partition, every
-//! batch exercises the shard writers, the boundary edge set, and the
-//! watermark bump together.
+//! reachability queries while the router's writer stages every batch shard
+//! by shard. Every recorded answer must match a BFS oracle on the *exact*
+//! graph version the answering cut's watermark advertises — i.e. a reader
+//! never observes a torn cut where some shards have applied a batch and
+//! others (or the boundary graph) have not. Because most random edges
+//! cross shards under the hash partition, every batch exercises the shard
+//! maintainers, the boundary edge set, and the watermark bump together.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -108,7 +107,7 @@ fn run(config: StoreConfig, seed: u64) {
             .collect();
 
         // Router: apply every batch with a pause so readers interleave
-        // with the concurrent shard writers and the watermark bump.
+        // with the shard staging and the watermark bump.
         for batch in &batches {
             store.apply(batch);
             std::thread::sleep(std::time::Duration::from_millis(2));

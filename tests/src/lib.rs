@@ -155,11 +155,14 @@ pub mod differential {
         /// Drives the stream through two backends built from the same
         /// initial graph, asserting at **every version** that both are
         /// BFS-exact (hence bit-identical to each other) and agree on the
-        /// watermark. Returns the stores for follow-up assertions.
+        /// watermark, and running `check_b` on `B` at every version
+        /// (version 0 included). Returns the stores for follow-up
+        /// assertions.
         pub fn drive_pair<A: ReachStore, B: ReachStore>(
             &self,
             build_a: impl FnOnce(LabeledGraph) -> A,
             build_b: impl FnOnce(LabeledGraph) -> B,
+            check_b: impl Fn(&B),
         ) -> (A, B) {
             let mut rng = StdRng::seed_from_u64(self.seed);
             let mut g = random_graph(&mut rng, self.max_nodes, self.dag);
@@ -167,6 +170,7 @@ pub mod differential {
             let b = build_b(g.clone());
             assert_eq!(a.watermark(), 0, "stream {}: fresh watermark", self.seed);
             assert_eq!(b.watermark(), 0, "stream {}: fresh watermark", self.seed);
+            check_b(&b);
             for step in 0..self.steps {
                 let count = rng.gen_range(1..5);
                 let batch =
@@ -183,6 +187,7 @@ pub mod differential {
                 Self::check_against_oracle(&a, &g, &ctx);
                 let ctx = format!("stream {} step {step} (B)", self.seed);
                 Self::check_against_oracle(&b, &g, &ctx);
+                check_b(&b);
             }
             (a, b)
         }

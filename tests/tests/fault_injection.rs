@@ -26,6 +26,9 @@
 //!   `log/append`, where the record was durable before the fault and the
 //!   pre-crash store had rolled it back. Durability is decided by the log
 //!   alone.
+//!
+//! Plus shard order on {2-shard, 4-shard}: arming a per-shard site at hit
+//! `k` fails shard `k − 1`, on every run.
 
 #![cfg(feature = "failpoints")]
 
@@ -37,7 +40,8 @@ use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_serve::{
-    ApplyPath, CompressedStore, ReachCut as _, ReachStore, ShardedStore, StoreConfig, UpdateLog,
+    ApplyPath, CompressedStore, ReachCut as _, ReachStore, ShardedStore, StoreConfig, StoreError,
+    UpdateLog,
 };
 use qpgc_tests::differential::{random_batch, random_graph};
 use rand::rngs::StdRng;
@@ -53,8 +57,8 @@ const SINGLE_SITES: &[&str] = &[
     "log/append",
 ];
 
-/// Sites a sharded apply traverses: router-level sites plus the per-shard
-/// writer's own staging sites (each shard is a `CompressedStore`).
+/// Sites a sharded apply traverses: router-level sites plus the staging
+/// sites of the single store, which the router runs once per shard.
 const SHARDED_SITES: &[&str] = &[
     "sharded/slice",
     "shard/stage",
@@ -337,6 +341,46 @@ fn sharded_store_survives_a_fault_at_every_site() {
         assert_eq!(recovered.watermark(), committed);
         assert_bfs_exact(&recovered, &g, &format!("{ctx}: recovered store"));
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Shards stage one after the other on the writer's thread and the first
+/// failure ends the batch, so hit `k` of a per-shard site belongs to shard
+/// `k − 1` — the same shard on every run. After the failure the watermark
+/// is unchanged, the served cut is BFS-exact, and the next clean batch
+/// publishes the next version.
+#[test]
+fn the_failing_shard_is_the_one_the_hit_count_names() {
+    for shards in [2usize, 4] {
+        let mut rng = StdRng::seed_from_u64(0xFA05 + shards as u64);
+        let mut g = random_graph(&mut rng, 28, false);
+        let store = ShardedStore::new(g.clone(), config(shards)).expect("valid config");
+        for k in 1..=shards {
+            let ctx = format!("{shards}-shard, `store/maintain` hit {k}");
+            let wm = store.watermark();
+            let batch = random_batch(&mut rng, g.node_count(), 4, 0.5, false);
+            let result = {
+                let _armed =
+                    qpgc_fault::install(FaultPlan::new().fail_at("store/maintain", k as u64));
+                store.try_apply(&batch)
+            };
+            match result {
+                Err(StoreError::ShardFailed { shard, cause }) => {
+                    assert_eq!(shard, k - 1, "{ctx}: failing shard");
+                    assert!(cause.contains("store/maintain"), "{ctx}: {cause}");
+                }
+                other => panic!("{ctx}: expected a shard failure, got {other:?}"),
+            }
+            assert_eq!(store.watermark(), wm, "{ctx}: watermark untouched");
+            assert_bfs_exact(&store, &g, &format!("{ctx}: cut served after the fault"));
+            let clean = random_batch(&mut rng, g.node_count(), 3, 0.6, false);
+            let report = store
+                .try_apply(&clean)
+                .unwrap_or_else(|e| panic!("{ctx}: clean batch failed: {e}"));
+            clean.apply_to(&mut g);
+            assert_eq!(report.version, wm + 1, "{ctx}: clean batch");
+            assert_bfs_exact(&store, &g, &format!("{ctx}: cut after the clean batch"));
+        }
     }
 }
 

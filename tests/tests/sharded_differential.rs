@@ -40,9 +40,22 @@ fn sharded_config(shards: usize, backend: Backend) -> StoreConfig {
     .build()
 }
 
+/// Every shard snapshot of the served cut sits at the cut's watermark:
+/// every shard stages its (possibly empty) slice of every batch.
+fn shard_versions_are_the_watermark(store: &ShardedStore) {
+    let cut = store.load();
+    for (shard, snap) in cut.shard_snapshots().iter().enumerate() {
+        assert_eq!(
+            snap.version(),
+            cut.watermark(),
+            "shard {shard} is behind the watermark"
+        );
+    }
+}
+
 /// 270 seeded streams: shard counts × topology × insert bias × backend,
 /// each replayed against a single store and the BFS oracle at every
-/// version.
+/// version, with every shard snapshot checked against the watermark.
 #[test]
 fn sharded_matches_single_store_and_bfs_everywhere() {
     let mut streams = 0usize;
@@ -68,6 +81,7 @@ fn sharded_matches_single_store_and_bfs_everywhere() {
                         stream.drive_pair(
                             |g| CompressedStore::new(g, sharded_config(1, backend)),
                             |g| ShardedStore::new(g, sharded_config(shards, backend)).unwrap(),
+                            shard_versions_are_the_watermark,
                         );
                         streams += 1;
                     }
@@ -79,7 +93,7 @@ fn sharded_matches_single_store_and_bfs_everywhere() {
 }
 
 /// Boundary-edge churn: batches made exclusively of cross-shard edges.
-/// The shard writers see only empty slices (their subgraphs never change),
+/// The shards see only empty slices (their subgraphs never change),
 /// so every answer change must flow through the boundary summary — and the
 /// watermark must still advance on every batch.
 #[test]
