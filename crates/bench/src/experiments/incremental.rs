@@ -10,7 +10,7 @@ use qpgc_pattern::incremental::IncrementalPattern;
 use qpgc_reach::compress::compress_r;
 use qpgc_reach::incremental::IncrementalReach;
 
-use crate::harness::{timed, ExperimentResult, Row};
+use crate::harness::{best_of, timed, ExperimentResult, Row};
 
 /// Fig. 12(e): `incRCM` vs `compressR` on the socEpinions emulation under
 /// growing insertion batches (the paper sweeps up to ~21 % of `|E|`).
@@ -23,18 +23,23 @@ pub fn fig12f(scale: usize) -> ExperimentResult {
     inc_rcm_sweep(scale, false)
 }
 
+/// Timed calls per cell of fig12e / fig12f; the fastest is reported.
+const RUNS: usize = 7;
+
 fn inc_rcm_sweep(scale: usize, insertions: bool) -> ExperimentResult {
     let (id, what, reference) = if insertions {
         (
             "fig12e",
             "insertions",
-            "incRCM vs compressR under insertions (paper: crossover ≈ 20% of |E|)",
+            "incRCM vs compressR under insertions, best of 7, warm \
+             (paper: crossover ≈ 20% of |E|)",
         )
     } else {
         (
             "fig12f",
             "deletions",
-            "incRCM vs compressR under deletions (paper: crossover ≈ 22% of |E|)",
+            "incRCM vs compressR under deletions, best of 7, warm \
+             (paper: crossover ≈ 22% of |E|)",
         )
     };
     let mut res = ExperimentResult::new(id, reference);
@@ -43,6 +48,9 @@ fn inc_rcm_sweep(scale: usize, insertions: bool) -> ExperimentResult {
     // observed; cap the scale factor at 25 (≈ 3 000 nodes).
     let fine_scale = if scale > 100 { scale } else { scale.min(25) };
     let g0 = dataset("socEpinions", fine_scale, 0).expect("known dataset");
+    // Construction stays outside the clock: every run applies the batch to
+    // a fresh clone of this one maintainer.
+    let inc0 = IncrementalReach::new(&g0);
     let steps = 5usize;
     for step in 1..=steps {
         // Batch size: step × ~4% of |E|.
@@ -54,22 +62,25 @@ fn inc_rcm_sweep(scale: usize, insertions: bool) -> ExperimentResult {
             delete_batch(&g0, size, step as u64)
         };
 
-        // Incremental: start from the compression of g0, apply the batch.
-        let mut g_inc = g0.clone();
-        let mut inc = IncrementalReach::new(&g_inc);
-        let (stats, t_inc) = timed(|| inc.apply(&mut g_inc, &batch));
+        // Incremental: from the compression of g0, apply the batch.
+        let (stats, t_inc) = best_of(
+            RUNS,
+            || (g0.clone(), inc0.clone()),
+            |(g, inc)| inc.apply(g, &batch),
+        );
 
         // Batch: recompress the updated graph from scratch.
         let mut g_batch = g0.clone();
         batch.apply_to(&mut g_batch);
-        let (_, t_batch) = timed(|| compress_r(&g_batch));
+        let (_, t_batch) = best_of(RUNS, || (), |_| compress_r(&g_batch));
 
         res.push(
             Row::new(format!("{what} {:.0}% of |E|", frac * 100.0))
                 .cell("|ΔG|", batch.len() as f64)
                 .cell("incRCM (ms)", t_inc.as_secs_f64() * 1e3)
                 .cell("compressR (ms)", t_batch.as_secs_f64() * 1e3)
-                .cell("affected classes", stats.affected_classes as f64),
+                .cell("affected classes", stats.affected_classes as f64)
+                .cell("changed classes", stats.changed_classes as f64),
         );
     }
     res
@@ -159,10 +170,13 @@ mod tests {
     fn fig12e_rows_have_timings() {
         let res = fig12e(400);
         assert_eq!(res.rows.len(), 5);
+        assert!(res.paper_reference.contains("best of 7, warm"));
         for row in &res.rows {
             assert!(row.get("incRCM (ms)").unwrap() >= 0.0);
             assert!(row.get("compressR (ms)").unwrap() > 0.0);
             assert!(row.get("|ΔG|").unwrap() > 0.0);
+            let changed = row.get("changed classes").unwrap();
+            assert!(changed > 0.0 || row.get("affected classes") == Some(0.0));
         }
     }
 

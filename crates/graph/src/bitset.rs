@@ -95,10 +95,10 @@ const SPARE_WORDS_MAX: usize = 1 << 20;
 /// How many dropped buffers a thread keeps. Every phase of a write holds
 /// at most two transient matrices at once, and the phases run one after
 /// the other on a thread: a maintenance step's two signature matrices (the
-/// kernel's, or the regroup's small ones), then the closure refresh — which
-/// drops the maintainer's two resident matrices *before* it sweeps their
-/// successors, so the sweep is served from what it just handed back — then
-/// a publication's two scratch copies ([`BitMatrix::copy_of`]) of the
+/// kernel's, or the regroup's small ones, which the closure patch reads
+/// before it drops them — the maintainer's two resident matrices are
+/// patched in place and grown with headroom, [`BitMatrix::grow`]), then a
+/// publication's two scratch copies ([`BitMatrix::copy_of`]) of the
 /// resident pair (at most 2 MiB each: inside [`SPARE_WORDS_MAX`]). A
 /// sharded store runs every shard's phases one after the other on the same
 /// writer's thread, then its boundary summary's two — the closure over the
@@ -251,6 +251,59 @@ impl BitMatrix {
         for (a, b) in row[..src.len()].iter_mut().zip(src) {
             *a |= *b;
         }
+    }
+
+    /// In-place difference with a row of another matrix: the bits of `src`
+    /// — no more words of it than a row here has — are cleared from the
+    /// low bits of row `dst`. Returns how many of them were set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is longer than a row.
+    pub fn difference_row_with(&mut self, dst: usize, src: &[u64]) -> usize {
+        let row = &mut self.data[dst * self.words_per_row..(dst + 1) * self.words_per_row];
+        let mut cleared = 0;
+        for (a, b) in row[..src.len()].iter_mut().zip(src) {
+            cleared += (*a & *b).count_ones() as usize;
+            *a &= !*b;
+        }
+        cleared
+    }
+
+    /// Grows the matrix to `rows` rows of `width` bits, neither fewer than
+    /// it has: every row keeps its bits, and the new ones are clear. Rows
+    /// are re-laid in place only when the width crosses a word. The buffer
+    /// is reallocated only when it runs out, and then with room for 64
+    /// more rows one word wider, so a matrix that gains a few rows at a
+    /// time reallocates about once per word of growth.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `width` is smaller than the matrix's.
+    pub fn grow(&mut self, rows: usize, width: usize) {
+        assert!(
+            rows >= self.rows && width >= self.width,
+            "{}×{} cannot grow to {rows}×{width}",
+            self.rows,
+            self.width
+        );
+        let (old, words) = (self.words_per_row, width.div_ceil(BITS));
+        if rows * words > self.data.capacity() {
+            let room = (rows + BITS) * (words + 1);
+            self.data.reserve_exact(room - self.data.len());
+        }
+        self.data.resize(rows * words, 0);
+        if words != old {
+            // The last row first: a row only moves up, past the rows not
+            // yet moved.
+            for r in (0..self.rows).rev() {
+                self.data.copy_within(r * old..(r + 1) * old, r * words);
+                self.data[r * words + old..(r + 1) * words].fill(0);
+            }
+        }
+        self.rows = rows;
+        self.width = width;
+        self.words_per_row = words;
     }
 
     /// In-place row difference: `row dst ← row dst ∖ row src` (a row minus
@@ -422,6 +475,59 @@ mod tests {
             copy.clear_row(2);
             assert_eq!(m.ones(2).collect::<Vec<_>>(), expect);
         }
+    }
+
+    /// What a patched closure does to its matrices: grow by rows and by
+    /// columns — within a word and across one — keeping every bit, and
+    /// clear a foreign row's bits, counting them.
+    #[test]
+    fn bit_matrix_grows_in_place_and_clears_foreign_rows() {
+        for (from, to) in [(0usize, 3usize), (5, 6), (63, 65), (64, 64), (70, 200)] {
+            let mut m = BitMatrix::new(from, from);
+            let mut oracle = vec![vec![false; to]; to];
+            for (r, set) in oracle.iter_mut().enumerate().take(from) {
+                for bit in (r % 3..from).step_by(3) {
+                    m.insert(r, bit);
+                    set[bit] = true;
+                }
+            }
+            m.grow(to, to);
+            assert_eq!((m.rows(), m.width()), (to, to));
+            let grown = m.clone();
+            m.grow(to, to);
+            assert_eq!(m, grown, "a grow to the same shape changes nothing");
+            for (r, set) in oracle.iter().enumerate() {
+                assert_eq!(m.row(r), packed(set), "{from} → {to}: row {r}");
+            }
+            // Equal to a matrix built at the new shape.
+            let mut fresh = BitMatrix::new(to, to);
+            for (r, set) in oracle.iter().enumerate() {
+                for bit in (0..to).filter(|&bit| set[bit]) {
+                    fresh.insert(r, bit);
+                }
+            }
+            assert_eq!(m, fresh, "{from} → {to}");
+            // Row 0 holds bits 0, 3, 6, …; clear the even columns from it
+            // with a mask one word narrower than the row where the width
+            // crossed a word.
+            let mask = packed(&(0..from).map(|bit| bit % 2 == 0).collect::<Vec<_>>());
+            let both = (0..from).filter(|&bit| bit % 6 == 0).count();
+            assert_eq!(m.difference_row_with(0, &mask), both);
+            for bit in (0..from).step_by(2) {
+                oracle[0][bit] = false;
+            }
+            assert_eq!(m.row(0), packed(&oracle[0]));
+            assert_eq!(
+                m.count_ones(0),
+                oracle[0].iter().filter(|&&set| set).count()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot grow")]
+    fn bit_matrix_does_not_shrink() {
+        BitMatrix::new(3, 70).grow(3, 64);
     }
 
     #[test]

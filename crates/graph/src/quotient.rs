@@ -113,10 +113,10 @@
 //! regroups against the closure of the old quotient instead: `Σ` over the
 //! units of their distinct unaffected neighbours `× id_space/64` words, plus
 //! one pass over a popcount table — no node for any unaffected class
-//! ([`IncStats::hybrid_nodes`] is then the unit count). What stays
-//! independent of the batch there is keeping the closure current: one
-//! descendant and one ancestor sweep of the new quotient per step, which
-//! the publication that follows no longer runs for itself.
+//! ([`IncStats::hybrid_nodes`] is then the unit count). Keeping that
+//! closure current is paid for the batch too: the step patches the rows
+//! and columns of the classes it retired and created, and never sweeps
+//! (`qpgc_reach::closure`, lemma L6).
 
 use std::fmt::Debug;
 
@@ -193,7 +193,8 @@ pub struct IncStats {
     /// Number of updates dropped as redundant (reachability only;
     /// bisimulation has no redundant-insertion rule, so always `0` there).
     pub redundant_dropped: usize,
-    /// Number of affected equivalence classes (exploded into members).
+    /// Number of affected equivalence classes: the classes the step cut
+    /// into units and retired (an absorbed unaffected class is not one).
     pub affected_classes: usize,
     /// Number of original nodes inside affected classes.
     pub affected_nodes: usize,
@@ -480,6 +481,11 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// original edges)`, ascending by target.
     pub fn out_row(&self, c: u32) -> &[(u32, u32)] {
         &self.out_rows[c as usize]
+    }
+
+    /// The sources of the class-level edges entering class `c`, ascending.
+    pub fn in_row(&self, c: u32) -> &[u32] {
+        &self.in_rows[c as usize]
     }
 
     /// The distinct class-level edges, sorted by `(source, target)` stable

@@ -1,6 +1,6 @@
-//! The reachability closure of the maintained quotient, swept once per
-//! batch and read twice: by the publication that follows the step that
-//! swept it, and by the **next** step's regroup.
+//! The reachability closure of the maintained quotient, swept at
+//! construction and patched by each step, read twice per batch: by the
+//! step's regroup, and by the publication that follows it.
 //!
 //! [`QuotientClosure`] is what a snapshot publication used to sweep for
 //! itself and throw away — the descendant matrix of the quotient DAG (from
@@ -12,10 +12,11 @@
 //! ([`DEFAULT_CHUNK`](qpgc_graph::reach_sets::DEFAULT_CHUNK) ids: two
 //! matrices of at most 2 MiB each, resident per maintainer); a larger
 //! quotient has none, and both readers fall back to their chunked paths.
+//! A step that takes the id space past one chunk drops the closure.
 //!
 //! ## Regrouping against it
 //!
-//! [`IncrementalQuotient`](qpgc_graph::quotient::IncrementalQuotient) cuts
+//! [`IncrementalQuotient`] cuts
 //! the affected classes of a batch into units (lemmas L1–L3 there: the
 //! unaffected classes keep their cones, no strongly connected component
 //! mixes the two sides, a unit cannot split). [`QuotientClosure::regroup`]
@@ -56,20 +57,60 @@
 //! the others by first unit — so every stable id comes out the same on
 //! either path.
 //!
+//! ## Patching it
+//!
+//! After the splice the closure is **patched**, not swept
+//! ([`QuotientClosure::advance`]). The splice hands out one id per group,
+//! in group order; call those classes *born* and the affected and absorbed
+//! ones *retired*. First the rows of the retired ids are cleared, and their
+//! columns from the rows that hold them — the old ancestors' descendant
+//! rows and the old descendants' ancestor rows. A born class's two rows are
+//! its group's signatures read over the new ids: an unaffected id stays
+//! itself, an absorbed id and a unit bit become the id of the group they
+//! joined, and the class's own id is dropped (a cyclic group's signature
+//! holds its own units; rows hold proper paths only). By L4 these are exact.
+//!
+//! **L6 (the rest moves only where a born class is).** (a) *Columns.* An
+//! unaffected class `r` keeps its cones as node sets (L1), and the born
+//! classes partition the affected nodes plus the absorbed ones. So row `r`
+//! loses exactly the retired columns and gains exactly the born classes
+//! that hold a node of its cone: `b` enters `desc[r]` iff `r ∈ anc[b]`, which
+//! the born rows already say. Setting the born columns by transposing the
+//! born rows therefore completes every unaffected row, and no other bit of
+//! it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is kept iff no
+//! class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x` and `y`
+//! survive the step. A class `z` strictly between them after the step is
+//! not born: a born class holds a unit, a node of `T` or of `B`, and by L1
+//! `x` reached that node before the step as well (so `x ∈ T`), or the node
+//! reached `y` (so `y ∈ B`). Before the step `z` is not affected for the
+//! same reason, nor absorbed: an absorbed class has the cones of the units
+//! that joined it. So the classes between `x` and `y` are the same
+//! surviving classes on both sides, the kept edges that touch no retired
+//! id stay kept, and only the edges that touch a born class are decided,
+//! each by one AND of two rows.
+//!
 //! ## Cost
 //!
 //! A regroup costs `Σ` over the units of their distinct unaffected
 //! neighbours `× id_space / 64` words for the row unions, a condensation
 //! and a refinement over the units, and one pass over the popcount table.
-//! The sweep that refreshes the closure after the step is the part that
-//! does not depend on the batch: `O(|Er| · id_space / 64)` words per
-//! direction, as the publication paid before.
+//! The patch costs, in `id_space / 64`-word rows: one per retired id and
+//! per row holding a retired column, two per born class and one per edge
+//! touching it, plus one bit per pair of a born class and an unaffected
+//! class in its cones, and one pass over the kept edges. A born class's
+//! signature rows are read a group at a time, one unit bit per group, so
+//! a batch that explodes a class into thousands of units pays
+//! `#units / 64` words a row for them, not a bit each. Popcounts are
+//! recounted for the born rows and adjusted by the bits set and cleared
+//! everywhere else. Only construction (and recovery, which constructs)
+//! sweeps: `O(|Er| · id_space / 64)` words per direction.
 
 use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::quotient::{Cut, Group, Regrouped};
+use qpgc_graph::quotient::{Cut, Equivalence, Group, IncrementalQuotient, Regrouped};
 use qpgc_graph::reach_sets::DagReach;
 use qpgc_graph::scc::Condensation;
 use qpgc_graph::transitive::transitive_reduction_dag;
+use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{BitMatrix, CsrGraph, Label, NodeId};
 
 use crate::equivalence::{key_hash, refine_chunk};
@@ -90,6 +131,25 @@ pub struct QuotientClosure {
     counts: Vec<(u32, u32)>,
 }
 
+/// What a regroup against the closure leaves for the patch after the
+/// splice ([`QuotientClosure::advance`]): the normalised signatures of L4,
+/// and where each group and each unit went.
+#[derive(Debug)]
+pub struct Signatures {
+    /// Per unit component: its descendants over the old unaffected ids,
+    /// then one bit per unit.
+    below: BitMatrix,
+    /// Per unit component: its ancestors, likewise.
+    above: BitMatrix,
+    /// Per group, in splice order: one of its components (they all have
+    /// the group's rows).
+    comp_of_group: Vec<usize>,
+    /// Per unit: its group, in splice order.
+    group_of_unit: Vec<u32>,
+    /// `(class, group)` per group that absorbs an unaffected class.
+    absorbed: Vec<(u32, u32)>,
+}
+
 impl QuotientClosure {
     /// Sweeps the closure of the quotient with `id_space` ids and the
     /// class-level `edges` (inactive ids have none): the descendant rows
@@ -105,8 +165,14 @@ impl QuotientClosure {
     pub fn sweep(id_space: usize, edges: Vec<(u32, u32)>) -> Self {
         let dag = DagReach::from_edges(id_space, edges)
             .expect("the quotient of the reachability equivalence relation is a DAG");
+        Self::of_dag(&dag)
+    }
+
+    /// [`QuotientClosure::sweep`] over a prepared DAG.
+    fn of_dag(dag: &DagReach) -> Self {
+        let id_space = dag.node_count();
         let mut swept = None;
-        let kept = transitive_reduction_dag(&dag, id_space, |_, desc| swept = Some(desc));
+        let kept = transitive_reduction_dag(dag, id_space, |_, desc| swept = Some(desc));
         // An empty quotient has no chunk for the reduction to sweep.
         let desc = swept.unwrap_or_else(|| dag.full_descendants());
         let anc = dag.full_ancestors();
@@ -154,9 +220,11 @@ impl QuotientClosure {
         )
     }
 
-    /// Checks the closure against the quotient it claims to describe:
-    /// every row against sweeps of their own over `edges`, the kept edges
-    /// against a reduction of their own.
+    /// Checks the closure against the quotient it claims to describe, the
+    /// one with `id_space` ids and the class-level `edges`: field by field —
+    /// descendant rows, ancestor rows, kept edges, popcounts — against a
+    /// fresh sweep ([`QuotientClosure::sweep`]). `Err` names the first field
+    /// that differs.
     pub fn check(&self, id_space: usize, edges: Vec<(u32, u32)>) -> Result<(), String> {
         if self.id_space() != id_space {
             return Err(format!(
@@ -165,30 +233,131 @@ impl QuotientClosure {
             ));
         }
         let dag = DagReach::from_edges(id_space, edges).map_err(|e| e.to_string())?;
-        if self.desc != dag.full_descendants() {
-            return Err("held descendant rows differ from a sweep of the rows".to_string());
-        }
-        if self.anc != dag.full_ancestors() {
-            return Err("held ancestor rows differ from a sweep of the rows".to_string());
-        }
-        if self.kept != transitive_reduction_dag(&dag, id_space, |_, _| {}) {
-            return Err("held kept edges differ from the transitive reduction".to_string());
-        }
-        let stale = (0..id_space).find(|&c| {
-            let (anc, desc) = self.counts[c];
-            (anc as usize, desc as usize) != (self.anc.count_ones(c), self.desc.count_ones(c))
-        });
-        match stale {
-            Some(c) => Err(format!("held popcounts of class {c} differ from its rows")),
+        let swept = Self::of_dag(&dag);
+        let fields = [
+            (self.desc == swept.desc, "descendant rows"),
+            (self.anc == swept.anc, "ancestor rows"),
+            (self.kept == swept.kept, "kept edges"),
+            (self.counts == swept.counts, "popcounts"),
+        ];
+        match fields.iter().find(|&&(same, _)| !same) {
+            Some((_, field)) => Err(format!("held {field} differ from a fresh sweep")),
             None => Ok(()),
         }
+    }
+
+    /// Patches this closure — of the quotient a step was taken over — into
+    /// the closure of `q`, the quotient after it, by L4 and L6 of the module
+    /// header. `delta` is what the step's splice returned, and `signatures`
+    /// what its regroup against this closure handed back
+    /// ([`QuotientClosure::regroup`]). The matrices grow in place to
+    /// `delta.id_space`; the caller drops the closure instead when that
+    /// is past one column chunk.
+    pub fn advance<E: Equivalence>(
+        &mut self,
+        delta: &PartitionDelta,
+        signatures: Signatures,
+        q: &IncrementalQuotient<E>,
+    ) {
+        let old = self.id_space();
+        let ids = delta.id_space;
+        debug_assert_eq!(delta.added.len(), signatures.comp_of_group.len());
+
+        // Retired ids go. Row 0: the retired ids; row 1: the descendant rows
+        // holding one of them, row 2: the ancestor rows — read off the old
+        // rows of the retired ids before any of them is cleared.
+        let mut masks = BitMatrix::new(3, old);
+        for &k in &delta.removed {
+            masks.insert(0, k as usize);
+            masks.union_row_with(1, self.anc.row(k as usize));
+            masks.union_row_with(2, self.desc.row(k as usize));
+        }
+        masks.difference_rows(1, 0);
+        masks.difference_rows(2, 0);
+        for r in masks.ones(1) {
+            self.counts[r].1 -= self.desc.difference_row_with(r, masks.row(0)) as u32;
+        }
+        for r in masks.ones(2) {
+            self.counts[r].0 -= self.anc.difference_row_with(r, masks.row(0)) as u32;
+        }
+        for &k in &delta.removed {
+            self.desc.clear_row(k as usize);
+            self.anc.clear_row(k as usize);
+            self.counts[k as usize] = (0, 0);
+        }
+
+        // Born rows are the signatures, read over the new ids.
+        self.desc.grow(ids, ids);
+        self.anc.grow(ids, ids);
+        self.counts.resize(ids, (0, 0));
+        let born: Vec<u32> = delta.added.iter().map(|birth| birth.id).collect();
+        let mut read = Reading::new(&signatures, &born, old);
+        for (&b, &comp) in born.iter().zip(&signatures.comp_of_group) {
+            let b = b as usize;
+            read.born_row(&mut self.desc, b, &signatures.below, comp);
+            read.born_row(&mut self.anc, b, &signatures.above, comp);
+            self.counts[b] = (
+                self.anc.count_ones(b) as u32,
+                self.desc.count_ones(b) as u32,
+            );
+        }
+
+        // L6(a): every other row gains the born columns, by transposition.
+        let mut born_mask = vec![0u64; ids.div_ceil(WORD)];
+        for &b in &born {
+            born_mask[b as usize / WORD] |= 1 << (b as usize % WORD);
+        }
+        let is_born = |c: usize| born_mask[c / WORD] & (1 << (c % WORD)) != 0;
+        for &b in &born {
+            let b = b as usize;
+            for r in ones_outside(self.anc.row(b), &born_mask) {
+                self.desc.insert(r, b);
+                self.counts[r].1 += 1;
+            }
+            for r in ones_outside(self.desc.row(b), &born_mask) {
+                self.anc.insert(r, b);
+                self.counts[r].0 += 1;
+            }
+        }
+
+        // L6(b): the kept edges that touch a retired id go; each edge that
+        // touches a born class is decided by its two rows.
+        let retired = |c: NodeId| masks.contains(0, c.index());
+        self.kept.retain(|&(x, y)| !retired(x) && !retired(y));
+        let mut decided: Vec<(NodeId, NodeId)> = Vec::new();
+        let between = |x: u32, y: u32| {
+            let (below, above) = (self.desc.row(x as usize), self.anc.row(y as usize));
+            below.iter().zip(above).any(|(d, a)| d & a != 0)
+        };
+        for &b in &born {
+            for &(c, _) in q.out_row(b) {
+                if !between(b, c) {
+                    decided.push((NodeId(b), NodeId(c)));
+                }
+            }
+            for &x in q.in_row(b) {
+                if !is_born(x as usize) && !between(x, b) {
+                    decided.push((NodeId(x), NodeId(b)));
+                }
+            }
+        }
+        // Two sorted runs, which the stable sort merges in one pass.
+        decided.sort_unstable();
+        self.kept.append(&mut decided);
+        self.kept.sort();
     }
 
     /// Regroups the units of `cut` against this closure — which must be the
     /// closure of the quotient the cut was taken over, whose liveness and
     /// cyclic flags per id are `active` and `cyclic` — by lemmas L4 and L5
-    /// of the module header.
-    pub fn regroup(&self, active: &[bool], cyclic: &[bool], cut: &Cut) -> Regrouped<bool> {
+    /// of the module header. The signatures go back with the groups, for
+    /// the patch after the splice.
+    pub fn regroup(
+        &self,
+        active: &[bool],
+        cyclic: &[bool],
+        cut: &Cut,
+    ) -> (Regrouped<bool>, Signatures) {
         let ids = self.id_space();
         debug_assert_eq!(ids, cut.id_space());
         let units = cut.unit_count();
@@ -306,11 +475,128 @@ impl QuotientClosure {
         }
 
         // Stable: the groups that absorb nothing stay in first-unit order.
-        groups.sort_by_key(|group| group.absorbs.map_or((1, 0), |c| (0, c)));
-        Regrouped {
+        let mut spliced: Vec<(Group<bool>, usize)> =
+            groups.into_iter().zip(comp_of_group).collect();
+        spliced.sort_by_key(|(group, _)| group.absorbs.map_or((1, 0), |c| (0, c)));
+        let (groups, comp_of_group): (Vec<_>, Vec<_>) = spliced.into_iter().unzip();
+        let mut group_of_unit = vec![0u32; units];
+        let mut absorbed = Vec::new();
+        for (i, group) in groups.iter().enumerate() {
+            for &u in &group.units {
+                group_of_unit[u as usize] = i as u32;
+            }
+            absorbed.extend(group.absorbs.map(|c| (c, i as u32)));
+        }
+        let regrouped = Regrouped {
             nodes: units,
             groups,
+        };
+        let signatures = Signatures {
+            below,
+            above,
+            comp_of_group,
+            group_of_unit,
+            absorbed,
+        };
+        (regrouped, signatures)
+    }
+}
+
+/// How a signature row reads over the ids after the splice.
+struct Reading {
+    /// Size of the id space the signatures were taken over; unit `u` is
+    /// bit `old + u`.
+    old: usize,
+    /// Over a signature row: the bit of each group's first unit. A group's
+    /// units are equivalent, so a row holds all of them or none, and one
+    /// speaks for the rest — a row is read in groups, not in units.
+    firsts: Vec<u64>,
+    /// Per unit: the id of the class it joined.
+    born_of_unit: Vec<u32>,
+    /// `(class, id of the class it joined)` per absorbed class.
+    absorbed: Vec<(u32, u32)>,
+    /// Scratch of one row: its words over the old ids …
+    low: Vec<u64>,
+    /// … and the ids it gains.
+    joined: Vec<u32>,
+}
+
+impl Reading {
+    /// The reading of `signatures`, taken over `old` ids, whose groups
+    /// were given the ids `born`.
+    fn new(signatures: &Signatures, born: &[u32], old: usize) -> Self {
+        let mut firsts = vec![0u64; signatures.below.width().div_ceil(WORD)];
+        let mut seen = vec![false; born.len()];
+        for (u, &i) in signatures.group_of_unit.iter().enumerate() {
+            if !std::mem::replace(&mut seen[i as usize], true) {
+                firsts[(old + u) / WORD] |= 1 << ((old + u) % WORD);
+            }
         }
+        Reading {
+            old,
+            firsts,
+            born_of_unit: (signatures.group_of_unit.iter())
+                .map(|&i| born[i as usize])
+                .collect(),
+            absorbed: (signatures.absorbed.iter())
+                .map(|&(c, i)| (c, born[i as usize]))
+                .collect(),
+            low: Vec::new(),
+            joined: Vec::new(),
+        }
+    }
+
+    /// Writes row `b` of `rows`, all clear, from row `comp` of `signature`:
+    /// its unaffected ids as they are, an absorbed id and a unit as the id
+    /// of the class they joined, and never `b` itself.
+    fn born_row(&mut self, rows: &mut BitMatrix, b: usize, signature: &BitMatrix, comp: usize) {
+        self.low.clear();
+        old_id_words(signature, comp, self.old, &mut self.low);
+        rows.union_row_with(b, &self.low);
+        // Every absorbed id is cleared before any id is set: an absorbed
+        // class's id can be handed to another group.
+        self.joined.clear();
+        for &(c, to) in &self.absorbed {
+            if rows.contains(b, c as usize) {
+                rows.remove(b, c as usize);
+                self.joined.push(to);
+            }
+        }
+        let firsts = signature.row(comp).iter().zip(&self.firsts);
+        let units = ones_of(firsts.map(|(&word, &first)| word & first));
+        (self.joined).extend(units.map(|bit| self.born_of_unit[bit - self.old]));
+        for &id in &self.joined {
+            rows.insert(b, id as usize);
+        }
+        rows.remove(b, b);
+    }
+}
+
+/// The set bits of `row` that `mask` has clear, ascending.
+fn ones_outside<'a>(row: &'a [u64], mask: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
+    ones_of(row.iter().zip(mask).map(|(&r, &m)| r & !m))
+}
+
+/// The positions of the set bits of consecutive words, ascending.
+fn ones_of(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.enumerate().flat_map(|(w, mut word)| {
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                w * WORD + bit
+            })
+        })
+    })
+}
+
+/// Appends to `out` the words of row `comp` of a signature matrix over the
+/// `ids` old ids, without the unit bits past them.
+fn old_id_words(rows: &BitMatrix, comp: usize, ids: usize, out: &mut Vec<u64>) {
+    out.extend_from_slice(&rows.row(comp)[..ids.div_ceil(WORD)]);
+    if !ids.is_multiple_of(WORD) {
+        // The unit bits start inside the last word.
+        *out.last_mut().expect("a word holds the last id") &= (1 << (ids % WORD)) - 1;
     }
 }
 
@@ -321,11 +607,7 @@ impl QuotientClosure {
 fn over_old_ids(rows: &BitMatrix, comp: usize, cut: &Cut, out: &mut Vec<u64>) -> bool {
     let ids = cut.id_space();
     let at = out.len();
-    out.extend_from_slice(&rows.row(comp)[..ids.div_ceil(WORD)]);
-    if !ids.is_multiple_of(WORD) {
-        // The unit bits start inside the last word.
-        *out.last_mut().expect("a word holds the last id") &= (1 << (ids % WORD)) - 1;
-    }
+    old_id_words(rows, comp, ids, out);
     let mut bits = rows.ones_from(comp, ids);
     while let Some(bit) = bits.next() {
         let k = cut.class_of_unit(bit - ids) as usize;

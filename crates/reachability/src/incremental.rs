@@ -42,8 +42,11 @@
 //!    partitioned by the very same routine as the batch algorithm.
 //! 4. **Patch the state** — splice the new classes into the node → class
 //!    index and rebuild the inter-class edge counters incident to them;
-//!    then sweep the closure of the new compression, for the publication
-//!    that follows and for the next batch's step 3.
+//!    then patch the held closure into the closure of the new compression
+//!    (lemma L6 in [`crate::closure`]: the new classes' rows are step 3's
+//!    signatures, every other row changes only in the columns of the
+//!    retired and the new classes), for the publication that follows and
+//!    for the next batch's step 3.
 //!
 //! ## Cost
 //!
@@ -63,17 +66,13 @@
 //! the graph step 3 works on shrinks from `|Vr|` nodes to the units: 1 166
 //! → 40 a batch on `dense_cithepth`, 2 859 → 165 on `churn_wikitalk`.
 //!
-//! What is still independent of `|ΔG|` is the sweep that ends step 4: one
-//! descendant and one ancestor closure of the whole new compression,
-//! `O(|Er| · id_space/64)` words each — the sweeps a publication used to
-//! run for itself, now run once and shared (so the *sum* of maintenance
-//! and publication fell, while this step's own clock holds sweeps it did
-//! not hold before). The next lever is to re-sweep only the rows a batch
-//! can have changed — the descendant rows of `T` and the ancestor rows of
-//! `B`; every other row is frozen by L1, up to the renumbering of the
-//! affected columns. The closure is resident: `2 · id_space²/8` bytes per
-//! maintainer, at most 4 MiB. Past one column chunk nothing is held, step
-//! 3 runs the kernel
+//! The closure patch that ends step 4 is paid for the batch as well: rows
+//! of `id_space/64` words for the retired and the new classes, for the
+//! rows that held a retired column, and for the edges that touch a new
+//! class, plus one bit per pair of a new class and a class in its cones.
+//! No step sweeps the whole compression; only construction does. The
+//! closure is resident: `2 · id_space²/8` bytes per maintainer, at most
+//! 4 MiB. Past one column chunk nothing is held, step 3 runs the kernel
 //! ([`reachability_partition`]) on the hybrid graph —
 //! `O((#units + |Vr|)²/w)` whatever `|ΔG|` is — and the publication sweeps
 //! for itself in chunks. Either bound is independent of `|G|` and in the
@@ -182,32 +181,19 @@ pub struct IncrementalReach {
     q: IncrementalQuotient<ReachEquivalence>,
     /// The closure of `q`'s class-level edges, held exactly while the id
     /// space fits one column chunk ([`DEFAULT_CHUNK`]): swept at
-    /// construction and after every step that changed a class, read by
-    /// the publication in between and by the next step's regroup.
+    /// construction and patched by every step that changed a class, read
+    /// by the publication in between and by the next step's regroup.
     closure: Option<QuotientClosure>,
 }
 
 impl IncrementalReach {
     /// Builds the compression of `g` from scratch (the batch step that the
-    /// incremental algorithm then maintains).
+    /// incremental algorithm then maintains) and sweeps its closure.
     pub fn new(g: &LabeledGraph) -> Self {
-        let mut inc = IncrementalReach {
-            q: IncrementalQuotient::new(g),
-            closure: None,
-        };
-        inc.refresh_closure();
-        inc
-    }
-
-    /// Sweeps the closure of the current quotient. The matrices of the
-    /// previous one are dropped first: the sweep is served from their
-    /// buffers.
-    fn refresh_closure(&mut self) {
-        self.closure = None;
-        if self.q.id_space() <= DEFAULT_CHUNK {
-            let swept = QuotientClosure::sweep(self.q.id_space(), self.q.sorted_edges());
-            self.closure = Some(swept);
-        }
+        let q = IncrementalQuotient::new(g);
+        let closure = (q.id_space() <= DEFAULT_CHUNK)
+            .then(|| QuotientClosure::sweep(q.id_space(), q.sorted_edges()));
+        IncrementalReach { q, closure }
     }
 
     /// The closure of the current quotient — descendant and ancestor rows
@@ -323,6 +309,13 @@ impl IncrementalReach {
         g: &LabeledGraph,
         norm: &UpdateBatch,
     ) -> (IncStats, PartitionDelta) {
+        let stepped = self.maintain(g, norm);
+        debug_assert_eq!(self.check_invariants(g), Ok(()));
+        stepped
+    }
+
+    /// [`IncrementalReach::apply_normalized`] without the invariant check.
+    fn maintain(&mut self, g: &LabeledGraph, norm: &UpdateBatch) -> (IncStats, PartitionDelta) {
         // Step 1: redundant-insertion reduction (safe when the batch inserts
         // only, because insertions never invalidate the implying paths).
         // Redundant updates still changed the edge set, just not the
@@ -356,17 +349,26 @@ impl IncrementalReach {
         // regrouped against the closure of that compression — or, past one
         // column chunk, by the kernel on the hybrid graph.
         let held = self.closure.as_ref();
+        let mut signatures = None;
         let (mut stats, delta) = self
             .q
             .apply_effective(g, &effective, |q, g, cut| match held {
-                Some(held) => held.regroup(q.active(), q.payload(), cut),
+                Some(held) => {
+                    let (regrouped, rows) = held.regroup(q.active(), q.payload(), cut);
+                    signatures = Some(rows);
+                    regrouped
+                }
                 None => q.regroup_hybrid(g, cut),
             });
         stats.redundant_dropped = redundant_dropped;
-        if !delta.is_empty() {
-            self.refresh_closure();
+        // Step 4, end: the closure follows the splice.
+        if let Some(signatures) = signatures {
+            if delta.id_space > DEFAULT_CHUNK {
+                self.closure = None;
+            } else if let Some(held) = &mut self.closure {
+                held.advance(&delta, signatures, &self.q);
+            }
         }
-        debug_assert_eq!(self.check_invariants(g), Ok(()));
         (stats, delta)
     }
 
@@ -555,10 +557,13 @@ mod tests {
             let mut inc = IncrementalReach::new(&g);
             let classes_before = inc.class_count();
             assert_eq!(classes_before, 4);
-            if denied {
-                inc.closure = None;
-            }
-            let stats = inc.apply(&mut g, &batch);
+            let norm = batch.normalized(&g);
+            norm.apply_to(&mut g);
+            let (stats, _) = if denied {
+                step_denied(&mut inc, &g, &norm)
+            } else {
+                inc.apply_normalized(&g, &norm)
+            };
             // Affected: ancestors of [1] = {0}, {1,2}; descendants of [4] = {4}.
             assert_eq!(stats.affected_classes, 3);
             assert_eq!(stats.affected_nodes, 4);
@@ -583,11 +588,40 @@ mod tests {
         batch
     }
 
+    /// One step of `inc` on the hybrid path, whatever its id space: the
+    /// closure is withheld for the step, and swept afresh after it where
+    /// the invariants ask for one.
+    fn step_denied(
+        inc: &mut IncrementalReach,
+        g: &LabeledGraph,
+        norm: &UpdateBatch,
+    ) -> (IncStats, PartitionDelta) {
+        inc.closure = None;
+        let stepped = inc.maintain(g, norm);
+        let ids = inc.q.id_space();
+        if ids <= DEFAULT_CHUNK {
+            inc.closure = Some(QuotientClosure::sweep(ids, inc.q.sorted_edges()));
+        }
+        assert_eq!(inc.check_invariants(g), Ok(()));
+        stepped
+    }
+
+    /// The closure `inc` holds is, field by field, the one a fresh sweep of
+    /// its rows gives — or it holds none, past one column chunk.
+    fn assert_closure_is_a_fresh_sweep(inc: &IncrementalReach, ctx: &str) {
+        let ids = inc.q.id_space();
+        match inc.closure() {
+            Some(held) => assert_eq!(held.check(ids, inc.q.sorted_edges()), Ok(()), "{ctx}"),
+            None => assert!(ids > DEFAULT_CHUNK, "{ctx}: no closure over {ids} ids"),
+        }
+    }
+
     /// One step down both paths — against the held closure, and on the
     /// hybrid graph by a maintainer denied its closure: equal statistics
-    /// (but for the regrouped graph's size), equal deltas, equal state, and
-    /// both the compression and the BFS answers of the updated graph.
-    /// Returns the closure path's statistics and delta.
+    /// (but for the regrouped graph's size), equal deltas, equal state, a
+    /// patched closure equal to a fresh sweep, and both the compression and
+    /// the BFS answers of the updated graph. Returns the closure path's
+    /// statistics and delta.
     fn step_both_paths(
         held: &mut IncrementalReach,
         denied: &mut IncrementalReach,
@@ -598,12 +632,8 @@ mod tests {
         let norm = batch.normalized(g);
         norm.apply_to(g);
         let (stats, delta) = held.apply_normalized(g, &norm);
-        // A step that changes nothing sweeps nothing: it would leave the
-        // denied maintainer without the closure its invariants ask for.
-        if !delta.is_empty() {
-            denied.closure = None;
-        }
-        let (hybrid_stats, hybrid_delta) = denied.apply_normalized(g, &norm);
+        assert_closure_is_a_fresh_sweep(held, "closure path");
+        let (hybrid_stats, hybrid_delta) = step_denied(denied, g, &norm);
         assert_eq!(delta, hybrid_delta);
         assert_eq!(
             IncStats {
@@ -643,57 +673,148 @@ mod tests {
         step_both_paths(&mut held, &mut denied, &mut g, &batch_of(spec))
     }
 
+    /// A random digraph of the seeded streams, with what the cut has
+    /// special cases for: cycles, self loops, twins.
+    fn seeded_graph(rng: &mut StdRng) -> LabeledGraph {
+        let n = rng.gen_range(4..18usize);
+        let mut g = graph(n, &[]);
+        let node = |i: usize| NodeId(i as u32);
+        for _ in 0..rng.gen_range(0..2 * n) {
+            g.add_edge(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let v = node(rng.gen_range(0..n));
+            g.add_edge(v, v);
+        }
+        for _ in 0..rng.gen_range(0..3) {
+            let (u, v) = (node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+            g.add_edge(u, v);
+            g.add_edge(v, u);
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            let t = node(rng.gen_range(0..n));
+            let twin = g.add_node_with_label("X");
+            for w in g.out_neighbors(t).to_vec() {
+                g.add_edge(twin, w);
+            }
+            for z in g.in_neighbors(t).to_vec() {
+                g.add_edge(z, twin);
+            }
+        }
+        g
+    }
+
+    /// One batch of the seeded streams against `g`. Cases take turns:
+    /// mixed, insertions only, deletions only.
+    fn seeded_batch(rng: &mut StdRng, g: &LabeledGraph, case: usize) -> UpdateBatch {
+        let insert_share = [0.5, 1.0, 0.0][case % 3];
+        let n = g.node_count();
+        let node = |i: usize| NodeId(i as u32);
+        let mut batch = UpdateBatch::new();
+        for _ in 0..rng.gen_range(1..6) {
+            if rng.gen_bool(insert_share) {
+                batch.insert(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
+            } else if g.edge_count() > 0 {
+                let edges: Vec<_> = g.edges().collect();
+                let (u, v) = edges[rng.gen_range(0..edges.len())];
+                batch.delete(u, v);
+            }
+        }
+        batch
+    }
+
     /// The two regroups are one function: on seeded streams over random
-    /// digraphs with what the cut has special cases for — cycles, self
-    /// loops, twins — they give equal deltas and equal state at every
-    /// step, under mixed, insertion-only and deletion-only batches.
+    /// digraphs ([`seeded_graph`]) they give equal deltas and equal state
+    /// at every step, under mixed, insertion-only and deletion-only
+    /// batches.
     #[test]
     fn closure_and_hybrid_paths_agree_on_seeded_streams() {
         let mut rng = StdRng::seed_from_u64(0xC105);
         for case in 0..36 {
-            let n = rng.gen_range(4..18usize);
-            let mut g = graph(n, &[]);
-            let node = |i: usize| NodeId(i as u32);
-            for _ in 0..rng.gen_range(0..2 * n) {
-                g.add_edge(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
-            }
-            for _ in 0..rng.gen_range(0..3) {
-                let v = node(rng.gen_range(0..n));
-                g.add_edge(v, v);
-            }
-            for _ in 0..rng.gen_range(0..3) {
-                let (u, v) = (node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
-                g.add_edge(u, v);
-                g.add_edge(v, u);
-            }
-            for _ in 0..rng.gen_range(0..4) {
-                let t = node(rng.gen_range(0..n));
-                let twin = g.add_node_with_label("X");
-                for w in g.out_neighbors(t).to_vec() {
-                    g.add_edge(twin, w);
-                }
-                for z in g.in_neighbors(t).to_vec() {
-                    g.add_edge(z, twin);
-                }
-            }
-            let n = g.node_count();
+            let mut g = seeded_graph(&mut rng);
             let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
             for step in 0..6 {
-                // Cases take turns: mixed, insertions only, deletions only.
-                let insert_share = [0.5, 1.0, 0.0][case % 3];
-                let mut batch = UpdateBatch::new();
-                for _ in 0..rng.gen_range(1..6) {
-                    if rng.gen_bool(insert_share) {
-                        batch.insert(node(rng.gen_range(0..n)), node(rng.gen_range(0..n)));
-                    } else if g.edge_count() > 0 {
-                        let edges: Vec<_> = g.edges().collect();
-                        let (u, v) = edges[rng.gen_range(0..edges.len())];
-                        batch.delete(u, v);
-                    }
-                }
+                let batch = seeded_batch(&mut rng, &g, case);
                 let (_, delta) = step_both_paths(&mut held, &mut denied, &mut g, &batch);
                 assert_eq!(delta.id_space, held.q.id_space(), "case {case} step {step}");
             }
+        }
+    }
+
+    /// L6: the closure a step patches is, field by field, the one a fresh
+    /// sweep of the new rows gives — checked after every step, in every
+    /// build — on the seeded streams above and on named traps: a far-away
+    /// absorption, a born id recycled from a retired one, a cyclic group
+    /// whose signature holds its own units, stranded nodes joining the
+    /// isolated class, an id space growing across a 64-id word, and one
+    /// growing past one column chunk, which drops the closure for the
+    /// hybrid path.
+    #[test]
+    fn patched_closure_equals_a_fresh_sweep_at_every_step() {
+        let mut recycled = 0;
+        let mut rng = StdRng::seed_from_u64(0xC105);
+        for case in 0..36 {
+            let mut g = seeded_graph(&mut rng);
+            let mut inc = IncrementalReach::new(&g);
+            for step in 0..6 {
+                let batch = seeded_batch(&mut rng, &g, case);
+                let (_, delta) = inc.apply_with_delta(&mut g, &batch);
+                assert_closure_is_a_fresh_sweep(&inc, &format!("case {case} step {step}"));
+                let reused = delta.added.iter().filter(|b| delta.removed.contains(&b.id));
+                recycled += reused.count();
+            }
+        }
+        assert!(recycled > 0, "no born id was a retired one");
+
+        // One step of `spec` on `g`, checked; returns the maintainer.
+        let trap = |mut g: LabeledGraph, spec: &[(u32, u32, bool)], what: &str| {
+            let mut inc = IncrementalReach::new(&g);
+            let (stats, delta) = inc.apply_with_delta(&mut g, &batch_of(spec));
+            assert_closure_is_a_fresh_sweep(&inc, what);
+            (inc, g, stats, delta)
+        };
+        // Far-away absorption: {5} joins the new {4} without being touched.
+        let g = graph(6, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (1, 5), (5, 3)]);
+        let far = IncrementalReach::new(&g).class_of(NodeId(5));
+        let (_, _, _, delta) = trap(g, &[(4, 2, true)], "far-away absorption");
+        assert!(delta.removed.contains(&far));
+        // A chord deleted from a ring: its members regroup as one cyclic
+        // class, whose signatures hold its own units.
+        let ring = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 2)]);
+        let (_, _, _, delta) = trap(ring, &[(0, 2, false)], "cyclic group");
+        assert!(delta.added.len() == 1 && delta.added[0].cyclic);
+        // Stranded nodes join the isolated class.
+        let (_, _, _, delta) = trap(graph(4, &[(0, 1)]), &[(0, 1, false)], "stranded");
+        assert_eq!(delta.added.len(), 1);
+        // 63 → 65 ids: a chain of 62 classes and three isolated nodes, each
+        // hung from a different chain node.
+        let chain = |len: u32, loose: u32| {
+            let edges: Vec<(u32, u32)> = (1..len).map(|v| (v - 1, v)).collect();
+            graph((len + loose) as usize, &edges)
+        };
+        let spec = [(62, 61, true), (63, 60, true), (64, 59, true)];
+        let (_, _, _, delta) = trap(chain(62, 3), &spec, "63 → 65 ids");
+        assert_eq!((delta.removed.len(), delta.id_space), (4, 65));
+        // 4 096 → 4 097 ids: the closure is dropped, and the next step takes
+        // the hybrid path.
+        let (mut inc, mut g, _, delta) = trap(chain(4095, 2), &[(4095, 4094, true)], "4 097");
+        assert_eq!(delta.id_space, DEFAULT_CHUNK + 1);
+        assert!(inc.closure().is_none());
+        let (stats, _) = inc.apply_with_delta(&mut g, &batch_of(&[(4096, 4093, true)]));
+        assert!(
+            stats.hybrid_nodes > stats.affected_nodes,
+            "the hybrid path has atoms"
+        );
+        assert_closure_is_a_fresh_sweep(&inc, "past one chunk");
+        for (v, w) in [
+            (4096, 4094),
+            (4096, 0),
+            (4095, 4094),
+            (0, 4094),
+            (4094, 4093),
+        ] {
+            let (v, w) = (NodeId(v), NodeId(w));
+            assert_eq!(inc.query(v, w), bfs_reachable(&g, v, w), "({v},{w})");
         }
     }
 

@@ -667,14 +667,22 @@ fn swept_landmark_order<G: GraphView>(g: &G) -> Vec<NodeId> {
 /// `(|anc(v)| + 1) · (|desc(v)| + 1)` — the most pairs a landmark can
 /// cover — with `counts(v)` the exact `(|anc(v)|, |desc(v)|)` (non-empty
 /// paths, so a node on a cycle counts itself). Ties go to the higher total
-/// degree in `g`, then to the lower node id (the sort is stable).
+/// degree in `g`, then to the lower node id. The three are packed into one
+/// `u128` per node, complemented where the order descends, and sorted once.
 pub fn landmark_order<G: GraphView>(g: &G, counts: impl Fn(NodeId) -> (u64, u64)) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    order.sort_by_cached_key(|&v| {
-        let (anc, desc) = counts(v);
-        std::cmp::Reverse(((anc + 1) * (desc + 1), g.out_degree(v) + g.in_degree(v)))
-    });
-    order
+    let mut keys: Vec<u128> = g
+        .nodes()
+        .map(|v| {
+            let (anc, desc) = counts(v);
+            let coverage = (anc + 1) * (desc + 1);
+            let degree = (g.out_degree(v) + g.in_degree(v)) as u32;
+            u128::from(u64::MAX - coverage) << 64
+                | u128::from(u32::MAX - degree) << 32
+                | u128::from(v.0)
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter().map(|key| NodeId(key as u32)).collect()
 }
 
 #[cfg(test)]
@@ -828,6 +836,30 @@ mod tests {
         };
         assert_closure_build_matches_bfs(68, &layer_pairs(1), &mut rng, "layered");
         assert_closure_build_matches_bfs(68, &layer_pairs(3), &mut rng, "layered + shortcuts");
+    }
+
+    /// The packed keys give the order a stable sort by descending
+    /// `(coverage, degree)` gives — ties to the lower id — on random
+    /// graphs and on layers of exact ties.
+    #[test]
+    fn landmark_order_is_coverage_then_degree_then_id() {
+        let mut rng = StdRng::seed_from_u64(0x0DE5);
+        let layered: Vec<(u32, u32)> = (0..40u32)
+            .flat_map(|u| (0..40u32).map(move |v| (u, v)))
+            .filter(|&(u, v)| v / 10 == u / 10 + 1)
+            .collect();
+        let mut graphs = vec![graph(40, &layered), graph(6, &[])];
+        graphs.extend((0..20).map(|_| random_graph(&mut rng)));
+        for g in graphs {
+            let counts = |v: NodeId| (u64::from(v.0 % 3), u64::from(v.0 % 2));
+            let mut stable: Vec<NodeId> = g.nodes().collect();
+            stable.sort_by_key(|&v| {
+                let (anc, desc) = counts(v);
+                let degree = g.out_degree(v) + g.in_degree(v);
+                std::cmp::Reverse(((anc + 1) * (desc + 1), degree))
+            });
+            assert_eq!(landmark_order(&g, counts), stable);
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! builds: transitive reduction of the maintainer's quotient, CSR, and
 //! (when configured) the 2-hop index over it. Up to [`DEFAULT_CHUNK`]
 //! classes a build **sweeps nothing**: the maintainer holds the closure of
-//! its quotient — it swept it at the end of the step, because the next
-//! step regroups against it — and hands over the kept edges, the popcounts
+//! its quotient — swept at construction and patched by every step, because
+//! each step regroups against it — and hands over the kept edges, the popcounts
 //! that order the landmarks, and the two matrices, which the labelling
 //! strikes on scratch copies with no traversal
 //! ([`TwoHopIndex::from_closure`]). A larger quotient has no held closure:

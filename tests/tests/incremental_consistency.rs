@@ -11,6 +11,8 @@ use qpgc_pattern::inc_match::IncrementalMatch;
 use qpgc_pattern::incremental::{IncrementalPattern, StablePatternQuotient};
 use qpgc_reach::compress::compress_r;
 use qpgc_reach::incremental::{IncrementalReach, StableQuotient};
+use qpgc_reach::two_hop::{TwoHopConfig, TwoHopIndex};
+use qpgc_serve::{CompressedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -473,6 +475,62 @@ fn stable_ids_match_the_golden_streams() {
         );
         assert_eq!(hash, golden, "bisim: stable export after batch {i}");
     }
+}
+
+/// A patched closure carries any error forward, so short random streams do
+/// not show drift. This runs 300 cone-local batches of `size` (cone cap 8,
+/// graph seed 0) on one of the benchmark's shapes. After every batch the
+/// maintainer's closure must equal a fresh sweep. Every 50 batches a store
+/// with a 2-hop index is checked too: its published index must equal a BFS
+/// build over its `Gr`, and 500 sampled answers must equal BFS on `G`.
+fn assert_no_drift(name: &str, divisor: usize, size: usize) {
+    let two_hop = TwoHopConfig;
+    let mut g = qpgc_generators::dataset(name, divisor, 0).expect("a Table 1 name");
+    let mut inc = IncrementalReach::new(&g);
+    let store = CompressedStore::new(g.clone(), StoreConfig::builder().two_hop(two_hop).build());
+    let mut rng = StdRng::seed_from_u64(0xD81F7);
+    for step in 1..=300u64 {
+        let ctx = format!("{name} batch {step}");
+        let batch = local_batch(&g, size, 8, 0x5EED ^ step);
+        store.try_apply(&batch).expect("a valid batch");
+        inc.apply_with_delta(&mut g, &batch);
+        let sq = inc.stable_quotient();
+        let held = inc.closure().expect("the shape fits one column chunk");
+        assert_eq!(held.check(sq.id_space(), sq.edges), Ok(()), "{ctx}");
+        if step % 50 != 0 {
+            continue;
+        }
+        let cut = store.load();
+        let served = cut.two_hop().expect("the store serves a 2-hop index");
+        let built = TwoHopIndex::build_with(cut.compressed_graph(), &two_hop);
+        assert!(
+            *served == built,
+            "{ctx}: served index differs from a BFS build"
+        );
+        let n = g.node_count() as u32;
+        for _ in 0..500 {
+            let (u, w) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            assert_eq!(
+                cut.reachable(u, w),
+                bfs_reachable(&g, u, w),
+                "{ctx}: ({u},{w})"
+            );
+        }
+    }
+}
+
+/// [`assert_no_drift`] on `dense_cithepth`'s shape: citHepTh ÷ 24, batches
+/// of 12.
+#[test]
+fn patched_closure_does_not_drift_on_the_dense_cithepth_shape() {
+    assert_no_drift("citHepTh", 24, 12);
+}
+
+/// [`assert_no_drift`] on `churn_wikitalk`'s shape: wikiTalk ÷ 800,
+/// batches of 50.
+#[test]
+fn patched_closure_does_not_drift_on_the_churn_wikitalk_shape() {
+    assert_no_drift("wikiTalk", 800, 50);
 }
 
 /// The redundant-insertion rule, on the only kind of stream that reaches
