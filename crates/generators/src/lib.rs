@@ -29,4 +29,4 @@ pub use datasets::{
 };
 pub use pattern_gen::{random_pattern, PatternGenConfig};
 pub use synthetic::{citation_graph, power_law_graph, random_graph, web_graph, SyntheticConfig};
-pub use updates::{delete_batch, insert_batch, mixed_batch, preferential_insert_batch};
+pub use updates::{delete_batch, insert_batch, mixed_batch};

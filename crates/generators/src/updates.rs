@@ -26,35 +26,6 @@ pub fn insert_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
     batch
 }
 
-/// Generates a batch of `count` insertions where 80 % of the edges attach to
-/// high-degree nodes (the paper's power-law growth assumption for real-life
-/// graphs).
-pub fn preferential_insert_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = g.node_count();
-    let mut batch = UpdateBatch::new();
-    if n < 2 {
-        return batch;
-    }
-    let mut by_degree: Vec<NodeId> = g.nodes().collect();
-    by_degree.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v) + g.in_degree(v)));
-    let pool = &by_degree[..(n / 20).max(1)];
-    let mut attempts = 0;
-    while batch.len() < count && attempts < count * 30 + 100 {
-        attempts += 1;
-        let u = NodeId(rng.gen_range(0..n) as u32);
-        let v = if rng.gen_bool(0.8) {
-            pool[rng.gen_range(0..pool.len())]
-        } else {
-            NodeId(rng.gen_range(0..n) as u32)
-        };
-        if u != v && !g.has_edge(u, v) {
-            batch.insert(u, v);
-        }
-    }
-    batch
-}
-
 /// Generates a batch of `count` deletions of uniformly random existing edges
 /// (without repetition).
 pub fn delete_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
@@ -168,7 +139,7 @@ pub fn mixed_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synthetic::{power_law_graph, random_graph, SyntheticConfig};
+    use crate::synthetic::{random_graph, SyntheticConfig};
 
     fn data() -> LabeledGraph {
         random_graph(&SyntheticConfig::new(300, 1200, 5, 3))
@@ -214,21 +185,6 @@ mod tests {
         assert!(!ins.is_empty());
         assert!(!del.is_empty());
         assert!(b.len() >= 28);
-    }
-
-    #[test]
-    fn preferential_insert_targets_hubs() {
-        let g = power_law_graph(&SyntheticConfig::new(400, 2400, 3, 9));
-        let mut by_degree: Vec<NodeId> = g.nodes().collect();
-        by_degree.sort_by_key(|&v| std::cmp::Reverse(g.out_degree(v) + g.in_degree(v)));
-        let hubs: std::collections::HashSet<NodeId> = by_degree[..20].iter().copied().collect();
-        let b = preferential_insert_batch(&g, 100, 4);
-        let hub_hits = b
-            .updates()
-            .iter()
-            .filter(|u| hubs.contains(&u.edge().1))
-            .count();
-        assert!(hub_hits > b.len() / 2);
     }
 
     #[test]
@@ -333,6 +289,5 @@ mod tests {
         g.add_node_with_label("A");
         assert!(insert_batch(&g, 5, 0).is_empty());
         assert!(delete_batch(&g, 5, 0).is_empty());
-        assert!(preferential_insert_batch(&g, 5, 0).is_empty());
     }
 }

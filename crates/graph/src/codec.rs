@@ -3,10 +3,9 @@
 //! Implements the instantaneous codes the WebGraph family builds its
 //! gap-compressed adjacency on: unary, Elias γ and δ, and the ζ_k codes of
 //! Boldi–Vigna (the right family for the power-law gap distributions of the
-//! Table-1 shapes), plus a byte-oriented vbyte fallback for values too large
-//! or too flat for the universal codes to win. [`BitWriter`] packs an
-//! MSB-first bitstream into `u64` words; [`BitReader`] decodes it lazily so
-//! a query touching one adjacency row never inflates any other row.
+//! Table-1 shapes). [`BitWriter`] packs an MSB-first bitstream into `u64`
+//! words; [`BitReader`] decodes it lazily so a query touching one adjacency
+//! row never inflates any other row.
 //!
 //! All universal codes here encode **positive** integers (`x ≥ 1`); callers
 //! shift by one when zero is possible. Signed values go through the
@@ -33,14 +32,6 @@ pub fn zigzag(x: i64) -> u64 {
 #[inline]
 pub fn unzigzag(z: u64) -> i64 {
     ((z >> 1) as i64) ^ -((z & 1) as i64)
-}
-
-/// Exact bit length of `x ≥ 1` under the γ code.
-#[inline]
-pub fn gamma_len(x: u64) -> usize {
-    debug_assert!(x >= 1);
-    let n = 63 - x.leading_zeros() as usize;
-    2 * n + 1
 }
 
 /// Exact bit length of `x ≥ 1` under the ζ_k code.
@@ -153,21 +144,6 @@ impl BitWriter {
         let low = 1u64 << (h * k);
         let m = (1u64 << ((h + 1) * k)) - low;
         self.write_minimal_binary(x - low, m);
-    }
-
-    /// Appends `x` as a vbyte varint: 7 payload bits per group, high bit
-    /// set on every group but the last. The fallback code for values whose
-    /// distribution the universal codes model badly.
-    pub fn write_vbyte(&mut self, mut x: u64) {
-        loop {
-            let group = x & 0x7f;
-            x >>= 7;
-            if x == 0 {
-                self.write_bits(group, 8);
-                return;
-            }
-            self.write_bits(0x80 | group, 8);
-        }
     }
 
     /// Consumes the writer, returning the packed words and the bit length.
@@ -314,20 +290,6 @@ impl<'a> BitReader<'a> {
         let m = (1u64 << ((h + 1) * k)) - low;
         low + self.read_minimal_binary(m)
     }
-
-    /// Reads a vbyte varint.
-    pub fn read_vbyte(&mut self) -> u64 {
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let group = self.read_bits(8);
-            out |= (group & 0x7f) << shift;
-            if group & 0x80 == 0 {
-                return out;
-            }
-            shift += 7;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +347,6 @@ mod tests {
                 w.write_gamma(x);
                 w.write_delta(x);
                 w.write_zeta(x, k);
-                w.write_vbyte(x);
             }
             let (words, _) = w.finish();
             let mut r = BitReader::at(&words, 0);
@@ -393,7 +354,6 @@ mod tests {
                 assert_eq!(r.read_gamma(), x, "gamma {x}");
                 assert_eq!(r.read_delta(), x, "delta {x}");
                 assert_eq!(r.read_zeta(k), x, "zeta_{k} {x}");
-                assert_eq!(r.read_vbyte(), x, "vbyte {x}");
             }
         }
     }
@@ -401,9 +361,6 @@ mod tests {
     #[test]
     fn length_helpers_are_exact() {
         for x in (1..300u64).chain([1 << 12, 1 << 20, (1 << 30) + 3]) {
-            let mut w = BitWriter::new();
-            w.write_gamma(x);
-            assert_eq!(w.bit_len(), gamma_len(x), "gamma_len {x}");
             for k in 1..=4 {
                 let mut w = BitWriter::new();
                 w.write_zeta(x, k);

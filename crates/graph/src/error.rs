@@ -2,18 +2,9 @@
 
 use std::fmt;
 
-use crate::ids::NodeId;
-
-/// Errors produced by graph construction, mutation, and I/O.
+/// Errors produced by DAG-only operations and by reading graphs.
 #[derive(Debug)]
 pub enum GraphError {
-    /// A node id referenced an index outside the graph.
-    NodeOutOfBounds {
-        /// The offending node id.
-        node: NodeId,
-        /// Number of nodes currently in the graph.
-        node_count: usize,
-    },
     /// An operation required a DAG but the graph contained a cycle.
     NotADag,
     /// A parse error while reading the text edge-list format.
@@ -30,10 +21,6 @@ pub enum GraphError {
 impl fmt::Display for GraphError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            GraphError::NodeOutOfBounds { node, node_count } => write!(
-                f,
-                "node {node} is out of bounds for a graph with {node_count} nodes"
-            ),
             GraphError::NotADag => write!(f, "operation requires an acyclic graph"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error at line {line}: {message}")
@@ -67,11 +54,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = GraphError::NodeOutOfBounds {
-            node: NodeId(9),
-            node_count: 3,
-        };
-        assert!(e.to_string().contains("out of bounds"));
         assert!(GraphError::NotADag.to_string().contains("acyclic"));
         let p = GraphError::Parse {
             line: 4,

@@ -10,7 +10,6 @@
 use std::collections::HashMap;
 
 use crate::csr::CsrGraph;
-use crate::error::{GraphError, Result};
 use crate::ids::{Label, LabelInterner, NodeId};
 use crate::view::GraphView;
 
@@ -98,11 +97,6 @@ impl LabeledGraph {
         self.add_node(label)
     }
 
-    /// Interns a label name without adding a node.
-    pub fn intern_label(&mut self, name: &str) -> Label {
-        self.interner.intern(name)
-    }
-
     /// Returns the label of `v`.
     ///
     /// # Panics
@@ -116,11 +110,6 @@ impl LabeledGraph {
     /// Returns the label name of `v`, if its label was interned by name.
     pub fn label_name(&self, v: NodeId) -> Option<&str> {
         self.interner.name(self.labels[v.index()])
-    }
-
-    /// Overwrites the label of `v`.
-    pub fn set_label(&mut self, v: NodeId, label: Label) {
-        self.labels[v.index()] = label;
     }
 
     /// Access to the label interner (shared with compressed graphs so hyper
@@ -140,18 +129,6 @@ impl LabeledGraph {
             seen[l.index()] = true;
         }
         seen.iter().filter(|&&b| b).count()
-    }
-
-    /// Checks that `v` refers to an existing node.
-    pub fn check_node(&self, v: NodeId) -> Result<()> {
-        if v.index() < self.node_count() {
-            Ok(())
-        } else {
-            Err(GraphError::NodeOutOfBounds {
-                node: v,
-                node_count: self.node_count(),
-            })
-        }
     }
 
     /// Adds the directed edge `(u, v)`.
@@ -315,22 +292,6 @@ impl LabeledGraph {
             .sum();
         adj + self.labels.capacity() * std::mem::size_of::<Label>()
     }
-
-    /// Returns a graph with every edge reversed (labels preserved). Several
-    /// algorithms (ancestor sets, reverse bounded BFS) are expressed as the
-    /// forward algorithm on the reverse graph.
-    pub fn reversed(&self) -> LabeledGraph {
-        let mut g = LabeledGraph {
-            labels: self.labels.clone(),
-            out: self.inn.clone(),
-            inn: self.out.clone(),
-            edge_count: self.edge_count,
-            interner: self.interner.clone(),
-        };
-        // Preserve the dense-id invariant; nothing else to fix up.
-        g.edge_count = self.edge_count;
-        g
-    }
 }
 
 impl GraphView for LabeledGraph {
@@ -364,54 +325,6 @@ impl GraphView for LabeledGraph {
 
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         LabeledGraph::has_edge(self, u, v)
-    }
-}
-
-/// Convenience builder for constructing small graphs in tests and examples
-/// by label name.
-#[derive(Default)]
-pub struct GraphBuilder {
-    graph: LabeledGraph,
-    named: HashMap<String, NodeId>,
-}
-
-impl GraphBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds (or returns the existing) node with unique name `name` and label
-    /// `label`.
-    pub fn node(&mut self, name: &str, label: &str) -> NodeId {
-        if let Some(&id) = self.named.get(name) {
-            return id;
-        }
-        let id = self.graph.add_node_with_label(label);
-        self.named.insert(name.to_owned(), id);
-        id
-    }
-
-    /// Adds an edge between two named nodes (both must already exist).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either name is unknown.
-    pub fn edge(&mut self, from: &str, to: &str) -> &mut Self {
-        let u = *self.named.get(from).expect("unknown source node name");
-        let v = *self.named.get(to).expect("unknown target node name");
-        self.graph.add_edge(u, v);
-        self
-    }
-
-    /// Looks up a node id by name.
-    pub fn id(&self, name: &str) -> Option<NodeId> {
-        self.named.get(name).copied()
-    }
-
-    /// Finishes building, returning the graph and the name → id map.
-    pub fn build(self) -> (LabeledGraph, HashMap<String, NodeId>) {
-        (self.graph, self.named)
     }
 }
 
@@ -496,14 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn set_label() {
-        let (mut g, n) = diamond();
-        let new = g.intern_label("Z");
-        g.set_label(n[0], new);
-        assert_eq!(g.label_name(n[0]), Some("Z"));
-    }
-
-    #[test]
     fn edges_iterator_yields_all_edges() {
         let (g, _) = diamond();
         let mut edges: Vec<_> = g.edges().collect();
@@ -528,37 +433,6 @@ mod tests {
         assert_eq!(by_label.len(), 3);
         let b_nodes = &by_label[&g.label(n[1])];
         assert_eq!(b_nodes.len(), 2);
-    }
-
-    #[test]
-    fn reversed_swaps_adjacency() {
-        let (g, n) = diamond();
-        let r = g.reversed();
-        assert_eq!(r.edge_count(), g.edge_count());
-        assert!(r.has_edge(n[1], n[0]));
-        assert!(r.has_edge(n[3], n[2]));
-        assert!(!r.has_edge(n[0], n[1]));
-        assert_eq!(r.label(n[0]), g.label(n[0]));
-    }
-
-    #[test]
-    fn check_node_bounds() {
-        let (g, _) = diamond();
-        assert!(g.check_node(NodeId(3)).is_ok());
-        assert!(g.check_node(NodeId(4)).is_err());
-    }
-
-    #[test]
-    fn builder_by_name() {
-        let mut b = GraphBuilder::new();
-        b.node("x", "A");
-        b.node("y", "B");
-        b.node("x", "A"); // duplicate name returns existing node
-        b.edge("x", "y");
-        let (g, names) = b.build();
-        assert_eq!(g.node_count(), 2);
-        assert_eq!(g.edge_count(), 1);
-        assert!(g.has_edge(names["x"], names["y"]));
     }
 
     #[test]

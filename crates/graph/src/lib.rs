@@ -31,8 +31,7 @@
 //!   non-well-founded split (Lemma 9).
 //! * [`reach_sets`] — chunked bit-set ancestor/descendant computation over a
 //!   DAG, the workhorse behind the reachability equivalence relation.
-//! * [`transitive`] — transitive closure queries and the unique transitive
-//!   reduction of a DAG.
+//! * [`transitive`] — the unique transitive reduction of a DAG.
 //! * [`io`] — a plain-text edge-list format with labels, for persisting the
 //!   synthetic datasets used by the benchmark harness.
 //! * [`stats`] — size and topology statistics (`|G| = |V| + |E|`, degree and
@@ -50,8 +49,8 @@
 //! g.add_edge(a, b);
 //! g.add_edge(b, c);
 //!
-//! assert!(traversal::reachable(&g, a, c));
-//! assert!(!traversal::reachable(&g, c, a));
+//! assert!(traversal::bfs_reachable(&g, a, c));
+//! assert!(!traversal::bfs_reachable(&g, c, a));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -86,5 +85,5 @@ pub use quotient::{Classes, Cut, Equivalence, Group, IncStats, IncrementalQuotie
 pub use scc::Condensation;
 pub use stats::GraphStats;
 pub use succinct::{CompressedCsr, EliasFano};
-pub use update::{BatchError, ClassBirth, PartitionDelta, Update, UpdateBatch};
+pub use update::{BatchError, PartitionDelta, Update, UpdateBatch};
 pub use view::GraphView;

@@ -123,7 +123,7 @@ use std::fmt::Debug;
 use crate::csr::CsrGraph;
 use crate::graph::LabeledGraph;
 use crate::ids::{Label, LabelInterner, NodeId};
-use crate::update::{ClassBirth, PartitionDelta};
+use crate::update::PartitionDelta;
 
 /// A partition of a graph's nodes as an equivalence kernel returns it:
 /// dense class ids `0..members.len()`, with the relation's per-class
@@ -165,8 +165,8 @@ pub trait Equivalence {
 
     /// Whether a class with this payload reaches itself by a non-empty
     /// path that the quotient edges do not already record — the atom self
-    /// loop of the hybrid graph, and [`ClassBirth::cyclic`]. Always
-    /// `false` for relations with [`Equivalence::SELF_EDGES`].
+    /// loop of the hybrid graph, and the cyclic flag of a reachability
+    /// class. Always `false` for relations with [`Equivalence::SELF_EDGES`].
     fn cyclic(class: Self::Class) -> bool;
 
     /// The node label a whole class presents to the relation (constant
@@ -577,7 +577,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let regrouped = regroup(self, g, &cut);
         stats.hybrid_nodes = regrouped.nodes;
         let delta = self.splice(g, cut, regrouped.groups);
-        stats.changed_classes = delta.added.len();
+        stats.changed_classes = delta.born.len();
         (stats, delta)
     }
 
@@ -889,8 +889,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         self.live -= removed.len();
 
         // Pass C: create the new classes (recycling retired ids).
-        let mut new_ids: Vec<u32> = Vec::new();
-        let mut births: Vec<ClassBirth> = Vec::new();
+        let mut born: Vec<u32> = Vec::new();
         for (member_nodes, class) in pending {
             let id = match self.free_ids.pop() {
                 Some(id) => id,
@@ -906,22 +905,17 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             for &v in &member_nodes {
                 self.class_of[v.index()] = id;
             }
-            births.push(ClassBirth {
-                id,
-                members: member_nodes.clone(),
-                cyclic: E::cyclic(class),
-            });
             self.members[id as usize] = member_nodes;
             self.payload[id as usize] = class;
             self.active[id as usize] = true;
-            new_ids.push(id);
+            born.push(id);
         }
-        self.live += new_ids.len();
-        self.link(g, &new_ids);
+        self.live += born.len();
+        self.link(g, &born);
 
         PartitionDelta {
             removed,
-            added: births,
+            born,
             id_space: self.members.len(),
         }
     }

@@ -50,32 +50,6 @@ pub struct BisimRanks {
     pub max_finite_rank: u32,
 }
 
-impl BisimRanks {
-    /// Returns the distinct ranks present, sorted ascending with
-    /// `NegInfinity` first — the processing order of the rank-stratified
-    /// bisimulation algorithms.
-    pub fn distinct_ranks(&self) -> Vec<BisimRank> {
-        let mut ranks: Vec<BisimRank> = Vec::new();
-        let mut seen_neg = false;
-        let mut seen_finite = vec![false; self.max_finite_rank as usize + 1];
-        for &r in &self.rank {
-            match r {
-                BisimRank::NegInfinity => seen_neg = true,
-                BisimRank::Finite(k) => seen_finite[k as usize] = true,
-            }
-        }
-        if seen_neg {
-            ranks.push(BisimRank::NegInfinity);
-        }
-        for (k, &s) in seen_finite.iter().enumerate() {
-            if s {
-                ranks.push(BisimRank::Finite(k as u32));
-            }
-        }
-        ranks
-    }
-}
-
 /// Computes `rb(v)` and the WF/NWF split for every node of `g`.
 pub fn bisim_ranks<G: GraphView>(g: &G, cond: &Condensation) -> BisimRanks {
     let c = cond.component_count();
@@ -245,26 +219,6 @@ mod tests {
         assert!(BisimRank::Finite(0) < BisimRank::Finite(5));
         assert_eq!(BisimRank::NegInfinity.succ(), BisimRank::NegInfinity);
         assert_eq!(BisimRank::Finite(2).succ(), BisimRank::Finite(3));
-    }
-
-    #[test]
-    fn distinct_ranks_sorted() {
-        let mut g = LabeledGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node_with_label("X")).collect();
-        g.add_edge(n[0], n[1]); // rank 1 -> rank 0
-        g.add_edge(n[2], n[3]);
-        g.add_edge(n[3], n[2]); // −∞ cycle
-        let cond = Condensation::of(&g);
-        let b = bisim_ranks(&g, &cond);
-        let ranks = b.distinct_ranks();
-        assert_eq!(
-            ranks,
-            vec![
-                BisimRank::NegInfinity,
-                BisimRank::Finite(0),
-                BisimRank::Finite(1)
-            ]
-        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct Condensation {
     /// `component[v]` is the SCC id of node `v`. Component ids are dense,
     /// `0..component_count`, and are numbered in *reverse topological
     /// order of completion* (Tarjan property: every edge of the condensation
-    /// goes from a higher id to a lower id... see [`Condensation::is_topological`]).
+    /// goes from a higher id to a lower id).
     component: Vec<u32>,
     /// CSR offsets into `member_list`, one range per component.
     member_offsets: Vec<u32>,
@@ -218,23 +218,6 @@ impl Condensation {
         cyclic
     }
 
-    /// Returns the component ids in topological order (sources first).
-    ///
-    /// Tarjan emits components in reverse topological order, so ids
-    /// `comp_count-1, …, 0` are already a topological order of the
-    /// condensation; this helper materializes it for callers that iterate.
-    pub fn topological_order(&self) -> Vec<u32> {
-        (0..self.component_count() as u32).rev().collect()
-    }
-
-    /// Checks the Tarjan numbering invariant used by `topological_order`:
-    /// every condensation edge goes from a higher component id to a lower
-    /// one.
-    pub fn is_topological(&self) -> bool {
-        (0..self.component_count())
-            .all(|cu| self.scc_out(cu as u32).iter().all(|&cw| (cw as usize) < cu))
-    }
-
     /// Builds the condensation as a standalone [`LabeledGraph`] whose node
     /// `i` is component `i`; all nodes share one label. This is the graph
     /// `Gscc` that the AHO baseline and the `RCscc` measurements operate on.
@@ -258,6 +241,13 @@ impl Condensation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Tarjan numbering invariant: every condensation edge goes from a
+    /// higher component id to a lower one, so ids `count-1, …, 0` are a
+    /// topological order (sources first).
+    fn is_topological(c: &Condensation) -> bool {
+        (0..c.component_count()).all(|cu| c.scc_out(cu as u32).iter().all(|&cw| (cw as usize) < cu))
+    }
 
     /// Two 3-cycles connected by a bridge, plus a tail node.
     ///   c0: {0,1,2}  c1: {3,4,5}   2 -> 3,  5 -> 6
@@ -293,10 +283,9 @@ mod tests {
     fn condensation_is_topologically_numbered() {
         let (g, _) = two_cycles();
         let c = Condensation::of(&g);
-        assert!(c.is_topological());
-        let order = c.topological_order();
-        assert_eq!(order.len(), 3);
-        // Sources first: the component of node 0 must appear before that of node 6.
+        assert!(is_topological(&c));
+        // Sources first: the component of node 0 has a higher id than that of node 6.
+        assert!(c.component_of(NodeId(0)) > c.component_of(NodeId(6)));
     }
 
     #[test]
@@ -308,7 +297,7 @@ mod tests {
         }
         let c = Condensation::of(&g);
         assert_eq!(c.component_count(), 5);
-        assert!(c.is_topological());
+        assert!(is_topological(&c));
         for comp in 0..5u32 {
             assert_eq!(c.members(comp).len(), 1);
             assert!(!c.is_cyclic(comp, &g));
@@ -356,7 +345,7 @@ mod tests {
         let c = Condensation::of(&g);
         assert_eq!(c.component_count(), 0);
         assert_eq!(c.edge_count(), 0);
-        assert!(c.is_topological());
+        assert!(is_topological(&c));
     }
 
     #[test]

@@ -82,12 +82,6 @@ pub fn compression_ratio(original: &LabeledGraph, compressed: &LabeledGraph) -> 
     compressed.size() as f64 / g as f64
 }
 
-/// Formats a ratio as the percentage string used in the paper's tables
-/// (e.g. `0.0597` → `"5.97%"`).
-pub fn ratio_percent(ratio: f64) -> String {
-    format!("{:.2}%", ratio * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +132,6 @@ mod tests {
         small.add_edge(crate::NodeId(0), crate::NodeId(1));
         let r = compression_ratio(&g, &small);
         assert!((r - 3.0 / 15.0).abs() < 1e-9);
-        assert_eq!(ratio_percent(0.0597), "5.97%");
         assert_eq!(compression_ratio(&LabeledGraph::new(), &small), 0.0);
     }
 }

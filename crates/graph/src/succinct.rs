@@ -379,17 +379,6 @@ impl CompressedCsr {
         &self.hub_targets[self.hub_offsets[hub] as usize..self.hub_offsets[hub + 1] as usize]
     }
 
-    /// Out-degree of `v`. Hub rows answer from the exception list; coded
-    /// rows decode only the γ-coded degree at the row start.
-    pub fn degree(&self, v: NodeId) -> usize {
-        assert!(v.index() < self.n, "node {v} out of bounds");
-        if let Some(h) = self.hub_index(v.0) {
-            return self.hub_slice(h).len();
-        }
-        let mut r = BitReader::at(&self.data, self.offsets.get(v.index()) as usize);
-        (r.read_gamma() - 1) as usize
-    }
-
     /// Lazy iterator over `v`'s out-neighbors in ascending id order.
     pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
         assert!(v.index() < self.n, "node {v} out of bounds");
@@ -422,15 +411,6 @@ impl CompressedCsr {
             }
         }
         false
-    }
-
-    /// Label of node `v`.
-    pub fn label_of(&self, v: NodeId) -> Label {
-        assert!(v.index() < self.n, "node {v} out of bounds");
-        match &self.labels {
-            LabelStore::Uniform(l) => *l,
-            LabelStore::PerNode(ls) => ls[v.index()],
-        }
     }
 
     /// The label interner shared with the originating graph.
@@ -777,8 +757,6 @@ mod tests {
                 let plain = csr.out_neighbors(v);
                 let decoded: Vec<NodeId> = packed.neighbors(v).collect();
                 assert_eq!(decoded, plain, "row {v} (n={n} m={m})");
-                assert_eq!(packed.degree(v), plain.len());
-                assert_eq!(packed.label_of(v), csr.labels()[v.index()]);
             }
             let mut s = seed ^ 0xabcd;
             for _ in 0..2000 {
@@ -809,7 +787,6 @@ mod tests {
         ));
         let hub: Vec<NodeId> = packed.neighbors(NodeId(0)).collect();
         assert_eq!(hub, csr.out_neighbors(NodeId(0)));
-        assert_eq!(packed.degree(NodeId(0)), HUB_DEGREE * 4);
         assert!(packed.has_edge(NodeId(0), NodeId(7)));
         assert!(!packed.has_edge(NodeId(0), NodeId(0)));
         assert!(packed.has_edge(NodeId(5), NodeId(2)));
@@ -839,7 +816,7 @@ mod tests {
             (0..999u32).map(|i| (NodeId(i), NodeId(i + 1))).collect();
         let csr = CsrGraph::from_edges(vec![l; 1000], interner, edges);
         let packed = CompressedCsr::from_csr(&csr);
-        assert!(packed.parts().uniform_label.is_some());
+        assert_eq!(packed.parts().uniform_label, Some(l));
         // A chain has gap-1 edges everywhere: the coded form must be far
         // below the plain form's 12n + 8m bytes.
         assert!(
@@ -848,7 +825,6 @@ mod tests {
             packed.heap_bytes(),
             csr.heap_bytes()
         );
-        assert_eq!(packed.label_of(NodeId(123)), l);
     }
 
     #[test]

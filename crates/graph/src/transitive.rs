@@ -1,4 +1,4 @@
-//! Transitive closure queries and the unique transitive reduction of a DAG.
+//! The unique transitive reduction of a DAG.
 //!
 //! `compressR` (Section 3.2, lines 6–8 of Fig. 5) avoids inserting edges
 //! between equivalence classes that are already implied by other edges; on
@@ -10,7 +10,6 @@ use std::ops::Range;
 
 use crate::bitset::BitMatrix;
 use crate::error::Result;
-use crate::graph::LabeledGraph;
 use crate::ids::NodeId;
 use crate::reach_sets::{DagReach, DEFAULT_CHUNK};
 use crate::view::GraphView;
@@ -81,30 +80,10 @@ pub fn transitive_reduction_dag(
     keep
 }
 
-/// Builds a new graph containing the same nodes (and labels) as `g` but only
-/// the transitively-reduced edge set.
-pub fn transitive_reduction_graph<G: GraphView>(g: &G) -> Result<LabeledGraph> {
-    let kept = transitive_reduction(g)?;
-    let mut out = LabeledGraph::with_capacity(g.node_count());
-    for v in g.nodes() {
-        out.add_node(g.label(v));
-    }
-    out.extend_edges(kept);
-    Ok(out)
-}
-
-/// Full transitive closure of a DAG as per-node descendant bit rows
-/// (proper descendants, i.e. via non-empty paths). Convenience wrapper used
-/// by tests and by the 2-hop index verification; quadratic memory, so only
-/// for modest graphs.
-pub fn transitive_closure<G: GraphView>(g: &G) -> Result<BitMatrix> {
-    let dag = DagReach::from_dag_graph(g)?;
-    Ok(dag.full_descendants())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::LabeledGraph;
     use crate::reach_sets::ReachCounts;
     use crate::traversal;
 
@@ -151,13 +130,14 @@ mod tests {
             (0, 3),
         ];
         let g = graph_from_edges(6, &edges);
-        let r = transitive_reduction_graph(&g).unwrap();
+        let mut r = graph_from_edges(6, &[]);
+        r.extend_edges(transitive_reduction(&g).unwrap());
         assert!(r.edge_count() < g.edge_count());
         for u in g.nodes() {
             for v in g.nodes() {
                 assert_eq!(
-                    traversal::reachable(&g, u, v),
-                    traversal::reachable(&r, u, v),
+                    traversal::bfs_reachable(&g, u, v),
+                    traversal::bfs_reachable(&r, u, v),
                     "reachability changed for {u}->{v}"
                 );
             }
@@ -241,16 +221,16 @@ mod tests {
     fn cyclic_graph_is_rejected() {
         let g = graph_from_edges(2, &[(0, 1), (1, 0)]);
         assert!(transitive_reduction(&g).is_err());
-        assert!(transitive_closure(&g).is_err());
+        assert!(DagReach::from_dag_graph(&g).is_err());
     }
 
     #[test]
     fn closure_matches_traversal() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (3, 2), (0, 4)]);
-        let tc = transitive_closure(&g).unwrap();
+        let tc = DagReach::from_dag_graph(&g).unwrap().full_descendants();
         for u in g.nodes() {
             for v in g.nodes() {
-                let expected = u != v && traversal::reachable(&g, u, v);
+                let expected = u != v && traversal::bfs_reachable(&g, u, v);
                 assert_eq!(tc.contains(u.index(), v.index()), expected);
             }
         }

@@ -47,11 +47,6 @@ pub fn bfs_reachable<G: GraphView>(g: &G, from: NodeId, to: NodeId) -> bool {
     false
 }
 
-/// Convenience alias for [`bfs_reachable`].
-pub fn reachable<G: GraphView>(g: &G, from: NodeId, to: NodeId) -> bool {
-    bfs_reachable(g, from, to)
-}
-
 /// Answers `QR(from, to)` with a bidirectional BFS that alternately expands
 /// the smaller of the two frontiers (the paper's `BIBFS`).
 pub fn bidirectional_reachable<G: GraphView>(g: &G, from: NodeId, to: NodeId) -> bool {
@@ -105,6 +100,7 @@ pub fn bidirectional_reachable<G: GraphView>(g: &G, from: NodeId, to: NodeId) ->
 
 /// Answers `QR(from, to)` with an iterative DFS. Used as an independent
 /// oracle in tests (a deliberately different traversal order from BFS).
+// qpgc-lint: allow(dead-surface) -- oracle of traversal::tests::bfs_and_dfs_and_bibfs_agree
 pub fn dfs_reachable<G: GraphView>(g: &G, from: NodeId, to: NodeId) -> bool {
     if from == to {
         return true;
@@ -192,25 +188,6 @@ pub fn ancestors<G: GraphView>(g: &G, start: NodeId) -> Vec<NodeId> {
     result
 }
 
-/// Computes single-source shortest-path distances (in edges) from `start`.
-/// Unreachable nodes get `usize::MAX`.
-pub fn bfs_distances<G: GraphView>(g: &G, start: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[start.index()] = 0;
-    queue.push_back(start);
-    while let Some(u) = queue.pop_front() {
-        let d = dist[u.index()];
-        for &v in g.out_neighbors(u) {
-            if dist[v.index()] == usize::MAX {
-                dist[v.index()] = d + 1;
-                queue.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,11 +224,11 @@ mod tests {
     #[test]
     fn reachability_facts() {
         let (g, n) = sample();
-        assert!(reachable(&g, n[0], n[3]));
-        assert!(!reachable(&g, n[3], n[0]));
-        assert!(reachable(&g, n[1], n[1])); // trivial self-reachability
-        assert!(!reachable(&g, n[0], n[4])); // isolated node
-        assert!(reachable(&g, n[5], n[5]));
+        assert!(bfs_reachable(&g, n[0], n[3]));
+        assert!(!bfs_reachable(&g, n[3], n[0]));
+        assert!(bfs_reachable(&g, n[1], n[1])); // trivial self-reachability
+        assert!(!bfs_reachable(&g, n[0], n[4])); // isolated node
+        assert!(bfs_reachable(&g, n[5], n[5]));
     }
 
     #[test]
@@ -293,20 +270,10 @@ mod tests {
     }
 
     #[test]
-    fn distances() {
-        let (g, n) = sample();
-        let d = bfs_distances(&g, n[0]);
-        assert_eq!(d[n[0].index()], 0);
-        assert_eq!(d[n[1].index()], 1);
-        assert_eq!(d[n[3].index()], 3);
-        assert_eq!(d[n[4].index()], usize::MAX);
-    }
-
-    #[test]
     fn empty_and_singleton() {
         let mut g = LabeledGraph::new();
         let a = g.add_node_with_label("A");
-        assert!(reachable(&g, a, a));
+        assert!(bfs_reachable(&g, a, a));
         assert!(bounded_bfs(&g, a, Some(3)).is_empty());
         assert!(descendants(&g, a).is_empty());
         assert!(ancestors(&g, a).is_empty());

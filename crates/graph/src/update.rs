@@ -260,20 +260,6 @@ impl FromIterator<Update> for UpdateBatch {
     }
 }
 
-/// One equivalence class born in an incremental maintenance step.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ClassBirth {
-    /// The stable class id assigned to the new class (retired ids are
-    /// recycled, so a birth may reuse an id that the same delta removed).
-    pub id: u32,
-    /// Member nodes, ascending.
-    pub members: Vec<NodeId>,
-    /// Whether the members reach themselves via non-empty paths. Only
-    /// meaningful for reachability partitions; pattern (bisimulation)
-    /// partitions leave it `false`.
-    pub cyclic: bool,
-}
-
 /// The structured difference between two partition states (`ΔP`): which
 /// classes died and which were born in one incremental maintenance step.
 ///
@@ -286,8 +272,9 @@ pub struct ClassBirth {
 pub struct PartitionDelta {
     /// Class ids retired by the step, ascending.
     pub removed: Vec<u32>,
-    /// Classes created by the step, in creation order.
-    pub added: Vec<ClassBirth>,
+    /// Stable ids of the classes the step created, in splice order (ids
+    /// are recycled, so a born id may be one this delta also removed).
+    pub born: Vec<u32>,
     /// Size of the stable id space after the step (`max id + 1` over live
     /// and recycled ids); derived snapshot structures size their rows by it.
     pub id_space: usize,
@@ -296,12 +283,12 @@ pub struct PartitionDelta {
 impl PartitionDelta {
     /// `true` when the step changed no class.
     pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.added.is_empty()
+        self.removed.is_empty() && self.born.is_empty()
     }
 
     /// Classes churned (died + born) by the step.
     pub fn churned(&self) -> usize {
-        self.removed.len() + self.added.len()
+        self.removed.len() + self.born.len()
     }
 }
 
@@ -392,18 +379,9 @@ mod tests {
 
     #[test]
     fn partition_delta_counts_churn() {
-        let birth = |id, members: &[u32], cyclic| ClassBirth {
-            id,
-            members: members.iter().map(|&v| NodeId(v)).collect(),
-            cyclic,
-        };
         let delta = PartitionDelta {
             removed: vec![2, 5, 7],
-            added: vec![
-                birth(2, &[0], false),
-                birth(8, &[1, 3], true),
-                birth(5, &[4], false),
-            ],
+            born: vec![2, 8, 5],
             id_space: 9,
         };
         assert!(!delta.is_empty());

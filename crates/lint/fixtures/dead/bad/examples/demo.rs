@@ -1,0 +1,6 @@
+// A re-export names the item without calling it.
+use x::only_tested as _;
+
+fn main() {
+    println!("{}", x::served());
+}

@@ -1,17 +1,17 @@
 use std::collections::HashMap;
 
-pub struct Table {
+struct Table {
     q_edges: HashMap<(u32, u32), u32>,
 }
 
 impl Table {
-    pub fn sorted_edges(&self) -> Vec<(u32, u32)> {
+    fn sorted_edges(&self) -> Vec<(u32, u32)> {
         let mut edges: Vec<(u32, u32)> = self.q_edges.keys().copied().collect();
         edges.sort_unstable();
         edges
     }
 
-    pub fn adjacency(&self) -> HashMap<u32, Vec<u32>> {
+    fn adjacency(&self) -> HashMap<u32, Vec<u32>> {
         let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
         // qpgc-lint: allow(deterministic-iteration) -- the adjacency only
         // drives set-valued BFS fixpoints; neighbor order cannot leak.

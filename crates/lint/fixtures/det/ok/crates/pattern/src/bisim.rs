@@ -1,5 +1,5 @@
 /// The refinement's one loop, on the calling thread.
-pub fn fingerprints(work: &[u32]) -> Vec<u64> {
+fn fingerprints(work: &[u32]) -> Vec<u64> {
     work.iter().map(|&v| u64::from(v) * 31).collect()
 }
 

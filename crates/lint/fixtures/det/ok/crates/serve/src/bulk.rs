@@ -1,6 +1,6 @@
 /// Reads are sharded in the serving crate: every worker reads one
 /// immutable cut and answers land in query order.
-pub fn bulk(queries: &[u32], out: &mut [bool]) {
+fn bulk(queries: &[u32], out: &mut [bool]) {
     let chunk = queries.len().div_ceil(2).max(1);
     // qpgc-lint: allow(deterministic-iteration) -- bulk reads only: one
     // immutable cut, answers in query order.

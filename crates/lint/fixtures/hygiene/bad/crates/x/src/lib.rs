@@ -1,8 +1,8 @@
-pub fn greet() {
+fn greet() {
     println!("hi");
     dbg!(42);
 }
 
-pub fn later() {
+fn later() {
     todo!()
 }

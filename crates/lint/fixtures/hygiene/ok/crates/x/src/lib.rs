@@ -2,7 +2,7 @@
 
 #![forbid(unsafe_code)]
 
-pub fn greet() -> &'static str {
+fn greet() -> &'static str {
     "hi"
 }
 

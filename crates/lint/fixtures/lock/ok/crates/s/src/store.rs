@@ -1,9 +1,9 @@
 use std::sync::{Mutex, PoisonError, RwLock};
 
-pub fn counter(m: &Mutex<u64>) -> u64 {
+fn counter(m: &Mutex<u64>) -> u64 {
     *m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-pub fn reader(l: &RwLock<u64>) -> u64 {
+fn reader(l: &RwLock<u64>) -> u64 {
     *l.read().unwrap_or_else(PoisonError::into_inner)
 }

@@ -1,4 +1,4 @@
-pub fn helper(m: &std::sync::Mutex<u64>) -> u64 {
+fn helper(m: &std::sync::Mutex<u64>) -> u64 {
     // qpgc-lint: allow(lock-hygiene)
     let v = *m.lock().unwrap();
     // qpgc-lint: allow(no-such-rule) -- typo'd rule name

@@ -1,3 +1,3 @@
-pub fn publish() {
+fn publish() {
     qpgc_fault::fail_point!("store/ghost");
 }

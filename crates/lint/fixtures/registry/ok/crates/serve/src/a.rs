@@ -1,7 +1,7 @@
-pub fn publish() {
+fn publish() {
     qpgc_fault::fail_point!("store/armed");
 }
 
-pub fn stage() {
+fn stage() {
     qpgc_fault::fail_point!("store/staged");
 }

@@ -129,7 +129,7 @@ impl SourceFile {
 }
 
 /// Scans for `#[cfg(... test ...)]` followed (after any further attributes)
-/// by `mod <name> {` and records the token span of the braces.
+/// by `[pub[(..)]] mod <name> {` and records the token span of the braces.
 fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0;
@@ -180,8 +180,22 @@ fn find_test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
             }
             k += 1;
         }
+        // A visibility (`pub`, `pub(crate)`) may precede `mod`.
+        if is_ident(tokens, k, "pub") {
+            k += 1;
+            if is_punct(tokens, k, "(") {
+                while k < tokens.len() && !is_punct(tokens, k, ")") {
+                    k += 1;
+                }
+                k += 1;
+            }
+        }
         if is_ident(tokens, k, "mod") {
-            if let Some(open) = (k..tokens.len()).find(|&m| is_punct(tokens, m, "{")) {
+            // An out-of-line `mod <name>;` has no body in this file.
+            let body = (k..tokens.len())
+                .find(|&m| is_punct(tokens, m, "{") || is_punct(tokens, m, ";"))
+                .filter(|&m| is_punct(tokens, m, "{"));
+            if let Some(open) = body {
                 let close = matching_brace(tokens, open);
                 regions.push((i, close));
                 i = open + 1;
@@ -332,6 +346,7 @@ pub const RULE_IDS: &[&str] = &[
     rules::failpoints::RULE,
     rules::timing::RULE,
     rules::hygiene::RULE,
+    rules::dead_surface::RULE,
 ];
 
 /// Rule id for pragma-hygiene diagnostics emitted by the engine itself.
@@ -355,6 +370,7 @@ pub fn run_root(root: &Path) -> Vec<Finding> {
         raw.extend(rules::hygiene::check(f));
     }
     raw.extend(rules::failpoints::check(&files));
+    raw.extend(rules::dead_surface::check(&files));
 
     apply_pragmas(&files, raw)
 }
@@ -504,5 +520,17 @@ mod tests {
         let a_idx = f.lexed.tokens.iter().position(|t| t.text == "a").unwrap();
         assert!(f.in_test_region(b_idx));
         assert!(!f.in_test_region(a_idx));
+    }
+
+    #[test]
+    fn test_regions_allow_visibility_and_skip_out_of_line_mods() {
+        let src = "#[cfg(test)]\nmod sim;\npub use m::{a};\n\
+                   #[cfg(test)]\npub(crate) mod tests {\n fn b() {}\n}\n";
+        let f = SourceFile::parse("x.rs", src);
+        assert_eq!(f.test_regions.len(), 1);
+        let a_idx = f.lexed.tokens.iter().position(|t| t.text == "a").unwrap();
+        let b_idx = f.lexed.tokens.iter().position(|t| t.text == "b").unwrap();
+        assert!(!f.in_test_region(a_idx));
+        assert!(f.in_test_region(b_idx));
     }
 }

@@ -28,6 +28,7 @@
 //! | `failpoint-registry` | `fail_point!` sites and the fault-injection arm list agree bidirectionally |
 //! | `timing-gate` | wall-clock assertions sit in functions that check `QPGC_TIMING_TESTS` |
 //! | `hygiene` | crate roots forbid unsafe; `dbg!`/`todo!`/`unimplemented!`/`println!` stay out of library code |
+//! | `dead-surface` | every `pub` item of `crates/*/src` has a caller outside tests, or is a test oracle under a pragma naming its test |
 //!
 //! Every pragma must carry a `-- justification`; pragmas that suppress
 //! nothing are themselves findings, so allows cannot rot.

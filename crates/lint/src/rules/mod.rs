@@ -1,7 +1,8 @@
-//! The five enforced invariants, one module per rule. Each per-file rule
-//! exposes `check(&SourceFile) -> Vec<Finding>`; the cross-file rule
-//! (failpoint registry) takes the whole file set.
+//! The six enforced invariants, one module per rule. Each per-file rule
+//! exposes `check(&SourceFile) -> Vec<Finding>`; the cross-file rules
+//! (failpoint registry, dead surface) take the whole file set.
 
+pub mod dead_surface;
 pub mod determinism;
 pub mod failpoints;
 pub mod hygiene;

@@ -143,6 +143,23 @@ fn hygiene_accepts_forbidding_roots_bins_and_test_modules() {
 }
 
 #[test]
+fn dead_surface_flags_a_pub_fn_only_tests_call() {
+    // Neither the test module, the integration suite nor the example's
+    // re-export is a caller; the example's call keeps `served` live.
+    let findings = run_root(&fixture_root("dead/bad"));
+    assert_eq!(
+        pins(&findings),
+        [("dead-surface", "crates/x/src/lib.rs", 9)]
+    );
+    assert!(findings[0].message.contains("only_tested"));
+}
+
+#[test]
+fn dead_surface_accepts_a_pragmad_oracle() {
+    assert_eq!(pins(&run_root(&fixture_root("dead/ok"))), []);
+}
+
+#[test]
 fn pragma_hygiene_flags_unjustified_unknown_and_unused_allows() {
     let findings = run_root(&fixture_root("pragma/bad"));
     assert_eq!(
@@ -174,7 +191,7 @@ fn failpoint_registry_catches_injected_drift() {
 
     write(
         "crates/core/src/pipeline.rs",
-        "pub fn publish() {\n    qpgc_fault::fail_point!(\"store/publish\");\n}\n",
+        "fn publish() {\n    qpgc_fault::fail_point!(\"store/publish\");\n}\n",
     );
     write(
         "tests/tests/fault_injection.rs",
@@ -186,7 +203,7 @@ fn failpoint_registry_catches_injected_drift() {
     // Drift 1: a new fail_point! site nobody arms.
     write(
         "crates/core/src/drift.rs",
-        "pub fn oops() {\n    qpgc_fault::fail_point!(\"ghost/injected\");\n}\n",
+        "fn oops() {\n    qpgc_fault::fail_point!(\"ghost/injected\");\n}\n",
     );
     let findings = run_root(&root);
     assert_eq!(
@@ -197,8 +214,8 @@ fn failpoint_registry_catches_injected_drift() {
     assert!(findings[0].message.contains("not armed"));
 
     // Drift 2: the site vanishes from the code but stays armed.
-    write("crates/core/src/drift.rs", "pub fn oops() {}\n");
-    write("crates/core/src/pipeline.rs", "pub fn publish() {}\n");
+    write("crates/core/src/drift.rs", "fn oops() {}\n");
+    write("crates/core/src/pipeline.rs", "fn publish() {}\n");
     let findings = run_root(&root);
     assert_eq!(
         pins(&findings),

@@ -33,7 +33,7 @@
 //!   changes when one of its children moves, and a **worklist** (parents of
 //!   moved nodes) drives the next round. When a round produces no split the
 //!   worklist is empty and the loop exits immediately: the full extra
-//!   "confirm stabilization" signature pass of the baseline implementation
+//!   "confirm stabilization" signature pass of the reference implementation
 //!   disappears;
 //! * singleton blocks can never split, so their members are skipped
 //!   entirely.
@@ -43,10 +43,9 @@
 //! comparison is exact up to a 128-bit fingerprint collision —
 //! `≈ b²/2¹²⁸` for block size `b`, which is far below memory-error rates.
 //!
-//! The pre-CSR per-round implementation is kept as
-//! [`bisimulation_partition_baseline`] (rank-seeded) and
-//! [`reference_bisimulation`] (label-seeded) for differential testing and
-//! the ablation benchmark.
+//! The pre-CSR per-round implementation is kept, label-seeded, as
+//! [`reference_bisimulation`]: the oracle the worklist refinement is tested
+//! against.
 
 use std::collections::HashMap;
 
@@ -74,11 +73,6 @@ impl BisimPartition {
     /// The class id of node `v`.
     pub fn class_of(&self, v: NodeId) -> u32 {
         self.class_of[v.index()]
-    }
-
-    /// `true` iff `u` and `v` are bisimilar.
-    pub fn bisimilar(&self, u: NodeId, v: NodeId) -> bool {
-        self.class_of(u) == self.class_of(v)
     }
 
     /// Approximate heap footprint in bytes (node index, member lists, block
@@ -111,13 +105,6 @@ impl BisimPartition {
         classes.sort();
         classes
     }
-}
-
-/// Computes the maximum bisimulation partition of `g` (rank-stratified
-/// signature refinement) by freezing a CSR snapshot and running
-/// [`bisimulation_partition_csr`] on it.
-pub fn bisimulation_partition(g: &LabeledGraph) -> BisimPartition {
-    bisimulation_partition_csr(&g.freeze())
 }
 
 /// Computes the maximum bisimulation partition over a frozen CSR snapshot
@@ -315,7 +302,7 @@ where
 }
 
 /// Densifies stable block ids into first-seen order and collects members —
-/// shared by the worklist and baseline paths.
+/// shared by the worklist refinement and the reference.
 fn densify(node_labels: &[Label], block: &[u32]) -> BisimPartition {
     let n = block.len();
     // Block ids are always < n, so a flat vector serves as the remap table.
@@ -341,17 +328,9 @@ fn densify(node_labels: &[Label], block: &[u32]) -> BisimPartition {
     }
 }
 
-/// The pre-CSR implementation (per-round `HashMap<(u32, Vec<u32>), u32>`
-/// signature table, rank-seeded), retained as the differential-testing
-/// oracle (`BENCH_2.json` recorded the CSR path's speed-up over it).
-pub fn bisimulation_partition_baseline(g: &LabeledGraph) -> BisimPartition {
-    let cond = Condensation::of(g);
-    let ranks = bisim_ranks(g, &cond);
-    refine_to_fixpoint(g, |v| (g.label(v), ranks.rank[v.index()]))
-}
-
 /// A reference implementation seeded only by labels (no rank
-/// stratification); used in tests and the ablation benchmark.
+/// stratification).
+// qpgc-lint: allow(dead-surface) -- oracle of bisim::tests::worklist_csr_matches_baseline
 pub fn reference_bisimulation(g: &LabeledGraph) -> BisimPartition {
     refine_to_fixpoint(g, |v| (g.label(v), BisimRank::Finite(0)))
 }
@@ -411,6 +390,7 @@ where
 /// A pairwise oracle for bisimilarity used in tests: checks the definition
 /// directly by a coinductive fixpoint over candidate pairs (O(n²·m), only
 /// for tiny graphs).
+// qpgc-lint: allow(dead-surface) -- oracle of bisim::tests::matches_naive_pairwise_oracle
 pub fn naive_bisimilar(g: &LabeledGraph, a: NodeId, b: NodeId) -> bool {
     let n = g.node_count();
     // related[u][v] starts true iff labels agree, then is refined.
@@ -454,6 +434,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    fn partition(g: &LabeledGraph) -> BisimPartition {
+        bisimulation_partition_csr(&g.freeze())
+    }
+
     fn graph(labels: &[&str], edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();
         for l in labels {
@@ -468,16 +452,16 @@ mod tests {
     #[test]
     fn leaves_with_same_label_are_bisimilar() {
         let g = graph(&["A", "B", "B"], &[(0, 1), (0, 2)]);
-        let p = bisimulation_partition(&g);
-        assert!(p.bisimilar(NodeId(1), NodeId(2)));
+        let p = partition(&g);
+        assert_eq!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
         assert_eq!(p.class_count(), 2);
     }
 
     #[test]
     fn different_labels_never_bisimilar() {
         let g = graph(&["A", "B"], &[]);
-        let p = bisimulation_partition(&g);
-        assert!(!p.bisimilar(NodeId(0), NodeId(1)));
+        let p = partition(&g);
+        assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
     }
 
     #[test]
@@ -497,14 +481,14 @@ mod tests {
                 (6, 8), // B4 -> D
             ],
         );
-        let p = bisimulation_partition(&g);
-        assert!(!p.bisimilar(NodeId(0), NodeId(1)));
-        assert!(!p.bisimilar(NodeId(0), NodeId(2)));
-        assert!(!p.bisimilar(NodeId(1), NodeId(2)));
+        let p = partition(&g);
+        assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
+        assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(2)));
+        assert_ne!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
         // B1 and B2 are bisimilar (both lead only to C); B3 and B4 likewise.
-        assert!(p.bisimilar(NodeId(3), NodeId(4)));
-        assert!(p.bisimilar(NodeId(5), NodeId(6)));
-        assert!(!p.bisimilar(NodeId(3), NodeId(5)));
+        assert_eq!(p.class_of(NodeId(3)), p.class_of(NodeId(4)));
+        assert_eq!(p.class_of(NodeId(5)), p.class_of(NodeId(6)));
+        assert_ne!(p.class_of(NodeId(3)), p.class_of(NodeId(5)));
     }
 
     #[test]
@@ -524,9 +508,9 @@ mod tests {
                 (5, 8),
             ],
         );
-        let p = bisimulation_partition(&g);
-        assert!(p.bisimilar(NodeId(1), NodeId(2)));
-        assert!(!p.bisimilar(NodeId(0), NodeId(1)));
+        let p = partition(&g);
+        assert_eq!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
+        assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
     }
 
     #[test]
@@ -537,19 +521,19 @@ mod tests {
             &["X", "X", "X", "X", "X"],
             &[(0, 1), (1, 0), (2, 3), (3, 2), (4, 4)],
         );
-        let p = bisimulation_partition(&g);
-        assert!(p.bisimilar(NodeId(0), NodeId(1)));
-        assert!(p.bisimilar(NodeId(0), NodeId(2)));
-        assert!(p.bisimilar(NodeId(0), NodeId(4))); // self loop simulates the 2-cycle
+        let p = partition(&g);
+        assert_eq!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
+        assert_eq!(p.class_of(NodeId(0)), p.class_of(NodeId(2)));
+        assert_eq!(p.class_of(NodeId(0)), p.class_of(NodeId(4))); // self loop simulates the 2-cycle
     }
 
     #[test]
     fn chain_vs_cycle_not_bisimilar() {
         let g = graph(&["X", "X", "X"], &[(0, 1), (2, 2)]);
-        let p = bisimulation_partition(&g);
+        let p = partition(&g);
         // Node 0 has a child that is a leaf; node 2's children all loop.
-        assert!(!p.bisimilar(NodeId(0), NodeId(2)));
-        assert!(!p.bisimilar(NodeId(1), NodeId(2)));
+        assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(2)));
+        assert_ne!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
     }
 
     fn random_labeled(rng: &mut StdRng, n_max: usize, alphabet: &[&str]) -> LabeledGraph {
@@ -572,7 +556,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..25 {
             let g = random_labeled(&mut rng, 20, &["A", "B", "C"]);
-            let a = bisimulation_partition(&g);
+            let a = partition(&g);
             let b = reference_bisimulation(&g);
             assert_eq!(a.canonical(), b.canonical());
         }
@@ -584,7 +568,7 @@ mod tests {
         for _ in 0..40 {
             let g = random_labeled(&mut rng, 40, &["A", "B", "C", "D"]);
             let fast = bisimulation_partition_csr(&g.freeze());
-            let slow = bisimulation_partition_baseline(&g);
+            let slow = reference_bisimulation(&g);
             assert_eq!(fast.canonical(), slow.canonical());
         }
     }
@@ -594,11 +578,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..15 {
             let g = random_labeled(&mut rng, 9, &["A", "B"]);
-            let p = bisimulation_partition(&g);
+            let p = partition(&g);
             for u in g.nodes() {
                 for v in g.nodes() {
                     assert_eq!(
-                        p.bisimilar(u, v),
+                        p.class_of(u) == p.class_of(v),
                         naive_bisimilar(&g, u, v),
                         "bisimilarity mismatch for ({u}, {v})"
                     );
@@ -610,7 +594,7 @@ mod tests {
     #[test]
     fn partition_labels_are_consistent() {
         let g = graph(&["A", "B", "B", "A"], &[(0, 1), (3, 2)]);
-        let p = bisimulation_partition(&g);
+        let p = partition(&g);
         for (c, members) in p.members.iter().enumerate() {
             for &m in members {
                 assert_eq!(g.label(m), p.labels[c]);
@@ -621,17 +605,17 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = LabeledGraph::new();
-        let p = bisimulation_partition(&g);
+        let p = partition(&g);
         assert_eq!(p.class_count(), 0);
-        let b = bisimulation_partition_baseline(&g);
+        let b = reference_bisimulation(&g);
         assert_eq!(b.class_count(), 0);
     }
 
     #[test]
     fn canonical_is_stable() {
         let g = graph(&["A", "B", "B"], &[(0, 1), (0, 2)]);
-        let p1 = bisimulation_partition(&g);
-        let p2 = bisimulation_partition(&g);
+        let p1 = partition(&g);
+        let p2 = partition(&g);
         assert_eq!(p1.canonical(), p2.canonical());
     }
 }

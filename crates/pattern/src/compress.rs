@@ -119,7 +119,6 @@ mod tests {
     use super::*;
     use crate::bounded::bounded_match;
     use crate::pattern::Pattern;
-    use crate::simulation::simulation_match;
 
     fn graph(labels: &[&str], edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();
@@ -237,10 +236,8 @@ mod tests {
         let cst = p.add_node("C");
         p.add_edge(f, cst, 1);
         p.add_edge(cst, f, 1);
-        let c = compress_b(&g);
-        let on_g = simulation_match(&g, &p).unwrap();
-        let on_gr = simulation_match(&c.graph, &p).unwrap();
-        assert_eq!(on_g.canonical(), c.post_process(&on_gr).canonical());
+        assert!(bounded_match(&g, &p).is_some());
+        assert_pattern_preserved(&g, &p);
     }
 
     #[test]

@@ -206,12 +206,12 @@ mod tests {
     fn insertion_adds_matches() {
         let mut g = graph(&["A", "B", "C", "B"], &[(0, 1), (1, 2), (0, 3)]);
         let mut inc = IncrementalMatch::new(&g, two_edge_pattern());
-        let before = inc.current().unwrap().pair_count();
+        let before = inc.current().unwrap().canonical().len();
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(3), NodeId(2));
         inc.apply(&mut g, &batch);
         assert_matches_scratch(&inc, &g);
-        assert!(inc.current().unwrap().pair_count() > before);
+        assert!(inc.current().unwrap().canonical().len() > before);
     }
 
     #[test]

@@ -183,11 +183,8 @@ impl IncrementalPattern {
     }
 
     /// [`IncrementalPattern::apply`] that also exports the structured
-    /// [`PartitionDelta`] — retired stable class ids, created classes with
-    /// member lists and origin provenance, and the id-space size. Bisimilar
-    /// classes carry no cyclic flag, so
-    /// [`ClassBirth::cyclic`](qpgc_graph::update::ClassBirth::cyclic) is
-    /// always `false` here.
+    /// [`PartitionDelta`] — retired and created stable class ids, and the
+    /// id-space size.
     pub fn apply_with_delta(
         &mut self,
         g: &mut LabeledGraph,
@@ -486,6 +483,44 @@ mod tests {
         assert_eq!(inc.class_count(), 2);
     }
 
+    /// Checks a delta against the stable exports before and after its
+    /// step: every id it neither removes nor bears keeps its exact member
+    /// set, liveness and label; every born id is live; and the born classes
+    /// hold exactly the members of the retired ones.
+    fn assert_delta_explains(
+        before: &StablePatternQuotient,
+        delta: &PartitionDelta,
+        after: &StablePatternQuotient,
+        ctx: &str,
+    ) {
+        assert_eq!(delta.id_space, after.id_space(), "{ctx}");
+        let members = |sq: &StablePatternQuotient, ids: &[u32]| -> Vec<NodeId> {
+            let mut nodes: Vec<NodeId> = ids
+                .iter()
+                .flat_map(|&c| sq.members[c as usize].iter().copied())
+                .collect();
+            nodes.sort_unstable();
+            nodes
+        };
+        for &b in &delta.born {
+            assert!(after.active[b as usize], "{ctx}: born id {b} is not live");
+        }
+        assert_eq!(
+            members(before, &delta.removed),
+            members(after, &delta.born),
+            "{ctx}: born classes are not the retired members"
+        );
+        let touched = |c: &u32| delta.removed.contains(c) || delta.born.contains(c);
+        for c in (0..after.id_space() as u32).filter(|c| !touched(c)) {
+            let (i, live) = (c as usize, after.active[c as usize]);
+            assert_eq!(before.active.get(i), Some(&live), "{ctx}: liveness of {c}");
+            assert_eq!(before.members[i], after.members[i], "{ctx}: members of {c}");
+            if live {
+                assert_eq!(before.labels[i], after.labels[i], "{ctx}: label of {c}");
+            }
+        }
+    }
+
     #[test]
     fn delta_export_replays_the_class_lifecycle() {
         let mut rng = StdRng::seed_from_u64(123);
@@ -502,7 +537,7 @@ mod tests {
                 g.add_edge(NodeId(u), NodeId(v));
             }
             let mut inc = IncrementalPattern::new(&g);
-            let before_class_of = inc.q.class_index().to_vec();
+            let before = inc.stable_quotient();
             let mut batch = UpdateBatch::new();
             for _ in 0..rng.gen_range(1..5) {
                 let u = NodeId(rng.gen_range(0..n) as u32);
@@ -514,22 +549,9 @@ mod tests {
                 }
             }
             let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
-            assert_eq!(stats.changed_classes, delta.added.len());
-            assert_eq!(delta.id_space, inc.q.id_space());
-            // Replaying the births on the pre-batch index reproduces the
-            // post-batch node → class map.
-            let mut replayed = before_class_of;
-            for birth in &delta.added {
-                assert!(!birth.cyclic);
-                for &v in &birth.members {
-                    replayed[v.index()] = birth.id;
-                }
-            }
-            assert_eq!(
-                replayed,
-                inc.q.class_index(),
-                "case {case}: class map diverged"
-            );
+            assert_eq!(stats.changed_classes, delta.born.len());
+            let after = inc.stable_quotient();
+            assert_delta_explains(&before, &delta, &after, &format!("case {case}"));
         }
     }
 

@@ -14,10 +14,10 @@
 //! * [`compress`] — `compressB` (Fig. 7): the compression function `R`, the
 //!   identity query rewriting `F`, and the post-processing function `P`
 //!   that expands hypernodes back to original nodes.
-//! * [`simulation`] — graph simulation (Henzinger–Henzinger–Kopke), the
-//!   special case of pattern matching where every edge bound is 1.
 //! * [`bounded`] — bounded simulation `Match` (Fan et al., PVLDB 2010), the
-//!   general pattern matching algorithm of the paper.
+//!   pattern matching algorithm of the paper; graph simulation
+//!   (Henzinger–Henzinger–Kopke) is its special case where every edge bound
+//!   is 1.
 //! * [`incremental`] — `incPCM` (Fig. 10): incremental maintenance of the
 //!   compression under batch updates, plus the `IncBsim` baseline.
 //! * [`inc_match`] — `IncBMatch`: incremental maintenance of a pattern
@@ -68,14 +68,15 @@ pub mod compress;
 pub mod inc_match;
 pub mod incremental;
 pub mod pattern;
-pub mod simulation;
 pub mod view;
 
-pub use bisim::{bisimulation_partition, bisimulation_partition_csr, BisimPartition};
+pub use bisim::{bisimulation_partition_csr, BisimPartition};
 pub use bounded::bounded_match;
 pub use compress::{compress_b, compress_b_csr, PatternCompression};
 pub use inc_match::IncrementalMatch;
 pub use incremental::{IncStats, IncrementalPattern, StablePatternQuotient};
 pub use pattern::{EdgeBound, MatchRelation, Pattern};
-pub use simulation::{simulation_match, simulation_match_csr};
 pub use view::PatternView;
+
+#[cfg(test)]
+mod simulation;

@@ -115,33 +115,11 @@ impl Pattern {
     pub fn nodes(&self) -> impl Iterator<Item = PatternNodeId> {
         0..self.labels.len() as PatternNodeId
     }
-
-    /// `true` if every edge bound is `1`, i.e. the pattern is a plain graph
-    /// simulation pattern in the sense of Henzinger–Henzinger–Kopke.
-    pub fn is_simulation_pattern(&self) -> bool {
-        self.edges
-            .iter()
-            .all(|&(_, _, b)| b == EdgeBound::Bounded(1))
-    }
-
-    /// Returns a copy of the pattern with every bound replaced by `1`
-    /// (useful for comparing bounded and plain simulation on the same
-    /// topology).
-    pub fn as_simulation_pattern(&self) -> Pattern {
-        Pattern {
-            labels: self.labels.clone(),
-            edges: self
-                .edges
-                .iter()
-                .map(|&(a, b, _)| (a, b, EdgeBound::Bounded(1)))
-                .collect(),
-        }
-    }
 }
 
 /// The answer to a pattern query: for each pattern node, the set of data
-/// nodes that match it. The relation is the *maximum* match (Lemma 1); it is
-/// empty (`matched() == false`) when some pattern node has no match.
+/// nodes that match it. The relation is the *maximum* match (Lemma 1);
+/// matchers return `None` instead when some pattern node has no match.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MatchRelation {
     /// `matches[u]` — the data nodes matching pattern node `u`, sorted.
@@ -176,6 +154,7 @@ pub(crate) fn expand_match_relation<'a>(
 /// relations. `ctx` prefixes the failure message. Keeping the comparison in
 /// one place guarantees the unit, integration, and bench differentials all
 /// apply the identical equivalence.
+// qpgc-lint: allow(dead-surface) -- oracle of simulation::tests
 pub fn assert_same_answer(
     expected: &Option<MatchRelation>,
     got: &Option<MatchRelation>,
@@ -203,16 +182,6 @@ impl MatchRelation {
         MatchRelation {
             matches: vec![Vec::new(); pattern_nodes],
         }
-    }
-
-    /// `true` iff every pattern node has at least one match, i.e. `Qp ⊴ G`.
-    pub fn matched(&self) -> bool {
-        !self.matches.is_empty() && self.matches.iter().all(|m| !m.is_empty())
-    }
-
-    /// Total number of `(pattern node, data node)` pairs in the relation.
-    pub fn pair_count(&self) -> usize {
-        self.matches.iter().map(Vec::len).sum()
     }
 
     /// The match set of pattern node `u`.
@@ -265,8 +234,6 @@ mod tests {
         assert_eq!(p.edge_count(), 2);
         assert_eq!(p.label(a), "BSA");
         assert_eq!(p.edges()[1].2, EdgeBound::Unbounded);
-        assert!(!p.is_simulation_pattern());
-        assert!(p.as_simulation_pattern().is_simulation_pattern());
         assert_eq!(p.nodes().count(), 3);
     }
 
@@ -296,12 +263,9 @@ mod tests {
     #[test]
     fn match_relation_basics() {
         let mut r = MatchRelation::empty(2);
-        assert!(!r.matched());
+        assert_eq!(r.matches, vec![Vec::<NodeId>::new(); 2]);
         r.matches[0].push(NodeId(4));
-        assert!(!r.matched());
         r.matches[1].push(NodeId(2));
-        assert!(r.matched());
-        assert_eq!(r.pair_count(), 2);
         assert_eq!(r.canonical(), vec![(0, 4), (1, 2)]);
         assert_eq!(r.matches_of(0), &[NodeId(4)]);
     }
@@ -309,8 +273,8 @@ mod tests {
     #[test]
     fn empty_pattern_relation_is_unmatched() {
         let r = MatchRelation::empty(0);
-        assert!(!r.matched());
-        assert_eq!(r.pair_count(), 0);
+        assert!(r.matches.is_empty());
+        assert!(r.canonical().is_empty());
     }
 
     #[test]

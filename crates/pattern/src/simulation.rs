@@ -1,215 +1,101 @@
-//! Graph simulation (Henzinger, Henzinger & Kopke, FOCS 1995).
+//! Graph simulation (Henzinger, Henzinger & Kopke, FOCS 1995) as the
+//! bound-1 case of bounded simulation.
 //!
-//! Pattern queries "via graph simulation" are the special case of the
-//! paper's pattern queries where every edge bound is `1`: each pattern edge
-//! must be matched by a single data edge.
-//!
-//! ## Hot-path implementation
-//!
-//! [`simulation_match_view`] computes the maximum simulation with the
-//! counter-based HHK refinement driven by **reverse adjacency**: for every
-//! pattern edge `(u, u')` and candidate `v` of `u` it maintains the number
-//! of children of `v` currently in `sim(u')`. When a node `w` is evicted
-//! from `sim(u')`, only the *parents* of `w` (one reverse-adjacency scan)
-//! have their counters decremented — a counter hitting zero evicts the
-//! parent in turn. Total work is `O(|Ep| · (|V| + |E|))`, instead of
-//! re-scanning every candidate's children until nothing changes. On a
-//! frozen [`CsrGraph`] the parent scans are contiguous slices of the
-//! reverse CSR arrays.
-//!
-//! The original fixpoint re-scan loop is retained as
-//! [`reference_simulation_match`] for differential testing.
-
-use std::collections::VecDeque;
-
-use qpgc_graph::{CsrGraph, GraphView, LabeledGraph, NodeId};
-
-use crate::pattern::{resolve_labels, MatchRelation, Pattern, PatternNodeId};
-
-/// Computes the maximum graph-simulation match of `pattern` in `g`.
-///
-/// Returns `None` when the pattern does not match (some pattern node ends up
-/// with no candidates), otherwise the maximum match relation.
-///
-/// Every edge bound of the pattern is *interpreted as 1* regardless of its
-/// declared value; use [`crate::bounded::bounded_match`] for general bounds.
-pub fn simulation_match(g: &LabeledGraph, pattern: &Pattern) -> Option<MatchRelation> {
-    simulation_match_view(g, pattern)
-}
-
-/// [`simulation_match`] over a frozen CSR snapshot.
-pub fn simulation_match_csr(g: &CsrGraph, pattern: &Pattern) -> Option<MatchRelation> {
-    simulation_match_view(g, pattern)
-}
-
-/// The generic implementation behind [`simulation_match`] /
-/// [`simulation_match_csr`]: counter-based pruning over the reverse
-/// adjacency of any [`GraphView`].
-pub fn simulation_match_view<G: GraphView>(g: &G, pattern: &Pattern) -> Option<MatchRelation> {
-    if pattern.node_count() == 0 {
-        return None;
-    }
-    let labels = resolve_labels(pattern, g);
-    let n = g.node_count();
-    let np = pattern.node_count();
-
-    // Candidate sets and membership bitmaps, seeded by label.
-    let by_label = g.nodes_by_label();
-    let mut member: Vec<Vec<bool>> = vec![vec![false; n]; np];
-    for u in pattern.nodes() {
-        let cands = labels[u as usize].and_then(|l| by_label.get(&l));
-        match cands {
-            Some(cands) if !cands.is_empty() => {
-                for &v in cands {
-                    member[u as usize][v.index()] = true;
-                }
-            }
-            _ => return None,
-        }
-    }
-
-    // Pattern reverse adjacency: edge indices grouped by edge target.
-    let mut edges_into: Vec<Vec<usize>> = vec![Vec::new(); np];
-    for (ei, &(_, u2, _)) in pattern.edges().iter().enumerate() {
-        edges_into[u2 as usize].push(ei);
-    }
-
-    // count[ei][v] = number of children of v currently in sim(target(ei)),
-    // maintained for candidates v of source(ei). All counters are computed
-    // against the *initial* label-based membership first — evicting while
-    // counting would leave later counters missing decrements when the
-    // eviction queue drains. An eviction is pushed once (the bitmap is
-    // cleared at push time) and its parents' counters are decremented when
-    // popped.
-    let mut count: Vec<Vec<u32>> = vec![vec![0; n]; pattern.edge_count()];
-    for (ei, &(u, u2, _)) in pattern.edges().iter().enumerate() {
-        let u = u as usize;
-        for vi in 0..n {
-            if !member[u][vi] {
-                continue;
-            }
-            count[ei][vi] = g
-                .out_neighbors(NodeId(vi as u32))
-                .iter()
-                .filter(|w| member[u2 as usize][w.index()])
-                .count() as u32;
-        }
-    }
-    let mut queue: VecDeque<(PatternNodeId, NodeId)> = VecDeque::new();
-    for (ei, &(u, _, _)) in pattern.edges().iter().enumerate() {
-        let u = u as usize;
-        for vi in 0..n {
-            if member[u][vi] && count[ei][vi] == 0 {
-                member[u][vi] = false;
-                queue.push_back((u as PatternNodeId, NodeId(vi as u32)));
-            }
-        }
-    }
-
-    while let Some((u, v)) = queue.pop_front() {
-        // v left sim(u): every parent p of v loses one witness for every
-        // pattern edge pointing at u.
-        for &ei in &edges_into[u as usize] {
-            let u_src = pattern.edges()[ei].0 as usize;
-            for &p in g.in_neighbors(v) {
-                if !member[u_src][p.index()] {
-                    continue;
-                }
-                let c = &mut count[ei][p.index()];
-                debug_assert!(*c > 0, "counter underflow");
-                *c -= 1;
-                if *c == 0 {
-                    member[u_src][p.index()] = false;
-                    queue.push_back((u_src as PatternNodeId, p));
-                }
-            }
-        }
-    }
-
-    // Collect the surviving candidates (already in ascending node order).
-    let mut result = MatchRelation::empty(np);
-    for (u, members_of_u) in member.iter().enumerate() {
-        let survivors: Vec<NodeId> = members_of_u
-            .iter()
-            .enumerate()
-            .filter_map(|(vi, &m)| m.then_some(NodeId(vi as u32)))
-            .collect();
-        if survivors.is_empty() {
-            return None;
-        }
-        result.matches[u] = survivors;
-    }
-    Some(result)
-}
-
-/// The pre-CSR implementation: fixpoint re-scans over forward adjacency.
-/// Retained as the differential-testing oracle for
-/// [`simulation_match_view`].
-pub fn reference_simulation_match(g: &LabeledGraph, pattern: &Pattern) -> Option<MatchRelation> {
-    if pattern.node_count() == 0 {
-        return None;
-    }
-    let labels = resolve_labels(pattern, g);
-    // Candidate sets: nodes with the right label.
-    let mut sim: Vec<Vec<NodeId>> = Vec::with_capacity(pattern.node_count());
-    let by_label = g.nodes_by_label();
-    for u in pattern.nodes() {
-        let cands = match labels[u as usize] {
-            Some(l) => by_label.get(&l).cloned().unwrap_or_default(),
-            None => Vec::new(),
-        };
-        if cands.is_empty() {
-            return None;
-        }
-        sim.push(cands);
-    }
-
-    // Membership bitmaps for O(1) "is v in sim(u')" checks.
-    let mut member: Vec<Vec<bool>> = sim
-        .iter()
-        .map(|s| {
-            let mut m = vec![false; g.node_count()];
-            for &v in s {
-                m[v.index()] = true;
-            }
-            m
-        })
-        .collect();
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &(u, u2, _) in pattern.edges() {
-            // v stays in sim(u) only if some child of v is in sim(u2).
-            let (u, u2) = (u as usize, u2 as usize);
-            let mut retained: Vec<NodeId> = Vec::with_capacity(sim[u].len());
-            for &v in &sim[u] {
-                let ok = g.out_neighbors(v).iter().any(|&w| member[u2][w.index()]);
-                if ok {
-                    retained.push(v);
-                } else {
-                    member[u][v.index()] = false;
-                    changed = true;
-                }
-            }
-            if retained.is_empty() {
-                return None;
-            }
-            sim[u] = retained;
-        }
-    }
-
-    let mut result = MatchRelation::empty(pattern.node_count());
-    for (u, mut s) in sim.into_iter().enumerate() {
-        s.sort_unstable();
-        result.matches[u] = s;
-    }
-    Some(result)
-}
+//! The crate ships no separate simulation matcher: every edge bound of 1
+//! makes [`bounded_match`] compute the maximum simulation. This test-only
+//! module holds the fixpoint oracle of that simulation and the cases a
+//! simulation matcher has to get right, each run against [`bounded_match`]
+//! on the mutable graph and on its frozen CSR snapshot.
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod tests {
+    use qpgc_graph::{LabeledGraph, NodeId};
+
+    use crate::bounded::bounded_match;
+    use crate::pattern::{assert_same_answer, resolve_labels, MatchRelation, Pattern};
+
+    /// The maximum graph simulation by fixpoint re-scans over forward
+    /// adjacency: every pattern edge is matched by a single data edge, whatever
+    /// its declared bound.
+    fn reference_simulation_match(g: &LabeledGraph, pattern: &Pattern) -> Option<MatchRelation> {
+        if pattern.node_count() == 0 {
+            return None;
+        }
+        let labels = resolve_labels(pattern, g);
+        // Candidate sets: nodes with the right label.
+        let mut sim: Vec<Vec<NodeId>> = Vec::with_capacity(pattern.node_count());
+        let by_label = g.nodes_by_label();
+        for u in pattern.nodes() {
+            let cands = match labels[u as usize] {
+                Some(l) => by_label.get(&l).cloned().unwrap_or_default(),
+                None => Vec::new(),
+            };
+            if cands.is_empty() {
+                return None;
+            }
+            sim.push(cands);
+        }
+
+        // Membership bitmaps for O(1) "is v in sim(u')" checks.
+        let mut member: Vec<Vec<bool>> = sim
+            .iter()
+            .map(|s| {
+                let mut m = vec![false; g.node_count()];
+                for &v in s {
+                    m[v.index()] = true;
+                }
+                m
+            })
+            .collect();
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &(u, u2, _) in pattern.edges() {
+                // v stays in sim(u) only if some child of v is in sim(u2).
+                let (u, u2) = (u as usize, u2 as usize);
+                let mut retained: Vec<NodeId> = Vec::with_capacity(sim[u].len());
+                for &v in &sim[u] {
+                    let ok = g.out_neighbors(v).iter().any(|&w| member[u2][w.index()]);
+                    if ok {
+                        retained.push(v);
+                    } else {
+                        member[u][v.index()] = false;
+                        changed = true;
+                    }
+                }
+                if retained.is_empty() {
+                    return None;
+                }
+                sim[u] = retained;
+            }
+        }
+
+        let mut result = MatchRelation::empty(pattern.node_count());
+        for (u, mut s) in sim.into_iter().enumerate() {
+            s.sort_unstable();
+            result.matches[u] = s;
+        }
+        Some(result)
+    }
+
+    /// [`bounded_match`] on `g` and on its CSR snapshot, each checked against
+    /// [`reference_simulation_match`]. `pattern` must have every bound 1.
+    pub(crate) fn simulation_by_bounded_match(
+        g: &LabeledGraph,
+        pattern: &Pattern,
+        ctx: &str,
+    ) -> Option<MatchRelation> {
+        let expected = reference_simulation_match(g, pattern);
+        let got = bounded_match(g, pattern);
+        assert_same_answer(&expected, &got, ctx);
+        assert_same_answer(
+            &expected,
+            &bounded_match(&g.freeze(), pattern),
+            &format!("{ctx} (csr)"),
+        );
+        got
+    }
 
     fn graph(labels: &[&str], edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();
@@ -229,7 +115,7 @@ mod tests {
         let a = p.add_node("A");
         let b = p.add_node("B");
         p.add_edge(a, b, 1);
-        let m = simulation_match(&g, &p).unwrap();
+        let m = simulation_by_bounded_match(&g, &p, "single edge").unwrap();
         assert_eq!(m.matches_of(a), &[NodeId(0), NodeId(3)]);
         assert_eq!(m.matches_of(b), &[NodeId(1), NodeId(2)]);
     }
@@ -245,7 +131,7 @@ mod tests {
         let c = p.add_node("C");
         p.add_edge(a, b, 1);
         p.add_edge(b, c, 1);
-        let m = simulation_match(&g, &p).unwrap();
+        let m = simulation_by_bounded_match(&g, &p, "upward").unwrap();
         assert_eq!(m.matches_of(a), &[NodeId(0)]);
         assert_eq!(m.matches_of(b), &[NodeId(1)]);
         assert_eq!(m.matches_of(c), &[NodeId(2)]);
@@ -256,7 +142,7 @@ mod tests {
         let g = graph(&["A", "B"], &[(0, 1)]);
         let mut p = Pattern::new();
         p.add_node("Z");
-        assert!(simulation_match(&g, &p).is_none());
+        assert!(simulation_by_bounded_match(&g, &p, "missing label").is_none());
     }
 
     #[test]
@@ -266,7 +152,7 @@ mod tests {
         let a = p.add_node("A");
         let b = p.add_node("B");
         p.add_edge(a, b, 1);
-        assert!(simulation_match(&g, &p).is_none());
+        assert!(simulation_by_bounded_match(&g, &p, "unsatisfiable edge").is_none());
     }
 
     #[test]
@@ -277,7 +163,7 @@ mod tests {
         let b = p.add_node("B");
         p.add_edge(a, b, 1);
         p.add_edge(b, a, 1);
-        let m = simulation_match(&g, &p).unwrap();
+        let m = simulation_by_bounded_match(&g, &p, "cyclic").unwrap();
         // Only the 2-cycle participates; node 2 (A) and 3 (B) have no way back.
         assert_eq!(m.matches_of(a), &[NodeId(0)]);
         assert_eq!(m.matches_of(b), &[NodeId(1)]);
@@ -286,7 +172,7 @@ mod tests {
     #[test]
     fn empty_pattern_is_no_match() {
         let g = graph(&["A"], &[]);
-        assert!(simulation_match(&g, &Pattern::new()).is_none());
+        assert!(simulation_by_bounded_match(&g, &Pattern::new(), "empty pattern").is_none());
     }
 
     #[test]
@@ -294,7 +180,7 @@ mod tests {
         let g = graph(&["A", "A", "B"], &[(0, 2)]);
         let mut p = Pattern::new();
         let a = p.add_node("A");
-        let m = simulation_match(&g, &p).unwrap();
+        let m = simulation_by_bounded_match(&g, &p, "isolated node").unwrap();
         assert_eq!(m.matches_of(a), &[NodeId(0), NodeId(1)]);
     }
 
@@ -313,11 +199,14 @@ mod tests {
         let c = p.add_node("C");
         p.add_edge(a, b, 1);
         p.add_edge(b, c, 1);
-        let m = simulation_match(&g, &p).unwrap();
+        let m = simulation_by_bounded_match(&g, &p, "maximality").unwrap();
         assert_eq!(m.matches_of(b), &[NodeId(1), NodeId(2)]);
         assert_eq!(m.matches_of(c), &[NodeId(4), NodeId(5)]);
     }
 
+    /// The random graphs and pattern shapes (self loops and cycles
+    /// included) that once checked a counter-pruning simulation matcher
+    /// now check [`bounded_match`] at bound 1, on both graph forms.
     #[test]
     fn counter_pruning_matches_reference_on_random_graphs() {
         use rand::rngs::StdRng;
@@ -346,22 +235,7 @@ mod tests {
                 let b = rng.gen_range(0..pn) as u32;
                 p.add_edge(a, b, 1);
             }
-            let fast = simulation_match(&g, &p);
-            let fast_csr = simulation_match_csr(&g.freeze(), &p);
-            let slow = reference_simulation_match(&g, &p);
-            match (fast, fast_csr, slow) {
-                (None, None, None) => {}
-                (Some(a), Some(b), Some(c)) => {
-                    assert_eq!(a.canonical(), c.canonical(), "round {round}");
-                    assert_eq!(b.canonical(), c.canonical(), "round {round} (csr)");
-                }
-                (a, b, c) => panic!(
-                    "round {round}: disagree — view {:?} csr {:?} reference {:?}",
-                    a.is_some(),
-                    b.is_some(),
-                    c.is_some()
-                ),
-            }
+            simulation_by_bounded_match(&g, &p, &format!("round {round}"));
         }
     }
 }

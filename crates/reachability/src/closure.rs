@@ -261,7 +261,7 @@ impl QuotientClosure {
     ) {
         let old = self.id_space();
         let ids = delta.id_space;
-        debug_assert_eq!(delta.added.len(), signatures.comp_of_group.len());
+        debug_assert_eq!(delta.born.len(), signatures.comp_of_group.len());
 
         // Retired ids go. Row 0: the retired ids; row 1: the descendant rows
         // holding one of them, row 2: the ancestor rows — read off the old
@@ -290,8 +290,8 @@ impl QuotientClosure {
         self.desc.grow(ids, ids);
         self.anc.grow(ids, ids);
         self.counts.resize(ids, (0, 0));
-        let born: Vec<u32> = delta.added.iter().map(|birth| birth.id).collect();
-        let mut read = Reading::new(&signatures, &born, old);
+        let born = &delta.born;
+        let mut read = Reading::new(&signatures, born, old);
         for (&b, &comp) in born.iter().zip(&signatures.comp_of_group) {
             let b = b as usize;
             read.born_row(&mut self.desc, b, &signatures.below, comp);
@@ -304,11 +304,11 @@ impl QuotientClosure {
 
         // L6(a): every other row gains the born columns, by transposition.
         let mut born_mask = vec![0u64; ids.div_ceil(WORD)];
-        for &b in &born {
+        for &b in born {
             born_mask[b as usize / WORD] |= 1 << (b as usize % WORD);
         }
         let is_born = |c: usize| born_mask[c / WORD] & (1 << (c % WORD)) != 0;
-        for &b in &born {
+        for &b in born {
             let b = b as usize;
             for r in ones_outside(self.anc.row(b), &born_mask) {
                 self.desc.insert(r, b);
@@ -329,7 +329,7 @@ impl QuotientClosure {
             let (below, above) = (self.desc.row(x as usize), self.anc.row(y as usize));
             below.iter().zip(above).any(|(d, a)| d & a != 0)
         };
-        for &b in &born {
+        for &b in born {
             for &(c, _) in q.out_row(b) {
                 if !between(b, c) {
                     decided.push((NodeId(b), NodeId(c)));

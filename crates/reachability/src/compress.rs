@@ -266,9 +266,11 @@ mod tests {
 
     #[test]
     fn labels_do_not_affect_reachability_compression() {
-        let mut g1 = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let z = g1.intern_label("Z");
-        g1.set_label(NodeId(1), z);
+        let mut g1 = LabeledGraph::new();
+        for label in ["X", "Z", "X", "X"] {
+            g1.add_node_with_label(label);
+        }
+        g1.extend_edges([(0, 1), (0, 2), (1, 3), (2, 3)].map(|(u, v)| (NodeId(u), NodeId(v))));
         let c = compress_r(&g1);
         // Still merged despite different labels.
         assert_eq!(c.class_count(), 3);

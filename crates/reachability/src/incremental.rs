@@ -286,9 +286,9 @@ impl IncrementalReach {
 
     /// [`IncrementalReach::apply`] that also exports the structured
     /// [`PartitionDelta`]: which stable class ids the step retired, which
-    /// classes it created (with members and cyclic flags), and the
-    /// resulting id-space size. An empty delta tells a serving layer that
-    /// the structure it published for the previous version still holds.
+    /// it created, and the resulting id-space size. An empty delta tells a
+    /// serving layer that the structure it published for the previous
+    /// version still holds.
     pub fn apply_with_delta(
         &mut self,
         g: &mut LabeledGraph,
@@ -667,10 +667,28 @@ mod tests {
         (stats, delta)
     }
 
-    /// [`step_both_paths`] from a fresh pair of maintainers over `g`.
-    fn one_step(mut g: LabeledGraph, spec: &[(u32, u32, bool)]) -> (IncStats, PartitionDelta) {
+    /// The member list and cyclic flag of each class `delta` names as
+    /// born, in splice order, read off the maintainer the step left.
+    fn births(inc: &IncrementalReach, delta: &PartitionDelta) -> Vec<(Vec<NodeId>, bool)> {
+        let class = |&b: &u32| {
+            (
+                inc.q.members()[b as usize].clone(),
+                inc.q.payload()[b as usize],
+            )
+        };
+        delta.born.iter().map(class).collect()
+    }
+
+    /// [`step_both_paths`] from a fresh pair of maintainers over `g`, with
+    /// the [`births`] of the step.
+    fn one_step(
+        mut g: LabeledGraph,
+        spec: &[(u32, u32, bool)],
+    ) -> (IncStats, PartitionDelta, Vec<(Vec<NodeId>, bool)>) {
         let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
-        step_both_paths(&mut held, &mut denied, &mut g, &batch_of(spec))
+        let (stats, delta) = step_both_paths(&mut held, &mut denied, &mut g, &batch_of(spec));
+        let born = births(&held, &delta);
+        (stats, delta, born)
     }
 
     /// A random digraph of the seeded streams, with what the cut has
@@ -760,7 +778,7 @@ mod tests {
                 let batch = seeded_batch(&mut rng, &g, case);
                 let (_, delta) = inc.apply_with_delta(&mut g, &batch);
                 assert_closure_is_a_fresh_sweep(&inc, &format!("case {case} step {step}"));
-                let reused = delta.added.iter().filter(|b| delta.removed.contains(&b.id));
+                let reused = delta.born.iter().filter(|b| delta.removed.contains(b));
                 recycled += reused.count();
             }
         }
@@ -781,11 +799,11 @@ mod tests {
         // A chord deleted from a ring: its members regroup as one cyclic
         // class, whose signatures hold its own units.
         let ring = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 2)]);
-        let (_, _, _, delta) = trap(ring, &[(0, 2, false)], "cyclic group");
-        assert!(delta.added.len() == 1 && delta.added[0].cyclic);
+        let (inc, _, _, delta) = trap(ring, &[(0, 2, false)], "cyclic group");
+        assert!(delta.born.len() == 1 && births(&inc, &delta)[0].1);
         // Stranded nodes join the isolated class.
         let (_, _, _, delta) = trap(graph(4, &[(0, 1)]), &[(0, 1, false)], "stranded");
-        assert_eq!(delta.added.len(), 1);
+        assert_eq!(delta.born.len(), 1);
         // 63 → 65 ids: a chain of 62 classes and three isolated nodes, each
         // hung from a different chain node.
         let chain = |len: u32, loose: u32| {
@@ -828,12 +846,11 @@ mod tests {
         // reached from it.
         let g = graph(6, &[(0, 1), (1, 0), (2, 3), (3, 2), (0, 4), (1, 5), (5, 3)]);
         let far = IncrementalReach::new(&g).class_of(NodeId(5));
-        let (stats, delta) = one_step(g, &[(4, 2, true)]);
+        let (stats, delta, born) = one_step(g, &[(4, 2, true)]);
         assert!(delta.removed.contains(&far), "the far class is absorbed");
-        assert!(delta
-            .added
+        assert!(born
             .iter()
-            .any(|birth| birth.members == [NodeId(4), NodeId(5)]));
+            .any(|(members, _)| members == &[NodeId(4), NodeId(5)]));
         // S whole, {4}, T whole: no unit for the partner.
         assert_eq!((stats.affected_classes, stats.hybrid_nodes), (3, 3));
     }
@@ -848,9 +865,9 @@ mod tests {
         // ancestors (none) — reaches both.
         let g = graph(4, &[(0, 1), (0, 2)]);
         let parent = IncrementalReach::new(&g).class_of(NodeId(0));
-        let (_, delta) = one_step(g, &[(3, 1, true)]);
+        let (_, delta, born) = one_step(g, &[(3, 1, true)]);
         assert!(!delta.removed.contains(&parent));
-        assert!(delta.added.iter().all(|birth| birth.members.len() == 1));
+        assert!(born.iter().all(|(members, _)| members.len() == 1));
     }
 
     /// L5 with empty rows: nodes a deletion strands join the class of the
@@ -859,11 +876,10 @@ mod tests {
     fn stranded_nodes_join_the_isolated_class() {
         let g = graph(4, &[(0, 1)]);
         let isolated = IncrementalReach::new(&g).class_of(NodeId(2));
-        let (_, delta) = one_step(g, &[(0, 1, false)]);
+        let (_, delta, born) = one_step(g, &[(0, 1, false)]);
         assert!(delta.removed.contains(&isolated));
         let all: Vec<NodeId> = (0..4).map(NodeId).collect();
-        assert_eq!(delta.added.len(), 1);
-        assert_eq!(delta.added[0].members, all);
+        assert_eq!(born, [(all, false)]);
     }
 
     /// L3(a): a cyclic class with an incident update stays one unit; one
@@ -873,18 +889,18 @@ mod tests {
     fn a_cyclic_class_is_one_unit_until_it_loses_an_internal_edge() {
         // 0 → 1 → 2 → 0 with the chord 0 → 2, and a bystander 3.
         let ring = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 2)]);
-        let (stats, _) = one_step(ring.clone(), &[(2, 3, true)]);
+        let (stats, _, _) = one_step(ring.clone(), &[(2, 3, true)]);
         assert_eq!((stats.affected_nodes, stats.hybrid_nodes), (4, 2));
 
-        let (stats, delta) = one_step(ring.clone(), &[(0, 2, false)]);
+        let (stats, _, born) = one_step(ring.clone(), &[(0, 2, false)]);
         assert_eq!(stats.hybrid_nodes, 3, "exploded into its members");
-        assert_eq!(delta.added.len(), 1, "and found strongly connected again");
-        assert!(delta.added[0].cyclic);
+        assert_eq!(born.len(), 1, "and found strongly connected again");
+        assert!(born[0].1);
 
-        let (stats, delta) = one_step(ring, &[(1, 2, false)]);
+        let (stats, _, born) = one_step(ring, &[(1, 2, false)]);
         assert_eq!(stats.hybrid_nodes, 3);
         // 0 ↔ 2 is left; 1 hangs below it.
-        assert_eq!(delta.added.len(), 2);
+        assert_eq!(born.len(), 2);
     }
 
     /// L2/L4: an insertion closes a cycle through two affected classes —
@@ -892,12 +908,9 @@ mod tests {
     #[test]
     fn a_new_cycle_through_two_affected_classes() {
         let g = graph(5, &[(0, 1), (1, 0), (1, 2), (2, 3), (4, 2)]);
-        let (_, delta) = one_step(g, &[(3, 0, true)]);
+        let (_, _, born) = one_step(g, &[(3, 0, true)]);
         let scc: Vec<NodeId> = (0..4).map(NodeId).collect();
-        assert!(delta
-            .added
-            .iter()
-            .any(|birth| birth.cyclic && birth.members == scc));
+        assert!(born.contains(&(scc, true)));
     }
 
     /// L3(b): members of an exploded class with equal neighbourhoods are
@@ -907,13 +920,12 @@ mod tests {
         // 0 → {1, 2, 3} → 4: one class of three. Inserting 3 → 5 leaves 1
         // and 2 twins.
         let g = graph(6, &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]);
-        let (stats, delta) = one_step(g, &[(3, 5, true)]);
+        let (stats, _, born) = one_step(g, &[(3, 5, true)]);
         // Affected: {0}, {1,2,3}, {5} — units {0}, {1,2}, {3}, {5}.
         assert_eq!((stats.affected_nodes, stats.hybrid_nodes), (5, 4));
-        assert!(delta
-            .added
+        assert!(born
             .iter()
-            .any(|birth| birth.members == [NodeId(1), NodeId(2)]));
+            .any(|(members, _)| members == &[NodeId(1), NodeId(2)]));
     }
 
     /// Splice order: a group that absorbs an unaffected class is spliced
@@ -927,17 +939,17 @@ mod tests {
         // 2 → 3 strands both ends.
         let g = graph(4, &[(2, 3)]);
         let isolated = IncrementalReach::new(&g).class_of(NodeId(0));
-        let (_, delta) = one_step(g, &[(2, 3, false)]);
+        let (_, _, born) = one_step(g, &[(2, 3, false)]);
         assert_eq!(isolated, 0);
-        assert!(delta.added[0].members.contains(&NodeId(0)));
+        assert!(born[0].0.contains(&NodeId(0)));
 
         // High id: the isolated class {4, 5} has the highest.
         let g = graph(6, &[(0, 1), (2, 3)]);
         let isolated = IncrementalReach::new(&g).class_of(NodeId(4));
-        let (_, delta) = one_step(g, &[(0, 1, false)]);
+        let (_, delta, born) = one_step(g, &[(0, 1, false)]);
         assert!(delta.removed.iter().all(|&c| c <= isolated));
-        assert!(delta.added[0].members.contains(&NodeId(4)));
-        assert_eq!(delta.added.len(), 1);
+        assert!(born[0].0.contains(&NodeId(4)));
+        assert_eq!(born.len(), 1);
     }
 
     /// The invariant check knows the closure: it rejects a stale one (the
@@ -1056,34 +1068,39 @@ mod tests {
         assert_eq!(part.cyclic, comp.partition.cyclic);
     }
 
-    /// Replays a delta on top of a pre-batch `StableQuotient` and checks it
-    /// reproduces the post-batch one.
-    fn assert_delta_replays(
+    /// Checks a delta against the stable exports before and after its
+    /// step: every id it neither removes nor bears keeps its exact member
+    /// set, liveness and cyclic flag; every born id is live; and the born
+    /// classes hold exactly the members of the retired ones.
+    fn assert_delta_explains(
         before: &StableQuotient,
         delta: &PartitionDelta,
         after: &StableQuotient,
+        ctx: &str,
     ) {
-        assert_eq!(delta.id_space, after.id_space());
-        let mut class_of = before.class_of.clone();
-        let mut cyclic = before.cyclic.clone();
-        let mut active = before.active.clone();
-        cyclic.resize(delta.id_space, false);
-        active.resize(delta.id_space, false);
-        for &r in &delta.removed {
-            active[r as usize] = false;
+        assert_eq!(delta.id_space, after.id_space(), "{ctx}");
+        let members = |sq: &StableQuotient, ids: &[u32]| -> Vec<usize> {
+            let of = |v: &usize| ids.contains(&sq.class_of[*v]);
+            (0..sq.class_of.len()).filter(of).collect()
+        };
+        for &b in &delta.born {
+            assert!(after.active[b as usize], "{ctx}: born id {b} is not live");
         }
-        for birth in &delta.added {
-            for &v in &birth.members {
-                class_of[v.index()] = birth.id;
-            }
-            cyclic[birth.id as usize] = birth.cyclic;
-            active[birth.id as usize] = true;
-        }
-        assert_eq!(class_of, after.class_of);
-        assert_eq!(active, after.active);
-        for (id, &a) in after.active.iter().enumerate() {
-            if a {
-                assert_eq!(cyclic[id], after.cyclic[id], "cyclic flag of class {id}");
+        assert_eq!(
+            members(before, &delta.removed),
+            members(after, &delta.born),
+            "{ctx}: born classes are not the retired members"
+        );
+        let touched = |c: &u32| delta.removed.contains(c) || delta.born.contains(c);
+        for c in (0..after.id_space() as u32).filter(|c| !touched(c)) {
+            let (i, live) = (c as usize, after.active[c as usize]);
+            assert_eq!(before.active.get(i), Some(&live), "{ctx}: liveness of {c}");
+            assert_eq!(members(before, &[c]), members(after, &[c]), "{ctx}: {c}");
+            if live {
+                assert_eq!(
+                    before.cyclic[i], after.cyclic[i],
+                    "{ctx}: cyclic flag of {c}"
+                );
             }
         }
     }
@@ -1117,17 +1134,9 @@ mod tests {
                     }
                 }
                 let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
-                assert_eq!(stats.changed_classes, delta.added.len());
+                assert_eq!(stats.changed_classes, delta.born.len());
                 let after = inc.stable_quotient();
-                assert_delta_replays(&before, &delta, &after);
-                // Members of retired classes are exactly covered by births.
-                let born: usize = delta.added.iter().map(|b| b.members.len()).sum();
-                let died: usize = delta
-                    .removed
-                    .iter()
-                    .map(|&c| before.class_of.iter().filter(|&&x| x == c).count())
-                    .sum();
-                assert_eq!(born, died, "case {case} step {step}: member count drifted");
+                assert_delta_explains(&before, &delta, &after, &format!("case {case} step {step}"));
             }
         }
     }

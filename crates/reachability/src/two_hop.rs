@@ -457,6 +457,7 @@ impl TwoHopIndex {
     /// silently misses most covered pairs. Queries are still exact (failed
     /// pruning only adds labels); the index is just needlessly large. Kept
     /// so tests can quantify the rank fix — do not use for anything else.
+    // qpgc-lint: allow(dead-surface) -- oracle of query_time::tests::fig12d_rank_labels_shrink_the_two_hop_index
     pub fn build_with_node_id_labels<G: GraphView>(g: &G) -> Self {
         let n = g.node_count();
         let order = swept_landmark_order(g);

@@ -90,19 +90,6 @@ pub trait ReachStore {
     /// before.
     fn try_apply(&self, batch: &UpdateBatch) -> Result<ApplyReport, StoreError>;
 
-    /// [`ReachStore::try_apply`] for callers that know their batches are
-    /// valid and inject no faults.
-    ///
-    /// # Panics
-    ///
-    /// When [`ReachStore::try_apply`] returns an error.
-    fn apply(&self, batch: &UpdateBatch) -> ApplyReport {
-        match self.try_apply(batch) {
-            Ok(report) => report,
-            Err(e) => panic!("apply failed: {e}"),
-        }
-    }
-
     /// Answers one reachability query on the current cut.
     fn reachable(&self, u: NodeId, w: NodeId) -> bool {
         self.load().reachable(u, w)
@@ -145,7 +132,7 @@ mod tests {
         assert!(ReachStore::reachable(&store, NodeId(0), NodeId(2)));
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(2));
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         assert_eq!(report.version, 1);
         assert_eq!(store.watermark(), 1);
         let cut = store.load();

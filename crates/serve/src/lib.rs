@@ -8,7 +8,7 @@
 //! ## Architecture
 //!
 //! Two backends serve reachability behind one trait pair —
-//! [`ReachStore`] (writer surface: `load`, `watermark`, `apply`) and
+//! [`ReachStore`] (writer surface: `load`, `watermark`, `try_apply`) and
 //! [`ReachCut`] (the immutable view a `load` hands back):
 //!
 //! * [`CompressedStore`] — the single-writer store; its cut is a

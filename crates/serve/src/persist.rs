@@ -484,7 +484,7 @@ mod tests {
         assert_eq!(loaded.version(), 7);
         assert_eq!(loaded.class_count(), snap.class_count());
         assert_eq!(loaded.node_count(), snap.node_count());
-        assert!(loaded.quotient().is_succinct());
+        assert!(loaded.quotient().as_plain().is_none());
         for u in 0..snap.node_count() as u32 {
             for w in 0..snap.node_count() as u32 {
                 assert_eq!(

@@ -263,11 +263,6 @@ impl ShardedStore {
         &self.config
     }
 
-    /// Number of shards (`≥ 1`).
-    pub fn shard_count(&self) -> usize {
-        self.part.shards()
-    }
-
     /// The currently published cut. Hold it as long as you like — the
     /// writer never mutates published cuts, the router only swaps in new
     /// ones.
@@ -513,7 +508,7 @@ mod tests {
                     cut.reachable(u, w),
                     bfs_reachable(g, u, w),
                     "shards={}: ({u},{w}) at watermark {}",
-                    store.shard_count(),
+                    store.config().shards,
                     cut.watermark()
                 );
             }
@@ -526,7 +521,7 @@ mod tests {
             let mut g = chain_with_fanout();
             let store = ShardedStore::new(g.clone(), StoreConfig::builder().shards(shards).build())
                 .unwrap();
-            assert_eq!(store.shard_count(), shards);
+            assert_eq!(store.load().shard_snapshots().len(), shards);
             all_pairs_match_bfs(&store, &g);
 
             // Delete a chain edge (wherever the hash put it) and insert a
@@ -536,7 +531,7 @@ mod tests {
             batch
                 .delete(NodeId(7), NodeId(8))
                 .insert(NodeId(22), NodeId(1));
-            let report = store.apply(&batch);
+            let report = store.try_apply(&batch).expect("batch applies");
             assert_eq!(report.version, 1);
             assert_eq!(report.shards.len(), shards);
             assert_eq!(store.watermark(), 1);
@@ -569,7 +564,7 @@ mod tests {
             .delete(NodeId(11), NodeId(12))
             .delete(NodeId(0), NodeId(12))
             .delete(NodeId(5), NodeId(20));
-        store.apply(&batch);
+        store.try_apply(&batch).expect("batch applies");
         // The held cut still answers at watermark 0.
         assert_eq!(before.watermark(), 0);
         assert!(before.reachable(NodeId(0), NodeId(23)));
@@ -594,7 +589,7 @@ mod tests {
         let store = ShardedStore::new(g, StoreConfig::builder().shards(4).build()).unwrap();
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(3), NodeId(4));
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         assert_eq!(report.shards.len(), 4);
         // The aggregate path is at least as expensive as every per-shard
         // path.
@@ -683,7 +678,7 @@ mod tests {
                         }
                     }
                 }
-                store.apply(&batch);
+                store.try_apply(&batch).expect("batch applies");
                 batch.apply_to(&mut g);
                 all_pairs_match_bfs(&store, &g);
             }

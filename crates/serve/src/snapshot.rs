@@ -99,11 +99,6 @@ impl QuotientCsr {
         }
     }
 
-    /// `true` when the succinct backend is serving.
-    pub fn is_succinct(&self) -> bool {
-        matches!(self, QuotientCsr::Succinct(_))
-    }
-
     /// The plain CSR, when that backend is live.
     pub fn as_plain(&self) -> Option<&CsrGraph> {
         match self {

@@ -213,7 +213,7 @@ pub struct ShardApply {
     pub publish_ms: f64,
 }
 
-/// What one `apply` call did — on a [`CompressedStore`] or, shard by shard,
+/// What one `try_apply` call did — on a [`CompressedStore`] or, shard by shard,
 /// on a [`ShardedStore`](crate::sharded::ShardedStore).
 ///
 /// The scalar fields are the **aggregate view** and mean the same thing on
@@ -444,9 +444,7 @@ impl CompressedStore {
     /// readers are never blocked (except for the pointer swap itself). The
     /// batch either fully applies and publishes, or the store is left
     /// exactly as before — watermark untouched, old snapshot still served,
-    /// the next clean batch free to proceed. (The panicking
-    /// [`ReachStore::apply`](crate::ReachStore::apply) wraps this for
-    /// callers that know their batches are valid.)
+    /// the next clean batch free to proceed.
     ///
     /// Publication has one construction per side. A batch whose
     /// reachability [`PartitionDelta`] is empty republishes the previous
@@ -625,7 +623,6 @@ pub(crate) fn append_or_discard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ReachStore as _;
     use qpgc_graph::traversal::bfs_reachable;
     use qpgc_pattern::bounded::bounded_match;
     use qpgc_pattern::pattern::Pattern;
@@ -652,7 +649,7 @@ mod tests {
 
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         assert_eq!(report.version, 1);
         assert_eq!(store.version(), 1);
 
@@ -681,7 +678,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
         batch.delete(NodeId(2), NodeId(3));
-        store.apply(&batch);
+        store.try_apply(&batch).expect("batch applies");
         assert!(store.load().match_pattern(&q).is_none());
 
         // Differential against direct evaluation on the maintained graph.
@@ -709,7 +706,7 @@ mod tests {
         // Inserting an existing edge normalizes away on both sides.
         let mut noop = UpdateBatch::new();
         noop.insert(NodeId(0), NodeId(1));
-        let report = store.apply(&noop);
+        let report = store.try_apply(&noop).expect("batch applies");
         assert_eq!(report.path, ApplyPath::Republished);
         let after = store.load();
         assert_eq!(after.version(), 1);
@@ -721,7 +718,7 @@ mod tests {
         // A real bisimulation change builds a new view.
         let mut batch = UpdateBatch::new();
         batch.delete(NodeId(1), NodeId(3));
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         match report.path {
             ApplyPath::Rebuilt { pattern_churn, .. } => {
                 assert!(pattern_churn.is_some(), "pattern delta was not empty");
@@ -763,7 +760,7 @@ mod tests {
                     batch.delete(NodeId(u), NodeId(v));
                 }
             }
-            store.apply(&batch);
+            store.try_apply(&batch).expect("batch applies");
             batch.apply_to(&mut g);
             let snap = store.load();
             assert_eq!(snap.version(), i as u64 + 1);

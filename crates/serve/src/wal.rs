@@ -27,9 +27,10 @@
 //! which [`UpdateLog::read`] detects (the declared frame extends past EOF)
 //! and silently drops: the log is the sequence of fully-written records.
 //! A full-frame record whose CRC32 does not match is *not* a torn tail but
-//! real corruption, reported as [`LogError::Corrupt`]. On an aborted
-//! application the store calls [`UpdateLog::rollback`], truncating any torn
-//! bytes so the next append starts on a clean boundary.
+//! real corruption, reported as [`LogError::Corrupt`]. A failed append
+//! leaves its torn bytes in the file and the committed watermark where it
+//! was; the next append truncates the file back to the watermark before it
+//! writes, so every record starts on a clean boundary.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -51,8 +52,8 @@ pub struct UpdateLog {
     path: PathBuf,
     /// Byte length of the committed prefix: every record up to here was
     /// fully written. Bytes beyond it (from an interrupted append) are
-    /// garbage that [`UpdateLog::rollback`] truncates and
-    /// [`UpdateLog::read`] ignores.
+    /// garbage that the next append truncates and [`UpdateLog::read`]
+    /// ignores.
     committed: u64,
 }
 
@@ -82,24 +83,12 @@ impl UpdateLog {
         &self.path
     }
 
-    /// Byte length of the committed prefix.
-    pub fn committed_len(&self) -> u64 {
-        self.committed
-    }
-
     /// Appends a batch record. On success the record is fully on disk and
     /// the committed watermark advanced; on failure (I/O error or injected
-    /// fault) the file may hold a torn tail — call [`UpdateLog::rollback`]
-    /// before the next append.
+    /// fault) the file may hold a torn tail past the unmoved watermark,
+    /// which the next append truncates before it writes.
     pub fn append(&mut self, batch: &UpdateBatch) -> Result<(), LogError> {
         self.write_record(KIND_BATCH, &encode_batch(batch))
-    }
-
-    /// Truncates any bytes beyond the committed prefix — the cleanup half
-    /// of an aborted application's discard path.
-    pub fn rollback(&mut self) -> Result<(), LogError> {
-        self.file.set_len(self.committed)?;
-        Ok(())
     }
 
     fn write_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), LogError> {
@@ -358,7 +347,7 @@ mod tests {
         let mut b1 = UpdateBatch::new();
         b1.insert(NodeId(2), NodeId(0));
         log.append(&b1).unwrap();
-        let committed = log.committed_len();
+        let committed = log.committed;
         let mut b2 = UpdateBatch::new();
         b2.delete(NodeId(0), NodeId(1));
         log.append(&b2).unwrap();
@@ -381,7 +370,7 @@ mod tests {
         let path = tmp_path("corrupt");
         let g = sample();
         let mut log = UpdateLog::create(&path, &g).unwrap();
-        let base_end = log.committed_len();
+        let base_end = log.committed;
         let mut b1 = UpdateBatch::new();
         b1.insert(NodeId(2), NodeId(0));
         log.append(&b1).unwrap();
@@ -399,24 +388,28 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A torn append leaves garbage past the committed watermark; the next
+    /// append truncates it before writing, so every record reads back.
     #[test]
     fn rollback_truncates_torn_bytes() {
         let path = tmp_path("rollback");
         let g = sample();
         let mut log = UpdateLog::create(&path, &g).unwrap();
-        let committed = log.committed_len();
+        let mut b1 = UpdateBatch::new();
+        b1.insert(NodeId(2), NodeId(0));
+        log.append(&b1).unwrap();
         // Simulate a torn append by hand: garbage past the watermark.
-        log.file.seek(SeekFrom::Start(committed)).unwrap();
+        log.file.seek(SeekFrom::Start(log.committed)).unwrap();
         log.file.write_all(&[0xAB; 7]).unwrap();
         log.file.flush().unwrap();
-        log.rollback().unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
-        // And the next append lands cleanly.
-        let mut b = UpdateBatch::new();
-        b.insert(NodeId(2), NodeId(0));
-        log.append(&b).unwrap();
+        let mut b2 = UpdateBatch::new();
+        b2.delete(NodeId(0), NodeId(1));
+        log.append(&b2).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), log.committed);
         let contents = UpdateLog::read(&path).unwrap();
-        assert_eq!(contents.batches.len(), 1);
+        assert_eq!(contents.batches.len(), 2);
+        assert_eq!(contents.batches[0].updates(), b1.updates());
+        assert_eq!(contents.batches[1].updates(), b2.updates());
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, ReachStore as _, StoreConfig};
+use qpgc_serve::{CompressedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -96,7 +96,7 @@ fn run(config: StoreConfig, seed: u64) {
 
         // Writer: apply every batch with a pause so readers interleave.
         for batch in &batches {
-            store.apply(batch);
+            store.try_apply(batch).expect("batch applies");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         done.store(true, Ordering::Release);

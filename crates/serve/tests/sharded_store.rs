@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{ReachStore as _, ShardedStore, StoreConfig};
+use qpgc_serve::{ShardedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,7 +109,7 @@ fn run(config: StoreConfig, seed: u64) {
         // Router: apply every batch with a pause so readers interleave
         // with the shard staging and the watermark bump.
         for batch in &batches {
-            store.apply(batch);
+            store.try_apply(batch).expect("batch applies");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         done.store(true, Ordering::Release);

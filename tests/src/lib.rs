@@ -138,7 +138,7 @@ pub mod differential {
                 let count = rng.gen_range(1..5);
                 let batch =
                     random_batch(&mut rng, g.node_count(), count, self.insert_bias, self.dag);
-                let report = store.apply(&batch);
+                let report = store.try_apply(&batch).expect("batch applies");
                 batch.apply_to(&mut g);
                 assert_eq!(
                     report.version,
@@ -175,8 +175,8 @@ pub mod differential {
                 let count = rng.gen_range(1..5);
                 let batch =
                     random_batch(&mut rng, g.node_count(), count, self.insert_bias, self.dag);
-                let ra = a.apply(&batch);
-                let rb = b.apply(&batch);
+                let ra = a.try_apply(&batch).expect("batch applies");
+                let rb = b.try_apply(&batch).expect("batch applies");
                 batch.apply_to(&mut g);
                 let version = step as u64 + 1;
                 assert_eq!(ra.version, version, "stream {}: A version", self.seed);

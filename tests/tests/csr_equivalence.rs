@@ -2,14 +2,16 @@
 //! random graphs, `CsrGraph` must round-trip `LabeledGraph` exactly (nodes,
 //! edges, labels, degrees), and every analysis that was migrated to CSR —
 //! bisimulation, reachability equivalence, simulation — must produce results
-//! identical to the retained seed implementations.
+//! identical to the label-seeded reference or to the same analysis run on
+//! the mutable graph.
 
 use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use qpgc_generators::pattern_gen::{random_pattern, PatternGenConfig};
 use qpgc_generators::synthetic::{random_graph, SyntheticConfig};
 use qpgc_graph::{LabeledGraph, NodeId};
-use qpgc_pattern::bisim::{bisimulation_partition_baseline, bisimulation_partition_csr};
-use qpgc_pattern::simulation::{reference_simulation_match, simulation_match_csr};
+use qpgc_pattern::bisim::{bisimulation_partition_csr, reference_bisimulation};
+use qpgc_pattern::bounded::bounded_match;
+use qpgc_pattern::pattern::assert_same_answer;
 use qpgc_reach::equivalence::reachability_partition;
 
 /// The seeded graph population: 100+ graphs sweeping size, density and
@@ -106,7 +108,7 @@ fn csr_roundtrips_labeled_graph() {
 fn bisimulation_on_csr_matches_seed_implementation() {
     for (i, g) in population().iter().enumerate() {
         let fast = bisimulation_partition_csr(&g.freeze());
-        let seed_impl = bisimulation_partition_baseline(g);
+        let seed_impl = reference_bisimulation(g);
         assert_eq!(
             fast.canonical(),
             seed_impl.canonical(),
@@ -140,22 +142,13 @@ fn reachability_partition_on_csr_matches_seed_implementation() {
 #[test]
 fn simulation_on_csr_matches_seed_implementation() {
     for (i, g) in population().iter().enumerate() {
+        // Every bound 1: graph simulation, the bound-1 case of `Match`.
         let pattern = random_pattern(g, &PatternGenConfig::new(2 + i % 3, 2 + i % 4, 1, i as u64));
-        let fast = simulation_match_csr(&g.freeze(), &pattern);
-        let seed_impl = reference_simulation_match(g, &pattern);
-        match (fast, seed_impl) {
-            (None, None) => {}
-            (Some(a), Some(b)) => assert_eq!(
-                a.canonical(),
-                b.canonical(),
-                "graph {i}: simulation relations differ"
-            ),
-            (a, b) => panic!(
-                "graph {i}: boolean answers differ (csr {:?}, seed {:?})",
-                a.is_some(),
-                b.is_some()
-            ),
-        }
+        assert_same_answer(
+            &bounded_match(g, &pattern),
+            &bounded_match(&g.freeze(), &pattern),
+            &format!("graph {i}: simulation on csr"),
+        );
     }
 }
 

@@ -119,7 +119,7 @@ fn run_fault_gauntlet<S: ReachStore>(
     // Clean warm-up batches so faults hit a store with history.
     for _ in 0..2 {
         let batch = random_batch(rng, g.node_count(), 4, 0.6, false);
-        store.apply(&batch);
+        store.try_apply(&batch).expect("batch applies");
         batch.apply_to(g);
     }
     let mut committed = 2u64;
@@ -269,7 +269,7 @@ fn pattern_serving_store_survives_a_fault_at_every_staging_site() {
     assert_both_sides_exact(&store, &g, "patterns: initial cut");
     for _ in 0..2 {
         let batch = random_batch(&mut rng, g.node_count(), 4, 0.6, false);
-        store.apply(&batch);
+        store.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
     }
     for site in ["store/maintain", "store/stage", "store/publish"] {
@@ -407,7 +407,7 @@ fn run_kill_and_replay<S, R>(
             let store = build(g.clone(), &path);
             for _ in 0..2 {
                 let batch = random_batch(&mut rng, g.node_count(), 4, 0.6, false);
-                store.apply(&batch);
+                store.try_apply(&batch).expect("batch applies");
                 batch.apply_to(&mut g);
             }
             let batch = random_batch(&mut rng, g.node_count(), 4, 0.5, false);
@@ -446,7 +446,7 @@ fn run_kill_and_replay<S, R>(
         // history answers identically to the recovered one.
         let uninterrupted = CompressedStore::new(contents.graph.clone(), config(1));
         for batch in &contents.batches {
-            uninterrupted.apply(batch);
+            uninterrupted.try_apply(batch).expect("batch applies");
         }
         let a = recovered.load();
         let b = uninterrupted.load();

@@ -19,7 +19,7 @@
 //! streams publish cuts of identical heap size and identical answers.
 
 use qpgc_graph::{LabeledGraph, NodeId};
-use qpgc_serve::{CompressedStore, ReachStore as _, ShardedStore, StoreConfig};
+use qpgc_serve::{CompressedStore, ShardedStore, StoreConfig};
 use qpgc_tests::differential::random_batch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -65,7 +65,7 @@ fn run_thread_differential(seed: u64, patterns: bool, two_hop: bool) {
         let count = rng.gen_range(1..5);
         let batch = random_batch(&mut rng, g.node_count(), count, 0.6, false);
         for store in &stores {
-            store.apply(&batch);
+            store.try_apply(&batch).expect("batch applies");
         }
         batch.apply_to(&mut g);
 
@@ -192,7 +192,7 @@ fn sharded_streams_are_deterministic_at_any_thread_count() {
             let count = rng.gen_range(1..5);
             let batch = random_batch(&mut rng, g.node_count(), count, 0.6, false);
             for store in &stores {
-                store.apply(&batch);
+                store.try_apply(&batch).expect("batch applies");
             }
             batch.apply_to(&mut g);
             let base = stores[0].load();

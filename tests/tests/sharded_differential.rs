@@ -135,8 +135,8 @@ fn pure_cross_shard_churn_is_bfs_exact() {
         vec![inserts, deletes]
     };
     for (step, batch) in phases.iter().enumerate() {
-        let report = store.apply(batch);
-        single.apply(batch);
+        let report = store.try_apply(batch).expect("batch applies");
+        single.try_apply(batch).expect("batch applies");
         batch.apply_to(&mut g);
         assert_eq!(report.version, step as u64 + 1);
         assert_eq!(store.watermark(), step as u64 + 1);
@@ -168,7 +168,7 @@ fn pure_cross_shard_churn_is_bfs_exact() {
     for &(u, v) in cross_pairs.iter() {
         drain.delete(u, v);
     }
-    store.apply(&drain);
+    store.try_apply(&drain).expect("batch applies");
     drain.apply_to(&mut g);
     let cut = store.load();
     assert_eq!(cut.boundary().vertex_count(), 0);

@@ -26,71 +26,16 @@
 //! [`Snapshot::check_invariants`]: qpgc_serve::Snapshot::check_invariants
 
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::{LabeledGraph, NodeId};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::compress::compress_b;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
 use qpgc_reach::compress::compress_r;
 use qpgc_reach::two_hop::TwoHopIndex;
-use qpgc_serve::{ApplyPath, CompressedStore, ReachStore as _, StoreConfig};
+use qpgc_serve::{ApplyPath, CompressedStore, StoreConfig};
+use qpgc_tests::differential::{random_batch, random_graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn random_graph(rng: &mut StdRng, n_max: usize, dag: bool) -> LabeledGraph {
-    let n = rng.gen_range(3..n_max);
-    let m = rng.gen_range(0..n * 3);
-    let mut g = LabeledGraph::new();
-    for _ in 0..n {
-        g.add_node_with_label("X");
-    }
-    for _ in 0..m {
-        let u = rng.gen_range(0..n) as u32;
-        let v = rng.gen_range(0..n) as u32;
-        if dag {
-            // Edges point id-upward: the graph stays acyclic through every
-            // update batch generated the same way.
-            if u < v {
-                g.add_edge(NodeId(u), NodeId(v));
-            }
-        } else {
-            g.add_edge(NodeId(u), NodeId(v));
-        }
-    }
-    g
-}
-
-/// A batch of `count` updates; each is an insertion with probability
-/// `insert_bias` (DAG streams only generate id-upward insertions). A draw
-/// that would contradict an earlier update of the same edge keeps the
-/// earlier kind, so the batch passes `UpdateBatch::validate`.
-fn random_batch(
-    rng: &mut StdRng,
-    n: usize,
-    count: usize,
-    insert_bias: f64,
-    dag: bool,
-) -> UpdateBatch {
-    let mut batch = UpdateBatch::new();
-    let mut kinds: std::collections::HashMap<(u32, u32), bool> = std::collections::HashMap::new();
-    for _ in 0..count {
-        let mut u = rng.gen_range(0..n) as u32;
-        let mut v = rng.gen_range(0..n) as u32;
-        if dag && u > v {
-            std::mem::swap(&mut u, &mut v);
-        }
-        if dag && u == v {
-            continue;
-        }
-        let drawn = rng.gen_bool(insert_bias);
-        let is_insert = *kinds.entry((u, v)).or_insert(drawn);
-        if is_insert {
-            batch.insert(NodeId(u), NodeId(v));
-        } else {
-            batch.delete(NodeId(u), NodeId(v));
-        }
-    }
-    batch
-}
 
 /// Asserts the served cut of `store` against the oracles on `g`.
 fn assert_cut_exact(store: &CompressedStore, g: &LabeledGraph, two_hop: bool, ctx: &str) {
@@ -131,7 +76,7 @@ fn run_stream(seed: u64, dag: bool, insert_bias: f64, two_hop: bool) -> Vec<Appl
     for step in 0..4 {
         let count = rng.gen_range(1..5);
         let batch = random_batch(&mut rng, g.node_count(), count, insert_bias, dag);
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
         assert_eq!(report.version, step + 1);
         assert!(
@@ -244,7 +189,7 @@ fn run_pattern_stream(seed: u64, insert_bias: f64) -> usize {
     for step in 0..4 {
         let count = rng.gen_range(1..5);
         let batch = random_batch(&mut rng, g.node_count(), count, insert_bias, false);
-        let report = store.apply(&batch);
+        let report = store.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
         if matches!(
             report.path,
@@ -312,7 +257,7 @@ fn long_chains_stay_consistent() {
     for step in 0..12 {
         let count = rng.gen_range(1..4);
         let batch = random_batch(&mut rng, g.node_count(), count, 0.5, false);
-        store.apply(&batch);
+        store.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
         assert_cut_exact(&store, &g, true, &format!("step {step}"));
     }

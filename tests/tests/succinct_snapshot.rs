@@ -3,7 +3,7 @@
 //! Three layers of assurance, mirroring how the backend is layered:
 //!
 //! 1. **Structure** — [`CompressedCsr`] must be a lossless re-encoding of
-//!    [`CsrGraph`]: identical `degree`, `neighbors`, and `has_edge` on
+//!    [`CsrGraph`]: identical `neighbors`, `has_edge` and labels on
 //!    seeded random graphs and on every Table-1 emulation (which exercise
 //!    the hub exception list — power-law rows past `HUB_DEGREE` stay raw).
 //! 2. **Queries** — a store publishing succinct snapshots
@@ -24,7 +24,7 @@ use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::pattern::{assert_same_answer, Pattern};
-use qpgc_serve::{CompressedStore, ReachStore as _, SnapshotFormat, StoreConfig};
+use qpgc_serve::{CompressedStore, SnapshotFormat, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,8 +63,8 @@ fn random_batch(rng: &mut StdRng, n: usize, count: usize) -> UpdateBatch {
 }
 
 /// Asserts `CompressedCsr::from_csr` round-trips every read the plain CSR
-/// answers: node/edge counts, per-row degree and neighbor lists, and
-/// `has_edge` for all present edges plus a sample of absent ones.
+/// answers: node/edge counts, per-row neighbor lists, `has_edge` for all
+/// present edges plus a sample of absent ones, and the labels.
 fn assert_succinct_matches_plain(g: &LabeledGraph, context: &str) {
     let csr = g.freeze();
     let packed = CompressedCsr::from_csr(&csr);
@@ -74,10 +74,8 @@ fn assert_succinct_matches_plain(g: &LabeledGraph, context: &str) {
     for v in 0..csr.node_count() as u32 {
         let v = NodeId(v);
         let plain = csr.out_neighbors(v);
-        assert_eq!(packed.degree(v), plain.len(), "{context}: degree({v})");
         let decoded: Vec<NodeId> = packed.neighbors(v).collect();
         assert_eq!(decoded, plain, "{context}: neighbors({v})");
-        assert_eq!(packed.label_of(v), csr.labels()[v.index()], "{context}");
         for &w in plain {
             assert!(packed.has_edge(v, w), "{context}: has_edge({v},{w})");
         }
@@ -97,6 +95,7 @@ fn assert_succinct_matches_plain(g: &LabeledGraph, context: &str) {
         csr.edges().collect::<Vec<_>>(),
         "{context}: to_csr edges"
     );
+    assert_eq!(unpacked.labels(), csr.labels(), "{context}: to_csr labels");
 }
 
 #[test]
@@ -158,7 +157,7 @@ fn run_format_differential(seed: u64) {
         assert_eq!(snap_plain.check_invariants(), Ok(()), "{ctx}");
         assert_eq!(snap_fancy.check_invariants(), Ok(()), "{ctx}");
         assert!(
-            snap_fancy.quotient().is_succinct(),
+            snap_fancy.quotient().as_plain().is_none(),
             "seed {seed} step {step}: Succinct must always pack"
         );
         for u in g.nodes() {
@@ -181,8 +180,8 @@ fn run_format_differential(seed: u64) {
         }
         let count = rng.gen_range(1..5);
         let batch = random_batch(&mut rng, g.node_count(), count);
-        plain.apply(&batch);
-        fancy.apply(&batch);
+        plain.try_apply(&batch).expect("batch applies");
+        fancy.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
     }
 }
@@ -215,14 +214,14 @@ fn boot_from_snapshot_matches_recompress() {
         for _ in 0..prefix {
             let count = rng.gen_range(1..4);
             let batch = random_batch(&mut rng, g.node_count(), count);
-            live.apply(&batch);
+            live.try_apply(&batch).expect("batch applies");
             batch.apply_to(&mut g);
         }
         live.save_snapshot(&snap_path).unwrap();
         for _ in 0..rng.gen_range(1..4) {
             let count = rng.gen_range(1..4);
             let batch = random_batch(&mut rng, g.node_count(), count);
-            live.apply(&batch);
+            live.try_apply(&batch).expect("batch applies");
             batch.apply_to(&mut g);
         }
 
@@ -269,7 +268,7 @@ fn boot_tail_spectrum() {
     live.save_snapshot(&early).unwrap(); // version 0: full replay
     for _ in 0..4 {
         let batch = random_batch(&mut rng, g.node_count(), 3);
-        live.apply(&batch);
+        live.try_apply(&batch).expect("batch applies");
         batch.apply_to(&mut g);
     }
     live.save_snapshot(&late).unwrap(); // latest version: empty tail
@@ -320,7 +319,7 @@ fn boot_fails_closed_on_damaged_snapshots() {
     let config = StoreConfig::default();
     let live = CompressedStore::new_with_log(g.clone(), config, &log_path).unwrap();
     let batch = random_batch(&mut rng, g.node_count(), 3);
-    live.apply(&batch);
+    live.try_apply(&batch).expect("batch applies");
     live.save_snapshot(&snap_path).unwrap();
     let full = std::fs::read(&snap_path).unwrap();
 
@@ -358,7 +357,7 @@ fn boot_fails_closed_on_damaged_snapshots() {
     let other_log = dir.join("other.log");
     let other_snap = dir.join("other.snap");
     let foreign = CompressedStore::new_with_log(other, config, &other_log).unwrap();
-    foreign.apply(&batch);
+    foreign.try_apply(&batch).expect("batch applies");
     foreign.save_snapshot(&other_snap).unwrap();
     assert_eq!(foreign.version(), live.version());
     assert!(
