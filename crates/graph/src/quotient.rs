@@ -44,9 +44,10 @@
 //! and finds nothing to allow). Units are numbered by (class id, first
 //! member) and a group is spliced where the batch kernel's first-seen
 //! numbering would meet its first node — the atom of the class it absorbs,
-//! else its first unit — so a step hands out the same ids whichever regroup
-//! ran, and the same ids as when every affected member was a hybrid node of
-//! its own.
+//! else its first unit. Both regroups give the same partition; the closure
+//! path also keeps the ids of the affected classes it finds unchanged
+//! (`qpgc_reach::closure`, L7), which the hybrid path retires and bears
+//! again, so from that step on the two paths' ids differ.
 //!
 //! ## Why the cut is sound
 //!
@@ -91,7 +92,8 @@
 //! Mapping a node to its unit, or to the atom of its unaffected class,
 //! therefore preserves the relation, which is why the hybrid regroup is
 //! exact; `qpgc_reach::closure` continues with L4 and L5, which replace the
-//! atoms by closure rows.
+//! atoms by closure rows, L6, which patches them, and L7, which tells an
+//! affected class that comes back unchanged.
 //!
 //! ## Cost
 //!
@@ -100,8 +102,11 @@
 //! and the stable exports all read them in place. A step updates them in
 //! `O(deg)` per retired or born class — a retired class is unlinked from
 //! its neighbours' rows, a born class's rows are rebuilt from its members'
-//! adjacency — so locate, cut and splice are paid for the affected region
-//! (the adjacency of its members), not for `|Er|`.
+//! adjacency — and in `O(log deg)` per update between two classes it
+//! neither retired nor bore (an unchanged class is never relinked), so
+//! locate, cut and splice are paid for the affected region (the adjacency
+//! of its members), not for `|Er|`. Every count is exact: an update the
+//! caller withholds is counted too.
 //!
 //! The regroup is what differs. On the hybrid graph it costs one pass over
 //! all rows to collect the atoms' edges, one counting-sort bulk load
@@ -116,7 +121,9 @@
 //! ([`IncStats::hybrid_nodes`] is then the unit count). Keeping that
 //! closure current is paid for the batch too: the step patches the rows
 //! and columns of the classes it retired and created, and never sweeps
-//! (`qpgc_reach::closure`, lemma L6).
+//! (`qpgc_reach::closure`, lemma L6). An affected class that the closure
+//! regroup finds unchanged is neither: a batch that changes no class
+//! splices, patches and republishes nothing.
 
 use std::fmt::Debug;
 
@@ -194,7 +201,8 @@ pub struct IncStats {
     /// bisimulation has no redundant-insertion rule, so always `0` there).
     pub redundant_dropped: usize,
     /// Number of affected equivalence classes: the classes the step cut
-    /// into units and retired (an absorbed unaffected class is not one).
+    /// into units, all retired but those found unchanged (an absorbed
+    /// unaffected class is not one).
     pub affected_classes: usize,
     /// Number of original nodes inside affected classes.
     pub affected_nodes: usize,
@@ -204,8 +212,11 @@ pub struct IncStats {
     /// relation regrouped them without the hybrid graph (`incRCM` against
     /// its held closure). The name predates the second path.
     pub hybrid_nodes: usize,
-    /// Number of classes created or rewritten by this step (a proxy for
-    /// `|ΔGr|`).
+    /// Number of classes the step created (`PartitionDelta::born`). A
+    /// regroup that names unchanged groups bears exactly the classes whose
+    /// members, cyclic flag or cones the batch changed — `|ΔVr|`, the
+    /// class side of the paper's `|ΔGr|`; the hybrid regroup bears every
+    /// group it forms.
     pub changed_classes: usize,
 }
 
@@ -327,6 +338,12 @@ pub struct Group<C> {
     /// The unaffected class whose members the group absorbs (which is
     /// thereby retired), if any.
     pub absorbs: Option<u32>,
+    /// The affected class the group *is*, when the regroup can tell: its
+    /// units are exactly that class's and its cones are the class's old
+    /// cones (lemma L7 of `qpgc_reach::closure`). The class then keeps its
+    /// id and is neither retired nor born. Always `None` from
+    /// [`IncrementalQuotient::regroup_hybrid`].
+    pub unchanged: Option<u32>,
     /// The relation's payload of the rebuilt class.
     pub class: C,
 }
@@ -338,8 +355,9 @@ pub struct Regrouped<C> {
     /// ([`IncStats::hybrid_nodes`]).
     pub nodes: usize,
     /// The rebuilt classes **in splice order** — the order stable ids are
-    /// handed out in: groups that absorb an unaffected class first,
-    /// ascending by that class's id, then the others by first unit.
+    /// handed out in, skipping the unchanged groups: groups that absorb an
+    /// unaffected class first, ascending by that class's id, then the
+    /// others by first unit.
     pub groups: Vec<Group<C>>,
 }
 
@@ -539,17 +557,25 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// 3. *regroup*: `regroup` says which units, and which unaffected
     ///    class if any, make up each rebuilt class —
     ///    [`IncrementalQuotient::regroup_hybrid`] for any relation, or a
-    ///    relation's own shortcut to the same answer in the same order;
-    /// 4. *splice* the groups back under stable ids.
+    ///    relation's own shortcut to the same partition, which may also
+    ///    name the groups that are an affected class unchanged;
+    /// 4. *splice* the groups back under stable ids, and count the batch's
+    ///    edges between two classes the splice neither retired nor bore.
     ///
-    /// With no update nothing is recomputed and the delta is empty.
+    /// `implied` are updates, also already applied to `g`, that the caller
+    /// withheld from maintenance because the relation does not depend on
+    /// them (`incRCM`'s redundant insertions): the step only counts them in
+    /// the rows. With no update nothing is recomputed and the delta is
+    /// empty.
     pub fn apply_effective(
         &mut self,
         g: &LabeledGraph,
         updates: &[(NodeId, NodeId)],
+        implied: &[(NodeId, NodeId)],
         regroup: impl FnOnce(&Self, &LabeledGraph, &Cut) -> Regrouped<E::Class>,
     ) -> (IncStats, PartitionDelta) {
         if updates.is_empty() {
+            self.count(g, implied, &[]);
             let delta = PartitionDelta {
                 id_space: self.members.len(),
                 ..PartitionDelta::default()
@@ -577,8 +603,50 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let regrouped = regroup(self, g, &cut);
         stats.hybrid_nodes = regrouped.nodes;
         let delta = self.splice(g, cut, regrouped.groups);
+        self.count(g, updates.iter().chain(implied), &delta.born);
         stats.changed_classes = delta.born.len();
         (stats, delta)
+    }
+
+    /// Counts the batch's `edges` (already applied to `g`: an edge `g`
+    /// holds was inserted, any other deleted) between two classes that
+    /// are not `born`, one original edge each, adding or removing the class
+    /// edge where its count leaves or reaches 0. `link` counted every edge
+    /// that touches a born class, and no other row moved in the splice.
+    fn count<'a>(
+        &mut self,
+        g: &LabeledGraph,
+        edges: impl IntoIterator<Item = &'a (NodeId, NodeId)>,
+        born: &[u32],
+    ) {
+        let is_born = mark(born, self.id_space());
+        for &(u, w) in edges {
+            let (a, b) = (self.class_of(u), self.class_of(w));
+            if is_born[a as usize] || is_born[b as usize] || (!E::SELF_EDGES && a == b) {
+                continue;
+            }
+            let out = &mut self.out_rows[a as usize];
+            let at = out.partition_point(|&(t, _)| t < b);
+            let inn = &mut self.in_rows[b as usize];
+            let from = inn.partition_point(|&s| s < a);
+            match out.get_mut(at) {
+                Some((t, count)) if *t == b => {
+                    if g.has_edge(u, w) {
+                        *count += 1;
+                    } else if *count > 1 {
+                        *count -= 1;
+                    } else {
+                        out.remove(at);
+                        inn.remove(from);
+                    }
+                }
+                _ => {
+                    debug_assert!(g.has_edge(u, w), "a deleted edge was counted");
+                    out.insert(at, (b, 1));
+                    inn.insert(from, a);
+                }
+            }
+        }
     }
 
     /// Cuts the affected classes (`affected`, ascending, with `is_affected`
@@ -835,6 +903,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     .map(|h| (h.index() - atoms) as u32)
                     .collect(),
                 absorbs,
+                unchanged: None,
                 class,
             });
         }
@@ -844,9 +913,10 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         }
     }
 
-    /// Retires the affected and the absorbed classes and creates one class
-    /// per group, in the order given. Returns the structured delta of
-    /// retired and created classes.
+    /// Retires the affected classes but the unchanged ones, and the
+    /// absorbed classes, and creates one class per other group, in the
+    /// order given. Returns the structured delta of retired and created
+    /// classes.
     fn splice(
         &mut self,
         g: &LabeledGraph,
@@ -855,9 +925,9 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     ) -> PartitionDelta {
         // Pass A: collect the member sets of every group *before* any class
         // id is retired or recycled (an absorbed class hands over its
-        // member list wholesale here).
+        // member list wholesale here). An unchanged class keeps its own.
         let mut pending: Vec<(Vec<NodeId>, E::Class)> = Vec::new();
-        for group in &groups {
+        for group in groups.iter().filter(|group| group.unchanged.is_none()) {
             let mut member_nodes: Vec<NodeId> = match group.absorbs {
                 Some(c) => std::mem::take(&mut self.members[c as usize]),
                 None => Vec::new(),
@@ -869,15 +939,20 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             pending.push((member_nodes, group.class));
         }
 
-        // Pass B: retire changed classes — all affected ones, plus any
-        // unaffected class that merges with something — and unlink them
-        // from the rows of the classes that stay; their edges are rebuilt
-        // below from the adjacency of the new classes' members. Retiring in
-        // ascending id order keeps the free-id stack — and hence the ids
-        // recycled by Pass C — fully deterministic.
+        // Pass B: retire changed classes — the affected ones but those
+        // unchanged, plus any unaffected class that merges with something —
+        // and unlink them from the rows of the classes that stay; their
+        // edges are rebuilt below from the adjacency of the new classes'
+        // members. Retiring in ascending id order keeps the free-id stack —
+        // and hence the ids recycled by Pass C — fully deterministic.
         let mut is_retired = cut.is_affected;
-        for c in groups.iter().filter_map(|group| group.absorbs) {
-            is_retired[c as usize] = true;
+        for group in &groups {
+            if let Some(c) = group.absorbs {
+                is_retired[c as usize] = true;
+            }
+            if let Some(k) = group.unchanged {
+                is_retired[k as usize] = false;
+            }
         }
         let removed = marked(&is_retired);
         for &c in &removed {
@@ -948,10 +1023,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// rows are filled by appending and only the rows of its surviving
     /// neighbours take sorted insertions.
     fn link(&mut self, g: &LabeledGraph, born: &[u32]) {
-        let mut is_born = vec![false; self.id_space()];
-        for &id in born {
-            is_born[id as usize] = true;
-        }
+        let is_born = mark(born, self.id_space());
         let mut pairs: Vec<(u32, u32)> = Vec::new();
         for &id in born {
             for &v in &self.members[id as usize] {
@@ -997,17 +1069,8 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// rows and appear in none, `free_ids` and the active ids partition the
     /// id space, the live counter equals a scan, `members` inverts
     /// `class_of`, and the `(target, count)` entries equal a recount of
-    /// `g`'s edges through `class_of` — except that a class edge `(a, b)`
-    /// may be counted short, or be missing, where `implied(a, b)` holds:
-    /// the caller's statement that it withheld edges between those classes
-    /// from [`IncrementalQuotient::apply_effective`] because the relation
-    /// does not depend on them (pass `|_, _| false` if it withholds none).
-    /// `Err` names the first violation.
-    pub fn check_invariants(
-        &self,
-        g: &LabeledGraph,
-        implied: impl Fn(u32, u32) -> bool,
-    ) -> Result<(), String> {
+    /// `g`'s edges through `class_of`. `Err` names the first violation.
+    pub fn check_invariants(&self, g: &LabeledGraph) -> Result<(), String> {
         let n = self.id_space();
         let tables = [
             self.payload.len(),
@@ -1103,7 +1166,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     }
                     _ => 0,
                 };
-                if counted > edges || (counted < edges && !implied(a, b)) {
+                if counted != edges {
                     return Err(format!(
                         "class edge ({a},{b}) is counted {counted} times, \
                          the graph has {edges} such edges"
@@ -1147,4 +1210,13 @@ fn marked(table: &[bool]) -> Vec<u32> {
     (0..table.len() as u32)
         .filter(|&c| table[c as usize])
         .collect()
+}
+
+/// The per-id table of `len` ids that marks `ids`.
+fn mark(ids: &[u32], len: usize) -> Vec<bool> {
+    let mut table = vec![false; len];
+    for &c in ids {
+        table[c as usize] = true;
+    }
+    table
 }

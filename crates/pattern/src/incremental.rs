@@ -173,7 +173,7 @@ impl IncrementalPattern {
     /// Checks the maintained state against `g`, the graph the last batch was
     /// applied to; see [`IncrementalQuotient::check_invariants`].
     pub fn check_invariants(&self, g: &LabeledGraph) -> Result<(), String> {
-        self.q.check_invariants(g, |_, _| false)
+        self.q.check_invariants(g)
     }
 
     /// Applies the update batch: mutates `g` to `G ⊕ ΔG` and maintains the
@@ -211,7 +211,7 @@ impl IncrementalPattern {
         let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
         let step = self
             .q
-            .apply_effective(g, &edges, IncrementalQuotient::regroup_hybrid);
+            .apply_effective(g, &edges, &[], IncrementalQuotient::regroup_hybrid);
         debug_assert_eq!(self.check_invariants(g), Ok(()));
         step
     }

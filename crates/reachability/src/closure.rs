@@ -52,58 +52,79 @@
 //! far-away merge is found: `C` needs no edge to the group, no common
 //! neighbour and no node in any graph, only its two rows.
 //!
+//! **L7 (an unchanged class).** Affected is not changed. A group whose
+//! units are exactly the units of one affected class `k` — all of them and
+//! nothing else, absorbing nothing — with `k`'s cyclic flag, and whose two
+//! rows over the old ids, less `k`'s own bit (a cyclic group's rows hold its
+//! own units), are `anc[k]` and `desc[k]`, *is* `k`: its rows are exact
+//! (L4), so `k`'s members, cyclic flag and cones as node sets are what they
+//! were. It keeps the id `k` and is from then on treated as unaffected: not
+//! retired, not born, its class-level rows neither unlinked nor relinked
+//! (the batch's own edges between two such classes are counted in place),
+//! and not in the `PartitionDelta`. When every group is unchanged the delta
+//! is empty and the serving layer republishes. L5 skips an unchanged group:
+//! an unaffected class with its rows would have been equivalent to `k`.
+//! Only this regroup tells: the hybrid kernel bears every group it forms,
+//! so from the first unchanged class on the two paths give one partition
+//! under different ids.
+//!
 //! Groups are returned in the order the hybrid kernel's first-seen
 //! numbering would give them — absorbing groups by absorbed class id, then
-//! the others by first unit — so every stable id comes out the same on
-//! either path.
+//! the others by first unit — and the splice hands out ids in that order,
+//! skipping the unchanged groups.
 //!
 //! ## Patching it
 //!
 //! After the splice the closure is **patched**, not swept
-//! ([`QuotientClosure::advance`]). The splice hands out one id per group,
-//! in group order; call those classes *born* and the affected and absorbed
-//! ones *retired*. First the rows of the retired ids are cleared, and their
-//! columns from the rows that hold them — the old ancestors' descendant
-//! rows and the old descendants' ancestor rows. A born class's two rows are
-//! its group's signatures read over the new ids: an unaffected id stays
-//! itself, an absorbed id and a unit bit become the id of the group they
-//! joined, and the class's own id is dropped (a cyclic group's signature
-//! holds its own units; rows hold proper paths only). By L4 these are exact.
+//! ([`QuotientClosure::advance`]). The splice hands out one id per group
+//! but the unchanged ones, in group order; call those classes *born*, and
+//! the affected classes it did not keep and the absorbed ones *retired*.
+//! First the rows of the retired ids are cleared, and their columns from
+//! the rows that hold them — the old ancestors' descendant rows and the old
+//! descendants' ancestor rows. A born class's two rows are its group's
+//! signatures read over the new ids: an unaffected id stays itself, an
+//! absorbed id and a unit bit become the id of the group they joined (the
+//! kept id, for a unit of an unchanged group), and the class's own id is
+//! dropped (a cyclic group's signature holds its own units; rows hold
+//! proper paths only). By L4 these are exact.
 //!
-//! **L6 (the rest moves only where a born class is).** (a) *Columns.* An
-//! unaffected class `r` keeps its cones as node sets (L1), and the born
-//! classes partition the affected nodes plus the absorbed ones. So row `r`
-//! loses exactly the retired columns and gains exactly the born classes
-//! that hold a node of its cone: `b` enters `desc[r]` iff `r ∈ anc[b]`, which
-//! the born rows already say. Setting the born columns by transposing the
-//! born rows therefore completes every unaffected row, and no other bit of
+//! **L6 (the rest moves only where a born class is).** Call a class
+//! *frozen* when the step left its members and its cones unchanged as node
+//! sets: an unaffected class (L1) or an unchanged one (L7). The survivors of
+//! a step are exactly the frozen classes. (a) *Columns.* The born classes
+//! partition the nodes of the retired ones. So the row of a frozen class
+//! `r` loses exactly the retired columns and gains exactly the born classes
+//! that hold a node of its cone: `b` enters `desc[r]` iff `r ∈ anc[b]`,
+//! which the born rows already say. Setting the born columns by transposing
+//! the born rows therefore completes every frozen row, and no other bit of
 //! it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is kept iff no
-//! class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x` and `y`
-//! survive the step. A class `z` strictly between them after the step is
-//! not born: a born class holds a unit, a node of `T` or of `B`, and by L1
-//! `x` reached that node before the step as well (so `x ∈ T`), or the node
-//! reached `y` (so `y ∈ B`). Before the step `z` is not affected for the
-//! same reason, nor absorbed: an absorbed class has the cones of the units
-//! that joined it. So the classes between `x` and `y` are the same
-//! surviving classes on both sides, the kept edges that touch no retired
-//! id stay kept, and only the edges that touch a born class are decided,
-//! each by one AND of two rows.
+//! class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x` and `y` be
+//! frozen. The nodes strictly between them — reached from `x`, reaching
+//! `y`, in neither — are the same before and after the step, and a class
+//! lies strictly between iff it holds one of them, so the answer is the same
+//! on both sides. Where it is "none", `x` reaches `y` iff a class edge
+//! `(x, y)` exists, on both sides; so a class edge between two frozen
+//! classes that appears or disappears in the step is never kept, and one
+//! that stays keeps its status. The kept edges that touch no retired id
+//! therefore stay kept, and only the edges that touch a born class are
+//! decided, each by one AND of two rows.
 //!
 //! ## Cost
 //!
 //! A regroup costs `Σ` over the units of their distinct unaffected
 //! neighbours `× id_space / 64` words for the row unions, a condensation
-//! and a refinement over the units, and one pass over the popcount table.
-//! The patch costs, in `id_space / 64`-word rows: one per retired id and
-//! per row holding a retired column, two per born class and one per edge
-//! touching it, plus one bit per pair of a born class and an unaffected
-//! class in its cones, and one pass over the kept edges. A born class's
-//! signature rows are read a group at a time, one unit bit per group, so
-//! a batch that explodes a class into thousands of units pays
-//! `#units / 64` words a row for them, not a bit each. Popcounts are
-//! recounted for the born rows and adjusted by the bits set and cleared
-//! everywhere else. Only construction (and recovery, which constructs)
-//! sweeps: `O(|Er| · id_space / 64)` words per direction.
+//! and a refinement over the units, one pass over the popcount table, and
+//! one row comparison per group that is one affected class's units. The
+//! patch costs, in `id_space / 64`-word rows: one per retired id and per
+//! row holding a retired column, two per born class and one per edge
+//! touching it, plus one bit per pair of a born class and a frozen class in
+//! its cones, and one pass over the kept edges — nothing at all when every
+//! group is unchanged. A born class's signature rows are read a group at a
+//! time, one unit bit per group, so a batch that explodes a class into
+//! thousands of units pays `#units / 64` words a row for them, not a bit
+//! each. Popcounts are recounted for the born rows and adjusted by the bits
+//! set and cleared everywhere else. Only construction (and recovery, which
+//! constructs) sweeps: `O(|Er| · id_space / 64)` words per direction.
 
 use qpgc_graph::ids::LabelInterner;
 use qpgc_graph::quotient::{Cut, Equivalence, Group, IncrementalQuotient, Regrouped};
@@ -144,10 +165,25 @@ pub struct Signatures {
     /// Per group, in splice order: one of its components (they all have
     /// the group's rows).
     comp_of_group: Vec<usize>,
+    /// Per group, in splice order: the class it is, unchanged (L7).
+    unchanged: Vec<Option<u32>>,
     /// Per unit: its group, in splice order.
     group_of_unit: Vec<u32>,
     /// `(class, group)` per group that absorbs an unaffected class.
     absorbed: Vec<(u32, u32)>,
+}
+
+impl Signatures {
+    /// The id each group ends up with, in splice order: the class an
+    /// unchanged group is, and the next of the splice's `born` ids for
+    /// every other group.
+    fn ids(&self, born: &[u32]) -> Vec<u32> {
+        let mut born = born.iter();
+        let mut next = || *born.next().expect("one born id per changed group");
+        (self.unchanged.iter())
+            .map(|&kept| kept.unwrap_or_else(&mut next))
+            .collect()
+    }
 }
 
 impl QuotientClosure {
@@ -259,9 +295,13 @@ impl QuotientClosure {
         signatures: Signatures,
         q: &IncrementalQuotient<E>,
     ) {
+        if delta.is_empty() {
+            // Every group is an affected class unchanged (L7).
+            return;
+        }
         let old = self.id_space();
         let ids = delta.id_space;
-        debug_assert_eq!(delta.born.len(), signatures.comp_of_group.len());
+        let group_ids = signatures.ids(&delta.born);
 
         // Retired ids go. Row 0: the retired ids; row 1: the descendant rows
         // holding one of them, row 2: the ancestor rows — read off the old
@@ -291,8 +331,12 @@ impl QuotientClosure {
         self.anc.grow(ids, ids);
         self.counts.resize(ids, (0, 0));
         let born = &delta.born;
-        let mut read = Reading::new(&signatures, born, old);
-        for (&b, &comp) in born.iter().zip(&signatures.comp_of_group) {
+        let mut read = Reading::new(&signatures, &group_ids, old);
+        let changed = (signatures.unchanged.iter())
+            .zip(&group_ids)
+            .zip(&signatures.comp_of_group)
+            .filter(|((kept, _), _)| kept.is_none());
+        for ((_, &b), &comp) in changed {
             let b = b as usize;
             read.born_row(&mut self.desc, b, &signatures.below, comp);
             read.born_row(&mut self.anc, b, &signatures.above, comp);
@@ -349,8 +393,8 @@ impl QuotientClosure {
 
     /// Regroups the units of `cut` against this closure — which must be the
     /// closure of the quotient the cut was taken over, whose liveness and
-    /// cyclic flags per id are `active` and `cyclic` — by lemmas L4 and L5
-    /// of the module header. The signatures go back with the groups, for
+    /// cyclic flags per id are `active` and `cyclic` — by lemmas L4, L5 and
+    /// L7 of the module header. The signatures go back with the groups, for
     /// the patch after the splice.
     pub fn regroup(
         &self,
@@ -437,6 +481,7 @@ impl QuotientClosure {
                 groups.push(Group {
                     units: Vec::new(),
                     absorbs: None,
+                    unchanged: None,
                     class: cyclic_comp[comp],
                 });
                 comp_of_group.push(comp);
@@ -444,23 +489,27 @@ impl QuotientClosure {
             groups[*slot].units.push(u as u32);
         }
 
-        // L5: an acyclic group's rows over the old ids, keyed by their
-        // popcounts, against the unaffected acyclic classes.
+        // Each group's rows over the old ids. L7: a group that is one
+        // affected class with its old cones is that class, unchanged. L5:
+        // every other acyclic group, keyed by its popcounts, against the
+        // unaffected acyclic classes.
         let words = ids.div_ceil(WORD);
         let mut rows: Vec<u64> = Vec::new();
         let mut keyed: Vec<((u32, u32), usize, usize)> = Vec::new();
-        for (i, group) in groups.iter().enumerate() {
+        for (i, group) in groups.iter_mut().enumerate() {
             let (at, comp) = (rows.len(), comp_of_group[i]);
-            let whole = !group.class
-                && over_old_ids(&above, comp, cut, &mut rows)
+            let whole = over_old_ids(&above, comp, cut, &mut rows)
                 && over_old_ids(&below, comp, cut, &mut rows);
-            if !whole {
-                rows.truncate(at);
-                continue;
+            if whole {
+                let (anc, desc) = rows[at..].split_at_mut(words);
+                group.unchanged = self.unchanged(group, cyclic, cut, anc, desc);
+                if group.unchanged.is_none() && !group.class {
+                    let count = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum();
+                    keyed.push(((count(anc), count(desc)), i, at));
+                    continue;
+                }
             }
-            let (anc, desc) = rows[at..].split_at(words);
-            let count = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum();
-            keyed.push(((count(anc), count(desc)), i, at));
+            rows.truncate(at);
         }
         keyed.sort_unstable();
         for c in (0..ids).filter(|&c| active[c] && !cyclic[c] && !cut.is_affected(c as u32)) {
@@ -494,11 +543,41 @@ impl QuotientClosure {
         let signatures = Signatures {
             below,
             above,
+            unchanged: regrouped.groups.iter().map(|g| g.unchanged).collect(),
             comp_of_group,
             group_of_unit,
             absorbed,
         };
         (regrouped, signatures)
+    }
+
+    /// L7: the affected class `group` is, unchanged — given the group's
+    /// rows over the old ids, `anc` and `desc`. That is class `k` when the
+    /// group's units are exactly `k`'s, it has `k`'s cyclic flag, and its
+    /// rows less `k`'s own bit (which a cyclic group's rows hold: they hold
+    /// its units) are `k`'s rows. Clears that bit of the rows.
+    fn unchanged(
+        &self,
+        group: &Group<bool>,
+        cyclic: &[bool],
+        cut: &Cut,
+        anc: &mut [u64],
+        desc: &mut [u64],
+    ) -> Option<u32> {
+        let (&first, &last) = (group.units.first()?, group.units.last()?);
+        let k = cut.class_of_unit(first as usize);
+        let units = cut.units_of_class(k);
+        let exact = units.start == first as usize
+            && units.end == last as usize + 1
+            && units.len() == group.units.len();
+        if !exact || cyclic[k as usize] != group.class {
+            return None;
+        }
+        let k = k as usize;
+        for row in [&mut *anc, &mut *desc] {
+            row[k / WORD] &= !(1 << (k % WORD));
+        }
+        (*anc == *self.anc.row(k) && *desc == *self.desc.row(k)).then_some(k as u32)
     }
 }
 
@@ -512,7 +591,7 @@ struct Reading {
     /// speaks for the rest — a row is read in groups, not in units.
     firsts: Vec<u64>,
     /// Per unit: the id of the class it joined.
-    born_of_unit: Vec<u32>,
+    id_of_unit: Vec<u32>,
     /// `(class, id of the class it joined)` per absorbed class.
     absorbed: Vec<(u32, u32)>,
     /// Scratch of one row: its words over the old ids …
@@ -523,10 +602,10 @@ struct Reading {
 
 impl Reading {
     /// The reading of `signatures`, taken over `old` ids, whose groups
-    /// were given the ids `born`.
-    fn new(signatures: &Signatures, born: &[u32], old: usize) -> Self {
+    /// ended up with the ids `group_ids`.
+    fn new(signatures: &Signatures, group_ids: &[u32], old: usize) -> Self {
         let mut firsts = vec![0u64; signatures.below.width().div_ceil(WORD)];
-        let mut seen = vec![false; born.len()];
+        let mut seen = vec![false; group_ids.len()];
         for (u, &i) in signatures.group_of_unit.iter().enumerate() {
             if !std::mem::replace(&mut seen[i as usize], true) {
                 firsts[(old + u) / WORD] |= 1 << ((old + u) % WORD);
@@ -535,11 +614,11 @@ impl Reading {
         Reading {
             old,
             firsts,
-            born_of_unit: (signatures.group_of_unit.iter())
-                .map(|&i| born[i as usize])
+            id_of_unit: (signatures.group_of_unit.iter())
+                .map(|&i| group_ids[i as usize])
                 .collect(),
             absorbed: (signatures.absorbed.iter())
-                .map(|&(c, i)| (c, born[i as usize]))
+                .map(|&(c, i)| (c, group_ids[i as usize]))
                 .collect(),
             low: Vec::new(),
             joined: Vec::new(),
@@ -564,7 +643,7 @@ impl Reading {
         }
         let firsts = signature.row(comp).iter().zip(&self.firsts);
         let units = ones_of(firsts.map(|(&word, &first)| word & first));
-        (self.joined).extend(units.map(|bit| self.born_of_unit[bit - self.old]));
+        (self.joined).extend(units.map(|bit| self.id_of_unit[bit - self.old]));
         for &id in &self.joined {
             rows.insert(b, id as usize);
         }

@@ -16,7 +16,11 @@
 //! A batch whose `PartitionDelta` is empty left the reachability partition
 //! — and with it every structure here — unchanged, so the store
 //! republishes the previous snapshot under the new version
-//! ([`Snapshot::republish`], a handful of `Arc` bumps). Every other batch
+//! ([`Snapshot::republish`], a handful of `Arc` bumps). That is the common
+//! case, not a corner: the maintainer keeps the id of every affected class
+//! that comes back with its old members and cones, so a batch that changes
+//! no class has an empty delta however many classes it affected — every
+//! batch of the benchmark's `dense_cithepth` stream. Every other batch
 //! builds: transitive reduction of the maintainer's quotient, CSR, and
 //! (when configured) the 2-hop index over it. Up to [`DEFAULT_CHUNK`]
 //! classes a build **sweeps nothing**: the maintainer holds the closure of

@@ -12,7 +12,7 @@ use qpgc_pattern::incremental::{IncrementalPattern, StablePatternQuotient};
 use qpgc_reach::compress::compress_r;
 use qpgc_reach::incremental::{IncrementalReach, StableQuotient};
 use qpgc_reach::two_hop::{TwoHopConfig, TwoHopIndex};
-use qpgc_serve::{CompressedStore, StoreConfig};
+use qpgc_serve::{ApplyPath, CompressedStore, StoreConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -363,45 +363,48 @@ fn export_hash(
 
 /// `export_hash` of `IncrementalReach::stable_quotient()` after each of 32
 /// `local_batch(g, 20, 8, 0x601D ^ i)` batches on `dataset("wikiTalk",
-/// 1500, 0)`, captured at commit b71989a — when the class-level edges were
-/// a hash map of pairs.
+/// 1500, 0)`. First captured at commit b71989a, when the class-level edges
+/// were a hash map of pairs; recaptured when an affected class that comes
+/// back unchanged started keeping its id instead of taking a recycled one
+/// (every hash moved), and when the rows started counting the insertions
+/// dropped as redundant.
 const GOLDEN_REACH: [u64; 32] = [
-    0x1679_ce22_66a4_696a,
-    0xc1f1_cf35_738c_65d0,
-    0xb162_46a1_3a6e_6559,
-    0xfe35_3229_dec3_509f,
-    0xc76e_9dd8_b631_0921,
-    0xc18f_1656_16d9_0b05,
-    0x9907_5867_8a7b_8c27,
-    0xc422_bcba_9ab6_fced,
-    0x2aee_19a4_1581_6ea5,
-    0xc2ed_2fbf_fc43_d4f7,
-    0xd675_7f5b_c8a1_bb0e,
-    0xa9d9_39b3_14b6_f3f7,
-    0x84d3_d5f6_8756_72f1,
-    0x03be_aafb_7bf5_f5c9,
-    0xce24_32bf_8160_08b8,
-    0x14d9_45ac_0f4c_937f,
-    0x988d_99c7_9468_ffd4,
-    0x6bbd_6a37_c35e_e38f,
-    0xc599_b277_1134_62ab,
-    0x2824_1dac_b9e2_17d1,
-    0x248b_4bd6_21fd_ab7a,
-    0x3e00_4a3d_e88a_b75d,
-    0xa664_c76b_573a_8de1,
-    0xe43c_cf13_a737_89e6,
-    0x11c3_a198_0f61_200a,
-    0xf233_bb30_3972_b8e4,
-    0xfe49_3773_c80e_fdeb,
-    0x1f6a_9155_2ee0_17e1,
-    0xfecb_ccca_b221_87a9,
-    0x8b2e_5546_8797_38cf,
-    0xa0e7_03e3_9efd_e25e,
-    0x0a69_67f3_8fad_3ea5,
+    0x0884_85d3_c8c2_e1c0,
+    0xd7d7_70eb_95ae_8e0d,
+    0x2b3c_a8c5_c666_bba8,
+    0xdfea_ac0f_191b_1ad7,
+    0xf23b_cb3a_1d60_b979,
+    0xdbc5_2bec_926a_ae11,
+    0xbf34_e80c_e0d2_6d86,
+    0x4389_c71e_74ac_840b,
+    0xb7d5_693b_2b5f_0c3b,
+    0x2247_1b20_016e_1f78,
+    0xa9bf_48fe_4c96_c682,
+    0x3930_eae6_7f2b_1da2,
+    0x39c8_b37f_9f3c_c30a,
+    0xc6eb_1828_c68b_b7d3,
+    0x99f7_1a54_c0c0_41be,
+    0x9f39_41d5_554a_8dd7,
+    0x12f2_386f_59db_6f82,
+    0x43b1_7ba5_d40f_c4b6,
+    0xff62_3bae_fa19_5ddc,
+    0x64e2_66ad_f047_72ea,
+    0x9d0a_af79_d105_8572,
+    0x51fc_7eb9_0da9_2dba,
+    0xaa20_7e24_85f4_b509,
+    0x0744_9bb6_b426_eff2,
+    0x7b1e_18c4_79df_e779,
+    0xbb2d_f543_8a77_8d97,
+    0xab98_6109_c23f_66aa,
+    0xae3b_5bc2_3f23_3b90,
+    0x215b_8781_efaa_dd40,
+    0xed2d_692f_e20f_1598,
+    0x8286_17cb_b3ea_f22c,
+    0xab9f_a600_5a35_57f9,
 ];
 
 /// The same for `IncrementalPattern` on `pattern_dataset("Citation", 400,
-/// 0)` with batch seeds `0xB151 ^ i`, captured at the same commit.
+/// 0)` with batch seeds `0xB151 ^ i`, captured at commit b71989a.
 const GOLDEN_BISIM: [u64; 32] = [
     0x98cb_7344_9b1f_df03,
     0x48bc_7d12_02b7_a63b,
@@ -438,10 +441,10 @@ const GOLDEN_BISIM: [u64; 32] = [
 ];
 
 /// The stable ids both maintainers hand out — node → class index, liveness,
-/// payload and exported edges, after every batch — are exactly those of the
-/// commit that introduced this test: the representation of the class-level
-/// edges is free to change, the ids are not (served snapshots, their
-/// byte sizes and the benchmark's exact metrics are functions of them).
+/// payload and exported edges, after every batch — are exactly the captured
+/// ones: the representation of the class-level edges is free to change, the
+/// ids are not (served snapshots, their byte sizes and the benchmark's exact
+/// metrics are functions of them) unless a change says why they move.
 #[test]
 fn stable_ids_match_the_golden_streams() {
     let mut g = qpgc_generators::dataset("wikiTalk", 1500, 0).expect("a Table 1 name");
@@ -531,6 +534,43 @@ fn patched_closure_does_not_drift_on_the_dense_cithepth_shape() {
 #[test]
 fn patched_closure_does_not_drift_on_the_churn_wikitalk_shape() {
     assert_no_drift("wikiTalk", 800, 50);
+}
+
+/// Batch `i` of the benchmark's update streams is drawn at seed
+/// `STREAM_SEED ^ i`, against the graph the batches before it left.
+const STREAM_SEED: u64 = 0x5eed_0000_0000_0b0a;
+
+/// The `dense_cithepth` stream — citHepTh ÷ 24, 105 batches of
+/// `local_batch(g, 12, 8, STREAM_SEED ^ i)` — changes no class. Its batches
+/// mix deletions that have detours with insertions that are already
+/// implied, so nothing is dropped as redundant and every batch has
+/// affected classes, yet each comes back unchanged (L7 in
+/// `qpgc_reach::closure`). At every step the delta must be empty, the held
+/// closure a fresh sweep, the rows exact and the partition `compress_r`'s;
+/// a store with a 2-hop index over the same stream republishes every
+/// batch.
+#[test]
+fn the_dense_cithepth_stream_changes_no_class() {
+    let mut g = qpgc_generators::dataset("citHepTh", 24, 0).expect("a Table 1 name");
+    let mut inc = IncrementalReach::new(&g);
+    let config = StoreConfig::builder().two_hop(TwoHopConfig).build();
+    let store = CompressedStore::new(g.clone(), config);
+    let mut affected = 0;
+    for i in 0..105u64 {
+        let batch = local_batch(&g, 12, 8, STREAM_SEED ^ i);
+        let report = store.try_apply(&batch).expect("a valid batch");
+        assert_eq!(report.path, ApplyPath::Republished, "batch {i}");
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        affected += stats.affected_classes;
+        assert!(delta.is_empty(), "batch {i}: {delta:?}");
+        assert_eq!(inc.check_invariants(&g), Ok(()), "batch {i}");
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_r(&g).partition.canonical(),
+            "batch {i}: partition vs compress_r"
+        );
+    }
+    assert!(affected > 0, "no batch affected a class");
 }
 
 /// The redundant-insertion rule, on the only kind of stream that reaches
