@@ -198,18 +198,20 @@ impl EliasFano {
     /// Rebuilds an encoding from its serialized parts, re-deriving the
     /// select samples. Fails if `high` does not contain exactly `n` ones —
     /// the cheap structural check a caller's CRC framing cannot subsume.
+    /// The count is checked first, so a hostile `n` is bounded by the
+    /// words actually given before anything is sized by it.
     pub fn from_parts(n: usize, l: u32, low: Vec<u64>, high: Vec<u64>) -> Result<Self, String> {
         if l >= 64 {
             return Err(format!("EliasFano low-bit width {l} out of range"));
-        }
-        if low.len() < (n * l as usize).div_ceil(64) + usize::from(n > 0 && l > 0) {
-            return Err("EliasFano low-bits vector too short".into());
         }
         let ones: usize = high.iter().map(|w| w.count_ones() as usize).sum();
         if ones != n {
             return Err(format!(
                 "EliasFano high-bits vector has {ones} ones, expected {n}"
             ));
+        }
+        if low.len() < (n * l as usize).div_ceil(64) + usize::from(n > 0 && l > 0) {
+            return Err("EliasFano low-bits vector too short".into());
         }
         let mut samples = Vec::with_capacity(n / SELECT_SAMPLE + 1);
         let mut seen = 0usize;
@@ -534,6 +536,38 @@ impl CompressedCsr {
                 return Err(format!("label count {} does not match {n} nodes", ls.len()));
             }
         }
+        // Decode every row once, bounds-checked: it must stay inside the
+        // coded stream and name strictly ascending targets below `n`, and
+        // the rows must hold `m` edges. The lazy decoder then only ever
+        // reads rows that decoded cleanly here.
+        let mut row = Vec::new();
+        let mut edges = 0usize;
+        for v in 0..n {
+            row.clear();
+            match hub_rows.binary_search(&(v as u32)) {
+                Ok(h) => {
+                    let (from, to) = (hub_offsets[h] as usize, hub_offsets[h + 1] as usize);
+                    row.extend(hub_targets[from..to].iter().map(|t| u64::from(t.0)));
+                }
+                Err(_) => {
+                    let start = offsets.get(v) as usize;
+                    let mut r = BoundedReader {
+                        words: &data,
+                        pos: start,
+                        end: data_bits,
+                    };
+                    r.row(v as u64, k, n as u64, &mut row)
+                        .ok_or_else(|| format!("row {v} does not decode inside the stream"))?;
+                }
+            }
+            if row.windows(2).any(|w| w[0] >= w[1]) || row.last() >= Some(&(n as u64)) {
+                return Err(format!("row {v} is not ascending below {n} nodes"));
+            }
+            edges += row.len();
+        }
+        if edges != m {
+            return Err(format!("rows hold {edges} edges, the header says {m}"));
+        }
         let labels = match labels {
             Some(ls) => LabelStore::PerNode(ls),
             None => LabelStore::Uniform(uniform_label),
@@ -563,6 +597,83 @@ fn build_hub_mask(n: usize, hub_rows: &[u32]) -> Vec<u64> {
         mask[v as usize / 64] |= 1u64 << (v % 64);
     }
     mask
+}
+
+/// The validation twin of [`BitReader`]: the same codes read the same way,
+/// but a read that would pass `end`, overflow a shift, or decode a value
+/// [`Neighbors`] would wrap is `None` instead of a panic or garbage. Used
+/// once per row by [`CompressedCsr::from_parts`], never on a query.
+struct BoundedReader<'a> {
+    words: &'a [u64],
+    pos: usize,
+    end: usize,
+}
+
+impl BoundedReader<'_> {
+    fn bits(&mut self, width: usize) -> Option<u64> {
+        if width > 64 || self.end.checked_sub(self.pos)? < width {
+            return None;
+        }
+        let v = BitReader::at(self.words, self.pos).read_bits(width);
+        self.pos += width;
+        Some(v)
+    }
+
+    fn unary(&mut self) -> Option<u64> {
+        let mut n = 0;
+        while self.bits(1)? == 0 {
+            n += 1;
+        }
+        Some(n)
+    }
+
+    /// `1` followed by `n` read bits, for `n < 64`: the tail of γ and δ.
+    fn leading_one(&mut self, n: u64) -> Option<u64> {
+        (n < 64).then_some(())?;
+        Some(1 << n | self.bits(n as usize)?)
+    }
+
+    fn zeta(&mut self, k: u32) -> Option<u64> {
+        let h = self.unary()?;
+        if (h + 1) * u64::from(k) >= 64 {
+            return None;
+        }
+        let low = 1u64 << (h * u64::from(k));
+        let m = (1u64 << ((h + 1) * u64::from(k))) - low;
+        if m == 1 {
+            return Some(low);
+        }
+        let b = (64 - (m - 1).leading_zeros()).max(1) as usize;
+        let threshold = (1u64 << b) - m;
+        let hi = self.bits(b - 1)?;
+        Some(
+            low + if hi < threshold {
+                hi
+            } else {
+                ((hi << 1) | self.bits(1)?) - threshold
+            },
+        )
+    }
+
+    /// Decodes coded row `v` into `out` as [`Neighbors::Coded`] would: a γ
+    /// degree (at most `n`), a δ zigzag offset from `v`, then ζ gaps.
+    fn row(&mut self, v: u64, k: u32, n: u64, out: &mut Vec<u64>) -> Option<()> {
+        let n_bits = self.unary()?;
+        let degree = self.leading_one(n_bits)? - 1;
+        (degree <= n).then_some(())?;
+        for i in 0..degree {
+            let t = if i == 0 {
+                let d = self.unary()?;
+                let width = self.leading_one(d)? - 1;
+                let z = self.leading_one(width)? - 1;
+                (v as i64).checked_add(unzigzag(z))?
+            } else {
+                (*out.last()? as i64).checked_add(i64::try_from(self.zeta(k)?).ok()?)?
+            };
+            out.push(u64::try_from(t).ok().filter(|&t| t < n)?);
+        }
+        Some(())
+    }
 }
 
 /// Borrowed serialization view of a [`CompressedCsr`], produced by

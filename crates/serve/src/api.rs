@@ -6,9 +6,9 @@
 //! (one maintained graph) and [`ShardedStore`](crate::sharded::ShardedStore)
 //! (hash-partitioned, one maintained graph per shard) both implement the
 //! pair, which is what
-//! lets the differential test suite and the bench harness drive either
-//! backend through one generic code path: same seeded streams, same
-//! oracles, no per-backend forks.
+//! lets the model checker and the bench harness drive either backend
+//! through one generic code path: same seeded streams, same oracles, no
+//! per-backend forks.
 
 use std::sync::Arc;
 
@@ -126,7 +126,7 @@ mod tests {
     use qpgc_graph::LabeledGraph;
 
     /// Exercises a backend purely through the trait surface — the generic
-    /// path the differential suite and bench harness use.
+    /// path the model checker and bench harness use.
     fn drive<S: ReachStore>(store: S) {
         assert_eq!(store.watermark(), 0);
         assert!(ReachStore::reachable(&store, NodeId(0), NodeId(2)));

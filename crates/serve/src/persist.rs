@@ -40,9 +40,14 @@
 //! section frame (a frame extending past EOF is a truncated file, not a
 //! tolerated tail — unlike the append-only log, a snapshot file is
 //! written whole), every CRC, and finally the structural invariants the
-//! CRC cannot see ([`EliasFano::from_parts`],
-//! [`CompressedCsr::from_parts`]: counts, monotonicity, prefix shape).
-//! Any failure returns [`LogError::Corrupt`] and no partial snapshot.
+//! CRC cannot see: counts, monotonicity and prefix shape
+//! ([`EliasFano::from_parts`]), every row decoded once in bounds with
+//! ascending targets below the row count ([`CompressedCsr::from_parts`]),
+//! and the snapshot's own [`Snapshot::check_invariants`] — the node index
+//! names live rows only, `Gr` is acyclic and reduced. A file rewritten
+//! with valid CRCs therefore still cannot load a snapshot whose queries
+//! would index past a row. Any failure returns [`LogError::Corrupt`] and
+//! no partial snapshot.
 
 use std::fs::File;
 use std::io::{Read as _, Write as _};
@@ -427,23 +432,20 @@ pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Snapshot, LogError> {
         return Err(corrupt(cyclic_sec.offset, "cyclic flag out of range"));
     }
     let cyclic: Vec<bool> = cyclic_sec.payload.iter().map(|&b| b != 0).collect();
-    if cyclic.len() != n {
-        return Err(corrupt(
-            cyclic_sec.offset,
-            format!("{} cyclic flags for {n} classes", cyclic.len()),
-        ));
-    }
-    if live_classes > n {
-        return Err(corrupt(meta_sec.offset, "live classes exceed the id space"));
-    }
-
-    Ok(Snapshot::from_loaded_parts(
+    let snapshot = Snapshot::from_loaded_parts(
         snapshot_version,
         QuotientCsr::Succinct(Arc::new(gr)),
         class_of,
         cyclic,
         live_classes,
-    ))
+    );
+    // One flag per row; the node index must name rows below `n`, exactly
+    // `live_classes` of them; `Gr` must be the acyclic, reduced quotient it
+    // was saved as.
+    snapshot
+        .check_invariants()
+        .map_err(|e| corrupt(meta_sec.offset, format!("snapshot invariant: {e}")))?;
+    Ok(snapshot)
 }
 
 #[cfg(test)]
@@ -534,6 +536,36 @@ mod tests {
                 load_snapshot(&path).is_err(),
                 "bit flip at byte {i} must fail closed"
             );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Valid CRCs over a node index that names rows past the id space: the
+    /// file must not load (serving it would index the cyclic flags past
+    /// their end on the first same-class query).
+    #[test]
+    fn forged_class_of_fails_closed() {
+        let snap = sample_snapshot();
+        let dir = std::env::temp_dir().join("qpgc_persist_forged");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.qpgc");
+        save_snapshot(&snap, &path).unwrap();
+        let n = snap.quotient().node_count() as u32;
+        let full = std::fs::read(&path).unwrap();
+        let mut forged = full[..16].to_vec();
+        for (kind, sec) in read_sections(&full).unwrap() {
+            let mut payload = sec.payload;
+            if kind == SEC_CLASS_OF {
+                payload[..8].copy_from_slice(&u32s_to_bytes([n + 3, n + 3]));
+            }
+            push_section(&mut forged, kind, &payload);
+        }
+        std::fs::write(&path, &forged).unwrap();
+        match load_snapshot(&path) {
+            Err(LogError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("outside the id space"))
+            }
+            other => panic!("a forged node index loaded: {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }

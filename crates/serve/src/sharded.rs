@@ -174,8 +174,8 @@ struct Router {
 /// maintenances one after the other and publishes one atomic
 /// [`ShardedSnapshot`] cut. With [`StoreConfig::shards`] `== 1` the router
 /// degenerates to a single shard with an empty boundary graph and must
-/// answer bit-identically to a [`CompressedStore`](crate::CompressedStore)
-/// over the same graph — the differential suite pins that down for
+/// answer like a [`CompressedStore`](crate::CompressedStore) over the same
+/// graph — the model checker holds both to the BFS oracle, at
 /// `N ∈ {1, 2, 4}`.
 pub struct ShardedStore {
     config: StoreConfig,

@@ -419,9 +419,10 @@ impl Snapshot {
     /// an index is served, it is well formed
     /// ([`TwoHopIndex::check_invariants`]: sorted lists, own ranks, a
     /// landmark order that is a permutation) over the id space and answers
-    /// like BFS over `Gr` on a seeded sample of row pairs. For tests and
-    /// diagnostics — it sweeps full descendant sets and is not on the
-    /// serving path.
+    /// like BFS over `Gr` on a seeded sample of row pairs. It sweeps full
+    /// descendant sets, so it is not on the serving path: tests and
+    /// diagnostics call it, and [`crate::persist::load_snapshot`] runs it
+    /// once per file to fail closed on a corrupt one.
     pub fn check_invariants(&self) -> Result<(), String> {
         let gr = self.gr.to_plain_arc();
         let n = gr.node_count();

@@ -1,0 +1,313 @@
+//! Seeded mutation fuzz over the on-disk decoders: `UpdateLog::read`,
+//! `load_snapshot`, and `CompressedCsr::from_parts` + `neighbors`.
+//!
+//! Mutants flip a bit, truncate, or rewrite an aligned 4- or 8-byte field
+//! to a hostile value, and most are re-framed with valid CRCs so they get
+//! past the framing to the structural checks. Every outcome must be `Err`,
+//! or a value that holds up: a log whose recovered store passes
+//! `check_invariants` and answers all pairs like BFS on the replayed
+//! graph, a snapshot that passes `check_invariants` and answers all pairs,
+//! a succinct graph whose rows decode exactly its `m` ascending targets in
+//! range. No decoder may panic, and no value may be larger than a small
+//! multiple of the bytes it was decoded from.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+
+use qpgc_graph::traversal::bfs_reachable;
+use qpgc_graph::{CompressedCsr, EliasFano, Label, NodeId};
+use qpgc_serve::{load_snapshot, CompressedStore, StoreConfig, UpdateLog};
+use qpgc_tests::{random_batch, random_graph};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const MUTANTS: usize = 600;
+
+/// CRC-32 (IEEE, reflected), the checksum both file formats frame with.
+fn crc32(chunks: &[&[u8]]) -> u32 {
+    let mut crc = !0u32;
+    for &b in chunks.iter().flat_map(|c| c.iter()) {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
+/// A hostile replacement for a field that held `old`: a flipped bit, a
+/// boundary value, or a near miss.
+fn hostile(rng: &mut StdRng, old: u64) -> u64 {
+    let flip = old ^ 1 << rng.gen_range(0..64u32);
+    let menu = [
+        flip,
+        0,
+        1,
+        old.wrapping_add(1),
+        old.wrapping_sub(1),
+        old << 3,
+        1 << 31,
+        u64::MAX,
+    ];
+    menu[rng.gen_range(0..menu.len())]
+}
+
+/// Damages `bytes` once: a flipped bit, a truncation, or an aligned 4- or
+/// 8-byte field rewritten to a [`hostile`] value.
+fn mutate(rng: &mut StdRng, bytes: &mut Vec<u8>) {
+    let width = [4, 8][rng.gen_range(0..2usize)];
+    match rng.gen_range(0..3) {
+        _ if bytes.len() < width => bytes.clear(),
+        0 => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1u8 << rng.gen_range(0..8u32);
+        }
+        1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        _ => {
+            let at = rng.gen_range(0..=(bytes.len() - width) / width) * width;
+            let mut old = [0u8; 8];
+            old[..width].copy_from_slice(&bytes[at..at + width]);
+            let new = hostile(rng, u64::from_le_bytes(old)).to_le_bytes();
+            bytes[at..at + width].copy_from_slice(&new[..width]);
+        }
+    }
+}
+
+/// Runs `MUTANTS` mutants through `decodes`, which reports whether its
+/// mutant decoded. None may panic, and both outcomes must occur, or the
+/// mutations test nothing.
+fn fuzz(decoder: &str, rng: &mut StdRng, mut decodes: impl FnMut(&mut StdRng, usize) -> bool) {
+    let mut decoded = 0;
+    for i in 0..MUTANTS {
+        let ok = catch_unwind(AssertUnwindSafe(|| decodes(rng, i)));
+        decoded += usize::from(ok.unwrap_or_else(|_| panic!("{decoder} mutant {i} panicked")));
+    }
+    assert!(
+        0 < decoded && decoded < MUTANTS,
+        "{decoder}: {decoded} of {MUTANTS} decoded"
+    );
+}
+
+/// Mutates one frame's payload, or now and then its kind; or, one time in
+/// five, returns `None` for a raw mutation of the whole file that no CRC is
+/// recomputed for.
+fn mutate_frames(rng: &mut StdRng, frames: &[(u32, Vec<u8>)]) -> Option<Vec<(u32, Vec<u8>)>> {
+    if rng.gen_bool(0.2) {
+        return None;
+    }
+    let mut frames = frames.to_vec();
+    let at = rng.gen_range(0..frames.len());
+    let (kind, payload) = &mut frames[at];
+    match rng.gen_bool(0.1) {
+        true => *kind ^= 1 << rng.gen_range(0..8u32),
+        false => mutate(rng, payload),
+    }
+    Some(frames)
+}
+
+/// The log: `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
+fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
+    let (mut g, path) = (random_graph(rng, 16, false), dir.join("log"));
+    let store = CompressedStore::new_with_log(g.clone(), StoreConfig::default(), &path).unwrap();
+    for _ in 0..4 {
+        let batch = random_batch(rng, g.node_count(), 3, 0.6, false);
+        store.try_apply(&batch).unwrap();
+        batch.apply_to(&mut g);
+    }
+    let log = std::fs::read(&path).unwrap();
+    let (mut records, mut pos) = (Vec::new(), 0);
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        records.push((
+            u32::from(log[pos + 4]),
+            log[pos + 5..pos + 5 + len].to_vec(),
+        ));
+        pos += len + 9;
+    }
+    fuzz("UpdateLog::read", rng, |rng, i| {
+        let mut bytes = log.clone();
+        match mutate_frames(rng, &records) {
+            None => mutate(rng, &mut bytes),
+            Some(records) => {
+                bytes.clear();
+                for (kind, payload) in &records {
+                    bytes.extend((payload.len() as u32).to_le_bytes());
+                    bytes.push(*kind as u8);
+                    bytes.extend(payload);
+                    bytes.extend(crc32(&[&[*kind as u8], payload]).to_le_bytes());
+                }
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let Ok(contents) = UpdateLog::read(&path) else {
+            return false;
+        };
+        let mut g = contents.graph;
+        let updates: usize = contents.batches.iter().map(|b| b.len()).sum();
+        assert!(
+            g.node_count() + g.edge_count() + updates <= bytes.len(),
+            "log mutant {i}"
+        );
+        if let Ok(store) = CompressedStore::recover_from_log(&path, StoreConfig::default()) {
+            contents.batches.iter().for_each(|b| b.apply_to(&mut g));
+            let cut = store.load();
+            assert_eq!(cut.check_invariants(), Ok(()), "log mutant {i}");
+            for (u, w) in g.nodes().flat_map(|u| g.nodes().map(move |w| (u, w))) {
+                assert_eq!(
+                    cut.reachable(u, w),
+                    bfs_reachable(&g, u, w),
+                    "log mutant {i}"
+                );
+            }
+        }
+        true
+    });
+}
+
+/// The snapshot file: a 16-byte header, then sections
+/// `[u32 kind][u32 len][u32 crc][u32 0][payload][zero pad to 8]`, the CRC
+/// over everything but itself.
+fn fuzz_snapshot_file(rng: &mut StdRng, dir: &Path) {
+    let mut g = random_graph(rng, 24, false);
+    let store = CompressedStore::new(g.clone(), StoreConfig::default());
+    for _ in 0..3 {
+        let batch = random_batch(rng, g.node_count(), 3, 0.6, false);
+        store.try_apply(&batch).unwrap();
+        batch.apply_to(&mut g);
+    }
+    let path = dir.join("snap");
+    store.save_snapshot(&path).unwrap();
+    let file = std::fs::read(&path).unwrap();
+    let (mut sections, mut pos) = (Vec::new(), 16);
+    while pos < file.len() {
+        let word = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
+        let len = word(pos + 4) as usize;
+        sections.push((word(pos), file[pos + 16..pos + 16 + len].to_vec()));
+        pos += 16 + len.next_multiple_of(8);
+    }
+    fuzz("load_snapshot", rng, |rng, i| {
+        let mut bytes = file.clone();
+        match mutate_frames(rng, &sections) {
+            None => mutate(rng, &mut bytes),
+            Some(sections) => {
+                bytes.truncate(16);
+                for (kind, payload) in &sections {
+                    let len = payload.len() as u32;
+                    let pad = &[0u8; 8][..payload.len().next_multiple_of(8) - payload.len()];
+                    let crc = crc32(&[
+                        &kind.to_le_bytes(),
+                        &len.to_le_bytes(),
+                        &[0; 4],
+                        payload,
+                        pad,
+                    ]);
+                    let header = [*kind, len, crc, 0].map(u32::to_le_bytes);
+                    bytes.extend(header.iter().flatten().chain(payload).chain(pad));
+                }
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let Ok(snap) = load_snapshot(&path) else {
+            return false;
+        };
+        assert_eq!(snap.check_invariants(), Ok(()), "snapshot mutant {i}");
+        assert!(snap.heap_bytes() <= 4 * bytes.len(), "snapshot mutant {i}");
+        let nodes = (0..snap.node_count() as u32 + 2).map(NodeId);
+        for u in nodes.clone() {
+            nodes.clone().for_each(|w| _ = snap.reachable(u, w));
+        }
+        true
+    });
+}
+
+/// `CompressedCsr`'s parts, owned and widened to `u64` fields, from a
+/// graph with a hub row past `HUB_DEGREE`.
+fn fuzz_succinct_parts(rng: &mut StdRng) {
+    let mut g = random_graph(rng, 200, false);
+    for w in 1..g.node_count().min(150) as u32 {
+        g.add_edge(NodeId(0), NodeId(w));
+    }
+    let packed = CompressedCsr::from_csr(&g.freeze());
+    let (p, ef) = (packed.parts(), packed.parts().offsets);
+    let wide = |v: &[u32]| v.iter().map(|&x| u64::from(x)).collect::<Vec<_>>();
+    let sizes = [
+        p.n,
+        p.m,
+        p.k as usize,
+        p.data_bits,
+        ef.low_bit_width() as usize,
+    ];
+    let parts = [
+        p.data.to_vec(),
+        ef.low_words().to_vec(),
+        ef.high_words().to_vec(),
+        wide(p.hub_rows),
+        wide(p.hub_offsets),
+        wide(&p.hub_targets.iter().map(|t| t.0).collect::<Vec<_>>()),
+        wide(&p.per_node_labels.iter().map(|l| l.0).collect::<Vec<_>>()),
+        sizes.map(|x| x as u64).to_vec(),
+    ];
+    let input_bytes = 8 * parts.iter().map(Vec::len).sum::<usize>();
+    fuzz("CompressedCsr::from_parts", rng, |rng, i| {
+        let mut parts = parts.clone();
+        let field = &mut parts[rng.gen_range(0..8usize)];
+        if !field.is_empty() {
+            let at = rng.gen_range(0..field.len());
+            field[at] = hostile(rng, field[at]);
+        }
+        let [data, low, high, hub_rows, hub_offsets, hub_targets, labels, sizes] = parts;
+        let narrow = |v: Vec<u64>| v.into_iter().map(|x| x as u32).collect::<Vec<_>>();
+        let [n, m, k, data_bits, l] = [0, 1, 2, 3, 4].map(|f| sizes[f] as usize);
+        let Ok(offsets) = EliasFano::from_parts(n, l as u32, low, high) else {
+            return false;
+        };
+        let hub_targets = narrow(hub_targets).into_iter().map(NodeId).collect();
+        let labels = Some(narrow(labels).into_iter().map(Label).collect());
+        let (hub_rows, hub_offsets) = (narrow(hub_rows), narrow(hub_offsets));
+        let (k, interner) = (k as u32, p.interner.clone());
+        let Ok(csr) = CompressedCsr::from_parts(
+            n,
+            m,
+            k,
+            data_bits,
+            data,
+            offsets,
+            hub_rows,
+            hub_offsets,
+            hub_targets,
+            labels,
+            Label(0),
+            interner,
+        ) else {
+            return false;
+        };
+        assert!(csr.heap_bytes() <= 2 * input_bytes, "succinct mutant {i}");
+        let mut seen = 0;
+        for v in (0..n as u32).map(NodeId) {
+            // The step budget: never more targets than the header's `m`.
+            let row: Vec<_> = csr.neighbors(v).take(m + 1 - seen).collect();
+            let in_range = row.iter().all(|t| t.index() < n);
+            assert!(
+                in_range && row.windows(2).all(|w| w[0] < w[1]),
+                "succinct mutant {i}"
+            );
+            row.iter()
+                .take(4)
+                .for_each(|&w| assert!(csr.has_edge(v, w)));
+            seen += row.len();
+        }
+        assert_eq!(seen, m, "succinct mutant {i}: rows hold {seen} targets");
+        true
+    });
+}
+
+#[test]
+fn decoders_fail_closed_on_mutated_bytes() {
+    let dir = std::env::temp_dir().join(format!("qpgc_decoder_fuzz_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = StdRng::seed_from_u64(0xF022);
+    fuzz_update_log(&mut rng, &dir);
+    fuzz_snapshot_file(&mut rng, &dir);
+    fuzz_succinct_parts(&mut rng);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -12,49 +12,26 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 use qpgc_serve::{ShardedStore, StoreConfig};
+use qpgc_tests::{random_batch, random_graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const NODES: usize = 40;
 const BATCHES: usize = 8;
 const READERS: usize = 4;
 
-fn random_graph(rng: &mut StdRng) -> LabeledGraph {
-    let mut g = LabeledGraph::new();
-    for _ in 0..NODES {
-        g.add_node_with_label("X");
-    }
-    for _ in 0..NODES * 2 {
-        let u = rng.gen_range(0..NODES) as u32;
-        let v = rng.gen_range(0..NODES) as u32;
-        g.add_edge(NodeId(u), NodeId(v));
-    }
-    g
-}
-
-fn random_batch(rng: &mut StdRng) -> UpdateBatch {
-    let mut batch = UpdateBatch::new();
-    let mut kinds: std::collections::HashMap<(NodeId, NodeId), bool> =
-        std::collections::HashMap::new();
-    for _ in 0..rng.gen_range(1..5) {
-        let u = NodeId(rng.gen_range(0..NODES) as u32);
-        let v = NodeId(rng.gen_range(0..NODES) as u32);
-        // Keep the first-drawn kind per edge: validate rejects batches that
-        // both insert and delete one edge.
-        let drawn = rng.gen_bool(0.5);
-        if *kinds.entry((u, v)).or_insert(drawn) {
-            batch.insert(u, v);
-        } else {
-            batch.delete(u, v);
-        }
-    }
-    batch
-}
-
 fn run(config: StoreConfig, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = random_graph(&mut rng);
-    let batches: Vec<UpdateBatch> = (0..BATCHES).map(|_| random_batch(&mut rng)).collect();
+    // The first draw with enough nodes and edges for readers to race on.
+    let base = std::iter::repeat_with(|| random_graph(&mut rng, 48, false))
+        .find(|g| g.node_count() >= 32 && g.edge_count() >= 48)
+        .expect("some draw is large enough");
+    let n = base.node_count();
+    let batches: Vec<UpdateBatch> = (0..BATCHES)
+        .map(|_| {
+            let count = rng.gen_range(1..5);
+            random_batch(&mut rng, n, count, 0.5, false)
+        })
+        .collect();
 
     // The oracle: graph state after each prefix of batches.
     let mut states: Vec<LabeledGraph> = vec![base.clone()];
@@ -95,8 +72,8 @@ fn run(config: StoreConfig, seed: u64) {
                             );
                         }
                         for _ in 0..32 {
-                            let u = rng.gen_range(0..NODES) as u32;
-                            let v = rng.gen_range(0..NODES) as u32;
+                            let u = rng.gen_range(0..n) as u32;
+                            let v = rng.gen_range(0..n) as u32;
                             let ans = cut.reachable(NodeId(u), NodeId(v));
                             seen.push((cut.watermark(), u, v, ans));
                         }

@@ -4,25 +4,10 @@
 //! rank-labelled index must never be larger than the legacy one.
 
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::{LabeledGraph, NodeId};
 use qpgc_reach::two_hop::TwoHopIndex;
+use qpgc_tests::random_graph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn random_graph(rng: &mut StdRng) -> LabeledGraph {
-    let n = rng.gen_range(2..28);
-    let m = rng.gen_range(0..n * 3);
-    let mut g = LabeledGraph::new();
-    for _ in 0..n {
-        g.add_node_with_label("X");
-    }
-    for _ in 0..m {
-        let u = rng.gen_range(0..n) as u32;
-        let v = rng.gen_range(0..n) as u32;
-        g.add_edge(NodeId(u), NodeId(v));
-    }
-    g
-}
+use rand::SeedableRng;
 
 #[test]
 fn two_hop_matches_bfs_on_100_random_graphs() {
@@ -30,7 +15,7 @@ fn two_hop_matches_bfs_on_100_random_graphs() {
     let mut legacy_total = 0usize;
     let mut ranked_total = 0usize;
     for case in 0..110 {
-        let g = random_graph(&mut rng);
+        let g = random_graph(&mut rng, 28, false);
         let ranked = TwoHopIndex::build(&g);
         let legacy = TwoHopIndex::build_with_node_id_labels(&g);
 
