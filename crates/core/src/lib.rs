@@ -14,18 +14,21 @@
 //! ```
 //!
 //! and — crucially — any existing evaluation algorithm for `Q` runs on `Gr`
-//! unchanged. This crate packages the two instantiations developed in the
-//! paper:
+//! unchanged. The triple is the [`QueryPreservingCompression`] trait, and
+//! the paper's two instantiations implement it directly:
 //!
-//! * **Reachability preserving compression** ([`ReachabilityScheme`],
+//! * **Reachability preserving compression** ([`ReachCompression`],
 //!   Section 3): `R` groups nodes with identical ancestors and descendants
 //!   and keeps a transitively-reduced quotient; real-life graphs shrink by
 //!   ~95 %. `F` is a constant-time node-to-hypernode lookup; no `P` needed.
-//! * **Pattern preserving compression** ([`PatternScheme`], Section 4): `R`
-//!   is the bisimulation quotient; graphs shrink by ~57 %. `F` is the
+//! * **Pattern preserving compression** ([`PatternCompression`], Section 4):
+//!   `R` is the bisimulation quotient; graphs shrink by ~57 %. `F` is the
 //!   identity and `P` expands hypernodes in the match relation.
 //!
-//! Both schemes support **incremental maintenance** (Section 5) through
+//! Both are built by one constructor per relation from a partition
+//! ([`graph::Classes`], the one partition type) and its class edges, so the
+//! batch compressors and the incremental maintainers' exports produce the
+//! same `Gr`. Both support **incremental maintenance** (Section 5) through
 //! [`maintenance::MaintainedGraph`]: apply edge insertions/deletions to
 //! the original graph and the compressed forms follow, without
 //! recompression and without touching the unaffected part of `G`.
@@ -46,12 +49,12 @@
 //! g.add_edge(fa, c);
 //!
 //! // Reachability: compress once, answer any reachability query on Gr.
-//! let reach = ReachabilityScheme::compress(&g);
+//! let reach = ReachCompression::compress(&g);
 //! assert!(reach.answer(&ReachQuery::new(bsa1, c)));
 //! assert!(!reach.answer(&ReachQuery::new(c, bsa1)));
 //!
 //! // Patterns: compress once, evaluate patterns on Gr, expand with P.
-//! let pat = PatternScheme::compress(&g);
+//! let pat = PatternCompression::compress(&g);
 //! let mut q = Pattern::new();
 //! let qb = q.add_node("BSA");
 //! let qc = q.add_node("C");
@@ -68,8 +71,10 @@ pub mod queries;
 pub mod scheme;
 pub mod sharding;
 
+pub use qpgc_pattern::compress::PatternCompression;
+pub use qpgc_reach::compress::ReachCompression;
 pub use queries::ReachQuery;
-pub use scheme::{PatternScheme, QueryPreservingCompression, ReachabilityScheme};
+pub use scheme::QueryPreservingCompression;
 
 // Re-export the building blocks so downstream users need only one crate.
 pub use qpgc_graph as graph;
@@ -80,9 +85,11 @@ pub use qpgc_reach as reach_engine;
 pub mod prelude {
     pub use crate::maintenance::MaintainedGraph;
     pub use crate::queries::ReachQuery;
-    pub use crate::scheme::{PatternScheme, QueryPreservingCompression, ReachabilityScheme};
-    pub use qpgc_graph::{GraphStats, LabeledGraph, NodeId, Update, UpdateBatch};
+    pub use crate::scheme::QueryPreservingCompression;
+    pub use qpgc_graph::{LabeledGraph, NodeId, Update, UpdateBatch};
+    pub use qpgc_pattern::compress::PatternCompression;
     pub use qpgc_pattern::pattern::{EdgeBound, MatchRelation, Pattern};
+    pub use qpgc_reach::compress::ReachCompression;
 }
 
 #[cfg(test)]
@@ -95,9 +102,9 @@ mod tests {
         let a = g.add_node_with_label("A");
         let b = g.add_node_with_label("B");
         g.add_edge(a, b);
-        let reach = ReachabilityScheme::compress(&g);
+        let reach = ReachCompression::compress(&g);
         assert!(reach.answer(&ReachQuery::new(a, b)));
-        let pat = PatternScheme::compress(&g);
+        let pat = PatternCompression::compress(&g);
         let mut q = Pattern::new();
         let qa = q.add_node("A");
         let qb = q.add_node("B");

@@ -186,11 +186,6 @@ mod tests {
             m.reach().to_compression().partition.canonical(),
             scratch.partition.canonical()
         );
-        // The snapshot-export partition is the materialized one.
-        assert_eq!(
-            m.reach().partition().class_of,
-            m.reach().to_compression().partition.class_of
-        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The `<R, F, P>` abstraction (Section 2.2, Fig. 3) and its two
-//! instantiations.
+//! The `<R, F, P>` abstraction (Section 2.2, Fig. 3), implemented by the
+//! two compressions themselves.
 
 use qpgc_graph::{LabeledGraph, NodeId};
+use qpgc_pattern::bounded::bounded_match;
 use qpgc_pattern::compress::{compress_b, PatternCompression};
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
 use qpgc_reach::compress::{compress_r, ReachCompression};
@@ -18,7 +19,9 @@ use crate::queries::ReachQuery;
 ///
 /// The compressed graph is an ordinary [`LabeledGraph`]: any algorithm that
 /// evaluates the query class on original graphs runs on it unchanged (the
-/// paper's "no decompression" property).
+/// paper's "no decompression" property). Both compressions implement it:
+/// [`ReachCompression`] (Section 3) and [`PatternCompression`] (Section 4);
+/// each also has an inherent `ratio`, the paper's `RCr` / `PCr`.
 pub trait QueryPreservingCompression: Sized {
     /// The query class `Q` this compression preserves.
     type Query;
@@ -40,89 +43,44 @@ pub trait QueryPreservingCompression: Sized {
     /// Evaluates `query` against the compressed graph (running `F`, an
     /// ordinary evaluation algorithm on `Gr`, and `P`).
     fn answer(&self, query: &Self::Query) -> Self::Answer;
-
-    /// The compression ratio `|Gr| / |G|` against a given original graph.
-    fn ratio(&self, original: &LabeledGraph) -> f64 {
-        qpgc_graph::stats::compression_ratio(original, self.compressed_graph())
-    }
 }
 
-/// Reachability preserving compression (Section 3): wraps
-/// [`qpgc_reach::compress::ReachCompression`] behind the `<R, F, P>` trait.
-#[derive(Clone, Debug)]
-pub struct ReachabilityScheme {
-    inner: ReachCompression,
-}
-
-impl ReachabilityScheme {
-    /// Access to the underlying compression (partition, members, …).
-    pub fn inner(&self) -> &ReachCompression {
-        &self.inner
-    }
-}
-
-impl QueryPreservingCompression for ReachabilityScheme {
+impl QueryPreservingCompression for ReachCompression {
     type Query = ReachQuery;
     /// `F(QR(v, w)) = QR(R(v), R(w))` — a pair of hypernodes of `Gr`.
     type Rewritten = (NodeId, NodeId);
     type Answer = bool;
 
     fn compress(g: &LabeledGraph) -> Self {
-        ReachabilityScheme {
-            inner: compress_r(g),
-        }
+        compress_r(g)
     }
 
     fn compressed_graph(&self) -> &LabeledGraph {
-        &self.inner.graph
+        &self.graph
     }
 
     fn rewrite(&self, query: &ReachQuery) -> (NodeId, NodeId) {
-        self.inner.rewrite(query.from, query.to)
+        let class = |v| NodeId(self.partition.class_of(v));
+        (class(query.from), class(query.to))
     }
 
     fn answer(&self, query: &ReachQuery) -> bool {
-        self.inner.query(query.from, query.to)
+        self.query(query.from, query.to)
     }
 }
 
-/// Graph pattern preserving compression (Section 4): wraps
-/// [`qpgc_pattern::compress::PatternCompression`] behind the `<R, F, P>`
-/// trait.
-#[derive(Clone, Debug)]
-pub struct PatternScheme {
-    inner: PatternCompression,
-}
-
-impl PatternScheme {
-    /// Access to the underlying compression (partition, members, …).
-    pub fn inner(&self) -> &PatternCompression {
-        &self.inner
-    }
-
-    /// The post-processing function `P` by itself: expands an answer
-    /// computed on `Gr` to an answer on `G`. Exposed so callers that run
-    /// their own evaluation algorithm on the compressed graph can still
-    /// recover original-graph answers.
-    pub fn post_process(&self, on_compressed: &MatchRelation) -> MatchRelation {
-        self.inner.post_process(on_compressed)
-    }
-}
-
-impl QueryPreservingCompression for PatternScheme {
+impl QueryPreservingCompression for PatternCompression {
     type Query = Pattern;
     /// `F` is the identity mapping (Theorem 4).
     type Rewritten = Pattern;
     type Answer = Option<MatchRelation>;
 
     fn compress(g: &LabeledGraph) -> Self {
-        PatternScheme {
-            inner: compress_b(g),
-        }
+        compress_b(g)
     }
 
     fn compressed_graph(&self) -> &LabeledGraph {
-        &self.inner.graph
+        &self.graph
     }
 
     fn rewrite(&self, query: &Pattern) -> Pattern {
@@ -130,15 +88,14 @@ impl QueryPreservingCompression for PatternScheme {
     }
 
     fn answer(&self, query: &Pattern) -> Option<MatchRelation> {
-        let on_gr = qpgc_pattern::bounded::bounded_match(&self.inner.graph, query)?;
-        Some(self.inner.post_process(&on_gr))
+        let on_gr = bounded_match(&self.graph, query)?;
+        Some(self.post_process(&on_gr))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qpgc_pattern::bounded::bounded_match;
 
     fn sample() -> (LabeledGraph, Vec<NodeId>) {
         let mut g = LabeledGraph::new();
@@ -158,7 +115,7 @@ mod tests {
     #[test]
     fn reachability_scheme_preserves_queries() {
         let (g, ids) = sample();
-        let scheme = ReachabilityScheme::compress(&g);
+        let scheme = ReachCompression::compress(&g);
         for &u in &ids {
             for &v in &ids {
                 let q = ReachQuery::new(u, v);
@@ -176,7 +133,7 @@ mod tests {
     #[test]
     fn pattern_scheme_preserves_queries() {
         let (g, _) = sample();
-        let scheme = PatternScheme::compress(&g);
+        let scheme = PatternCompression::compress(&g);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");
@@ -193,7 +150,7 @@ mod tests {
     #[test]
     fn pattern_scheme_boolean_negative() {
         let (g, _) = sample();
-        let scheme = PatternScheme::compress(&g);
+        let scheme = PatternCompression::compress(&g);
         let mut q = Pattern::new();
         let c = q.add_node("C");
         let a = q.add_node("A");
@@ -205,7 +162,7 @@ mod tests {
     #[test]
     fn manual_post_processing_path() {
         let (g, _) = sample();
-        let scheme = PatternScheme::compress(&g);
+        let scheme = PatternCompression::compress(&g);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");

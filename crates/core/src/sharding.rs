@@ -25,18 +25,6 @@ pub struct SlicedBatch {
     pub cross: UpdateBatch,
 }
 
-impl SlicedBatch {
-    /// Total number of updates across all slices (`|ΔG|`).
-    pub fn len(&self) -> usize {
-        self.cross.len() + self.per_shard.iter().map(UpdateBatch::len).sum::<usize>()
-    }
-
-    /// `true` when every slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cross.is_empty() && self.per_shard.iter().all(UpdateBatch::is_empty)
-    }
-}
-
 /// Splits `batch` into per-shard intra slices and the cross-shard
 /// remainder under `part`. Every update lands in exactly one slice, and
 /// relative order is preserved within each slice — which is all the
@@ -82,7 +70,7 @@ mod tests {
         }
         let sliced = slice_batch(&batch, &part);
         assert_eq!(sliced.per_shard.len(), 3);
-        assert_eq!(sliced.len(), batch.len());
+        assert_eq!(reassemble(&sliced).len(), batch.len());
         for (s, slice) in sliced.per_shard.iter().enumerate() {
             for u in slice.updates() {
                 let (a, b) = u.edge();
@@ -106,8 +94,8 @@ mod tests {
         let sliced = slice_batch(&batch, &part);
         assert!(sliced.cross.is_empty());
         assert_eq!(sliced.per_shard[0], batch);
-        assert!(!sliced.is_empty());
-        assert!(slice_batch(&UpdateBatch::new(), &part).is_empty());
+        assert!(!reassemble(&sliced).is_empty());
+        assert!(reassemble(&slice_batch(&UpdateBatch::new(), &part)).is_empty());
     }
 
     /// Collects every update of `sliced` back into `(is_insert, edge)`
@@ -126,8 +114,8 @@ mod tests {
         let part = NodePartition::new(4);
         let sliced = slice_batch(&UpdateBatch::new(), &part);
         assert_eq!(sliced.per_shard.len(), 4);
-        assert!(sliced.is_empty());
-        assert_eq!(sliced.len(), 0);
+        assert!(reassemble(&sliced).is_empty());
+        assert_eq!(reassemble(&sliced).len(), 0);
         assert!(sliced.cross.is_empty());
         assert!(sliced.per_shard.iter().all(UpdateBatch::is_empty));
     }
@@ -139,7 +127,7 @@ mod tests {
         let mut batch = UpdateBatch::new();
         batch.insert(u, v).insert(u, v).insert(u, v);
         let sliced = slice_batch(&batch, &part);
-        assert_eq!(sliced.len(), 3, "duplicates are not collapsed");
+        assert_eq!(reassemble(&sliced).len(), 3, "duplicates are not collapsed");
         let mut expected: Vec<(bool, (NodeId, NodeId))> = Vec::new();
         for up in batch.updates() {
             expected.push((up.is_insert(), up.edge()));
@@ -164,7 +152,7 @@ mod tests {
         }
         let sliced = slice_batch(&batch, &part);
         assert!(sliced.cross.is_empty(), "a self-loop cannot cross shards");
-        assert_eq!(sliced.len(), batch.len());
+        assert_eq!(reassemble(&sliced).len(), batch.len());
         for (s, slice) in sliced.per_shard.iter().enumerate() {
             for up in slice.updates() {
                 let (a, b) = up.edge();
@@ -217,7 +205,7 @@ mod tests {
             }
         }
         let sliced = slice_batch(&batch, &part);
-        assert_eq!(sliced.len(), batch.len());
+        assert_eq!(reassemble(&sliced).len(), batch.len());
         // Multiset equality: same (kind, edge) tuples, same multiplicities.
         let mut original: Vec<(bool, (NodeId, NodeId))> = batch
             .updates()

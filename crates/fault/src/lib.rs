@@ -10,17 +10,19 @@
 //! ## Design
 //!
 //! * **Zero cost when disabled.** Without the `failpoints` cargo feature,
-//!   [`eval`] is an empty inlined function and every helper degenerates to
-//!   a no-op — the instrumented crates carry the call sites unconditionally
-//!   and pay nothing for them. The feature is compiled into *this* crate
-//!   (the `fail_point!` macro expands to a call into it), so enabling it
-//!   from a test package lights up every site in the workspace build.
-//! * **Deterministic triggers.** A [`FaultPlan`] is a list of rules keyed
+//!   [`eval`] is an empty inlined function and, with the macro, all the
+//!   crate exports — the instrumented crates carry the call sites
+//!   unconditionally and pay nothing for them. The feature is compiled into *this* crate (the
+//!   `fail_point!` macro expands to a call into it), so enabling it from a
+//!   test package lights up every site in the workspace build, and brings
+//!   in the arming API (`FaultPlan`, `install`) that only such a package
+//!   calls.
+//! * **Deterministic triggers.** A `FaultPlan` is a list of rules keyed
 //!   by `(site, nth-hit)`: the `nth` time (1-based) the named site is
 //!   evaluated under the plan, it panics with a recognizable payload
 //!   (`"failpoint `site` (hit n)"`).
 //! * **Thread-local plans.** A plan is installed on one thread
-//!   ([`install`]) and counts that thread's hits only, so parallel tests
+//!   (`install`) and counts that thread's hits only, so parallel tests
 //!   cannot arm each other's sites. No product path hands work to another
 //!   thread between a batch's first and last site — both stores stage,
 //!   shard by shard, on the writer's thread — so hit `n` of a site is the
@@ -29,8 +31,6 @@
 //! ## Usage
 //!
 //! ```
-//! use qpgc_fault::{fail_point, FaultPlan};
-//!
 //! fn publish() {
 //!     qpgc_fault::fail_point!("doc/publish");
 //!     // ... the work the fault preempts ...
@@ -40,16 +40,19 @@
 //! publish();
 //!
 //! // With it, a test arms the site and catches the induced panic:
-//! let _guard = qpgc_fault::install(FaultPlan::new().fail_at("doc/publish", 1));
 //! # #[cfg(feature = "failpoints")]
+//! # {
+//! use qpgc_fault::FaultPlan;
+//! let _guard = qpgc_fault::install(FaultPlan::new().fail_at("doc/publish", 1));
 //! assert!(std::panic::catch_unwind(publish).is_err());
+//! # }
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Evaluates the failpoint `site`: panics iff the thread's active
-/// [`FaultPlan`] has a rule whose `nth` matches the site's hit count.
+/// `FaultPlan` has a rule whose `nth` matches the site's hit count.
 /// Compiles to a no-op without the `failpoints` feature.
 #[macro_export]
 macro_rules! fail_point {
@@ -79,6 +82,7 @@ mod imp {
 
         /// Arms `site` to panic on its `nth` evaluation (1-based) under
         /// this plan.
+        // qpgc-lint: allow(dead-surface) -- armed by the fault-injection harness alone: the product evaluates sites, it never arms them
         pub fn fail_at(mut self, site: &str, nth: u64) -> Self {
             assert!(nth >= 1, "hit counts are 1-based");
             self.rules.push((site.to_string(), nth));
@@ -119,6 +123,7 @@ mod imp {
 
     /// Installs `plan` as the calling thread's active plan for the guard's
     /// lifetime.
+    // qpgc-lint: allow(dead-surface) -- armed by the fault-injection harness alone: the product evaluates sites, it never arms them
     pub fn install(plan: FaultPlan) -> InstallGuard {
         let previous = ACTIVE.with(|a| a.borrow_mut().replace(plan));
         InstallGuard { previous }
@@ -135,38 +140,14 @@ mod imp {
 
 #[cfg(not(feature = "failpoints"))]
 mod imp {
-    /// One armed failpoint plan — inert without the `failpoints` feature.
-    #[derive(Clone, Debug, Default)]
-    pub struct FaultPlan;
-
-    impl FaultPlan {
-        /// An empty plan (no site fires).
-        pub fn new() -> Self {
-            FaultPlan
-        }
-
-        /// Arms `site` to panic on its `nth` evaluation — a no-op in this
-        /// build; enable the `failpoints` feature to make it live.
-        pub fn fail_at(self, _site: &str, _nth: u64) -> Self {
-            self
-        }
-    }
-
-    /// Inert guard.
-    #[derive(Debug)]
-    pub struct InstallGuard;
-
-    /// Installs `plan` — a no-op in this build.
-    pub fn install(_plan: FaultPlan) -> InstallGuard {
-        InstallGuard
-    }
-
     /// See [`fail_point!`](crate::fail_point) — a no-op in this build.
     #[inline(always)]
     pub fn eval(_site: &str) {}
 }
 
-pub use imp::{eval, install, FaultPlan, InstallGuard};
+pub use imp::eval;
+#[cfg(feature = "failpoints")]
+pub use imp::{install, FaultPlan, InstallGuard};
 
 #[cfg(all(test, feature = "failpoints"))]
 mod tests {

@@ -262,7 +262,6 @@ pub fn citation_graph(cfg: &SyntheticConfig) -> LabeledGraph {
 mod tests {
     use super::*;
     use qpgc_graph::scc::Condensation;
-    use qpgc_graph::GraphStats;
 
     #[test]
     fn random_graph_matches_parameters() {
@@ -306,11 +305,10 @@ mod tests {
     #[test]
     fn power_law_graph_has_degree_skew() {
         let g = power_law_graph(&SyntheticConfig::new(1000, 5000, 8, 7));
-        let stats = GraphStats::of(&g);
+        let max_in_degree = g.nodes().map(|v| g.in_degree(v)).max();
         assert!(
-            stats.max_in_degree > 20,
-            "hub expected, got {}",
-            stats.max_in_degree
+            max_in_degree > Some(20),
+            "hub expected, got {max_in_degree:?}"
         );
         assert!(g.edge_count() > 2000);
     }
@@ -341,8 +339,8 @@ mod tests {
         let g = web_graph(&SyntheticConfig::new(600, 2400, 50, 11));
         assert_eq!(g.node_count(), 600);
         assert!(g.edge_count() >= 2400);
-        let stats = GraphStats::of(&g);
-        assert!(stats.sources < 300);
+        let sources = g.nodes().filter(|&v| g.in_degree(v) == 0).count();
+        assert!(sources < 300);
     }
 
     #[test]

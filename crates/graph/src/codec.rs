@@ -194,12 +194,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Current bit position.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.next * 64 - self.avail
-    }
-
     #[inline]
     fn refill(&mut self) {
         self.buf = self.words[self.next];

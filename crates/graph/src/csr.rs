@@ -205,14 +205,6 @@ impl CsrGraph {
         }
     }
 
-    /// Thaws the snapshot back into a mutable [`LabeledGraph`] (same nodes,
-    /// labels, interner, and edge set).
-    pub fn to_graph(&self) -> LabeledGraph {
-        let mut g = LabeledGraph::from_labels(self.labels.clone(), self.interner.clone());
-        g.extend_edges(self.edges());
-        g
-    }
-
     /// Number of nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
@@ -405,20 +397,6 @@ mod tests {
         let mut interner = LabelInterner::new();
         let l = interner.intern("X");
         CsrGraph::from_edges(vec![l; 2], interner, vec![(NodeId(0), NodeId(5))]);
-    }
-
-    #[test]
-    fn to_graph_roundtrips() {
-        let (g, _) = sample();
-        let csr = CsrGraph::from_graph(&g);
-        let back = csr.to_graph();
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        for v in g.nodes() {
-            assert_eq!(back.label_name(v), g.label_name(v));
-            assert_eq!(sorted(back.out_neighbors(v)), sorted(g.out_neighbors(v)));
-            assert_eq!(sorted(back.in_neighbors(v)), sorted(g.in_neighbors(v)));
-        }
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! reverse BFS for bounded simulation, parent lookups during incremental
 //! maintenance).
 
-use std::collections::HashMap;
-
 use crate::csr::CsrGraph;
 use crate::ids::{Label, LabelInterner, NodeId};
 use crate::view::GraphView;
@@ -62,24 +60,6 @@ impl LabeledGraph {
     #[inline]
     pub fn size(&self) -> usize {
         self.node_count() + self.edge_count()
-    }
-
-    /// `true` when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
-    /// Builds an edgeless graph from a label vector and the interner the
-    /// labels were interned by (used when thawing a CSR snapshot).
-    pub(crate) fn from_labels(labels: Vec<Label>, interner: LabelInterner) -> Self {
-        let n = labels.len();
-        LabeledGraph {
-            labels,
-            out: vec![Vec::new(); n],
-            inn: vec![Vec::new(); n],
-            edge_count: 0,
-            interner,
-        }
     }
 
     /// Adds a node with an already-interned label and returns its id.
@@ -270,16 +250,6 @@ impl LabeledGraph {
         &self.labels
     }
 
-    /// Builds the label → nodes index used to seed simulation and
-    /// bisimulation partitions.
-    pub fn nodes_by_label(&self) -> HashMap<Label, Vec<NodeId>> {
-        let mut map: HashMap<Label, Vec<NodeId>> = HashMap::new();
-        for v in self.nodes() {
-            map.entry(self.label(v)).or_default().push(v);
-        }
-        map
-    }
-
     /// Approximate heap footprint in bytes, counting adjacency and labels.
     /// Used for the memory-cost comparison of Fig. 12(d).
     pub fn heap_bytes(&self) -> usize {
@@ -351,7 +321,6 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.edge_count(), 4);
         assert_eq!(g.size(), 8);
-        assert!(!g.is_empty());
         assert_eq!(g.label_alphabet_size(), 3);
     }
 
@@ -481,7 +450,6 @@ mod tests {
     #[test]
     fn with_capacity_starts_empty() {
         let g = LabeledGraph::with_capacity(100);
-        assert!(g.is_empty());
         assert_eq!(g.node_count(), 0);
         assert_eq!(g.edge_count(), 0);
     }

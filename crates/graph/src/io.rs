@@ -200,6 +200,6 @@ mod tests {
     #[test]
     fn empty_input_is_empty_graph() {
         let g = from_str("").unwrap();
-        assert!(g.is_empty());
+        assert_eq!(g.node_count(), 0);
     }
 }

@@ -34,8 +34,8 @@
 //! * [`transitive`] — the unique transitive reduction of a DAG.
 //! * [`io`] — a plain-text edge-list format with labels, for persisting the
 //!   synthetic datasets used by the benchmark harness.
-//! * [`stats`] — size and topology statistics (`|G| = |V| + |E|`, degree and
-//!   label histograms) used when reporting compression ratios.
+//! * [`stats`] — the compression ratio `|Gr| / |G|` over the paper's size
+//!   measure `|G| = |V| + |E|`.
 //!
 //! ## Quick example
 //!
@@ -83,7 +83,6 @@ pub use ids::{Label, NodeId};
 pub use partition::NodePartition;
 pub use quotient::{Classes, Cut, Equivalence, Group, IncStats, IncrementalQuotient, Regrouped};
 pub use scc::Condensation;
-pub use stats::GraphStats;
 pub use succinct::{CompressedCsr, EliasFano};
 pub use update::{BatchError, PartitionDelta, Update, UpdateBatch};
 pub use view::GraphView;

@@ -132,9 +132,13 @@ use crate::graph::LabeledGraph;
 use crate::ids::{Label, LabelInterner, NodeId};
 use crate::update::PartitionDelta;
 
-/// A partition of a graph's nodes as an equivalence kernel returns it:
-/// dense class ids `0..members.len()`, with the relation's per-class
-/// payload alongside.
+/// A partition of a graph's nodes under dense class ids
+/// `0..members.len()`, with the relation's per-class payload alongside:
+/// the one partition type of both relations. Both batch kernels return it
+/// (`qpgc_reach`'s `reachability_partition` as `Classes<bool>`, the cyclic
+/// flag; `qpgc_pattern`'s `bisimulation_partition_csr` as `Classes<Label>`,
+/// the shared label), both compressions carry it, and
+/// [`IncrementalQuotient::dense`] exports a maintained quotient as one.
 #[derive(Clone, Debug)]
 pub struct Classes<C> {
     /// `class_of[v]` — dense class id of node `v`.
@@ -143,6 +147,30 @@ pub struct Classes<C> {
     pub members: Vec<Vec<NodeId>>,
     /// The relation's payload per class ([`Equivalence::Class`]).
     pub payload: Vec<C>,
+}
+
+impl<C> Classes<C> {
+    /// Number of classes.
+    pub fn class_count(&self) -> usize {
+        self.members.len()
+    }
+
+    /// The class id of node `v`.
+    pub fn class_of(&self, v: NodeId) -> u32 {
+        self.class_of[v.index()]
+    }
+
+    /// The member lists sorted by first member: equal for two partitions
+    /// into the same classes, however each numbers them.
+    pub fn canonical(&self) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = self
+            .members
+            .iter()
+            .map(|m| m.iter().map(|v| v.0).collect())
+            .collect();
+        classes.sort_unstable();
+        classes
+    }
 }
 
 /// The equivalence relation an [`IncrementalQuotient`] maintains. Every
@@ -437,7 +465,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// maintained) and builds the class-level rows from its edges.
     pub fn new(g: &LabeledGraph) -> Self {
         let partition = E::partition(&g.freeze());
-        let classes = partition.members.len();
+        let classes = partition.class_count();
         let mut q = IncrementalQuotient {
             unit_of_node: vec![0; partition.class_of.len()],
             class_of: partition.class_of,

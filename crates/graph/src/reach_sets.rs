@@ -190,23 +190,6 @@ impl DagReach {
         }
         counts
     }
-
-    /// Answers "does `u` reach `v` via a non-empty path" by a bounded DFS on
-    /// the DAG (used by tests and by the transitive-reduction fallback).
-    pub fn reaches(&self, u: u32, v: u32) -> bool {
-        let mut visited = vec![false; self.node_count()];
-        let mut stack: Vec<u32> = self.out(u).to_vec();
-        while let Some(x) = stack.pop() {
-            if x == v {
-                return true;
-            }
-            if !visited[x as usize] {
-                visited[x as usize] = true;
-                stack.extend_from_slice(self.out(x));
-            }
-        }
-        false
-    }
 }
 
 /// How many nodes each DAG node reaches and is reached by (proper, i.e.
@@ -383,8 +366,9 @@ mod tests {
         assert_eq!(dag.node_count(), 3);
         let c01 = cond.component_of(n[0]);
         let c3 = cond.component_of(n[3]);
-        assert!(dag.reaches(c01, c3));
-        assert!(!dag.reaches(c3, c01));
+        let desc = dag.full_descendants();
+        assert!(desc.contains(c01 as usize, c3 as usize));
+        assert!(!desc.contains(c3 as usize, c01 as usize));
     }
 
     #[test]

@@ -169,11 +169,6 @@ impl Condensation {
         self.dag.edge_count()
     }
 
-    /// The paper's `|Gscc|` size measure: components plus condensation edges.
-    pub fn size(&self) -> usize {
-        self.component_count() + self.edge_count()
-    }
-
     /// SCC id of node `v`.
     #[inline]
     pub fn component_of(&self, v: NodeId) -> u32 {
@@ -276,7 +271,6 @@ mod tests {
         assert_ne!(c.component_of(n[0]), c.component_of(n[3]));
         assert_ne!(c.component_of(n[3]), c.component_of(n[6]));
         assert_eq!(c.edge_count(), 2);
-        assert_eq!(c.size(), 5);
     }
 
     #[test]

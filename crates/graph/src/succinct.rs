@@ -6,15 +6,12 @@
 //! positive gaps in the ζ_k code (k chosen per graph by an exact bit-count
 //! sweep), with Elias–Fano coded row offsets so any row is decodable in
 //! isolation. Decoding is **lazy**: [`CompressedCsr::neighbors`] walks the
-//! bit stream one target at a time, and `has_edge` early-exits the scan as
-//! soon as the decoded targets pass the probe — a point query never
+//! bit stream one target at a time, so a traversal that stops early never
 //! inflates a whole row, let alone the graph.
 //!
 //! Heavy hub rows defeat gap codes (their gaps are small but there are tens
-//! of thousands of them, and linear `has_edge` scans would be unbounded),
-//! so rows with degree ≥ [`HUB_DEGREE`] are held out into a raw sorted
-//! exception list: slice iteration for `neighbors`, binary search for
-//! `has_edge`.
+//! of thousands of them), so rows with degree ≥ [`HUB_DEGREE`] are held out
+//! into a raw sorted exception list that `neighbors` iterates as a slice.
 //!
 //! The backend is **read-only and forward-only** by design. The
 //! slice-returning [`crate::GraphView`] contract (`out_neighbors(&self) ->
@@ -28,9 +25,9 @@ use crate::csr::CsrGraph;
 use crate::ids::{Label, LabelInterner, NodeId};
 
 /// Rows with at least this many targets bypass the bit stream into the raw
-/// exception list. 128 keeps coded `has_edge` scans bounded by a couple of
-/// cache lines of decode work while exempting only the extreme tail of a
-/// power-law degree distribution.
+/// exception list. 128 keeps a coded row's decode within a couple of cache
+/// lines of work while exempting only the extreme tail of a power-law
+/// degree distribution.
 pub const HUB_DEGREE: usize = 128;
 
 /// Every `SELECT_SAMPLE`-th one in the Elias–Fano upper-bits vector gets
@@ -397,27 +394,6 @@ impl CompressedCsr {
             prev: 0,
             first: true,
         }
-    }
-
-    /// `true` when the edge `u → w` exists. Hub rows binary-search the raw
-    /// exception slice; coded rows decode-and-scan with an early exit as
-    /// soon as the ascending targets pass `w`.
-    pub fn has_edge(&self, u: NodeId, w: NodeId) -> bool {
-        assert!(u.index() < self.n, "node {u} out of bounds");
-        if let Some(h) = self.hub_index(u.0) {
-            return self.hub_slice(h).binary_search(&w).is_ok();
-        }
-        for t in self.neighbors(u) {
-            if t.0 >= w.0 {
-                return t.0 == w.0;
-            }
-        }
-        false
-    }
-
-    /// The label interner shared with the originating graph.
-    pub fn interner(&self) -> &LabelInterner {
-        &self.interner
     }
 
     /// Decodes back to a plain [`CsrGraph`] — labels, interner, and edge
@@ -869,12 +845,6 @@ mod tests {
                 let decoded: Vec<NodeId> = packed.neighbors(v).collect();
                 assert_eq!(decoded, plain, "row {v} (n={n} m={m})");
             }
-            let mut s = seed ^ 0xabcd;
-            for _ in 0..2000 {
-                let u = NodeId((lcg(&mut s) % n as u64) as u32);
-                let w = NodeId((lcg(&mut s) % n as u64) as u32);
-                assert_eq!(packed.has_edge(u, w), csr.has_edge(u, w), "({u}, {w})");
-            }
         }
     }
 
@@ -898,10 +868,6 @@ mod tests {
         ));
         let hub: Vec<NodeId> = packed.neighbors(NodeId(0)).collect();
         assert_eq!(hub, csr.out_neighbors(NodeId(0)));
-        assert!(packed.has_edge(NodeId(0), NodeId(7)));
-        assert!(!packed.has_edge(NodeId(0), NodeId(0)));
-        assert!(packed.has_edge(NodeId(5), NodeId(2)));
-        assert!(!packed.has_edge(NodeId(5), NodeId(3)));
     }
 
     #[test]

@@ -2,5 +2,6 @@
 use x::only_tested as _;
 
 fn main() {
-    println!("{}", x::served());
+    let config = x::Config { limit: x::served() };
+    println!("{}", config.limit);
 }

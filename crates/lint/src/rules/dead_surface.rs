@@ -6,8 +6,12 @@
 //! suites and test modules do not count as callers, and neither do doc
 //! comments or `use` lines — a re-export is not a call.
 //!
-//! The match is by name, so a dead item that shares its name with a live
-//! one goes unflagged; the rule never flags an item that has a caller.
+//! A `pub fn` is named only where a mention is call-shaped: followed by
+//! `(` or `::<`, or a path segment after `::` — so a field or a local that
+//! shares its name keeps nothing alive, and neither does another `fn` of
+//! that name being defined. The match is still by name, so a dead method
+//! that shares its name with a live one goes unflagged; the rule never
+//! flags an item that has a caller.
 //!
 //! An oracle — a reference implementation a test compares against — stays
 //! where it is under `// qpgc-lint: allow(dead-surface) -- oracle of
@@ -16,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use crate::engine::{is_ident, is_punct, SourceFile};
-use crate::lexer::Kind;
+use crate::lexer::{Kind, Token};
 use crate::Finding;
 
 /// Rule id.
@@ -42,6 +46,7 @@ fn is_caller(rel: &str) -> bool {
 /// Flags `pub` items of the product that no caller names.
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut mentions: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut calls: BTreeMap<&str, usize> = BTreeMap::new();
     for f in files.iter().filter(|f| is_caller(&f.rel)) {
         let tokens = &f.lexed.tokens;
         let mut in_use = false;
@@ -52,6 +57,9 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
                 in_use = !is_punct(tokens, i, ";");
             } else if t.kind == Kind::Ident && !f.in_test_region(i) {
                 *mentions.entry(t.text.as_str()).or_default() += 1;
+                if is_call(tokens, i) {
+                    *calls.entry(t.text.as_str()).or_default() += 1;
+                }
             }
         }
     }
@@ -60,7 +68,13 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     for f in files.iter().filter(|f| is_product(&f.rel)) {
         for (kind, i) in pub_items(f) {
             let name = &f.lexed.tokens[i];
-            if mentions.get(name.text.as_str()).copied().unwrap_or(0) <= 1 {
+            // A fn's own definition is not a call; any other item's name is
+            // mentioned once where it is declared.
+            let (named, declared) = match kind {
+                "fn" => (&calls, 0),
+                _ => (&mentions, 1),
+            };
+            if named.get(name.text.as_str()).copied().unwrap_or(0) <= declared {
                 out.push(Finding::new(
                     RULE,
                     &f.rel,
@@ -75,6 +89,16 @@ pub fn check(files: &[SourceFile]) -> Vec<Finding> {
         }
     }
     out
+}
+
+/// Whether the name at `i` is mentioned the way a fn is used: called
+/// (`name(`, `name::<`) or named as a path segment (`Type::name`), and not
+/// defined (`fn name`).
+fn is_call(tokens: &[Token], i: usize) -> bool {
+    let after_path = i >= 2 && is_punct(tokens, i - 2, ":") && is_punct(tokens, i - 1, ":");
+    let turbofish = (1..=2).all(|k| is_punct(tokens, i + k, ":")) && is_punct(tokens, i + 3, "<");
+    let defined = i >= 1 && is_ident(tokens, i - 1, "fn");
+    !defined && (is_punct(tokens, i + 1, "(") || turbofish || after_path)
 }
 
 /// `(keyword, name token index)` of every non-test `pub <item> <name>` in

@@ -145,13 +145,18 @@ fn hygiene_accepts_forbidding_roots_bins_and_test_modules() {
 #[test]
 fn dead_surface_flags_a_pub_fn_only_tests_call() {
     // Neither the test module, the integration suite nor the example's
-    // re-export is a caller; the example's call keeps `served` live.
+    // re-export is a caller; the example's call keeps `served` live. The
+    // example reads the field `limit`, which calls no fn of that name.
     let findings = run_root(&fixture_root("dead/bad"));
     assert_eq!(
         pins(&findings),
-        [("dead-surface", "crates/x/src/lib.rs", 9)]
+        [
+            ("dead-surface", "crates/x/src/lib.rs", 9),
+            ("dead-surface", "crates/x/src/lib.rs", 14),
+        ]
     );
     assert!(findings[0].message.contains("only_tested"));
+    assert!(findings[1].message.contains("limit"));
 }
 
 #[test]

@@ -51,65 +51,12 @@ use std::collections::HashMap;
 
 use qpgc_graph::rank::{bisim_ranks, BisimRank};
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId};
-
-/// The partition of `V` induced by the maximum bisimulation.
-#[derive(Clone, Debug)]
-pub struct BisimPartition {
-    /// `class_of[v]` — block id of node `v`; ids are dense `0..class_count`.
-    pub class_of: Vec<u32>,
-    /// Members of each block, ascending node order.
-    pub members: Vec<Vec<NodeId>>,
-    /// The (shared) label of each block.
-    pub labels: Vec<Label>,
-}
-
-impl BisimPartition {
-    /// Number of equivalence classes.
-    pub fn class_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The class id of node `v`.
-    pub fn class_of(&self, v: NodeId) -> u32 {
-        self.class_of[v.index()]
-    }
-
-    /// Approximate heap footprint in bytes (node index, member lists, block
-    /// labels), following the capacity-based convention of
-    /// [`LabeledGraph::heap_bytes`](qpgc_graph::LabeledGraph::heap_bytes).
-    pub fn heap_bytes(&self) -> usize {
-        let node_id = std::mem::size_of::<NodeId>();
-        let member_lists: usize = self
-            .members
-            .iter()
-            .map(|m| m.capacity() * node_id + std::mem::size_of::<Vec<NodeId>>())
-            .sum();
-        self.class_of.capacity() * std::mem::size_of::<u32>()
-            + member_lists
-            + self.labels.capacity() * std::mem::size_of::<Label>()
-    }
-
-    /// Canonical form (sorted member lists sorted by first member) for
-    /// comparisons in tests.
-    pub fn canonical(&self) -> Vec<Vec<u32>> {
-        let mut classes: Vec<Vec<u32>> = self
-            .members
-            .iter()
-            .map(|m| {
-                let mut v: Vec<u32> = m.iter().map(|n| n.0).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        classes.sort();
-        classes
-    }
-}
+use qpgc_graph::{Classes, CsrGraph, Label, LabeledGraph, NodeId};
 
 /// Computes the maximum bisimulation partition over a frozen CSR snapshot
-/// with the allocation-free worklist refinement (see the module docs).
-pub fn bisimulation_partition_csr(g: &CsrGraph) -> BisimPartition {
+/// with the allocation-free worklist refinement (see the module docs); each
+/// class carries the label its members share.
+pub fn bisimulation_partition_csr(g: &CsrGraph) -> Classes<Label> {
     let cond = Condensation::of(g);
     let ranks = bisim_ranks(g, &cond);
     refine_worklist(g, |v| (g.label(v), ranks.rank[v.index()]))
@@ -157,7 +104,7 @@ fn node_fingerprint(
 
 /// Worklist signature refinement from an initial block assignment given by
 /// `seed` (which must be coarser than the maximum bisimulation).
-fn refine_worklist<F>(g: &CsrGraph, seed: F) -> BisimPartition
+fn refine_worklist<F>(g: &CsrGraph, seed: F) -> Classes<Label>
 where
     F: Fn(NodeId) -> (Label, BisimRank),
 {
@@ -303,7 +250,7 @@ where
 
 /// Densifies stable block ids into first-seen order and collects members —
 /// shared by the worklist refinement and the reference.
-fn densify(node_labels: &[Label], block: &[u32]) -> BisimPartition {
+fn densify(node_labels: &[Label], block: &[u32]) -> Classes<Label> {
     let n = block.len();
     // Block ids are always < n, so a flat vector serves as the remap table.
     let mut remap: Vec<u32> = vec![u32::MAX; n.max(1)];
@@ -321,17 +268,17 @@ fn densify(node_labels: &[Label], block: &[u32]) -> BisimPartition {
         class_of[v] = id;
         members[id as usize].push(NodeId(v as u32));
     }
-    BisimPartition {
+    Classes {
         class_of,
         members,
-        labels,
+        payload: labels,
     }
 }
 
 /// A reference implementation seeded only by labels (no rank
 /// stratification).
 // qpgc-lint: allow(dead-surface) -- oracle of bisim::tests::worklist_csr_matches_baseline
-pub fn reference_bisimulation(g: &LabeledGraph) -> BisimPartition {
+pub fn reference_bisimulation(g: &LabeledGraph) -> Classes<Label> {
     refine_to_fixpoint(g, |v| (g.label(v), BisimRank::Finite(0)))
 }
 
@@ -339,7 +286,7 @@ pub fn reference_bisimulation(g: &LabeledGraph) -> BisimPartition {
 /// initial block assignment given by `seed`. The block count is carried
 /// between rounds (the old implementation rescanned the whole block vector
 /// with a `count_distinct` pass every round).
-fn refine_to_fixpoint<F>(g: &LabeledGraph, seed: F) -> BisimPartition
+fn refine_to_fixpoint<F>(g: &LabeledGraph, seed: F) -> Classes<Label>
 where
     F: Fn(NodeId) -> (Label, BisimRank),
 {
@@ -434,7 +381,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn partition(g: &LabeledGraph) -> BisimPartition {
+    fn partition(g: &LabeledGraph) -> Classes<Label> {
         bisimulation_partition_csr(&g.freeze())
     }
 
@@ -597,7 +544,7 @@ mod tests {
         let p = partition(&g);
         for (c, members) in p.members.iter().enumerate() {
             for &m in members {
-                assert_eq!(g.label(m), p.labels[c]);
+                assert_eq!(g.label(m), p.payload[c]);
             }
         }
     }

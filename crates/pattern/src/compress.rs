@@ -8,10 +8,19 @@
 //! post-processing function `P` replaces each hypernode in the answer with
 //! the original nodes it represents (Theorem 4). For Boolean pattern
 //! queries `P` is not needed.
+//!
+//! `Gr` has one constructor, [`PatternCompression::from_classes`]: a
+//! partition, its class edges and the label names in, the labelled
+//! quotient out. [`compress_b`] feeds it the kernel's partition and `G`'s
+//! edges read through it;
+//! [`IncrementalPattern::to_compression`](crate::incremental::IncrementalPattern::to_compression)
+//! feeds it the maintained classes and rows. The `qpgc` facade implements
+//! its `<R, F, P>` trait on [`PatternCompression`] itself.
 
-use qpgc_graph::{CsrGraph, GraphView, LabeledGraph, NodeId};
+use qpgc_graph::ids::LabelInterner;
+use qpgc_graph::{Classes, CsrGraph, Label, LabeledGraph, NodeId};
 
-use crate::bisim::{bisimulation_partition_csr, BisimPartition};
+use crate::bisim::bisimulation_partition_csr;
 use crate::pattern::MatchRelation;
 
 /// The output of `compressB`: the compressed graph plus the node ↔ class
@@ -21,11 +30,34 @@ pub struct PatternCompression {
     /// The compressed graph `Gr`. Node `i` is bisimulation class `i` of
     /// [`PatternCompression::partition`] and carries the class label.
     pub graph: LabeledGraph,
-    /// The underlying bisimulation partition.
-    pub partition: BisimPartition,
+    /// The underlying bisimulation partition, each class with its label.
+    pub partition: Classes<Label>,
 }
 
 impl PatternCompression {
+    /// The compression of `partition` whose classes are joined by the class
+    /// edges `edges` (self loops included; duplicates are harmless): one
+    /// hypernode per class, carrying the class label under its name in
+    /// `interner` so that pattern queries written against the original
+    /// label vocabulary resolve against `Gr` too. The one constructor of
+    /// `Gr`, for [`compress_b`] and for a maintained quotient's export
+    /// alike.
+    pub fn from_classes(
+        partition: Classes<Label>,
+        edges: impl IntoIterator<Item = (u32, u32)>,
+        interner: &LabelInterner,
+    ) -> PatternCompression {
+        let mut graph = LabeledGraph::with_capacity(partition.class_count());
+        for &label in &partition.payload {
+            match interner.name(label) {
+                Some(name) => graph.add_node_with_label(name),
+                None => graph.add_node(label),
+            };
+        }
+        graph.extend_edges(edges.into_iter().map(|(a, b)| (NodeId(a), NodeId(b))));
+        PatternCompression { graph, partition }
+    }
+
     /// The class (hypernode of `Gr`) containing original node `v`.
     pub fn class_of(&self, v: NodeId) -> NodeId {
         NodeId(self.partition.class_of(v))
@@ -53,65 +85,27 @@ impl PatternCompression {
     pub fn ratio(&self, original: &LabeledGraph) -> f64 {
         qpgc_graph::stats::compression_ratio(original, &self.graph)
     }
-
-    /// Approximate heap footprint in bytes (quotient graph + partition),
-    /// following the capacity-based convention of
-    /// [`LabeledGraph::heap_bytes`] / `CsrGraph::heap_bytes` so serving
-    /// layers can account for the pattern side next to the
-    /// reachability-side structures.
-    ///
-    /// [`LabeledGraph::heap_bytes`]: qpgc_graph::LabeledGraph::heap_bytes
-    pub fn heap_bytes(&self) -> usize {
-        self.graph.heap_bytes() + self.partition.heap_bytes()
-    }
 }
 
 /// Runs `compressB` on `g`: freezes a CSR snapshot once and hands it to
-/// [`compress_b_csr`] — the whole pipeline (bisimulation refinement and
-/// quotient construction) runs over the snapshot, with no intermediate
-/// `LabeledGraph` materialized along the way.
+/// [`compress_b_csr`].
 pub fn compress_b(g: &LabeledGraph) -> PatternCompression {
     compress_b_csr(&g.freeze())
 }
 
-/// Runs `compressB` over an already-frozen CSR snapshot.
+/// Runs `compressB` over an already-frozen CSR snapshot: the bisimulation
+/// refinement, then `G`'s edges read through the partition, bulk-loaded
+/// (sorted and deduplicated once) by [`PatternCompression::from_classes`].
 pub fn compress_b_csr(g: &CsrGraph) -> PatternCompression {
     let partition = bisimulation_partition_csr(g);
-    let graph = build_quotient_graph(g, &partition);
-    PatternCompression { graph, partition }
-}
-
-/// Builds the bisimulation quotient graph: labelled hypernodes, one edge per
-/// connected class pair (self loops preserved). The class edge list is
-/// bulk-inserted (sorted + deduplicated), not probed edge by edge.
-pub(crate) fn build_quotient_graph<G: GraphView>(
-    g: &G,
-    partition: &BisimPartition,
-) -> LabeledGraph {
-    let classes = partition.class_count();
-    let mut quotient = LabeledGraph::with_capacity(classes);
-    for c in 0..classes {
-        // Re-intern the label *name* so that pattern queries written against
-        // the original label vocabulary resolve against `Gr` too.
-        let representative = partition.members[c][0];
-        match g.label_name(representative) {
-            Some(name) => {
-                quotient.add_node_with_label(name);
-            }
-            None => {
-                quotient.add_node(partition.labels[c]);
-            }
-        }
-    }
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(g.edge_count());
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.edge_count());
     for u in g.nodes() {
         let cu = partition.class_of(u);
         for &v in g.out_neighbors(u) {
-            edges.push((NodeId(cu), NodeId(partition.class_of(v))));
+            edges.push((cu, partition.class_of(v)));
         }
     }
-    quotient.extend_edges(edges);
-    quotient
+    PatternCompression::from_classes(partition, edges, g.interner())
 }
 
 #[cfg(test)]
@@ -293,13 +287,5 @@ mod tests {
         let c = compress_b(&g);
         assert_eq!(c.class_count(), 0);
         assert_eq!(c.graph.node_count(), 0);
-    }
-
-    #[test]
-    fn heap_bytes_counts_graph_and_partition() {
-        let g = recommendation_network();
-        let c = compress_b(&g);
-        assert!(c.heap_bytes() > c.graph.heap_bytes());
-        assert!(c.heap_bytes() > c.partition.heap_bytes());
     }
 }

@@ -47,11 +47,6 @@ impl IncrementalMatch {
         IncrementalMatch { pattern, sim }
     }
 
-    /// The pattern being maintained.
-    pub fn pattern(&self) -> &Pattern {
-        &self.pattern
-    }
-
     /// The current answer: the maximum match relation, or `None` when the
     /// pattern does not match (`Qp ⋬ G`).
     pub fn current(&self) -> Option<MatchRelation> {
@@ -162,7 +157,7 @@ mod tests {
     }
 
     fn assert_matches_scratch(inc: &IncrementalMatch, g: &LabeledGraph) {
-        let scratch = bounded_match(g, inc.pattern());
+        let scratch = bounded_match(g, &inc.pattern);
         match (inc.current(), scratch) {
             (None, None) => {}
             (Some(a), Some(b)) => assert_eq!(a.canonical(), b.canonical()),

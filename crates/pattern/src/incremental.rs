@@ -44,7 +44,7 @@ use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::update::{PartitionDelta, Update};
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
-use crate::bisim::{bisimulation_partition_csr, BisimPartition};
+use crate::bisim::bisimulation_partition_csr;
 use crate::compress::PatternCompression;
 
 pub use qpgc_graph::quotient::IncStats;
@@ -130,12 +130,7 @@ impl Equivalence for BisimEquivalence {
     }
 
     fn partition(g: &CsrGraph) -> Classes<Label> {
-        let p = bisimulation_partition_csr(g);
-        Classes {
-            class_of: p.class_of,
-            members: p.members,
-            payload: p.labels,
-        }
+        bisimulation_partition_csr(g)
     }
 }
 
@@ -250,34 +245,17 @@ impl IncrementalPattern {
         }
     }
 
-    /// Materializes the current state as a [`PatternCompression`] with a
-    /// freshly built quotient graph.
+    /// Materializes the current state as a [`PatternCompression`]: the
+    /// dense renumbering of the classes and of the rows' class edges, handed
+    /// to the constructor `compress_b` uses.
     pub fn to_compression(&self) -> PatternCompression {
         let (dense, classes) = self.q.dense();
-
-        let mut quotient = LabeledGraph::with_capacity(classes.members.len());
-        for &l in &classes.payload {
-            match self.interner.name(l) {
-                Some(name) => {
-                    quotient.add_node_with_label(name);
-                }
-                None => {
-                    quotient.add_node(l);
-                }
-            }
-        }
-        for (a, b) in self.q.sorted_edges() {
-            quotient.add_edge(NodeId(dense[a as usize]), NodeId(dense[b as usize]));
-        }
-
-        PatternCompression {
-            graph: quotient,
-            partition: BisimPartition {
-                class_of: classes.class_of,
-                members: classes.members,
-                labels: classes.payload,
-            },
-        }
+        let edges = self.q.sorted_edges().into_iter();
+        PatternCompression::from_classes(
+            classes,
+            edges.map(|(a, b)| (dense[a as usize], dense[b as usize])),
+            &self.interner,
+        )
     }
 }
 

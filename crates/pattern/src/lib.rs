@@ -70,7 +70,7 @@ pub mod incremental;
 pub mod pattern;
 pub mod view;
 
-pub use bisim::{bisimulation_partition_csr, BisimPartition};
+pub use bisim::bisimulation_partition_csr;
 pub use bounded::bounded_match;
 pub use compress::{compress_b, compress_b_csr, PatternCompression};
 pub use inc_match::IncrementalMatch;

@@ -9,7 +9,7 @@
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use qpgc_graph::{LabeledGraph, NodeId};
+    use qpgc_graph::{GraphView, LabeledGraph, NodeId};
 
     use crate::bounded::bounded_match;
     use crate::pattern::{assert_same_answer, resolve_labels, MatchRelation, Pattern};

@@ -44,8 +44,6 @@ pub struct PatternView {
     /// Member nodes per stable id (empty for retired ids), shared (`Arc`)
     /// with the export the view was built from.
     members: Vec<Arc<[NodeId]>>,
-    /// Liveness per stable id.
-    active: Vec<bool>,
     /// Number of live classes.
     live_classes: usize,
 }
@@ -74,7 +72,6 @@ impl PatternView {
             // Shared slices: adopting the export's member rows is a
             // reference bump per class, not a copy.
             members: spq.members.clone(),
-            active: spq.active.clone(),
             live_classes: spq.class_count(),
         }
     }
@@ -126,8 +123,8 @@ impl PatternView {
     }
 
     /// Approximate heap footprint in bytes (CSR quotient + node index +
-    /// member lists + liveness flags), following the capacity-based
-    /// convention of [`CsrGraph::heap_bytes`].
+    /// member lists), following the capacity-based convention of
+    /// [`CsrGraph::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
         self.graph.heap_bytes()
             + self.class_of.capacity() * std::mem::size_of::<u32>()
@@ -137,7 +134,6 @@ impl PatternView {
                 .iter()
                 .map(|m| m.len() * std::mem::size_of::<NodeId>())
                 .sum::<usize>()
-            + self.active.capacity() * std::mem::size_of::<bool>()
     }
 }
 

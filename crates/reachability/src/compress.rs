@@ -16,13 +16,20 @@
 //! R(w)` but `v ≠ w`, the answer is `true` iff the class is a cyclic SCC
 //! (equivalent nodes in different SCCs provably do not reach each other —
 //! see the module docs of [`crate::equivalence`]).
+//!
+//! `Gr` has one constructor, [`ReachCompression::from_classes`]: a partition
+//! and its class edges in, the reduced quotient out. [`compress_r`] feeds it
+//! the kernel's partition and `G`'s edges read through it;
+//! [`IncrementalReach::to_compression`](crate::incremental::IncrementalReach::to_compression)
+//! feeds it the maintained classes and rows. The `qpgc` facade implements
+//! its `<R, F, P>` trait on [`ReachCompression`] itself.
 
-use qpgc_graph::reach_sets::DagReach;
+use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal;
-use qpgc_graph::{GraphView, LabeledGraph, NodeId};
+use qpgc_graph::{Classes, GraphView, LabeledGraph, NodeId};
 
-use crate::equivalence::{reachability_partition, ReachPartition};
+use crate::equivalence::reachability_partition;
 
 /// The output of `compressR`: the compressed graph plus the node → class
 /// index that implements the query rewriting function `F`.
@@ -33,18 +40,32 @@ pub struct ReachCompression {
     /// fixed label `"σ"`.
     pub graph: LabeledGraph,
     /// The underlying partition: node → class map, members, and the cyclic
-    /// flag per class.
-    pub partition: ReachPartition,
+    /// flag per class as its payload.
+    pub partition: Classes<bool>,
 }
 
 impl ReachCompression {
-    /// The query rewriting function `F`: maps the endpoints of a
-    /// reachability query on `G` to nodes of `Gr`, in constant time.
-    pub fn rewrite(&self, v: NodeId, w: NodeId) -> (NodeId, NodeId) {
-        (
-            NodeId(self.partition.class_of(v)),
-            NodeId(self.partition.class_of(w)),
-        )
+    /// The compression of `partition` whose classes are joined by the class
+    /// edges `edges` (no intra-class edge; duplicates are harmless): the
+    /// quotient graph, its edges transitively reduced on a [`DagReach`]
+    /// (the paper's Fig. 5 lines 6–8). The one constructor of `Gr`, for
+    /// [`compress_r`] and for a maintained quotient's export alike; no
+    /// unreduced `LabeledGraph` is built on the way.
+    pub fn from_classes(
+        partition: Classes<bool>,
+        edges: impl IntoIterator<Item = (u32, u32)>,
+    ) -> ReachCompression {
+        let classes = partition.class_count();
+        // The quotient of the reachability equivalence relation is a DAG, so
+        // the transitive reduction is unique.
+        let dag = DagReach::from_edges(classes, edges)
+            .expect("the quotient of the reachability equivalence relation is a DAG");
+        let mut graph = LabeledGraph::with_capacity(classes);
+        for _ in 0..classes {
+            graph.add_node_with_label("σ");
+        }
+        graph.extend_edges(transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}));
+        ReachCompression { graph, partition }
     }
 
     /// Answers the reachability query `QR(v, w)` posed against the original
@@ -64,24 +85,18 @@ impl ReachCompression {
         if v == w {
             return true;
         }
-        let (cv, cw) = self.rewrite(v, w);
+        let (cv, cw) = (self.partition.class_of(v), self.partition.class_of(w));
         if cv == cw {
             // Same class, different nodes: reachable iff the class is a
             // cyclic SCC.
-            return self.partition.cyclic[cv.index()];
+            return self.partition.payload[cv as usize];
         }
-        algo(&self.graph, cv, cw)
+        algo(&self.graph, NodeId(cv), NodeId(cw))
     }
 
     /// Number of equivalence classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
         self.partition.class_count()
-    }
-
-    /// The members of the class that node `v` belongs to (the inverse node
-    /// mapping of `R`).
-    pub fn members_of(&self, v: NodeId) -> &[NodeId] {
-        &self.partition.members[self.partition.class_of(v) as usize]
     }
 
     /// The compression ratio `|Gr| / |G|` (the paper's `RCr`).
@@ -94,23 +109,6 @@ impl ReachCompression {
 /// over [`GraphView`]: accepts the mutable graph or a CSR snapshot.
 pub fn compress_r<G: GraphView>(g: &G) -> ReachCompression {
     let partition = reachability_partition(g);
-    let graph = build_quotient_graph(g, &partition);
-    ReachCompression { graph, partition }
-}
-
-/// Builds the quotient graph of `partition` over `g`. The edge set is
-/// transitively reduced (the paper's Fig. 5 lines 6–8); intra-class edges
-/// never appear (a class trivially "reaches itself").
-///
-/// The class edge list is collected once, sorted and deduplicated, reduced
-/// directly on a [`DagReach`] built from that list, and bulk-inserted into
-/// the output — no intermediate `LabeledGraph` is materialized between the
-/// partition and the final quotient.
-pub(crate) fn build_quotient_graph<G: GraphView>(
-    g: &G,
-    partition: &ReachPartition,
-) -> LabeledGraph {
-    let classes = partition.class_count();
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.edge_count());
     for u in g.nodes() {
         let cu = partition.class_of(u);
@@ -121,21 +119,7 @@ pub(crate) fn build_quotient_graph<G: GraphView>(
             }
         }
     }
-    edges.sort_unstable();
-    edges.dedup();
-
-    // The quotient of the reachability equivalence relation is a DAG, so
-    // the transitive reduction is unique.
-    let dag = DagReach::from_edges(classes, edges)
-        .expect("the quotient of the reachability equivalence relation is a DAG");
-    let kept = transitive_reduction_dag(&dag, qpgc_graph::reach_sets::DEFAULT_CHUNK, |_, _| {});
-
-    let mut quotient = LabeledGraph::with_capacity(classes);
-    for _ in 0..classes {
-        quotient.add_node_with_label("σ");
-    }
-    quotient.extend_edges(kept);
-    quotient
+    ReachCompression::from_classes(partition, edges)
 }
 
 #[cfg(test)]
@@ -246,9 +230,9 @@ mod tests {
     fn rewrite_is_consistent_with_partition() {
         let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let c = compress_r(&g);
-        let (a, b) = c.rewrite(NodeId(1), NodeId(2));
-        assert_eq!(a, b);
-        assert_eq!(c.members_of(NodeId(1)).len(), 2);
+        let class = |v| c.partition.class_of(NodeId(v));
+        assert_eq!(class(1), class(2));
+        assert_eq!(c.partition.members[class(1) as usize].len(), 2);
     }
 
     #[test]

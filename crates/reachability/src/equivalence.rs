@@ -41,15 +41,16 @@
 //! * The quotient of `Re` is a DAG (mutually reachable classes would have
 //!   merged), so `compressR` can transitively reduce it.
 //! * Every equivalence class is either exactly one *cyclic* SCC, or a set of
-//!   acyclic singleton SCCs. The per-class [`ReachPartition::cyclic`] flag
-//!   records which, and is what answers the "same class, different node"
-//!   corner case of query evaluation.
+//!   acyclic singleton SCCs. The per-class payload of the returned
+//!   [`Classes<bool>`] is the cyclic flag that records which, and is what
+//!   answers the "same class, different node" corner case of query
+//!   evaluation.
 
 use std::collections::HashMap;
 
 use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{BitMatrix, GraphView, NodeId};
+use qpgc_graph::{BitMatrix, Classes, GraphView, NodeId};
 
 /// A block one [`refine_chunk`] step opened by comparing rows: its id, and
 /// the key it was opened for — the key's hash, the block the
@@ -131,58 +132,16 @@ pub(crate) fn refine_chunk(
     }
 }
 
-/// The partition of `V` induced by the reachability equivalence relation.
-#[derive(Clone, Debug)]
-pub struct ReachPartition {
-    /// `class_of[v]` is the class id of node `v`. Class ids are dense,
-    /// `0..class_count()`.
-    pub class_of: Vec<u32>,
-    /// `members[c]` lists the nodes of class `c` (in ascending node order).
-    pub members: Vec<Vec<NodeId>>,
-    /// `cyclic[c]` is `true` iff class `c` is a cyclic SCC, i.e. iff its
-    /// members reach themselves via non-empty paths.
-    pub cyclic: Vec<bool>,
-}
-
-impl ReachPartition {
-    /// Number of equivalence classes.
-    pub fn class_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// The class id of node `v`.
-    pub fn class_of(&self, v: NodeId) -> u32 {
-        self.class_of[v.index()]
-    }
-
-    /// A canonical representation of the partition (sorted member lists,
-    /// sorted by smallest member), used to compare partitions produced by
-    /// different algorithms (batch vs incremental) in tests.
-    pub fn canonical(&self) -> Vec<Vec<u32>> {
-        let mut classes: Vec<Vec<u32>> = self
-            .members
-            .iter()
-            .map(|m| {
-                let mut v: Vec<u32> = m.iter().map(|n| n.0).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        classes.sort();
-        classes
-    }
-}
-
 /// Computes the reachability equivalence partition of `g` with the default
 /// signature chunk width. Generic over [`GraphView`]: accepts the mutable
 /// graph or a CSR snapshot.
-pub fn reachability_partition<G: GraphView>(g: &G) -> ReachPartition {
+pub fn reachability_partition<G: GraphView>(g: &G) -> Classes<bool> {
     reachability_partition_with_chunk(g, DEFAULT_CHUNK)
 }
 
 /// [`reachability_partition`] with an explicit chunk width (exposed for the
 /// chunk-boundary tests).
-pub fn reachability_partition_with_chunk<G: GraphView>(g: &G, chunk: usize) -> ReachPartition {
+pub fn reachability_partition_with_chunk<G: GraphView>(g: &G, chunk: usize) -> Classes<bool> {
     partition_hashing_with(g, chunk, key_hash)
 }
 
@@ -192,7 +151,7 @@ fn partition_hashing_with<G: GraphView>(
     g: &G,
     chunk: usize,
     hash: impl Fn(u32, &[u64], &[u64]) -> u64,
-) -> ReachPartition {
+) -> Classes<bool> {
     let cond = Condensation::of(g);
     let dag = cond.dag();
     let c = cond.component_count();
@@ -227,10 +186,10 @@ fn partition_hashing_with<G: GraphView>(
         members[*class as usize].push(v);
     }
 
-    ReachPartition {
+    Classes {
         class_of,
         members,
-        cyclic,
+        payload: cyclic,
     }
 }
 
@@ -238,7 +197,7 @@ fn partition_hashing_with<G: GraphView>(
 /// property tests: computes full node-level proper ancestor/descendant sets
 /// and groups nodes by them.
 // qpgc-lint: allow(dead-surface) -- oracle of equivalence::tests::kernel_matches_reference_at_every_chunk_thread_and_hash
-pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
+pub fn reference_partition<G: GraphView>(g: &G) -> Classes<bool> {
     let (desc, anc) = qpgc_graph::reach_sets::node_closures(g);
     let mut key_to_class: HashMap<(Vec<u64>, Vec<u64>), u32> = HashMap::new();
     let mut class_of = vec![0u32; g.node_count()];
@@ -257,10 +216,10 @@ pub fn reference_partition<G: GraphView>(g: &G) -> ReachPartition {
             cyclic[class as usize] = true;
         }
     }
-    ReachPartition {
+    Classes {
         class_of,
         members,
-        cyclic,
+        payload: cyclic,
     }
 }
 
@@ -328,7 +287,7 @@ mod tests {
                 for got in [hashed, one_bucket] {
                     prop_assert_eq!(&got.class_of, &expect.class_of, "chunk {}", chunk);
                     prop_assert_eq!(&got.members, &expect.members);
-                    prop_assert_eq!(&got.cyclic, &expect.cyclic);
+                    prop_assert_eq!(&got.payload, &expect.payload);
                 }
             }
         }
@@ -353,7 +312,7 @@ mod tests {
         assert_eq!(p.class_count(), 3);
         assert_eq!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
         assert_ne!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
-        assert!(!p.cyclic[p.class_of(NodeId(1)) as usize]);
+        assert!(!p.payload[p.class_of(NodeId(1)) as usize]);
     }
 
     #[test]
@@ -361,8 +320,8 @@ mod tests {
         let g = graph(4, &[(0, 1), (1, 0), (1, 2), (2, 3)]);
         let p = reachability_partition(&g);
         assert_eq!(p.class_of(NodeId(0)), p.class_of(NodeId(1)));
-        assert!(p.cyclic[p.class_of(NodeId(0)) as usize]);
-        assert!(!p.cyclic[p.class_of(NodeId(3)) as usize]);
+        assert!(p.payload[p.class_of(NodeId(0)) as usize]);
+        assert!(!p.payload[p.class_of(NodeId(3)) as usize]);
     }
 
     #[test]
@@ -389,7 +348,7 @@ mod tests {
         let g = graph(3, &[(0, 1), (0, 2), (2, 2)]);
         let p = reachability_partition(&g);
         assert_ne!(p.class_of(NodeId(1)), p.class_of(NodeId(2)));
-        assert!(p.cyclic[p.class_of(NodeId(2)) as usize]);
+        assert!(p.payload[p.class_of(NodeId(2)) as usize]);
     }
 
     #[test]
@@ -488,6 +447,6 @@ mod tests {
         let on_labeled = reachability_partition(&g);
         let on_csr = reachability_partition(&g.freeze());
         assert_eq!(on_labeled.canonical(), on_csr.canonical());
-        assert_eq!(on_labeled.cyclic.len(), on_csr.cyclic.len());
+        assert_eq!(on_labeled.payload, on_csr.payload);
     }
 }

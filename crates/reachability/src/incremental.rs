@@ -90,20 +90,19 @@
 
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::reach_sets::DEFAULT_CHUNK;
-use qpgc_graph::transitive::transitive_reduction;
 use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::closure::QuotientClosure;
 use crate::compress::ReachCompression;
-use crate::equivalence::{reachability_partition, ReachPartition};
+use crate::equivalence::reachability_partition;
 
 pub use qpgc_graph::quotient::IncStats;
 
 /// The maintained compression state exported with **stable** class ids —
 /// the ids [`IncrementalReach`] keeps across updates (recycling retired
 /// ones) rather than the densely renumbered ids of
-/// [`IncrementalReach::partition`].
+/// [`IncrementalReach::to_compression`].
 ///
 /// A class id absent from a [`PartitionDelta`] names the same node set
 /// before and after the batch. Retired ids are simply inactive holes;
@@ -170,12 +169,7 @@ impl Equivalence for ReachEquivalence {
     }
 
     fn partition(g: &CsrGraph) -> Classes<bool> {
-        let p = reachability_partition(g);
-        Classes {
-            class_of: p.class_of,
-            members: p.members,
-            payload: p.cyclic,
-        }
+        reachability_partition(g)
     }
 }
 
@@ -215,12 +209,6 @@ impl IncrementalReach {
     /// Number of active equivalence classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
         self.q.class_count()
-    }
-
-    /// Number of compressed inter-class edges currently tracked (before
-    /// transitive reduction).
-    pub fn quotient_edge_count(&self) -> usize {
-        self.q.quotient_edge_count()
     }
 
     /// The class id of node `v`.
@@ -376,21 +364,6 @@ impl IncrementalReach {
         (stats, delta)
     }
 
-    /// The current partition with densely renumbered class ids (class `i` is
-    /// the `i`-th active class in id order — the same numbering
-    /// [`IncrementalReach::to_compression`] uses), *without* materializing
-    /// the compressed graph. Snapshot layers that build their own quotient
-    /// representation (e.g. a CSR snapshot with class edges collected in
-    /// parallel) start from this.
-    pub fn partition(&self) -> ReachPartition {
-        let (_, dense) = self.q.dense();
-        ReachPartition {
-            class_of: dense.class_of,
-            members: dense.members,
-            cyclic: dense.payload,
-        }
-    }
-
     /// The current state under **stable** class ids: the node → class index,
     /// cyclic and liveness flags per id, and the distinct unreduced
     /// inter-class edges — everything a snapshot layer needs to build its
@@ -405,39 +378,17 @@ impl IncrementalReach {
         }
     }
 
-    /// Materializes the current state as a [`ReachCompression`] with a
-    /// freshly built (transitively reduced) compressed graph. Class `i` of
-    /// the result corresponds to the `i`-th active class in id order.
+    /// Materializes the current state as a [`ReachCompression`]: the dense
+    /// renumbering of the classes and of the rows' class edges, handed to
+    /// the constructor `compress_r` uses. Class `i` of the result is the
+    /// `i`-th active class in id order.
     pub fn to_compression(&self) -> ReachCompression {
         let (dense, classes) = self.q.dense();
-        let n = classes.members.len();
-
-        // Quotient graph + transitive reduction.
-        let mut quotient = LabeledGraph::with_capacity(n);
-        for _ in 0..n {
-            quotient.add_node_with_label("σ");
-        }
-        for (a, b) in self.q.sorted_edges() {
-            quotient.add_edge(NodeId(dense[a as usize]), NodeId(dense[b as usize]));
-        }
-        let kept = transitive_reduction(&quotient)
-            .expect("the quotient of the reachability equivalence relation is a DAG");
-        let mut reduced = LabeledGraph::with_capacity(n);
-        for _ in 0..n {
-            reduced.add_node_with_label("σ");
-        }
-        for (a, b) in kept {
-            reduced.add_edge(a, b);
-        }
-
-        ReachCompression {
-            graph: reduced,
-            partition: ReachPartition {
-                class_of: classes.class_of,
-                members: classes.members,
-                cyclic: classes.payload,
-            },
-        }
+        let edges = self.q.sorted_edges().into_iter();
+        ReachCompression::from_classes(
+            classes,
+            edges.map(|(a, b)| (dense[a as usize], dense[b as usize])),
+        )
     }
 }
 
@@ -1157,11 +1108,11 @@ mod tests {
         batch.insert(NodeId(3), NodeId(4));
         batch.delete(NodeId(2), NodeId(3));
         inc.apply(&mut g, &batch);
-        let part = inc.partition();
+        let (_, part) = inc.q.dense();
         let comp = inc.to_compression();
         assert_eq!(part.class_of, comp.partition.class_of);
         assert_eq!(part.members, comp.partition.members);
-        assert_eq!(part.cyclic, comp.partition.cyclic);
+        assert_eq!(part.payload, comp.partition.payload);
     }
 
     /// Checks a delta against the stable exports before and after its
@@ -1247,9 +1198,9 @@ mod tests {
         inc.apply(&mut g, &batch);
         let sq = inc.stable_quotient();
         assert_eq!(sq.class_count(), inc.class_count());
-        assert_eq!(sq.edges.len(), inc.quotient_edge_count());
+        assert_eq!(sq.edges.len(), inc.q.quotient_edge_count());
         // Stable and dense exports describe the same partition.
-        let dense = inc.partition();
+        let (_, dense) = inc.q.dense();
         for v in g.nodes() {
             for w in g.nodes() {
                 assert_eq!(
@@ -1262,7 +1213,7 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(
                 sq.cyclic[sq.class_of[v.index()] as usize],
-                dense.cyclic[dense.class_of(v) as usize]
+                dense.payload[dense.class_of(v) as usize]
             );
         }
     }

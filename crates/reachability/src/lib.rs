@@ -62,6 +62,6 @@ pub mod incremental;
 pub mod two_hop;
 
 pub use compress::{compress_r, ReachCompression};
-pub use equivalence::{reachability_partition, ReachPartition};
+pub use equivalence::reachability_partition;
 pub use incremental::{IncStats, IncrementalReach};
 pub use two_hop::{TwoHopConfig, TwoHopIndex};

@@ -22,8 +22,7 @@
 //! pruning only *adds* labels) but the index bloated. The legacy
 //! construction is kept as [`TwoHopIndex::build_with_node_id_labels`] so the
 //! size win of the rank fix stays measurable (the `fig12d` experiment
-//! tests).
-//! [`TwoHopIndex::landmark`] maps a rank back to its node for debugging.
+//! tests). [`TwoHopIndex::landmark_order`] maps a rank back to its node.
 //!
 //! Because the compressed graph is "just a graph", the very same index can
 //! be built over `Gr` — this is the paper's claim that existing indexing
@@ -554,12 +553,6 @@ impl TwoHopIndex {
         sorted_intersects(self.out_labels.of(u), self.in_labels.of(w))
     }
 
-    /// The node processed as the `rank`-th landmark (the debugging map from
-    /// label values back to nodes).
-    pub fn landmark(&self, rank: u32) -> NodeId {
-        self.landmark_of_rank[rank as usize]
-    }
-
     /// The full landmark processing order, indexable by rank.
     pub fn landmark_order(&self) -> &[NodeId] {
         &self.landmark_of_rank
@@ -944,9 +937,6 @@ mod tests {
         let mut seen: Vec<u32> = idx.landmark_order().iter().map(|n| n.0).collect();
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        for rank in 0..5u32 {
-            assert_eq!(idx.landmark(rank), idx.landmark_order()[rank as usize]);
-        }
     }
 
     #[test]

@@ -258,11 +258,6 @@ impl ShardedStore {
         Ok(store)
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
     /// The currently published cut. Hold it as long as you like — the
     /// writer never mutates published cuts, the router only swaps in new
     /// ones.
@@ -508,7 +503,7 @@ mod tests {
                     cut.reachable(u, w),
                     bfs_reachable(g, u, w),
                     "shards={}: ({u},{w}) at watermark {}",
-                    store.config().shards,
+                    store.config.shards,
                     cut.watermark()
                 );
             }

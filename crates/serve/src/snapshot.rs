@@ -350,6 +350,7 @@ impl Snapshot {
 
     /// The pattern view, when the store was configured with
     /// `serve_patterns`.
+    // qpgc-lint: allow(dead-surface) -- oracle of qpgc_tests::check: it hashes the served view and counts its classes against compress_b
     pub fn pattern_view(&self) -> Option<&PatternView> {
         self.pattern.as_deref()
     }

@@ -413,11 +413,6 @@ impl CompressedStore {
         Ok(store)
     }
 
-    /// The store's configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
-    }
-
     /// The current snapshot. Hold it as long as you like — the writer never
     /// mutates published snapshots, it only swaps in new ones.
     pub fn load(&self) -> Arc<Snapshot> {

@@ -34,7 +34,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use qpgc_fault::fail_point;
@@ -49,7 +49,6 @@ const KIND_BATCH: u8 = 1;
 #[derive(Debug)]
 pub struct UpdateLog {
     file: File,
-    path: PathBuf,
     /// Byte length of the committed prefix: every record up to here was
     /// fully written. Bytes beyond it (from an interrupted append) are
     /// garbage that the next append truncates and [`UpdateLog::read`]
@@ -61,26 +60,16 @@ impl UpdateLog {
     /// Creates (or truncates) the log at `path` and writes the base record
     /// for `g` — the graph state all subsequent batch records apply to.
     pub fn create<P: AsRef<Path>>(path: P, g: &LabeledGraph) -> Result<Self, LogError> {
-        let path = path.as_ref().to_path_buf();
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
-            .open(&path)?;
-        let mut log = UpdateLog {
-            file,
-            path,
-            committed: 0,
-        };
+            .open(path)?;
+        let mut log = UpdateLog { file, committed: 0 };
         let payload = qpgc_graph::io::to_string(g).into_bytes();
         log.write_record(KIND_BASE, &payload)?;
         Ok(log)
-    }
-
-    /// The path the log writes to.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends a batch record. On success the record is fully on disk and
@@ -293,6 +282,7 @@ impl Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn sample() -> LabeledGraph {
         let mut g = LabeledGraph::new();
@@ -420,7 +410,7 @@ mod tests {
         let mut log = UpdateLog::create(&path, &g).unwrap();
         log.append(&UpdateBatch::new()).unwrap();
         let contents = UpdateLog::read(&path).unwrap();
-        assert!(contents.graph.is_empty());
+        assert_eq!(contents.graph.node_count(), 0);
         assert_eq!(contents.batches.len(), 1);
         assert!(contents.batches[0].is_empty());
         std::fs::remove_file(&path).ok();

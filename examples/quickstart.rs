@@ -38,7 +38,7 @@ fn main() {
     // 2. Reachability preserving compression (Section 3 of the paper).   //
     // ----------------------------------------------------------------- //
     section("reachability preserving compression");
-    let reach = ReachabilityScheme::compress(&g);
+    let reach = ReachCompression::compress(&g);
     println!(
         "compressed graph: |Vr| = {}, |Er| = {} (ratio {})",
         reach.compressed_graph().node_count(),
@@ -51,12 +51,23 @@ fn main() {
         "QR(carol, item) on Gr = {}   (same answer, smaller graph)",
         reach.answer(&q)
     );
+    // Every reachability query, not just this one, is preserved.
+    for u in g.nodes() {
+        for w in g.nodes() {
+            let q = ReachQuery::new(u, w);
+            assert_eq!(reach.answer(&q), q.evaluate(&g), "QR({u}, {w})");
+        }
+    }
+    println!(
+        "all {} reachability answers agree = true",
+        g.node_count().pow(2)
+    );
 
     // ----------------------------------------------------------------- //
     // 3. Pattern preserving compression (Section 4).                     //
     // ----------------------------------------------------------------- //
     section("pattern preserving compression");
-    let pat = PatternScheme::compress(&g);
+    let pat = PatternCompression::compress(&g);
     println!(
         "compressed graph: |Vr| = {}, |Er| = {} (ratio {})",
         pat.compressed_graph().node_count(),
@@ -68,7 +79,8 @@ fn main() {
     let qu = query.add_node("user");
     let qi = query.add_node("item");
     query.add_edge(qu, qi, 2);
-    match pat.answer(&query) {
+    let answer = pat.answer(&query);
+    match &answer {
         Some(relation) => {
             let users: Vec<String> = relation
                 .matches_of(qu)
@@ -79,6 +91,13 @@ fn main() {
         }
         None => println!("pattern does not match"),
     }
+    let direct = qpgc::pattern_engine::bounded::bounded_match(&g, &query);
+    assert_eq!(
+        answer.map(|m| m.canonical()),
+        direct.map(|m| m.canonical()),
+        "the pattern answer on Gr must be the answer on G"
+    );
+    println!("pattern answers agree = true");
 
     // ----------------------------------------------------------------- //
     // 4. Incremental maintenance (Section 5).                            //
@@ -100,8 +119,11 @@ fn main() {
         "hypernodes after update:  {}",
         maintained.reach().class_count()
     );
-    println!(
-        "QR(carol, item) after update = {}",
-        maintained.reach().query(carol, item)
+    let after = maintained.reach().query(carol, item);
+    println!("QR(carol, item) after update = {after}");
+    assert_eq!(
+        after,
+        ReachQuery::new(carol, item).evaluate(maintained.graph())
     );
+    println!("maintained answer agrees = true");
 }

@@ -73,7 +73,7 @@ fn main() {
     qp.add_edge(q_c, q_fa, 1); // who interact with an FA
     qp.add_edge(q_fa, q_c, 1); // and the FA answers back
 
-    let scheme = PatternScheme::compress(&g);
+    let scheme = PatternCompression::compress(&g);
     println!(
         "compressed graph Gr: |Vr| = {}, |Er| = {}  (PCr = {})",
         scheme.compressed_graph().node_count(),
@@ -96,16 +96,14 @@ fn main() {
     // The same query evaluated directly on G gives the identical answer.
     let direct = qpgc::pattern_engine::bounded::bounded_match(&g, &qp).expect("matches on G");
     let via_gr = scheme.answer(&qp).expect("matches via Gr");
-    println!(
-        "answers identical on G and Gr: {}",
-        direct.canonical() == via_gr.canonical()
-    );
+    assert_eq!(direct.canonical(), via_gr.canonical());
+    println!("answers identical on G and Gr: true");
 
     // --------------------------------------------------------------- //
     // Reachability view of the same network.                            //
     // --------------------------------------------------------------- //
     section("reachability preserving compression of the same network");
-    let reach = ReachabilityScheme::compress(&g);
+    let reach = ReachCompression::compress(&g);
     println!(
         "Gr for reachability: |Vr| = {}, |Er| = {}  (RCr = {})",
         reach.compressed_graph().node_count(),
@@ -114,6 +112,16 @@ fn main() {
     );
     let q = ReachQuery::new(NodeId(0), customers[customers.len() - 1]);
     println!("QR(BSA1, C{k}) = {} (computed on Gr)", reach.answer(&q));
+    for u in g.nodes() {
+        for w in g.nodes() {
+            let q = ReachQuery::new(u, w);
+            assert_eq!(reach.answer(&q), q.evaluate(&g), "QR({u}, {w})");
+        }
+    }
+    println!(
+        "all {} reachability answers agree = true",
+        g.node_count().pow(2)
+    );
 
     // --------------------------------------------------------------- //
     // The network evolves: a new recommendation appears (Example 7).    //
@@ -133,8 +141,15 @@ fn main() {
         stats.affected_classes,
         stats.changed_classes
     );
+    let maintained_answer = maintained.match_pattern(&qp);
     println!(
         "owner's pattern still matches: {}",
-        maintained.match_pattern(&qp).is_some()
+        maintained_answer.is_some()
     );
+    let direct = qpgc::pattern_engine::bounded::bounded_match(maintained.graph(), &qp);
+    assert_eq!(
+        maintained_answer.map(|m| m.canonical()),
+        direct.map(|m| m.canonical())
+    );
+    println!("maintained answer agrees with G = true");
 }

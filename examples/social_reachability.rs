@@ -26,7 +26,7 @@ fn main() {
 
     section("compress once");
     let t = Instant::now();
-    let scheme = ReachabilityScheme::compress(&g);
+    let scheme = ReachCompression::compress(&g);
     let gr = scheme.compressed_graph();
     println!(
         "compressR took {:?}; |Vr| = {}, |Er| = {}  (RCr = {})",

@@ -291,9 +291,6 @@ fn fuzz_succinct_parts(rng: &mut StdRng) {
                 in_range && row.windows(2).all(|w| w[0] < w[1]),
                 "succinct mutant {i}"
             );
-            row.iter()
-                .take(4)
-                .for_each(|&w| assert!(csr.has_edge(v, w)));
             seen += row.len();
         }
         assert_eq!(seen, m, "succinct mutant {i}: rows hold {seen} targets");

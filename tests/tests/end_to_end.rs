@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn social_network_reachability_pipeline() {
     let g = dataset("socEpinions", 200, 1).expect("dataset");
-    let scheme = ReachabilityScheme::compress(&g);
+    let scheme = ReachCompression::compress(&g);
 
     // The paper's headline: social networks compress dramatically.
     assert!(
@@ -54,7 +54,7 @@ fn social_network_reachability_pipeline() {
 #[test]
 fn labeled_dataset_pattern_pipeline() {
     let g = pattern_dataset("California", 20, 2).expect("dataset");
-    let scheme = PatternScheme::compress(&g);
+    let scheme = PatternCompression::compress(&g);
     assert!(scheme.ratio(&g) <= 1.0);
 
     // Generated patterns of the paper's sizes are preserved exactly.
@@ -132,16 +132,16 @@ fn compression_ratios_reproduce_paper_ordering() {
     let social = dataset("wikiVote", 50, 0).expect("dataset");
     let citation = dataset("citHepTh", 50, 0).expect("dataset");
 
-    let social_rc = ReachabilityScheme::compress(&social).ratio(&social);
-    let citation_rc = ReachabilityScheme::compress(&citation).ratio(&citation);
+    let social_rc = ReachCompression::compress(&social).ratio(&social);
+    let citation_rc = ReachCompression::compress(&citation).ratio(&citation);
     assert!(
         social_rc < citation_rc,
         "social {social_rc:.3} should compress better than citation {citation_rc:.3}"
     );
 
     let labeled = pattern_dataset("Youtube", 200, 0).expect("dataset");
-    let pc = PatternScheme::compress(&labeled).ratio(&labeled);
-    let rc = ReachabilityScheme::compress(&labeled).ratio(&labeled);
+    let pc = PatternCompression::compress(&labeled).ratio(&labeled);
+    let rc = ReachCompression::compress(&labeled).ratio(&labeled);
     assert!(
         rc < pc,
         "reachability compression ({rc:.3}) should be stronger than pattern compression ({pc:.3})"

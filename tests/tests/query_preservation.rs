@@ -35,7 +35,7 @@ proptest! {
     /// exactly as the original graph does.
     #[test]
     fn reachability_queries_are_preserved(g in arb_graph(14, &["A", "B", "C"])) {
-        let scheme = ReachabilityScheme::compress(&g);
+        let scheme = ReachCompression::compress(&g);
         prop_assert!(scheme.compressed_graph().size() <= g.size());
         for u in g.nodes() {
             for v in g.nodes() {
@@ -68,7 +68,7 @@ proptest! {
         g in arb_graph(12, &["A", "B", "C"]),
         edge_bounds in prop::collection::vec(1u32..=3, 2),
     ) {
-        let scheme = PatternScheme::compress(&g);
+        let scheme = PatternCompression::compress(&g);
         let mut p = Pattern::new();
         let a = p.add_node("A");
         let b = p.add_node("B");
@@ -89,7 +89,7 @@ proptest! {
     /// (`*`) pattern edges.
     #[test]
     fn unbounded_pattern_edges_are_preserved(g in arb_graph(10, &["A", "B"])) {
-        let scheme = PatternScheme::compress(&g);
+        let scheme = PatternCompression::compress(&g);
         let mut p = Pattern::new();
         let a = p.add_node("A");
         let b = p.add_node("B");
@@ -106,8 +106,8 @@ proptest! {
     /// Compression never enlarges the graph (`|Gr| ≤ |G|`, Section 2.2).
     #[test]
     fn compression_never_grows_the_graph(g in arb_graph(16, &["A", "B", "C", "D"])) {
-        let r = ReachabilityScheme::compress(&g);
-        let p = PatternScheme::compress(&g);
+        let r = ReachCompression::compress(&g);
+        let p = PatternCompression::compress(&g);
         prop_assert!(r.compressed_graph().size() <= g.size());
         prop_assert!(p.compressed_graph().size() <= g.size());
         // And the reachability quotient is never coarser than the SCC count

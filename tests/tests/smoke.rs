@@ -32,7 +32,7 @@ fn tiny_graph() -> (LabeledGraph, Vec<NodeId>) {
 #[test]
 fn reachability_scheme_constructs_and_answers() {
     let (g, n) = tiny_graph();
-    let scheme = ReachabilityScheme::compress(&g);
+    let scheme = ReachCompression::compress(&g);
     assert!(scheme.answer(&ReachQuery::new(n[0], n[4])));
     assert!(!scheme.answer(&ReachQuery::new(n[4], n[0])));
     assert!(scheme.compressed_graph().size() <= g.size());
@@ -41,7 +41,7 @@ fn reachability_scheme_constructs_and_answers() {
 #[test]
 fn pattern_scheme_constructs_and_answers() {
     let (g, _) = tiny_graph();
-    let scheme = PatternScheme::compress(&g);
+    let scheme = PatternCompression::compress(&g);
     let mut p = Pattern::new();
     let a = p.add_node("A");
     let b = p.add_node("B");

@@ -24,30 +24,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Asserts `CompressedCsr::from_csr` round-trips every read the plain CSR
-/// answers: node/edge counts, per-row neighbor lists, `has_edge` for all
-/// present edges plus a sample of absent ones, and the labels.
+/// answers: node/edge counts, per-row neighbor lists, and the labels.
 fn assert_succinct_matches_plain(g: &LabeledGraph, ctx: &str) {
     let csr = g.freeze();
     let packed = CompressedCsr::from_csr(&csr);
     assert_eq!(packed.node_count(), csr.node_count(), "{ctx}: n");
     assert_eq!(packed.edge_count(), csr.edge_count(), "{ctx}: m");
-    let mut probe = StdRng::seed_from_u64(0xD1FF);
     for v in 0..csr.node_count() as u32 {
         let v = NodeId(v);
-        let plain = csr.out_neighbors(v);
         let decoded: Vec<NodeId> = packed.neighbors(v).collect();
-        assert_eq!(decoded, plain, "{ctx}: neighbors({v})");
-        for &w in plain {
-            assert!(packed.has_edge(v, w), "{ctx}: has_edge({v},{w})");
-        }
-        for _ in 0..4 {
-            let w = NodeId(probe.gen_range(0..csr.node_count()) as u32);
-            assert_eq!(
-                packed.has_edge(v, w),
-                csr.has_edge(v, w),
-                "{ctx}: ({v},{w})"
-            );
-        }
+        assert_eq!(decoded, csr.out_neighbors(v), "{ctx}: neighbors({v})");
     }
     // And the decode escape hatch reproduces the source CSR exactly.
     let unpacked = packed.to_csr();
