@@ -83,6 +83,6 @@ pub use ids::{Label, NodeId};
 pub use partition::NodePartition;
 pub use quotient::{Classes, Cut, Equivalence, Group, IncStats, IncrementalQuotient, Regrouped};
 pub use scc::Condensation;
-pub use succinct::{CompressedCsr, EliasFano};
+pub use succinct::CompressedCsr;
 pub use update::{BatchError, PartitionDelta, Update, UpdateBatch};
 pub use view::GraphView;

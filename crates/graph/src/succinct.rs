@@ -19,6 +19,11 @@
 //! consumers dispatch over an explicit plain/succinct backend enum (see
 //! `qpgc_serve`); anything that needs reverse edges or labels-by-slice
 //! decodes back to a [`CsrGraph`] with [`CompressedCsr::to_csr`] first.
+//!
+//! It is a serving representation only, with no file form: `qpgc_serve`'s
+//! snapshot files hold the plain CSR. So the one decoder of the stream is
+//! the lazy one, and it only ever reads a stream [`CompressedCsr::from_csr`]
+//! wrote.
 
 use crate::codec::{unzigzag, zeta_len, zigzag, BitReader, BitWriter};
 use crate::csr::CsrGraph;
@@ -62,7 +67,7 @@ fn get_bits_lsb(words: &[u64], pos: usize, width: usize) -> u64 {
 /// a bit vector, for `n(2 + ⌈log₂(u/n)⌉)` bits total — within half a bit
 /// per element of the information-theoretic optimum.
 #[derive(Clone, Debug)]
-pub struct EliasFano {
+struct EliasFano {
     n: usize,
     l: u32,
     low: Vec<u64>,
@@ -73,7 +78,7 @@ pub struct EliasFano {
 
 impl EliasFano {
     /// Encodes `values`, which must be monotone non-decreasing.
-    pub fn new(values: &[u64]) -> Self {
+    fn new(values: &[u64]) -> Self {
         let n = values.len();
         if n == 0 {
             return Self {
@@ -121,23 +126,14 @@ impl EliasFano {
         }
     }
 
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` when the sequence is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Returns the `i`-th value.
     ///
     /// # Panics
     ///
-    /// Panics (or returns garbage in release builds) if `i ≥ len()`.
+    /// Panics (or returns garbage in release builds) if `i` is past the
+    /// last value.
     #[inline]
-    pub fn get(&self, i: usize) -> u64 {
+    fn get(&self, i: usize) -> u64 {
         debug_assert!(i < self.n);
         let l = self.l as usize;
         let low = if l == 0 {
@@ -173,69 +169,8 @@ impl EliasFano {
     }
 
     /// Heap footprint in bytes (samples included).
-    pub fn heap_bytes(&self) -> usize {
+    fn heap_bytes(&self) -> usize {
         self.low.capacity() * 8 + self.high.capacity() * 8 + self.samples.capacity() * 4
-    }
-
-    /// Number of low bits per element (serialization accessor).
-    pub fn low_bit_width(&self) -> u32 {
-        self.l
-    }
-
-    /// Packed low-bits words (serialization accessor).
-    pub fn low_words(&self) -> &[u64] {
-        &self.low
-    }
-
-    /// Upper-bits unary vector words (serialization accessor).
-    pub fn high_words(&self) -> &[u64] {
-        &self.high
-    }
-
-    /// Rebuilds an encoding from its serialized parts, re-deriving the
-    /// select samples. Fails if `high` does not contain exactly `n` ones —
-    /// the cheap structural check a caller's CRC framing cannot subsume.
-    /// The count is checked first, so a hostile `n` is bounded by the
-    /// words actually given before anything is sized by it.
-    pub fn from_parts(n: usize, l: u32, low: Vec<u64>, high: Vec<u64>) -> Result<Self, String> {
-        if l >= 64 {
-            return Err(format!("EliasFano low-bit width {l} out of range"));
-        }
-        let ones: usize = high.iter().map(|w| w.count_ones() as usize).sum();
-        if ones != n {
-            return Err(format!(
-                "EliasFano high-bits vector has {ones} ones, expected {n}"
-            ));
-        }
-        if low.len() < (n * l as usize).div_ceil(64) + usize::from(n > 0 && l > 0) {
-            return Err("EliasFano low-bits vector too short".into());
-        }
-        let mut samples = Vec::with_capacity(n / SELECT_SAMPLE + 1);
-        let mut seen = 0usize;
-        'scan: for (wi, &w) in high.iter().enumerate() {
-            let mut w = w;
-            while w != 0 {
-                if seen.is_multiple_of(SELECT_SAMPLE) {
-                    let bit = wi * 64 + w.trailing_zeros() as usize;
-                    if bit > u32::MAX as usize {
-                        return Err("EliasFano high-bits vector too long".into());
-                    }
-                    samples.push(bit as u32);
-                }
-                seen += 1;
-                if seen == n {
-                    break 'scan;
-                }
-                w &= w - 1;
-            }
-        }
-        Ok(Self {
-            n,
-            l,
-            low,
-            high,
-            samples,
-        })
     }
 }
 
@@ -265,9 +200,8 @@ pub struct CompressedCsr {
     /// Sorted ids of the held-out hub rows.
     hub_rows: Vec<u32>,
     /// Derived bitset over node ids: bit `v` set iff `v` is a hub row.
-    /// Not persisted — rebuilt from `hub_rows` by every constructor. Makes
-    /// the common non-hub check in point queries a single bit test instead
-    /// of a binary search.
+    /// Makes the common non-hub check in point queries a single bit test
+    /// instead of a binary search.
     hub_mask: Vec<u64>,
     /// Prefix offsets into `hub_targets`, one per hub row plus the end.
     hub_offsets: Vec<u32>,
@@ -335,7 +269,10 @@ impl CompressedCsr {
             }
         }
         let (data, data_bits) = w.finish();
-        let hub_mask = build_hub_mask(n, &hub_rows);
+        let mut hub_mask = vec![0u64; n.div_ceil(64)];
+        for &v in &hub_rows {
+            hub_mask[v as usize / 64] |= 1u64 << (v % 64);
+        }
         Self {
             n,
             m,
@@ -437,249 +374,6 @@ impl CompressedCsr {
         }
         (self.data_bits + self.hub_targets.len() * 32) as f64 / self.m as f64
     }
-
-    /// Serialized parts in a stable order, for the on-disk snapshot layout
-    /// (see `qpgc_serve`'s persistence module). Word vectors are exposed
-    /// as-is so writers can emit them without re-encoding.
-    pub fn parts(&self) -> SuccinctParts<'_> {
-        SuccinctParts {
-            n: self.n,
-            m: self.m,
-            k: self.k,
-            data_bits: self.data_bits,
-            data: &self.data,
-            offsets: &self.offsets,
-            hub_rows: &self.hub_rows,
-            hub_offsets: &self.hub_offsets,
-            hub_targets: &self.hub_targets,
-            uniform_label: match &self.labels {
-                LabelStore::Uniform(l) => Some(*l),
-                LabelStore::PerNode(_) => None,
-            },
-            per_node_labels: match &self.labels {
-                LabelStore::Uniform(_) => &[],
-                LabelStore::PerNode(ls) => ls,
-            },
-            interner: &self.interner,
-        }
-    }
-
-    /// Rebuilds a graph from deserialized parts, validating the structural
-    /// invariants a CRC cannot (counts, monotonicity, prefix shape).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        n: usize,
-        m: usize,
-        k: u32,
-        data_bits: usize,
-        data: Vec<u64>,
-        offsets: EliasFano,
-        hub_rows: Vec<u32>,
-        hub_offsets: Vec<u32>,
-        hub_targets: Vec<NodeId>,
-        labels: Option<Vec<Label>>,
-        uniform_label: Label,
-        interner: LabelInterner,
-    ) -> Result<Self, String> {
-        if !(1..=16).contains(&k) {
-            return Err(format!("zeta parameter {k} out of range"));
-        }
-        if data.len() < data_bits.div_ceil(64) {
-            return Err("coded stream shorter than its bit length".into());
-        }
-        if offsets.len() != n {
-            return Err(format!(
-                "row-offset count {} does not match node count {n}",
-                offsets.len()
-            ));
-        }
-        if hub_offsets.len() != hub_rows.len() + 1
-            || hub_offsets.first().is_some_and(|&f| f != 0)
-            || hub_offsets
-                .last()
-                .is_some_and(|&l| l as usize != hub_targets.len())
-            || hub_offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("hub offset table malformed".into());
-        }
-        if hub_rows.windows(2).any(|w| w[0] >= w[1])
-            || hub_rows.last().is_some_and(|&r| r as usize >= n)
-        {
-            return Err("hub row ids not sorted or out of bounds".into());
-        }
-        if let Some(ls) = &labels {
-            if ls.len() != n {
-                return Err(format!("label count {} does not match {n} nodes", ls.len()));
-            }
-        }
-        // Decode every row once, bounds-checked: it must stay inside the
-        // coded stream and name strictly ascending targets below `n`, and
-        // the rows must hold `m` edges. The lazy decoder then only ever
-        // reads rows that decoded cleanly here.
-        let mut row = Vec::new();
-        let mut edges = 0usize;
-        for v in 0..n {
-            row.clear();
-            match hub_rows.binary_search(&(v as u32)) {
-                Ok(h) => {
-                    let (from, to) = (hub_offsets[h] as usize, hub_offsets[h + 1] as usize);
-                    row.extend(hub_targets[from..to].iter().map(|t| u64::from(t.0)));
-                }
-                Err(_) => {
-                    let start = offsets.get(v) as usize;
-                    let mut r = BoundedReader {
-                        words: &data,
-                        pos: start,
-                        end: data_bits,
-                    };
-                    r.row(v as u64, k, n as u64, &mut row)
-                        .ok_or_else(|| format!("row {v} does not decode inside the stream"))?;
-                }
-            }
-            if row.windows(2).any(|w| w[0] >= w[1]) || row.last() >= Some(&(n as u64)) {
-                return Err(format!("row {v} is not ascending below {n} nodes"));
-            }
-            edges += row.len();
-        }
-        if edges != m {
-            return Err(format!("rows hold {edges} edges, the header says {m}"));
-        }
-        let labels = match labels {
-            Some(ls) => LabelStore::PerNode(ls),
-            None => LabelStore::Uniform(uniform_label),
-        };
-        let hub_mask = build_hub_mask(n, &hub_rows);
-        Ok(Self {
-            n,
-            m,
-            k,
-            data,
-            data_bits,
-            offsets,
-            hub_rows,
-            hub_mask,
-            hub_offsets,
-            hub_targets,
-            labels,
-            interner,
-        })
-    }
-}
-
-/// Bitset over node ids with the hub rows' bits set.
-fn build_hub_mask(n: usize, hub_rows: &[u32]) -> Vec<u64> {
-    let mut mask = vec![0u64; n.div_ceil(64)];
-    for &v in hub_rows {
-        mask[v as usize / 64] |= 1u64 << (v % 64);
-    }
-    mask
-}
-
-/// The validation twin of [`BitReader`]: the same codes read the same way,
-/// but a read that would pass `end`, overflow a shift, or decode a value
-/// [`Neighbors`] would wrap is `None` instead of a panic or garbage. Used
-/// once per row by [`CompressedCsr::from_parts`], never on a query.
-struct BoundedReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-    end: usize,
-}
-
-impl BoundedReader<'_> {
-    fn bits(&mut self, width: usize) -> Option<u64> {
-        if width > 64 || self.end.checked_sub(self.pos)? < width {
-            return None;
-        }
-        let v = BitReader::at(self.words, self.pos).read_bits(width);
-        self.pos += width;
-        Some(v)
-    }
-
-    fn unary(&mut self) -> Option<u64> {
-        let mut n = 0;
-        while self.bits(1)? == 0 {
-            n += 1;
-        }
-        Some(n)
-    }
-
-    /// `1` followed by `n` read bits, for `n < 64`: the tail of γ and δ.
-    fn leading_one(&mut self, n: u64) -> Option<u64> {
-        (n < 64).then_some(())?;
-        Some(1 << n | self.bits(n as usize)?)
-    }
-
-    fn zeta(&mut self, k: u32) -> Option<u64> {
-        let h = self.unary()?;
-        if (h + 1) * u64::from(k) >= 64 {
-            return None;
-        }
-        let low = 1u64 << (h * u64::from(k));
-        let m = (1u64 << ((h + 1) * u64::from(k))) - low;
-        if m == 1 {
-            return Some(low);
-        }
-        let b = (64 - (m - 1).leading_zeros()).max(1) as usize;
-        let threshold = (1u64 << b) - m;
-        let hi = self.bits(b - 1)?;
-        Some(
-            low + if hi < threshold {
-                hi
-            } else {
-                ((hi << 1) | self.bits(1)?) - threshold
-            },
-        )
-    }
-
-    /// Decodes coded row `v` into `out` as [`Neighbors::Coded`] would: a γ
-    /// degree (at most `n`), a δ zigzag offset from `v`, then ζ gaps.
-    fn row(&mut self, v: u64, k: u32, n: u64, out: &mut Vec<u64>) -> Option<()> {
-        let n_bits = self.unary()?;
-        let degree = self.leading_one(n_bits)? - 1;
-        (degree <= n).then_some(())?;
-        for i in 0..degree {
-            let t = if i == 0 {
-                let d = self.unary()?;
-                let width = self.leading_one(d)? - 1;
-                let z = self.leading_one(width)? - 1;
-                (v as i64).checked_add(unzigzag(z))?
-            } else {
-                (*out.last()? as i64).checked_add(i64::try_from(self.zeta(k)?).ok()?)?
-            };
-            out.push(u64::try_from(t).ok().filter(|&t| t < n)?);
-        }
-        Some(())
-    }
-}
-
-/// Borrowed serialization view of a [`CompressedCsr`], produced by
-/// [`CompressedCsr::parts`].
-#[derive(Clone, Copy, Debug)]
-pub struct SuccinctParts<'a> {
-    /// Node count.
-    pub n: usize,
-    /// Edge count.
-    pub m: usize,
-    /// ζ parameter.
-    pub k: u32,
-    /// Valid bits in `data`.
-    pub data_bits: usize,
-    /// Coded adjacency stream.
-    pub data: &'a [u64],
-    /// Elias–Fano row offsets.
-    pub offsets: &'a EliasFano,
-    /// Sorted hub row ids.
-    pub hub_rows: &'a [u32],
-    /// Hub prefix offsets.
-    pub hub_offsets: &'a [u32],
-    /// Raw hub targets.
-    pub hub_targets: &'a [NodeId],
-    /// The single label when uniformly labeled.
-    pub uniform_label: Option<Label>,
-    /// Per-node labels when not uniform (empty otherwise).
-    pub per_node_labels: &'a [Label],
-    /// Label interner.
-    pub interner: &'a LabelInterner,
 }
 
 /// Lazy neighbor iterator of [`CompressedCsr::neighbors`]: either a raw
@@ -786,7 +480,7 @@ mod tests {
             values.push(acc);
         }
         let ef = EliasFano::new(&values);
-        assert_eq!(ef.len(), values.len());
+        assert_eq!(ef.n, values.len());
         for (i, &v) in values.iter().enumerate() {
             assert_eq!(ef.get(i), v, "index {i}");
         }
@@ -807,29 +501,6 @@ mod tests {
                 assert_eq!(ef.get(i), v, "{values:?} index {i}");
             }
         }
-    }
-
-    #[test]
-    fn elias_fano_parts_roundtrip() {
-        let values: Vec<u64> = (0..5000u64).map(|i| i * 7 + (i % 7)).collect();
-        let ef = EliasFano::new(&values);
-        let rebuilt = EliasFano::from_parts(
-            ef.len(),
-            ef.low_bit_width(),
-            ef.low_words().to_vec(),
-            ef.high_words().to_vec(),
-        )
-        .expect("valid parts");
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(rebuilt.get(i), v);
-        }
-        // A corrupted high vector fails closed.
-        let mut bad = ef.high_words().to_vec();
-        bad[0] ^= 1 << 13;
-        assert!(
-            EliasFano::from_parts(ef.len(), ef.low_bit_width(), ef.low_words().to_vec(), bad)
-                .is_err()
-        );
     }
 
     #[test]
@@ -893,7 +564,7 @@ mod tests {
             (0..999u32).map(|i| (NodeId(i), NodeId(i + 1))).collect();
         let csr = CsrGraph::from_edges(vec![l; 1000], interner, edges);
         let packed = CompressedCsr::from_csr(&csr);
-        assert_eq!(packed.parts().uniform_label, Some(l));
+        assert!(matches!(packed.labels, LabelStore::Uniform(u) if u == l));
         // A chain has gap-1 edges everywhere: the coded form must be far
         // below the plain form's 12n + 8m bytes.
         assert!(
@@ -902,79 +573,5 @@ mod tests {
             packed.heap_bytes(),
             csr.heap_bytes()
         );
-    }
-
-    #[test]
-    fn from_parts_rejects_malformed_structures() {
-        let csr = random_csr(100, 400, 4);
-        let packed = CompressedCsr::from_csr(&csr);
-        let p = packed.parts();
-        // Baseline: faithful parts reconstruct.
-        let ok = CompressedCsr::from_parts(
-            p.n,
-            p.m,
-            p.k,
-            p.data_bits,
-            p.data.to_vec(),
-            EliasFano::from_parts(
-                p.offsets.len(),
-                p.offsets.low_bit_width(),
-                p.offsets.low_words().to_vec(),
-                p.offsets.high_words().to_vec(),
-            )
-            .unwrap(),
-            p.hub_rows.to_vec(),
-            p.hub_offsets.to_vec(),
-            p.hub_targets.to_vec(),
-            (!p.per_node_labels.is_empty()).then(|| p.per_node_labels.to_vec()),
-            p.uniform_label.unwrap_or(Label(0)),
-            p.interner.clone(),
-        )
-        .expect("faithful parts");
-        assert_eq!(ok.edge_count(), packed.edge_count());
-        // Truncated stream fails closed.
-        assert!(CompressedCsr::from_parts(
-            p.n,
-            p.m,
-            p.k,
-            p.data_bits,
-            p.data[..p.data.len().saturating_sub(1)].to_vec(),
-            EliasFano::from_parts(
-                p.offsets.len(),
-                p.offsets.low_bit_width(),
-                p.offsets.low_words().to_vec(),
-                p.offsets.high_words().to_vec(),
-            )
-            .unwrap(),
-            p.hub_rows.to_vec(),
-            p.hub_offsets.to_vec(),
-            p.hub_targets.to_vec(),
-            (!p.per_node_labels.is_empty()).then(|| p.per_node_labels.to_vec()),
-            p.uniform_label.unwrap_or(Label(0)),
-            p.interner.clone(),
-        )
-        .is_err());
-        // Bad zeta parameter fails closed.
-        assert!(CompressedCsr::from_parts(
-            p.n,
-            p.m,
-            0,
-            p.data_bits,
-            p.data.to_vec(),
-            EliasFano::from_parts(
-                p.offsets.len(),
-                p.offsets.low_bit_width(),
-                p.offsets.low_words().to_vec(),
-                p.offsets.high_words().to_vec(),
-            )
-            .unwrap(),
-            p.hub_rows.to_vec(),
-            p.hub_offsets.to_vec(),
-            p.hub_targets.to_vec(),
-            None,
-            Label(0),
-            p.interner.clone(),
-        )
-        .is_err());
     }
 }

@@ -1,80 +1,87 @@
-//! On-disk snapshot persistence: the succinct quotient, frozen to a file.
+//! On-disk snapshot persistence: the served cut's plain parts, frozen to a
+//! file.
 //!
-//! A snapshot file is the serving half of crash recovery. The PR 7
+//! A snapshot file is the serving half of crash recovery. The
 //! [`UpdateLog`](crate::wal::UpdateLog) already makes the *history*
 //! durable, but recovering from it replays every committed batch through
 //! the full maintenance pipeline. Persisting the current snapshot turns
 //! recovery into **snapshot + log-tail replay**: the file names the
 //! version to boot at, the log's edges are replayed up to it and
 //! compressed once, and only the batches past the snapshot's version go
-//! through maintenance. See
+//! through maintenance. Boot also checks that the file is the log's cut at
+//! that version. See
 //! [`CompressedStore::boot_from_snapshot`](crate::CompressedStore::boot_from_snapshot).
 //!
 //! ## File layout
 //!
-//! The byte layout mirrors the in-memory succinct form
-//! ([`CompressedCsr`]) section for section, so loading is a sequence of
-//! straight `memcpy`-shaped word reads — no re-encoding, no bit-stream
-//! transcoding. A plain-backend snapshot is packed on save.
+//! This module is the only one that knows the layout. It holds the cut's
+//! plain parts, whatever backend the store serves: `Gr` is written from
+//! [`QuotientCsr::to_plain_arc`], so a succinct snapshot is decoded on
+//! save, and the file is independent of the in-memory coder.
 //!
 //! ```text
-//! [8B magic "QPGCSNP\x01"] [u32 format version] [u32 reserved = 0]
-//! then per section, 8-byte aligned (payload 8-aligned too):
+//! [8B magic "QPGCSNP\x01"] [u32 format version = 2] [u32 reserved = 0]
+//! then five sections in this order, each 8-byte aligned:
 //! [u32 kind] [u32 payload-len] [u32 crc32] [u32 zero] [payload…] [zero pad to 8]
+//!   1 header    u64 version, u64 live classes, u64 rows, u64 edges
+//!   2 class_of  u32 per node: its row of Gr
+//!   3 cyclic    u8 per row: 0 or 1
+//!   4 offsets   u32 per row + 1: Gr's CSR row offsets
+//!   5 targets   u32 per edge: Gr's CSR targets, ascending in each row
 //! ```
 //!
-//! The CRC (the same hand-rolled IEEE CRC-32 the update log frames its
-//! records with) covers every section byte except the CRC field itself:
-//! `kind ‖ len ‖ zero ‖ payload ‖ pad`, so no file byte past the header
-//! is unprotected. Sections carry the coded
-//! adjacency stream, the Elias–Fano offset words, the hub exception
-//! tables, the label store, the interner, and the snapshot-level node →
-//! class index and cyclic flags — everything [`Snapshot`] needs to serve
-//! reachability, minus the optional 2-hop index (a loaded snapshot answers
-//! by lazy BFS over the succinct quotient, which is BFS-exact; a booted
-//! *store* serves the snapshot it rebuilt, index included).
+//! Every integer is little-endian. The CRC (the same hand-rolled IEEE
+//! CRC-32 the update log frames its records with) covers every section
+//! byte except the CRC field itself: `kind ‖ len ‖ zero ‖ payload ‖ pad`,
+//! so no file byte past the header is unprotected. The optional 2-hop index
+//! and pattern view are not persisted: a loaded snapshot answers by BFS over
+//! `Gr`, which is BFS-exact, and a booted *store* serves the snapshot it
+//! rebuilt, index included.
 //!
 //! ## Fail-closed reading
 //!
 //! Loading validates, in order: the magic and format version, every
 //! section frame (a frame extending past EOF is a truncated file, not a
 //! tolerated tail — unlike the append-only log, a snapshot file is
-//! written whole), every CRC, and finally the structural invariants the
-//! CRC cannot see: counts, monotonicity and prefix shape
-//! ([`EliasFano::from_parts`]), every row decoded once in bounds with
-//! ascending targets below the row count ([`CompressedCsr::from_parts`]),
-//! and the snapshot's own [`Snapshot::check_invariants`] — the node index
-//! names live rows only, `Gr` is acyclic and reduced. A file rewritten
-//! with valid CRCs therefore still cannot load a snapshot whose queries
-//! would index past a row. Any failure returns [`LogError::Corrupt`] and
-//! no partial snapshot.
+//! written whole), every CRC and the section order. It then checks every
+//! count against its section's length before anything is sized by it,
+//! the offsets as a prefix sum of the targets, and every row as ascending
+//! targets below the row count. Last, it runs the snapshot's own
+//! [`Snapshot::check_invariants`]: the node index names live rows only,
+//! and `Gr` is acyclic and reduced. A file rewritten with valid CRCs
+//! therefore still cannot load a snapshot whose queries would index past a
+//! row. Any failure returns [`LogError::Corrupt`] and no partial snapshot.
+//!
+//! ## Replacing a file
+//!
+//! [`save_snapshot`] writes the whole file beside its target (the target's
+//! name with `.tmp` appended), syncs it, and renames it over the target,
+//! so a save that fails part-way leaves the previous file as it was. The
+//! directory is not synced: after a power loss the name may still point at
+//! the previous file, which is whole.
 
 use std::fs::File;
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::{CompressedCsr, EliasFano, Label, NodeId};
+use qpgc_fault::fail_point;
+use qpgc_graph::NodeId;
 
 use crate::error::LogError;
-use crate::snapshot::{QuotientCsr, Snapshot};
+use crate::snapshot::{quotient_csr, QuotientCsr, Snapshot};
 use crate::wal::Crc32;
 
 const MAGIC: &[u8; 8] = b"QPGCSNP\x01";
-const FORMAT_VERSION: u32 = 1;
+const FORMAT_VERSION: u32 = 2;
 
 const SEC_META: u32 = 1;
-const SEC_INTERNER: u32 = 2;
-const SEC_DATA: u32 = 3;
-const SEC_EF_LOW: u32 = 4;
-const SEC_EF_HIGH: u32 = 5;
-const SEC_HUB_ROWS: u32 = 6;
-const SEC_HUB_OFFSETS: u32 = 7;
-const SEC_HUB_TARGETS: u32 = 8;
-const SEC_LABELS: u32 = 9;
-const SEC_CLASS_OF: u32 = 10;
-const SEC_CYCLIC: u32 = 11;
+const SEC_CLASS_OF: u32 = 2;
+const SEC_CYCLIC: u32 = 3;
+const SEC_OFFSETS: u32 = 4;
+const SEC_TARGETS: u32 = 5;
+/// Sections a file holds, kinds `1..=SECTIONS` in order.
+const SECTIONS: usize = 5;
 
 fn corrupt(offset: u64, detail: impl Into<String>) -> LogError {
     LogError::Corrupt {
@@ -106,181 +113,90 @@ fn push_section(out: &mut Vec<u8>, kind: u32, payload: &[u8]) {
     out.extend_from_slice(&zeros[..pad]);
 }
 
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(words.len() * 8);
-    for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
 fn u32s_to_bytes(values: impl IntoIterator<Item = u32>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+    values.into_iter().flat_map(u32::to_le_bytes).collect()
 }
 
-fn bytes_to_words(bytes: &[u8], offset: u64) -> Result<Vec<u64>, LogError> {
-    if !bytes.len().is_multiple_of(8) {
-        return Err(corrupt(offset, "word section length not a multiple of 8"));
-    }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-        .collect())
-}
-
-fn bytes_to_u32s(bytes: &[u8], offset: u64) -> Result<Vec<u32>, LogError> {
-    if !bytes.len().is_multiple_of(4) {
-        return Err(corrupt(offset, "u32 section length not a multiple of 4"));
-    }
-    Ok(bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect())
-}
-
-/// Serializes `snapshot` to `path`, packing a plain-backend quotient into
-/// the succinct form first. The optional 2-hop index and pattern view are
-/// *not* persisted — a loaded snapshot serves reachability by BFS over
-/// the succinct quotient.
+/// Serializes `snapshot` to `path` in the plain layout of the
+/// [module docs](self), decoding a succinct quotient first. The optional
+/// 2-hop index and pattern view are *not* persisted. The file is written
+/// beside `path` and renamed over it, so a failed save leaves the previous
+/// file intact.
 pub fn save_snapshot<P: AsRef<Path>>(snapshot: &Snapshot, path: P) -> Result<(), LogError> {
-    let packed;
-    let succinct: &CompressedCsr = match snapshot.quotient() {
-        QuotientCsr::Succinct(c) => c,
-        QuotientCsr::Plain(g) => {
-            packed = CompressedCsr::from_csr(g);
-            &packed
-        }
-    };
-    let parts = succinct.parts();
-
+    let gr = snapshot.quotient().to_plain_arc();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
-
-    let mut meta = Vec::new();
-    meta.extend_from_slice(&snapshot.version().to_le_bytes());
-    meta.extend_from_slice(&(snapshot.class_count() as u64).to_le_bytes());
-    meta.extend_from_slice(&(parts.n as u64).to_le_bytes());
-    meta.extend_from_slice(&(parts.m as u64).to_le_bytes());
-    meta.extend_from_slice(&(parts.data_bits as u64).to_le_bytes());
-    meta.extend_from_slice(&(parts.offsets.len() as u64).to_le_bytes());
-    meta.extend_from_slice(&parts.k.to_le_bytes());
-    meta.extend_from_slice(&parts.offsets.low_bit_width().to_le_bytes());
-    meta.extend_from_slice(&parts.uniform_label.unwrap_or(Label(0)).0.to_le_bytes());
-    meta.extend_from_slice(&u32::from(parts.uniform_label.is_none()).to_le_bytes());
-    push_section(&mut out, SEC_META, &meta);
-
-    let mut interner = Vec::new();
-    interner.extend_from_slice(&(parts.interner.len() as u32).to_le_bytes());
-    for i in 0..parts.interner.len() {
-        let name = parts
-            .interner
-            .name(Label(i as u32))
-            .expect("dense label ids");
-        interner.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        interner.extend_from_slice(name.as_bytes());
-    }
-    push_section(&mut out, SEC_INTERNER, &interner);
-
-    push_section(&mut out, SEC_DATA, &words_to_bytes(parts.data));
-    push_section(
-        &mut out,
-        SEC_EF_LOW,
-        &words_to_bytes(parts.offsets.low_words()),
-    );
-    push_section(
-        &mut out,
-        SEC_EF_HIGH,
-        &words_to_bytes(parts.offsets.high_words()),
-    );
-    push_section(
-        &mut out,
-        SEC_HUB_ROWS,
-        &u32s_to_bytes(parts.hub_rows.iter().copied()),
-    );
-    push_section(
-        &mut out,
-        SEC_HUB_OFFSETS,
-        &u32s_to_bytes(parts.hub_offsets.iter().copied()),
-    );
-    push_section(
-        &mut out,
-        SEC_HUB_TARGETS,
-        &u32s_to_bytes(parts.hub_targets.iter().map(|t| t.0)),
-    );
-    if parts.uniform_label.is_none() {
-        push_section(
-            &mut out,
-            SEC_LABELS,
-            &u32s_to_bytes(parts.per_node_labels.iter().map(|l| l.0)),
-        );
-    }
+    let meta = [
+        snapshot.version(),
+        snapshot.class_count() as u64,
+        gr.node_count() as u64,
+        gr.edge_count() as u64,
+    ];
+    push_section(&mut out, SEC_META, &meta.map(u64::to_le_bytes).concat());
     push_section(
         &mut out,
         SEC_CLASS_OF,
         &u32s_to_bytes(snapshot.class_of_slice().iter().copied()),
     );
-    let cyclic: Vec<u8> = snapshot
-        .cyclic_slice()
-        .iter()
-        .map(|&c| u8::from(c))
-        .collect();
+    let cyclic: Vec<u8> = snapshot.cyclic_slice().iter().map(|&c| c.into()).collect();
     push_section(&mut out, SEC_CYCLIC, &cyclic);
+    let mut end = 0;
+    let offsets = gr.nodes().map(|v| {
+        end += gr.out_degree(v) as u32;
+        end
+    });
+    push_section(
+        &mut out,
+        SEC_OFFSETS,
+        &u32s_to_bytes(std::iter::once(0).chain(offsets)),
+    );
+    push_section(
+        &mut out,
+        SEC_TARGETS,
+        &u32s_to_bytes(gr.edges().map(|(_, t)| t.0)),
+    );
 
-    let mut file = File::create(path)?;
+    let path = path.as_ref();
+    let mut aside = path.as_os_str().to_owned();
+    aside.push(".tmp");
+    let mut file = File::create(&aside)?;
     file.write_all(&out)?;
-    file.flush()?;
+    // On disk before the rename can publish it: a crash then leaves the
+    // previous file or the whole new one, never an empty one.
+    file.sync_all()?;
+    fail_point!("persist/save");
+    std::fs::rename(&aside, path)?;
     Ok(())
 }
 
-/// One parsed section: its payload bytes and the file offset it started
-/// at (for error reporting).
-struct Section {
+/// One parsed section: its payload and the file offset it started at (for
+/// error reporting).
+struct Section<'a> {
     offset: u64,
-    payload: Vec<u8>,
+    payload: &'a [u8],
 }
 
-/// A little-endian cursor over one section's payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    offset: u64,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(sec: &'a Section) -> Cursor<'a> {
-        Cursor {
-            bytes: &sec.payload,
-            pos: 0,
-            offset: sec.offset,
+impl Section<'_> {
+    fn u32s(&self) -> Result<Vec<u32>, LogError> {
+        if !self.payload.len().is_multiple_of(4) {
+            return Err(corrupt(
+                self.offset,
+                "u32 section length not a multiple of 4",
+            ));
         }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], LogError> {
-        let out = self
-            .bytes
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| corrupt(self.offset, "section payload truncated"))?;
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, LogError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, LogError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        Ok(self
+            .payload
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
     }
 }
 
-/// Parses and CRC-checks every section of a snapshot file.
-fn read_sections(buf: &[u8]) -> Result<Vec<(u32, Section)>, LogError> {
+/// Parses and CRC-checks the header and the [`SECTIONS`] sections of a
+/// snapshot file, which must come in kind order.
+fn read_sections(buf: &[u8]) -> Result<[Section<'_>; SECTIONS], LogError> {
     if buf.len() < 16 || &buf[..8] != MAGIC {
         return Err(corrupt(0, "not a snapshot file (bad magic)"));
     }
@@ -291,7 +207,7 @@ fn read_sections(buf: &[u8]) -> Result<Vec<(u32, Section)>, LogError> {
     if buf[12..16] != [0, 0, 0, 0] {
         return Err(corrupt(12, "nonzero reserved header bytes"));
     }
-    let mut sections = Vec::new();
+    let mut sections = Vec::with_capacity(SECTIONS);
     let mut pos = 16usize;
     while pos < buf.len() {
         let offset = pos as u64;
@@ -313,149 +229,106 @@ fn read_sections(buf: &[u8]) -> Result<Vec<(u32, Section)>, LogError> {
         if crc.finish() != stored_crc {
             return Err(corrupt(offset, "crc32 mismatch on a snapshot section"));
         }
-        sections.push((
-            kind,
-            Section {
+        let expected = sections.len() as u32 + 1;
+        if kind != expected {
+            return Err(corrupt(
                 offset,
-                payload: body[..len].to_vec(),
-            },
-        ));
+                format!("section {kind} where {expected} belongs"),
+            ));
+        }
+        sections.push(Section {
+            offset,
+            payload: &body[..len],
+        });
         pos += 16 + padded;
     }
-    Ok(sections)
+    let found = sections.len();
+    sections
+        .try_into()
+        .map_err(|_| corrupt(buf.len() as u64, format!("{found} of {SECTIONS} sections")))
 }
 
-/// Loads a snapshot file back into a serving [`Snapshot`] on the succinct
+/// Loads a snapshot file back into a serving [`Snapshot`] on the plain
 /// backend (no 2-hop index, no pattern view). Fails closed on truncation,
 /// CRC mismatch, or any structural invariant violation.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Snapshot, LogError> {
-    let mut buf = Vec::new();
-    File::open(path.as_ref())?.read_to_end(&mut buf)?;
-    let sections = read_sections(&buf)?;
-    let find = |kind: u32| -> Result<&Section, LogError> {
-        sections
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map(|(_, s)| s)
-            .ok_or_else(|| corrupt(buf.len() as u64, format!("missing section {kind}")))
-    };
-
-    let meta_sec = find(SEC_META)?;
-    let mut meta = Cursor::new(meta_sec);
-    let snapshot_version = meta.u64()?;
-    let live_classes = meta.u64()? as usize;
-    let n = meta.u64()? as usize;
-    let m = meta.u64()? as usize;
-    let data_bits = meta.u64()? as usize;
-    let ef_n = meta.u64()? as usize;
-    let k = meta.u32()?;
-    let ef_l = meta.u32()?;
-    let uniform_label = Label(meta.u32()?);
-    let has_per_node_labels = meta.u32()? != 0;
-
-    let interner_sec = find(SEC_INTERNER)?;
-    let mut cur = Cursor::new(interner_sec);
-    let mut interner = LabelInterner::new();
-    let count = cur.u32()?;
-    for _ in 0..count {
-        let len = cur.u32()? as usize;
-        let name = std::str::from_utf8(cur.take(len)?)
-            .map_err(|_| corrupt(interner_sec.offset, "label name is not UTF-8"))?;
-        interner.intern(name);
+    let buf = std::fs::read(path)?;
+    let [meta, class_of, cyclic, offsets, targets] = read_sections(&buf)?;
+    if meta.payload.len() != 32 {
+        return Err(corrupt(meta.offset, "header section is not four words"));
     }
-    if interner.len() != count as usize {
-        return Err(corrupt(interner_sec.offset, "duplicate interned labels"));
+    let word = |i: usize| u64::from_le_bytes(meta.payload[8 * i..][..8].try_into().expect("8"));
+    let [version, live_classes, rows, edges] = [0, 1, 2, 3].map(word);
+
+    // Every count against its section's length, before anything is sized
+    // by it: the cyclic flags bound `rows` by the file's own length.
+    if cyclic.payload.len() as u64 != rows {
+        return Err(corrupt(
+            cyclic.offset,
+            format!("cyclic flags for {rows} rows"),
+        ));
+    }
+    if cyclic.payload.iter().any(|&b| b > 1) {
+        return Err(corrupt(cyclic.offset, "cyclic flag out of range"));
+    }
+    let rows = rows as usize;
+    let row_ends = offsets.u32s()?;
+    if row_ends.len() != rows + 1 {
+        return Err(corrupt(
+            offsets.offset,
+            format!("row offsets for {rows} rows"),
+        ));
+    }
+    let heads = targets.u32s()?;
+    if heads.len() as u64 != edges {
+        return Err(corrupt(
+            targets.offset,
+            format!("targets for {edges} edges"),
+        ));
+    }
+    if row_ends[0] != 0
+        || row_ends[rows] as usize != heads.len()
+        || row_ends.windows(2).any(|w| w[0] > w[1])
+    {
+        return Err(corrupt(
+            offsets.offset,
+            "row offsets do not split the targets",
+        ));
+    }
+    let mut gr = Vec::with_capacity(heads.len());
+    for (r, ends) in row_ends.windows(2).enumerate() {
+        let row = &heads[ends[0] as usize..ends[1] as usize];
+        if row.windows(2).any(|w| w[0] >= w[1]) || row.last().is_some_and(|&t| t as usize >= rows) {
+            let detail = format!("row {r} is not ascending below {rows} rows");
+            return Err(corrupt(targets.offset, detail));
+        }
+        gr.extend(row.iter().map(|&t| (NodeId(r as u32), NodeId(t))));
     }
 
-    let data = {
-        let s = find(SEC_DATA)?;
-        bytes_to_words(&s.payload, s.offset)?
-    };
-    let ef_low = {
-        let s = find(SEC_EF_LOW)?;
-        bytes_to_words(&s.payload, s.offset)?
-    };
-    let ef_high = {
-        let s = find(SEC_EF_HIGH)?;
-        bytes_to_words(&s.payload, s.offset)?
-    };
-    let offsets = EliasFano::from_parts(ef_n, ef_l, ef_low, ef_high)
-        .map_err(|e| corrupt(meta_sec.offset, format!("row offsets: {e}")))?;
-    let hub_rows = {
-        let s = find(SEC_HUB_ROWS)?;
-        bytes_to_u32s(&s.payload, s.offset)?
-    };
-    let hub_offsets = {
-        let s = find(SEC_HUB_OFFSETS)?;
-        bytes_to_u32s(&s.payload, s.offset)?
-    };
-    let hub_targets = {
-        let s = find(SEC_HUB_TARGETS)?;
-        bytes_to_u32s(&s.payload, s.offset)?
-            .into_iter()
-            .map(NodeId)
-            .collect()
-    };
-    let labels = if has_per_node_labels {
-        let s = find(SEC_LABELS)?;
-        Some(
-            bytes_to_u32s(&s.payload, s.offset)?
-                .into_iter()
-                .map(Label)
-                .collect(),
-        )
-    } else {
-        None
-    };
-    let gr = CompressedCsr::from_parts(
-        n,
-        m,
-        k,
-        data_bits,
-        data,
-        offsets,
-        hub_rows,
-        hub_offsets,
-        hub_targets,
-        labels,
-        uniform_label,
-        interner,
-    )
-    .map_err(|e| corrupt(meta_sec.offset, format!("succinct quotient: {e}")))?;
-
-    let class_of = {
-        let s = find(SEC_CLASS_OF)?;
-        bytes_to_u32s(&s.payload, s.offset)?
-    };
-    let cyclic_sec = find(SEC_CYCLIC)?;
-    if cyclic_sec.payload.iter().any(|&b| b > 1) {
-        return Err(corrupt(cyclic_sec.offset, "cyclic flag out of range"));
-    }
-    let cyclic: Vec<bool> = cyclic_sec.payload.iter().map(|&b| b != 0).collect();
     let snapshot = Snapshot::from_loaded_parts(
-        snapshot_version,
-        QuotientCsr::Succinct(Arc::new(gr)),
-        class_of,
-        cyclic,
-        live_classes,
+        version,
+        QuotientCsr::Plain(Arc::new(quotient_csr(rows, gr))),
+        class_of.u32s()?,
+        cyclic.payload.iter().map(|&b| b == 1).collect(),
+        live_classes as usize,
     );
-    // One flag per row; the node index must name rows below `n`, exactly
-    // `live_classes` of them; `Gr` must be the acyclic, reduced quotient it
-    // was saved as.
+    // The node index must name rows below `rows`, exactly `live_classes`
+    // of them; `Gr` must be the acyclic, reduced quotient it was saved as.
     snapshot
         .check_invariants()
-        .map_err(|e| corrupt(meta_sec.offset, format!("snapshot invariant: {e}")))?;
+        .map_err(|e| corrupt(meta.offset, format!("snapshot invariant: {e}")))?;
     Ok(snapshot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotFormat;
     use crate::store::StoreConfig;
     use qpgc_graph::LabeledGraph;
     use qpgc_reach::incremental::IncrementalReach;
 
-    fn sample_snapshot() -> Snapshot {
+    fn sample_snapshot(snapshot_format: SnapshotFormat) -> Snapshot {
         let mut g = LabeledGraph::new();
         for _ in 0..40 {
             g.add_node_with_label("X");
@@ -472,28 +345,37 @@ mod tests {
             let v = ((s >> 33) % 40) as u32;
             g.add_edge(NodeId(u), NodeId(v));
         }
-        Snapshot::build(7, &IncrementalReach::new(&g), None, &StoreConfig::default())
+        let config = StoreConfig {
+            snapshot_format,
+            ..StoreConfig::default()
+        };
+        Snapshot::build(7, &IncrementalReach::new(&g), None, &config)
     }
 
+    /// Either backend saves; both load back on the plain one, answering
+    /// every pair as the saved snapshot does.
     #[test]
     fn save_load_roundtrip_preserves_answers() {
-        let snap = sample_snapshot();
         let dir = std::env::temp_dir().join("qpgc_persist_roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.qpgc");
-        save_snapshot(&snap, &path).unwrap();
-        let loaded = load_snapshot(&path).unwrap();
-        assert_eq!(loaded.version(), 7);
-        assert_eq!(loaded.class_count(), snap.class_count());
-        assert_eq!(loaded.node_count(), snap.node_count());
-        assert!(loaded.quotient().as_plain().is_none());
-        for u in 0..snap.node_count() as u32 {
-            for w in 0..snap.node_count() as u32 {
-                assert_eq!(
-                    loaded.reachable(NodeId(u), NodeId(w)),
-                    snap.reachable(NodeId(u), NodeId(w)),
-                    "({u},{w})"
-                );
+        for format in [SnapshotFormat::Plain, SnapshotFormat::Succinct] {
+            let snap = sample_snapshot(format);
+            save_snapshot(&snap, &path).unwrap();
+            let loaded = load_snapshot(&path).unwrap();
+            assert_eq!(loaded.version(), 7);
+            assert_eq!(loaded.class_count(), snap.class_count());
+            assert_eq!(loaded.node_count(), snap.node_count());
+            assert!(loaded.quotient().as_plain().is_some(), "{format:?}");
+            assert_eq!(loaded.same_cut(&snap), Ok(()), "{format:?}");
+            for u in 0..snap.node_count() as u32 {
+                for w in 0..snap.node_count() as u32 {
+                    assert_eq!(
+                        loaded.reachable(NodeId(u), NodeId(w)),
+                        snap.reachable(NodeId(u), NodeId(w)),
+                        "{format:?} ({u},{w})"
+                    );
+                }
             }
         }
         std::fs::remove_file(&path).ok();
@@ -501,7 +383,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_fails_closed() {
-        let snap = sample_snapshot();
+        let snap = sample_snapshot(SnapshotFormat::Plain);
         let dir = std::env::temp_dir().join("qpgc_persist_trunc");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.qpgc");
@@ -520,7 +402,7 @@ mod tests {
 
     #[test]
     fn corrupted_crc_fails_closed() {
-        let snap = sample_snapshot();
+        let snap = sample_snapshot(SnapshotFormat::Plain);
         let dir = std::env::temp_dir().join("qpgc_persist_crc");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.qpgc");
@@ -545,7 +427,7 @@ mod tests {
     /// their end on the first same-class query).
     #[test]
     fn forged_class_of_fails_closed() {
-        let snap = sample_snapshot();
+        let snap = sample_snapshot(SnapshotFormat::Plain);
         let dir = std::env::temp_dir().join("qpgc_persist_forged");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.qpgc");
@@ -553,8 +435,8 @@ mod tests {
         let n = snap.quotient().node_count() as u32;
         let full = std::fs::read(&path).unwrap();
         let mut forged = full[..16].to_vec();
-        for (kind, sec) in read_sections(&full).unwrap() {
-            let mut payload = sec.payload;
+        for (i, sec) in read_sections(&full).unwrap().iter().enumerate() {
+            let (kind, mut payload) = (i as u32 + 1, sec.payload.to_vec());
             if kind == SEC_CLASS_OF {
                 payload[..8].copy_from_slice(&u32s_to_bytes([n + 3, n + 3]));
             }
@@ -566,6 +448,26 @@ mod tests {
                 assert!(detail.contains("outside the id space"))
             }
             other => panic!("a forged node index loaded: {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A file of the previous format, which held the succinct coder's
+    /// internals, is not read as this one.
+    #[test]
+    fn format_version_1_fails_closed() {
+        let dir = std::env::temp_dir().join("qpgc_persist_v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.qpgc");
+        save_snapshot(&sample_snapshot(SnapshotFormat::Plain), &path).unwrap();
+        let mut old = std::fs::read(&path).unwrap();
+        old[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &old).unwrap();
+        match load_snapshot(&path) {
+            Err(LogError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("unsupported format version 1"), "{detail}")
+            }
+            other => panic!("a version-1 file loaded: {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }

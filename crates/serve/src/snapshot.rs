@@ -155,6 +155,17 @@ impl QuotientCsr {
     }
 }
 
+/// `Gr` in plain CSR over `rows` stable ids, every row labelled `σ`: how a
+/// build and a loaded file both freeze the quotient's edges.
+pub(crate) fn quotient_csr(
+    rows: usize,
+    edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> CsrGraph {
+    let mut interner = LabelInterner::new();
+    let sigma = interner.intern("σ");
+    CsrGraph::from_edges(vec![sigma; rows], interner, edges)
+}
+
 /// One immutable compression state, read-optimized for serving.
 ///
 /// A `Snapshot` is built once by the writer and never mutated; any number of
@@ -207,11 +218,7 @@ impl Snapshot {
         let id_space = sq.id_space();
         let live_classes = sq.class_count();
         let indexed = config.two_hop.is_some();
-        let quotient = |kept: Vec<(NodeId, NodeId)>| {
-            let mut interner = LabelInterner::new();
-            let sigma = interner.intern("σ");
-            CsrGraph::from_edges(vec![sigma; id_space], interner, kept)
-        };
+        let quotient = |kept: Vec<(NodeId, NodeId)>| quotient_csr(id_space, kept);
         let (gr, two_hop) = match reach.closure() {
             Some(held) => {
                 let gr = quotient(held.kept().to_vec());
@@ -489,6 +496,56 @@ impl Snapshot {
         Ok(())
     }
 
+    /// Checks that `self` and `other` are the same cut whatever their class
+    /// ids: the same partition of the nodes, the same cyclic flags and the
+    /// same `Gr` edges, every class named by its first (least) member.
+    /// Linear in the nodes, then each of `self`'s edges is looked up in
+    /// `other`'s sorted rows. Both must hold [`Snapshot::check_invariants`],
+    /// so no edge touches a retired row.
+    pub(crate) fn same_cut(&self, other: &Snapshot) -> Result<(), String> {
+        let first_members = |s: &Snapshot| {
+            let mut first = vec![u32::MAX; s.cyclic.len()];
+            for (v, &c) in s.class_of.iter().enumerate().rev() {
+                first[c as usize] = v as u32;
+            }
+            first
+        };
+        let (mine, theirs) = (first_members(self), first_members(other));
+        let n = self.node_count();
+        if n != other.node_count() {
+            return Err(format!("{n} nodes against {}", other.node_count()));
+        }
+        let named = |first: &[u32], s: &Snapshot, v: usize| first[s.class_of[v] as usize];
+        if let Some(v) = (0..n).find(|&v| named(&mine, self, v) != named(&theirs, other, v)) {
+            return Err(format!("node {v} is in another class"));
+        }
+        let cyclic = |s: &Snapshot, v: usize| s.cyclic[s.class_of[v] as usize];
+        if let Some(v) = (0..n).find(|&v| cyclic(self, v) != cyclic(other, v)) {
+            return Err(format!("the class of node {v} differs in its cyclic flag"));
+        }
+        // The partitions agree, so a row's first member names its class in
+        // `other` too.
+        let (gr, theirs_gr) = (self.gr.to_plain_arc(), other.gr.to_plain_arc());
+        let there = |c: NodeId| NodeId(other.class_of[mine[c.index()] as usize]);
+        if gr.edge_count() != theirs_gr.edge_count() {
+            return Err(format!(
+                "Gr has {} edges against {}",
+                gr.edge_count(),
+                theirs_gr.edge_count()
+            ));
+        }
+        let missing = gr
+            .edges()
+            .find(|&(c, d)| !theirs_gr.has_edge(there(c), there(d)));
+        if let Some((c, d)) = missing {
+            let (c, d) = (mine[c.index()], mine[d.index()]);
+            return Err(format!(
+                "Gr's edge from node {c}'s class to {d}'s is missing"
+            ));
+        }
+        Ok(())
+    }
+
     /// Approximate heap footprint of the snapshot in bytes: CSR quotient +
     /// node index + cyclic flags + optional 2-hop index + optional pattern
     /// view. Every structure follows the same capacity-based convention
@@ -657,14 +714,8 @@ mod tests {
     #[test]
     fn check_invariants_rejects_broken_snapshots() {
         let quotient = |edges: &[(u32, u32)]| {
-            let mut interner = LabelInterner::new();
-            let sigma = interner.intern("σ");
-            let edges: Vec<_> = edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
-            QuotientCsr::Plain(Arc::new(CsrGraph::from_edges(
-                vec![sigma; 3],
-                interner,
-                edges,
-            )))
+            let edges = edges.iter().map(|&(a, b)| (NodeId(a), NodeId(b)));
+            QuotientCsr::Plain(Arc::new(quotient_csr(3, edges)))
         };
         let chain = [(0, 1), (1, 2)];
         let ok = Snapshot::from_loaded_parts(0, quotient(&chain), vec![0, 1, 2], vec![false; 3], 3);

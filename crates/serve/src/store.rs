@@ -349,11 +349,13 @@ impl CompressedStore {
         Ok(store)
     }
 
-    /// Persists the currently served snapshot to `path` in the succinct
-    /// on-disk format (see [`crate::persist`]); a plain-backend snapshot
-    /// is packed on the way out. Pair the file with the store's
-    /// [`UpdateLog`] and [`CompressedStore::boot_from_snapshot`] recovers
-    /// by log-**tail** replay instead of full-history replay.
+    /// Persists the currently served cut to `path` as its plain parts —
+    /// version, node index, cyclic flags and `Gr` in CSR, whatever backend
+    /// the store serves (see [`crate::persist`]). The file is written
+    /// beside `path` and renamed over it, so a failed save leaves the
+    /// previous file intact. Pair the file with the store's [`UpdateLog`]
+    /// and [`CompressedStore::boot_from_snapshot`] recovers by log-**tail**
+    /// replay instead of full-history replay.
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
         crate::persist::save_snapshot(&self.load(), path).map_err(StoreError::Log)
     }
@@ -365,16 +367,16 @@ impl CompressedStore {
     /// publication), one [`CompressedStore::new`] compresses that graph and
     /// builds the complete version-`k` snapshot — 2-hop index and pattern
     /// view included, whatever `config` asks for — and the log batches past
-    /// `k` replay through the normal apply pipeline. The loaded snapshot
-    /// itself is validation input only (it carries neither index nor view);
-    /// what is served is the snapshot `new` built, stamped with version
-    /// `k`.
+    /// `k` replay through the normal apply pipeline. The loaded cut must be
+    /// the one `new` built, whatever the class ids: the same partition, the
+    /// same cyclic flags and the same `Gr` edges, each class named by its
+    /// first member. What is served is the snapshot `new` built, stamped
+    /// with version `k`.
     ///
     /// Fails when the snapshot file or the log is unreadable or corrupt,
     /// when the snapshot's version lies beyond the log's committed batch
-    /// count, or when its node or class count disagrees with the state
-    /// rebuilt from the log (either way the file cannot belong to this
-    /// log).
+    /// count, or when the file's cut is not the log's at version `k`
+    /// (either way the file cannot belong to this log).
     pub fn boot_from_snapshot<P: AsRef<Path>, Q: AsRef<Path>>(
         snapshot_path: P,
         log_path: Q,
@@ -397,14 +399,9 @@ impl CompressedStore {
         }
         let store = Self::new(g, config);
         let built = store.load();
-        let shape = |s: &Snapshot| (s.node_count(), s.class_count());
-        if shape(&loaded) != shape(&built) {
-            return Err(mismatch(format!(
-                "snapshot has (nodes, classes) = {:?}, the log at version {k} has {:?}",
-                shape(&loaded),
-                shape(&built)
-            )));
-        }
+        loaded
+            .same_cut(&built)
+            .map_err(|e| mismatch(format!("snapshot is not the log's cut at version {k}: {e}")))?;
         *write_recover(&store.current) =
             Arc::new(Snapshot::republish(&built, k, built.pattern_arc()));
         for batch in &contents.batches[k as usize..] {

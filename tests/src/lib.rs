@@ -227,7 +227,8 @@ pub enum Command {
     Pattern,
     /// Arms failpoint `site` at hit `hit` and applies a valid batch, which
     /// must fail, name the site, and change nothing. Hit `k` of a
-    /// per-shard site fails shard `k − 1`.
+    /// per-shard site fails shard `k − 1`. At a `persist/` site it saves
+    /// the served snapshot instead, and the file on disk must not change.
     #[cfg(feature = "failpoints")]
     Fault {
         /// The `fail_point!` site.
@@ -388,8 +389,12 @@ impl Files {
 
 impl Drop for Files {
     fn drop(&mut self) {
-        std::fs::remove_file(&self.log).ok();
-        std::fs::remove_file(&self.snapshot).ok();
+        // A save that faulted leaves the file it wrote aside behind.
+        let mut aside = self.snapshot.clone().into_os_string();
+        aside.push(".tmp");
+        for path in [&self.log, &self.snapshot, Path::new(&aside)] {
+            std::fs::remove_file(path).ok();
+        }
     }
 }
 
@@ -613,6 +618,29 @@ impl<S: Store> Checker<S> {
                 }
             }
             Command::Point | Command::Bulk | Command::Pattern => {}
+            // A save that faults before its rename leaves the file as it
+            // was: the one saved last, byte for byte, or none.
+            #[cfg(feature = "failpoints")]
+            Command::Fault { site, hit } if site.starts_with("persist/") => {
+                let path = &self.files.snapshot;
+                let before = std::fs::read(path).ok();
+                let saved = {
+                    let _armed =
+                        qpgc_fault::install(qpgc_fault::FaultPlan::new().fail_at(site, hit));
+                    let save = std::panic::AssertUnwindSafe(|| self.store().save(path));
+                    std::panic::catch_unwind(save)
+                };
+                let cause = saved.expect_err(&ctx);
+                let cause = cause.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(cause.contains(site), "{ctx}: {cause}");
+                assert!(
+                    std::fs::read(path).ok() == before,
+                    "{ctx}: the file changed"
+                );
+                if before.is_some() {
+                    load_snapshot(path).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                }
+            }
             #[cfg(feature = "failpoints")]
             Command::Fault { site, hit } => {
                 let batch = self.draw_batch(Command::Mixed);

@@ -8,7 +8,8 @@
 //!
 //! A fault must surface as `Err` naming its site and leave the same cut
 //! served; the store then continues, or recovers from its log to the
-//! durable history. `qpgc_lint`'s `failpoint-registry` rule checks the
+//! durable history. A fault in a snapshot save must leave the file on disk
+//! as it was. `qpgc_lint`'s `failpoint-registry` rule checks the
 //! `*_SITES` lists against every `fail_point!` in the workspace.
 
 #![cfg(feature = "failpoints")]
@@ -39,6 +40,10 @@ const SHARDED_SITES: &[&str] = &[
     "log/append_torn",
     "log/append",
 ];
+
+/// Sites a snapshot save traverses: the fault falls between writing the
+/// new file aside and renaming it over the old one.
+const SAVE_SITES: &[&str] = &["persist/save"];
 
 /// Two clean batches, then for every site a fault at its first hit
 /// followed by `then` and a recovery from the log: the recovered store must
@@ -112,6 +117,26 @@ fn sharded_store_recovers_by_replay_after_a_kill_at_every_site() {
     for shards in [2, 4] {
         let seed = 0xA11 + shards as u64;
         at_every_site(sharded(shards), seed, SHARDED_SITES, RECOVER);
+    }
+}
+
+/// A save that fails before its rename, over a file saved earlier and over
+/// none: the previous file is left byte for byte and still loads, and a
+/// boot from it and the log's tail answers like the model.
+#[test]
+fn a_failed_save_leaves_the_previous_file_intact() {
+    use Command::{Boot, Mixed, Save};
+    let succinct = Config {
+        format: qpgc_serve::SnapshotFormat::Succinct,
+        two_hop: true,
+        ..Config::default()
+    };
+    for &site in SAVE_SITES {
+        let fault = Command::Fault { site, hit: 1 };
+        let script = [Mixed, Save, Mixed, fault, Boot, Mixed, fault, Boot];
+        for config in [Config::default(), succinct] {
+            check_script(config, 0x5A7E, &script);
+        }
     }
 }
 

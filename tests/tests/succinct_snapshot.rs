@@ -99,7 +99,8 @@ fn boot_tail_spectrum() {
 
 /// Boot must fail closed on a truncated or bit-flipped snapshot file, and
 /// on a wrong file pairing: a snapshot whose version lies beyond the log,
-/// or one of the right version saved from a different graph.
+/// or one of the right version saved from a different graph — with other
+/// node and class counts, or with the same ones.
 #[test]
 fn boot_fails_closed_on_damaged_snapshots() {
     let dir = std::env::temp_dir().join("qpgc_succinct_damage");
@@ -141,9 +142,32 @@ fn boot_fails_closed_on_damaged_snapshots() {
     foreign.save_snapshot(&other_snap).unwrap();
     assert_eq!(foreign.version(), live.version());
     assert!(fails(&other_snap, &log), "a snapshot of another graph");
-    for p in [&log, &snap, &short, &other_log, &other_snap] {
-        std::fs::remove_file(p).ok();
-    }
+    // A same-shape snapshot of another graph: a 5-node chain and the same
+    // chain with its node ids reversed have as many nodes and classes.
+    let chain = |reversed: bool| {
+        let mut g = LabeledGraph::new();
+        let v: Vec<_> = (0..5).map(|_| g.add_node_with_label("A")).collect();
+        for w in v.windows(2) {
+            let (a, b) = if reversed { (w[1], w[0]) } else { (w[0], w[1]) };
+            g.add_edge(a, b);
+        }
+        g
+    };
+    let (chain_log, chain_snap) = (dir.join("chain.log"), dir.join("chain.snap"));
+    let chain_store = CompressedStore::new_with_log(chain(false), config, &chain_log).unwrap();
+    chain_store.save_snapshot(&chain_snap).unwrap();
+    assert!(!fails(&chain_snap, &chain_log), "the chain's own snapshot");
+    let reversed = CompressedStore::new(chain(true), config);
+    assert_eq!(
+        reversed.load().class_count(),
+        chain_store.load().class_count()
+    );
+    reversed.save_snapshot(&chain_snap).unwrap();
+    assert!(
+        fails(&chain_snap, &chain_log),
+        "the reversed chain's snapshot"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `QPGC_TIMING_TESTS=1`-gated: serving point queries from a succinct
