@@ -10,6 +10,8 @@
 //! `QPGC_SCALE` divides the original dataset sizes (default 100); lower
 //! values give results closer to the paper's scale at the cost of runtime.
 
+#![allow(clippy::print_stdout)]
+
 use std::time::Instant;
 
 use qpgc_bench::experiments::{run, ALL_EXPERIMENTS};

@@ -21,7 +21,6 @@
 //! `QPGC_SCALE` environment variable controls the down-scaling factor of
 //! the dataset emulations (default 100; smaller = bigger graphs).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

@@ -63,7 +63,6 @@
 //! assert_eq!(answer.matches_of(qb).len(), 2); // both BSAs
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod maintenance;

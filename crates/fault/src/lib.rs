@@ -48,7 +48,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Evaluates the failpoint `site`: panics iff the thread's active
@@ -185,6 +184,7 @@ mod tests {
         let _g = install(FaultPlan::new().fail_at("t/local", 1));
         // A thread without the plan never fires, and does not count
         // against the installing thread's hits.
+        #[expect(clippy::disallowed_methods, reason = "the test needs a second thread")]
         std::thread::scope(|s| {
             s.spawn(|| eval("t/local")).join().unwrap();
         });

@@ -15,7 +15,6 @@
 //!
 //! All generators are deterministic given their seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod datasets;

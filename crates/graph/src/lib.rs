@@ -53,7 +53,6 @@
 //! assert!(!traversal::bfs_reachable(&g, c, a));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bitset;

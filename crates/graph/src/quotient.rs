@@ -40,8 +40,8 @@
 //! feeds an id — the affected classes, the units and the order of the
 //! groups a regroup returns, retirements, the LIFO free-id stack — is read
 //! off those vectors in ascending id order, so there is no iteration order
-//! to leak (`qpgc_lint`'s `deterministic-iteration` rule audits this file
-//! and finds nothing to allow). Units are numbered by (class id, first
+//! to leak (the module denies `clippy::disallowed_types`, so a hash
+//! collection here fails the clippy gate). Units are numbered by (class id, first
 //! member) and a group is spliced where the batch kernel's first-seen
 //! numbering would meet its first node — the atom of the class it absorbs,
 //! else its first unit. Both regroups give the same partition; the closure
@@ -124,6 +124,8 @@
 //! (`qpgc_reach::closure`, lemma L6). An affected class that the closure
 //! regroup finds unchanged is neither: a batch that changes no class
 //! splices, patches and republishes nothing.
+
+#![deny(clippy::disallowed_types)]
 
 use std::fmt::Debug;
 

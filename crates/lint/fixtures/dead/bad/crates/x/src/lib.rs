@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 /// Called by the example: live.
 pub fn served() -> u32 {
     7

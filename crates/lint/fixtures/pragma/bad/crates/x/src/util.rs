@@ -1,8 +1,8 @@
-fn helper(m: &std::sync::Mutex<u64>) -> u64 {
-    // qpgc-lint: allow(lock-hygiene)
-    let v = *m.lock().unwrap();
+fn helper(start: std::time::Instant) -> u64 {
+    // qpgc-lint: allow(timing-gate)
+    assert!(start.elapsed().as_secs() < 60);
     // qpgc-lint: allow(no-such-rule) -- typo'd rule name
-    let w = v + 1;
-    // qpgc-lint: allow(hygiene) -- nothing here triggers hygiene
+    let w = 1;
+    // qpgc-lint: allow(dead-surface) -- nothing here is a pub item
     w
 }

@@ -341,11 +341,8 @@ fn statement_coverage(tokens: &[Token], line: usize) -> (usize, usize) {
 
 /// Every rule id the engine accepts in `allow(...)` pragmas.
 pub const RULE_IDS: &[&str] = &[
-    rules::lock_hygiene::RULE,
-    rules::determinism::RULE,
     rules::failpoints::RULE,
     rules::timing::RULE,
-    rules::hygiene::RULE,
     rules::dead_surface::RULE,
 ];
 
@@ -362,13 +359,7 @@ pub fn run_root(root: &Path) -> Vec<Finding> {
             files.push(SourceFile::parse(&rel, &text));
         }
     }
-    let mut raw: Vec<Finding> = Vec::new();
-    for f in &files {
-        raw.extend(rules::lock_hygiene::check(f));
-        raw.extend(rules::determinism::check(f));
-        raw.extend(rules::timing::check(f));
-        raw.extend(rules::hygiene::check(f));
-    }
+    let mut raw: Vec<Finding> = files.iter().flat_map(rules::timing::check).collect();
     raw.extend(rules::failpoints::check(&files));
     raw.extend(rules::dead_surface::check(&files));
 
@@ -495,17 +486,17 @@ mod tests {
 
     #[test]
     fn pragma_bodies_parse_and_malform() {
-        let (rule, just, bad) = parse_pragma_body("allow(hygiene) -- demo");
+        let (rule, just, bad) = parse_pragma_body("allow(timing-gate) -- demo");
         assert_eq!(
             (rule.as_str(), just.as_str(), bad),
-            ("hygiene", "demo", false)
+            ("timing-gate", "demo", false)
         );
-        let (_, _, bad) = parse_pragma_body("allowed(hygiene)");
+        let (_, _, bad) = parse_pragma_body("allowed(timing-gate)");
         assert!(bad);
-        let (rule, just, bad) = parse_pragma_body("allow(lock-hygiene)");
+        let (rule, just, bad) = parse_pragma_body("allow(dead-surface)");
         assert_eq!(
             (rule.as_str(), just.as_str(), bad),
-            ("lock-hygiene", "", false)
+            ("dead-surface", "", false)
         );
     }
 

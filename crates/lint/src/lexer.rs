@@ -377,11 +377,11 @@ mod tests {
 
     #[test]
     fn pragmas_are_collected_with_lines() {
-        let src = "fn a() {}\n// qpgc-lint: allow(hygiene) -- demo only\nfn b() {}\n";
+        let src = "fn a() {}\n// qpgc-lint: allow(timing-gate) -- demo only\nfn b() {}\n";
         let lexed = lex(src);
         assert_eq!(lexed.pragmas.len(), 1);
         assert_eq!(lexed.pragmas[0].line, 2);
-        assert_eq!(lexed.pragmas[0].body, "allow(hygiene) -- demo only");
+        assert_eq!(lexed.pragmas[0].body, "allow(timing-gate) -- demo only");
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! cargo run -p qpgc_lint -- --root P  # lint a different tree (fixtures)
 //! ```
 
+#![allow(clippy::print_stdout)]
+
 use std::path::PathBuf;
 
 use qpgc_lint::engine::run_root;

@@ -37,6 +37,8 @@
 //! members — never on `|G|` (the problem is unbounded, Theorem 8, so a
 //! dependence on `|Gr|` is unavoidable in general).
 
+#![deny(clippy::disallowed_types)]
+
 use std::sync::Arc;
 
 use qpgc_graph::ids::LabelInterner;

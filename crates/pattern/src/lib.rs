@@ -59,7 +59,6 @@
 //! assert_eq!(on_g.canonical(), expanded.canonical());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bisim;

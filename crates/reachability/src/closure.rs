@@ -126,6 +126,8 @@
 //! set and cleared everywhere else. Only construction (and recovery, which
 //! constructs) sweeps: `O(|Er| · id_space / 64)` words per direction.
 
+#![deny(clippy::disallowed_types)]
+
 use qpgc_graph::ids::LabelInterner;
 use qpgc_graph::quotient::{Cut, Equivalence, Group, IncrementalQuotient, Regrouped};
 use qpgc_graph::reach_sets::DagReach;

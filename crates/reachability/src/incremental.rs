@@ -88,6 +88,8 @@
 //! unbounded — Theorem 6 — so no algorithm can depend on `|ΔG| + |ΔGr|`
 //! alone).
 
+#![deny(clippy::disallowed_types)]
+
 use qpgc_graph::quotient::{Classes, Equivalence, IncrementalQuotient};
 use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::update::PartitionDelta;

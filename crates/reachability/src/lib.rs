@@ -51,7 +51,6 @@
 //! assert!(!compressed.query(b1, b2));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aho;

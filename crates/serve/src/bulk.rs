@@ -49,9 +49,11 @@ pub fn bulk_reachable<C: ReachCut + ?Sized>(
         return out;
     }
     let chunk = queries.len().div_ceil(threads);
-    // qpgc-lint: allow(deterministic-iteration) -- bulk reads are the one
-    // thing `StoreConfig::threads` governs: every worker reads one
-    // immutable cut and answers land in query order.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bulk reads are the one thing `StoreConfig::threads` governs: \
+                  every worker reads one immutable cut and answers land in query order"
+    )]
     std::thread::scope(|s| {
         for (q_chunk, o_chunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
             s.spawn(move || {

@@ -73,7 +73,6 @@
 //! [`UpdateBatch`]: qpgc_graph::UpdateBatch
 //! [`PatternView`]: qpgc_pattern::view::PatternView
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod api;

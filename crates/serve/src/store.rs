@@ -36,17 +36,20 @@ use crate::wal::UpdateLog;
 /// the guard drops and rolls the state back, so the inner value is always
 /// the last consistent (pre-batch) state — recover it instead of
 /// propagating the poison to readers.
+#[expect(clippy::disallowed_methods, reason = "recovers poison")]
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `RwLock::read` with poison recovery — published `Arc`s are immutable,
 /// so the last published value is always safe to serve.
+#[expect(clippy::disallowed_methods, reason = "recovers poison")]
 pub(crate) fn read_recover<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     l.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `RwLock::write` with poison recovery, for the publication pointer swap.
+#[expect(clippy::disallowed_methods, reason = "recovers poison")]
 pub(crate) fn write_recover<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     l.write().unwrap_or_else(PoisonError::into_inner)
 }
@@ -376,7 +379,9 @@ impl CompressedStore {
     /// Fails when the snapshot file or the log is unreadable or corrupt,
     /// when the snapshot's version lies beyond the log's committed batch
     /// count, or when the file's cut is not the log's at version `k`
-    /// (either way the file cannot belong to this log).
+    /// (either way the file cannot belong to this log). A prefix batch is
+    /// validated as [`CompressedStore::try_apply`] validates it, so a log
+    /// that `recover_from_log` rejects does not boot either.
     pub fn boot_from_snapshot<P: AsRef<Path>, Q: AsRef<Path>>(
         snapshot_path: P,
         log_path: Q,
@@ -395,6 +400,7 @@ impl CompressedStore {
         }
         let mut g = contents.graph;
         for batch in &contents.batches[..k as usize] {
+            validate(batch, &g, &config)?;
             batch.apply_to(&mut g);
         }
         let store = Self::new(g, config);
@@ -495,6 +501,16 @@ pub(crate) fn first_snapshot(maintained: &MaintainedGraph, config: &StoreConfig)
     Snapshot::build(0, maintained.reach(), pattern, config)
 }
 
+/// Rejects a batch `g` cannot take: [`UpdateBatch::validate`], plus
+/// [`UpdateBatch::validate_labels`] when patterns are served.
+fn validate(batch: &UpdateBatch, g: &LabeledGraph, config: &StoreConfig) -> Result<(), StoreError> {
+    batch.validate(g.node_count())?;
+    if config.serve_patterns {
+        batch.validate_labels(g)?;
+    }
+    Ok(())
+}
+
 /// Stages `batch` on `maintained` as the successor of `prev`, the snapshot
 /// served for it — the staging step of both stores' protocol (a sharded
 /// store runs it once per shard). Validation rejects a malformed batch
@@ -508,10 +524,7 @@ pub(crate) fn stage(
     batch: &UpdateBatch,
     config: &StoreConfig,
 ) -> Result<Staged, StoreError> {
-    batch.validate(maintained.graph().node_count())?;
-    if config.serve_patterns {
-        batch.validate_labels(maintained.graph())?;
-    }
+    validate(batch, maintained.graph(), config)?;
     // Normalized once, against the pre-batch graph: what both
     // maintainers consume, and the exact inverse the rollback path
     // needs if anything past this point faults.

@@ -4,7 +4,7 @@
 //! <name>`); this small library only contains formatting helpers so the
 //! binaries stay focused on demonstrating the public API.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::print_stdout)]
 
 /// Prints a section header to stdout.
 pub fn section(title: &str) {

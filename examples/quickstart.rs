@@ -3,6 +3,8 @@
 //!
 //! Run with `cargo run -p qpgc-examples --bin quickstart`.
 
+#![allow(clippy::print_stdout)]
+
 use qpgc::prelude::*;
 use qpgc_examples::{pct, section};
 

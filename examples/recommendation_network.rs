@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run -p qpgc-examples --bin recommendation_network`.
 
+#![allow(clippy::print_stdout)]
+
 use qpgc::prelude::*;
 use qpgc_examples::{pct, section};
 

@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run -p qpgc-examples --bin social_reachability --release`.
 
+#![allow(clippy::print_stdout)]
+
 use std::time::Instant;
 
 use qpgc::prelude::*;

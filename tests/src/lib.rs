@@ -29,8 +29,6 @@
 //! A failure names the configuration, the seed and the command index `i`;
 //! `check(config, seed, i + 1)` replays the run up to that command.
 
-#![forbid(unsafe_code)]
-
 use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::mem::{discriminant, Discriminant};
@@ -328,6 +326,10 @@ fn run_and_replay(config: Config, seed: u64, script: &[Command], replays: &[usiz
 /// Runs [`check`] for every seed of `seeds` on every configuration of
 /// [`Config::all`] that `keep` keeps, and returns what they exercised. The
 /// runs are independent: two workers share them.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "checker runs are independent; each is a pure function of (configuration, seed)"
+)]
 pub fn check_configs(
     seeds: impl IntoIterator<Item = u64>,
     steps: usize,

@@ -4,9 +4,10 @@
 //! Mutants flip a bit, truncate, or rewrite an aligned 4- or 8-byte field
 //! to a hostile value, and most are re-framed with valid CRCs so they get
 //! past the framing to the structural checks. Every outcome must be `Err`,
-//! or a value that holds up: a log whose recovered store passes
-//! `check_invariants` and answers all pairs like BFS on the replayed
-//! graph, a snapshot that passes `check_invariants` and answers all pairs.
+//! or a value that holds up: a log whose recovered store, and whose store
+//! booted from a snapshot saved mid-stream, pass `check_invariants` and
+//! answer all pairs like BFS on the replayed graph, a snapshot that passes
+//! `check_invariants` and answers all pairs.
 //! No decoder may panic, and no value may be larger than a small multiple
 //! of the bytes it was decoded from.
 
@@ -107,11 +108,15 @@ fn mutate_frames(rng: &mut StdRng, frames: &[(u32, Vec<u8>)]) -> Option<Vec<(u32
 /// The log: `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
 fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
     let (mut g, path) = (random_graph(rng, 16, false), dir.join("log"));
+    let snap = dir.join("log.snap");
     let store = CompressedStore::new_with_log(g.clone(), StoreConfig::default(), &path).unwrap();
-    for _ in 0..4 {
+    for i in 0..4 {
         let batch = random_batch(rng, g.node_count(), 3, 0.6, false);
         store.try_apply(&batch).unwrap();
         batch.apply_to(&mut g);
+        if i == 1 {
+            store.save_snapshot(&snap).unwrap();
+        }
     }
     let log = std::fs::read(&path).unwrap();
     let (mut records, mut pos) = (Vec::new(), 0);
@@ -138,7 +143,9 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
             }
         }
         std::fs::write(&path, &bytes).unwrap();
+        let booted = CompressedStore::boot_from_snapshot(&snap, &path, StoreConfig::default());
         let Ok(contents) = UpdateLog::read(&path) else {
+            assert!(booted.is_err(), "log mutant {i} booted without a log");
             return false;
         };
         let mut g = contents.graph;
@@ -147,15 +154,20 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
             g.node_count() + g.edge_count() + updates <= bytes.len(),
             "log mutant {i}"
         );
-        if let Ok(store) = CompressedStore::recover_from_log(&path, StoreConfig::default()) {
+        let recovered = CompressedStore::recover_from_log(&path, StoreConfig::default());
+        // A store of either kind validated every batch, so the edges replay.
+        if recovered.is_ok() || booted.is_ok() {
             contents.batches.iter().for_each(|b| b.apply_to(&mut g));
+        }
+        for (how, store) in [("recovered", recovered), ("booted", booted)] {
+            let Ok(store) = store else { continue };
             let cut = store.load();
-            assert_eq!(cut.check_invariants(), Ok(()), "log mutant {i}");
+            assert_eq!(cut.check_invariants(), Ok(()), "log mutant {i}, {how}");
             for (u, w) in g.nodes().flat_map(|u| g.nodes().map(move |w| (u, w))) {
                 assert_eq!(
                     cut.reachable(u, w),
                     bfs_reachable(&g, u, w),
-                    "log mutant {i}"
+                    "log mutant {i}, {how}"
                 );
             }
         }

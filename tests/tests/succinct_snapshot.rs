@@ -8,8 +8,9 @@
 //!    the model checker (`qpgc_tests::check`), judged by the oracles on the
 //!    model; the entries below run it on the seeds the former plain-versus-
 //!    succinct and boot streams used.
-//! 3. **Damage** — boot fails closed on a truncated or bit-flipped file and
-//!    on a file that belongs to another log.
+//! 3. **Damage** — boot fails closed on a truncated or bit-flipped file,
+//!    on a file that belongs to another log, and on a log whose replayed
+//!    prefix holds a batch the store rejects.
 //!
 //! A `QPGC_TIMING_TESTS=1`-gated assertion bounds the succinct
 //! point-query overhead at 3× plain on a Table-1 emulation.
@@ -17,8 +18,8 @@
 use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use std::path::Path;
 
-use qpgc_graph::{CompressedCsr, LabeledGraph, NodeId};
-use qpgc_serve::{CompressedStore, SnapshotFormat, StoreConfig};
+use qpgc_graph::{BatchError, CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_serve::{CompressedStore, SnapshotFormat, StoreConfig, StoreError, UpdateLog};
 use qpgc_tests::{check_configs, check_script, random_batch, random_graph, Command, Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -167,6 +168,52 @@ fn boot_fails_closed_on_damaged_snapshots() {
         fails(&chain_snap, &chain_log),
         "the reversed chain's snapshot"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A CRC-valid log whose first batch the store would reject fails boot as
+/// it fails recovery, beside a snapshot of the cut the log's edges reach at
+/// version 2: a batch naming a node past the graph (which `add_edge` would
+/// assert on), and one inserting and deleting the same absent edge (which
+/// leaves the edges as they were).
+#[test]
+fn boot_rejects_the_prefix_batches_recovery_rejects() {
+    let dir = std::env::temp_dir().join(format!("qpgc_forged_prefix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, snap) = (dir.join("forged.log"), dir.join("forged.snap"));
+    let mut g = LabeledGraph::new();
+    let v: Vec<_> = (0..5).map(|_| g.add_node_with_label("A")).collect();
+    for w in v.windows(2) {
+        g.add_edge(w[0], w[1]);
+    }
+    let config = StoreConfig::default();
+    let store = CompressedStore::new(g.clone(), config);
+    for _ in 0..2 {
+        store.try_apply(&UpdateBatch::new()).unwrap();
+    }
+    store.save_snapshot(&snap).unwrap();
+    let mut out_of_bounds = UpdateBatch::new();
+    out_of_bounds.insert(NodeId(9), v[0]);
+    let mut conflicting = UpdateBatch::new();
+    conflicting.insert(v[2], v[0]).delete(v[2], v[0]);
+    let rejected = |r: Result<CompressedStore, StoreError>| {
+        matches!(
+            r,
+            Err(StoreError::InvalidBatch(
+                BatchError::NodeOutOfBounds { .. } | BatchError::ConflictingUpdates { .. }
+            ))
+        )
+    };
+    for batch in [out_of_bounds, conflicting] {
+        let mut writer = UpdateLog::create(&log, &g).unwrap();
+        writer.append(&batch).unwrap();
+        writer.append(&UpdateBatch::new()).unwrap();
+        drop(writer);
+        let recovered = CompressedStore::recover_from_log(&log, config);
+        assert!(rejected(recovered), "recover: {batch:?}");
+        let booted = CompressedStore::boot_from_snapshot(&snap, &log, config);
+        assert!(rejected(booted), "boot: {batch:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
