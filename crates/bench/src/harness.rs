@@ -116,6 +116,10 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (r, t.elapsed())
 }
 
+/// Timed calls per cell of the warm experiments (fig12b, c, e, f, h); the
+/// fastest is reported.
+pub(crate) const RUNS: usize = 7;
+
 /// The fastest of `runs` timed calls of `f`, each on a fresh `setup()`:
 /// the setup, and dropping what it built, stay outside the clock. Returns
 /// the fastest call's result with its time.

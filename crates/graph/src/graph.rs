@@ -396,15 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn nodes_by_label_groups_correctly() {
-        let (g, n) = diamond();
-        let by_label = g.nodes_by_label();
-        assert_eq!(by_label.len(), 3);
-        let b_nodes = &by_label[&g.label(n[1])];
-        assert_eq!(b_nodes.len(), 2);
-    }
-
-    #[test]
     fn heap_bytes_nonzero() {
         let (g, _) = diamond();
         assert!(g.heap_bytes() > 0);

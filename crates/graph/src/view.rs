@@ -12,7 +12,6 @@
 //! [`LabeledGraph`]: crate::graph::LabeledGraph
 //! [`CsrGraph`]: crate::csr::CsrGraph
 
-use std::collections::HashMap;
 use std::ops::Range;
 
 use crate::ids::{Label, NodeId};
@@ -101,16 +100,6 @@ pub trait GraphView {
         self.nodes()
             .flat_map(|u| self.out_neighbors(u).iter().map(move |&v| (u, v)))
     }
-
-    /// Builds the label → nodes index used to seed simulation and
-    /// bisimulation partitions.
-    fn nodes_by_label(&self) -> HashMap<Label, Vec<NodeId>> {
-        let mut map: HashMap<Label, Vec<NodeId>> = HashMap::new();
-        for v in self.nodes() {
-            map.entry(self.label(v)).or_default().push(v);
-        }
-        map
-    }
 }
 
 #[cfg(test)]
@@ -144,9 +133,6 @@ mod tests {
         assert_eq!(g.label_name(NodeId(0)), Some("A"));
         assert_eq!(g.lookup_label("B"), Some(g.label(NodeId(1))));
         assert_eq!(g.lookup_label("Z"), None);
-        let by_label = g.nodes_by_label();
-        assert_eq!(by_label.len(), 2);
-        assert_eq!(by_label[&g.label(NodeId(1))].len(), 2);
     }
 
     #[test]

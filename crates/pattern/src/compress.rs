@@ -71,9 +71,12 @@ impl PatternCompression {
 
     /// The post-processing function `P`: expands a match relation computed
     /// on `Gr` into the match relation on `G` by replacing every hypernode
-    /// with its members. Runs in time linear in the size of the output.
+    /// with its members. Runs in time linear in the size of the output plus
+    /// `|V| / 64` words per pattern node.
     pub fn post_process(&self, on_compressed: &MatchRelation) -> MatchRelation {
-        crate::pattern::expand_match_relation(on_compressed, |c| self.members_of(c))
+        crate::pattern::expand_match_relation(on_compressed, self.partition.class_of.len(), |c| {
+            self.members_of(c)
+        })
     }
 
     /// Number of hypernodes (`|Vr|`).

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 
-use crate::bounded::{initial_candidates_allow_empty, refine_to_fixpoint};
+use crate::bounded::{label_candidates, refine_to_fixpoint};
 use crate::pattern::{MatchRelation, Pattern};
 
 /// Incrementally maintained match relation of one pattern query.
@@ -42,8 +42,8 @@ pub struct IncrementalMatch {
 impl IncrementalMatch {
     /// Evaluates the pattern on `g` and starts maintaining the result.
     pub fn new(g: &LabeledGraph, pattern: Pattern) -> Self {
-        let init = initial_candidates_allow_empty(g, &pattern);
-        let sim = refine_to_fixpoint(g, &pattern, init);
+        let mut sim = label_candidates(g, &pattern);
+        refine_to_fixpoint(g, &pattern, &mut sim, false);
         IncrementalMatch { pattern, sim }
     }
 
@@ -67,14 +67,12 @@ impl IncrementalMatch {
         }
         let (insertions, _) = norm.split();
 
-        let start = if insertions.is_empty() {
-            // Deletions only: the previous sets over-approximate the new ones.
-            self.sim.clone()
-        } else {
-            self.widened_candidates(g, &insertions)
-        };
-
-        self.sim = refine_to_fixpoint(g, &self.pattern, start);
+        // After deletions alone the previous sets over-approximate the new
+        // ones; insertions widen them first.
+        if !insertions.is_empty() {
+            self.sim = self.widened_candidates(g, &insertions);
+        }
+        refine_to_fixpoint(g, &self.pattern, &mut self.sim, false);
         self.current()
     }
 
@@ -85,7 +83,7 @@ impl IncrementalMatch {
         g: &LabeledGraph,
         insertions: &[(NodeId, NodeId)],
     ) -> Vec<Vec<NodeId>> {
-        let full = initial_candidates_allow_empty(g, &self.pattern);
+        let full = label_candidates(g, &self.pattern);
         let touched = reverse_reach_marks(g, insertions.iter().map(|&(u, _)| u));
 
         full.into_iter()

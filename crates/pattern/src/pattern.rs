@@ -8,7 +8,7 @@
 //! maximum match relation `SM ⊆ Vp × V` (Lemma 1), or the empty relation if
 //! the pattern does not match.
 
-use qpgc_graph::NodeId;
+use qpgc_graph::{BitMatrix, NodeId};
 
 /// The bound `fe(u, u')` attached to a pattern edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -128,24 +128,36 @@ pub struct MatchRelation {
 
 /// The post-processing function `P`, shared by every compressed form:
 /// expands a match relation computed on a quotient graph into the relation
-/// on the original graph by replacing each hypernode with its members
-/// (looked up through `members_of`). Runs in time linear in the size of the
-/// output.
+/// on the original graph of `node_count` nodes by replacing each hypernode
+/// with its members (looked up through `members_of`). Each pattern node's
+/// members are set in one node-indexed bit row, reused across pattern
+/// nodes, and read out in order: time linear in the output plus
+/// `node_count / 64` words per pattern node.
 pub(crate) fn expand_match_relation<'a>(
     on_compressed: &MatchRelation,
+    node_count: usize,
     members_of: impl Fn(NodeId) -> &'a [NodeId],
 ) -> MatchRelation {
-    let mut out = MatchRelation::empty(on_compressed.matches.len());
-    for (u, classes) in on_compressed.matches.iter().enumerate() {
-        let mut expanded: Vec<NodeId> = Vec::new();
-        for &c in classes {
-            expanded.extend_from_slice(members_of(c));
-        }
-        expanded.sort_unstable();
-        expanded.dedup();
-        out.matches[u] = expanded;
-    }
-    out
+    let mut row = BitMatrix::new(1, node_count);
+    let matches = on_compressed
+        .matches
+        .iter()
+        .map(|classes| {
+            let mut len = 0;
+            for &c in classes {
+                let members = members_of(c);
+                len += members.len();
+                for v in members {
+                    row.insert(0, v.index());
+                }
+            }
+            let mut expanded = Vec::with_capacity(len);
+            expanded.extend(row.ones(0).map(|v| NodeId(v as u32)));
+            row.clear_row(0);
+            expanded
+        })
+        .collect();
+    MatchRelation { matches }
 }
 
 /// Differential-testing oracle shared by every suite that compares two ways

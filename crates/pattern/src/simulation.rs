@@ -9,7 +9,7 @@
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use qpgc_graph::{GraphView, LabeledGraph, NodeId};
+    use qpgc_graph::{LabeledGraph, NodeId};
 
     use crate::bounded::bounded_match;
     use crate::pattern::{assert_same_answer, resolve_labels, MatchRelation, Pattern};
@@ -24,12 +24,9 @@ pub(crate) mod tests {
         let labels = resolve_labels(pattern, g);
         // Candidate sets: nodes with the right label.
         let mut sim: Vec<Vec<NodeId>> = Vec::with_capacity(pattern.node_count());
-        let by_label = g.nodes_by_label();
         for u in pattern.nodes() {
-            let cands = match labels[u as usize] {
-                Some(l) => by_label.get(&l).cloned().unwrap_or_default(),
-                None => Vec::new(),
-            };
+            let want = labels[u as usize];
+            let cands: Vec<NodeId> = g.nodes().filter(|&v| want == Some(g.label(v))).collect();
             if cands.is_empty() {
                 return None;
             }

@@ -109,14 +109,22 @@ impl PatternView {
 
     /// The post-processing function `P`: expands a match relation computed
     /// on `Gr` into the match relation on `G` by replacing every hypernode
-    /// with its members. Runs in time linear in the size of the output.
+    /// with its members. Classes are disjoint, so nothing is sorted or
+    /// deduplicated: the members are set in one bit row and read out in
+    /// order, in time linear in the size of the output plus
+    /// [`PatternView::node_count`]` / 64` words per pattern node.
     pub fn post_process(&self, on_compressed: &MatchRelation) -> MatchRelation {
-        crate::pattern::expand_match_relation(on_compressed, |c| self.members_of(c))
+        crate::pattern::expand_match_relation(on_compressed, self.node_count(), |c| {
+            self.members_of(c)
+        })
     }
 
     /// Answers a pattern query on the compressed graph and expands
     /// hypernodes back to original nodes (the composition `P ∘ Match ∘ F`
-    /// with the identity rewriting `F`).
+    /// with the identity rewriting `F`). `Match` scans `Gr`'s row labels
+    /// once for the candidates (retired rows never qualify) and runs one
+    /// reverse bounded BFS per pattern edge plus one per edge whose target
+    /// shrank ([`bounded_match`]); `P` is [`PatternView::post_process`].
     pub fn answer(&self, query: &Pattern) -> Option<MatchRelation> {
         let on_gr = bounded_match(&self.graph, query)?;
         Some(self.post_process(&on_gr))
@@ -214,6 +222,95 @@ mod tests {
                 inc.apply(&mut g, &batch);
             }
         }
+    }
+
+    /// `P` as it was before the bit row: concatenate the member lists,
+    /// sort, deduplicate.
+    fn concat_sort_dedup<'a>(
+        on_gr: &MatchRelation,
+        members_of: impl Fn(NodeId) -> &'a [NodeId],
+    ) -> MatchRelation {
+        let matches = on_gr
+            .matches
+            .iter()
+            .map(|classes| {
+                let mut out: Vec<NodeId> = classes
+                    .iter()
+                    .flat_map(|&c| members_of(c).iter().copied())
+                    .collect();
+                out.sort_unstable();
+                out.dedup();
+                out
+            })
+            .collect();
+        MatchRelation { matches }
+    }
+
+    /// Every row, a random half of the rows, and no row, as the match sets
+    /// of three pattern nodes.
+    fn relation_over(rows: usize, rng: &mut StdRng) -> MatchRelation {
+        let all: Vec<NodeId> = (0..rows as u32).map(NodeId).collect();
+        let half = all.iter().copied().filter(|_| rng.gen_bool(0.5)).collect();
+        MatchRelation {
+            matches: vec![all, half, Vec::new()],
+        }
+    }
+
+    /// Both forms' `P` equal the concatenate-sort-deduplicate expansion:
+    /// on classes whose members straddle the word boundary at 64, on the
+    /// last node id, and on views whose retired rows have no members.
+    #[test]
+    fn expansion_equals_sorted_concatenation() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let alphabet = ["A", "B", "C"];
+        // Nodes 40.. start isolated: one class per label, each straddling
+        // the boundary (63, 64, 65 carry A, B, C), one holding id 129.
+        let n = 130;
+        let mut g = LabeledGraph::new();
+        for v in 0..n {
+            g.add_node_with_label(alphabet[v % 3]);
+        }
+        for _ in 0..60 {
+            g.add_edge(NodeId(rng.gen_range(0..40)), NodeId(rng.gen_range(0..40)));
+        }
+        let mut inc = IncrementalPattern::new(&g);
+        let mut retired_rows = 0;
+        for step in 0..8 {
+            let ctx = format!("step {step}");
+            let view = PatternView::build(&inc.stable_quotient());
+            let rows = view.graph().node_count();
+            retired_rows += rows - view.class_count();
+            let on_gr = relation_over(rows, &mut rng);
+            let expanded = view.post_process(&on_gr);
+            assert_eq!(expanded.matches[0].len(), n, "{ctx}");
+            let expected = concat_sort_dedup(&on_gr, |c| view.members_of(c));
+            assert_eq!(expanded, expected, "view, {ctx}");
+
+            let pc = compress_b(&g);
+            let on_gr = relation_over(pc.class_count(), &mut rng);
+            let expected = concat_sort_dedup(&on_gr, |c| pc.members_of(c));
+            assert_eq!(pc.post_process(&on_gr), expected, "compressB, {ctx}");
+
+            // Node 64 leaves its class and comes back; the dense corner
+            // churns.
+            let mut batch = UpdateBatch::new();
+            if step % 2 == 0 {
+                batch.insert(NodeId(64), NodeId(65));
+            } else {
+                batch.delete(NodeId(64), NodeId(65));
+            }
+            for _ in 0..3 {
+                let u = NodeId(rng.gen_range(0..40));
+                let v = NodeId(rng.gen_range(0..40));
+                if rng.gen_bool(0.5) {
+                    batch.insert(u, v);
+                } else {
+                    batch.delete(u, v);
+                }
+            }
+            inc.apply(&mut g, &batch);
+        }
+        assert!(retired_rows > 0, "no view had a retired row");
     }
 
     #[test]
