@@ -9,33 +9,38 @@
 //!
 //! As with the reachability case, the paper's `bSplit`/`bMerge`/`PT`
 //! procedures are realized as an *affected-region localized recomputation*
-//! (the skeleton shared with `incRCM` is [`qpgc_graph::quotient`]):
+//! (the skeleton shared with `incRCM` is [`qpgc_graph::quotient`], whose
+//! B1 and B2 are the argument):
 //!
-//! 1. **Affected classes.** Bisimilarity of a node depends only on its
-//!    label and the behaviour of its descendants, so an edge update
-//!    `(u, w)` can only change the class of nodes that reach `u`, i.e. the
-//!    ancestor cone of `[u]` in the compressed graph (Lemma 9's rank
-//!    argument is the same observation phrased through `rb`). The union of
-//!    those cones over the batch is `AFF`.
-//! 2. **Hybrid graph.** Cut the affected classes into *units* — members
-//!    of one class with the same out-neighbours, a neighbour read as its
-//!    class where that class is unaffected (they shared a label already,
-//!    so they stay bisimilar; [`qpgc_graph::quotient`], lemma L3) — and
-//!    keep every unaffected class as a single *atom* labelled with the
-//!    class label, connected by the maintained class-level edges
-//!    (including self loops). The mapping "unaffected node ↦ its atom,
-//!    affected node ↦ its unit" is a functional bisimulation from
-//!    `G ⊕ ΔG` to this hybrid graph, so running the ordinary bisimulation
-//!    partition on the hybrid graph yields exactly the new equivalence
-//!    classes. (Bisimilarity has no closure to read the unaffected side
-//!    off, so unlike `incRCM` this is its only regroup.)
-//! 3. **Patch.** Unchanged atoms keep their identity; every other group
-//!    becomes a (re)built class, and the class-level edge counters incident
-//!    to rebuilt classes are refreshed from the adjacency of their members.
+//! 1. **Node cone.** Bisimilarity of a node depends only on its label and
+//!    the behaviour of its descendants, so an edge update `(u, w)` can only
+//!    change the class of nodes that reach `u` (Lemma 9's rank argument is
+//!    the same observation phrased through `rb`). The step walks the
+//!    updated graph's in-edges from the update sources; the nodes it
+//!    reaches are `A`, and every other member of a class keeps the class's
+//!    id and key.
+//! 2. **Index regroup.** The nodes of `A` are cut into units — members of
+//!    one class with the same out-neighbours, a neighbour outside `A` read
+//!    as its class — and placed bottom-up, in reverse topological order of
+//!    the unit graph's components, by a lookup of `(label, successor class
+//!    ids)` in an index the quotient keeps over its live classes. A
+//!    bisimulation quotient is its own coarsest partition, so a key names
+//!    at most one class: a hit joins it, a miss forms a new class.
+//! 3. **Fallback.** A cycle of units that splits into several classes has
+//!    no bottom to start from: that step runs the ordinary bisimulation
+//!    partition on the hybrid graph — one atom per class with a member
+//!    outside `A`, plus the units — instead, and counts it
+//!    ([`IncStats::hybrid_fallbacks`]).
+//! 4. **Patch.** A class whose members (and, wholly inside `A`, key) did
+//!    not change keeps its id and is in neither list of the
+//!    [`PartitionDelta`]; every other group becomes a (re)built class, and
+//!    the class-level rows — and the keys — of the classes around it are
+//!    refreshed from the adjacency of its members.
 //!
-//! The cost depends on `|AFF|`, `|Gr|` and the edges incident to affected
-//! members — never on `|G|` (the problem is unbounded, Theorem 8, so a
-//! dependence on `|Gr|` is unavoidable in general).
+//! The cost depends on `A`, the unit graph and the adjacency of the
+//! classes whose members change — not on `|G|` or `|Gr|`, except on the
+//! fallback (the problem is unbounded, Theorem 8, so a dependence on
+//! `|Gr|` is unavoidable in general).
 
 #![deny(clippy::disallowed_types)]
 
@@ -119,6 +124,10 @@ impl Equivalence for BisimEquivalence {
     /// Bisimilarity depends on a node's label and descendants only.
     const ANCESTOR_SENSITIVE: bool = false;
 
+    /// The coarsest bisimulation relates two nodes exactly when they share
+    /// a label and their successors fall in the same classes.
+    const KEYED: bool = true;
+
     fn cyclic(_: Label) -> bool {
         false
     }
@@ -198,8 +207,7 @@ impl IncrementalPattern {
     /// ([`UpdateBatch::normalized`]) and `g` must **already be**
     /// `G ⊕ norm`. Only the maintained state is touched. Every normalized
     /// update is effective — bisimulation has no redundant-insertion rule —
-    /// and the affected classes are the ancestor cones of the update
-    /// sources' classes.
+    /// and the affected nodes are those that reach an update source.
     pub fn apply_normalized(
         &mut self,
         g: &LabeledGraph,
@@ -208,7 +216,7 @@ impl IncrementalPattern {
         let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
         let step = self
             .q
-            .apply_effective(g, &edges, &[], IncrementalQuotient::regroup_hybrid);
+            .apply_effective(g, &edges, &[], IncrementalQuotient::regroup_keyed);
         debug_assert_eq!(self.check_invariants(g), Ok(()));
         step
     }
@@ -398,10 +406,24 @@ mod tests {
         );
     }
 
-    /// `hybrid_nodes` is filled on this side too: atoms of the unaffected
-    /// classes plus the units of the exploded ancestor cone of the update
-    /// sources — one per member here, where the update tells the two
-    /// members of its class apart.
+    /// The step forced through the hybrid kernel instead of the key
+    /// regroup: the twin every index-path step is checked against.
+    fn apply_hybrid(
+        inc: &mut IncrementalPattern,
+        g: &mut LabeledGraph,
+        batch: &UpdateBatch,
+    ) -> (IncStats, PartitionDelta) {
+        let norm = batch.normalized(g);
+        norm.apply_to(g);
+        let edges: Vec<(NodeId, NodeId)> = norm.updates().iter().map(Update::edge).collect();
+        let step = (inc.q).apply_effective(g, &edges, &[], IncrementalQuotient::regroup_hybrid);
+        assert_eq!(inc.check_invariants(g), Ok(()));
+        step
+    }
+
+    /// On the hybrid path `hybrid_nodes` counts one atom per class with a
+    /// member outside the node cone — the part of a partly cut class
+    /// included — plus the units of the cone.
     #[test]
     fn hybrid_nodes_counts_atoms_plus_exploded_members() {
         // Classes {A}, {B1,B2}, {C1,C2}, {D}.
@@ -410,43 +432,270 @@ mod tests {
             &[(0, 1), (0, 2), (1, 3), (2, 4)],
         );
         let mut inc = IncrementalPattern::new(&g);
-        let classes_before = inc.class_count();
-        assert_eq!(classes_before, 4);
+        assert_eq!(inc.class_count(), 4);
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(5));
+        let (stats, _) = apply_hybrid(&mut inc, &mut g, &batch);
+        // The cone: B1 and A, in classes {A} (wholly) and {B1,B2}.
+        assert_eq!((stats.affected_classes, stats.affected_nodes), (2, 2));
+        assert_eq!(stats.redundant_dropped, 0);
+        // Atoms {B2}, {C1,C2}, {D}; units {A}, {B1}.
+        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!(stats.hybrid_fallbacks, 0);
+    }
+
+    /// On the index path `hybrid_nodes` is the unit count, and the
+    /// affected counts are node-level: only the nodes that reach the
+    /// update's source are cut.
+    #[test]
+    fn hybrid_nodes_counts_the_units_on_the_index_path() {
+        let mut g = graph(
+            &["A", "B", "B", "C", "C", "D"],
+            &[(0, 1), (0, 2), (1, 3), (2, 4)],
+        );
+        let mut inc = IncrementalPattern::new(&g);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(1), NodeId(5));
         let stats = inc.apply(&mut g, &batch);
-        // Affected: the ancestor cone of [B1] = {B1,B2}, {A}.
-        assert_eq!(stats.affected_classes, 2);
-        assert_eq!(stats.affected_nodes, 3);
-        assert_eq!(stats.redundant_dropped, 0);
-        // {C1,C2} and {D} stay atoms.
-        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!((stats.affected_classes, stats.affected_nodes), (2, 2));
+        assert_eq!((stats.hybrid_nodes, stats.hybrid_fallbacks), (2, 0));
+        // B1 leaves {B1,B2}, A's successors change class: two born, and
+        // the rest of {B1,B2} is born again as {B2}.
+        assert_eq!(stats.changed_classes, 3);
         assert_eq!(
-            stats.hybrid_nodes,
-            stats.affected_nodes + classes_before - stats.affected_classes
+            inc.to_compression().partition.canonical(),
+            compress_b(&g).partition.canonical()
         );
     }
 
-    /// Members of an exploded class with the same out-neighbours — read as
-    /// classes where those are unaffected — are one unit of the hybrid
-    /// graph, and stay one class.
+    /// Cut members of one class with the same out-neighbours — read as
+    /// classes outside the cut — are one unit, and stay one class.
     #[test]
     fn twins_of_an_exploded_class_are_one_hybrid_node() {
-        // Classes {A}, {B1,B2,B3}, {C1,C2,C3}, {D}; B3 → D tells B3 apart.
+        // Classes {A}, {B1,B2,B3}, {C1,C3}, {D}; B1 and B2 share C1, and
+        // C1 → D puts both in the cone, with A.
         let mut g = graph(
-            &["A", "B", "B", "B", "C", "C", "C", "D"],
-            &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6)],
+            &["A", "B", "B", "B", "C", "C", "D"],
+            &[(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5)],
         );
         let mut inc = IncrementalPattern::new(&g);
         assert_eq!(inc.class_count(), 4);
         let mut batch = UpdateBatch::new();
-        batch.insert(NodeId(3), NodeId(7));
+        batch.insert(NodeId(4), NodeId(6));
         let stats = inc.apply(&mut g, &batch);
-        assert_eq!((stats.affected_classes, stats.affected_nodes), (2, 4));
-        // Atoms {C*}, {D}; units {A}, {B1,B2}, {B3}.
-        assert_eq!(stats.hybrid_nodes, 5);
+        assert_eq!((stats.affected_classes, stats.affected_nodes), (3, 4));
+        // Units {C1}, {B1,B2}, {A}.
+        assert_eq!(stats.hybrid_nodes, 3);
         assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(2)));
         assert_ne!(inc.class_of(NodeId(1)), inc.class_of(NodeId(3)));
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_b(&g).partition.canonical()
+        );
+    }
+
+    /// One step on both paths from the same state: the partitions agree
+    /// and both states pass their invariants (the key index against a
+    /// fresh build, no two live classes sharing a key).
+    fn step_both_paths(
+        inc: &mut IncrementalPattern,
+        twin: &mut IncrementalPattern,
+        g: &mut LabeledGraph,
+        batch: &UpdateBatch,
+        ctx: &str,
+    ) -> IncStats {
+        let mut g_twin = g.clone();
+        let stats = inc.apply(g, batch);
+        apply_hybrid(twin, &mut g_twin, batch);
+        assert_eq!(inc.check_invariants(g), Ok(()), "{ctx}");
+        let canonical = inc.to_compression().partition.canonical();
+        assert_eq!(canonical, compress_b(g).partition.canonical(), "{ctx}");
+        assert_eq!(
+            canonical,
+            twin.to_compression().partition.canonical(),
+            "{ctx}"
+        );
+        stats
+    }
+
+    /// A random labelled graph with cycles, self loops, and a few leaves
+    /// many nodes share.
+    fn seeded_graph(rng: &mut StdRng) -> LabeledGraph {
+        let alphabet = ["A", "B", "C"];
+        let n = rng.gen_range(6..40);
+        let mut g = LabeledGraph::new();
+        for _ in 0..n {
+            g.add_node_with_label(alphabet[rng.gen_range(0..alphabet.len())]);
+        }
+        let leaves = rng.gen_range(1..4);
+        for v in leaves..n {
+            if rng.gen_bool(0.6) {
+                g.add_edge(NodeId(v as u32), NodeId(rng.gen_range(0..leaves) as u32));
+            }
+            if rng.gen_bool(0.1) {
+                g.add_edge(NodeId(v as u32), NodeId(v as u32));
+            }
+        }
+        for _ in 0..rng.gen_range(0..n) {
+            let u = rng.gen_range(leaves..n) as u32;
+            g.add_edge(NodeId(u), NodeId(rng.gen_range(0..n) as u32));
+        }
+        g
+    }
+
+    /// A mixed batch: deletions of present edges, insertions anywhere
+    /// (self loops included).
+    fn seeded_batch(rng: &mut StdRng, g: &LabeledGraph) -> UpdateBatch {
+        let n = g.node_count();
+        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        let mut batch = UpdateBatch::new();
+        for _ in 0..rng.gen_range(1..7) {
+            if rng.gen_bool(0.5) && !edges.is_empty() {
+                let (u, v) = edges[rng.gen_range(0..edges.len())];
+                batch.delete(u, v);
+            } else {
+                let u = NodeId(rng.gen_range(0..n) as u32);
+                batch.insert(u, NodeId(rng.gen_range(0..n) as u32));
+            }
+        }
+        batch
+    }
+
+    /// The differential suite of the index path: seeded streams over
+    /// graphs with cycles, self loops and shared leaves; after every batch
+    /// the partition is `compress_b`'s and the hybrid twin's, and the key
+    /// index equals a fresh build.
+    #[test]
+    fn index_and_hybrid_paths_agree_on_seeded_streams() {
+        let mut rng = StdRng::seed_from_u64(0x1D3);
+        let (mut steps, mut fallbacks, mut kept) = (0, 0, 0);
+        for case in 0..60 {
+            let mut g = seeded_graph(&mut rng);
+            let mut inc = IncrementalPattern::new(&g);
+            let mut twin = inc.clone();
+            for step in 0..10 {
+                let batch = seeded_batch(&mut rng, &g);
+                let ctx = format!("case {case} step {step}");
+                let stats = step_both_paths(&mut inc, &mut twin, &mut g, &batch, &ctx);
+                steps += 1;
+                fallbacks += stats.hybrid_fallbacks;
+                kept += usize::from(stats.affected_classes > 0 && stats.changed_classes == 0);
+            }
+        }
+        // Both paths of the key regroup ran, and whole steps kept every id.
+        assert!(
+            fallbacks > 0 && fallbacks < steps / 2,
+            "{fallbacks} of {steps}"
+        );
+        assert!(kept > 0, "no step kept every affected class");
+    }
+
+    /// A cut node that becomes a leaf joins the large untouched class of
+    /// its label's leaves: one lookup of `(label, [])`.
+    #[test]
+    fn a_cut_node_that_becomes_a_leaf_joins_the_untouched_leaves() {
+        // Leaves L1..L8, and R → X → M: X is no leaf until X → M goes.
+        let mut labels = vec!["L"; 8];
+        labels.extend(["L", "M", "R"]);
+        let mut g = graph(&labels, &[(8, 9), (10, 8)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let leaves = inc.class_of(NodeId(0));
+        let mut batch = UpdateBatch::new();
+        batch.delete(NodeId(8), NodeId(9));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!((stats.affected_nodes, stats.hybrid_fallbacks), (2, 0));
+        assert_eq!(inc.class_of(NodeId(8)), inc.class_of(NodeId(0)));
+        // The leaf class gained a member: retired and born again.
+        assert!(delta.removed.contains(&leaves));
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_b(&g).partition.canonical()
+        );
+    }
+
+    /// A class wholly inside the cone that comes back with its members and
+    /// its key keeps its id; here every affected class does, so the delta
+    /// is empty and a server keeps its view.
+    #[test]
+    fn a_wholly_cut_class_that_comes_back_unchanged_keeps_its_id() {
+        // R → A1, R → A2, A1 → B1, A2 → B2: classes {R}, {A1,A2}, {B1,B2}.
+        let mut g = graph(
+            &["R", "A", "A", "B", "B"],
+            &[(0, 1), (0, 2), (1, 3), (2, 4)],
+        );
+        let mut inc = IncrementalPattern::new(&g);
+        let before = inc.stable_quotient();
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(4));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        // {R} lies wholly in the cone {A1, R}.
+        assert_eq!((stats.affected_classes, stats.affected_nodes), (2, 2));
+        assert!(delta.is_empty(), "{delta:?}");
+        assert_eq!(inc.stable_quotient().class_of, before.class_of);
+        assert_eq!(inc.stable_quotient().edges, before.edges);
+    }
+
+    /// The members alone do not make a class unchanged: `{A}` keeps its
+    /// one member but gains a successor class, so it is born — a delta
+    /// that names no class promises an unchanged quotient graph.
+    #[test]
+    fn a_class_with_its_members_and_a_new_key_is_born() {
+        let mut g = graph(&["A", "B", "C"], &[(0, 1)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let a = inc.class_of(NodeId(0));
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(0), NodeId(2));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!((stats.affected_classes, stats.changed_classes), (1, 1));
+        assert_eq!(delta.removed, vec![a]);
+        assert_eq!(inc.check_invariants(&g), Ok(()));
+    }
+
+    /// A self-looped unit is keyed with SELF and finds the untouched class
+    /// whose row holds that class itself; a unit with an edge into that
+    /// class finds it too.
+    #[test]
+    fn a_self_looped_unit_matches_an_untouched_self_looped_class() {
+        // Y ↻ untouched; X → M becomes X ↻; Z → M becomes Z → Y.
+        let mut g = graph(&["L", "L", "M", "L"], &[(0, 0), (1, 2), (3, 2)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let y = inc.class_of(NodeId(0));
+        let mut batch = UpdateBatch::new();
+        batch
+            .delete(NodeId(1), NodeId(2))
+            .insert(NodeId(1), NodeId(1));
+        batch
+            .delete(NodeId(3), NodeId(2))
+            .insert(NodeId(3), NodeId(0));
+        let stats = inc.apply(&mut g, &batch);
+        assert_eq!(stats.hybrid_fallbacks, 0);
+        assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(0)));
+        assert_eq!(inc.class_of(NodeId(3)), inc.class_of(NodeId(0)));
+        assert_ne!(inc.class_of(NodeId(0)), y, "the class gained members");
+        assert_eq!(
+            inc.to_compression().partition.canonical(),
+            compress_b(&g).partition.canonical()
+        );
+    }
+
+    /// A cycle of units that splits into two classes falls back to the
+    /// hybrid kernel, counted; one that stays one class does not.
+    #[test]
+    fn a_two_group_cycle_takes_the_counted_fallback() {
+        // A → B; inserting B → A closes a cycle of two labels.
+        let mut g = graph(&["A", "B", "A", "A"], &[(0, 1), (2, 3)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(0));
+        let stats = inc.apply(&mut g, &batch);
+        // Atoms {A2}, {A3}; units {A0}, {B1}.
+        assert_eq!((stats.hybrid_fallbacks, stats.hybrid_nodes), (1, 4));
+        // A → A' → A closes a cycle of one label: one class, by its key.
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(3), NodeId(2));
+        let stats = inc.apply(&mut g, &batch);
+        assert_eq!((stats.hybrid_fallbacks, stats.hybrid_nodes), (0, 2));
+        assert_eq!(inc.class_of(NodeId(2)), inc.class_of(NodeId(3)));
         assert_eq!(
             inc.to_compression().partition.canonical(),
             compress_b(&g).partition.canonical()

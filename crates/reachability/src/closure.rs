@@ -541,6 +541,7 @@ impl QuotientClosure {
         let regrouped = Regrouped {
             nodes: units,
             groups,
+            fallback: false,
         };
         let signatures = Signatures {
             below,

@@ -157,6 +157,9 @@ impl Equivalence for ReachEquivalence {
     /// The relation compares ancestor sets as well as descendant sets.
     const ANCESTOR_SENSITIVE: bool = true;
 
+    /// Equal successor classes do not make equal ancestor sets.
+    const KEYED: bool = false;
+
     fn cyclic(class: bool) -> bool {
         class
     }
