@@ -73,25 +73,23 @@ pub fn fig12a(scale: usize) -> ExperimentResult {
     res
 }
 
-/// Times `Match` on `G` and `Match` + `P` on `Gr`, each the fastest of
-/// [`RUNS`] warm calls; compression and pattern generation stay outside
-/// the clock.
+/// Times `Match` on `G` and `Match` + `P` on `Gr`
+/// ([`PatternView::answer`](qpgc_pattern::view::PatternView::answer)), each
+/// the fastest of [`RUNS`] warm calls. Both run on a CSR, `G` frozen as
+/// `Gr` is, so the representation is not credited to the compression;
+/// freezing, compression and pattern generation stay outside the clock.
 fn pattern_sweep(g: &LabeledGraph, label: &str, res: &mut ExperimentResult) {
+    let frozen = g.freeze();
     let pc = compress_b(g);
     for size in 3..=8usize {
         let cfg = PatternGenConfig::new(size, size, 3, size as u64);
         let pattern = random_pattern(g, &cfg);
-        let (_, t_g) = best_of(RUNS, || (), |_| bounded_match(g, &pattern));
-        let (on_gr, t_gr) = best_of(RUNS, || (), |_| bounded_match(&pc.graph, &pattern));
-        // Post-processing is part of the cost of answering on Gr.
-        let (_, t_post) = best_of(RUNS, || (), |_| on_gr.as_ref().map(|m| pc.post_process(m)));
+        let (_, t_g) = best_of(RUNS, || (), |_| bounded_match(&frozen, &pattern));
+        let (_, t_gr) = best_of(RUNS, || (), |_| pc.answer(&pattern));
         res.push(
             Row::new(format!("{label} ({size},{size},3)"))
                 .cell("Match on G (ms)", t_g.as_secs_f64() * 1e3)
-                .cell(
-                    "Match on Gr (ms)",
-                    (t_gr.as_secs_f64() + t_post.as_secs_f64()) * 1e3,
-                ),
+                .cell("Match on Gr (ms)", t_gr.as_secs_f64() * 1e3),
         );
     }
 }

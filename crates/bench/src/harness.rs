@@ -116,7 +116,7 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (r, t.elapsed())
 }
 
-/// Timed calls per cell of the warm experiments (fig12b, c, e, f, h); the
+/// Timed calls per cell of the warm experiments (fig1, fig12b, c, e, f, h); the
 /// fastest is reported.
 pub(crate) const RUNS: usize = 7;
 

@@ -21,17 +21,18 @@
 //!   Section 3): `R` groups nodes with identical ancestors and descendants
 //!   and keeps a transitively-reduced quotient; real-life graphs shrink by
 //!   ~95 %. `F` is a constant-time node-to-hypernode lookup; no `P` needed.
-//! * **Pattern preserving compression** ([`PatternCompression`], Section 4):
+//! * **Pattern preserving compression** ([`PatternView`], Section 4):
 //!   `R` is the bisimulation quotient; graphs shrink by ~57 %. `F` is the
 //!   identity and `P` expands hypernodes in the match relation.
 //!
-//! Both are built by one constructor per relation from a partition
-//! ([`graph::Classes`], the one partition type) and its class edges, so the
-//! batch compressors and the incremental maintainers' exports produce the
-//! same `Gr`. Both support **incremental maintenance** (Section 5) through
-//! [`maintenance::MaintainedGraph`]: apply edge insertions/deletions to
-//! the original graph and the compressed forms follow, without
-//! recompression and without touching the unaffected part of `G`.
+//! Each relation has one materialised `Gr`. `compressR` builds the
+//! reduced quotient of a [`graph::Classes`] partition; `compressB` and a
+//! maintained bisimulation quotient alike are built into the
+//! [`PatternView`] a store serves. Both support **incremental
+//! maintenance** (Section 5) through [`maintenance::MaintainedGraph`]:
+//! apply edge insertions/deletions to the original graph and the
+//! compressed forms follow, without recompression and without touching
+//! the unaffected part of `G`.
 //!
 //! ## Quick start
 //!
@@ -54,7 +55,7 @@
 //! assert!(!reach.answer(&ReachQuery::new(c, bsa1)));
 //!
 //! // Patterns: compress once, evaluate patterns on Gr, expand with P.
-//! let pat = PatternCompression::compress(&g);
+//! let pat = PatternView::compress(&g);
 //! let mut q = Pattern::new();
 //! let qb = q.add_node("BSA");
 //! let qc = q.add_node("C");
@@ -70,7 +71,7 @@ pub mod queries;
 pub mod scheme;
 pub mod sharding;
 
-pub use qpgc_pattern::compress::PatternCompression;
+pub use qpgc_pattern::view::PatternView;
 pub use qpgc_reach::compress::ReachCompression;
 pub use queries::ReachQuery;
 pub use scheme::QueryPreservingCompression;
@@ -85,9 +86,9 @@ pub mod prelude {
     pub use crate::maintenance::MaintainedGraph;
     pub use crate::queries::ReachQuery;
     pub use crate::scheme::QueryPreservingCompression;
-    pub use qpgc_graph::{LabeledGraph, NodeId, Update, UpdateBatch};
-    pub use qpgc_pattern::compress::PatternCompression;
+    pub use qpgc_graph::{GraphView, LabeledGraph, NodeId, Update, UpdateBatch};
     pub use qpgc_pattern::pattern::{EdgeBound, MatchRelation, Pattern};
+    pub use qpgc_pattern::view::PatternView;
     pub use qpgc_reach::compress::ReachCompression;
 }
 
@@ -103,7 +104,7 @@ mod tests {
         g.add_edge(a, b);
         let reach = ReachCompression::compress(&g);
         assert!(reach.answer(&ReachQuery::new(a, b)));
-        let pat = PatternCompression::compress(&g);
+        let pat = PatternView::compress(&g);
         let mut q = Pattern::new();
         let qa = q.add_node("A");
         let qb = q.add_node("B");

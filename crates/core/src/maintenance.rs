@@ -12,6 +12,7 @@ use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{IncStats, LabeledGraph, UpdateBatch};
 use qpgc_pattern::incremental::IncrementalPattern;
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
+use qpgc_pattern::view::PatternView;
 use qpgc_reach::incremental::IncrementalReach;
 
 /// What one maintenance step did to each maintained compression: its
@@ -55,7 +56,7 @@ impl MaintainedGraph {
     }
 
     /// The maintained reachability compression (class counts, queries,
-    /// dense and stable-id exports).
+    /// the stable-id export and the closure a publication reads).
     pub fn reach(&self) -> &IncrementalReach {
         &self.reach
     }
@@ -95,19 +96,19 @@ impl MaintainedGraph {
 
     /// Answers a pattern query by evaluating it on the maintained compressed
     /// graph and expanding hypernodes (the paper's Fig. 12(h) strategy:
-    /// `incPCM` + `Match` on `Gr`).
+    /// `incPCM` + `Match` on `Gr`), through the view a store serves:
+    /// [`PatternView::build`] over the stable-id export, then
+    /// [`PatternView::answer`].
     ///
     /// # Panics
     ///
     /// When the pattern compression is not maintained.
     pub fn match_pattern(&self, query: &Pattern) -> Option<MatchRelation> {
-        let compression = self
+        let p = self
             .pattern
             .as_ref()
-            .expect("pattern maintenance not enabled; pass `patterns = true`")
-            .to_compression();
-        let on_gr = qpgc_pattern::bounded::bounded_match(&compression.graph, query)?;
-        Some(compression.post_process(&on_gr))
+            .expect("pattern maintenance not enabled; pass `patterns = true`");
+        PatternView::build(&p.stable_quotient()).answer(query)
     }
 
     /// Restores the maintained state after a *failed* (panicked or aborted)
@@ -155,6 +156,25 @@ mod tests {
     use qpgc_graph::NodeId;
     use qpgc_pattern::bounded::bounded_match;
 
+    /// The classes of a node → class table as node ids, sorted by first
+    /// member: equal for two partitions into the same classes, however each
+    /// numbers them.
+    fn canonical(class_of: impl IntoIterator<Item = u32>) -> Vec<Vec<u32>> {
+        let mut classes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+        for (v, c) in class_of.into_iter().enumerate() {
+            classes.entry(c).or_default().push(v as u32);
+        }
+        let mut classes: Vec<Vec<u32>> = classes.into_values().collect();
+        classes.sort_unstable();
+        classes
+    }
+
+    /// [`canonical`] of `compress_b(g)`.
+    fn compressed(g: &LabeledGraph) -> Vec<Vec<u32>> {
+        let view = qpgc_pattern::compress::compress_b(g);
+        canonical(g.nodes().map(|v| view.class_of(v).expect("a node of g")))
+    }
+
     fn sample() -> LabeledGraph {
         let mut g = LabeledGraph::new();
         let a = g.add_node_with_label("A");
@@ -183,8 +203,8 @@ mod tests {
         // The maintained compression agrees with recompressing from scratch.
         let scratch = qpgc_reach::compress::compress_r(m.graph());
         assert_eq!(
-            m.reach().to_compression().partition.canonical(),
-            scratch.partition.canonical()
+            canonical(m.reach().stable_quotient().class_of),
+            canonical(scratch.partition.class_of)
         );
     }
 
@@ -207,10 +227,9 @@ mod tests {
         assert!(m.match_pattern(&q).is_none());
         assert!(bounded_match(m.graph(), &q).is_none());
 
-        let scratch = qpgc_pattern::compress::compress_b(m.graph());
         assert_eq!(
-            m.pattern().unwrap().to_compression().partition.canonical(),
-            scratch.partition.canonical()
+            canonical(m.pattern().unwrap().stable_quotient().class_of),
+            compressed(m.graph())
         );
     }
 
@@ -247,12 +266,12 @@ mod tests {
             g.edges().collect::<Vec<_>>()
         );
         assert_eq!(
-            m.reach().to_compression().partition.canonical(),
-            qpgc_reach::compress::compress_r(&g).partition.canonical()
+            canonical(m.reach().stable_quotient().class_of),
+            canonical(qpgc_reach::compress::compress_r(&g).partition.class_of)
         );
         assert_eq!(
-            m.pattern().unwrap().to_compression().partition.canonical(),
-            qpgc_pattern::compress::compress_b(&g).partition.canonical()
+            canonical(m.pattern().unwrap().stable_quotient().class_of),
+            compressed(&g)
         );
     }
 }

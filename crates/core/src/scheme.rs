@@ -1,10 +1,10 @@
 //! The `<R, F, P>` abstraction (Section 2.2, Fig. 3), implemented by the
 //! two compressions themselves.
 
-use qpgc_graph::{LabeledGraph, NodeId};
-use qpgc_pattern::bounded::bounded_match;
-use qpgc_pattern::compress::{compress_b, PatternCompression};
+use qpgc_graph::{CsrGraph, GraphView, LabeledGraph, NodeId};
+use qpgc_pattern::compress::compress_b;
 use qpgc_pattern::pattern::{MatchRelation, Pattern};
+use qpgc_pattern::view::PatternView;
 use qpgc_reach::compress::{compress_r, ReachCompression};
 
 use crate::queries::ReachQuery;
@@ -17,11 +17,12 @@ use crate::queries::ReachQuery;
 ///   applies the post-processing function `P`, so that
 ///   `answer(q) == q`'s answer on the original graph.
 ///
-/// The compressed graph is an ordinary [`LabeledGraph`]: any algorithm that
-/// evaluates the query class on original graphs runs on it unchanged (the
-/// paper's "no decompression" property). Both compressions implement it:
-/// [`ReachCompression`] (Section 3) and [`PatternCompression`] (Section 4);
-/// each also has an inherent `ratio`, the paper's `RCr` / `PCr`.
+/// The compressed graph is any [`GraphView`]: any algorithm that evaluates
+/// the query class on original graphs runs on it unchanged (the paper's "no
+/// decompression" property). Both compressions implement it:
+/// [`ReachCompression`] (Section 3, `Gr` a [`LabeledGraph`]) and
+/// [`PatternView`] (Section 4, `Gr` a [`CsrGraph`]); each also has an
+/// inherent `ratio`, the paper's `RCr` / `PCr`.
 pub trait QueryPreservingCompression: Sized {
     /// The query class `Q` this compression preserves.
     type Query;
@@ -30,12 +31,14 @@ pub trait QueryPreservingCompression: Sized {
     type Rewritten;
     /// The answer type of the query class.
     type Answer;
+    /// The representation of the compressed graph `Gr`.
+    type Graph: GraphView;
 
     /// The compression function `R`.
     fn compress(g: &LabeledGraph) -> Self;
 
     /// The compressed graph `Gr = R(G)`.
-    fn compressed_graph(&self) -> &LabeledGraph;
+    fn compressed_graph(&self) -> &Self::Graph;
 
     /// The query rewriting function `F`.
     fn rewrite(&self, query: &Self::Query) -> Self::Rewritten;
@@ -50,6 +53,7 @@ impl QueryPreservingCompression for ReachCompression {
     /// `F(QR(v, w)) = QR(R(v), R(w))` — a pair of hypernodes of `Gr`.
     type Rewritten = (NodeId, NodeId);
     type Answer = bool;
+    type Graph = LabeledGraph;
 
     fn compress(g: &LabeledGraph) -> Self {
         compress_r(g)
@@ -69,18 +73,19 @@ impl QueryPreservingCompression for ReachCompression {
     }
 }
 
-impl QueryPreservingCompression for PatternCompression {
+impl QueryPreservingCompression for PatternView {
     type Query = Pattern;
     /// `F` is the identity mapping (Theorem 4).
     type Rewritten = Pattern;
     type Answer = Option<MatchRelation>;
+    type Graph = CsrGraph;
 
     fn compress(g: &LabeledGraph) -> Self {
         compress_b(g)
     }
 
-    fn compressed_graph(&self) -> &LabeledGraph {
-        &self.graph
+    fn compressed_graph(&self) -> &CsrGraph {
+        self.graph()
     }
 
     fn rewrite(&self, query: &Pattern) -> Pattern {
@@ -88,14 +93,14 @@ impl QueryPreservingCompression for PatternCompression {
     }
 
     fn answer(&self, query: &Pattern) -> Option<MatchRelation> {
-        let on_gr = bounded_match(&self.graph, query)?;
-        Some(self.post_process(&on_gr))
+        PatternView::answer(self, query)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qpgc_pattern::bounded::bounded_match;
 
     fn sample() -> (LabeledGraph, Vec<NodeId>) {
         let mut g = LabeledGraph::new();
@@ -133,7 +138,7 @@ mod tests {
     #[test]
     fn pattern_scheme_preserves_queries() {
         let (g, _) = sample();
-        let scheme = PatternCompression::compress(&g);
+        let scheme = PatternView::compress(&g);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");
@@ -150,7 +155,7 @@ mod tests {
     #[test]
     fn pattern_scheme_boolean_negative() {
         let (g, _) = sample();
-        let scheme = PatternCompression::compress(&g);
+        let scheme = PatternView::compress(&g);
         let mut q = Pattern::new();
         let c = q.add_node("C");
         let a = q.add_node("A");
@@ -162,7 +167,7 @@ mod tests {
     #[test]
     fn manual_post_processing_path() {
         let (g, _) = sample();
-        let scheme = PatternCompression::compress(&g);
+        let scheme = PatternView::compress(&g);
         let mut q = Pattern::new();
         let a = q.add_node("A");
         let b = q.add_node("B");

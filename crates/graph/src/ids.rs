@@ -129,16 +129,6 @@ impl LabelInterner {
     pub fn name(&self, label: Label) -> Option<&str> {
         self.names.get(label.index()).map(String::as_str)
     }
-
-    /// Number of distinct labels interned so far (`|Σ|` in use).
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// `true` when no label has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -175,15 +165,13 @@ mod tests {
         assert_eq!(i.name(b), Some("MSA"));
         assert_eq!(i.get("MSA"), Some(b));
         assert_eq!(i.get("FA"), None);
-        assert_eq!(i.len(), 2);
-        assert!(!i.is_empty());
+        assert_eq!(i.name(Label(2)), None);
     }
 
     #[test]
     fn interner_empty() {
         let i = LabelInterner::new();
-        assert!(i.is_empty());
-        assert_eq!(i.len(), 0);
+        assert_eq!(i.get("A"), None);
         assert_eq!(i.name(Label(0)), None);
     }
 

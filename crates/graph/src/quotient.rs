@@ -201,8 +201,7 @@ use crate::update::PartitionDelta;
 /// the one partition type of both relations. Both batch kernels return it
 /// (`qpgc_reach`'s `reachability_partition` as `Classes<bool>`, the cyclic
 /// flag; `qpgc_pattern`'s `bisimulation_partition_csr` as `Classes<Label>`,
-/// the shared label), both compressions carry it, and
-/// [`IncrementalQuotient::dense`] exports a maintained quotient as one.
+/// the shared label).
 #[derive(Clone, Debug)]
 pub struct Classes<C> {
     /// `class_of[v]` — dense class id of node `v`.
@@ -222,18 +221,6 @@ impl<C> Classes<C> {
     /// The class id of node `v`.
     pub fn class_of(&self, v: NodeId) -> u32 {
         self.class_of[v.index()]
-    }
-
-    /// The member lists sorted by first member: equal for two partitions
-    /// into the same classes, however each numbers them.
-    pub fn canonical(&self) -> Vec<Vec<u32>> {
-        let mut classes: Vec<Vec<u32>> = self
-            .members
-            .iter()
-            .map(|m| m.iter().map(|v| v.0).collect())
-            .collect();
-        classes.sort_unstable();
-        classes
     }
 }
 
@@ -1821,30 +1808,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             }
         }
         Ok(())
-    }
-
-    /// Dense renumbering of the active class ids (ascending id order): the
-    /// stable → dense id table (meaningless at inactive ids) plus the
-    /// partition expressed in dense ids (class `i` is the `i`-th active
-    /// class in id order).
-    pub fn dense(&self) -> (Vec<u32>, Classes<E::Class>) {
-        let mut dense = vec![0u32; self.id_space()];
-        let mut members: Vec<Vec<NodeId>> = Vec::new();
-        let mut payload: Vec<E::Class> = Vec::new();
-        for c in marked(&self.active) {
-            dense[c as usize] = members.len() as u32;
-            members.push(self.members[c as usize].clone());
-            payload.push(self.payload[c as usize]);
-        }
-        let class_of = self.class_of.iter().map(|&c| dense[c as usize]).collect();
-        (
-            dense,
-            Classes {
-                class_of,
-                members,
-                payload,
-            },
-        )
     }
 }
 

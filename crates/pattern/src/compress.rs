@@ -9,113 +9,77 @@
 //! the original nodes it represents (Theorem 4). For Boolean pattern
 //! queries `P` is not needed.
 //!
-//! `Gr` has one constructor, [`PatternCompression::from_classes`]: a
-//! partition, its class edges and the label names in, the labelled
-//! quotient out. [`compress_b`] feeds it the kernel's partition and `G`'s
-//! edges read through it;
-//! [`IncrementalPattern::to_compression`](crate::incremental::IncrementalPattern::to_compression)
-//! feeds it the maintained classes and rows. The `qpgc` facade implements
-//! its `<R, F, P>` trait on [`PatternCompression`] itself.
+//! [`compress_b`] returns the form a serving layer publishes, a
+//! [`PatternView`]: `Gr`, `P` ([`PatternView::post_process`]) and
+//! `P ∘ Match ∘ F` ([`PatternView::answer`]) live there. The batch
+//! partition is handed to [`PatternView::build`] as a stable-id export
+//! with no retired id, so `Gr` has one constructor for `compressB` and for
+//! a maintained quotient alike.
 
-use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::{Classes, CsrGraph, Label, LabeledGraph, NodeId};
+use std::sync::Arc;
+
+use qpgc_graph::LabeledGraph;
 
 use crate::bisim::bisimulation_partition_csr;
-use crate::pattern::MatchRelation;
+use crate::incremental::StablePatternQuotient;
+use crate::view::PatternView;
 
-/// The output of `compressB`: the compressed graph plus the node ↔ class
-/// indexes implementing `F` (trivially) and `P`.
-#[derive(Clone, Debug)]
-pub struct PatternCompression {
-    /// The compressed graph `Gr`. Node `i` is bisimulation class `i` of
-    /// [`PatternCompression::partition`] and carries the class label.
-    pub graph: LabeledGraph,
-    /// The underlying bisimulation partition, each class with its label.
-    pub partition: Classes<Label>,
-}
-
-impl PatternCompression {
-    /// The compression of `partition` whose classes are joined by the class
-    /// edges `edges` (self loops included; duplicates are harmless): one
-    /// hypernode per class, carrying the class label under its name in
-    /// `interner` so that pattern queries written against the original
-    /// label vocabulary resolve against `Gr` too. The one constructor of
-    /// `Gr`, for [`compress_b`] and for a maintained quotient's export
-    /// alike.
-    pub fn from_classes(
-        partition: Classes<Label>,
-        edges: impl IntoIterator<Item = (u32, u32)>,
-        interner: &LabelInterner,
-    ) -> PatternCompression {
-        let mut graph = LabeledGraph::with_capacity(partition.class_count());
-        for &label in &partition.payload {
-            match interner.name(label) {
-                Some(name) => graph.add_node_with_label(name),
-                None => graph.add_node(label),
-            };
-        }
-        graph.extend_edges(edges.into_iter().map(|(a, b)| (NodeId(a), NodeId(b))));
-        PatternCompression { graph, partition }
-    }
-
-    /// The class (hypernode of `Gr`) containing original node `v`.
-    pub fn class_of(&self, v: NodeId) -> NodeId {
-        NodeId(self.partition.class_of(v))
-    }
-
-    /// The original nodes represented by hypernode `c` of `Gr` (the inverse
-    /// node mapping used by the post-processing function `P`).
-    pub fn members_of(&self, c: NodeId) -> &[NodeId] {
-        &self.partition.members[c.index()]
-    }
-
-    /// The post-processing function `P`: expands a match relation computed
-    /// on `Gr` into the match relation on `G` by replacing every hypernode
-    /// with its members. Runs in time linear in the size of the output plus
-    /// `|V| / 64` words per pattern node.
-    pub fn post_process(&self, on_compressed: &MatchRelation) -> MatchRelation {
-        crate::pattern::expand_match_relation(on_compressed, self.partition.class_of.len(), |c| {
-            self.members_of(c)
-        })
-    }
-
-    /// Number of hypernodes (`|Vr|`).
-    pub fn class_count(&self) -> usize {
-        self.partition.class_count()
-    }
-
-    /// The compression ratio `|Gr| / |G|` (the paper's `PCr`).
-    pub fn ratio(&self, original: &LabeledGraph) -> f64 {
-        qpgc_graph::stats::compression_ratio(original, &self.graph)
-    }
-}
-
-/// Runs `compressB` on `g`: freezes a CSR snapshot once and hands it to
-/// [`compress_b_csr`].
-pub fn compress_b(g: &LabeledGraph) -> PatternCompression {
-    compress_b_csr(&g.freeze())
-}
-
-/// Runs `compressB` over an already-frozen CSR snapshot: the bisimulation
-/// refinement, then `G`'s edges read through the partition, bulk-loaded
-/// (sorted and deduplicated once) by [`PatternCompression::from_classes`].
-pub fn compress_b_csr(g: &CsrGraph) -> PatternCompression {
-    let partition = bisimulation_partition_csr(g);
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.edge_count());
-    for u in g.nodes() {
+/// Runs `compressB` on `g`: the bisimulation refinement over a frozen CSR
+/// snapshot, then `G`'s edges read through the partition (sorted and
+/// deduplicated once) as the class edges of a stable-id export whose ids
+/// are the partition's dense ones, built into the served view.
+pub fn compress_b(g: &LabeledGraph) -> PatternView {
+    let csr = g.freeze();
+    let partition = bisimulation_partition_csr(&csr);
+    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(csr.edge_count());
+    for u in csr.nodes() {
         let cu = partition.class_of(u);
-        for &v in g.out_neighbors(u) {
+        for &v in csr.out_neighbors(u) {
             edges.push((cu, partition.class_of(v)));
         }
     }
-    PatternCompression::from_classes(partition, edges, g.interner())
+    edges.sort_unstable();
+    edges.dedup();
+    let classes = partition.class_count();
+    PatternView::build(&StablePatternQuotient {
+        class_of: partition.class_of,
+        labels: partition.payload,
+        active: vec![true; classes],
+        members: partition.members.into_iter().map(Arc::from).collect(),
+        edges,
+        interner: g.interner().clone(),
+        live_classes: classes,
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::bounded::bounded_match;
-    use crate::pattern::Pattern;
+    use crate::pattern::{MatchRelation, Pattern};
+    use qpgc_graph::{GraphView, NodeId};
+
+    /// The classes of member rows (empty rows, retired ids, skipped) as
+    /// node ids, sorted by first member: equal for two partitions into the
+    /// same classes, however each numbers them.
+    pub(crate) fn canonical<R: AsRef<[NodeId]>>(
+        rows: impl IntoIterator<Item = R>,
+    ) -> Vec<Vec<u32>> {
+        let mut classes: Vec<Vec<u32>> = rows
+            .into_iter()
+            .map(|m| m.as_ref().iter().map(|v| v.0).collect::<Vec<u32>>())
+            .filter(|m| !m.is_empty())
+            .collect();
+        classes.sort_unstable();
+        classes
+    }
+
+    /// [`canonical`] of `compress_b(g)`'s rows: the partition every
+    /// maintained one is compared against.
+    pub(crate) fn compressed(g: &LabeledGraph) -> Vec<Vec<u32>> {
+        let view = compress_b(g);
+        canonical((0..view.graph().node_count() as u32).map(|c| view.members_of(NodeId(c))))
+    }
 
     fn graph(labels: &[&str], edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();
@@ -171,7 +135,7 @@ mod tests {
         assert!(c.class_count() < g.node_count());
         assert_eq!(c.class_of(NodeId(0)), c.class_of(NodeId(1)));
         assert_eq!(c.class_of(NodeId(2)), c.class_of(NodeId(3)));
-        assert!(c.graph.size() < g.size());
+        assert!(c.graph().size() < g.size());
         assert!(c.ratio(&g) < 1.0);
     }
 
@@ -180,8 +144,8 @@ mod tests {
         let g = recommendation_network();
         let c = compress_b(&g);
         for v in g.nodes() {
-            let class = c.class_of(v);
-            assert_eq!(g.label_name(v), c.graph.label_name(class));
+            let class = NodeId(c.class_of(v).unwrap());
+            assert_eq!(g.label_name(v), c.graph().label_name(class));
         }
     }
 
@@ -191,18 +155,16 @@ mod tests {
         let g = graph(&["X", "X"], &[(0, 1), (1, 0)]);
         let c = compress_b(&g);
         assert_eq!(c.class_count(), 1);
-        assert!(c.graph.has_edge(NodeId(0), NodeId(0)));
+        assert!(c.graph().has_edge(NodeId(0), NodeId(0)));
     }
 
     fn assert_pattern_preserved(g: &LabeledGraph, p: &Pattern) {
         let c = compress_b(g);
         let on_g = bounded_match(g, p);
-        let on_gr = bounded_match(&c.graph, p);
+        let on_gr = c.answer(p);
         match (on_g, on_gr) {
             (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.canonical(), c.post_process(&b).canonical());
-            }
+            (Some(a), Some(b)) => assert_eq!(a.canonical(), b.canonical()),
             (a, b) => panic!(
                 "boolean answer not preserved: original matched = {}, compressed matched = {}",
                 a.is_some(),
@@ -278,7 +240,7 @@ mod tests {
         let g = graph(&["A", "B", "B"], &[(0, 1), (0, 2)]);
         let c = compress_b(&g);
         let mut on_gr = MatchRelation::empty(1);
-        let class_b = c.class_of(NodeId(1));
+        let class_b = NodeId(c.class_of(NodeId(1)).unwrap());
         on_gr.matches[0] = vec![class_b, class_b];
         let expanded = c.post_process(&on_gr);
         assert_eq!(expanded.matches[0], vec![NodeId(1), NodeId(2)]);
@@ -289,6 +251,7 @@ mod tests {
         let g = LabeledGraph::new();
         let c = compress_b(&g);
         assert_eq!(c.class_count(), 0);
-        assert_eq!(c.graph.node_count(), 0);
+        assert_eq!(c.graph().node_count(), 0);
+        assert_eq!(c.ratio(&g), 0.0);
     }
 }

@@ -52,7 +52,6 @@ use qpgc_graph::update::{PartitionDelta, Update};
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::bisim::bisimulation_partition_csr;
-use crate::compress::PatternCompression;
 
 pub use qpgc_graph::quotient::IncStats;
 
@@ -254,27 +253,15 @@ impl IncrementalPattern {
             live_classes: self.q.class_count(),
         }
     }
-
-    /// Materializes the current state as a [`PatternCompression`]: the
-    /// dense renumbering of the classes and of the rows' class edges, handed
-    /// to the constructor `compress_b` uses.
-    pub fn to_compression(&self) -> PatternCompression {
-        let (dense, classes) = self.q.dense();
-        let edges = self.q.sorted_edges().into_iter();
-        PatternCompression::from_classes(
-            classes,
-            edges.map(|(a, b)| (dense[a as usize], dense[b as usize])),
-            &self.interner,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounded::bounded_match;
-    use crate::compress::compress_b;
+    use crate::compress::tests::{canonical, compressed};
     use crate::pattern::Pattern;
+    use crate::view::PatternView;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -292,22 +279,21 @@ mod tests {
     fn assert_matches_batch(mut g: LabeledGraph, batch: UpdateBatch) {
         let mut inc = IncrementalPattern::new(&g);
         inc.apply(&mut g, &batch);
-        let expect = compress_b(&g);
-        let got = inc.to_compression();
+        let got = inc.stable_quotient();
         assert_eq!(
-            got.partition.canonical(),
-            expect.partition.canonical(),
+            canonical(&got.members),
+            compressed(&g),
             "incremental bisimulation diverged from batch recompression"
         );
-        // The materialized quotient graphs must also be isomorphic in the
-        // sense that both preserve the same pattern queries; spot check with
-        // a generic two-edge pattern over the labels present.
+        // The served view of the maintained quotient must also preserve
+        // pattern queries; spot check with a generic two-edge pattern over
+        // the labels present.
         let mut p = Pattern::new();
         let a = p.add_node("A");
         let b = p.add_node("B");
         p.add_edge(a, b, 2);
         let on_g = bounded_match(&g, &p);
-        let on_inc = bounded_match(&got.graph, &p).map(|m| got.post_process(&m));
+        let on_inc = PatternView::build(&got).answer(&p);
         match (on_g, on_inc) {
             (None, None) => {}
             (Some(x), Some(y)) => assert_eq!(x.canonical(), y.canonical()),
@@ -397,13 +383,10 @@ mod tests {
         inc2.apply_one_by_one(&mut g2, &batch);
 
         assert_eq!(
-            inc1.to_compression().partition.canonical(),
-            inc2.to_compression().partition.canonical()
+            canonical(&inc1.stable_quotient().members),
+            canonical(&inc2.stable_quotient().members)
         );
-        assert_eq!(
-            inc1.to_compression().partition.canonical(),
-            compress_b(&g1).partition.canonical()
-        );
+        assert_eq!(canonical(&inc1.stable_quotient().members), compressed(&g1));
     }
 
     /// The step forced through the hybrid kernel instead of the key
@@ -462,10 +445,7 @@ mod tests {
         // B1 leaves {B1,B2}, A's successors change class: two born, and
         // the rest of {B1,B2} is born again as {B2}.
         assert_eq!(stats.changed_classes, 3);
-        assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_b(&g).partition.canonical()
-        );
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 
     /// Cut members of one class with the same out-neighbours — read as
@@ -488,10 +468,7 @@ mod tests {
         assert_eq!(stats.hybrid_nodes, 3);
         assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(2)));
         assert_ne!(inc.class_of(NodeId(1)), inc.class_of(NodeId(3)));
-        assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_b(&g).partition.canonical()
-        );
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 
     /// One step on both paths from the same state: the partitions agree
@@ -508,11 +485,11 @@ mod tests {
         let stats = inc.apply(g, batch);
         apply_hybrid(twin, &mut g_twin, batch);
         assert_eq!(inc.check_invariants(g), Ok(()), "{ctx}");
-        let canonical = inc.to_compression().partition.canonical();
-        assert_eq!(canonical, compress_b(g).partition.canonical(), "{ctx}");
+        let partition = canonical(&inc.stable_quotient().members);
+        assert_eq!(partition, compressed(g), "{ctx}");
         assert_eq!(
-            canonical,
-            twin.to_compression().partition.canonical(),
+            partition,
+            canonical(&twin.stable_quotient().members),
             "{ctx}"
         );
         stats
@@ -607,10 +584,7 @@ mod tests {
         assert_eq!(inc.class_of(NodeId(8)), inc.class_of(NodeId(0)));
         // The leaf class gained a member: retired and born again.
         assert!(delta.removed.contains(&leaves));
-        assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_b(&g).partition.canonical()
-        );
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 
     /// A class wholly inside the cone that comes back with its members and
@@ -672,10 +646,7 @@ mod tests {
         assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(0)));
         assert_eq!(inc.class_of(NodeId(3)), inc.class_of(NodeId(0)));
         assert_ne!(inc.class_of(NodeId(0)), y, "the class gained members");
-        assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_b(&g).partition.canonical()
-        );
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 
     /// A cycle of units that splits into two classes falls back to the
@@ -696,10 +667,7 @@ mod tests {
         let stats = inc.apply(&mut g, &batch);
         assert_eq!((stats.hybrid_fallbacks, stats.hybrid_nodes), (0, 2));
         assert_eq!(inc.class_of(NodeId(2)), inc.class_of(NodeId(3)));
-        assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_b(&g).partition.canonical()
-        );
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 
     #[test]
@@ -813,8 +781,8 @@ mod tests {
             let mut inc = IncrementalPattern::new(&g2);
             inc.apply(&mut g2, &batch);
             assert_eq!(
-                inc.to_compression().partition.canonical(),
-                compress_b(&g2).partition.canonical(),
+                canonical(&inc.stable_quotient().members),
+                compressed(&g2),
                 "case {case} diverged"
             );
         }
@@ -843,10 +811,7 @@ mod tests {
                 }
             }
             inc.apply(&mut g, &batch);
-            assert_eq!(
-                inc.to_compression().partition.canonical(),
-                compress_b(&g).partition.canonical()
-            );
+            assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
         }
     }
 }

@@ -11,9 +11,8 @@
 //!   bounds `k` or `*`, and the match-relation result type.
 //! * [`bisim`] — the maximum bisimulation relation `Rb`, computed by
 //!   rank-stratified signature refinement (Dovier–Piazza–Policriti style).
-//! * [`compress`] — `compressB` (Fig. 7): the compression function `R`, the
-//!   identity query rewriting `F`, and the post-processing function `P`
-//!   that expands hypernodes back to original nodes.
+//! * [`compress`] — `compressB` (Fig. 7): the compression function `R`,
+//!   returning the served [`PatternView`].
 //! * [`bounded`] — bounded simulation `Match` (Fan et al., PVLDB 2010), the
 //!   pattern matching algorithm of the paper; graph simulation
 //!   (Henzinger–Henzinger–Kopke) is its special case where every edge bound
@@ -22,9 +21,11 @@
 //!   compression under batch updates, plus the `IncBsim` baseline.
 //! * [`inc_match`] — `IncBMatch`: incremental maintenance of a pattern
 //!   query's match relation under updates (the baseline of Fig. 12(h)).
-//! * [`view`] — [`PatternView`](view::PatternView): the snapshot-facing
-//!   form of the compression (stable-id CSR quotient built from the
-//!   maintainer's export), consumed by serving layers.
+//! * [`view`] — [`PatternView`]: the one materialised
+//!   form of the compression (stable-id CSR quotient, built from
+//!   `compressB`'s partition or the maintainer's export), carrying the
+//!   identity rewriting `F` and the post-processing function `P` that
+//!   expands hypernodes back to original nodes; serving layers publish it.
 //!
 //! ## Example
 //!
@@ -44,7 +45,7 @@
 //! g.add_edge(b2, f2);
 //!
 //! let compressed = compress_b(&g);
-//! assert_eq!(compressed.graph.node_count(), 2); // {b1,b2}, {f1,f2}
+//! assert_eq!(compressed.class_count(), 2); // {b1,b2}, {f1,f2}
 //!
 //! // A one-edge pattern BSA -> FA evaluated on the compressed graph and
 //! // post-processed gives exactly the matches on the original graph.
@@ -54,7 +55,7 @@
 //! p.add_edge(qb, qf, 1);
 //!
 //! let on_g = bounded_match(&g, &p).unwrap();
-//! let on_gr = bounded_match(&compressed.graph, &p).unwrap();
+//! let on_gr = bounded_match(compressed.graph(), &p).unwrap();
 //! let expanded = compressed.post_process(&on_gr);
 //! assert_eq!(on_g.canonical(), expanded.canonical());
 //! ```
@@ -71,7 +72,7 @@ pub mod view;
 
 pub use bisim::bisimulation_partition_csr;
 pub use bounded::bounded_match;
-pub use compress::{compress_b, compress_b_csr, PatternCompression};
+pub use compress::compress_b;
 pub use inc_match::IncrementalMatch;
 pub use incremental::{IncStats, IncrementalPattern, StablePatternQuotient};
 pub use pattern::{EdgeBound, MatchRelation, Pattern};

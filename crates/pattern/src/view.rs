@@ -1,24 +1,24 @@
-//! [`PatternView`] — the snapshot-facing form of the pattern preserving
-//! compression.
+//! [`PatternView`] — the one materialised form of the pattern preserving
+//! compression: what [`compress_b`](crate::compress::compress_b) returns
+//! and what a serving layer publishes.
 //!
-//! [`PatternCompression`](crate::compress::PatternCompression) is the batch
-//! artefact: dense class ids and a freshly built mutable quotient graph. A
-//! `PatternView` is what a serving layer publishes instead:
-//!
-//! * the quotient lives in CSR form with rows indexed by the maintainer's
-//!   **stable** class ids ([`StablePatternQuotient`]), and member rows are
-//!   adopted from the export by reference bump;
+//! * the quotient lives in CSR form with rows indexed by **stable** class
+//!   ids ([`StablePatternQuotient`]; `compress_b`'s ids are the batch
+//!   partition's dense ones), and member rows are adopted from the export
+//!   by reference bump;
 //! * it has one construction, [`PatternView::build`]; a serving layer
 //!   shares the previous view when a batch's
 //!   [`PartitionDelta`](qpgc_graph::update::PartitionDelta) is empty and
 //!   builds a new one otherwise;
 //! * retired ids persist as isolated rows carrying a reserved
 //!   [`RETIRED_CLASS_LABEL`] that no pattern query can name, so candidate
-//!   selection never sees ghost classes.
+//!   selection never sees ghost classes, and [`PatternView::ratio`] does
+//!   not count them.
 
 use std::sync::Arc;
 
-use qpgc_graph::{CsrGraph, NodeId};
+use qpgc_graph::stats::compression_ratio;
+use qpgc_graph::{CsrGraph, LabeledGraph, NodeId};
 
 use crate::bounded::bounded_match;
 use crate::incremental::StablePatternQuotient;
@@ -102,6 +102,14 @@ impl PatternView {
         self.live_classes
     }
 
+    /// The compression ratio `|Gr| / |G|` (the paper's `PCr`): live
+    /// classes plus quotient edges over `original`'s size. A retired row is
+    /// isolated and no class, so a maintained view reads the ratio of the
+    /// quotient it stands for.
+    pub fn ratio(&self, original: &LabeledGraph) -> f64 {
+        compression_ratio(original.size(), self.live_classes + self.graph.edge_count())
+    }
+
     /// Number of original nodes this view covers.
     pub fn node_count(&self) -> usize {
         self.class_of.len()
@@ -150,7 +158,7 @@ mod tests {
     use super::*;
     use crate::compress::compress_b;
     use crate::incremental::IncrementalPattern;
-    use qpgc_graph::{LabeledGraph, UpdateBatch};
+    use qpgc_graph::UpdateBatch;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -203,7 +211,7 @@ mod tests {
                 assert_eq!(view.class_count(), pc.class_count());
                 for (qi, q) in queries.iter().enumerate() {
                     let ctx = format!("case {case} step {step} query {qi}");
-                    let via_pc = bounded_match(&pc.graph, q).map(|m| pc.post_process(&m));
+                    let via_pc = pc.answer(q);
                     let via_view = view.answer(q);
                     crate::pattern::assert_same_answer(&via_pc, &via_view, &ctx);
                     crate::pattern::assert_same_answer(&bounded_match(&g, q), &via_view, &ctx);
@@ -256,9 +264,10 @@ mod tests {
         }
     }
 
-    /// Both forms' `P` equal the concatenate-sort-deduplicate expansion:
-    /// on classes whose members straddle the word boundary at 64, on the
-    /// last node id, and on views whose retired rows have no members.
+    /// `P` equals the concatenate-sort-deduplicate expansion on a
+    /// maintained view and on `compress_b`'s: on classes whose members
+    /// straddle the word boundary at 64, on the last node id, and on views
+    /// whose retired rows have no members.
     #[test]
     fn expansion_equals_sorted_concatenation() {
         let mut rng = StdRng::seed_from_u64(44);
@@ -311,6 +320,47 @@ mod tests {
             inc.apply(&mut g, &batch);
         }
         assert!(retired_rows > 0, "no view had a retired row");
+    }
+
+    /// A maintained view keeps retired ids as isolated rows; its ratio
+    /// counts the live classes only, so after every step of a stream that
+    /// retires and recycles ids it is `compress_b`'s, bit for bit.
+    #[test]
+    fn a_maintained_views_ratio_counts_live_classes() {
+        let mut rng = StdRng::seed_from_u64(45);
+        let (mut retired_rows, mut recycled) = (0, 0);
+        for case in 0..20 {
+            let mut g = random_labeled_graph(&mut rng, 24);
+            let mut inc = IncrementalPattern::new(&g);
+            let mut retired: Vec<u32> = Vec::new();
+            for step in 0..8 {
+                let view = PatternView::build(&inc.stable_quotient());
+                retired_rows += view.graph().node_count() - view.class_count();
+                assert_eq!(
+                    view.ratio(&g).to_bits(),
+                    compress_b(&g).ratio(&g).to_bits(),
+                    "case {case} step {step}"
+                );
+                let n = g.node_count();
+                let mut batch = UpdateBatch::new();
+                for _ in 0..rng.gen_range(1..5) {
+                    let u = NodeId(rng.gen_range(0..n) as u32);
+                    let v = NodeId(rng.gen_range(0..n) as u32);
+                    if rng.gen_bool(0.5) {
+                        batch.insert(u, v);
+                    } else {
+                        batch.delete(u, v);
+                    }
+                }
+                let (_, delta) = inc.apply_with_delta(&mut g, &batch);
+                recycled += delta.born.iter().filter(|c| retired.contains(c)).count();
+                retired.extend(&delta.removed);
+            }
+        }
+        assert!(
+            retired_rows > 0 && recycled > 0,
+            "{retired_rows} retired rows, {recycled} recycled ids"
+        );
     }
 
     #[test]

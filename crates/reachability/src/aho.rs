@@ -27,7 +27,7 @@ pub struct AhoReduction {
 impl AhoReduction {
     /// The compression ratio `RCaho = |Gaho| / |G|`.
     pub fn ratio(&self, original: &LabeledGraph) -> f64 {
-        qpgc_graph::stats::compression_ratio(original, &self.graph)
+        qpgc_graph::stats::compression_ratio(original.size(), self.graph.size())
     }
 }
 

@@ -17,12 +17,11 @@
 //! (equivalent nodes in different SCCs provably do not reach each other —
 //! see the module docs of [`crate::equivalence`]).
 //!
-//! `Gr` has one constructor, [`ReachCompression::from_classes`]: a partition
-//! and its class edges in, the reduced quotient out. [`compress_r`] feeds it
-//! the kernel's partition and `G`'s edges read through it;
-//! [`IncrementalReach::to_compression`](crate::incremental::IncrementalReach::to_compression)
-//! feeds it the maintained classes and rows. The `qpgc` facade implements
-//! its `<R, F, P>` trait on [`ReachCompression`] itself.
+//! [`compress_r`] is the one batch constructor of `Gr`: the kernel's
+//! partition, and `G`'s edges read through it and reduced. A maintained
+//! quotient is never converted into a [`ReachCompression`]: a serving
+//! layer publishes the reduction its maintainer's closure holds. The `qpgc`
+//! facade implements its `<R, F, P>` trait on [`ReachCompression`] itself.
 
 use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
 use qpgc_graph::transitive::transitive_reduction_dag;
@@ -45,29 +44,6 @@ pub struct ReachCompression {
 }
 
 impl ReachCompression {
-    /// The compression of `partition` whose classes are joined by the class
-    /// edges `edges` (no intra-class edge; duplicates are harmless): the
-    /// quotient graph, its edges transitively reduced on a [`DagReach`]
-    /// (the paper's Fig. 5 lines 6–8). The one constructor of `Gr`, for
-    /// [`compress_r`] and for a maintained quotient's export alike; no
-    /// unreduced `LabeledGraph` is built on the way.
-    pub fn from_classes(
-        partition: Classes<bool>,
-        edges: impl IntoIterator<Item = (u32, u32)>,
-    ) -> ReachCompression {
-        let classes = partition.class_count();
-        // The quotient of the reachability equivalence relation is a DAG, so
-        // the transitive reduction is unique.
-        let dag = DagReach::from_edges(classes, edges)
-            .expect("the quotient of the reachability equivalence relation is a DAG");
-        let mut graph = LabeledGraph::with_capacity(classes);
-        for _ in 0..classes {
-            graph.add_node_with_label("σ");
-        }
-        graph.extend_edges(transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}));
-        ReachCompression { graph, partition }
-    }
-
     /// Answers the reachability query `QR(v, w)` posed against the original
     /// graph by evaluating its rewriting on the compressed graph with BFS.
     pub fn query(&self, v: NodeId, w: NodeId) -> bool {
@@ -101,12 +77,15 @@ impl ReachCompression {
 
     /// The compression ratio `|Gr| / |G|` (the paper's `RCr`).
     pub fn ratio(&self, original: &LabeledGraph) -> f64 {
-        qpgc_graph::stats::compression_ratio(original, &self.graph)
+        qpgc_graph::stats::compression_ratio(original.size(), self.graph.size())
     }
 }
 
-/// Runs `compressR` on `g` with the default signature chunk width. Generic
-/// over [`GraphView`]: accepts the mutable graph or a CSR snapshot.
+/// Runs `compressR` on `g` with the default signature chunk width: the
+/// partition, then the quotient graph over `G`'s edges read through it,
+/// transitively reduced on a [`DagReach`] (the paper's Fig. 5 lines 6–8);
+/// no unreduced `LabeledGraph` is built on the way. Generic over
+/// [`GraphView`]: accepts the mutable graph or a CSR snapshot.
 pub fn compress_r<G: GraphView>(g: &G) -> ReachCompression {
     let partition = reachability_partition(g);
     let mut edges: Vec<(u32, u32)> = Vec::with_capacity(g.edge_count());
@@ -119,13 +98,56 @@ pub fn compress_r<G: GraphView>(g: &G) -> ReachCompression {
             }
         }
     }
-    ReachCompression::from_classes(partition, edges)
+    let classes = partition.class_count();
+    // The quotient of the reachability equivalence relation is a DAG, so
+    // the transitive reduction is unique.
+    let dag = DagReach::from_edges(classes, edges)
+        .expect("the quotient of the reachability equivalence relation is a DAG");
+    let mut graph = LabeledGraph::with_capacity(classes);
+    for _ in 0..classes {
+        graph.add_node_with_label("σ");
+    }
+    graph.extend_edges(transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}));
+    ReachCompression { graph, partition }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qpgc_graph::traversal::{bfs_reachable, bidirectional_reachable};
+
+    /// The classes of a node → class table as node ids, sorted by first
+    /// member: equal for two partitions into the same classes, however each
+    /// numbers them.
+    pub(crate) fn canonical(class_of: &[u32]) -> Vec<Vec<u32>> {
+        let mut classes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+        for (v, &c) in class_of.iter().enumerate() {
+            classes.entry(c).or_default().push(v as u32);
+        }
+        let mut classes: Vec<Vec<u32>> = classes.into_values().collect();
+        classes.sort_unstable();
+        classes
+    }
+
+    /// Class edges under the node → class table `class_of`, each class
+    /// named by its first member, sorted: equal for two quotients with the
+    /// same edges, however each numbers its classes.
+    pub(crate) fn edges_by_first_member(
+        class_of: &[u32],
+        edges: impl IntoIterator<Item = (u32, u32)>,
+    ) -> Vec<(u32, u32)> {
+        let ids = class_of.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut first: Vec<u32> = vec![u32::MAX; ids];
+        for (v, &c) in class_of.iter().enumerate().rev() {
+            first[c as usize] = v as u32;
+        }
+        let mut named: Vec<(u32, u32)> = edges
+            .into_iter()
+            .map(|(a, b)| (first[a as usize], first[b as usize]))
+            .collect();
+        named.sort_unstable();
+        named
+    }
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> LabeledGraph {
         let mut g = LabeledGraph::new();

@@ -96,7 +96,6 @@ use qpgc_graph::update::PartitionDelta;
 use qpgc_graph::{CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::closure::QuotientClosure;
-use crate::compress::ReachCompression;
 use crate::equivalence::reachability_partition;
 
 pub use qpgc_graph::quotient::IncStats;
@@ -104,7 +103,7 @@ pub use qpgc_graph::quotient::IncStats;
 /// The maintained compression state exported with **stable** class ids —
 /// the ids [`IncrementalReach`] keeps across updates (recycling retired
 /// ones) rather than the densely renumbered ids of
-/// [`IncrementalReach::to_compression`].
+/// [`compress_r`](crate::compress::compress_r).
 ///
 /// A class id absent from a [`PartitionDelta`] names the same node set
 /// before and after the batch. Retired ids are simply inactive holes;
@@ -382,25 +381,13 @@ impl IncrementalReach {
             live_classes: self.q.class_count(),
         }
     }
-
-    /// Materializes the current state as a [`ReachCompression`]: the dense
-    /// renumbering of the classes and of the rows' class edges, handed to
-    /// the constructor `compress_r` uses. Class `i` of the result is the
-    /// `i`-th active class in id order.
-    pub fn to_compression(&self) -> ReachCompression {
-        let (dense, classes) = self.q.dense();
-        let edges = self.q.sorted_edges().into_iter();
-        ReachCompression::from_classes(
-            classes,
-            edges.map(|(a, b)| (dense[a as usize], dense[b as usize])),
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::compress_r;
+    use crate::compress::tests::{canonical, edges_by_first_member};
     use qpgc_graph::traversal::bfs_reachable;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -423,21 +410,26 @@ mod tests {
         inc.apply(&mut g, &batch);
 
         let batch_compressed = compress_r(&g);
-        let inc_compressed = inc.to_compression();
+        let sq = inc.stable_quotient();
         assert_eq!(
-            inc_compressed.partition.canonical(),
-            batch_compressed.partition.canonical(),
+            canonical(&sq.class_of),
+            canonical(&batch_compressed.partition.class_of),
             "incremental partition diverged from batch recompression"
+        );
+        // The reduction a publication reads is `compressR`'s.
+        let kept = inc.closure().expect("one chunk").kept();
+        assert_eq!(
+            edges_by_first_member(&sq.class_of, kept.iter().map(|&(a, b)| (a.0, b.0))),
+            edges_by_first_member(
+                &batch_compressed.partition.class_of,
+                batch_compressed.graph.edges().map(|(a, b)| (a.0, b.0))
+            ),
+            "held reduction diverged from batch recompression"
         );
         for v in g.nodes() {
             for w in g.nodes() {
                 let expected = bfs_reachable(&g, v, w);
                 assert_eq!(inc.query(v, w), expected, "inc query ({v},{w})");
-                assert_eq!(
-                    inc_compressed.query(v, w),
-                    expected,
-                    "materialized query ({v},{w})"
-                );
             }
         }
     }
@@ -489,17 +481,17 @@ mod tests {
         let g = graph(3, &[(0, 1), (1, 2)]);
         let mut g2 = g.clone();
         let mut inc = IncrementalReach::new(&g2);
-        let before = inc.to_compression().partition.canonical();
+        let before = canonical(&inc.stable_quotient().class_of);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(0), NodeId(2)); // implied by 0 -> 1 -> 2
         let stats = inc.apply(&mut g2, &batch);
         assert_eq!(stats.redundant_dropped, 1);
         assert_eq!(stats.effective_updates, 0);
-        assert_eq!(inc.to_compression().partition.canonical(), before);
+        assert_eq!(canonical(&inc.stable_quotient().class_of), before);
         // And it still matches the batch result.
         assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_r(&g2).partition.canonical()
+            canonical(&inc.stable_quotient().class_of),
+            canonical(&compress_r(&g2).partition.class_of)
         );
     }
 
@@ -637,8 +629,8 @@ mod tests {
             by_first_member(&denied.stable_quotient())
         );
         assert_eq!(
-            held.to_compression().partition.canonical(),
-            compress_r(g).partition.canonical()
+            canonical(&held.stable_quotient().class_of),
+            canonical(&compress_r(g).partition.class_of)
         );
         for v in g.nodes() {
             for w in g.nodes() {
@@ -1062,8 +1054,8 @@ mod tests {
             inc.apply(&mut g, &batch);
             let batch_c = compress_r(&g);
             assert_eq!(
-                inc.to_compression().partition.canonical(),
-                batch_c.partition.canonical()
+                canonical(&inc.stable_quotient().class_of),
+                canonical(&batch_c.partition.class_of)
             );
         }
     }
@@ -1098,26 +1090,11 @@ mod tests {
             inc.apply(&mut g2, &batch);
             let expect = compress_r(&g2);
             assert_eq!(
-                inc.to_compression().partition.canonical(),
-                expect.partition.canonical(),
+                canonical(&inc.stable_quotient().class_of),
+                canonical(&expect.partition.class_of),
                 "case {case} diverged"
             );
         }
-    }
-
-    #[test]
-    fn partition_export_matches_materialized_compression() {
-        let mut g = graph(5, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let mut inc = IncrementalReach::new(&g);
-        let mut batch = UpdateBatch::new();
-        batch.insert(NodeId(3), NodeId(4));
-        batch.delete(NodeId(2), NodeId(3));
-        inc.apply(&mut g, &batch);
-        let (_, part) = inc.q.dense();
-        let comp = inc.to_compression();
-        assert_eq!(part.class_of, comp.partition.class_of);
-        assert_eq!(part.members, comp.partition.members);
-        assert_eq!(part.payload, comp.partition.payload);
     }
 
     /// Checks a delta against the stable exports before and after its
@@ -1204,8 +1181,9 @@ mod tests {
         let sq = inc.stable_quotient();
         assert_eq!(sq.class_count(), inc.class_count());
         assert_eq!(sq.edges.len(), inc.q.quotient_edge_count());
-        // Stable and dense exports describe the same partition.
-        let (_, dense) = inc.q.dense();
+        // The stable export and `compressR`'s dense ids describe the same
+        // partition.
+        let dense = compress_r(&g).partition;
         for v in g.nodes() {
             for w in g.nodes() {
                 assert_eq!(

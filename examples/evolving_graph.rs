@@ -29,7 +29,7 @@ fn main() {
     println!(
         "initial hypernodes: {} (ratio {:.1}%)",
         maintained.reach().class_count(),
-        100.0 * maintained.reach().to_compression().ratio(&g0)
+        100.0 * compress_r(&g0).ratio(&g0)
     );
 
     for step in 0..6u64 {
@@ -49,8 +49,8 @@ fn main() {
         let scratch = compress_r(maintained.graph());
         let batch_time = t.elapsed();
 
-        let identical = scratch.partition.canonical()
-            == maintained.reach().to_compression().partition.canonical();
+        let identical = canonical(&scratch.partition.class_of)
+            == canonical(&maintained.reach().stable_quotient().class_of);
         println!(
             "step {step}: {:4} updates | affected {:4} classes | incRCM {:>9.3?} vs compressR {:>9.3?} | identical = {identical}",
             batch.len(),
@@ -100,4 +100,17 @@ fn main() {
         assert!(agree);
     }
     println!("\nall incremental results verified against from-scratch evaluation");
+}
+
+/// The classes of a node → class table as node ids, sorted by first
+/// member: equal for two partitions into the same classes, however each
+/// numbers them.
+fn canonical(class_of: &[u32]) -> Vec<Vec<u32>> {
+    let mut classes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+    for (v, &c) in class_of.iter().enumerate() {
+        classes.entry(c).or_default().push(v as u32);
+    }
+    let mut classes: Vec<Vec<u32>> = classes.into_values().collect();
+    classes.sort_unstable();
+    classes
 }

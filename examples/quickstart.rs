@@ -69,7 +69,7 @@ fn main() {
     // 3. Pattern preserving compression (Section 4).                     //
     // ----------------------------------------------------------------- //
     section("pattern preserving compression");
-    let pat = PatternCompression::compress(&g);
+    let pat = PatternView::compress(&g);
     println!(
         "compressed graph: |Vr| = {}, |Er| = {} (ratio {})",
         pat.compressed_graph().node_count(),

@@ -75,7 +75,7 @@ fn main() {
     qp.add_edge(q_c, q_fa, 1); // who interact with an FA
     qp.add_edge(q_fa, q_c, 1); // and the FA answers back
 
-    let scheme = PatternCompression::compress(&g);
+    let scheme = PatternView::compress(&g);
     println!(
         "compressed graph Gr: |Vr| = {}, |Er| = {}  (PCr = {})",
         scheme.compressed_graph().node_count(),

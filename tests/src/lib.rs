@@ -98,6 +98,30 @@ pub fn random_batch(rng: &mut StdRng, n: usize, count: usize, bias: f64, dag: bo
     batch
 }
 
+/// The classes of a node → class table as node ids, sorted by first
+/// member: equal for two partitions into the same classes, however each
+/// numbers them. The one partition comparison of the integration suites.
+pub fn canonical(class_of: &[u32]) -> Vec<Vec<u32>> {
+    let mut classes = std::collections::BTreeMap::<u32, Vec<u32>>::new();
+    for (v, &c) in class_of.iter().enumerate() {
+        classes.entry(c).or_default().push(v as u32);
+    }
+    let mut classes: Vec<Vec<u32>> = classes.into_values().collect();
+    classes.sort_unstable();
+    classes
+}
+
+/// [`canonical`] of `compress_b(g)`: the partition a maintained
+/// bisimulation quotient is compared against.
+pub fn compressed_classes(g: &LabeledGraph) -> Vec<Vec<u32>> {
+    let view = compress_b(g);
+    let class_of: Vec<u32> = g
+        .nodes()
+        .map(|v| view.class_of(v).expect("a node of g"))
+        .collect();
+    canonical(&class_of)
+}
+
 /// The pattern workload over the generated labels: bounded, unbounded and
 /// chained edges, and a single-node pattern (which would expose a stale
 /// label on a retired quotient row).

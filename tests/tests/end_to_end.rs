@@ -10,6 +10,7 @@ use qpgc_generators::updates::{insert_batch, mixed_batch};
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_pattern::bounded::bounded_match;
 use qpgc_reach::two_hop::TwoHopIndex;
+use qpgc_tests::{canonical, compressed_classes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,7 +55,7 @@ fn social_network_reachability_pipeline() {
 #[test]
 fn labeled_dataset_pattern_pipeline() {
     let g = pattern_dataset("California", 20, 2).expect("dataset");
-    let scheme = PatternCompression::compress(&g);
+    let scheme = PatternView::compress(&g);
     assert!(scheme.ratio(&g) <= 1.0);
 
     // Generated patterns of the paper's sizes are preserved exactly.
@@ -92,22 +93,23 @@ fn maintained_compressions_survive_realistic_churn() {
 
         // Both maintained compressions equal their batch counterparts.
         assert_eq!(
-            maintained.reach().to_compression().partition.canonical(),
-            qpgc_reach::compress::compress_r(&reference)
-                .partition
-                .canonical(),
+            canonical(&maintained.reach().stable_quotient().class_of),
+            canonical(
+                &qpgc_reach::compress::compress_r(&reference)
+                    .partition
+                    .class_of
+            ),
             "step {step}: reachability drifted"
         );
         assert_eq!(
-            maintained
-                .pattern()
-                .expect("patterns on")
-                .to_compression()
-                .partition
-                .canonical(),
-            qpgc_pattern::compress::compress_b(&reference)
-                .partition
-                .canonical(),
+            canonical(
+                &maintained
+                    .pattern()
+                    .expect("patterns on")
+                    .stable_quotient()
+                    .class_of
+            ),
+            compressed_classes(&reference),
             "step {step}: bisimulation drifted"
         );
     }
@@ -140,7 +142,7 @@ fn compression_ratios_reproduce_paper_ordering() {
     );
 
     let labeled = pattern_dataset("Youtube", 200, 0).expect("dataset");
-    let pc = PatternCompression::compress(&labeled).ratio(&labeled);
+    let pc = PatternView::compress(&labeled).ratio(&labeled);
     let rc = ReachCompression::compress(&labeled).ratio(&labeled);
     assert!(
         rc < pc,

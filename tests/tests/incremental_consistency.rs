@@ -6,7 +6,6 @@ use proptest::prelude::*;
 use qpgc::prelude::*;
 use qpgc_generators::updates::local_batch;
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::Classes;
 use qpgc_pattern::compress::compress_b;
 use qpgc_pattern::inc_match::IncrementalMatch;
 use qpgc_pattern::incremental::{IncrementalPattern, StablePatternQuotient};
@@ -14,6 +13,7 @@ use qpgc_reach::compress::compress_r;
 use qpgc_reach::incremental::{IncrementalReach, StableQuotient};
 use qpgc_reach::two_hop::{TwoHopConfig, TwoHopIndex};
 use qpgc_serve::{ApplyPath, CompressedStore, StoreConfig};
+use qpgc_tests::{canonical, compressed_classes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,8 +69,8 @@ proptest! {
             batch.normalized(&reference).apply_to(&mut reference);
             let scratch = compress_r(&reference);
             prop_assert_eq!(
-                maintained.reach().to_compression().partition.canonical(),
-                scratch.partition.canonical()
+                canonical(&maintained.reach().stable_quotient().class_of),
+                canonical(&scratch.partition.class_of)
             );
             for u in reference.nodes() {
                 for v in reference.nodes() {
@@ -94,10 +94,9 @@ proptest! {
             let pattern = maintained.pattern().expect("patterns on");
             prop_assert_eq!(pattern.check_invariants(maintained.graph()), Ok(()));
             batch.normalized(&reference).apply_to(&mut reference);
-            let scratch = compress_b(&reference);
             prop_assert_eq!(
-                maintained.pattern().expect("patterns on").to_compression().partition.canonical(),
-                scratch.partition.canonical()
+                canonical(&maintained.pattern().expect("patterns on").stable_quotient().class_of),
+                compressed_classes(&reference)
             );
         }
     }
@@ -223,21 +222,38 @@ fn mixed_stream_batch(rng: &mut StdRng, g: &LabeledGraph, step: usize) -> Update
 /// Classes with their payloads, and the edges of `Gr`, by first member.
 type ByFirstMember<C> = (Vec<(Vec<NodeId>, C)>, Vec<(NodeId, NodeId)>);
 
-/// A compression with every class read as its first member: the classes
-/// with their payloads, and the edges of `Gr` — equal for two compressions
-/// of one graph that number its classes differently.
-fn by_first_member<C: Clone>(partition: &Classes<C>, gr: &LabeledGraph) -> ByFirstMember<C> {
-    let first = |c: NodeId| partition.members[c.index()][0];
-    let mut classes: Vec<_> = partition
-        .members
-        .iter()
-        .cloned()
-        .zip(partition.payload.iter().cloned())
+/// A compression with every class read as its first member: `rows[c]` is
+/// class `c`'s members and payload (no members: a retired id, skipped),
+/// `edges` the edges of `Gr` over those ids. Equal for two compressions of
+/// one graph that number their classes differently.
+fn by_first_member<C: Ord>(
+    rows: Vec<(Vec<NodeId>, C)>,
+    edges: impl IntoIterator<Item = (NodeId, NodeId)>,
+) -> ByFirstMember<C> {
+    let first = |c: NodeId| rows[c.index()].0[0];
+    let mut edges: Vec<_> = edges
+        .into_iter()
+        .map(|(a, b)| (first(a), first(b)))
         .collect();
-    classes.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut edges: Vec<_> = gr.edges().map(|(a, b)| (first(a), first(b))).collect();
     edges.sort_unstable();
+    let mut classes: Vec<_> = rows.into_iter().filter(|(m, _)| !m.is_empty()).collect();
+    classes.sort();
     (classes, edges)
+}
+
+/// A served pattern view by first member, each class with its label name.
+fn view_by_first_member(view: &PatternView) -> ByFirstMember<Option<String>> {
+    let gr = view.graph();
+    let rows = (0..gr.node_count() as u32)
+        .map(NodeId)
+        .map(|c| {
+            (
+                view.members_of(c).to_vec(),
+                gr.label_name(c).map(str::to_owned),
+            )
+        })
+        .collect();
+    by_first_member(rows, gr.edges())
 }
 
 /// The single façade (one graph, one normalisation, both maintainers)
@@ -245,9 +261,10 @@ fn by_first_member<C: Clone>(partition: &Classes<C>, gr: &LabeledGraph) -> ByFir
 /// [`IncrementalReach`] and a standalone [`IncrementalPattern`] each
 /// normalising and mutating its own graph copy — identical
 /// [`PartitionDelta`](qpgc_graph::PartitionDelta)s and identical stable
-/// exports — and both compressions, partition and quotient graph, must
-/// equal from-scratch compression of the shadow graph. This is what fails if the second maintainer ever sees
-/// an already-applied batch as empty.
+/// exports — and what a store serves of both compressions, partition and
+/// quotient graph, must equal from-scratch compression of the shadow graph.
+/// This is what fails if the second maintainer ever sees an
+/// already-applied batch as empty.
 #[test]
 fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
     const LABELS: [&str; 3] = ["A", "B", "C"];
@@ -313,20 +330,36 @@ fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
                 sorted_edges(&shadow),
                 "{ctx}: façade graph drifted from the shadow"
             );
-            // Graph for graph: the maintainers' exports and the batch
-            // compressors meet in one constructor per relation.
-            let (maintained, batch) = (facade.reach().to_compression(), compress_r(&shadow));
+            // Graph for graph, what a store serves against the batch
+            // compressors: the reduction the held closure keeps, read
+            // through the stable export, and the view built from the
+            // pattern export.
+            let sq = facade.reach().stable_quotient();
+            let mut rows: Vec<_> = sq
+                .cyclic
+                .iter()
+                .map(|&cyclic| (Vec::new(), cyclic))
+                .collect();
+            for (v, &c) in sq.class_of.iter().enumerate() {
+                rows[c as usize].0.push(NodeId(v as u32));
+            }
+            let held = facade.reach().closure().expect("one chunk");
+            let batch = compress_r(&shadow);
+            let batch_rows = batch.partition.members.iter().cloned();
             assert_eq!(
-                by_first_member(&maintained.partition, &maintained.graph),
-                by_first_member(&batch.partition, &batch.graph),
-                "{ctx}: reachability compression vs compress_r"
+                by_first_member(rows, held.kept().iter().copied()),
+                by_first_member(
+                    batch_rows.zip(batch.partition.payload).collect(),
+                    batch.graph.edges()
+                ),
+                "{ctx}: served reachability quotient vs compress_r"
             );
-            let maintained = facade.pattern().expect("patterns on").to_compression();
-            let batch = compress_b(&shadow);
+            let served =
+                PatternView::build(&facade.pattern().expect("patterns on").stable_quotient());
             assert_eq!(
-                by_first_member(&maintained.partition, &maintained.graph),
-                by_first_member(&batch.partition, &batch.graph),
-                "{ctx}: bisimulation compression vs compress_b"
+                view_by_first_member(&served),
+                view_by_first_member(&compress_b(&shadow)),
+                "{ctx}: served bisimulation quotient vs compress_b"
             );
         }
     }
@@ -590,8 +623,8 @@ fn the_dense_cithepth_stream_changes_no_class() {
         assert!(delta.is_empty(), "batch {i}: {delta:?}");
         assert_eq!(inc.check_invariants(&g), Ok(()), "batch {i}");
         assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_r(&g).partition.canonical(),
+            canonical(&inc.stable_quotient().class_of),
+            canonical(&compress_r(&g).partition.class_of),
             "batch {i}: partition vs compress_r"
         );
     }
@@ -621,8 +654,8 @@ fn insertion_only_stream_drops_redundant_insertions_and_stays_exact() {
         redundant_dropped += stats.redundant_dropped;
         assert_eq!(inc.check_invariants(&g), Ok(()), "step {step}");
         assert_eq!(
-            inc.to_compression().partition.canonical(),
-            compress_r(&g).partition.canonical(),
+            canonical(&inc.stable_quotient().class_of),
+            canonical(&compress_r(&g).partition.class_of),
             "step {step}: partition vs compress_r"
         );
         for _ in 0..400 {

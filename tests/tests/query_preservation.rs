@@ -68,7 +68,7 @@ proptest! {
         g in arb_graph(12, &["A", "B", "C"]),
         edge_bounds in prop::collection::vec(1u32..=3, 2),
     ) {
-        let scheme = PatternCompression::compress(&g);
+        let scheme = PatternView::compress(&g);
         let mut p = Pattern::new();
         let a = p.add_node("A");
         let b = p.add_node("B");
@@ -89,7 +89,7 @@ proptest! {
     /// (`*`) pattern edges.
     #[test]
     fn unbounded_pattern_edges_are_preserved(g in arb_graph(10, &["A", "B"])) {
-        let scheme = PatternCompression::compress(&g);
+        let scheme = PatternView::compress(&g);
         let mut p = Pattern::new();
         let a = p.add_node("A");
         let b = p.add_node("B");
@@ -107,7 +107,7 @@ proptest! {
     #[test]
     fn compression_never_grows_the_graph(g in arb_graph(16, &["A", "B", "C", "D"])) {
         let r = ReachCompression::compress(&g);
-        let p = PatternCompression::compress(&g);
+        let p = PatternView::compress(&g);
         prop_assert!(r.compressed_graph().size() <= g.size());
         prop_assert!(p.compressed_graph().size() <= g.size());
         // And the reachability quotient is never coarser than the SCC count

@@ -41,7 +41,7 @@ fn reachability_scheme_constructs_and_answers() {
 #[test]
 fn pattern_scheme_constructs_and_answers() {
     let (g, _) = tiny_graph();
-    let scheme = PatternCompression::compress(&g);
+    let scheme = PatternView::compress(&g);
     let mut p = Pattern::new();
     let a = p.add_node("A");
     let b = p.add_node("B");
