@@ -22,8 +22,8 @@
 //! that can name the new classes without a node per unaffected class passes
 //! its shortcut to [`IncrementalQuotient::apply_effective`] instead:
 //! `incRCM` its held closure, `incPCM`
-//! [`IncrementalQuotient::regroup_keyed`], a lookup per unit in an index
-//! from keys to classes kept beside the rows (B2).
+//! [`IncrementalQuotient::regroup_keyed`], a lookup per unit of its key
+//! among the rows (B2).
 //! `qpgc_reach::incremental::IncrementalReach` and
 //! `qpgc_pattern::incremental::IncrementalPattern` wrap one instantiation
 //! each and add only what genuinely differs (redundant-insertion reduction,
@@ -37,26 +37,24 @@
 //! serving layer's snapshot differentials and the benchmark's
 //! `compression_ratio` / `snapshot_bytes_per_node` checks depend on it. The
 //! maintained state is therefore free of hash collections: the class-level
-//! edges live in
-//! per-id **rows** (`out_rows[c]` — `(target, count)` pairs, `in_rows[c]` —
-//! sources), every row sorted ascending by class id, and every scratch
-//! table of a maintenance step (cone marks, unit and atom lookups,
-//! retirements, births) is a vector indexed by class or node id. Whatever
-//! feeds an id — the affected classes, the units and the order of the
-//! groups a regroup returns, retirements, the LIFO free-id stack — is read
-//! off those vectors in ascending id order, so there is no iteration order
-//! to leak (the module denies `clippy::disallowed_types`, so a hash
-//! collection here fails the clippy gate). The key index is a hashed
-//! table, but only probed for one key's unique class, never walked for
-//! ids. Units are numbered by (class id, first
-//! member) and a group is spliced where the batch kernel's first-seen
-//! numbering would meet its first node — the atom of the class it absorbs,
-//! else its first unit; the key regroup splices the groups that join a
-//! class by that class's id, then its own in the order it formed them. All
-//! regroups give the same partition; the closure and key paths also keep
-//! the ids of the affected classes they find unchanged (L7 in
-//! `qpgc_reach::closure`, B2 below), which the hybrid path retires and
-//! bears again, so from that step on the paths' ids differ.
+//! edges live in per-id **rows** (`out_rows[c]` — `(target, count)` pairs,
+//! `in_rows[c]` — sources), every row sorted ascending by class id, and
+//! every scratch table of a maintenance step (cone marks, unit and atom
+//! lookups, retirements, births) is a vector indexed by class or node id,
+//! or an ordered map. Whatever feeds an id — the affected classes, the
+//! units and the order of the groups a regroup returns, retirements, the
+//! LIFO free-id stack — is read off those vectors in ascending id order, so
+//! there is no iteration order to leak (the module denies
+//! `clippy::disallowed_types`, so a hash collection here fails the clippy
+//! gate). Units are numbered by (class id, first member) and a group is
+//! spliced where the batch kernel's first-seen numbering would meet its
+//! first node — the atom of the class it absorbs, else its first unit; the
+//! key regroup splices the groups that join a class by that class's id,
+//! then its own in the order it formed them. All regroups give the same
+//! partition; the closure and key paths also keep the ids of the affected
+//! classes they find unchanged (L7 in `qpgc_reach::closure`, B2 below),
+//! which the hybrid path retires and bears again, so from that step on the
+//! paths' ids differ.
 //!
 //! ## Why the cut is sound
 //!
@@ -126,25 +124,32 @@
 //!
 //! **B2 (keys).** A bisimulation quotient is its own coarsest partition:
 //! no two live classes share a key, its own id in its row read as a
-//! `SELF` token. So the index maps a key to the one class that has it.
-//! The step takes out the keys of the classes wholly inside `A` first —
-//! their ids can be retired and recycled within the step — and places the
-//! units of `A` bottom-up, one strongly connected component of the unit
-//! graph at a time in reverse topological order, with its successors
-//! placed. An acyclic unit's key is its label and its successors' ids: a
-//! hit names the class it joins, a miss forms a new group under a
-//! provisional id. A cyclic component is one group exactly when its units
-//! share a label and either their successors outside it are equal (key
-//! with `SELF` — a lookup can only find a class whose row holds itself) or
-//! they become equal with one self-looped successor class added, which
-//! they then join. Any other cyclic component splits into several groups,
-//! and the step falls back to the hybrid kernel, counted in
-//! [`IncStats::hybrid_fallbacks`]. A class whose member set the step did
-//! not change keeps its id: by (iv) a class with a `U`-member then also
-//! keeps its key; a class wholly inside `A` keeps its id only if its key
-//! over the kept ids is its old key, so a step that retires and bears
-//! nothing left the quotient graph as it was. On `pattern_citation` a
-//! batch reaches 18.7 nodes in 16.4 of ≈ 770 classes; it bears 24.8.
+//! `SELF` token. The step places the units of `A` bottom-up, one strongly
+//! connected component of the unit graph at a time in reverse topological
+//! order, with its successors placed. An acyclic unit's key is its label
+//! and its successors' ids: a hit names the class it joins, a miss forms a
+//! new group under a provisional id. A cyclic component is one group
+//! exactly when its units share a label and either their successors
+//! outside it are equal (key with `SELF` — a lookup can only find a class
+//! whose row holds itself) or they become equal with one self-looped
+//! successor class added, which they then join. Any other cyclic component
+//! splits into several groups, and the step falls back to the hybrid
+//! kernel, counted in [`IncStats::hybrid_fallbacks`]. A class whose member
+//! set the step did not change keeps its id: by (iv) a class with a
+//! `U`-member then also keeps its key; a class wholly inside `A` keeps its
+//! id only if its key over the kept ids is its old key, so a step that
+//! retires and bears nothing left the quotient graph as it was. On
+//! `pattern_citation` a batch reaches 18.7 nodes in 16.4 of ≈ 770 classes;
+//! it bears 24.8.
+//!
+//! The rows answer a lookup. A class whose key holds an old id `s` lies in
+//! `s`'s in-row, so the shortest such in-row holds every candidate. A key
+//! with no successor but `SELF` — a sink, `(label, [])`, or a class whose
+//! only successor is itself, `(label, [SELF])` — is at most one class per
+//! label and kind, which a per-label table notes as it is born: a class
+//! that keeps its id keeps its key, so no other class becomes rowless, and
+//! an entry whose id was since retired or recycled fails the key check on
+//! read. A class wholly inside `A` is passed over: its key is stale.
 //!
 //! ## Cost
 //!
@@ -176,18 +181,20 @@
 //! affected class that the closure regroup finds unchanged is neither: a
 //! batch that changes no class splices, patches and republishes nothing.
 //!
-//! Bisimilarity regroups through the key index: one condensation of the
-//! unit graph, and per unit one sort of its placed successors and one
-//! probe — `O(#units + unit edges)` up to those sorts, nothing per class
-//! outside the cut (on `pattern_citation` a step went from ≈ 770 µs to
-//! ≈ 75 µs, two thirds of it the relink of the classes that change). The
-//! index is kept where the rows change — `link`, `unlink`, the count: a
-//! class whose row gains or loses a target is taken out and keyed again
-//! as the step ends, `O(row)` each — so `new` builds it in one pass over
-//! the rows.
+//! Bisimilarity regroups through its keys: one condensation of the unit
+//! graph, and per unit one sort of its placed successors and one lookup —
+//! a scan of the shortest in-row of its successors, comparing each
+//! candidate's row (over `pattern_citation`'s quotient that in-row holds
+//! 1.8 classes on average, and at most 128 over the Table 2 emulators at
+//! ÷10) — so nothing per class outside the cut. On `pattern_citation` a
+//! step costs ≈ 64 µs against ≈ 770 µs on the hybrid graph, two thirds of
+//! it the relink of the classes that change. No key state but the
+//! per-label table of rowless classes is kept between steps, and the step
+//! refreshes it from the classes it bears.
 
 #![deny(clippy::disallowed_types)]
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use crate::csr::CsrGraph;
@@ -253,10 +260,9 @@ pub trait Equivalence {
     /// and their successors fall in the same classes (bisimilarity). Then
     /// only the nodes that reach an update source can change class (B1 of
     /// the module header), so a step locates node by node, and no two
-    /// classes share that key (B2), so the quotient keeps an index from
-    /// keys to classes and regroups through it
-    /// ([`IncrementalQuotient::regroup_keyed`]). The payload of a keyed
-    /// relation is its class label.
+    /// classes share that key (B2), so the quotient regroups by looking
+    /// keys up among its rows ([`IncrementalQuotient::regroup_keyed`]).
+    /// The payload of a keyed relation is its class label.
     const KEYED: bool;
 
     /// Whether a class with this payload reaches itself by a non-empty
@@ -303,8 +309,8 @@ pub struct IncStats {
     /// recomputed nothing): on the hybrid path one atom per live class with
     /// a member outside the cut plus one node per unit of the [`Cut`]; the
     /// units alone when the relation regrouped them without the hybrid
-    /// graph (`incRCM` against its held closure, `incPCM` through the key
-    /// index). The name predates the other paths.
+    /// graph (`incRCM` against its held closure, `incPCM` by its keys).
+    /// The name predates the other paths.
     pub hybrid_nodes: usize,
     /// Number of steps whose keyed regroup fell back to the hybrid kernel
     /// (a cycle of units that splits into several classes); `0` or `1` for
@@ -531,145 +537,6 @@ const NO_ATOM: u32 = u32::MAX;
 /// (B2): sorts after every id.
 const SELF: u32 = u32::MAX;
 
-/// Marks an id that is not in the [`KeyIndex`].
-const UNKEYED: u32 = u32::MAX;
-
-/// The hash of a key: a class label and its ascending target tokens.
-fn key_hash(label: Label, tokens: impl Iterator<Item = u32>) -> u32 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let h = tokens.fold(u64::from(label.0), |h, t| {
-        (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(K)
-    });
-    (h >> 32) as u32
-}
-
-/// The first free slot, probing linearly from `hash`'s home, or the entry
-/// `is` accepts on the way (`slots` holds `(entry + 1, hash)`, `(0, _)`
-/// marks a free slot, and is never full).
-fn probe(slots: &[(u32, u32)], hash: u32, is: impl Fn(u32) -> bool) -> Result<u32, usize> {
-    let mask = slots.len() - 1;
-    let mut at = hash as usize & mask;
-    loop {
-        match slots[at] {
-            (0, _) => return Err(at),
-            (e, h) if h == hash && is(e - 1) => return Ok(e - 1),
-            _ => at = (at + 1) & mask,
-        }
-    }
-}
-
-/// The key index of a [`Equivalence::KEYED`] relation (B2), beside the
-/// rows: every live class under its key — its label and its out-row
-/// targets, its own id read as [`SELF`] — in an open-addressing table.
-/// Empty for any other relation.
-#[derive(Clone, Debug, Default)]
-struct KeyIndex {
-    /// `(class id + 1, key hash)` per slot, `(0, _)` for a free one; a
-    /// power of two long and at most half full.
-    slots: Vec<(u32, u32)>,
-    /// The slot of each keyed class id, [`UNKEYED`] elsewhere.
-    slot_of: Vec<u32>,
-    /// Number of keyed classes.
-    len: usize,
-    /// Classes whose keys a step took out, to key again as it ends.
-    stale: Vec<u32>,
-}
-
-impl KeyIndex {
-    /// Removes the entry at `slot` and shifts the rest of its probe run
-    /// back over the hole.
-    fn remove_at(&mut self, slot: usize) {
-        let mask = self.slots.len() - 1;
-        let mut hole = slot;
-        self.slot_of[self.slots[hole].0 as usize - 1] = UNKEYED;
-        self.slots[hole] = (0, 0);
-        let mut at = hole;
-        loop {
-            at = (at + 1) & mask;
-            let (e, h) = self.slots[at];
-            if e == 0 {
-                break;
-            }
-            // An entry may fill the hole if its home is not inside
-            // `(hole, at]`.
-            if (at.wrapping_sub(h as usize) & mask) >= (at.wrapping_sub(hole) & mask) {
-                self.slots[hole] = (e, h);
-                self.slot_of[e as usize - 1] = hole as u32;
-                self.slots[at] = (0, 0);
-                hole = at;
-            }
-        }
-        self.len -= 1;
-    }
-
-    /// Puts class `c` under `hash`, doubling the table when it would be
-    /// more than half full.
-    fn insert(&mut self, c: u32, hash: u32) {
-        if 2 * (self.len + 1) > self.slots.len() {
-            let entries: Vec<(u32, u32)> =
-                self.slots.iter().copied().filter(|e| e.0 != 0).collect();
-            self.slots = vec![(0, 0); (4 * (self.len + 1)).next_power_of_two()];
-            self.len = 0;
-            for (e, h) in entries {
-                self.insert(e - 1, h);
-            }
-        }
-        let at = probe(&self.slots, hash, |_| false).expect_err("no entry is accepted");
-        self.slots[at] = (c + 1, hash);
-        self.slot_of[c as usize] = at as u32;
-        self.len += 1;
-    }
-}
-
-/// The groups a key regroup forms, under their keys — label, and
-/// successor tokens with [`SELF`] for a self loop — in an open-addressing
-/// table as the [`KeyIndex`] is.
-struct FreshKeys {
-    labels: Vec<Label>,
-    /// CSR offsets into `tokens`, one range per group.
-    offsets: Vec<usize>,
-    tokens: Vec<u32>,
-    slots: Vec<(u32, u32)>,
-}
-
-impl FreshKeys {
-    /// An empty table for at most `units` groups.
-    fn new(units: usize) -> Self {
-        FreshKeys {
-            labels: Vec::new(),
-            offsets: vec![0],
-            tokens: Vec::new(),
-            slots: vec![(0, 0); (2 * units + 2).next_power_of_two()],
-        }
-    }
-
-    fn tokens(&self, k: u32) -> &[u32] {
-        &self.tokens[self.offsets[k as usize]..self.offsets[k as usize + 1]]
-    }
-
-    /// Appends group `k`'s key tokens to `key` and returns its label.
-    fn key(&self, k: u32, key: &mut Vec<u32>) -> Label {
-        key.extend(self.tokens(k));
-        self.labels[k as usize]
-    }
-
-    /// The group with key `(label, key)`, formed if there is none yet.
-    fn find_or_add(&mut self, label: Label, key: &[u32]) -> u32 {
-        let hash = key_hash(label, key.iter().copied());
-        let at = probe(&self.slots, hash, |k| {
-            self.labels[k as usize] == label && self.tokens(k) == key
-        });
-        at.unwrap_or_else(|at| {
-            let k = self.labels.len() as u32;
-            self.slots[at] = (k + 1, hash);
-            self.labels.push(label);
-            self.tokens.extend(key);
-            self.offsets.push(self.tokens.len());
-            k
-        })
-    }
-}
-
 /// An incrementally maintained quotient of a data graph by the relation
 /// `E`, under stable class ids: ids survive across updates for classes a
 /// step leaves untouched, and retired ids are recycled.
@@ -704,8 +571,12 @@ pub struct IncrementalQuotient<E: Equivalence> {
     /// that reach an update source (empty until the first step, all `false`
     /// between steps).
     in_cone: Vec<bool>,
-    /// The key index ([`Equivalence::KEYED`] relations only).
-    keys: KeyIndex,
+    /// The rowless classes of a [`Equivalence::KEYED`] relation by label:
+    /// `rowless[l][0]` the sink with key `(l, [])`, `rowless[l][1]` the
+    /// class with key `(l, [SELF])` — at most one each (B2). Noted as they
+    /// are born, and checked on read: an entry may name an id since retired
+    /// or recycled.
+    rowless: Vec<[Option<u32>; 2]>,
 }
 
 impl<E: Equivalence> IncrementalQuotient<E> {
@@ -717,7 +588,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let mut q = IncrementalQuotient {
             unit_of_node: vec![0; partition.class_of.len()],
             in_cone: Vec::new(),
-            keys: KeyIndex::default(),
+            rowless: Vec::new(),
             class_of: partition.class_of,
             members: partition.members,
             payload: partition.payload,
@@ -729,7 +600,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         };
         let all: Vec<u32> = (0..classes as u32).collect();
         q.link(g, &all);
-        q.rekey(&all);
+        q.note_rowless(&all);
         q
     }
 
@@ -859,52 +730,47 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         others.chain(looped.then_some(SELF))
     }
 
-    fn class_key_hash(&self, c: u32) -> u32 {
-        key_hash(E::class_label(self.payload[c as usize]), self.key_tokens(c))
-    }
-
-    /// The keyed class with key `(label, tokens)`, if any.
-    fn keyed(&self, label: Label, tokens: &[u32]) -> Option<u32> {
-        if self.keys.slots.is_empty() {
+    /// The live class outside the cut with key `(label, tokens)`, if any
+    /// (B2). A key with an old successor `s` reads the shortest in-row of
+    /// such an `s`; a key with none, its label's entry in the rowless
+    /// table. A key with a provisional id finds nothing.
+    fn keyed(&self, cut: &Cut, label: Label, tokens: &[u32]) -> Option<u32> {
+        let successors = tokens.strip_suffix(&[SELF]).unwrap_or(tokens);
+        if successors.iter().any(|&t| t as usize >= cut.id_space()) {
             return None;
         }
-        let hash = key_hash(label, tokens.iter().copied());
-        probe(&self.keys.slots, hash, |c| {
-            E::class_label(self.payload[c as usize]) == label
+        let shortest = successors
+            .iter()
+            .min_by_key(|&&s| self.in_rows[s as usize].len());
+        let candidates = match shortest {
+            Some(&s) => &self.in_rows[s as usize][..],
+            None => (self.rowless.get(label.0 as usize))
+                .map_or(&[][..], |entry| entry[tokens.len()].as_slice()),
+        };
+        candidates.iter().copied().find(|&c| {
+            self.active[c as usize]
+                && !cut.is_whole(c)
+                && E::class_label(self.payload[c as usize]) == label
                 && self.key_tokens(c).eq(tokens.iter().copied())
         })
-        .ok()
     }
 
-    /// Takes class `c`'s key out of the index — its row is about to change,
-    /// or its id to be retired — and notes it to be keyed again when the
-    /// step ends. A no-op unless the relation is [`Equivalence::KEYED`].
-    fn unkey(&mut self, c: u32) {
+    /// Notes the rowless classes among the live classes `born` in the
+    /// rowless table. A no-op unless the relation is [`Equivalence::KEYED`].
+    fn note_rowless(&mut self, born: &[u32]) {
         if !E::KEYED {
             return;
         }
-        if let Some(&slot) = self.keys.slot_of.get(c as usize).filter(|&&s| s != UNKEYED) {
-            self.keys.remove_at(slot as usize);
-            self.keys.stale.push(c);
-        }
-    }
-
-    /// Keys every live class among `born` and the classes unkeyed since the
-    /// last call, each under its current row.
-    fn rekey(&mut self, born: &[u32]) {
-        if !E::KEYED {
-            return;
-        }
-        self.keys.slot_of.resize(self.id_space(), UNKEYED);
-        let mut stale = std::mem::take(&mut self.keys.stale);
-        stale.extend(born);
-        for c in stale.drain(..) {
-            if self.active[c as usize] && self.keys.slot_of[c as usize] == UNKEYED {
-                let hash = self.class_key_hash(c);
-                self.keys.insert(c, hash);
+        for &c in born {
+            let row = &self.out_rows[c as usize];
+            if row.iter().all(|&(t, _)| t == c) {
+                let label = E::class_label(self.payload[c as usize]).0 as usize;
+                if self.rowless.len() <= label {
+                    self.rowless.resize(label + 1, [None; 2]);
+                }
+                self.rowless[label][row.len()] = Some(c);
             }
         }
-        self.keys.stale = stale;
     }
 
     /// Maintains the quotient across the effective edge updates `updates`,
@@ -940,7 +806,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     ) -> (IncStats, PartitionDelta) {
         if updates.is_empty() {
             self.count(g, implied, &[]);
-            self.rekey(&[]);
             let delta = PartitionDelta {
                 id_space: self.members.len(),
                 ..PartitionDelta::default()
@@ -977,19 +842,12 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             ..IncStats::default()
         };
         let cut = self.cut(g, updates, is_affected, affected, &cone);
-        // B2: the key of a class with no member left outside the cut is
-        // stale, and its id may be recycled within the step.
-        for &c in cut.affected() {
-            if cut.is_whole(c) {
-                self.unkey(c);
-            }
-        }
         let regrouped = regroup(self, g, &cut);
         stats.hybrid_nodes = regrouped.nodes;
         stats.hybrid_fallbacks = usize::from(regrouped.fallback);
         let delta = self.splice(g, cut, regrouped.groups);
         self.count(g, updates.iter().chain(implied), &delta.born);
-        self.rekey(&delta.born);
+        self.note_rowless(&delta.born);
         for v in cone {
             self.in_cone[v.index()] = false;
         }
@@ -1002,39 +860,55 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// are not `born`, one original edge each, adding or removing the class
     /// edge where its count leaves or reaches 0. `link` counted every edge
     /// that touches a born class, and no other row moved in the splice.
+    /// Insertions are counted first, so a class edge the batch keeps never
+    /// reaches 0 on the way.
     fn count<'a>(
         &mut self,
         g: &LabeledGraph,
-        edges: impl IntoIterator<Item = &'a (NodeId, NodeId)>,
+        edges: impl IntoIterator<Item = &'a (NodeId, NodeId)> + Clone,
         born: &[u32],
     ) {
         let is_born = mark(born, self.id_space());
-        for &(u, w) in edges {
-            let (a, b) = (self.class_of(u), self.class_of(w));
-            if is_born[a as usize] || is_born[b as usize] || (!E::SELF_EDGES && a == b) {
-                continue;
-            }
-            let out = &mut self.out_rows[a as usize];
-            let at = out.partition_point(|&(t, _)| t < b);
-            let inn = &mut self.in_rows[b as usize];
-            let from = inn.partition_point(|&s| s < a);
-            match out.get_mut(at) {
-                Some((t, count)) if *t == b => {
-                    if g.has_edge(u, w) {
-                        *count += 1;
-                    } else if *count > 1 {
-                        *count -= 1;
-                    } else {
-                        out.remove(at);
-                        inn.remove(from);
-                        self.unkey(a);
-                    }
+        for inserted in [true, false] {
+            for &(u, w) in edges.clone() {
+                let (a, b) = (self.class_of(u), self.class_of(w));
+                if g.has_edge(u, w) != inserted
+                    || is_born[a as usize]
+                    || is_born[b as usize]
+                    || (!E::SELF_EDGES && a == b)
+                {
+                    continue;
                 }
-                _ => {
-                    debug_assert!(g.has_edge(u, w), "a deleted edge was counted");
-                    out.insert(at, (b, 1));
-                    inn.insert(from, a);
-                    self.unkey(a);
+                let out = &mut self.out_rows[a as usize];
+                let at = out.partition_point(|&(t, _)| t < b);
+                let inn = &mut self.in_rows[b as usize];
+                let from = inn.partition_point(|&s| s < a);
+                match out.get_mut(at) {
+                    Some((t, count)) if *t == b && (inserted || *count > 1) => {
+                        if inserted {
+                            *count += 1;
+                        } else {
+                            *count -= 1;
+                        }
+                    }
+                    entry => {
+                        // Not for a keyed relation: `a` holds an update
+                        // source, so it is affected and, not born, unchanged.
+                        // A class that keeps its id keeps its key (B1(iv),
+                        // B2), and `b` was neither retired nor born, so `a`'s
+                        // row held `b` before the step exactly when it does
+                        // after it: only counts move here, and no class
+                        // becomes rowless.
+                        debug_assert!(!E::KEYED, "class {a} kept its id, not its key");
+                        if entry.is_some_and(|&mut (t, _)| t == b) {
+                            out.remove(at);
+                            inn.remove(from);
+                        } else {
+                            debug_assert!(inserted, "a deleted edge was counted");
+                            out.insert(at, (b, 1));
+                            inn.insert(from, a);
+                        }
+                    }
                 }
             }
         }
@@ -1334,8 +1208,8 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// The regroup of a [`Equivalence::KEYED`] relation (B2): places the
     /// units bottom-up, one strongly connected component of the unit graph
     /// at a time in reverse topological order, each by a lookup of its key
-    /// — its label and the classes its successors were placed in — in the
-    /// index (the classes with members outside the cut) and among the
+    /// — its label and the classes its successors were placed in — among
+    /// the rows of the classes with members outside the cut and among the
     /// groups this step formed. A hit joins that class or group, a miss
     /// forms a new group. A cycle of units that splits into several
     /// classes falls back to [`IncrementalQuotient::regroup_hybrid`] for
@@ -1356,7 +1230,10 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         // The class each unit joins: an old id, or `ids + k` for the `k`-th
         // group the step forms.
         let mut joins = vec![u32::MAX; n];
-        let mut fresh = FreshKeys::new(n);
+        // The groups the step forms, in the order they formed, under their
+        // keys — label, and successor tokens with SELF for a self loop.
+        let mut fresh: Vec<(Label, Vec<u32>)> = Vec::new();
+        let mut fresh_group: BTreeMap<(Label, Vec<u32>), u32> = BTreeMap::new();
         // Per unit of a component, its successors outside the component as
         // placed: `runs[bounds[i]..bounds[i + 1]]`, ascending.
         let (mut runs, mut bounds) = (Vec::new(), Vec::new());
@@ -1390,7 +1267,9 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     key.extend(self.key_tokens(k));
                     E::class_label(self.payload[k as usize])
                 } else {
-                    fresh.key(k - ids, key)
+                    let (own, tokens) = &fresh[(k - ids) as usize];
+                    key.extend(tokens);
+                    *own
                 };
                 own == label
                     && key.last() == Some(&SELF)
@@ -1408,9 +1287,14 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 key.clear();
                 key.extend(run(0));
                 key.extend(inner.then_some(SELF));
-                let old = self.keyed(label, &key);
-                debug_assert!(old.is_none_or(|c| !cut.is_whole(c)), "a stale key");
-                place = Some(old.unwrap_or_else(|| ids + fresh.find_or_add(label, &key)));
+                let old = self.keyed(cut, label, &key);
+                place = Some(old.unwrap_or_else(|| {
+                    let next = ids + fresh.len() as u32;
+                    *fresh_group.entry((label, key.clone())).or_insert_with(|| {
+                        fresh.push((label, key.clone()));
+                        next
+                    })
+                }));
             }
             for &u in members {
                 joins[u.index()] = place.expect("placed");
@@ -1433,7 +1317,12 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// ascending; then the fresh groups in the order they formed. A group
     /// is an affected class unchanged when its units are exactly the
     /// class's and, for a wholly cut class, its key is the class's old key.
-    fn keyed_groups(&self, cut: &Cut, joins: &[u32], fresh: &FreshKeys) -> Regrouped<E::Class> {
+    fn keyed_groups(
+        &self,
+        cut: &Cut,
+        joins: &[u32],
+        fresh: &[(Label, Vec<u32>)],
+    ) -> Regrouped<E::Class> {
         let ids = cut.id_space() as u32;
         let mut pairs: Vec<(u32, u32)> = (0..joins.len() as u32)
             .map(|u| (joins[u as usize], u))
@@ -1446,7 +1335,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let mut groups = Vec::new();
         // The id each fresh group keeps, its old class's, if it keeps one.
         let mut kept: Vec<Option<u32>> = Vec::new();
-        let mut key: Vec<u32> = Vec::new();
         for run in pairs.chunk_by(|a, b| a.0 == b.0) {
             let units: Vec<u32> = run.iter().map(|p| p.1).filter(|&u| u != SELF).collect();
             let c = run[0].0;
@@ -1462,13 +1350,11 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             let old = cut.class_of_unit(units[0] as usize);
             let unchanged = cut.is_whole(old) && cut.is_own(old, &units) && {
                 // Its key over the ids the groups below it keep.
-                key.clear();
-                fresh.key(c - ids, &mut key);
                 let as_kept = |&t: &u32| match t < ids || t == SELF {
                     true => Some(t),
                     false => kept[(t - ids) as usize],
                 };
-                key.iter()
+                (fresh[(c - ids) as usize].1.iter())
                     .map(as_kept)
                     .collect::<Option<Vec<u32>>>()
                     .is_some_and(|mut placed| {
@@ -1580,7 +1466,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// Empties the rows of the retiring class `c` and removes `c` from the
     /// rows of every neighbour that is not retiring with it.
     fn unlink(&mut self, c: u32, is_retired: &[bool]) {
-        self.unkey(c);
         for (t, _) in std::mem::take(&mut self.out_rows[c as usize]) {
             if !is_retired[t as usize] {
                 let row = &mut self.in_rows[t as usize];
@@ -1590,7 +1475,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         }
         for s in std::mem::take(&mut self.in_rows[c as usize]) {
             if !is_retired[s as usize] {
-                self.unkey(s);
                 let row = &mut self.out_rows[s as usize];
                 let at = row
                     .binary_search_by_key(&c, |&(t, _)| t)
@@ -1641,7 +1525,6 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     if out {
                         self.out_rows[id as usize].push((c, entry));
                     } else {
-                        self.unkey(c);
                         let row = &mut self.out_rows[c as usize];
                         row.insert(row.partition_point(|&(t, _)| t < id), (id, entry));
                     }
@@ -1779,32 +1662,33 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         Ok(())
     }
 
-    /// The key index against a fresh build: it holds every live class and
-    /// nothing else, each under the hash of its current key, and a lookup
-    /// of a class's key finds that class — so no two live classes share a
-    /// key (B2).
+    /// B2 and the rowless table: no two live classes share a key — sorted
+    /// by `(label, key)`, neighbours differ — and each rowless class is its
+    /// label's entry.
     fn check_keys(&self) -> Result<(), String> {
-        let keys = &self.keys;
-        if keys.len != self.live || !keys.stale.is_empty() {
+        let mut keys: Vec<(Label, Vec<u32>, u32)> = (marked(&self.active).into_iter())
+            .map(|c| {
+                let label = E::class_label(self.payload[c as usize]);
+                (label, self.key_tokens(c).collect(), c)
+            })
+            .collect();
+        keys.sort_unstable();
+        if let Some(w) = keys
+            .windows(2)
+            .find(|w| w[0].0 == w[1].0 && w[0].1 == w[1].1)
+        {
+            let (label, tokens, c) = &w[0];
             return Err(format!(
-                "key index holds {} classes ({} stale) for {} live",
-                keys.len,
-                keys.stale.len(),
-                self.live
+                "classes {c} and {} share the key ({label:?}, {tokens:?})",
+                w[1].2
             ));
         }
-        let mut tokens: Vec<u32> = Vec::new();
-        for c in marked(&self.active) {
-            let slot = keys.slot_of.get(c as usize).copied().unwrap_or(UNKEYED);
-            let hash = self.class_key_hash(c);
-            if keys.slots.get(slot as usize) != Some(&(c + 1, hash)) {
-                return Err(format!("class {c} is not keyed under its current key"));
-            }
-            tokens.clear();
-            tokens.extend(self.key_tokens(c));
-            let found = self.keyed(E::class_label(self.payload[c as usize]), &tokens);
-            if found != Some(c) {
-                return Err(format!("the key of class {c} finds {found:?}"));
+        for (label, tokens, c) in keys.iter().filter(|k| k.1.iter().all(|&t| t == SELF)) {
+            let entry = (self.rowless.get(label.0 as usize)).and_then(|entry| entry[tokens.len()]);
+            if entry != Some(*c) {
+                return Err(format!(
+                    "rowless class {c} is missing from the table, which holds {entry:?}"
+                ));
             }
         }
         Ok(())
@@ -1825,4 +1709,74 @@ fn mark(ids: &[u32], len: usize) -> Vec<bool> {
         table[c as usize] = true;
     }
     table
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A keyed relation whose partition puts every node in a class of its
+    /// own: not a bisimulation, so two sinks of one label are two live
+    /// classes with one key.
+    struct Singletons;
+
+    impl Equivalence for Singletons {
+        type Class = Label;
+        const SELF_EDGES: bool = true;
+        const ANCESTOR_SENSITIVE: bool = false;
+        const KEYED: bool = true;
+
+        fn cyclic(_: Label) -> bool {
+            false
+        }
+
+        fn class_label(class: Label) -> Label {
+            class
+        }
+
+        fn node_label(g: &LabeledGraph, v: NodeId) -> Label {
+            g.label(v)
+        }
+
+        fn partition(g: &CsrGraph) -> Classes<Label> {
+            let nodes = (0..g.node_count()).map(NodeId::new);
+            Classes {
+                class_of: (0..g.node_count() as u32).collect(),
+                members: nodes.clone().map(|v| vec![v]).collect(),
+                payload: nodes.map(|v| g.label(v)).collect(),
+            }
+        }
+    }
+
+    fn graph(labels: &[&str], edges: &[(u32, u32)]) -> LabeledGraph {
+        let mut g = LabeledGraph::new();
+        for l in labels {
+            g.add_node_with_label(l);
+        }
+        for &(u, v) in edges {
+            g.add_edge(NodeId(u), NodeId(v));
+        }
+        g
+    }
+
+    #[test]
+    fn check_invariants_names_a_key_two_live_classes_share() {
+        // Two `L` sinks, and an `M` above one of them.
+        let g = graph(&["L", "L", "M"], &[(2, 0)]);
+        let q = IncrementalQuotient::<Singletons>::new(&g);
+        let err = q.check_invariants(&g).expect_err("two sinks share a key");
+        assert_eq!(err, "classes 0 and 1 share the key (L0, [])");
+    }
+
+    #[test]
+    fn check_invariants_finds_a_rowless_class_missing_from_its_table() {
+        // A sink `L`, an `M` above it and a self-looped `N`.
+        let g = graph(&["L", "M", "N"], &[(1, 0), (2, 2)]);
+        let mut q = IncrementalQuotient::<Singletons>::new(&g);
+        assert_eq!(q.check_invariants(&g), Ok(()));
+        assert_eq!(q.rowless, vec![[Some(0), None], [None; 2], [None, Some(2)]]);
+        q.rowless[2] = [None; 2];
+        let err = q.check_invariants(&g).expect_err("the table lost a class");
+        assert!(err.starts_with("rowless class 2 is missing"), "{err}");
+    }
 }

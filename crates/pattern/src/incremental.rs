@@ -19,13 +19,16 @@
 //!    updated graph's in-edges from the update sources; the nodes it
 //!    reaches are `A`, and every other member of a class keeps the class's
 //!    id and key.
-//! 2. **Index regroup.** The nodes of `A` are cut into units — members of
+//! 2. **Key regroup.** The nodes of `A` are cut into units — members of
 //!    one class with the same out-neighbours, a neighbour outside `A` read
 //!    as its class — and placed bottom-up, in reverse topological order of
 //!    the unit graph's components, by a lookup of `(label, successor class
-//!    ids)` in an index the quotient keeps over its live classes. A
-//!    bisimulation quotient is its own coarsest partition, so a key names
-//!    at most one class: a hit joins it, a miss forms a new class.
+//!    ids)` among the quotient's rows: a class with those successors lies
+//!    in the in-row of each, so the shortest such in-row is scanned, and a
+//!    key with no successor but itself is read from a per-label table of
+//!    rowless classes. A bisimulation quotient is its own coarsest
+//!    partition, so a key names at most one class: a hit joins it, a miss
+//!    forms a new class.
 //! 3. **Fallback.** A cycle of units that splits into several classes has
 //!    no bottom to start from: that step runs the ordinary bisimulation
 //!    partition on the hybrid graph — one atom per class with a member
@@ -33,9 +36,10 @@
 //!    ([`IncStats::hybrid_fallbacks`]).
 //! 4. **Patch.** A class whose members (and, wholly inside `A`, key) did
 //!    not change keeps its id and is in neither list of the
-//!    [`PartitionDelta`]; every other group becomes a (re)built class, and
-//!    the class-level rows — and the keys — of the classes around it are
-//!    refreshed from the adjacency of its members.
+//!    [`PartitionDelta`]; every other group becomes a (re)built class, the
+//!    class-level rows of the classes around it are refreshed from the
+//!    adjacency of its members, and a rowless one is noted in its label's
+//!    table.
 //!
 //! The cost depends on `A`, the unit graph and the adjacency of the
 //! classes whose members change — not on `|G|` or `|Gr|`, except on the
@@ -390,7 +394,7 @@ mod tests {
     }
 
     /// The step forced through the hybrid kernel instead of the key
-    /// regroup: the twin every index-path step is checked against.
+    /// regroup: the twin every key-regroup step is checked against.
     fn apply_hybrid(
         inc: &mut IncrementalPattern,
         g: &mut LabeledGraph,
@@ -427,7 +431,7 @@ mod tests {
         assert_eq!(stats.hybrid_fallbacks, 0);
     }
 
-    /// On the index path `hybrid_nodes` is the unit count, and the
+    /// On the key path `hybrid_nodes` is the unit count, and the
     /// affected counts are node-level: only the nodes that reach the
     /// update's source are cut.
     #[test]
@@ -472,8 +476,8 @@ mod tests {
     }
 
     /// One step on both paths from the same state: the partitions agree
-    /// and both states pass their invariants (the key index against a
-    /// fresh build, no two live classes sharing a key).
+    /// and both states pass their invariants (no two live classes sharing
+    /// a key, every rowless class in its label's table).
     fn step_both_paths(
         inc: &mut IncrementalPattern,
         twin: &mut IncrementalPattern,
@@ -538,10 +542,10 @@ mod tests {
         batch
     }
 
-    /// The differential suite of the index path: seeded streams over
+    /// The differential suite of the key regroup: seeded streams over
     /// graphs with cycles, self loops and shared leaves; after every batch
-    /// the partition is `compress_b`'s and the hybrid twin's, and the key
-    /// index equals a fresh build.
+    /// the partition is `compress_b`'s and the hybrid twin's, and the keys
+    /// pass their invariants.
     #[test]
     fn index_and_hybrid_paths_agree_on_seeded_streams() {
         let mut rng = StdRng::seed_from_u64(0x1D3);
@@ -646,6 +650,115 @@ mod tests {
         assert_eq!(inc.class_of(NodeId(1)), inc.class_of(NodeId(0)));
         assert_eq!(inc.class_of(NodeId(3)), inc.class_of(NodeId(0)));
         assert_ne!(inc.class_of(NodeId(0)), y, "the class gained members");
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
+    }
+
+    /// A key joins only the class with exactly that key: not one whose key
+    /// holds it (found in the shortest in-row of its successors), nor one
+    /// whose key it holds.
+    #[test]
+    fn a_unit_joins_no_class_whose_key_is_a_strict_superset_or_subset() {
+        // {X, Z} → P, Q; Y → P, R; S, T, U → R: P's in-row is {X, Y}, Q's
+        // is {X}, R's is {Y, S, T, U}.
+        let mut g = graph(
+            &["P", "Q", "R", "L", "L", "L", "S", "T", "U"],
+            &[
+                (3, 0),
+                (3, 1),
+                (4, 0),
+                (4, 1),
+                (5, 0),
+                (5, 2),
+                (6, 2),
+                (7, 2),
+                (8, 2),
+            ],
+        );
+        let mut inc = IncrementalPattern::new(&g);
+        assert_eq!(inc.class_of(NodeId(3)), inc.class_of(NodeId(4)));
+        // Y's key becomes (L, [P]) ⊂ X's; Z's becomes (L, [P, Q, R]) ⊃ X's.
+        let mut batch = UpdateBatch::new();
+        batch
+            .delete(NodeId(5), NodeId(2))
+            .insert(NodeId(4), NodeId(2));
+        let stats = inc.apply(&mut g, &batch);
+        assert_eq!((stats.affected_nodes, stats.hybrid_fallbacks), (2, 0));
+        let x = inc.class_of(NodeId(3));
+        assert_ne!(inc.class_of(NodeId(5)), x, "a subset key joined");
+        assert_ne!(inc.class_of(NodeId(4)), x, "a superset key joined");
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
+    }
+
+    /// A label's sink class that is wholly cut and born again under another
+    /// id is found by the next node of that label that becomes a sink: the
+    /// lookup of `(label, [])` reads the table the reborn class was noted in.
+    #[test]
+    fn a_node_that_becomes_a_leaf_joins_the_reborn_leaf_class() {
+        // {V, X} → M, sink K, W → N, all labelled L.
+        let mut g = graph(&["L", "M", "N", "L", "L", "L"], &[(0, 1), (5, 1), (4, 2)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let sink = inc.class_of(NodeId(3));
+        // K joins {X} and V becomes the sink: the splice bears {X, K} and
+        // {V}, and recycles K's id for the first.
+        let mut batch = UpdateBatch::new();
+        batch
+            .insert(NodeId(3), NodeId(1))
+            .delete(NodeId(0), NodeId(1));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!((stats.affected_classes, stats.hybrid_fallbacks), (2, 0));
+        let reborn = inc.class_of(NodeId(0));
+        assert!(delta.removed.contains(&sink) && delta.born.contains(&reborn));
+        assert_eq!(inc.class_of(NodeId(3)), sink, "K's id went to a non-sink");
+        assert_ne!(reborn, sink);
+        // W becomes a sink.
+        let mut batch = UpdateBatch::new();
+        batch.delete(NodeId(4), NodeId(2));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!(stats.hybrid_fallbacks, 0);
+        assert_eq!(inc.class_of(NodeId(4)), inc.class_of(NodeId(0)));
+        // The reborn class gained a member: retired and born again.
+        assert!(delta.removed.contains(&reborn));
+        assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
+    }
+
+    /// An edge moved between two members of one class keeps its source's
+    /// class, id and key: the class edge it stands for is counted down and
+    /// up again, never removed.
+    #[test]
+    fn an_edge_moved_inside_its_target_class_changes_no_class() {
+        // L1 → L2 among the sinks L0, L2..L5: {L1} and the sinks.
+        let mut g = graph(&["L"; 6], &[(1, 2)]);
+        let mut inc = IncrementalPattern::new(&g);
+        let before = inc.stable_quotient();
+        let mut batch = UpdateBatch::new();
+        batch
+            .delete(NodeId(1), NodeId(2))
+            .insert(NodeId(1), NodeId(5));
+        let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!((stats.affected_classes, stats.changed_classes), (1, 0));
+        assert!(delta.is_empty(), "{delta:?}");
+        assert_eq!(inc.stable_quotient().edges, before.edges);
+        assert_eq!(inc.check_invariants(&g), Ok(()));
+    }
+
+    /// A key that holds a group formed in the same step names no old
+    /// class, however the rest of it reads: not `(L, [P])` for
+    /// `(L, [P, new])`, and not the sink of `L` for `(L, [new])`.
+    #[test]
+    fn a_key_with_a_provisional_id_matches_no_old_class() {
+        // X → P, sink S; U → P, W; V → W; W → M.
+        let mut g = graph(
+            &["P", "L", "L", "L", "L", "W", "M"],
+            &[(1, 0), (3, 0), (3, 5), (4, 5), (5, 6)],
+        );
+        let mut inc = IncrementalPattern::new(&g);
+        // W becomes a sink of a label that has none: a new group.
+        let mut batch = UpdateBatch::new();
+        batch.delete(NodeId(5), NodeId(6));
+        let stats = inc.apply(&mut g, &batch);
+        assert_eq!((stats.affected_nodes, stats.hybrid_fallbacks), (3, 0));
+        assert_ne!(inc.class_of(NodeId(3)), inc.class_of(NodeId(1)));
+        assert_ne!(inc.class_of(NodeId(4)), inc.class_of(NodeId(2)));
         assert_eq!(canonical(&inc.stable_quotient().members), compressed(&g));
     }
 

@@ -460,7 +460,7 @@ const GOLDEN_REACH: [u64; 32] = [
 /// The same for `IncrementalPattern` on `pattern_dataset("Citation", 400,
 /// 0)` with batch seeds `0xB151 ^ i`. First captured at commit b71989a;
 /// recaptured when the step started cutting only the nodes that reach an
-/// update and regrouping them through the key index: a class no batch
+/// update and regrouping them by their keys: a class no batch
 /// changes — its members and, wholly inside the cut, its key — now keeps
 /// its id instead of being retired and born again (every hash moved).
 const GOLDEN_BISIM: [u64; 32] = [
