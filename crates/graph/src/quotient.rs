@@ -52,7 +52,7 @@
 //! key regroup splices the groups that join a class by that class's id,
 //! then its own in the order it formed them. All regroups give the same
 //! partition; the closure and key paths also keep the ids of the affected
-//! classes they find unchanged (L7 in `qpgc_reach::closure`, B2 below),
+//! classes they find unchanged (L7′ in `qpgc_reach::closure`, B2 below),
 //! which the hybrid path retires and bears again, so from that step on the
 //! paths' ids differ.
 //!
@@ -85,7 +85,9 @@
 //! **L3 (units — what cannot split is not exploded).** (a) A *cyclic*
 //! affected class none of whose internal edges the batch deletes is still
 //! strongly connected (paths between members of an SCC stay inside it): it
-//! is kept whole, one unit, scanned for its outside edges only. (b) Read a
+//! is kept whole, one unit, and its members are not scanned — its outside
+//! neighbours are its old rows with the batch counted in, and the exploded
+//! members whose own scan met it. (b) Read a
 //! neighbour as its class id if that class is unaffected or kept whole —
 //! reach one of its members and you reach them all — and as the node
 //! itself otherwise. Members of one exploded class with the same out- and
@@ -94,13 +96,14 @@
 //! bisimilarity: same label — they shared a class — and out-neighbours
 //! only). On `churn_wikitalk` two classes of 969 (cyclic) and ≈ 600
 //! (acyclic) members are affected by every batch: 1 553 affected members
-//! a batch are 164 units for 151 classes.
+//! a batch are 164 units for 151 classes, and the cut scans the ≈ 580
+//! exploded ones.
 //!
 //! Mapping a node to its unit, or to the atom of its unaffected class,
 //! therefore preserves the relation, which is why the hybrid regroup is
 //! exact; `qpgc_reach::closure` continues with L4 and L5, which replace the
-//! atoms by closure rows, L6, which patches them, and L7, which tells an
-//! affected class that comes back unchanged.
+//! atoms by closure rows, L6, which patches them, and L7′, which keeps the
+//! id of an affected class that comes back with its members.
 //!
 //! ## Bisimilarity: nodes, not classes
 //!
@@ -159,10 +162,11 @@
 //! `O(deg)` per retired or born class — a retired class is unlinked from
 //! its neighbours' rows, a born class's rows are rebuilt from its members'
 //! adjacency — and in `O(log deg)` per update between two classes it
-//! neither retired nor bore (an unchanged class is never relinked), so
-//! locate, cut and splice are paid for the affected region (the adjacency
-//! of its members), not for `|Er|`. Every count is exact: an update the
-//! caller withholds is counted too.
+//! neither retired nor bore (a kept class is never relinked), so locate,
+//! cut and splice are paid for the affected region (the adjacency of its
+//! exploded members, and the rows of the classes kept whole), not for
+//! `|Er|`. Every count is exact: an update the caller withholds is counted
+//! too.
 //!
 //! The regroup is what differs. On the hybrid graph it costs one pass over
 //! all rows to collect the atoms' edges, one counting-sort bulk load
@@ -173,13 +177,14 @@
 //! chunk, and of a bisimulation step whose units close a cycle that
 //! splits. Below that size `incRCM` regroups against the closure of the
 //! old quotient instead: `Σ` over the units of their distinct unaffected
-//! neighbours `× id_space/64` words, plus one pass over a popcount table —
-//! no node for any unaffected class ([`IncStats::hybrid_nodes`] is then the
-//! unit count). Keeping that closure current is paid for the batch too:
-//! the step patches the rows and columns of the classes it retired and
-//! created, and never sweeps (`qpgc_reach::closure`, lemma L6). An
-//! affected class that the closure regroup finds unchanged is neither: a
-//! batch that changes no class splices, patches and republishes nothing.
+//! neighbours `× id_space/64` words, plus an AND of two closure rows per
+//! group that may absorb — no node for any unaffected class
+//! ([`IncStats::hybrid_nodes`] is then the unit count). Keeping that closure
+//! current is paid for the batch too: the step patches the rows and columns
+//! of the classes it retired, created and rewired, and never sweeps
+//! (`qpgc_reach::closure`, lemma L6). An affected class that the closure
+//! regroup finds with its members keeps its id and is not relinked: a batch
+//! that changes no class splices, patches and republishes nothing.
 //!
 //! Bisimilarity regroups through its keys: one condensation of the unit
 //! graph, and per unit one sort of its placed successors and one lookup —
@@ -296,7 +301,7 @@ pub struct IncStats {
     /// bisimulation has no redundant-insertion rule, so always `0` there).
     pub redundant_dropped: usize,
     /// Number of affected equivalence classes: the classes the step cut
-    /// into units, all retired but those found unchanged (an absorbed
+    /// into units, all retired but those it kept (an absorbed
     /// unaffected class is not one). For a [`Equivalence::KEYED`] relation
     /// this is node-level: the classes with a member that reaches an update
     /// source.
@@ -317,11 +322,17 @@ pub struct IncStats {
     /// one step.
     pub hybrid_fallbacks: usize,
     /// Number of classes the step created (`PartitionDelta::born`). A
-    /// regroup that names unchanged groups bears exactly the classes whose
-    /// members, cyclic flag or cones the batch changed — `|ΔVr|`, the
-    /// class side of the paper's `|ΔGr|`; the hybrid regroup bears every
-    /// group it forms.
+    /// regroup that names the groups it keeps bears exactly the classes
+    /// whose members or cyclic flag (for a [`Equivalence::KEYED`] relation,
+    /// members or key) the batch changed; with the rewired ones that is
+    /// `|ΔVr|`, the class side of the paper's `|ΔGr|`. The hybrid regroup
+    /// bears every group it forms.
     pub changed_classes: usize,
+    /// Number of classes the step kept with their members and cyclic flag
+    /// but new cones (`PartitionDelta::rewired`; `incRCM` against its held
+    /// closure only): neither retired nor born, their class-level edges
+    /// rewritten.
+    pub rewired_classes: usize,
 }
 
 impl std::ops::Add for IncStats {
@@ -338,6 +349,7 @@ impl std::ops::Add for IncStats {
             hybrid_nodes: self.hybrid_nodes + other.hybrid_nodes,
             hybrid_fallbacks: self.hybrid_fallbacks + other.hybrid_fallbacks,
             changed_classes: self.changed_classes + other.changed_classes,
+            rewired_classes: self.rewired_classes + other.rewired_classes,
         }
     }
 }
@@ -468,10 +480,11 @@ pub struct Group<C> {
     /// reach an update source.
     pub absorbs: Option<u32>,
     /// The affected class the group *is*, when the regroup can tell: its
-    /// units are exactly that class's and its cones are the class's old
-    /// cones (lemma L7 of `qpgc_reach::closure`), or for a
-    /// [`Equivalence::KEYED`] relation its members and key are the class's
-    /// (B2). The class then keeps its id and is neither retired nor born.
+    /// units are exactly that class's, with its cyclic flag, and it absorbs
+    /// nothing (lemma L7′ of `qpgc_reach::closure`: its cones may have
+    /// moved), or for a [`Equivalence::KEYED`] relation its members and key
+    /// are the class's (B2). The class then keeps its id and is neither
+    /// retired nor born.
     pub unchanged: Option<u32>,
     /// The relation's payload of the rebuilt class.
     pub class: C,
@@ -514,6 +527,59 @@ fn fold_tokens(out: &[u32], inn: &[u32]) -> u64 {
     let fold = |h: u64, &t: &u32| (h.rotate_left(5) ^ u64::from(t)).wrapping_mul(K);
     let h = out.iter().fold(out.len() as u64, fold);
     inn.iter().fold(h.rotate_left(32), fold)
+}
+
+/// Pushes onto `tokens`, sorted, one direction of the neighbourhood of a
+/// class kept whole after the batch. First the neighbour classes `keep`
+/// accepts: those of `row` — its old neighbours, ascending — that the
+/// batch's `steps` (`(_, (neighbour, ±1))` per original edge, ascending)
+/// leave with an edge, `count` reading how many they had, and those the
+/// steps give their first. Then the exploded members that `met` it
+/// (`(_, member token)`, ascending per exploded class), merged.
+fn whole_tokens(
+    row: impl Iterator<Item = u32>,
+    count: impl Fn(u32) -> u32,
+    steps: &[(u32, (u32, i32))],
+    met: &[(u32, u32)],
+    keep: impl Fn(u32) -> bool,
+    tokens: &mut Vec<u32>,
+) {
+    let mut nets: Vec<(u32, i64)> = Vec::new();
+    for &(_, (b, step)) in steps {
+        match nets.last_mut() {
+            Some((last, net)) if *last == b => *net += i64::from(step),
+            _ => nets.push((b, i64::from(step))),
+        }
+    }
+    let mut nets = nets.into_iter().peekable();
+    // The net step of `b`, after pushing the classes below it that the
+    // steps give a first edge.
+    let mut net_at = |b: Option<u32>, tokens: &mut Vec<u32>| {
+        while let Some((t, net)) = nets.next_if(|&(t, _)| b.is_none_or(|b| t < b)) {
+            if net > 0 && keep(t) {
+                tokens.push(t);
+            }
+        }
+        nets.next_if(|&(t, _)| Some(t) == b)
+            .map_or(0, |(_, net)| net)
+    };
+    for b in row {
+        let net = net_at(Some(b), tokens);
+        if keep(b) && (net == 0 || i64::from(count(b)) + net > 0) {
+            tokens.push(b);
+        }
+    }
+    net_at(None, tokens);
+    let from = tokens.len();
+    tokens.extend(met.iter().map(|&(_, t)| t));
+    // A stable sort merges the ascending runs.
+    tokens[from..].sort();
+}
+
+/// The run of `list`, sorted by its first field, whose first field is `c`.
+fn run_of<T>(list: &[(u32, T)], c: u32) -> &[(u32, T)] {
+    let from = list.partition_point(|&(k, _)| k < c);
+    &list[from..from + list[from..].partition_point(|&(k, _)| k == c)]
 }
 
 /// Sorts `tokens[from..]` and squeezes its duplicates out.
@@ -841,7 +907,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             },
             ..IncStats::default()
         };
-        let cut = self.cut(g, updates, is_affected, affected, &cone);
+        let cut = self.cut(g, updates, implied, is_affected, affected, &cone);
         let regrouped = regroup(self, g, &cut);
         stats.hybrid_nodes = regrouped.nodes;
         stats.hybrid_fallbacks = usize::from(regrouped.fallback);
@@ -919,10 +985,19 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     /// The cut members of an affected class are all its members, or for a
     /// [`Equivalence::KEYED`] relation its members in `cone` (B1), which
     /// holds them grouped by class.
+    ///
+    /// An exploded member's neighbourhood is read off its adjacency; a
+    /// class kept whole is not scanned. Its class neighbours are its old
+    /// rows with the batch's edges at its members — `updates` and the
+    /// `implied` ones alike, all in `g` — counted in: a neighbour stays
+    /// while an edge is left. Its exploded neighbours are the exploded
+    /// members whose own scan met the class, in the other direction. A
+    /// debug build checks both against a scan of its members.
     fn cut(
         &mut self,
         g: &LabeledGraph,
         updates: &[(NodeId, NodeId)],
+        implied: &[(NodeId, NodeId)],
         is_affected: Vec<bool>,
         affected: Vec<u32>,
         cone: &[NodeId],
@@ -978,19 +1053,19 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let mut first_span: Vec<usize> = Vec::with_capacity(affected.len() + 1);
         // One proto-unit: `proto`'s out- and in-neighbourhoods, less the
         // class `inside` the proto-unit itself is.
-        let mut scan = |proto: &[NodeId], inside: Option<u32>| {
+        let scan = |tokens: &mut Vec<u32>, proto: &[NodeId], inside: Option<u32>| {
             let outside = |t: &u32| Some(*t) != inside;
             let start = tokens.len();
             for &v in proto {
                 tokens.extend(g.out_neighbors(v).iter().map(token).filter(outside));
             }
-            seal(&mut tokens, start);
+            seal(tokens, start);
             let mid = tokens.len();
             if E::ANCESTOR_SENSITIVE {
                 for &v in proto {
                     tokens.extend(g.in_neighbors(v).iter().map(token).filter(outside));
                 }
-                seal(&mut tokens, mid);
+                seal(tokens, mid);
             }
             Span {
                 first: proto[0],
@@ -1003,13 +1078,102 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         for (&c, members) in affected.iter().zip(&parts) {
             first_span.push(spans.len());
             if kept_whole[c as usize] {
-                // Its internal edges say only that it is cyclic.
-                spans.push(scan(members, Some(c)));
+                // Read from its rows below, once every member is scanned.
+                spans.push(Span {
+                    first: members[0],
+                    start: 0,
+                    mid: 0,
+                    end: 0,
+                    hash: 0,
+                });
             } else {
-                spans.extend(members.chunks(1).map(|v| scan(v, None)));
+                spans.extend(members.chunks(1).map(|v| scan(&mut tokens, v, None)));
             }
         }
         first_span.push(spans.len());
+
+        // A class kept whole, from its rows. Per direction (out, in): the
+        // batch's edges between its members and a neighbour that reads as
+        // a class, as `(class, (neighbour, ±1))`, and the exploded members
+        // whose scan met it, as `(class, member token)`.
+        let mut steps: [Vec<(u32, (u32, i32))>; 2] = [Vec::new(), Vec::new()];
+        for &(u, w) in updates.iter().chain(implied) {
+            let (a, b) = (class_of[u.index()], class_of[w.index()]);
+            let step = if g.has_edge(u, w) { 1 } else { -1 };
+            if a != b && kept_whole[a as usize] && token(&w) == b {
+                steps[0].push((a, (b, step)));
+            }
+            if a != b && kept_whole[b as usize] && token(&u) == a {
+                steps[1].push((b, (a, step)));
+            }
+        }
+        let mut met: [Vec<(u32, u32)>; 2] = [Vec::new(), Vec::new()];
+        let any_whole = affected.iter().any(|&c| kept_whole[c as usize]);
+        for span in spans.iter().filter(|_| any_whole) {
+            if kept_whole[class_of[span.first.index()] as usize] {
+                continue;
+            }
+            let member = ids as u32 + span.first.0;
+            for (list, run) in met
+                .iter_mut()
+                .zip([span.mid..span.end, span.start..span.mid])
+            {
+                // Class tokens sort before node tokens.
+                let classes = tokens[run].iter().take_while(|&&t| (t as usize) < ids);
+                list.extend(
+                    classes
+                        .filter(|&&t| kept_whole[t as usize])
+                        .map(|&c| (c, member)),
+                );
+            }
+        }
+        steps.iter_mut().for_each(|list| list.sort_unstable());
+        // Already grouped by class when one class is kept whole: a run.
+        met.iter_mut()
+            .for_each(|list| list.sort_by_key(|&(c, _)| c));
+        let out_rows = &self.out_rows;
+        // The original edges behind the old class edge `(a, b)`.
+        let edges = |a: u32, b: u32| {
+            let row = &out_rows[a as usize];
+            let at = row.partition_point(|&(t, _)| t < b);
+            row.get(at).filter(|&&(t, _)| t == b).map_or(0, |&(_, n)| n)
+        };
+        let moves_whole = |b: u32| !is_affected[b as usize] || kept_whole[b as usize];
+        for (&c, (&members, &at)) in affected.iter().zip(parts.iter().zip(&first_span)) {
+            if !kept_whole[c as usize] {
+                continue;
+            }
+            debug_assert!(!E::KEYED, "a keyed relation keeps no class whole");
+            let keep = |b: u32| b != c && moves_whole(b);
+            let start = tokens.len();
+            let out = self.out_rows[c as usize].iter().map(|&(b, _)| b);
+            let (out_steps, out_met) = (run_of(&steps[0], c), run_of(&met[0], c));
+            whole_tokens(out, |b| edges(c, b), out_steps, out_met, keep, &mut tokens);
+            let mid = tokens.len();
+            if E::ANCESTOR_SENSITIVE {
+                let inn = self.in_rows[c as usize].iter().copied();
+                let (in_steps, in_met) = (run_of(&steps[1], c), run_of(&met[1], c));
+                whole_tokens(inn, |s| edges(s, c), in_steps, in_met, keep, &mut tokens);
+            }
+            let end = tokens.len();
+            spans[at] = Span {
+                first: members[0],
+                start,
+                mid,
+                end,
+                hash: fold_tokens(&tokens[start..mid], &tokens[mid..end]),
+            };
+            if cfg!(debug_assertions) {
+                let scanned = scan(&mut tokens, members, Some(c));
+                let runs = |s: &Span| (&tokens[s.start..s.mid], &tokens[s.mid..s.end]);
+                assert_eq!(
+                    runs(&spans[at]),
+                    runs(&scanned),
+                    "class {c} kept whole: its rows and the batch disagree with its members"
+                );
+                tokens.truncate(scanned.start);
+            }
+        }
 
         // L3(b): proto-units of one class with equal neighbourhoods are one
         // unit. Taking the members in ascending order and opening a unit
@@ -1459,6 +1623,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         PartitionDelta {
             removed,
             born,
+            rewired: Vec::new(),
             id_space: self.members.len(),
         }
     }

@@ -261,13 +261,15 @@ impl FromIterator<Update> for UpdateBatch {
 }
 
 /// The structured difference between two partition states (`ΔP`): which
-/// classes died and which were born in one incremental maintenance step.
+/// classes died and which were born in one incremental maintenance step,
+/// and which kept their members but not their cones.
 ///
 /// Exported by the incremental algorithms (`incRCM`, `incPCM`) alongside
 /// their scalar statistics; serving layers read it to tell a batch that
-/// left the partition untouched (the served structure is shared) from one
-/// that needs a new publication. Class ids are the maintainer's *stable*
-/// ids: ids absent from both lists kept their membership bit-for-bit.
+/// left the compression untouched (the served structure is shared) from
+/// one that needs a new publication. Class ids are the maintainer's
+/// *stable* ids: ids absent from both `removed` and `born` kept their
+/// membership bit-for-bit.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PartitionDelta {
     /// Class ids retired by the step, ascending.
@@ -275,15 +277,20 @@ pub struct PartitionDelta {
     /// Stable ids of the classes the step created, in splice order (ids
     /// are recycled, so a born id may be one this delta also removed).
     pub born: Vec<u32>,
+    /// Class ids the step kept with their members and cyclic flag but
+    /// whose ancestors or descendants changed (`incRCM` only), ascending:
+    /// their class-level edges moved, so the compression did too.
+    pub rewired: Vec<u32>,
     /// Size of the stable id space after the step (`max id + 1` over live
     /// and recycled ids); derived snapshot structures size their rows by it.
     pub id_space: usize,
 }
 
 impl PartitionDelta {
-    /// `true` when the step changed no class.
+    /// `true` when the step changed no class: none retired, born or
+    /// rewired.
     pub fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.born.is_empty()
+        self.removed.is_empty() && self.born.is_empty() && self.rewired.is_empty()
     }
 
     /// Classes churned (died + born) by the step.
@@ -382,11 +389,20 @@ mod tests {
         let delta = PartitionDelta {
             removed: vec![2, 5, 7],
             born: vec![2, 8, 5],
+            rewired: Vec::new(),
             id_space: 9,
         };
         assert!(!delta.is_empty());
         assert_eq!(delta.churned(), 6);
         assert!(PartitionDelta::default().is_empty());
+        let rewired = PartitionDelta {
+            rewired: vec![3],
+            ..PartitionDelta::default()
+        };
+        assert!(
+            !rewired.is_empty(),
+            "a rewired class changes the compression"
+        );
     }
 
     #[test]

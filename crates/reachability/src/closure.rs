@@ -45,86 +45,105 @@
 //! `desc[C]` and `anc[C]` — where a row that holds some units of an
 //! affected class and not the others maps to nothing (`C`'s cones hold old
 //! classes whole). At most one `C` qualifies (unaffected classes stay
-//! pairwise inequivalent, L1) and never a cyclic one (L2). The candidates
-//! are the unaffected live acyclic classes with the group's two popcounts:
-//! one pass over the popcount table against the sorted keys of the groups,
-//! then an exact row comparison — no hash decides. This is where the
-//! far-away merge is found: `C` needs no edge to the group, no common
+//! pairwise inequivalent, L1) and never a cyclic one (L2). Such a `C`
+//! reaches every class `d` of the group's descendant row and is reached
+//! from every class `a` of its ancestor row — in the old quotient too, its
+//! cones being frozen (L1) — so `C ∈ anc[d] ∩ desc[a]`. The candidates are
+//! that AND for the `d` with the fewest ancestors and the `a` with the
+//! fewest descendants (one row alone when the other group row is empty),
+//! filtered to the live, acyclic, unaffected classes with the group's two
+//! popcounts, then compared row for row — no hash decides. A group with
+//! neither row is isolated, and its only candidate is the one live acyclic
+//! class with no class edge, which the popcount table names. This is where
+//! the far-away merge is found: `C` needs no edge to the group, no common
 //! neighbour and no node in any graph, only its two rows.
 //!
-//! **L7 (an unchanged class).** Affected is not changed. A group whose
-//! units are exactly the units of one affected class `k` — all of them and
-//! nothing else, absorbing nothing — with `k`'s cyclic flag, and whose two
-//! rows over the old ids, less `k`'s own bit (a cyclic group's rows hold its
-//! own units), are `anc[k]` and `desc[k]`, *is* `k`: its rows are exact
-//! (L4), so `k`'s members, cyclic flag and cones as node sets are what they
-//! were. It keeps the id `k` and is from then on treated as unaffected: not
-//! retired, not born, its class-level rows neither unlinked nor relinked
-//! (the batch's own edges between two such classes are counted in place),
-//! and not in the `PartitionDelta`. When every group is unchanged the delta
-//! is empty and the serving layer republishes. L5 skips an unchanged group:
-//! an unaffected class with its rows would have been equivalent to `k`.
-//! Only this regroup tells: the hybrid kernel bears every group it forms,
-//! so from the first unchanged class on the two paths give one partition
-//! under different ids.
+//! **L7′ (members, not cones, decide an id).** Affected is not changed. A
+//! group whose units are exactly the units of one affected class `k` — all
+//! of them and nothing else — with `k`'s cyclic flag, and which absorbs no
+//! unaffected class, has `k`'s members and flag: it keeps the id `k`. It
+//! is not retired, not born, its class-level rows neither unlinked nor
+//! relinked (the batch's own edges at a kept class are counted in place),
+//! and its id is in the `PartitionDelta` only if it is *rewired*: when its
+//! two rows over the old ids, less `k`'s own bit (a cyclic group's rows hold
+//! its own units), are not `anc[k]` and `desc[k]`. An unrewired kept class
+//! has its cones as node sets too — its rows are exact (L4) — and L5 skips
+//! it: an unaffected class with its rows would have been equivalent to
+//! `k`. The third condition is needed: once `k`'s cones have moved they can
+//! be an unaffected class's, and then the two are one class, born. When
+//! every group is kept unrewired the delta is empty and the serving layer
+//! republishes. Only this regroup tells: the hybrid kernel bears every
+//! group it forms, so from the first kept class on the two paths give one
+//! partition under different ids.
 //!
 //! Groups are returned in the order the hybrid kernel's first-seen
 //! numbering would give them — absorbing groups by absorbed class id, then
 //! the others by first unit — and the splice hands out ids in that order,
-//! skipping the unchanged groups.
+//! skipping the kept groups.
 //!
 //! ## Patching it
 //!
 //! After the splice the closure is **patched**, not swept
 //! ([`QuotientClosure::advance`]). The splice hands out one id per group
-//! but the unchanged ones, in group order; call those classes *born*, and
-//! the affected classes it did not keep and the absorbed ones *retired*.
+//! but the kept ones, in group order; call those classes *born*, and the
+//! affected classes it did not keep and the absorbed ones *retired*.
 //! First the rows of the retired ids are cleared, and their columns from
 //! the rows that hold them — the old ancestors' descendant rows and the old
-//! descendants' ancestor rows. A born class's two rows are its group's
-//! signatures read over the new ids: an unaffected id stays itself, an
-//! absorbed id and a unit bit become the id of the group they joined (the
-//! kept id, for a unit of an unchanged group), and the class's own id is
-//! dropped (a cyclic group's signature holds its own units; rows hold
-//! proper paths only). By L4 these are exact.
+//! descendants' ancestor rows. A born or rewired class's two rows are its
+//! group's signatures read over the new ids (a rewired class's old rows are
+//! cleared first): an unaffected id stays itself, an absorbed id and a unit
+//! bit become the id of the group they joined (the kept id, for a unit of a
+//! kept group), and the class's own id is dropped (a cyclic group's
+//! signature holds its own units; rows hold proper paths only). By L4 these
+//! are exact.
 //!
 //! **L6 (the rest moves only where a born class is).** Call a class
 //! *frozen* when the step left its members and its cones unchanged as node
-//! sets: an unaffected class (L1) or an unchanged one (L7). The survivors of
-//! a step are exactly the frozen classes. (a) *Columns.* The born classes
-//! partition the nodes of the retired ones. So the row of a frozen class
-//! `r` loses exactly the retired columns and gains exactly the born classes
-//! that hold a node of its cone: `b` enters `desc[r]` iff `r ∈ anc[b]`,
-//! which the born rows already say. Setting the born columns by transposing
-//! the born rows therefore completes every frozen row, and no other bit of
-//! it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is kept iff no
-//! class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x` and `y` be
-//! frozen. The nodes strictly between them — reached from `x`, reaching
-//! `y`, in neither — are the same before and after the step, and a class
-//! lies strictly between iff it holds one of them, so the answer is the same
-//! on both sides. Where it is "none", `x` reaches `y` iff a class edge
-//! `(x, y)` exists, on both sides; so a class edge between two frozen
+//! sets: an unaffected class (L1) or a kept one that is not rewired (L7′).
+//! The survivors of a step are the frozen and the rewired classes. (a)
+//! *Columns.* The born classes partition the nodes of the retired ones. So
+//! the row of a frozen class `r` loses exactly the retired columns and gains
+//! exactly the born classes that hold a node of its cone: `b` enters
+//! `desc[r]` iff `r ∈ anc[b]`, which the born rows already say. A rewired
+//! class's column in `r` stays as it was: `r`'s cone and the rewired class's
+//! members are the node sets they were. Setting the born columns by
+//! transposing the born rows into the frozen rows (a rewired row has them
+//! from its signature already) therefore completes every frozen row, and no
+//! other bit of it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is
+//! kept iff no class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x`
+//! and `y` be frozen. The nodes strictly between them — reached from `x`,
+//! reaching `y`, in neither — are the same before and after the step, and a
+//! class lies strictly between iff it holds one of them, so the answer is
+//! the same on both sides. Where it is "none", `x` reaches `y` iff a class
+//! edge `(x, y)` exists, on both sides; so a class edge between two frozen
 //! classes that appears or disappears in the step is never kept, and one
-//! that stays keeps its status. The kept edges that touch no retired id
-//! therefore stay kept, and only the edges that touch a born class are
-//! decided, each by one AND of two rows.
+//! that stays keeps its status. The kept edges that touch no retired and no
+//! rewired id therefore stay kept, and only the edges that touch a born or a
+//! rewired class are decided, each by one AND of two rows.
 //!
 //! ## Cost
 //!
 //! A regroup costs `Σ` over the units of their distinct unaffected
 //! neighbours `× id_space / 64` words for the row unions, a condensation
-//! and a refinement over the units, one pass over the popcount table, and
-//! one row comparison per group that is one affected class's units. The
-//! patch costs, in `id_space / 64`-word rows: one per retired id and per
-//! row holding a retired column, two per born class and one per edge
-//! touching it, plus one bit per pair of a born class and a frozen class in
-//! its cones, and one pass over the kept edges — nothing at all when every
-//! group is unchanged. A born class's signature rows are read a group at a
-//! time, one unit bit per group, so a batch that explodes a class into
-//! thousands of units pays `#units / 64` words a row for them, not a bit
-//! each. Popcounts are recounted for the born rows and adjusted by the bits
-//! set and cleared everywhere else. Only construction (and recovery, which
-//! constructs) sweeps: `O(|Er| · id_space / 64)` words per direction.
+//! and a refinement over the units, and per group one row comparison if it
+//! is one affected class's units; per acyclic group with new rows, a
+//! popcount lookup per unaffected neighbour of its units (per bit of its
+//! row when they have none), one AND of two rows and a row comparison per
+//! candidate with the group's popcounts. On `churn_wikitalk` that is
+//! ≈ 1 540 intersection bits a batch for ≈ 86 groups, where a pass over
+//! every id read ≈ 1 460 popcounts and compared ≈ 2 230 rows. Only an
+//! isolated group reads the popcount table. The patch costs, in
+//! `id_space / 64`-word rows:
+//! one per retired id and per row holding a retired column, two per born or
+//! rewired class and one per edge touching it, plus one bit per pair of a
+//! born class and a frozen class in its cones, and one pass over the kept
+//! edges — nothing at all when every group is kept unrewired. A written
+//! row's signature is read a group at a time, one unit bit per group, so a
+//! batch that explodes a class into thousands of units pays `#units / 64`
+//! words a row for them, not a bit each. Popcounts are recounted for the
+//! written rows and adjusted by the bits set and cleared everywhere else.
+//! Only construction (and recovery, which constructs) sweeps:
+//! `O(|Er| · id_space / 64)` words per direction.
 
 #![deny(clippy::disallowed_types)]
 
@@ -167,8 +186,10 @@ pub struct Signatures {
     /// Per group, in splice order: one of its components (they all have
     /// the group's rows).
     comp_of_group: Vec<usize>,
-    /// Per group, in splice order: the class it is, unchanged (L7).
+    /// Per group, in splice order: the class it is, keeping its id (L7′).
     unchanged: Vec<Option<u32>>,
+    /// The kept ids whose rows moved, ascending.
+    rewired: Vec<u32>,
     /// Per unit: its group, in splice order.
     group_of_unit: Vec<u32>,
     /// `(class, group)` per group that absorbs an unaffected class.
@@ -176,9 +197,15 @@ pub struct Signatures {
 }
 
 impl Signatures {
-    /// The id each group ends up with, in splice order: the class an
-    /// unchanged group is, and the next of the splice's `born` ids for
-    /// every other group.
+    /// The classes the regroup kept with their members and cyclic flag but
+    /// new cones (L7′), ascending: [`PartitionDelta::rewired`].
+    pub fn rewired(&self) -> &[u32] {
+        &self.rewired
+    }
+
+    /// The id each group ends up with, in splice order: the class a kept
+    /// group is, and the next of the splice's `born` ids for every other
+    /// group.
     fn ids(&self, born: &[u32]) -> Vec<u32> {
         let mut born = born.iter();
         let mut next = || *born.next().expect("one born id per changed group");
@@ -285,8 +312,8 @@ impl QuotientClosure {
     }
 
     /// Patches this closure — of the quotient a step was taken over — into
-    /// the closure of `q`, the quotient after it, by L4 and L6 of the module
-    /// header. `delta` is what the step's splice returned, and `signatures`
+    /// the closure of `q`, the quotient after it, by L4, L6 and L7′ of the
+    /// module header. `delta` is what the step's splice returned, and `signatures`
     /// what its regroup against this closure handed back
     /// ([`QuotientClosure::regroup`]). The matrices grow in place to
     /// `delta.id_space`; the caller drops the closure instead when that
@@ -298,7 +325,7 @@ impl QuotientClosure {
         q: &IncrementalQuotient<E>,
     ) {
         if delta.is_empty() {
-            // Every group is an affected class unchanged (L7).
+            // Every group is an affected class unchanged (L7′).
             return;
         }
         let old = self.id_space();
@@ -322,67 +349,67 @@ impl QuotientClosure {
         for r in masks.ones(2) {
             self.counts[r].0 -= self.anc.difference_row_with(r, masks.row(0)) as u32;
         }
-        for &k in &delta.removed {
+        for &k in delta.removed.iter().chain(&delta.rewired) {
             self.desc.clear_row(k as usize);
             self.anc.clear_row(k as usize);
             self.counts[k as usize] = (0, 0);
         }
 
-        // Born rows are the signatures, read over the new ids.
+        // Born and rewired rows are the signatures, read over the new ids.
         self.desc.grow(ids, ids);
         self.anc.grow(ids, ids);
         self.counts.resize(ids, (0, 0));
-        let born = &delta.born;
+        let (born, rewired) = (&delta.born, &delta.rewired);
+        let mut changed_mask = vec![0u64; ids.div_ceil(WORD)];
+        for &c in born.iter().chain(rewired) {
+            changed_mask[c as usize / WORD] |= 1 << (c as usize % WORD);
+        }
+        let is_changed = |c: usize| changed_mask[c / WORD] & (1 << (c % WORD)) != 0;
         let mut read = Reading::new(&signatures, &group_ids, old);
-        let changed = (signatures.unchanged.iter())
-            .zip(&group_ids)
+        let written = (group_ids.iter())
             .zip(&signatures.comp_of_group)
-            .filter(|((kept, _), _)| kept.is_none());
-        for ((_, &b), &comp) in changed {
-            let b = b as usize;
-            read.born_row(&mut self.desc, b, &signatures.below, comp);
-            read.born_row(&mut self.anc, b, &signatures.above, comp);
-            self.counts[b] = (
-                self.anc.count_ones(b) as u32,
-                self.desc.count_ones(b) as u32,
+            .filter(|&(&c, _)| is_changed(c as usize));
+        for (&c, &comp) in written {
+            let c = c as usize;
+            read.born_row(&mut self.desc, c, &signatures.below, comp);
+            read.born_row(&mut self.anc, c, &signatures.above, comp);
+            self.counts[c] = (
+                self.anc.count_ones(c) as u32,
+                self.desc.count_ones(c) as u32,
             );
         }
 
-        // L6(a): every other row gains the born columns, by transposition.
-        let mut born_mask = vec![0u64; ids.div_ceil(WORD)];
-        for &b in born {
-            born_mask[b as usize / WORD] |= 1 << (b as usize % WORD);
-        }
-        let is_born = |c: usize| born_mask[c / WORD] & (1 << (c % WORD)) != 0;
+        // L6(a): every frozen row gains the born columns, by transposition.
         for &b in born {
             let b = b as usize;
-            for r in ones_outside(self.anc.row(b), &born_mask) {
+            for r in ones_outside(self.anc.row(b), &changed_mask) {
                 self.desc.insert(r, b);
                 self.counts[r].1 += 1;
             }
-            for r in ones_outside(self.desc.row(b), &born_mask) {
+            for r in ones_outside(self.desc.row(b), &changed_mask) {
                 self.anc.insert(r, b);
                 self.counts[r].0 += 1;
             }
         }
 
-        // L6(b): the kept edges that touch a retired id go; each edge that
-        // touches a born class is decided by its two rows.
-        let retired = |c: NodeId| masks.contains(0, c.index());
-        self.kept.retain(|&(x, y)| !retired(x) && !retired(y));
+        // L6(b): the kept edges that touch a retired or a rewired id go;
+        // each edge that touches a born or a rewired class is decided by
+        // its two rows.
+        let gone = |c: NodeId| masks.contains(0, c.index()) || is_changed(c.index());
+        self.kept.retain(|&(x, y)| !gone(x) && !gone(y));
         let mut decided: Vec<(NodeId, NodeId)> = Vec::new();
         let between = |x: u32, y: u32| {
             let (below, above) = (self.desc.row(x as usize), self.anc.row(y as usize));
             below.iter().zip(above).any(|(d, a)| d & a != 0)
         };
-        for &b in born {
+        for &b in born.iter().chain(rewired) {
             for &(c, _) in q.out_row(b) {
                 if !between(b, c) {
                     decided.push((NodeId(b), NodeId(c)));
                 }
             }
             for &x in q.in_row(b) {
-                if !is_born(x as usize) && !between(x, b) {
+                if !is_changed(x as usize) && !between(x, b) {
                     decided.push((NodeId(x), NodeId(b)));
                 }
             }
@@ -396,8 +423,8 @@ impl QuotientClosure {
     /// Regroups the units of `cut` against this closure — which must be the
     /// closure of the quotient the cut was taken over, whose liveness and
     /// cyclic flags per id are `active` and `cyclic` — by lemmas L4, L5 and
-    /// L7 of the module header. The signatures go back with the groups, for
-    /// the patch after the splice.
+    /// L7′ of the module header. The signatures go back with the groups, for
+    /// the patch after the splice, with the kept classes that are rewired.
     pub fn regroup(
         &self,
         active: &[bool],
@@ -491,39 +518,37 @@ impl QuotientClosure {
             groups[*slot].units.push(u as u32);
         }
 
-        // Each group's rows over the old ids. L7: a group that is one
-        // affected class with its old cones is that class, unchanged. L5:
-        // every other acyclic group, keyed by its popcounts, against the
-        // unaffected acyclic classes.
-        let words = ids.div_ceil(WORD);
+        // Each group's rows over the old ids. L7′: a group that is one
+        // affected class keeps its id unless it absorbs, rewired when its
+        // rows moved. L5: every acyclic group with new rows, against the
+        // unaffected classes in the closure rows of its nearest neighbours.
         let mut rows: Vec<u64> = Vec::new();
-        let mut keyed: Vec<((u32, u32), usize, usize)> = Vec::new();
-        for (i, group) in groups.iter_mut().enumerate() {
-            let (at, comp) = (rows.len(), comp_of_group[i]);
+        let mut rewired: Vec<u32> = Vec::new();
+        for (group, &comp) in groups.iter_mut().zip(&comp_of_group) {
+            let kept = kept_class(group, cyclic, cut);
+            rows.clear();
             let whole = over_old_ids(&above, comp, cut, &mut rows)
                 && over_old_ids(&below, comp, cut, &mut rows);
             if whole {
-                let (anc, desc) = rows[at..].split_at_mut(words);
-                group.unchanged = self.unchanged(group, cyclic, cut, anc, desc);
-                if group.unchanged.is_none() && !group.class {
-                    let count = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum();
-                    keyed.push(((count(anc), count(desc)), i, at));
-                    continue;
+                let (anc, desc) = rows.split_at_mut(ids.div_ceil(WORD));
+                if let Some(k) = kept {
+                    // A cyclic group's rows hold its own units.
+                    for row in [&mut *anc, &mut *desc] {
+                        row[k as usize / WORD] &= !(1 << (k as usize % WORD));
+                    }
+                    if *anc == *self.anc.row(k as usize) && *desc == *self.desc.row(k as usize) {
+                        group.unchanged = kept;
+                        continue;
+                    }
+                }
+                if !group.class {
+                    group.absorbs = self.absorbed(group, anc, desc, active, cyclic, cut);
                 }
             }
-            rows.truncate(at);
+            group.unchanged = kept.filter(|_| group.absorbs.is_none());
+            rewired.extend(group.unchanged);
         }
-        keyed.sort_unstable();
-        for c in (0..ids).filter(|&c| active[c] && !cyclic[c] && !cut.is_affected(c as u32)) {
-            let counts = self.counts[c];
-            let from = keyed.partition_point(|entry| entry.0 < counts);
-            for &(_, i, at) in keyed[from..].iter().take_while(|entry| entry.0 == counts) {
-                let (anc, desc) = rows[at..at + 2 * words].split_at(words);
-                if anc == self.anc.row(c) && desc == self.desc.row(c) {
-                    groups[i].absorbs = Some(c as u32);
-                }
-            }
-        }
+        rewired.sort_unstable();
 
         // Stable: the groups that absorb nothing stay in first-unit order.
         let mut spliced: Vec<(Group<bool>, usize)> =
@@ -547,6 +572,7 @@ impl QuotientClosure {
             below,
             above,
             unchanged: regrouped.groups.iter().map(|g| g.unchanged).collect(),
+            rewired,
             comp_of_group,
             group_of_unit,
             absorbed,
@@ -554,34 +580,72 @@ impl QuotientClosure {
         (regrouped, signatures)
     }
 
-    /// L7: the affected class `group` is, unchanged — given the group's
-    /// rows over the old ids, `anc` and `desc`. That is class `k` when the
-    /// group's units are exactly `k`'s, it has `k`'s cyclic flag, and its
-    /// rows less `k`'s own bit (which a cyclic group's rows hold: they hold
-    /// its units) are `k`'s rows. Clears that bit of the rows.
-    fn unchanged(
+    /// L5: the unaffected class the acyclic `group` is equivalent to, given
+    /// its rows over the old ids, `anc` and `desc`. Such a class reaches
+    /// every class of `desc` and is reached from every class of `anc`, so
+    /// it lies in the ancestor row of the one and the descendant row of the
+    /// other: the AND of the shortest two, by popcount, holds every
+    /// candidate. A class's ancestors hold its parents', so the shortest
+    /// rows lie next to the group: among its units' unaffected neighbours
+    /// when they have any, else among all of the group's row. A group with
+    /// neither row is isolated, and so is its candidate: the one live
+    /// acyclic class with no class edges, found in the popcount table. A
+    /// candidate is taken when it is live, acyclic and unaffected and its
+    /// two rows are the group's.
+    fn absorbed(
         &self,
         group: &Group<bool>,
+        anc: &[u64],
+        desc: &[u64],
+        active: &[bool],
         cyclic: &[bool],
         cut: &Cut,
-        anc: &mut [u64],
-        desc: &mut [u64],
     ) -> Option<u32> {
-        let (&first, &last) = (group.units.first()?, group.units.last()?);
-        let k = cut.class_of_unit(first as usize);
-        let units = cut.units_of_class(k);
-        let exact = units.start == first as usize
-            && units.end == last as usize + 1
-            && units.len() == group.units.len();
-        if !exact || cyclic[k as usize] != group.class {
-            return None;
-        }
-        let k = k as usize;
-        for row in [&mut *anc, &mut *desc] {
-            row[k / WORD] &= !(1 << (k % WORD));
-        }
-        (*anc == *self.anc.row(k) && *desc == *self.desc.row(k)).then_some(k as u32)
+        let count = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
+        let counts = (count(anc), count(desc));
+        let fewest = |row: &[u64], next: fn(&Cut, usize) -> &[u32], by: fn((u32, u32)) -> u32| {
+            let key = |&c: &usize| by(self.counts[c]);
+            let units = group.units.iter();
+            let mut near = units
+                .flat_map(|&u| next(cut, u as usize))
+                .map(|&c| c as usize);
+            match near.next() {
+                Some(c) => near.chain([c]).min_by_key(key),
+                None => ones_of(row.iter().copied()).min_by_key(key),
+            }
+        };
+        let below = fewest(desc, Cut::out_classes, |(anc, _)| anc).map(|d| self.anc.row(d));
+        let above = fewest(anc, Cut::in_classes, |(_, desc)| desc).map(|a| self.desc.row(a));
+        let candidates: Box<dyn Iterator<Item = usize>> = match (below, above) {
+            (Some(below), Some(above)) => {
+                Box::new(ones_of(below.iter().zip(above).map(|(b, a)| b & a)))
+            }
+            (Some(row), None) | (None, Some(row)) => Box::new(ones_of(row.iter().copied())),
+            (None, None) => Box::new((0..self.id_space()).filter(|&c| self.counts[c] == (0, 0))),
+        };
+        let mut candidates = candidates.filter(|&c| {
+            self.counts[c] == counts
+                && active[c]
+                && !cyclic[c]
+                && !cut.is_affected(c as u32)
+                && self.anc.row(c) == anc
+                && self.desc.row(c) == desc
+        });
+        candidates.next().map(|c| c as u32)
     }
+}
+
+/// L7′: the affected class `group` is — the class whose units are exactly
+/// the group's, when it has the group's cyclic flag. It keeps its id unless
+/// the group absorbs an unaffected class.
+fn kept_class(group: &Group<bool>, cyclic: &[bool], cut: &Cut) -> Option<u32> {
+    let (&first, &last) = (group.units.first()?, group.units.last()?);
+    let k = cut.class_of_unit(first as usize);
+    let units = cut.units_of_class(k);
+    let exact = units.start == first as usize
+        && units.end == last as usize + 1
+        && units.len() == group.units.len();
+    (exact && cyclic[k as usize] == group.class).then_some(k)
 }
 
 /// How a signature row reads over the ids after the splice.

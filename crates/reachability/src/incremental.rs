@@ -34,25 +34,28 @@
 //!    of its unaffected neighbour classes and of its child (parent)
 //!    components, equal signatures are one new class, and a group joins an
 //!    unaffected class iff its two rows are that class's rows (lemmas L4
-//!    and L5 in [`crate::closure`]). An unaffected class keeps its
-//!    identity and is never a node of anything; so does an affected class
-//!    that a group turns out to be, with its old cones (L7) — affected is
-//!    not changed. A compression too large to
+//!    and L5 in [`crate::closure`]: the candidates are the AND of two
+//!    closure rows). An unaffected class keeps its identity and is never a
+//!    node of anything; so does an affected class that a group turns out
+//!    to be, with its old members and cyclic flag (L7′) — affected is not
+//!    changed — whose rows are *rewired* if its cones moved. A compression
+//!    too large to
 //!    hold its closure in one column chunk ([`DEFAULT_CHUNK`] ids) falls
 //!    back to the *hybrid graph*: the units plus one atom per unaffected
 //!    class (cyclic atoms get a self loop), wired by the compressed edges,
 //!    partitioned by the very same routine as the batch algorithm.
 //! 4. **Patch the state** — splice the new classes into the node → class
 //!    index and rebuild the inter-class edge counters incident to them
-//!    (an unchanged class is neither retired nor new: the batch's edges
-//!    between two classes that stay, redundant insertions included, are
-//!    counted in place); then patch the held closure into the closure of
-//!    the new compression (lemma L6 in [`crate::closure`]: the new classes'
-//!    rows are step 3's signatures, every other row changes only in the
-//!    columns of the retired and the new classes), for the publication
-//!    that follows and for the next batch's step 3. A batch that changes
-//!    no class retires and creates none: its delta is empty, the closure
-//!    is not touched, and the serving layer republishes.
+//!    (a kept class is neither retired nor new: the batch's edges between
+//!    two classes that stay, redundant insertions included, are counted in
+//!    place); then patch the held closure into the closure of the new
+//!    compression (lemma L6 in [`crate::closure`]: the new and the rewired
+//!    classes' rows are step 3's signatures, every other row changes only
+//!    in the columns of the retired and the new classes), for the
+//!    publication that follows and for the next batch's step 3. A batch
+//!    that changes no class retires, creates and rewires none: its delta
+//!    is empty, the closure is not touched, and the serving layer
+//!    republishes.
 //!
 //! ## Cost
 //!
@@ -62,22 +65,27 @@
 //! the redundancy rule of step 1 is one bit of the held closure per
 //! insertion, and runs only when its answer can be used (an insertion-only
 //! batch); step 2 is two walks bounded by the cones they return; step 3
-//! reads the adjacency of one member per unit (all members of a class kept
-//! whole) and or-s, per unit, the closure rows of its distinct unaffected
-//! neighbours — `Σ_units |unaffected neighbours| × id_space/64` words —
-//! then condenses and refines a graph of units and passes once over the
-//! popcount table for the absorption candidates; the splice unlinks each
-//! retired class from, and links each born class into, its neighbours'
-//! rows in time proportional to their degrees. On the benchmark's streams
-//! the graph step 3 works on shrinks from `|Vr|` nodes to the units: 1 166
-//! → 40 a batch on `dense_cithepth`, 2 859 → 165 on `churn_wikitalk`.
+//! reads the adjacency of each member of an exploded class (a class kept
+//! whole is read from its rows and the batch) and or-s, per unit, the
+//! closure rows of its distinct unaffected neighbours —
+//! `Σ_units |unaffected neighbours| × id_space/64` words — then condenses
+//! and refines a graph of units and ANDs two closure rows per group that
+//! may absorb an unaffected class; the splice unlinks each retired class
+//! from, and links each born class into, its neighbours' rows in time
+//! proportional to their degrees. On the benchmark's streams the graph
+//! step 3 works on shrinks from the hybrid graph's `|Vr| − |AFF| + #units`
+//! nodes to the units: 1 166 → 40 a batch on `dense_cithepth`, 1 470 → 165
+//! on `churn_wikitalk` (1 457 classes, 152 affected).
 //!
 //! The closure patch that ends step 4 is paid for the *changed* classes,
-//! not the affected ones: rows of `id_space/64` words for the retired and
-//! the new classes, for the rows that held a retired column, and for the
-//! edges that touch a new class, plus one bit per pair of a new class and a
-//! class in its cones. On `dense_cithepth` every batch affects ≈ 40
-//! classes and changes none, so the splice and the patch do nothing.
+//! not the affected ones: rows of `id_space/64` words for the retired, the
+//! new and the rewired classes, for the rows that held a retired column,
+//! and for the edges that touch a new or a rewired class, plus one bit per
+//! pair of a new class and a class in its cones. On `dense_cithepth` every
+//! batch affects ≈ 40 classes and changes none, so the splice and the
+//! patch do nothing. On `churn_wikitalk` a batch keeps ≈ 101 of its 152
+//! affected classes with their members — the 969-member strongly connected
+//! component among them — and rewires them, and bears ≈ 17.
 //! No step sweeps the whole compression; only construction does. The
 //! closure is resident: `2 · id_space²/8` bytes per maintainer, at most
 //! 4 MiB. Past one column chunk nothing is held, step 3 runs the kernel
@@ -346,19 +354,21 @@ impl IncrementalReach {
         // column chunk, by the kernel on the hybrid graph.
         let held = self.closure.as_ref();
         let mut signatures = None;
-        let (mut stats, delta) = self
-            .q
-            .apply_effective(g, &effective, &redundant, |q, g, cut| match held {
-                Some(held) => {
-                    let (regrouped, rows) = held.regroup(q.active(), q.payload(), cut);
-                    signatures = Some(rows);
-                    regrouped
-                }
-                None => q.regroup_hybrid(g, cut),
-            });
+        let (mut stats, mut delta) =
+            self.q
+                .apply_effective(g, &effective, &redundant, |q, g, cut| match held {
+                    Some(held) => {
+                        let (regrouped, rows) = held.regroup(q.active(), q.payload(), cut);
+                        signatures = Some(rows);
+                        regrouped
+                    }
+                    None => q.regroup_hybrid(g, cut),
+                });
         stats.redundant_dropped = redundant.len();
         // Step 4, end: the closure follows the splice.
         if let Some(signatures) = signatures {
+            delta.rewired = signatures.rewired().to_vec();
+            stats.rewired_classes = delta.rewired.len();
             if delta.id_space > DEFAULT_CHUNK {
                 self.closure = None;
             } else if let Some(held) = &mut self.closure {
@@ -596,10 +606,12 @@ mod tests {
 
     /// One step down both paths — against the held closure, and on the
     /// hybrid graph by a maintainer denied its closure. The closure path
-    /// keeps the ids of unchanged classes (L7) that the hybrid path bears
-    /// again, so the two agree up to naming: equal statistics but for the
-    /// regrouped graph's size and the born count, which the closure path
-    /// never exceeds, and equal classes, cyclic flags and class edges read
+    /// keeps the ids of the classes that keep their members (L7′), which
+    /// the hybrid path bears again, so the two agree up to naming: equal
+    /// statistics but for the regrouped graph's size, the born count, which
+    /// the closure path never exceeds, and the rewired count, which the
+    /// hybrid path never has, and equal classes, cyclic flags and class
+    /// edges read
     /// by first member. The closure path's invariants must hold — its
     /// patched closure equal to a fresh sweep, its rows counting `g`'s
     /// edges exactly — and its compression and answers be those of the
@@ -620,6 +632,7 @@ mod tests {
         let naming_aside = |stats: IncStats| IncStats {
             hybrid_nodes: 0,
             changed_classes: 0,
+            rewired_classes: 0,
             ..stats
         };
         assert_eq!(naming_aside(stats), naming_aside(hybrid_stats));
@@ -738,8 +751,8 @@ mod tests {
     /// L6: the closure a step patches is, field by field, the one a fresh
     /// sweep of the new rows gives — checked after every step, in every
     /// build — on the seeded streams above and on named traps: a far-away
-    /// absorption, a born id recycled from a retired one, a cyclic group
-    /// whose signature holds its own units, stranded nodes joining the
+    /// absorption, a born id recycled from a retired one, a rewired cyclic
+    /// class whose signature holds its own units, stranded nodes joining the
     /// isolated class, an id space growing across a 64-id word, and one
     /// growing past one column chunk, which drops the closure for the
     /// hybrid path.
@@ -774,26 +787,27 @@ mod tests {
         assert!(delta.removed.contains(&far));
         // A chord deleted from a ring while the ring gains a descendant: its
         // members regroup as one cyclic class, whose signatures hold its
-        // own units, with new cones. The chord alone changes nothing.
+        // own units, with new cones — rewired under its id. The chord alone
+        // changes nothing.
         let ring = graph(4, &[(0, 1), (1, 2), (2, 0), (0, 2)]);
         let spec = [(0, 2, false), (2, 3, true)];
         let (inc, _, _, delta) = trap(ring.clone(), &spec, "cyclic group");
-        let cyclic: Vec<NodeId> = (0..3).map(NodeId).collect();
-        assert!(births(&inc, &delta).contains(&(cyclic, true)));
+        assert!(delta.rewired.contains(&inc.class_of(NodeId(0))));
         let (_, _, _, delta) = trap(ring, &[(0, 2, false)], "chord alone");
         assert!(delta.is_empty());
         // Stranded nodes join the isolated class.
         let (_, _, _, delta) = trap(graph(4, &[(0, 1)]), &[(0, 1, false)], "stranded");
         assert_eq!(delta.born.len(), 1);
         // 63 → 65 ids: a chain of 62 classes and three isolated nodes, each
-        // hung from a different chain node.
+        // hung from a different chain node: the isolated class is retired,
+        // three are born, and the chain above them is rewired.
         let chain = |len: u32, loose: u32| {
             let edges: Vec<(u32, u32)> = (1..len).map(|v| (v - 1, v)).collect();
             graph((len + loose) as usize, &edges)
         };
         let spec = [(62, 61, true), (63, 60, true), (64, 59, true)];
         let (_, _, _, delta) = trap(chain(62, 3), &spec, "63 → 65 ids");
-        assert_eq!((delta.removed.len(), delta.id_space), (4, 65));
+        assert_eq!((delta.removed.len(), delta.id_space), (1, 65));
         // 4 096 → 4 097 ids: the closure is dropped, and the next step takes
         // the hybrid path.
         let (mut inc, mut g, _, delta) = trap(chain(4095, 2), &[(4095, 4094, true)], "4 097");
@@ -865,7 +879,7 @@ mod tests {
 
     /// L3(a): a cyclic class with an incident update stays one unit; one
     /// that loses an internal edge is exploded — and regroups as one class
-    /// if the edge was a chord (L7: the very class, if nothing else moved),
+    /// if the edge was a chord (L7′: the very class, if nothing else moved),
     /// splits if it was a bridge.
     #[test]
     fn a_cyclic_class_is_one_unit_until_it_loses_an_internal_edge() {
@@ -878,13 +892,11 @@ mod tests {
         assert_eq!(stats.hybrid_nodes, 3, "exploded into its members");
         assert!(delta.is_empty(), "and found to be the same class again");
 
-        let (stats, _, born) = one_step(ring.clone(), &[(0, 2, false), (2, 3, true)]);
+        let (stats, delta, born) = one_step(ring.clone(), &[(0, 2, false), (2, 3, true)]);
         assert_eq!(stats.hybrid_nodes, 4);
-        let cyclic: Vec<NodeId> = (0..3).map(NodeId).collect();
-        assert!(
-            born.contains(&(cyclic, true)),
-            "one cyclic class, new cones"
-        );
+        // One cyclic class with new cones, and {3} below it: both kept.
+        assert!(born.is_empty() && delta.removed.is_empty());
+        assert_eq!(stats.rewired_classes, 2);
 
         let (stats, _, born) = one_step(ring, &[(1, 2, false)]);
         assert_eq!(stats.hybrid_nodes, 3);
@@ -917,7 +929,7 @@ mod tests {
             .any(|(members, _)| members == &[NodeId(1), NodeId(2)]));
     }
 
-    /// L7: affected is not changed. A mixed batch — so no update is dropped
+    /// L7′: affected is not changed. A mixed batch — so no update is dropped
     /// as redundant — whose deletion has a detour and whose insertion is
     /// already implied affects three classes and changes none: the delta is
     /// empty, and the rows follow both edges in place.
@@ -932,16 +944,119 @@ mod tests {
         assert_eq!(stats.changed_classes, 0);
     }
 
-    /// L7 asks for the old cones, not only the old members: a class whose
-    /// members stay together while its ancestors change is born.
+    /// L7′: members, not cones, decide an id. A class whose members stay
+    /// together while its ancestors change keeps its id and is rewired —
+    /// and so are its new ancestor and its parent, whose cones grew.
     #[test]
-    fn a_class_with_its_members_and_new_cones_is_born() {
+    fn a_class_with_its_members_and_new_cones_keeps_its_id() {
         // 0 → {1, 2} (one class); inserting 3 → 0 gives it an ancestor.
         let g = graph(4, &[(0, 1), (0, 2)]);
-        let sinks = IncrementalReach::new(&g).class_of(NodeId(1));
-        let (_, delta, born) = one_step(g, &[(3, 0, true)]);
-        assert!(delta.removed.contains(&sinks));
-        assert!(born.contains(&(vec![NodeId(1), NodeId(2)], false)));
+        let inc = IncrementalReach::new(&g);
+        let mut ids: Vec<u32> = [0, 1, 3].map(|v| inc.class_of(NodeId(v))).to_vec();
+        ids.sort_unstable();
+        let (stats, delta, born) = one_step(g, &[(3, 0, true)]);
+        assert!(born.is_empty() && delta.removed.is_empty());
+        assert_eq!(delta.rewired, ids);
+        assert_eq!((stats.rewired_classes, stats.changed_classes), (3, 0));
+    }
+
+    /// L7′'s third condition: a class that keeps its members but whose new
+    /// cones are an unaffected class's merges with it, so it is born — the
+    /// two are retired — not kept. The group is a sink: L5 reads the
+    /// descendant row of its one ancestor alone.
+    #[test]
+    fn a_class_with_its_members_and_new_cones_is_born() {
+        // 0 → {1, 2} and 4 → 5. Moving {1, 2} under 4 gives it the cones of
+        // {5}, which no update reaches.
+        let g = graph(6, &[(0, 1), (0, 2), (4, 5)]);
+        let inc = IncrementalReach::new(&g);
+        let (sinks, far) = (inc.class_of(NodeId(1)), inc.class_of(NodeId(5)));
+        let spec = [(0, 1, false), (0, 2, false), (4, 1, true), (4, 2, true)];
+        let (_, delta, born) = one_step(g, &spec);
+        assert!(delta.removed.contains(&sinks) && delta.removed.contains(&far));
+        assert!(!delta.rewired.contains(&sinks));
+        let merged = [1, 2, 5].map(NodeId).to_vec();
+        assert!(born.contains(&(merged, false)));
+    }
+
+    /// L7′ asks for the cyclic flag too: a singleton that gains a self loop
+    /// keeps its member and is born, not kept.
+    #[test]
+    fn a_singleton_that_gains_a_self_loop_is_born() {
+        let g = graph(2, &[(0, 1)]);
+        let single = IncrementalReach::new(&g).class_of(NodeId(0));
+        let (_, delta, born) = one_step(g, &[(0, 0, true)]);
+        assert!(delta.removed.contains(&single));
+        assert!(!delta.rewired.contains(&single));
+        assert_eq!(born, [(vec![NodeId(0)], true)]);
+    }
+
+    /// A batch that changes cones only: two strongly connected components
+    /// join cones and no member moves. Nothing is retired or born, both are
+    /// rewired, and the delta is not empty — the compression moved.
+    #[test]
+    fn joining_two_components_rewires_both_and_moves_no_member() {
+        let g = graph(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+        let inc = IncrementalReach::new(&g);
+        let mut ids = [inc.class_of(NodeId(0)), inc.class_of(NodeId(2))];
+        ids.sort_unstable();
+        let (stats, delta, born) = one_step(g, &[(1, 2, true)]);
+        assert!(born.is_empty() && delta.removed.is_empty());
+        assert_eq!(delta.rewired, ids);
+        assert!(!delta.is_empty());
+        assert_eq!(stats.rewired_classes, 2);
+    }
+
+    /// L5 by intersection: the AND of two closure rows can hold a class
+    /// with the group's popcounts and other rows, which must not absorb it.
+    #[test]
+    fn a_popcount_collision_is_not_an_absorption() {
+        // 0 → {4, 5} → 2 and 3 → 4, and 1 → 7 → 8 → 9 → 10. Inserting
+        // 1 → 5 gives {5} the ancestors {0, 1}: two of them and one
+        // descendant, like {4}, whose ancestors are {0, 3}. {0} has the
+        // fewest descendants of the two, and {4} is among them.
+        let edges = [
+            (0, 4),
+            (0, 5),
+            (4, 2),
+            (5, 2),
+            (3, 4),
+            (1, 7),
+            (7, 8),
+            (8, 9),
+            (9, 10),
+        ];
+        let g = graph(11, &edges);
+        let collider = IncrementalReach::new(&g).class_of(NodeId(4));
+        let (_, delta, _) = one_step(g, &[(1, 5, true)]);
+        assert!(!delta.removed.contains(&collider));
+    }
+
+    /// (c): the tokens of a class kept whole come from its rows and the
+    /// batch — checked against a scan of its members in every debug step —
+    /// when its last edge to another such class is deleted and when one of
+    /// two is, when two such classes are adjacent, and when an insertion
+    /// dropped as redundant gives it a new neighbour.
+    #[test]
+    fn a_class_kept_whole_reads_its_neighbourhood_from_its_rows() {
+        // S = {0 ↔ 1}, T = {2 ↔ 3}.
+        let pair = |extra: &[(u32, u32)]| {
+            let mut edges = vec![(0, 1), (1, 0), (2, 3), (3, 2)];
+            edges.extend(extra);
+            graph(5, &edges)
+        };
+        let (stats, _, _) = one_step(pair(&[(1, 2)]), &[(1, 2, false)]);
+        assert_eq!(stats.hybrid_nodes, 2, "S and T stay whole");
+        let (_, delta, _) = one_step(pair(&[(1, 2), (0, 3)]), &[(1, 2, false)]);
+        assert!(delta.is_empty(), "S still reaches T");
+        let (stats, _, _) = one_step(pair(&[(1, 2)]), &[(4, 0, true)]);
+        assert_eq!((stats.hybrid_nodes, stats.rewired_classes), (3, 3));
+        // S → 4 → T: inserting 1 → 2 is redundant, and 4 → 4 is not.
+        let mut g = pair(&[(1, 4), (4, 2)]);
+        let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
+        let batch = batch_of(&[(1, 2, true), (4, 4, true)]);
+        let (stats, _) = step_both_paths(&mut held, &mut denied, &mut g, &batch);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 1));
     }
 
     /// The rows count every edge, exactly, between classes a step keeps:

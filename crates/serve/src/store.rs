@@ -191,7 +191,8 @@ pub enum ApplyPath {
     /// `churn == 0.0` and the reachability structures `Arc`-shared — only
     /// the pattern view.
     Rebuilt {
-        /// Fraction of live reachability classes churned by the batch.
+        /// Fraction of live reachability classes the batch churned:
+        /// retired, born or rewired.
         churn: f64,
         /// Pattern-side churn (churned classes / live bisimulation
         /// classes) when patterns are served and the batch changed the
@@ -560,7 +561,8 @@ pub(crate) fn stage(
             (Snapshot::republish(prev, next, pattern_view), path)
         } else {
             let reach = maintained.reach();
-            let churn = delta.churned() as f64 / reach.class_count().max(1) as f64;
+            let churn =
+                (delta.churned() + delta.rewired.len()) as f64 / reach.class_count().max(1) as f64;
             (
                 Snapshot::build(next, reach, pattern_view, config),
                 ApplyPath::Rebuilt {
@@ -734,6 +736,29 @@ mod tests {
             after.pattern_view().unwrap(),
             store.load().pattern_view().unwrap()
         ));
+    }
+
+    /// A batch that moves no member but joins the cones of two strongly
+    /// connected components rewires both classes: the store must build,
+    /// not republish, or it answers the new pair from the old cut.
+    #[test]
+    fn a_batch_that_only_rewires_classes_is_built() {
+        let mut g = LabeledGraph::new();
+        for _ in 0..4 {
+            g.add_node_with_label("X");
+        }
+        for (u, w) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            g.add_edge(NodeId(u), NodeId(w));
+        }
+        let store = CompressedStore::new(g, StoreConfig::default());
+        assert!(!store.load().reachable(NodeId(0), NodeId(3)));
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), NodeId(2));
+        let report = store.try_apply(&batch).expect("batch applies");
+        assert_eq!(report.reach.changed_classes, 0);
+        assert_eq!(report.reach.rewired_classes, 2);
+        assert!(matches!(report.path, ApplyPath::Rebuilt { churn, .. } if churn == 1.0));
+        assert!(store.load().reachable(NodeId(0), NodeId(3)));
     }
 
     /// Pattern-serving snapshots account for the view in `heap_bytes`.

@@ -420,41 +420,43 @@ fn export_hash(
 /// 1500, 0)`. First captured at commit b71989a, when the class-level edges
 /// were a hash map of pairs; recaptured when an affected class that comes
 /// back unchanged started keeping its id instead of taking a recycled one
-/// (every hash moved), and when the rows started counting the insertions
-/// dropped as redundant.
+/// (every hash moved), when the rows started counting the insertions
+/// dropped as redundant, and when a class that keeps its members and
+/// cyclic flag started keeping its id even though its cones moved — more
+/// ids are kept, fewer recycled (every hash moved).
 const GOLDEN_REACH: [u64; 32] = [
-    0x0884_85d3_c8c2_e1c0,
-    0xd7d7_70eb_95ae_8e0d,
-    0x2b3c_a8c5_c666_bba8,
-    0xdfea_ac0f_191b_1ad7,
-    0xf23b_cb3a_1d60_b979,
-    0xdbc5_2bec_926a_ae11,
-    0xbf34_e80c_e0d2_6d86,
-    0x4389_c71e_74ac_840b,
-    0xb7d5_693b_2b5f_0c3b,
-    0x2247_1b20_016e_1f78,
-    0xa9bf_48fe_4c96_c682,
-    0x3930_eae6_7f2b_1da2,
-    0x39c8_b37f_9f3c_c30a,
-    0xc6eb_1828_c68b_b7d3,
-    0x99f7_1a54_c0c0_41be,
-    0x9f39_41d5_554a_8dd7,
-    0x12f2_386f_59db_6f82,
-    0x43b1_7ba5_d40f_c4b6,
-    0xff62_3bae_fa19_5ddc,
-    0x64e2_66ad_f047_72ea,
-    0x9d0a_af79_d105_8572,
-    0x51fc_7eb9_0da9_2dba,
-    0xaa20_7e24_85f4_b509,
-    0x0744_9bb6_b426_eff2,
-    0x7b1e_18c4_79df_e779,
-    0xbb2d_f543_8a77_8d97,
-    0xab98_6109_c23f_66aa,
-    0xae3b_5bc2_3f23_3b90,
-    0x215b_8781_efaa_dd40,
-    0xed2d_692f_e20f_1598,
-    0x8286_17cb_b3ea_f22c,
-    0xab9f_a600_5a35_57f9,
+    0xdda4_a95c_707a_86bf,
+    0x2fb7_d5bc_be3b_052a,
+    0xdecd_eb8b_310e_73e1,
+    0xb57b_952f_d0d8_5190,
+    0x57a2_a8b1_627c_7689,
+    0xf6e2_3db1_213a_8a17,
+    0x9586_5e99_503d_14dd,
+    0x54a3_f1ae_b686_4870,
+    0x9499_f276_6862_367a,
+    0x684a_22bb_3ce2_fa04,
+    0x8928_15b5_261e_514a,
+    0xa0b5_8ba6_769a_d504,
+    0x32dd_e5a0_f732_8357,
+    0x00f4_4ee8_2279_d007,
+    0xed8f_c002_baa9_1070,
+    0x2beb_80ab_b2f6_dc53,
+    0x4dca_0476_cb5b_b3f7,
+    0xc243_a173_8176_be17,
+    0xe0f4_ad7d_6215_7aa4,
+    0x2a49_805d_9434_4677,
+    0x75e2_bb72_9127_6a7b,
+    0xb8e0_0f51_d9e6_0122,
+    0xdd95_10e7_a47c_e3b9,
+    0xd0c8_a855_2d4a_fcf5,
+    0x471c_5440_b85a_b0b0,
+    0x3c92_d9f2_536c_b585,
+    0x0545_c139_1ddb_5fff,
+    0xa924_d8f8_f4d2_af2b,
+    0x2b4e_e725_af56_ee13,
+    0xc60b_c1e2_06d2_f6c7,
+    0xb8ce_b697_0f40_32af,
+    0x799d_ee88_cf31_aee8,
 ];
 
 /// The same for `IncrementalPattern` on `pattern_dataset("Citation", 400,
@@ -602,8 +604,8 @@ const STREAM_SEED: u64 = 0x5eed_0000_0000_0b0a;
 /// `local_batch(g, 12, 8, STREAM_SEED ^ i)` — changes no class. Its batches
 /// mix deletions that have detours with insertions that are already
 /// implied, so nothing is dropped as redundant and every batch has
-/// affected classes, yet each comes back unchanged (L7 in
-/// `qpgc_reach::closure`). At every step the delta must be empty, the held
+/// affected classes, yet each comes back unchanged (L7′ in
+/// `qpgc_reach::closure`, not rewired). At every step the delta must be empty, the held
 /// closure a fresh sweep, the rows exact and the partition `compress_r`'s;
 /// a store with a 2-hop index over the same stream republishes every
 /// batch.
