@@ -17,18 +17,34 @@
 //! | [`evolution::fig12j`] | Fig. 12(j) — `RCr` under power-law growth of real graphs |
 //! | [`evolution::fig12k`] | Fig. 12(k) — `PCr` under densification growth |
 //! | [`evolution::fig12l`] | Fig. 12(l) — `PCr` under power-law growth of real graphs |
+//! | [`scale_ladder::scale_ladder`] | none — store batches on graphs past the benchmark's sizes |
 
 pub mod compression_ratio;
 pub mod evolution;
 pub mod incremental;
 pub mod query_time;
+pub mod scale_ladder;
 
 use crate::harness::ExperimentResult;
 
 /// Every experiment id accepted by the `reproduce` binary.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "fig1", "table1", "table2", "fig12a", "fig12b", "fig12c", "fig12d", "fig12e", "fig12f",
-    "fig12g", "fig12h", "fig12i", "fig12j", "fig12k", "fig12l",
+    "fig1",
+    "table1",
+    "table2",
+    "fig12a",
+    "fig12b",
+    "fig12c",
+    "fig12d",
+    "fig12e",
+    "fig12f",
+    "fig12g",
+    "fig12h",
+    "fig12i",
+    "fig12j",
+    "fig12k",
+    "fig12l",
+    "scale_ladder",
 ];
 
 /// Runs one experiment by id at the given dataset scale.
@@ -49,6 +65,7 @@ pub fn run(id: &str, scale: usize) -> Option<ExperimentResult> {
         "fig12j" => Some(evolution::fig12j(scale)),
         "fig12k" => Some(evolution::fig12k()),
         "fig12l" => Some(evolution::fig12l(scale)),
+        "scale_ladder" => Some(scale_ladder::scale_ladder(scale)),
         _ => None,
     }
 }

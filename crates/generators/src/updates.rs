@@ -59,11 +59,10 @@ pub fn delete_batch(g: &LabeledGraph, count: usize, seed: u64) -> UpdateBatch {
 /// to [`mixed_batch`]'s uniformly random endpoints, which hit a giant-cone
 /// hub every few draws and churn most of the quotient.
 ///
-/// Cone sizes are measured on the SCC condensation with the chunked
-/// reach-set sweep (`O(|Vscc|²/w)` — affordable at bench scales; this is a
-/// generator, not a hot path).
+/// Cone sizes are the lengths of the rows of the SCC condensation's
+/// closure sweeps ([`DagReach::descendants`](qpgc_graph::reach_sets::DagReach::descendants)
+/// and `ancestors`), which cost what the cones hold.
 pub fn local_batch(g: &LabeledGraph, count: usize, cone_cap: u64, seed: u64) -> UpdateBatch {
-    use qpgc_graph::reach_sets::DEFAULT_CHUNK;
     use qpgc_graph::scc::Condensation;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -72,13 +71,13 @@ pub fn local_batch(g: &LabeledGraph, count: usize, cone_cap: u64, seed: u64) -> 
         return batch;
     }
     let cond = Condensation::of(g);
-    // Cones are measured in SCCs, not nodes: unit weights.
-    let cones = cond.dag().reach_counts(DEFAULT_CHUNK, |_| 1);
-    let low_anc: Vec<NodeId> = g
-        .nodes()
-        .filter(|&v| cones.ancestors[cond.component_of(v) as usize] <= cone_cap)
-        .collect();
-    let low_desc_ok = |w: NodeId| cones.descendants[cond.component_of(w) as usize] <= cone_cap;
+    // Cones are measured in SCCs, not nodes.
+    let (desc, anc) = (cond.dag().descendants(), cond.dag().ancestors());
+    let low = |rows: &qpgc_graph::IdRows, v: NodeId| {
+        rows.len(cond.component_of(v) as usize) as u64 <= cone_cap
+    };
+    let low_anc: Vec<NodeId> = g.nodes().filter(|&v| low(&anc, v)).collect();
+    let low_desc_ok = |w: NodeId| low(&desc, w);
     let low_desc: Vec<NodeId> = g.nodes().filter(|&w| low_desc_ok(w)).collect();
     if low_anc.is_empty() || low_desc.is_empty() {
         return batch;
@@ -196,16 +195,16 @@ mod tests {
         assert!(!b.is_empty());
         // Recompute the SCC cone sizes the generator bounds against.
         let cond = Condensation::of(&g);
-        let desc_sets = cond.dag().full_descendants();
-        let anc_sets = cond.dag().full_ancestors();
+        let desc_sets = cond.dag().descendants();
+        let anc_sets = cond.dag().ancestors();
         for u in b.updates() {
             let (a, w) = u.edge();
             assert!(
-                anc_sets.count_ones(cond.component_of(a) as usize) as u64 <= cap,
+                anc_sets.len(cond.component_of(a) as usize) as u64 <= cap,
                 "update source {a} has a large ancestor cone"
             );
             assert!(
-                desc_sets.count_ones(cond.component_of(w) as usize) as u64 <= cap,
+                desc_sets.len(cond.component_of(w) as usize) as u64 <= cap,
                 "update target {w} has a large descendant cone"
             );
             if !u.is_insert() {

@@ -1,12 +1,9 @@
-//! A matrix of bit rows.
+//! A matrix of bit rows, for the sets that are genuinely dense.
 //!
-//! The reachability equivalence relation of Section 3 is computed by
-//! comparing ancestor and descendant *sets*; representing those sets as
-//! packed `u64` words makes the union-and-compare loops branch-free and is
-//! what keeps `compressR` practical on graphs with tens of thousands of
-//! SCCs. We implement the bit rows ourselves rather than pulling in an
-//! external crate so that the whole workspace builds from the approved
-//! offline dependency list.
+//! Packed `u64` words make the union-and-compare loops branch-free. We
+//! implement the bit rows ourselves rather than pulling in an external
+//! crate so that the whole workspace builds from the approved offline
+//! dependency list.
 
 use std::cell::RefCell;
 
@@ -21,17 +18,10 @@ pub struct Ones<'a> {
 
 impl<'a> Ones<'a> {
     fn over(blocks: &'a [u64]) -> Self {
-        Self::starting_at(blocks, 0)
-    }
-
-    /// The set bits at or after position `start`.
-    fn starting_at(blocks: &'a [u64], start: usize) -> Self {
-        let block_idx = start / BITS;
-        let low = !0u64 << (start % BITS);
         Ones {
             blocks,
-            block_idx,
-            current: blocks.get(block_idx).map_or(0, |b| b & low),
+            block_idx: 0,
+            current: blocks.first().copied().unwrap_or(0),
         }
     }
 }
@@ -58,28 +48,24 @@ impl Iterator for Ones<'_> {
 /// `rows` bit rows of `width` bits each, packed into **one** allocation
 /// (`words_per_row` 64-bit words per row, rows back to back).
 ///
-/// This is what a chunked closure sweep
-/// ([`DagReach::descendants_chunk`](crate::reach_sets::DagReach::descendants_chunk))
-/// returns: one row per DAG node, one bit per column of the chunk. Against
-/// one heap bit set per node it is a single (lazily zeroed)
-/// allocation per sweep, rows are plain `&[u64]` slices that consumers
-/// hash and compare in place, and a row union is a linear pass over two
-/// ranges of the same buffer.
-///
-/// The rows are also scratch a consumer may spend: the closure-driven 2-hop
-/// labelling strikes covered pairs out of a descendant and an ancestor
-/// matrix in place ([`BitMatrix::remove`], [`BitMatrix::difference_rows`],
-/// [`BitMatrix::clear_row`]) instead of copying half a megabyte first.
+/// For the callers whose rows are genuinely dense: the sharded store's
+/// boundary summary (the boundary vertices below each component), the
+/// expansion of a pattern match, and the `node_closures` test oracle.
+/// Reachability closures, whose rows are mostly a handful of ids, are
+/// [`IdRows`](crate::id_set::IdRows). Against one heap bit set per row it
+/// is a single (lazily zeroed) allocation, rows are plain `&[u64]` slices
+/// that consumers hash and compare in place, and a row union is a linear
+/// pass over two ranges of the same buffer.
 ///
 /// A dropped matrix leaves its buffer to the next one built on the same
-/// thread (a few buffers of at most 8 MiB each). A
-/// maintenance step builds and drops two or three matrices of a megabyte
-/// each, and the allocator serves every such request with a fresh `mmap`
-/// and returns it with a `munmap`: page faults for the writer and, worse,
-/// a TLB shootdown on every core that runs a reader (`mixed_wikitalk`'s
+/// thread (a few buffers of at most 8 MiB each). A sharded publication
+/// builds and drops its boundary matrices every batch, and the allocator
+/// would serve every request over its `mmap` threshold with a fresh `mmap`
+/// and return it with a `munmap`: page faults for the writer and, worse, a
+/// TLB shootdown on every core that runs a reader (`mixed_wikitalk`'s
 /// reader ran 35 % slower for the length of each sweep, CHANGES.md
-/// ISSUE 21). [`BitMatrix::copy_of`] draws on the same buffers; the derived
-/// `Clone` does not, and is for callers off the write path.
+/// ISSUE 21). The derived `Clone` does not draw on the spare buffers, and
+/// is for callers off the write path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitMatrix {
     rows: usize,
@@ -92,20 +78,11 @@ pub struct BitMatrix {
 /// larger sweep amortizes its own allocation.
 const SPARE_WORDS_MAX: usize = 1 << 20;
 
-/// How many dropped buffers a thread keeps. Every phase of a write holds
-/// at most two transient matrices at once, and the phases run one after
-/// the other on a thread: a maintenance step's two signature matrices (the
-/// kernel's, or the regroup's small ones, which the closure patch reads
-/// before it drops them — the maintainer's two resident matrices are
-/// patched in place and grown with headroom, [`BitMatrix::grow`]), then a
-/// publication's two scratch copies ([`BitMatrix::copy_of`]) of the
-/// resident pair (at most 2 MiB each: inside [`SPARE_WORDS_MAX`]). A
-/// sharded store runs every shard's phases one after the other on the same
-/// writer's thread, then its boundary summary's two — the closure over the
-/// composite graph's components, and one shard's class rows at a time. Two
-/// spares would carry that; four leave room for a second maintainer on the
-/// thread (the pattern side's kernel, a benchmark's shadow) without a
-/// fresh `mmap`.
+/// How many dropped buffers a thread keeps. A sharded publication holds
+/// at most two transient matrices at once — the closure over the
+/// composite graph's components, and one shard's class rows at a time —
+/// and its phases run one after the other on the writer's thread; four
+/// leave room for a second caller on the thread without a fresh `mmap`.
 const SPARES_KEPT: usize = 4;
 
 thread_local! {
@@ -153,29 +130,10 @@ impl BitMatrix {
         }
     }
 
-    /// A copy of `other` on a spare buffer — for a consumer that spends
-    /// its rows as scratch while the original stays resident.
-    pub fn copy_of(other: &BitMatrix) -> Self {
-        let mut data = spare_buffer();
-        data.extend_from_slice(&other.data);
-        BitMatrix {
-            rows: other.rows,
-            width: other.width,
-            words_per_row: other.words_per_row,
-            data,
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of bits per row.
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.width
     }
 
     /// The packed words of row `r` (bits at and past the row width are
@@ -239,86 +197,6 @@ impl BitMatrix {
         }
     }
 
-    /// In-place union with a row of another matrix: the words of `src` —
-    /// no more of them than a row here has — are or-ed into the low bits
-    /// of row `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is longer than a row.
-    pub fn union_row_with(&mut self, dst: usize, src: &[u64]) {
-        let row = &mut self.data[dst * self.words_per_row..(dst + 1) * self.words_per_row];
-        for (a, b) in row[..src.len()].iter_mut().zip(src) {
-            *a |= *b;
-        }
-    }
-
-    /// In-place difference with a row of another matrix: the bits of `src`
-    /// — no more words of it than a row here has — are cleared from the
-    /// low bits of row `dst`. Returns how many of them were set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is longer than a row.
-    pub fn difference_row_with(&mut self, dst: usize, src: &[u64]) -> usize {
-        let row = &mut self.data[dst * self.words_per_row..(dst + 1) * self.words_per_row];
-        let mut cleared = 0;
-        for (a, b) in row[..src.len()].iter_mut().zip(src) {
-            cleared += (*a & *b).count_ones() as usize;
-            *a &= !*b;
-        }
-        cleared
-    }
-
-    /// Grows the matrix to `rows` rows of `width` bits, neither fewer than
-    /// it has: every row keeps its bits, and the new ones are clear. Rows
-    /// are re-laid in place only when the width crosses a word. The buffer
-    /// is reallocated only when it runs out, and then with room for 64
-    /// more rows one word wider, so a matrix that gains a few rows at a
-    /// time reallocates about once per word of growth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` or `width` is smaller than the matrix's.
-    pub fn grow(&mut self, rows: usize, width: usize) {
-        assert!(
-            rows >= self.rows && width >= self.width,
-            "{}×{} cannot grow to {rows}×{width}",
-            self.rows,
-            self.width
-        );
-        let (old, words) = (self.words_per_row, width.div_ceil(BITS));
-        if rows * words > self.data.capacity() {
-            let room = (rows + BITS) * (words + 1);
-            self.data.reserve_exact(room - self.data.len());
-        }
-        self.data.resize(rows * words, 0);
-        if words != old {
-            // The last row first: a row only moves up, past the rows not
-            // yet moved.
-            for r in (0..self.rows).rev() {
-                self.data.copy_within(r * old..(r + 1) * old, r * words);
-                self.data[r * words + old..(r + 1) * words].fill(0);
-            }
-        }
-        self.rows = rows;
-        self.width = width;
-        self.words_per_row = words;
-    }
-
-    /// In-place row difference: `row dst ← row dst ∖ row src` (a row minus
-    /// itself is empty).
-    pub fn difference_rows(&mut self, dst: usize, src: usize) {
-        match self.row_pair(dst, src) {
-            Some((into, from)) => {
-                for (a, b) in into.iter_mut().zip(from) {
-                    *a &= !*b;
-                }
-            }
-            None => self.clear_row(dst),
-        }
-    }
-
     /// Clears every bit of row `r`.
     pub fn clear_row(&mut self, r: usize) {
         self.data[r * self.words_per_row..(r + 1) * self.words_per_row].fill(0);
@@ -332,12 +210,6 @@ impl BitMatrix {
     /// Iterates over the set bits of row `r` in increasing order.
     pub fn ones(&self, r: usize) -> Ones<'_> {
         Ones::over(self.row(r))
-    }
-
-    /// Iterates over the set bits of row `r` at or after `start`, in
-    /// increasing order.
-    pub fn ones_from(&self, r: usize, start: usize) -> Ones<'_> {
-        Ones::starting_at(self.row(r), start)
     }
 }
 
@@ -390,144 +262,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The mutators a closure-driven labelling strikes pairs with — bit
-    /// clear, row difference, row clear — against the same oracle.
-    #[test]
-    fn bit_matrix_strikes_match_a_fixed_bit_set_per_row() {
-        for width in [0usize, 1, 63, 64, 65] {
-            let rows = 5;
-            let mut m = BitMatrix::new(rows, width);
-            let mut oracle = vec![vec![false; width]; rows];
-            assert_eq!(m.width(), width);
-            let mut state = 0xd1b5_4a32_d192_ed03u64 ^ width as u64;
-            let mut draw = move || {
-                state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
-                ((state >> 33) as usize % rows, (state >> 7) as usize)
-            };
-            // Dense rows (three quarters full), then holes punched bit by
-            // bit — some of them into bits that are already clear.
-            for (r, set) in oracle.iter_mut().enumerate() {
-                for bit in (0..width).filter(|bit| (bit + r) % 4 != 0) {
-                    m.insert(r, bit);
-                    set[bit] = true;
-                }
-            }
-            for _ in 0..width {
-                let (r, bit) = draw();
-                m.remove(r, bit % width);
-                oracle[r][bit % width] = false;
-            }
-            // Differences in both directions, a self difference (empties
-            // the row) and a cleared row.
-            for (dst, src) in [(0, 3), (4, 1), (2, 2)] {
-                m.difference_rows(dst, src);
-                let minus = oracle[src].clone();
-                for (bit, _) in minus.iter().enumerate().filter(|&(_, &set)| set) {
-                    oracle[dst][bit] = false;
-                }
-            }
-            m.clear_row(1);
-            oracle[1].fill(false);
-            for (r, set) in oracle.iter().enumerate() {
-                assert_eq!(m.row(r), packed(set), "width {width} row {r}");
-            }
-            assert_eq!(m.count_ones(2) + m.count_ones(1), 0);
-        }
-    }
-
-    /// What a regroup against a held closure uses: a row of a narrower
-    /// matrix or-ed into the low bits of a row, a suffix of a row's set
-    /// bits, and a scratch copy that leaves the original as it was.
-    #[test]
-    fn bit_matrix_unions_foreign_rows_scans_suffixes_and_copies() {
-        for (narrow, wide) in [(1usize, 1usize), (63, 64), (64, 65), (70, 200)] {
-            let mut small = BitMatrix::new(2, narrow);
-            for bit in (0..narrow).step_by(3) {
-                small.insert(1, bit);
-            }
-            let mut m = BitMatrix::new(3, wide);
-            m.insert(2, wide - 1);
-            m.union_row_with(2, small.row(1));
-            let expect: Vec<usize> = (0..narrow)
-                .step_by(3)
-                .chain([wide - 1])
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            assert_eq!(
-                m.ones(2).collect::<Vec<_>>(),
-                expect,
-                "{narrow} into {wide}"
-            );
-            assert_eq!(m.count_ones(0) + m.count_ones(1), 0);
-            for start in [0, 1, narrow / 2, narrow, wide - 1, wide, wide + 70] {
-                let suffix: Vec<usize> = expect.iter().copied().filter(|&b| b >= start).collect();
-                assert_eq!(
-                    m.ones_from(2, start).collect::<Vec<_>>(),
-                    suffix,
-                    "from {start}"
-                );
-            }
-            let mut copy = BitMatrix::copy_of(&m);
-            assert_eq!(copy, m);
-            copy.clear_row(2);
-            assert_eq!(m.ones(2).collect::<Vec<_>>(), expect);
-        }
-    }
-
-    /// What a patched closure does to its matrices: grow by rows and by
-    /// columns — within a word and across one — keeping every bit, and
-    /// clear a foreign row's bits, counting them.
-    #[test]
-    fn bit_matrix_grows_in_place_and_clears_foreign_rows() {
-        for (from, to) in [(0usize, 3usize), (5, 6), (63, 65), (64, 64), (70, 200)] {
-            let mut m = BitMatrix::new(from, from);
-            let mut oracle = vec![vec![false; to]; to];
-            for (r, set) in oracle.iter_mut().enumerate().take(from) {
-                for bit in (r % 3..from).step_by(3) {
-                    m.insert(r, bit);
-                    set[bit] = true;
-                }
-            }
-            m.grow(to, to);
-            assert_eq!((m.rows(), m.width()), (to, to));
-            let grown = m.clone();
-            m.grow(to, to);
-            assert_eq!(m, grown, "a grow to the same shape changes nothing");
-            for (r, set) in oracle.iter().enumerate() {
-                assert_eq!(m.row(r), packed(set), "{from} → {to}: row {r}");
-            }
-            // Equal to a matrix built at the new shape.
-            let mut fresh = BitMatrix::new(to, to);
-            for (r, set) in oracle.iter().enumerate() {
-                for bit in (0..to).filter(|&bit| set[bit]) {
-                    fresh.insert(r, bit);
-                }
-            }
-            assert_eq!(m, fresh, "{from} → {to}");
-            // Row 0 holds bits 0, 3, 6, …; clear the even columns from it
-            // with a mask one word narrower than the row where the width
-            // crossed a word.
-            let mask = packed(&(0..from).map(|bit| bit % 2 == 0).collect::<Vec<_>>());
-            let both = (0..from).filter(|&bit| bit % 6 == 0).count();
-            assert_eq!(m.difference_row_with(0, &mask), both);
-            for bit in (0..from).step_by(2) {
-                oracle[0][bit] = false;
-            }
-            assert_eq!(m.row(0), packed(&oracle[0]));
-            assert_eq!(
-                m.count_ones(0),
-                oracle[0].iter().filter(|&&set| set).count()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot grow")]
-    fn bit_matrix_does_not_shrink() {
-        BitMatrix::new(3, 70).grow(3, 64);
     }
 
     #[test]

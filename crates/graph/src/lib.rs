@@ -29,8 +29,10 @@
 //!   splice emits — shared by `incRCM` and `incPCM`.
 //! * [`rank`] — bisimulation ranks `rb(v)` with the well-founded /
 //!   non-well-founded split (Lemma 9).
-//! * [`reach_sets`] — chunked bit-set ancestor/descendant computation over a
-//!   DAG, the workhorse behind the reachability equivalence relation.
+//! * [`id_set`] — [`IdRows`], one id set per row, each a sorted list or a
+//!   bitmap as its own length asks: the rows of every reachability closure.
+//! * [`reach_sets`] — ancestor/descendant sweeps over a DAG into
+//!   [`IdRows`], the workhorse behind the reachability equivalence relation.
 //! * [`transitive`] — the unique transitive reduction of a DAG.
 //! * [`io`] — a plain-text edge-list format with labels, for persisting the
 //!   synthetic datasets used by the benchmark harness.
@@ -60,6 +62,7 @@ pub mod codec;
 pub mod csr;
 pub mod error;
 pub mod graph;
+pub mod id_set;
 pub mod ids;
 pub mod io;
 pub mod partition;
@@ -78,6 +81,7 @@ pub use bitset::BitMatrix;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::LabeledGraph;
+pub use id_set::{IdRows, IdSet, RowBuilder};
 pub use ids::{Label, NodeId};
 pub use partition::NodePartition;
 pub use quotient::{Classes, Cut, Equivalence, Group, IncStats, IncrementalQuotient, Regrouped};

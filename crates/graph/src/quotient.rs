@@ -172,13 +172,12 @@
 //! all rows to collect the atoms' edges, one counting-sort bulk load
 //! ([`CsrGraph::from_edges`]) and one run of [`Equivalence::partition`] on
 //! `|Vr| − |AFF| + #units` nodes — for reachability equivalence a closure,
-//! `O(|Vr|²/w)`, however small the batch. That is the path of a
-//! reachability quotient too large to hold its closure in one column
-//! chunk, and of a bisimulation step whose units close a cycle that
-//! splits. Below that size `incRCM` regroups against the closure of the
-//! old quotient instead: `Σ` over the units of their distinct unaffected
-//! neighbours `× id_space/64` words, plus an AND of two closure rows per
-//! group that may absorb — no node for any unaffected class
+//! however small the batch. That is the path of a bisimulation step whose
+//! units close a cycle that splits, and the reference the closure regroup
+//! is tested against. `incRCM` regroups against the closure of the old
+//! quotient, which it holds at every size: per unit the closure rows of its
+//! distinct unaffected neighbours, plus an intersection of two closure
+//! rows per group that may absorb — no node for any unaffected class
 //! ([`IncStats::hybrid_nodes`] is then the unit count). Keeping that closure
 //! current is paid for the batch too: the step patches the rows and columns
 //! of the classes it retired, created and rewired, and never sweeps

@@ -3,27 +3,25 @@
 //! The reachability equivalence relation of Section 3 groups nodes with
 //! identical *proper* (non-empty-path) ancestor and descendant sets. Those
 //! sets are computed here over a DAG — in practice the SCC condensation of
-//! the data graph — as packed bit rows, in column *chunks* so that memory
-//! stays bounded (`O(n · chunk / 8)` bytes) no matter how large the DAG is.
-//! The same machinery drives the transitive reduction used by `compressR`
-//! and the AHO baseline, and the exact reachability counts
-//! ([`ReachCounts`]) that order the 2-hop landmarks.
-
-use std::ops::Range;
+//! the data graph — one [`IdRows`] row per node, each in the encoding its
+//! own length asks for (a short sorted list, or a bitmap once it holds
+//! about `n/32` ids). One sweep per direction builds every row from its
+//! neighbours' finished rows, so its cost follows the closure it holds,
+//! whatever the size of the DAG. The same rows drive the transitive
+//! reduction used by `compressR` and the AHO baseline, and their lengths
+//! are the exact reachability counts that order the 2-hop landmarks.
 
 use crate::bitset::BitMatrix;
 use crate::csr::csr_from_grouped;
 use crate::error::{GraphError, Result};
+use crate::id_set::{IdRows, RowBuilder};
 use crate::scc::Condensation;
 use crate::view::GraphView;
 
-/// Default number of bit-set columns processed per chunk.
-pub const DEFAULT_CHUNK: usize = 4096;
-
 /// A DAG prepared for reachability-set sweeps, stored in compressed sparse
 /// row form (contiguous offset/target arrays in both directions) plus a
-/// topological order — the chunked closure sweeps below are linear scans
-/// over these slices.
+/// topological order — the closure sweeps below are linear scans over
+/// these slices.
 #[derive(Clone, Debug)]
 pub struct DagReach {
     out_offsets: Vec<u32>,
@@ -53,15 +51,14 @@ impl DagReach {
             topo: Vec::new(),
         };
         dag.topo = kahn_topological_order(&dag)?;
-        Ok(dag)
+        Ok(dag.nearest_first())
     }
 
     /// Adopts the CSR arrays of a condensation DAG whose node ids are a
     /// *reverse* topological order (Tarjan's numbering: every edge goes from
     /// a higher id to a lower one) — [`Condensation::of`] builds its DAG
     /// through this, so a sweep over a condensation re-collects and
-    /// re-sorts nothing ([`Condensation::dag`]). Rows keep the order the
-    /// caller grouped them in; no sweep depends on ascending targets.
+    /// re-sorts nothing but each out-row ([`Condensation::dag`]).
     pub(crate) fn from_reverse_topological_csr(
         (out_offsets, out_targets, in_offsets, in_targets): (
             Vec<u32>,
@@ -71,6 +68,12 @@ impl DagReach {
         ),
     ) -> Self {
         let n = out_offsets.len() - 1;
+        let mut out_targets = out_targets;
+        // Sources first is descending ids; the in-rows are ascending, sinks
+        // first, already.
+        for row in out_offsets.windows(2) {
+            out_targets[row[0] as usize..row[1] as usize].sort_unstable_by(|a, b| b.cmp(a));
+        }
         DagReach {
             out_offsets,
             out_targets,
@@ -78,6 +81,32 @@ impl DagReach {
             in_targets,
             topo: (0..n as u32).rev().collect(),
         }
+    }
+
+    /// Orders every row by topological position — children sources-first,
+    /// parents sinks-first — so that a sweep meets a neighbour that another
+    /// lies beyond before that other, which then comes already held. Two
+    /// counting scatters, no sort: each edge is placed as its far end comes
+    /// up in the order.
+    fn nearest_first(mut self) -> Self {
+        let mut out_targets = vec![0u32; self.out_targets.len()];
+        let mut cursor = self.out_offsets[..self.node_count()].to_vec();
+        for &t in &self.topo {
+            for &s in self.inn(t) {
+                out_targets[cursor[s as usize] as usize] = t;
+                cursor[s as usize] += 1;
+            }
+        }
+        let mut in_targets = vec![0u32; self.in_targets.len()];
+        let mut cursor = self.in_offsets[..self.node_count()].to_vec();
+        for &s in self.topo.iter().rev() {
+            for &t in self.out(s) {
+                in_targets[cursor[t as usize] as usize] = s;
+                cursor[t as usize] += 1;
+            }
+        }
+        (self.out_targets, self.in_targets) = (out_targets, in_targets);
+        self
     }
 
     /// Builds a `DagReach` from a graph (any [`GraphView`]) that is assumed
@@ -104,138 +133,47 @@ impl DagReach {
         self.out_targets.len()
     }
 
-    /// Out-neighbours of `v` (ascending when built from an edge list; in
-    /// discovery order for a condensation's DAG).
+    /// Out-neighbours of `v`, in topological order.
     pub fn out(&self, v: u32) -> &[u32] {
         let i = v as usize;
         &self.out_targets[self.out_offsets[i] as usize..self.out_offsets[i + 1] as usize]
     }
 
-    /// In-neighbours of `v` (sorted ascending).
+    /// In-neighbours of `v`, in reverse topological order.
     pub fn inn(&self, v: u32) -> &[u32] {
         let i = v as usize;
         &self.in_targets[self.in_offsets[i] as usize..self.in_offsets[i + 1] as usize]
     }
 
-    /// The column ranges of a chunked sweep with the given chunk width.
-    pub fn chunks(&self, chunk: usize) -> Vec<Range<usize>> {
-        let n = self.node_count();
-        let chunk = chunk.max(1);
-        let mut ranges = Vec::new();
-        let mut start = 0;
-        while start < n {
-            let end = (start + chunk).min(n);
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
-    }
-
-    /// Computes, for every node `v`, the set of *column* nodes
-    /// (`cols.start ..cols.end`) that are proper descendants of `v`
-    /// (reachable via a non-empty path). Bit `j` of row `v` of the result
-    /// corresponds to node `cols.start + j`.
-    pub fn descendants_chunk(&self, cols: Range<usize>) -> BitMatrix {
+    /// The proper descendants of every node: row `v` holds `w` iff a
+    /// non-empty path leads from `v` to `w`.
+    pub fn descendants(&self) -> IdRows {
         // Children first: reverse topological order.
-        self.closure_chunk(cols, self.topo.iter().rev(), Self::out)
+        self.closure(self.topo.iter().rev(), Self::out)
     }
 
-    /// Computes, for every node `v`, the set of column nodes that are proper
-    /// ancestors of `v`.
-    pub fn ancestors_chunk(&self, cols: Range<usize>) -> BitMatrix {
+    /// The proper ancestors of every node (the transpose of
+    /// [`DagReach::descendants`]).
+    pub fn ancestors(&self) -> IdRows {
         // Parents first: topological order.
-        self.closure_chunk(cols, self.topo.iter(), Self::inn)
-    }
-
-    /// Full proper-descendant sets (one chunk covering every column). Only
-    /// suitable for small DAGs; the chunked API should be preferred.
-    pub fn full_descendants(&self) -> BitMatrix {
-        self.descendants_chunk(0..self.node_count())
-    }
-
-    /// Full proper-ancestor sets.
-    pub fn full_ancestors(&self) -> BitMatrix {
-        self.ancestors_chunk(0..self.node_count())
+        self.closure(self.topo.iter(), Self::inn)
     }
 
     /// One closure sweep: visits the nodes in `order` (every neighbour of a
-    /// node before the node itself) and folds each neighbour's row, plus the
-    /// neighbour's own column bit, into the node's row.
-    fn closure_chunk<'a>(
+    /// node before the node itself) and writes each node's row as the union
+    /// of its neighbours' rows and the neighbours themselves.
+    fn closure<'a>(
         &'a self,
-        cols: Range<usize>,
         order: impl Iterator<Item = &'a u32>,
         neighbors: impl Fn(&'a Self, u32) -> &'a [u32],
-    ) -> BitMatrix {
-        let mut sets = BitMatrix::new(self.node_count(), cols.len());
+    ) -> IdRows {
+        let n = self.node_count();
+        let mut rows = IdRows::new(n, n);
+        let mut row = RowBuilder::new(n);
         for &v in order {
-            for &w in neighbors(self, v) {
-                sets.union_rows(v as usize, w as usize);
-                if cols.contains(&(w as usize)) {
-                    sets.insert(v as usize, w as usize - cols.start);
-                }
-            }
+            rows.set_union(v as usize, neighbors(self, v), &mut row);
         }
-        sets
-    }
-
-    /// Exact proper-descendant and proper-ancestor counts of every node,
-    /// from one chunked descendants sweep of its own; node `c` counts as
-    /// `weight(c)` original nodes (a condensation passes its member counts,
-    /// a plain DAG `|_| 1`).
-    pub fn reach_counts(&self, chunk: usize, weight: impl Fn(u32) -> u64) -> ReachCounts {
-        let mut counts = ReachCounts::new(self.node_count());
-        for cols in self.chunks(chunk) {
-            counts.absorb(&cols, &self.descendants_chunk(cols.clone()), &weight);
-        }
-        counts
-    }
-}
-
-/// How many nodes each DAG node reaches and is reached by (proper, i.e.
-/// non-empty paths) — the `|desc|` and `|anc|` behind the 2-hop landmark
-/// coverage score and the update generators' cone caps.
-///
-/// Both vectors come out of **descendant** rows alone: a node's descendant
-/// weight is the weight of its row's set bits, and column `c`'s set bits —
-/// the rows that reach `c` — are `c`'s ancestors. A sweep that already
-/// computes descendant rows for another reason (the transitive reduction)
-/// therefore feeds [`ReachCounts::absorb`] chunk by chunk and pays for no
-/// closure of its own. (A caller that holds the *whole* closure — both
-/// full matrices of a DAG that fits one chunk — needs neither this type
-/// nor the per-bit loop: the counts are [`BitMatrix::count_ones`] of its
-/// rows.)
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReachCounts {
-    /// `descendants[v]` — total weight of the proper descendants of `v`.
-    pub descendants: Vec<u64>,
-    /// `ancestors[v]` — total weight of the proper ancestors of `v`.
-    pub ancestors: Vec<u64>,
-}
-
-impl ReachCounts {
-    /// All-zero counts for a DAG of `n` nodes.
-    pub fn new(n: usize) -> Self {
-        ReachCounts {
-            descendants: vec![0; n],
-            ancestors: vec![0; n],
-        }
-    }
-
-    /// Adds what the descendant rows `desc` of the column chunk `cols` say:
-    /// after every chunk of a sweep has been absorbed once the counts are
-    /// exact, whatever the chunk width.
-    pub fn absorb(&mut self, cols: &Range<usize>, desc: &BitMatrix, weight: impl Fn(u32) -> u64) {
-        for v in 0..desc.rows() {
-            let own = weight(v as u32);
-            let mut below = 0u64;
-            for j in desc.ones(v) {
-                let c = cols.start + j;
-                below += weight(c as u32);
-                self.ancestors[c] += own;
-            }
-            self.descendants[v] += below;
-        }
+        rows
     }
 }
 
@@ -272,8 +210,8 @@ fn kahn_topological_order(dag: &DagReach) -> Result<Vec<u32>> {
 pub fn node_closures<G: GraphView>(g: &G) -> (BitMatrix, BitMatrix) {
     let n = g.node_count();
     let cond = Condensation::of(g);
-    let scc_desc = cond.dag().full_descendants();
-    let scc_anc = cond.dag().full_ancestors();
+    let scc_desc = cond.dag().descendants();
+    let scc_anc = cond.dag().ancestors();
 
     let mut desc = BitMatrix::new(n, n);
     let mut anc = BitMatrix::new(n, n);
@@ -282,13 +220,13 @@ pub fn node_closures<G: GraphView>(g: &G) -> (BitMatrix, BitMatrix) {
         let cyclic = cond.is_cyclic(c, g);
         // Descendants: members of every SCC-descendant, plus own SCC members
         // when the SCC is cyclic.
-        for cd in scc_desc.ones(c as usize) {
-            for &w in cond.members(cd as u32) {
+        for cd in scc_desc.row(c as usize).iter() {
+            for &w in cond.members(cd) {
                 desc.insert(v.index(), w.index());
             }
         }
-        for ca in scc_anc.ones(c as usize) {
-            for &w in cond.members(ca as u32) {
+        for ca in scc_anc.row(c as usize).iter() {
+            for &w in cond.members(ca) {
                 anc.insert(v.index(), w.index());
             }
         }
@@ -316,32 +254,13 @@ mod tests {
     #[test]
     fn full_descendants_diamond() {
         let d = diamond_dag();
-        let desc = d.full_descendants();
-        assert_eq!(desc.ones(0).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(desc.ones(1).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(desc.count_ones(3), 0);
-        let anc = d.full_ancestors();
-        assert_eq!(anc.ones(3).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(anc.count_ones(0), 0);
-    }
-
-    #[test]
-    fn chunked_equals_full() {
-        let d = diamond_dag();
-        let full = d.full_descendants();
-        for chunk in d.chunks(2) {
-            let part = d.descendants_chunk(chunk.clone());
-            for v in 0..4usize {
-                for j in 0..chunk.len() {
-                    assert_eq!(
-                        part.contains(v, j),
-                        full.contains(v, chunk.start + j),
-                        "mismatch v={v} col={}",
-                        chunk.start + j
-                    );
-                }
-            }
-        }
+        let desc = d.descendants();
+        assert_eq!(desc.row(0).iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(desc.row(1).iter().collect::<Vec<_>>(), vec![3]);
+        assert_eq!(desc.len(3), 0);
+        let anc = d.ancestors();
+        assert_eq!(anc.row(3).iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(anc.len(0), 0);
     }
 
     #[test]
@@ -366,9 +285,9 @@ mod tests {
         assert_eq!(dag.node_count(), 3);
         let c01 = cond.component_of(n[0]);
         let c3 = cond.component_of(n[3]);
-        let desc = dag.full_descendants();
-        assert!(desc.contains(c01 as usize, c3 as usize));
-        assert!(!desc.contains(c3 as usize, c01 as usize));
+        let desc = dag.descendants();
+        assert!(desc.row(c01 as usize).contains(c3));
+        assert!(!desc.row(c3 as usize).contains(c01));
     }
 
     #[test]
@@ -406,20 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_everything() {
-        let d = DagReach::from_edges(10, vec![(0, 1)]).unwrap();
-        let chunks = d.chunks(3);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks[0], 0..3);
-        assert_eq!(chunks[3], 9..10);
-        assert!(d.chunks(100).len() == 1);
-        assert!(DagReach::from_edges(0, vec![])
-            .unwrap()
-            .chunks(5)
-            .is_empty());
-    }
-
-    #[test]
     fn dag_from_graph() {
         let mut g = LabeledGraph::new();
         let a = g.add_node_with_label("A");
@@ -434,6 +339,6 @@ mod tests {
     fn empty_dag() {
         let d = DagReach::from_edges(0, vec![]).unwrap();
         assert_eq!(d.node_count(), 0);
-        assert_eq!(d.full_descendants().rows(), 0);
+        assert_eq!(d.descendants().rows(), 0);
     }
 }

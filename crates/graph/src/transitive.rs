@@ -6,76 +6,54 @@
 //! is unique (Aho, Garey & Ullman 1972). The same routine, applied to the
 //! SCC condensation, is the core of the paper's `AHO` baseline.
 
-use std::ops::Range;
-
-use crate::bitset::BitMatrix;
 use crate::error::Result;
+use crate::id_set::{IdRows, RowBuilder};
 use crate::ids::NodeId;
-use crate::reach_sets::{DagReach, DEFAULT_CHUNK};
+use crate::reach_sets::DagReach;
 use crate::view::GraphView;
 
 /// Computes the unique transitive reduction of a DAG, returned as the list
 /// of retained edges.
 ///
 /// An edge `(u, v)` is removed iff there is another path from `u` to `v` of
-/// length ≥ 2. The computation sweeps descendant bit sets in chunks so the
-/// memory stays `O(n · chunk / 8)`.
+/// length ≥ 2, which the DAG's descendant rows ([`DagReach::descendants`])
+/// answer one membership test at a time.
 ///
 /// Returns an error if the input is not acyclic.
 pub fn transitive_reduction<G: GraphView>(g: &G) -> Result<Vec<(NodeId, NodeId)>> {
-    transitive_reduction_with_chunk(g, DEFAULT_CHUNK)
-}
-
-/// [`transitive_reduction`] with an explicit chunk width (exposed for tests
-/// and for the ablation benchmark).
-pub fn transitive_reduction_with_chunk<G: GraphView>(
-    g: &G,
-    chunk: usize,
-) -> Result<Vec<(NodeId, NodeId)>> {
     let dag = DagReach::from_dag_graph(g)?;
-    Ok(transitive_reduction_dag(&dag, chunk, |_, _| {}))
+    Ok(transitive_reduction_dag(&dag, &dag.descendants()))
 }
 
-/// Transitive reduction directly on an already-built [`DagReach`] — the
-/// entry point `compressR` uses to reduce its quotient edge list without
-/// materializing an intermediate `LabeledGraph` first.
-///
-/// The reduction sweeps every descendant row of the DAG once, and hands
-/// each column chunk's rows to `sink` when it is done with them: a caller
-/// that wants more of the closure than the kept edges — the 2-hop labels
-/// and landmark order of a snapshot publication — keeps the matrix (for
-/// `qpgc_reach`'s `TwoHopIndex::from_closure`) or folds it into
-/// [`ReachCounts::absorb`](crate::reach_sets::ReachCounts::absorb) instead
-/// of paying for a sweep of its own; everyone else passes `|_, _| {}`.
-/// It is the closure of the DAG, which its reduction shares: reduction
-/// removes no path.
-pub fn transitive_reduction_dag(
-    dag: &DagReach,
-    chunk: usize,
-    mut sink: impl FnMut(Range<usize>, BitMatrix),
-) -> Vec<(NodeId, NodeId)> {
-    let n = dag.node_count();
+/// Transitive reduction directly on an already-built [`DagReach`] whose
+/// descendant rows `desc` the caller holds — `compressR` reduces its
+/// quotient edge list this way without materializing an intermediate
+/// `LabeledGraph`, and a maintained closure keeps the rows for more than
+/// the reduction (reduction removes no path, so they are the closure of
+/// the reduced DAG too). Kept edges come out sorted by `(source, target)`.
+pub fn transitive_reduction_dag(dag: &DagReach, desc: &IdRows) -> Vec<(NodeId, NodeId)> {
     let mut keep: Vec<(NodeId, NodeId)> = Vec::new();
-
-    for cols in dag.chunks(chunk) {
-        let desc = dag.descendants_chunk(cols.clone());
-        for u in 0..n as u32 {
-            for &v in dag.out(u) {
-                let vi = v as usize;
-                if vi < cols.start || vi >= cols.end {
-                    continue; // edge target handled by another chunk
-                }
-                // (u, v) is redundant iff some *other* child w of u reaches v.
-                let redundant = dag
-                    .out(u)
-                    .iter()
-                    .any(|&w| w != v && desc.contains(w as usize, vi - cols.start));
-                if !redundant {
-                    keep.push((NodeId(u), NodeId(v)));
+    let mut below = RowBuilder::new(desc.universe());
+    for u in 0..dag.node_count() as u32 {
+        let out = dag.out(u);
+        // (u, v) is redundant iff some *other* child of u reaches v — any
+        // child: in a DAG no node reaches itself.
+        if out.len() > 1 {
+            for &w in out {
+                // A child already below another brought its row with it.
+                if !below.holds(w) {
+                    below.extend(desc.row(w as usize));
                 }
             }
         }
-        sink(cols, desc);
+        let at = keep.len();
+        keep.extend(
+            (out.iter())
+                .filter(|&&v| !below.holds(v))
+                .map(|&v| (NodeId(u), NodeId(v))),
+        );
+        keep[at..].sort_unstable();
+        below.clear();
     }
     keep
 }
@@ -84,7 +62,6 @@ pub fn transitive_reduction_dag(
 mod tests {
     use super::*;
     use crate::graph::LabeledGraph;
-    use crate::reach_sets::ReachCounts;
     use crate::traversal;
 
     fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> LabeledGraph {
@@ -144,34 +121,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn chunked_reduction_matches_unchunked() {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (0, 5),
-            (1, 3),
-            (2, 3),
-            (2, 4),
-            (3, 5),
-            (4, 5),
-            (1, 5),
-            (0, 3),
-            (6, 0),
-            (6, 5),
-            (7, 6),
-            (7, 1),
-        ];
-        let g = graph_from_edges(8, &edges);
-        let mut full = transitive_reduction_with_chunk(&g, 1024).unwrap();
-        let mut tiny = transitive_reduction_with_chunk(&g, 2).unwrap();
-        full.sort();
-        tiny.sort();
-        assert_eq!(full, tiny);
-    }
-
-    /// The counts a reduction takes from its own sweep are the BFS cone
-    /// sizes, at every chunk width, and taking them changes no kept edge.
+    /// The lengths of the rows a reduction reads are the BFS cone sizes,
+    /// the ancestor rows are the transpose of the descendant rows, and the
+    /// reduction over them keeps what `transitive_reduction` keeps.
     #[test]
     fn counts_from_the_reduction_sweep_match_bfs_cones() {
         let mut state = 0x2545_f491_4f6c_dd1du64;
@@ -190,29 +142,20 @@ mod tests {
                 .collect();
             let g = graph_from_edges(n, &edges);
             let dag = DagReach::from_dag_graph(&g).unwrap();
-            let plain = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {});
-            for chunk in [1, 64, 4096] {
-                let mut counts = ReachCounts::new(n);
-                let mut kept = transitive_reduction_dag(&dag, chunk, |cols, desc| {
-                    counts.absorb(&cols, &desc, |_| 1)
-                });
-                kept.sort_unstable();
-                assert_eq!(kept, plain, "case {case} chunk {chunk}");
-                for v in g.nodes() {
-                    let below = traversal::descendants(&g, v).len() as u64;
-                    let above = traversal::ancestors(&g, v).len() as u64;
-                    assert_eq!(counts.descendants[v.index()], below, "case {case} desc {v}");
-                    assert_eq!(counts.ancestors[v.index()], above, "case {case} anc {v}");
+            let (desc, anc) = (dag.descendants(), dag.ancestors());
+            let mut kept = transitive_reduction_dag(&dag, &desc);
+            let mut plain = transitive_reduction(&g).unwrap();
+            kept.sort_unstable();
+            plain.sort_unstable();
+            assert_eq!(kept, plain, "case {case}");
+            for v in g.nodes() {
+                let below = traversal::descendants(&g, v).len();
+                let above = traversal::ancestors(&g, v).len();
+                assert_eq!(desc.len(v.index()), below, "case {case} desc {v}");
+                assert_eq!(anc.len(v.index()), above, "case {case} anc {v}");
+                for w in desc.row(v.index()).iter() {
+                    assert!(anc.row(w as usize).contains(v.0), "case {case} ({v}, {w})");
                 }
-                assert_eq!(counts, dag.reach_counts(chunk, |_| 1));
-            }
-            // The popcounts a closure-driven labelling orders its landmarks
-            // by are the same numbers, read off the two full matrices.
-            let (desc, anc) = (dag.full_descendants(), dag.full_ancestors());
-            let counts = dag.reach_counts(DEFAULT_CHUNK, |_| 1);
-            for v in 0..n {
-                assert_eq!(desc.count_ones(v) as u64, counts.descendants[v]);
-                assert_eq!(anc.count_ones(v) as u64, counts.ancestors[v]);
             }
         }
     }
@@ -227,11 +170,11 @@ mod tests {
     #[test]
     fn closure_matches_traversal() {
         let g = graph_from_edges(5, &[(0, 1), (1, 2), (3, 2), (0, 4)]);
-        let tc = DagReach::from_dag_graph(&g).unwrap().full_descendants();
+        let tc = DagReach::from_dag_graph(&g).unwrap().descendants();
         for u in g.nodes() {
             for v in g.nodes() {
                 let expected = u != v && traversal::bfs_reachable(&g, u, v);
-                assert_eq!(tc.contains(u.index(), v.index()), expected);
+                assert_eq!(tc.row(u.index()).contains(v.0), expected);
             }
         }
     }

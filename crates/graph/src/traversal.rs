@@ -157,7 +157,6 @@ pub fn bounded_bfs<G: GraphView>(g: &G, start: NodeId, k: Option<usize>) -> Vec<
 
 /// Full forward closure of `start` (the paper's descendant set), excluding
 /// `start` unless it lies on a cycle.
-// qpgc-lint: allow(dead-surface) -- oracle of transitive::tests::counts_from_the_reduction_sweep_match_bfs_cones
 pub fn descendants<G: GraphView>(g: &G, start: NodeId) -> Vec<NodeId> {
     bounded_bfs(g, start, None)
 }

@@ -3,16 +3,14 @@
 //! step's regroup, and by the publication that follows it.
 //!
 //! [`QuotientClosure`] is what a snapshot publication used to sweep for
-//! itself and throw away — the descendant matrix of the quotient DAG (from
-//! the sweep its transitive reduction runs anyway), the ancestor matrix,
-//! the reduced edge list and the rows' popcounts — over the maintainer's
+//! itself and throw away — the descendant rows of the quotient DAG, the
+//! ancestor rows, and the reduced edge list — over the maintainer's
 //! **stable** ids, proper paths only (an acyclic class is not in its own
-//! row; the quotient is a DAG, so no class is). The maintainer holds one
-//! while its id space fits one column chunk
-//! ([`DEFAULT_CHUNK`](qpgc_graph::reach_sets::DEFAULT_CHUNK) ids: two
-//! matrices of at most 2 MiB each, resident per maintainer); a larger
-//! quotient has none, and both readers fall back to their chunked paths.
-//! A step that takes the id space past one chunk drops the closure.
+//! row; the quotient is a DAG, so no class is). Each row is an
+//! [`IdRows`] row: a sorted list of class ids while it is short, a bitmap
+//! over the id space once the list would be larger, so the closure costs
+//! what it holds, and the maintainer holds it at every size. A row's
+//! length is the count that orders the 2-hop landmarks.
 //!
 //! ## Regrouping against it
 //!
@@ -27,21 +25,21 @@
 //! components, children first, let `D[comp]` be the union over the
 //! unaffected classes `c` a unit of `comp` has an edge to of
 //! `desc[c] ∪ {c}`, over the child components `b` of `D[b] ∪ units(b)`,
-//! and of `comp`'s own units if it is cyclic — a bit row of width
-//! `id_space + #units`. A row `desc[c]` is exact for the new graph (L1)
+//! and of `comp`'s own units if it is cyclic — a set over the old ids
+//! and one id per unit past them. A row `desc[c]` is exact for the new graph (L1)
 //! when an affected old id `k` in it is read as *all* of old class `k`
 //! (old-equivalent nodes share their ancestors, `c` among them), so
-//! *normalise*: replace every affected id in `D[comp]` by the unit bits of
+//! *normalise*: replace every affected id in `D[comp]` by the unit ids of
 //! its class, which are contiguous. `A[comp]` likewise, parents first, from
 //! `anc` and the classes with an edge *to* a unit. A descendant set of the
 //! new graph is a union of whole unaffected classes and whole units (reach
 //! one member of either and you reach them all), and those partition `V`:
 //! two components are equivalent in the new graph iff their normalised
-//! `(D, A)` rows are equal. The refinement of the batch kernel
-//! (`refine_chunk`) groups them; a cyclic component is alone in its group.
+//! `(D, A)` rows are equal. The grouping of the batch kernel
+//! (`group_rows`) groups them; a cyclic component is alone in its group.
 //!
 //! **L5 (absorption).** An acyclic group is equivalent to the unaffected
-//! class `C` iff its rows, with unit bits mapped back to old ids, are
+//! class `C` iff its rows, with unit ids mapped back to old ids, are
 //! `desc[C]` and `anc[C]` — where a row that holds some units of an
 //! affected class and not the others maps to nothing (`C`'s cones hold old
 //! classes whole). At most one `C` qualifies (unaffected classes stay
@@ -49,12 +47,12 @@
 //! reaches every class `d` of the group's descendant row and is reached
 //! from every class `a` of its ancestor row — in the old quotient too, its
 //! cones being frozen (L1) — so `C ∈ anc[d] ∩ desc[a]`. The candidates are
-//! that AND for the `d` with the fewest ancestors and the `a` with the
-//! fewest descendants (one row alone when the other group row is empty),
-//! filtered to the live, acyclic, unaffected classes with the group's two
-//! popcounts, then compared row for row — no hash decides. A group with
-//! neither row is isolated, and its only candidate is the one live acyclic
-//! class with no class edge, which the popcount table names. This is where
+//! that intersection for the `d` with the fewest ancestors and the `a` with
+//! the fewest descendants (one row alone when the other group row is
+//! empty), filtered to the live, acyclic, unaffected classes with the
+//! group's two row lengths, then compared row for row — no hash decides. A
+//! group with neither row is isolated, and its only candidate is the one
+//! live acyclic class with two empty rows. This is where
 //! the far-away merge is found: `C` needs no edge to the group, no common
 //! neighbour and no node in any graph, only its two rows.
 //!
@@ -65,7 +63,7 @@
 //! is not retired, not born, its class-level rows neither unlinked nor
 //! relinked (the batch's own edges at a kept class are counted in place),
 //! and its id is in the `PartitionDelta` only if it is *rewired*: when its
-//! two rows over the old ids, less `k`'s own bit (a cyclic group's rows hold
+//! two rows over the old ids, less `k`'s own id (a cyclic group's rows hold
 //! its own units), are not `anc[k]` and `desc[k]`. An unrewired kept class
 //! has its cones as node sets too — its rows are exact (L4) — and L5 skips
 //! it: an unaffected class with its rows would have been equivalent to
@@ -92,7 +90,7 @@
 //! descendants' ancestor rows. A born or rewired class's two rows are its
 //! group's signatures read over the new ids (a rewired class's old rows are
 //! cleared first): an unaffected id stays itself, an absorbed id and a unit
-//! bit become the id of the group they joined (the kept id, for a unit of a
+//! id become the id of the group they joined (the kept id, for a unit of a
 //! kept group), and the class's own id is dropped (a cyclic group's
 //! signature holds its own units; rows hold proper paths only). By L4 these
 //! are exact.
@@ -109,7 +107,7 @@
 //! members are the node sets they were. Setting the born columns by
 //! transposing the born rows into the frozen rows (a rewired row has them
 //! from its signature already) therefore completes every frozen row, and no
-//! other bit of it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is
+//! other id of it moves. (b) *Reduction.* An edge `(x, y)` of the DAG is
 //! kept iff no class lies strictly between, `desc[x] ∩ anc[y] = ∅`. Let `x`
 //! and `y` be frozen. The nodes strictly between them — reached from `x`,
 //! reaching `y`, in neither — are the same before and after the step, and a
@@ -119,31 +117,21 @@
 //! classes that appears or disappears in the step is never kept, and one
 //! that stays keeps its status. The kept edges that touch no retired and no
 //! rewired id therefore stay kept, and only the edges that touch a born or a
-//! rewired class are decided, each by one AND of two rows.
+//! rewired class are decided, each by one intersection test of two rows.
 //!
 //! ## Cost
 //!
-//! A regroup costs `Σ` over the units of their distinct unaffected
-//! neighbours `× id_space / 64` words for the row unions, a condensation
-//! and a refinement over the units, and per group one row comparison if it
-//! is one affected class's units; per acyclic group with new rows, a
-//! popcount lookup per unaffected neighbour of its units (per bit of its
-//! row when they have none), one AND of two rows and a row comparison per
-//! candidate with the group's popcounts. On `churn_wikitalk` that is
-//! ≈ 1 540 intersection bits a batch for ≈ 86 groups, where a pass over
-//! every id read ≈ 1 460 popcounts and compared ≈ 2 230 rows. Only an
-//! isolated group reads the popcount table. The patch costs, in
-//! `id_space / 64`-word rows:
-//! one per retired id and per row holding a retired column, two per born or
-//! rewired class and one per edge touching it, plus one bit per pair of a
-//! born class and a frozen class in its cones, and one pass over the kept
-//! edges — nothing at all when every group is kept unrewired. A written
-//! row's signature is read a group at a time, one unit bit per group, so a
-//! batch that explodes a class into thousands of units pays `#units / 64`
-//! words a row for them, not a bit each. Popcounts are recounted for the
-//! written rows and adjusted by the bits set and cleared everywhere else.
-//! Only construction (and recovery, which constructs) sweeps:
-//! `O(|Er| · id_space / 64)` words per direction.
+//! Rows are read as what they hold — their ids, or `id_space / 64` words
+//! where they are bitmaps. A regroup reads, per unit, the rows of its
+//! distinct unaffected neighbours (a row already inside the signature is
+//! skipped), condenses and groups the units, and per acyclic group with
+//! new rows intersects two rows and compares the candidates; only an
+//! isolated group scans the id space. The patch removes one id per pair
+//! of a retired id and a row holding it, writes the born and rewired rows,
+//! inserts one id per pair of a born class and a frozen class in its
+//! cones, and decides the edges touching a written row — nothing at all
+//! when every group is kept unrewired. Only construction (and recovery,
+//! which constructs) sweeps.
 
 #![deny(clippy::disallowed_types)]
 
@@ -153,9 +141,9 @@ use qpgc_graph::reach_sets::DagReach;
 use qpgc_graph::scc::Condensation;
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::update::PartitionDelta;
-use qpgc_graph::{BitMatrix, CsrGraph, Label, NodeId};
+use qpgc_graph::{CsrGraph, IdRows, IdSet, Label, NodeId, RowBuilder};
 
-use crate::equivalence::{key_hash, refine_chunk};
+use crate::equivalence::{group_rows, key_hash};
 
 const WORD: usize = u64::BITS as usize;
 
@@ -164,13 +152,11 @@ const WORD: usize = u64::BITS as usize;
 #[derive(Clone, Debug)]
 pub struct QuotientClosure {
     /// Row `c`: the classes `c` properly reaches.
-    desc: BitMatrix,
+    desc: IdRows,
     /// Row `c`: the classes that properly reach `c` (the transpose).
-    anc: BitMatrix,
+    anc: IdRows,
     /// The transitive reduction of the quotient's edges.
     kept: Vec<(NodeId, NodeId)>,
-    /// `(|anc[c]|, |desc[c]|)` per id.
-    counts: Vec<(u32, u32)>,
 }
 
 /// What a regroup against the closure leaves for the patch after the
@@ -179,10 +165,10 @@ pub struct QuotientClosure {
 #[derive(Debug)]
 pub struct Signatures {
     /// Per unit component: its descendants over the old unaffected ids,
-    /// then one bit per unit.
-    below: BitMatrix,
+    /// then one id per unit past them.
+    below: IdRows,
     /// Per unit component: its ancestors, likewise.
-    above: BitMatrix,
+    above: IdRows,
     /// Per group, in splice order: one of its components (they all have
     /// the group's rows).
     comp_of_group: Vec<usize>,
@@ -192,7 +178,8 @@ pub struct Signatures {
     rewired: Vec<u32>,
     /// Per unit: its group, in splice order.
     group_of_unit: Vec<u32>,
-    /// `(class, group)` per group that absorbs an unaffected class.
+    /// `(class, group)` per group that absorbs an unaffected class,
+    /// ascending by class.
     absorbed: Vec<(u32, u32)>,
 }
 
@@ -217,11 +204,9 @@ impl Signatures {
 
 impl QuotientClosure {
     /// Sweeps the closure of the quotient with `id_space` ids and the
-    /// class-level `edges` (inactive ids have none): the descendant rows
-    /// and the kept edges from one transitive reduction, the ancestor rows
-    /// from a sweep of their own — both whole, in one column chunk however
-    /// large `id_space` is: the caller decides up to which size it holds a
-    /// closure at all.
+    /// class-level `edges` (inactive ids have none): the descendant rows,
+    /// the kept edges of the transitive reduction over them, and the
+    /// ancestor rows.
     ///
     /// # Panics
     ///
@@ -235,31 +220,22 @@ impl QuotientClosure {
 
     /// [`QuotientClosure::sweep`] over a prepared DAG.
     fn of_dag(dag: &DagReach) -> Self {
-        let id_space = dag.node_count();
-        let mut swept = None;
-        let kept = transitive_reduction_dag(dag, id_space, |_, desc| swept = Some(desc));
-        // An empty quotient has no chunk for the reduction to sweep.
-        let desc = swept.unwrap_or_else(|| dag.full_descendants());
-        let anc = dag.full_ancestors();
-        let counts = (0..id_space)
-            .map(|c| (anc.count_ones(c) as u32, desc.count_ones(c) as u32))
-            .collect();
+        let desc = dag.descendants();
         QuotientClosure {
+            kept: transitive_reduction_dag(dag, &desc),
+            anc: dag.ancestors(),
             desc,
-            anc,
-            kept,
-            counts,
         }
     }
 
-    /// Size of the id space the closure was swept over.
+    /// Size of the id space the closure covers.
     pub fn id_space(&self) -> usize {
-        self.counts.len()
+        self.desc.rows()
     }
 
     /// Whether class `from` reaches class `to` by a non-empty path.
     pub fn reaches(&self, from: u32, to: u32) -> bool {
-        self.desc.contains(from as usize, to as usize)
+        self.desc.row(from as usize).contains(to)
     }
 
     /// The transitively reduced edges of the quotient, sorted by
@@ -271,25 +247,35 @@ impl QuotientClosure {
     /// `(|anc(c)|, |desc(c)|)`: how many classes properly reach `c` and
     /// are properly reached by it.
     pub fn counts(&self, c: NodeId) -> (u64, u64) {
-        let (anc, desc) = self.counts[c.index()];
-        (u64::from(anc), u64::from(desc))
+        (
+            self.anc.len(c.index()) as u64,
+            self.desc.len(c.index()) as u64,
+        )
     }
 
-    /// Scratch copies of the descendant and the ancestor matrix, on spare
-    /// buffers, for a consumer that strikes its input
-    /// ([`TwoHopIndex::from_closure`](crate::two_hop::TwoHopIndex::from_closure)).
-    pub fn matrices(&self) -> (BitMatrix, BitMatrix) {
-        (
-            BitMatrix::copy_of(&self.desc),
-            BitMatrix::copy_of(&self.anc),
-        )
+    /// The descendant rows: row `c` holds the classes `c` properly reaches.
+    pub fn descendants(&self) -> &IdRows {
+        &self.desc
+    }
+
+    /// The ancestor rows: row `c` holds the classes that properly reach `c`.
+    pub fn ancestors(&self) -> &IdRows {
+        &self.anc
+    }
+
+    /// Approximate heap footprint in bytes: both row sets and the kept
+    /// edges, at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.desc.heap_bytes()
+            + self.anc.heap_bytes()
+            + self.kept.capacity() * std::mem::size_of::<(NodeId, NodeId)>()
     }
 
     /// Checks the closure against the quotient it claims to describe, the
     /// one with `id_space` ids and the class-level `edges`: field by field —
-    /// descendant rows, ancestor rows, kept edges, popcounts — against a
-    /// fresh sweep ([`QuotientClosure::sweep`]). `Err` names the first field
-    /// that differs.
+    /// descendant rows, ancestor rows, kept edges — against a fresh sweep
+    /// ([`QuotientClosure::sweep`]), rows compared as sets. `Err` names the
+    /// first field that differs.
     pub fn check(&self, id_space: usize, edges: Vec<(u32, u32)>) -> Result<(), String> {
         if self.id_space() != id_space {
             return Err(format!(
@@ -303,7 +289,6 @@ impl QuotientClosure {
             (self.desc == swept.desc, "descendant rows"),
             (self.anc == swept.anc, "ancestor rows"),
             (self.kept == swept.kept, "kept edges"),
-            (self.counts == swept.counts, "popcounts"),
         ];
         match fields.iter().find(|&&(same, _)| !same) {
             Some((_, field)) => Err(format!("held {field} differ from a fresh sweep")),
@@ -313,11 +298,10 @@ impl QuotientClosure {
 
     /// Patches this closure — of the quotient a step was taken over — into
     /// the closure of `q`, the quotient after it, by L4, L6 and L7′ of the
-    /// module header. `delta` is what the step's splice returned, and `signatures`
-    /// what its regroup against this closure handed back
-    /// ([`QuotientClosure::regroup`]). The matrices grow in place to
-    /// `delta.id_space`; the caller drops the closure instead when that
-    /// is past one column chunk.
+    /// module header. `delta` is what the step's splice returned, and
+    /// `signatures` what its regroup against this closure handed back
+    /// ([`QuotientClosure::regroup`]). The rows grow in place to
+    /// `delta.id_space`.
     pub fn advance<E: Equivalence>(
         &mut self,
         delta: &PartitionDelta,
@@ -332,76 +316,58 @@ impl QuotientClosure {
         let ids = delta.id_space;
         let group_ids = signatures.ids(&delta.born);
 
-        // Retired ids go. Row 0: the retired ids; row 1: the descendant rows
-        // holding one of them, row 2: the ancestor rows — read off the old
-        // rows of the retired ids before any of them is cleared.
-        let mut masks = BitMatrix::new(3, old);
+        // Retired ids go: their columns from the rows that hold them — the
+        // old ancestors' descendant rows and the old descendants' ancestor
+        // rows — then their own rows, and a rewired class's old rows.
+        let mut retired = vec![false; old];
+        delta
+            .removed
+            .iter()
+            .for_each(|&k| retired[k as usize] = true);
         for &k in &delta.removed {
-            masks.insert(0, k as usize);
-            masks.union_row_with(1, self.anc.row(k as usize));
-            masks.union_row_with(2, self.desc.row(k as usize));
-        }
-        masks.difference_rows(1, 0);
-        masks.difference_rows(2, 0);
-        for r in masks.ones(1) {
-            self.counts[r].1 -= self.desc.difference_row_with(r, masks.row(0)) as u32;
-        }
-        for r in masks.ones(2) {
-            self.counts[r].0 -= self.anc.difference_row_with(r, masks.row(0)) as u32;
+            let i = k as usize;
+            set_column(&mut self.desc, self.anc.row(i), k, &retired, false);
+            set_column(&mut self.anc, self.desc.row(i), k, &retired, false);
         }
         for &k in delta.removed.iter().chain(&delta.rewired) {
-            self.desc.clear_row(k as usize);
-            self.anc.clear_row(k as usize);
-            self.counts[k as usize] = (0, 0);
+            self.desc.clear(k as usize);
+            self.anc.clear(k as usize);
         }
 
         // Born and rewired rows are the signatures, read over the new ids.
         self.desc.grow(ids, ids);
         self.anc.grow(ids, ids);
-        self.counts.resize(ids, (0, 0));
         let (born, rewired) = (&delta.born, &delta.rewired);
-        let mut changed_mask = vec![0u64; ids.div_ceil(WORD)];
-        for &c in born.iter().chain(rewired) {
-            changed_mask[c as usize / WORD] |= 1 << (c as usize % WORD);
-        }
-        let is_changed = |c: usize| changed_mask[c / WORD] & (1 << (c % WORD)) != 0;
-        let mut read = Reading::new(&signatures, &group_ids, old);
+        let mut changed = vec![false; ids];
+        born.iter()
+            .chain(rewired)
+            .for_each(|&c| changed[c as usize] = true);
+        let read = Reading::new(&signatures, &group_ids, old);
+        let mut row = RowBuilder::new(ids);
         let written = (group_ids.iter())
             .zip(&signatures.comp_of_group)
-            .filter(|&(&c, _)| is_changed(c as usize));
+            .filter(|&(&c, _)| changed[c as usize]);
         for (&c, &comp) in written {
-            let c = c as usize;
-            read.born_row(&mut self.desc, c, &signatures.below, comp);
-            read.born_row(&mut self.anc, c, &signatures.above, comp);
-            self.counts[c] = (
-                self.anc.count_ones(c) as u32,
-                self.desc.count_ones(c) as u32,
-            );
+            read.row(&mut row, signatures.below.row(comp), c);
+            self.desc.set(c as usize, &mut row);
+            read.row(&mut row, signatures.above.row(comp), c);
+            self.anc.set(c as usize, &mut row);
         }
 
         // L6(a): every frozen row gains the born columns, by transposition.
         for &b in born {
-            let b = b as usize;
-            for r in ones_outside(self.anc.row(b), &changed_mask) {
-                self.desc.insert(r, b);
-                self.counts[r].1 += 1;
-            }
-            for r in ones_outside(self.desc.row(b), &changed_mask) {
-                self.anc.insert(r, b);
-                self.counts[r].0 += 1;
-            }
+            set_column(&mut self.desc, self.anc.row(b as usize), b, &changed, true);
+            set_column(&mut self.anc, self.desc.row(b as usize), b, &changed, true);
         }
 
         // L6(b): the kept edges that touch a retired or a rewired id go;
         // each edge that touches a born or a rewired class is decided by
         // its two rows.
-        let gone = |c: NodeId| masks.contains(0, c.index()) || is_changed(c.index());
+        let gone = |c: NodeId| retired.get(c.index()) == Some(&true) || changed[c.index()];
         self.kept.retain(|&(x, y)| !gone(x) && !gone(y));
         let mut decided: Vec<(NodeId, NodeId)> = Vec::new();
-        let between = |x: u32, y: u32| {
-            let (below, above) = (self.desc.row(x as usize), self.anc.row(y as usize));
-            below.iter().zip(above).any(|(d, a)| d & a != 0)
-        };
+        let between =
+            |x: u32, y: u32| (self.desc.row(x as usize)).intersects(&self.anc.row(y as usize));
         for &b in born.iter().chain(rewired) {
             for &(c, _) in q.out_row(b) {
                 if !between(b, c) {
@@ -409,7 +375,7 @@ impl QuotientClosure {
                 }
             }
             for &x in q.in_row(b) {
-                if !is_changed(x as usize) && !between(x, b) {
+                if !changed[x as usize] && !between(x, b) {
                     decided.push((NodeId(x), NodeId(b)));
                 }
             }
@@ -443,14 +409,14 @@ impl QuotientClosure {
         let cond = Condensation::of(&graph);
         let cyclic_comp = cond.cyclic_flags(&graph);
 
-        // L4: the normalised signatures, grouped by the kernel's refinement.
-        let mut affected_ids = vec![0u64; ids.div_ceil(WORD)];
-        for &k in cut.affected() {
-            affected_ids[k as usize / WORD] |= 1 << (k as usize % WORD);
-        }
-        let signatures = |closure: &BitMatrix, downward: bool| {
+        // L4: the normalised signatures, grouped as the batch kernel groups
+        // its rows. Unit `u` is id `ids + u`.
+        let unit_id = |u: usize| (ids + u) as u32;
+        let signatures = |closure: &IdRows, downward: bool| {
             let comps = cond.component_count();
-            let mut rows = BitMatrix::new(comps, ids + units);
+            let mut rows = IdRows::new(comps, ids + units);
+            let mut row = RowBuilder::new(ids + units);
+            let mut affected = Vec::new();
             for i in 0..comps {
                 // Tarjan numbers a component after its children.
                 let comp = if downward { i } else { comps - 1 - i };
@@ -460,10 +426,10 @@ impl QuotientClosure {
                     cond.scc_in(comp as u32)
                 };
                 for &b in next {
-                    rows.union_rows(comp, b as usize);
-                    for u in cond.members(b) {
-                        rows.insert(comp, ids + u.index());
-                    }
+                    row.extend(rows.row(b as usize));
+                    cond.members(b)
+                        .iter()
+                        .for_each(|u| row.insert(unit_id(u.index())));
                 }
                 for u in cond.members(comp as u32) {
                     let classes = if downward {
@@ -472,31 +438,28 @@ impl QuotientClosure {
                         cut.in_classes(u.index())
                     };
                     for &c in classes {
-                        rows.union_row_with(comp, closure.row(c as usize));
-                        rows.insert(comp, c as usize);
-                    }
-                    if cyclic_comp[comp] {
-                        rows.insert(comp, ids + u.index());
-                    }
-                }
-                for (w, &affected) in affected_ids.iter().enumerate() {
-                    let mut hits = rows.row(comp)[w] & affected;
-                    while hits != 0 {
-                        let k = w * WORD + hits.trailing_zeros() as usize;
-                        hits &= hits - 1;
-                        rows.remove(comp, k);
-                        for u in cut.units_of_class(k as u32) {
-                            rows.insert(comp, ids + u);
+                        // A class already in the row brought its row with it.
+                        if !row.holds(c) {
+                            row.insert(c);
+                            row.extend(closure.row(c as usize));
                         }
                     }
+                    if cyclic_comp[comp] {
+                        row.insert(unit_id(u.index()));
+                    }
                 }
+                // Normalise: an affected id reads as the units of its class.
+                row.take(cut.affected(), &mut affected);
+                for &k in &affected {
+                    cut.units_of_class(k).for_each(|u| row.insert(unit_id(u)));
+                }
+                rows.set(comp, &mut row);
             }
             rows
         };
         let below = signatures(&self.desc, true);
         let above = signatures(&self.anc, false);
-        let mut block = vec![0u32; cond.component_count()];
-        refine_chunk(&below, &above, &cyclic_comp, &mut block, &key_hash);
+        let block = group_rows(&below, &above, &cyclic_comp, &key_hash);
 
         // Groups in first-seen unit order, as the kernel numbers them.
         let mut group_of_block = vec![usize::MAX; block.len()];
@@ -522,27 +485,28 @@ impl QuotientClosure {
         // affected class keeps its id unless it absorbs, rewired when its
         // rows moved. L5: every acyclic group with new rows, against the
         // unaffected classes in the closure rows of its nearest neighbours.
-        let mut rows: Vec<u64> = Vec::new();
+        let (mut anc, mut desc) = (RowBuilder::new(ids), RowBuilder::new(ids));
+        let mut own = Vec::new();
         let mut rewired: Vec<u32> = Vec::new();
         for (group, &comp) in groups.iter_mut().zip(&comp_of_group) {
             let kept = kept_class(group, cyclic, cut);
-            rows.clear();
-            let whole = over_old_ids(&above, comp, cut, &mut rows)
-                && over_old_ids(&below, comp, cut, &mut rows);
+            let whole = over_old_ids(above.row(comp), cut, &mut anc)
+                && over_old_ids(below.row(comp), cut, &mut desc);
             if whole {
-                let (anc, desc) = rows.split_at_mut(ids.div_ceil(WORD));
                 if let Some(k) = kept {
                     // A cyclic group's rows hold its own units.
-                    for row in [&mut *anc, &mut *desc] {
-                        row[k as usize / WORD] &= !(1 << (k as usize % WORD));
-                    }
-                    if *anc == *self.anc.row(k as usize) && *desc == *self.desc.row(k as usize) {
+                    anc.take(&[k], &mut own);
+                    desc.take(&[k], &mut own);
+                    if anc.set() == self.anc.row(k as usize)
+                        && desc.set() == self.desc.row(k as usize)
+                    {
                         group.unchanged = kept;
                         continue;
                     }
                 }
                 if !group.class {
-                    group.absorbs = self.absorbed(group, anc, desc, active, cyclic, cut);
+                    group.absorbs =
+                        self.absorbed(group, anc.set(), desc.set(), active, cyclic, cut);
                 }
             }
             group.unchanged = kept.filter(|_| group.absorbs.is_none());
@@ -581,57 +545,61 @@ impl QuotientClosure {
     }
 
     /// L5: the unaffected class the acyclic `group` is equivalent to, given
-    /// its rows over the old ids, `anc` and `desc`. Such a class reaches
-    /// every class of `desc` and is reached from every class of `anc`, so
-    /// it lies in the ancestor row of the one and the descendant row of the
-    /// other: the AND of the shortest two, by popcount, holds every
-    /// candidate. A class's ancestors hold its parents', so the shortest
-    /// rows lie next to the group: among its units' unaffected neighbours
-    /// when they have any, else among all of the group's row. A group with
-    /// neither row is isolated, and so is its candidate: the one live
-    /// acyclic class with no class edges, found in the popcount table. A
-    /// candidate is taken when it is live, acyclic and unaffected and its
-    /// two rows are the group's.
+    /// its rows over the old ids, `anc` and `desc`. Such a
+    /// class reaches every class of `desc` and is reached from every class
+    /// of `anc`, so it lies in the ancestor row of the one and the
+    /// descendant row of the other: the intersection of the shortest two
+    /// holds every candidate. A class's ancestors hold its parents', so the
+    /// shortest rows lie next to the group: among its units' unaffected
+    /// neighbours when they have any, else among all of the group's row. A
+    /// group with neither row is isolated, and so is its candidate: the one
+    /// live acyclic class with two empty rows. A candidate is taken when it
+    /// is live, acyclic and unaffected and its two rows are the group's.
     fn absorbed(
         &self,
         group: &Group<bool>,
-        anc: &[u64],
-        desc: &[u64],
+        anc: IdSet<'_>,
+        desc: IdSet<'_>,
         active: &[bool],
         cyclic: &[bool],
         cut: &Cut,
     ) -> Option<u32> {
-        let count = |row: &[u64]| row.iter().map(|w| w.count_ones()).sum::<u32>();
-        let counts = (count(anc), count(desc));
-        let fewest = |row: &[u64], next: fn(&Cut, usize) -> &[u32], by: fn((u32, u32)) -> u32| {
-            let key = |&c: &usize| by(self.counts[c]);
-            let units = group.units.iter();
-            let mut near = units
-                .flat_map(|&u| next(cut, u as usize))
-                .map(|&c| c as usize);
+        let fewest = |row: IdSet<'_>, next: fn(&Cut, usize) -> &[u32], by: &IdRows| {
+            let key = |&c: &u32| by.len(c as usize);
+            let mut near = group.units.iter().flat_map(|&u| next(cut, u as usize));
             match near.next() {
-                Some(c) => near.chain([c]).min_by_key(key),
-                None => ones_of(row.iter().copied()).min_by_key(key),
+                Some(&c) => near.copied().chain([c]).min_by_key(key),
+                None => row.iter().min_by_key(key),
             }
         };
-        let below = fewest(desc, Cut::out_classes, |(anc, _)| anc).map(|d| self.anc.row(d));
-        let above = fewest(anc, Cut::in_classes, |(_, desc)| desc).map(|a| self.desc.row(a));
-        let candidates: Box<dyn Iterator<Item = usize>> = match (below, above) {
+        let below = fewest(desc, Cut::out_classes, &self.anc).map(|d| self.anc.row(d as usize));
+        let above = fewest(anc, Cut::in_classes, &self.desc).map(|a| self.desc.row(a as usize));
+        let candidates: Box<dyn Iterator<Item = u32>> = match (below, above) {
             (Some(below), Some(above)) => {
-                Box::new(ones_of(below.iter().zip(above).map(|(b, a)| b & a)))
+                let (short, long) = if below.len() <= above.len() {
+                    (below, above)
+                } else {
+                    (above, below)
+                };
+                Box::new(short.iter().filter(move |&c| long.contains(c)))
             }
-            (Some(row), None) | (None, Some(row)) => Box::new(ones_of(row.iter().copied())),
-            (None, None) => Box::new((0..self.id_space()).filter(|&c| self.counts[c] == (0, 0))),
+            (Some(row), None) | (None, Some(row)) => Box::new(row.iter()),
+            (None, None) => Box::new(
+                (0..self.id_space() as u32)
+                    .filter(|&c| self.desc.len(c as usize) + self.anc.len(c as usize) == 0),
+            ),
         };
         let mut candidates = candidates.filter(|&c| {
-            self.counts[c] == counts
-                && active[c]
-                && !cyclic[c]
-                && !cut.is_affected(c as u32)
-                && self.anc.row(c) == anc
-                && self.desc.row(c) == desc
+            let i = c as usize;
+            self.anc.len(i) == anc.len()
+                && self.desc.len(i) == desc.len()
+                && active[i]
+                && !cyclic[i]
+                && !cut.is_affected(c)
+                && self.anc.row(i) == anc
+                && self.desc.row(i) == desc
         });
-        candidates.next().map(|c| c as u32)
+        candidates.next()
     }
 }
 
@@ -648,120 +616,95 @@ fn kept_class(group: &Group<bool>, cyclic: &[bool], cut: &Cut) -> Option<u32> {
     (exact && cyclic[k as usize] == group.class).then_some(k)
 }
 
+/// Sets (`on`) or clears column `col` in the rows of `rows` that `holders`
+/// names, but in the rows `skip` marks.
+fn set_column(rows: &mut IdRows, holders: IdSet<'_>, col: u32, skip: &[bool], on: bool) {
+    for r in holders.iter().filter(|&r| !skip[r as usize]) {
+        if on {
+            rows.insert(r as usize, col);
+        } else {
+            rows.remove(r as usize, col);
+        }
+    }
+}
+
 /// How a signature row reads over the ids after the splice.
 struct Reading {
     /// Size of the id space the signatures were taken over; unit `u` is
-    /// bit `old + u`.
+    /// id `old + u`.
     old: usize,
-    /// Over a signature row: the bit of each group's first unit. A group's
-    /// units are equivalent, so a row holds all of them or none, and one
-    /// speaks for the rest — a row is read in groups, not in units.
-    firsts: Vec<u64>,
     /// Per unit: the id of the class it joined.
     id_of_unit: Vec<u32>,
-    /// `(class, id of the class it joined)` per absorbed class.
+    /// `(class, id of the class it joined)` per absorbed class, ascending.
     absorbed: Vec<(u32, u32)>,
-    /// Scratch of one row: its words over the old ids …
-    low: Vec<u64>,
-    /// … and the ids it gains.
-    joined: Vec<u32>,
 }
 
 impl Reading {
     /// The reading of `signatures`, taken over `old` ids, whose groups
     /// ended up with the ids `group_ids`.
     fn new(signatures: &Signatures, group_ids: &[u32], old: usize) -> Self {
-        let mut firsts = vec![0u64; signatures.below.width().div_ceil(WORD)];
-        let mut seen = vec![false; group_ids.len()];
-        for (u, &i) in signatures.group_of_unit.iter().enumerate() {
-            if !std::mem::replace(&mut seen[i as usize], true) {
-                firsts[(old + u) / WORD] |= 1 << ((old + u) % WORD);
-            }
-        }
         Reading {
             old,
-            firsts,
             id_of_unit: (signatures.group_of_unit.iter())
                 .map(|&i| group_ids[i as usize])
                 .collect(),
             absorbed: (signatures.absorbed.iter())
                 .map(|&(c, i)| (c, group_ids[i as usize]))
                 .collect(),
-            low: Vec::new(),
-            joined: Vec::new(),
         }
     }
 
-    /// Writes row `b` of `rows`, all clear, from row `comp` of `signature`:
-    /// its unaffected ids as they are, an absorbed id and a unit as the id
-    /// of the class they joined, and never `b` itself.
-    fn born_row(&mut self, rows: &mut BitMatrix, b: usize, signature: &BitMatrix, comp: usize) {
-        self.low.clear();
-        old_id_words(signature, comp, self.old, &mut self.low);
-        rows.union_row_with(b, &self.low);
-        // Every absorbed id is cleared before any id is set: an absorbed
-        // class's id can be handed to another group.
-        self.joined.clear();
-        for &(c, to) in &self.absorbed {
-            if rows.contains(b, c as usize) {
-                rows.remove(b, c as usize);
-                self.joined.push(to);
+    /// Gathers into `row` the signature `sig` of the class `own`: its
+    /// unaffected ids as they are, an absorbed id and a unit as the id of
+    /// the class they joined, and never `own` itself.
+    fn row(&self, row: &mut RowBuilder, sig: IdSet<'_>, own: u32) {
+        for x in sig.iter() {
+            let id = match (x as usize).checked_sub(self.old) {
+                Some(u) => self.id_of_unit[u],
+                None => match self.absorbed.binary_search_by_key(&x, |&(c, _)| c) {
+                    Ok(i) => self.absorbed[i].1,
+                    Err(_) => x,
+                },
+            };
+            if id != own {
+                row.insert(id);
             }
         }
-        let firsts = signature.row(comp).iter().zip(&self.firsts);
-        let units = ones_of(firsts.map(|(&word, &first)| word & first));
-        (self.joined).extend(units.map(|bit| self.id_of_unit[bit - self.old]));
-        for &id in &self.joined {
-            rows.insert(b, id as usize);
-        }
-        rows.remove(b, b);
     }
 }
 
-/// The set bits of `row` that `mask` has clear, ascending.
-fn ones_outside<'a>(row: &'a [u64], mask: &'a [u64]) -> impl Iterator<Item = usize> + 'a {
-    ones_of(row.iter().zip(mask).map(|(&r, &m)| r & !m))
-}
-
-/// The positions of the set bits of consecutive words, ascending.
-fn ones_of(words: impl Iterator<Item = u64>) -> impl Iterator<Item = usize> {
-    words.enumerate().flat_map(|(w, mut word)| {
-        std::iter::from_fn(move || {
-            (word != 0).then(|| {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                w * WORD + bit
-            })
-        })
-    })
-}
-
-/// Appends to `out` the words of row `comp` of a signature matrix over the
-/// `ids` old ids, without the unit bits past them.
-fn old_id_words(rows: &BitMatrix, comp: usize, ids: usize, out: &mut Vec<u64>) {
-    out.extend_from_slice(&rows.row(comp)[..ids.div_ceil(WORD)]);
-    if !ids.is_multiple_of(WORD) {
-        // The unit bits start inside the last word.
-        *out.last_mut().expect("a word holds the last id") &= (1 << (ids % WORD)) - 1;
-    }
-}
-
-/// Appends to `out` row `comp` of a signature matrix read over the old ids
-/// alone: its unaffected ids as they are, plus the id of every affected
-/// class *all* of whose unit bits are set. `false` when the row holds some
+/// Gathers into `out`, emptied first, the signature row `sig` read over
+/// the old ids alone: its unaffected ids as they are, plus the id of every
+/// affected class *all* of whose units it holds. `false` when it holds some
 /// but not all units of a class — no set of old classes is that row.
-fn over_old_ids(rows: &BitMatrix, comp: usize, cut: &Cut, out: &mut Vec<u64>) -> bool {
+fn over_old_ids(sig: IdSet<'_>, cut: &Cut, out: &mut RowBuilder) -> bool {
     let ids = cut.id_space();
-    let at = out.len();
-    old_id_words(rows, comp, ids, out);
-    let mut bits = rows.ones_from(comp, ids);
-    while let Some(bit) = bits.next() {
-        let k = cut.class_of_unit(bit - ids) as usize;
-        let mut units = cut.units_of_class(k as u32);
-        if units.next() != Some(bit - ids) || !units.all(|u| bits.next() == Some(ids + u)) {
+    out.clear();
+    // A bitmap's whole words below the first unit go over as they are.
+    let from = match sig {
+        IdSet::Bits(words, _) => {
+            let low = &words[..(ids / WORD).min(words.len())];
+            out.extend(IdSet::Bits(
+                low,
+                low.iter().map(|w| w.count_ones() as usize).sum(),
+            ));
+            (low.len() * WORD) as u32
+        }
+        IdSet::List(_) => 0,
+    };
+    let mut at = sig.iter_from(from);
+    while let Some(x) = at.next() {
+        let Some(u) = (x as usize).checked_sub(ids) else {
+            out.insert(x);
+            continue;
+        };
+        // Unit ids ascend, and a class's units are contiguous.
+        let k = cut.class_of_unit(u);
+        let mut units = cut.units_of_class(k);
+        if units.next() != Some(u) || !units.all(|v| at.next() == Some((ids + v) as u32)) {
             return false;
         }
-        out[at + k / WORD] |= 1 << (k % WORD);
+        out.insert(k);
     }
     true
 }

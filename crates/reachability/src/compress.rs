@@ -23,7 +23,7 @@
 //! layer publishes the reduction its maintainer's closure holds. The `qpgc`
 //! facade implements its `<R, F, P>` trait on [`ReachCompression`] itself.
 
-use qpgc_graph::reach_sets::{DagReach, DEFAULT_CHUNK};
+use qpgc_graph::reach_sets::DagReach;
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal;
 use qpgc_graph::{Classes, GraphView, LabeledGraph, NodeId};
@@ -81,8 +81,7 @@ impl ReachCompression {
     }
 }
 
-/// Runs `compressR` on `g` with the default signature chunk width: the
-/// partition, then the quotient graph over `G`'s edges read through it,
+/// Runs `compressR` on `g`: the partition, then the quotient graph over `G`'s edges read through it,
 /// transitively reduced on a [`DagReach`] (the paper's Fig. 5 lines 6–8);
 /// no unreduced `LabeledGraph` is built on the way. Generic over
 /// [`GraphView`]: accepts the mutable graph or a CSR snapshot.
@@ -107,7 +106,7 @@ pub fn compress_r<G: GraphView>(g: &G) -> ReachCompression {
     for _ in 0..classes {
         graph.add_node_with_label("σ");
     }
-    graph.extend_edges(transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}));
+    graph.extend_edges(transitive_reduction_dag(&dag, &dag.descendants()));
     ReachCompression { graph, partition }
 }
 

@@ -17,25 +17,22 @@
 //!    ancestors;
 //! 3. group SCCs with identical `(descendant, ancestor)` signatures.
 //!
-//! Step 3 compares bit rows over SCC ids. To keep memory bounded on large
-//! graphs the signature comparison is chunked: the partition is refined one
-//! block of `chunk` columns at a time, which yields exactly the same final
-//! partition as comparing full signatures.
+//! Step 3 compares whole rows, each an [`IdSet`] over SCC ids.
 //!
 //! ## Cost
 //!
 //! One call builds one representation and sweeps it once per direction:
 //! the condensation's CSR *is* the [`DagReach`](qpgc_graph::reach_sets::DagReach)
-//! the sweeps run on, each sweep of a chunk fills one flat
-//! [`BitMatrix`] (`|Vscc| · chunk / 8` bytes, one allocation), and the
-//! refinement reads the rows where they lie — a word hash picks a bucket,
-//! an exact slice comparison against the bucket's representatives decides
-//! (a colliding hash costs a comparison, never a wrong merge), and block
-//! ids are handed out in first-seen SCC order with no hash-map iteration.
-//! What stays quadratic is the closure itself: two sweeps of
-//! `O(|Escc| · |Vscc| / w)` word operations and a refinement that hashes
-//! `O(|Vscc|² / w)` words, whatever the size of the batch that asked.
-//!
+//! the sweeps run on, and each sweep writes one [`IdRows`] row per SCC — a
+//! sorted list of the SCCs it reaches, or a bitmap once that list would be
+//! larger (about `|Vscc|/32` ids). The grouping reads the rows where they
+//! lie: a fold over a row's ids picks a bucket, a set comparison against
+//! the bucket's representatives decides (a colliding hash costs a
+//! comparison, never a wrong merge), and block ids are handed out in
+//! first-seen SCC order with no hash-map iteration. The cost follows the
+//! closure: `O(|Escc| · k)` for rows of `k` ids, whatever `|Vscc|` is, and
+//! `O(|Escc| · |Vscc| / w)` words only where rows are bitmaps.
+
 //! ## Structural facts used elsewhere
 //!
 //! * The quotient of `Re` is a DAG (mutually reachable classes would have
@@ -48,125 +45,78 @@
 
 use std::collections::HashMap;
 
-use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{BitMatrix, Classes, GraphView, NodeId};
+use qpgc_graph::{Classes, GraphView, IdRows, IdSet, NodeId};
 
-/// A block one [`refine_chunk`] step opened by comparing rows: its id, and
-/// the key it was opened for — the key's hash, the block the
-/// representative SCC came from, and the representative, whose rows spell
-/// out the rest.
-struct Block {
-    id: u32,
-    hash: u64,
-    parent: u32,
-    representative: u32,
+/// The hash that picks a grouping key's bucket: a fold over the ids of the
+/// two rows, never over their words, so equal sets hash equal whatever
+/// their encodings. Only a bucket choice: equality is always decided on
+/// the sets themselves.
+pub(crate) fn key_hash(desc: IdSet<'_>, anc: IdSet<'_>) -> u64 {
+    anc.fold_hash(desc.fold_hash(0))
 }
 
-/// The word hash that picks a refinement key's bucket (an FxHash-style
-/// multiply–rotate fold). Only a bucket choice: equality is always decided
-/// on the rows themselves.
-pub(crate) fn key_hash(parent: u32, desc: &[u64], anc: &[u64]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    desc.iter()
-        .chain(anc)
-        .fold(u64::from(parent).wrapping_mul(K), |h, &w| {
-            (h.rotate_left(5) ^ w).wrapping_mul(K)
-        })
-}
-
-/// One refinement step of the chunked signature comparison: splits the
-/// current SCC blocks (`group`) by the `(block, descendants, ancestors)`
-/// signature restricted to this chunk's columns, comparing the rows of
-/// `desc` / `anc` in place. New block ids follow first-seen SCC order.
+/// Groups the rows `0..cyclic.len()` by their `(descendants, ancestors)`
+/// sets and returns each row's group, named by its first row. A fold over
+/// the two rows' ids picks a slot of an open-addressing table, and a set
+/// comparison against the slot's first row decides (a colliding hash costs
+/// a comparison, never a wrong merge).
 ///
 /// A cyclic SCC reaches (and is reached by) its own members via non-empty
-/// paths, so its signature holds its own column — which no other SCC's can
-/// (that SCC would lie on a cycle through it, i.e. inside it). It is a
-/// block of its own by construction and gets a fresh id without its rows
-/// being looked at; an acyclic SCC's signature must *not* hold its own
-/// column, which is exactly how the condensation's rows already read.
-pub(crate) fn refine_chunk(
-    desc: &BitMatrix,
-    anc: &BitMatrix,
-    cyclic_scc: &[bool],
-    group: &mut [u32],
-    hash: &impl Fn(u32, &[u64], &[u64]) -> u64,
-) {
-    let c = group.len();
-    let mut next = 0u32;
-    let mut blocks: Vec<Block> = Vec::new();
-    // Open addressing with linear probing over `blocks`: a slot holds an
-    // index into it + 1, `0` marks the slot free. At most `c` blocks in at
-    // least `2c` slots, so a probe always ends.
-    let mask = (2 * c).next_power_of_two() - 1;
-    let mut slots = vec![0u32; mask + 1];
-    for scc in 0..c {
-        if cyclic_scc[scc] {
-            group[scc] = next;
-            next += 1;
-            continue;
-        }
-        let (parent, d, a) = (group[scc], desc.row(scc), anc.row(scc));
-        let h = hash(parent, d, a);
+/// paths, so its rows hold its own id — which no other SCC's can (that
+/// SCC would lie on a cycle through it, i.e. inside it). It is a group of
+/// its own by construction and its rows are not looked at; an acyclic
+/// SCC's rows must *not* hold its own id, which is exactly how the
+/// condensation's rows already read.
+pub(crate) fn group_rows(
+    desc: &IdRows,
+    anc: &IdRows,
+    cyclic: &[bool],
+    hash: &impl Fn(IdSet<'_>, IdSet<'_>) -> u64,
+) -> Vec<u32> {
+    let rows = |r: u32| (desc.row(r as usize), anc.row(r as usize));
+    let mut group: Vec<u32> = (0..cyclic.len() as u32).collect();
+    // A slot holds a first row + 1 and its hash; `0` marks it free. At most
+    // `c` groups in at least `2c` slots, so a probe always ends.
+    let mask = (2 * cyclic.len()).next_power_of_two() - 1;
+    let mut slots = vec![(0u32, 0u64); mask + 1];
+    for r in (0..cyclic.len() as u32).filter(|&r| !cyclic[r as usize]) {
+        let h = hash(rows(r).0, rows(r).1);
         let mut at = (h >> 32) as usize & mask;
-        group[scc] = loop {
-            let Some(i) = slots[at].checked_sub(1) else {
-                slots[at] = blocks.len() as u32 + 1;
-                blocks.push(Block {
-                    id: next,
-                    hash: h,
-                    parent,
-                    representative: scc as u32,
-                });
-                next += 1;
-                break next - 1;
-            };
-            let b = &blocks[i as usize];
-            let rep = b.representative as usize;
-            if b.hash == h && b.parent == parent && desc.row(rep) == d && anc.row(rep) == a {
-                break b.id;
+        loop {
+            let (first, hash) = slots[at];
+            if first == 0 {
+                slots[at] = (r + 1, h);
+                break;
+            }
+            if hash == h && rows(first - 1) == rows(r) {
+                group[r as usize] = first - 1;
+                break;
             }
             at = (at + 1) & mask;
-        };
+        }
     }
+    group
 }
 
-/// Computes the reachability equivalence partition of `g` with the default
-/// signature chunk width. Generic over [`GraphView`]: accepts the mutable
-/// graph or a CSR snapshot.
+/// Computes the reachability equivalence partition of `g`. Generic over
+/// [`GraphView`]: accepts the mutable graph or a CSR snapshot.
 pub fn reachability_partition<G: GraphView>(g: &G) -> Classes<bool> {
-    reachability_partition_with_chunk(g, DEFAULT_CHUNK)
+    partition_hashing_with(g, key_hash)
 }
 
-/// [`reachability_partition`] with an explicit chunk width (exposed for the
-/// chunk-boundary tests).
-pub fn reachability_partition_with_chunk<G: GraphView>(g: &G, chunk: usize) -> Classes<bool> {
-    partition_hashing_with(g, chunk, key_hash)
-}
-
-/// The kernel behind every entry point, with the refinement's bucket hash
-/// as a parameter so a test can degrade it.
+/// The kernel behind [`reachability_partition`], with the grouping's
+/// bucket hash as a parameter so a test can degrade it.
 fn partition_hashing_with<G: GraphView>(
     g: &G,
-    chunk: usize,
-    hash: impl Fn(u32, &[u64], &[u64]) -> u64,
+    hash: impl Fn(IdSet<'_>, IdSet<'_>) -> u64,
 ) -> Classes<bool> {
     let cond = Condensation::of(g);
     let dag = cond.dag();
     let c = cond.component_count();
-
     let cyclic_scc: Vec<bool> = cond.cyclic_flags(g);
-
-    // Refine a partition of SCCs chunk by chunk. `group[scc]` is the current
-    // block id; after all chunks the blocks are exactly the groups of SCCs
-    // with identical (descendant, ancestor) signatures.
-    let mut group: Vec<u32> = vec![0; c];
-    for cols in dag.chunks(chunk) {
-        let desc = dag.descendants_chunk(cols.clone());
-        let anc = dag.ancestors_chunk(cols);
-        refine_chunk(&desc, &anc, &cyclic_scc, &mut group, &hash);
-    }
+    // `group[scc]`: the SCCs with identical (descendant, ancestor) sets.
+    let group = group_rows(&dag.descendants(), &dag.ancestors(), &cyclic_scc, &hash);
 
     // Renumber groups densely in first-seen node order and expand to node
     // level (block ids never reach `c`, so a table replaces a map).
@@ -276,20 +226,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The kernel is the reference partition — same class ids, same
-        /// members, same cyclic flags — at every chunk width, and stays so
-        /// when every row lands in one bucket (so that only the exact row
-        /// comparison tells keys apart).
+        /// members, same cyclic flags — and stays so when every row lands
+        /// in one bucket (so that only the exact set comparison tells keys
+        /// apart).
         #[test]
         fn kernel_matches_reference_at_every_chunk_thread_and_hash(g in arb_seeded_graph()) {
             let expect = reference_partition(&g);
-            for chunk in [1, 7, 64, 4096] {
-                let hashed = reachability_partition_with_chunk(&g, chunk);
-                let one_bucket = partition_hashing_with(&g, chunk, |_, _, _| 0);
-                for got in [hashed, one_bucket] {
-                    prop_assert_eq!(&got.class_of, &expect.class_of, "chunk {}", chunk);
-                    prop_assert_eq!(&got.members, &expect.members);
-                    prop_assert_eq!(&got.payload, &expect.payload);
-                }
+            let hashed = reachability_partition(&g);
+            let one_bucket = partition_hashing_with(&g, |_, _| 0);
+            for got in [hashed, one_bucket] {
+                prop_assert_eq!(&got.class_of, &expect.class_of);
+                prop_assert_eq!(&got.members, &expect.members);
+                prop_assert_eq!(&got.payload, &expect.payload);
             }
         }
     }
@@ -362,27 +310,6 @@ mod tests {
         // two isolated nodes share (∅, ∅) closures.
         let p2 = reachability_partition(&g2);
         assert_eq!(p2.class_of(NodeId(2)), p2.class_of(NodeId(3)));
-    }
-
-    #[test]
-    fn chunked_matches_unchunked() {
-        let edges = [
-            (0, 1),
-            (0, 2),
-            (1, 3),
-            (2, 3),
-            (3, 4),
-            (4, 3),
-            (5, 0),
-            (5, 6),
-            (6, 1),
-            (7, 7),
-            (8, 3),
-        ];
-        let g = graph(9, &edges);
-        let full = reachability_partition_with_chunk(&g, 1024);
-        let tiny = reachability_partition_with_chunk(&g, 1);
-        assert_eq!(canonical(&full.class_of), canonical(&tiny.class_of));
     }
 
     #[test]

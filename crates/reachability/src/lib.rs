@@ -9,8 +9,8 @@
 //!
 //! * [`equivalence`] — the reachability equivalence relation `Re`: two nodes
 //!   are equivalent iff they have the same proper ancestors and the same
-//!   proper descendants. Computed through the SCC condensation with chunked
-//!   bit-set signatures.
+//!   proper descendants. Computed through the SCC condensation, one row
+//!   of ids per SCC and direction.
 //! * [`compress`] — `compressR` (Fig. 5): the compression function `R`
 //!   producing the quotient graph `Gr` with transitively-reduced edges, the
 //!   constant-time query rewriting `F`, and query evaluation on `Gr` with
@@ -22,9 +22,9 @@
 //! * [`incremental`] — `incRCM` (Fig. 8): incremental maintenance of the
 //!   compression under batch edge updates, touching only the compressed
 //!   graph, the update batch, and the adjacency of affected nodes.
-//! * [`closure`] — the closure of the maintained quotient, swept once per
-//!   batch: what a step regroups its affected units against and what the
-//!   publication after it builds from.
+//! * [`closure`] — the closure of the maintained quotient, swept at
+//!   construction and patched by each batch: what a step regroups its
+//!   affected units against and what the publication after it builds from.
 //!
 //! ## Example
 //!

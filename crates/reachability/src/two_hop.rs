@@ -38,9 +38,10 @@
 //! order ([`landmark_order`]); the counts are exact, and a caller that has
 //! them already does not pay for them again. [`TwoHopIndex::build_with`]
 //! sweeps the condensation of its graph itself
-//! ([`DagReach::reach_counts`](qpgc_graph::reach_sets::DagReach::reach_counts));
-//! a snapshot publication reads them off the closure rows its transitive
-//! reduction sweeps anyway — the same order, so the same labels.
+//! ([`DagReach::descendants`](qpgc_graph::reach_sets::DagReach::descendants)
+//! and `ancestors`: a count is a row's length); a snapshot publication
+//! reads them off the rows of the closure its maintainer holds — the same
+//! order, so the same labels.
 //!
 //! ## Two constructions of the same labels
 //!
@@ -66,17 +67,17 @@
 //!
 //! **Lemma 2 (a landmark strikes only its uncovered cones).**
 //! [`TwoHopIndex::from_closure`] keeps, for a DAG, the invariant that
-//! before rank `r` is processed bit `u` of row `v` of `desc` is set iff
+//! before rank `r` is processed id `u` of row `v` of `desc` is set iff
 //! `v` properly reaches `u` and `min(v, u) ≥ r` — the pair is *uncovered* —
 //! and `anc` is the transpose. At `r = 0` that is the closure. Landmark
-//! `ℓ` of rank `r` must clear exactly the set bits `(v, u)` with `ℓ` on a
+//! `ℓ` of rank `r` must clear exactly the pairs `(v, u)` with `ℓ` on a
 //! path `v ⇝ u`. For such a pair, paths `v ⇝ ℓ` are prefixes of paths
 //! `v ⇝ u`, so `min(v, ℓ) ≥ r`: `v` is `ℓ` or in `above`, row `ℓ` of `anc`
 //! as it stands; likewise `u` is `ℓ` or in `below`, row `ℓ` of `desc`.
 //! Clearing the biclique `(above ∪ {ℓ}) × (below ∪ {ℓ})` therefore clears
-//! every bit that must go — an ancestor of `ℓ` outside `above` has
-//! `min(v, u) ≤ min(v, ℓ) < r` for every `u` below `ℓ`, its bits went when
-//! that lower landmark was processed — and only such bits, since `ℓ` lies
+//! every pair that must go — an ancestor of `ℓ` outside `above` has
+//! `min(v, u) ≤ min(v, ℓ) < r` for every `u` below `ℓ`, its pairs went when
+//! that lower landmark was processed — and only such pairs, since `ℓ` lies
 //! between the ends of every pair of the biclique. ∎ By Lemma 1,
 //! `below ∪ {ℓ}` are then exactly the nodes that hold `r` in their `in`
 //! list and `above ∪ {ℓ}` those that hold it in their `out` list.
@@ -85,13 +86,13 @@
 //! one sorted-list merge per visited node (`Σ visits · merge`; `Gr` is
 //! transitively reduced, so most visits are not pruned and most merges run
 //! both lists to the end to find nothing). [`TwoHopIndex::from_closure`]:
-//! `2n` row scans plus one and-not of an `n/64`-word row per label entry
-//! (`Σ|labels| · n/64` words; bit by bit where the struck set is shorter
-//! than a row) and one counting sort of the entries — given the two
-//! `n × n`-bit matrices, which a caller holds only if it swept the closure
-//! of a DAG in one column chunk for reasons of its own (a snapshot
-//! publication of at most
-//! [`DEFAULT_CHUNK`] classes).
+//! `2n` row scans plus, per label entry, one row struck by the other
+//! side's cone (id by id while the cone is short, `n/64` words once it is
+//! a bitmap) and one counting sort of the entries — given the closure's
+//! two row sets, which a snapshot publication has from its maintainer,
+//! and strikes on copies of them. A descendant row short enough to be a
+//! list is not struck at all: it is read through the ancestor rows, its
+//! transpose, one membership test per id.
 //! [`TwoHopIndex::build_with`] is **deliberately not** that path, even
 //! where its graph is a small DAG: it is the independent algorithm the
 //! test suites and the benchmark's probe hold the served index against,
@@ -99,9 +100,8 @@
 
 use std::collections::VecDeque;
 
-use qpgc_graph::reach_sets::DEFAULT_CHUNK;
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{BitMatrix, GraphView, NodeId};
+use qpgc_graph::{GraphView, IdRows, NodeId, RowBuilder};
 
 /// Build-time options of a [`TwoHopIndex`]: none. The type stays because
 /// a store is told to serve an index by being handed one
@@ -141,19 +141,16 @@ struct RankLog {
 }
 
 impl RankLog {
-    /// Starts the next rank with the landmark's uncovered cone, which it
-    /// hands back as a slice.
-    fn open_rank(&mut self, cone: impl Iterator<Item = usize>) -> &[u32] {
+    /// Logs the next rank: the landmark's uncovered cone and the landmark
+    /// itself, which it hands back as one ascending slice.
+    fn rank(&mut self, cone: impl Iterator<Item = u32>, landmark: NodeId) -> &[u32] {
         let start = self.nodes.len();
-        self.nodes.extend(cone.map(|v| v as u32));
-        &self.nodes[start..]
-    }
-
-    /// Ends the rank with the landmark itself.
-    fn close_rank(&mut self, landmark: NodeId) {
-        self.nodes.push(landmark.0);
+        self.nodes.extend(cone);
+        let at = start + self.nodes[start..].partition_point(|&v| v < landmark.0);
+        self.nodes.insert(at, landmark.0);
         self.ends
             .push(u32::try_from(self.nodes.len()).expect("label entries fit in u32"));
+        &self.nodes[start..]
     }
 }
 
@@ -403,45 +400,55 @@ impl TwoHopIndex {
 
     /// Reads the labels of a **DAG** off its reachability closure, with no
     /// traversal: `desc` row `v` holds the proper descendants of `v`,
-    /// `anc` row `v` its proper ancestors (`n` rows of `n` bits each, one
+    /// `anc` row `v` its proper ancestors (`n` rows over `n` ids each, one
     /// the transpose of the other —
-    /// [`DagReach::full_descendants`](qpgc_graph::reach_sets::DagReach::full_descendants)
-    /// and `full_ancestors`, or the one chunk a transitive reduction just
-    /// swept). Equal, label for label, to [`TwoHopIndex::build_in_order`]
-    /// over any graph with that closure under the same `order` (Lemmas 1
-    /// and 2 of the module header).
+    /// [`DagReach::descendants`](qpgc_graph::reach_sets::DagReach::descendants)
+    /// and `ancestors`, or a maintained closure's). Equal, label for label,
+    /// to [`TwoHopIndex::build_in_order`] over any graph with that closure
+    /// under the same `order` (Lemmas 1 and 2 of the module header).
     ///
-    /// The two matrices are consumed as scratch: row `v` of `desc` / `anc`
-    /// is narrowed, landmark by landmark, to the descendants / ancestors
-    /// of `v` no landmark so far lies between. A landmark's labels are its
-    /// two rows as they stand, and it then strikes the pairs it covers out
-    /// of both matrices.
+    /// Copies of the two row sets are the scratch: row `v` is narrowed,
+    /// landmark by landmark, to the descendants / ancestors of `v` no
+    /// landmark so far lies between. A landmark's labels are its two rows
+    /// as they stand, and it then strikes the pairs it covers out of both
+    /// — out of the descendant rows that are bitmaps; a list row is read
+    /// through the ancestor rows instead (Lemma 2: the two are transposes).
     ///
     /// # Panics
     ///
-    /// Panics if `order` is not a permutation of the matrices' rows or the
-    /// matrices are not both `n × n`.
-    pub fn from_closure(order: Vec<NodeId>, mut desc: BitMatrix, mut anc: BitMatrix) -> Self {
+    /// Panics if `order` is not a permutation of the rows or the row sets
+    /// are not both `n` rows over `n` ids.
+    pub fn from_closure(order: Vec<NodeId>, desc: &IdRows, anc: &IdRows) -> Self {
         let n = order.len();
-        for m in [&desc, &anc] {
+        for m in [desc, anc] {
             assert!(
-                m.rows() == n && m.width() == n,
-                "a closure matrix of {} rows × {} bits for {n} landmarks",
+                m.rows() == n && m.universe() == n,
+                "a closure of {} rows over {} ids for {n} landmarks",
                 m.rows(),
-                m.width()
+                m.universe()
             );
         }
         assert_permutation(&order, n);
 
+        // Only the bitmap rows of `desc` are struck: a list row is left as
+        // it is (striking a short row costs more than reading it), and its
+        // uncovered ids are those whose ancestor row, the transpose, still
+        // holds the landmark. Without bitmaps `desc` is read in place.
+        let mut struck = desc.has_bitmaps().then(|| desc.clone());
+        let mut anc = anc.clone();
         let (mut in_log, mut out_log) = (RankLog::default(), RankLog::default());
+        let mut mask = RowBuilder::new(n);
         for &landmark in &order {
             let lm = landmark.index();
-            let below = in_log.open_rank(desc.ones(lm));
-            let above = out_log.open_rank(anc.ones(lm));
-            strike(&mut desc, lm, above, below);
-            strike(&mut anc, lm, below, above);
-            in_log.close_rank(landmark);
-            out_log.close_rank(landmark);
+            let desc = struck.as_ref().unwrap_or(desc);
+            let (row, bits) = (desc.row(lm), desc.is_bitmap(lm));
+            let uncovered = |&u: &u32| bits || anc.row(u as usize).contains(landmark.0);
+            let below = in_log.rank(row.iter().filter(uncovered), landmark);
+            let above = out_log.rank(anc.row(lm).iter(), landmark);
+            if let Some(desc) = &mut struck {
+                strike(desc, landmark, above, below, &mut mask, true);
+            }
+            strike(&mut anc, landmark, below, above, &mut mask, false);
         }
         TwoHopIndex {
             out_labels: LabelLists::from_rank_log(n, &out_log),
@@ -619,41 +626,42 @@ fn assert_permutation(order: &[NodeId], n: usize) {
     assert_eq!(order.len(), n, "every node is a landmark");
 }
 
-/// Clears the pairs landmark `lm` covers out of one closure matrix: the
-/// columns `cols ∪ {lm}` — row `lm` itself, as it stands — from every row
-/// in `rows`, and then row `lm`, whose pairs all run through `lm`. A set
-/// shorter than a row is struck bit by bit (what keeps near-trees, where
-/// most cones are a handful of nodes, ahead of the BFS passes).
-fn strike(m: &mut BitMatrix, lm: usize, rows: &[u32], cols: &[u32]) {
-    let words_per_row = m.row(lm).len();
-    for &r in rows {
-        let r = r as usize;
-        if cols.len() < words_per_row {
-            for &c in cols {
-                m.remove(r, c as usize);
-            }
-        } else {
-            m.difference_rows(r, lm);
+/// Clears the pairs landmark `lm` covers out of one closure row set: the
+/// ascending ids `cols` — row `lm` itself as it stood, and `lm` — from
+/// every other row in `rows` (from its bitmaps alone when `bitmaps_only`),
+/// and then row `lm`, whose pairs all run through `lm`. Ids too many to
+/// look up one by one go as a bitmap, gathered in `mask`.
+fn strike(
+    m: &mut IdRows,
+    lm: NodeId,
+    rows: &[u32],
+    cols: &[u32],
+    mask: &mut RowBuilder,
+    bitmaps_only: bool,
+) {
+    let cols = mask.encode(cols);
+    for &r in rows.iter().filter(|&&r| r != lm.0) {
+        if !bitmaps_only || m.is_bitmap(r as usize) {
+            m.remove_all(r as usize, cols);
         }
-        m.remove(r, lm);
     }
-    m.clear_row(lm);
+    m.clear(lm.index());
 }
 
 /// [`landmark_order`] of an arbitrary graph, from a closure sweep of its
-/// own over the condensation.
+/// own over the condensation: a node counts the members of the SCCs in its
+/// SCC's rows.
 fn swept_landmark_order<G: GraphView>(g: &G) -> Vec<NodeId> {
     let cond = Condensation::of(g);
     let weight = |c: u32| cond.members(c).len() as u64;
-    let counts = cond.dag().reach_counts(DEFAULT_CHUNK, weight);
+    let (desc, anc) = (cond.dag().descendants(), cond.dag().ancestors());
+    let weighed = |rows: &IdRows, c: usize| rows.row(c).iter().map(weight).sum::<u64>();
     landmark_order(g, |v| {
         let c = cond.component_of(v);
         // Members of a cyclic SCC are their own ancestors and descendants.
         let own = if cond.is_cyclic(c, g) { weight(c) } else { 0 };
-        (
-            counts.ancestors[c as usize] + own,
-            counts.descendants[c as usize] + own,
-        )
+        let c = c as usize;
+        (weighed(&anc, c) + own, weighed(&desc, c) + own)
     })
 }
 
@@ -763,23 +771,14 @@ mod tests {
     ) {
         let g = graph(n, edges);
         let dag = DagReach::from_edges(n, edges.iter().copied()).expect("edges point id-upward");
-        let coverage = {
-            let (desc, anc) = (dag.full_descendants(), dag.full_ancestors());
-            landmark_order(&g, |v| {
-                (
-                    anc.count_ones(v.index()) as u64,
-                    desc.count_ones(v.index()) as u64,
-                )
-            })
-        };
+        let (desc, anc) = (dag.descendants(), dag.ancestors());
+        let coverage = landmark_order(&g, |v| {
+            (anc.len(v.index()) as u64, desc.len(v.index()) as u64)
+        });
         assert_eq!(coverage, swept_landmark_order(&g), "{what}: order");
         let mut order = coverage;
         for round in 0..4 {
-            let from_rows = TwoHopIndex::from_closure(
-                order.clone(),
-                dag.full_descendants(),
-                dag.full_ancestors(),
-            );
+            let from_rows = TwoHopIndex::from_closure(order.clone(), &desc, &anc);
             let from_passes = TwoHopIndex::build_in_order(&g, order.clone());
             assert_eq!(from_rows, from_passes, "{what}: round {round}");
             assert_eq!(
@@ -864,12 +863,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "closure matrix of 2 rows")]
+    #[should_panic(expected = "closure of 2 rows over 3 ids for 3 landmarks")]
     fn from_closure_rejects_matrices_of_the_wrong_shape() {
         TwoHopIndex::from_closure(
             vec![NodeId(0), NodeId(1), NodeId(2)],
-            BitMatrix::new(2, 3),
-            BitMatrix::new(3, 3),
+            &IdRows::new(2, 3),
+            &IdRows::new(3, 3),
         );
     }
 

@@ -2,7 +2,7 @@
 //!
 //! [`ReachStore`] is the writer/router surface — snapshot access, a
 //! watermark, update application — and [`ReachCut`] is the immutable view
-//! a `load` hands back. [`CompressedStore`](crate::CompressedStore)
+//! a `load` hands back. [`CompressedStore`]
 //! (one maintained graph) and [`ShardedStore`](crate::sharded::ShardedStore)
 //! (hash-partitioned, one maintained graph per shard) both implement the
 //! pair, which is what

@@ -1,5 +1,5 @@
 //! The immutable, versioned view served to readers, built by
-//! [`Snapshot::build`] from the maintainer's stable-id state.
+//! `Snapshot::build` from the maintainer's stable-id state.
 //!
 //! ## Stable class ids
 //!
@@ -16,27 +16,23 @@
 //! A batch whose `PartitionDelta` is empty left the reachability partition
 //! — and with it every structure here — unchanged, so the store
 //! republishes the previous snapshot under the new version
-//! ([`Snapshot::republish`], a handful of `Arc` bumps). That is the common
+//! (`Snapshot::republish`, a handful of `Arc` bumps). That is the common
 //! case, not a corner: the maintainer keeps the id of every affected class
 //! that comes back with its old members and cones, so a batch that changes
 //! no class has an empty delta however many classes it affected — every
 //! batch of the benchmark's `dense_cithepth` stream. Every other batch
-//! builds: transitive reduction of the maintainer's quotient, CSR, and
-//! (when configured) the 2-hop index over it. Up to [`DEFAULT_CHUNK`]
-//! classes a build **sweeps nothing**: the maintainer holds the closure of
+//! builds: CSR, and (when configured) the 2-hop index over it. A build
+//! **sweeps nothing**, at any size: the maintainer holds the closure of
 //! its quotient — swept at construction and patched by every step, because
-//! each step regroups against it — and hands over the kept edges, the popcounts
-//! that order the landmarks, and the two matrices, which the labelling
-//! strikes on scratch copies with no traversal
-//! ([`TwoHopIndex::from_closure`]). A larger quotient has no held closure:
-//! it is reduced here in column chunks, which yield the counts that order
-//! the landmarks, and labelled by pruned BFS passes
-//! ([`TwoHopIndex::build_in_order`]). The pattern side follows the same
+//! each step regroups against it — and hands over the kept edges, the row
+//! lengths that order the landmarks, and the two row sets, which the
+//! labelling strikes on copies with no traversal
+//! ([`TwoHopIndex::from_closure`]). The pattern side follows the same
 //! rule one level up: the store hands in either the previous snapshot's
 //! [`PatternView`] `Arc` or a freshly built one.
 
 use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::reach_sets::{DagReach, ReachCounts, DEFAULT_CHUNK};
+use qpgc_graph::reach_sets::DagReach;
 use qpgc_graph::transitive::transitive_reduction_dag;
 use qpgc_graph::traversal::bfs_reachable;
 use std::sync::Arc;
@@ -176,7 +172,7 @@ pub(crate) fn quotient_csr(
 /// present when the owning store was configured with `serve_patterns`.
 /// The heavy, version-independent parts (`Gr`, the node index, the 2-hop
 /// labels, the pattern view) sit behind `Arc`s so that cloning a snapshot —
-/// in particular [`Snapshot::republish`], the path for batches that change
+/// in particular `Snapshot::republish`, the path for batches that change
 /// the edge set but no partition — costs pointer bumps, not a heap copy;
 /// a batch that leaves the bisimulation partition untouched shares the
 /// pattern view with its predecessor pointer-wise.
@@ -196,16 +192,11 @@ impl Snapshot {
     /// transitive reduction of its quotient frozen into CSR and, when
     /// configured, the 2-hop index over that quotient.
     ///
-    /// While the maintainer holds the closure of its quotient
-    /// ([`IncrementalReach::closure`], up to [`DEFAULT_CHUNK`] ids) nothing
-    /// is swept here: the CSR is loaded from the kept edges, the landmark
-    /// order comes from the rows' popcounts, and the labels are struck out
-    /// of scratch copies of the two matrices
-    /// ([`TwoHopIndex::from_closure`]). Past one chunk the unreduced edge
-    /// list is reduced over a [`DagReach`] in column chunks, whose rows
-    /// yield the counts that order the landmarks as the reduction hands
-    /// them out, and the index is built by pruned BFS passes. Either way
-    /// it is the closure [`TwoHopIndex::build_with`] would sweep for again
+    /// Nothing is swept here: the CSR is loaded from the kept edges of the
+    /// closure the maintainer holds ([`IncrementalReach::closure`]), the
+    /// landmark order comes from its rows' lengths, and the labels are
+    /// struck out of copies of its rows ([`TwoHopIndex::from_closure`]).
+    /// It is the closure [`TwoHopIndex::build_with`] would sweep for again
     /// (reduction removes no path, and `Gr` is a DAG), and the index comes
     /// out equal to that one's.
     pub(crate) fn build(
@@ -215,39 +206,13 @@ impl Snapshot {
         config: &StoreConfig,
     ) -> Snapshot {
         let sq = reach.stable_quotient();
-        let id_space = sq.id_space();
         let live_classes = sq.class_count();
-        let indexed = config.two_hop.is_some();
-        let quotient = |kept: Vec<(NodeId, NodeId)>| quotient_csr(id_space, kept);
-        let (gr, two_hop) = match reach.closure() {
-            Some(held) => {
-                let gr = quotient(held.kept().to_vec());
-                let two_hop = indexed.then(|| {
-                    let order = landmark_order(&gr, |v| held.counts(v));
-                    let (desc, anc) = held.matrices();
-                    TwoHopIndex::from_closure(order, desc, anc)
-                });
-                (gr, two_hop)
-            }
-            None => {
-                let dag = DagReach::from_edges(id_space, sq.edges.iter().copied())
-                    .expect("the quotient of the reachability equivalence relation is a DAG");
-                let mut counts = ReachCounts::new(if indexed { id_space } else { 0 });
-                let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |cols, desc| {
-                    if indexed {
-                        counts.absorb(&cols, &desc, |_| 1);
-                    }
-                });
-                let gr = quotient(kept);
-                let two_hop = indexed.then(|| {
-                    let order = landmark_order(&gr, |v| {
-                        (counts.ancestors[v.index()], counts.descendants[v.index()])
-                    });
-                    TwoHopIndex::build_in_order(&gr, order)
-                });
-                (gr, two_hop)
-            }
-        };
+        let held = reach.closure();
+        let gr = quotient_csr(sq.id_space(), held.kept().iter().copied());
+        let two_hop = config.two_hop.map(|_| {
+            let order = landmark_order(&gr, |v| held.counts(v));
+            TwoHopIndex::from_closure(order, held.descendants(), held.ancestors())
+        });
         let two_hop = two_hop.map(Arc::new);
         let gr = match config.snapshot_format {
             SnapshotFormat::Plain => QuotientCsr::Plain(Arc::new(gr)),
@@ -435,7 +400,7 @@ impl Snapshot {
         let gr = self.gr.to_plain_arc();
         let n = gr.node_count();
         let dag = DagReach::from_dag_graph(&*gr).map_err(|e| format!("Gr is not a DAG: {e}"))?;
-        let kept = transitive_reduction_dag(&dag, DEFAULT_CHUNK, |_, _| {}).len();
+        let kept = transitive_reduction_dag(&dag, &dag.descendants()).len();
         if kept != gr.edge_count() {
             return Err(format!(
                 "Gr keeps {} edges, its transitive reduction {kept}",
@@ -622,79 +587,88 @@ mod tests {
         }
     }
 
-    /// `DEFAULT_CHUNK` rows are labelled from the one matrix the reduction
-    /// swept, one row more from pruned BFS passes in the order the chunked
-    /// counts give: either way the served index is the one
-    /// `build_with(Gr)` — BFS passes, its own sweep — builds.
+    /// A differential stream across 4 096 classes (64 words of a bitmap
+    /// row): 255 chains of 16 nodes (a class each) and 170 loose nodes
+    /// (one class). Odd batches hang loose nodes
+    /// from chain nodes — a class born for each — and even batches close
+    /// chains into cycles (16 classes become one) and open earlier ones
+    /// again, so the live classes cross 4 096 both ways while the id space
+    /// grows past it; every batch also cuts a chain edge and adds a
+    /// shortcut. After each batch the maintained partition is
+    /// `compress_r`'s, seeded pairs answer as BFS on `G` does, the
+    /// maintainer's and the snapshot's invariants hold, and the served
+    /// index is the one `build_with` builds by BFS.
     #[test]
-    fn both_sides_of_the_chunk_boundary_serve_the_bfs_built_index() {
-        let indexed = StoreConfig::builder().two_hop(Default::default()).build();
-        for n in [DEFAULT_CHUNK, DEFAULT_CHUNK + 1] {
-            // Chains of 16 nodes: every node is its own class (no two share
-            // both cones), the quotient is sparse and has `n` rows.
-            let mut g = LabeledGraph::new();
-            for _ in 0..n {
-                g.add_node_with_label("X");
-            }
-            for v in (1..n as u32).filter(|v| v % 16 != 0) {
-                g.add_edge(NodeId(v - 1), NodeId(v));
-            }
-            let snap = build(&g, &indexed);
-            assert_eq!(snap.compressed_graph().node_count(), n);
-            assert_eq!(snap.check_invariants(), Ok(()));
-            assert_eq!(
-                snap.two_hop().unwrap(),
-                &TwoHopIndex::build(snap.compressed_graph()),
-                "{n} rows"
-            );
-        }
-    }
-
-    /// The same boundary for maintenance: at `DEFAULT_CHUNK` classes a step
-    /// regroups against the held closure, one class more and it runs the
-    /// kernel on the hybrid graph — the same batch down either path ends
-    /// at the compression of the updated graph, and the publication after
-    /// it (built from the closure, or by its own chunked sweep) holds.
-    #[test]
-    fn both_sides_of_the_chunk_boundary_maintain_the_same_compression() {
+    fn a_stream_across_4_096_classes_serves_what_compress_r_and_bfs_say() {
         use qpgc_graph::UpdateBatch;
+        const LEN: u32 = 16;
+        let (chains, loose) = (255u32, 170u32);
+        let n = chains * LEN + loose;
+        let mut g = LabeledGraph::new();
+        for _ in 0..n {
+            g.add_node_with_label("X");
+        }
+        for v in (1..chains * LEN).filter(|v| v % LEN != 0) {
+            g.add_edge(NodeId(v - 1), NodeId(v));
+        }
         let indexed = StoreConfig::builder().two_hop(Default::default()).build();
-        for n in [DEFAULT_CHUNK, DEFAULT_CHUNK + 1] {
-            let mut g = LabeledGraph::new();
-            for _ in 0..n {
-                g.add_node_with_label("X");
-            }
-            for v in (1..n as u32).filter(|v| v % 16 != 0) {
-                g.add_edge(NodeId(v - 1), NodeId(v));
-            }
-            let mut inc = IncrementalReach::new(&g);
-            assert_eq!(inc.class_count(), n);
-            assert_eq!(inc.closure().is_some(), n <= DEFAULT_CHUNK);
-            // Join two chains, cut a third, close a cycle on a fourth.
+        let mut inc = IncrementalReach::new(&g);
+        let mut rng = StdRng::seed_from_u64(0x4096);
+        let mut hung = chains * LEN;
+        let mut sides = Vec::new();
+        for step in 1..=8u32 {
             let mut batch = UpdateBatch::new();
-            batch.insert(NodeId(15), NodeId(16));
-            batch.delete(NodeId(40), NodeId(41));
-            batch.insert(NodeId(63), NodeId(48));
-            let (stats, _) = inc.apply_with_delta(&mut g, &batch);
-            let atoms = if n <= DEFAULT_CHUNK {
-                0
+            let chain = |i: u32| NodeId(i * LEN);
+            if step % 2 == 1 {
+                for i in 0..40 {
+                    batch.insert(NodeId(i * 2 * LEN + step), NodeId(hung));
+                    hung += 1;
+                }
             } else {
-                n - stats.affected_classes
-            };
-            assert_eq!(stats.hybrid_nodes, stats.affected_nodes + atoms, "{n} rows");
-            assert_eq!(inc.check_invariants(&g), Ok(()));
+                for i in 0..4 {
+                    let c = 100 + 8 * step + i;
+                    batch.insert(NodeId(c * LEN + LEN - 1), chain(c));
+                    let open = 100 + 8 * (step - 2) + i;
+                    if step > 2 && i < 2 {
+                        batch.delete(NodeId(open * LEN + LEN - 1), chain(open));
+                    }
+                }
+            }
+            let c = rng.gen_range(0..chains);
+            let at = rng.gen_range(1..LEN - 1);
+            batch.delete(NodeId(c * LEN + at), NodeId(c * LEN + at + 1));
+            batch.insert(chain(c), NodeId(c * LEN + at));
+            let (_, delta) = inc.apply_with_delta(&mut g, &batch);
+            sides.push(inc.class_count() > 4096);
+
+            let ctx = format!("batch {step}: {} classes", inc.class_count());
+            assert_eq!(inc.check_invariants(&g), Ok(()), "{ctx}");
             assert_eq!(
                 canonical(&inc.stable_quotient().class_of),
                 canonical(&qpgc_reach::compress::compress_r(&g).partition.class_of),
-                "{n} rows"
+                "{ctx}"
             );
-            let snap = Snapshot::build(1, &inc, None, &indexed);
-            assert_eq!(snap.check_invariants(), Ok(()));
+            let snap = Snapshot::build(u64::from(step), &inc, None, &indexed);
+            assert_eq!(snap.check_invariants(), Ok(()), "{ctx}");
+            assert_eq!(snap.compressed_graph().node_count(), delta.id_space);
             assert_eq!(
                 snap.two_hop().unwrap(),
-                &TwoHopIndex::build(snap.compressed_graph())
+                &TwoHopIndex::build(snap.compressed_graph()),
+                "{ctx}"
             );
+            for _ in 0..300 {
+                let (u, w) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+                let expect = bfs_reachable(&g, u, w);
+                assert_eq!(snap.reachable(u, w), expect, "{ctx}: ({u}, {w})");
+                assert_eq!(inc.query(u, w), expect, "{ctx}: ({u}, {w})");
+            }
         }
+        let crossings = sides.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(
+            crossings >= 2,
+            "classes above 4 096 after each batch: {sides:?}"
+        );
+        assert!(inc.stable_quotient().id_space() > 4096);
     }
 
     #[test]

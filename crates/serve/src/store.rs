@@ -448,7 +448,7 @@ impl CompressedStore {
     /// Publication has one construction per side. A batch whose
     /// reachability [`PartitionDelta`] is empty republishes the previous
     /// snapshot's reachability structures (`Arc`-shared); any other batch
-    /// runs [`Snapshot::build`] over the maintainer's stable-id state and
+    /// runs `Snapshot::build` over the maintainer's stable-id state and
     /// the closure it holds of it.
     /// Pattern (when served), independently: an empty bisimulation delta
     /// shares the previous [`PatternView`] pointer-wise, any other runs
