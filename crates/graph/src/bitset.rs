@@ -1,4 +1,4 @@
-//! A matrix of bit rows, for the sets that are genuinely dense.
+//! A matrix of bit rows, for the sharded store's boundary summary.
 //!
 //! Packed `u64` words make the union-and-compare loops branch-free. We
 //! implement the bit rows ourselves rather than pulling in an external
@@ -9,53 +9,18 @@ use std::cell::RefCell;
 
 const BITS: usize = 64;
 
-/// Iterator over the set bits of one [`BitMatrix`] row.
-pub struct Ones<'a> {
-    blocks: &'a [u64],
-    block_idx: usize,
-    current: u64,
-}
-
-impl<'a> Ones<'a> {
-    fn over(blocks: &'a [u64]) -> Self {
-        Ones {
-            blocks,
-            block_idx: 0,
-            current: blocks.first().copied().unwrap_or(0),
-        }
-    }
-}
-
-impl Iterator for Ones<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if self.current != 0 {
-                let tz = self.current.trailing_zeros() as usize;
-                self.current &= self.current - 1;
-                return Some(self.block_idx * BITS + tz);
-            }
-            self.block_idx += 1;
-            if self.block_idx >= self.blocks.len() {
-                return None;
-            }
-            self.current = self.blocks[self.block_idx];
-        }
-    }
-}
-
 /// `rows` bit rows of `width` bits each, packed into **one** allocation
 /// (`words_per_row` 64-bit words per row, rows back to back).
 ///
-/// For the callers whose rows are genuinely dense: the sharded store's
-/// boundary summary (the boundary vertices below each component), the
-/// expansion of a pattern match, and the `node_closures` test oracle.
-/// Reachability closures, whose rows are mostly a handful of ids, are
-/// [`IdRows`](crate::id_set::IdRows). Against one heap bit set per row it
-/// is a single (lazily zeroed) allocation, rows are plain `&[u64]` slices
-/// that consumers hash and compare in place, and a row union is a linear
-/// pass over two ranges of the same buffer.
+/// Its one caller is the sharded store's boundary summary
+/// (`qpgc_serve::boundary`: the boundary vertices below each component,
+/// and each class's), whose rows have one fixed width and are mostly
+/// full — the one place a plain bit matrix measurably beats per-row
+/// encodings. Reachability closures, whose rows are mostly a handful of
+/// ids, are [`IdRows`](crate::id_set::IdRows). Against one heap bit set
+/// per row it is a single (lazily zeroed) allocation, rows are plain
+/// `&[u64]` slices that consumers hash and compare in place, and a row
+/// union is a linear pass over two ranges of the same buffer.
 ///
 /// A dropped matrix leaves its buffer to the next one built on the same
 /// thread (a few buffers of at most 8 MiB each). A sharded publication
@@ -63,12 +28,10 @@ impl Iterator for Ones<'_> {
 /// would serve every request over its `mmap` threshold with a fresh `mmap`
 /// and return it with a `munmap`: page faults for the writer and, worse, a
 /// TLB shootdown on every core that runs a reader (`mixed_wikitalk`'s
-/// reader ran 35 % slower for the length of each sweep, CHANGES.md
-/// ISSUE 21). The derived `Clone` does not draw on the spare buffers, and
-/// is for callers off the write path.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// reader ran 35 % slower for the length of each sweep while every sweep
+/// allocated its own matrix).
+#[derive(Debug)]
 pub struct BitMatrix {
-    rows: usize,
     width: usize,
     words_per_row: usize,
     data: Vec<u64>,
@@ -123,17 +86,10 @@ impl BitMatrix {
         let mut data = spare_buffer();
         data.resize(rows * words_per_row, 0);
         BitMatrix {
-            rows,
             width,
             words_per_row,
             data,
         }
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// The packed words of row `r` (bits at and past the row width are
@@ -147,7 +103,7 @@ impl BitMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `bit` is not below the row width or `r >= self.rows()`.
+    /// Panics if `bit` is not below the row width or `r` is past the rows.
     #[inline]
     pub fn insert(&mut self, r: usize, bit: usize) {
         assert!(bit < self.width, "bit {bit} out of bounds ({})", self.width);
@@ -158,17 +114,11 @@ impl BitMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `bit` is not below the row width or `r >= self.rows()`.
+    /// Panics if `bit` is not below the row width or `r` is past the rows.
     #[inline]
     pub fn remove(&mut self, r: usize, bit: usize) {
         assert!(bit < self.width, "bit {bit} out of bounds ({})", self.width);
         self.data[r * self.words_per_row + bit / BITS] &= !(1u64 << (bit % BITS));
-    }
-
-    /// Tests bit `bit` of row `r`. Out-of-range bits are reported as absent.
-    #[inline]
-    pub fn contains(&self, r: usize, bit: usize) -> bool {
-        bit < self.width && self.row(r)[bit / BITS] & (1u64 << (bit % BITS)) != 0
     }
 
     /// Rows `dst` (mutable) and `src` of one buffer; `None` when they are
@@ -196,21 +146,6 @@ impl BitMatrix {
             }
         }
     }
-
-    /// Clears every bit of row `r`.
-    pub fn clear_row(&mut self, r: usize) {
-        self.data[r * self.words_per_row..(r + 1) * self.words_per_row].fill(0);
-    }
-
-    /// Number of set bits of row `r`.
-    pub fn count_ones(&self, r: usize) -> usize {
-        self.row(r).iter().map(|b| b.count_ones() as usize).sum()
-    }
-
-    /// Iterates over the set bits of row `r` in increasing order.
-    pub fn ones(&self, r: usize) -> Ones<'_> {
-        Ones::over(self.row(r))
-    }
 }
 
 #[cfg(test)]
@@ -235,15 +170,19 @@ mod tests {
             let rows = 5;
             let mut m = BitMatrix::new(rows, width);
             let mut oracle = vec![vec![false; width]; rows];
-            assert_eq!(m.rows(), rows);
-            // A deterministic scatter of bits, then unions in both
-            // directions (and a self union, which must change nothing).
+            // A deterministic scatter of inserts and, every third step, a
+            // removal; then unions in both directions (and a self union,
+            // which must change nothing).
             let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ width as u64;
-            for _ in 0..3 * width {
+            for step in 0..3 * width {
                 state = state.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(1);
                 let (r, bit) = ((state >> 33) as usize % rows, (state >> 7) as usize % width);
-                m.insert(r, bit);
-                oracle[r][bit] = true;
+                if step % 3 == 2 {
+                    m.remove(r, bit);
+                } else {
+                    m.insert(r, bit);
+                }
+                oracle[r][bit] = step % 3 != 2;
             }
             for (dst, src) in [(0, 3), (4, 1), (2, 2), (1, 0)] {
                 m.union_rows(dst, src);
@@ -253,13 +192,7 @@ mod tests {
                 }
             }
             for (r, set) in oracle.iter().enumerate() {
-                let ones: Vec<usize> = (0..width).filter(|&bit| set[bit]).collect();
                 assert_eq!(m.row(r), packed(set), "width {width} row {r}");
-                assert_eq!(m.count_ones(r), ones.len());
-                assert_eq!(m.ones(r).collect::<Vec<_>>(), ones);
-                for bit in 0..width + 2 {
-                    assert_eq!(m.contains(r, bit), set.get(bit) == Some(&true));
-                }
             }
         }
     }
@@ -283,7 +216,11 @@ mod tests {
         drop(full);
         for (rows, width) in [(6, 130), (3, 64), (9, 200)] {
             let m = BitMatrix::new(rows, width);
-            assert!((0..rows).all(|r| m.count_ones(r) == 0), "{rows}×{width}");
+            let words = width.div_ceil(BITS);
+            assert!(
+                (0..rows).all(|r| m.row(r) == vec![0; words]),
+                "{rows}×{width}"
+            );
         }
     }
 
@@ -299,37 +236,17 @@ mod tests {
         for bit in [0, 63, 64, 129] {
             m.insert(1, bit);
         }
-        for bit in [0, 63, 64, 129] {
-            assert!(m.contains(1, bit) && !m.contains(0, bit));
-        }
-        assert!(!m.contains(1, 1));
-        assert!(!m.contains(1, 500));
-        assert_eq!(m.count_ones(1), 4);
+        assert_eq!(m.row(0), [0, 0, 0]);
+        assert_eq!(m.row(1), [1 | 1 << 63, 1, 1 << 1]);
         m.remove(1, 64);
-        assert!(!m.contains(1, 64));
-        assert_eq!(m.count_ones(1), 3);
-        m.clear_row(1);
-        assert_eq!(m.count_ones(1), 0);
-    }
-
-    #[test]
-    fn ones_iterates_in_order() {
-        let mut m = BitMatrix::new(1, 300);
-        for bit in [7usize, 64, 65, 128, 255, 299] {
-            m.insert(0, bit);
-        }
-        assert_eq!(
-            m.ones(0).collect::<Vec<_>>(),
-            vec![7, 64, 65, 128, 255, 299]
-        );
+        m.remove(1, 64);
+        assert_eq!(m.row(1), [1 | 1 << 63, 0, 1 << 1]);
     }
 
     #[test]
     fn empty_set() {
         let m = BitMatrix::new(1, 0);
-        assert_eq!(m.ones(0).count(), 0);
-        assert_eq!(m.count_ones(0), 0);
-        assert!(!m.contains(0, 0));
-        assert_eq!(BitMatrix::new(0, 100).rows(), 0);
+        assert!(m.row(0).is_empty());
+        assert!(BitMatrix::new(0, 100).data.is_empty());
     }
 }

@@ -61,10 +61,9 @@
 //! Write `T` for the classes that reach the class of an update's source
 //! and `B` for those reached from the class of an update's target, both
 //! over the old quotient and including the end classes (`B` is empty for a
-//! relation that is not [`Equivalence::ANCESTOR_SENSITIVE`]); `A` for the
-//! members of `T ∪ B` — the affected nodes — and `U` for the rest; `G′` for
-//! the updated graph. For reachability equivalence (bisimilarity has the
-//! downward halves):
+//! [`Equivalence::KEYED`] relation); `A` for the members of `T ∪ B` — the
+//! affected nodes — and `U` for the rest; `G′` for the updated graph. For
+//! reachability equivalence (bisimilarity has the downward halves):
 //!
 //! **L1 (frozen cones).** `x ∈ U` ⇒ `desc′(x) = desc(x)` and
 //! `anc′(x) = anc(x)` as node sets. A path from `x` that exists on one side
@@ -244,35 +243,32 @@ pub trait Equivalence {
     /// bisimilarity.
     type Class: Copy + Debug;
 
-    /// Whether the relation's quotient relates a class to itself through
-    /// an ordinary quotient edge. Bisimulation quotients do — an
-    /// intra-class edge is a hypernode self loop that pattern matching
-    /// must see, so `(c, c)` is counted like any other class pair. The
-    /// reachability quotient is a DAG over classes and keeps
-    /// self-reachability in [`Equivalence::cyclic`] instead.
-    const SELF_EDGES: bool;
-
-    /// Whether two nodes can be told apart by what *reaches* them.
-    /// Reachability equivalence compares ancestor and descendant sets, so
-    /// an update `(u, w)` disturbs the ancestors of `[u]` **and** the
-    /// descendants of `[w]`, and a node's in-edges are part of its
-    /// identity. Bisimilarity looks only downward: just the ancestors of
-    /// `[u]` can change class, and in-edges carry no information.
-    const ANCESTOR_SENSITIVE: bool;
-
     /// Whether two nodes are equivalent exactly when they carry one label
-    /// and their successors fall in the same classes (bisimilarity). Then
-    /// only the nodes that reach an update source can change class (B1 of
-    /// the module header), so a step locates node by node, and no two
-    /// classes share that key (B2), so the quotient regroups by looking
-    /// keys up among its rows ([`IncrementalQuotient::regroup_keyed`]).
+    /// and their successors fall in the same classes (bisimilarity). It
+    /// decides three things at once, which no relation maintained here
+    /// needs apart:
+    /// - *locate*: only the nodes that reach an update source can change
+    ///   class (B1 of the module header), so a keyed step locates node by
+    ///   node; an unkeyed one (reachability equivalence) compares ancestor
+    ///   sets too, so an update `(u, w)` disturbs the ancestors of `[u]`
+    ///   **and** the descendants of `[w]`, and a node's in-edges are part
+    ///   of its identity;
+    /// - *regroup*: no two classes share that key (B2), so the quotient
+    ///   regroups by looking keys up among its rows
+    ///   ([`IncrementalQuotient::regroup_keyed`]);
+    /// - *self edges*: a keyed quotient relates a class to itself through
+    ///   an ordinary quotient edge — an intra-class edge is a hypernode self
+    ///   loop that pattern matching must see, so `(c, c)` is counted like
+    ///   any other class pair — while an unkeyed one is a DAG over classes
+    ///   and keeps self-reachability in [`Equivalence::cyclic`].
+    ///
     /// The payload of a keyed relation is its class label.
     const KEYED: bool;
 
     /// Whether a class with this payload reaches itself by a non-empty
     /// path that the quotient edges do not already record — the atom self
     /// loop of the hybrid graph, and the cyclic flag of a reachability
-    /// class. Always `false` for relations with [`Equivalence::SELF_EDGES`].
+    /// class. Always `false` for a [`Equivalence::KEYED`] relation.
     fn cyclic(class: Self::Class) -> bool;
 
     /// The node label a whole class presents to the relation (constant
@@ -393,7 +389,7 @@ pub struct Cut {
     in_offsets: Vec<u32>,
     /// Per unit, ascending: the classes outside the cut it has an edge to …
     out_classes: Vec<u32>,
-    /// … and, for an [`Equivalence::ANCESTOR_SENSITIVE`] relation, from.
+    /// … and, unless the relation is [`Equivalence::KEYED`], from.
     in_classes: Vec<u32>,
 }
 
@@ -461,7 +457,7 @@ impl Cut {
     }
 
     /// The classes outside the cut with an edge to unit `u`, ascending
-    /// (empty unless the relation is [`Equivalence::ANCESTOR_SENSITIVE`]).
+    /// (empty for a [`Equivalence::KEYED`] relation).
     pub fn in_classes(&self, u: usize) -> &[u32] {
         &self.in_classes[self.in_offsets[u] as usize..self.in_offsets[u + 1] as usize]
     }
@@ -621,8 +617,8 @@ pub struct IncrementalQuotient<E: Equivalence> {
     live: usize,
     /// `out_rows[c]` — the classes `c` has an edge to, as `(target, number
     /// of original edges behind the class edge)`, ascending by target;
-    /// empty for inactive ids. `(c, c)` entries exist only under
-    /// [`Equivalence::SELF_EDGES`].
+    /// empty for inactive ids. `(c, c)` entries exist only for a
+    /// [`Equivalence::KEYED`] relation.
     out_rows: Vec<Vec<(u32, u32)>>,
     /// `in_rows[c]` — the sources of the class edges into `c`, ascending:
     /// the mirror of `out_rows`.
@@ -844,8 +840,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     ///
     /// 1. *locate* the affected classes over the class-level edges of the
     ///    **old** quotient — the ancestors of every update source's class
-    ///    and, when the relation is [`Equivalence::ANCESTOR_SENSITIVE`],
-    ///    the descendants of every target's class; for a
+    ///    and the descendants of every target's class; for a
     ///    [`Equivalence::KEYED`] relation, the nodes that reach an update
     ///    source, over `g` (B1);
     /// 2. *cut* them into units ([`Cut`]);
@@ -887,7 +882,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         } else {
             let sources = updates.iter().map(|&(a, _)| self.class_of(a));
             self.cone(sources, false, &mut is_affected);
-            if E::ANCESTOR_SENSITIVE {
+            if !E::KEYED {
                 let targets = updates.iter().map(|&(_, b)| self.class_of(b));
                 self.cone(targets, true, &mut is_affected);
             }
@@ -940,7 +935,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                 if g.has_edge(u, w) != inserted
                     || is_born[a as usize]
                     || is_born[b as usize]
-                    || (!E::SELF_EDGES && a == b)
+                    || (!E::KEYED && a == b)
                 {
                     continue;
                 }
@@ -1060,7 +1055,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             }
             seal(tokens, start);
             let mid = tokens.len();
-            if E::ANCESTOR_SENSITIVE {
+            if !E::KEYED {
                 for &v in proto {
                     tokens.extend(g.in_neighbors(v).iter().map(token).filter(outside));
                 }
@@ -1149,7 +1144,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             let (out_steps, out_met) = (run_of(&steps[0], c), run_of(&met[0], c));
             whole_tokens(out, |b| edges(c, b), out_steps, out_met, keep, &mut tokens);
             let mid = tokens.len();
-            if E::ANCESTOR_SENSITIVE {
+            if !E::KEYED {
                 let inn = self.in_rows[c as usize].iter().copied();
                 let (in_steps, in_met) = (run_of(&steps[1], c), run_of(&met[1], c));
                 whole_tokens(inn, |s| edges(s, c), in_steps, in_met, keep, &mut tokens);
@@ -1672,7 +1667,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
                     for &w in ends {
                         let c = self.class_of[w.index()];
                         let counted = if out {
-                            E::SELF_EDGES || c != id
+                            E::KEYED || c != id
                         } else {
                             !is_born[c as usize]
                         };
@@ -1787,7 +1782,7 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         let mut recount: Vec<(u32, u32)> = g
             .edges()
             .map(|(u, v)| (self.class_of(u), self.class_of(v)))
-            .filter(|&(a, b)| E::SELF_EDGES || a != b)
+            .filter(|&(a, b)| E::KEYED || a != b)
             .collect();
         recount.sort_unstable();
         let mut expected: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
@@ -1886,8 +1881,6 @@ mod tests {
 
     impl Equivalence for Singletons {
         type Class = Label;
-        const SELF_EDGES: bool = true;
-        const ANCESTOR_SENSITIVE: bool = false;
         const KEYED: bool = true;
 
         fn cyclic(_: Label) -> bool {

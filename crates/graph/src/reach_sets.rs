@@ -11,11 +11,9 @@
 //! reduction used by `compressR` and the AHO baseline, and their lengths
 //! are the exact reachability counts that order the 2-hop landmarks.
 
-use crate::bitset::BitMatrix;
 use crate::csr::csr_from_grouped;
 use crate::error::{GraphError, Result};
 use crate::id_set::{IdRows, RowBuilder};
-use crate::scc::Condensation;
 use crate::view::GraphView;
 
 /// A DAG prepared for reachability-set sweeps, stored in compressed sparse
@@ -56,9 +54,10 @@ impl DagReach {
 
     /// Adopts the CSR arrays of a condensation DAG whose node ids are a
     /// *reverse* topological order (Tarjan's numbering: every edge goes from
-    /// a higher id to a lower one) — [`Condensation::of`] builds its DAG
-    /// through this, so a sweep over a condensation re-collects and
-    /// re-sorts nothing but each out-row ([`Condensation::dag`]).
+    /// a higher id to a lower one) — [`Condensation::of`](crate::scc::Condensation::of)
+    /// builds its DAG through this, so a sweep over a condensation
+    /// re-collects and re-sorts nothing but each out-row
+    /// ([`Condensation::dag`](crate::scc::Condensation::dag)).
     pub(crate) fn from_reverse_topological_csr(
         (out_offsets, out_targets, in_offsets, in_targets): (
             Vec<u32>,
@@ -200,51 +199,11 @@ fn kahn_topological_order(dag: &DagReach) -> Result<Vec<u32>> {
     }
 }
 
-/// Node-level proper ancestor/descendant sets of an arbitrary (possibly
-/// cyclic) graph, computed through its condensation.
-///
-/// This is a convenience for tests and small graphs: it returns one row
-/// per node, with bits over *node* ids (not SCC ids). Row `v` of the
-/// descendant matrix holds `w` iff there is a non-empty path from `v` to
-/// `w`.
-pub fn node_closures<G: GraphView>(g: &G) -> (BitMatrix, BitMatrix) {
-    let n = g.node_count();
-    let cond = Condensation::of(g);
-    let scc_desc = cond.dag().descendants();
-    let scc_anc = cond.dag().ancestors();
-
-    let mut desc = BitMatrix::new(n, n);
-    let mut anc = BitMatrix::new(n, n);
-    for v in g.nodes() {
-        let c = cond.component_of(v);
-        let cyclic = cond.is_cyclic(c, g);
-        // Descendants: members of every SCC-descendant, plus own SCC members
-        // when the SCC is cyclic.
-        for cd in scc_desc.row(c as usize).iter() {
-            for &w in cond.members(cd) {
-                desc.insert(v.index(), w.index());
-            }
-        }
-        for ca in scc_anc.row(c as usize).iter() {
-            for &w in cond.members(ca) {
-                anc.insert(v.index(), w.index());
-            }
-        }
-        if cyclic {
-            for &w in cond.members(c) {
-                desc.insert(v.index(), w.index());
-                anc.insert(v.index(), w.index());
-            }
-        }
-    }
-    (desc, anc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::LabeledGraph;
-    use crate::traversal;
+    use crate::scc::Condensation;
 
     fn diamond_dag() -> DagReach {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
@@ -288,40 +247,6 @@ mod tests {
         let desc = dag.descendants();
         assert!(desc.row(c01 as usize).contains(c3));
         assert!(!desc.row(c3 as usize).contains(c01));
-    }
-
-    #[test]
-    fn node_closures_match_traversal() {
-        let mut g = LabeledGraph::new();
-        let n: Vec<_> = (0..6).map(|_| g.add_node_with_label("X")).collect();
-        g.add_edge(n[0], n[1]);
-        g.add_edge(n[1], n[2]);
-        g.add_edge(n[2], n[0]); // cycle 0-1-2
-        g.add_edge(n[2], n[3]);
-        g.add_edge(n[4], n[3]);
-        // n[5] isolated
-        let (desc, anc) = node_closures(&g);
-        for &u in &n {
-            let via_bfs: Vec<usize> = traversal::descendants(&g, u)
-                .into_iter()
-                .map(|x| x.index())
-                .collect();
-            let mut via_sets: Vec<usize> = desc.ones(u.index()).collect();
-            via_sets.sort();
-            let mut expected = via_bfs.clone();
-            expected.sort();
-            assert_eq!(via_sets, expected, "descendants of {u}");
-
-            let via_bfs_a: Vec<usize> = traversal::ancestors(&g, u)
-                .into_iter()
-                .map(|x| x.index())
-                .collect();
-            let mut via_sets_a: Vec<usize> = anc.ones(u.index()).collect();
-            via_sets_a.sort();
-            let mut expected_a = via_bfs_a.clone();
-            expected_a.sort();
-            assert_eq!(via_sets_a, expected_a, "ancestors of {u}");
-        }
     }
 
     #[test]

@@ -120,15 +120,10 @@ impl Equivalence for BisimEquivalence {
     /// The label every member of the class carries.
     type Class = Label;
 
-    /// Intra-class edges are hypernode self loops that bounded simulation
-    /// must see, so `(c, c)` is an ordinary quotient edge.
-    const SELF_EDGES: bool = true;
-
-    /// Bisimilarity depends on a node's label and descendants only.
-    const ANCESTOR_SENSITIVE: bool = false;
-
     /// The coarsest bisimulation relates two nodes exactly when they share
-    /// a label and their successors fall in the same classes.
+    /// a label and their successors fall in the same classes: it depends
+    /// on a node's label and descendants only, and intra-class edges are
+    /// hypernode self loops that bounded simulation must see.
     const KEYED: bool = true;
 
     fn cyclic(_: Label) -> bool {

@@ -8,7 +8,7 @@
 //! maximum match relation `SM ⊆ Vp × V` (Lemma 1), or the empty relation if
 //! the pattern does not match.
 
-use qpgc_graph::{BitMatrix, NodeId};
+use qpgc_graph::{IdSet, NodeId};
 
 /// The bound `fe(u, u')` attached to a pattern edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -138,7 +138,7 @@ pub(crate) fn expand_match_relation<'a>(
     node_count: usize,
     members_of: impl Fn(NodeId) -> &'a [NodeId],
 ) -> MatchRelation {
-    let mut row = BitMatrix::new(1, node_count);
+    let mut row = vec![0u64; node_count.div_ceil(64)];
     let matches = on_compressed
         .matches
         .iter()
@@ -148,12 +148,12 @@ pub(crate) fn expand_match_relation<'a>(
                 let members = members_of(c);
                 len += members.len();
                 for v in members {
-                    row.insert(0, v.index());
+                    row[v.index() / 64] |= 1 << (v.index() % 64);
                 }
             }
             let mut expanded = Vec::with_capacity(len);
-            expanded.extend(row.ones(0).map(|v| NodeId(v as u32)));
-            row.clear_row(0);
+            expanded.extend(IdSet::Bits(&row, len).iter().map(NodeId));
+            row.fill(0);
             expanded
         })
         .collect();
@@ -287,6 +287,39 @@ mod tests {
         let r = MatchRelation::empty(0);
         assert!(r.matches.is_empty());
         assert!(r.canonical().is_empty());
+    }
+
+    /// The expansion against the sorted concatenation of the member
+    /// lists: members on both sides of the 63/64 and 127/128 word
+    /// boundaries of a 130-node row, pattern nodes in a row that must each
+    /// start on a clean row, and an empty match set.
+    #[test]
+    fn expansion_is_the_sorted_union_of_the_member_lists() {
+        let ids = |ids: &[u32]| ids.iter().map(|&v| NodeId(v)).collect::<Vec<_>>();
+        let members = [
+            ids(&[64, 0, 63]),
+            ids(&[127, 128, 129]),
+            ids(&[1, 62]),
+            ids(&[65, 126]),
+        ];
+        let on_compressed = MatchRelation {
+            matches: vec![
+                ids(&[0, 1]),
+                ids(&[1, 2, 3]),
+                ids(&[]),
+                ids(&[3, 0]),
+                ids(&[2]),
+            ],
+        };
+        let expanded = expand_match_relation(&on_compressed, 130, |c| &members[c.index()]);
+        assert_eq!(expanded.matches.len(), on_compressed.matches.len());
+        for (u, got) in expanded.matches.iter().enumerate() {
+            let mut expect: Vec<NodeId> = (on_compressed.matches[u].iter())
+                .flat_map(|c| members[c.index()].iter().copied())
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(got, &expect, "pattern node {u}");
+        }
     }
 
     #[test]

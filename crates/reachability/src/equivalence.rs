@@ -46,7 +46,7 @@
 use std::collections::HashMap;
 
 use qpgc_graph::scc::Condensation;
-use qpgc_graph::{Classes, GraphView, IdRows, IdSet, NodeId};
+use qpgc_graph::{traversal, Classes, GraphView, IdRows, IdSet, NodeId};
 
 /// The hash that picks a grouping key's bucket: a fold over the ids of the
 /// two rows, never over their words, so equal sets hash equal whatever
@@ -144,27 +144,32 @@ fn partition_hashing_with<G: GraphView>(
 }
 
 /// A slow but obviously-correct reference implementation used by tests and
-/// property tests: computes full node-level proper ancestor/descendant sets
-/// and groups nodes by them.
+/// property tests: groups the nodes by their proper descendant and
+/// ancestor sets, each a BFS on `g` itself
+/// ([`traversal::descendants`] / [`traversal::ancestors`]), so it shares
+/// no code with the condensation sweeps the kernel runs. A node is cyclic
+/// iff it is its own descendant.
 // qpgc-lint: allow(dead-surface) -- oracle of equivalence::tests::kernel_matches_reference_at_every_chunk_thread_and_hash
 pub fn reference_partition<G: GraphView>(g: &G) -> Classes<bool> {
-    let (desc, anc) = qpgc_graph::reach_sets::node_closures(g);
-    let mut key_to_class: HashMap<(Vec<u64>, Vec<u64>), u32> = HashMap::new();
+    let sorted = |mut set: Vec<NodeId>| {
+        set.sort_unstable();
+        set
+    };
+    let mut key_to_class: HashMap<(Vec<NodeId>, Vec<NodeId>), u32> = HashMap::new();
     let mut class_of = vec![0u32; g.node_count()];
     let mut members: Vec<Vec<NodeId>> = Vec::new();
     let mut cyclic: Vec<bool> = Vec::new();
     for v in g.nodes() {
-        let key = (desc.row(v.index()).to_vec(), anc.row(v.index()).to_vec());
+        let desc = sorted(traversal::descendants(g, v));
+        let on_cycle = desc.binary_search(&v).is_ok();
+        let key = (desc, sorted(traversal::ancestors(g, v)));
         let class = *key_to_class.entry(key).or_insert_with(|| {
             members.push(Vec::new());
-            cyclic.push(false);
+            cyclic.push(on_cycle);
             (members.len() - 1) as u32
         });
         class_of[v.index()] = class;
         members[class as usize].push(v);
-        if desc.contains(v.index(), v.index()) {
-            cyclic[class as usize] = true;
-        }
     }
     Classes {
         class_of,

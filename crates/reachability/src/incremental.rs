@@ -143,13 +143,10 @@ impl Equivalence for ReachEquivalence {
     /// The cyclic flag: whether the class is a cyclic SCC.
     type Class = bool;
 
-    /// `Gr` is a DAG over classes; self-reachability lives in the flag.
-    const SELF_EDGES: bool = false;
-
-    /// The relation compares ancestor sets as well as descendant sets.
-    const ANCESTOR_SENSITIVE: bool = true;
-
-    /// Equal successor classes do not make equal ancestor sets.
+    /// Equal successor classes do not make equal ancestor sets: the
+    /// relation compares ancestor sets as well as descendant sets, and
+    /// `Gr` is a DAG over classes whose self-reachability lives in the
+    /// flag.
     const KEYED: bool = false;
 
     fn cyclic(class: bool) -> bool {

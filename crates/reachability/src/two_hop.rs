@@ -19,10 +19,12 @@
 //! pruning whenever id order diverged from coverage order: the mid-build
 //! lists were unsorted, the merge intersection missed matches, and the
 //! pruning rule kept almost nothing out. Queries stayed correct (failed
-//! pruning only *adds* labels) but the index bloated. The legacy
-//! construction is kept as [`TwoHopIndex::build_with_node_id_labels`] so the
-//! size win of the rank fix stays measurable (the `fig12d` experiment
-//! tests). [`TwoHopIndex::landmark_order`] maps a rank back to its node.
+//! pruning only *adds* labels) but the index bloated. So the tests hold
+//! the index to the labelling no pruning at all would write — each node
+//! listing every node it reaches and every node that reaches it, itself
+//! included, `2·Σ_u |{w : u ⇝* w}|` entries — and require fewer (the
+//! 2-hop differential suite and the `fig12d` experiment tests).
+//! [`TwoHopIndex::landmark_order`] maps a rank back to its node.
 //!
 //! Because the compressed graph is "just a graph", the very same index can
 //! be built over `Gr` — this is the paper's claim that existing indexing
@@ -457,96 +459,6 @@ impl TwoHopIndex {
         }
     }
 
-    /// The pre-rank-fix construction: label lists hold raw node ids pushed
-    /// in landmark processing order and are only sorted *after* the build,
-    /// so the mid-build pruning intersection runs on unsorted lists and
-    /// silently misses most covered pairs. Queries are still exact (failed
-    /// pruning only adds labels); the index is just needlessly large. Kept
-    /// so tests can quantify the rank fix — do not use for anything else.
-    // qpgc-lint: allow(dead-surface) -- oracle of query_time::tests::fig12d_rank_labels_shrink_the_two_hop_index
-    pub fn build_with_node_id_labels<G: GraphView>(g: &G) -> Self {
-        let n = g.node_count();
-        let order = swept_landmark_order(g);
-
-        let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-        let mut visited = vec![false; n];
-        let mut touched: Vec<usize> = Vec::new();
-        for &landmark in &order {
-            let mut queue = VecDeque::new();
-            queue.push_back(landmark);
-            visited[landmark.index()] = true;
-            touched.push(landmark.index());
-            while let Some(u) = queue.pop_front() {
-                // The buggy pruning test: a merge intersection over lists
-                // that are NOT sorted mid-build.
-                if u != landmark
-                    && sorted_intersects(&out_labels[landmark.index()], &in_labels[u.index()])
-                {
-                    continue;
-                }
-                if u != landmark {
-                    in_labels[u.index()].push(landmark.0);
-                }
-                for &w in g.out_neighbors(u) {
-                    if !visited[w.index()] {
-                        visited[w.index()] = true;
-                        touched.push(w.index());
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for &t in &touched {
-                visited[t] = false;
-            }
-            touched.clear();
-
-            let mut queue = VecDeque::new();
-            queue.push_back(landmark);
-            visited[landmark.index()] = true;
-            touched.push(landmark.index());
-            while let Some(u) = queue.pop_front() {
-                if u != landmark
-                    && sorted_intersects(&out_labels[u.index()], &in_labels[landmark.index()])
-                {
-                    continue;
-                }
-                if u != landmark {
-                    out_labels[u.index()].push(landmark.0);
-                }
-                for &w in g.in_neighbors(u) {
-                    if !visited[w.index()] {
-                        visited[w.index()] = true;
-                        touched.push(w.index());
-                        queue.push_back(w);
-                    }
-                }
-            }
-            for &t in &touched {
-                visited[t] = false;
-            }
-            touched.clear();
-
-            out_labels[landmark.index()].push(landmark.0);
-            in_labels[landmark.index()].push(landmark.0);
-            out_labels[landmark.index()].sort_unstable();
-            in_labels[landmark.index()].sort_unstable();
-        }
-
-        // The late sort that made *queries* work despite the broken
-        // mid-build pruning.
-        for v in 0..n {
-            out_labels[v].sort_unstable();
-            in_labels[v].sort_unstable();
-        }
-        TwoHopIndex {
-            out_labels: LabelLists::from_lists(&out_labels),
-            in_labels: LabelLists::from_lists(&in_labels),
-            landmark_of_rank: order,
-        }
-    }
-
     /// `true` iff the labels prove that `u` reaches `w` (possibly trivially,
     /// when `u == w`).
     pub fn query(&self, u: NodeId, w: NodeId) -> bool {
@@ -898,34 +810,6 @@ mod tests {
         // Ranks 0 and 1 trade places: every list is still sorted, but two
         // nodes now hold each other's rank instead of their own.
         assert!(broken(|i| i.landmark_of_rank.swap(0, 1)).contains("lacks its own rank"));
-    }
-
-    #[test]
-    fn rank_labels_never_exceed_legacy_node_id_labels() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut strictly_smaller_somewhere = false;
-        for _ in 0..25 {
-            let g = random_graph(&mut rng);
-            let ranked = TwoHopIndex::build(&g);
-            let legacy = TwoHopIndex::build_with_node_id_labels(&g);
-            assert!(
-                ranked.label_entries() <= legacy.label_entries(),
-                "rank fix grew the index: {} > {}",
-                ranked.label_entries(),
-                legacy.label_entries()
-            );
-            strictly_smaller_somewhere |= ranked.label_entries() < legacy.label_entries();
-            // Both are exact — the fix changes size, never answers.
-            for u in g.nodes() {
-                for w in g.nodes() {
-                    assert_eq!(ranked.query(u, w), legacy.query(u, w));
-                }
-            }
-        }
-        assert!(
-            strictly_smaller_somewhere,
-            "pruning fix never pruned anything across 25 random graphs"
-        );
     }
 
     #[test]

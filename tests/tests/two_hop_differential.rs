@@ -1,7 +1,10 @@
 //! Seeded differential test for the rank-labelled 2-hop index: on ≥100
-//! random graphs, every query answered by the index (and by the legacy
-//! node-id build) must match `bfs_reachable` on the original graph, and the
-//! rank-labelled index must never be larger than the legacy one.
+//! random graphs, every query answered by the index must match
+//! `bfs_reachable` on the original graph, and the pruning must prune. The
+//! unpruned labelling — each node listing every node it reaches and every
+//! node that reaches it, itself included — holds `2·Σ_u |{w : u ⇝* w}|`
+//! entries, counted from the same BFS answers: the index never holds more,
+//! and across the corpus it holds fewer.
 
 use qpgc_graph::traversal::bfs_reachable;
 use qpgc_reach::two_hop::TwoHopIndex;
@@ -12,41 +15,36 @@ use rand::SeedableRng;
 #[test]
 fn two_hop_matches_bfs_on_100_random_graphs() {
     let mut rng = StdRng::seed_from_u64(0x2_50F);
-    let mut legacy_total = 0usize;
+    let mut unpruned_total = 0usize;
     let mut ranked_total = 0usize;
     for case in 0..110 {
         let g = random_graph(&mut rng, 28, false);
         let ranked = TwoHopIndex::build(&g);
-        let legacy = TwoHopIndex::build_with_node_id_labels(&g);
 
-        assert!(
-            ranked.label_entries() <= legacy.label_entries(),
-            "case {case}: rank labels grew the index ({} > {})",
-            ranked.label_entries(),
-            legacy.label_entries()
-        );
-        legacy_total += legacy.label_entries();
-        ranked_total += ranked.label_entries();
-
+        let mut reachable_pairs = 0usize;
         for u in g.nodes() {
             for w in g.nodes() {
                 let expected = bfs_reachable(&g, u, w);
+                reachable_pairs += usize::from(expected);
                 assert_eq!(
                     ranked.query(u, w),
                     expected,
                     "case {case}: ranked ({u},{w})"
                 );
-                assert_eq!(
-                    legacy.query(u, w),
-                    expected,
-                    "case {case}: legacy ({u},{w})"
-                );
             }
         }
+        let unpruned = 2 * reachable_pairs;
+        assert!(
+            ranked.label_entries() <= unpruned,
+            "case {case}: the index outgrew the unpruned labelling ({} > {unpruned})",
+            ranked.label_entries()
+        );
+        unpruned_total += unpruned;
+        ranked_total += ranked.label_entries();
     }
-    // Across the whole corpus the fixed pruning must actually prune.
+    // Across the whole corpus the pruning must actually prune.
     assert!(
-        ranked_total < legacy_total,
-        "rank fix pruned nothing across 110 graphs ({ranked_total} vs {legacy_total})"
+        ranked_total < unpruned_total,
+        "pruning pruned nothing across 110 graphs ({ranked_total} vs {unpruned_total})"
     );
 }
