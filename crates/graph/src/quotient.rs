@@ -26,7 +26,7 @@
 //! among the rows (B2).
 //! `qpgc_reach::incremental::IncrementalReach` and
 //! `qpgc_pattern::incremental::IncrementalPattern` wrap one instantiation
-//! each and add only what genuinely differs (redundant-insertion reduction,
+//! each and add only what genuinely differs (redundant-update reduction,
 //! the held closure it regroups against and the transitively reduced
 //! export on one side; the label interner and member-list export on the
 //! other).
@@ -290,10 +290,15 @@ pub trait Equivalence {
 /// Statistics of one incremental maintenance step (either relation).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IncStats {
-    /// Number of updates after normalization and redundancy reduction.
+    /// Number of normalized updates the step maintained: the ones it
+    /// recomputed from and the ones it only counted in the rows.
     pub effective_updates: usize,
-    /// Number of updates dropped as redundant (reachability only;
-    /// bisimulation has no redundant-insertion rule, so always `0` there).
+    /// Number of those updates dropped from the recomputation as
+    /// redundant, the `implied` ones of
+    /// [`IncrementalQuotient::apply_effective`]: for reachability, the
+    /// insertions the old closure already implies and the deletions off its
+    /// transitive reduction; always `0` for bisimulation, which has no
+    /// such rule.
     pub redundant_dropped: usize,
     /// Number of affected equivalence classes: the classes the step cut
     /// into units, all retired but those it kept (an absorbed
@@ -853,10 +858,14 @@ impl<E: Equivalence> IncrementalQuotient<E> {
     ///    edges between two classes the splice neither retired nor bore.
     ///
     /// `implied` are updates, also already applied to `g`, that the caller
-    /// withheld from maintenance because the relation does not depend on
-    /// them (`incRCM`'s redundant insertions): the step only counts them in
-    /// the rows. With no update nothing is recomputed and the delta is
-    /// empty.
+    /// withheld from the recomputation because the relation does not
+    /// depend on them, even beside `updates` (`incRCM`'s neutral updates:
+    /// implied insertions and deletions off the transitive reduction). They
+    /// seed no cone; the step counts them in the rows of the classes it
+    /// keeps, and the cut reads them beside the rows of a class kept whole.
+    /// They are in the statistics' `effective_updates` and
+    /// `redundant_dropped`. With no update nothing is recomputed and the
+    /// delta is empty.
     pub fn apply_effective(
         &mut self,
         g: &LabeledGraph,
@@ -864,13 +873,18 @@ impl<E: Equivalence> IncrementalQuotient<E> {
         implied: &[(NodeId, NodeId)],
         regroup: impl FnOnce(&Self, &LabeledGraph, &Cut) -> Regrouped<E::Class>,
     ) -> (IncStats, PartitionDelta) {
+        let mut stats = IncStats {
+            effective_updates: updates.len() + implied.len(),
+            redundant_dropped: implied.len(),
+            ..IncStats::default()
+        };
         if updates.is_empty() {
             self.count(g, implied, &[]);
             let delta = PartitionDelta {
                 id_space: self.members.len(),
                 ..PartitionDelta::default()
             };
-            return (IncStats::default(), delta);
+            return (stats, delta);
         }
         let mut is_affected = vec![false; self.id_space()];
         let cone = if E::KEYED {
@@ -889,17 +903,13 @@ impl<E: Equivalence> IncrementalQuotient<E> {
             Vec::new()
         };
         let affected = marked(&is_affected);
-        let mut stats = IncStats {
-            effective_updates: updates.len(),
-            affected_classes: affected.len(),
-            affected_nodes: if E::KEYED {
-                cone.len()
-            } else {
-                (affected.iter())
-                    .map(|&c| self.members[c as usize].len())
-                    .sum()
-            },
-            ..IncStats::default()
+        stats.affected_classes = affected.len();
+        stats.affected_nodes = if E::KEYED {
+            cone.len()
+        } else {
+            (affected.iter())
+                .map(|&c| self.members[c as usize].len())
+                .sum()
         };
         let cut = self.cut(g, updates, implied, is_affected, affected, &cone);
         let regrouped = regroup(self, g, &cut);

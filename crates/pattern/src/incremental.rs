@@ -204,7 +204,7 @@ impl IncrementalPattern {
     /// normalized against the pre-batch graph
     /// ([`UpdateBatch::normalized`]) and `g` must **already be**
     /// `G ⊕ norm`. Only the maintained state is touched. Every normalized
-    /// update is effective — bisimulation has no redundant-insertion rule —
+    /// update is effective — bisimulation has no redundant-update rule —
     /// and the affected nodes are those that reach an update source.
     pub fn apply_normalized(
         &mut self,

@@ -15,10 +15,15 @@
 //! realizes the same plan as an *affected-region localized recomputation*
 //! (the skeleton shared with `incPCM` is [`qpgc_graph::quotient`]):
 //!
-//! 1. **Reduce `ΔG`** — normalize the batch against `G` and drop insertions
-//!    that are already implied by the current reachability relation (the
-//!    paper's redundant-insertion rule; provably safe for insertion-only
-//!    batches, which is when it is applied).
+//! 1. **Reduce `ΔG`** — normalize the batch against `G` and split it,
+//!    against the closure held for `G`, into *neutral* updates and
+//!    effective ones: an insertion `(u, w)` is neutral when `u` already
+//!    reaches `w` by a non-empty path, a deletion `(u, w)` when
+//!    `[u] ≠ [w]` and `([u], [w])` is not an edge of the transitive
+//!    reduction. This is the paper's redundant-update rule, applied to
+//!    every batch whatever its mix (see *Soundness of step 1*). Neutral
+//!    updates seed no cone; they are only counted in the rows, so a batch
+//!    of neutral updates alone does no step 2 or 3.
 //! 2. **Locate the affected area** — for an update `(u, w)` the only classes
 //!    whose ancestor or descendant sets can change are those that reach
 //!    `[u]` or are reachable from `[w]` (plus the endpoint classes
@@ -43,7 +48,7 @@
 //! 4. **Patch the state** — splice the new classes into the node → class
 //!    index and rebuild the inter-class edge counters incident to them
 //!    (a kept class is neither retired nor new: the batch's edges between
-//!    two classes that stay, redundant insertions included, are counted in
+//!    two classes that stay, neutral updates included, are counted in
 //!    place); then patch the held closure into the closure of the new
 //!    compression (lemma L6 in [`crate::closure`]: the new and the rewired
 //!    classes' rows are step 3's signatures, every other row changes only
@@ -53,31 +58,60 @@
 //!    is empty, the closure is not touched, and the serving layer
 //!    republishes.
 //!
+//! ## Soundness of step 1
+//!
+//! Let `N` be the batch's neutral updates and `G″ = G ⊕ N`. Then `G″` has
+//! `G`'s reachability relation, so the held compression is `G″`'s up to
+//! edge counts and to class edges off the reduction, and the step is an
+//! ordinary step from `G″` to `G′ = G″ ⊕ (ΔG − N)`:
+//!
+//! - Every kept edge `C → D` is *realised* in `G`: if `C` is acyclic, each
+//!   member `u` of `C` has an edge into `D`, because the first edge of a
+//!   path from `u` into `D` leaves `C` and enters a class between `C` and
+//!   `D`, which a kept edge has none of, or `D` itself; symmetrically each
+//!   member of an acyclic `D` has an edge from `C`, and a cyclic class is
+//!   strongly connected by its internal edges. So every path of the
+//!   reduction is walked in `G` by internal and realising edges, from any
+//!   member of its first class to any member of its last.
+//! - No neutral deletion is one of those edges: it joins two classes
+//!   (`[u] ≠ [w]`) whose class edge is not kept. So the neutral deletions
+//!   can all be dropped at once and every reachable pair stays reachable,
+//!   and no deletion adds a pair.
+//! - A neutral insertion `(u, w)` adds no pair: `u` reaches `w` in `G`,
+//!   hence also without the neutral deletions. It is safe even when the
+//!   same batch cuts the path that implied it by an effective deletion
+//!   `(x, y)`: `u` then reaches `x`, so it lies in that deletion's up-cone,
+//!   and the cut reads its adjacency from `G′`.
+//!
+//! The neutral edges are part of `G″`, so the step counts them into the
+//! rows of the classes it keeps — at a class kept whole, the cut reads
+//! them beside its rows — and reads them in `G′` at every exploded member.
+//!
 //! ## Cost
 //!
 //! Steps 1–3 and the splice pay for the affected region, not for
 //! `|ΔG| × |Er|`. The compressed edges are kept as sorted per-class rows
 //! ([`IncrementalQuotient`]) that every part of the step reads in place:
-//! the redundancy rule of step 1 is one membership test in the held
-//! closure per insertion, run only when its answer can be used (an
-//! insertion-only batch); step 2 is two walks bounded by the cones they
-//! return; step 3 reads the adjacency of each member of an exploded class
-//! (a class kept whole is read from its rows and the batch), unites per
-//! unit the closure rows of its distinct unaffected neighbours, condenses
-//! and groups a graph of units — 40 a batch on `dense_cithepth`, 165 on
-//! `churn_wikitalk`, where a hybrid graph would have 1 166 and 1 470
-//! nodes — and intersects two closure rows per group that may absorb; the
-//! splice relinks only the retired and born classes. The closure patch
-//! that ends step 4 is paid for the *changed* classes, not the affected
-//! ones (lemma L6): on `dense_cithepth` no batch changes a class and the
-//! patch does nothing; on `churn_wikitalk` a batch keeps ≈ 101 of its 152
-//! affected classes, rewires them and bears ≈ 17. Only construction
-//! sweeps. The closure is resident and costs what it holds: per class a
-//! row each way, a sorted list of the classes on that side or a bitmap of
-//! `id_space/64` words once the list would be larger. The step is
-//! independent of `|G|` and in the spirit of the paper's `O(|AFF| · |Gr|)`
-//! (the problem itself is unbounded — Theorem 6 — so no algorithm can
-//! depend on `|ΔG| + |ΔGr|` alone).
+//! the redundancy rule of step 1 is one membership test per update — in a
+//! closure row for an insertion, in the sorted kept edges for a deletion;
+//! step 2 is two walks bounded by the cones they return; step 3 reads the
+//! adjacency of each member of an exploded class (a class kept whole is
+//! read from its rows and the batch), unites per unit the closure rows of
+//! its distinct unaffected neighbours, condenses and groups a graph of
+//! units — 136 a batch on `churn_wikitalk`, where a hybrid graph would
+//! have 1 470 nodes — and intersects two closure rows per group that
+//! may absorb; the splice relinks only the retired and born classes. On
+//! `dense_cithepth` every update is neutral: no batch affects a class, and
+//! a step only counts its 12 edges in the rows. The closure patch that
+//! ends step 4 is paid for the *changed* classes, not the affected ones
+//! (lemma L6): on `churn_wikitalk` a batch rewires ≈ 100 of its ≈ 123
+//! affected classes and bears ≈ 18. Only construction sweeps. The closure
+//! is resident and costs what it holds: per class a row each way, a sorted
+//! list of the classes on that side or a bitmap of `id_space/64` words
+//! once the list would be larger. The step is independent of `|G|` and in
+//! the spirit of the paper's `O(|AFF| · |Gr|)` (the problem itself is
+//! unbounded — Theorem 6 — so no algorithm can depend on `|ΔG| + |ΔGr|`
+//! alone).
 
 #![deny(clippy::disallowed_types)]
 
@@ -170,7 +204,7 @@ impl Equivalence for ReachEquivalence {
 /// Incrementally maintained reachability-preserving compression: the
 /// shared [`IncrementalQuotient`] skeleton instantiated with
 /// [`ReachEquivalence`], plus what only this side has — the
-/// redundant-insertion reduction, class-level reachability queries, the
+/// redundant-update reduction, class-level reachability queries, the
 /// transitively reduced export, and the closure of the current quotient.
 #[derive(Clone, Debug)]
 pub struct IncrementalReach {
@@ -268,7 +302,7 @@ impl IncrementalReach {
 
     /// [`IncrementalReach::apply_normalized`] without the invariant check.
     fn maintain(&mut self, g: &LabeledGraph, norm: &UpdateBatch) -> (IncStats, PartitionDelta) {
-        let (redundant, effective) = self.reduce(norm);
+        let (neutral, effective) = self.reduce(norm);
         // Steps 2–4: affected classes = up-cone of the sources ∪ down-cone
         // of the targets over the *old* compression, cut into units and
         // regrouped against the closure of that compression.
@@ -276,12 +310,11 @@ impl IncrementalReach {
         let mut signatures = None;
         let (mut stats, mut delta) =
             self.q
-                .apply_effective(g, &effective, &redundant, |q, _, cut| {
+                .apply_effective(g, &effective, &neutral, |q, _, cut| {
                     let (regrouped, rows) = held.regroup(q.active(), q.payload(), cut);
                     signatures = Some(rows);
                     regrouped
                 });
-        stats.redundant_dropped = redundant.len();
         // Step 4, end: the closure follows the splice.
         if let Some(signatures) = signatures {
             delta.rewired = signatures.rewired().to_vec();
@@ -291,35 +324,38 @@ impl IncrementalReach {
         (stats, delta)
     }
 
-    /// Step 1, the redundant-insertion reduction: `norm`'s edges split into
-    /// the redundant ones and the effective ones. It is safe when the batch
-    /// inserts only, because insertions never invalidate the implying
-    /// paths. Redundant updates still changed the edge set, just not the
-    /// reachability relation — they are dropped from maintenance and only
-    /// counted in the rows. The rule is evaluated only then: in a batch
-    /// that also deletes, its answer could not be used.
+    /// Step 1, the redundancy reduction: `norm`'s edges split into the
+    /// *neutral* ones and the effective ones, each judged against the
+    /// closure held before the batch, whatever the batch's mix. An
+    /// insertion is neutral when its source already reaches its target by
+    /// a non-empty path; a deletion when its edge joins two classes whose
+    /// class edge is not in the transitive reduction. Neutral updates
+    /// change the edge set but not the reachability relation, even all
+    /// together and beside the effective ones (the module header's
+    /// soundness argument): they seed no cone and are only counted in the
+    /// rows.
     fn reduce(&self, norm: &UpdateBatch) -> (Edges, Edges) {
-        let insertions_only = norm.updates().iter().all(|u| u.is_insert());
-        let (mut redundant, mut effective) = (Edges::new(), Edges::new());
+        let (mut neutral, mut effective) = (Edges::new(), Edges::new());
         for u in norm.updates() {
             let (a, b) = u.edge();
-            // Redundant iff `a` already reaches `b` via a *non-empty* path:
-            // then the proper-reachability relation (and hence Re and Gr) is
-            // unchanged by the insertion. Note the self-loop case: inserting
-            // `(a, a)` is only redundant if `a` already lies on a cycle.
-            let already_proper_reach = insertions_only
-                && if a == b {
-                    self.q.payload()[self.class_of(a) as usize]
-                } else {
-                    self.query(a, b)
-                };
-            if already_proper_reach {
-                redundant.push((a, b));
+            let (ca, cb) = (self.class_of(a), self.class_of(b));
+            // An edge inside a class is never off the reduction, and a self
+            // loop `(a, a)` is implied only if `a` lies on a cycle.
+            let is_neutral = if !u.is_insert() {
+                let class_edge = (NodeId(ca), NodeId(cb));
+                ca != cb && self.closure.kept().binary_search(&class_edge).is_err()
+            } else if a == b {
+                self.q.payload()[ca as usize]
+            } else {
+                self.query(a, b)
+            };
+            if is_neutral {
+                neutral.push((a, b));
             } else {
                 effective.push((a, b));
             }
         }
-        (redundant, effective)
+        (neutral, effective)
     }
 
     /// The current state under **stable** class ids: the node → class index,
@@ -357,20 +393,17 @@ mod tests {
         g
     }
 
-    /// The incremental result must be identical (as a partition and as a
-    /// reachability oracle) to recompressing the updated graph from scratch.
-    fn assert_matches_batch(mut g: LabeledGraph, batch: UpdateBatch) {
-        let mut inc = IncrementalReach::new(&g);
-        inc.apply(&mut g, &batch);
-
-        let batch_compressed = compress_r(&g);
+    /// `inc`, stepped to `g`, is exact: its partition and the reduction a
+    /// publication reads (the held closure's kept edges, by first member)
+    /// are `compress_r(g)`'s, and it answers every pair like BFS on `g`.
+    fn assert_exact(inc: &IncrementalReach, g: &LabeledGraph) {
+        let batch_compressed = compress_r(g);
         let sq = inc.stable_quotient();
         assert_eq!(
             canonical(&sq.class_of),
             canonical(&batch_compressed.partition.class_of),
             "incremental partition diverged from batch recompression"
         );
-        // The reduction a publication reads is `compressR`'s.
         let kept = inc.closure().kept();
         assert_eq!(
             edges_by_first_member(&sq.class_of, kept.iter().map(|&(a, b)| (a.0, b.0))),
@@ -382,10 +415,17 @@ mod tests {
         );
         for v in g.nodes() {
             for w in g.nodes() {
-                let expected = bfs_reachable(&g, v, w);
-                assert_eq!(inc.query(v, w), expected, "inc query ({v},{w})");
+                assert_eq!(inc.query(v, w), bfs_reachable(g, v, w), "query ({v},{w})");
             }
         }
+    }
+
+    /// The incremental result must be identical (as a partition and as a
+    /// reachability oracle) to recompressing the updated graph from scratch.
+    fn assert_matches_batch(mut g: LabeledGraph, batch: UpdateBatch) {
+        let mut inc = IncrementalReach::new(&g);
+        inc.apply(&mut g, &batch);
+        assert_exact(&inc, &g);
     }
 
     #[test]
@@ -430,6 +470,8 @@ mod tests {
         assert_matches_batch(g, batch);
     }
 
+    /// An implied insertion is maintained — counted in the rows — but
+    /// dropped from the step: it affects no class and the delta is empty.
     #[test]
     fn redundant_insertion_is_detected() {
         let g = graph(3, &[(0, 1), (1, 2)]);
@@ -438,9 +480,11 @@ mod tests {
         let before = canonical(&inc.stable_quotient().class_of);
         let mut batch = UpdateBatch::new();
         batch.insert(NodeId(0), NodeId(2)); // implied by 0 -> 1 -> 2
-        let stats = inc.apply(&mut g2, &batch);
+        let (stats, delta) = inc.apply_with_delta(&mut g2, &batch);
         assert_eq!(stats.redundant_dropped, 1);
-        assert_eq!(stats.effective_updates, 0);
+        assert_eq!(stats.effective_updates, 1);
+        assert_eq!(stats.affected_classes, 0);
+        assert!(delta.is_empty());
         assert_eq!(canonical(&inc.stable_quotient().class_of), before);
         // And it still matches the batch result.
         assert_eq!(
@@ -502,11 +546,10 @@ mod tests {
         g: &LabeledGraph,
         norm: &UpdateBatch,
     ) -> (IncStats, PartitionDelta) {
-        let (redundant, effective) = inc.reduce(norm);
-        let (mut stats, delta) = (inc.q).apply_effective(g, &effective, &redundant, |q, g, cut| {
+        let (neutral, effective) = inc.reduce(norm);
+        let (stats, delta) = (inc.q).apply_effective(g, &effective, &neutral, |q, g, cut| {
             q.regroup_hybrid(g, cut)
         });
-        stats.redundant_dropped = redundant.len();
         inc.closure = QuotientClosure::sweep(inc.q.id_space(), inc.q.sorted_edges());
         assert_eq!(inc.check_invariants(g), Ok(()));
         (stats, delta)
@@ -556,11 +599,10 @@ mod tests {
     /// statistics but for the regrouped graph's size, the born count, which
     /// the closure path never exceeds, and the rewired count, which the
     /// hybrid path never has, and equal classes, cyclic flags and class
-    /// edges read
-    /// by first member. The closure path's invariants must hold — its
-    /// patched closure equal to a fresh sweep, its rows counting `g`'s
-    /// edges exactly — and its compression and answers be those of the
-    /// updated graph. Returns the closure path's statistics and delta.
+    /// edges read by first member. The closure path's invariants must hold
+    /// — its patched closure equal to a fresh sweep, its rows counting
+    /// `g`'s edges exactly — and it must be exact on the updated graph
+    /// ([`assert_exact`]). Returns the closure path's statistics and delta.
     fn step_both_paths(
         held: &mut IncrementalReach,
         denied: &mut IncrementalReach,
@@ -585,15 +627,7 @@ mod tests {
             by_first_member(&held.stable_quotient()),
             by_first_member(&denied.stable_quotient())
         );
-        assert_eq!(
-            canonical(&held.stable_quotient().class_of),
-            canonical(&compress_r(g).partition.class_of)
-        );
-        for v in g.nodes() {
-            for w in g.nodes() {
-                assert_eq!(held.query(v, w), bfs_reachable(g, v, w), "query ({v},{w})");
-            }
-        }
+        assert_exact(held, g);
         (stats, delta)
     }
 
@@ -852,17 +886,28 @@ mod tests {
             .any(|(members, _)| members == &[NodeId(1), NodeId(2)]));
     }
 
-    /// L7′: affected is not changed. A mixed batch — so no update is dropped
-    /// as redundant — whose deletion has a detour and whose insertion is
-    /// already implied affects three classes and changes none: the delta is
-    /// empty, and the rows follow both edges in place.
+    /// A mixed batch that changes nothing has an empty delta. When both
+    /// updates are neutral — a deletion off the reduction, an implied
+    /// insertion — step 1 drops both and nothing is affected. L7′, affected
+    /// is not changed: when the deletion is on a kept edge with a parallel
+    /// edge into a cyclic class, it is effective, affects three classes and
+    /// changes none. Either way the rows follow both edges in place.
     #[test]
     fn a_mixed_batch_that_changes_nothing_has_an_empty_delta() {
         // 0 → 1 → 2 → 3 and 0 → 2: deleting 0 → 2 leaves 0 → 1 → 2, and
         // 0 → 3 is implied.
         let g = graph(4, &[(0, 1), (1, 2), (2, 3), (0, 2)]);
         let (stats, delta, _) = one_step(g, &[(0, 2, false), (0, 3, true)]);
-        assert_eq!((stats.effective_updates, stats.affected_classes), (2, 3));
+        assert_eq!((stats.effective_updates, stats.redundant_dropped), (2, 2));
+        assert_eq!((stats.affected_classes, stats.hybrid_nodes), (0, 0));
+        assert!(delta.is_empty());
+        assert_eq!(stats.changed_classes, 0);
+
+        // 0 → {1 ↔ 2} → 3 by 0 → 1 and 0 → 2: deleting 0 → 1 leaves 0 → 2.
+        let g = graph(4, &[(0, 1), (0, 2), (1, 2), (2, 1), (2, 3)]);
+        let (stats, delta, _) = one_step(g, &[(0, 1, false), (0, 3, true)]);
+        assert_eq!((stats.effective_updates, stats.redundant_dropped), (2, 1));
+        assert_eq!(stats.affected_classes, 3);
         assert!(delta.is_empty());
         assert_eq!(stats.changed_classes, 0);
     }
@@ -979,15 +1024,16 @@ mod tests {
         let (mut held, mut denied) = (IncrementalReach::new(&g), IncrementalReach::new(&g));
         let batch = batch_of(&[(1, 2, true), (4, 4, true)]);
         let (stats, _) = step_both_paths(&mut held, &mut denied, &mut g, &batch);
-        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 1));
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 2));
     }
 
     /// The rows count every edge, exactly, between classes a step keeps:
     /// an insertion dropped as redundant, then — between the same two
     /// unchanged classes — its deletion, an implied insertion and that
-    /// one's deletion. The counts [`step_both_paths`] checks after each
-    /// step would underflow at the first deletion if the dropped insertion
-    /// had not been counted.
+    /// one's deletion. Every update is neutral (the deletions are off the
+    /// reduction), so no step affects a class. The counts
+    /// [`step_both_paths`] checks after each step would underflow at the
+    /// first deletion if the dropped insertion had not been counted.
     #[test]
     fn rows_count_the_edges_between_unchanged_classes() {
         let mut g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
@@ -1002,12 +1048,68 @@ mod tests {
             let batch = batch_of(spec);
             let (stats, delta) = step_both_paths(&mut held, &mut denied, &mut g, &batch);
             assert!(delta.is_empty(), "step {step}");
-            assert_eq!(
-                stats.redundant_dropped,
-                usize::from(step == 0),
-                "step {step}"
-            );
+            assert_eq!(stats.redundant_dropped, spec.len(), "step {step}");
+            assert_eq!(stats.effective_updates, spec.len(), "step {step}");
+            assert_eq!(stats.affected_classes, 0, "step {step}");
         }
+    }
+
+    /// Step 1's traps: neutral updates beside the updates that could undo
+    /// what made them neutral. Each step is checked by [`step_both_paths`]
+    /// — `compress_r`'s partition and reduction, BFS on every pair.
+    /// `a → b → c`: inserting `a → c` is implied, but the same batch deletes
+    /// `b → c`, the kept edge the implying path runs on.
+    #[test]
+    fn an_implied_insertion_whose_path_the_batch_cuts_stays_exact() {
+        let g = graph(3, &[(0, 1), (1, 2)]);
+        let (stats, _, born) = one_step(g, &[(0, 2, true), (1, 2, false)]);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 2));
+        // 1 and 2 are both sinks below 0 now.
+        assert!(born.contains(&(vec![NodeId(1), NodeId(2)], false)));
+    }
+
+    /// `a → b → c` plus `a → c`: deleting `a → c` (off the reduction) and
+    /// `b → c` (kept) together strands `c`.
+    #[test]
+    fn a_shortcut_deleted_with_the_path_it_shortcuts_stays_exact() {
+        let g = graph(3, &[(0, 1), (1, 2), (0, 2)]);
+        let (stats, delta, _) = one_step(g, &[(0, 2, false), (1, 2, false)]);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 2));
+        assert!(!delta.is_empty());
+    }
+
+    /// Three shortcuts of one chain, deleted at once: each is off the
+    /// reduction, and they stay droppable together because none realises
+    /// a kept edge.
+    #[test]
+    fn three_shortcuts_of_one_chain_are_dropped_at_once() {
+        let g = graph(4, &[(0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3)]);
+        let spec = [(0, 2, false), (1, 3, false), (0, 3, false)];
+        let (stats, delta, _) = one_step(g, &spec);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (3, 3));
+        assert_eq!(stats.affected_classes, 0);
+        assert!(delta.is_empty());
+    }
+
+    /// A deletion on a kept edge stays effective even when a parallel edge
+    /// still realises it: S = {0 ↔ 1} → T = {2 ↔ 3} by 1 → 2 and 0 → 3.
+    #[test]
+    fn a_kept_edge_with_a_parallel_edge_stays_effective() {
+        let g = graph(4, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2), (0, 3)]);
+        let (stats, delta, _) = one_step(g, &[(1, 2, false)]);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (0, 1));
+        assert_eq!(stats.affected_classes, 2);
+        assert!(delta.is_empty());
+    }
+
+    /// A self loop is implied on a cyclic class and not on an acyclic
+    /// singleton, which it makes cyclic.
+    #[test]
+    fn a_self_loop_is_neutral_only_on_a_cycle() {
+        let g = graph(4, &[(0, 1), (2, 3), (3, 2)]);
+        let (stats, _, born) = one_step(g, &[(0, 0, true), (2, 2, true)]);
+        assert_eq!((stats.redundant_dropped, stats.effective_updates), (1, 2));
+        assert!(born.contains(&(vec![NodeId(0)], true)));
     }
 
     /// Splice order: a group that absorbs an unaffected class is spliced

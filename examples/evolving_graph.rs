@@ -52,8 +52,9 @@ fn main() {
         let identical = canonical(&scratch.partition.class_of)
             == canonical(&maintained.reach().stable_quotient().class_of);
         println!(
-            "step {step}: {:4} updates | affected {:4} classes | incRCM {:>9.3?} vs compressR {:>9.3?} | identical = {identical}",
+            "step {step}: {:4} updates | {:4} redundant dropped | affected {:4} classes | incRCM {:>9.3?} vs compressR {:>9.3?} | identical = {identical}",
             batch.len(),
+            stats.redundant_dropped,
             stats.affected_classes,
             inc_time,
             batch_time,

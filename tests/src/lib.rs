@@ -207,7 +207,9 @@ impl Config {
     /// are the single store's, pattern queries need patterns served.
     pub fn commands(&self) -> Vec<Command> {
         use Command::*;
-        let mut menu = vec![Mixed, Implied, Deletes, OutOfRange, Conflict, Noop, Recover];
+        let mut menu = vec![
+            Mixed, Implied, Deletes, Neutral, OutOfRange, Conflict, Noop, Recover,
+        ];
         menu.extend([Point, Bulk]);
         if self.shards.is_none() {
             menu.extend([Save, Boot]);
@@ -228,6 +230,10 @@ pub enum Command {
     Implied,
     /// A valid batch of deletes of existing edges, sometimes one insert.
     Deletes,
+    /// A valid batch mixing an insert of an edge the model implies, a
+    /// delete of an edge off its transitive reduction and a delete of a
+    /// random edge: the neutral updates `incRCM` only counts in its rows.
+    Neutral,
     /// A batch naming a node outside the store: rejected, nothing changes.
     OutOfRange,
     /// A batch inserting and deleting one edge: rejected, nothing changes.
@@ -247,10 +253,12 @@ pub enum Command {
     Bulk,
     /// Every query of [`pattern_queries`].
     Pattern,
-    /// Arms failpoint `site` at hit `hit` and applies a valid batch, which
-    /// must fail, name the site, and change nothing. Hit `k` of a
-    /// per-shard site fails shard `k − 1`. At a `persist/` site it saves
-    /// the served snapshot instead, and the file on disk must not change.
+    /// Arms failpoint `site` at hit `hit` and applies a valid batch drawn
+    /// as [`Command::Neutral`] draws one (so a rollback undoes the rows a
+    /// pruned update was counted in), which must fail, name the site, and
+    /// change nothing. Hit `k` of a per-shard site fails shard `k − 1`. At
+    /// a `persist/` site it saves the served snapshot instead, and the file
+    /// on disk must not change.
     #[cfg(feature = "failpoints")]
     Fault {
         /// The `fail_point!` site.
@@ -273,6 +281,9 @@ pub struct Coverage {
     pub republished: usize,
     /// Publications that built a new pattern view.
     pub views_built: usize,
+    /// Updates `incRCM` counted in its rows without recomputing from them
+    /// (`IncStats::redundant_dropped`).
+    pub pruned: usize,
 }
 
 impl Coverage {
@@ -283,6 +294,7 @@ impl Coverage {
         self.rebuilt += other.rebuilt;
         self.republished += other.republished;
         self.views_built += other.views_built;
+        self.pruned += other.pruned;
     }
 
     /// Asserts that every kind `config` admits ran, on a DAG and on a graph
@@ -315,7 +327,12 @@ pub fn check_at(config: Config, seed: u64, steps: usize, replays: &[usize]) -> C
     for i in (1..script.len()).rev() {
         script.swap(i, rng.gen_range(0..=i));
     }
-    let batches = [Command::Mixed, Command::Implied, Command::Deletes];
+    let batches = [
+        Command::Mixed,
+        Command::Implied,
+        Command::Deletes,
+        Command::Neutral,
+    ];
     let menu = [&script[..], &batches, &batches].concat();
     script.extend((script.len()..steps).map(|_| menu[rng.gen_range(0..menu.len())]));
     script.truncate(steps);
@@ -567,7 +584,11 @@ impl<S: Store> Checker<S> {
         let before = self.store().load();
         let n = self.graph.node_count();
         match cmd {
-            Command::Mixed | Command::Implied | Command::Deletes | Command::Noop => {
+            Command::Mixed
+            | Command::Implied
+            | Command::Deletes
+            | Command::Neutral
+            | Command::Noop => {
                 let batch = self.draw_batch(cmd);
                 let path = self.apply(&batch, &ctx).path;
                 assert!(
@@ -669,7 +690,7 @@ impl<S: Store> Checker<S> {
             }
             #[cfg(feature = "failpoints")]
             Command::Fault { site, hit } => {
-                let batch = self.draw_batch(Command::Mixed);
+                let batch = self.draw_batch(Command::Neutral);
                 let err = {
                     let _armed =
                         qpgc_fault::install(qpgc_fault::FaultPlan::new().fail_at(site, hit));
@@ -697,8 +718,11 @@ impl<S: Store> Checker<S> {
             }
         }
         self.coverage.kinds.insert(discriminant(&cmd));
-        use Command::{Boot, Deletes, Implied, Mixed, Noop, Recover};
-        let changes = matches!(cmd, Mixed | Implied | Deletes | Noop | Boot | Recover);
+        use Command::{Boot, Deletes, Implied, Mixed, Neutral, Noop, Recover};
+        let changes = matches!(
+            cmd,
+            Mixed | Implied | Deletes | Neutral | Noop | Boot | Recover
+        );
         self.after(&ctx, (!changes).then_some(before));
         // A recovered or booted store writes no log: carry on with a fresh
         // logged one.
@@ -713,6 +737,7 @@ impl<S: Store> Checker<S> {
         let report = report.unwrap_or_else(|e| panic!("{ctx}: {e}"));
         self.orphan = None;
         self.advance(Some(batch));
+        self.coverage.pruned += report.reach.redundant_dropped;
         let shards = self.config.shards.unwrap_or(0);
         assert_eq!(report.version, self.version, "{ctx}");
         assert_eq!(report.shards.len(), shards, "{ctx}");
@@ -754,6 +779,43 @@ impl<S: Store> Checker<S> {
                 if !implied.is_empty() {
                     let ((u, w), _) = implied[self.rng.gen_range(0..implied.len())];
                     batch.insert(u, w);
+                }
+                batch
+            }
+            Command::Neutral => {
+                // Neutral for the maintainer that holds the edge: the
+                // store's, or its shard's, over the shard's edges alone.
+                let parts = match self.config.shards {
+                    None => vec![g.clone()],
+                    Some(shards) => split_graph(g, &NodePartition::new(shards)).0,
+                };
+                let (mut implied, mut off) = (Vec::new(), Vec::new());
+                for h in &parts {
+                    let r = compress_r(h);
+                    let class = |v: NodeId| NodeId(r.partition.class_of(v));
+                    let kept: HashSet<(NodeId, NodeId)> = r.graph.edges().collect();
+                    off.extend(h.edges().filter(|&(u, w)| {
+                        let class_edge = (class(u), class(w));
+                        class_edge.0 != class_edge.1 && !kept.contains(&class_edge)
+                    }));
+                    let missing = |&(u, w): &(NodeId, NodeId)| u != w && !h.has_edge(u, w);
+                    implied.extend(
+                        pairs(h)
+                            .filter(missing)
+                            .filter(|&(u, w)| bfs_reachable(h, u, w)),
+                    );
+                }
+                let edges: Vec<_> = g.edges().collect();
+                let mut batch = UpdateBatch::new();
+                for (pick, insert) in [(&implied, true), (&off, false), (&edges, false)] {
+                    if !pick.is_empty() {
+                        let (u, w) = pick[self.rng.gen_range(0..pick.len())];
+                        if insert {
+                            batch.insert(u, w);
+                        } else {
+                            batch.delete(u, w);
+                        }
+                    }
                 }
                 batch
             }

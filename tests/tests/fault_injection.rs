@@ -69,9 +69,11 @@ fn sharded(shards: usize) -> Config {
 }
 
 /// What follows a fault: the store continues (a no-op batch republishes, a
-/// clean batch applies), or it is dropped and recovered from its log.
+/// clean batch applies), or it is dropped and recovered from its log — a
+/// log that holds batches with neutral updates, replayed through the
+/// pruned path.
 const CONTINUE: &[Command] = &[Command::Noop, Command::Mixed, Command::Pattern];
-const RECOVER: &[Command] = &[Command::Recover, Command::Mixed, Command::Mixed];
+const RECOVER: &[Command] = &[Command::Recover, Command::Neutral, Command::Mixed];
 
 #[test]
 fn single_store_survives_a_fault_at_every_site() {

@@ -148,18 +148,19 @@ fn assert_same_pattern_export(a: &StablePatternQuotient, b: &StablePatternQuotie
 }
 
 /// A missing edge `(u, w)` that an existing two-edge path `u → v → w`
-/// implies, when there is one: inserting it is redundant for reachability.
-fn two_step_shortcut(g: &LabeledGraph) -> Option<(NodeId, NodeId)> {
+/// implies, when there is one, as `(u, v, w)`: inserting `(u, w)` is
+/// redundant for reachability.
+fn two_step_shortcut(g: &LabeledGraph) -> Option<(NodeId, NodeId, NodeId)> {
     g.nodes().find_map(|u| {
         g.out_neighbors(u)
             .iter()
-            .flat_map(|&v| g.out_neighbors(v).iter().map(move |&w| (u, w)))
-            .find(|&(u, w)| u != w && !g.has_edge(u, w))
+            .flat_map(|&v| g.out_neighbors(v).iter().map(move |&w| (u, v, w)))
+            .find(|&(u, _, w)| u != w && !g.has_edge(u, w))
     })
 }
 
 /// One batch of the mixed stream, by step kind: insert-only with a
-/// deliberately implied edge (the redundant-insertion path), delete-heavy,
+/// deliberately implied edge (a neutral update), delete-heavy,
 /// empty, all-no-op, and free-for-all.
 fn mixed_stream_batch(rng: &mut StdRng, g: &LabeledGraph, step: usize) -> UpdateBatch {
     let n = g.node_count() as u32;
@@ -170,7 +171,7 @@ fn mixed_stream_batch(rng: &mut StdRng, g: &LabeledGraph, step: usize) -> Update
         0 => {
             // An edge implied by an existing non-empty path, when there is
             // one, plus random insertions.
-            if let Some((u, w)) = two_step_shortcut(g) {
+            if let Some((u, _, w)) = two_step_shortcut(g) {
                 batch.insert(u, w);
             }
             for _ in 0..rng.gen_range(0..3) {
@@ -363,10 +364,7 @@ fn one_graph_facade_equals_standalone_maintainers_and_the_oracle() {
             );
         }
     }
-    assert!(
-        redundant_seen > 0,
-        "no stream hit the redundant-insertion path"
-    );
+    assert!(redundant_seen > 0, "no stream hit the neutral-update path");
     assert!(empty_seen > 0, "no stream normalised to an empty batch");
 }
 
@@ -601,27 +599,32 @@ fn patched_closure_does_not_drift_on_the_churn_wikitalk_shape() {
 const STREAM_SEED: u64 = 0x5eed_0000_0000_0b0a;
 
 /// The `dense_cithepth` stream — citHepTh ÷ 24, 105 batches of
-/// `local_batch(g, 12, 8, STREAM_SEED ^ i)` — changes no class. Its batches
-/// mix deletions that have detours with insertions that are already
-/// implied, so nothing is dropped as redundant and every batch has
-/// affected classes, yet each comes back unchanged (L7′ in
-/// `qpgc_reach::closure`, not rewired). At every step the delta must be empty, the held
-/// closure a fresh sweep, the rows exact and the partition `compress_r`'s;
-/// a store with a 2-hop index over the same stream republishes every
-/// batch.
+/// `local_batch(g, 12, 8, STREAM_SEED ^ i)` — is reachability-neutral
+/// throughout: every normalized update is an insertion the held closure
+/// already implies or a deletion off its transitive reduction, so step 1
+/// drops all 1 260 of them and no batch affects a class. At every step the
+/// delta must be empty, the held closure a fresh sweep, the rows exact and
+/// the partition `compress_r`'s; a store with a 2-hop index over the same
+/// stream reports the same statistics and republishes every batch.
 #[test]
 fn the_dense_cithepth_stream_changes_no_class() {
     let mut g = qpgc_generators::dataset("citHepTh", 24, 0).expect("a Table 1 name");
     let mut inc = IncrementalReach::new(&g);
     let config = StoreConfig::builder().two_hop(TwoHopConfig).build();
     let store = CompressedStore::new(g.clone(), config);
-    let mut affected = 0;
+    let mut maintained = 0;
     for i in 0..105u64 {
         let batch = local_batch(&g, 12, 8, STREAM_SEED ^ i);
         let report = store.try_apply(&batch).expect("a valid batch");
         assert_eq!(report.path, ApplyPath::Republished, "batch {i}");
         let (stats, delta) = inc.apply_with_delta(&mut g, &batch);
-        affected += stats.affected_classes;
+        assert_eq!(report.reach, stats, "batch {i}: store vs maintainer");
+        assert_eq!(stats.affected_classes, 0, "batch {i}");
+        assert_eq!(
+            stats.redundant_dropped, stats.effective_updates,
+            "batch {i}"
+        );
+        maintained += stats.effective_updates;
         assert!(delta.is_empty(), "batch {i}: {delta:?}");
         assert_eq!(inc.check_invariants(&g), Ok(()), "batch {i}");
         assert_eq!(
@@ -630,13 +633,13 @@ fn the_dense_cithepth_stream_changes_no_class() {
             "batch {i}: partition vs compress_r"
         );
     }
-    assert!(affected > 0, "no batch affected a class");
+    assert_eq!(maintained, 1260, "normalized updates over the stream");
 }
 
-/// The redundant-insertion rule, on the only kind of stream that reaches
-/// it: every batch inserts only. Insertions implied by an existing
-/// non-empty path are dropped from maintenance, and the maintained state
-/// still equals `compress_r(G ⊕ ΔG)` and answers like BFS on `G`.
+/// The redundancy rule on an insertion-only stream: insertions implied by
+/// an existing non-empty path are dropped from the recomputation, and the
+/// maintained state still equals `compress_r(G ⊕ ΔG)` and answers like
+/// BFS on `G`.
 #[test]
 fn insertion_only_stream_drops_redundant_insertions_and_stays_exact() {
     let mut g = qpgc_generators::dataset("wikiTalk", 8000, 0).expect("a Table 1 name");
@@ -649,7 +652,7 @@ fn insertion_only_stream_drops_redundant_insertions_and_stays_exact() {
         for _ in 0..6 {
             batch.insert(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
         }
-        if let Some((u, w)) = two_step_shortcut(&g) {
+        if let Some((u, _, w)) = two_step_shortcut(&g) {
             batch.insert(u, w);
         }
         let (stats, _) = inc.apply_with_delta(&mut g, &batch);
@@ -670,4 +673,86 @@ fn insertion_only_stream_drops_redundant_insertions_and_stays_exact() {
         }
     }
     assert!(redundant_dropped > 0, "no insertion was found redundant");
+}
+
+/// The redundancy rule on mixed batches over a small citHepTh emulation.
+/// Each batch inserts a shortcut `u → w` of a two-edge path `u → v → w`
+/// and, every other batch, deletes `v → w` beside it, cutting the path that
+/// implied the insertion; random deletions of edges and insertions of
+/// missing ones fill it up. The neutral updates, read per kind off the
+/// closure held before the batch — implied insertions, deletions off the
+/// transitive reduction — must be exactly the step's `redundant_dropped`;
+/// after every batch the invariants hold, the partition is `compress_r`'s
+/// and 400 sampled pairs answer like BFS on `G`.
+#[test]
+fn mixed_stream_prunes_neutral_updates_and_stays_exact() {
+    let mut g = qpgc_generators::dataset("citHepTh", 96, 0).expect("a Table 1 name");
+    let n = g.node_count() as u32;
+    let mut rng = StdRng::seed_from_u64(0x3E07A1);
+    let mut inc = IncrementalReach::new(&g);
+    // Neutral insertions and deletions over the stream, and the batches
+    // whose deletion of `v → w` was effective: it cut the path that made
+    // the shortcut's insertion neutral.
+    let (mut neutral, mut cut_paths) = ([0usize; 2], 0);
+    for step in 0..16 {
+        let mut batch = UpdateBatch::new();
+        let mut cut = None;
+        if let Some((u, v, w)) = two_step_shortcut(&g) {
+            batch.insert(u, w);
+            if step % 2 == 1 {
+                batch.delete(v, w);
+                cut = Some((v, w));
+            }
+        }
+        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        for _ in 0..3 {
+            let (u, w) = edges[rng.gen_range(0..edges.len())];
+            batch.delete(u, w);
+        }
+        for _ in 0..3 {
+            let (u, w) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            if u != w && !g.has_edge(u, w) {
+                batch.insert(u, w);
+            }
+        }
+        let norm = batch.normalized(&g);
+        let kept = inc.closure().kept();
+        let mut expected = 0;
+        for update in norm.updates() {
+            let (u, w) = update.edge();
+            let (cu, cw) = (NodeId(inc.class_of(u)), NodeId(inc.class_of(w)));
+            let is_neutral = if update.is_insert() {
+                inc.query(u, w)
+            } else {
+                cu != cw && kept.binary_search(&(cu, cw)).is_err()
+            };
+            if is_neutral {
+                neutral[usize::from(!update.is_insert())] += 1;
+                expected += 1;
+            } else if cut == Some((u, w)) {
+                cut_paths += 1;
+            }
+        }
+        let (stats, _) = inc.apply_with_delta(&mut g, &batch);
+        assert_eq!(stats.redundant_dropped, expected, "step {step}");
+        assert_eq!(stats.effective_updates, norm.len(), "step {step}");
+        assert_eq!(inc.check_invariants(&g), Ok(()), "step {step}");
+        assert_eq!(
+            canonical(&inc.stable_quotient().class_of),
+            canonical(&compress_r(&g).partition.class_of),
+            "step {step}: partition vs compress_r"
+        );
+        for _ in 0..400 {
+            let (u, w) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            assert_eq!(
+                inc.query(u, w),
+                bfs_reachable(&g, u, w),
+                "step {step}: ({u},{w})"
+            );
+        }
+    }
+    let [insertions, deletions] = neutral;
+    assert!(insertions > 0, "no insertion was neutral");
+    assert!(deletions > 0, "no deletion was neutral");
+    assert!(cut_paths > 0, "no deletion cut a neutral insertion's path");
 }

@@ -1,9 +1,10 @@
 //! The model checker over every store configuration that exists (see
 //! `qpgc_tests`): the 8 single-store and 12 router configurations each run
 //! seeded command sequences against the BFS / `bounded_match` model, must
-//! exercise every command kind they admit and both publication paths, and
-//! replay to the same state at `threads = 2`. The 12 pattern-serving router
-//! configurations run to their refusal.
+//! exercise every command kind they admit and both publication paths,
+//! prune some update as neutral, and replay to the same state at
+//! `threads = 2`. The 12 pattern-serving router configurations run to
+//! their refusal.
 
 use qpgc_tests::{assert_refused, check_configs, Config};
 
@@ -12,7 +13,9 @@ fn check_every(routers: bool) {
         .into_iter()
         .filter(|c| c.shards.is_some() == routers)
     {
-        check_configs(0..2, 40, |c| *c == config).assert_complete(&config);
+        let coverage = check_configs(0..2, 40, |c| *c == config);
+        coverage.assert_complete(&config);
+        assert!(coverage.pruned > 0, "{config:?}: no update was pruned");
     }
 }
 

@@ -78,7 +78,7 @@ fn succinct_store_answers_match_plain_store() {
 fn boot_from_snapshot_matches_recompress() {
     use Command::*;
     let script = [
-        Mixed, Mixed, Save, Mixed, Deletes, Implied, Boot, Mixed, Recover,
+        Mixed, Mixed, Save, Mixed, Deletes, Implied, Neutral, Boot, Mixed, Recover,
     ];
     for config in Config::all().into_iter().filter(|c| c.shards.is_none()) {
         check_script(config, 0xB007, &script);
