@@ -7,10 +7,11 @@
 //! cone-local batches (cone cap 8, each drawn against the graph the
 //! previous one left). It reports the median batch: its wall-clock apply,
 //! the publication inside it, and the classes it affected, changed and
-//! rewired, beside `compressR` on the starting graph and the heap of the
-//! closure a maintainer holds for it. A cost that follows the id space
-//! rather than the change shows as a slope down the ladder; a cliff inside
-//! a rung, as a gap between the medians of its first and second 20
+//! rewired, beside `compressR` on the starting graph, the heap of the
+//! closure a maintainer holds for it, and the label entries and heap of
+//! the first 2-hop index the store publishes. A cost that follows the id
+//! space rather than the change shows as a slope down the ladder; a cliff
+//! inside a rung, as a gap between the medians of its first and second 20
 //! batches.
 
 use std::time::Instant;
@@ -76,6 +77,8 @@ fn ladder(rungs: &[Rung]) -> ExperimentResult {
             .patterns(patterns)
             .build();
         let store = CompressedStore::new(g.clone(), config);
+        let first = store.load();
+        let index = first.two_hop().expect("the store serves a 2-hop index");
         let mut batches: Vec<[f64; 5]> = Vec::with_capacity(BATCHES);
         for i in 0..BATCHES as u64 {
             let batch = local_batch(&g, size, CONE_CAP, i);
@@ -111,7 +114,9 @@ fn ladder(rungs: &[Rung]) -> ExperimentResult {
                 .cell("changed", median(&batches, 3))
                 .cell("rewired", median(&batches, 4))
                 .cell("compressR (ms)", t_compress.as_secs_f64() * 1e3)
-                .cell("closure (KiB)", closure as f64 / 1024.0),
+                .cell("closure (KiB)", closure as f64 / 1024.0)
+                .cell("2-hop entries", index.label_entries() as f64)
+                .cell("2-hop (KiB)", index.heap_bytes() as f64 / 1024.0),
         );
     }
     res
@@ -131,6 +136,8 @@ mod tests {
             assert!(row.get("apply (ms)").unwrap() > 0.0);
             assert!(row.get("compressR (ms)").unwrap() > 0.0);
             assert!(row.get("closure (KiB)").unwrap() > 0.0);
+            assert!(row.get("2-hop entries").unwrap() > 0.0);
+            assert!(row.get("2-hop (KiB)").unwrap() > 0.0);
             assert!(row.get("rewired").unwrap() <= row.get("affected").unwrap());
         }
     }

@@ -675,19 +675,23 @@ impl RowBuilder {
         self.ids.retain(|&id| marks[id as usize] == stamp);
     }
 
-    /// The ascending, distinct `ids` as a set in the encoding their number
-    /// asks for: the slice itself while it is short, else a bitmap the
-    /// builder, emptied first, gathers.
-    pub fn encode<'a>(&'a mut self, ids: &'a [u32]) -> IdSet<'a> {
-        if !dense(ids.len(), self.universe) {
-            return IdSet::List(ids);
-        }
+    /// The ascending, distinct `ids` and `id`, not among them, as a set in
+    /// the encoding their number asks for, laid out in the builder, emptied
+    /// first (clear it before gathering anything else in it).
+    pub fn encode_with(&mut self, ids: &[u32], id: u32) -> IdSet<'_> {
         self.clear();
-        self.make_bits();
-        for &id in ids {
-            self.words[id as usize / WORD] |= 1 << (id as usize % WORD);
+        if !dense(ids.len() + 1, self.universe) {
+            let at = ids.partition_point(|&v| v < id);
+            self.ids.extend_from_slice(&ids[..at]);
+            self.ids.push(id);
+            self.ids.extend_from_slice(&ids[at..]);
+            return IdSet::List(&self.ids);
         }
-        IdSet::Bits(&self.words, ids.len())
+        self.make_bits();
+        for &v in ids.iter().chain([&id]) {
+            self.words[v as usize / WORD] |= 1 << (v as usize % WORD);
+        }
+        IdSet::Bits(&self.words, ids.len() + 1)
     }
 
     /// The set gathered so far.
@@ -912,5 +916,28 @@ mod tests {
             rows.remove(1, id);
         }
         assert!(rows.row(1).is_empty() && !rows.is_bitmap(1));
+    }
+
+    /// `encode_with` takes the extra id in at its place, a list up to the
+    /// threshold and a bitmap past it, whatever the builder held before.
+    #[test]
+    fn encode_with_adds_one_id_in_either_encoding() {
+        let n = 640; // ten words: a list of more than 20 ids is larger
+        let mut b = RowBuilder::new(n);
+        for len in [0u32, 5, 19, 20, 21, 40, 3] {
+            let ids: Vec<u32> = (0..len).map(|i| i * 7 + 1).collect();
+            for id in [0, 4, len * 7 + 2] {
+                let mut want: Vec<u32> = ids.iter().copied().chain([id]).collect();
+                want.sort_unstable();
+                let set = b.encode_with(&ids, id);
+                assert_eq!(
+                    matches!(set, IdSet::Bits(..)),
+                    len + 1 > 20,
+                    "{len} + 1 ids"
+                );
+                assert_eq!(set.len(), want.len());
+                assert_eq!(set.iter().collect::<Vec<_>>(), want, "{len} ids and {id}");
+            }
+        }
     }
 }

@@ -231,6 +231,12 @@ impl IncrementalReach {
         &self.closure
     }
 
+    /// The maintained quotient, read in place: the node index, cyclic flags
+    /// and liveness of [`IncrementalReach::stable_quotient`], no edges.
+    pub fn quotient(&self) -> &IncrementalQuotient<ReachEquivalence> {
+        &self.q
+    }
+
     /// Number of active equivalence classes (`|Vr|`).
     pub fn class_count(&self) -> usize {
         self.q.class_count()

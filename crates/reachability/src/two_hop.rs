@@ -6,7 +6,8 @@
 //! is much cheaper. We implement the index as a pruned landmark labelling
 //! (pruned BFS from landmarks in descending coverage order, see
 //! [`TwoHopIndex::build`]), which produces a valid 2-hop cover for
-//! reachability: `u` reaches `w` iff `L_out(u) ∩ L_in(w) ≠ ∅`.
+//! reachability: `u` reaches `w` iff `L_out(u) ∩ L_in(w) ≠ ∅`, each node
+//! counted in both of its own lists (served without them, see below).
 //!
 //! ## Labels are landmark *ranks*, not node ids
 //!
@@ -21,10 +22,13 @@
 //! pruning rule kept almost nothing out. Queries stayed correct (failed
 //! pruning only *adds* labels) but the index bloated. So the tests hold
 //! the index to the labelling no pruning at all would write — each node
-//! listing every node it reaches and every node that reaches it, itself
-//! included, `2·Σ_u |{w : u ⇝* w}|` entries — and require fewer (the
+//! listing every other node it reaches and every other node that reaches
+//! it, `2·Σ_u |{w ≠ u : u ⇝* w}|` entries — and require no more (the
 //! 2-hop differential suite and the `fig12d` experiment tests).
-//! [`TwoHopIndex::landmark_order`] maps a rank back to its node.
+//!
+//! A served list leaves out its node's own rank (Lemma 1's corollary: its
+//! largest entry); [`TwoHopIndex::ranks`] holds it once. The query for
+//! `u ≠ w` is `out(u) ∩ in(w) ≠ ∅ ∨ rank(u) ∈ in(w) ∨ rank(w) ∈ out(u)`.
 //!
 //! Because the compressed graph is "just a graph", the very same index can
 //! be built over `Gr` — this is the paper's claim that existing indexing
@@ -65,7 +69,8 @@
 //! and `L_in(x)` (its landmark would lie on a path `ℓ ⇝ x`): the pass is
 //! pruned nowhere on its way to `u`, nor at `u`. ∎ So the labels are a
 //! function of (reachability closure, order), and anything that evaluates
-//! `min` gets them bit for bit.
+//! `min` gets them bit for bit. *Corollary:* `u` is on every path it ends,
+//! so `rank(u)`, its own landmark's, is the largest entry of both its lists.
 //!
 //! **Lemma 2 (a landmark strikes only its uncovered cones).**
 //! [`TwoHopIndex::from_closure`] keeps, for a DAG, the invariant that
@@ -81,8 +86,9 @@
 //! `min(v, u) ≤ min(v, ℓ) < r` for every `u` below `ℓ`, its pairs went when
 //! that lower landmark was processed — and only such pairs, since `ℓ` lies
 //! between the ends of every pair of the biclique. ∎ By Lemma 1,
-//! `below ∪ {ℓ}` are then exactly the nodes that hold `r` in their `in`
-//! list and `above ∪ {ℓ}` those that hold it in their `out` list.
+//! `below` are then exactly the nodes other than `ℓ` that hold `r` in
+//! their `in` list and `above` those that hold it in their `out` list: the
+//! served labels of rank `r` are the two uncovered cones as they stand.
 //!
 //! What each costs. [`TwoHopIndex::build_in_order`]: `2n` pruned passes,
 //! one sorted-list merge per visited node (`Σ visits · merge`; `Gr` is
@@ -114,12 +120,14 @@ pub struct TwoHopConfig;
 /// A 2-hop reachability labelling of a graph.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TwoHopIndex {
-    /// Per node `v`: ranks of landmarks reachable *from* `v` (ascending).
+    /// Per node `v`: ranks of landmarks other than `v` reachable *from*
+    /// `v` (ascending, all below `rank[v]`).
     out_labels: LabelLists,
-    /// Per node `v`: ranks of landmarks that reach `v` (ascending).
+    /// Per node `v`: ranks of landmarks other than `v` that reach `v`
+    /// (ascending, all below `rank[v]`).
     in_labels: LabelLists,
-    /// `landmark_of_rank[r]`: the node processed as the `r`-th landmark.
-    landmark_of_rank: Vec<NodeId>,
+    /// `rank[v]`: the position of node `v` in the landmark order.
+    rank: Vec<u32>,
 }
 
 /// One direction's finished label lists, concatenated in node order (the
@@ -143,13 +151,11 @@ struct RankLog {
 }
 
 impl RankLog {
-    /// Logs the next rank: the landmark's uncovered cone and the landmark
-    /// itself, which it hands back as one ascending slice.
-    fn rank(&mut self, cone: impl Iterator<Item = u32>, landmark: NodeId) -> &[u32] {
+    /// Logs the next rank: the landmark's uncovered cone, which it hands
+    /// back.
+    fn rank(&mut self, cone: impl Iterator<Item = u32>) -> &[u32] {
         let start = self.nodes.len();
         self.nodes.extend(cone);
-        let at = start + self.nodes[start..].partition_point(|&v| v < landmark.0);
-        self.nodes.insert(at, landmark.0);
         self.ends
             .push(u32::try_from(self.nodes.len()).expect("label entries fit in u32"));
         &self.nodes[start..]
@@ -181,10 +187,11 @@ impl LabelLists {
         LabelLists { offsets, entries }
     }
 
-    /// Offsets monotone from 0 to `entries.len()`, every list strictly
-    /// ascending, every rank below `n` — what [`sorted_intersects`]
-    /// silently relies on.
-    fn check_invariants(&self, n: usize, which: &str) -> Result<(), String> {
+    /// Offsets monotone from 0 to `entries.len()`, and every list strictly
+    /// ascending — what [`merge_disjoint`] silently relies on — with its
+    /// entries below its node's `rank`.
+    fn check_invariants(&self, rank: &[u32], which: &str) -> Result<(), String> {
+        let n = rank.len();
         if self.offsets.len() != n + 1 || self.offsets[0] != 0 {
             return Err(format!(
                 "{which} offsets: {} entries starting at {:?} for {n} nodes",
@@ -202,25 +209,29 @@ impl LabelLists {
                 self.entries.len()
             ));
         }
-        for v in 0..n {
+        for (v, &own) in rank.iter().enumerate() {
             let list = self.of(NodeId(v as u32));
             if !list.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!(
                     "{which} list of node {v} is not strictly ascending"
                 ));
             }
-            if list.last().is_some_and(|&r| r as usize >= n) {
-                return Err(format!("{which} list of node {v} holds a rank ≥ {n}"));
+            if let Some(&last) = list.last().filter(|&&r| r >= own) {
+                return Err(format!(
+                    "{which} list of node {v} holds {last}, not below its rank {own}"
+                ));
             }
         }
         Ok(())
     }
 
-    fn from_lists(lists: &[Vec<u32>]) -> Self {
+    /// Freezes the lists a pruned build grew, less their last, own ranks.
+    fn frozen(lists: &[Vec<u32>]) -> Self {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut entries = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut entries = Vec::with_capacity(lists.iter().map(|l| l.len() - 1).sum());
         offsets.push(0);
         for list in lists {
+            let list = list.split_last().expect("a landmark lists itself").1;
             entries.extend_from_slice(list);
             offsets.push(u32::try_from(entries.len()).expect("label entries fit in u32"));
         }
@@ -236,17 +247,19 @@ impl LabelLists {
     }
 }
 
-/// `true` iff the two ascending `u32` slices share an element.
-fn sorted_intersects(a: &[u32], b: &[u32]) -> bool {
+/// Merges two ascending slices: `None` if they share an element, else where
+/// it stopped, `(i, j)`: each of `a[..i]`, `b[..j]` is below one of the other.
+#[inline]
+fn merge_disjoint(a: &[u32], b: &[u32]) -> Option<(usize, usize)> {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
+            std::cmp::Ordering::Equal => return None,
         }
     }
-    false
+    Some((i, j))
 }
 
 /// Reusable per-pass BFS state (`visited` is all-`false` and `queue` empty
@@ -293,7 +306,7 @@ fn pruned_pass<G: GraphView>(
         // Prune: if the labels built so far already prove the pair
         // (landmark, u) — resp. (u, landmark) — this landmark adds nothing
         // here or beyond.
-        if u != landmark && sorted_intersects(landmark_opposite, &labels[u.index()]) {
+        if u != landmark && merge_disjoint(landmark_opposite, &labels[u.index()]).is_none() {
             continue;
         }
         if u != landmark {
@@ -353,7 +366,7 @@ impl TwoHopIndex {
     /// Panics if `order` is not a permutation of `g`'s nodes.
     pub fn build_in_order<G: GraphView>(g: &G, order: Vec<NodeId>) -> Self {
         let n = g.node_count();
-        assert_permutation(&order, n);
+        let rank = ranks_of(&order, n);
 
         let mut out_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut in_labels: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -382,7 +395,8 @@ impl TwoHopIndex {
                 &mut scratch_bwd,
             );
 
-            // The landmark trivially covers itself in both directions.
+            // The landmark covers itself: later passes prune on it, and
+            // the freeze drops it.
             out_labels[landmark.index()].push(rank);
             in_labels[landmark.index()].push(rank);
         }
@@ -394,9 +408,9 @@ impl TwoHopIndex {
             .chain(in_labels.iter())
             .all(|l| l.windows(2).all(|w| w[0] < w[1])));
         TwoHopIndex {
-            out_labels: LabelLists::from_lists(&out_labels),
-            in_labels: LabelLists::from_lists(&in_labels),
-            landmark_of_rank: order,
+            out_labels: LabelLists::frozen(&out_labels),
+            in_labels: LabelLists::frozen(&in_labels),
+            rank,
         }
     }
 
@@ -430,7 +444,7 @@ impl TwoHopIndex {
                 m.universe()
             );
         }
-        assert_permutation(&order, n);
+        let rank = ranks_of(&order, n);
 
         // Only the bitmap rows of `desc` are struck: a list row is left as
         // it is (striking a short row costs more than reading it), and its
@@ -445,8 +459,11 @@ impl TwoHopIndex {
             let desc = struck.as_ref().unwrap_or(desc);
             let (row, bits) = (desc.row(lm), desc.is_bitmap(lm));
             let uncovered = |&u: &u32| bits || anc.row(u as usize).contains(landmark.0);
-            let below = in_log.rank(row.iter().filter(uncovered), landmark);
-            let above = out_log.rank(anc.row(lm).iter(), landmark);
+            let below = in_log.rank(row.iter().filter(uncovered));
+            let above = out_log.rank(anc.row(lm).iter());
+            if below.is_empty() && above.is_empty() {
+                continue;
+            }
             if let Some(desc) = &mut struck {
                 strike(desc, landmark, above, below, &mut mask, true);
             }
@@ -455,7 +472,7 @@ impl TwoHopIndex {
         TwoHopIndex {
             out_labels: LabelLists::from_rank_log(n, &out_log),
             in_labels: LabelLists::from_rank_log(n, &in_log),
-            landmark_of_rank: order,
+            rank,
         }
     }
 
@@ -468,13 +485,31 @@ impl TwoHopIndex {
         self.covered(u, w)
     }
 
+    /// For `u ≠ w`. An end's rank can be in the other end's list only past
+    /// the entries the merge passed (each is below an entry of the end's
+    /// own list), and the merge leaves a rest of one list at most. A short
+    /// rest is scanned, a long one (a dense graph's) halved.
+    #[inline]
     fn covered(&self, u: NodeId, w: NodeId) -> bool {
-        sorted_intersects(self.out_labels.of(u), self.in_labels.of(w))
+        let (out, inn) = (self.out_labels.of(u), self.in_labels.of(w));
+        let Some((i, j)) = merge_disjoint(out, inn) else {
+            return true;
+        };
+        let (rest, end) = if i < out.len() {
+            (&out[i..], w)
+        } else {
+            (&inn[j..], u)
+        };
+        let own = self.rank[end.index()];
+        match rest.len() {
+            0..=16 => rest.iter().take_while(|&&r| r <= own).any(|&r| r == own),
+            _ => rest.binary_search(&own).is_ok(),
+        }
     }
 
-    /// The full landmark processing order, indexable by rank.
-    pub fn landmark_order(&self) -> &[NodeId] {
-        &self.landmark_of_rank
+    /// Each node's rank in the landmark order, indexable by node.
+    pub fn ranks(&self) -> &[u32] {
+        &self.rank
     }
 
     /// Total number of label entries (a proxy for index size).
@@ -484,65 +519,55 @@ impl TwoHopIndex {
 
     /// Approximate heap footprint of the index in bytes — the quantity
     /// plotted in Fig. 12(d). Counts the label entries, the per-node
-    /// offsets of both directions, and the rank → node map, following the
+    /// offsets of both directions, and the node → rank array, following the
     /// capacity-based convention of `LabeledGraph::heap_bytes` /
     /// `CsrGraph::heap_bytes`.
     pub fn heap_bytes(&self) -> usize {
         self.out_labels.heap_bytes()
             + self.in_labels.heap_bytes()
-            + self.landmark_of_rank.capacity() * std::mem::size_of::<NodeId>()
+            + self.rank.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Checks the structure every query leans on without looking: the
-    /// landmark order is a permutation of the nodes; both directions'
-    /// offsets are monotone and end at their entries; every list is
-    /// strictly ascending (an unsorted list does not fail, it makes the
-    /// merge intersection miss) with ranks below `n`; and every node holds
-    /// its own rank in both of its lists. It does not check the answers —
-    /// compare against BFS for that.
+    /// rank array is a permutation of `0..n`; both directions' offsets are
+    /// monotone and end at their entries; every list is strictly ascending
+    /// (an unsorted list does not fail, it makes the merge intersection
+    /// miss); and every entry of a node's list is below its own rank (the
+    /// query looks for an end's rank only past the merge). It does not
+    /// check the answers — compare against BFS for that.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.landmark_of_rank.len();
-        let mut rank_of = vec![u32::MAX; n];
-        for (rank, lm) in self.landmark_of_rank.iter().enumerate() {
-            match rank_of.get_mut(lm.index()) {
-                Some(slot) if *slot == u32::MAX => *slot = rank as u32,
-                _ => return Err(format!("landmark {lm} is ranked twice or is no node")),
+        let mut ranked = vec![false; self.rank.len()];
+        for (v, &r) in self.rank.iter().enumerate() {
+            match ranked.get_mut(r as usize) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return Err(format!("node {v} has rank {r}, another node's or none")),
             }
         }
-        self.out_labels.check_invariants(n, "out")?;
-        self.in_labels.check_invariants(n, "in")?;
-        for (v, rank) in rank_of.iter().enumerate() {
-            let v = NodeId(v as u32);
-            for (which, labels) in [("out", &self.out_labels), ("in", &self.in_labels)] {
-                if labels.of(v).binary_search(rank).is_err() {
-                    return Err(format!(
-                        "node {v} lacks its own rank {rank} in its {which} list"
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.out_labels.check_invariants(&self.rank, "out")?;
+        self.in_labels.check_invariants(&self.rank, "in")
     }
 }
 
-/// Panics unless `order` names each of the nodes `0..n` exactly once.
-fn assert_permutation(order: &[NodeId], n: usize) {
-    let mut ranked = vec![false; n];
-    for lm in order {
+/// The node → rank array of `order`; panics unless `order` names each of
+/// the nodes `0..n` exactly once.
+fn ranks_of(order: &[NodeId], n: usize) -> Vec<u32> {
+    let mut rank = vec![u32::MAX; n];
+    for (r, lm) in order.iter().enumerate() {
         assert!(lm.index() < n, "landmark {lm} is not one of the {n} nodes");
         assert!(
-            !std::mem::replace(&mut ranked[lm.index()], true),
+            std::mem::replace(&mut rank[lm.index()], r as u32) == u32::MAX,
             "landmark {lm} is ranked twice"
         );
     }
     assert_eq!(order.len(), n, "every node is a landmark");
+    rank
 }
 
 /// Clears the pairs landmark `lm` covers out of one closure row set: the
-/// ascending ids `cols` — row `lm` itself as it stood, and `lm` — from
-/// every other row in `rows` (from its bitmaps alone when `bitmaps_only`),
-/// and then row `lm`, whose pairs all run through `lm`. Ids too many to
-/// look up one by one go as a bitmap, gathered in `mask`.
+/// ascending ids `cols` — row `lm` itself as it stood — and `lm` from every
+/// row `rows` names (from its bitmaps alone when `bitmaps_only`), and then
+/// row `lm`, whose pairs all run through `lm`. The ids are gathered in
+/// `mask`, as a bitmap when they are too many to look up one by one.
 fn strike(
     m: &mut IdRows,
     lm: NodeId,
@@ -551,8 +576,8 @@ fn strike(
     mask: &mut RowBuilder,
     bitmaps_only: bool,
 ) {
-    let cols = mask.encode(cols);
-    for &r in rows.iter().filter(|&&r| r != lm.0) {
+    let cols = mask.encode_with(cols, lm.0);
+    for &r in rows {
         if !bitmaps_only || m.is_bitmap(r as usize) {
             m.remove_all(r as usize, cols);
         }
@@ -795,31 +820,194 @@ mod tests {
             damage(&mut idx);
             idx.check_invariants().expect_err("damage went unnoticed")
         };
-        // Node 2 hears from landmark 1 (rank 0) and from itself (rank 1):
-        // swap the two (the PR 3 bug's shape — an unsorted list).
-        assert_eq!(ok.in_labels.of(NodeId(2)), [0, 1]);
+        // Nodes 1, 2, 0, 3 are ranked 0 to 3. Node 3 hears from landmarks
+        // 1 (rank 0) and 2 (rank 1): swap the two (the PR 3 bug's shape —
+        // an unsorted list).
+        assert_eq!(ok.rank, [2, 0, 1, 3]);
+        assert_eq!(ok.in_labels.of(NodeId(3)), [0, 1]);
         assert!(broken(|i| {
-            let at = i.in_labels.offsets[2] as usize;
+            let at = i.in_labels.offsets[3] as usize;
             i.in_labels.entries.swap(at, at + 1)
         })
-        .contains("in list of node 2 is not strictly ascending"));
+        .contains("in list of node 3 is not strictly ascending"));
         assert!(broken(|i| i.out_labels.offsets[2] = 99).contains("out offsets"));
         assert!(broken(|i| *i.out_labels.offsets.last_mut().unwrap() -= 1).contains("out offsets"));
-        assert!(broken(|i| *i.in_labels.entries.last_mut().unwrap() = 4).contains("rank ≥ 4"));
-        assert!(broken(|i| i.landmark_of_rank[0] = i.landmark_of_rank[1]).contains("ranked twice"));
-        // Ranks 0 and 1 trade places: every list is still sorted, but two
-        // nodes now hold each other's rank instead of their own.
-        assert!(broken(|i| i.landmark_of_rank.swap(0, 1)).contains("lacks its own rank"));
+        // Node 3's own rank planted at the end of its list, and a rank
+        // above node 2's own (1) in place of landmark 1's.
+        assert!(broken(|i| *i.in_labels.entries.last_mut().unwrap() = 3)
+            .contains("in list of node 3 holds 3, not below its rank 3"));
+        assert_eq!(ok.in_labels.of(NodeId(2)), [0]);
+        assert!(
+            broken(|i| i.in_labels.entries[i.in_labels.offsets[2] as usize] = 2)
+                .contains("in list of node 2 holds 2, not below its rank 1")
+        );
+        assert!(broken(|i| i.rank[0] = i.rank[1]).contains("node 1 has rank 0, another node's"));
+        assert!(broken(|i| i.rank[0] = 4).contains("node 0 has rank 4"));
+        // Nodes 0 and 1 trade ranks: every list is still sorted, but node
+        // 0 now lists its own rank.
+        assert!(broken(|i| i.rank.swap(0, 1))
+            .contains("out list of node 0 holds 0, not below its rank 0"));
     }
 
     #[test]
     fn rank_mapping_roundtrips() {
         let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let idx = TwoHopIndex::build(&g);
-        assert_eq!(idx.landmark_order().len(), 5);
-        let mut seen: Vec<u32> = idx.landmark_order().iter().map(|n| n.0).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        let order = swept_landmark_order(&g);
+        assert_eq!(idx.ranks().len(), 5);
+        for (r, v) in order.iter().enumerate() {
+            assert_eq!(idx.ranks()[v.index()], r as u32);
+        }
+    }
+
+    /// Which of the query's disjuncts hold for `(u, w)`: a third landmark
+    /// in both lists, `rank(u) ∈ in(w)`, `rank(w) ∈ out(u)`.
+    fn disjuncts(idx: &TwoHopIndex, u: u32, w: u32) -> [bool; 3] {
+        let (out, inn) = (idx.out_labels.of(NodeId(u)), idx.in_labels.of(NodeId(w)));
+        [
+            out.iter().any(|r| inn.contains(r)),
+            inn.contains(&idx.rank[u as usize]),
+            out.contains(&idx.rank[w as usize]),
+        ]
+    }
+
+    /// A DAG built both ways: the same labels, every pair answered as BFS
+    /// answers it.
+    fn trap(n: usize, edges: &[(u32, u32)]) -> TwoHopIndex {
+        let g = graph(n, edges);
+        let dag = DagReach::from_dag_graph(&g).expect("a trap is a DAG");
+        let rows = TwoHopIndex::from_closure(
+            swept_landmark_order(&g),
+            &dag.descendants(),
+            &dag.ancestors(),
+        );
+        let passes = TwoHopIndex::build_with(&g, &TwoHopConfig);
+        assert_eq!(rows, passes);
+        assert_eq!(rows.check_invariants(), Ok(()));
+        assert_matches_bfs(&g);
+        rows
+    }
+
+    /// `u = 0` reaches `w = 1` directly; landmark `b = 3`, which reaches
+    /// `w`, and landmark `a = 2`, below `u`, outrank `u`: `out(u) = [1]`,
+    /// `in(w) = [0, 2]`. The merge passes rank 0 of `in(w)` and stops at
+    /// `u`'s own rank 2, which it must still find.
+    fn own_rank_in_the_other_list() -> Vec<(u32, u32)> {
+        let mut edges = vec![(0, 1), (0, 2), (3, 1)];
+        edges.extend((4..8).map(|v| (2, v)));
+        edges.extend((8..18).map(|v| (3, v)));
+        edges
+    }
+
+    #[test]
+    fn query_finds_the_source_rank_in_the_target_in_list() {
+        let idx = trap(18, &own_rank_in_the_other_list());
+        assert_eq!(idx.ranks()[..4], [2, 3, 1, 0]);
+        assert_eq!(
+            (idx.out_labels.of(NodeId(0)), idx.in_labels.of(NodeId(1))),
+            (&[1][..], &[0, 2][..])
+        );
+        assert_eq!(disjuncts(&idx, 0, 1), [false, true, false]);
+        assert!(idx.query(NodeId(0), NodeId(1)));
+        // `a` is ranked 1, between the two entries of `in(w)`.
+        assert!(!idx.query(NodeId(2), NodeId(1)));
+    }
+
+    #[test]
+    fn query_finds_the_target_rank_in_the_source_out_list() {
+        // The transpose: the same order, the two directions swapped.
+        let reversed: Vec<(u32, u32)> = own_rank_in_the_other_list()
+            .into_iter()
+            .map(|(u, w)| (w, u))
+            .collect();
+        let idx = trap(18, &reversed);
+        assert_eq!(idx.ranks()[..4], [2, 3, 1, 0]);
+        assert_eq!(
+            (idx.out_labels.of(NodeId(1)), idx.in_labels.of(NodeId(0))),
+            (&[0, 2][..], &[1][..])
+        );
+        assert_eq!(disjuncts(&idx, 1, 0), [false, false, true]);
+        assert!(idx.query(NodeId(1), NodeId(0)));
+        assert!(!idx.query(NodeId(1), NodeId(2)));
+    }
+
+    #[test]
+    fn query_finds_a_third_landmark_on_the_path() {
+        // `u = 1 → m = 0 → w = 2`, and `m` outranks both: the path's lowest
+        // rank is neither end's. The shortcut `6 → 2` is covered by `m`
+        // too, so landmark 6 (rank 1) is in no list of 2.
+        let idx = trap(
+            8,
+            &[
+                (1, 0),
+                (0, 2),
+                (0, 3),
+                (0, 4),
+                (0, 5),
+                (6, 0),
+                (7, 0),
+                (6, 2),
+            ],
+        );
+        assert_eq!(idx.ranks()[..3], [0, 2, 4]);
+        assert_eq!(idx.in_labels.of(NodeId(2)), [0]);
+        assert_eq!(disjuncts(&idx, 1, 2), [true, false, false]);
+        assert!(idx.query(NodeId(1), NodeId(2)));
+        // `out(u) = [0]`, and 6 ranks below `u` without being below it.
+        assert_eq!(disjuncts(&idx, 1, 6), [false, false, false]);
+        assert!(!idx.query(NodeId(1), NodeId(6)));
+    }
+
+    /// Centres 0–19 tie at coverage 22 and rank by id; all but `y = 4`
+    /// point to `w = 20`, ranked 20, so `in(w)` lists 19 ranks, `u = 9`'s
+    /// among them, and `out(u)` is empty: the rest to search is longer
+    /// than a scan takes.
+    #[test]
+    fn query_searches_a_long_rest_by_halving() {
+        let mut edges = Vec::new();
+        let mut child = 21;
+        for centre in 0..20u32 {
+            let children = if centre == 4 { 21 } else { 20 };
+            edges.extend((child..child + children).map(|c| (centre, c)));
+            child += children;
+            if centre != 4 {
+                edges.push((centre, 20));
+            }
+        }
+        let reversed: Vec<(u32, u32)> = edges.iter().map(|&(u, w)| (w, u)).collect();
+        for (edges, forward) in [(edges, true), (reversed, false)] {
+            let idx = trap(child as usize, &edges);
+            assert_eq!(idx.ranks()[..21], (0..21).collect::<Vec<u32>>()[..]);
+            let long = if forward {
+                &idx.in_labels
+            } else {
+                &idx.out_labels
+            };
+            assert_eq!(long.of(NodeId(20)).len(), 19);
+            let (u, y, w) = (NodeId(9), NodeId(4), NodeId(20));
+            let pair = |a: NodeId, b: NodeId| if forward { (a, b) } else { (b, a) };
+            let (from, to) = pair(u, w);
+            assert!(idx.query(from, to), "forward {forward}");
+            let (from, to) = pair(y, w);
+            assert!(!idx.query(from, to), "forward {forward}");
+        }
+    }
+
+    #[test]
+    fn query_joins_two_members_of_one_cycle() {
+        // 1 → 2 → 3 → 1, entered from 0 and left to 4: no member lists its
+        // own rank, and every ordered pair of members is answered.
+        let g = graph(5, &[(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)]);
+        let idx = TwoHopIndex::build(&g);
+        assert_eq!(idx.check_invariants(), Ok(()));
+        for u in 1..4 {
+            for w in 1..4 {
+                assert!(idx.query(NodeId(u), NodeId(w)), "({u}, {w})");
+            }
+        }
+        assert!(!idx.query(NodeId(4), NodeId(2)));
+        assert!(!idx.query(NodeId(2), NodeId(0)));
+        assert_matches_bfs(&g);
     }
 
     #[test]

@@ -192,7 +192,10 @@ impl Snapshot {
     /// transitive reduction of its quotient frozen into CSR and, when
     /// configured, the 2-hop index over that quotient.
     ///
-    /// Nothing is swept here: the CSR is loaded from the kept edges of the
+    /// Nothing is swept or exported here: the node index and the cyclic
+    /// flags are copied off the maintained quotient
+    /// ([`IncrementalReach::quotient`]; its class edges are not read), the
+    /// CSR is loaded from the kept edges of the
     /// closure the maintainer holds ([`IncrementalReach::closure`]), the
     /// landmark order comes from its rows' lengths, and the labels are
     /// struck out of copies of its rows ([`TwoHopIndex::from_closure`]).
@@ -205,10 +208,9 @@ impl Snapshot {
         pattern: Option<Arc<PatternView>>,
         config: &StoreConfig,
     ) -> Snapshot {
-        let sq = reach.stable_quotient();
-        let live_classes = sq.class_count();
+        let q = reach.quotient();
         let held = reach.closure();
-        let gr = quotient_csr(sq.id_space(), held.kept().iter().copied());
+        let gr = quotient_csr(q.id_space(), held.kept().iter().copied());
         let two_hop = config.two_hop.map(|_| {
             let order = landmark_order(&gr, |v| held.counts(v));
             TwoHopIndex::from_closure(order, held.descendants(), held.ancestors())
@@ -223,17 +225,17 @@ impl Snapshot {
         Snapshot {
             version,
             gr,
-            class_of: Arc::new(sq.class_of),
+            class_of: Arc::new(q.class_index().to_vec()),
             // The maintainer leaves a retired id's flag stale; clear it
             // (`check_invariants` requires retired rows to be acyclic).
             cyclic: Arc::new(
-                sq.cyclic
+                q.payload()
                     .iter()
-                    .zip(&sq.active)
+                    .zip(q.active())
                     .map(|(&cyclic, &live)| cyclic && live)
                     .collect(),
             ),
-            live_classes,
+            live_classes: q.class_count(),
             two_hop,
             pattern,
         }
@@ -390,9 +392,10 @@ impl Snapshot {
     /// live rows, exactly [`Snapshot::class_count`] of them; every other
     /// (retired) row is isolated with its cyclic flag cleared; and, when
     /// an index is served, it is well formed
-    /// ([`TwoHopIndex::check_invariants`]: sorted lists, own ranks, a
-    /// landmark order that is a permutation) over the id space and answers
-    /// like BFS over `Gr` on a seeded sample of row pairs. It sweeps full
+    /// ([`TwoHopIndex::check_invariants`]: sorted lists, every entry below
+    /// its node's own rank, a rank array that is a permutation) over the id
+    /// space and answers like BFS over `Gr` on a seeded sample of row
+    /// pairs. It sweeps full
     /// descendant sets, so it is not on the serving path: tests and
     /// diagnostics call it, and [`crate::persist::load_snapshot`] runs it
     /// once per file to fail closed on a corrupt one.
@@ -436,11 +439,8 @@ impl Snapshot {
             return Ok(());
         };
         idx.check_invariants()?;
-        if idx.landmark_order().len() != n {
-            return Err(format!(
-                "{} landmark ranks for {n} rows",
-                idx.landmark_order().len()
-            ));
+        if idx.ranks().len() != n {
+            return Err(format!("{} landmark ranks for {n} rows", idx.ranks().len()));
         }
         // A multiplicative hash walks the n² row pairs, seeded by the
         // version so reruns probe the same ones.

@@ -856,7 +856,9 @@ impl<S: Store> Checker<S> {
             let gr = snap.quotient().to_plain_arc();
             gr.edges().for_each(|e| e.hash(&mut h));
             nodes.clone().for_each(|v| snap.class_of(v).hash(&mut h));
-            snap.two_hop().map(TwoHopIndex::landmark_order).hash(&mut h);
+            (snap.two_hop())
+                .map(|idx| (idx.ranks(), idx.label_entries()))
+                .hash(&mut h);
             if let Some(view) = snap.pattern_view() {
                 view.graph().edges().for_each(|e| e.hash(&mut h));
                 view.graph().labels().hash(&mut h);
