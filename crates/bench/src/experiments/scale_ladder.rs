@@ -13,6 +13,13 @@
 //! space rather than the change shows as a slope down the ladder; a cliff
 //! inside a rung, as a gap between the medians of its first and second 20
 //! batches.
+//!
+//! A second section runs the 2-shard router on wikiTalk ÷6000 … ÷750 (the
+//! benchmark's sharded workload is ÷3000) at 10 updates a batch and
+//! reports the median apply, the watermark bump inside it (`publish_ms`
+//! less the shards' own publications), the boundary vertices and the heap
+//! of the last cut's boundary summary: how the bump grows with the
+//! boundary.
 
 use std::time::Instant;
 
@@ -20,7 +27,7 @@ use qpgc_generators::datasets::{dataset, pattern_dataset};
 use qpgc_generators::updates::local_batch;
 use qpgc_reach::compress::compress_r;
 use qpgc_reach::incremental::IncrementalReach;
-use qpgc_serve::{CompressedStore, StoreConfig};
+use qpgc_serve::{CompressedStore, ShardedStore, StoreConfig};
 
 use crate::harness::{best_of, ExperimentResult, Row, RUNS};
 
@@ -48,13 +55,25 @@ const RUNGS: [Rung; 9] = [
     ("Citation", 50, 10, true),
 ];
 
+/// wikiTalk divisors of the 2-shard section, at 10 updates a batch.
+const SHARDED_RUNGS: [usize; 4] = [6000, 3000, 1500, 750];
+
 /// Runs the whole ladder at `scale / 100` of the divisors above (the
 /// reproduction's default scale, 100, runs them as listed).
 pub fn scale_ladder(scale: usize) -> ExperimentResult {
     let rungs = RUNGS.map(|(name, divisor, size, patterns)| {
         (name, (divisor * scale / 100).max(1), size, patterns)
     });
-    ladder(&rungs)
+    let mut res = ladder(&rungs);
+    sharded_ladder(&mut res, &SHARDED_RUNGS.map(|d| (d * scale / 100).max(1)));
+    res
+}
+
+/// The median of column `k` over `of`.
+fn median<const N: usize>(of: &[[f64; N]], k: usize) -> f64 {
+    let mut v: Vec<f64> = of.iter().map(|b| b[k]).collect();
+    v.sort_by(f64::total_cmp);
+    v.get(v.len() / 2).copied().unwrap_or(0.0)
 }
 
 fn ladder(rungs: &[Rung]) -> ExperimentResult {
@@ -95,11 +114,6 @@ fn ladder(rungs: &[Rung]) -> ExperimentResult {
                 reach.rewired_classes as f64,
             ]);
         }
-        let median = |of: &[[f64; 5]], k: usize| {
-            let mut v: Vec<f64> = of.iter().map(|b| b[k]).collect();
-            v.sort_by(f64::total_cmp);
-            v.get(v.len() / 2).copied().unwrap_or(0.0)
-        };
         let (first, second) = batches.split_at(BATCHES / 2);
         let cut = store.load();
         res.push(
@@ -122,6 +136,37 @@ fn ladder(rungs: &[Rung]) -> ExperimentResult {
     res
 }
 
+/// The 2-shard section: one row per wikiTalk divisor.
+fn sharded_ladder(res: &mut ExperimentResult, divisors: &[usize]) {
+    for &divisor in divisors {
+        let mut g = dataset("wikiTalk", divisor, 0).expect("a known dataset");
+        let config = StoreConfig::builder()
+            .two_hop(Default::default())
+            .shards(2)
+            .build();
+        let store = ShardedStore::new(g.clone(), config).expect("reachability only");
+        let mut batches: Vec<[f64; 2]> = Vec::with_capacity(BATCHES);
+        for i in 0..BATCHES as u64 {
+            let batch = local_batch(&g, 10, CONE_CAP, i);
+            let t = Instant::now();
+            let report = store.try_apply(&batch).expect("a generated batch is valid");
+            let apply = t.elapsed().as_secs_f64() * 1e3;
+            batch.apply_to(&mut g);
+            let shards: f64 = report.shards.iter().map(|s| s.publish_ms).sum();
+            batches.push([apply, report.publish_ms - shards]);
+        }
+        let cut = store.load();
+        res.push(
+            Row::new(format!("wikiTalk ÷{divisor}, 2 shards"))
+                .cell("nodes", g.node_count() as f64)
+                .cell("apply (ms)", median(&batches, 0))
+                .cell("bump (ms)", median(&batches, 1))
+                .cell("boundary", cut.boundary().vertex_count() as f64)
+                .cell("summary (KiB)", cut.boundary().heap_bytes() as f64 / 1024.0),
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,5 +185,16 @@ mod tests {
             assert!(row.get("2-hop (KiB)").unwrap() > 0.0);
             assert!(row.get("rewired").unwrap() <= row.get("affected").unwrap());
         }
+    }
+
+    #[test]
+    fn a_sharded_rung_reports_its_bump() {
+        let mut res = ExperimentResult::new("scale_ladder", "");
+        sharded_ladder(&mut res, &[12000]);
+        let row = &res.rows[0];
+        assert!(row.get("boundary").unwrap() > 0.0);
+        assert!(row.get("summary (KiB)").unwrap() > 0.0);
+        assert!(row.get("bump (ms)").unwrap() > 0.0);
+        assert!(row.get("apply (ms)").unwrap() >= row.get("bump (ms)").unwrap());
     }
 }

@@ -71,8 +71,6 @@ impl ExperimentResult {
             out.push_str("(no rows)\n");
             return out;
         }
-        // Column headers from the first row.
-        let headers: Vec<&str> = self.rows[0].cells.iter().map(|(n, _)| n.as_str()).collect();
         let label_width = self
             .rows
             .iter()
@@ -80,12 +78,19 @@ impl ExperimentResult {
             .max()
             .unwrap_or(8)
             .max(8);
-        out.push_str(&format!("{:<label_width$}", ""));
-        for h in &headers {
-            out.push_str(&format!(" {h:>14}"));
-        }
-        out.push('\n');
+        // Column headers above the first row and wherever the columns
+        // change (a section of another shape).
+        let mut headers: Vec<&str> = Vec::new();
         for row in &self.rows {
+            let names: Vec<&str> = row.cells.iter().map(|(n, _)| n.as_str()).collect();
+            if names != headers {
+                headers = names;
+                out.push_str(&format!("{:<label_width$}", ""));
+                for h in &headers {
+                    out.push_str(&format!(" {h:>14}"));
+                }
+                out.push('\n');
+            }
             out.push_str(&format!("{:<label_width$}", row.label));
             for (_, v) in &row.cells {
                 if v.abs() >= 1000.0 {

@@ -162,10 +162,10 @@ struct Slot {
 /// `rows` id sets over the ids `0..universe` — see the module header.
 ///
 /// A dropped row set leaves its arenas to the next one made or cloned on
-/// the same thread, as a dropped [`BitMatrix`](crate::BitMatrix) leaves its
-/// buffer: a maintenance step and the publication after it each build and
-/// drop a few row sets, which would otherwise fault fresh pages in and, past
-/// the allocator's `mmap` threshold, `munmap` them on every batch.
+/// the same thread: a maintenance step and the publication after it each
+/// build and drop a few row sets, which would otherwise fault fresh pages
+/// in and, past the allocator's `mmap` threshold, `munmap` them on every
+/// batch.
 #[derive(Debug)]
 pub struct IdRows {
     universe: usize,

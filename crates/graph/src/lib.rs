@@ -57,7 +57,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bitset;
 pub mod codec;
 pub mod csr;
 pub mod error;
@@ -77,7 +76,6 @@ pub mod traversal;
 pub mod update;
 pub mod view;
 
-pub use bitset::BitMatrix;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::LabeledGraph;

@@ -366,8 +366,10 @@ impl IncrementalReach {
 
     /// The current state under **stable** class ids: the node → class index,
     /// cyclic and liveness flags per id, and the distinct unreduced
-    /// inter-class edges — everything a snapshot layer needs to build its
-    /// quotient representation.
+    /// inter-class edges, copied out in one value. No publication calls it:
+    /// a snapshot reads [`IncrementalReach::quotient`] and
+    /// [`IncrementalReach::closure`] in place. Tests and the benchmark's
+    /// export probe do.
     pub fn stable_quotient(&self) -> StableQuotient {
         StableQuotient {
             class_of: self.q.class_index().to_vec(),

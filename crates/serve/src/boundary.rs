@@ -38,29 +38,44 @@
 //! members, only from a proper ancestor — exactly the shard-local truth —
 //! while the shard's interior costs `|Gr_s|`, not `B²`.
 //!
-//! One [`Condensation`] of the composite and one children-first sweep
-//! over its Tarjan ids give every component the bit-row of boundary
-//! vertices it reaches; global cycles that only cross edges close are
-//! ordinary components. The rows the read side needs — `X_x`'s, "what `x`
-//! reaches by a non-empty path", and `M_c`'s, the same for any
-//! non-boundary member of `c` — are interned by content, as are the
-//! backward rows a Kahn pass over each shard's `Gr` produces ("boundary
-//! nodes of this shard that reach the members of `c`"). A query is then
-//! one AND over two rows: see `BoundarySummary::bridges`.
+//! ## The flat construction
 //!
-//! There is one construction, run at every watermark bump from the
-//! shards' current snapshots; nothing is carried over between cuts.
+//! The composite is a counted `u32` CSR laid out straight from the shards'
+//! `Gr`s and the cross edges: node vertices, then per shard its class and
+//! member blocks, a class vertex listing its boundary members first. One
+//! iterative Tarjan fills each component's bit-row of boundary vertices
+//! as the component closes, when every row its edges lead to is final:
+//! their union, the node vertices its edges enter, and its own node
+//! vertices when it is a cycle. A node vertex alone in its component thus
+//! never holds its own bit, and its component's row is what `x` reaches by
+//! a non-empty path; global cycles that only cross edges close are
+//! ordinary components.
+//!
+//! The rows the read side needs — `X_x`'s, and `M_c`'s, the same for any
+//! non-boundary member of `c` — and the backward rows of a Kahn pass over
+//! each shard's `Gr` ("boundary nodes of this shard that reach the members
+//! of `c`") are interned by content, in first-occurrence order, through an
+//! open-addressed table. A query is then one AND over two rows: see
+//! `BoundarySummary::bridges`.
+//!
+//! No summary is carried over between cuts, but the router keeps the
+//! build's working buffers (`Scratch`) from one bump to the next: a
+//! buffer allocated afresh every batch past the allocator's `mmap`
+//! threshold is unmapped again each time, a TLB shootdown on every core
+//! that runs a reader.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use qpgc_graph::ids::LabelInterner;
-use qpgc_graph::{BitMatrix, Condensation, CsrGraph, NodeId, NodePartition};
+use qpgc_graph::{CsrGraph, NodeId, NodePartition};
 
 use crate::snapshot::Snapshot;
 
 /// `vertex_of` entry of a node that is no boundary node.
 const INTERIOR: u32 = u32::MAX;
+
+/// The Tarjan index of a composite vertex not reached yet, the component
+/// of one not closed yet, and an empty slot of the interning table.
+const UNSET: u32 = u32::MAX;
 
 /// The two interned rows of one quotient row of one shard.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -93,190 +108,374 @@ pub struct BoundarySummary {
     words: usize,
 }
 
-/// Content-interning of bit-rows into one flat table.
-struct RowTable {
-    words: usize,
+/// The working buffers of [`BoundarySummary::build`], kept by the router
+/// between watermark bumps (see the module docs). Every build overwrites
+/// what it reads, so a build that panicked half way leaves nothing the
+/// next one sees.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The live cross edges, as node ids and then as vertex pairs.
+    cross: Vec<(u32, u32)>,
+    /// The class vertex `C` and member vertex `M` of each boundary
+    /// vertex's class.
+    home: Vec<(u32, u32)>,
+    /// The composite CSR.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    /// The component of each composite vertex, and what finds it.
+    tarjan: Tarjan,
+    /// Boundary vertices in or below each component, `words` a row.
+    closed: Vec<u64>,
+    /// Kahn over one shard's `Gr`: pending in-edges, the ready classes,
+    /// the backward row of each class and the row a class hands down.
+    pending: Vec<u32>,
+    ready: Vec<u32>,
+    into: Vec<u64>,
+    carry: Vec<u64>,
+    /// The interned rows and the open-addressed table of their ids.
     rows: Vec<u64>,
-    ids: HashMap<Box<[u64]>, u32>,
+    slots: Vec<u32>,
 }
 
-impl RowTable {
-    fn intern(&mut self, row: &[u64]) -> u32 {
-        if let Some(&id) = self.ids.get(row) {
-            return id;
+/// Sets bit `i` of `row`.
+#[inline]
+fn set_bit(row: &mut [u64], i: u32) {
+    row[i as usize / 64] |= 1 << (i % 64);
+}
+
+/// `dst |= src`, word by word.
+#[inline]
+fn union(dst: &mut [u64], src: &[u64]) {
+    for (a, b) in dst.iter_mut().zip(src) {
+        *a |= b;
+    }
+}
+
+/// Content-interning of `words`-word rows into `rows`, probing linearly
+/// in `slots` (a power of two at least twice the rows interned).
+fn intern(rows: &mut Vec<u64>, slots: &mut [u32], words: usize, row: &[u64]) -> u32 {
+    let hash = row.iter().fold(0u64, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+    });
+    let mask = slots.len() - 1;
+    let mut at = (hash >> (64 - slots.len().trailing_zeros())) as usize;
+    loop {
+        match slots[at] {
+            UNSET => {
+                let id = (rows.len() / words) as u32;
+                rows.extend_from_slice(row);
+                slots[at] = id;
+                return id;
+            }
+            id if &rows[id as usize * words..][..words] == row => return id,
+            _ => at = (at + 1) & mask,
         }
-        let id = (self.rows.len() / self.words) as u32;
-        self.rows.extend_from_slice(row);
-        self.ids.insert(row.into(), id);
-        id
+    }
+}
+
+/// Tarjan's working arrays: visit index, low link and component per
+/// composite vertex, the component stack and the DFS frames (vertex, next
+/// edge).
+#[derive(Debug, Default)]
+struct Tarjan {
+    index: Vec<u32>,
+    low: Vec<u32>,
+    comp: Vec<u32>,
+    stack: Vec<u32>,
+    frames: Vec<(u32, u32)>,
+}
+
+/// One iterative Tarjan over the CSR graph `offsets` / `targets`: numbers
+/// its components into `tarjan.comp` and writes row `k` of `closed`,
+/// `words` words: the vertices below `b` (the node vertices) that
+/// component `k` reaches by a non-empty path.
+fn close_components(
+    offsets: &[u32],
+    targets: &[u32],
+    b: u32,
+    words: usize,
+    tarjan: &mut Tarjan,
+    closed: &mut Vec<u64>,
+) {
+    let Tarjan {
+        index,
+        low,
+        comp,
+        stack,
+        frames,
+    } = tarjan;
+    let n = offsets.len() - 1;
+    index.clear();
+    index.resize(n, UNSET);
+    low.clear();
+    low.resize(n, 0);
+    comp.clear();
+    comp.resize(n, UNSET);
+    stack.clear();
+    frames.clear();
+    closed.clear();
+    // A component closes after every component it reaches, so its row only
+    // reads finished rows.
+    let mut visited = 0u32;
+    let mut components = 0u32;
+    for root in 0..n as u32 {
+        if index[root as usize] != UNSET {
+            continue;
+        }
+        index[root as usize] = visited;
+        low[root as usize] = visited;
+        visited += 1;
+        stack.push(root);
+        frames.push((root, offsets[root as usize]));
+        while let Some(&mut (v, ref mut next)) = frames.last_mut() {
+            let v = v as usize;
+            if *next < offsets[v + 1] {
+                let w = targets[*next as usize] as usize;
+                *next += 1;
+                if index[w] == UNSET {
+                    index[w] = visited;
+                    low[w] = visited;
+                    visited += 1;
+                    stack.push(w as u32);
+                    frames.push((w as u32, offsets[w]));
+                } else if comp[w] == UNSET {
+                    low[v] = low[v].min(index[w]);
+                }
+                continue;
+            }
+            frames.pop();
+            if let Some(&(parent, _)) = frames.last() {
+                low[parent as usize] = low[parent as usize].min(low[v]);
+            }
+            if low[v] != index[v] {
+                continue;
+            }
+            let first = stack
+                .iter()
+                .rposition(|&w| w as usize == v)
+                .expect("a component root is on the stack");
+            let members = &stack[first..];
+            for &w in members {
+                comp[w as usize] = components;
+            }
+            closed.resize((components as usize + 1) * words, 0);
+            let (done, row) = closed.split_at_mut(components as usize * words);
+            if members.len() > 1 {
+                for &w in members.iter().filter(|&&w| w < b) {
+                    set_bit(row, w);
+                }
+            }
+            for &u in members {
+                let u = u as usize;
+                for &w in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
+                    let k = comp[w as usize];
+                    if k != components {
+                        union(row, &done[k as usize * words..][..words]);
+                        if w < b {
+                            set_bit(row, w);
+                        }
+                    }
+                }
+            }
+            stack.truncate(first);
+            components += 1;
+        }
     }
 }
 
 impl BoundarySummary {
     /// Builds the summary of one cut: `cross` is the live cross-edge set
     /// (any order, duplicates tolerated), `snaps` the per-shard snapshots
-    /// of the same watermark. See the module docs for the construction.
+    /// of the same watermark, `scratch` the router's working buffers. See
+    /// the module docs for the construction.
     pub(crate) fn build(
         snaps: &[Arc<Snapshot>],
         cross: impl Iterator<Item = (NodeId, NodeId)>,
         part: &NodePartition,
+        scratch: &mut Scratch,
     ) -> BoundarySummary {
-        let cross: Vec<(NodeId, NodeId)> = cross.collect();
-        if cross.is_empty() {
+        let Scratch {
+            cross: pairs,
+            home,
+            offsets,
+            targets,
+            tarjan,
+            closed,
+            pending,
+            ready,
+            into,
+            carry,
+            rows,
+            slots,
+        } = scratch;
+        pairs.clear();
+        pairs.extend(cross.map(|(u, v)| (u.0, v.0)));
+        if pairs.is_empty() {
             return BoundarySummary::default();
         }
         let mut vertex_of = vec![INTERIOR; snaps[0].node_count()];
-        for &(u, v) in &cross {
-            vertex_of[u.index()] = 0;
-            vertex_of[v.index()] = 0;
-        }
-        let mut nodes: Vec<NodeId> = Vec::new();
-        for (v, slot) in vertex_of.iter_mut().enumerate() {
-            if *slot != INTERIOR {
-                *slot = nodes.len() as u32;
-                nodes.push(NodeId(v as u32));
+        let mut b = 0u32;
+        for &(u, v) in pairs.iter() {
+            for x in [u, v] {
+                if vertex_of[x as usize] == INTERIOR {
+                    vertex_of[x as usize] = 0;
+                    b += 1;
+                }
             }
         }
-        let vertices = nodes.len() as u32;
 
         // Composite layout: X_0..X_B, then per shard its C block and its M
         // block, each as long as the shard's stable-id space.
+        // An `Arc` bump on the plain backend, one decode on the succinct.
+        let grs: Vec<Arc<CsrGraph>> = snaps.iter().map(|s| s.quotient().to_plain_arc()).collect();
         let mut base = Vec::with_capacity(snaps.len());
-        let mut total = vertices;
-        for snap in snaps {
+        let mut total = b;
+        for gr in &grs {
             base.push(total);
-            total += 2 * snap.quotient().node_count() as u32;
+            total += 2 * gr.node_count() as u32;
         }
-        let class_vertex = |s: usize, c: u32| NodeId(base[s] + c);
-        let member_vertex =
-            |s: usize, c: u32| NodeId(base[s] + snaps[s].quotient().node_count() as u32 + c);
+        home.clear();
+        for (v, slot) in vertex_of.iter_mut().enumerate() {
+            if *slot != INTERIOR {
+                *slot = home.len() as u32;
+                let node = NodeId(v as u32);
+                let s = part.shard_of(node);
+                let c = snaps[s]
+                    .class_of(node)
+                    .expect("boundary nodes are nodes of the store");
+                let cv = base[s] + c;
+                home.push((cv, cv + grs[s].node_count() as u32));
+            }
+        }
+        for pair in pairs.iter_mut() {
+            *pair = (vertex_of[pair.0 as usize], vertex_of[pair.1 as usize]);
+        }
 
-        let mut edges: Vec<(NodeId, NodeId)> = cross
-            .iter()
-            .map(|&(u, v)| (NodeId(vertex_of[u.index()]), NodeId(vertex_of[v.index()])))
-            .collect();
-        for (x, &node) in nodes.iter().enumerate() {
-            let s = part.shard_of(node);
-            let c = snaps[s]
-                .class_of(node)
-                .expect("boundary nodes are nodes of the store");
-            let x = NodeId(x as u32);
-            edges.push((x, member_vertex(s, c)));
-            edges.push((class_vertex(s, c), x));
+        // Counted CSR: out-degrees into `offsets[v + 1]`, prefix sums, then
+        // every edge at its source's cursor `offsets[v]`; the cursors end
+        // one row on, so a shift by one restores the row starts. A class
+        // vertex's boundary members are placed before its `Gr` successors.
+        let n = total as usize;
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for (x, &(cv, _)) in (0..).zip(home.iter()) {
+            offsets[x + 1] += 1;
+            offsets[cv as usize + 1] += 1;
         }
-        for (s, snap) in snaps.iter().enumerate() {
-            // An `Arc` bump on the plain backend, one decode on the succinct.
-            let gr = snap.quotient().to_plain_arc();
-            for (c, &cyclic) in (0u32..).zip(snap.cyclic_slice()) {
+        for &(x, _) in pairs.iter() {
+            offsets[x as usize + 1] += 1;
+        }
+        for (s, gr) in grs.iter().enumerate() {
+            let classes = gr.node_count();
+            for (c, &cyclic) in snaps[s].cyclic_slice().iter().enumerate() {
+                let out = gr.out_neighbors(NodeId(c as u32)).len() as u32;
+                let cv = base[s] as usize + c;
+                offsets[cv + 1] += out;
+                offsets[cv + classes + 1] += out + u32::from(cyclic);
+            }
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        targets.clear();
+        targets.resize(offsets[n] as usize, 0);
+        let mut push = |from: u32, to: u32| {
+            let at = &mut offsets[from as usize];
+            targets[*at as usize] = to;
+            *at += 1;
+        };
+        for (x, &(cv, mv)) in (0..).zip(home.iter()) {
+            push(cv, x);
+            push(x, mv);
+        }
+        for &(x, y) in pairs.iter() {
+            push(x, y);
+        }
+        for (s, gr) in grs.iter().enumerate() {
+            for (c, &cyclic) in (0u32..).zip(snaps[s].cyclic_slice()) {
+                let cv = base[s] + c;
+                let mv = cv + gr.node_count() as u32;
                 for &d in gr.out_neighbors(NodeId(c)) {
-                    edges.push((member_vertex(s, c), class_vertex(s, d.0)));
-                    edges.push((class_vertex(s, c), class_vertex(s, d.0)));
+                    push(mv, base[s] + d.0);
+                    push(cv, base[s] + d.0);
                 }
                 if cyclic {
-                    edges.push((member_vertex(s, c), class_vertex(s, c)));
+                    push(mv, cv);
                 }
             }
         }
-        let mut interner = LabelInterner::new();
-        let label = interner.intern("σ");
-        let composite = CsrGraph::from_edges(vec![label; total as usize], interner, edges);
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
 
-        // Children first: Tarjan numbers a component after everything it
-        // reaches, so row `k` of `closed` — the boundary vertices in or
-        // below component `k` — only reads finished rows.
-        let scc = Condensation::of(&composite);
-        let words = (vertices as usize).div_ceil(64);
-        let mut closed = BitMatrix::new(scc.component_count(), vertices as usize);
-        for k in 0..scc.component_count() {
-            for &m in scc.members(k as u32) {
-                if m.0 < vertices {
-                    closed.insert(k, m.index());
+        let words = (b as usize).div_ceil(64);
+        close_components(offsets, targets, b, words, tarjan, closed);
+        let closed_of = |v: u32| &closed[tarjan.comp[v as usize] as usize * words..][..words];
+
+        rows.clear();
+        slots.clear();
+        slots.resize((2 * n).next_power_of_two(), UNSET);
+        let mut vertex_row = Vec::with_capacity(b as usize);
+        for x in 0..b {
+            vertex_row.push(intern(rows, slots, words, closed_of(x)));
+        }
+        let mut class_rows = Vec::with_capacity(snaps.len());
+        for (s, gr) in grs.iter().enumerate() {
+            // Kahn over the shard's `Gr`. Row `c`: what reaches the members
+            // of `c` from above, plus `c`'s own boundary members when `c`
+            // is cyclic; a child inherits the row and the members either
+            // way (`carry`).
+            let classes = gr.node_count();
+            let members = |c: usize| {
+                let cv = base[s] as usize + c;
+                let out = &targets[offsets[cv] as usize..offsets[cv + 1] as usize];
+                &out[..out.partition_point(|&t| t < b)]
+            };
+            pending.clear();
+            pending.resize(classes, 0);
+            for c in 0..classes as u32 {
+                for &d in gr.out_neighbors(NodeId(c)) {
+                    pending[d.index()] += 1;
                 }
             }
-            for &j in scc.scc_out(k as u32) {
-                closed.union_rows(k, j as usize);
+            ready.clear();
+            ready.extend((0..classes as u32).filter(|&c| pending[c as usize] == 0));
+            into.clear();
+            into.resize(classes * words, 0);
+            let cyclic = snaps[s].cyclic_slice();
+            while let Some(c) = ready.pop() {
+                let c = c as usize;
+                carry.clear();
+                carry.extend_from_slice(&into[c * words..][..words]);
+                for &x in members(c) {
+                    set_bit(carry, x);
+                    if cyclic[c] {
+                        set_bit(&mut into[c * words..][..words], x);
+                    }
+                }
+                for &d in gr.out_neighbors(NodeId(c as u32)) {
+                    union(&mut into[d.index() * words..][..words], carry);
+                    pending[d.index()] -= 1;
+                    if pending[d.index()] == 0 {
+                        ready.push(d.0);
+                    }
+                }
             }
+            let mut per_class = Vec::with_capacity(classes);
+            for c in 0..classes {
+                let mv = base[s] + (classes + c) as u32;
+                per_class.push(ClassRows {
+                    from: intern(rows, slots, words, closed_of(mv)),
+                    into: intern(rows, slots, words, &into[c * words..][..words]),
+                });
+            }
+            class_rows.push(per_class);
         }
 
-        let mut table = RowTable {
-            words,
-            rows: Vec::new(),
-            ids: HashMap::new(),
-        };
-        // A vertex alone in its component lies on no cycle: it reaches
-        // everything below it but not itself. Its component's row is read
-        // by nobody else once the sweep is done, so the bit is struck out
-        // of it in place.
-        let vertex_row: Vec<u32> = (0..vertices)
-            .map(|x| {
-                let k = scc.component_of(NodeId(x));
-                if scc.members(k).len() == 1 {
-                    closed.remove(k as usize, x as usize);
-                }
-                table.intern(closed.row(k as usize))
-            })
-            .collect();
-        let closed_of = |v: NodeId| closed.row(scc.component_of(v) as usize);
-
-        let class_rows: Vec<Vec<ClassRows>> = snaps
-            .iter()
-            .enumerate()
-            .map(|(s, snap)| {
-                // Kahn over the shard's `Gr` as the composite holds it: the
-                // out-row of `C_c` lists `c`'s boundary members (below
-                // `vertices`) and then its `Gr` successors.
-                let classes = snap.quotient().node_count();
-                let class_at = |t: NodeId| (t.0 - base[s]) as usize;
-                let successors = |c: usize| {
-                    let out = composite.out_neighbors(class_vertex(s, c as u32));
-                    out.split_at(out.partition_point(|t| t.0 < vertices))
-                };
-                let mut pending = vec![0u32; classes];
-                for c in 0..classes {
-                    for &d in successors(c).1 {
-                        pending[class_at(d)] += 1;
-                    }
-                }
-                let mut ready: Vec<usize> = (0..classes).filter(|&c| pending[c] == 0).collect();
-                // Row `c`: what reaches the members of `c` from above, plus
-                // `c`'s own boundary members when `c` is cyclic; a child
-                // inherits the row and the members either way.
-                let mut into = BitMatrix::new(classes, vertices as usize);
-                while let Some(c) = ready.pop() {
-                    let (members, below) = successors(c);
-                    if snap.cyclic_slice()[c] {
-                        for &x in members {
-                            into.insert(c, x.index());
-                        }
-                    }
-                    for &d in below {
-                        let d = class_at(d);
-                        into.union_rows(d, c);
-                        for &x in members {
-                            into.insert(d, x.index());
-                        }
-                        pending[d] -= 1;
-                        if pending[d] == 0 {
-                            ready.push(d);
-                        }
-                    }
-                }
-                (0..classes)
-                    .map(|c| ClassRows {
-                        from: table.intern(closed_of(member_vertex(s, c as u32))),
-                        into: table.intern(into.row(c)),
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut rows = table.rows;
-        rows.shrink_to_fit();
         BoundarySummary {
             vertex_of,
             vertex_row,
             class_rows,
-            rows,
+            rows: rows.to_vec(),
             words,
         }
     }
@@ -334,8 +533,11 @@ impl BoundarySummary {
 #[cfg(test)]
 mod tests {
     use qpgc_graph::traversal::bfs_reachable;
-    use qpgc_graph::{LabeledGraph, NodeId, NodePartition};
+    use qpgc_graph::{LabeledGraph, NodeId, NodePartition, UpdateBatch};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
+    use super::{BoundarySummary, INTERIOR};
     use crate::sharded::{ShardedSnapshot, ShardedStore};
     use crate::store::StoreConfig;
 
@@ -427,5 +629,194 @@ mod tests {
         assert_eq!(local.class_of(a), local.class_of(c));
         assert!(cut.reachable(z, c) && cut.reachable(z, b) && cut.reachable(z, y));
         assert!(cut.reachable(c, y) && !cut.reachable(y, z));
+    }
+
+    /// The nodes `x` reaches by a non-empty path over the edges `keep`
+    /// admits, by BFS on the data graph.
+    fn reached_from(
+        g: &LabeledGraph,
+        x: NodeId,
+        keep: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Vec<bool> {
+        let mut seen = vec![false; g.node_count()];
+        let mut queue = vec![x];
+        while let Some(u) = queue.pop() {
+            for &w in g.out_neighbors(u) {
+                if keep(u, w) && !seen[w.index()] {
+                    seen[w.index()] = true;
+                    queue.push(w);
+                }
+            }
+        }
+        seen
+    }
+
+    /// The boundary vertices row `id` holds, ascending.
+    fn bits(summary: &BoundarySummary, id: u32) -> Vec<u32> {
+        let row = summary.row(id);
+        (0..summary.vertex_count() as u32)
+            .filter(|&y| row[y as usize / 64] & (1 << (y % 64)) != 0)
+            .collect()
+    }
+
+    /// Checks every row of `cut`'s summary against BFS on `g`: the boundary
+    /// is the set of live cross-edge endpoints, a boundary node's row is
+    /// what it reaches by a non-empty path, an interior node's class `from`
+    /// row is the same for that node, and a class's `into` row holds the
+    /// boundary nodes of its shard that reach a member by a non-empty path
+    /// inside the shard. Every pair of the cut answers like BFS too.
+    fn rows_match_bfs(cut: &ShardedSnapshot, g: &LabeledGraph, part: &NodePartition) {
+        let summary = cut.boundary();
+        let local =
+            |s: usize| move |u: NodeId, w: NodeId| part.shard_of(u) == s && part.shard_of(w) == s;
+        let mut boundary: Vec<NodeId> = g
+            .edges()
+            .filter(|&(u, w)| part.shard_of(u) != part.shard_of(w))
+            .flat_map(|(u, w)| [u, w])
+            .collect();
+        boundary.sort_unstable();
+        boundary.dedup();
+        assert_eq!(summary.vertex_count(), boundary.len());
+        if boundary.is_empty() {
+            assert_eq!(*summary, BoundarySummary::default());
+        } else {
+            let vertex = |v: NodeId| summary.vertex_of[v.index()];
+            for (x, &node) in boundary.iter().enumerate() {
+                assert_eq!(vertex(node), x as u32);
+            }
+            let expect = |reached: &[bool], within: Option<usize>| -> Vec<u32> {
+                boundary
+                    .iter()
+                    .filter(|&&y| {
+                        reached[y.index()] && within.is_none_or(|s| part.shard_of(y) == s)
+                    })
+                    .map(|&y| vertex(y))
+                    .collect()
+            };
+            for v in g.nodes() {
+                let s = part.shard_of(v);
+                let c = cut.shard_snapshots()[s].class_of(v).unwrap();
+                let id = match vertex(v) {
+                    INTERIOR => summary.class_rows[s][c as usize].from,
+                    x => summary.vertex_row[x as usize],
+                };
+                let reached = reached_from(g, v, |_, _| true);
+                assert_eq!(bits(summary, id), expect(&reached, None), "row of {v}");
+            }
+            for (s, snap) in cut.shard_snapshots().iter().enumerate() {
+                let members = |c: u32| {
+                    g.nodes()
+                        .filter(move |&v| part.shard_of(v) == s && snap.class_of(v) == Some(c))
+                };
+                for c in 0..snap.quotient().node_count() as u32 {
+                    let mut into = vec![false; g.node_count()];
+                    for &y in boundary.iter().filter(|&&y| part.shard_of(y) == s) {
+                        let reached = reached_from(g, y, local(s));
+                        into[y.index()] = members(c).any(|m| reached[m.index()]);
+                    }
+                    let id = summary.class_rows[s][c as usize].into;
+                    assert_eq!(
+                        bits(summary, id),
+                        expect(&into, Some(s)),
+                        "into row of {s}:{c}"
+                    );
+                }
+            }
+        }
+        for u in g.nodes() {
+            for w in g.nodes() {
+                assert_eq!(cut.reachable(u, w), bfs_reachable(g, u, w), "({u},{w})");
+            }
+        }
+    }
+
+    /// The summary's rows, not only its answers, against BFS on `G`: seeded
+    /// random graphs at 2, 3 and 4 shards with self loops and random
+    /// cycles, plus a cycle closed only by cross edges and a cyclic class
+    /// holding both boundary and interior members; then mixed batches that
+    /// insert cross edges already present (duplicates in the cross-edge
+    /// list a bump reads), and a last batch that deletes every cross edge.
+    #[test]
+    fn summary_rows_are_bfs_reach_sets() {
+        let n = 36u32;
+        for shards in [2usize, 3, 4] {
+            let mut rng = StdRng::seed_from_u64(45 + shards as u64);
+            let part = NodePartition::new(shards);
+            let of = |s: usize| (0..n).map(NodeId).filter(move |&v| part.shard_of(v) == s);
+            let (home, away): (Vec<NodeId>, Vec<NodeId>) = (of(0).collect(), of(1).collect());
+            let mut g = LabeledGraph::new();
+            for _ in 0..n {
+                g.add_node_with_label("X");
+            }
+            for _ in 0..40 {
+                g.add_edge(NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
+            }
+            for v in [home[0], away[1]] {
+                g.add_edge(v, v);
+            }
+            // Shard-local chains joined into one cycle by two cross edges.
+            let (a, a2, b, b2) = (home[1], home[2], away[2], away[3]);
+            for (u, w) in [(a, a2), (a2, b), (b, b2), (b2, a)] {
+                g.add_edge(u, w);
+            }
+            // A shard-local cycle with one boundary member, `c`.
+            let (c, d, e) = (home[3], home[4], home[5]);
+            for (u, w) in [(c, d), (d, e), (e, c), (c, away[4])] {
+                g.add_edge(u, w);
+            }
+            let store = ShardedStore::new(g.clone(), StoreConfig::builder().shards(shards).build())
+                .unwrap();
+            let cut = store.load();
+            let snap = &cut.shard_snapshots()[0];
+            assert!(
+                snap.class_of(c) == snap.class_of(e)
+                    && snap.cyclic_slice()[snap.class_of(c).unwrap() as usize]
+            );
+            rows_match_bfs(&cut, &g, &part);
+
+            for _ in 0..6 {
+                let mut batch = UpdateBatch::new();
+                let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+                let mut touched = Vec::new();
+                for _ in 0..8 {
+                    let (u, w) = if rng.gen_bool(0.5) {
+                        (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)))
+                    } else {
+                        edges[rng.gen_range(0..edges.len())]
+                    };
+                    if touched.contains(&(u, w)) {
+                        continue;
+                    }
+                    touched.push((u, w));
+                    // Half the picks of a present edge re-insert it.
+                    if g.has_edge(u, w) && rng.gen_bool(0.5) {
+                        batch.delete(u, w);
+                    } else {
+                        batch.insert(u, w);
+                    }
+                }
+                let cross = edges
+                    .iter()
+                    .find(|&&(u, w)| part.shard_of(u) != part.shard_of(w));
+                if let Some(&(u, w)) = cross.filter(|e| !touched.contains(e)) {
+                    batch.insert(u, w);
+                }
+                store.try_apply(&batch).expect("batch applies");
+                batch.apply_to(&mut g);
+                rows_match_bfs(&store.load(), &g, &part);
+            }
+
+            let mut batch = UpdateBatch::new();
+            for (u, w) in g
+                .edges()
+                .filter(|&(u, w)| part.shard_of(u) != part.shard_of(w))
+            {
+                batch.delete(u, w);
+            }
+            store.try_apply(&batch).expect("batch applies");
+            batch.apply_to(&mut g);
+            assert_eq!(store.load().boundary().vertex_count(), 0);
+            rows_match_bfs(&store.load(), &g, &part);
+        }
     }
 }

@@ -81,7 +81,7 @@ use qpgc_fault::fail_point;
 use qpgc_graph::partition::split_graph;
 use qpgc_graph::{IncStats, LabeledGraph, NodeId, NodePartition, UpdateBatch};
 
-use crate::boundary::BoundarySummary;
+use crate::boundary::{BoundarySummary, Scratch};
 use crate::error::{panic_cause, StoreError};
 use crate::snapshot::Snapshot;
 use crate::store::{
@@ -165,6 +165,8 @@ struct Router {
     /// Optional write-behind redo log: appended once every shard and the
     /// boundary summary have staged, just before the commit.
     log: Option<UpdateLog>,
+    /// The boundary summary's working buffers, reused by every bump.
+    scratch: Scratch,
 }
 
 /// A hash-partitioned serving store.
@@ -209,7 +211,8 @@ impl ShardedStore {
             .map(|m| Arc::new(first_snapshot(m, &config)))
             .collect();
         let cross: BTreeSet<(NodeId, NodeId)> = boundary.into_iter().collect();
-        let cut = Self::cut(&part, snaps, cross.iter().copied(), 0);
+        let mut scratch = Scratch::default();
+        let cut = Self::cut(&part, snaps, cross.iter().copied(), 0, &mut scratch);
         Ok(ShardedStore {
             config,
             part,
@@ -218,6 +221,7 @@ impl ShardedStore {
                 shards,
                 cross,
                 log: None,
+                scratch,
             }),
             current: RwLock::new(Arc::new(cut)),
         })
@@ -353,7 +357,13 @@ impl ShardedStore {
                 .filter(|e| deleted.binary_search(e).is_err())
                 .chain(&inserted)
                 .copied();
-            let cut = Self::cut(&self.part, snaps, cross, prev.watermark + 1);
+            let cut = Self::cut(
+                &self.part,
+                snaps,
+                cross,
+                prev.watermark + 1,
+                &mut router.scratch,
+            );
             fail_point!("sharded/commit");
             cut
         }));
@@ -424,11 +434,12 @@ impl ShardedStore {
         snaps: Vec<Arc<Snapshot>>,
         cross: impl Iterator<Item = (NodeId, NodeId)>,
         watermark: u64,
+        scratch: &mut Scratch,
     ) -> ShardedSnapshot {
         ShardedSnapshot {
             watermark,
             part: *part,
-            boundary: BoundarySummary::build(&snaps, cross, part),
+            boundary: BoundarySummary::build(&snaps, cross, part, scratch),
             shards: snaps,
         }
     }
