@@ -1,16 +1,11 @@
 //! On-disk snapshot persistence: the served cut's plain parts, frozen to a
 //! file.
 //!
-//! A snapshot file is the serving half of crash recovery. The
-//! [`UpdateLog`](crate::wal::UpdateLog) already makes the *history*
-//! durable, but recovering from it replays every committed batch through
-//! the full maintenance pipeline. Persisting the current snapshot turns
-//! recovery into **snapshot + log-tail replay**: the file names the
-//! version to boot at, the log's edges are replayed up to it and
-//! compressed once, and only the batches past the snapshot's version go
-//! through maintenance. Boot also checks that the file is the log's cut at
-//! that version. See
-//! [`CompressedStore::boot_from_snapshot`](crate::CompressedStore::boot_from_snapshot).
+//! The [`UpdateLog`](crate::wal::UpdateLog) alone recovers a store: its
+//! edges, compressed once. A snapshot file adds a check, not speed:
+//! [`CompressedStore::boot_from_snapshot`](crate::CompressedStore::boot_from_snapshot)
+//! compresses the log's graph at the file's version, requires the file to
+//! be that cut, and maintains the batches past it.
 //!
 //! ## File layout
 //!

@@ -85,8 +85,8 @@ use crate::boundary::{BoundarySummary, Scratch};
 use crate::error::{panic_cause, StoreError};
 use crate::snapshot::Snapshot;
 use crate::store::{
-    append_or_discard, discard, first_snapshot, lock_recover, read_recover, stage, write_recover,
-    ApplyPath, ApplyReport, ShardApply, StoreConfig,
+    append_or_discard, discard, first_snapshot, lock_recover, read_recover, replay, stage,
+    write_recover, ApplyPath, ApplyReport, ShardApply, StoreConfig,
 };
 use crate::wal::UpdateLog;
 
@@ -196,6 +196,11 @@ impl ShardedStore {
     /// [`StoreError::PatternsUnsupported`] when `config.serve_patterns` is
     /// set — see the module docs.
     pub fn new(g: LabeledGraph, config: StoreConfig) -> Result<Self, StoreError> {
+        Self::at(g, config, 0)
+    }
+
+    /// [`ShardedStore::new`] publishing its first cut at `version`.
+    fn at(g: LabeledGraph, config: StoreConfig, version: u64) -> Result<Self, StoreError> {
         if config.serve_patterns {
             return Err(StoreError::PatternsUnsupported);
         }
@@ -208,11 +213,11 @@ impl ShardedStore {
             .collect();
         let snaps = shards
             .iter()
-            .map(|m| Arc::new(first_snapshot(m, &config)))
+            .map(|m| Arc::new(first_snapshot(m, version, &config)))
             .collect();
         let cross: BTreeSet<(NodeId, NodeId)> = boundary.into_iter().collect();
         let mut scratch = Scratch::default();
-        let cut = Self::cut(&part, snaps, cross.iter().copied(), 0, &mut scratch);
+        let cut = Self::cut(&part, snaps, cross.iter().copied(), version, &mut scratch);
         Ok(ShardedStore {
             config,
             part,
@@ -244,22 +249,18 @@ impl ShardedStore {
         Ok(store)
     }
 
-    /// Rebuilds a sharded store from the update log at `path`: reads the
-    /// base graph and every committed batch (tolerating a torn tail from a
-    /// crash mid-append) and replays the batches through the normal apply
-    /// pipeline. The recovered store answers queries identically to one
-    /// that applied the same committed prefix without crashing; it does
-    /// **not** keep writing to the log.
+    /// Rebuilds a sharded store from the update log at `path` as
+    /// [`CompressedStore::recover_from_log`](crate::CompressedStore::recover_from_log)
+    /// rebuilds a single one: the committed batches' edges, then one split
+    /// and compression of the final graph, at watermark = the batch count.
+    /// It does **not** keep writing to the log.
     pub fn recover_from_log<P: AsRef<Path>>(
         path: P,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let contents = UpdateLog::read(path)?;
-        let store = Self::new(contents.graph, config)?;
-        for batch in &contents.batches {
-            store.try_apply(batch)?;
-        }
-        Ok(store)
+        let g = replay(contents.graph, &contents.batches, &config)?;
+        Self::at(g, config, contents.batches.len() as u64)
     }
 
     /// The currently published cut. Hold it as long as you like — the

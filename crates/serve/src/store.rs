@@ -27,7 +27,7 @@ use qpgc_graph::{IncStats, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::view::PatternView;
 use qpgc_reach::two_hop::TwoHopConfig;
 
-use crate::error::{panic_cause, StoreError};
+use crate::error::{panic_cause, LogError, StoreError};
 use crate::snapshot::{Snapshot, SnapshotFormat};
 use crate::wal::UpdateLog;
 
@@ -306,8 +306,13 @@ impl CompressedStore {
     /// Compresses `g`, builds the version-0 snapshot, and takes ownership of
     /// the graph for future maintenance.
     pub fn new(g: LabeledGraph, config: StoreConfig) -> Self {
+        Self::at(g, config, 0)
+    }
+
+    /// [`CompressedStore::new`] serving its first snapshot at `version`.
+    fn at(g: LabeledGraph, config: StoreConfig, version: u64) -> Self {
         let maintained = MaintainedGraph::new(g, config.serve_patterns);
-        let snapshot = first_snapshot(&maintained, &config);
+        let snapshot = first_snapshot(&maintained, version, &config);
         CompressedStore {
             config,
             writer: Mutex::new(Writer {
@@ -337,81 +342,66 @@ impl CompressedStore {
 
     /// Rebuilds a store from the update log at `path`: reads the base
     /// graph and every committed batch (tolerating a torn tail from a
-    /// crash mid-append) and replays the batches through the normal apply
-    /// pipeline. The recovered store answers queries identically to one
-    /// that applied the same committed prefix without crashing; it does
+    /// crash mid-append), applies the batches' edges — each validated as
+    /// `try_apply` validates it — and compresses the final graph once, at
+    /// version = the batch count. It answers queries identically to a
+    /// store that applied the same prefix without crashing; it does
     /// **not** keep writing to the log.
     pub fn recover_from_log<P: AsRef<Path>>(
         path: P,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
         let contents = UpdateLog::read(path)?;
-        let store = Self::new(contents.graph, config);
-        for batch in &contents.batches {
-            store.try_apply(batch)?;
-        }
-        Ok(store)
+        let g = replay(contents.graph, &contents.batches, &config)?;
+        Ok(Self::at(g, config, contents.batches.len() as u64))
     }
 
     /// Persists the currently served cut to `path` as its plain parts —
     /// version, node index, cyclic flags and `Gr` in CSR, whatever backend
     /// the store serves (see [`crate::persist`]). The file is written
     /// beside `path` and renamed over it, so a failed save leaves the
-    /// previous file intact. Pair the file with the store's [`UpdateLog`]
-    /// and [`CompressedStore::boot_from_snapshot`] recovers by log-**tail**
-    /// replay instead of full-history replay.
+    /// previous file intact. [`CompressedStore::boot_from_snapshot`]
+    /// checks the file against the store's [`UpdateLog`].
     pub fn save_snapshot<P: AsRef<Path>>(&self, path: P) -> Result<(), StoreError> {
         crate::persist::save_snapshot(&self.load(), path).map_err(StoreError::Log)
     }
 
     /// Recovers a store from a persisted snapshot plus the update log.
     /// The file (validated fail-closed — see [`crate::persist`]) names the
-    /// version `k` to boot at: the log's base graph advances to version
-    /// `k` by replaying only the batch *edges* (no per-batch maintenance or
-    /// publication), one [`CompressedStore::new`] compresses that graph and
-    /// builds the complete version-`k` snapshot — 2-hop index and pattern
-    /// view included, whatever `config` asks for — and the log batches past
-    /// `k` replay through the normal apply pipeline. The loaded cut must be
-    /// the one `new` built, whatever the class ids: the same partition, the
-    /// same cyclic flags and the same `Gr` edges, each class named by its
-    /// first member. What is served is the snapshot `new` built, stamped
-    /// with version `k`.
+    /// version `k` to boot at. The log's first `k` batches are replayed as
+    /// [`CompressedStore::recover_from_log`] replays them and compressed
+    /// once at version `k`; the loaded cut must be that one, whatever the
+    /// class ids (the same partition, cyclic flags and `Gr` edges, each
+    /// class named by its first member); the batches past `k` then go
+    /// through `try_apply`. So the file buys a consistency check, not a
+    /// faster restart: boot costs recovery's compression plus the tail's
+    /// maintenance.
     ///
     /// Fails when the snapshot file or the log is unreadable or corrupt,
     /// when the snapshot's version lies beyond the log's committed batch
-    /// count, or when the file's cut is not the log's at version `k`
-    /// (either way the file cannot belong to this log). A prefix batch is
-    /// validated as [`CompressedStore::try_apply`] validates it, so a log
-    /// that `recover_from_log` rejects does not boot either.
+    /// count, when the file's cut is not the log's at version `k`, or
+    /// where `recover_from_log` fails.
     pub fn boot_from_snapshot<P: AsRef<Path>, Q: AsRef<Path>>(
         snapshot_path: P,
         log_path: Q,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
-        let mismatch =
-            |detail: String| StoreError::Log(crate::error::LogError::Corrupt { offset: 0, detail });
+        let mismatch = |detail: String| StoreError::Log(LogError::Corrupt { offset: 0, detail });
         let loaded = crate::persist::load_snapshot(snapshot_path).map_err(StoreError::Log)?;
         let k = loaded.version();
         let contents = UpdateLog::read(log_path)?;
-        if k > contents.batches.len() as u64 {
+        let split = usize::try_from(k).map(|k| contents.batches.split_at_checked(k));
+        let Ok(Some((prefix, tail))) = split else {
             return Err(mismatch(format!(
                 "snapshot version {k} beyond the log's {} committed batches",
                 contents.batches.len()
             )));
-        }
-        let mut g = contents.graph;
-        for batch in &contents.batches[..k as usize] {
-            validate(batch, &g, &config)?;
-            batch.apply_to(&mut g);
-        }
-        let store = Self::new(g, config);
-        let built = store.load();
+        };
+        let store = Self::at(replay(contents.graph, prefix, &config)?, config, k);
         loaded
-            .same_cut(&built)
+            .same_cut(&store.load())
             .map_err(|e| mismatch(format!("snapshot is not the log's cut at version {k}: {e}")))?;
-        *write_recover(&store.current) =
-            Arc::new(Snapshot::republish(&built, k, built.pattern_arc()));
-        for batch in &contents.batches[k as usize..] {
+        for batch in tail {
             store.try_apply(batch)?;
         }
         Ok(store)
@@ -494,12 +484,12 @@ impl CompressedStore {
     }
 }
 
-/// The version-0 snapshot of a freshly compressed maintainer.
-pub(crate) fn first_snapshot(maintained: &MaintainedGraph, config: &StoreConfig) -> Snapshot {
-    let pattern = maintained
+/// The first snapshot of a freshly compressed maintainer, at `version`.
+pub(crate) fn first_snapshot(m: &MaintainedGraph, version: u64, config: &StoreConfig) -> Snapshot {
+    let pattern = m
         .pattern()
         .map(|p| Arc::new(PatternView::build(&p.stable_quotient())));
-    Snapshot::build(0, maintained.reach(), pattern, config)
+    Snapshot::build(version, m.reach(), pattern, config)
 }
 
 /// Rejects a batch `g` cannot take: [`UpdateBatch::validate`], plus
@@ -510,6 +500,21 @@ fn validate(batch: &UpdateBatch, g: &LabeledGraph, config: &StoreConfig) -> Resu
         batch.validate_labels(g)?;
     }
     Ok(())
+}
+
+/// Both stores' recovery: applies the edges of `batches`, a prefix of a
+/// log, to its base graph `g`, each batch first validated as [`stage`]
+/// validates it, and returns the graph they reach.
+pub(crate) fn replay(
+    mut g: LabeledGraph,
+    batches: &[UpdateBatch],
+    config: &StoreConfig,
+) -> Result<LabeledGraph, StoreError> {
+    for batch in batches {
+        validate(batch, &g, config)?;
+        batch.apply_to(&mut g);
+    }
+    Ok(g)
 }
 
 /// Stages `batch` on `maintained` as the successor of `prev`, the snapshot

@@ -2,11 +2,10 @@
 //!
 //! [`UpdateLog`] is an append-only redo log a serving store can write
 //! through: one *base* record holding the initial graph, then one *batch*
-//! record per committed [`UpdateBatch`]. Replaying the log
-//! ([`UpdateLog::read`] + re-applying the batches) reconstructs the store's
-//! graph after a crash, and because every layer of the system is
-//! deterministic, the recovered store answers queries identically to one
-//! that never crashed.
+//! record per committed [`UpdateBatch`]. Recovery ([`UpdateLog::read`],
+//! then the batches' edges applied to the base graph) reconstructs the
+//! store's graph after a crash, and one compression of that graph answers
+//! queries identically to the store that never crashed.
 //!
 //! ## Record framing
 //!

@@ -69,9 +69,9 @@ fn sharded(shards: usize) -> Config {
 }
 
 /// What follows a fault: the store continues (a no-op batch republishes, a
-/// clean batch applies), or it is dropped and recovered from its log — a
-/// log that holds batches with neutral updates, replayed through the
-/// pruned path.
+/// clean batch applies), or it is dropped and recovered from its log — one
+/// compression of the log's final graph — and carries on with a neutral
+/// batch and a mixed one.
 const CONTINUE: &[Command] = &[Command::Noop, Command::Mixed, Command::Pattern];
 const RECOVER: &[Command] = &[Command::Recover, Command::Neutral, Command::Mixed];
 

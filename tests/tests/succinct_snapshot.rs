@@ -19,7 +19,9 @@ use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use std::path::Path;
 
 use qpgc_graph::{BatchError, CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
-use qpgc_serve::{CompressedStore, SnapshotFormat, StoreConfig, StoreError, UpdateLog};
+use qpgc_serve::{
+    CompressedStore, ShardedStore, SnapshotFormat, StoreConfig, StoreError, UpdateLog,
+};
 use qpgc_tests::{check_configs, check_script, random_batch, random_graph, Command, Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -175,7 +177,10 @@ fn boot_fails_closed_on_damaged_snapshots() {
 /// it fails recovery, beside a snapshot of the cut the log's edges reach at
 /// version 2: a batch naming a node past the graph (which `add_edge` would
 /// assert on), and one inserting and deleting the same absent edge (which
-/// leaves the edges as they were).
+/// leaves the edges as they were). Both stores reject it, the single one
+/// also when it serves patterns. (The pattern-only rejection, an insertion
+/// at an unlabeled node, has no log to forge: a base record read back
+/// labels every node.)
 #[test]
 fn boot_rejects_the_prefix_batches_recovery_rejects() {
     let dir = std::env::temp_dir().join(format!("qpgc_forged_prefix_{}", std::process::id()));
@@ -186,8 +191,7 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
     for w in v.windows(2) {
         g.add_edge(w[0], w[1]);
     }
-    let config = StoreConfig::default();
-    let store = CompressedStore::new(g.clone(), config);
+    let store = CompressedStore::new(g.clone(), StoreConfig::default());
     for _ in 0..2 {
         store.try_apply(&UpdateBatch::new()).unwrap();
     }
@@ -196,7 +200,7 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
     out_of_bounds.insert(NodeId(9), v[0]);
     let mut conflicting = UpdateBatch::new();
     conflicting.insert(v[2], v[0]).delete(v[2], v[0]);
-    let rejected = |r: Result<CompressedStore, StoreError>| {
+    let rejected = |r: Result<(), StoreError>| {
         matches!(
             r,
             Err(StoreError::InvalidBatch(
@@ -209,10 +213,18 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
         writer.append(&batch).unwrap();
         writer.append(&UpdateBatch::new()).unwrap();
         drop(writer);
-        let recovered = CompressedStore::recover_from_log(&log, config);
-        assert!(rejected(recovered), "recover: {batch:?}");
-        let booted = CompressedStore::boot_from_snapshot(&snap, &log, config);
-        assert!(rejected(booted), "boot: {batch:?}");
+        for patterns in [false, true] {
+            let config = StoreConfig::builder().patterns(patterns).build();
+            let recovered = CompressedStore::recover_from_log(&log, config).map(drop);
+            assert!(rejected(recovered), "recover, {config:?}: {batch:?}");
+            let booted = CompressedStore::boot_from_snapshot(&snap, &log, config).map(drop);
+            assert!(rejected(booted), "boot, {config:?}: {batch:?}");
+        }
+        for shards in [1, 2] {
+            let config = StoreConfig::builder().shards(shards).build();
+            let recovered = ShardedStore::recover_from_log(&log, config).map(drop);
+            assert!(rejected(recovered), "{shards}-shard recover: {batch:?}");
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
