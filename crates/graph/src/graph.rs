@@ -44,6 +44,21 @@ impl LabeledGraph {
         }
     }
 
+    /// Creates an edgeless graph whose node `v` carries `labels[v]`, over
+    /// `interner`: the inverse of [`LabeledGraph::labels`] and
+    /// [`LabeledGraph::interner`], for a decoder that rebuilds a graph from
+    /// its parts. A label need not be interned.
+    pub fn from_labels(labels: Vec<Label>, interner: LabelInterner) -> Self {
+        let n = labels.len();
+        LabeledGraph {
+            labels,
+            out: vec![Vec::new(); n],
+            inn: vec![Vec::new(); n],
+            edge_count: 0,
+            interner,
+        }
+    }
+
     /// Number of nodes `|V|`.
     #[inline]
     pub fn node_count(&self) -> usize {

@@ -34,8 +34,6 @@
 //! * [`reach_sets`] — ancestor/descendant sweeps over a DAG into
 //!   [`IdRows`], the workhorse behind the reachability equivalence relation.
 //! * [`transitive`] — the unique transitive reduction of a DAG.
-//! * [`io`] — a plain-text edge-list format with labels, for persisting the
-//!   synthetic datasets used by the benchmark harness.
 //! * [`stats`] — the compression ratio `|Gr| / |G|` over the paper's size
 //!   measure `|G| = |V| + |E|`.
 //!
@@ -63,7 +61,6 @@ pub mod error;
 pub mod graph;
 pub mod id_set;
 pub mod ids;
-pub mod io;
 pub mod partition;
 pub mod quotient;
 pub mod rank;

@@ -13,9 +13,22 @@
 //! [u32 payload-len (LE)] [u8 kind] [payload…] [u32 crc32 of kind+payload (LE)]
 //! ```
 //!
-//! Kind 0 is the base graph (payload: the [`qpgc_graph::io`] text format);
-//! kind 1 is a batch (payload: `u32` update count, then `[u8 kind][u32
-//! from][u32 to]` per update). All integers little-endian.
+//! Kind 0 is the base graph, kind 1 a batch. All integers are
+//! little-endian `u32`:
+//!
+//! ```text
+//! base   [node count] [name count] ([byte len] [UTF-8 name…]) per name
+//!        [label] per node  [edge count] ([from] [to]) per edge
+//! batch  [update count] ([u8 1 insert | 0 delete] [from] [to]) per update
+//! ```
+//!
+//! The base record is the graph's own parts: the label interner's names in
+//! id order, each node's raw label (interned or not), and the edges, so
+//! [`UpdateLog::read`] returns a graph with the same `label` and
+//! `label_name` at every node and the same edge set. Its decoder fails
+//! closed: every count is checked against the bytes left before anything
+//! is sized by it, and a repeated name, an endpoint past the node count or
+//! a trailing byte is [`LogError::Corrupt`].
 //!
 //! ## Crash semantics
 //!
@@ -37,7 +50,8 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use qpgc_fault::fail_point;
-use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::ids::LabelInterner;
+use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
 
 use crate::error::LogError;
 
@@ -66,8 +80,7 @@ impl UpdateLog {
             .truncate(true)
             .open(path)?;
         let mut log = UpdateLog { file, committed: 0 };
-        let payload = qpgc_graph::io::to_string(g).into_bytes();
-        log.write_record(KIND_BASE, &payload)?;
+        log.write_record(KIND_BASE, &encode_base(g))?;
         Ok(log)
     }
 
@@ -152,13 +165,9 @@ impl UpdateLog {
                             detail: "second base record".into(),
                         });
                     }
-                    let text = std::str::from_utf8(payload).map_err(|_| LogError::Corrupt {
+                    let g = decode_base(payload).map_err(|detail| LogError::Corrupt {
                         offset,
-                        detail: "base record is not UTF-8".into(),
-                    })?;
-                    let g = qpgc_graph::io::from_str(text).map_err(|e| LogError::Corrupt {
-                        offset,
-                        detail: format!("base record does not parse: {e}"),
+                        detail: format!("base record: {detail}"),
                     })?;
                     graph = Some(g);
                 }
@@ -202,29 +211,104 @@ pub struct LogContents {
     pub batches: Vec<UpdateBatch>,
 }
 
+/// Appends `words` little-endian.
+fn put(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
+    out.extend(words.into_iter().flat_map(u32::to_le_bytes));
+}
+
+fn encode_base(g: &LabeledGraph) -> Vec<u8> {
+    let len = |n: usize| u32::try_from(n).expect("count fits u32");
+    let names: Vec<&str> = (0..).map_while(|id| g.interner().name(Label(id))).collect();
+    let mut out = Vec::with_capacity(4 * (3 + g.node_count() + 2 * g.edge_count()));
+    put(&mut out, [len(g.node_count()), len(names.len())]);
+    for name in names {
+        put(&mut out, [len(name.len())]);
+        out.extend_from_slice(name.as_bytes());
+    }
+    put(&mut out, g.labels().iter().map(|label| label.0));
+    put(&mut out, [len(g.edge_count())]);
+    put(&mut out, g.edges().flat_map(|(u, v)| [u.0, v.0]));
+    out
+}
+
+/// The unread rest of a record's payload; every read is checked against
+/// it, so no declared count sizes anything the bytes do not hold.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// The next `count` items of `width` bytes each, or `None` if fewer
+    /// bytes are left.
+    fn take(&mut self, count: usize, width: usize) -> Option<&'a [u8]> {
+        let len = count
+            .checked_mul(width)
+            .filter(|&len| len <= self.0.len())?;
+        let (head, rest) = self.0.split_at(len);
+        self.0 = rest;
+        Some(head)
+    }
+
+    /// The next `u32`, a count or a length.
+    fn count(&mut self) -> Option<usize> {
+        let word = self.take(1, 4)?.try_into().expect("4 bytes");
+        Some(u32::from_le_bytes(word) as usize)
+    }
+}
+
+fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    bytes
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+}
+
+fn decode_base(payload: &[u8]) -> Result<LabeledGraph, &'static str> {
+    let mut rest = Cursor(payload);
+    let nodes = rest.count().ok_or("no node count")?;
+    let names = rest.count().ok_or("no name count")?;
+    let mut interner = LabelInterner::new();
+    for id in 0..names {
+        let len = rest.count().ok_or("label names past the payload")?;
+        let name = rest.take(len, 1).ok_or("label name past the payload")?;
+        let name = std::str::from_utf8(name).map_err(|_| "label name is not UTF-8")?;
+        if interner.intern(name).index() != id {
+            return Err("repeated label name");
+        }
+    }
+    let labels = rest.take(nodes, 4).ok_or("node labels past the payload")?;
+    let labels = words(labels).map(Label).collect();
+    let edges = rest.count().ok_or("no edge count")?;
+    let edges = rest.take(edges, 8).ok_or("edges past the payload")?;
+    if !rest.0.is_empty() {
+        return Err("trailing bytes");
+    }
+    let ends: Vec<NodeId> = words(edges).map(NodeId).collect();
+    if ends.iter().any(|end| end.index() >= nodes) {
+        return Err("edge endpoint past the node count");
+    }
+    let mut g = LabeledGraph::from_labels(labels, interner);
+    g.extend_edges(ends.chunks_exact(2).map(|e| (e[0], e[1])));
+    Ok(g)
+}
+
 fn encode_batch(batch: &UpdateBatch) -> Vec<u8> {
     let updates = batch.updates();
     let mut out = Vec::with_capacity(4 + updates.len() * 9);
-    out.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+    put(&mut out, [updates.len() as u32]);
     for u in updates {
         let (a, b) = u.edge();
         out.push(u.is_insert() as u8);
-        out.extend_from_slice(&a.0.to_le_bytes());
-        out.extend_from_slice(&b.0.to_le_bytes());
+        put(&mut out, [a.0, b.0]);
     }
     out
 }
 
 fn decode_batch(payload: &[u8]) -> Option<UpdateBatch> {
-    let count = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
-    let rest = payload.get(4..)?;
-    if rest.len() != count * 9 {
-        return None;
-    }
+    let mut rest = Cursor(payload);
+    let count = rest.count()?;
+    let records = rest.take(count, 9).filter(|_| rest.0.is_empty())?;
     let mut batch = UpdateBatch::new();
-    for rec in rest.chunks_exact(9) {
-        let a = NodeId(u32::from_le_bytes(rec[1..5].try_into().ok()?));
-        let b = NodeId(u32::from_le_bytes(rec[5..9].try_into().ok()?));
+    for rec in records.chunks_exact(9) {
+        let mut ends = words(&rec[1..]).map(NodeId);
+        let (a, b) = (ends.next()?, ends.next()?);
         match rec[0] {
             0 => batch.delete(a, b),
             1 => batch.insert(a, b),
@@ -293,6 +377,15 @@ mod tests {
         g
     }
 
+    /// `payload` framed as a log record of `kind`, CRC included.
+    fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut crc = Crc32::new();
+        crc.update(&[kind]);
+        crc.update(payload);
+        let len = (payload.len() as u32).to_le_bytes();
+        [&len[..], &[kind], payload, &crc.finish().to_le_bytes()].concat()
+    }
+
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("qpgc_wal_{name}_{}", std::process::id()));
@@ -325,6 +418,100 @@ mod tests {
         assert_eq!(contents.batches.len(), 2);
         assert_eq!(contents.batches[0].updates(), b1.updates());
         assert_eq!(contents.batches[1].updates(), b2.updates());
+
+        // Every node reads back as it was logged: labels whose names hold
+        // whitespace or nothing, a raw label no name was interned for, an
+        // isolated node, a self loop; and the empty graph.
+        let mut odd = LabeledGraph::new();
+        let v: Vec<_> = ["", "a b", "x\ny", "σύνολο"]
+            .into_iter()
+            .map(|name| odd.add_node_with_label(name))
+            .collect();
+        let raw = odd.add_node(Label(77));
+        odd.add_node_with_label("isolated");
+        odd.add_edge(v[0], v[1]);
+        odd.add_edge(v[2], v[2]);
+        odd.add_edge(raw, v[3]);
+        odd.add_edge(v[3], raw);
+        for g in [odd, LabeledGraph::new()] {
+            UpdateLog::create(&path, &g).unwrap();
+            let back = UpdateLog::read(&path).unwrap().graph;
+            assert_eq!(back.node_count(), g.node_count());
+            for v in g.nodes() {
+                assert_eq!(back.label(v), g.label(v), "{v:?}");
+                assert_eq!(back.label_name(v), g.label_name(v), "{v:?}");
+            }
+            let sorted = |g: &LabeledGraph| {
+                let mut edges: Vec<_> = g.edges().collect();
+                edges.sort();
+                edges
+            };
+            assert_eq!(sorted(&back), sorted(&g));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// CRC-valid base records that do not hold a graph read as `Corrupt`,
+    /// never as a graph sized by a count the bytes do not back.
+    #[test]
+    fn hostile_base_records_are_corrupt() {
+        let path = tmp_path("hostile");
+        let le = |words: &[u32]| -> Vec<u8> {
+            let mut out = Vec::new();
+            put(&mut out, words.iter().copied());
+            out
+        };
+        // Two nodes over the label names `names`, then `tail`: the labels,
+        // the edge count and the edges.
+        let base = |names: &[&str], tail: &[u32]| {
+            let mut out = le(&[2, names.len() as u32]);
+            for name in names {
+                out.extend(le(&[name.len() as u32]).iter().chain(name.as_bytes()));
+            }
+            [out, le(tail)].concat()
+        };
+        assert!(decode_base(&base(&["A", "B"], &[0, 1, 1, 0, 1])).is_ok());
+        let hostile: [(&str, Vec<u8>); 13] = [
+            ("one million nodes", le(&[1_000_000, 0, 0])),
+            ("the text record `n 1000000`", b"n 1000000\n".to_vec()),
+            ("empty payload", Vec::new()),
+            ("more nodes than labels", le(&[3, 0, 0, 0])),
+            ("more names than bytes", le(&[0, 1_000_000, 0])),
+            ("more edges than bytes", base(&["A", "B"], &[0, 1, 2, 0, 1])),
+            (
+                "a name past the end",
+                [le(&[0, 1, 9]), b"abc".to_vec()].concat(),
+            ),
+            (
+                "invalid UTF-8",
+                [le(&[0, 1, 2]), vec![0xC3, 0x28], le(&[0])].concat(),
+            ),
+            ("a repeated name", base(&["A", "A"], &[0, 1, 0])),
+            (
+                "an endpoint at the node count",
+                base(&["A"], &[0, 0, 1, 0, 2]),
+            ),
+            (
+                "a source past the node count",
+                base(&["A"], &[0, 0, 1, 7, 0]),
+            ),
+            ("no edge count", base(&["A"], &[0, 0])),
+            (
+                "a trailing byte",
+                [base(&["A"], &[0, 0, 0]), vec![0]].concat(),
+            ),
+        ];
+        for (case, payload) in hostile {
+            std::fs::write(
+                &path,
+                [frame(KIND_BASE, &payload), frame(KIND_BATCH, &le(&[0]))].concat(),
+            )
+            .unwrap();
+            match UpdateLog::read(&path) {
+                Err(LogError::Corrupt { offset: 0, .. }) => {}
+                other => panic!("{case}: expected Corrupt, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::NodeId;
+use qpgc_graph::{Label, NodeId};
 use qpgc_serve::{load_snapshot, CompressedStore, StoreConfig, UpdateLog};
 use qpgc_tests::{random_batch, random_graph};
 use rand::rngs::StdRng;
@@ -106,8 +106,12 @@ fn mutate_frames(rng: &mut StdRng, frames: &[(u32, Vec<u8>)]) -> Option<Vec<(u32
 }
 
 /// The log: `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
+/// Its graph holds an empty label name and a label with no name, so the
+/// mutants reach every part of the base record's label table.
 fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
     let (mut g, path) = (random_graph(rng, 16, false), dir.join("log"));
+    g.add_node_with_label("");
+    g.add_node(Label(77));
     let snap = dir.join("log.snap");
     let store = CompressedStore::new_with_log(g.clone(), StoreConfig::default(), &path).unwrap();
     for i in 0..4 {

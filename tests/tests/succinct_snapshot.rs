@@ -18,7 +18,7 @@
 use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use std::path::Path;
 
-use qpgc_graph::{BatchError, CompressedCsr, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::{BatchError, CompressedCsr, Label, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_serve::{
     CompressedStore, ShardedStore, SnapshotFormat, StoreConfig, StoreError, UpdateLog,
 };
@@ -178,9 +178,10 @@ fn boot_fails_closed_on_damaged_snapshots() {
 /// version 2: a batch naming a node past the graph (which `add_edge` would
 /// assert on), and one inserting and deleting the same absent edge (which
 /// leaves the edges as they were). Both stores reject it, the single one
-/// also when it serves patterns. (The pattern-only rejection, an insertion
-/// at an unlabeled node, has no log to forge: a base record read back
-/// labels every node.)
+/// also when it serves patterns. A batch inserting at a node with an empty
+/// label name, or at one whose label has no name, is rejected only by a
+/// store serving patterns, as the live store's `try_apply` rejects it: the
+/// base record reads each node's label and name back as they were logged.
 #[test]
 fn boot_rejects_the_prefix_batches_recovery_rejects() {
     let dir = std::env::temp_dir().join(format!("qpgc_forged_prefix_{}", std::process::id()));
@@ -191,6 +192,8 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
     for w in v.windows(2) {
         g.add_edge(w[0], w[1]);
     }
+    let empty_name = g.add_node_with_label("");
+    let no_name = g.add_node(Label(77));
     let store = CompressedStore::new(g.clone(), StoreConfig::default());
     for _ in 0..2 {
         store.try_apply(&UpdateBatch::new()).unwrap();
@@ -208,11 +211,13 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
             ))
         )
     };
-    for batch in [out_of_bounds, conflicting] {
+    let write_log = |batch: &UpdateBatch| {
         let mut writer = UpdateLog::create(&log, &g).unwrap();
-        writer.append(&batch).unwrap();
+        writer.append(batch).unwrap();
         writer.append(&UpdateBatch::new()).unwrap();
-        drop(writer);
+    };
+    for batch in [out_of_bounds, conflicting] {
+        write_log(&batch);
         for patterns in [false, true] {
             let config = StoreConfig::builder().patterns(patterns).build();
             let recovered = CompressedStore::recover_from_log(&log, config).map(drop);
@@ -224,6 +229,30 @@ fn boot_rejects_the_prefix_batches_recovery_rejects() {
             let config = StoreConfig::builder().shards(shards).build();
             let recovered = ShardedStore::recover_from_log(&log, config).map(drop);
             assert!(rejected(recovered), "{shards}-shard recover: {batch:?}");
+        }
+    }
+    for node in [empty_name, no_name] {
+        let mut unlabeled = UpdateBatch::new();
+        unlabeled.insert(v[0], node);
+        write_log(&unlabeled);
+        let unlabeled_endpoint = |r: Result<(), StoreError>| {
+            matches!(
+                r,
+                Err(StoreError::InvalidBatch(BatchError::UnlabeledEndpoint { node: at })) if at == node
+            )
+        };
+        let patterns = StoreConfig::builder().patterns(true).build();
+        let live = CompressedStore::new(g.clone(), patterns).try_apply(&unlabeled);
+        assert!(unlabeled_endpoint(live.map(drop)), "live: {node:?}");
+        let recovered = CompressedStore::recover_from_log(&log, patterns).map(drop);
+        assert!(unlabeled_endpoint(recovered), "recover: {node:?}");
+        let booted = CompressedStore::boot_from_snapshot(&snap, &log, patterns).map(drop);
+        assert!(unlabeled_endpoint(booted), "boot: {node:?}");
+        let plain = StoreConfig::default();
+        CompressedStore::recover_from_log(&log, plain).expect("plain recover");
+        for shards in [1, 2] {
+            let config = StoreConfig::builder().shards(shards).build();
+            ShardedStore::recover_from_log(&log, config).expect("sharded recover");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
