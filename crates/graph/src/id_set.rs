@@ -32,6 +32,23 @@ fn dense(len: usize, n: usize) -> bool {
     len > 2 * words_for(n)
 }
 
+/// The ids of a bitmap from `from` on, ascending: bit `i` of word `i / 64`
+/// is id `i`.
+#[inline]
+pub fn ones(words: &[u64], from: usize) -> impl Iterator<Item = u32> + '_ {
+    let mut at = from / WORD;
+    let mut word = words.get(at).map_or(0, |w| w & (!0 << (from % WORD)));
+    std::iter::from_fn(move || loop {
+        if word != 0 {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            return Some((at * WORD + bit) as u32);
+        }
+        at += 1;
+        word = *words.get(at)?;
+    })
+}
+
 /// How many of a set's ids [`IdSet::fold_hash`] reads.
 const HASHED_IDS: usize = 16;
 
@@ -84,20 +101,7 @@ impl<'a> IdSet<'a> {
             IdSet::List(ids) => (&ids[ids.partition_point(|&id| id < from)..], &[]),
             IdSet::Bits(words, _) => (&[], words),
         };
-        let mut at = from as usize / WORD;
-        let mut word = words
-            .get(at)
-            .map_or(0, |w| w & (!0 << (from as usize % WORD)));
-        let bits = std::iter::from_fn(move || loop {
-            if word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                return Some((at * WORD + bit) as u32);
-            }
-            at += 1;
-            word = *words.get(at)?;
-        });
-        ids.iter().copied().chain(bits)
+        ids.iter().copied().chain(ones(words, from as usize))
     }
 
     /// Whether the two sets share an id.

@@ -239,9 +239,10 @@ pub(crate) mod tests {
     fn post_process_expands_and_dedups() {
         let g = graph(&["A", "B", "B"], &[(0, 1), (0, 2)]);
         let c = compress_b(&g);
-        let mut on_gr = MatchRelation::empty(1);
         let class_b = NodeId(c.class_of(NodeId(1)).unwrap());
-        on_gr.matches[0] = vec![class_b, class_b];
+        let on_gr = MatchRelation {
+            matches: vec![vec![class_b, class_b]],
+        };
         let expanded = c.post_process(&on_gr);
         assert_eq!(expanded.matches[0], vec![NodeId(1), NodeId(2)]);
     }

@@ -24,19 +24,20 @@
 //! derived from them (the paper's convention: the answer is `∅` unless every
 //! pattern node has a match).
 
-use std::collections::VecDeque;
-
 use qpgc_graph::{LabeledGraph, NodeId, UpdateBatch};
 
-use crate::bounded::{label_candidates, refine_to_fixpoint};
-use crate::pattern::{MatchRelation, Pattern};
+use crate::bounded::{is_empty, label_candidates, refine_to_fixpoint, row_ids, ReverseSearch};
+use crate::pattern::{EdgeBound, MatchRelation, Pattern};
 
 /// Incrementally maintained match relation of one pattern query.
 #[derive(Clone, Debug)]
 pub struct IncrementalMatch {
     pattern: Pattern,
-    /// Per-pattern-node greatest-fixpoint sets (possibly empty).
-    sim: Vec<Vec<NodeId>>,
+    /// Per-pattern-node greatest-fixpoint sets (possibly empty), each a bit
+    /// row over the graph's nodes.
+    sim: Vec<Vec<u64>>,
+    /// The graph's node count when `sim` was last refined.
+    nodes: usize,
 }
 
 impl IncrementalMatch {
@@ -44,92 +45,77 @@ impl IncrementalMatch {
     pub fn new(g: &LabeledGraph, pattern: Pattern) -> Self {
         let mut sim = label_candidates(g, &pattern);
         refine_to_fixpoint(g, &pattern, &mut sim, false);
-        IncrementalMatch { pattern, sim }
+        IncrementalMatch {
+            nodes: g.node_count(),
+            pattern,
+            sim,
+        }
     }
 
     /// The current answer: the maximum match relation, or `None` when the
     /// pattern does not match (`Qp ⋬ G`).
     pub fn current(&self) -> Option<MatchRelation> {
-        if self.pattern.node_count() == 0 || self.sim.iter().any(|s| s.is_empty()) {
+        if self.pattern.node_count() == 0 || self.sim.iter().any(|row| is_empty(row)) {
             return None;
         }
-        let mut rel = MatchRelation::empty(self.pattern.node_count());
-        rel.matches = self.sim.clone();
-        Some(rel)
+        Some(MatchRelation {
+            matches: self.sim.iter().map(|row| row_ids(row)).collect(),
+        })
     }
 
     /// Applies `batch` to `g` and updates the maintained answer.
     pub fn apply(&mut self, g: &mut LabeledGraph, batch: &UpdateBatch) -> Option<MatchRelation> {
         let norm = batch.normalized(g);
         norm.apply_to(g);
-        if norm.is_empty() {
+        let grown = g.node_count() > self.nodes;
+        if norm.is_empty() && !grown {
             return self.current();
         }
         let (insertions, _) = norm.split();
 
         // After deletions alone the previous sets over-approximate the new
-        // ones; insertions widen them first.
-        if !insertions.is_empty() {
-            self.sim = self.widened_candidates(g, &insertions);
+        // ones; insertions, and nodes added to `g` since, widen them first.
+        if !insertions.is_empty() || grown {
+            self.widen(g, &insertions);
         }
         refine_to_fixpoint(g, &self.pattern, &mut self.sim, false);
         self.current()
     }
 
-    /// Builds candidate sets = old sets ∪ {label-eligible nodes that can
-    /// reach an inserted edge's source in the updated graph}.
-    fn widened_candidates(
-        &self,
-        g: &LabeledGraph,
-        insertions: &[(NodeId, NodeId)],
-    ) -> Vec<Vec<NodeId>> {
-        let full = label_candidates(g, &self.pattern);
-        let touched = reverse_reach_marks(g, insertions.iter().map(|&(u, _)| u));
-
-        full.into_iter()
-            .enumerate()
-            .map(|(u, full_candidates)| {
-                let mut set: Vec<NodeId> = self.sim[u].clone();
-                for v in full_candidates {
-                    if touched[v.index()] {
-                        set.push(v);
-                    }
-                }
-                set.sort_unstable();
-                set.dedup();
-                set
-            })
-            .collect()
-    }
-}
-
-/// Marks every node with a (possibly empty) path to one of `targets` (the
-/// targets themselves are marked).
-fn reverse_reach_marks(g: &LabeledGraph, targets: impl Iterator<Item = NodeId>) -> Vec<bool> {
-    let n = g.node_count();
-    let mut reached = vec![false; n];
-    let mut queue = VecDeque::new();
-    for t in targets {
-        if !reached[t.index()] {
-            reached[t.index()] = true;
-            queue.push_back(t);
+    /// Widens every set to old set ∪ {label-eligible nodes that can reach an
+    /// inserted edge's source in the updated graph, or were added to it since
+    /// the last step}: the old rows, grown to the graph, OR the label rows
+    /// masked by the sources and their reverse reach, and the new nodes'
+    /// own label bits. A new node needs its own bit alone: a path from an
+    /// old node to it ends in an edge inserted since, whose source seeds
+    /// the search.
+    fn widen(&mut self, g: &LabeledGraph, insertions: &[(NodeId, NodeId)]) {
+        let n = g.node_count();
+        let mut sources = vec![0u64; n.div_ceil(64)];
+        for &(u, _) in insertions {
+            sources[u.index() / 64] |= 1 << (u.index() % 64);
         }
-    }
-    while let Some(v) = queue.pop_front() {
-        for &p in g.in_neighbors(v) {
-            if !reached[p.index()] {
-                reached[p.index()] = true;
-                queue.push_back(p);
+        // With no insertion the search's frontier starts empty: it runs no level.
+        let mut search = ReverseSearch::default();
+        let reach = search.run(g, &sources, EdgeBound::Unbounded);
+        for (row, full) in self.sim.iter_mut().zip(label_candidates(g, &self.pattern)) {
+            row.resize(sources.len(), 0);
+            for (((w, f), s), r) in row.iter_mut().zip(&full).zip(&sources).zip(reach) {
+                *w |= f & (s | r);
+            }
+            for v in self.nodes..n {
+                row[v / 64] |= full[v / 64] & (1 << (v % 64));
             }
         }
+        self.nodes = n;
     }
-    reached
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bounded::bounded_match;
+    use crate::bounded::tests::{chain_and_unbounded_pattern, WORDS_SCANNED};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -307,5 +293,47 @@ mod tests {
         inc.apply(&mut g, &ins);
         assert_matches_scratch(&inc, &g);
         assert!(inc.current().is_some());
+    }
+
+    /// Nodes added to the graph between batches, past the 64th, enter the
+    /// sets: a new `C` below a `B` that an inserted edge gives the new
+    /// target makes the match.
+    #[test]
+    fn nodes_added_between_batches_are_candidates() {
+        let labels: Vec<&str> = (0..64).map(|i| ["A", "B", "X"][i % 3]).collect();
+        let mut g = graph(&labels, &[(0, 1)]);
+        let mut inc = IncrementalMatch::new(&g, two_edge_pattern());
+        assert!(inc.current().is_none());
+        let c = g.add_node_with_label("C");
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(1), c);
+        inc.apply(&mut g, &batch);
+        assert!(inc.current().is_some());
+        assert_matches_scratch(&inc, &g);
+        g.add_node_with_label("A");
+        inc.apply(&mut g, &UpdateBatch::new());
+        assert_matches_scratch(&inc, &g);
+    }
+
+    /// Widening on a chain of 8 192 nodes: the insertion that closes the
+    /// chain seeds one unbounded reverse search over all of it, and the
+    /// step (that search and the refinement's one pass) scans a word a
+    /// level, not the 128-word row at every level.
+    #[test]
+    fn widening_a_long_chain_scans_words_linear_in_the_chain() {
+        let n = 64 * 128;
+        let (mut g, p) = chain_and_unbounded_pattern(n);
+        let last = NodeId(n as u32 - 1);
+        g.remove_edge(NodeId(n as u32 - 2), last);
+        let mut inc = IncrementalMatch::new(&g, p);
+        assert!(inc.current().is_none());
+        let mut batch = UpdateBatch::new();
+        batch.insert(NodeId(n as u32 - 2), last);
+        WORDS_SCANNED.with(|c| c.set(0));
+        inc.apply(&mut g, &batch);
+        let scanned = WORDS_SCANNED.with(|c| c.get());
+        assert!(inc.current().is_some());
+        assert_matches_scratch(&inc, &g);
+        assert!(scanned < 2 * n, "{scanned} words for {n} nodes");
     }
 }

@@ -188,14 +188,6 @@ pub fn assert_same_answer(
 }
 
 impl MatchRelation {
-    /// Creates a relation for a pattern with `pattern_nodes` nodes, with all
-    /// match sets empty.
-    pub fn empty(pattern_nodes: usize) -> Self {
-        MatchRelation {
-            matches: vec![Vec::new(); pattern_nodes],
-        }
-    }
-
     /// The match set of pattern node `u`.
     pub fn matches_of(&self, u: PatternNodeId) -> &[NodeId] {
         &self.matches[u as usize]
@@ -274,7 +266,9 @@ mod tests {
 
     #[test]
     fn match_relation_basics() {
-        let mut r = MatchRelation::empty(2);
+        let mut r = MatchRelation {
+            matches: vec![Vec::new(); 2],
+        };
         assert_eq!(r.matches, vec![Vec::<NodeId>::new(); 2]);
         r.matches[0].push(NodeId(4));
         r.matches[1].push(NodeId(2));
@@ -284,7 +278,9 @@ mod tests {
 
     #[test]
     fn empty_pattern_relation_is_unmatched() {
-        let r = MatchRelation::empty(0);
+        let r = MatchRelation {
+            matches: Vec::new(),
+        };
         assert!(r.matches.is_empty());
         assert!(r.canonical().is_empty());
     }

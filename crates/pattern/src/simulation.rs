@@ -68,12 +68,10 @@ pub(crate) mod tests {
             }
         }
 
-        let mut result = MatchRelation::empty(pattern.node_count());
-        for (u, mut s) in sim.into_iter().enumerate() {
+        for s in &mut sim {
             s.sort_unstable();
-            result.matches[u] = s;
         }
-        Some(result)
+        Some(MatchRelation { matches: sim })
     }
 
     /// [`bounded_match`] on `g` and on its CSR snapshot, each checked against

@@ -130,9 +130,13 @@ impl PatternView {
     /// Answers a pattern query on the compressed graph and expands
     /// hypernodes back to original nodes (the composition `P ∘ Match ∘ F`
     /// with the identity rewriting `F`). `Match` scans `Gr`'s row labels
-    /// once for the candidates (retired rows never qualify) and runs one
-    /// reverse bounded BFS per pattern edge plus one per edge whose target
-    /// shrank ([`bounded_match`]); `P` is [`PatternView::post_process`].
+    /// once for the candidate rows (retired rows never qualify) and refines
+    /// them on bit rows over `Gr`, sinks first: one reverse bounded search
+    /// per pattern edge, at most `|Ep|` on an acyclic pattern, plus one per
+    /// edge whose target's set shrank after the edge was checked
+    /// ([`bounded_match`]). `P` is [`PatternView::post_process`]: it sets
+    /// each pattern node's class members into one member row and reads it
+    /// out in order.
     pub fn answer(&self, query: &Pattern) -> Option<MatchRelation> {
         let on_gr = bounded_match(&self.graph, query)?;
         Some(self.post_process(&on_gr))

@@ -1,6 +1,10 @@
 //! Seeded mutation fuzz over the on-disk decoders: `UpdateLog::read` and
 //! `load_snapshot`.
 //!
+//! The unmutated log must first read back as exactly what was logged, and
+//! recover and boot to stores that answer like BFS: a writer whose output
+//! no reader gives back fails there, whatever its mutants do.
+//!
 //! Mutants flip a bit, truncate, or rewrite an aligned 4- or 8-byte field
 //! to a hostile value, and most are re-framed with valid CRCs so they get
 //! past the framing to the structural checks. Every outcome must be `Err`,
@@ -15,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use qpgc_graph::traversal::bfs_reachable;
-use qpgc_graph::{Label, NodeId};
+use qpgc_graph::{Label, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_serve::{load_snapshot, CompressedStore, StoreConfig, UpdateLog};
 use qpgc_tests::{random_batch, random_graph};
 use rand::rngs::StdRng;
@@ -105,15 +109,43 @@ fn mutate_frames(rng: &mut StdRng, frames: &[(u32, Vec<u8>)]) -> Option<Vec<(u32
     Some(frames)
 }
 
+/// What a log must give back of a graph: its node labels, its interner's
+/// names in id order and its edges, sorted.
+type Parts = (Vec<Label>, Vec<String>, Vec<(NodeId, NodeId)>);
+
+fn parts(g: &LabeledGraph) -> Parts {
+    let names = (0..).map_while(|id| g.interner().name(Label(id)));
+    let mut edges: Vec<_> = g.edges().collect();
+    edges.sort_unstable();
+    (
+        g.labels().to_vec(),
+        names.map(str::to_owned).collect(),
+        edges,
+    )
+}
+
+/// `store` passes `check_invariants` and answers every pair like BFS on `g`.
+fn answers_like_bfs(store: &CompressedStore, g: &LabeledGraph, ctx: &str) {
+    let cut = store.load();
+    assert_eq!(cut.check_invariants(), Ok(()), "{ctx}");
+    for (u, w) in g.nodes().flat_map(|u| g.nodes().map(move |w| (u, w))) {
+        assert_eq!(cut.reachable(u, w), bfs_reachable(g, u, w), "{ctx}");
+    }
+}
+
 /// The log: `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
 /// Its graph holds an empty label name and a label with no name, so the
-/// mutants reach every part of the base record's label table.
+/// mutants reach every part of the base record's label table. Before any
+/// mutant, the clean log must read back as exactly the base graph and the
+/// four batches, and recover and boot to stores that answer like BFS.
 fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
     let (mut g, path) = (random_graph(rng, 16, false), dir.join("log"));
     g.add_node_with_label("");
     g.add_node(Label(77));
+    let base = g.clone();
     let snap = dir.join("log.snap");
     let store = CompressedStore::new_with_log(g.clone(), StoreConfig::default(), &path).unwrap();
+    let mut batches = Vec::new();
     for i in 0..4 {
         let batch = random_batch(rng, g.node_count(), 3, 0.6, false);
         store.try_apply(&batch).unwrap();
@@ -121,6 +153,25 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
         if i == 1 {
             store.save_snapshot(&snap).unwrap();
         }
+        batches.push(batch);
+    }
+    let clean = UpdateLog::read(&path).expect("the clean log reads");
+    assert_eq!(
+        parts(&clean.graph),
+        parts(&base),
+        "the clean log's base graph"
+    );
+    let updates = |bs: &[UpdateBatch]| bs.iter().map(|b| b.updates().to_vec()).collect::<Vec<_>>();
+    assert_eq!(
+        updates(&clean.batches),
+        updates(&batches),
+        "the clean log's batches"
+    );
+    let recovered = CompressedStore::recover_from_log(&path, StoreConfig::default());
+    let booted = CompressedStore::boot_from_snapshot(&snap, &path, StoreConfig::default());
+    for (how, store) in [("recovered", recovered), ("booted", booted)] {
+        let ctx = format!("the clean log, {how}");
+        answers_like_bfs(&store.unwrap_or_else(|e| panic!("{ctx}: {e}")), &g, &ctx);
     }
     let log = std::fs::read(&path).unwrap();
     let (mut records, mut pos) = (Vec::new(), 0);
@@ -164,15 +215,8 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
             contents.batches.iter().for_each(|b| b.apply_to(&mut g));
         }
         for (how, store) in [("recovered", recovered), ("booted", booted)] {
-            let Ok(store) = store else { continue };
-            let cut = store.load();
-            assert_eq!(cut.check_invariants(), Ok(()), "log mutant {i}, {how}");
-            for (u, w) in g.nodes().flat_map(|u| g.nodes().map(move |w| (u, w))) {
-                assert_eq!(
-                    cut.reachable(u, w),
-                    bfs_reachable(&g, u, w),
-                    "log mutant {i}, {how}"
-                );
+            if let Ok(store) = store {
+                answers_like_bfs(&store, &g, &format!("log mutant {i}, {how}"));
             }
         }
         true

@@ -115,3 +115,30 @@ proptest! {
         prop_assert!(r.compressed_graph().node_count() <= g.node_count());
     }
 }
+
+/// The served `P ∘ Match` on a Citation emulation's pattern view equals the
+/// round-based oracle run on `G` itself, for 200 generator patterns of
+/// shape `(4, 5, 3)`: rows of many words, both outcomes.
+#[test]
+fn citation_view_answers_equal_the_reference_on_g() {
+    use qpgc_generators::{pattern_dataset, random_pattern, PatternGenConfig};
+    use qpgc_pattern::bounded::reference_bounded_match;
+    use qpgc_pattern::compress::compress_b;
+    use qpgc_pattern::pattern::assert_same_answer;
+
+    let g = pattern_dataset("Citation", 200, 0).expect("Citation is a pattern dataset");
+    let view = compress_b(&g);
+    assert!(
+        view.graph().node_count() > 128,
+        "{} rows",
+        view.graph().node_count()
+    );
+    let mut matched = 0;
+    for seed in 0..200 {
+        let p = random_pattern(&g, &PatternGenConfig::new(4, 5, 3, seed));
+        let expected = reference_bounded_match(&g, &p);
+        matched += usize::from(expected.is_some());
+        assert_same_answer(&expected, &view.answer(&p), &format!("pattern {seed}"));
+    }
+    assert!((20..180).contains(&matched), "{matched} of 200 matched");
+}
