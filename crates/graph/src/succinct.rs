@@ -9,16 +9,18 @@
 //! bit stream one target at a time, so a traversal that stops early never
 //! inflates a whole row, let alone the graph.
 //!
-//! Heavy hub rows defeat gap codes (their gaps are small but there are tens
-//! of thousands of them), so rows with degree ≥ [`HUB_DEGREE`] are held out
-//! into a raw sorted exception list that `neighbors` iterates as a slice.
+//! Every row is coded the same way. The one graph packed is a served
+//! quotient `Gr`, transitively reduced and therefore sparse-rowed (the
+//! quotients of wikiTalk, citHepTh and Citation emulations measured a
+//! largest out-degree of 1–11), so no row is held out of the stream.
 //!
-//! The backend is **read-only and forward-only** by design. The
+//! The backend holds **adjacency only, forward only** by design: no
+//! labels (every row of a quotient carries `σ`) and no reverse edges. The
 //! slice-returning [`crate::GraphView`] contract (`out_neighbors(&self) ->
 //! &[NodeId]`) cannot be met by a lazy decoder without caching, so
 //! consumers dispatch over an explicit plain/succinct backend enum (see
-//! `qpgc_serve`); anything that needs reverse edges or labels-by-slice
-//! decodes back to a [`CsrGraph`] with [`CompressedCsr::to_csr`] first.
+//! `qpgc_serve`), which rebuilds the plain form row by row from
+//! [`CompressedCsr::neighbors`] where it needs slices.
 //!
 //! It is a serving representation only, with no file form: `qpgc_serve`'s
 //! snapshot files hold the plain CSR. So the one decoder of the stream is
@@ -27,13 +29,7 @@
 
 use crate::codec::{unzigzag, zeta_len, zigzag, BitReader, BitWriter};
 use crate::csr::CsrGraph;
-use crate::ids::{Label, LabelInterner, NodeId};
-
-/// Rows with at least this many targets bypass the bit stream into the raw
-/// exception list. 128 keeps a coded row's decode within a couple of cache
-/// lines of work while exempting only the extreme tail of a power-law
-/// degree distribution.
-pub const HUB_DEGREE: usize = 128;
+use crate::ids::NodeId;
 
 /// Every `SELECT_SAMPLE`-th one in the Elias–Fano upper-bits vector gets
 /// its position sampled, bounding a `get` to one sampled jump plus at most
@@ -174,20 +170,9 @@ impl EliasFano {
     }
 }
 
-/// Node-label storage of a [`CompressedCsr`]: quotient graphs are uniformly
-/// labeled (every hypernode carries the paper's `σ`), and storing that one
-/// label beats a 4-bytes-per-node vector by the whole vector.
-#[derive(Clone, Debug)]
-enum LabelStore {
-    /// Every node carries the same label.
-    Uniform(Label),
-    /// Per-node labels, indexed by node id.
-    PerNode(Vec<Label>),
-}
-
 /// WebGraph-style succinct CSR: gap/ζ-coded forward adjacency with
-/// Elias–Fano row offsets, lazy per-row decode, and a raw exception list
-/// for hub rows. See the [module docs](self) for the encoding.
+/// Elias–Fano row offsets and lazy per-row decode. See the
+/// [module docs](self) for the encoding.
 #[derive(Clone, Debug)]
 pub struct CompressedCsr {
     n: usize,
@@ -195,42 +180,21 @@ pub struct CompressedCsr {
     k: u32,
     data: Vec<u64>,
     data_bits: usize,
-    /// Bit offset of each coded row (`n` entries; hub rows span zero bits).
+    /// Bit offset of each row (`n` entries).
     offsets: EliasFano,
-    /// Sorted ids of the held-out hub rows.
-    hub_rows: Vec<u32>,
-    /// Derived bitset over node ids: bit `v` set iff `v` is a hub row.
-    /// Makes the common non-hub check in point queries a single bit test
-    /// instead of a binary search.
-    hub_mask: Vec<u64>,
-    /// Prefix offsets into `hub_targets`, one per hub row plus the end.
-    hub_offsets: Vec<u32>,
-    /// Concatenated raw sorted targets of the hub rows.
-    hub_targets: Vec<NodeId>,
-    labels: LabelStore,
-    interner: LabelInterner,
 }
 
 impl CompressedCsr {
-    /// Packs `csr`'s forward adjacency. The ζ parameter `k` is chosen by an
-    /// exact bit-count sweep over `k ∈ 1..=4` on the actual gap stream.
+    /// Packs `csr`'s forward adjacency; its labels are not kept. The ζ
+    /// parameter `k` is chosen by an exact bit-count sweep over `k ∈ 1..=4`
+    /// on the actual gap stream.
     pub fn from_csr(csr: &CsrGraph) -> Self {
         let n = csr.node_count();
-        let labels = csr.labels();
-        let label_store = match labels.first() {
-            Some(&first) if labels.iter().all(|&l| l == first) => LabelStore::Uniform(first),
-            _ => LabelStore::PerNode(labels.to_vec()),
-        };
-
         // Exact coded size per candidate k, over the gaps that will
-        // actually be ζ-coded (non-hub rows, second target onward).
+        // actually be ζ-coded (second target onward).
         let mut k_cost = [0usize; 4];
-        for v in 0..n {
-            let row = csr.out_neighbors(NodeId(v as u32));
-            if row.len() >= HUB_DEGREE {
-                continue;
-            }
-            for w in row.windows(2) {
+        for v in csr.nodes() {
+            for w in csr.out_neighbors(v).windows(2) {
                 let gap = (w[1].0 - w[0].0) as u64;
                 for (ki, cost) in k_cost.iter_mut().enumerate() {
                     *cost += zeta_len(gap, ki as u32 + 1);
@@ -246,46 +210,25 @@ impl CompressedCsr {
 
         let mut w = BitWriter::new();
         let mut row_offsets = Vec::with_capacity(n);
-        let mut hub_rows = Vec::new();
-        let mut hub_offsets = vec![0u32];
-        let mut hub_targets = Vec::new();
-        let mut m = 0usize;
-        for v in 0..n {
-            let row = csr.out_neighbors(NodeId(v as u32));
-            m += row.len();
+        for v in csr.nodes() {
+            let row = csr.out_neighbors(v);
             row_offsets.push(w.bit_len() as u64);
-            if row.len() >= HUB_DEGREE {
-                hub_rows.push(v as u32);
-                hub_targets.extend_from_slice(row);
-                hub_offsets.push(hub_targets.len() as u32);
-                continue;
-            }
             w.write_gamma(row.len() as u64 + 1);
             if let Some(&first) = row.first() {
-                w.write_delta(zigzag(first.0 as i64 - v as i64) + 1);
+                w.write_delta(zigzag(first.0 as i64 - v.0 as i64) + 1);
                 for pair in row.windows(2) {
                     w.write_zeta((pair[1].0 - pair[0].0) as u64, k);
                 }
             }
         }
         let (data, data_bits) = w.finish();
-        let mut hub_mask = vec![0u64; n.div_ceil(64)];
-        for &v in &hub_rows {
-            hub_mask[v as usize / 64] |= 1u64 << (v % 64);
-        }
         Self {
             n,
-            m,
+            m: csr.edge_count(),
             k,
             data,
             data_bits,
             offsets: EliasFano::new(&row_offsets),
-            hub_rows,
-            hub_mask,
-            hub_offsets,
-            hub_targets,
-            labels: label_store,
-            interner: csr.interner().clone(),
         }
     }
 
@@ -299,31 +242,12 @@ impl CompressedCsr {
         self.m
     }
 
-    /// Index of `v` in the hub exception list, if it is a hub row. The
-    /// bitmask settles the common non-hub case in one bit test; the binary
-    /// search only runs to rank an actual hub.
-    #[inline]
-    fn hub_index(&self, v: u32) -> Option<usize> {
-        if self.hub_mask[v as usize / 64] & (1u64 << (v % 64)) == 0 {
-            return None;
-        }
-        self.hub_rows.binary_search(&v).ok()
-    }
-
-    #[inline]
-    fn hub_slice(&self, hub: usize) -> &[NodeId] {
-        &self.hub_targets[self.hub_offsets[hub] as usize..self.hub_offsets[hub + 1] as usize]
-    }
-
     /// Lazy iterator over `v`'s out-neighbors in ascending id order.
     pub fn neighbors(&self, v: NodeId) -> Neighbors<'_> {
         assert!(v.index() < self.n, "node {v} out of bounds");
-        if let Some(h) = self.hub_index(v.0) {
-            return Neighbors::Hub(self.hub_slice(h).iter());
-        }
         let mut reader = BitReader::at(&self.data, self.offsets.get(v.index()) as usize);
         let left = (reader.read_gamma() - 1) as u32;
-        Neighbors::Coded {
+        Neighbors {
             reader,
             k: self.k,
             left,
@@ -333,70 +257,36 @@ impl CompressedCsr {
         }
     }
 
-    /// Decodes back to a plain [`CsrGraph`] — labels, interner, and edge
-    /// set all round-trip exactly, so `to_csr(from_csr(g)) == g` up to
-    /// capacity. The escape hatch for consumers that need reverse
-    /// adjacency or slices.
-    pub fn to_csr(&self) -> CsrGraph {
-        let labels = match &self.labels {
-            LabelStore::Uniform(l) => vec![*l; self.n],
-            LabelStore::PerNode(ls) => ls.clone(),
-        };
-        let mut edges = Vec::with_capacity(self.m);
-        for v in 0..self.n {
-            let v = NodeId(v as u32);
-            for t in self.neighbors(v) {
-                edges.push((v, t));
-            }
-        }
-        CsrGraph::from_edges(labels, self.interner.clone(), edges)
-    }
-
-    /// Heap footprint in bytes. Like [`CsrGraph::heap_bytes`], the interner
-    /// is excluded — it is shared with the originating graph.
+    /// Heap footprint in bytes: the bit stream and the row offsets.
     pub fn heap_bytes(&self) -> usize {
-        self.data.capacity() * 8
-            + self.offsets.heap_bytes()
-            + self.hub_rows.capacity() * 4
-            + self.hub_mask.capacity() * 8
-            + self.hub_offsets.capacity() * 4
-            + self.hub_targets.capacity() * 4
-            + match &self.labels {
-                LabelStore::Uniform(_) => 0,
-                LabelStore::PerNode(ls) => ls.capacity() * 4,
-            }
+        self.data.capacity() * 8 + self.offsets.heap_bytes()
     }
 
-    /// Mean coded bits per edge (hub rows count their raw 32 bits).
+    /// Mean coded bits per edge.
     pub fn bits_per_edge(&self) -> f64 {
         if self.m == 0 {
             return 0.0;
         }
-        (self.data_bits + self.hub_targets.len() * 32) as f64 / self.m as f64
+        self.data_bits as f64 / self.m as f64
     }
 }
 
-/// Lazy neighbor iterator of [`CompressedCsr::neighbors`]: either a raw
-/// slice walk (hub rows) or an in-place bit-stream decode (coded rows).
+/// Lazy neighbor iterator of [`CompressedCsr::neighbors`]: an in-place
+/// decode of the row's bit stream, one target at a time.
 #[derive(Clone, Debug)]
-pub enum Neighbors<'a> {
-    /// Hub row: iterate the raw exception slice.
-    Hub(std::slice::Iter<'a, NodeId>),
-    /// Coded row: decode targets one at a time.
-    Coded {
-        /// Cursor into the coded stream, positioned after the degree.
-        reader: BitReader<'a>,
-        /// ζ parameter of the stream.
-        k: u32,
-        /// Targets left to decode.
-        left: u32,
-        /// Source node id (reference point of the first target).
-        v: u32,
-        /// Previously decoded target.
-        prev: u32,
-        /// `true` until the first target has been decoded.
-        first: bool,
-    },
+pub struct Neighbors<'a> {
+    /// Cursor into the coded stream, positioned after the degree.
+    reader: BitReader<'a>,
+    /// ζ parameter of the stream.
+    k: u32,
+    /// Targets left to decode.
+    left: u32,
+    /// Source node id (reference point of the first target).
+    v: u32,
+    /// Previously decoded target.
+    prev: u32,
+    /// `true` until the first target has been decoded.
+    first: bool,
 }
 
 impl Iterator for Neighbors<'_> {
@@ -404,38 +294,23 @@ impl Iterator for Neighbors<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        match self {
-            Neighbors::Hub(it) => it.next().copied(),
-            Neighbors::Coded {
-                reader,
-                k,
-                left,
-                v,
-                prev,
-                first,
-            } => {
-                if *left == 0 {
-                    return None;
-                }
-                *left -= 1;
-                let t = if *first {
-                    *first = false;
-                    let z = reader.read_delta() - 1;
-                    (*v as i64 + unzigzag(z)) as u32
-                } else {
-                    *prev + reader.read_zeta(*k) as u32
-                };
-                *prev = t;
-                Some(NodeId(t))
-            }
+        if self.left == 0 {
+            return None;
         }
+        self.left -= 1;
+        let t = if self.first {
+            self.first = false;
+            let z = self.reader.read_delta() - 1;
+            (self.v as i64 + unzigzag(z)) as u32
+        } else {
+            self.prev + self.reader.read_zeta(self.k) as u32
+        };
+        self.prev = t;
+        Some(NodeId(t))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            Neighbors::Hub(it) => it.size_hint(),
-            Neighbors::Coded { left, .. } => (*left as usize, Some(*left as usize)),
-        }
+        (self.left as usize, Some(self.left as usize))
     }
 }
 
@@ -444,6 +319,7 @@ impl ExactSizeIterator for Neighbors<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{Label, LabelInterner};
 
     fn lcg(state: &mut u64) -> u64 {
         *state = state
@@ -520,51 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn hub_rows_take_the_exception_path() {
-        // One node pointing at 4·HUB_DEGREE targets plus a sparse tail.
-        let n = HUB_DEGREE * 8;
-        let mut interner = LabelInterner::new();
-        let l = interner.intern("X");
-        let mut edges: Vec<(NodeId, NodeId)> = (1..=HUB_DEGREE * 4)
-            .map(|t| (NodeId(0), NodeId(t as u32)))
-            .collect();
-        edges.push((NodeId(5), NodeId(9)));
-        edges.push((NodeId(5), NodeId(2)));
-        let csr = CsrGraph::from_edges(vec![l; n], interner, edges);
-        let packed = CompressedCsr::from_csr(&csr);
-        assert!(matches!(packed.neighbors(NodeId(0)), Neighbors::Hub(_)));
-        assert!(matches!(
-            packed.neighbors(NodeId(5)),
-            Neighbors::Coded { .. }
-        ));
-        let hub: Vec<NodeId> = packed.neighbors(NodeId(0)).collect();
-        assert_eq!(hub, csr.out_neighbors(NodeId(0)));
-    }
-
-    #[test]
-    fn to_csr_roundtrips_exactly() {
-        let csr = random_csr(800, 4000, 9);
-        let packed = CompressedCsr::from_csr(&csr);
-        let back = packed.to_csr();
-        assert_eq!(back.node_count(), csr.node_count());
-        assert_eq!(back.edge_count(), csr.edge_count());
-        assert_eq!(back.labels(), csr.labels());
-        for v in 0..csr.node_count() {
-            let v = NodeId(v as u32);
-            assert_eq!(back.out_neighbors(v), csr.out_neighbors(v));
-            assert_eq!(back.in_neighbors(v), csr.in_neighbors(v));
-        }
-    }
-
-    #[test]
-    fn uniform_labels_are_stored_once() {
+    fn chain_packs_below_half_the_plain_heap() {
         let mut interner = LabelInterner::new();
         let l = interner.intern("σ");
         let edges: Vec<(NodeId, NodeId)> =
             (0..999u32).map(|i| (NodeId(i), NodeId(i + 1))).collect();
         let csr = CsrGraph::from_edges(vec![l; 1000], interner, edges);
         let packed = CompressedCsr::from_csr(&csr);
-        assert!(matches!(packed.labels, LabelStore::Uniform(u) if u == l));
         // A chain has gap-1 edges everywhere: the coded form must be far
         // below the plain form's 12n + 8m bytes.
         assert!(

@@ -43,6 +43,12 @@
 //! comparison is exact up to a 128-bit fingerprint collision —
 //! `≈ b²/2¹²⁸` for block size `b`, which is far below memory-error rates.
 //!
+//! The rank seed stays although a label seed gives the same partition in
+//! less time on every pattern emulator: on a chain of one label, the label
+//! seed splits one node off the whole block per round, and phase 2's
+//! uniformity scan reads that block every round (quadratic; see
+//! `bisim::tests::a_same_label_chain_reads_linear_members`).
+//!
 //! The pre-CSR per-round implementation is kept, label-seeded, as
 //! [`reference_bisimulation`]: the oracle the worklist refinement is tested
 //! against.
@@ -185,6 +191,8 @@ where
         for &b in &affected {
             block_affected[b as usize] = false;
             let (start, len) = range[b as usize];
+            #[cfg(test)]
+            tests::MEMBERS_READ.with(|c| c.set(c.get() + len as usize));
             let span = &mut arena[start as usize..(start + len) as usize];
             // Linear uniformity pre-scan: most affected blocks turn out not
             // to split, and a scan is much cheaper than the sort below.
@@ -382,6 +390,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    thread_local! {
+        /// How many block members phase 2 of this thread's refinements has
+        /// read (the members of every block it examined): the cost test
+        /// bounds it.
+        pub(super) static MEMBERS_READ: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
     fn partition(g: &LabeledGraph) -> Classes<Label> {
         bisimulation_partition_csr(&g.freeze())
     }
@@ -557,6 +573,22 @@ mod tests {
         assert_eq!(p.class_count(), 0);
         let b = reference_bisimulation(&g);
         assert_eq!(b.class_count(), 0);
+    }
+
+    /// A chain of 8 192 nodes of one label: every node is its own class.
+    /// Seeded by (label, rank) every seed block is a singleton and phase 2
+    /// reads nothing; seeded by label alone, each round splits one node off
+    /// the whole chain's block and reads it again (about n²/2 members).
+    #[test]
+    fn a_same_label_chain_reads_linear_members() {
+        let n = 8192u32;
+        let edges: Vec<(u32, u32)> = (1..n).map(|v| (v - 1, v)).collect();
+        let g = graph(&vec!["X"; n as usize], &edges);
+        MEMBERS_READ.with(|c| c.set(0));
+        let p = partition(&g);
+        let read = MEMBERS_READ.with(|c| c.get());
+        assert_eq!(p.class_count(), n as usize);
+        assert!(read <= 4 * n as usize, "{read} members read for {n} nodes");
     }
 
     #[test]

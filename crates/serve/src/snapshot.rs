@@ -4,12 +4,11 @@
 //! ## Stable class ids
 //!
 //! Snapshots index every per-class structure (quotient CSR rows, cyclic
-//! flags, 2-hop landmark ranks) by the maintainer's *stable* class ids
-//! ([`StableQuotient`](qpgc_reach::incremental::StableQuotient)), not by
-//! densely renumbered ones. Retired ids stay
-//! behind as isolated rows (never referenced by the node → class index), so
-//! `Gr`'s `node_count` is the id-space size while [`Snapshot::class_count`]
-//! counts live classes.
+//! flags, 2-hop landmark ranks) by the maintainer's *stable* class ids, read
+//! in place off [`IncrementalReach::quotient`], not by densely renumbered
+//! ones. Retired ids stay behind as isolated rows (never referenced by the
+//! node → class index), so `Gr`'s `node_count` is the id-space size while
+//! [`Snapshot::class_count`] counts live classes.
 //!
 //! ## One construction
 //!
@@ -107,12 +106,17 @@ impl QuotientCsr {
         }
     }
 
-    /// The plain form: an `Arc` bump when already plain, a full decode
-    /// when succinct.
+    /// The plain form: an `Arc` bump when already plain; when succinct,
+    /// every row decoded into `quotient_csr`, so it is built exactly as
+    /// the plain backend's is.
     pub fn to_plain_arc(&self) -> Arc<CsrGraph> {
         match self {
             QuotientCsr::Plain(g) => Arc::clone(g),
-            QuotientCsr::Succinct(g) => Arc::new(g.to_csr()),
+            QuotientCsr::Succinct(g) => {
+                let rows = (0..g.node_count() as u32).map(NodeId);
+                let edges = rows.flat_map(|v| g.neighbors(v).map(move |w| (v, w)));
+                Arc::new(quotient_csr(g.node_count(), edges))
+            }
         }
     }
 
@@ -152,7 +156,8 @@ impl QuotientCsr {
 }
 
 /// `Gr` in plain CSR over `rows` stable ids, every row labelled `σ`: how a
-/// build and a loaded file both freeze the quotient's edges.
+/// build, a loaded file and a decoded succinct quotient all freeze the
+/// quotient's edges.
 pub(crate) fn quotient_csr(
     rows: usize,
     edges: impl IntoIterator<Item = (NodeId, NodeId)>,

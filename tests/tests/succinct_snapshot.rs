@@ -1,13 +1,15 @@
 //! Torture suite for the succinct snapshot backend.
 //!
-//! 1. **Structure** — [`CompressedCsr`] must be a lossless re-encoding of
-//!    `CsrGraph`: identical `neighbors`, `has_edge` and labels on seeded
-//!    random graphs and on every Table-1 emulation (which exercise the hub
-//!    exception list — power-law rows past `HUB_DEGREE` stay raw).
+//! 1. **Structure** — [`CompressedCsr`] must re-encode a CSR's adjacency
+//!    losslessly: identical `neighbors` on seeded random graphs, on every
+//!    Table-1 emulation and on each emulation's quotient `Gr` (what a store
+//!    packs), and on a quotient with a row of 200 targets.
 //! 2. **Stores** — succinct stores, snapshot files and boots run through
 //!    the model checker (`qpgc_tests::check`), judged by the oracles on the
 //!    model; the entries below run it on the seeds the former plain-versus-
-//!    succinct and boot streams used.
+//!    succinct and boot streams used. A succinct store's plain form is the
+//!    plain store's `Gr` after every batch of a seeded stream: edges,
+//!    labels and label names.
 //! 3. **Damage** — boot fails closed on a truncated or bit-flipped file,
 //!    on a file that belongs to another log, and on a log whose replayed
 //!    prefix holds a batch the store rejects.
@@ -18,31 +20,26 @@
 use qpgc_generators::datasets::REACHABILITY_DATASETS;
 use std::path::Path;
 
-use qpgc_graph::{BatchError, CompressedCsr, Label, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_graph::traversal::bfs_reachable;
+use qpgc_graph::{BatchError, CompressedCsr, CsrGraph, Label, LabeledGraph, NodeId, UpdateBatch};
+use qpgc_reach::compress::compress_r;
 use qpgc_serve::{
-    CompressedStore, ShardedStore, SnapshotFormat, StoreConfig, StoreError, UpdateLog,
+    CompressedStore, ShardedStore, Snapshot, SnapshotFormat, StoreConfig, StoreError, UpdateLog,
 };
 use qpgc_tests::{check_configs, check_script, random_batch, random_graph, Command, Config};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Asserts `CompressedCsr::from_csr` round-trips every read the plain CSR
-/// answers: node/edge counts, per-row neighbor lists, and the labels.
-fn assert_succinct_matches_plain(g: &LabeledGraph, ctx: &str) {
-    let csr = g.freeze();
-    let packed = CompressedCsr::from_csr(&csr);
+/// Asserts that `CompressedCsr::from_csr` keeps `csr`'s node and edge
+/// counts and decodes every row to the plain one.
+fn assert_succinct_matches_plain(csr: &CsrGraph, ctx: &str) {
+    let packed = CompressedCsr::from_csr(csr);
     assert_eq!(packed.node_count(), csr.node_count(), "{ctx}: n");
     assert_eq!(packed.edge_count(), csr.edge_count(), "{ctx}: m");
-    for v in 0..csr.node_count() as u32 {
-        let v = NodeId(v);
+    for v in csr.nodes() {
         let decoded: Vec<NodeId> = packed.neighbors(v).collect();
         assert_eq!(decoded, csr.out_neighbors(v), "{ctx}: neighbors({v})");
     }
-    // And the decode escape hatch reproduces the source CSR exactly.
-    let unpacked = packed.to_csr();
-    let edges = |g: &qpgc_graph::CsrGraph| g.edges().collect::<Vec<_>>();
-    assert_eq!(edges(&unpacked), edges(&csr), "{ctx}: to_csr edges");
-    assert_eq!(unpacked.labels(), csr.labels(), "{ctx}: to_csr labels");
 }
 
 #[test]
@@ -50,15 +47,101 @@ fn succinct_roundtrip_on_seeded_random_graphs() {
     let mut rng = StdRng::seed_from_u64(0x51CC);
     for case in 0..40 {
         let g = random_graph(&mut rng, 60, false);
-        assert_succinct_matches_plain(&g, &format!("case {case}"));
+        assert_succinct_matches_plain(&g.freeze(), &format!("case {case}"));
     }
 }
 
+/// Every emulation's `G`, and its quotient `Gr`: the graph a store packs.
 #[test]
 fn succinct_roundtrip_on_table1_emulations() {
     for spec in REACHABILITY_DATASETS {
         let g = spec.generate(400, 9);
-        assert_succinct_matches_plain(&g, spec.name);
+        assert_succinct_matches_plain(&g.freeze(), spec.name);
+        let gr = compress_r(&g).graph.freeze();
+        assert_succinct_matches_plain(&gr, &format!("{}: Gr", spec.name));
+    }
+}
+
+/// A root over 200 children, each with a sink of its own: no two nodes
+/// are equivalent, and the reduced quotient keeps the root's 200 edges in
+/// one row. The row decodes to the plain one, and a succinct store (BFS
+/// over decoded rows, no 2-hop index) answers every pair like BFS on `G`.
+#[test]
+fn a_wide_quotient_row_decodes() {
+    let mut g = LabeledGraph::new();
+    let root = g.add_node_with_label("A");
+    for _ in 0..200 {
+        let (child, sink) = (g.add_node_with_label("B"), g.add_node_with_label("C"));
+        g.add_edge(root, child);
+        g.add_edge(child, sink);
+    }
+    let r = compress_r(&g);
+    let gr = r.graph.freeze();
+    let wide = NodeId(r.partition.class_of(root));
+    assert_eq!(gr.out_degree(wide), 200);
+    assert_succinct_matches_plain(&gr, "wide row");
+    let config = StoreConfig::builder()
+        .snapshot_format(SnapshotFormat::Succinct)
+        .build();
+    let snap = CompressedStore::new(g.clone(), config).load();
+    assert!(snap.quotient().as_plain().is_none());
+    for u in g.nodes() {
+        for w in g.nodes() {
+            assert_eq!(snap.reachable(u, w), bfs_reachable(&g, u, w), "({u}, {w})");
+        }
+    }
+}
+
+/// A succinct snapshot's plain form is built as the plain backend's:
+/// after every batch of a seeded stream, each served snapshot of a
+/// succinct store (single, and a 2-shard router) decodes to the plain
+/// store's `compressed_graph()` — edges, labels and label names.
+#[test]
+fn succinct_plain_form_is_the_plain_stores_quotient() {
+    fn assert_same_plain(succinct: &Snapshot, plain: &Snapshot, ctx: &str) {
+        let (decoded, served) = (succinct.quotient().to_plain_arc(), plain.compressed_graph());
+        assert!(decoded.edges().eq(served.edges()), "{ctx}: edges");
+        assert_eq!(decoded.labels(), served.labels(), "{ctx}: labels");
+        let names = |g: &CsrGraph| -> Vec<Option<String>> {
+            g.nodes()
+                .map(|v| g.label_name(v).map(str::to_owned))
+                .collect()
+        };
+        assert_eq!(names(&decoded), names(served), "{ctx}: label names");
+    }
+    let config = |format, shards| {
+        let builder = StoreConfig::builder().snapshot_format(format);
+        builder.shards(shards).build()
+    };
+    for seed in 0..6u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dag = seed % 2 == 1;
+        let g = random_graph(&mut rng, 40, dag);
+        let single = [SnapshotFormat::Succinct, SnapshotFormat::Plain]
+            .map(|format| CompressedStore::new(g.clone(), config(format, 1)));
+        let sharded = [SnapshotFormat::Succinct, SnapshotFormat::Plain]
+            .map(|format| ShardedStore::new(g.clone(), config(format, 2)).unwrap());
+        for i in 0..=30 {
+            let ctx = format!("seed {seed} batch {i}");
+            if i > 0 {
+                let batch = random_batch(&mut rng, g.node_count(), 4, 0.6, dag);
+                for store in &single {
+                    store.try_apply(&batch).unwrap();
+                }
+                for store in &sharded {
+                    store.try_apply(&batch).unwrap();
+                }
+            }
+            assert_same_plain(&single[0].load(), &single[1].load(), &ctx);
+            let cuts = sharded.each_ref().map(|store| store.load());
+            let shards = cuts[0]
+                .shard_snapshots()
+                .iter()
+                .zip(cuts[1].shard_snapshots());
+            for (s, (succinct, plain)) in shards.enumerate() {
+                assert_same_plain(succinct, plain, &format!("{ctx} shard {s}"));
+            }
+        }
     }
 }
 
