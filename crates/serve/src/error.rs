@@ -10,18 +10,23 @@ use std::fmt;
 
 use qpgc_graph::BatchError;
 
-/// Why an [`UpdateLog`](crate::wal::UpdateLog) operation failed.
+/// Why reading or writing an [`UpdateLog`](crate::wal::UpdateLog) or a
+/// snapshot file ([`crate::persist`]) failed.
 #[derive(Debug)]
 pub enum LogError {
     /// An underlying I/O error (open, read, write, sync, truncate).
     Io(std::io::Error),
-    /// A record *before* the tail failed its length or CRC32 check — real
-    /// corruption, not the benign torn tail a crash mid-append leaves
-    /// (which replay silently drops).
+    /// Real corruption: a whole record failed its CRC32 check, a record
+    /// does not decode or is of a kind the file does not hold, or a
+    /// snapshot file's record runs past the end (it is written whole, so
+    /// unlike the torn tail a crash mid-append leaves in a log, which
+    /// replay silently drops, its truncation is corruption). A boot also
+    /// reports a snapshot file that is not the log's cut this way.
     Corrupt {
-        /// Byte offset of the offending record's length prefix.
+        /// Byte offset of the offending record's length prefix (0 where no
+        /// one record is at fault).
         offset: u64,
-        /// What failed to parse or verify.
+        /// Which record failed, and how.
         detail: String,
     },
 }
@@ -29,9 +34,9 @@ pub enum LogError {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::Io(e) => write!(f, "update log i/o error: {e}"),
+            LogError::Io(e) => write!(f, "i/o error: {e}"),
             LogError::Corrupt { offset, detail } => {
-                write!(f, "update log corrupt at offset {offset}: {detail}")
+                write!(f, "corrupt file at offset {offset}: {detail}")
             }
         }
     }
@@ -91,7 +96,7 @@ pub enum StoreError {
         /// The panic payload, stringified.
         cause: String,
     },
-    /// Writing through to (or replaying from) the update log failed. On
+    /// Reading or writing the update log or a snapshot file failed. On
     /// the write path the staged application was discarded and the log
     /// truncated back to its last committed record.
     Log(LogError),
@@ -122,7 +127,7 @@ impl fmt::Display for StoreError {
             StoreError::ShardFailed { shard, cause } => {
                 write!(f, "shard {shard} failed mid-apply (rolled back): {cause}")
             }
-            StoreError::Log(e) => write!(f, "update log failure: {e}"),
+            StoreError::Log(e) => write!(f, "persistence failure: {e}"),
         }
     }
 }

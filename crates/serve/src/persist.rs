@@ -9,41 +9,39 @@
 //!
 //! ## File layout
 //!
-//! This module is the only one that knows the layout. It holds the cut's
-//! plain parts, whatever backend the store serves: `Gr` is written from
+//! A snapshot file is one record of kind 2 in the update log's framing
+//! (see [`crate::wal`]): `[u32 len] [u8 2] [payload…] [u32 crc32]`, the
+//! CRC over the kind and the payload. It holds the cut's plain parts,
+//! whatever backend the store serves: `Gr` is written from
 //! [`QuotientCsr::to_plain_arc`], so a succinct snapshot is decoded on
-//! save, and the file is independent of the in-memory coder.
+//! save, and the file is independent of the in-memory coder. The payload,
+//! every integer a little-endian `u32`:
 //!
 //! ```text
-//! [8B magic "QPGCSNP\x01"] [u32 format version = 2] [u32 reserved = 0]
-//! then five sections in this order, each 8-byte aligned:
-//! [u32 kind] [u32 payload-len] [u32 crc32] [u32 zero] [payload…] [zero pad to 8]
-//!   1 header    u64 version, u64 live classes, u64 rows, u64 edges
-//!   2 class_of  u32 per node: its row of Gr
-//!   3 cyclic    u8 per row: 0 or 1
-//!   4 offsets   u32 per row + 1: Gr's CSR row offsets
-//!   5 targets   u32 per edge: Gr's CSR targets, ascending in each row
+//! [version low] [version high] [live classes] [rows]
+//! [u8 cyclic flag: 0 or 1] per row
+//! [node count] [row of Gr] per node
+//! [CSR offset] per row + 1, from 0 to the edge count
+//! [target] per edge, ascending in each row
 //! ```
 //!
-//! Every integer is little-endian. The CRC (the same hand-rolled IEEE
-//! CRC-32 the update log frames its records with) covers every section
-//! byte except the CRC field itself: `kind ‖ len ‖ zero ‖ payload ‖ pad`,
-//! so no file byte past the header is unprotected. The optional 2-hop index
-//! and pattern view are not persisted: a loaded snapshot answers by BFS over
-//! `Gr`, which is BFS-exact, and a booted *store* serves the snapshot it
-//! rebuilt, index included.
+//! The optional 2-hop index and pattern view are not persisted: a loaded
+//! snapshot answers by BFS over `Gr`, which is BFS-exact, and a booted
+//! *store* serves the snapshot it rebuilt, index included.
 //!
 //! ## Fail-closed reading
 //!
-//! Loading validates, in order: the magic and format version, every
-//! section frame (a frame extending past EOF is a truncated file, not a
-//! tolerated tail — unlike the append-only log, a snapshot file is
-//! written whole), every CRC and the section order. It then checks every
-//! count against its section's length before anything is sized by it,
-//! the offsets as a prefix sum of the targets, and every row as ascending
-//! targets below the row count. Last, it runs the snapshot's own
-//! [`Snapshot::check_invariants`]: the node index names live rows only,
-//! and `Gr` is acyclic and reduced. A file rewritten with valid CRCs
+//! Loading reads the file with the log's record reader and accepts exactly
+//! one whole record of kind 2. A record that runs past the end of the file
+//! is a truncated file, not a tolerated tail — unlike the append-only log,
+//! a snapshot file is written whole — and an update log, whose records are
+//! of kinds 0 and 1, is not a snapshot file. The payload is read through
+//! the log's cursor: every count is checked against the bytes left before
+//! anything is sized by it, and a trailing byte is rejected. Then the
+//! cyclic flags must be 0 or 1, the offsets must split the targets, and
+//! every row must be ascending targets below the row count. Last,
+//! [`Snapshot::check_invariants`] runs: the node index names live rows
+//! only, and `Gr` is acyclic and reduced. A file rewritten with a valid CRC
 //! therefore still cannot load a snapshot whose queries would index past a
 //! row. Any failure returns [`LogError::Corrupt`] and no partial snapshot.
 //!
@@ -65,52 +63,7 @@ use qpgc_graph::NodeId;
 
 use crate::error::LogError;
 use crate::snapshot::{quotient_csr, QuotientCsr, Snapshot};
-use crate::wal::Crc32;
-
-const MAGIC: &[u8; 8] = b"QPGCSNP\x01";
-const FORMAT_VERSION: u32 = 2;
-
-const SEC_META: u32 = 1;
-const SEC_CLASS_OF: u32 = 2;
-const SEC_CYCLIC: u32 = 3;
-const SEC_OFFSETS: u32 = 4;
-const SEC_TARGETS: u32 = 5;
-/// Sections a file holds, kinds `1..=SECTIONS` in order.
-const SECTIONS: usize = 5;
-
-fn corrupt(offset: u64, detail: impl Into<String>) -> LogError {
-    LogError::Corrupt {
-        offset,
-        detail: detail.into(),
-    }
-}
-
-/// Appends one framed section: a 16-byte header (`kind`, payload length,
-/// CRC, zero word) followed by the payload, zero-padded to the 8-byte
-/// boundary. The CRC covers `kind ‖ len ‖ zero ‖ payload ‖ pad` — every
-/// section byte but the CRC field itself.
-fn push_section(out: &mut Vec<u8>, kind: u32, payload: &[u8]) {
-    debug_assert_eq!(out.len() % 8, 0, "section must start aligned");
-    let len = u32::try_from(payload.len()).expect("section fits u32");
-    let pad = payload.len().div_ceil(8) * 8 - payload.len();
-    let zeros = [0u8; 8];
-    let mut crc = Crc32::new();
-    crc.update(&kind.to_le_bytes());
-    crc.update(&len.to_le_bytes());
-    crc.update(&zeros[..4]);
-    crc.update(payload);
-    crc.update(&zeros[..pad]);
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(&zeros[..4]);
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&zeros[..pad]);
-}
-
-fn u32s_to_bytes(values: impl IntoIterator<Item = u32>) -> Vec<u8> {
-    values.into_iter().flat_map(u32::to_le_bytes).collect()
-}
+use crate::wal::{corrupt, frame, put, records, words, Cursor, Record, KIND_SNAPSHOT};
 
 /// Serializes `snapshot` to `path` in the plain layout of the
 /// [module docs](self), decoding a succinct quotient first. The optional
@@ -119,45 +72,34 @@ fn u32s_to_bytes(values: impl IntoIterator<Item = u32>) -> Vec<u8> {
 /// file intact.
 pub fn save_snapshot<P: AsRef<Path>>(snapshot: &Snapshot, path: P) -> Result<(), LogError> {
     let gr = snapshot.quotient().to_plain_arc();
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
-    let meta = [
-        snapshot.version(),
-        snapshot.class_count() as u64,
-        gr.node_count() as u64,
-        gr.edge_count() as u64,
-    ];
-    push_section(&mut out, SEC_META, &meta.map(u64::to_le_bytes).concat());
-    push_section(
-        &mut out,
-        SEC_CLASS_OF,
-        &u32s_to_bytes(snapshot.class_of_slice().iter().copied()),
+    let (version, class_of) = (snapshot.version(), snapshot.class_of_slice());
+    let count = |n: usize| u32::try_from(n).expect("count fits u32");
+    let mut payload = Vec::new();
+    put(
+        &mut payload,
+        [
+            version as u32,
+            (version >> 32) as u32,
+            count(snapshot.class_count()),
+            count(gr.node_count()),
+        ],
     );
-    let cyclic: Vec<u8> = snapshot.cyclic_slice().iter().map(|&c| c.into()).collect();
-    push_section(&mut out, SEC_CYCLIC, &cyclic);
+    payload.extend(snapshot.cyclic_slice().iter().map(|&c| u8::from(c)));
+    put(&mut payload, [count(class_of.len())]);
+    put(&mut payload, class_of.iter().copied());
     let mut end = 0;
-    let offsets = gr.nodes().map(|v| {
+    let row_ends = gr.nodes().map(|v| {
         end += gr.out_degree(v) as u32;
         end
     });
-    push_section(
-        &mut out,
-        SEC_OFFSETS,
-        &u32s_to_bytes(std::iter::once(0).chain(offsets)),
-    );
-    push_section(
-        &mut out,
-        SEC_TARGETS,
-        &u32s_to_bytes(gr.edges().map(|(_, t)| t.0)),
-    );
+    put(&mut payload, std::iter::once(0).chain(row_ends));
+    put(&mut payload, gr.edges().map(|(_, t)| t.0));
 
     let path = path.as_ref();
     let mut aside = path.as_os_str().to_owned();
     aside.push(".tmp");
     let mut file = File::create(&aside)?;
-    file.write_all(&out)?;
+    file.write_all(&frame(KIND_SNAPSHOT, &payload))?;
     // On disk before the rename can publish it: a crash then leaves the
     // previous file or the whole new one, never an empty one.
     file.sync_all()?;
@@ -166,152 +108,76 @@ pub fn save_snapshot<P: AsRef<Path>>(snapshot: &Snapshot, path: P) -> Result<(),
     Ok(())
 }
 
-/// One parsed section: its payload and the file offset it started at (for
-/// error reporting).
-struct Section<'a> {
-    offset: u64,
-    payload: &'a [u8],
-}
-
-impl Section<'_> {
-    fn u32s(&self) -> Result<Vec<u32>, LogError> {
-        if !self.payload.len().is_multiple_of(4) {
-            return Err(corrupt(
-                self.offset,
-                "u32 section length not a multiple of 4",
-            ));
-        }
-        Ok(self
-            .payload
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-}
-
-/// Parses and CRC-checks the header and the [`SECTIONS`] sections of a
-/// snapshot file, which must come in kind order.
-fn read_sections(buf: &[u8]) -> Result<[Section<'_>; SECTIONS], LogError> {
-    if buf.len() < 16 || &buf[..8] != MAGIC {
-        return Err(corrupt(0, "not a snapshot file (bad magic)"));
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(corrupt(8, format!("unsupported format version {version}")));
-    }
-    if buf[12..16] != [0, 0, 0, 0] {
-        return Err(corrupt(12, "nonzero reserved header bytes"));
-    }
-    let mut sections = Vec::with_capacity(SECTIONS);
-    let mut pos = 16usize;
-    while pos < buf.len() {
-        let offset = pos as u64;
-        let header = buf
-            .get(pos..pos + 16)
-            .ok_or_else(|| corrupt(offset, "truncated section header"))?;
-        let kind = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-        let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-        let stored_crc = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        let padded = len.div_ceil(8) * 8;
-        let body = buf
-            .get(pos + 16..pos + 16 + padded)
-            .ok_or_else(|| corrupt(offset, "truncated section payload"))?;
-        let mut crc = Crc32::new();
-        crc.update(&kind.to_le_bytes());
-        crc.update(&(len as u32).to_le_bytes());
-        crc.update(&header[12..16]);
-        crc.update(body);
-        if crc.finish() != stored_crc {
-            return Err(corrupt(offset, "crc32 mismatch on a snapshot section"));
-        }
-        let expected = sections.len() as u32 + 1;
-        if kind != expected {
-            return Err(corrupt(
-                offset,
-                format!("section {kind} where {expected} belongs"),
-            ));
-        }
-        sections.push(Section {
-            offset,
-            payload: &body[..len],
-        });
-        pos += 16 + padded;
-    }
-    let found = sections.len();
-    sections
-        .try_into()
-        .map_err(|_| corrupt(buf.len() as u64, format!("{found} of {SECTIONS} sections")))
-}
-
 /// Loads a snapshot file back into a serving [`Snapshot`] on the plain
 /// backend (no 2-hop index, no pattern view). Fails closed on truncation,
 /// CRC mismatch, or any structural invariant violation.
 pub fn load_snapshot<P: AsRef<Path>>(path: P) -> Result<Snapshot, LogError> {
     let buf = std::fs::read(path)?;
-    let [meta, class_of, cyclic, offsets, targets] = read_sections(&buf)?;
-    if meta.payload.len() != 32 {
-        return Err(corrupt(meta.offset, "header section is not four words"));
+    let (records, end) = records(&buf)?;
+    if end < buf.len() {
+        return Err(corrupt(
+            end as u64,
+            "a record runs past the end of the file",
+        ));
     }
-    let word = |i: usize| u64::from_le_bytes(meta.payload[8 * i..][..8].try_into().expect("8"));
-    let [version, live_classes, rows, edges] = [0, 1, 2, 3].map(word);
+    let [Record {
+        offset,
+        kind: KIND_SNAPSHOT,
+        payload,
+    }] = records[..]
+    else {
+        return Err(corrupt(0, "not one record of the snapshot kind"));
+    };
+    decode(payload).map_err(|detail| corrupt(offset, format!("snapshot record: {detail}")))
+}
 
-    // Every count against its section's length, before anything is sized
-    // by it: the cyclic flags bound `rows` by the file's own length.
-    if cyclic.payload.len() as u64 != rows {
-        return Err(corrupt(
-            cyclic.offset,
-            format!("cyclic flags for {rows} rows"),
-        ));
+/// The snapshot a record's payload holds, checked as the
+/// [module docs](self) say.
+fn decode(payload: &[u8]) -> Result<Snapshot, String> {
+    let mut rest = Cursor(payload);
+    let mut header = [0; 4];
+    for word in &mut header {
+        *word = rest.count().ok_or("header past the payload")?;
     }
-    if cyclic.payload.iter().any(|&b| b > 1) {
-        return Err(corrupt(cyclic.offset, "cyclic flag out of range"));
+    let [low, high, live_classes, rows] = header;
+    let cyclic = rest.take(rows, 1).ok_or("cyclic flags past the payload")?;
+    if cyclic.iter().any(|&b| b > 1) {
+        return Err("cyclic flag out of range".into());
     }
-    let rows = rows as usize;
-    let row_ends = offsets.u32s()?;
-    if row_ends.len() != rows + 1 {
-        return Err(corrupt(
-            offsets.offset,
-            format!("row offsets for {rows} rows"),
-        ));
+    let nodes = rest.count().ok_or("no node count")?;
+    let class_of = rest.take(nodes, 4).ok_or("node index past the payload")?;
+    let offsets = rest
+        .take(rows + 1, 4)
+        .ok_or("row offsets past the payload")?;
+    let row_ends: Vec<u32> = words(offsets).collect();
+    let targets = rest.take(row_ends[rows] as usize, 4);
+    let heads: Vec<u32> = words(targets.ok_or("targets past the payload")?).collect();
+    if !rest.0.is_empty() {
+        return Err("trailing bytes".into());
     }
-    let heads = targets.u32s()?;
-    if heads.len() as u64 != edges {
-        return Err(corrupt(
-            targets.offset,
-            format!("targets for {edges} edges"),
-        ));
-    }
-    if row_ends[0] != 0
-        || row_ends[rows] as usize != heads.len()
-        || row_ends.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(corrupt(
-            offsets.offset,
-            "row offsets do not split the targets",
-        ));
+    if row_ends[0] != 0 || row_ends.windows(2).any(|w| w[0] > w[1]) {
+        return Err("row offsets do not split the targets".into());
     }
     let mut gr = Vec::with_capacity(heads.len());
     for (r, ends) in row_ends.windows(2).enumerate() {
         let row = &heads[ends[0] as usize..ends[1] as usize];
         if row.windows(2).any(|w| w[0] >= w[1]) || row.last().is_some_and(|&t| t as usize >= rows) {
-            let detail = format!("row {r} is not ascending below {rows} rows");
-            return Err(corrupt(targets.offset, detail));
+            return Err(format!("row {r} is not ascending below {rows} rows"));
         }
         gr.extend(row.iter().map(|&t| (NodeId(r as u32), NodeId(t))));
     }
-
     let snapshot = Snapshot::from_loaded_parts(
-        version,
+        (high as u64) << 32 | low as u64,
         QuotientCsr::Plain(Arc::new(quotient_csr(rows, gr))),
-        class_of.u32s()?,
-        cyclic.payload.iter().map(|&b| b == 1).collect(),
-        live_classes as usize,
+        words(class_of).collect(),
+        cyclic.iter().map(|&b| b == 1).collect(),
+        live_classes,
     );
     // The node index must name rows below `rows`, exactly `live_classes`
     // of them; `Gr` must be the acyclic, reduced quotient it was saved as.
     snapshot
         .check_invariants()
-        .map_err(|e| corrupt(meta.offset, format!("snapshot invariant: {e}")))?;
+        .map_err(|e| format!("snapshot invariant: {e}"))?;
     Ok(snapshot)
 }
 
@@ -320,7 +186,8 @@ mod tests {
     use super::*;
     use crate::snapshot::SnapshotFormat;
     use crate::store::StoreConfig;
-    use qpgc_graph::LabeledGraph;
+    use crate::wal::UpdateLog;
+    use qpgc_graph::{LabeledGraph, UpdateBatch};
     use qpgc_reach::incremental::IncrementalReach;
 
     fn sample_snapshot(snapshot_format: SnapshotFormat) -> Snapshot {
@@ -395,6 +262,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A flipped bit anywhere fails the load, and the error names neither
+    /// file: a snapshot file is not the update log.
     #[test]
     fn corrupted_crc_fails_closed() {
         let snap = sample_snapshot(SnapshotFormat::Plain);
@@ -403,16 +272,15 @@ mod tests {
         let path = dir.join("snap.qpgc");
         save_snapshot(&snap, &path).unwrap();
         let full = std::fs::read(&path).unwrap();
-        // Flip one bit in every 64th byte past the header; each flip must
-        // be caught by a section CRC (or the header check).
-        for i in (16..full.len()).step_by(64) {
+        // Flip one bit in every 64th byte; each flip must be caught by the
+        // record's CRC or its length prefix.
+        for i in (0..full.len()).step_by(64) {
             let mut bad = full.clone();
             bad[i] ^= 0x40;
             std::fs::write(&path, &bad).unwrap();
-            assert!(
-                load_snapshot(&path).is_err(),
-                "bit flip at byte {i} must fail closed"
-            );
+            let err = load_snapshot(&path).expect_err("a bit flip must fail closed");
+            let store_err = crate::StoreError::from(err);
+            assert!(!store_err.to_string().contains("update log"), "{store_err}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -429,15 +297,11 @@ mod tests {
         save_snapshot(&snap, &path).unwrap();
         let n = snap.quotient().node_count() as u32;
         let full = std::fs::read(&path).unwrap();
-        let mut forged = full[..16].to_vec();
-        for (i, sec) in read_sections(&full).unwrap().iter().enumerate() {
-            let (kind, mut payload) = (i as u32 + 1, sec.payload.to_vec());
-            if kind == SEC_CLASS_OF {
-                payload[..8].copy_from_slice(&u32s_to_bytes([n + 3, n + 3]));
-            }
-            push_section(&mut forged, kind, &payload);
-        }
-        std::fs::write(&path, &forged).unwrap();
+        // The node index starts past the header, the flags and its count.
+        let mut payload = records(&full).unwrap().0[0].payload.to_vec();
+        let at = 16 + n as usize + 4;
+        payload[at..at + 8].copy_from_slice(&[(n + 3).to_le_bytes(); 2].concat());
+        std::fs::write(&path, frame(KIND_SNAPSHOT, &payload)).unwrap();
         match load_snapshot(&path) {
             Err(LogError::Corrupt { detail, .. }) => {
                 assert!(detail.contains("outside the id space"))
@@ -447,23 +311,38 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A file of the previous format, which held the succinct coder's
-    /// internals, is not read as this one.
+    /// Neither file reads as the other: a file of the previous section
+    /// layout and an update log fail `load_snapshot`, and a snapshot file
+    /// fails `UpdateLog::read`.
     #[test]
-    fn format_version_1_fails_closed() {
-        let dir = std::env::temp_dir().join("qpgc_persist_v1");
+    fn each_file_fails_closed_as_the_other() {
+        let dir = std::env::temp_dir().join("qpgc_persist_kinds");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.qpgc");
-        save_snapshot(&sample_snapshot(SnapshotFormat::Plain), &path).unwrap();
-        let mut old = std::fs::read(&path).unwrap();
-        old[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &old).unwrap();
-        match load_snapshot(&path) {
+        let (snap, log) = (dir.join("snap.qpgc"), dir.join("log"));
+        save_snapshot(&sample_snapshot(SnapshotFormat::Plain), &snap).unwrap();
+        let record = std::fs::read(&snap).unwrap();
+
+        let old = [b"QPGCSNP\x01", &[2, 0, 0, 0, 0, 0, 0, 0][..], &record].concat();
+        std::fs::write(&snap, old).unwrap();
+        assert!(load_snapshot(&snap).is_err(), "the old section layout");
+
+        let mut g = LabeledGraph::new();
+        let v = [0; 3].map(|_| g.add_node_with_label("X"));
+        g.add_edge(v[0], v[1]);
+        let mut writer = UpdateLog::create(&log, &g).unwrap();
+        assert!(load_snapshot(&log).is_err(), "a log of its base record");
+        let mut batch = UpdateBatch::new();
+        batch.insert(v[1], v[2]);
+        writer.append(&batch).unwrap();
+        assert!(load_snapshot(&log).is_err(), "a log of two records");
+
+        std::fs::write(&snap, &record).unwrap();
+        match UpdateLog::read(&snap) {
             Err(LogError::Corrupt { detail, .. }) => {
-                assert!(detail.contains("unsupported format version 1"), "{detail}")
+                assert!(detail.contains("unknown record kind 2"), "{detail}")
             }
-            other => panic!("a version-1 file loaded: {other:?}"),
+            other => panic!("a snapshot file read as a log: {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -27,9 +27,9 @@ use qpgc_graph::{IncStats, LabeledGraph, NodeId, UpdateBatch};
 use qpgc_pattern::view::PatternView;
 use qpgc_reach::two_hop::TwoHopConfig;
 
-use crate::error::{panic_cause, LogError, StoreError};
+use crate::error::{panic_cause, StoreError};
 use crate::snapshot::{Snapshot, SnapshotFormat};
-use crate::wal::UpdateLog;
+use crate::wal::{corrupt, UpdateLog};
 
 /// `Mutex::lock` with poison recovery: a poisoned lock means some earlier
 /// holder panicked, but the apply pipeline catches every panic *before*
@@ -386,7 +386,7 @@ impl CompressedStore {
         log_path: Q,
         config: StoreConfig,
     ) -> Result<Self, StoreError> {
-        let mismatch = |detail: String| StoreError::Log(LogError::Corrupt { offset: 0, detail });
+        let mismatch = |detail: String| StoreError::Log(corrupt(0, detail));
         let loaded = crate::persist::load_snapshot(snapshot_path).map_err(StoreError::Log)?;
         let k = loaded.version();
         let contents = UpdateLog::read(log_path)?;

@@ -1,4 +1,5 @@
-//! Crash-consistent update log.
+//! Crash-consistent update log, and the record framing both of the
+//! store's files are written in.
 //!
 //! [`UpdateLog`] is an append-only redo log a serving store can write
 //! through: one *base* record holding the initial graph, then one *batch*
@@ -9,11 +10,16 @@
 //!
 //! ## Record framing
 //!
+//! One framing serves both files: the update log is a sequence of records,
+//! and a snapshot file ([`crate::persist`]) is a single record of kind 2.
+//!
 //! ```text
 //! [u32 payload-len (LE)] [u8 kind] [payload…] [u32 crc32 of kind+payload (LE)]
 //! ```
 //!
-//! Kind 0 is the base graph, kind 1 a batch. All integers are
+//! One function frames a record and one reader splits a file into its
+//! whole records, checking each CRC and reporting a torn tail, for both
+//! files. Kind 0 is the base graph, kind 1 a batch. All integers are
 //! little-endian `u32`:
 //!
 //! ```text
@@ -28,7 +34,8 @@
 //! `label_name` at every node and the same edge set. Its decoder fails
 //! closed: every count is checked against the bytes left before anything
 //! is sized by it, and a repeated name, an endpoint past the node count or
-//! a trailing byte is [`LogError::Corrupt`].
+//! a trailing byte is [`LogError::Corrupt`]. A record of any other kind,
+//! a snapshot record included, is too: neither file reads as the other.
 //!
 //! ## Crash semantics
 //!
@@ -43,11 +50,15 @@
 //! leaves its torn bytes in the file and the committed watermark where it
 //! was; the next append truncates the file back to the watermark before it
 //! writes, so every record starts on a clean boundary.
+//!
+//! Appends are written, not synced (`flush` on a `File` does nothing): a
+//! committed batch survives a crash of the process, whose writes the
+//! operating system already holds, but not a power loss. A snapshot file,
+//! by contrast, is synced before it is renamed into place.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{Seek, SeekFrom, Write as _};
 use std::path::Path;
-use std::sync::OnceLock;
 
 use qpgc_fault::fail_point;
 use qpgc_graph::ids::LabelInterner;
@@ -57,6 +68,8 @@ use crate::error::LogError;
 
 const KIND_BASE: u8 = 0;
 const KIND_BATCH: u8 = 1;
+/// The kind of a snapshot file's one record (see [`crate::persist`]).
+pub(crate) const KIND_SNAPSHOT: u8 = 2;
 
 /// An append-only, CRC-framed redo log of one store's update history.
 #[derive(Debug)]
@@ -93,19 +106,7 @@ impl UpdateLog {
     }
 
     fn write_record(&mut self, kind: u8, payload: &[u8]) -> Result<(), LogError> {
-        let mut rec = Vec::with_capacity(payload.len() + 9);
-        rec.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("record fits u32")
-                .to_le_bytes(),
-        );
-        rec.push(kind);
-        rec.extend_from_slice(payload);
-        let mut crc = Crc32::new();
-        crc.update(&[kind]);
-        crc.update(payload);
-        rec.extend_from_slice(&crc.finish().to_le_bytes());
-
+        let rec = frame(kind, payload);
         // Truncate any torn bytes a previously interrupted append left
         // beyond the committed watermark, so this record starts on a clean
         // boundary.
@@ -128,75 +129,37 @@ impl UpdateLog {
     /// Reads the log at `path` back into its base graph and committed
     /// batches, dropping a torn tail if the last append was interrupted.
     pub fn read<P: AsRef<Path>>(path: P) -> Result<LogContents, LogError> {
-        let mut buf = Vec::new();
-        File::open(path.as_ref())?.read_to_end(&mut buf)?;
-
+        let buf = std::fs::read(path)?;
         let mut graph: Option<LabeledGraph> = None;
         let mut batches = Vec::new();
-        let mut pos: usize = 0;
-        while pos < buf.len() {
-            let offset = pos as u64;
-            // Frame extending past EOF = torn tail from an interrupted
-            // append; everything before it is the committed log.
-            let Some(header) = buf.get(pos..pos + 5) else {
-                break;
-            };
-            let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-            let kind = header[4];
-            let Some(body) = buf.get(pos + 5..pos + 5 + len + 4) else {
-                break;
-            };
-            let (payload, crc_bytes) = body.split_at(len);
-            let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-            let mut crc = Crc32::new();
-            crc.update(&[kind]);
-            crc.update(payload);
-            if crc.finish() != stored_crc {
-                return Err(LogError::Corrupt {
-                    offset,
-                    detail: "crc32 mismatch on a fully-framed record".into(),
-                });
-            }
+        // Whatever follows the whole records is the torn tail of an
+        // interrupted append; everything before it is the committed log.
+        for Record {
+            offset,
+            kind,
+            payload,
+        } in records(&buf)?.0
+        {
             match kind {
+                KIND_BASE if graph.is_some() => {
+                    return Err(corrupt(offset, "second base record"));
+                }
                 KIND_BASE => {
-                    if graph.is_some() {
-                        return Err(LogError::Corrupt {
-                            offset,
-                            detail: "second base record".into(),
-                        });
-                    }
-                    let g = decode_base(payload).map_err(|detail| LogError::Corrupt {
-                        offset,
-                        detail: format!("base record: {detail}"),
-                    })?;
+                    let g = decode_base(payload)
+                        .map_err(|detail| corrupt(offset, format!("base record: {detail}")))?;
                     graph = Some(g);
                 }
-                KIND_BATCH => {
-                    if graph.is_none() {
-                        return Err(LogError::Corrupt {
-                            offset,
-                            detail: "batch record before base record".into(),
-                        });
-                    }
-                    batches.push(decode_batch(payload).ok_or_else(|| LogError::Corrupt {
-                        offset,
-                        detail: "batch record does not parse".into(),
-                    })?);
+                KIND_BATCH if graph.is_none() => {
+                    return Err(corrupt(offset, "batch record before base record"));
                 }
-                other => {
-                    return Err(LogError::Corrupt {
-                        offset,
-                        detail: format!("unknown record kind {other}"),
-                    });
-                }
+                KIND_BATCH => batches.push(
+                    decode_batch(payload)
+                        .ok_or_else(|| corrupt(offset, "batch record does not parse"))?,
+                ),
+                other => return Err(corrupt(offset, format!("unknown record kind {other}"))),
             }
-            pos += 5 + len + 4;
         }
-
-        let graph = graph.ok_or(LogError::Corrupt {
-            offset: 0,
-            detail: "log has no base record".into(),
-        })?;
+        let graph = graph.ok_or_else(|| corrupt(0, "log has no base record"))?;
         Ok(LogContents { graph, batches })
     }
 }
@@ -211,8 +174,63 @@ pub struct LogContents {
     pub batches: Vec<UpdateBatch>,
 }
 
+/// A [`LogError::Corrupt`] at `offset`.
+pub(crate) fn corrupt(offset: u64, detail: impl Into<String>) -> LogError {
+    LogError::Corrupt {
+        offset,
+        detail: detail.into(),
+    }
+}
+
+/// `payload` framed as a record of `kind`, CRC included.
+pub(crate) fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(payload.len() + 9);
+    put(&mut rec, [u32::try_from(payload.len()).expect("fits u32")]);
+    rec.push(kind);
+    rec.extend_from_slice(payload);
+    put(&mut rec, [crc32(kind, payload)]);
+    rec
+}
+
+/// One whole record of a file, its CRC checked.
+pub(crate) struct Record<'a> {
+    /// Byte offset of the record's length prefix.
+    pub(crate) offset: u64,
+    pub(crate) kind: u8,
+    pub(crate) payload: &'a [u8],
+}
+
+/// The whole records `buf` starts with, in order, and the byte length they
+/// span. A frame that runs past the end of `buf` ends them: the span is
+/// shorter than `buf` exactly when a torn tail follows. A whole record
+/// whose CRC does not match is [`LogError::Corrupt`].
+pub(crate) fn records(buf: &[u8]) -> Result<(Vec<Record<'_>>, usize), LogError> {
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while let Some(header) = buf.get(pos..pos + 5) {
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let kind = header[4];
+        let Some(body) = buf.get(pos + 5..pos + 5 + len + 4) else {
+            break;
+        };
+        let (payload, stored_crc) = body.split_at(len);
+        if crc32(kind, payload).to_le_bytes() != stored_crc {
+            return Err(corrupt(
+                pos as u64,
+                "crc32 mismatch on a fully-framed record",
+            ));
+        }
+        out.push(Record {
+            offset: pos as u64,
+            kind,
+            payload,
+        });
+        pos += 5 + len + 4;
+    }
+    Ok((out, pos))
+}
+
 /// Appends `words` little-endian.
-fn put(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
+pub(crate) fn put(out: &mut Vec<u8>, words: impl IntoIterator<Item = u32>) {
     out.extend(words.into_iter().flat_map(u32::to_le_bytes));
 }
 
@@ -233,12 +251,12 @@ fn encode_base(g: &LabeledGraph) -> Vec<u8> {
 
 /// The unread rest of a record's payload; every read is checked against
 /// it, so no declared count sizes anything the bytes do not hold.
-struct Cursor<'a>(&'a [u8]);
+pub(crate) struct Cursor<'a>(pub(crate) &'a [u8]);
 
 impl<'a> Cursor<'a> {
     /// The next `count` items of `width` bytes each, or `None` if fewer
     /// bytes are left.
-    fn take(&mut self, count: usize, width: usize) -> Option<&'a [u8]> {
+    pub(crate) fn take(&mut self, count: usize, width: usize) -> Option<&'a [u8]> {
         let len = count
             .checked_mul(width)
             .filter(|&len| len <= self.0.len())?;
@@ -248,13 +266,13 @@ impl<'a> Cursor<'a> {
     }
 
     /// The next `u32`, a count or a length.
-    fn count(&mut self) -> Option<usize> {
+    pub(crate) fn count(&mut self) -> Option<usize> {
         let word = self.take(1, 4)?.try_into().expect("4 bytes");
         Some(u32::from_le_bytes(word) as usize)
     }
 }
 
-fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
+pub(crate) fn words(bytes: &[u8]) -> impl Iterator<Item = u32> + '_ {
     bytes
         .chunks_exact(4)
         .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
@@ -318,56 +336,46 @@ fn decode_batch(payload: &[u8]) -> Option<UpdateBatch> {
     Some(batch)
 }
 
-/// CRC-32 (IEEE 802.3, reflected) — hand-rolled because the build is
-/// offline. Slicing-by-8: eight tables, built once per process, fold eight
-/// bytes a step, and the bytes past the last whole eight go one at a time
-/// through the first. Shared with the snapshot persistence layer
-/// (`crate::persist`), which frames its sections the same way the log
-/// frames its records.
-pub(crate) struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    /// `t[0][b]` is the CRC of byte `b`; `t[k][b]` that of `b` followed by
-    /// `k` zero bytes.
-    fn tables() -> &'static [[u32; 256]; 8] {
-        static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
-        TABLES.get_or_init(|| {
-            let mut t = [[0u32; 256]; 8];
-            for (b, c) in t[0].iter_mut().enumerate() {
-                *c = (0..8).fold(b as u32, |c, _| {
-                    (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
-                });
-            }
-            for k in 1..8 {
-                for b in 0..256 {
-                    t[k][b] = (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize];
+/// `TABLES[0][b]` is the CRC-32 of byte `b`; `TABLES[k][b]` that of `b`
+/// followed by `k` zero bytes. Built at compile time.
+static TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    // Table `k` reads table 0 at any byte, so table 0 comes first.
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        t[k][b] = match k {
+            0 => {
+                let mut c = b as u32;
+                let mut bit = 0;
+                while bit < 8 {
+                    c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                    bit += 1;
                 }
+                c
             }
-            t
-        })
+            _ => (t[k - 1][b] >> 8) ^ t[0][(t[k - 1][b] & 0xFF) as usize],
+        };
+        i += 1;
     }
+    t
+};
 
-    pub(crate) fn new() -> Self {
-        Crc32 { state: !0 }
+/// CRC-32 (IEEE 802.3, reflected) of `kind ‖ payload` — hand-rolled
+/// because the build is offline. Slicing-by-8: eight payload bytes a step
+/// through the eight [`TABLES`]; the kind, and the bytes past the last
+/// whole eight, one at a time through the first.
+fn crc32(kind: u8, payload: &[u8]) -> u32 {
+    let byte = |c: u32, b: u8| TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = payload.chunks_exact(8);
+    let mut c = byte(!0, kind);
+    for w in &mut words {
+        let x = u64::from(c) ^ u64::from_le_bytes(w.try_into().expect("8 bytes"));
+        c = (0..8).fold(0, |acc, i| {
+            acc ^ TABLES[7 - i][(x >> (8 * i)) as usize & 0xFF]
+        });
     }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        let t = Self::tables();
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            let x = u64::from(self.state) ^ u64::from_le_bytes(w.try_into().expect("8 bytes"));
-            self.state = (0..8).fold(0, |c, i| c ^ t[7 - i][(x >> (8 * i)) as usize & 0xFF]);
-        }
-        for &b in words.remainder() {
-            self.state = t[0][((self.state ^ u32::from(b)) & 0xFF) as usize] ^ (self.state >> 8);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u32 {
-        !self.state
-    }
+    !words.remainder().iter().fold(c, |c, &b| byte(c, b))
 }
 
 #[cfg(test)]
@@ -385,15 +393,6 @@ mod tests {
         g
     }
 
-    /// `payload` framed as a log record of `kind`, CRC included.
-    fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut crc = Crc32::new();
-        crc.update(&[kind]);
-        crc.update(payload);
-        let len = (payload.len() as u32).to_le_bytes();
-        [&len[..], &[kind], payload, &crc.finish().to_le_bytes()].concat()
-    }
-
     fn tmp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("qpgc_wal_{name}_{}", std::process::id()));
@@ -403,9 +402,7 @@ mod tests {
     #[test]
     fn crc32_known_vector() {
         // CRC-32/IEEE of "123456789" is 0xCBF43926.
-        let mut crc = Crc32::new();
-        crc.update(b"123456789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
+        assert_eq!(crc32(b'1', b"23456789"), 0xCBF4_3926);
     }
 
     /// CRC-32 (IEEE, reflected) one bit at a time, the definition.
@@ -421,31 +418,19 @@ mod tests {
     }
 
     /// The eight-byte steps equal the bitwise definition at every length
-    /// from 0 to 300, and at every split of a few lengths into two
-    /// updates, so a chunk that ends mid-word carries its state on.
+    /// from 1 to 300, so every remainder carries the state on.
     #[test]
     fn slicing_by_8_equals_the_bitwise_crc() {
         let bytes: Vec<u8> = (0..300u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
-        let crc_of = |chunks: &[&[u8]]| {
-            let mut crc = Crc32::new();
-            chunks.iter().for_each(|c| crc.update(c));
-            crc.finish()
-        };
-        for len in 0..=bytes.len() {
+        for len in 1..=bytes.len() {
+            let (kind, payload) = (bytes[0], &bytes[1..len]);
             assert_eq!(
-                crc_of(&[&bytes[..len]]),
+                crc32(kind, payload),
                 bitwise_crc32(&bytes[..len]),
                 "{len} bytes"
             );
-        }
-        for len in [1, 7, 8, 9, 16, 17, 63, 64, 65, 300] {
-            let want = bitwise_crc32(&bytes[..len]);
-            for at in 0..=len {
-                let (a, b) = bytes[..len].split_at(at);
-                assert_eq!(crc_of(&[a, b]), want, "{len} bytes split at {at}");
-            }
         }
     }
 

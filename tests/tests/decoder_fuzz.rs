@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 const MUTANTS: usize = 600;
 
-/// CRC-32 (IEEE, reflected), the checksum both file formats frame with.
+/// CRC-32 (IEEE, reflected), the checksum of the framing both files share.
 fn crc32(chunks: &[&[u8]]) -> u32 {
     let mut crc = !0u32;
     for &b in chunks.iter().flat_map(|c| c.iter()) {
@@ -92,21 +92,45 @@ fn fuzz(decoder: &str, rng: &mut StdRng, mut decodes: impl FnMut(&mut StdRng, us
     );
 }
 
-/// Mutates one frame's payload, or now and then its kind; or, one time in
-/// five, returns `None` for a raw mutation of the whole file that no CRC is
-/// recomputed for.
-fn mutate_frames(rng: &mut StdRng, frames: &[(u32, Vec<u8>)]) -> Option<Vec<(u32, Vec<u8>)>> {
-    if rng.gen_bool(0.2) {
-        return None;
+/// The records of a file in the framing both files share:
+/// `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
+fn records(file: &[u8]) -> Vec<(u8, Vec<u8>)> {
+    let (mut out, mut pos) = (Vec::new(), 0);
+    while pos < file.len() {
+        let len = u32::from_le_bytes(file[pos..pos + 4].try_into().unwrap()) as usize;
+        out.push((file[pos + 4], file[pos + 5..pos + 5 + len].to_vec()));
+        pos += len + 9;
     }
-    let mut frames = frames.to_vec();
-    let at = rng.gen_range(0..frames.len());
-    let (kind, payload) = &mut frames[at];
+    out
+}
+
+/// `records` framed into a file, each with a valid CRC.
+fn framed(records: &[(u8, Vec<u8>)]) -> Vec<u8> {
+    let frame = |(kind, payload): &(u8, Vec<u8>)| {
+        let len = (payload.len() as u32).to_le_bytes();
+        let crc = crc32(&[&[*kind], payload]).to_le_bytes();
+        [&len[..], &[*kind], payload, &crc].concat()
+    };
+    records.iter().flat_map(frame).collect()
+}
+
+/// A mutant of `file`: one record's payload mutated, or now and then its
+/// kind, and the records re-framed; or, one time in five, a raw mutation of
+/// the whole file that no CRC is recomputed for.
+fn mutant(rng: &mut StdRng, file: &[u8]) -> Vec<u8> {
+    if rng.gen_bool(0.2) {
+        let mut bytes = file.to_vec();
+        mutate(rng, &mut bytes);
+        return bytes;
+    }
+    let mut records = records(file);
+    let at = rng.gen_range(0..records.len());
+    let (kind, payload) = &mut records[at];
     match rng.gen_bool(0.1) {
         true => *kind ^= 1 << rng.gen_range(0..8u32),
         false => mutate(rng, payload),
     }
-    Some(frames)
+    framed(&records)
 }
 
 /// What a log must give back of a graph: its node labels, its interner's
@@ -133,11 +157,11 @@ fn answers_like_bfs(store: &CompressedStore, g: &LabeledGraph, ctx: &str) {
     }
 }
 
-/// The log: `[u32 len][u8 kind][payload][u32 crc of kind ‖ payload]`.
-/// Its graph holds an empty label name and a label with no name, so the
-/// mutants reach every part of the base record's label table. Before any
-/// mutant, the clean log must read back as exactly the base graph and the
-/// four batches, and recover and boot to stores that answer like BFS.
+/// The log: a base record, then a record per batch. Its graph holds an
+/// empty label name and a label with no name, so the mutants reach every
+/// part of the base record's label table. Before any mutant, the clean log
+/// must read back as exactly the base graph and the four batches, and
+/// recover and boot to stores that answer like BFS.
 fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
     let (mut g, path) = (random_graph(rng, 16, false), dir.join("log"));
     g.add_node_with_label("");
@@ -174,29 +198,9 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
         answers_like_bfs(&store.unwrap_or_else(|e| panic!("{ctx}: {e}")), &g, &ctx);
     }
     let log = std::fs::read(&path).unwrap();
-    let (mut records, mut pos) = (Vec::new(), 0);
-    while pos < log.len() {
-        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
-        records.push((
-            u32::from(log[pos + 4]),
-            log[pos + 5..pos + 5 + len].to_vec(),
-        ));
-        pos += len + 9;
-    }
+    assert_eq!(framed(&records(&log)), log, "the log's records");
     fuzz("UpdateLog::read", rng, |rng, i| {
-        let mut bytes = log.clone();
-        match mutate_frames(rng, &records) {
-            None => mutate(rng, &mut bytes),
-            Some(records) => {
-                bytes.clear();
-                for (kind, payload) in &records {
-                    bytes.extend((payload.len() as u32).to_le_bytes());
-                    bytes.push(*kind as u8);
-                    bytes.extend(payload);
-                    bytes.extend(crc32(&[&[*kind as u8], payload]).to_le_bytes());
-                }
-            }
-        }
+        let bytes = mutant(rng, &log);
         std::fs::write(&path, &bytes).unwrap();
         let booted = CompressedStore::boot_from_snapshot(&snap, &path, StoreConfig::default());
         let Ok(contents) = UpdateLog::read(&path) else {
@@ -223,9 +227,7 @@ fn fuzz_update_log(rng: &mut StdRng, dir: &Path) {
     });
 }
 
-/// The snapshot file: a 16-byte header, then sections
-/// `[u32 kind][u32 len][u32 crc][u32 0][payload][zero pad to 8]`, the CRC
-/// over everything but itself.
+/// The snapshot file: one record of kind 2, in the log's framing.
 fn fuzz_snapshot_file(rng: &mut StdRng, dir: &Path) {
     let mut g = random_graph(rng, 24, false);
     let store = CompressedStore::new(g.clone(), StoreConfig::default());
@@ -237,34 +239,11 @@ fn fuzz_snapshot_file(rng: &mut StdRng, dir: &Path) {
     let path = dir.join("snap");
     store.save_snapshot(&path).unwrap();
     let file = std::fs::read(&path).unwrap();
-    let (mut sections, mut pos) = (Vec::new(), 16);
-    while pos < file.len() {
-        let word = |at: usize| u32::from_le_bytes(file[at..at + 4].try_into().unwrap());
-        let len = word(pos + 4) as usize;
-        sections.push((word(pos), file[pos + 16..pos + 16 + len].to_vec()));
-        pos += 16 + len.next_multiple_of(8);
-    }
+    let record = records(&file);
+    assert_eq!(record.len(), 1, "the snapshot file's records");
+    assert_eq!(framed(&record), file, "the snapshot file's record");
     fuzz("load_snapshot", rng, |rng, i| {
-        let mut bytes = file.clone();
-        match mutate_frames(rng, &sections) {
-            None => mutate(rng, &mut bytes),
-            Some(sections) => {
-                bytes.truncate(16);
-                for (kind, payload) in &sections {
-                    let len = payload.len() as u32;
-                    let pad = &[0u8; 8][..payload.len().next_multiple_of(8) - payload.len()];
-                    let crc = crc32(&[
-                        &kind.to_le_bytes(),
-                        &len.to_le_bytes(),
-                        &[0; 4],
-                        payload,
-                        pad,
-                    ]);
-                    let header = [*kind, len, crc, 0].map(u32::to_le_bytes);
-                    bytes.extend(header.iter().flatten().chain(payload).chain(pad));
-                }
-            }
-        }
+        let bytes = mutant(rng, &file);
         std::fs::write(&path, &bytes).unwrap();
         let Ok(snap) = load_snapshot(&path) else {
             return false;
